@@ -1,5 +1,12 @@
 GO ?= go
 
+# Every go test below carries an explicit -timeout, so a hang fails in about
+# two minutes, not the ten-minute default. The slowest package is
+# internal/sim: ~5 s unraced, ~40 s under -race on two cores. Time spent
+# fuzzing is not counted, only the seed-corpus run before it.
+TEST_TIMEOUT ?= 2m
+RACE_TIMEOUT ?= 3m
+
 .PHONY: all build test race vet fuzz bench check smoke clean
 
 all: build
@@ -8,7 +15,7 @@ build:
 	$(GO) build ./...
 
 test:
-	$(GO) test ./...
+	$(GO) test -timeout $(TEST_TIMEOUT) ./...
 
 # The steward federation stack, the simulation workers (including the
 # stratified certification sampler and the screened n=10k archival-scale
@@ -19,7 +26,7 @@ test:
 # and the federated store (disaster soak) are the concurrency-heavy
 # packages; run them under the race detector.
 race:
-	$(GO) test -race ./internal/steward/ ./internal/sim/ ./internal/obs/ ./internal/campaign/ \
+	$(GO) test -race -timeout $(RACE_TIMEOUT) ./internal/steward/ ./internal/sim/ ./internal/obs/ ./internal/campaign/ \
 		./internal/decode/ ./internal/adjust/ ./internal/core/ ./internal/serve/ ./internal/archive/ \
 		./internal/workload/ ./internal/federation/ ./internal/chaos/ ./internal/fedstore/
 
@@ -31,10 +38,10 @@ vet:
 # longer sessions: make fuzz FUZZTIME=10m
 FUZZTIME ?= 3s
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME) ./internal/archive/
-	$(GO) test -run '^$$' -fuzz FuzzKernelMatchesReference -fuzztime $(FUZZTIME) ./internal/decode/
-	$(GO) test -run '^$$' -fuzz FuzzSlicedMatchesReference -fuzztime $(FUZZTIME) ./internal/decode/
-	$(GO) test -run '^$$' -fuzz FuzzDefectKernelMatchesReference -fuzztime $(FUZZTIME) ./internal/defect/
+	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME) ./internal/archive/
+	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzKernelMatchesReference -fuzztime $(FUZZTIME) ./internal/decode/
+	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzSlicedMatchesReference -fuzztime $(FUZZTIME) ./internal/decode/
+	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzDefectKernelMatchesReference -fuzztime $(FUZZTIME) ./internal/defect/
 
 # bench measures the certification-scan and defect-scan hot paths (map/
 # decoder baselines vs the incremental kernels), the serving layer (Zipf

@@ -52,7 +52,6 @@ func main() {
 		maxK      = fs.Int("maxk", 0, "largest erasure cardinality examined")
 		keepGoing = fs.Bool("keepgoing", false, "worstcase: search all cardinalities past the first failure")
 		failures  = fs.Int("failures", 0, "worstcase: failing sets recorded per cardinality")
-		kernel    = fs.String("kernel", "", "worstcase: scan kernel, scalar (default) or sliced")
 		trials    = fs.Int64("trials", 0, "profile/sampled: Monte Carlo trial budget per offline-node count")
 		mcSeed    = fs.Uint64("mcseed", 2006, "profile/sampled: sampling seed")
 		minK      = fs.Int("mink", 0, "profile/sampled: smallest erasure cardinality examined")
@@ -100,7 +99,6 @@ func main() {
 		case tornado.CampaignWorstCase:
 			spec.MaxFailures = *failures
 			spec.KeepGoing = *keepGoing
-			spec.Kernel = *kernel
 		case tornado.CampaignProfile:
 			spec.Trials = *trials
 			spec.Seed = *mcSeed

@@ -29,7 +29,6 @@ func main() {
 		maxK      = flag.Int("maxk", 5, "largest erasure cardinality to search")
 		keepGoing = flag.Bool("keepgoing", false, "search all cardinalities even after the first failure")
 		failures  = flag.Int("failures", 16, "failing sets to print")
-		kernel    = flag.String("kernel", "", "scan kernel: scalar (default) or sliced")
 	)
 	flag.Parse()
 
@@ -51,7 +50,6 @@ func main() {
 	start := time.Now()
 	res, err := tornado.WorstCase(g, tornado.WorstCaseOptions{
 		MaxK: *maxK, KeepGoing: *keepGoing, MaxFailures: *failures,
-		Kernel: tornado.ScanKernel(*kernel),
 	})
 	if err != nil {
 		log.Fatal(err)

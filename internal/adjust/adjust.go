@@ -68,17 +68,21 @@ func ClearK(g *graph.Graph, k int, opts Options, rng *rand.Rand) (*graph.Graph, 
 // returns within one test round.
 func ClearKCtx(ctx context.Context, g *graph.Graph, k int, opts Options, rng *rand.Rand) (*graph.Graph, Report, error) {
 	opts.setDefaults()
-	rep := Report{K: k}
+	kr, err := sim.ExhaustiveKCtx(ctx, g, k, opts.MaxFailures, opts.Workers)
+	if err != nil {
+		return nil, Report{K: k}, err
+	}
+	return clearK(ctx, g, kr, opts, rng)
+}
+
+// clearK is ClearKCtx from the first test round on: kr is the exhaustive
+// examination of g at the cardinality to clear, which the caller has
+// already paid for.
+func clearK(ctx context.Context, g *graph.Graph, kr sim.KResult, opts Options, rng *rand.Rand) (*graph.Graph, Report, error) {
+	k := kr.K
+	rep := Report{K: k, InitialFailures: kr.FailureCount, FinalFailures: kr.FailureCount, Rounds: 1}
 
 	work := g.Clone()
-	kr, err := sim.ExhaustiveKCtx(ctx, work, k, opts.MaxFailures, opts.Workers)
-	if err != nil {
-		return nil, rep, err
-	}
-	rep.InitialFailures = kr.FailureCount
-	rep.FinalFailures = kr.FailureCount
-	rep.Rounds = 1
-
 	best := work.Clone()
 	bestCount := kr.FailureCount
 	var bestRewires []Rewire
@@ -127,20 +131,30 @@ func Improve(g *graph.Graph, maxK int, opts Options, rng *rand.Rand) (*graph.Gra
 	return ImproveCtx(context.Background(), g, maxK, opts, rng)
 }
 
-// ImproveCtx is Improve with cancellation threaded through every worst-case
-// search and adjustment round.
+// ImproveCtx is Improve with cancellation threaded through every exhaustive
+// test. No cardinality of a graph is examined twice: the scan that finds a
+// failing cardinality is clearK's first test round, and the round that
+// shows it cleared stands when the rewired graph re-earns the lower ones.
 func ImproveCtx(ctx context.Context, g *graph.Graph, maxK int, opts Options, rng *rand.Rand) (*graph.Graph, []Report, error) {
+	opts.setDefaults()
+	if maxK <= 0 {
+		maxK = sim.DefaultMaxK
+	}
 	var reports []Report
 	cur := g
-	for {
-		wc, err := sim.WorstCaseCtx(ctx, cur, sim.WorstCaseOptions{MaxK: maxK, MaxFailures: opts.MaxFailures, Workers: opts.Workers})
+	cleared := 0 // cardinality cur is known to survive from clearK's last round
+	for k := 1; k <= maxK; k++ {
+		if k == cleared {
+			continue
+		}
+		kr, err := sim.ExhaustiveKCtx(ctx, cur, k, opts.MaxFailures, opts.Workers)
 		if err != nil {
 			return nil, reports, err
 		}
-		if !wc.Found {
-			return cur, reports, nil // tolerates everything up to maxK
+		if kr.FailureCount == 0 {
+			continue
 		}
-		next, rep, err := ClearKCtx(ctx, cur, wc.FirstFailure, opts, rng)
+		next, rep, err := clearK(ctx, cur, kr, opts, rng)
 		if err != nil {
 			return nil, reports, err
 		}
@@ -149,7 +163,9 @@ func ImproveCtx(ctx context.Context, g *graph.Graph, maxK int, opts Options, rng
 		if !rep.Cleared {
 			return cur, reports, nil // stalled; return best effort
 		}
+		cleared, k = k, 0 // a rewire can break a lower cardinality: start over
 	}
+	return cur, reports, nil // tolerates everything up to maxK
 }
 
 // pickRewire chooses the adjustment step from the current failure sets:

@@ -158,6 +158,11 @@ type Store struct {
 	mScrubRepaired   *obs.Counter
 	mScrubCorrupt    *obs.Counter
 	mScrubUnrecov    *obs.Counter
+
+	// getStreamHook, when set (tests only), is called by a parallel
+	// GetStream worker as it picks up stripe st, with the number of payload
+	// buffers left in the pool: a schedule-forcing seam.
+	getStreamHook func(st, free int)
 }
 
 // New builds a store over one always-on device per graph node.

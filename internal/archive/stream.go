@@ -233,64 +233,69 @@ func (s *Store) GetStream(ctx context.Context, name string, w io.Writer, opts ..
 	defer cancel()
 
 	type result struct {
+		st      int
 		payload []byte // recycled via pool after the in-order write
 		stats   GetStats
-		touched map[int]bool
 		err     error
 	}
-	results := make(chan struct {
-		st int
-		result
-	}, o.parallelism)
-	// Buffer pool: parallelism payload buffers bound in-flight memory. The
-	// stripe the writer is waiting on always holds (or is about to
-	// acquire) a buffer, so the pipeline cannot deadlock.
+	results := make(chan result, o.parallelism)
+	// Buffer pool: parallelism payload buffers bound in-flight memory. A
+	// finished out-of-order stripe keeps its buffer until the in-order
+	// writer reaches it, so buffers are handed out in stripe order, with
+	// the job: the stripe the writer waits on always has one.
 	pool := make(chan []byte, o.parallelism)
 	for i := 0; i < o.parallelism; i++ {
 		pool <- make([]byte, 0, cap)
 	}
-	jobs := make(chan int)
+	type job struct {
+		st  int
+		buf []byte
+	}
+	jobs := make(chan job)
+	// Devices touched, merged from each worker's scratch as it exits; read
+	// once results is closed, which is after every worker has.
+	var touchedMu sync.Mutex
+	touched := map[int]bool{}
 	var wg sync.WaitGroup
 	for i := 0; i < o.parallelism; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sc := s.newScratch()
-			for st := range jobs {
-				var buf []byte
-				select {
-				case buf = <-pool:
-				case <-pctx.Done():
-					results <- struct {
-						st int
-						result
-					}{st, result{err: pctx.Err()}}
-					continue
+			defer func() {
+				touchedMu.Lock()
+				for v := range sc.touched {
+					touched[v] = true
 				}
-				want := min(size-st*cap, cap)
+				touchedMu.Unlock()
+			}()
+			for j := range jobs {
+				if s.getStreamHook != nil {
+					s.getStreamHook(j.st, len(pool))
+				}
+				want := min(size-j.st*cap, cap)
 				var rstats GetStats
-				payload, gerr := s.getStripe(pctx, name, st, want, sc, &rstats)
+				payload, gerr := s.getStripe(pctx, name, j.st, want, sc, &rstats)
 				if gerr != nil {
-					pool <- buf[:0]
-					results <- struct {
-						st int
-						result
-					}{st, result{stats: rstats, err: gerr}}
+					pool <- j.buf
+					results <- result{st: j.st, stats: rstats, err: gerr}
 					continue
 				}
-				buf = append(buf[:0], payload...)
-				results <- struct {
-					st int
-					result
-				}{st, result{payload: buf, stats: rstats, touched: sc.touched}}
+				results <- result{st: j.st, payload: append(j.buf, payload...), stats: rstats}
 			}
 		}()
 	}
 	go func() {
 		defer close(jobs)
 		for st := 0; st < stripes; st++ {
+			var buf []byte
 			select {
-			case jobs <- st:
+			case buf = <-pool:
+			case <-pctx.Done():
+				return
+			}
+			select {
+			case jobs <- job{st, buf}:
 			case <-pctx.Done():
 				return
 			}
@@ -304,7 +309,6 @@ func (s *Store) GetStream(ctx context.Context, name string, w io.Writer, opts ..
 	written := 0
 	next := 0
 	pending := map[int]result{}
-	touched := map[int]bool{}
 	var firstErr error
 	flushStats := func(r result) {
 		stats.BlocksRead += r.stats.BlocksRead
@@ -313,12 +317,9 @@ func (s *Store) GetStream(ctx context.Context, name string, w io.Writer, opts ..
 		stats.ReadRepairs += r.stats.ReadRepairs
 		stats.Retries += r.stats.Retries
 		stats.Repair.Add(r.stats.Repair)
-		for v := range r.touched {
-			touched[v] = true
-		}
 	}
 	for r := range results {
-		pending[r.st] = r.result
+		pending[r.st] = r
 		for {
 			pr, ok := pending[next]
 			if !ok {
@@ -352,6 +353,11 @@ func (s *Store) GetStream(ctx context.Context, name string, w io.Writer, opts ..
 		if firstErr == nil && pr.err != nil {
 			firstErr = pr.err
 		}
+	}
+	if firstErr == nil && next < stripes {
+		// Dispatch stopped short with no stripe reporting why: the caller
+		// canceled between stripes.
+		firstErr = pctx.Err()
 	}
 	stats.DevicesAccessed = len(touched)
 	if firstErr != nil {

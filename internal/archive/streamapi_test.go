@@ -8,6 +8,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestStreamRoundTrip pushes multi-stripe objects through PutStream and
@@ -116,6 +117,54 @@ func TestGetMidObjectCancellation(t *testing.T) {
 	cancel3()
 	if _, _, err := s.GetCtx(ctx3, "obj"); !errIsCtx(err) {
 		t.Fatalf("GetCtx with cancelled context: %v", err)
+	}
+}
+
+// TestGetStreamStalledHeadStripe forces the schedule that used to deadlock
+// the parallel read pipeline: the worker holding the stripe the in-order
+// writer waits on is stalled right after picking it up, while the other
+// workers run ahead until the payload pool is drained (every buffer parked
+// behind the head stripe). Buffers travel with the job, so the stalled
+// stripe already holds one and finishes when released; a pipeline that let
+// workers take buffers after pickup would leave it starved here forever.
+func TestGetStreamStalledHeadStripe(t *testing.T) {
+	s := testStore(t, Config{BlockSize: 64})
+	const par = 4
+	data := payload(3*par*s.codec.Capacity()+5, 9)
+	if err := s.Put("obj", data); err != nil {
+		t.Fatal(err)
+	}
+
+	drained := make(chan struct{})
+	var once sync.Once
+	s.getStreamHook = func(st, free int) {
+		if free == 0 {
+			once.Do(func() { close(drained) })
+		}
+		if st == 0 {
+			<-drained
+		}
+	}
+	type outcome struct {
+		got []byte
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		var buf bytes.Buffer
+		_, _, err := s.GetStream(context.Background(), "obj", &buf, WithParallelism(par))
+		done <- outcome{buf.Bytes(), err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if !bytes.Equal(o.got, data) {
+			t.Error("payload mismatch after a stalled head stripe")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("GetStream hung with the head stripe stalled and the pool drained")
 	}
 }
 

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -28,36 +29,30 @@ func CacheKey(g *graph.Graph, spec Spec) string {
 
 // scanOrderVersion participates in the cache key so entries computed under
 // a different shard scan order (and thus with different recorded failure
-// sets) miss instead of being served stale. "rd1" = revolving-door order,
-// introduced with manifestVersion 2; v1's lexicographic entries hashed
-// without any order tag. "rd2" = shards record their lexicographically
-// smallest failures instead of the first in scan order (manifestVersion 3),
-// making merged Failures independent of shard layout.
-const scanOrderVersion = "rd2"
-
-// scanOrderVersionSliced tags entries computed by the bit-sliced kernel
-// (Spec.Kernel "sliced"). The sliced scan walks the same revolving-door
-// rank order and records identical results, but versioning it separately
-// keeps the kernels' cache populations disjoint: a bug in either kernel
-// can be flushed by bumping one tag without invalidating the other's
-// entries, and a shard computed under one implementation is never
-// attributed to the other.
-const scanOrderVersionSliced = "sl1"
+// sets) miss instead of being served stale. "sl1" = revolving-door order,
+// lexicographically smallest failures per shard, evaluated by the
+// bit-sliced scanner — the only exhaustive scan there is. The tags of
+// retired orders and kernels (none, "rd1", "rd2") simply miss.
+const scanOrderVersion = "sl1"
 
 // scanOrderVersionSampled tags sampled-certification entries (KindSampled).
 // Sampled campaigns draw from their own RNG seed domain and record
 // stratified tallies rather than scan results, so their cache population
-// is versioned independently of both exhaustive scan orders.
+// is versioned independently of the exhaustive scan order.
 const scanOrderVersionSampled = "st1"
+
+// legacyKernelField is what a worst-case spec that selected the bit-sliced
+// scanner marshaled between max_failures/keep_going and shard_size while
+// the scan kernel was a Spec field. The field is gone (old manifests that
+// carry it still load; it is ignored), but it stays in the hashed bytes so
+// the entries those campaigns stored are still hits.
+const legacyKernelField = `"kernel":"sliced",`
 
 // orderVersion returns the scan-order tag a normalized spec's cache
 // entries are hashed under.
 func orderVersion(normSpec Spec) string {
 	if normSpec.Kind == KindSampled {
 		return scanOrderVersionSampled
-	}
-	if normSpec.Kernel == "sliced" {
-		return scanOrderVersionSliced
 	}
 	return scanOrderVersion
 }
@@ -67,6 +62,11 @@ func cacheKey(fingerprint string, normSpec Spec) string {
 	if err != nil {
 		// Spec is a plain struct of marshalable fields; this cannot fail.
 		panic(fmt.Sprintf("campaign: marshaling spec: %v", err))
+	}
+	if normSpec.Kind == KindWorstCase {
+		// A normalized worst-case spec zeroes every field between
+		// keep_going and shard_size, so this is where the field sat.
+		data = bytes.Replace(data, []byte(`"shard_size"`), []byte(legacyKernelField+`"shard_size"`), 1)
 	}
 	h := sha256.New()
 	h.Write([]byte(fingerprint))

@@ -3,8 +3,8 @@
 // reconstruction-failure profiles of §3 — into durable, resumable units of
 // work. A campaign spec (graph + options) is deterministically sharded:
 // exhaustive cardinalities are cut into contiguous combination-rank ranges
-// via combin.SplitRanges (scanned in revolving-door order by the incremental
-// peeling kernel; see sim.ScanRangeCtx), and Monte Carlo points into
+// via combin.SplitRanges (scanned in revolving-door order by the bit-sliced
+// scanner; see sim.ScanRangeCtx), and Monte Carlo points into
 // fixed-size trial blocks each owning a seeded RNG stream. A
 // worker pool executes shards and journals each completed shard to a
 // crash-safe JSONL file, so Resume skips finished shards and — because
@@ -77,14 +77,6 @@ type Spec struct {
 	MaxFailures int  `json:"max_failures,omitempty"`
 	KeepGoing   bool `json:"keep_going,omitempty"`
 
-	// Kernel selects the scan evaluation kernel (KindWorstCase):
-	// "" or "scalar" for the revolving-door scalar kernel, "sliced" for
-	// the bit-sliced 64-lane kernel. Both produce bit-identical results;
-	// the kernel still participates in the cache key through the scan
-	// order version so shards computed under one kernel are never
-	// replayed into the other's campaigns.
-	Kernel string `json:"kernel,omitempty"`
-
 	// Monte Carlo fields (KindProfile and KindSampled). For KindSampled,
 	// Trials is the per-cardinality trial budget the stopping rule may cut
 	// short, and MaxFailures doubles as the witness cap.
@@ -122,9 +114,6 @@ func (s Spec) normalize(total int) Spec {
 		if s.MaxFailures <= 0 {
 			s.MaxFailures = sim.DefaultMaxFailures
 		}
-		if s.Kernel == string(sim.KernelScalar) || s.Kernel == "scalar" {
-			s.Kernel = ""
-		}
 		s.Trials, s.ExhaustiveLimit, s.MinK, s.Seed = 0, 0, 0, 0
 		s.Epsilon = 0
 	case KindProfile:
@@ -141,7 +130,6 @@ func (s Spec) normalize(total int) Spec {
 			s.MaxK = total
 		}
 		s.MaxFailures, s.KeepGoing = 0, false
-		s.Kernel = ""
 		s.Epsilon = 0
 	case KindSampled:
 		if s.Trials <= 0 {
@@ -163,7 +151,6 @@ func (s Spec) normalize(total int) Spec {
 			s.MaxFailures = sim.DefaultMaxFailures
 		}
 		s.ExhaustiveLimit, s.KeepGoing = 0, false
-		s.Kernel = ""
 	}
 	return s
 }
@@ -173,9 +160,6 @@ func (s Spec) validate() error {
 	case KindWorstCase, KindProfile, KindSampled:
 	default:
 		return fmt.Errorf("campaign: unknown kind %q (want %q, %q, or %q)", s.Kind, KindWorstCase, KindProfile, KindSampled)
-	}
-	if err := sim.ScanKernel(s.Kernel).Validate(); err != nil {
-		return fmt.Errorf("campaign: %w", err)
 	}
 	return nil
 }
@@ -658,7 +642,7 @@ func (r *runner) runShard(ctx context.Context, s shard) (Record, error) {
 		}
 		return Record{Shard: s.ID, K: s.K, Trials: prop.Trials, Hits: prop.Hits}, nil
 	}
-	rr, err := sim.ScanRangeKernelCtx(ctx, r.g, s.K, s.Lo, s.Hi, s.MaxFailures, sim.ScanKernel(r.spec.Kernel))
+	rr, err := sim.ScanRangeCtx(ctx, r.g, s.K, s.Lo, s.Hi, s.MaxFailures)
 	if err != nil {
 		return Record{}, err
 	}

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"tornado/internal/graph"
+	"tornado/internal/graphml"
 	"tornado/internal/obs"
 	"tornado/internal/sim"
 )
@@ -364,129 +366,90 @@ func TestProgressMetrics(t *testing.T) {
 	}
 }
 
-// TestSlicedCampaignMatchesScalar runs the same worst-case spec under both
-// kernels and requires identical WorstCase payloads: the sliced scan is a
-// drop-in evaluation strategy, not a different experiment.
-func TestSlicedCampaignMatchesScalar(t *testing.T) {
+// TestLegacyKernelManifestResume: campaigns written while the scan kernel
+// was a Spec field (PR 9–11) carry "kernel":"sliced" or "kernel":"scalar"
+// in manifest.json. Such a directory must still load and resume — the
+// field is ignored, the one scanner produces the same bytes either kernel
+// did — nothing this build writes may carry the field, and the cache
+// entries sliced campaigns stored must still be hits.
+func TestLegacyKernelManifestResume(t *testing.T) {
 	g := testGraph(t)
-	base := Spec{Kind: KindWorstCase, MaxK: 3, MaxFailures: 64, KeepGoing: true, ShardSize: 128}
-	scalar, err := Run(t.TempDir(), g, base, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sliced := base
-	sliced.Kernel = "sliced"
-	got, err := Run(t.TempDir(), g, sliced, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.WorstCase, scalar.WorstCase) {
-		t.Errorf("sliced campaign diverges from scalar:\n got %+v\nwant %+v", got.WorstCase, scalar.WorstCase)
-	}
-}
-
-// TestSlicedCrashResumeBitIdentical kills a sliced-kernel campaign mid-run
-// and resumes it; the result must match an uninterrupted sliced run byte
-// for byte, proving shard journaling and the content-addressed cache work
-// unchanged under the sliced scan order version.
-func TestSlicedCrashResumeBitIdentical(t *testing.T) {
-	g := testGraph(t)
-	spec := Spec{Kind: KindWorstCase, MaxK: 3, MaxFailures: 64, KeepGoing: true, ShardSize: 128, Kernel: "sliced"}
-
+	spec := Spec{Kind: KindWorstCase, MaxK: 3, MaxFailures: 64, KeepGoing: true, ShardSize: 128}
 	uninterrupted, err := Run(t.TempDir(), g, spec, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	dir := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	_, err = RunCtx(ctx, dir, g, spec, Options{
-		Workers: 2,
-		Progress: func(st Status) {
-			if st.DoneShards >= 3 {
-				cancel()
-			}
-		},
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
+	for _, kernel := range []string{"sliced", "scalar"} {
+		dir := t.TempDir()
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err = RunCtx(ctx, dir, g, spec, Options{
+			Workers: 2,
+			Progress: func(st Status) {
+				if st.DoneShards >= 3 {
+					cancel()
+				}
+			},
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("interrupted run returned %v, want context.Canceled", err)
+		}
+
+		// Rewrite the manifest as the older build would have written it.
+		path := filepath.Join(dir, manifestFile)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(data, []byte(`"kernel"`)) {
+			t.Fatalf("this build wrote a kernel field into the manifest: %s", data)
+		}
+		legacy := bytes.Replace(data, []byte(`"shard_size"`), []byte(`"kernel":"`+kernel+`","shard_size"`), 1)
+		if bytes.Equal(legacy, data) {
+			t.Fatal("manifest has no shard_size field to anchor the legacy kernel field")
+		}
+		if err := os.WriteFile(path, legacy, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		resumed, err := Resume(dir, Options{Workers: 4})
+		if err != nil {
+			t.Fatalf("kernel %q: resuming a legacy manifest: %v", kernel, err)
+		}
+		if got, want := marshal(t, resumed), marshal(t, uninterrupted); string(got) != string(want) {
+			t.Errorf("kernel %q: resumed legacy campaign not bit-identical:\n got %s\nwant %s", kernel, got, want)
+		}
+		if bytes.Contains(marshal(t, resumed), []byte(`"kernel"`)) {
+			t.Errorf("kernel %q: result carries a kernel field", kernel)
+		}
 	}
 
-	resumed, err := Resume(dir, Options{Workers: 4})
+	// A spec file of the same vintage decodes with the field dropped.
+	var old Spec
+	if err := json.Unmarshal([]byte(`{"kind":"worstcase","max_k":3,"kernel":"sliced"}`), &old); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Spec{Kind: KindWorstCase, MaxK: 3}); old != want {
+		t.Errorf("legacy spec JSON decoded to %+v, want %+v", old, want)
+	}
+
+	// Keys of sliced worst-case and of sampled campaigns, as commit 34981eb
+	// computed them for tornado96-1: entries stored then are served now.
+	g96, err := graphml.ReadFile("../../precompiled/tornado96-1.graphml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := marshal(t, resumed), marshal(t, uninterrupted); string(got) != string(want) {
-		t.Errorf("resumed sliced result not bit-identical:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestKernelCacheKeySeparation pins the cache-identity rules around
-// Spec.Kernel: "scalar" normalizes into the zero kernel (same key, same
-// cache population as every pre-kernel-field campaign), while "sliced"
-// hashes under its own scan order version and can never collide with
-// scalar entries.
-func TestKernelCacheKeySeparation(t *testing.T) {
-	g := testGraph(t)
-	base := Spec{Kind: KindWorstCase, MaxK: 3}
-
-	alias := base
-	alias.Kernel = "scalar"
-	if CacheKey(g, base) != CacheKey(g, alias) {
-		t.Error(`Kernel "scalar" must share the default kernel's cache key`)
-	}
-
-	sliced := base
-	sliced.Kernel = "sliced"
-	if CacheKey(g, base) == CacheKey(g, sliced) {
-		t.Error("sliced campaigns must not share scalar cache entries")
-	}
-	if orderVersion(base.normalize(g.Total)) != scanOrderVersion {
-		t.Errorf("scalar order version = %q", orderVersion(base.normalize(g.Total)))
-	}
-	if orderVersion(sliced.normalize(g.Total)) != scanOrderVersionSliced {
-		t.Errorf("sliced order version = %q", orderVersion(sliced.normalize(g.Total)))
-	}
-
-	// A cached scalar result must be served back to the scalar spec and
-	// missed by the sliced spec even with an otherwise identical workload.
-	dir := t.TempDir()
-	cache := filepath.Join(dir, "cache")
-	first, err := Run(filepath.Join(dir, "a"), g, base, Options{Workers: 2, CacheDir: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Cached {
-		t.Fatal("first run reported cached")
-	}
-	hit, err := Run(filepath.Join(dir, "b"), g, alias, Options{Workers: 2, CacheDir: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit.Cached {
-		t.Error(`"scalar" alias missed the cache`)
-	}
-	miss, err := Run(filepath.Join(dir, "c"), g, sliced, Options{Workers: 2, CacheDir: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if miss.Cached {
-		t.Error("sliced run was served a scalar cache entry")
-	}
-}
-
-// TestSpecKernelValidation rejects unknown kernels before any work runs.
-func TestSpecKernelValidation(t *testing.T) {
-	g := testGraph(t)
-	spec := Spec{Kind: KindWorstCase, MaxK: 2, Kernel: "simd"}
-	if _, err := Run(t.TempDir(), g, spec, Options{}); err == nil {
-		t.Fatal(`Kernel "simd" accepted`)
-	}
-	// Profile campaigns zero the kernel field: it selects a scan kernel
-	// and scans only happen under KindWorstCase.
-	prof := Spec{Kind: KindProfile, MaxK: 3, Trials: 100, Kernel: "sliced"}
-	if prof.normalize(g.Total).Kernel != "" {
-		t.Error("profile spec kept a scan kernel")
+	for _, pin := range []struct {
+		spec Spec
+		key  string
+	}{
+		{Spec{Kind: KindWorstCase, MaxK: 3}, "9a924e2ac371b6b626be29c6b93e17fbb8e8e87514ca2aa7bc3d8c7199abd4b6"},
+		{Spec{Kind: KindWorstCase, MaxK: 4, MaxFailures: 16, KeepGoing: true, ShardSize: 4096}, "ca58924b173b043f40778b94ec568b7e38d8f976f9fd78b8c09474ccfb460298"},
+		{Spec{Kind: KindSampled, MaxK: 5, MinK: 5, Seed: 9}, "df2c8abb73bf207af3171010a9b0b32117538e87b12654f1d7b29fe8f8d9b6b5"},
+	} {
+		if got := CacheKey(g96, pin.spec); got != pin.key {
+			t.Errorf("CacheKey(%+v) = %s, want the pre-existing %s", pin.spec, got, pin.key)
+		}
 	}
 }

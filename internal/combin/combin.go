@@ -175,29 +175,47 @@ func Unrank(idx []int, n int, r int64) {
 }
 
 // RandomSubset fills idx with a uniformly random k-subset of {0,…,n-1} in
-// increasing order using Floyd's algorithm. The scratch map avoids
-// allocation across calls when reused; pass nil to allocate internally.
-func RandomSubset(idx []int, n int, rng *rand.Rand, scratch map[int]bool) {
+// increasing order using Floyd's algorithm: one rng.IntN draw per element,
+// so a given rng state always yields the same subset. seen is the
+// membership scratch, a bitset of at least (n+63)/64 words that must be
+// all-zero on entry and is all-zero again on return; reusing it across
+// calls avoids allocation. Pass nil to allocate internally.
+func RandomSubset(idx []int, n int, rng *rand.Rand, seen []uint64) {
 	k := len(idx)
 	if k > n {
 		panic(fmt.Sprintf("combin: k=%d exceeds n=%d", k, n))
 	}
-	if scratch == nil {
-		scratch = make(map[int]bool, k)
-	} else {
-		clear(scratch)
+	words := (n + 63) >> 6
+	if seen == nil {
+		seen = make([]uint64, words)
 	}
 	i := 0
 	for j := n - k; j < n; j++ {
 		t := rng.IntN(j + 1)
-		if scratch[t] {
+		if seen[t>>6]&(1<<(uint(t)&63)) != 0 {
 			t = j
 		}
-		scratch[t] = true
+		seen[t>>6] |= 1 << (uint(t) & 63)
 		idx[i] = t
 		i++
 	}
-	// Floyd's algorithm yields an unordered set; sort in place (k is small).
+	// Floyd's algorithm yields an unordered set. Reading the bitset back
+	// in order costs a pass over its words, sorting idx about k²/4 moves:
+	// take whichever is cheaper for this (n, k).
+	if 4*words <= k*k {
+		i = 0
+		for w, x := range seen[:words] {
+			for ; x != 0; x &= x - 1 {
+				idx[i] = w<<6 + bits.TrailingZeros64(x)
+				i++
+			}
+			seen[w] = 0
+		}
+		return
+	}
+	for _, v := range idx {
+		seen[v>>6] = 0
+	}
 	insertionSort(idx)
 }
 

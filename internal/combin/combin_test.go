@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -161,7 +162,7 @@ func TestForEachZeroK(t *testing.T) {
 func TestRandomSubsetValidity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	idx := make([]int, 5)
-	scratch := make(map[int]bool, 5)
+	scratch := make([]uint64, 2)
 	for trial := 0; trial < 200; trial++ {
 		RandomSubset(idx, 96, rng, scratch)
 		for i := 0; i < len(idx); i++ {
@@ -203,6 +204,68 @@ func TestRandomSubsetFull(t *testing.T) {
 	for i, v := range idx {
 		if v != i {
 			t.Fatalf("k=n subset = %v, want identity", idx)
+		}
+	}
+}
+
+// randomSubsetMap is RandomSubset as it stood before the bitset scratch: a
+// map for membership and an insertion sort. Kept as the draw-identity
+// oracle — pinned Monte Carlo tallies depend on the new sampler consuming
+// the rng exactly as this one did.
+func randomSubsetMap(idx []int, n int, rng *rand.Rand) {
+	seen := make(map[int]bool, len(idx))
+	i := 0
+	for j := n - len(idx); j < n; j++ {
+		t := rng.IntN(j + 1)
+		if seen[t] {
+			t = j
+		}
+		seen[t] = true
+		idx[i] = t
+		i++
+	}
+	insertionSort(idx)
+}
+
+// TestRandomSubsetDrawIdentity: over 10⁴ random (n, k, seed) — k = 1 and
+// k = n included, n on both sides of every word boundary and of the
+// read-back/sort switch — the bitset sampler returns the subset the map
+// version returns, leaves the rng in the same state (two draws in a row
+// agree), and hands the scratch back zeroed.
+func TestRandomSubsetDrawIdentity(t *testing.T) {
+	pick := rand.New(rand.NewPCG(2006, 0xF107D))
+	scratch := make([]uint64, 64)
+	for trial := 0; trial < 10000; trial++ {
+		n := 1 + pick.IntN(300)
+		if trial%10 == 0 {
+			n = 1 + pick.IntN(4096)
+		}
+		var k int
+		switch trial % 4 {
+		case 0:
+			k = 1
+		case 1:
+			k = n
+		case 2:
+			k = 1 + pick.IntN(min(n, 8))
+		default:
+			k = 1 + pick.IntN(n)
+		}
+		seed := pick.Uint64()
+		want, got := make([]int, k), make([]int, k)
+		rngWant := rand.New(rand.NewPCG(seed, uint64(k)))
+		rngGot := rand.New(rand.NewPCG(seed, uint64(k)))
+		for draw := 0; draw < 2; draw++ {
+			randomSubsetMap(want, n, rngWant)
+			RandomSubset(got, n, rngGot, scratch)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d k=%d seed=%d draw %d: bitset %v, map %v", n, k, seed, draw, got, want)
+			}
+			for w, x := range scratch {
+				if x != 0 {
+					t.Fatalf("n=%d k=%d: scratch word %d = %#x after the draw, want 0", n, k, w, x)
+				}
+			}
 		}
 	}
 }

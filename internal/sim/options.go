@@ -1,6 +1,9 @@
 package sim
 
-import "runtime"
+import (
+	"runtime"
+	"sync"
+)
 
 // Effective defaults for the package's option types, exported so callers,
 // CLIs, and docs can reference the real values instead of restating them.
@@ -48,6 +51,29 @@ func defaultWorkers(v int) int {
 		return v
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// forBlocks calls fn(w, b) for every block b in [lo, hi), spread over at
+// most workers goroutines; w < workers names the calling goroutine, so fn
+// may keep per-goroutine state in a slice.
+func forBlocks(workers int, lo, hi int64, fn func(w int, b int64)) {
+	workers = int(min(int64(workers), hi-lo))
+	ch := make(chan int64)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := range ch {
+				fn(w, b)
+			}
+		}(w)
+	}
+	for b := lo; b < hi; b++ {
+		ch <- b
+	}
+	close(ch)
+	wg.Wait()
 }
 
 // intOr returns v when positive, otherwise def.

@@ -3,8 +3,8 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
-	"sync"
 
 	"tornado/internal/combin"
 	"tornado/internal/decode"
@@ -60,7 +60,9 @@ func FailureProfile(g *graph.Graph, opts ProfileOptions) (*Profile, error) {
 }
 
 // FailureProfileCtx is FailureProfile with cancellation, checked at
-// combination-chunk boundaries inside each sampling worker.
+// combination-chunk boundaries inside each worker. One CSR serves the whole
+// call; the exact points share a scanner per worker and the sampled points
+// a sampler per worker.
 func FailureProfileCtx(ctx context.Context, g *graph.Graph, opts ProfileOptions) (*Profile, error) {
 	opts = opts.normalize(g.Total)
 	p := &Profile{
@@ -74,9 +76,12 @@ func FailureProfileCtx(ctx context.Context, g *graph.Graph, opts ProfileOptions)
 	p.Fail[0] = stats.Proportion{Hits: 0, Trials: 1}
 	p.Exact[0] = true
 
+	csr := decode.NewCSR(g)
+	scan := newScanPool(csr, opts.Workers)
+	samplers := make([]*streamSampler, opts.Workers)
 	for k := opts.MinK; k <= opts.MaxK; k++ {
 		if c, ok := combin.BinomialInt64(g.Total, k); ok && c <= opts.ExhaustiveLimit {
-			kr, err := ExhaustiveKCtx(ctx, g, k, 1, opts.Workers)
+			kr, err := scan.exhaustiveK(ctx, k, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -84,7 +89,7 @@ func FailureProfileCtx(ctx context.Context, g *graph.Graph, opts ProfileOptions)
 			p.Exact[k] = true
 			continue
 		}
-		prop, err := sampleK(ctx, g, k, opts)
+		prop, err := sampleK(ctx, csr, samplers, k, opts.Trials, opts.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -102,44 +107,24 @@ const sampleBlockSize = 65536
 
 // sampleK estimates the failure fraction for exactly k offline nodes by
 // uniform random sampling. Work is split into fixed deterministic blocks
-// (stream = block index) that a worker pool consumes, so the tally — an
-// integer sum over blocks — is bit-identical at any worker count. The
-// historical split (one stream per worker, trials divided among workers)
-// made the estimate depend on GOMAXPROCS and silently dropped non-context
-// worker errors.
-func sampleK(ctx context.Context, g *graph.Graph, k int, opts ProfileOptions) (stats.Proportion, error) {
-	if k < 1 || k > g.Total {
-		return stats.Proportion{}, fmt.Errorf("sim: cardinality %d out of range for %d nodes", k, g.Total)
-	}
-	nBlocks := (opts.Trials + sampleBlockSize - 1) / sampleBlockSize
+// (stream = block index) consumed by one worker per samplers slot, so the
+// tally — an integer sum over blocks — is bit-identical at any worker
+// count. A slot's sampler is created by the first worker to use it and
+// kept for the caller's next cardinality.
+func sampleK(ctx context.Context, csr *decode.CSR, samplers []*streamSampler, k int, trials int64, seed uint64) (stats.Proportion, error) {
+	nBlocks := (trials + sampleBlockSize - 1) / sampleBlockSize
 	props := make([]stats.Proportion, nBlocks)
 	errs := make([]error, nBlocks)
-
-	workers := opts.Workers
-	if int64(workers) > nBlocks {
-		workers = int(nBlocks)
-	}
-	ch := make(chan int64)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range ch {
-				n := min(sampleBlockSize, opts.Trials-b*sampleBlockSize)
-				props[b], errs[b] = SampleStreamCtx(ctx, g, k, n, opts.Seed, uint64(b))
-			}
-		}()
-	}
-	for b := int64(0); b < nBlocks; b++ {
-		ch <- b
-	}
-	close(ch)
-	wg.Wait()
+	forBlocks(len(samplers), 0, nBlocks, func(w int, b int64) {
+		if samplers[w] == nil {
+			samplers[w] = newStreamSampler(csr)
+		}
+		n := min(sampleBlockSize, trials-b*sampleBlockSize)
+		props[b], errs[b] = samplers[w].sample(ctx, k, n, seed, uint64(b))
+	})
 	var agg stats.Proportion
 	for b := range props {
-		// First error in block order: deterministic propagation, and
-		// non-context errors are no longer swallowed.
+		// First error in block order: deterministic propagation.
 		if errs[b] != nil {
 			return stats.Proportion{}, errs[b]
 		}
@@ -151,23 +136,56 @@ func sampleK(ctx context.Context, g *graph.Graph, k int, opts ProfileOptions) (s
 // SampleStreamCtx draws trials uniformly random k-subsets from the
 // deterministic RNG stream identified by (seed, k, stream) and tallies the
 // unrecoverable ones. It is the unit of work of both a FailureProfileCtx
-// worker (stream = worker index) and a Monte Carlo campaign shard (stream =
-// shard index): fixed arguments always reproduce the same tally, so a
-// resumed campaign is bit-identical to an uninterrupted one. Cancellation
-// is honored at combination-chunk boundaries, and progress counters are
-// flushed to Metrics() at the same cadence.
+// worker and a Monte Carlo campaign shard (stream = block index in both):
+// fixed arguments always reproduce the same tally, so a resumed campaign
+// is bit-identical to an uninterrupted one. Cancellation is honored at
+// combination-chunk boundaries, and progress counters are flushed to
+// Metrics() at the same cadence.
 func SampleStreamCtx(ctx context.Context, g *graph.Graph, k int, trials int64, seed, stream uint64) (stats.Proportion, error) {
-	if k < 1 || k > g.Total {
-		return stats.Proportion{}, fmt.Errorf("sim: cardinality %d out of range for %d nodes", k, g.Total)
+	return newStreamSampler(decode.NewCSR(g)).sample(ctx, k, trials, seed, stream)
+}
+
+// streamSampler is the reusable state of the profile's trial loop: the
+// bit-sliced kernel trials are decoded in, 64 per word, and the subset
+// draw's buffers. One sampler serves one goroutine.
+type streamSampler struct {
+	c    *decode.CSR
+	sk   *decode.SlicedKernel
+	idx  []int    // cap Total; the current k-subset, ascending
+	seen []uint64 // combin.RandomSubset scratch
+}
+
+func newStreamSampler(c *decode.CSR) *streamSampler {
+	return &streamSampler{
+		c:    c,
+		sk:   decode.NewSlicedKernel(c),
+		idx:  make([]int, c.Total),
+		seen: make([]uint64, c.Words),
+	}
+}
+
+// sample is the body of SampleStreamCtx.
+func (s *streamSampler) sample(ctx context.Context, k int, trials int64, seed, stream uint64) (stats.Proportion, error) {
+	total, data := int(s.c.Total), int(s.c.Data)
+	if k < 1 || k > total {
+		return stats.Proportion{}, fmt.Errorf("sim: cardinality %d out of range for %d nodes", k, total)
 	}
 	reg := Metrics()
 	mcTrials := reg.Counter(MetricMCTrials)
 	mcFails := reg.Counter(MetricMCFailures)
+	if k > total-data {
+		// Fewer than Data nodes survive, and every node holds a linear
+		// function of the Data data blocks: no decoder can determine them
+		// from fewer than Data values, so every trial fails undrawn.
+		mcTrials.Add(trials)
+		mcFails.Add(trials)
+		return stats.Proportion{Hits: trials, Trials: trials}, nil
+	}
 
 	rng := rand.New(rand.NewPCG(seed, uint64(k)<<32|stream))
-	kn := decode.NewKernel(decode.NewCSR(g))
-	idx := make([]int, k)
-	scratch := make(map[int]bool, k)
+	idx := s.idx[:k]
+	s.sk.Reset() // a canceled call leaves its last partial word behind
+	lanes := 0   // trials staged in the kernel word
 	var hits int64
 	var lastFlushTrials, lastFlushHits int64
 	for i := int64(0); i < trials; i++ {
@@ -179,12 +197,19 @@ func SampleStreamCtx(ctx context.Context, g *graph.Graph, k int, trials int64, s
 			mcFails.Add(hits - lastFlushHits)
 			lastFlushTrials, lastFlushHits = i, hits
 		}
-		combin.RandomSubset(idx, g.Total, rng, scratch)
-		// idx is sorted, so idx[0] >= Data means all-check: trivially fine.
-		if idx[0] < g.Data && !kn.Recoverable(idx) {
-			hits++
+		combin.RandomSubset(idx, total, rng, s.seen)
+		if idx[0] >= data {
+			continue // idx is sorted: only checks erased, nothing to recover
+		}
+		for _, v := range idx {
+			s.sk.Erase(v, 1<<uint(lanes))
+		}
+		if lanes++; lanes == decode.Lanes {
+			hits += int64(bits.OnesCount64(evalStaged(s.sk, lanes)))
+			lanes = 0
 		}
 	}
+	hits += int64(bits.OnesCount64(evalStaged(s.sk, lanes)))
 	mcTrials.Add(trials - lastFlushTrials)
 	mcFails.Add(hits - lastFlushHits)
 	return stats.Proportion{Hits: hits, Trials: trials}, nil

@@ -1,0 +1,119 @@
+package sim
+
+import (
+	"context"
+	"math/rand/v2"
+	"testing"
+
+	"tornado/internal/combin"
+	"tornado/internal/decode"
+	"tornado/internal/graphml"
+	"tornado/internal/stats"
+)
+
+// The tallies below were captured from SampleStreamCtx and sampleK at commit
+// 34981eb — the scalar decode.Kernel fed by the map-based RandomSubset —
+// for tornado96-1 at seed 2006. The bit-sliced sampler must reproduce every
+// one exactly: same rng.IntN sequence, same subsets, same verdicts.
+
+// TestSampleStreamPinnedTallies pins single streams of 20000 trials. k = 49,
+// 60 and 96 exceed the 48 checks, so they pin the undrawn all-fail shortcut
+// against what decoding every trial used to report.
+func TestSampleStreamPinnedTallies(t *testing.T) {
+	g, err := graphml.ReadFile("../../precompiled/tornado96-1.graphml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trials = 20000
+	pins := []struct {
+		k      int
+		stream uint64
+		hits   int64
+	}{
+		{5, 0, 0}, {5, 3, 0},
+		{12, 0, 2}, {12, 3, 3},
+		{24, 0, 569}, {24, 3, 559},
+		{40, 0, 16808}, {40, 3, 16833},
+		{48, 0, 20000}, {48, 3, 20000},
+		{49, 0, 20000}, {49, 3, 20000},
+		{60, 0, 20000}, {60, 3, 20000},
+		{96, 0, 20000}, {96, 3, 20000},
+	}
+	for _, p := range pins {
+		got, err := SampleStreamCtx(context.Background(), g, p.k, trials, 2006, p.stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (stats.Proportion{Hits: p.hits, Trials: trials}); got != want {
+			t.Errorf("k=%d stream %d: tally %+v, pinned %+v", p.k, p.stream, got, want)
+		}
+	}
+}
+
+// TestSampleKPinnedTallies pins 150000-trial points — two full blocks and a
+// short third — through sampleK at 1, 4 and 16 workers, each pool of
+// samplers carried from one cardinality to the next as FailureProfileCtx
+// carries it.
+func TestSampleKPinnedTallies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("8 x 150000-trial points x 3 worker counts skipped in -short mode")
+	}
+	g, err := graphml.ReadFile("../../precompiled/tornado96-1.graphml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trials = 150000
+	pins := []struct {
+		k    int
+		hits int64
+	}{
+		{5, 0}, {12, 41}, {24, 4115}, {40, 126298},
+		{48, 150000}, {49, 150000}, {60, 150000}, {96, 150000},
+	}
+	csr := decode.NewCSR(g)
+	for _, workers := range []int{1, 4, 16} {
+		samplers := make([]*streamSampler, workers)
+		for _, p := range pins {
+			got, err := sampleK(context.Background(), csr, samplers, p.k, trials, 2006)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (stats.Proportion{Hits: p.hits, Trials: trials}); got != want {
+				t.Errorf("workers=%d k=%d: tally %+v, pinned %+v", workers, p.k, got, want)
+			}
+		}
+	}
+}
+
+// TestSampleStreamMatchesScalarReplay cross-checks the sampler on graphs
+// with no pinned history — unscreened ones, which carry real defects at low
+// k — against a scalar-kernel replay of the identical stream, on a sampler
+// reused from point to point with a stale lane left in its kernel.
+func TestSampleStreamMatchesScalarReplay(t *testing.T) {
+	for seed := uint64(0); seed < 3; seed++ {
+		g := unscreened96(t, seed)
+		c := decode.NewCSR(g)
+		ref := decode.NewKernel(c)
+		sp := newStreamSampler(c)
+		for _, k := range []int{1, 3, 7, 20, 33, 47, 48} {
+			const trials = 3000
+			rng := rand.New(rand.NewPCG(seed, uint64(k)<<32|5))
+			idx := make([]int, k)
+			var want int64
+			for i := 0; i < trials; i++ {
+				combin.RandomSubset(idx, g.Total, rng, nil)
+				if !ref.Recoverable(idx) {
+					want++
+				}
+			}
+			sp.sk.Erase(k-1, 1<<9) // what a call canceled mid-word leaves staged
+			got, err := sp.sample(context.Background(), k, trials, seed, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Hits != want || got.Trials != trials {
+				t.Errorf("seed %d k=%d: sampler %+v, scalar replay found %d failures", seed, k, got, want)
+			}
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
-	"sync"
 
 	"tornado/internal/combin"
 	"tornado/internal/decode"
@@ -179,8 +178,8 @@ type StratifiedSampler struct {
 	stamp []int32
 	epoch int32
 
-	idx     []int // current k-subset, ascending
-	scratch map[int]bool
+	idx  []int    // current k-subset, ascending
+	seen []uint64 // combin.RandomSubset scratch
 
 	batch     []int32 // staged patterns, lane-major: batch[lane*k : lane*k+k]
 	batchLen  int     // staged lane count
@@ -195,7 +194,7 @@ func NewStratifiedSampler(c *decode.CSR) *StratifiedSampler {
 		sk:        decode.NewSlicedKernel(c),
 		count:     make([]int32, c.Total),
 		stamp:     make([]int32, c.Total),
-		scratch:   make(map[int]bool, 8),
+		seen:      make([]uint64, c.Words),
 		pendStrat: make([]int32, decode.Lanes),
 	}
 }
@@ -239,7 +238,7 @@ func (s *StratifiedSampler) SampleBlock(ctx context.Context, k int, trials int64
 			mcFails.Add(hits - lastFlushHits)
 			lastFlushTrials, lastFlushHits = done, hits
 		}
-		combin.RandomSubset(s.idx, total, rng, s.scratch)
+		combin.RandomSubset(s.idx, total, rng, s.seen)
 		strat, certified := s.classify(k)
 		if certified {
 			blk.Strata[strat].Add(0, 1)
@@ -391,11 +390,7 @@ func SampleStratifiedCtx(ctx context.Context, g *graph.Graph, k int, opts Sample
 	nBlocks, rounds := SampledPlan(opts.MaxTrials, opts.BlockSize)
 	res := &SampledResult{K: k, Strata: make([]stats.Proportion, k+1)}
 
-	workers := opts.Workers
-	if int64(workers) > nBlocks {
-		workers = int(nBlocks)
-	}
-	samplers := make([]*StratifiedSampler, workers)
+	samplers := make([]*StratifiedSampler, min(int64(opts.Workers), nBlocks))
 	for i := range samplers {
 		samplers[i] = NewStratifiedSampler(c)
 	}
@@ -404,23 +399,10 @@ func SampleStratifiedCtx(ctx context.Context, g *graph.Graph, k int, opts Sample
 	errs := make([]error, nBlocks)
 	for _, rd := range rounds {
 		// Execute the round's blocks across the worker pool.
-		ch := make(chan int64)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(sp *StratifiedSampler) {
-				defer wg.Done()
-				for b := range ch {
-					n := SampledBlockTrials(opts.MaxTrials, opts.BlockSize, b)
-					blocks[b], errs[b] = sp.SampleBlock(ctx, k, n, opts.Seed, uint64(b), opts.MaxWitnesses)
-				}
-			}(samplers[w])
-		}
-		for b := rd[0]; b < rd[1]; b++ {
-			ch <- b
-		}
-		close(ch)
-		wg.Wait()
+		forBlocks(len(samplers), rd[0], rd[1], func(w int, b int64) {
+			n := SampledBlockTrials(opts.MaxTrials, opts.BlockSize, b)
+			blocks[b], errs[b] = samplers[w].SampleBlock(ctx, k, n, opts.Seed, uint64(b), opts.MaxWitnesses)
+		})
 		// First error in block order, so cancellation reports are
 		// deterministic too.
 		for b := rd[0]; b < rd[1]; b++ {

@@ -38,7 +38,7 @@ func TestClassifyCertificateSound(t *testing.T) {
 			sp.idx = make([]int, k)
 			certified, evaluated := 0, 0
 			for trial := 0; trial < 4000; trial++ {
-				combin.RandomSubset(sp.idx, g.Total, rng, sp.scratch)
+				combin.RandomSubset(sp.idx, g.Total, rng, sp.seen)
 				strat, ok := sp.classify(k)
 				if strat < 1 || strat > k {
 					t.Fatalf("seed %d k=%d: stratum %d out of range", seed, k, strat)
@@ -78,7 +78,7 @@ func TestSampledMatchesScalarVerdicts(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42^sampledSeedDomain, uint64(k)<<32|3))
 	ref := decode.NewKernel(c)
 	idx := make([]int, k)
-	scratch := make(map[int]bool, k)
+	scratch := make([]uint64, c.Words)
 	var hits int64
 	for i := 0; i < trials; i++ {
 		combin.RandomSubset(idx, g.Total, rng, scratch)

@@ -7,14 +7,14 @@ import (
 
 	"tornado/internal/combin"
 	"tornado/internal/decode"
-	"tornado/internal/graph"
 )
 
-// This file drives decode.SlicedKernel from the exhaustive scans: 64
-// erasure patterns per machine word, in exactly the revolving-door rank
-// order of the scalar path, so results are bit-identical and every
-// downstream guarantee (campaign sharding, cached shards, lex-smallest
-// witness merging, worker-count independence) carries over unchanged.
+// This file is the exhaustive scan: it drives decode.SlicedKernel over a
+// revolving-door rank range, 64 erasure patterns per machine word, in
+// rank order, so every downstream guarantee (campaign sharding, cached
+// shards, lex-smallest witness merging, worker-count independence) rests
+// on one implementation. The one-pattern-per-step scalar loop it replaced
+// survives as the differential oracle in scalar_test.go.
 //
 // The word layout falls out of Algorithm R itself (Knuth 7.2.1.3): the
 // enumeration's "easy step" moves only the smallest element idx[0] —
@@ -38,9 +38,10 @@ import (
 // always runs at full occupancy. The pruning soundness argument is
 // spelled out at runCertificate and in DESIGN.md "Decoder kernels".
 
-// slicedScanner is the per-range state of a sliced scan. Not safe for
-// concurrent use; ExhaustiveKKernelCtx builds one per worker.
-type slicedScanner struct {
+// scanner is the state of one scanning goroutine, reused from range to
+// range and cardinality to cardinality (scanRange re-aims it). Not safe
+// for concurrent use; a scanPool holds one per worker.
+type scanner struct {
 	csr  *decode.CSR
 	data int32
 
@@ -58,14 +59,10 @@ type slicedScanner struct {
 	zeroCheck []uint64
 	oneCheck  []uint64
 
-	// relevant[q] marks checks with at least one data left-neighbor —
-	// the only checks whose m/zeroCheck/oneCheck state the certificate
-	// ever consults. Suffix updates skip irrelevant parents wholesale
-	// (their counters go stale, but stale state that is never read is
-	// free), and only relevant checks ever hold zeroCheck/oneCheck
-	// bits. dataKids[q] is L(q) restricted to data nodes.
-	relevant []bool
-	dataKids [][]int32
+	// kidAdj[kidOff[q]:kidOff[q+1]] is L(q) restricted to data nodes: the
+	// sweeping elements check q can vouch for (see goodRun).
+	kidOff []int32
+	kidAdj []int32
 
 	// goodRun marks sweeping elements provably recoverable alongside a
 	// certified suffix: check bits always set (an erased check never
@@ -81,20 +78,25 @@ type slicedScanner struct {
 	goodRun  []uint64
 	badNodes []uint64 // per-run scratch: sweeping elements that break the certificate
 
+	// The fields from here to batchLen are sized by the cardinality being
+	// scanned (see aim): kcap is the largest seen so far, ints the slab
+	// idx and batchPat are cut from.
+	kcap int
+	ints []int
+
 	// runCertificate scratch: per-suffix-member masks of certificate-
 	// breaking sweeping elements (flat, stride Words), and which data
 	// members had no round-1 rescuer and needed the two-round fallback.
 	bv        []uint64
 	deficient []bool
 
-	cur     []int // current suffix, ascending (len k-1)
-	pattern []int // scratch full pattern (len k)
+	idx []int // current combination (len k); idx[1:] is the suffix the certificate structure tracks
 
 	// Batch of unproven lanes, accumulated across runs so the word-wide
-	// fixpoint always evaluates at full occupancy. batchPat[slot] holds
-	// the lane's full pattern for failure recording at flush time.
+	// fixpoint always evaluates at full occupancy. batchPat holds each
+	// slot's full pattern (stride k) for failure recording at flush time.
 	sk       *decode.SlicedKernel
-	batchPat [][]int
+	batchPat []int
 	batchLen int
 
 	// onVerdict, when set, observes every pattern's rank and verdict —
@@ -105,55 +107,96 @@ type slicedScanner struct {
 	onVerdict func(rank int64, idx []int, recoverable bool)
 }
 
-func newSlicedScanner(g *graph.Graph, k int, hook func(int64, []int, bool)) *slicedScanner {
-	csr := decode.NewCSR(g)
-	s := &slicedScanner{
-		csr:       csr,
-		data:      csr.Data,
-		m:         make([]int32, g.Total),
-		sufMask:   make([]uint64, csr.Words),
-		zeroCheck: make([]uint64, csr.Words),
-		oneCheck:  make([]uint64, csr.Words),
-		gcount:    make([]int32, csr.Data),
-		goodRun:   make([]uint64, csr.Words),
-		badNodes:  make([]uint64, csr.Words),
-		bv:        make([]uint64, max(k-1, 1)*csr.Words),
-		deficient: make([]bool, max(k-1, 1)),
-		cur:       make([]int, k-1),
-		pattern:   make([]int, k),
-		sk:        decode.NewSlicedKernel(csr),
-		batchPat:  make([][]int, decode.Lanes),
-		relevant:  make([]bool, g.Total),
-		dataKids:  make([][]int32, g.Total),
-		onVerdict: hook,
-	}
-	for i := range s.batchPat {
-		s.batchPat[i] = make([]int, k)
-	}
-	// Empty suffix: every relevant check is a zeroCheck, every check
-	// bit of goodRun is permanently good.
-	for q := csr.Data; q < int32(g.Total); q++ {
-		s.goodRun[q>>6] |= 1 << (uint(q) & 63)
-		var kids []int32
+// newScanner returns a scanner over csr with an empty suffix. Its
+// per-node state comes out of one allocation per element type, so
+// setting up a scan costs no more allocations than a single-pattern
+// kernel does.
+func newScanner(csr *decode.CSR) *scanner {
+	total, words := int(csr.Total), csr.Words
+	nKids := 0
+	for q := csr.Data; q < csr.Total; q++ {
 		for _, l := range csr.LeftNeighbors(q) {
 			if l < csr.Data {
-				kids = append(kids, l)
+				nKids++
 			}
 		}
-		s.dataKids[q] = kids
-		if len(kids) > 0 {
-			s.relevant[q] = true
-			s.zeroCheck[q>>6] |= 1 << (uint(q) & 63)
-			s.goodInc(q)
+	}
+	i32 := make([]int32, total+int(csr.Data)+total+1+nKids)
+	cutI32 := func(n int) []int32 {
+		out := i32[:n:n]
+		i32 = i32[n:]
+		return out
+	}
+	u64 := make([]uint64, 5*words)
+	cutU64 := func() []uint64 {
+		out := u64[:words:words]
+		u64 = u64[words:]
+		return out
+	}
+	s := &scanner{
+		csr:       csr,
+		data:      csr.Data,
+		m:         cutI32(total),
+		gcount:    cutI32(int(csr.Data)),
+		kidOff:    cutI32(total + 1),
+		kidAdj:    cutI32(nKids)[:0],
+		sufMask:   cutU64(),
+		zeroCheck: cutU64(),
+		oneCheck:  cutU64(),
+		goodRun:   cutU64(),
+		badNodes:  cutU64(),
+		sk:        decode.NewSlicedKernel(csr),
+	}
+	// Empty suffix: every check is a zeroCheck, every check bit of
+	// goodRun is permanently good.
+	for q := csr.Data; q < csr.Total; q++ {
+		s.goodRun[q>>6] |= 1 << (uint(q) & 63)
+		for _, l := range csr.LeftNeighbors(q) {
+			if l < csr.Data {
+				s.kidAdj = append(s.kidAdj, l)
+			}
 		}
+		s.kidOff[q+1] = int32(len(s.kidAdj))
+		s.zeroCheck[q>>6] |= 1 << (uint(q) & 63)
+		s.goodInc(q)
 	}
 	return s
 }
 
+func (s *scanner) dataKids(q int32) []int32 { return s.kidAdj[s.kidOff[q]:s.kidOff[q+1]] }
+
+// aim points the scanner at the combination of cardinality k with
+// revolving-door rank lo: the previous range's suffix is withdrawn
+// (which returns the certificate structure to its empty-suffix state),
+// the k-sized buffers are re-cut — reallocated only when k outgrows them
+// — and the new suffix is entered.
+func (s *scanner) aim(k int, lo int64) {
+	if len(s.idx) > 0 {
+		for _, v := range s.idx[1:] {
+			s.restoreSuffix(v)
+		}
+	}
+	s.sk.Reset()
+	if k > s.kcap {
+		s.kcap = k
+		s.ints = make([]int, (1+decode.Lanes)*k)
+		s.bv = make([]uint64, max(k-1, 1)*s.csr.Words)
+		s.deficient = make([]bool, max(k-1, 1))
+	}
+	s.idx = s.ints[:k:k]
+	s.batchPat = s.ints[k : (1+decode.Lanes)*k]
+	s.batchLen = 0
+
+	combin.GrayUnrank(s.idx, int(s.csr.Total), lo)
+	for _, v := range s.idx[1:] {
+		s.eraseSuffix(v)
+	}
+}
+
 // goodInc credits check q (entering zeroCheck ∪ oneCheck) to its data
 // children.
-func (s *slicedScanner) goodInc(q int32) {
-	for _, l := range s.dataKids[q] {
+func (s *scanner) goodInc(q int32) {
+	for _, l := range s.dataKids(q) {
 		s.gcount[l]++
 		if s.gcount[l] == 1 {
 			s.goodRun[l>>6] |= 1 << (uint(l) & 63)
@@ -163,8 +206,8 @@ func (s *slicedScanner) goodInc(q int32) {
 
 // goodDec removes check q (leaving zeroCheck ∪ oneCheck) from its data
 // children.
-func (s *slicedScanner) goodDec(q int32) {
-	for _, l := range s.dataKids[q] {
+func (s *scanner) goodDec(q int32) {
+	for _, l := range s.dataKids(q) {
 		s.gcount[l]--
 		if s.gcount[l] == 0 {
 			s.goodRun[l>>6] &^= 1 << (uint(l) & 63)
@@ -175,7 +218,7 @@ func (s *slicedScanner) goodDec(q int32) {
 // eraseSuffix adds v to the shared suffix, keeping every certificate
 // mask exact. Erased checks are excluded from zeroCheck/oneCheck; their
 // m counts keep accumulating so restoreSuffix can reclassify them.
-func (s *slicedScanner) eraseSuffix(v int) {
+func (s *scanner) eraseSuffix(v int) {
 	bit := uint64(1) << (uint(v) & 63)
 	s.sufMask[v>>6] |= bit
 	if int32(v) >= s.data {
@@ -186,9 +229,6 @@ func (s *slicedScanner) eraseSuffix(v int) {
 		s.oneCheck[v>>6] &^= bit
 	}
 	for _, p := range s.csr.Parents(int32(v)) {
-		if !s.relevant[p] {
-			continue
-		}
 		old := s.m[p]
 		s.m[p] = old + 1
 		if s.sufMask[p>>6]&(1<<(uint(p)&63)) != 0 {
@@ -205,13 +245,10 @@ func (s *slicedScanner) eraseSuffix(v int) {
 }
 
 // restoreSuffix removes v from the shared suffix.
-func (s *slicedScanner) restoreSuffix(v int) {
+func (s *scanner) restoreSuffix(v int) {
 	bit := uint64(1) << (uint(v) & 63)
 	s.sufMask[v>>6] &^= bit
 	for _, p := range s.csr.Parents(int32(v)) {
-		if !s.relevant[p] {
-			continue
-		}
 		old := s.m[p]
 		s.m[p] = old - 1
 		if s.sufMask[p>>6]&(1<<(uint(p)&63)) != 0 {
@@ -225,7 +262,7 @@ func (s *slicedScanner) restoreSuffix(v int) {
 			s.goodInc(p)
 		}
 	}
-	if int32(v) >= s.data && s.relevant[v] {
+	if int32(v) >= s.data {
 		switch s.m[v] {
 		case 0:
 			s.zeroCheck[v>>6] |= bit
@@ -237,31 +274,26 @@ func (s *slicedScanner) restoreSuffix(v int) {
 	}
 }
 
-// resyncSuffix diffs the tracked suffix against idx[1:] (both ascending)
-// and applies the erase/restore deltas — at most two nodes per
-// revolving-door boundary step.
-func (s *slicedScanner) resyncSuffix(idx []int) {
-	nw := idx[1:]
-	i, j := 0, 0
-	for i < len(s.cur) || j < len(nw) {
-		switch {
-		case j == len(nw) || (i < len(s.cur) && s.cur[i] < nw[j]):
-			s.restoreSuffix(s.cur[i])
-			i++
-		case i == len(s.cur) || nw[j] < s.cur[i]:
-			s.eraseSuffix(nw[j])
-			j++
-		default:
-			i++
-			j++
-		}
+// stepSuffix carries the certificate structure over a run boundary. The
+// suffix is the pattern minus its smallest element. The hard step swapped
+// out for in within the pattern, and the smallest element moved from last
+// to c0; so last and in enter the suffix and out and c0 leave it, except
+// that a node named on both sides (out == last: the old smallest was the
+// one swapped out; c0 == last or c0 == in) never was, or never becomes, a
+// member. At most two nodes change.
+func (s *scanner) stepSuffix(last, out, in, c0 int) {
+	if out != last {
+		s.restoreSuffix(out)
 	}
-	copy(s.cur, nw)
-}
-
-func (s *slicedScanner) setPattern(idx []int, c0 int) {
-	s.pattern[0] = c0
-	copy(s.pattern[1:], idx[1:])
+	if c0 != last && c0 != in {
+		s.restoreSuffix(c0)
+	}
+	if last != out && last != c0 {
+		s.eraseSuffix(last)
+	}
+	if in != c0 {
+		s.eraseSuffix(in)
+	}
 }
 
 // runCertificate decides whether the suffix holds a full certificate
@@ -311,7 +343,7 @@ func (s *slicedScanner) setPattern(idx []int, c0 int) {
 // goodRun[c] ∧ ¬badNodes[c], and every other lane goes to the fixpoint,
 // which assumes nothing. Real peeling runs rules 1 and 2 to a fixpoint,
 // so it is at least as strong as these schedules.
-func (s *slicedScanner) runCertificate(idx []int) bool {
+func (s *scanner) runCertificate(idx []int) bool {
 	words := s.csr.Words
 	suffix := idx[1:]
 	anyDeficient := false
@@ -379,7 +411,7 @@ func (s *slicedScanner) runCertificate(idx []int) bool {
 // data member without a round-1 rescuer, intersect the masks of its
 // two-round recovery paths into bv. Returns false if some deficient
 // member has no path at all.
-func (s *slicedScanner) certifyDeficient(suffix []int) bool {
+func (s *scanner) certifyDeficient(suffix []int) bool {
 	words := s.csr.Words
 	for i, v := range suffix {
 		if !s.deficient[i] {
@@ -488,8 +520,9 @@ func extractWindow(mask []uint64, c0, dir int) uint64 {
 
 // enqueue adds the lane pattern suffix ∪ {c0} to the fixpoint batch.
 // The caller flushes first when the batch is full.
-func (s *slicedScanner) enqueue(idx []int, c0 int) {
-	p := s.batchPat[s.batchLen]
+func (s *scanner) enqueue(idx []int, c0 int) {
+	k := len(idx)
+	p := s.batchPat[s.batchLen*k : (s.batchLen+1)*k]
 	p[0] = c0
 	copy(p[1:], idx[1:])
 	bit := uint64(1) << uint(s.batchLen)
@@ -501,34 +534,33 @@ func (s *slicedScanner) enqueue(idx []int, c0 int) {
 
 // flushBatch evaluates the pending batch in one word-wide fixpoint,
 // records its failures, and returns the failed-slot mask.
-func (s *slicedScanner) flushBatch(res *RangeResult, maxFailures int) uint64 {
-	nb := s.batchLen
-	if nb == 0 {
-		return 0
-	}
-	active := ^uint64(0)
-	if nb < decode.Lanes {
-		active = 1<<uint(nb) - 1
-	}
-	s.sk.SetActive(active)
-	failed := active &^ s.sk.Eval()
-	s.sk.Reset()
+func (s *scanner) flushBatch(res *RangeResult, maxFailures int) uint64 {
+	failed := evalStaged(s.sk, s.batchLen)
+	res.Tested += int64(s.batchLen)
 	s.batchLen = 0
-	res.Tested += int64(nb)
-	if failed != 0 {
-		res.FailureCount += int64(bits.OnesCount64(failed))
-		for f := failed; f != 0; f &= f - 1 {
-			slot := bits.TrailingZeros64(f)
-			res.Failures = recordFailure(res.Failures, s.batchPat[slot], maxFailures)
-		}
+	res.FailureCount += int64(bits.OnesCount64(failed))
+	for f := failed; f != 0; f &= f - 1 {
+		slot, k := bits.TrailingZeros64(f), len(s.idx)
+		res.Failures = recordFailure(res.Failures, s.batchPat[slot*k:(slot+1)*k], maxFailures)
 	}
+	return failed
+}
+
+// evalStaged decodes the patterns staged in lanes 0..n-1 of sk in one
+// word-wide fixpoint, empties the kernel, and returns the lanes that lost
+// data.
+func evalStaged(sk *decode.SlicedKernel, n int) uint64 {
+	active := ^uint64(0) >> uint(decode.Lanes-n) // n = 0 shifts everything out
+	sk.SetActive(active)
+	failed := active &^ sk.Eval()
+	sk.Reset()
 	return failed
 }
 
 // scanRun evaluates one maximal revolving-door run: runLen consecutive
 // ranks starting at rank, whose patterns share the suffix idx[1:] while
 // the smallest element sweeps from idx[0] in direction dir.
-func (s *slicedScanner) scanRun(res *RangeResult, idx []int, rank, runLen int64, dir, maxFailures int) {
+func (s *scanner) scanRun(res *RangeResult, idx []int, rank, runLen int64, dir, maxFailures int) {
 	certOK := s.runCertificate(idx)
 	c0 := idx[0]
 	laneRank := rank
@@ -566,35 +598,33 @@ func (s *slicedScanner) scanRun(res *RangeResult, idx []int, rank, runLen int64,
 // hookWord is the onVerdict (test) path of scanRun's word loop: it keeps
 // the batch word-local so every verdict — proven and fixpoint alike —
 // can be reported in rank order.
-func (s *slicedScanner) hookWord(res *RangeResult, idx []int, laneRank int64, c0, dir, n int, proven, unresolved uint64, maxFailures int) {
+func (s *scanner) hookWord(res *RangeResult, idx []int, laneRank int64, c0, dir, n int, proven, unresolved uint64, maxFailures int) {
 	s.flushBatch(res, maxFailures) // any carry-over enqueued before the hook was set
 	for u := unresolved; u != 0; u &= u - 1 {
 		s.enqueue(idx, c0+dir*bits.TrailingZeros64(u))
 	}
 	failed := s.flushBatch(res, maxFailures)
-	slot := 0
+	slot, first := 0, idx[0] // idx[0] shows each lane's element in turn, then goes back
 	for L := 0; L < n; L++ {
 		ok := true
 		if unresolved&(1<<uint(L)) != 0 {
 			ok = failed&(1<<uint(slot)) == 0
 			slot++
 		}
-		s.setPattern(idx, c0+dir*L)
-		s.onVerdict(laneRank+int64(L), s.pattern, ok)
+		idx[0] = c0 + dir*L
+		s.onVerdict(laneRank+int64(L), idx, ok)
 	}
+	idx[0] = first
 }
 
-// scanRangeSliced is the KernelSliced body of ScanRangeKernelCtx: same
-// contract and bit-identical results as the scalar ScanRangeCtx, with
-// progress counters flushed in evaluated patterns (not words) at the
-// same cancelCheckInterval cadence.
-func scanRangeSliced(ctx context.Context, g *graph.Graph, k int, lo, hi int64, maxFailures int, hook func(int64, []int, bool)) (RangeResult, error) {
-	if k < 1 || k > g.Total {
-		return RangeResult{}, fmt.Errorf("sim: cardinality %d out of range for %d nodes", k, g.Total)
-	}
-	total, ok := combin.BinomialInt64(g.Total, k)
-	if !ok {
-		return RangeResult{}, fmt.Errorf("sim: C(%d,%d) exceeds the exhaustive rank space (%w); use the sampled certification spec for archival-scale graphs", g.Total, k, combin.ErrRankOverflow)
+// scanRange is the body of ScanRangeCtx (see there for the contract).
+// Progress counters are flushed in evaluated patterns, not words, every
+// cancelCheckInterval patterns.
+func (s *scanner) scanRange(ctx context.Context, k int, lo, hi int64, maxFailures int) (RangeResult, error) {
+	n := int(s.csr.Total)
+	total, err := rankSpace(n, k)
+	if err != nil {
+		return RangeResult{}, err
 	}
 	if lo < 0 || hi > total || lo > hi {
 		return RangeResult{}, fmt.Errorf("sim: rank range [%d,%d) outside [0,%d)", lo, hi, total)
@@ -606,13 +636,8 @@ func scanRangeSliced(ctx context.Context, g *graph.Graph, k int, lo, hi int64, m
 	tested := reg.Counter(MetricCombinationsTested)
 	found := reg.Counter(MetricFailuresFound)
 
-	s := newSlicedScanner(g, k, hook)
-	idx := make([]int, k)
-	combin.GrayUnrank(idx, g.Total, lo)
-	copy(s.cur, idx[1:])
-	for _, v := range idx[1:] {
-		s.eraseSuffix(v)
-	}
+	s.aim(k, lo)
+	idx := s.idx
 
 	var res RangeResult
 	var lastFlushTested, lastFlushFails int64
@@ -634,7 +659,7 @@ func scanRangeSliced(ctx context.Context, g *graph.Graph, k int, lo, hi int64, m
 		var runLen int64
 		dir := 1
 		if k%2 == 1 {
-			c2 := g.Total
+			c2 := n
 			if k > 1 {
 				c2 = idx[1]
 			}
@@ -652,12 +677,14 @@ func scanRangeSliced(ctx context.Context, g *graph.Graph, k int, lo, hi int64, m
 		if r < hi {
 			// Step over the run boundary: position idx[0] at the run's
 			// last pattern (where the easy step is exhausted) and let
-			// GrayNext take the hard step, then re-sync the suffix delta.
+			// GrayNext take the hard step, then apply the suffix delta.
 			idx[0] += dir * int(runLen-1)
-			if _, _, ok := combin.GrayNext(idx, g.Total); !ok {
+			last := idx[0]
+			out, in, ok := combin.GrayNext(idx, n)
+			if !ok {
 				return RangeResult{}, fmt.Errorf("sim: revolving-door enumeration exhausted at rank %d of [%d,%d)", r, lo, hi)
 			}
-			s.resyncSuffix(idx)
+			s.stepSuffix(last, out, in, idx[0])
 		}
 	}
 	s.flushBatch(&res, maxFailures)

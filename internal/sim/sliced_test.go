@@ -66,11 +66,11 @@ func TestSlicedScanMatchesScalarExhaustive(t *testing.T) {
 			if !ok {
 				t.Fatal("rank space overflow")
 			}
-			want, err := ScanRangeCtx(ctx, g, k, 0, total, int(total))
+			want, err := scanRangeScalar(ctx, g, k, 0, total, int(total))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ScanRangeKernelCtx(ctx, g, k, 0, total, int(total), KernelSliced)
+			got, err := ScanRangeCtx(ctx, g, k, 0, total, int(total))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,11 +94,11 @@ func TestSlicedScanSubranges(t *testing.T) {
 				lo := rng.Int64N(total)
 				hi := lo + rng.Int64N(total-lo+1)
 				maxF := 1 + int(rng.Int64N(4))
-				want, err := ScanRangeCtx(ctx, g, k, lo, hi, maxF)
+				want, err := scanRangeScalar(ctx, g, k, lo, hi, maxF)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := ScanRangeKernelCtx(ctx, g, k, lo, hi, maxF, KernelSliced)
+				got, err := ScanRangeCtx(ctx, g, k, lo, hi, maxF)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,6 +111,42 @@ func TestSlicedScanSubranges(t *testing.T) {
 	}
 }
 
+// TestScannerReuse drives one scanner through random ranges of rising and
+// falling cardinality — what a scanPool worker sees over a WorstCaseCtx
+// call — and after a scan abandoned mid-range by cancellation. Every range
+// must match the oracle run on fresh state: re-aiming has to leave nothing
+// of the previous suffix, batch or k-sized buffers behind.
+func TestScannerReuse(t *testing.T) {
+	rng := rand.New(rand.NewPCG(12, 0x5CA7))
+	for gi, g := range slicedTestGraphs(t) {
+		sc := newScanner(decode.NewCSR(g))
+		for trial := 0; trial < 24; trial++ {
+			k := 1 + rng.IntN(min(5, g.Total))
+			total, _ := combin.BinomialInt64(g.Total, k)
+			lo := rng.Int64N(total)
+			hi := lo + rng.Int64N(total-lo+1)
+			if trial%6 == 5 {
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				if _, err := sc.scanRange(ctx, k, 0, total, 4); total > 0 && err == nil {
+					t.Fatalf("graph %d: canceled scan returned no error", gi)
+				}
+			}
+			want, err := scanRangeScalar(context.Background(), g, k, lo, hi, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sc.scanRange(context.Background(), k, lo, hi, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("graph %d trial %d k=%d [%d,%d): reused scanner %+v, oracle %+v", gi, trial, k, lo, hi, got, want)
+			}
+		}
+	}
+}
+
 // TestSlicedWorkerIndependence: 1/4/16 workers must produce bit-identical
 // KResults from the sliced path, all equal to the scalar result — the
 // worker-count-determinism guarantee the campaign layer rests on.
@@ -118,12 +154,12 @@ func TestSlicedWorkerIndependence(t *testing.T) {
 	ctx := context.Background()
 	g := mirrorGraph(8) // k=3 has many failures → witness merging is exercised
 	for k := 2; k <= 3; k++ {
-		want, err := ExhaustiveKCtx(ctx, g, k, 8, 3)
+		want, err := exhaustiveKScalar(g, k, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4, 16} {
-			got, err := ExhaustiveKKernelCtx(ctx, g, k, 8, workers, KernelSliced)
+			got, err := ExhaustiveKCtx(ctx, g, k, 8, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +184,7 @@ func TestSlicedProgressCountsPatterns(t *testing.T) {
 	g := mirrorGraph(6)
 	const k = 3
 	total, _ := combin.BinomialInt64(g.Total, k)
-	rr, err := scanRangeSliced(context.Background(), g, k, 0, total, 4, nil)
+	rr, err := ScanRangeCtx(context.Background(), g, k, 0, total, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +222,9 @@ func TestSlicedPruningSoundness(t *testing.T) {
 						gi, k, rank, recoverable, want, idx)
 				}
 			}
-			if _, err := scanRangeSliced(ctx, g, k, 0, total, 4, hook); err != nil {
+			sc := newScanner(csr)
+			sc.onVerdict = hook
+			if _, err := sc.scanRange(ctx, k, 0, total, 4); err != nil {
 				t.Fatal(err)
 			}
 			if next != total {
@@ -252,8 +290,7 @@ func TestSlicedGoldenTornado96(t *testing.T) {
 				t.Fatal(err)
 			}
 			res, err := WorstCaseCtx(context.Background(), g, WorstCaseOptions{
-				MaxK:   5,
-				Kernel: KernelSliced,
+				MaxK: 5,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -282,25 +319,6 @@ func TestSlicedGoldenTornado96(t *testing.T) {
 	}
 }
 
-// TestScanKernelValidation: an unknown kernel name is an error at every
-// entry point, and the "scalar" alias is accepted.
-func TestScanKernelValidation(t *testing.T) {
-	g := mirrorGraph(4)
-	ctx := context.Background()
-	if _, err := ScanRangeKernelCtx(ctx, g, 2, 0, 1, 1, ScanKernel("simd")); err == nil {
-		t.Error("unknown kernel accepted by ScanRangeKernelCtx")
-	}
-	if _, err := ExhaustiveKKernelCtx(ctx, g, 2, 1, 1, ScanKernel("simd")); err == nil {
-		t.Error("unknown kernel accepted by ExhaustiveKKernelCtx")
-	}
-	if _, err := WorstCaseCtx(ctx, g, WorstCaseOptions{MaxK: 2, Kernel: "simd"}); err == nil {
-		t.Error("unknown kernel accepted by WorstCaseCtx")
-	}
-	if _, err := ScanRangeKernelCtx(ctx, g, 2, 0, 1, 1, "scalar"); err != nil {
-		t.Errorf(`"scalar" alias rejected: %v`, err)
-	}
-}
-
 // benchmark-style sanity: the sliced whole-space scan of the 96-node
 // graph at k=3 in a plain test keeps the run honest on CI without the
 // full benchreport (the 8× gate lives there).
@@ -308,11 +326,11 @@ func TestSlicedScanRange96Smoke(t *testing.T) {
 	g := ctxTestGraph(t)
 	const k = 3
 	total, _ := combin.BinomialInt64(g.Total, k)
-	want, err := ScanRangeCtx(context.Background(), g, k, 0, total, 8)
+	want, err := scanRangeScalar(context.Background(), g, k, 0, total, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ScanRangeKernelCtx(context.Background(), g, k, 0, total, 8, KernelSliced)
+	got, err := ScanRangeCtx(context.Background(), g, k, 0, total, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,11 +365,11 @@ func TestSlicedK6SpotCheck(t *testing.T) {
 	}
 	r := combin.GrayRank(witness, g.Total)
 	lo, hi := max(r-2<<20, 0), min(r+2<<20, total)
-	scalar, err := ScanRangeCtx(context.Background(), g, k, lo, hi, 64)
+	scalar, err := scanRangeScalar(context.Background(), g, k, lo, hi, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sliced, err := ScanRangeKernelCtx(context.Background(), g, k, lo, hi, 64, KernelSliced)
+	sliced, err := ScanRangeCtx(context.Background(), g, k, lo, hi, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

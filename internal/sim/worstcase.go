@@ -3,8 +3,8 @@
 // of lost nodes causing data loss, and the Monte Carlo reconstruction-
 // failure profiles that estimate the fraction of failed reconstructions for
 // each number of offline devices. Both fan out over goroutines; each worker
-// owns a private decoder and enumerates a contiguous rank range of the
-// combination space.
+// owns a private bit-sliced kernel and enumerates a contiguous rank range of
+// the combination space (or a fixed block of the trial stream).
 //
 // Every long-running entry point has a context-first variant (WorstCaseCtx,
 // FailureProfileCtx, OverheadCtx, SimulateLifetimeCtx) whose workers check
@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"tornado/internal/combin"
 	"tornado/internal/decode"
@@ -37,9 +36,6 @@ type WorstCaseOptions struct {
 	// one is found (the default stops at the first failing cardinality,
 	// which defines the worst case).
 	KeepGoing bool
-	// Kernel selects the evaluation kernel behind the scans. Default
-	// KernelScalar; see ScanKernel.
-	Kernel ScanKernel
 }
 
 func (o WorstCaseOptions) normalize() WorstCaseOptions {
@@ -47,36 +43,6 @@ func (o WorstCaseOptions) normalize() WorstCaseOptions {
 	o.MaxFailures = intOr(o.MaxFailures, DefaultMaxFailures)
 	o.Workers = defaultWorkers(o.Workers)
 	return o
-}
-
-// ScanKernel selects the evaluation kernel behind the exhaustive scans.
-// Every kernel visits combinations in the same revolving-door rank order
-// and produces bit-identical KResult/RangeResult values — the choice is a
-// pure speed/implementation trade, which is what lets campaign shards,
-// cached results, and golden pins compare across kernels.
-type ScanKernel string
-
-const (
-	// KernelScalar is the incremental peeling kernel advanced by two-node
-	// revolving-door deltas, one pattern per step (PR 4). The zero value,
-	// and the default. "scalar" is accepted as an alias.
-	KernelScalar ScanKernel = ""
-	// KernelSliced is the bit-sliced 64-lane kernel: combinations are
-	// decomposed into revolving-door runs where only the smallest element
-	// sweeps, and each run is evaluated 64 patterns per word with
-	// certificate-guided pruning (see decode.SlicedKernel and
-	// scanRangeSliced).
-	KernelSliced ScanKernel = "sliced"
-)
-
-// Validate reports whether k names a known scan kernel ("", "scalar", or
-// "sliced").
-func (k ScanKernel) Validate() error {
-	switch k {
-	case KernelScalar, "scalar", KernelSliced:
-		return nil
-	}
-	return fmt.Errorf("sim: unknown scan kernel %q", string(k))
 }
 
 // KResult reports the exhaustive examination of one erasure cardinality.
@@ -122,12 +88,10 @@ func WorstCase(g *graph.Graph, opts WorstCaseOptions) (WorstCaseResult, error) {
 // decoding work.
 func WorstCaseCtx(ctx context.Context, g *graph.Graph, opts WorstCaseOptions) (WorstCaseResult, error) {
 	opts = opts.normalize()
-	if err := opts.Kernel.Validate(); err != nil {
-		return WorstCaseResult{}, err
-	}
+	pool := newScanPool(decode.NewCSR(g), opts.Workers)
 	var res WorstCaseResult
 	for k := 1; k <= opts.MaxK; k++ {
-		kr, err := ExhaustiveKKernelCtx(ctx, g, k, opts.MaxFailures, opts.Workers, opts.Kernel)
+		kr, err := pool.exhaustiveK(ctx, k, opts.MaxFailures)
 		if err != nil {
 			return res, err
 		}
@@ -152,38 +116,52 @@ func ExhaustiveK(g *graph.Graph, k, maxFailures, workers int) (KResult, error) {
 }
 
 // ExhaustiveKCtx is ExhaustiveK with cancellation (checked every
-// cancelCheckInterval combinations per worker).
+// cancelCheckInterval combinations per worker). The result is
+// bit-identical at any worker count.
 func ExhaustiveKCtx(ctx context.Context, g *graph.Graph, k, maxFailures, workers int) (KResult, error) {
-	return ExhaustiveKKernelCtx(ctx, g, k, maxFailures, workers, KernelScalar)
+	return newScanPool(decode.NewCSR(g), workers).exhaustiveK(ctx, k, maxFailures)
 }
 
-// ExhaustiveKKernelCtx is ExhaustiveKCtx with an explicit kernel choice.
-// The result is bit-identical across kernels and worker counts.
-func ExhaustiveKKernelCtx(ctx context.Context, g *graph.Graph, k, maxFailures, workers int, kernel ScanKernel) (KResult, error) {
-	if err := kernel.Validate(); err != nil {
+// scanPool is the state one exhaustive search shares across the
+// cardinalities it examines: the graph's CSR, built once, and one scanner
+// per worker, reused from range to range.
+type scanPool struct {
+	csr      *decode.CSR
+	scanners []*scanner // created on a worker's first range
+}
+
+func newScanPool(csr *decode.CSR, workers int) *scanPool {
+	return &scanPool{csr: csr, scanners: make([]*scanner, defaultWorkers(workers))}
+}
+
+// rankSpace returns C(total, k), or why cardinality k cannot be scanned
+// exhaustively.
+func rankSpace(total, k int) (int64, error) {
+	if k < 1 || k > total {
+		return 0, fmt.Errorf("sim: cardinality %d out of range for %d nodes", k, total)
+	}
+	c, ok := combin.BinomialInt64(total, k)
+	if !ok {
+		return 0, fmt.Errorf("sim: C(%d,%d) exceeds the exhaustive rank space (%w); use the sampled certification spec for archival-scale graphs", total, k, combin.ErrRankOverflow)
+	}
+	return c, nil
+}
+
+func (p *scanPool) exhaustiveK(ctx context.Context, k, maxFailures int) (KResult, error) {
+	total, err := rankSpace(int(p.csr.Total), k)
+	if err != nil {
 		return KResult{}, err
 	}
-	if k < 1 || k > g.Total {
-		return KResult{}, fmt.Errorf("sim: cardinality %d out of range for %d nodes", k, g.Total)
-	}
-	total, ok := combin.BinomialInt64(g.Total, k)
-	if !ok {
-		return KResult{}, fmt.Errorf("sim: C(%d,%d) exceeds the exhaustive rank space (%w); use the sampled certification spec for archival-scale graphs", g.Total, k, combin.ErrRankOverflow)
-	}
-	workers = defaultWorkers(workers)
-	ranges := combin.SplitRanges(total, workers)
+	ranges := combin.SplitRanges(total, len(p.scanners))
 
 	rrs := make([]RangeResult, len(ranges))
 	errs := make([]error, len(ranges))
-	var wg sync.WaitGroup
-	for i, rg := range ranges {
-		wg.Add(1)
-		go func(i int, lo, hi int64) {
-			defer wg.Done()
-			rrs[i], errs[i] = ScanRangeKernelCtx(ctx, g, k, lo, hi, maxFailures, kernel)
-		}(i, rg[0], rg[1])
-	}
-	wg.Wait()
+	forBlocks(len(p.scanners), 0, int64(len(ranges)), func(w int, i int64) {
+		if p.scanners[w] == nil {
+			p.scanners[w] = newScanner(p.csr)
+		}
+		rrs[i], errs[i] = p.scanners[w].scanRange(ctx, k, ranges[i][0], ranges[i][1], maxFailures)
+	})
 	// Propagate the first worker error in range order — a range validation
 	// failure must not be silently reported as a clean scan.
 	for _, err := range errs {
@@ -228,11 +206,9 @@ type RangeResult struct {
 // ScanRangeCtx examines every erasure combination of cardinality k whose
 // revolving-door rank (combin.GrayRank) lies in [lo, hi), single-threaded,
 // recording the range's lexicographically smallest failing sets (up to
-// maxFailures). The revolving-door order means
-// consecutive combinations differ by one swapped element, so the scan
-// advances the incremental peeling kernel by a two-node erase/restore delta
-// per pattern instead of erasing and resetting all k nodes — this loop is
-// the system's decode hot path (see DESIGN.md "Decoder kernels").
+// maxFailures). Patterns are evaluated 64 per machine word by the
+// bit-sliced scanner (sliced.go) — this is the system's decode hot path
+// (see DESIGN.md "Decoder kernels").
 //
 // ScanRangeCtx is deterministic in its arguments, which is what makes
 // campaign shards resumable: re-scanning the same range always reproduces
@@ -241,73 +217,7 @@ type RangeResult struct {
 // boundaries, and progress counters are flushed to Metrics() at the same
 // cadence.
 func ScanRangeCtx(ctx context.Context, g *graph.Graph, k int, lo, hi int64, maxFailures int) (RangeResult, error) {
-	return scanRangeScalar(ctx, g, k, lo, hi, maxFailures)
-}
-
-// ScanRangeKernelCtx is ScanRangeCtx with an explicit kernel choice. Both
-// kernels visit the same revolving-door rank order and return bit-identical
-// results; KernelSliced evaluates 64 patterns per word (see sliced.go).
-func ScanRangeKernelCtx(ctx context.Context, g *graph.Graph, k int, lo, hi int64, maxFailures int, kernel ScanKernel) (RangeResult, error) {
-	if err := kernel.Validate(); err != nil {
-		return RangeResult{}, err
-	}
-	if kernel == KernelSliced {
-		return scanRangeSliced(ctx, g, k, lo, hi, maxFailures, nil)
-	}
-	return ScanRangeCtx(ctx, g, k, lo, hi, maxFailures)
-}
-
-func scanRangeScalar(ctx context.Context, g *graph.Graph, k int, lo, hi int64, maxFailures int) (RangeResult, error) {
-	if k < 1 || k > g.Total {
-		return RangeResult{}, fmt.Errorf("sim: cardinality %d out of range for %d nodes", k, g.Total)
-	}
-	total, ok := combin.BinomialInt64(g.Total, k)
-	if !ok {
-		return RangeResult{}, fmt.Errorf("sim: C(%d,%d) exceeds the exhaustive rank space (%w); use the sampled certification spec for archival-scale graphs", g.Total, k, combin.ErrRankOverflow)
-	}
-	if lo < 0 || hi > total || lo > hi {
-		return RangeResult{}, fmt.Errorf("sim: rank range [%d,%d) outside [0,%d)", lo, hi, total)
-	}
-	if lo == hi {
-		return RangeResult{}, nil
-	}
-	reg := Metrics()
-	tested := reg.Counter(MetricCombinationsTested)
-	found := reg.Counter(MetricFailuresFound)
-
-	kn := decode.NewKernel(decode.NewCSR(g))
-	idx := make([]int, k)
-	combin.GrayUnrank(idx, g.Total, lo)
-	for _, v := range idx {
-		kn.EraseOne(v)
-	}
-	var res RangeResult
-	var lastFlushTested, lastFlushFails int64
-	untilCheck := int64(0) // countdown, not modulo: this loop runs per pattern
-	for r := lo; r < hi; r++ {
-		if untilCheck == 0 {
-			if ctx.Err() != nil {
-				return RangeResult{}, ctx.Err()
-			}
-			tested.Add(res.Tested - lastFlushTested)
-			found.Add(res.FailureCount - lastFlushFails)
-			lastFlushTested, lastFlushFails = res.Tested, res.FailureCount
-			untilCheck = cancelCheckInterval
-		}
-		untilCheck--
-		res.Tested++
-		if !kn.Eval() {
-			res.FailureCount++
-			res.Failures = recordFailure(res.Failures, idx, maxFailures)
-		}
-		if r+1 < hi {
-			out, in, _ := combin.GrayNext(idx, g.Total)
-			kn.Swap(out, in)
-		}
-	}
-	tested.Add(res.Tested - lastFlushTested)
-	found.Add(res.FailureCount - lastFlushFails)
-	return res, nil
+	return newScanner(decode.NewCSR(g)).scanRange(ctx, k, lo, hi, maxFailures)
 }
 
 // recordFailure maintains fs as the lexicographically smallest failing sets

@@ -81,23 +81,12 @@ type (
 	Defect = defect.Finding
 	// DecodeResult reports a structural decode (lost nodes on failure).
 	DecodeResult = decode.Result
-	// ScanKernel selects the evaluation kernel used by exhaustive scans.
-	ScanKernel = sim.ScanKernel
 	// CertifyOptions tunes the archival-scale sampled certification.
 	CertifyOptions = sim.SampledOptions
 	// CertifyResult reports a sampled certification: pooled failure tally
 	// with Wilson CI, collision-count strata, screening rate, and the
 	// precision trajectory.
 	CertifyResult = sim.SampledResult
-)
-
-// Scan kernel selectors for WorstCaseOptions.Kernel and CampaignSpec.Kernel.
-// Both kernels produce bit-identical results; KernelSliced evaluates 64
-// erasure patterns per pass and prunes lanes a peeling certificate proves
-// recoverable.
-const (
-	KernelScalar = sim.KernelScalar
-	KernelSliced = sim.KernelSliced
 )
 
 // DefaultParams returns the paper's 96-node construction parameters.
