@@ -7,7 +7,7 @@ GO ?= go
 TEST_TIMEOUT ?= 2m
 RACE_TIMEOUT ?= 3m
 
-.PHONY: all build test race vet fuzz bench check smoke clean
+.PHONY: all build test race vet fuzz bench bench-api check smoke clean
 
 all: build
 
@@ -21,7 +21,8 @@ test:
 # stratified certification sampler and the screened n=10k archival-scale
 # smoke), the campaign worker pool, the decode/adjust certification loops,
 # the streaming graph construction, the serving layer (hedged reads,
-# admission, stripe cache), the parallel stream data path, the load
+# admission, stripe cache), the archive's stripe pipeline (the one place
+# the data path starts goroutines) and its stream adapters, the load
 # generator, the joint-decode federation search, the chaos/WAN injectors,
 # and the federated store (disaster soak) are the concurrency-heavy
 # packages; run them under the race detector.
@@ -64,7 +65,13 @@ fuzz:
 bench:
 	$(GO) run ./cmd/benchreport -check
 
-check: vet build test race fuzz
+# bench/ is a module of its own, so the root vet/build/test never compile
+# bench/api.go — the one file a signature change in the library breaks.
+# Vet it and run its smoke test (all six workloads at smoke scale).
+bench-api:
+	cd bench && $(GO) vet . && $(GO) test -timeout $(TEST_TIMEOUT) .
+
+check: vet build test bench-api race fuzz
 
 # smoke runs a small end-to-end campaign under the race detector: fresh
 # run, cache-served rerun, status — the moving parts CI should exercise

@@ -60,6 +60,13 @@ type Object struct {
 	Stripes int
 }
 
+// committed reports whether the object's Put has finished. Every stored
+// object has at least one stripe (an empty one stores one, PutShell demands
+// one), so a record with none is a name held by a Put still in flight: Stat
+// and List — and through them Get, ReadStripe, Delete and Scrub — do not see
+// it, only a second Put of the same name does.
+func (o *Object) committed() bool { return o.Stripes > 0 }
+
 // GetStats reports the retrieval work of one Get.
 type GetStats struct {
 	DevicesAccessed int // distinct devices read
@@ -158,11 +165,6 @@ type Store struct {
 	mScrubRepaired   *obs.Counter
 	mScrubCorrupt    *obs.Counter
 	mScrubUnrecov    *obs.Counter
-
-	// getStreamHook, when set (tests only), is called by a parallel
-	// GetStream worker as it picks up stripe st, with the number of payload
-	// buffers left in the pool: a schedule-forcing seam.
-	getStreamHook func(st, free int)
 }
 
 // New builds a store over one always-on device per graph node.
@@ -618,50 +620,49 @@ func (sc *stripeScratch) encoder(s *Store) *codec.Encoder {
 	return sc.enc
 }
 
-// reserve claims name in the object map, returning the metadata record the
-// caller finalizes (or rolls back) later.
-func (s *Store) reserve(name string, size int) (*Object, error) {
+// reserve claims name in the object map, returning the uncommitted record
+// the caller finalizes (or rolls back) later.
+func (s *Store) reserve(name string) (*Object, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.objects[name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	obj := &Object{Name: name, Size: size}
+	obj := &Object{Name: name}
 	s.objects[name] = obj
 	return obj, nil
 }
 
-// putStripe encodes one stripe payload and writes its blocks, returning
-// the number of failed block writes. Devices that are unavailable at write
-// time simply miss their block — exactly the redundancy the code is there
-// to absorb. Blocks are stored framed with a CRC-32C so bit rot is
-// detected on read; transient write faults are retried with bounded
-// backoff. A ctx error aborts immediately.
-func (s *Store) putStripe(ctx context.Context, name string, st int, payload []byte, sc *stripeScratch) (int, error) {
+// putStripe encodes one stripe payload and writes its blocks. Devices that
+// are unavailable at write time simply miss their block — exactly the
+// redundancy the code is there to absorb. Blocks are stored framed with a
+// CRC-32C so bit rot is detected on read; transient write faults are
+// retried with bounded backoff. A ctx error aborts immediately.
+func (s *Store) putStripe(ctx context.Context, name string, st int, payload []byte, sc *stripeScratch) error {
 	blocks, err := sc.encoder(s).Encode(payload)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	sc.keys.stripe(name, st)
 	failed := 0
 	for node, b := range blocks {
 		if err := ctx.Err(); err != nil {
-			return failed, err
+			return err
 		}
 		var werr error
 		sc.frameBuf, werr = s.writeFramedBuf(ctx, node, sc.keys.key(node), b, sc.frameBuf)
 		if werr != nil {
 			if errIsCtx(werr) {
-				return failed, werr
+				return werr
 			}
 			failed++
 		}
 	}
 	if lim := s.putFailureLimit(); lim >= 0 && failed > lim {
-		return failed, fmt.Errorf("%w: %q stripe %d lost %d of %d block writes",
+		return fmt.Errorf("%w: %q stripe %d lost %d of %d block writes",
 			ErrDegraded, name, st, failed, len(blocks))
 	}
-	return failed, nil
+	return nil
 }
 
 // Put encodes and stores an object. The transactional archival interface
@@ -672,31 +673,19 @@ func (s *Store) Put(name string, data []byte) error {
 
 // PutCtx is Put with cancellation: the write checks ctx between blocks and
 // during retry backoff, and a cancelled Put rolls its partial object back
-// (the rollback itself is not cancellable).
+// (the rollback itself is not cancellable). The stripes are sub-slices of
+// data, encoded one at a time on the caller's goroutine.
 func (s *Store) PutCtx(ctx context.Context, name string, data []byte) error {
-	obj, err := s.reserve(name, len(data))
-	if err != nil {
-		return err
-	}
 	cap := s.codec.Capacity()
-	stripes := (len(data) + cap - 1) / cap
-	if stripes == 0 {
-		stripes = 1
-	}
-	sc := s.newScratch()
-	for st := 0; st < stripes; st++ {
-		lo := st * cap
-		hi := min(lo+cap, len(data))
-		if _, err := s.putStripe(ctx, name, st, data[lo:hi], sc); err != nil {
-			s.discardBlocks(ctx, name, st+1)
-			s.deleteObject(name)
-			return err
+	_, err := s.putObject(ctx, name, 1, func(sl *stripeSlot) (bool, error) {
+		lo := sl.st * cap
+		if lo >= len(data) && sl.st > 0 { // an empty object still stores one stripe
+			return false, nil
 		}
-	}
-	s.mu.Lock()
-	obj.Stripes = stripes
-	s.mu.Unlock()
-	return nil
+		sl.payload = data[lo:min(lo+cap, len(data))]
+		return true, nil
+	})
+	return err
 }
 
 // Get retrieves an object, reconstructing around unavailable devices.
@@ -708,58 +697,35 @@ func (s *Store) Get(name string) ([]byte, GetStats, error) {
 // blocks, and during retry backoff, so a cancelled Get returns promptly
 // mid-object instead of finishing the remaining stripes.
 func (s *Store) GetCtx(ctx context.Context, name string) ([]byte, GetStats, error) {
-	size, stripes, err := s.lookup(name)
-	var stats GetStats
+	obj, err := s.Stat(name)
+	if err != nil {
+		return nil, GetStats{}, err
+	}
+	out := make([]byte, 0, obj.Size)
+	stats, err := s.getStripes(ctx, obj, 1, func(payload []byte) error {
+		out = append(out, payload...)
+		return nil
+	})
 	if err != nil {
 		return nil, stats, err
 	}
-	out := make([]byte, 0, size)
-	cap := s.codec.Capacity()
-	sc := s.newScratch()
-	for st := 0; st < stripes; st++ {
-		if err := ctx.Err(); err != nil {
-			return nil, stats, err
-		}
-		want := min(size-st*cap, cap)
-		payload, err := s.getStripe(ctx, name, st, want, sc, &stats)
-		if err != nil {
-			return nil, stats, err
-		}
-		out = append(out, payload...)
-	}
-	stats.DevicesAccessed = len(sc.touched)
 	return out, stats, nil
-}
-
-// lookup resolves an object's size and stripe count, reporting ErrNotFound
-// for unknown names and Puts still in flight (stripes not finalized).
-func (s *Store) lookup(name string) (size, stripes int, err error) {
-	s.mu.Lock()
-	obj, ok := s.objects[name]
-	if ok {
-		size, stripes = obj.Size, obj.Stripes
-	}
-	s.mu.Unlock()
-	if !ok || (stripes == 0 && size > 0) {
-		return 0, 0, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return size, stripes, nil
 }
 
 // ReadStripe retrieves one stripe's decoded payload — the serve layer's
 // cache-fill granularity. The returned slice is freshly allocated and owned
 // by the caller.
 func (s *Store) ReadStripe(ctx context.Context, name string, st int) ([]byte, GetStats, error) {
-	size, stripes, err := s.lookup(name)
+	obj, err := s.Stat(name)
 	var stats GetStats
 	if err != nil {
 		return nil, stats, err
 	}
-	if st < 0 || st >= stripes {
+	if st < 0 || st >= obj.Stripes {
 		return nil, stats, fmt.Errorf("%w: %q stripe %d", ErrNotFound, name, st)
 	}
 	cap := s.codec.Capacity()
-	want := min(size-st*cap, cap)
+	want := min(obj.Size-st*cap, cap)
 	sc := s.newScratch()
 	payload, err := s.getStripe(ctx, name, st, want, sc, &stats)
 	if err != nil {
@@ -941,18 +907,12 @@ func (s *Store) Delete(name string) error {
 
 // DeleteCtx is Delete with cancellation between block deletions.
 func (s *Store) DeleteCtx(ctx context.Context, name string) error {
-	s.mu.Lock()
-	obj, ok := s.objects[name]
-	var stripes int
-	if ok {
-		stripes = obj.Stripes
-	}
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
+	obj, err := s.Stat(name)
+	if err != nil {
+		return err
 	}
 	var keys keyBuf
-	for st := 0; st < stripes; st++ {
+	for st := 0; st < obj.Stripes; st++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -977,7 +937,9 @@ func (s *Store) List() []Object {
 	defer s.mu.Unlock()
 	out := make([]Object, 0, len(s.objects))
 	for _, o := range s.objects {
-		out = append(out, *o)
+		if o.committed() {
+			out = append(out, *o)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

@@ -12,7 +12,7 @@ func (s *Store) Stat(name string) (Object, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	obj, ok := s.objects[name]
-	if !ok {
+	if !ok || !obj.committed() {
 		return Object{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	return *obj, nil

@@ -6,19 +6,40 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
+	"testing/iotest"
 )
 
-// TestStreamRoundTrip pushes multi-stripe objects through PutStream and
-// GetStream at several pipeline widths, including payloads that end exactly
-// on a stripe boundary and mid-block.
+// streamWidths are the pipeline widths the stream contract is checked at:
+// the inline loop, the narrowest concurrent pipeline, and a wider one.
+var streamWidths = []int{1, 2, 4}
+
+// allowWidth lifts GOMAXPROCS for the test so WithParallelism(n) is not
+// clamped below n on a small host.
+func allowWidth(t *testing.T, n int) {
+	t.Helper()
+	if old := runtime.GOMAXPROCS(0); old < n {
+		runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	}
+}
+
+// TestStreamRoundTrip pushes objects through PutStream and GetStream at
+// every width: empty, sub-stripe, exactly on a stripe boundary, mid-block
+// and many-stripe payloads. Each must be recorded with the right size and
+// stripe count, read back bit-exact with aggregated stats, and read back
+// through the buffered Get too.
 func TestStreamRoundTrip(t *testing.T) {
+	allowWidth(t, 4)
 	s := testStore(t, Config{BlockSize: 64})
 	cap := s.codec.Capacity()
-	sizes := []int{0, 1, cap - 1, cap, cap + 1, 3*cap + 17, 5 * cap}
-	for _, par := range []int{1, 2, 4} {
+	sizes := []int{0, 1, cap - 1, cap, cap + 1, 2 * cap, 3*cap + 17, 5 * cap}
+	for _, par := range streamWidths {
 		for i, n := range sizes {
 			name := fmt.Sprintf("obj-%d-%d", par, i)
 			data := payload(n, uint64(n)+uint64(par))
@@ -29,19 +50,275 @@ func TestStreamRoundTrip(t *testing.T) {
 			if wrote != n {
 				t.Fatalf("PutStream wrote %d, want %d", wrote, n)
 			}
+			wantStripes := max(1, (n+cap-1)/cap)
+			if obj, err := s.Stat(name); err != nil || obj.Size != n || obj.Stripes != wantStripes {
+				t.Fatalf("Stat(par=%d, n=%d) = %+v, %v; want %d stripes", par, n, obj, err, wantStripes)
+			}
 			var buf bytes.Buffer
-			read, _, err := s.GetStream(context.Background(), name, &buf, WithParallelism(par))
+			read, stats, err := s.GetStream(context.Background(), name, &buf, WithParallelism(par))
 			if err != nil {
 				t.Fatalf("GetStream(par=%d, n=%d): %v", par, n, err)
 			}
 			if read != n || !bytes.Equal(buf.Bytes(), data) {
 				t.Fatalf("round trip mismatch par=%d n=%d (read %d)", par, n, read)
 			}
+			if stats.DevicesAccessed == 0 || stats.BlocksRead < wantStripes*s.g.Data {
+				t.Errorf("stats not aggregated over %d stripes (par=%d): %+v", wantStripes, par, stats)
+			}
 			// Cross-API: the streamed object must read back through Get too.
 			got, _, err := s.Get(name)
 			if err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("Get after PutStream: %v", err)
 			}
+		}
+	}
+}
+
+type failingWriter struct{}
+
+func (failingWriter) Write(p []byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestStreamContract checks, at every width, what the stream pair promises
+// beyond the round trip: a failing source aborts cleanly and leaves the name
+// reusable, duplicates and unknown names are refused, reads reconstruct
+// around failed devices, and a failing sink surfaces its error.
+func TestStreamContract(t *testing.T) {
+	allowWidth(t, 4)
+	ctx := context.Background()
+	for _, par := range streamWidths {
+		t.Run(fmt.Sprintf("width=%d", par), func(t *testing.T) {
+			s := testStore(t, Config{BlockSize: 32}) // capacity 1536/stripe
+			width := WithParallelism(par)
+
+			linkDropped := errors.New("link dropped")
+			r := io.MultiReader(bytes.NewReader(payload(5000, 33)), iotest.ErrReader(linkDropped))
+			if _, err := s.PutStream(ctx, "obj", r, width); !errors.Is(err, linkDropped) {
+				t.Fatalf("source error = %v, want it to wrap %v", err, linkDropped)
+			}
+			if _, err := s.Stat("obj"); !errors.Is(err, ErrNotFound) {
+				t.Errorf("partial object survives: %v", err)
+			}
+			for _, dev := range s.Devices() {
+				if dev.Len() != 0 {
+					t.Fatalf("device %d keeps %d blocks of the aborted object", dev.ID(), dev.Len())
+				}
+			}
+
+			data := payload(9000, 34) // 6 stripes
+			if _, err := s.PutStream(ctx, "obj", bytes.NewReader(data), width); err != nil {
+				t.Fatalf("name not reusable after an aborted put: %v", err)
+			}
+			if _, err := s.PutStream(ctx, "obj", strings.NewReader("y"), width); !errors.Is(err, ErrExists) {
+				t.Errorf("duplicate = %v", err)
+			}
+			var out bytes.Buffer
+			if _, _, err := s.GetStream(ctx, "nope", &out, width); !errors.Is(err, ErrNotFound) {
+				t.Errorf("missing = %v", err)
+			}
+
+			s.Devices()[1].Fail()
+			s.Devices()[3].Fail()
+			s.Devices()[70].Fail()
+			n, stats, err := s.GetStream(ctx, "obj", &out, width)
+			if err != nil || n != len(data) || !bytes.Equal(out.Bytes(), data) {
+				t.Fatalf("reconstruction around failed devices: %d bytes, %v", n, err)
+			}
+			if stats.BlocksRepaired == 0 {
+				t.Errorf("degraded read repaired nothing: %+v", stats)
+			}
+
+			n, _, err = s.GetStream(ctx, "obj", failingWriter{}, width)
+			if err == nil || !strings.Contains(err.Error(), "disk full") || n != 0 {
+				t.Errorf("sink error: %d bytes, %v", n, err)
+			}
+		})
+	}
+}
+
+// storedBlocks reads every block of name straight off the devices.
+func storedBlocks(t *testing.T, s *Store, name string) [][]byte {
+	t.Helper()
+	obj, err := s.Stat(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	for st := 0; st < obj.Stripes; st++ {
+		for node, dev := range s.Devices() {
+			b, err := dev.Read(blockKey(name, st, node))
+			if err != nil {
+				t.Fatalf("stripe %d node %d: %v", st, node, err)
+			}
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// TestWidthChangesNothingStored: the bytes on the devices and the stats of
+// reading them back do not depend on the pipeline width or on which Put
+// form wrote the object — on a healthy array, and with devices failed and a
+// frame rotted.
+func TestWidthChangesNothingStored(t *testing.T) {
+	allowWidth(t, 8)
+	ctx := context.Background()
+	cfg := Config{BlockSize: 32}
+	data := payload(6000, 42) // 4 stripes
+	damage := func(s *Store) {
+		for _, node := range []int{1, 3, 70} {
+			s.Devices()[node].Fail()
+		}
+		if err := s.Devices()[5].Write(blockKey("obj", 1, 5), []byte("bit rot")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref := testStore(t, cfg)
+	if err := ref.PutCtx(ctx, "obj", data); err != nil {
+		t.Fatal(err)
+	}
+	want := storedBlocks(t, ref, "obj")
+	read := func(s *Store, par int) GetStats {
+		var out bytes.Buffer
+		_, stats, err := s.GetStream(ctx, "obj", &out, WithParallelism(par))
+		if err != nil || !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("GetStream(par=%d): %v", par, err)
+		}
+		return stats
+	}
+	_, healthy, err := ref.GetCtx(ctx, "obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	damage(ref)
+	_, degraded, err := ref.GetCtx(ctx, "obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if degraded.BlocksRepaired == 0 || degraded.CorruptBlocks != 1 || degraded.ReadRepairs != 1 || degraded.Repair.BytesRead == 0 {
+		t.Fatalf("degraded read billed no repair: %+v", degraded)
+	}
+	for _, par := range []int{1, 2, 4, 8} {
+		s := testStore(t, cfg)
+		if _, err := s.PutStream(ctx, "obj", bytes.NewReader(data), WithParallelism(par)); err != nil {
+			t.Fatal(err)
+		}
+		got := storedBlocks(t, s, "obj")
+		if len(got) != len(want) {
+			t.Fatalf("par=%d stored %d blocks, PutCtx stored %d", par, len(got), len(want))
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("par=%d: block %d differs from the one PutCtx stored", par, i)
+			}
+		}
+		if stats := read(s, par); stats != healthy {
+			t.Errorf("healthy stats at par=%d: %+v, GetCtx: %+v", par, stats, healthy)
+		}
+		damage(s)
+		if stats := read(s, par); stats != degraded {
+			t.Errorf("degraded stats at par=%d: %+v, GetCtx: %+v", par, stats, degraded)
+		}
+	}
+}
+
+// TestParallelMatchesSerialStats: the widest pipeline reads exactly the
+// blocks and devices the inline loop does.
+func TestParallelMatchesSerialStats(t *testing.T) {
+	allowWidth(t, 4)
+	ctx := context.Background()
+	a := testStore(t, Config{BlockSize: 32})
+	b := testStore(t, Config{BlockSize: 32})
+	data := payload(6000, 42)
+	if _, err := a.PutStream(ctx, "obj", bytes.NewReader(data), WithParallelism(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.PutStream(ctx, "obj", bytes.NewReader(data), WithParallelism(4)); err != nil {
+		t.Fatal(err)
+	}
+	_, sa, err := a.GetStream(ctx, "obj", io.Discard, WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sb, err := b.GetStream(ctx, "obj", io.Discard, WithParallelism(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sa.BlocksRead != sb.BlocksRead || sa.DevicesAccessed != sb.DevicesAccessed {
+		t.Errorf("stats diverge: serial %+v vs parallel %+v", sa, sb)
+	}
+}
+
+// gatedReader serves data but blocks, once `after` bytes are out, until its
+// gate closes; it announces the stall on stalled.
+type gatedReader struct {
+	r       io.Reader
+	after   int
+	read    int
+	stalled chan struct{}
+	gate    chan struct{}
+	once    sync.Once
+}
+
+func (g *gatedReader) Read(p []byte) (int, error) {
+	if g.read >= g.after {
+		g.once.Do(func() { close(g.stalled) })
+		<-g.gate
+	} else {
+		p = p[:min(len(p), g.after-g.read)]
+	}
+	n, err := g.r.Read(p)
+	g.read += n
+	return n, err
+}
+
+// TestPutInFlightIsInvisible: until a Put commits, its object does not
+// exist for anyone but a second Put of the same name. (A PutStream in
+// flight used to be served as a valid empty object, and listed with zero
+// stripes.)
+func TestPutInFlightIsInvisible(t *testing.T) {
+	for _, par := range streamWidths {
+		s := testStore(t, Config{BlockSize: 64})
+		data := payload(4*s.codec.Capacity(), 8)
+		r := &gatedReader{r: bytes.NewReader(data), after: s.codec.Capacity(), stalled: make(chan struct{}), gate: make(chan struct{})}
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.PutStream(context.Background(), "obj", r, WithParallelism(par))
+			done <- err
+		}()
+		<-r.stalled // the first stripe is in; the rest is not
+
+		var out bytes.Buffer
+		if n, _, err := s.GetStream(context.Background(), "obj", &out); !errors.Is(err, ErrNotFound) {
+			t.Errorf("par=%d: GetStream mid-Put = %d bytes, %v; want ErrNotFound", par, n, err)
+		}
+		if got, _, err := s.Get("obj"); !errors.Is(err, ErrNotFound) {
+			t.Errorf("par=%d: Get mid-Put = %d bytes, %v; want ErrNotFound", par, len(got), err)
+		}
+		if _, _, err := s.ReadStripe(context.Background(), "obj", 0); !errors.Is(err, ErrNotFound) {
+			t.Errorf("par=%d: ReadStripe mid-Put: %v", par, err)
+		}
+		if obj, err := s.Stat("obj"); !errors.Is(err, ErrNotFound) {
+			t.Errorf("par=%d: Stat mid-Put = %+v, %v; want ErrNotFound", par, obj, err)
+		}
+		if objs := s.List(); len(objs) != 0 {
+			t.Errorf("par=%d: List mid-Put = %+v; want nothing", par, objs)
+		}
+		if err := s.Delete("obj"); !errors.Is(err, ErrNotFound) {
+			t.Errorf("par=%d: Delete mid-Put: %v", par, err)
+		}
+		if err := s.Put("obj", []byte("usurper")); !errors.Is(err, ErrExists) {
+			t.Errorf("par=%d: second Put of a name mid-Put: %v; want ErrExists", par, err)
+		}
+
+		close(r.gate)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if objs := s.List(); len(objs) != 1 || objs[0].Size != len(data) || objs[0].Stripes != 4 {
+			t.Errorf("par=%d: List after commit = %+v", par, objs)
+		}
+		if got, _, err := s.Get("obj"); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("par=%d: Get after commit: %v", par, err)
 		}
 	}
 }
@@ -120,51 +397,61 @@ func TestGetMidObjectCancellation(t *testing.T) {
 	}
 }
 
-// TestGetStreamStalledHeadStripe forces the schedule that used to deadlock
-// the parallel read pipeline: the worker holding the stripe the in-order
-// writer waits on is stalled right after picking it up, while the other
-// workers run ahead until the payload pool is drained (every buffer parked
-// behind the head stripe). Buffers travel with the job, so the stalled
-// stripe already holds one and finishes when released; a pipeline that let
-// workers take buffers after pickup would leave it starved here forever.
+// headStallBackend parks every read of stripe 0 until the last stripe of the
+// first window (stripe width-1) is being read, and notes any read that runs
+// a full width ahead of the parked head.
+type headStallBackend struct {
+	Backend
+	width    int
+	released chan struct{}
+	once     sync.Once
+	ahead    atomic.Int64
+}
+
+func (b *headStallBackend) Read(ctx context.Context, node int, key []byte) ([]byte, error) {
+	st, _ := strconv.Atoi(strings.Split(string(key), "/")[1]) // "obj/<stripe>/<node>"
+	switch {
+	case st == 0:
+		<-b.released
+	case st == b.width-1:
+		b.once.Do(func() { close(b.released) })
+	case st >= b.width:
+		select {
+		case <-b.released:
+		default:
+			b.ahead.Store(int64(st))
+		}
+	}
+	return b.Backend.Read(ctx, node, key)
+}
+
+// TestGetStreamStalledHeadStripe drives the stalled-head schedule (see
+// TestPipeStalledHeadOrdered) through GetStream itself: the reads of the
+// stripe the writer waits on stall while the workers behind it run. The
+// object still arrives whole and in order, and nothing past the window is
+// read while the head is parked.
 func TestGetStreamStalledHeadStripe(t *testing.T) {
-	s := testStore(t, Config{BlockSize: 64})
 	const par = 4
+	allowWidth(t, par)
+	base := testStore(t, Config{BlockSize: 64})
+	stall := &headStallBackend{Backend: base.backend, width: par, released: make(chan struct{})}
+	s, err := NewWithBackend(base.g, stall, Config{BlockSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
 	data := payload(3*par*s.codec.Capacity()+5, 9)
 	if err := s.Put("obj", data); err != nil {
 		t.Fatal(err)
 	}
-
-	drained := make(chan struct{})
-	var once sync.Once
-	s.getStreamHook = func(st, free int) {
-		if free == 0 {
-			once.Do(func() { close(drained) })
-		}
-		if st == 0 {
-			<-drained
-		}
+	var buf bytes.Buffer
+	if _, _, err := s.GetStream(context.Background(), "obj", &buf, WithParallelism(par)); err != nil {
+		t.Fatal(err)
 	}
-	type outcome struct {
-		got []byte
-		err error
+	if !bytes.Equal(buf.Bytes(), data) {
+		t.Error("payload mismatch after a stalled head stripe")
 	}
-	done := make(chan outcome, 1)
-	go func() {
-		var buf bytes.Buffer
-		_, _, err := s.GetStream(context.Background(), "obj", &buf, WithParallelism(par))
-		done <- outcome{buf.Bytes(), err}
-	}()
-	select {
-	case o := <-done:
-		if o.err != nil {
-			t.Fatal(o.err)
-		}
-		if !bytes.Equal(o.got, data) {
-			t.Error("payload mismatch after a stalled head stripe")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("GetStream hung with the head stripe stalled and the pool drained")
+	if st := stall.ahead.Load(); st != 0 {
+		t.Errorf("stripe %d was read while stripe 0 was parked: more than %d stripes in flight", st, par)
 	}
 }
 
@@ -266,26 +553,6 @@ func (c *countReader) consumed() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.off
-}
-
-// TestParallelWrappersStillWork pins the compatibility contract: the
-// deprecated entry points remain correct as thin wrappers over the streams.
-func TestParallelWrappersStillWork(t *testing.T) {
-	s := testStore(t, Config{BlockSize: 64})
-	data := payload(3*s.codec.Capacity()+100, 6)
-	if err := s.PutParallel("p", data, 3); err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := s.GetParallel("p", 3)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("PutParallel/GetParallel round trip: %v", err)
-	}
-	if stats.DevicesAccessed == 0 || stats.BlocksRead == 0 {
-		t.Errorf("GetParallel stats not aggregated: %+v", stats)
-	}
-	if err := s.PutParallel("p", data, 3); !errors.Is(err, ErrExists) {
-		t.Errorf("duplicate PutParallel: %v", err)
-	}
 }
 
 // TestReadStripe covers the serve layer's cache-fill primitive: each stripe

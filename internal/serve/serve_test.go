@@ -258,6 +258,13 @@ func TestHedgingMasksSlowReplica(t *testing.T) {
 	}
 	// Losers must drain: the wedged reads were cancelled when the winners
 	// returned, so the goroutine count returns to (about) the baseline.
+	expectNoGoroutineLeak(t, before)
+}
+
+// expectNoGoroutineLeak waits for the goroutine count to fall back to the
+// baseline taken before a hedged Get, and reports a leak if it does not.
+func expectNoGoroutineLeak(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -265,6 +272,56 @@ func TestHedgingMasksSlowReplica(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("goroutine leak after hedged Get: %d > %d", n, before)
 	}
+}
+
+// TestHedgingAllStalledCallerCancel: every replica wedges and the caller
+// gives up. The Get returns the caller's ctx.Err() — not a hang, not a
+// replica's error — and every hedged read drains into the buffered results
+// channel: no goroutine outlives the request.
+func TestHedgingAllStalledCallerCancel(t *testing.T) {
+	g := testGraph(t)
+	var stalled []*blockingBackend
+	var stores []*archive.Store
+	for range 2 {
+		b := &blockingBackend{Backend: archive.NewArrayBackend(device.NewArray(g.Total))}
+		st, err := archive.NewWithBackend(g, b, archive.Config{BlockSize: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stalled, stores = append(stalled, b), append(stores, st)
+	}
+	svc, err := New(stores, Config{HedgeDelay: time.Millisecond, CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := testPayload(2*stores[0].Layout().StripeCapacity, 9)
+	if _, err := svc.Put(context.Background(), "t", "obj", bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := svc.Get(ctx, "t", "obj", io.Discard)
+		done <- err
+	}()
+	for _, b := range stalled { // primary and hedge are both parked in a read
+		for b.blockedReads() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("Get with every replica stalled and the caller gone: %v, want %v", err, context.Canceled)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Get hung after the caller cancelled")
+	}
+	expectNoGoroutineLeak(t, before)
 }
 
 // TestHedgingMasksDegradedReplica: replica 0 has lost too many devices to
