@@ -44,26 +44,9 @@ fuzz:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzSlicedMatchesReference -fuzztime $(FUZZTIME) ./internal/decode/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzDefectKernelMatchesReference -fuzztime $(FUZZTIME) ./internal/defect/
 
-# bench measures the certification-scan and defect-scan hot paths (map/
-# decoder baselines vs the incremental kernels), the serving layer (Zipf
-# load generator over a chaos backend with a concurrent scrub, plus the
-# stream/encode data-path loops), the repair economics (the extended
-# RAID comparison plus a measured single-device-loss accounting run),
-# and the archival-scale sampled certification (streamed n=10k graph,
-# patterns/sec to the 1e-4 Wilson-CI target, precision trajectory,
-# screening rate), writing BENCH_decode.json, BENCH_defect.json,
-# BENCH_serve.json, BENCH_repair.json, BENCH_federation.json, and
-# BENCH_certify.json; -check enforces the zero-allocation invariant on
-# the steady-state kernel paths, the bit-exact-or-error invariant on the
-# chaos load run, the backend-contract allocation budget on the stream
-# stripe loop, exact repair-byte attribution, the degree-aware
-# placement's cross-group read reduction, the federation gates (mirrored
-# critical sets jointly recoverable, zero residue after a full site wipe,
-# every cross-site repair byte attributed), and the certify gates (CI
-# half-width target reached, structural screen >= 90%, no per-trial
-# allocation in the sampler hot loop).
+# bench runs the repo benchmark, bench/: numbers only, check is the gate.
 bench:
-	$(GO) run ./cmd/benchreport -check
+	bash bench/run.sh
 
 # bench/ is a module of its own, so the root vet/build/test never compile
 # bench/api.go — the one file a signature change in the library breaks.
@@ -77,17 +60,16 @@ check: vet build test bench-api race fuzz
 # run, cache-served rerun, status — the moving parts CI should exercise
 # beyond unit tests. A sampled certification on a streamed n=2000 graph
 # then drives the stratified sampler and its stopping rule through the
-# same journaled pipeline.
-SMOKE_DIR := $(shell mktemp -d /tmp/tornado-smoke.XXXXXX)
+# same journaled pipeline. One shell, so a failing step still cleans up.
 smoke:
-	$(GO) run -race ./cmd/campaign run -dir $(SMOKE_DIR)/camp -cache $(SMOKE_DIR)/cache \
-		-kind worstcase -seed 2006 -maxk 3 -quiet
-	$(GO) run -race ./cmd/campaign run -dir $(SMOKE_DIR)/camp2 -cache $(SMOKE_DIR)/cache \
-		-kind worstcase -seed 2006 -maxk 3 -quiet
-	$(GO) run -race ./cmd/campaign status -dir $(SMOKE_DIR)/camp
-	$(GO) run -race ./cmd/campaign run -dir $(SMOKE_DIR)/cert -cache $(SMOKE_DIR)/cache \
+	set -e; d=$$(mktemp -d /tmp/tornado-smoke.XXXXXX); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) run -race ./cmd/campaign run -dir $$d/camp -cache $$d/cache \
+		-kind worstcase -seed 2006 -maxk 3 -quiet; \
+	$(GO) run -race ./cmd/campaign run -dir $$d/camp2 -cache $$d/cache \
+		-kind worstcase -seed 2006 -maxk 3 -quiet; \
+	$(GO) run -race ./cmd/campaign status -dir $$d/camp; \
+	$(GO) run -race ./cmd/campaign run -dir $$d/cert -cache $$d/cache \
 		-kind sampled -seed 2006 -nodes 2000 -mink 5 -maxk 5 -epsilon 1e-3 -quiet
-	rm -rf $(SMOKE_DIR)
 
 clean:
 	$(GO) clean ./...

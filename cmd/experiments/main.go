@@ -22,17 +22,87 @@ import (
 	"tornado/internal/exp"
 )
 
+// experiment is one value -exp accepts besides "all". run returns the text
+// to print and the curves behind figure, the CSV they go to under -csvdir.
+type experiment struct {
+	name, figure string
+	run          func(exp.Config, []*exp.TornadoGraph) (string, []exp.System, error)
+}
+
+var experiments = []experiment{
+	{"table1", "figure3", func(cfg exp.Config, tg []*exp.TornadoGraph) (string, []exp.System, error) {
+		text, systems := exp.Table1(cfg, tg)
+		return text, systems, nil
+	}},
+	{"table2", "figure4", exp.Table2},
+	{"table3", "figure5", exp.Table3},
+	{"table4", "figure6", exp.Table4},
+	{"table5", "", func(cfg exp.Config, tg []*exp.TornadoGraph) (string, []exp.System, error) {
+		text, _ := exp.Table5(cfg, tg, 0.01)
+		return text, nil, nil
+	}},
+	{"table6", "", func(_ exp.Config, tg []*exp.TornadoGraph) (string, []exp.System, error) {
+		text, _ := exp.Table6(tg)
+		return text, nil, nil
+	}},
+	{"table7", "", func(cfg exp.Config, tg []*exp.TornadoGraph) (string, []exp.System, error) {
+		text, _, err := exp.Table7(cfg, tg)
+		return text, nil, err
+	}},
+	{"eq1", "", func(cfg exp.Config, _ []*exp.TornadoGraph) (string, []exp.System, error) {
+		text, maxAbs, err := exp.Eq1Validation(cfg)
+		return fmt.Sprintf("%s\nmax |simulated - theory| across k: %.3g\n", text, maxAbs), nil, err
+	}},
+	{"overhead", "", func(cfg exp.Config, tg []*exp.TornadoGraph) (string, []exp.System, error) {
+		text, _, err := exp.TableOverhead(cfg, tg)
+		return text, nil, err
+	}},
+	{"mttdl", "", func(cfg exp.Config, tg []*exp.TornadoGraph) (string, []exp.System, error) {
+		text, _, err := exp.TableMTTDL(cfg, tg, 0.01)
+		return text, nil, err
+	}},
+	{"lec", "", exp.TableLEC},
+}
+
+// selectExperiments resolves -exp: every experiment for "all", the named one
+// otherwise, none for a name that is neither. main calls it before preparing
+// the graphs, which takes minutes with -full.
+func selectExperiments(which string) []experiment {
+	if which == "all" {
+		return experiments
+	}
+	for i, e := range experiments {
+		if e.name == which {
+			return experiments[i : i+1]
+		}
+	}
+	return nil
+}
+
+// validNames lists what -exp accepts, for the help text and the error.
+func validNames() string {
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return strings.Join(names, ", ")
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 
 	var (
 		full   = flag.Bool("full", false, "paper-scale configuration (clear k=4, certify k=5, heavy sampling)")
-		which  = flag.String("exp", "all", "experiment: all, table1..table7, eq1")
+		which  = flag.String("exp", "all", "experiment: "+validNames())
 		trials = flag.Int64("trials", 0, "override Monte Carlo trials per profile point")
 		csvdir = flag.String("csvdir", "", "write figure curve CSVs into this directory")
 	)
 	flag.Parse()
+	selected := selectExperiments(*which)
+	if selected == nil {
+		log.Fatalf("unknown experiment %q (valid: %s)", *which, validNames())
+	}
 
 	cfg := exp.Quick()
 	if *full {
@@ -59,99 +129,23 @@ func main() {
 		tornadoes = append(tornadoes, tg)
 	}
 
-	want := func(name string) bool { return *which == "all" || *which == name }
-	writeCSV := func(name string, systems []exp.System) {
-		if *csvdir == "" {
-			return
+	for _, e := range selected {
+		text, systems, err := e.run(cfg, tornadoes)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println(text)
+		if e.figure == "" || *csvdir == "" {
+			continue
 		}
 		if err := os.MkdirAll(*csvdir, 0o755); err != nil {
 			log.Fatal(err)
 		}
-		path := filepath.Join(*csvdir, name+".csv")
+		path := filepath.Join(*csvdir, e.figure+".csv")
 		if err := os.WriteFile(path, []byte(exp.CurvesCSV(systems)), 0o644); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("wrote %s", path)
-	}
-
-	if want("table1") {
-		text, systems := exp.Table1(cfg, tornadoes)
-		fmt.Println(text)
-		writeCSV("figure3", systems)
-	}
-	if want("table2") {
-		text, systems, err := exp.Table2(cfg, tornadoes)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(text)
-		writeCSV("figure4", systems)
-	}
-	if want("table3") {
-		text, systems, err := exp.Table3(cfg, tornadoes)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(text)
-		writeCSV("figure5", systems)
-	}
-	if want("table4") {
-		text, systems, err := exp.Table4(cfg, tornadoes)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(text)
-		writeCSV("figure6", systems)
-	}
-	if want("table5") {
-		text, _ := exp.Table5(cfg, tornadoes, 0.01)
-		fmt.Println(text)
-	}
-	if want("table6") {
-		text, _ := exp.Table6(tornadoes)
-		fmt.Println(text)
-	}
-	if want("table7") {
-		text, _, err := exp.Table7(cfg, tornadoes)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(text)
-	}
-	if want("eq1") {
-		text, maxAbs, err := exp.Eq1Validation(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(text)
-		fmt.Printf("max |simulated - theory| across k: %.3g\n\n", maxAbs)
-	}
-	if want("overhead") {
-		text, _, err := exp.TableOverhead(cfg, tornadoes)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(text)
-	}
-	if want("mttdl") {
-		text, _, err := exp.TableMTTDL(cfg, tornadoes, 0.01)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(text)
-	}
-	if want("lec") {
-		text, _, err := exp.TableLEC(cfg, tornadoes)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(text)
-	}
-	switch {
-	case strings.HasPrefix(*which, "table"), *which == "all", *which == "eq1",
-		*which == "overhead", *which == "mttdl", *which == "lec":
-	default:
-		log.Fatalf("unknown experiment %q", *which)
 	}
 	log.Printf("done in %v", time.Since(start).Round(time.Second))
 }

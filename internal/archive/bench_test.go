@@ -11,7 +11,7 @@ import (
 	"tornado/internal/device"
 )
 
-func benchStore(b *testing.B) *Store {
+func benchStore(b testing.TB) *Store {
 	b.Helper()
 	g, _, err := core.Generate(core.DefaultParams(), rand.New(rand.NewPCG(77, 1)))
 	if err != nil {
@@ -25,9 +25,8 @@ func benchStore(b *testing.B) *Store {
 }
 
 // BenchmarkGetStreamSequential is the streaming read stripe loop: one
-// 64-stripe object per op through the sequential path. Allocations must be
-// per-call setup, not per-stripe — benchreport gates allocs/stripe on this
-// same path.
+// 64-stripe object per op through the sequential path;
+// TestGetStreamAllocBudget gates its allocations per stripe.
 func BenchmarkGetStreamSequential(b *testing.B) {
 	s := benchStore(b)
 	const stripes = 64
@@ -42,6 +41,39 @@ func BenchmarkGetStreamSequential(b *testing.B) {
 		if _, _, err := s.GetStream(ctx, "obj", io.Discard, WithParallelism(1)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestGetStreamAllocBudget is the allocation gate on the read stripe loop.
+// The Backend contract makes one allocation per data block irreducible
+// (Read hands back a caller-owned copy; keys cost nothing, the store
+// rewrites one []byte key buffer per stripe), so a healthy width-1
+// GetStream must grow by fewer than Data+1 allocations per stripe — the
+// slope between an 8- and a 64-stripe object, so one whole extra allocation
+// per stripe already fails — and the 64-stripe call, set-up included, must
+// stay within Data+12 per stripe. Planning, decode,
+// framing or key building re-growing a per-stripe allocation trips it (a
+// planner regression once measured 869/stripe; string keys cost 192).
+func TestGetStreamAllocBudget(t *testing.T) {
+	s := benchStore(t)
+	ctx := context.Background()
+	allocs := func(name string, stripes int) float64 {
+		if err := s.Put(name, payload(stripes*s.Layout().StripeCapacity, 1)); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, _, err := s.GetStream(ctx, name, io.Discard, WithParallelism(1)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs("short", 8), allocs("long", 64)
+	data := float64(s.Layout().DataNodes)
+	if slope := (long - short) / (64 - 8); slope >= data+1 {
+		t.Errorf("GetStream grows by %.1f allocs/stripe (%.0f on 8 stripes, %.0f on 64), not under the backend-contract floor of %.0f plus one", slope, short, long, data)
+	}
+	if perStripe := long / 64; perStripe > data+12 {
+		t.Errorf("GetStream allocates %.1f/stripe on a 64-stripe object, over the budget of %.0f", perStripe, data+12)
 	}
 }
 

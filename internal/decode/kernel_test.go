@@ -315,3 +315,43 @@ func TestKernelIntrospection(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelsZeroAllocs is the allocation gate on the steady-state
+// evaluators the certification scans and the retrieval planner sit on: a
+// one-shot Kernel.Recoverable, one revolving-door Eval/Swap step, and one
+// SlicedKernel word (Reset, 68 Erases, Eval) must not allocate.
+func TestKernelsZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	g := randomBench96(rng)
+	csr := NewCSR(g)
+
+	oneShot, erased := NewKernel(csr), make([]int, 5)
+	scan, idx := NewKernel(csr), make([]int, 5)
+	combin.GrayUnrank(idx, g.Total, 0)
+	for _, v := range idx {
+		scan.EraseOne(v)
+	}
+	sk := NewSlicedKernel(csr)
+
+	for _, tc := range []struct {
+		name string
+		step func()
+	}{
+		{"Kernel.Recoverable", func() {
+			for j := range erased {
+				erased[j] = rng.IntN(g.Total)
+			}
+			oneShot.Recoverable(erased)
+		}},
+		{"Kernel.Eval+Swap", func() {
+			scan.Eval()
+			out, in, _ := combin.GrayNext(idx, g.Total)
+			scan.Swap(out, in)
+		}},
+		{"SlicedKernel word", func() { evalBenchWord(sk) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, tc.step); allocs != 0 {
+			t.Errorf("%s allocates %.1f/op; steady-state kernel paths must be allocation-free", tc.name, allocs)
+		}
+	}
+}

@@ -28,7 +28,7 @@ const Lanes = 64
 //     missing check in the lanes where its count is zero. Both rules are
 //     monotone (bits only clear), so the fixpoint terminates and, like
 //     every peeling fixpoint, is independent of visit order — per lane the
-//     result is exactly ReferenceRecoverable's.
+//     result is exactly the test oracle's (ReferenceRecoverable).
 //
 // Eval visits only the checks adjacent to touched (somewhere-erased)
 // nodes, returns a per-lane verdict bitmap, and leaves the erased masks

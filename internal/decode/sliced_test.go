@@ -153,29 +153,31 @@ func TestSlicedReuse(t *testing.T) {
 	}
 }
 
-// BenchmarkSlicedEvalWord measures the steady-state sliced fixpoint: one
-// word of 64 distinct k=5 patterns (a shared 4-node suffix plus a
-// sweeping smallest element — the scan's actual word shape) per op.
-// Reported per-op cost therefore covers 64 pattern evaluations. Must not
-// allocate.
+// evalBenchWord loads and evaluates one word of 64 distinct k=5 patterns:
+// a shared 4-node suffix plus a sweeping smallest element, the scan's
+// actual word shape.
+func evalBenchWord(sk *SlicedKernel) uint64 {
+	sk.Reset()
+	sk.SetActive(^uint64(0))
+	for _, v := range []int{70, 75, 80, 85} {
+		sk.Erase(v, ^uint64(0))
+	}
+	for L := 0; L < Lanes; L++ {
+		sk.Erase(L, 1<<uint(L))
+	}
+	return sk.Eval()
+}
+
+// BenchmarkSlicedEvalWord measures the steady-state sliced fixpoint, one
+// evalBenchWord per op: reported per-op cost therefore covers 64 pattern
+// evaluations. TestKernelsZeroAllocs holds it to zero allocations.
 func BenchmarkSlicedEvalWord(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	g := randomBench96(rng)
-	csr := NewCSR(g)
-	sk := NewSlicedKernel(csr)
-	suffix := []int{70, 75, 80, 85}
+	sk := NewSlicedKernel(NewCSR(randomBench96(rng)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sk.Reset()
-		sk.SetActive(^uint64(0))
-		for _, v := range suffix {
-			sk.Erase(v, ^uint64(0))
-		}
-		for L := 0; L < Lanes; L++ {
-			sk.Erase(L, 1<<uint(L))
-		}
-		if sk.Eval() == 0 {
+		if evalBenchWord(sk) == 0 {
 			b.Fatal("benchmark word unexpectedly unrecoverable in every lane")
 		}
 	}

@@ -11,18 +11,15 @@
 // with data-level findings; the adjustment procedure uses the same
 // condition when choosing replacement edges.
 //
-// Two implementations coexist (see DESIGN.md "Defect kernels"):
-//
-//   - The kernel path (Table/Kernel + ScanDataLevel, ScanLevelCtx,
-//     ScanGraphCtx, ScreenCtx) precomputes per-left-node parent bitmasks
-//     and maintains per-check member counts incrementally across
-//     revolving-door subset order, sharding each size's combination rank
-//     space across a worker pool. It is the production path: the
-//     generation discard gate, the adjustment replacement check, and
-//     cmd/graphcheck all run it.
-//   - ReferenceScan/ReferenceScanLevel keep the original single-threaded
-//     map-per-subset scanner as the differential-testing oracle, exactly
-//     as decode.ReferenceRecoverable anchors the peeling kernel.
+// One implementation is built (see DESIGN.md "Defect kernels"): the
+// kernel path (Table/Kernel + ScanDataLevel, ScanLevelCtx, ScanGraphCtx,
+// ScreenCtx) precomputes per-left-node parent bitmasks and maintains
+// per-check member counts incrementally across revolving-door subset
+// order, sharding each size's combination rank space across a worker
+// pool. The generation discard gate, the adjustment replacement check,
+// and cmd/graphcheck all run it. The original single-threaded
+// map-per-subset scanner survives only in reference_test.go, as the
+// differential-testing oracle the kernel must match bit for bit.
 package defect
 
 import (

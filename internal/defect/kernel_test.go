@@ -290,8 +290,30 @@ func TestScanMetrics(t *testing.T) {
 	}
 }
 
-// BenchmarkKernelGrayLoop is the steady-state path the CI alloc gate
-// guards: a prebuilt kernel driven through revolving-door swaps.
+// TestKernelLoopZeroAllocs is the allocation gate on the defect scan's
+// steady-state loop: one Closed read plus one revolving-door Swap per
+// subset, on a prebuilt Table and Kernel, must not allocate.
+func TestKernelLoopZeroAllocs(t *testing.T) {
+	tab := NewDataTable(bench96Graph())
+	kn := NewKernel(tab)
+	idx := make([]int, 3)
+	combin.First(idx, tab.LeftCount)
+	for _, l := range idx {
+		kn.Add(l)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		kn.Closed()
+		out, in, _ := combin.GrayNext(idx, tab.LeftCount)
+		kn.Swap(out, in)
+	})
+	if allocs != 0 {
+		t.Fatalf("Closed+Swap allocates %.1f/op; the defect kernel loop must be allocation-free", allocs)
+	}
+}
+
+// BenchmarkKernelGrayLoop is the steady-state path
+// TestKernelLoopZeroAllocs guards: a prebuilt kernel driven through
+// revolving-door swaps.
 func BenchmarkKernelGrayLoop(b *testing.B) {
 	g := bench96Graph()
 	tab := NewDataTable(g)

@@ -33,9 +33,9 @@ func scanWorkers(workers int, total int64) int {
 
 // ScanDataLevel enumerates subsets of the data nodes of size 2..maxSize and
 // returns every minimal closed set (subsets containing an already-reported
-// set are skipped). maxSize is clamped to the data node count. It is the
-// kernel-backed replacement for ReferenceScan and returns bit-identical
-// findings in the same order.
+// set are skipped). maxSize is clamped to the data node count. Findings
+// are bit-identical, order included, to the lexicographic test oracle
+// (ReferenceScan, reference_test.go).
 func ScanDataLevel(g *graph.Graph, maxSize int) []Finding {
 	fs, _ := scanTableCtx(context.Background(), NewDataTable(g), maxSize, 0)
 	return fs
@@ -107,7 +107,7 @@ func ScanGraph(g *graph.Graph, maxSize int) ([]Finding, error) {
 
 // scanTableCtx runs the sized scans over one table, ascending, filtering
 // each size's closed sets down to the minimal ones (no reported subset)
-// exactly as ReferenceScan does.
+// exactly as the test oracle (reference_test.go) does.
 func scanTableCtx(ctx context.Context, t *Table, maxSize, workers int) ([]Finding, error) {
 	if maxSize > t.LeftCount {
 		maxSize = t.LeftCount
@@ -197,7 +197,7 @@ func closedSets(ctx context.Context, t *Table, size, workers int) ([][]int, erro
 	}
 	// Shards enumerate in revolving-door order; canonicalize so the
 	// minimality filter (and the caller-visible finding order) matches the
-	// lexicographic ReferenceScan bit for bit, at any worker count.
+	// lexicographic test oracle bit for bit, at any worker count.
 	slices.SortFunc(sets, slices.Compare)
 	return sets, nil
 }

@@ -182,7 +182,7 @@ func (f *Store) upSites() []int {
 // ExchangeTotals is the facade's own tally of cross-site exchange traffic
 // (framed bytes, counted per successful block transfer). On a clean run it
 // must equal SiteFederationTotals byte for byte — the conservation
-// invariant the disaster soak and benchreport enforce.
+// invariant the disaster soak and TestRepairSiteAfterFullWipe enforce.
 func (f *Store) ExchangeTotals() repairbw.CostReport {
 	return repairbw.CostReport{
 		BlocksRead:    int(f.cExBlkRead.Value()),

@@ -9,9 +9,9 @@
 // with its surviving siblings, and when that whole family shares a group
 // the repair is group-local. The single-loss cost model here quantifies
 // the difference — mean blocks read per loss and mean *remote* blocks read
-// per loss — and cmd/benchreport gates that the degree-aware layout never
-// reads more remote bytes than the identity layout on the profiled
-// tornado96 graphs.
+// per loss — and TestDegreeAwareReducesRemoteReads gates that the
+// degree-aware layout reads fewer remote blocks than the identity layout
+// on a generated cascade and on each shipped tornado96 graph.
 package placement
 
 import (

@@ -319,9 +319,8 @@ func TestSlicedGoldenTornado96(t *testing.T) {
 	}
 }
 
-// benchmark-style sanity: the sliced whole-space scan of the 96-node
-// graph at k=3 in a plain test keeps the run honest on CI without the
-// full benchreport (the 8× gate lives there).
+// TestSlicedScanRange96Smoke runs the sliced whole-space scan of the
+// 96-node graph at k=3 against the scalar oracle in a plain test.
 func TestSlicedScanRange96Smoke(t *testing.T) {
 	g := ctxTestGraph(t)
 	const k = 3
@@ -336,6 +335,49 @@ func TestSlicedScanRange96Smoke(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("sliced %+v, scalar %+v", got, want)
+	}
+}
+
+// TestLoopsDoNotAllocate is the allocation gate on the certification
+// loops. Each call's set-up may allocate; its pattern or trial loop may
+// not, so the allocation count must be the same on an 8x longer run:
+// ScanRangeCtx over a mid-rank k=5 window (witnesses off), SampleStreamCtx
+// at k=36 (about half the patterns fail, so every lane does real work),
+// and a warm StratifiedSampler.SampleBlock.
+func TestLoopsDoNotAllocate(t *testing.T) {
+	ctx := context.Background()
+	g := ctxTestGraph(t)
+	total, _ := combin.BinomialInt64(g.Total, 5)
+	sp := NewStratifiedSampler(decode.NewCSR(g))
+	for _, tc := range []struct {
+		name  string
+		short int64
+		run   func(n int64) error
+	}{
+		{"ScanRangeCtx", 1 << 14, func(n int64) error {
+			_, err := ScanRangeCtx(ctx, g, 5, total/2, total/2+n, 0)
+			return err
+		}},
+		{"SampleStreamCtx", 1 << 12, func(n int64) error {
+			_, err := SampleStreamCtx(ctx, g, 36, n, 2006, 0)
+			return err
+		}},
+		{"SampleBlock", 1 << 12, func(n int64) error {
+			_, err := sp.SampleBlock(ctx, 5, n, 1, 0, 0)
+			return err
+		}},
+	} {
+		allocs := func(n int64) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if err := tc.run(n); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if short, long := allocs(tc.short), allocs(8*tc.short); short != long {
+			t.Errorf("%s allocates %.0f/call over %d patterns, %.0f over %d; its loop must not allocate",
+				tc.name, short, tc.short, long, 8*tc.short)
+		}
 	}
 }
 

@@ -72,7 +72,7 @@ func TestZipfDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunLoadUnderChaos drives the full stack the way benchreport does:
+// TestRunLoadUnderChaos drives the full stack the way production runs it:
 // serve.Service over a chaos-injected store, a concurrent repair scrub
 // underneath, Zipf reads with regeneration verification. The invariant is
 // bit-exact-or-error: Corrupted must be zero no matter what the injector

@@ -1,6 +1,7 @@
 package tornado_test
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -56,6 +57,68 @@ func TestPrecompiledCertificates(t *testing.T) {
 		for _, want := range []string{"seed:", "first-failure:", "k=1:"} {
 			if !strings.Contains(cert, want) {
 				t.Errorf("%s certificate missing %q:\n%s", name, want, cert)
+			}
+		}
+	}
+}
+
+// TestMirroredCriticalSetsJointlyRecoverable is the paper's §5.3 exchange
+// claim on the shipped graphs: for every pair and the triple, every
+// certified critical set of every member — which defeats its home site
+// alone — erased identically at all sites at once is jointly recoverable.
+func TestMirroredCriticalSetsJointlyRecoverable(t *testing.T) {
+	names := []string{"tornado96-1", "tornado96-2", "tornado96-3"}
+	graphs := make([]*tornado.Graph, len(names))
+	critical := make([][][]int, len(names))
+	for i, name := range names {
+		var err error
+		if graphs[i], err = tornado.LoadPrecompiled(name); err != nil {
+			t.Fatal(err)
+		}
+		cert, err := tornado.PrecompiledCertificate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(cert, "\n") {
+			rest, ok := strings.CutPrefix(line, "critical-set:")
+			if !ok {
+				continue
+			}
+			var set []int
+			for _, f := range strings.Fields(strings.Trim(rest, " []")) {
+				v, err := strconv.Atoi(f)
+				if err != nil {
+					t.Fatalf("%s: bad critical-set line %q", name, line)
+				}
+				set = append(set, v)
+			}
+			if tornado.Recoverable(graphs[i], set) {
+				t.Errorf("%s: certified critical set %v is recoverable at its home site", name, set)
+			}
+			critical[i] = append(critical[i], set)
+		}
+		if len(critical[i]) == 0 {
+			t.Fatalf("%s: certificate lists no critical set", name)
+		}
+	}
+	for _, combo := range [][]int{{0, 1}, {0, 2}, {1, 2}, {0, 1, 2}} {
+		sites := make([]*tornado.Graph, len(combo))
+		for i, gi := range combo {
+			sites[i] = graphs[gi]
+		}
+		sys, err := tornado.NewFederation(sites...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, gi := range combo {
+			for _, set := range critical[gi] {
+				erased := make([][]int, len(combo))
+				for i := range erased {
+					erased[i] = set
+				}
+				if !sys.JointRecoverable(erased) {
+					t.Errorf("sites %v: %s critical set %v mirrored at every site is not jointly recoverable", combo, names[gi], set)
+				}
 			}
 		}
 	}
