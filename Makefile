@@ -34,15 +34,18 @@ race:
 vet:
 	$(GO) vet ./...
 
-# fuzz gives the frame codec and the kernel differential batteries (peeling
-# decoder, closed-set defect scan) a short randomized shake on every check;
-# longer sessions: make fuzz FUZZTIME=10m
+# fuzz gives the frame codec, the kernel differential batteries (peeling
+# decoder, closed-set defect scan) and the read path's two oracles (planner
+# against plain reverse-delete, targeted decode against Repair) a short
+# randomized shake on every check; longer sessions: make fuzz FUZZTIME=10m
 FUZZTIME ?= 3s
 fuzz:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME) ./internal/archive/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzKernelMatchesReference -fuzztime $(FUZZTIME) ./internal/decode/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzSlicedMatchesReference -fuzztime $(FUZZTIME) ./internal/decode/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzDefectKernelMatchesReference -fuzztime $(FUZZTIME) ./internal/defect/
+	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzPlanMatchesReverseDelete -fuzztime $(FUZZTIME) ./internal/retrieval/
+	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzDecodeIntoMatchesRepair -fuzztime $(FUZZTIME) ./internal/codec/
 
 # bench runs the repo benchmark, bench/: numbers only, check is the gate.
 bench:

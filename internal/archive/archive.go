@@ -144,6 +144,13 @@ type Store struct {
 	mu      sync.Mutex
 	objects map[string]*Object
 
+	// scratches is the free list of stripe workspaces: ReadStripe and every
+	// stripePipe slot take one and hand it back, so the planner, kernel and
+	// arenas inside are built once per scratch, not once per stripe. Being a
+	// sync.Pool it holds no more than were in use at one time, and the
+	// collector empties it when the store goes idle.
+	scratches sync.Pool
+
 	// Quarantine bookkeeping: per-node corrupt-frame counts and the
 	// quarantined flag, guarded separately from the object map so scrub
 	// detection never contends with metadata lookups.
@@ -226,6 +233,7 @@ func NewWithBackend(g *graph.Graph, backend Backend, cfg Config) (*Store, error)
 		quarantined:  make([]bool, g.Total),
 		metrics:      reg,
 	}
+	s.scratches.New = func() any { return s.newScratch() }
 	s.mCorruptDetected = reg.Counter("archive.detected.corrupt_frames")
 	s.mReadRetries = reg.Counter("archive.read.retries")
 	s.mWriteRetries = reg.Counter("archive.write.retries")
@@ -569,39 +577,52 @@ func (k *keyBuf) key(node int) []byte {
 	return k.buf
 }
 
-// stripeScratch is the reusable per-goroutine workspace of the stripe data
-// path: block pointers, availability masks, the codec repair workspace, and
-// the frame/key buffers. One scratch serves one goroutine; the streaming
-// paths keep one per worker so a many-stripe Put/Get allocates its working
-// set once.
+// stripeScratch is the reusable workspace of the stripe data path: block
+// pointers, availability masks, the codec repair workspace, the planner and
+// the frame/key buffers — everything a stripe needs except its payload
+// buffer, which belongs to whoever receives the payload. One scratch serves
+// one goroutine at a time; it comes off Store.scratches and goes back there.
 type stripeScratch struct {
 	blocks   [][]byte
 	avail    []bool
 	corrupt  []bool
 	fromRead []bool // blocks[i] came from a backend read (not reconstruction)
+	want     []bool // blocks the decode is to rebuild for read-repair
 	toRead   []int
 	ws       *codec.Workspace
 	enc      *codec.Encoder
 	planner  *retrieval.Planner // reused: planning a stripe allocates nothing
 	planCost retrieval.CostFunc // bound once; a per-call method value allocates
-	payload  []byte             // decode output buffer (grown to stripe capacity)
 	frameBuf []byte
 	keys     keyBuf
 	touched  map[int]bool
 }
 
 // newScratch returns a stripe workspace sized for the store's graph. The
-// encoder and planner are created lazily (get-only scratches never pay for
-// an encoder; put-only scratches never pay for a planner kernel).
+// encoder, the planner and the workspace's repair arena are created lazily
+// (get-only scratches never pay for an encoder; put-only scratches never pay
+// for a planner kernel, nor they or healthy reads for an arena).
 func (s *Store) newScratch() *stripeScratch {
 	return &stripeScratch{
 		blocks:   make([][]byte, s.g.Total),
 		avail:    make([]bool, s.g.Total),
 		corrupt:  make([]bool, s.g.Total),
 		fromRead: make([]bool, s.g.Total),
+		want:     make([]bool, s.g.Total),
 		ws:       s.codec.NewWorkspace(),
 		touched:  map[int]bool{},
 	}
+}
+
+// scratch takes a stripe workspace off the free list.
+func (s *Store) scratch() *stripeScratch { return s.scratches.Get().(*stripeScratch) }
+
+// release hands a scratch back to the free list, letting go of the frames
+// its last stripe read.
+func (s *Store) release(sc *stripeScratch) {
+	clear(sc.blocks)
+	clear(sc.touched)
+	s.scratches.Put(sc)
 }
 
 // plan returns the scratch's reusable stripe planner.
@@ -676,13 +697,13 @@ func (s *Store) Put(name string, data []byte) error {
 // (the rollback itself is not cancellable). The stripes are sub-slices of
 // data, encoded one at a time on the caller's goroutine.
 func (s *Store) PutCtx(ctx context.Context, name string, data []byte) error {
-	cap := s.codec.Capacity()
+	stripeCap := s.codec.Capacity()
 	_, err := s.putObject(ctx, name, 1, func(sl *stripeSlot) (bool, error) {
-		lo := sl.st * cap
+		lo := sl.st * stripeCap
 		if lo >= len(data) && sl.st > 0 { // an empty object still stores one stripe
 			return false, nil
 		}
-		sl.payload = data[lo:min(lo+cap, len(data))]
+		sl.payload = data[lo:min(lo+stripeCap, len(data))]
 		return true, nil
 	})
 	return err
@@ -713,8 +734,9 @@ func (s *Store) GetCtx(ctx context.Context, name string) ([]byte, GetStats, erro
 }
 
 // ReadStripe retrieves one stripe's decoded payload — the serve layer's
-// cache-fill granularity. The returned slice is freshly allocated and owned
-// by the caller.
+// cache-fill granularity. The stripe is decoded straight into the returned
+// slice, which is exactly as long as the payload (len == cap) and owned by
+// the caller: no later read writes to it.
 func (s *Store) ReadStripe(ctx context.Context, name string, st int) ([]byte, GetStats, error) {
 	obj, err := s.Stat(name)
 	var stats GetStats
@@ -724,21 +746,20 @@ func (s *Store) ReadStripe(ctx context.Context, name string, st int) ([]byte, Ge
 	if st < 0 || st >= obj.Stripes {
 		return nil, stats, fmt.Errorf("%w: %q stripe %d", ErrNotFound, name, st)
 	}
-	cap := s.codec.Capacity()
-	want := min(obj.Size-st*cap, cap)
-	sc := s.newScratch()
-	payload, err := s.getStripe(ctx, name, st, want, sc, &stats)
+	stripeCap := s.codec.Capacity()
+	sc := s.scratch()
+	defer s.release(sc)
+	payload, err := s.getStripe(ctx, name, st, make([]byte, 0, min(obj.Size-st*stripeCap, stripeCap)), sc, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
 	stats.DevicesAccessed = len(sc.touched)
-	return append([]byte(nil), payload...), stats, nil
+	return payload, stats, nil
 }
 
-// getStripe reconstructs one stripe into sc.payload and returns it; the
-// slice is valid only until the scratch's next use, so callers copy or
-// write it out before reusing sc.
-func (s *Store) getStripe(ctx context.Context, name string, st, payloadLen int, sc *stripeScratch, stats *GetStats) ([]byte, error) {
+// getStripe reconstructs one stripe into dst's spare capacity — cap(dst)
+// is the payload length — and returns the filled slice.
+func (s *Store) getStripe(ctx context.Context, name string, st int, dst []byte, sc *stripeScratch, stats *GetStats) ([]byte, error) {
 	sc.keys.stripe(name, st)
 	for node := range sc.avail {
 		sc.avail[node] = !s.isQuarantined(node) && s.backend.Available(s.dev(node), sc.keys.key(node))
@@ -752,7 +773,7 @@ func (s *Store) getStripe(ctx context.Context, name string, st, payloadLen int, 
 	// plan blocks, corrupt frames, the fallback sweep — is degraded-get
 	// traffic; a failed stripe attributes every byte it read. A successful
 	// decode necessarily consumed at least Data verified full-size frames
-	// (codec.Repair rebuilds every data block), so the surplus is never
+	// (Data blocks cannot be rebuilt from fewer), so the surplus is never
 	// negative.
 	var gotBlocks int
 	var gotBytes int64
@@ -824,15 +845,23 @@ func (s *Store) getStripe(ctx context.Context, name string, st, payloadLen int, 
 		record(false)
 		return nil, ctxErr
 	}
-	if cap(sc.payload) < s.codec.Capacity() {
-		sc.payload = make([]byte, 0, s.codec.Capacity())
+	// The decode rebuilds the data blocks and, for read-repair, the blocks
+	// whose stored frame is missing or rotten — as known when it runs: the
+	// fallback sweep below can find more rot. Parity that was merely not
+	// read is not re-encoded.
+	decode := func() ([]byte, error) {
+		for node := range sc.want {
+			sc.want[node] = !s.cfg.DisableReadRepair && (!sc.avail[node] || sc.corrupt[node])
+		}
+		sc.ws.Want(sc.want)
+		return s.codec.DecodeInto(sc.ws, dst[:0], sc.blocks, cap(dst))
 	}
-	payload, err := s.codec.DecodeInto(sc.ws, sc.payload[:0], sc.blocks, payloadLen)
+	payload, err := decode()
 	if errors.Is(err, codec.ErrUnrecoverable) && !s.cfg.NaiveRetrieval {
 		// The plan raced with failures; fall back to everything reachable
 		// that has not already been read or detected corrupt. Blocks the
 		// failed peel reconstructed alias the workspace arena, which the
-		// retry's RepairWith recycles — drop them so the retry peels only
+		// retry's DecodeInto recycles — drop them so the retry peels only
 		// from blocks whose memory it does not own.
 		for node := range sc.blocks {
 			if !sc.fromRead[node] {
@@ -848,7 +877,7 @@ func (s *Store) getStripe(ctx context.Context, name string, st, payloadLen int, 
 			record(false)
 			return nil, ctxErr
 		}
-		payload, err = s.codec.DecodeInto(sc.ws, sc.payload[:0], sc.blocks, payloadLen)
+		payload, err = decode()
 	}
 	if err != nil {
 		record(false)
@@ -870,9 +899,9 @@ func (s *Store) getStripe(ctx context.Context, name string, st, payloadLen int, 
 // home nodes, so a Get heals the damage it discovers instead of deferring
 // to the next scrub: a corrupt frame is overwritten in place, and a node
 // that lost its block (e.g. a replaced blank drive) is repopulated.
-// Codec.Decode repaired blocks in place, so every recoverable block is
-// present. Unreachable and quarantined nodes are skipped; write errors are
-// ignored (the next scrub retries).
+// getStripe's decode was asked for exactly these blocks, so each one that is
+// recoverable is present. Unreachable and quarantined nodes are skipped;
+// write errors are ignored (the next scrub retries).
 // The scratch's keyBuf still carries the stripe prefix getStripe set.
 func (s *Store) readRepairStripe(ctx context.Context, sc *stripeScratch, stats *GetStats) {
 	var bill repairbw.CostReport

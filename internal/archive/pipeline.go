@@ -12,8 +12,8 @@ import (
 type stripeSlot struct {
 	st      int            // stripe index, set by the pipe
 	payload []byte         // the stripe's bytes: produce's output on Put, work's on Get
-	buf     []byte         // produce's read buffer, if it needs one
-	sc      *stripeScratch // work's scratch, created on first use
+	buf     []byte         // produce's read buffer on Put, work's decode buffer on Get
+	sc      *stripeScratch // work's scratch, taken off the store's free list on first use
 	stats   GetStats       // summed by work over every stripe the slot served
 	err     error          // the stripe's failure, set by the pipe
 }

@@ -60,14 +60,14 @@ func applyStreamOptions(opts []StreamOption) streamOptions {
 // This is the data path's write API of record; PutCtx is the same loop fed
 // from a byte slice.
 func (s *Store) PutStream(ctx context.Context, name string, r io.Reader, opts ...StreamOption) (int, error) {
-	cap := s.codec.Capacity()
+	stripeCap := s.codec.Capacity()
 	eof := false
 	return s.putObject(ctx, name, applyStreamOptions(opts).parallelism, func(sl *stripeSlot) (bool, error) {
 		if eof {
 			return false, nil
 		}
 		if sl.buf == nil {
-			sl.buf = make([]byte, cap)
+			sl.buf = make([]byte, stripeCap)
 		}
 		n, err := io.ReadFull(r, sl.buf)
 		eof = err == io.EOF || err == io.ErrUnexpectedEOF
@@ -101,12 +101,14 @@ func (s *Store) putObject(ctx context.Context, name string, width int, next func
 		},
 		work: func(ctx context.Context, sl *stripeSlot) error {
 			if sl.sc == nil {
-				sl.sc = s.newScratch()
+				sl.sc = s.scratch()
 			}
 			return s.putStripe(ctx, name, sl.st, sl.payload, sl.sc)
 		},
 	}
-	if err := p.run(ctx); err != nil {
+	err = p.run(ctx)
+	s.releaseScratches(&p)
+	if err != nil {
 		s.discardBlocks(ctx, name, stripes)
 		s.deleteObject(name)
 		return 0, err
@@ -145,15 +147,16 @@ func (s *Store) GetStream(ctx context.Context, name string, w io.Writer, opts ..
 // the pipeline and hands each payload to emit in stripe order. A payload is
 // valid only during its emit call.
 func (s *Store) getStripes(ctx context.Context, obj Object, width int, emit func(payload []byte) error) (GetStats, error) {
-	cap := s.codec.Capacity()
+	stripeCap := s.codec.Capacity()
 	p := stripePipe{
 		width:   min(width, obj.Stripes),
 		produce: func(sl *stripeSlot) (bool, error) { return sl.st < obj.Stripes, nil },
 		work: func(ctx context.Context, sl *stripeSlot) (err error) {
 			if sl.sc == nil {
-				sl.sc = s.newScratch()
+				sl.sc = s.scratch()
+				sl.buf = make([]byte, stripeCap)
 			}
-			sl.payload, err = s.getStripe(ctx, obj.Name, sl.st, min(obj.Size-sl.st*cap, cap), sl.sc, &sl.stats)
+			sl.payload, err = s.getStripe(ctx, obj.Name, sl.st, sl.buf[:0:min(obj.Size-sl.st*stripeCap, stripeCap)], sl.sc, &sl.stats)
 			return err
 		},
 		consume: func(sl *stripeSlot) error { return emit(sl.payload) },
@@ -181,7 +184,18 @@ func (s *Store) getStripes(ctx context.Context, obj Object, width int, emit func
 		}
 	}
 	stats.DevicesAccessed = len(touched)
+	s.releaseScratches(&p)
 	return stats, err
+}
+
+// releaseScratches hands the scratches a finished run's slots took back to
+// the store's free list.
+func (s *Store) releaseScratches(p *stripePipe) {
+	for i := range p.slots {
+		if sc := p.slots[i].sc; sc != nil {
+			s.release(sc)
+		}
+	}
 }
 
 // errIsCtx reports whether err is a context cancellation/deadline error.

@@ -106,10 +106,8 @@ func (c *Codec) Decode(blocks [][]byte, payloadLen int) ([]byte, error) {
 	return out, nil
 }
 
-// Repair runs data-carrying peeling over blocks (nil entries are missing),
-// reconstructing every block it can reach. It returns ErrUnrecoverable if
-// any data block remains missing; check blocks may legitimately stay nil.
-func (c *Codec) Repair(blocks [][]byte) error {
+// checkBlocks validates a partial block set (nil entries are missing).
+func (c *Codec) checkBlocks(blocks [][]byte) error {
 	if len(blocks) != c.g.Total {
 		return fmt.Errorf("codec: got %d blocks, graph has %d nodes", len(blocks), c.g.Total)
 	}
@@ -117,6 +115,16 @@ func (c *Codec) Repair(blocks [][]byte) error {
 		if b != nil && len(b) != c.blockSize {
 			return fmt.Errorf("codec: block %d has %d bytes, want %d", i, len(b), c.blockSize)
 		}
+	}
+	return nil
+}
+
+// Repair runs data-carrying peeling over blocks (nil entries are missing),
+// reconstructing every block it can reach. It returns ErrUnrecoverable if
+// any data block remains missing; check blocks may legitimately stay nil.
+func (c *Codec) Repair(blocks [][]byte) error {
+	if err := c.checkBlocks(blocks); err != nil {
+		return err
 	}
 	scratch := make([]byte, c.blockSize)
 	for changed := true; changed; {

@@ -51,36 +51,37 @@ func (e *Encoder) Encode(payload []byte) ([][]byte, error) {
 	return e.blocks, nil
 }
 
-// Workspace is a reusable repair/decode workspace: the peeling scratch
-// block plus an arena that recovered blocks are carved from, so repairing
-// stripe after stripe of a streaming Get reuses the same memory instead of
-// allocating per recovered block.
+// Workspace is a reusable repair/decode workspace: an arena that recovered
+// blocks are carved from, so repairing stripe after stripe of a streaming
+// Get reuses the same memory instead of allocating per recovered block. The
+// arena is built by the first call that rebuilds a block: a workspace that
+// only ever decodes healthy stripes holds no memory.
 //
 // A Workspace is NOT safe for concurrent use; each goroutine needs its own.
 type Workspace struct {
-	scratch []byte
-	arena   []byte
-	used    int
+	arena []byte
+	used  int
+	want  []bool
 }
 
-// NewWorkspace returns a repair workspace for the codec: scratch for one
-// block and an arena sized for a full stripe's worth of recoveries.
-func (c *Codec) NewWorkspace() *Workspace {
-	return &Workspace{
-		scratch: make([]byte, c.blockSize),
-		arena:   make([]byte, c.g.Total*c.blockSize),
-	}
-}
+// NewWorkspace returns a repair workspace for the codec.
+func (c *Codec) NewWorkspace() *Workspace { return &Workspace{} }
 
-// alloc carves one block from the arena, growing it if a pathological
-// call pattern (wrong codec, repeated reuse without reset) exhausts it.
-func (w *Workspace) alloc(blockSize int) []byte {
-	if w.used+blockSize > len(w.arena) {
-		w.arena = make([]byte, len(w.arena)+blockSize*8)
+// Want names the blocks DecodeInto is to rebuild besides the data blocks —
+// the ones a reader means to write back. want is indexed by node and
+// borrowed, not copied, until the next Want; nil (the default) names none.
+func (w *Workspace) Want(want []bool) { w.want = want }
+
+// alloc carves one block from the arena, which is first built for a full
+// stripe's worth of recoveries and grown if a pathological call pattern
+// (wrong codec, repeated reuse without reset) exhausts it.
+func (w *Workspace) alloc(c *Codec) []byte {
+	if w.used+c.blockSize > len(w.arena) {
+		w.arena = make([]byte, max(c.g.Total*c.blockSize, len(w.arena)+c.blockSize*8))
 		w.used = 0
 	}
-	b := w.arena[w.used : w.used+blockSize : w.used+blockSize]
-	w.used += blockSize
+	b := w.arena[w.used : w.used+c.blockSize : w.used+c.blockSize]
+	w.used += c.blockSize
 	return b
 }
 
@@ -88,24 +89,12 @@ func (w *Workspace) alloc(blockSize int) []byte {
 // must no longer be referenced by the caller.
 func (w *Workspace) reset() { w.used = 0 }
 
-// RepairWith is Repair using ws for all scratch and recovered-block
-// memory. Blocks filled into the input slice alias ws's arena and are
-// valid only until the next RepairWith/DecodeInto call on the same
-// workspace; the archive's write paths copy before the backend sees them.
-func (c *Codec) RepairWith(ws *Workspace, blocks [][]byte) error {
-	if len(blocks) != c.g.Total {
-		return fmt.Errorf("codec: got %d blocks, graph has %d nodes", len(blocks), c.g.Total)
-	}
-	for i, b := range blocks {
-		if b != nil && len(b) != c.blockSize {
-			return fmt.Errorf("codec: block %d has %d bytes, want %d", i, len(b), c.blockSize)
-		}
-	}
-	ws.reset()
-	if len(ws.scratch) < c.blockSize {
-		ws.scratch = make([]byte, c.blockSize)
-	}
-	scratch := ws.scratch[:c.blockSize]
+// peel runs the peeling rules over blocks to their fixpoint, carving every
+// block it fills in from ws. Rule 1 — a present check with one missing left
+// rebuilds that left — always runs. Rule 2 — a missing check is re-encoded
+// from its complete lefts — runs for every check when all is set, else only
+// for those ws.want names.
+func (c *Codec) peel(ws *Workspace, blocks [][]byte, all bool) {
 	for changed := true; changed; {
 		changed = false
 		for r := c.g.Data; r < c.g.Total; r++ {
@@ -123,18 +112,17 @@ func (c *Codec) RepairWith(ws *Workspace, blocks [][]byte) error {
 			}
 			switch {
 			case blocks[r] != nil && nMissing == 1:
-				copy(scratch, blocks[r])
+				b := ws.alloc(c)
+				copy(b, blocks[r])
 				for _, l := range lefts {
 					if int(l) != missing {
-						xorInto(scratch, blocks[l])
+						xorInto(b, blocks[l])
 					}
 				}
-				b := ws.alloc(c.blockSize)
-				copy(b, scratch)
 				blocks[missing] = b
 				changed = true
-			case blocks[r] == nil && nMissing == 0:
-				b := ws.alloc(c.blockSize)
+			case blocks[r] == nil && nMissing == 0 && (all || ws.wants(r)):
+				b := ws.alloc(c)
 				clear(b)
 				for _, l := range lefts {
 					xorInto(b, blocks[l])
@@ -144,25 +132,61 @@ func (c *Codec) RepairWith(ws *Workspace, blocks [][]byte) error {
 			}
 		}
 	}
-	for i := 0; i < c.g.Data; i++ {
-		if blocks[i] == nil {
-			return ErrUnrecoverable
+}
+
+func (w *Workspace) wants(v int) bool { return v < len(w.want) && w.want[v] }
+
+// reached reports whether every data block, and every block ws.want names
+// when wanted is set, is present.
+func (c *Codec) reached(ws *Workspace, blocks [][]byte, wanted bool) bool {
+	for v, b := range blocks {
+		if b == nil && (v < c.g.Data || (wanted && ws.wants(v))) {
+			return false
 		}
+	}
+	return true
+}
+
+// RepairWith is Repair carving recovered blocks from ws: it fills in every
+// block peeling can reach, whatever ws.Want names. Blocks filled into the input slice alias ws's arena and are
+// valid only until the next RepairWith/DecodeInto call on the same
+// workspace; the archive's write paths copy before the backend sees them.
+func (c *Codec) RepairWith(ws *Workspace, blocks [][]byte) error {
+	if err := c.checkBlocks(blocks); err != nil {
+		return err
+	}
+	ws.reset()
+	c.peel(ws, blocks, true)
+	if !c.reached(ws, blocks, false) {
+		return ErrUnrecoverable
 	}
 	return nil
 }
 
 // DecodeInto reconstructs the stripe payload into dst (which must have
 // payloadLen capacity available via append semantics: the payload is
-// appended to dst and the extended slice returned), repairing blocks in
-// place with ws. It is Decode for the streaming path: one payload buffer
-// and one workspace serve every stripe of a Get.
+// appended to dst and the extended slice returned). It is Decode for the
+// read path, and does only what the payload needs: blocks is filled in with
+// the data blocks and the blocks ws.Want names, and parity nobody asked for
+// is not re-encoded — from exactly the data blocks the call is one copy.
+// Only when that targeted peel leaves a data or wanted block missing does
+// it peel to the full closure, as RepairWith does, since a re-encoded check
+// may be what unlocks the block. Filled-in blocks alias ws's arena as
+// RepairWith's do.
 func (c *Codec) DecodeInto(ws *Workspace, dst []byte, blocks [][]byte, payloadLen int) ([]byte, error) {
 	if payloadLen < 0 || payloadLen > c.Capacity() {
 		return nil, fmt.Errorf("codec: payload length %d out of range", payloadLen)
 	}
-	if err := c.RepairWith(ws, blocks); err != nil {
+	if err := c.checkBlocks(blocks); err != nil {
 		return nil, err
+	}
+	ws.reset()
+	c.peel(ws, blocks, false)
+	if !c.reached(ws, blocks, true) {
+		c.peel(ws, blocks, true) // the arena is not recycled: blocks filled in so far stay
+		if !c.reached(ws, blocks, false) {
+			return nil, ErrUnrecoverable
+		}
 	}
 	for i := 0; i < c.g.Data && i*c.blockSize < payloadLen; i++ {
 		end := min((i+1)*c.blockSize, payloadLen)

@@ -12,9 +12,10 @@
 //
 // The hot entry point is Planner: it keeps an incremental decode kernel
 // and every buffer across calls, so planning a stripe in the archive read
-// path costs one EraseOne+Eval delta per candidate and allocates nothing
-// in the steady state. The package-level Plan is the one-shot convenience
-// wrapper.
+// path allocates nothing in the steady state, costs at most one
+// EraseOne+Eval delta per candidate, and on a stripe whose data blocks are
+// all readable at no more than any check's price costs one scan and no
+// kernel call. The package-level Plan is the one-shot convenience wrapper.
 package retrieval
 
 import (
@@ -46,6 +47,7 @@ type Planner struct {
 	cands  []int
 	costs  []float64 // costs[v] for the current call
 	inPlan []bool    // candidate survives reverse-delete
+	orphan []bool    // no ancestor check is left in the plan (see rebuildable)
 	erased []int     // every node this call erased, for unwinding
 	plan   []int
 	alt    []int // PlanEconomic's best-so-far snapshot
@@ -59,6 +61,7 @@ func NewPlanner(g *graph.Graph) *Planner {
 		cands:  make([]int, 0, g.Total),
 		costs:  make([]float64, g.Total),
 		inPlan: make([]bool, g.Total),
+		orphan: make([]bool, g.Total),
 		erased: make([]int, 0, g.Total),
 		plan:   make([]int, 0, g.Total),
 		alt:    make([]int, 0, g.Total),
@@ -98,76 +101,33 @@ func (p *Planner) planOrdered(available []bool, cost CostFunc, ord ordering) ([]
 		cost = UnitCost
 	}
 
-	// Candidate set: available nodes with finite cost. Everything else is
-	// erased up front; candidates start present.
-	k := p.k
-	cands := p.cands[:0]
-	erasedList := p.erased[:0]
+	// Candidate set: available nodes with finite cost, in node order.
+	p.cands = p.cands[:0]
+	allData := true // every data node is a candidate
 	for v := 0; v < p.g.Total; v++ {
 		if available[v] {
 			p.costs[v] = cost(v)
 		} else {
 			p.costs[v] = math.Inf(1)
 		}
-		if !math.IsInf(p.costs[v], 1) {
-			p.inPlan[v] = true
-			cands = append(cands, v)
-		} else {
-			p.inPlan[v] = false
-			k.EraseOne(v)
-			erasedList = append(erasedList, v)
+		p.inPlan[v] = !math.IsInf(p.costs[v], 1)
+		p.orphan[v] = false
+		if p.inPlan[v] {
+			p.cands = append(p.cands, v)
+		} else if v < p.g.Data {
+			allData = false
 		}
-	}
-	p.cands, p.erased = cands, erasedList
-	restore := func() {
-		for _, v := range p.erased {
-			k.RestoreOne(v)
-		}
-	}
-	if !k.Eval() {
-		restore()
-		return nil, 0, ErrInsufficient
 	}
 
-	// Reverse-delete: drop candidates most-expensive-first while the
-	// stripe remains decodable. Each probe is a one-node kernel delta,
-	// not a fresh peel.
-	switch ord {
-	case orderDeep:
-		slices.SortStableFunc(p.cands, func(a, b int) int { return b - a })
-	case orderCostShallow:
-		slices.SortStableFunc(p.cands, func(a, b int) int {
-			ca, cb := p.costs[a], p.costs[b]
-			switch {
-			case ca > cb:
-				return -1
-			case ca < cb:
-				return 1
-			default:
-				return a - b // among equals, drop shallow nodes first
-			}
-		})
-	default:
-		slices.SortStableFunc(p.cands, func(a, b int) int {
-			ca, cb := p.costs[a], p.costs[b]
-			switch {
-			case ca > cb:
-				return -1
-			case ca < cb:
-				return 1
-			default:
-				return b - a // among equals, drop deep check nodes first
-			}
-		})
-	}
-	for _, v := range p.cands {
-		k.EraseOne(v)
-		if k.Eval() {
-			p.inPlan[v] = false // dropped for good
-			p.erased = append(p.erased, v)
-		} else {
-			k.RestoreOne(v)
+	if allData && p.checksDropFirst(ord) {
+		// Reverse-delete would drop every check while all the data is still
+		// read, then find no data node it can do without: the plan is the
+		// data nodes, and no kernel is asked.
+		for _, v := range p.cands[p.g.Data:] {
+			p.inPlan[v] = false
 		}
+	} else if !p.reverseDelete(ord) {
+		return nil, 0, ErrInsufficient
 	}
 
 	plan := p.plan[:0]
@@ -179,9 +139,91 @@ func (p *Planner) planOrdered(available []bool, cost CostFunc, ord ordering) ([]
 		}
 	}
 	p.plan = plan
-	restore()
-	p.erased = p.erased[:0]
 	return plan, total, nil
+}
+
+// dropOrder is ord's reverse-delete order: negative when a is tried before b.
+func (p *Planner) dropOrder(ord ordering, a, b int) int {
+	if ord != orderDeep {
+		switch ca, cb := p.costs[a], p.costs[b]; {
+		case ca > cb:
+			return -1
+		case ca < cb:
+			return 1
+		}
+	}
+	if ord == orderCostShallow {
+		return a - b
+	}
+	return b - a
+}
+
+// checksDropFirst reports whether ord tries every candidate check before any
+// data node. It is called with every data node a candidate, so the candidate
+// list is the data nodes followed by the checks.
+func (p *Planner) checksDropFirst(ord ordering) bool {
+	first := 0 // the data node tried first
+	for v := 1; v < p.g.Data; v++ {
+		if p.dropOrder(ord, v, first) < 0 {
+			first = v
+		}
+	}
+	for _, v := range p.cands[p.g.Data:] {
+		if p.dropOrder(ord, v, first) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// reverseDelete drops candidates in ord's order while the stripe stays
+// decodable, and reports whether it was decodable to begin with. Each probe
+// is a one-node kernel delta, not a fresh peel, and a data node nothing left
+// in the plan could rebuild is kept without one.
+func (p *Planner) reverseDelete(ord ordering) bool {
+	k := p.k
+	erased := p.erased[:0]
+	for v, in := range p.inPlan {
+		if !in {
+			k.EraseOne(v)
+			erased = append(erased, v)
+		}
+	}
+	ok := k.Eval()
+	if ok {
+		slices.SortStableFunc(p.cands, func(a, b int) int { return p.dropOrder(ord, a, b) })
+		for _, v := range p.cands {
+			if v < p.g.Data && !p.rebuildable(v) {
+				continue
+			}
+			k.EraseOne(v)
+			if k.Eval() {
+				p.inPlan[v] = false // dropped for good
+				erased = append(erased, v)
+			} else {
+				k.RestoreOne(v)
+			}
+		}
+	}
+	for _, v := range erased {
+		k.RestoreOne(v)
+	}
+	p.erased = erased[:0]
+	return ok
+}
+
+// rebuildable reports whether peeling could give v back once it is dropped:
+// rule 1 needs a parent check that is read, or that is itself rebuilt from
+// above — re-encoding the parent would need v. orphan caches the noes, which
+// stay no because nodes only ever leave the plan.
+func (p *Planner) rebuildable(v int) bool {
+	for _, r := range p.g.Parents(v) {
+		if p.inPlan[r] || (!p.orphan[r] && p.rebuildable(int(r))) {
+			return true
+		}
+	}
+	p.orphan[v] = true
+	return false
 }
 
 // PlanCost is the projected repair economics of a recovery plan.
@@ -204,9 +246,9 @@ func (c PlanCost) Bytes(frameSize int64) int64 { return int64(c.Surplus) * frame
 // bytes: it runs reverse-delete under several drop orderings and keeps the
 // plan reading the fewest blocks, breaking ties by CostFunc price. A plan
 // already at the data-block floor (Surplus 0 — every healthy stripe) wins
-// outright, so the healthy read path pays for exactly one ordering. The
-// returned slice is reused by the next call — callers that keep it must
-// copy.
+// outright, so a healthy read runs one ordering, and that one is answered
+// by a scan of the costs (see planOrdered). The returned slice is reused by
+// the next call — callers that keep it must copy.
 func (p *Planner) PlanEconomic(available []bool, cost CostFunc) ([]int, PlanCost, error) {
 	plan, total, err := p.planOrdered(available, cost, orderCostDeep)
 	if err != nil {

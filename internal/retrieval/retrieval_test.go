@@ -13,7 +13,7 @@ import (
 	"tornado/internal/graph"
 )
 
-func tornado96(t *testing.T) *graph.Graph {
+func tornado96(t testing.TB) *graph.Graph {
 	t.Helper()
 	g, _, err := core.Generate(core.DefaultParams(), rand.New(rand.NewPCG(31, 7)))
 	if err != nil {
@@ -222,61 +222,6 @@ func TestPlanDrivesCodecDecode(t *testing.T) {
 			t.Fatal("payload mismatch after planned retrieval")
 		}
 	}
-}
-
-// referencePlan is the pre-Planner implementation — full Decoder peel per
-// reverse-delete probe — kept here as the differential oracle.
-func referencePlan(g *graph.Graph, available []bool, cost CostFunc) ([]int, float64, error) {
-	if cost == nil {
-		cost = UnitCost
-	}
-	d := decode.New(g)
-	recoverableWith := func(selected []bool) bool {
-		var erased []int
-		for v := 0; v < g.Total; v++ {
-			if !selected[v] {
-				erased = append(erased, v)
-			}
-		}
-		return d.Recoverable(erased)
-	}
-	selected := make([]bool, g.Total)
-	var cands []int
-	for v := 0; v < g.Total; v++ {
-		if available[v] && !math.IsInf(cost(v), 1) {
-			selected[v] = true
-			cands = append(cands, v)
-		}
-	}
-	if !recoverableWith(selected) {
-		return nil, 0, ErrInsufficient
-	}
-	slices.SortStableFunc(cands, func(a, b int) int {
-		ca, cb := cost(a), cost(b)
-		switch {
-		case ca > cb:
-			return -1
-		case ca < cb:
-			return 1
-		default:
-			return b - a
-		}
-	})
-	for _, v := range cands {
-		selected[v] = false
-		if !recoverableWith(selected) {
-			selected[v] = true
-		}
-	}
-	var plan []int
-	total := 0.0
-	for v := 0; v < g.Total; v++ {
-		if selected[v] {
-			plan = append(plan, v)
-			total += cost(v)
-		}
-	}
-	return plan, total, nil
 }
 
 // TestPlannerMatchesReference drives one reused Planner and the
