@@ -35,8 +35,9 @@ vet:
 	$(GO) vet ./...
 
 # fuzz gives the frame codec, the kernel differential batteries (peeling
-# decoder, closed-set defect scan) and the read path's two oracles (planner
-# against plain reverse-delete, targeted decode against Repair) a short
+# decoder, closed-set defect scan), the read path's two oracles (planner
+# against plain reverse-delete, targeted decode against Repair) and the
+# campaign journal parser (arbitrary bytes through the resume path) a short
 # randomized shake on every check; longer sessions: make fuzz FUZZTIME=10m
 FUZZTIME ?= 3s
 fuzz:
@@ -46,6 +47,7 @@ fuzz:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzDefectKernelMatchesReference -fuzztime $(FUZZTIME) ./internal/defect/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzPlanMatchesReverseDelete -fuzztime $(FUZZTIME) ./internal/retrieval/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzDecodeIntoMatchesRepair -fuzztime $(FUZZTIME) ./internal/codec/
+	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzJournalResume -fuzztime $(FUZZTIME) ./internal/campaign/
 
 # bench runs the repo benchmark, bench/: numbers only, check is the gate.
 bench:
@@ -63,7 +65,9 @@ check: vet build test bench-api race fuzz
 # run, cache-served rerun, status — the moving parts CI should exercise
 # beyond unit tests. A sampled certification on a streamed n=2000 graph
 # then drives the stratified sampler and its stopping rule through the
-# same journaled pipeline. One shell, so a failing step still cleans up.
+# same journaled pipeline, and a profile whose trial budget its blocks do
+# not divide runs twice: the second must be served from the cache. One
+# shell, so a failing step still cleans up.
 smoke:
 	set -e; d=$$(mktemp -d /tmp/tornado-smoke.XXXXXX); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) run -race ./cmd/campaign run -dir $$d/camp -cache $$d/cache \
@@ -72,7 +76,12 @@ smoke:
 		-kind worstcase -seed 2006 -maxk 3 -quiet; \
 	$(GO) run -race ./cmd/campaign status -dir $$d/camp; \
 	$(GO) run -race ./cmd/campaign run -dir $$d/cert -cache $$d/cache \
-		-kind sampled -seed 2006 -nodes 2000 -mink 5 -maxk 5 -epsilon 1e-3 -quiet
+		-kind sampled -seed 2006 -nodes 2000 -mink 5 -maxk 5 -epsilon 1e-3 -quiet; \
+	$(GO) run -race ./cmd/campaign run -dir $$d/prof -cache $$d/cache \
+		-kind profile -seed 2006 -trials 100000 -mink 4 -maxk 8 -quiet; \
+	$(GO) run -race ./cmd/campaign run -dir $$d/prof2 -cache $$d/cache \
+		-kind profile -seed 2006 -trials 100000 -mink 4 -maxk 8 -quiet 2>&1 | tee $$d/prof2.log; \
+	grep -q 'served from cache' $$d/prof2.log
 
 clean:
 	$(GO) clean ./...

@@ -1,6 +1,7 @@
 package adjust
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -31,7 +32,7 @@ func defectivePair(t *testing.T) *graph.Graph {
 
 func firstFailure(t *testing.T, g *graph.Graph, maxK int) int {
 	t.Helper()
-	res, err := sim.WorstCase(g, sim.WorstCaseOptions{MaxK: maxK})
+	res, err := sim.WorstCaseCtx(context.Background(), g, sim.WorstCaseOptions{MaxK: maxK})
 	if err != nil {
 		t.Fatal(err)
 	}

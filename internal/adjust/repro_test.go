@@ -1,6 +1,7 @@
 package adjust
 
 import (
+	"context"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -30,7 +31,7 @@ func tornado32(t *testing.T, seed uint64) *graph.Graph {
 // pickRewire are themselves worker-count independent.
 func TestClearKSeededReproducible(t *testing.T) {
 	g := tornado32(t, 11)
-	res, err := sim.WorstCase(g, sim.WorstCaseOptions{MaxK: 4})
+	res, err := sim.WorstCaseCtx(context.Background(), g, sim.WorstCaseOptions{MaxK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestClearKSeededReproducible(t *testing.T) {
 // reverted (degrading) step.
 func TestClearKLineageMatchesGraph(t *testing.T) {
 	g := tornado32(t, 11)
-	res, err := sim.WorstCase(g, sim.WorstCaseOptions{MaxK: 4})
+	res, err := sim.WorstCaseCtx(context.Background(), g, sim.WorstCaseOptions{MaxK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestClearKLineageMatchesGraph(t *testing.T) {
 func TestClearKNeverDegrades(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		g := tornado32(t, seed)
-		res, err := sim.WorstCase(g, sim.WorstCaseOptions{MaxK: 4})
+		res, err := sim.WorstCaseCtx(context.Background(), g, sim.WorstCaseOptions{MaxK: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func TestClearKNeverDegrades(t *testing.T) {
 		if rep.FinalFailures > rep.InitialFailures {
 			t.Errorf("seed %d: failures rose %d → %d", seed, rep.InitialFailures, rep.FinalFailures)
 		}
-		kr, err := sim.ExhaustiveK(out, k, 1, 0)
+		kr, err := sim.ExhaustiveKCtx(context.Background(), out, k, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package altgraph
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -122,7 +123,7 @@ func TestRegularGraphsHaveWorseFirstFailureThanScreenedTornado(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.WorstCase(g, sim.WorstCaseOptions{MaxK: 4})
+	res, err := sim.WorstCaseCtx(context.Background(), g, sim.WorstCaseOptions{MaxK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

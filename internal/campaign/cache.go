@@ -48,11 +48,22 @@ const scanOrderVersionSampled = "st1"
 // the entries those campaigns stored are still hits.
 const legacyKernelField = `"kernel":"sliced",`
 
+// scanOrderVersionProfile tags profile entries (KindProfile). Their exact
+// points are "sl1" scans, but their sampled points are defined by the trial
+// tiling: "pb1" = sim's fixed blocks, shard b drawing trials [b·ShardSize,
+// (b+1)·ShardSize) from stream b. Entries stored under "sl1" cut the same
+// budget into near-equal parts — a different result wherever ShardSize does
+// not divide Trials — and simply miss.
+const scanOrderVersionProfile = "pb1"
+
 // orderVersion returns the scan-order tag a normalized spec's cache
 // entries are hashed under.
 func orderVersion(normSpec Spec) string {
-	if normSpec.Kind == KindSampled {
+	switch normSpec.Kind {
+	case KindSampled:
 		return scanOrderVersionSampled
+	case KindProfile:
+		return scanOrderVersionProfile
 	}
 	return scanOrderVersion
 }

@@ -1,15 +1,17 @@
 // Package campaign turns the paper's hours-to-days testing workloads — the
 // exhaustive combinatorial worst-case searches and Monte Carlo
 // reconstruction-failure profiles of §3 — into durable, resumable units of
-// work. A campaign spec (graph + options) is deterministically sharded:
-// exhaustive cardinalities are cut into contiguous combination-rank ranges
-// via combin.SplitRanges (scanned in revolving-door order by the bit-sliced
-// scanner; see sim.ScanRangeCtx), and Monte Carlo points into
-// fixed-size trial blocks each owning a seeded RNG stream. A
-// worker pool executes shards and journals each completed shard to a
-// crash-safe JSONL file, so Resume skips finished shards and — because
-// every shard is a pure function of its plan entry — produces results
-// bit-identical to an uninterrupted run.
+// work. What is computed is internal/sim's: a campaign spec (graph +
+// options) names a sim.Job, whose plan cuts exhaustive cardinalities into
+// contiguous revolving-door rank ranges and Monte Carlo points into
+// fixed-size trial blocks each owning a seeded RNG stream, and whose Run
+// loop orders the groups, applies the stopping rules and folds the results.
+// This package supplies the runner that loop calls: sim's LocalRunner,
+// wrapped to skip the units ("shards") an earlier process journaled and to
+// append each freshly computed one to a crash-safe JSONL journal. Because
+// every unit is a pure function of its plan entry, a resumed campaign is
+// bit-identical to an uninterrupted one — and to the in-memory sim call
+// with the same options and block size.
 //
 // A content-addressed result cache keyed by graph.Fingerprint plus the
 // normalized spec makes re-running an unchanged graph free: only rewired
@@ -26,13 +28,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
-	"tornado/internal/combin"
-	"tornado/internal/decode"
 	"tornado/internal/graph"
 	"tornado/internal/graphml"
 	"tornado/internal/obs"
@@ -44,10 +44,11 @@ import (
 type Kind string
 
 const (
-	// KindWorstCase is the exhaustive first-failure search (sim.WorstCase).
+	// KindWorstCase is the exhaustive first-failure search
+	// (sim.WorstCaseCtx).
 	KindWorstCase Kind = "worstcase"
 	// KindProfile is the Monte Carlo reconstruction-failure profile
-	// (sim.FailureProfile).
+	// (sim.FailureProfileCtx).
 	KindProfile Kind = "profile"
 	// KindSampled is the archival-scale sampled certification
 	// (sim.SampleStratifiedCtx): stratified Monte Carlo with a Wilson-CI
@@ -59,8 +60,9 @@ const (
 // DefaultShardSize is the target number of combinations (or Monte Carlo
 // trials) per shard. Shards are the unit of checkpointing: small enough
 // that a crash loses little work, large enough that journal writes are
-// noise against decoding cost.
-const DefaultShardSize = 65536
+// noise against decoding cost. It is sim's Monte Carlo block size, so a
+// default campaign draws the blocks the in-memory call draws.
+const DefaultShardSize = sim.DefaultSampledBlock
 
 // Spec is the canonical description of a campaign's workload. Zero fields
 // are filled with the internal/sim defaults; the normalized form is what is
@@ -91,9 +93,11 @@ type Spec struct {
 	// Negative disables the rule (the full Trials budget runs).
 	Epsilon float64 `json:"epsilon,omitempty"`
 
-	// ShardSize overrides DefaultShardSize. For KindSampled it is the
-	// sampled block size: shard boundaries define the RNG streams, so it
-	// participates in the computed result, not just the checkpoint layout.
+	// ShardSize overrides DefaultShardSize. For Monte Carlo shards — all of
+	// KindSampled, and the sampled points of KindProfile — it is the trial
+	// block size: shard b draws trials [b·ShardSize, (b+1)·ShardSize) from
+	// RNG stream b, so it participates in the computed result, not just the
+	// checkpoint layout. Exhaustive results do not depend on it.
 	ShardSize int64 `json:"shard_size,omitempty"`
 }
 
@@ -232,137 +236,66 @@ type Status struct {
 	Completed   bool // result.json present
 }
 
-// shard is one deterministic unit of work. Exhaustive shards scan the
-// combination-rank range [Lo, Hi) of cardinality K; Monte Carlo shards
-// (Trials > 0) draw Trials samples from RNG stream (spec.Seed, K, Stream).
-type shard struct {
-	ID          int
-	K           int
-	Lo, Hi      int64
-	MaxFailures int
-	Trials      int64
-	Stream      uint64
-	Exact       bool // profile point computed by enumeration, not sampling
-}
-
-func (s shard) work() int64 {
-	if s.Trials > 0 {
-		return s.Trials
-	}
-	return s.Hi - s.Lo
-}
-
-// maxPlannedShards bounds the shard list an exhaustive plan may expand to.
-// An archival-scale cardinality whose rank space still fits int64 (e.g.
-// C(100000, 4) ≈ 4.2e18) would otherwise ask for trillions of shard
-// structs; like a true rank overflow, that means exhaustive enumeration is
-// infeasible and the spec should be sampled instead.
-const maxPlannedShards = 1 << 20
-
-// planShards deterministically expands a normalized spec into shard groups.
-// Worst-case campaigns get one group per cardinality (executed in order so
-// the first-failure early stop matches sim.WorstCase); profile campaigns
-// get a single group because every point is independent; sampled campaigns
-// get one group per (cardinality, stopping-rule round) so the runner can
-// evaluate the precision target exactly where sim.SampleStratifiedCtx
-// would.
-func planShards(g *graph.Graph, spec Spec) ([][]shard, error) {
-	nextID := 0
-	rankShards := func(k int, maxFailures int, exact bool) ([]shard, error) {
-		total, ok := combin.BinomialInt64(g.Total, k)
-		if !ok {
-			return nil, fmt.Errorf("campaign: C(%d,%d) exceeds the exhaustive rank space (%w); lower MaxK or switch to Kind \"sampled\"", g.Total, k, combin.ErrRankOverflow)
-		}
-		parts := (total + spec.ShardSize - 1) / spec.ShardSize
-		if parts > maxPlannedShards {
-			return nil, fmt.Errorf("campaign: C(%d,%d) = %d needs %d shards of %d, beyond the exhaustive planning budget (%w); lower MaxK or switch to Kind \"sampled\"",
-				g.Total, k, total, parts, spec.ShardSize, combin.ErrRankOverflow)
-		}
-		var out []shard
-		for _, rg := range combin.SplitRanges(total, int(parts)) {
-			out = append(out, shard{ID: nextID, K: k, Lo: rg[0], Hi: rg[1], MaxFailures: maxFailures, Exact: exact})
-			nextID++
-		}
-		return out, nil
-	}
-
-	switch spec.Kind {
+// job returns the sim.Job a normalized spec describes over g. A campaign
+// must not start what it cannot finish, so a plan that ends short of the
+// requested cardinalities is an error here, before anything is written.
+func (s Spec) job(g *graph.Graph) (j *sim.Job, err error) {
+	switch s.Kind {
 	case KindWorstCase:
-		var groups [][]shard
-		for k := 1; k <= spec.MaxK; k++ {
-			grp, err := rankShards(k, spec.MaxFailures, true)
-			if err != nil {
-				return nil, err
-			}
-			groups = append(groups, grp)
-		}
-		return groups, nil
-
+		j = sim.NewWorstCaseJob(g, sim.WorstCaseOptions{MaxK: s.MaxK, MaxFailures: s.MaxFailures, KeepGoing: s.KeepGoing}, s.ShardSize)
 	case KindProfile:
-		var grp []shard
-		for k := spec.MinK; k <= spec.MaxK; k++ {
-			if c, ok := combin.BinomialInt64(g.Total, k); ok && c <= spec.ExhaustiveLimit {
-				// Exact enumeration; only the count matters, record one
-				// witness at most (mirrors sim.FailureProfileCtx).
-				ss, err := rankShards(k, 1, true)
-				if err != nil {
-					return nil, err
-				}
-				grp = append(grp, ss...)
-				continue
-			}
-			parts := (spec.Trials + spec.ShardSize - 1) / spec.ShardSize
-			for i, rg := range combin.SplitRanges(spec.Trials, int(parts)) {
-				grp = append(grp, shard{ID: nextID, K: k, Trials: rg[1] - rg[0], Stream: uint64(i)})
-				nextID++
-			}
-		}
-		return [][]shard{grp}, nil
-
+		j, err = sim.NewProfileJob(g, sim.ProfileOptions{
+			Trials: s.Trials, ExhaustiveLimit: s.ExhaustiveLimit, MinK: s.MinK, MaxK: s.MaxK, Seed: s.Seed,
+		}, s.ShardSize)
 	case KindSampled:
-		// One block per shard, blocks grouped into the doubling rounds of
-		// sim.SampledPlan. The stream is the block index within the
-		// cardinality's schedule, so every shard is the exact block a
-		// sim-level SampleStratifiedCtx run would draw.
-		var groups [][]shard
-		for k := spec.MinK; k <= spec.MaxK; k++ {
-			_, rounds := sim.SampledPlan(spec.Trials, spec.ShardSize)
-			for _, rd := range rounds {
-				var grp []shard
-				for b := rd[0]; b < rd[1]; b++ {
-					grp = append(grp, shard{
-						ID:          nextID,
-						K:           k,
-						Trials:      sim.SampledBlockTrials(spec.Trials, spec.ShardSize, b),
-						Stream:      uint64(b),
-						MaxFailures: spec.MaxFailures,
-					})
-					nextID++
-				}
-				groups = append(groups, grp)
-			}
+		j = sim.NewSampledJob(g, s.MinK, s.MaxK, sim.SampledOptions{
+			Epsilon: s.Epsilon, MaxTrials: s.Trials, BlockSize: s.ShardSize, MaxWitnesses: s.MaxFailures, Seed: s.Seed,
+		})
+	default:
+		return nil, s.validate()
+	}
+	if err == nil {
+		err = j.Err
+	}
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
+	}
+	return j, nil
+}
+
+// toRecord is the journal line of unit u's result.
+func toRecord(u sim.Unit, res sim.UnitResult) Record {
+	rec := Record{Shard: u.ID, K: u.K, Failures: res.Failures, Screened: res.Screened}
+	if u.Trials == 0 {
+		rec.Tested, rec.FailCount = res.Tally.Trials, res.Tally.Hits
+	} else {
+		rec.Trials, rec.Hits = res.Tally.Trials, res.Tally.Hits
+	}
+	for _, p := range res.Strata {
+		rec.StrataHits = append(rec.StrataHits, p.Hits)
+		rec.StrataTrials = append(rec.StrataTrials, p.Trials)
+	}
+	return rec
+}
+
+// fromRecord reads a journal line back as unit u's result. A line counts
+// only if it is the complete, well-formed result of the unit planned under
+// its shard ID and nothing else — it must come back out of toRecord
+// unchanged. Anything less (a stale plan, a torn write or a rotted byte
+// that still parsed) is discarded like a torn tail and the unit reruns.
+func fromRecord(j *sim.Job, u sim.Unit, rec Record) (sim.UnitResult, bool) {
+	res := sim.UnitResult{Failures: rec.Failures, Screened: rec.Screened}
+	if u.Trials == 0 {
+		res.Tally = stats.Proportion{Hits: rec.FailCount, Trials: rec.Tested}
+	} else {
+		res.Tally = stats.Proportion{Hits: rec.Hits, Trials: rec.Trials}
+	}
+	if len(rec.StrataHits) == len(rec.StrataTrials) {
+		for i, hits := range rec.StrataHits {
+			res.Strata = append(res.Strata, stats.Proportion{Hits: hits, Trials: rec.StrataTrials[i]})
 		}
-		return groups, nil
 	}
-	return nil, spec.validate()
-}
-
-// matches reports whether a journaled record is the complete result of
-// shard s; anything else (stale plan, truncated write that still parsed) is
-// discarded and the shard reruns.
-func (s shard) matches(rec Record) bool {
-	if rec.K != s.K {
-		return false
-	}
-	if s.Trials > 0 {
-		return rec.Trials == s.Trials
-	}
-	return rec.Tested == s.Hi-s.Lo
-}
-
-// Run executes a campaign to completion in dir. See RunCtx.
-func Run(dir string, g *graph.Graph, spec Spec, opts Options) (*Result, error) {
-	return RunCtx(context.Background(), dir, g, spec, opts)
+	return res, j.Accepts(u, res) && reflect.DeepEqual(toRecord(u, res), rec)
 }
 
 // RunCtx starts a fresh campaign in dir and executes it to completion. The
@@ -396,7 +329,7 @@ func RunCtx(ctx context.Context, dir string, g *graph.Graph, spec Spec, opts Opt
 	if _, err := os.Stat(filepath.Join(dir, manifestFile)); err == nil {
 		return nil, fmt.Errorf("campaign: %s already holds a campaign; use Resume", dir)
 	}
-	groups, err := planShards(g, spec)
+	job, err := spec.job(g)
 	if err != nil {
 		return nil, err
 	}
@@ -413,26 +346,21 @@ func RunCtx(ctx context.Context, dir string, g *graph.Graph, spec Spec, opts Opt
 		Fingerprint: fp,
 		Spec:        spec,
 	}
-	for _, grp := range groups {
+	for _, grp := range job.Groups {
 		man.TotalShards += len(grp)
-		for _, s := range grp {
-			man.TotalWork += s.work()
+		for _, u := range grp {
+			man.TotalWork += u.Work()
 		}
 	}
 	if err := writeJSONAtomic(filepath.Join(dir, manifestFile), man); err != nil {
 		return nil, err
 	}
-	return execute(ctx, dir, g, man, groups, map[int]Record{}, opts)
-}
-
-// Resume continues the campaign in dir to completion. See ResumeCtx.
-func Resume(dir string, opts Options) (*Result, error) {
-	return ResumeCtx(context.Background(), dir, opts)
+	return execute(ctx, dir, g, man, job, nil, opts)
 }
 
 // ResumeCtx loads the campaign in dir, skips every journaled shard, runs
-// the rest, and merges both into the final result — bit-identical to an
-// uninterrupted run, because shards are deterministic and merged in plan
+// the rest, and folds both into the final result — bit-identical to an
+// uninterrupted run, because shards are deterministic and folded in plan
 // order. Resuming a completed campaign returns the stored result with
 // Cached set.
 func ResumeCtx(ctx context.Context, dir string, opts Options) (*Result, error) {
@@ -440,7 +368,7 @@ func ResumeCtx(ctx context.Context, dir string, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if res, err := loadResult(dir); err == nil {
+	if res, err := decodeResultFile(filepath.Join(dir, resultFile)); err == nil {
 		res.Cached = true
 		return res, nil
 	}
@@ -452,7 +380,7 @@ func ResumeCtx(ctx context.Context, dir string, opts Options) (*Result, error) {
 	if fp := g.Fingerprint(); fp != man.Fingerprint {
 		return nil, fmt.Errorf("campaign: graph in %s fingerprints %s, manifest says %s", dir, fp, man.Fingerprint)
 	}
-	groups, err := planShards(g, man.Spec)
+	job, err := man.Spec.job(g)
 	if err != nil {
 		return nil, err
 	}
@@ -460,87 +388,82 @@ func ResumeCtx(ctx context.Context, dir string, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Keep only records that exactly match their planned shard.
-	done := make(map[int]Record, len(journaled))
-	for _, grp := range groups {
-		for _, s := range grp {
-			if rec, ok := journaled[s.ID]; ok && s.matches(rec) {
-				done[s.ID] = rec
-			}
-		}
-	}
-	return execute(ctx, dir, g, man, groups, done, opts)
+	return execute(ctx, dir, g, man, job, journaled, opts)
 }
 
-// loadResult reads a stored final result from a campaign directory.
-func loadResult(dir string) (*Result, error) {
-	return decodeResultFile(filepath.Join(dir, resultFile))
-}
-
-// runner carries the execution state shared by the worker pool.
+// runner is the durable sim.Runner: the job's LocalRunner, which computes
+// a unit, between a journal lookup and a journal append.
 type runner struct {
-	g     *graph.Graph
-	spec  Spec
+	*sim.LocalRunner
 	opts  Options
 	jw    *journalWriter
-	done  map[int]Record
+	done  map[int]sim.UnitResult // journaled by an earlier process; read-only while the job runs
 	start time.Time
-
-	// samplers pools sim.StratifiedSampler instances over one shared CSR
-	// (KindSampled): the kernel masks and collision counters are the
-	// expensive part of a sampled shard, and pooling keeps them warm across
-	// the shards a worker executes.
-	samplers sync.Pool
 
 	mu          sync.Mutex
 	status      Status
 	workThisRun int64
 }
 
-// execute runs all pending shards group by group, merges, persists, and
-// caches the final result.
-func execute(ctx context.Context, dir string, g *graph.Graph, man Manifest, groups [][]shard, done map[int]Record, opts Options) (*Result, error) {
+// RunUnit serves u from the journal, or computes it and journals it.
+func (r *runner) RunUnit(ctx context.Context, w int, u sim.Unit) (sim.UnitResult, error) {
+	if res, ok := r.done[u.ID]; ok {
+		return res, nil
+	}
+	res, err := r.LocalRunner.RunUnit(ctx, w, u)
+	if err == nil {
+		err = r.jw.append(toRecord(u, res))
+	}
+	if err == nil {
+		r.noteDone(u)
+	}
+	return res, err
+}
+
+// newRunner returns the durable runner of job: what journaled holds of the
+// plan is served, not recomputed; everything else is appended to jw.
+func newRunner(g *graph.Graph, job *sim.Job, journaled map[int]Record, jw *journalWriter, st Status, opts Options) *runner {
+	r := &runner{
+		LocalRunner: sim.NewLocalRunner(g, opts.Workers), opts: opts, jw: jw,
+		done: map[int]sim.UnitResult{}, start: time.Now(), status: st,
+	}
+	for _, grp := range job.Groups {
+		for _, u := range grp {
+			rec, ok := journaled[u.ID]
+			if !ok {
+				continue
+			}
+			if res, ok := fromRecord(job, u, rec); ok {
+				r.done[u.ID] = res
+				r.status.DoneShards++
+				r.status.WorkDone += u.Work()
+			}
+		}
+	}
+	return r
+}
+
+// execute runs the job over the durable runner — journaled holds what an
+// earlier process left — then persists and caches the final result.
+func execute(ctx context.Context, dir string, g *graph.Graph, man Manifest, job *sim.Job, journaled map[int]Record, opts Options) (*Result, error) {
 	jw, err := openJournal(dir)
 	if err != nil {
 		return nil, err
 	}
 	defer jw.Close()
 
-	r := &runner{
-		g: g, spec: man.Spec, opts: opts, jw: jw, done: done, start: time.Now(),
-		status: Status{
-			Dir:         dir,
-			Kind:        man.Spec.Kind,
-			Fingerprint: man.Fingerprint,
-			TotalShards: man.TotalShards,
-			WorkTotal:   man.TotalWork,
-		},
-	}
-	for _, rec := range done {
-		r.status.DoneShards++
-		r.status.WorkDone += recWork(rec)
-	}
+	r := newRunner(g, job, journaled, jw, man.status(dir), opts)
 	opts.Metrics.Gauge(MetricShardsTotal).Set(int64(man.TotalShards))
 	opts.Metrics.Gauge(MetricShardsDone).Set(int64(r.status.DoneShards))
 
-	res := &Result{Kind: man.Spec.Kind, Fingerprint: man.Fingerprint, Spec: man.Spec}
-	switch man.Spec.Kind {
-	case KindWorstCase:
-		res.WorstCase, err = r.runWorstCase(ctx, groups)
-	case KindProfile:
-		res.Profile, err = r.runProfile(ctx, groups[0])
-	case KindSampled:
-		csr := decode.NewCSR(g)
-		r.samplers.New = func() any { return sim.NewStratifiedSampler(csr) }
-		res.Sampled, err = r.runSampled(ctx, groups)
-	default:
-		err = man.Spec.validate()
-	}
-	if err != nil {
+	if err := job.Run(ctx, r); err != nil {
 		return nil, err
 	}
-	res.WorkDone = r.status.WorkDone
-
+	res := &Result{
+		Kind: man.Spec.Kind, Fingerprint: man.Fingerprint, Spec: man.Spec,
+		WorstCase: job.WorstCase, Profile: job.Profile, Sampled: job.Sampled,
+		WorkDone: r.status.WorkDone,
+	}
 	if err := writeJSONAtomic(filepath.Join(dir, resultFile), res); err != nil {
 		return nil, err
 	}
@@ -549,116 +472,22 @@ func execute(ctx context.Context, dir string, g *graph.Graph, man Manifest, grou
 			return nil, fmt.Errorf("campaign: storing result cache: %w", err)
 		}
 	}
-	r.mu.Lock()
 	r.status.Completed = true
-	st := r.status
-	r.mu.Unlock()
 	if opts.Progress != nil {
-		opts.Progress(st)
+		opts.Progress(r.status)
 	}
 	return res, nil
 }
 
-func recWork(rec Record) int64 { return rec.Tested + rec.Trials }
-
-// executeGroup fans the group's pending shards over the worker pool. It
-// returns once every shard in the group is journaled, or with the first
-// error (cancellation included; completed shards stay journaled).
-func (r *runner) executeGroup(ctx context.Context, shards []shard) error {
-	var pending []shard
-	for _, s := range shards {
-		if _, ok := r.done[s.ID]; !ok {
-			pending = append(pending, s)
-		}
-	}
-	if len(pending) == 0 {
-		return nil
-	}
-	ch := make(chan shard, len(pending))
-	for _, s := range pending {
-		ch <- s
-	}
-	close(ch)
-
-	workers := min(r.opts.Workers, len(pending))
-	errs := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range ch {
-				if ctx.Err() != nil {
-					errs <- ctx.Err()
-					return
-				}
-				rec, err := r.runShard(ctx, s)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if err := r.jw.append(rec); err != nil {
-					errs <- err
-					return
-				}
-				r.noteDone(s, rec)
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return err
-	default:
-		return nil
-	}
-}
-
-func (r *runner) runShard(ctx context.Context, s shard) (Record, error) {
-	if r.spec.Kind == KindSampled {
-		sp := r.samplers.Get().(*sim.StratifiedSampler)
-		blk, err := sp.SampleBlock(ctx, s.K, s.Trials, r.spec.Seed, s.Stream, s.MaxFailures)
-		r.samplers.Put(sp)
-		if err != nil {
-			return Record{}, err
-		}
-		tally := blk.Tally()
-		rec := Record{
-			Shard: s.ID, K: s.K, Trials: tally.Trials, Hits: tally.Hits,
-			Screened:     blk.Screened,
-			Failures:     blk.Witnesses,
-			StrataHits:   make([]int64, len(blk.Strata)),
-			StrataTrials: make([]int64, len(blk.Strata)),
-		}
-		for i, p := range blk.Strata {
-			rec.StrataHits[i], rec.StrataTrials[i] = p.Hits, p.Trials
-		}
-		return rec, nil
-	}
-	if s.Trials > 0 {
-		prop, err := sim.SampleStreamCtx(ctx, r.g, s.K, s.Trials, r.spec.Seed, s.Stream)
-		if err != nil {
-			return Record{}, err
-		}
-		return Record{Shard: s.ID, K: s.K, Trials: prop.Trials, Hits: prop.Hits}, nil
-	}
-	rr, err := sim.ScanRangeCtx(ctx, r.g, s.K, s.Lo, s.Hi, s.MaxFailures)
-	if err != nil {
-		return Record{}, err
-	}
-	return Record{Shard: s.ID, K: s.K, Tested: rr.Tested, FailCount: rr.FailureCount, Failures: rr.Failures}, nil
-}
-
-// noteDone records a completed shard and refreshes the progress gauges:
-// shards done, evaluation rate over this process's lifetime, and the ETA
-// implied by that rate and the remaining work.
-func (r *runner) noteDone(s shard, rec Record) {
+// noteDone counts a freshly journaled shard and refreshes the progress
+// gauges: shards done, evaluation rate over this process's lifetime, and
+// the ETA implied by that rate and the remaining work.
+func (r *runner) noteDone(u sim.Unit) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.done[s.ID] = rec
 	r.status.DoneShards++
-	r.status.WorkDone += recWork(rec)
-	r.workThisRun += recWork(rec)
+	r.status.WorkDone += u.Work()
+	r.workThisRun += u.Work()
 	st := r.status
 
 	m := r.opts.Metrics
@@ -676,132 +505,6 @@ func (r *runner) noteDone(s shard, rec Record) {
 	}
 }
 
-// runWorstCase executes cardinality groups in ascending order, merging each
-// completed group and honoring the first-failure early stop exactly like
-// sim.WorstCaseCtx.
-func (r *runner) runWorstCase(ctx context.Context, groups [][]shard) (*sim.WorstCaseResult, error) {
-	var res sim.WorstCaseResult
-	for _, grp := range groups {
-		if err := r.executeGroup(ctx, grp); err != nil {
-			return nil, err
-		}
-		kr := r.mergeK(grp)
-		res.PerK = append(res.PerK, kr)
-		res.Tested += kr.Tested
-		if kr.FailureCount > 0 && !res.Found {
-			res.Found = true
-			res.FirstFailure = kr.K
-			if !r.spec.KeepGoing {
-				break
-			}
-		}
-	}
-	return &res, nil
-}
-
-// mergeK folds a completed cardinality group into a KResult. Each shard
-// records the lexicographically smallest MaxFailures failing sets of its
-// rank range, so the concatenation of all shard lists contains the global
-// lex-smallest MaxFailures; sorting then truncating reproduces exactly the
-// prefix sim.ExhaustiveKCtx computes over its worker ranges, independent of
-// shard layout, worker scheduling, and where a run was interrupted.
-func (r *runner) mergeK(grp []shard) sim.KResult {
-	kr := sim.KResult{K: grp[0].K}
-	for _, s := range grp {
-		rec := r.done[s.ID]
-		kr.Tested += rec.Tested
-		kr.FailureCount += rec.FailCount
-		kr.Failures = append(kr.Failures, rec.Failures...)
-	}
-	slices.SortFunc(kr.Failures, slices.Compare)
-	if max := grp[0].MaxFailures; len(kr.Failures) > max {
-		kr.Failures = kr.Failures[:max:max]
-	}
-	return kr
-}
-
-// runProfile executes the (single) profile group and folds shard tallies
-// into a sim.Profile.
-func (r *runner) runProfile(ctx context.Context, grp []shard) (*sim.Profile, error) {
-	if err := r.executeGroup(ctx, grp); err != nil {
-		return nil, err
-	}
-	p := &sim.Profile{
-		GraphName: r.g.Name,
-		Total:     r.g.Total,
-		Data:      r.g.Data,
-		Fail:      make([]stats.Proportion, r.g.Total+1),
-		Exact:     make([]bool, r.g.Total+1),
-	}
-	// k=0 is trivially exact: nothing missing.
-	p.Fail[0] = stats.Proportion{Hits: 0, Trials: 1}
-	p.Exact[0] = true
-	for _, s := range grp {
-		rec := r.done[s.ID]
-		if s.Trials > 0 {
-			p.Fail[s.K].Add(rec.Hits, rec.Trials)
-		} else {
-			p.Fail[s.K].Add(rec.FailCount, rec.Tested)
-			p.Exact[s.K] = true
-		}
-	}
-	return p, nil
-}
-
-// runSampled executes the sampled certification groups — one per
-// (cardinality, round) in plan order — evaluating the planned-precision
-// stopping rule at exactly the round boundaries sim.SampleStratifiedCtx
-// uses. Once a cardinality reaches the epsilon target its remaining rounds
-// are skipped (their shards stay unrun, like a worst-case early stop), so
-// a resumed campaign replays the same merge sequence and stops at the same
-// boundary as an uninterrupted one.
-func (r *runner) runSampled(ctx context.Context, groups [][]shard) ([]*sim.SampledResult, error) {
-	var out []*sim.SampledResult
-	var cur *sim.SampledResult
-	stopped := false
-	for _, grp := range groups {
-		k := grp[0].K
-		if cur == nil || cur.K != k {
-			cur = &sim.SampledResult{K: k, Strata: make([]stats.Proportion, k+1)}
-			out = append(out, cur)
-			stopped = false
-		}
-		if stopped {
-			continue
-		}
-		if err := r.executeGroup(ctx, grp); err != nil {
-			return nil, err
-		}
-		// Merge in shard (= block) order: tallies are integer sums and
-		// witnesses carry block order, matching sim.mergeSampledBlock.
-		for _, s := range grp {
-			mergeSampledRecord(cur, r.done[s.ID], r.spec.MaxFailures)
-		}
-		cur.Rounds = append(cur.Rounds, sim.SampledRound{Trials: cur.Tally.Trials, HalfWidth: cur.HalfWidth()})
-		if r.spec.Epsilon > 0 && cur.HalfWidth() <= r.spec.Epsilon {
-			stopped = true
-		}
-	}
-	return out, nil
-}
-
-// mergeSampledRecord folds one journaled sampled shard into the running
-// per-cardinality result, reconstructing exactly what the sim driver's
-// block merge computes.
-func mergeSampledRecord(res *sim.SampledResult, rec Record, maxWitnesses int) {
-	for s := range rec.StrataTrials {
-		res.Strata[s].Add(rec.StrataHits[s], rec.StrataTrials[s])
-	}
-	res.Screened += rec.Screened
-	for _, w := range rec.Failures {
-		if len(res.Witnesses) >= maxWitnesses {
-			break
-		}
-		res.Witnesses = append(res.Witnesses, w)
-	}
-	res.Tally = stats.Pool(res.Strata...)
-}
-
 // ReadStatus reports the progress of the campaign in dir without running
 // anything.
 func ReadStatus(dir string) (Status, error) {
@@ -809,20 +512,14 @@ func ReadStatus(dir string) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	st := Status{
-		Dir:         dir,
-		Kind:        man.Spec.Kind,
-		Fingerprint: man.Fingerprint,
-		TotalShards: man.TotalShards,
-		WorkTotal:   man.TotalWork,
-	}
+	st := man.status(dir)
 	done, err := readJournal(dir)
 	if err != nil {
 		return st, err
 	}
 	for _, rec := range done {
 		st.DoneShards++
-		st.WorkDone += recWork(rec)
+		st.WorkDone += rec.Tested + rec.Trials
 	}
 	if _, err := os.Stat(filepath.Join(dir, resultFile)); err == nil {
 		st.Completed = true

@@ -13,7 +13,7 @@ import (
 )
 
 // TestSampledCampaignMatchesSim: a sampled campaign is the journaled,
-// resumable form of sim.SampleStratified — over the same seed and block
+// resumable form of sim.SampleStratifiedCtx — over the same seed and block
 // layout the two must produce deeply equal results, at any worker count.
 func TestSampledCampaignMatchesSim(t *testing.T) {
 	g := testGraph(t)
@@ -21,14 +21,14 @@ func TestSampledCampaignMatchesSim(t *testing.T) {
 		Kind: KindSampled, MinK: 4, MaxK: 4,
 		Trials: 40000, ShardSize: 4096, Seed: 9, Epsilon: -1,
 	}
-	want, err := sim.SampleStratified(g, 4, sim.SampledOptions{
+	want, err := sim.SampleStratifiedCtx(context.Background(), g, 4, sim.SampledOptions{
 		Seed: 9, MaxTrials: 40000, BlockSize: 4096, Epsilon: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		res, err := Run(t.TempDir(), g, spec, Options{Workers: workers})
+		res, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func TestSampledCampaignMatchesSim(t *testing.T) {
 			t.Fatalf("workers=%d: %d sampled results, want 1", workers, len(res.Sampled))
 		}
 		if !reflect.DeepEqual(res.Sampled[0], want) {
-			t.Errorf("workers=%d: campaign diverges from sim.SampleStratified:\n got %+v\nwant %+v",
+			t.Errorf("workers=%d: campaign diverges from sim.SampleStratifiedCtx:\n got %+v\nwant %+v",
 				workers, res.Sampled[0], want)
 		}
 		if res.WorkDone != want.Tally.Trials {
@@ -55,7 +55,7 @@ func TestSampledCampaignCrashResumeBitIdentical(t *testing.T) {
 		Trials: 40000, ShardSize: 2048, Seed: 17, Epsilon: -1,
 	}
 
-	uninterrupted, err := Run(t.TempDir(), g, spec, Options{Workers: 4})
+	uninterrupted, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSampledCampaignCrashResumeBitIdentical(t *testing.T) {
 		t.Fatalf("expected a partial journal, got %+v", st)
 	}
 
-	resumed, err := Resume(dir, Options{Workers: 4})
+	resumed, err := ResumeCtx(context.Background(), dir, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSampledCampaignStoppingRule(t *testing.T) {
 		Trials: 1 << 20, ShardSize: 4096, Seed: 5, Epsilon: 1e-3,
 	}
 	dir := t.TempDir()
-	res, err := Run(dir, g, spec, Options{Workers: 2, CacheDir: cache})
+	res, err := RunCtx(context.Background(), dir, g, spec, Options{Workers: 2, CacheDir: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestSampledCampaignStoppingRule(t *testing.T) {
 		t.Errorf("early stop should leave shards unrun: %+v", st)
 	}
 
-	hit, err := Run(t.TempDir(), g, spec, Options{Workers: 2, CacheDir: cache})
+	hit, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 2, CacheDir: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestSampledCampaignStoppingRule(t *testing.T) {
 	}
 }
 
-// archivalGraph builds an edgeless n=100,000 fixture: planShards consults
+// archivalGraph builds an edgeless n=100,000 fixture: planning consults
 // only node counts, so no wiring is needed to exercise the overflow path.
 func archivalGraph(t *testing.T) *graph.Graph {
 	t.Helper()
@@ -158,7 +158,7 @@ func archivalGraph(t *testing.T) *graph.Graph {
 func TestExhaustiveOverflowFastFail(t *testing.T) {
 	g := archivalGraph(t)
 	dir := t.TempDir()
-	_, err := Run(dir+"/c", g, Spec{Kind: KindWorstCase, MaxK: 5}, Options{})
+	_, err := RunCtx(context.Background(), dir+"/c", g, Spec{Kind: KindWorstCase, MaxK: 5}, Options{})
 	if !errors.Is(err, combin.ErrRankOverflow) {
 		t.Fatalf("exhaustive n=100k spec returned %v, want ErrRankOverflow", err)
 	}
@@ -169,11 +169,11 @@ func TestExhaustiveOverflowFastFail(t *testing.T) {
 	// The sampled kind accepts the same graph: planning succeeds without
 	// touching the (astronomically large) rank space.
 	spec := Spec{Kind: KindSampled, MinK: 5, MaxK: 5}.normalize(g.Total)
-	groups, err := planShards(g, spec)
+	job, err := spec.job(g)
 	if err != nil {
 		t.Fatalf("sampled plan at n=100k failed: %v", err)
 	}
-	if len(groups) == 0 {
+	if len(job.Groups) == 0 {
 		t.Fatal("sampled plan is empty")
 	}
 }

@@ -21,7 +21,7 @@ import (
 // together with its check is unrecoverable — the worst case is 2 lost
 // nodes. 16 data + 8 + 4 checks = 28 nodes keeps exhaustive scans fast
 // while still yielding multi-shard plans at small shard sizes.
-func testGraph(t *testing.T) *graph.Graph {
+func testGraph(t testing.TB) *graph.Graph {
 	t.Helper()
 	b := graph.NewBuilder(16)
 	r1 := b.AddLevel(0, 16, 8)
@@ -40,7 +40,7 @@ func testGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-func marshal(t *testing.T, v any) []byte {
+func marshal(t testing.TB, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -56,11 +56,11 @@ func TestWorstCaseCampaignMatchesSim(t *testing.T) {
 	// compared exactly.
 	spec := Spec{Kind: KindWorstCase, MaxK: 3, MaxFailures: 100000, KeepGoing: true, ShardSize: 128}
 
-	res, err := Run(t.TempDir(), g, spec, Options{Workers: 4})
+	res, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.WorstCase(g, sim.WorstCaseOptions{MaxK: 3, MaxFailures: 100000, KeepGoing: true})
+	want, err := sim.WorstCaseCtx(context.Background(), g, sim.WorstCaseOptions{MaxK: 3, MaxFailures: 100000, KeepGoing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestWorstCaseCampaignMatchesSim(t *testing.T) {
 		t.Fatal("no worst-case result")
 	}
 	if !reflect.DeepEqual(*res.WorstCase, want) {
-		t.Errorf("campaign result diverges from sim.WorstCase:\n got %+v\nwant %+v", *res.WorstCase, want)
+		t.Errorf("campaign result diverges from sim.WorstCaseCtx:\n got %+v\nwant %+v", *res.WorstCase, want)
 	}
 	if res.WorstCase.FirstFailure != 2 {
 		t.Errorf("first failure = %d, want 2", res.WorstCase.FirstFailure)
@@ -82,7 +82,7 @@ func TestEarlyStopSkipsHigherCardinalities(t *testing.T) {
 	g := testGraph(t)
 	dir := t.TempDir()
 	spec := Spec{Kind: KindWorstCase, MaxK: 4, MaxFailures: 8, ShardSize: 128}
-	res, err := Run(dir, g, spec, Options{Workers: 2})
+	res, err := RunCtx(context.Background(), dir, g, spec, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 	g := testGraph(t)
 	spec := Spec{Kind: KindWorstCase, MaxK: 3, MaxFailures: 64, KeepGoing: true, ShardSize: 128}
 
-	uninterrupted, err := Run(t.TempDir(), g, spec, Options{Workers: 4})
+	uninterrupted, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 	}
 
 	var resumedShards int
-	resumed, err := Resume(dir, Options{
+	resumed, err := ResumeCtx(context.Background(), dir, Options{
 		Workers: 4,
 		Progress: func(s Status) {
 			if !s.Completed {
@@ -162,7 +162,7 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 	}
 
 	// Resuming a completed campaign is served from result.json.
-	again, err := Resume(dir, Options{})
+	again, err := ResumeCtx(context.Background(), dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestProfileCampaignResumeDeterministic(t *testing.T) {
 		ExhaustiveLimit: 500, Seed: 2006, ShardSize: 512,
 	}
 
-	uninterrupted, err := Run(t.TempDir(), g, spec, Options{Workers: 4})
+	uninterrupted, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestProfileCampaignResumeDeterministic(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
 	}
-	resumed, err := Resume(dir, Options{Workers: 4})
+	resumed, err := ResumeCtx(context.Background(), dir, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestResultCache(t *testing.T) {
 	spec := Spec{Kind: KindWorstCase, MaxK: 2, MaxFailures: 16, ShardSize: 128}
 	opts := Options{Workers: 2, CacheDir: cache}
 
-	first, err := Run(t.TempDir(), g, spec, opts)
+	first, err := RunCtx(context.Background(), t.TempDir(), g, spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestResultCache(t *testing.T) {
 	var progressed bool
 	opts2 := opts
 	opts2.Progress = func(Status) { progressed = true }
-	second, err := Run(t.TempDir(), g, spec, opts2)
+	second, err := RunCtx(context.Background(), t.TempDir(), g, spec, opts2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestResultCache(t *testing.T) {
 	if CacheKey(rewired, spec) == CacheKey(g, spec) {
 		t.Fatal("rewire did not change the cache key")
 	}
-	third, err := Run(t.TempDir(), rewired, spec, opts)
+	third, err := RunCtx(context.Background(), t.TempDir(), rewired, spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,26 +279,26 @@ func TestRunRefusesOccupiedDir(t *testing.T) {
 	g := testGraph(t)
 	dir := t.TempDir()
 	spec := Spec{Kind: KindWorstCase, MaxK: 1, ShardSize: 128}
-	if _, err := Run(dir, g, spec, Options{}); err != nil {
+	if _, err := RunCtx(context.Background(), dir, g, spec, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(dir, g, spec, Options{}); err == nil {
+	if _, err := RunCtx(context.Background(), dir, g, spec, Options{}); err == nil {
 		t.Error("second Run into the same directory succeeded")
 	}
 }
 
 func TestSpecValidation(t *testing.T) {
 	g := testGraph(t)
-	if _, err := Run(t.TempDir(), g, Spec{Kind: "bogus"}, Options{}); err == nil {
+	if _, err := RunCtx(context.Background(), t.TempDir(), g, Spec{Kind: "bogus"}, Options{}); err == nil {
 		t.Error("bogus kind accepted")
 	}
-	if _, err := Run(t.TempDir(), nil, Spec{Kind: KindWorstCase}, Options{}); err == nil {
+	if _, err := RunCtx(context.Background(), t.TempDir(), nil, Spec{Kind: KindWorstCase}, Options{}); err == nil {
 		t.Error("nil graph accepted")
 	}
-	if _, err := Run("", g, Spec{Kind: KindWorstCase}, Options{}); err == nil {
+	if _, err := RunCtx(context.Background(), "", g, Spec{Kind: KindWorstCase}, Options{}); err == nil {
 		t.Error("empty dir accepted")
 	}
-	if _, err := Resume(t.TempDir(), Options{}); err == nil {
+	if _, err := ResumeCtx(context.Background(), t.TempDir(), Options{}); err == nil {
 		t.Error("resume of an empty dir succeeded")
 	}
 }
@@ -307,7 +307,7 @@ func TestJournalSurvivesTruncatedTail(t *testing.T) {
 	g := testGraph(t)
 	spec := Spec{Kind: KindWorstCase, MaxK: 3, MaxFailures: 64, KeepGoing: true, ShardSize: 128}
 
-	uninterrupted, err := Run(t.TempDir(), g, spec, Options{Workers: 2})
+	uninterrupted, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestJournalSurvivesTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resumed, err := Resume(dir, Options{Workers: 2})
+	resumed, err := ResumeCtx(context.Background(), dir, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestProgressMetrics(t *testing.T) {
 	g := testGraph(t)
 	reg := obs.NewRegistry()
 	spec := Spec{Kind: KindWorstCase, MaxK: 3, MaxFailures: 8, KeepGoing: true, ShardSize: 128}
-	if _, err := Run(t.TempDir(), g, spec, Options{Workers: 2, Metrics: reg}); err != nil {
+	if _, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 2, Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	total := reg.Gauge(MetricShardsTotal).Value()
@@ -375,7 +375,7 @@ func TestProgressMetrics(t *testing.T) {
 func TestLegacyKernelManifestResume(t *testing.T) {
 	g := testGraph(t)
 	spec := Spec{Kind: KindWorstCase, MaxK: 3, MaxFailures: 64, KeepGoing: true, ShardSize: 128}
-	uninterrupted, err := Run(t.TempDir(), g, spec, Options{Workers: 4})
+	uninterrupted, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestLegacyKernelManifestResume(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		resumed, err := Resume(dir, Options{Workers: 4})
+		resumed, err := ResumeCtx(context.Background(), dir, Options{Workers: 4})
 		if err != nil {
 			t.Fatalf("kernel %q: resuming a legacy manifest: %v", kernel, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -46,11 +47,16 @@ type Manifest struct {
 	TotalWork   int64  `json:"total_work"` // combinations + trials across all shards
 }
 
+// status is the progress snapshot of a campaign in dir with nothing done.
+func (m Manifest) status(dir string) Status {
+	return Status{Dir: dir, Kind: m.Spec.Kind, Fingerprint: m.Fingerprint, TotalShards: m.TotalShards, WorkTotal: m.TotalWork}
+}
+
 // Record is one journal line: the complete, deterministic result of one
-// shard. Exhaustive shards carry Tested/FailCount/Failures; Monte Carlo
-// shards carry Trials/Hits. Sampled shards additionally carry the
-// per-stratum tallies and the screening count, and reuse Failures for the
-// failing witness patterns.
+// shard — a sim.Unit, Shard being its ID (see toRecord). Exhaustive shards
+// carry Tested/FailCount/Failures; Monte Carlo shards carry Trials/Hits.
+// Sampled shards additionally carry the per-stratum tallies and the
+// screening count, and reuse Failures for the failing witness patterns.
 type Record struct {
 	Shard     int     `json:"shard"`
 	K         int     `json:"k"`
@@ -123,7 +129,10 @@ func readManifest(dir string) (Manifest, error) {
 // record crash-durable.
 type journalWriter struct {
 	mu sync.Mutex
-	f  *os.File
+	f  interface {
+		io.WriteCloser
+		Sync() error
+	}
 }
 
 func openJournal(dir string) (*journalWriter, error) {
@@ -153,7 +162,8 @@ func (w *journalWriter) Close() error { return w.f.Close() }
 // shard ID. A missing file is an empty journal. Undecodable lines — the
 // partially written tail a crash can leave — are skipped: the affected
 // shard simply reruns, which is always safe because shards are
-// deterministic.
+// deterministic. A line that decodes is not yet trusted: fromRecord checks
+// it against the planned shard.
 func readJournal(dir string) (map[int]Record, error) {
 	f, err := os.Open(filepath.Join(dir, journalFile))
 	if err != nil {

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -98,7 +99,7 @@ func TestDetectFirstFailureMirrored(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Component critical sets: dead pairs (first failure 2 each site).
-	wc, err := sim.WorstCase(s.sites[0], sim.WorstCaseOptions{MaxK: 2})
+	wc, err := sim.WorstCaseCtx(context.Background(), s.sites[0], sim.WorstCaseOptions{MaxK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestDetectFirstFailureSameTornadoGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc, err := sim.WorstCase(g, sim.WorstCaseOptions{MaxK: 4})
+	wc, err := sim.WorstCaseCtx(context.Background(), g, sim.WorstCaseOptions{MaxK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +172,11 @@ func TestComplementaryGraphsBeatSameGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wcA, err := sim.WorstCase(gA, sim.WorstCaseOptions{MaxK: 4})
+	wcA, err := sim.WorstCaseCtx(context.Background(), gA, sim.WorstCaseOptions{MaxK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wcB, err := sim.WorstCase(gB, sim.WorstCaseOptions{MaxK: 4})
+	wcB, err := sim.WorstCaseCtx(context.Background(), gB, sim.WorstCaseOptions{MaxK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@
 package lec
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 
@@ -84,7 +85,7 @@ func Generate(data, checks int, opts Options, rng *rand.Rand) (*graph.Graph, Sea
 		if err != nil {
 			continue // unlucky wiring; try the next candidate
 		}
-		wc, err := sim.WorstCase(g, sim.WorstCaseOptions{MaxK: opts.ScreenK, Workers: opts.Workers})
+		wc, err := sim.WorstCaseCtx(context.Background(), g, sim.WorstCaseOptions{MaxK: opts.ScreenK, Workers: opts.Workers})
 		if err != nil {
 			return nil, st, err
 		}
@@ -96,7 +97,7 @@ func Generate(data, checks int, opts Options, rng *rand.Rand) (*graph.Graph, Sea
 		if ffScore == 0 {
 			ffScore = opts.ScreenK + 1 // tolerating everything scores best
 		}
-		prof, err := sim.FailureProfile(g, sim.ProfileOptions{
+		prof, err := sim.FailureProfileCtx(context.Background(), g, sim.ProfileOptions{
 			Trials: opts.ProbeTrials, MinK: probeK, MaxK: probeK,
 			ExhaustiveLimit: 1, Workers: opts.Workers, Seed: uint64(c) + 1,
 		})

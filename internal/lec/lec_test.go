@@ -1,6 +1,7 @@
 package lec
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestGenerateSearchPicksGoodCandidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The winner's reported first failure must match a fresh measurement.
-	wc, err := sim.WorstCase(g, sim.WorstCaseOptions{MaxK: 3})
+	wc, err := sim.WorstCaseCtx(context.Background(), g, sim.WorstCaseOptions{MaxK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package raid
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -94,7 +95,7 @@ func TestGroupTolerancePanics(t *testing.T) {
 // digits from sampling; enumeration makes it exact).
 func TestSimulatorMatchesMirroredTheory(t *testing.T) {
 	g := MirroredGraph(8)
-	p, err := sim.FailureProfile(g, sim.ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
+	p, err := sim.FailureProfileCtx(context.Background(), g, sim.ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestSimulatorMatchesRAID5Theory(t *testing.T) {
 	if g.Total != 12 || g.Data != 9 {
 		t.Fatalf("graph shape: %v", g)
 	}
-	p, err := sim.FailureProfile(g, sim.ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
+	p, err := sim.FailureProfileCtx(context.Background(), g, sim.ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

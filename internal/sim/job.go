@@ -1,0 +1,246 @@
+package sim
+
+import (
+	"context"
+	"fmt"
+	"sync"
+
+	"tornado/internal/combin"
+	"tornado/internal/decode"
+	"tornado/internal/graph"
+	"tornado/internal/stats"
+)
+
+// This file is the one certification driver. Every job — worst-case
+// search, failure profile, sampled certification — is a Job: a
+// deterministic plan of Units in ordered groups, a stopping rule that may
+// skip later groups, and a fold of unit results into the job's result.
+// Job.Run is the only loop; its one parameter is the Runner that computes a
+// unit. The in-memory entry points (WorstCaseCtx, FailureProfileCtx,
+// SampleStratifiedCtx) pass a LocalRunner; internal/campaign passes the
+// same LocalRunner wrapped to skip journaled units and journal fresh ones.
+
+// Unit is one deterministic piece of certification work, a pure function
+// of its fields. A unit with Trials == 0 scans the revolving-door rank
+// range [Lo, Hi) of cardinality K exhaustively; otherwise it draws Trials
+// k-subsets from the RNG stream (Seed, K, Stream), through the stratified
+// sampler when Stratified is set.
+type Unit struct {
+	ID           int // position in plan order: the same plan numbers its units the same way every time
+	K            int
+	Lo, Hi       int64
+	Trials       int64
+	Seed, Stream uint64
+	Stratified   bool
+	MaxFailures  int // cap on the failing sets recorded verbatim
+}
+
+// Work returns the number of combinations or trials the unit examines.
+func (u Unit) Work() int64 {
+	if u.Trials > 0 {
+		return u.Trials
+	}
+	return u.Hi - u.Lo
+}
+
+// UnitResult is the result of one Unit.
+type UnitResult struct {
+	Tally    stats.Proportion // failing / examined combinations or trials
+	Failures [][]int          // failing sets recorded verbatim: a range's lex-smallest, a block's first witnesses
+	// Stratified units only: Tally split by stratum (see SampledBlock),
+	// and the trials resolved by structural proof alone.
+	Strata   []stats.Proportion
+	Screened int64
+}
+
+// A Runner computes units. Job.Run calls RunUnit from up to Workers()
+// goroutines at once; w < Workers() names the calling goroutine, so a
+// runner may keep per-goroutine state in a slice.
+type Runner interface {
+	Workers() int
+	RunUnit(ctx context.Context, w int, u Unit) (UnitResult, error)
+}
+
+// Job is one certification workload: the plan, and — as Run folds each
+// completed group — the result. Exactly one of WorstCase, Profile and
+// Sampled is set, by the constructor.
+type Job struct {
+	// Groups is the plan. A group's units are independent; groups run in
+	// order, because the stopping rule looks at everything before it.
+	Groups [][]Unit
+	// Err is why the plan ends short of the requested cardinalities (a
+	// rank space beyond int64, or beyond the planning budget). Run reports
+	// it unless a stopping rule ends the job first; a caller that must not
+	// start what it cannot finish checks it up front.
+	Err error
+
+	WorstCase *WorstCaseResult
+	Profile   *Profile
+	Sampled   []*SampledResult // one per cardinality, ascending
+
+	total int // nodes in the graph
+	// fold merges group gi's results (res[i] belongs to Groups[gi][i]) and
+	// returns the next group to run: gi+1, or further when a stopping rule
+	// fired.
+	fold func(gi int, res []UnitResult) (next int)
+}
+
+// number assigns unit IDs in plan order.
+func (j *Job) number() *Job {
+	id := 0
+	for _, grp := range j.Groups {
+		for i := range grp {
+			grp[i].ID = id
+			id++
+		}
+	}
+	return j
+}
+
+// Run executes the job: group by group, each group's units fanned out over
+// the runner's workers, each completed group folded before the next one
+// starts. The first unit error — cancellation included — cancels the rest
+// of its group and is returned; groups folded so far stay in the result.
+func (j *Job) Run(ctx context.Context, r Runner) error {
+	for gi := 0; gi < len(j.Groups); {
+		res, err := runGroup(ctx, r, j.Groups[gi])
+		if err != nil {
+			return err
+		}
+		gi = j.fold(gi, res)
+	}
+	return j.Err
+}
+
+func runGroup(ctx context.Context, r Runner, units []Unit) ([]UnitResult, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	res := make([]UnitResult, len(units))
+	var first error
+	var once sync.Once
+	forBlocks(r.Workers(), 0, int64(len(units)), func(w int, i int64) {
+		err := ctx.Err()
+		if err == nil {
+			res[i], err = r.RunUnit(ctx, w, units[i])
+		}
+		if err != nil {
+			once.Do(func() { first = err; cancel() })
+		}
+	})
+	return res, first
+}
+
+// Accepts reports whether r is a complete, well-formed result of unit u:
+// the work adds up to the unit's, a stratified unit's K+1 strata add up to
+// its tally, and there are no more recorded failing sets than failures,
+// each K ascending node IDs. A durable runner applies it to results it did
+// not compute in this process before they reach fold.
+func (j *Job) Accepts(u Unit, r UnitResult) bool {
+	strata := 0
+	if u.Stratified {
+		strata = u.K + 1
+	}
+	if len(r.Strata) != strata || strata > 0 && stats.Pool(r.Strata...) != r.Tally ||
+		r.Tally.Trials != u.Work() || r.Tally.Hits > r.Tally.Trials || int64(len(r.Failures)) > r.Tally.Hits {
+		return false
+	}
+	for _, set := range r.Failures {
+		if len(set) != u.K {
+			return false
+		}
+		for i, v := range set {
+			if v < 0 || v >= j.total || i > 0 && v <= set[i-1] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// maxPlannedUnits bounds the units one cardinality may be cut into. An
+// archival-scale cardinality whose rank space still fits int64 (C(100000,
+// 4) ≈ 4.2e18) would otherwise ask for trillions of Unit structs; like a
+// true rank overflow, that means exhaustive enumeration is infeasible and
+// the job should be sampled instead.
+const maxPlannedUnits = 1 << 20
+
+// rankUnits tiles cardinality k's rank space [0, C(total, k)) with
+// near-equal contiguous ranges: one per worker when shardSize is 0 (the
+// in-memory tiling), else as many as keep each range within shardSize
+// ranks.
+func rankUnits(total, k, maxFailures, workers int, shardSize int64) ([]Unit, error) {
+	space, err := rankSpace(total, k)
+	if err != nil {
+		return nil, err
+	}
+	parts := int64(workers)
+	if shardSize > 0 {
+		parts = (space + shardSize - 1) / shardSize
+	}
+	if parts > maxPlannedUnits {
+		return nil, fmt.Errorf("sim: C(%d,%d) = %d needs %d ranges of %d, beyond the exhaustive planning budget (%w); use the sampled certification spec",
+			total, k, space, parts, shardSize, combin.ErrRankOverflow)
+	}
+	ranges := combin.SplitRanges(space, int(parts))
+	units := make([]Unit, len(ranges))
+	for i, rg := range ranges {
+		units[i] = Unit{K: k, Lo: rg[0], Hi: rg[1], MaxFailures: maxFailures}
+	}
+	return units, nil
+}
+
+// blockUnits appends blocks [lo, hi) of the fixed tiling of a trial
+// budget: block b is trials [b·blockSize, (b+1)·blockSize) — the last one
+// short — drawn from stream b. tmpl carries the fields the blocks share.
+func blockUnits(units []Unit, tmpl Unit, trials, blockSize, lo, hi int64) []Unit {
+	for b := lo; b < hi; b++ {
+		tmpl.Trials, tmpl.Stream = min(blockSize, trials-b*blockSize), uint64(b)
+		units = append(units, tmpl)
+	}
+	return units
+}
+
+// LocalRunner computes units in this process: one CSR for the job, and per
+// worker one scanner and one sampler of each kind, built on first use and
+// re-aimed from unit to unit and cardinality to cardinality.
+type LocalRunner struct {
+	csr     *decode.CSR
+	workers []localWorker
+}
+
+type localWorker struct {
+	scan   *scanner
+	stream *streamSampler
+	strat  *StratifiedSampler
+}
+
+// NewLocalRunner returns a runner over g with the given worker count
+// (default GOMAXPROCS).
+func NewLocalRunner(g *graph.Graph, workers int) *LocalRunner {
+	return &LocalRunner{csr: decode.NewCSR(g), workers: make([]localWorker, defaultWorkers(workers))}
+}
+
+func (l *LocalRunner) Workers() int { return len(l.workers) }
+
+func (l *LocalRunner) RunUnit(ctx context.Context, w int, u Unit) (UnitResult, error) {
+	lw := &l.workers[w]
+	switch {
+	case u.Trials == 0:
+		if lw.scan == nil {
+			lw.scan = newScanner(l.csr)
+		}
+		rr, err := lw.scan.scanRange(ctx, u.K, u.Lo, u.Hi, u.MaxFailures)
+		return UnitResult{Tally: stats.Proportion{Hits: rr.FailureCount, Trials: rr.Tested}, Failures: rr.Failures}, err
+	case u.Stratified:
+		if lw.strat == nil {
+			lw.strat = NewStratifiedSampler(l.csr)
+		}
+		blk, err := lw.strat.SampleBlock(ctx, u.K, u.Trials, u.Seed, u.Stream, u.MaxFailures)
+		return UnitResult{Tally: blk.Tally(), Failures: blk.Witnesses, Strata: blk.Strata, Screened: blk.Screened}, err
+	}
+	if lw.stream == nil {
+		lw.stream = newStreamSampler(l.csr)
+	}
+	tally, err := lw.stream.sample(ctx, u.K, u.Trials, u.Seed, u.Stream)
+	return UnitResult{Tally: tally}, err
+}

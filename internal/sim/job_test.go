@@ -1,0 +1,125 @@
+package sim
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"tornado/internal/combin"
+)
+
+// scriptRunner is a Runner that computes nothing: it counts the units it is
+// handed and fails the one whose ID is failID.
+type scriptRunner struct {
+	workers int
+	failID  int
+	ran     atomic.Int32
+}
+
+var errScript = errors.New("scripted unit failure")
+
+func (r *scriptRunner) Workers() int { return r.workers }
+
+func (r *scriptRunner) RunUnit(ctx context.Context, w int, u Unit) (UnitResult, error) {
+	r.ran.Add(1)
+	if u.ID == r.failID {
+		return UnitResult{}, errScript
+	}
+	return UnitResult{}, ctx.Err()
+}
+
+// TestRunGroupFirstErrorCancelsTheRest: the first unit error ends its
+// group — no later unit is handed to the runner — and it, not the
+// cancellation it caused, is what the group reports; a caller's cancel
+// reports ctx.Err() without running a unit.
+func TestRunGroupFirstErrorCancelsTheRest(t *testing.T) {
+	units := make([]Unit, 200)
+	for i := range units {
+		units[i].ID = i
+	}
+	for _, workers := range []int{1, 4} {
+		r := &scriptRunner{workers: workers, failID: 7}
+		if _, err := runGroup(context.Background(), r, units); err != errScript {
+			t.Errorf("workers=%d: group returned %v, want the unit's error", workers, err)
+		}
+		// Units 0..7, plus at most one more per other worker already past
+		// its cancellation check.
+		if ran := int(r.ran.Load()); ran > 8+workers-1 {
+			t.Errorf("workers=%d: %d units ran after unit 7 failed", workers, ran)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		r = &scriptRunner{workers: workers, failID: -1}
+		if _, err := runGroup(ctx, r, units); !errors.Is(err, context.Canceled) || r.ran.Load() != 0 {
+			t.Errorf("workers=%d: canceled group returned %v after running %d units", workers, err, r.ran.Load())
+		}
+	}
+}
+
+// TestWorstCasePlanEndingShort: a search asked for cardinalities it cannot
+// plan reports that only if it gets there. The 8-node mirror fails at k=2;
+// MaxK 12 asks for four cardinalities that do not exist.
+func TestWorstCasePlanEndingShort(t *testing.T) {
+	g := mirrorGraph(4)
+	j := NewWorstCaseJob(g, WorstCaseOptions{MaxK: 12}, 0)
+	if len(j.Groups) != 8 || j.Err == nil {
+		t.Fatalf("plan has %d groups and error %v, want 8 and an out-of-range error", len(j.Groups), j.Err)
+	}
+	res, err := WorstCaseCtx(context.Background(), g, WorstCaseOptions{MaxK: 12})
+	if err != nil || res.FirstFailure != 2 || len(res.PerK) != 2 {
+		t.Errorf("stopping search: %+v, %v", res, err)
+	}
+	res, err = WorstCaseCtx(context.Background(), g, WorstCaseOptions{MaxK: 12, KeepGoing: true})
+	if err == nil || !strings.Contains(err.Error(), "cardinality 9 out of range") || len(res.PerK) != 8 {
+		t.Errorf("exhausting search: %d cardinalities, error %v", len(res.PerK), err)
+	}
+}
+
+// TestTilingIsTheDocumentedOne pins what the two tilings promise: in
+// memory one rank range per worker and DefaultSampledBlock-trial blocks;
+// with a shard size, ranges within it and blocks of exactly it — block b
+// on stream b, the last one short — numbered in plan order.
+func TestTilingIsTheDocumentedOne(t *testing.T) {
+	g := mirrorGraph(12) // 24 nodes
+	j := NewWorstCaseJob(g, WorstCaseOptions{MaxK: 3, Workers: 3, KeepGoing: true}, 0)
+	for gi, grp := range j.Groups {
+		if len(grp) != 3 {
+			t.Errorf("in-memory k=%d: %d ranges for 3 workers", gi+1, len(grp))
+		}
+	}
+	j = NewWorstCaseJob(g, WorstCaseOptions{MaxK: 3}, 100)
+	id := 0
+	for gi, grp := range j.Groups {
+		space, _ := combin.BinomialInt64(g.Total, gi+1)
+		var lo int64
+		for _, u := range grp {
+			if u.ID != id || u.K != gi+1 || u.Lo != lo || u.Work() > 100 || u.Work() < 1 {
+				t.Fatalf("k=%d: unit %+v after id %d rank %d", gi+1, u, id, lo)
+			}
+			id, lo = id+1, u.Hi
+		}
+		if lo != space || int64(len(grp)) != (space+99)/100 {
+			t.Errorf("k=%d: %d ranges tile %d of %d ranks", gi+1, len(grp), lo, space)
+		}
+	}
+
+	for _, tc := range []struct{ shard, block int64 }{{0, DefaultSampledBlock}, {30000, 30000}} {
+		pj, err := NewProfileJob(g, ProfileOptions{Trials: 150000, MinK: 6, MaxK: 7, ExhaustiveLimit: 1}, tc.shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := int((150000 + tc.block - 1) / tc.block)
+		if len(pj.Groups) != 1 || len(pj.Groups[0]) != 2*per {
+			t.Fatalf("shard %d: %d groups, %d units, want 1 and %d", tc.shard, len(pj.Groups), len(pj.Groups[0]), 2*per)
+		}
+		for i, u := range pj.Groups[0] {
+			b := int64(i % per)
+			if u.ID != i || u.K != 6+i/per || u.Stream != uint64(b) || u.Trials != min(tc.block, 150000-b*tc.block) {
+				t.Errorf("shard %d: unit %d is %+v", tc.shard, i, u)
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tornado/internal/combin"
+	"tornado/internal/decode"
 	"tornado/internal/obs"
 )
 
@@ -15,7 +16,7 @@ func TestMetricsWiring(t *testing.T) {
 	defer SetMetrics(old)
 
 	g := ctxTestGraph(t)
-	kr, err := ExhaustiveK(g, 2, 4, 2)
+	kr, err := ExhaustiveKCtx(context.Background(), g, 2, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func TestMetricsWiring(t *testing.T) {
 		t.Errorf("%s = %d, want %d", MetricFailuresFound, got, kr.FailureCount)
 	}
 
-	prop, err := SampleStreamCtx(context.Background(), g, 40, 500, 7, 0)
+	prop, err := newStreamSampler(decode.NewCSR(g)).sample(context.Background(), 40, 500, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestScanRangeMatchesExhaustive(t *testing.T) {
 	if !ok {
 		t.Fatal("rank space overflow")
 	}
-	whole, err := ExhaustiveK(g, k, int(total), 4)
+	whole, err := ExhaustiveKCtx(context.Background(), g, k, int(total), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

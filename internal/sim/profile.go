@@ -54,16 +54,27 @@ type Profile struct {
 	Exact     []bool // Fail[k] computed by full enumeration rather than sampling
 }
 
-// FailureProfile measures g's reconstruction-failure profile.
-func FailureProfile(g *graph.Graph, opts ProfileOptions) (*Profile, error) {
-	return FailureProfileCtx(context.Background(), g, opts)
+// FailureProfileCtx measures g's reconstruction-failure profile, with
+// cancellation checked at combination-chunk boundaries inside each worker.
+func FailureProfileCtx(ctx context.Context, g *graph.Graph, opts ProfileOptions) (*Profile, error) {
+	j, err := NewProfileJob(g, opts, 0)
+	if err != nil {
+		return nil, err
+	}
+	if err := j.Run(ctx, NewLocalRunner(g, opts.Workers)); err != nil {
+		return nil, err
+	}
+	return j.Profile, nil
 }
 
-// FailureProfileCtx is FailureProfile with cancellation, checked at
-// combination-chunk boundaries inside each worker. One CSR serves the whole
-// call; the exact points share a scanner per worker and the sampled points
-// a sampler per worker.
-func FailureProfileCtx(ctx context.Context, g *graph.Graph, opts ProfileOptions) (*Profile, error) {
+// NewProfileJob plans the failure profile of g as one group — every point
+// is independent. A point whose rank space is within opts.ExhaustiveLimit
+// is enumerated (rankUnits(shardSize); only the count matters, so at most
+// one witness is recorded); any other is sampled in fixed blocks of
+// shardSize trials, block b drawing from RNG stream b, so the block size
+// is part of what defines the result. shardSize 0 is the in-memory
+// tiling: one rank range per worker, DefaultSampledBlock-trial blocks.
+func NewProfileJob(g *graph.Graph, opts ProfileOptions, shardSize int64) (*Job, error) {
 	opts = opts.normalize(g.Total)
 	p := &Profile{
 		GraphName: g.Name,
@@ -76,73 +87,29 @@ func FailureProfileCtx(ctx context.Context, g *graph.Graph, opts ProfileOptions)
 	p.Fail[0] = stats.Proportion{Hits: 0, Trials: 1}
 	p.Exact[0] = true
 
-	csr := decode.NewCSR(g)
-	scan := newScanPool(csr, opts.Workers)
-	samplers := make([]*streamSampler, opts.Workers)
+	blockSize := int64Or(shardSize, DefaultSampledBlock)
+	var units []Unit
 	for k := opts.MinK; k <= opts.MaxK; k++ {
 		if c, ok := combin.BinomialInt64(g.Total, k); ok && c <= opts.ExhaustiveLimit {
-			kr, err := scan.exhaustiveK(ctx, k, 1)
+			exact, err := rankUnits(g.Total, k, 1, opts.Workers, shardSize)
 			if err != nil {
 				return nil, err
 			}
-			p.Fail[k] = stats.Proportion{Hits: kr.FailureCount, Trials: kr.Tested}
-			p.Exact[k] = true
+			units = append(units, exact...)
 			continue
 		}
-		prop, err := sampleK(ctx, csr, samplers, k, opts.Trials, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		p.Fail[k] = prop
+		nBlocks := (opts.Trials + blockSize - 1) / blockSize
+		units = blockUnits(units, Unit{K: k, Seed: opts.Seed}, opts.Trials, blockSize, 0, nBlocks)
 	}
-	return p, nil
-}
-
-// sampleBlockSize is the deterministic unit of sampled profile work:
-// trials split into fixed-size blocks with stream = block index. It
-// matches the campaign's default profile shard size, so a FailureProfile
-// point and a profile campaign over the same seed produce identical
-// tallies.
-const sampleBlockSize = 65536
-
-// sampleK estimates the failure fraction for exactly k offline nodes by
-// uniform random sampling. Work is split into fixed deterministic blocks
-// (stream = block index) consumed by one worker per samplers slot, so the
-// tally — an integer sum over blocks — is bit-identical at any worker
-// count. A slot's sampler is created by the first worker to use it and
-// kept for the caller's next cardinality.
-func sampleK(ctx context.Context, csr *decode.CSR, samplers []*streamSampler, k int, trials int64, seed uint64) (stats.Proportion, error) {
-	nBlocks := (trials + sampleBlockSize - 1) / sampleBlockSize
-	props := make([]stats.Proportion, nBlocks)
-	errs := make([]error, nBlocks)
-	forBlocks(len(samplers), 0, nBlocks, func(w int, b int64) {
-		if samplers[w] == nil {
-			samplers[w] = newStreamSampler(csr)
+	j := &Job{total: g.Total, Groups: [][]Unit{units}, Profile: p}
+	j.fold = func(gi int, res []UnitResult) int {
+		for i, u := range units {
+			p.Fail[u.K].Add(res[i].Tally.Hits, res[i].Tally.Trials)
+			p.Exact[u.K] = u.Trials == 0
 		}
-		n := min(sampleBlockSize, trials-b*sampleBlockSize)
-		props[b], errs[b] = samplers[w].sample(ctx, k, n, seed, uint64(b))
-	})
-	var agg stats.Proportion
-	for b := range props {
-		// First error in block order: deterministic propagation.
-		if errs[b] != nil {
-			return stats.Proportion{}, errs[b]
-		}
-		agg.Add(props[b].Hits, props[b].Trials)
+		return gi + 1
 	}
-	return agg, nil
-}
-
-// SampleStreamCtx draws trials uniformly random k-subsets from the
-// deterministic RNG stream identified by (seed, k, stream) and tallies the
-// unrecoverable ones. It is the unit of work of both a FailureProfileCtx
-// worker and a Monte Carlo campaign shard (stream = block index in both):
-// fixed arguments always reproduce the same tally, so a resumed campaign
-// is bit-identical to an uninterrupted one. Cancellation is honored at
-// combination-chunk boundaries, and progress counters are flushed to
-// Metrics() at the same cadence.
-func SampleStreamCtx(ctx context.Context, g *graph.Graph, k int, trials int64, seed, stream uint64) (stats.Proportion, error) {
-	return newStreamSampler(decode.NewCSR(g)).sample(ctx, k, trials, seed, stream)
+	return j.number(), nil
 }
 
 // streamSampler is the reusable state of the profile's trial loop: the
@@ -164,7 +131,11 @@ func newStreamSampler(c *decode.CSR) *streamSampler {
 	}
 }
 
-// sample is the body of SampleStreamCtx.
+// sample draws trials uniformly random k-subsets from the deterministic
+// RNG stream identified by (seed, k, stream) and tallies the unrecoverable
+// ones: fixed arguments always reproduce the same tally. Cancellation is
+// honored at combination-chunk boundaries, and progress counters are
+// flushed to Metrics() at the same cadence.
 func (s *streamSampler) sample(ctx context.Context, k int, trials int64, seed, stream uint64) (stats.Proportion, error) {
 	total, data := int(s.c.Total), int(s.c.Data)
 	if k < 1 || k > total {

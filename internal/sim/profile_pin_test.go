@@ -11,7 +11,8 @@ import (
 	"tornado/internal/stats"
 )
 
-// The tallies below were captured from SampleStreamCtx and sampleK at commit
+// The tallies below were captured from SampleStreamCtx (now
+// streamSampler.sample) and sampleK (now the profile job's block units) at commit
 // 34981eb — the scalar decode.Kernel fed by the map-based RandomSubset —
 // for tornado96-1 at seed 2006. The bit-sliced sampler must reproduce every
 // one exactly: same rng.IntN sequence, same subsets, same verdicts.
@@ -40,7 +41,7 @@ func TestSampleStreamPinnedTallies(t *testing.T) {
 		{96, 0, 20000}, {96, 3, 20000},
 	}
 	for _, p := range pins {
-		got, err := SampleStreamCtx(context.Background(), g, p.k, trials, 2006, p.stream)
+		got, err := newStreamSampler(decode.NewCSR(g)).sample(context.Background(), p.k, trials, 2006, p.stream)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,9 +52,9 @@ func TestSampleStreamPinnedTallies(t *testing.T) {
 }
 
 // TestSampleKPinnedTallies pins 150000-trial points — two full blocks and a
-// short third — through sampleK at 1, 4 and 16 workers, each pool of
-// samplers carried from one cardinality to the next as FailureProfileCtx
-// carries it.
+// short third, the profile job's block units — through runGroup at 1, 4
+// and 16 workers, each LocalRunner's samplers carried from one cardinality
+// to the next as FailureProfileCtx carries them.
 func TestSampleKPinnedTallies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("8 x 150000-trial points x 3 worker counts skipped in -short mode")
@@ -70,13 +71,16 @@ func TestSampleKPinnedTallies(t *testing.T) {
 		{5, 0}, {12, 41}, {24, 4115}, {40, 126298},
 		{48, 150000}, {49, 150000}, {60, 150000}, {96, 150000},
 	}
-	csr := decode.NewCSR(g)
 	for _, workers := range []int{1, 4, 16} {
-		samplers := make([]*streamSampler, workers)
+		l := NewLocalRunner(g, workers)
 		for _, p := range pins {
-			got, err := sampleK(context.Background(), csr, samplers, p.k, trials, 2006)
+			res, err := runGroup(context.Background(), l, blockUnits(nil, Unit{K: p.k, Seed: 2006}, trials, DefaultSampledBlock, 0, 3))
 			if err != nil {
 				t.Fatal(err)
+			}
+			var got stats.Proportion
+			for _, r := range res {
+				got.Add(r.Tally.Hits, r.Tally.Trials)
 			}
 			if want := (stats.Proportion{Hits: p.hits, Trials: trials}); got != want {
 				t.Errorf("workers=%d k=%d: tally %+v, pinned %+v", workers, p.k, got, want)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"slices"
 
 	"tornado/internal/combin"
 	"tornado/internal/decode"
@@ -42,15 +41,16 @@ const (
 	// epsilon target is not reached (a failure-rich graph at a loose
 	// epsilon would otherwise run unbounded).
 	DefaultSampledMaxTrials = 4 << 20
-	// DefaultSampledBlock is the trial count of one deterministic block —
-	// the unit of parallelism and of campaign sharding. It matches the
-	// campaign's default shard size so a sim-level run and a campaign over
-	// the same seed produce identical tallies.
+	// DefaultSampledBlock is the trial count of one deterministic Monte
+	// Carlo block, profile and sampled certification alike — the unit of
+	// parallelism and of campaign sharding. It equals the campaign's
+	// default shard size, so an in-memory run and a default campaign over
+	// the same seed plan the same blocks.
 	DefaultSampledBlock = 65536
 )
 
 // sampledSeedDomain separates the sampled certification RNG streams from
-// SampleStreamCtx's profile streams, so running both against one seed
+// the failure profile's streams, so running both against one seed
 // never correlates their draws.
 const sampledSeedDomain = 0x5ca1ab1e
 
@@ -123,13 +123,13 @@ func (r *SampledResult) ScreenRate() float64 {
 	return float64(r.Screened) / float64(r.Tally.Trials)
 }
 
-// SampledPlan lays out the deterministic round schedule for a trial
-// budget: blocks of blockSize trials (the last one short), grouped into
-// doubling rounds of 1, 2, 4, 8, … blocks. rounds[i] is the half-open block
-// range of round i. The schedule is a pure function of (maxTrials,
-// blockSize), so the sim driver, the campaign planner, and a resumed
-// campaign all agree on where the stopping rule may fire.
-func SampledPlan(maxTrials, blockSize int64) (nBlocks int64, rounds [][2]int64) {
+// sampledPlan lays out the deterministic round schedule for a trial
+// budget: blocks of blockSize trials (the last one short, see blockUnits),
+// grouped into doubling rounds of 1, 2, 4, 8, … blocks. rounds[i] is the
+// half-open block range of round i. The schedule is a pure function of
+// (maxTrials, blockSize), so every run of a job — in memory, as a
+// campaign, resumed — agrees on where the stopping rule may fire.
+func sampledPlan(maxTrials, blockSize int64) (nBlocks int64, rounds [][2]int64) {
 	if maxTrials <= 0 || blockSize <= 0 {
 		return 0, nil
 	}
@@ -144,18 +144,9 @@ func SampledPlan(maxTrials, blockSize int64) (nBlocks int64, rounds [][2]int64) 
 	return nBlocks, rounds
 }
 
-// SampledBlockTrials returns the trial count of block b under the
-// SampledPlan(maxTrials, blockSize) schedule — blockSize for every block
-// but a short final one. Exported so the campaign planner shards a sampled
-// spec into exactly the blocks the sim driver would run.
-func SampledBlockTrials(maxTrials, blockSize, b int64) int64 {
-	return min(blockSize, maxTrials-b*blockSize)
-}
-
-// SampledBlock is the tally of one deterministic sampled block: the unit
-// of work of both a SampleStratifiedCtx worker and a sampled campaign
-// shard. Fixed (graph, k, trials, seed, stream) always reproduce the same
-// block.
+// SampledBlock is the tally of one deterministic sampled block, the
+// result of a stratified Unit. Fixed (graph, k, trials, seed, stream)
+// always reproduce the same block.
 type SampledBlock struct {
 	Strata    []stats.Proportion // index: max same-check collision count, capped at k
 	Screened  int64
@@ -367,11 +358,6 @@ func (s *StratifiedSampler) flushBatch(blk *SampledBlock, k, maxWitnesses int) {
 	s.batchLen = 0
 }
 
-// SampleStratified is SampleStratifiedCtx with context.Background.
-func SampleStratified(g *graph.Graph, k int, opts SampledOptions) (*SampledResult, error) {
-	return SampleStratifiedCtx(context.Background(), g, k, opts)
-}
-
 // SampleStratifiedCtx runs the sampled certification of cardinality k:
 // deterministic blocks executed in doubling rounds, stopping at the first
 // round boundary where the pooled 95% Wilson CI half-width reaches
@@ -379,59 +365,55 @@ func SampleStratified(g *graph.Graph, k int, opts SampledOptions) (*SampledResul
 // bit-identical for a fixed seed at any worker count: blocks are fixed
 // RNG streams, tallies are integer sums, witnesses merge in block order,
 // and the stopping rule is evaluated only at round boundaries of the
-// fixed SampledPlan schedule.
+// fixed sampledPlan schedule.
 func SampleStratifiedCtx(ctx context.Context, g *graph.Graph, k int, opts SampledOptions) (*SampledResult, error) {
 	if k < 1 || k > g.Total {
 		return nil, fmt.Errorf("sim: cardinality %d out of range for %d nodes", k, g.Total)
 	}
-	opts = opts.normalize()
-	c := decode.NewCSR(g)
-
-	nBlocks, rounds := SampledPlan(opts.MaxTrials, opts.BlockSize)
-	res := &SampledResult{K: k, Strata: make([]stats.Proportion, k+1)}
-
-	samplers := make([]*StratifiedSampler, min(int64(opts.Workers), nBlocks))
-	for i := range samplers {
-		samplers[i] = NewStratifiedSampler(c)
+	j := NewSampledJob(g, k, k, opts)
+	if err := j.Run(ctx, NewLocalRunner(g, opts.Workers)); err != nil {
+		return nil, err
 	}
-
-	blocks := make([]SampledBlock, nBlocks)
-	errs := make([]error, nBlocks)
-	for _, rd := range rounds {
-		// Execute the round's blocks across the worker pool.
-		forBlocks(len(samplers), rd[0], rd[1], func(w int, b int64) {
-			n := SampledBlockTrials(opts.MaxTrials, opts.BlockSize, b)
-			blocks[b], errs[b] = samplers[w].SampleBlock(ctx, k, n, opts.Seed, uint64(b), opts.MaxWitnesses)
-		})
-		// First error in block order, so cancellation reports are
-		// deterministic too.
-		for b := rd[0]; b < rd[1]; b++ {
-			if errs[b] != nil {
-				return nil, errs[b]
-			}
-		}
-		for b := rd[0]; b < rd[1]; b++ {
-			mergeSampledBlock(res, blocks[b], opts.MaxWitnesses)
-		}
-		res.Rounds = append(res.Rounds, SampledRound{Trials: res.Tally.Trials, HalfWidth: res.HalfWidth()})
-		if opts.Epsilon > 0 && res.HalfWidth() <= opts.Epsilon {
-			break
-		}
-	}
-	return res, nil
+	return j.Sampled[0], nil
 }
 
-// mergeSampledBlock folds one block into the running result.
-func mergeSampledBlock(res *SampledResult, blk SampledBlock, maxWitnesses int) {
-	for s, p := range blk.Strata {
-		res.Strata[s].Add(p.Hits, p.Trials)
-	}
-	res.Screened += blk.Screened
-	for _, w := range blk.Witnesses {
-		if len(res.Witnesses) >= maxWitnesses {
-			break
+// NewSampledJob plans the sampled certification of cardinalities
+// minK..maxK: one group per (cardinality, round of sampledPlan), one unit
+// per block. A cardinality's remaining rounds are skipped from the first
+// round boundary where its pooled half-width is within opts.Epsilon.
+func NewSampledJob(g *graph.Graph, minK, maxK int, opts SampledOptions) *Job {
+	opts = opts.normalize()
+	_, rounds := sampledPlan(opts.MaxTrials, opts.BlockSize)
+	j := &Job{total: g.Total}
+	for k := minK; k <= maxK; k++ {
+		j.Sampled = append(j.Sampled, &SampledResult{K: k, Strata: make([]stats.Proportion, k+1)})
+		tmpl := Unit{K: k, Seed: opts.Seed, Stratified: true, MaxFailures: opts.MaxWitnesses}
+		for _, rd := range rounds {
+			j.Groups = append(j.Groups, blockUnits(nil, tmpl, opts.MaxTrials, opts.BlockSize, rd[0], rd[1]))
 		}
-		res.Witnesses = append(res.Witnesses, slices.Clone(w))
 	}
-	res.Tally = stats.Pool(res.Strata...)
+	j.fold = func(gi int, res []UnitResult) int {
+		ki := gi / len(rounds)
+		sr := j.Sampled[ki]
+		// Merge in block order: tallies are integer sums and witnesses
+		// carry block order.
+		for _, r := range res {
+			for s, p := range r.Strata {
+				sr.Strata[s].Add(p.Hits, p.Trials)
+			}
+			sr.Screened += r.Screened
+			for _, w := range r.Failures {
+				if len(sr.Witnesses) < opts.MaxWitnesses {
+					sr.Witnesses = append(sr.Witnesses, w)
+				}
+			}
+		}
+		sr.Tally = stats.Pool(sr.Strata...)
+		sr.Rounds = append(sr.Rounds, SampledRound{Trials: sr.Tally.Trials, HalfWidth: sr.HalfWidth()})
+		if opts.Epsilon > 0 && sr.HalfWidth() <= opts.Epsilon {
+			return (ki + 1) * len(rounds) // the next cardinality's first round
+		}
+		return gi + 1
+	}
+	return j.number()
 }

@@ -108,13 +108,13 @@ func TestSampledMatchesScalarVerdicts(t *testing.T) {
 func TestSampledWorkerCountIndependence(t *testing.T) {
 	g := unscreened96(t, 11)
 	opts := SampledOptions{Seed: 9, MaxTrials: 40000, BlockSize: 4096, Epsilon: -1, Workers: 1}
-	want, err := SampleStratified(g, 4, opts)
+	want, err := SampleStratifiedCtx(context.Background(), g, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 3, 7} {
 		opts.Workers = w
-		got, err := SampleStratified(g, 4, opts)
+		got, err := SampleStratifiedCtx(context.Background(), g, 4, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestSampledStoppingRule(t *testing.T) {
 	// Screened graph at k=2: failures are essentially absent, so the
 	// zero-hit half-width math governs. One 4096-trial round gives
 	// hw ≈ 1.92/4100 ≈ 4.7e-4; epsilon 1e-3 must stop after round one.
-	res, err := SampleStratified(g, 2, SampledOptions{
+	res, err := SampleStratifiedCtx(context.Background(), g, 2, SampledOptions{
 		Seed: 5, MaxTrials: 1 << 20, BlockSize: 4096, Epsilon: 1e-3,
 	})
 	if err != nil {
@@ -163,7 +163,7 @@ func TestSampledStoppingRule(t *testing.T) {
 // TestSampledPlanSchedule pins the doubling schedule and its exact tiling
 // of the trial budget.
 func TestSampledPlanSchedule(t *testing.T) {
-	nBlocks, rounds := SampledPlan(100000, 4096)
+	nBlocks, rounds := sampledPlan(100000, 4096)
 	if nBlocks != 25 {
 		t.Fatalf("nBlocks = %d, want 25", nBlocks)
 	}
@@ -172,35 +172,35 @@ func TestSampledPlanSchedule(t *testing.T) {
 		t.Fatalf("rounds = %v, want %v", rounds, want)
 	}
 	var trials int64
-	for b := int64(0); b < nBlocks; b++ {
-		n := SampledBlockTrials(100000, 4096, b)
-		if n <= 0 || n > 4096 {
-			t.Fatalf("block %d has %d trials", b, n)
+	for b, u := range blockUnits(nil, Unit{}, 100000, 4096, 0, nBlocks) {
+		n := u.Trials
+		if n <= 0 || n > 4096 || u.Stream != uint64(b) {
+			t.Fatalf("block %d has %d trials from stream %d", b, n, u.Stream)
 		}
 		trials += n
 	}
 	if trials != 100000 {
 		t.Fatalf("blocks tile %d trials, want 100000", trials)
 	}
-	if n, r := SampledPlan(0, 4096); n != 0 || r != nil {
+	if n, r := sampledPlan(0, 4096); n != 0 || r != nil {
 		t.Fatal("empty budget must plan no blocks")
 	}
 }
 
-// TestProfileWorkerCountIndependence is the sampleK regression test: the
+// TestProfileWorkerCountIndependence is the profile-block regression test: the
 // same seed must produce the identical profile no matter the worker
 // count, including when trials % workers != 0.
 func TestProfileWorkerCountIndependence(t *testing.T) {
 	g := unscreened96(t, 2)
 	base := ProfileOptions{Trials: 100003, MinK: 4, MaxK: 5, Seed: 77, Workers: 1, ExhaustiveLimit: 1}
-	want, err := FailureProfile(g, base)
+	want, err := FailureProfileCtx(context.Background(), g, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 5, 8} {
 		opts := base
 		opts.Workers = w
-		got, err := FailureProfile(g, opts)
+		got, err := FailureProfileCtx(context.Background(), g, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestSampledArchivalScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SampleStratified(g, 5, SampledOptions{Seed: 2006})
+	res, err := SampleStratifiedCtx(context.Background(), g, 5, SampledOptions{Seed: 2006})
 	if err != nil {
 		t.Fatal(err)
 	}

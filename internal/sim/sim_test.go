@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -34,7 +35,7 @@ func mirrorTheory(nPairs, k int) float64 {
 
 func TestWorstCaseMirror(t *testing.T) {
 	g := mirrorGraph(8)
-	res, err := WorstCase(g, WorstCaseOptions{MaxK: 3})
+	res, err := WorstCaseCtx(context.Background(), g, WorstCaseOptions{MaxK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestWorstCaseMirror(t *testing.T) {
 
 func TestWorstCaseKeepGoing(t *testing.T) {
 	g := mirrorGraph(6)
-	res, err := WorstCase(g, WorstCaseOptions{MaxK: 4, KeepGoing: true})
+	res, err := WorstCaseCtx(context.Background(), g, WorstCaseOptions{MaxK: 4, KeepGoing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestWorstCaseKeepGoing(t *testing.T) {
 
 func TestWorstCaseMaxFailuresCap(t *testing.T) {
 	g := mirrorGraph(8)
-	res, err := WorstCase(g, WorstCaseOptions{MaxK: 2, MaxFailures: 3})
+	res, err := WorstCaseCtx(context.Background(), g, WorstCaseOptions{MaxK: 2, MaxFailures: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestExhaustiveKMatchesTheory(t *testing.T) {
 	// comparison exact.
 	g := mirrorGraph(8)
 	for k := 1; k <= 16; k++ {
-		kr, err := ExhaustiveK(g, k, 1, 2)
+		kr, err := ExhaustiveKCtx(context.Background(), g, k, 1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,17 +115,17 @@ func TestExhaustiveKMatchesTheory(t *testing.T) {
 
 func TestExhaustiveKRangeErrors(t *testing.T) {
 	g := mirrorGraph(4)
-	if _, err := ExhaustiveK(g, 0, 1, 1); err == nil {
+	if _, err := ExhaustiveKCtx(context.Background(), g, 0, 1, 1); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := ExhaustiveK(g, 9, 1, 1); err == nil {
+	if _, err := ExhaustiveKCtx(context.Background(), g, 9, 1, 1); err == nil {
 		t.Error("k>total accepted")
 	}
 }
 
 func TestFailureProfileExactMatchesTheory(t *testing.T) {
 	g := mirrorGraph(8)
-	p, err := FailureProfile(g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestFailureProfileExactMatchesTheory(t *testing.T) {
 
 func TestFailureProfileSamplingApproximatesTheory(t *testing.T) {
 	g := mirrorGraph(8)
-	p, err := FailureProfile(g, ProfileOptions{
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{
 		Trials:          40000,
 		ExhaustiveLimit: 1, // force sampling everywhere
 		Seed:            7,
@@ -168,11 +169,11 @@ func TestFailureProfileSamplingApproximatesTheory(t *testing.T) {
 func TestProfileDeterministicSeed(t *testing.T) {
 	g := mirrorGraph(6)
 	opts := ProfileOptions{Trials: 5000, ExhaustiveLimit: 1, Seed: 42, Workers: 2}
-	a, err := FailureProfile(g, opts)
+	a, err := FailureProfileCtx(context.Background(), g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FailureProfile(g, opts)
+	b, err := FailureProfileCtx(context.Background(), g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestProfileDeterministicSeed(t *testing.T) {
 
 func TestAvgNodesToReconstructMirror(t *testing.T) {
 	g := mirrorGraph(8)
-	p, err := FailureProfile(g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestAvgNodesToReconstructMirror(t *testing.T) {
 
 func TestNodesForSuccessProbability(t *testing.T) {
 	g := mirrorGraph(8)
-	p, err := FailureProfile(g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestNodesForSuccessProbability(t *testing.T) {
 
 func TestFirstObservedFailure(t *testing.T) {
 	g := mirrorGraph(8)
-	p, err := FailureProfile(g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestScreenedTornadoToleratesTwoLosses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := WorstCase(g, WorstCaseOptions{MaxK: 3})
+	res, err := WorstCaseCtx(context.Background(), g, WorstCaseOptions{MaxK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +259,11 @@ func TestProfilePartialRangeMonotoneExtension(t *testing.T) {
 	// A profile measured only up to MaxK must carry its last (≈1) value
 	// forward so AvgNodesToReconstruct is not underestimated.
 	g := mirrorGraph(8)
-	p, err := FailureProfile(g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1, MaxK: 10})
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1, MaxK: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := FailureProfile(g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
+	full, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestProfilePartialRangeMonotoneExtension(t *testing.T) {
 
 func TestProfileFailFractionBounds(t *testing.T) {
 	g := mirrorGraph(4)
-	p, err := FailureProfile(g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 3})
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ import (
 
 // scanner is the state of one scanning goroutine, reused from range to
 // range and cardinality to cardinality (scanRange re-aims it). Not safe
-// for concurrent use; a scanPool holds one per worker.
+// for concurrent use; a LocalRunner holds one per worker.
 type scanner struct {
 	csr  *decode.CSR
 	data int32

@@ -112,7 +112,7 @@ func TestSlicedScanSubranges(t *testing.T) {
 }
 
 // TestScannerReuse drives one scanner through random ranges of rising and
-// falling cardinality — what a scanPool worker sees over a WorstCaseCtx
+// falling cardinality — what a LocalRunner worker sees over a WorstCaseCtx
 // call — and after a scan abandoned mid-range by cancellation. Every range
 // must match the oracle run on fresh state: re-aiming has to leave nothing
 // of the previous suffix, batch or k-sized buffers behind.
@@ -341,8 +341,8 @@ func TestSlicedScanRange96Smoke(t *testing.T) {
 // TestLoopsDoNotAllocate is the allocation gate on the certification
 // loops. Each call's set-up may allocate; its pattern or trial loop may
 // not, so the allocation count must be the same on an 8x longer run:
-// ScanRangeCtx over a mid-rank k=5 window (witnesses off), SampleStreamCtx
-// at k=36 (about half the patterns fail, so every lane does real work),
+// ScanRangeCtx over a mid-rank k=5 window (witnesses off), a fresh
+// streamSampler at k=36 (about half the patterns fail, so every lane does real work),
 // and a warm StratifiedSampler.SampleBlock.
 func TestLoopsDoNotAllocate(t *testing.T) {
 	ctx := context.Background()
@@ -358,8 +358,8 @@ func TestLoopsDoNotAllocate(t *testing.T) {
 			_, err := ScanRangeCtx(ctx, g, 5, total/2, total/2+n, 0)
 			return err
 		}},
-		{"SampleStreamCtx", 1 << 12, func(n int64) error {
-			_, err := SampleStreamCtx(ctx, g, 36, n, 2006, 0)
+		{"streamSampler.sample", 1 << 12, func(n int64) error {
+			_, err := newStreamSampler(decode.NewCSR(g)).sample(ctx, 36, n, 2006, 0)
 			return err
 		}},
 		{"SampleBlock", 1 << 12, func(n int64) error {

@@ -2,14 +2,15 @@
 // exhaustive combinatorial worst-case search that finds the minimum number
 // of lost nodes causing data loss, and the Monte Carlo reconstruction-
 // failure profiles that estimate the fraction of failed reconstructions for
-// each number of offline devices. Both fan out over goroutines; each worker
-// owns a private bit-sliced kernel and enumerates a contiguous rank range of
-// the combination space (or a fixed block of the trial stream).
+// each number of offline devices. Both are Jobs (job.go): plans of
+// deterministic units — a contiguous rank range of the combination space,
+// or a fixed block of the trial stream — that one driver fans out over
+// goroutines, each worker owning a private bit-sliced kernel.
 //
-// Every long-running entry point has a context-first variant (WorstCaseCtx,
-// FailureProfileCtx, OverheadCtx, SimulateLifetimeCtx) whose workers check
-// cancellation at combination-chunk boundaries; the short names delegate
-// with context.Background().
+// Every long-running entry point takes a context (WorstCaseCtx,
+// FailureProfileCtx, SampleStratifiedCtx, OverheadCtx,
+// SimulateLifetimeCtx): workers check cancellation at combination-chunk
+// boundaries.
 package sim
 
 import (
@@ -75,63 +76,78 @@ func (r WorstCaseResult) FailureCountAt(k int) int64 {
 	return 0
 }
 
-// WorstCase exhaustively searches erasure combinations of increasing
+// WorstCaseCtx exhaustively searches erasure combinations of increasing
 // cardinality for the graph's worst-case failure scenario (paper §3:
-// "(96 choose 1 lost block) through (96 choose 6)").
-func WorstCase(g *graph.Graph, opts WorstCaseOptions) (WorstCaseResult, error) {
-	return WorstCaseCtx(context.Background(), g, opts)
-}
-
-// WorstCaseCtx is WorstCase with cancellation: workers observe ctx at
+// "(96 choose 1 lost block) through (96 choose 6)"). Workers observe ctx at
 // combination-chunk boundaries, so cancellation returns (with the
 // cardinalities completed so far and ctx.Err()) within one chunk of
 // decoding work.
 func WorstCaseCtx(ctx context.Context, g *graph.Graph, opts WorstCaseOptions) (WorstCaseResult, error) {
-	opts = opts.normalize()
-	pool := newScanPool(decode.NewCSR(g), opts.Workers)
-	var res WorstCaseResult
-	for k := 1; k <= opts.MaxK; k++ {
-		kr, err := pool.exhaustiveK(ctx, k, opts.MaxFailures)
+	j := NewWorstCaseJob(g, opts, 0)
+	err := j.Run(ctx, NewLocalRunner(g, opts.Workers))
+	return *j.WorstCase, err
+}
+
+// ExhaustiveKCtx examines every erasure combination of exactly k of the
+// graph's nodes, returning the exact failure count and up to maxFailures
+// recorded failing sets. The rank space is split across workers;
+// cancellation is checked every cancelCheckInterval combinations per
+// worker. The result is bit-identical at any worker count.
+func ExhaustiveKCtx(ctx context.Context, g *graph.Graph, k, maxFailures, workers int) (KResult, error) {
+	workers = defaultWorkers(workers)
+	j := newExhaustiveJob(g.Total, k, WorstCaseOptions{MaxK: k, MaxFailures: maxFailures, Workers: workers}, 0)
+	if err := j.Run(ctx, NewLocalRunner(g, workers)); err != nil {
+		return KResult{}, err
+	}
+	return j.WorstCase.PerK[0], nil
+}
+
+// NewWorstCaseJob plans the worst-case search of g: one group per
+// cardinality 1..MaxK, ascending, each tiled by rankUnits(shardSize). The
+// search stops at the first failing cardinality unless opts.KeepGoing.
+func NewWorstCaseJob(g *graph.Graph, opts WorstCaseOptions, shardSize int64) *Job {
+	return newExhaustiveJob(g.Total, 1, opts.normalize(), shardSize)
+}
+
+func newExhaustiveJob(total, minK int, opts WorstCaseOptions, shardSize int64) *Job {
+	j := &Job{total: total, WorstCase: &WorstCaseResult{}}
+	for k := minK; k <= opts.MaxK; k++ {
+		units, err := rankUnits(total, k, opts.MaxFailures, opts.Workers, shardSize)
 		if err != nil {
-			return res, err
+			j.Err = err
+			break
 		}
-		res.PerK = append(res.PerK, kr)
-		res.Tested += kr.Tested
-		if kr.FailureCount > 0 && !res.Found {
-			res.Found = true
-			res.FirstFailure = k
+		j.Groups = append(j.Groups, units)
+	}
+	j.fold = func(gi int, res []UnitResult) int {
+		kr := KResult{K: j.Groups[gi][0].K}
+		for _, r := range res {
+			kr.Tested += r.Tally.Trials
+			kr.FailureCount += r.Tally.Hits
+			kr.Failures = append(kr.Failures, r.Failures...)
+		}
+		// Each range keeps its lexicographically smallest failures (up to
+		// MaxFailures), so their union contains the global lex-smallest
+		// MaxFailures: sorting then truncating yields a canonical prefix
+		// that is independent of the tiling, the worker count and where a
+		// run was interrupted.
+		slices.SortFunc(kr.Failures, slices.Compare)
+		if len(kr.Failures) > opts.MaxFailures {
+			kr.Failures = kr.Failures[:opts.MaxFailures:opts.MaxFailures]
+		}
+		wc := j.WorstCase
+		wc.PerK = append(wc.PerK, kr)
+		wc.Tested += kr.Tested
+		if kr.FailureCount > 0 && !wc.Found {
+			wc.Found, wc.FirstFailure = true, kr.K
 			if !opts.KeepGoing {
-				break
+				j.Err = nil // the cardinalities the plan stops short of are never reached
+				return len(j.Groups)
 			}
 		}
+		return gi + 1
 	}
-	return res, nil
-}
-
-// ExhaustiveK examines every erasure combination of exactly k of the
-// graph's nodes, returning the exact failure count and up to maxFailures
-// recorded failing sets. The rank space is split across workers.
-func ExhaustiveK(g *graph.Graph, k, maxFailures, workers int) (KResult, error) {
-	return ExhaustiveKCtx(context.Background(), g, k, maxFailures, workers)
-}
-
-// ExhaustiveKCtx is ExhaustiveK with cancellation (checked every
-// cancelCheckInterval combinations per worker). The result is
-// bit-identical at any worker count.
-func ExhaustiveKCtx(ctx context.Context, g *graph.Graph, k, maxFailures, workers int) (KResult, error) {
-	return newScanPool(decode.NewCSR(g), workers).exhaustiveK(ctx, k, maxFailures)
-}
-
-// scanPool is the state one exhaustive search shares across the
-// cardinalities it examines: the graph's CSR, built once, and one scanner
-// per worker, reused from range to range.
-type scanPool struct {
-	csr      *decode.CSR
-	scanners []*scanner // created on a worker's first range
-}
-
-func newScanPool(csr *decode.CSR, workers int) *scanPool {
-	return &scanPool{csr: csr, scanners: make([]*scanner, defaultWorkers(workers))}
+	return j.number()
 }
 
 // rankSpace returns C(total, k), or why cardinality k cannot be scanned
@@ -147,56 +163,8 @@ func rankSpace(total, k int) (int64, error) {
 	return c, nil
 }
 
-func (p *scanPool) exhaustiveK(ctx context.Context, k, maxFailures int) (KResult, error) {
-	total, err := rankSpace(int(p.csr.Total), k)
-	if err != nil {
-		return KResult{}, err
-	}
-	ranges := combin.SplitRanges(total, len(p.scanners))
-
-	rrs := make([]RangeResult, len(ranges))
-	errs := make([]error, len(ranges))
-	forBlocks(len(p.scanners), 0, int64(len(ranges)), func(w int, i int64) {
-		if p.scanners[w] == nil {
-			p.scanners[w] = newScanner(p.csr)
-		}
-		rrs[i], errs[i] = p.scanners[w].scanRange(ctx, k, ranges[i][0], ranges[i][1], maxFailures)
-	})
-	// Propagate the first worker error in range order — a range validation
-	// failure must not be silently reported as a clean scan.
-	for _, err := range errs {
-		if err != nil {
-			return KResult{}, err
-		}
-	}
-
-	var count int64
-	var failures [][]int
-	for _, rr := range rrs {
-		count += rr.FailureCount
-		failures = append(failures, rr.Failures...)
-	}
-	// Each range keeps its lexicographically smallest failures (up to
-	// maxFailures), so their union contains the global lex-smallest
-	// maxFailures: sorting then truncating yields a canonical prefix that
-	// is independent of the worker count and range tiling.
-	failures = mergeFailures(failures, maxFailures)
-	return KResult{K: k, Tested: total, FailureCount: count, Failures: failures}, nil
-}
-
-// mergeFailures canonicalizes recorded failing sets from range scans whose
-// per-range lists are each lex-smallest-capped: sort lexicographically,
-// then truncate to the maxFailures prefix.
-func mergeFailures(failures [][]int, maxFailures int) [][]int {
-	slices.SortFunc(failures, slices.Compare)
-	if len(failures) > maxFailures {
-		failures = failures[:maxFailures:maxFailures]
-	}
-	return failures
-}
-
-// RangeResult reports an exhaustive scan of one contiguous rank range — the
-// unit of work of both an ExhaustiveKCtx worker and a campaign shard.
+// RangeResult reports an exhaustive scan of one contiguous rank range: what
+// an exhaustive Unit computes.
 type RangeResult struct {
 	Tested       int64   // combinations examined (= hi - lo)
 	FailureCount int64   // combinations that lost data
@@ -211,8 +179,8 @@ type RangeResult struct {
 // (see DESIGN.md "Decoder kernels").
 //
 // ScanRangeCtx is deterministic in its arguments, which is what makes
-// campaign shards resumable: re-scanning the same range always reproduces
-// the same result, and ranges tiling [0, C(total,k)) together examine every
+// jobs resumable: re-scanning the same range always reproduces the same
+// result, and ranges tiling [0, C(total,k)) together examine every
 // combination exactly once. Cancellation is honored at combination-chunk
 // boundaries, and progress counters are flushed to Metrics() at the same
 // cadence.

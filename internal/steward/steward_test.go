@@ -2,6 +2,7 @@ package steward
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand/v2"
 	"net/http/httptest"
@@ -231,7 +232,7 @@ func TestReplicatorValidation(t *testing.T) {
 // criticalSet finds a smallest failing erasure pattern of g.
 func criticalSet(t *testing.T, g *graph.Graph) ([]int, []int) {
 	t.Helper()
-	wc, err := sim.WorstCase(g, sim.WorstCaseOptions{MaxK: 4})
+	wc, err := sim.WorstCaseCtx(context.Background(), g, sim.WorstCaseOptions{MaxK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

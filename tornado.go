@@ -141,7 +141,7 @@ func ScanAllDefectsCtx(ctx context.Context, g *Graph, maxSize, workers int) ([]D
 // graphs whose erasure spaces overflow exhaustive rank arithmetic
 // (WorstCase at n=100,000 fails with a rank-overflow error pointing here).
 func Certify(g *Graph, k int, opts CertifyOptions) (*CertifyResult, error) {
-	return sim.SampleStratified(g, k, opts)
+	return sim.SampleStratifiedCtx(context.Background(), g, k, opts)
 }
 
 // CertifyCtx is Certify with cancellation, honored at combination-chunk
@@ -161,7 +161,7 @@ func ScanClosedPairs(g *Graph) []Defect {
 // WorstCase runs the exhaustive combinatorial search for the graph's
 // worst-case failure scenario (paper §3).
 func WorstCase(g *Graph, opts WorstCaseOptions) (WorstCaseResult, error) {
-	return sim.WorstCase(g, opts)
+	return sim.WorstCaseCtx(context.Background(), g, opts)
 }
 
 // WorstCaseCtx is WorstCase with cancellation: search workers observe ctx
@@ -175,7 +175,7 @@ func WorstCaseCtx(ctx context.Context, g *Graph, opts WorstCaseOptions) (WorstCa
 // of offline nodes (paper §3), exhaustively where cheap and by Monte Carlo
 // sampling elsewhere.
 func Profile(g *Graph, opts ProfileOptions) (*FailureProfile, error) {
-	return sim.FailureProfile(g, opts)
+	return sim.FailureProfileCtx(context.Background(), g, opts)
 }
 
 // ProfileCtx is Profile with cancellation threaded through the enumeration
@@ -273,7 +273,7 @@ const (
 // be resumed. Results for unchanged graphs are served from the
 // opts.CacheDir result cache when set.
 func RunCampaign(dir string, g *Graph, spec CampaignSpec, opts CampaignOptions) (*CampaignResult, error) {
-	return campaign.Run(dir, g, spec, opts)
+	return campaign.RunCtx(context.Background(), dir, g, spec, opts)
 }
 
 // RunCampaignCtx is RunCampaign with cancellation: completed shards stay
@@ -286,7 +286,7 @@ func RunCampaignCtx(ctx context.Context, dir string, g *Graph, spec CampaignSpec
 // journaled shards; the merged result is bit-identical to an uninterrupted
 // run.
 func ResumeCampaign(dir string, opts CampaignOptions) (*CampaignResult, error) {
-	return campaign.Resume(dir, opts)
+	return campaign.ResumeCtx(context.Background(), dir, opts)
 }
 
 // ResumeCampaignCtx is ResumeCampaign with cancellation.
