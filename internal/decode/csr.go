@@ -1,14 +1,26 @@
 package decode
 
-import "tornado/internal/graph"
+import (
+	"sync"
+
+	"tornado/internal/graph"
+)
 
 // CSR is a flat-array (compressed sparse row) snapshot of a graph's
-// adjacency, built once and then shared read-only by any number of Kernels
-// (one per worker goroutine). Both directions are flattened into offset +
-// adjacency pairs so the peeling inner loops walk contiguous int32 slices
-// instead of chasing the per-node slice headers of graph.Graph — the
+// adjacency, built once and then shared read-only by any number of
+// evaluators (one per worker goroutine). Both directions are flattened into
+// offset + adjacency pairs so the peeling inner loops walk contiguous int32
+// slices instead of chasing the per-node slice headers of graph.Graph — the
 // exhaustive scans evaluate tens of millions of patterns, so the pointer
 // indirection per neighbor list is measurable.
+//
+// The snapshot itself is O(edges). The two dense per-node bitmask tables
+// some evaluators want on top of it are not part of it: Masks builds them
+// on first use, and only NewKernel and sim's exhaustive scanner call it.
+// SlicedKernel and both samplers walk the offset arrays alone, so a graph
+// that is only ever sampled — the archival-scale certification path — never
+// pays the tables' O(Total²/64) words; a Kernel or a scanner over such a
+// graph still does.
 //
 // A CSR does not observe later mutations of the source graph (AddEdge,
 // RewireEdge, …); build a fresh CSR after adjusting a graph. This is the
@@ -28,20 +40,14 @@ type CSR struct {
 	leftOff []int32
 	leftAdj []int32
 
-	// Words is the length of a node bitmask: ceil(Total/64). leftMask holds
-	// one Words-long bitmask per node (all-zero for data nodes) with the
-	// bits of the node's left neighbors set, so a kernel can count a
-	// check's missing neighbors against an erased-set mask with a couple
-	// of AND+POPCNT operations instead of walking the adjacency list.
-	Words    int
-	leftMask []uint64
+	// Words is the length of a node bitmask: ceil(Total/64).
+	Words int
 
-	// parMask is the transpose of leftMask: one Words-long bitmask per
-	// node with the bits of the node's parents (the checks referencing
-	// it) set. Kernels intersect it with their set of active rescuer
-	// checks to find the certificate pairs an erasure breaks without
-	// walking the parent list.
-	parMask []uint64
+	// The mask tables, nil until Masks builds them (once, under masksOnce:
+	// the CSR is shared across workers).
+	masksOnce sync.Once
+	leftMask  []uint64
+	parMask   []uint64
 }
 
 // NewCSR flattens g's adjacency. The graph is not retained.
@@ -49,6 +55,7 @@ func NewCSR(g *graph.Graph) *CSR {
 	c := &CSR{
 		Data:    int32(g.Data),
 		Total:   int32(g.Total),
+		Words:   (g.Total + 63) / 64,
 		parOff:  make([]int32, g.Total+1),
 		leftOff: make([]int32, g.Total+1),
 	}
@@ -71,34 +78,37 @@ func NewCSR(g *graph.Graph) *CSR {
 			c.leftAdj = append(c.leftAdj, g.LeftNeighbors(v)...)
 		}
 	}
-	c.Words = (g.Total + 63) / 64
-	c.leftMask = make([]uint64, g.Total*c.Words)
-	for r := g.Data; r < g.Total; r++ {
-		m := c.leftMask[r*c.Words : (r+1)*c.Words]
-		for _, l := range g.LeftNeighbors(r) {
-			m[l>>6] |= 1 << (uint(l) & 63)
-		}
-	}
-	c.parMask = make([]uint64, g.Total*c.Words)
-	for v := 0; v < g.Total; v++ {
-		m := c.parMask[v*c.Words : (v+1)*c.Words]
-		for _, p := range g.Parents(v) {
-			m[p>>6] |= 1 << (uint(p) & 63)
-		}
-	}
 	return c
 }
 
-// LeftMask returns right node r's left neighbors as a Words-long bitmask.
-// The caller must not mutate the returned slice.
-func (c *CSR) LeftMask(r int32) []uint64 {
-	return c.leftMask[int(r)*c.Words : (int(r)+1)*c.Words]
-}
-
-// ParentMask returns node v's parents (the checks referencing it) as a
-// Words-long bitmask. The caller must not mutate the returned slice.
-func (c *CSR) ParentMask(v int32) []uint64 {
-	return c.parMask[int(v)*c.Words : (int(v)+1)*c.Words]
+// Masks returns the two Total × Words bitmask tables, building them on the
+// first call; every later call, from any goroutine, returns the same
+// backing arrays. Row r of left (left[r*Words:(r+1)*Words]) has the bits of
+// right node r's left neighbors set — all-zero for data nodes — so a
+// check's missing neighbors are counted against an erased-set mask with a
+// couple of AND+POPCNT operations instead of a walk of its adjacency list.
+// par is the transpose: row v has the bits of v's parents set, which a
+// Kernel intersects with its active rescuer checks to find the certificate
+// pairs an erasure breaks. Constructors call this once and index the
+// slices directly in their hot loops. The caller must not mutate the
+// tables.
+func (c *CSR) Masks() (left, par []uint64) {
+	c.masksOnce.Do(func() {
+		total, words := int(c.Total), c.Words
+		c.leftMask = make([]uint64, total*words)
+		c.parMask = make([]uint64, total*words)
+		for v := 0; v < total; v++ {
+			lm := c.leftMask[v*words : (v+1)*words]
+			for _, l := range c.LeftNeighbors(int32(v)) {
+				lm[l>>6] |= 1 << (uint(l) & 63)
+			}
+			pm := c.parMask[v*words : (v+1)*words]
+			for _, p := range c.Parents(int32(v)) {
+				pm[p>>6] |= 1 << (uint(p) & 63)
+			}
+		}
+	})
+	return c.leftMask, c.parMask
 }
 
 // Parents returns the right nodes referencing v. The caller must not

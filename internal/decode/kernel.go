@@ -41,6 +41,11 @@ type Kernel struct {
 	c    *CSR
 	data int32 // == c.Data; avoids a second deref on the erase/restore path
 
+	// The CSR's mask tables (CSR.Masks), captured at construction so the
+	// hot paths index them with no build check in between.
+	leftMask []uint64
+	parMask  []uint64
+
 	erasedMask []uint64 // the current erased set S as a bitmask
 	eset       []int32  // S as an unordered list
 	epos       []int32  // epos[v] = v's index in eset while erased
@@ -87,11 +92,15 @@ type Kernel struct {
 const maskPeelMaxK = 12
 
 // NewKernel returns a Kernel over c in the baseline state (everything
-// present, empty erasure set).
+// present, empty erasure set). The first Kernel over a CSR builds its mask
+// tables (see CSR.Masks).
 func NewKernel(c *CSR) *Kernel {
+	leftMask, parMask := c.Masks()
 	k := &Kernel{
 		c:           c,
 		data:        c.Data,
+		leftMask:    leftMask,
+		parMask:     parMask,
 		erasedMask:  make([]uint64, c.Words),
 		eset:        make([]int32, 0, 16),
 		epos:        make([]int32, c.Total),
@@ -172,7 +181,7 @@ func (k *Kernel) dropPairsTouching(v int32) {
 		k.dropPair(w, v)
 	}
 	words := k.c.Words
-	pm := k.c.parMask[int(v)*words : (int(v)+1)*words]
+	pm := k.parMask[int(v)*words : (int(v)+1)*words]
 	for i, rm := range k.rescuerMask {
 		for hits := pm[i] & rm; hits != 0; hits &= hits - 1 {
 			p := int32(i<<6 + bits.TrailingZeros64(hits))
@@ -237,7 +246,7 @@ func erased(m []uint64, v int32) bool {
 // instead of calling here: one call per parent per pattern is measurable
 // at scan rates, and the function exceeds the compiler's inlining budget.
 func (k *Kernel) missingOf(m []uint64, r int32) int {
-	lm := k.c.leftMask[int(r)*k.c.Words:]
+	lm := k.leftMask[int(r)*k.c.Words:]
 	n := 0
 	for i, w := range m {
 		n += bits.OnesCount64(lm[i] & w)
@@ -270,7 +279,7 @@ func (k *Kernel) Eval() bool {
 // peeling fixpoint tiers.
 func (k *Kernel) evalWalk() bool {
 	em := k.erasedMask
-	lm := k.c.leftMask
+	lm := k.leftMask
 	twoWords := len(em) == 2
 	var em0, em1 uint64
 	if twoWords {

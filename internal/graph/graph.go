@@ -225,7 +225,8 @@ func (g *Graph) Clone() *Graph {
 // every edge respects its level's left range, no duplicate edges, the
 // reverse index matches the forward adjacency, every right node has at
 // least one left neighbor, and every data node is covered by at least one
-// check.
+// check. It runs in O(nodes + edges): streamed generation validates every
+// archival-scale graph twice.
 func (g *Graph) Validate() error {
 	if g.Data <= 0 || g.Total < g.Data {
 		return fmt.Errorf("graph: invalid node counts data=%d total=%d", g.Data, g.Total)
@@ -234,6 +235,9 @@ func (g *Graph) Validate() error {
 	for i, lv := range g.Levels {
 		if lv.RightFirst != next {
 			return fmt.Errorf("graph: level %d right range starts at %d, want %d", i, lv.RightFirst, next)
+		}
+		if lv.RightCount < 0 {
+			return fmt.Errorf("graph: level %d has right count %d", i, lv.RightCount)
 		}
 		if lv.LeftFirst < 0 || lv.LeftFirst+lv.LeftCount > lv.RightFirst {
 			return fmt.Errorf("graph: level %d left range [%d,%d) overlaps its right range",
@@ -244,30 +248,66 @@ func (g *Graph) Validate() error {
 	if next != g.Total {
 		return fmt.Errorf("graph: levels cover %d nodes, total is %d", next, g.Total)
 	}
-	for r := g.Data; r < g.Total; r++ {
-		li := g.LevelOfRight(r)
-		lv := g.Levels[li]
-		if len(g.lefts[r]) == 0 {
-			return fmt.Errorf("graph: right node %d has no left neighbors", r)
-		}
-		seen := map[int32]bool{}
-		for _, l := range g.lefts[r] {
-			if int(l) < lv.LeftFirst || int(l) >= lv.LeftFirst+lv.LeftCount {
-				return fmt.Errorf("graph: edge (%d,%d) outside level %d left range", r, l, li)
+
+	// Forward pass. stamp[l] is the last right node seen naming l — right
+	// IDs are ≥ Data > 0, so zero means none — which makes a repeat within
+	// one neighbor list a duplicate edge. wantOff counts the edges naming
+	// each node, then becomes the offsets of the transposed adjacency.
+	stamp := make([]int32, g.Total)
+	wantOff := make([]int32, g.Total+1)
+	for li, lv := range g.Levels {
+		for r := lv.RightFirst; r < lv.RightFirst+lv.RightCount; r++ {
+			if len(g.lefts[r]) == 0 {
+				return fmt.Errorf("graph: right node %d has no left neighbors", r)
 			}
-			if seen[l] {
-				return fmt.Errorf("graph: duplicate edge (%d,%d)", r, l)
-			}
-			seen[l] = true
-			if !slices.Contains(g.parents[l], int32(r)) {
-				return fmt.Errorf("graph: reverse index missing (%d,%d)", r, l)
+			for _, l := range g.lefts[r] {
+				if int(l) < lv.LeftFirst || int(l) >= lv.LeftFirst+lv.LeftCount {
+					return fmt.Errorf("graph: edge (%d,%d) outside level %d left range", r, l, li)
+				}
+				if stamp[l] == int32(r) {
+					return fmt.Errorf("graph: duplicate edge (%d,%d)", r, l)
+				}
+				stamp[l] = int32(r)
+				wantOff[l+1]++
 			}
 		}
 	}
 	for v := 0; v < g.Total; v++ {
+		wantOff[v+1] += wantOff[v]
+	}
+	// want[wantOff[v]:wantOff[v+1]] is what parents[v] must hold, in any
+	// order: the forward adjacency transposed. fill[v] is v's next free slot.
+	want := make([]int32, wantOff[g.Total])
+	fill := stamp
+	copy(fill, wantOff[:g.Total])
+	for r := g.Data; r < g.Total; r++ {
+		for _, l := range g.lefts[r] {
+			want[fill[l]] = int32(r)
+			fill[l]++
+		}
+	}
+
+	// Reverse pass, one node at a time: stamp v's wanted parents with v+1,
+	// then tick each listed parent off. A listed parent without the stamp
+	// is not wanted (or is listed twice): a phantom edge. A stamp left over
+	// is a forward edge the reverse index lacks.
+	clear(stamp)
+	for v := 0; v < g.Total; v++ {
+		wanted := want[wantOff[v]:wantOff[v+1]]
+		for _, r := range wanted {
+			stamp[r] = int32(v) + 1
+		}
 		for _, r := range g.parents[v] {
-			if !slices.Contains(g.lefts[r], int32(v)) {
+			if int(r) < 0 || int(r) >= g.Total || stamp[r] != int32(v)+1 {
 				return fmt.Errorf("graph: reverse index has phantom edge (%d,%d)", r, v)
+			}
+			stamp[r] = 0
+		}
+		if len(g.parents[v]) < len(wanted) {
+			for _, r := range wanted {
+				if stamp[r] == int32(v)+1 {
+					return fmt.Errorf("graph: reverse index missing (%d,%d)", r, v)
+				}
 			}
 		}
 	}

@@ -175,6 +175,70 @@ func TestValidateCatchesEmptyRight(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesCorruptAdjacency corrupts tiny's adjacency behind the
+// mutators' backs, one way per case, and expects the rejection that names
+// the corruption (and the edge).
+func TestValidateCatchesCorruptAdjacency(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(g *Graph)
+		want    string
+	}{
+		{"duplicate edge", func(g *Graph) {
+			g.lefts[4] = []int32{0, 1, 0} // not adjacent in the list
+		}, "duplicate edge (4,0)"},
+		{"left outside level", func(g *Graph) {
+			g.lefts[6] = []int32{4, 5, 0} // level 1's left range is [4,6)
+			g.parents[0] = []int32{4, 6}
+		}, "edge (6,0) outside level 1 left range"},
+		{"left is the check itself", func(g *Graph) {
+			g.lefts[6] = []int32{4, 5, 6}
+			g.parents[6] = []int32{6}
+		}, "edge (6,6) outside level 1 left range"},
+		{"reverse index missing", func(g *Graph) {
+			g.parents[1] = nil
+		}, "reverse index missing (4,1)"},
+		{"reverse index missing one of two", func(g *Graph) {
+			g.lefts[5] = []int32{2, 3, 1} // node 1 now under checks 4 and 5
+		}, "reverse index missing (5,1)"},
+		{"phantom reverse edge", func(g *Graph) {
+			g.parents[2] = []int32{5, 4}
+		}, "phantom edge (4,2)"},
+		{"reverse entry swapped for another check", func(g *Graph) {
+			g.parents[1] = []int32{5}
+		}, "phantom edge (5,1)"},
+		{"reverse entry listed twice", func(g *Graph) {
+			g.parents[0] = []int32{4, 4}
+		}, "phantom edge (4,0)"},
+		{"reverse entry names no node", func(g *Graph) {
+			g.parents[0] = []int32{4, 99}
+		}, "phantom edge (99,0)"},
+		{"reverse entry names a data node", func(g *Graph) {
+			g.parents[3] = []int32{5, 0}
+		}, "phantom edge (0,3)"},
+		{"levels leave a gap", func(g *Graph) {
+			g.Levels[1].RightFirst = 7
+		}, "level 1 right range starts at 7, want 6"},
+		{"negative right count", func(g *Graph) {
+			g.Levels = append(g.Levels, Level{LeftFirst: 4, LeftCount: 2, RightFirst: 7, RightCount: -1})
+			g.Total = 6
+		}, "level 2 has right count -1"},
+		{"levels short of total", func(g *Graph) {
+			g.Levels = g.Levels[:1]
+		}, "levels cover 6 nodes, total is 7"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tiny(t)
+			tc.corrupt(g)
+			err := g.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Validate = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestSetNeighborsReplaces(t *testing.T) {
 	g := tiny(t)
 	g.SetNeighbors(4, []int{2, 3})

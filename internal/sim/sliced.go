@@ -45,6 +45,10 @@ type scanner struct {
 	csr  *decode.CSR
 	data int32
 
+	// leftMask is the CSR's check-neighbor mask table (decode.CSR.Masks),
+	// captured at construction; leftMaskOf cuts a check's row from it.
+	leftMask []uint64
+
 	// Incremental certificate structure of the shared suffix S (all node
 	// bitmasks are Words-long, over node IDs):
 	//
@@ -110,9 +114,11 @@ type scanner struct {
 // newScanner returns a scanner over csr with an empty suffix. Its
 // per-node state comes out of one allocation per element type, so
 // setting up a scan costs no more allocations than a single-pattern
-// kernel does.
+// kernel does. The first scanner (or decode.Kernel) over a CSR also builds
+// its mask tables, which the suffix certificate reads.
 func newScanner(csr *decode.CSR) *scanner {
 	total, words := int(csr.Total), csr.Words
+	leftMask, _ := csr.Masks()
 	nKids := 0
 	for q := csr.Data; q < csr.Total; q++ {
 		for _, l := range csr.LeftNeighbors(q) {
@@ -136,6 +142,7 @@ func newScanner(csr *decode.CSR) *scanner {
 	s := &scanner{
 		csr:       csr,
 		data:      csr.Data,
+		leftMask:  leftMask,
 		m:         cutI32(total),
 		gcount:    cutI32(int(csr.Data)),
 		kidOff:    cutI32(total + 1),
@@ -164,6 +171,12 @@ func newScanner(csr *decode.CSR) *scanner {
 }
 
 func (s *scanner) dataKids(q int32) []int32 { return s.kidAdj[s.kidOff[q]:s.kidOff[q+1]] }
+
+// leftMaskOf returns check q's left neighbors as a Words-long bitmask.
+func (s *scanner) leftMaskOf(q int32) []uint64 {
+	words := s.csr.Words
+	return s.leftMask[int(q)*words : (int(q)+1)*words]
+}
 
 // aim points the scanner at the combination of cardinality k with
 // revolving-door rank lo: the previous range's suffix is withdrawn
@@ -358,7 +371,7 @@ func (s *scanner) runCertificate(idx []int) bool {
 			if s.oneCheck[q>>6]&(1<<(uint(q)&63)) == 0 {
 				continue
 			}
-			lm := s.csr.LeftMask(q)
+			lm := s.leftMaskOf(q)
 			qw, qb := int(q>>6), uint64(1)<<(uint(q)&63)
 			if first {
 				copy(inter, lm)
@@ -424,7 +437,7 @@ func (s *scanner) certifyDeficient(suffix []int) bool {
 				continue
 			}
 			// The other missing member u of p (exactly one: m == 2).
-			lmp := s.csr.LeftMask(p)
+			lmp := s.leftMaskOf(p)
 			u := int32(-1)
 			for w := 0; w < words; w++ {
 				x := lmp[w] & s.sufMask[w]
@@ -456,7 +469,7 @@ func (s *scanner) certifyDeficient(suffix []int) bool {
 				// u is an erased check: rule 2 recomputes it in round 1
 				// iff no suffix member sits among its left neighbors and
 				// the lane stays out of L(u).
-				uMask = s.csr.LeftMask(u)
+				uMask = s.leftMaskOf(u)
 				mu := uint64(0)
 				for w := 0; w < words; w++ {
 					mu |= uMask[w] & s.sufMask[w]
