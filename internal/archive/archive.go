@@ -588,6 +588,8 @@ type stripeScratch struct {
 	corrupt  []bool
 	fromRead []bool // blocks[i] came from a backend read (not reconstruction)
 	want     []bool // blocks the decode is to rebuild for read-repair
+	unaided  []bool // scrub: blocks[i] was rebuilt before any donor block arrived
+	donated  []bool // scrub: blocks[i] came from the pass's Donor
 	toRead   []int
 	ws       *codec.Workspace
 	enc      *codec.Encoder
@@ -609,6 +611,8 @@ func (s *Store) newScratch() *stripeScratch {
 		corrupt:  make([]bool, s.g.Total),
 		fromRead: make([]bool, s.g.Total),
 		want:     make([]bool, s.g.Total),
+		unaided:  make([]bool, s.g.Total),
+		donated:  make([]bool, s.g.Total),
 		ws:       s.codec.NewWorkspace(),
 		touched:  map[int]bool{},
 	}

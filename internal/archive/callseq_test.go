@@ -64,6 +64,108 @@ func (b *recordingBackend) Delete(ctx context.Context, node int, key []byte) err
 	return err
 }
 
+// corruptFrame flips one bit of the stored frame of obj stripe 0 at node.
+func corruptFrame(t *testing.T, devs device.Array, node int) {
+	t.Helper()
+	key := blockKey("obj", 0, node)
+	framed, err := devs[node].Read(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	framed[len(framed)-1] ^= 0x40
+	if err := devs[node].Write(key, framed); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// callseqCases are five scripted stripes: one damage pattern each, with what
+// one ReadStripe (ops, stats) and one repairing scrub (scrubOps, scrubReport)
+// of the stripe do to the backend and report.
+var callseqCases = []struct {
+	name        string
+	damage      func(t *testing.T, devs device.Array, fb *flakyBackend)
+	ops         string
+	stats       string
+	scrubOps    string
+	scrubReport string
+}{
+	{
+		name:        "healthy",
+		damage:      func(*testing.T, device.Array, *flakyBackend) {},
+		ops:         "R0-47",
+		stats:       "{DevicesAccessed:48 BlocksRead:48 BlocksRepaired:0 CorruptBlocks:0 ReadRepairs:0 Retries:0 Repair:{BlocksRead:0 BlocksWritten:0 BytesRead:0 BytesWritten:0}}",
+		scrubOps:    "R0-95",
+		scrubReport: "{Stripes:[{Object:obj Stripe:0 Missing:[] Corrupt:[] Quarantined:[] Recoverable:true Margin:0 Repaired:[]}] BlocksRepaired:0 CorruptFrames:0 AtRisk:0 Unrecoverable:0 QuarantinedNodes:[] Cost:{BlocksRead:96 BlocksWritten:0 BytesRead:6528 BytesWritten:0}}",
+	},
+	{
+		name: "four data devices failed",
+		damage: func(_ *testing.T, devs device.Array, _ *flakyBackend) {
+			for _, node := range []int{0, 5, 17, 33} {
+				devs[node].Fail()
+			}
+		},
+		ops:         "R1-4 R6-16 R18-32 R34-47 R50 R54 R57 R59",
+		stats:       "{DevicesAccessed:48 BlocksRead:48 BlocksRepaired:4 CorruptBlocks:0 ReadRepairs:0 Retries:0 Repair:{BlocksRead:0 BlocksWritten:0 BytesRead:0 BytesWritten:0}}",
+		scrubOps:    "R1-4 R6-16 R18-32 R34-95 W0! W5! W17! W33!",
+		scrubReport: "{Stripes:[{Object:obj Stripe:0 Missing:[0 5 17 33] Corrupt:[] Quarantined:[] Recoverable:true Margin:0 Repaired:[]}] BlocksRepaired:0 CorruptFrames:0 AtRisk:0 Unrecoverable:0 QuarantinedNodes:[] Cost:{BlocksRead:92 BlocksWritten:0 BytesRead:6256 BytesWritten:0}}",
+	},
+	{
+		name: "corrupt data frame",
+		damage: func(t *testing.T, devs device.Array, _ *flakyBackend) {
+			corruptFrame(t, devs, 9)
+		},
+		ops:         "R0-95 W9",
+		stats:       "{DevicesAccessed:96 BlocksRead:96 BlocksRepaired:0 CorruptBlocks:1 ReadRepairs:1 Retries:0 Repair:{BlocksRead:48 BlocksWritten:1 BytesRead:3264 BytesWritten:68}}",
+		scrubOps:    "R0-95 W9",
+		scrubReport: "{Stripes:[{Object:obj Stripe:0 Missing:[9] Corrupt:[9] Quarantined:[] Recoverable:true Margin:0 Repaired:[9]}] BlocksRepaired:1 CorruptFrames:1 AtRisk:0 Unrecoverable:0 QuarantinedNodes:[] Cost:{BlocksRead:96 BlocksWritten:1 BytesRead:6528 BytesWritten:68}}",
+	},
+	{
+		name: "blank replaced drive",
+		damage: func(_ *testing.T, devs device.Array, _ *flakyBackend) {
+			devs[21].Fail()
+			devs[21].Replace()
+		},
+		ops:         "R0-20 R22-47 R56 W21",
+		stats:       "{DevicesAccessed:48 BlocksRead:48 BlocksRepaired:1 CorruptBlocks:0 ReadRepairs:1 Retries:0 Repair:{BlocksRead:0 BlocksWritten:1 BytesRead:0 BytesWritten:68}}",
+		scrubOps:    "R0-20 R22-95 W21",
+		scrubReport: "{Stripes:[{Object:obj Stripe:0 Missing:[21] Corrupt:[] Quarantined:[] Recoverable:true Margin:0 Repaired:[21]}] BlocksRepaired:1 CorruptFrames:0 AtRisk:0 Unrecoverable:0 QuarantinedNodes:[] Cost:{BlocksRead:95 BlocksWritten:1 BytesRead:6460 BytesWritten:68}}",
+	},
+	{
+		// Node 1 errors past the retry budget, the data-only plan comes
+		// up short, and the sweep over everything else reachable meets a
+		// rotted level-2 check: that frame is rebuilt and written back,
+		// node 1's (intact on disk) is not.
+		name: "fallback sweep meets corrupt check",
+		damage: func(t *testing.T, devs device.Array, fb *flakyBackend) {
+			corruptFrame(t, devs, 75)
+			fb.failures = 100
+		},
+		ops:         "R0 R1! R1! R1! R2-47 R1! R1! R1! R48-95 W75",
+		stats:       "{DevicesAccessed:95 BlocksRead:95 BlocksRepaired:0 CorruptBlocks:1 ReadRepairs:1 Retries:4 Repair:{BlocksRead:47 BlocksWritten:1 BytesRead:3196 BytesWritten:68}}",
+		scrubOps:    "R0 R1! R1! R1! R2-95 W1 W75",
+		scrubReport: "{Stripes:[{Object:obj Stripe:0 Missing:[1 75] Corrupt:[75] Quarantined:[] Recoverable:true Margin:0 Repaired:[1 75]}] BlocksRepaired:2 CorruptFrames:1 AtRisk:0 Unrecoverable:0 QuarantinedNodes:[] Cost:{BlocksRead:95 BlocksWritten:2 BytesRead:6460 BytesWritten:136}}",
+	},
+}
+
+// callseqStore puts one stripe ("obj") on a recording backend over a flaky
+// one (node 1, no failures yet) and hands back every layer.
+func callseqStore(t *testing.T) (*Store, []byte, device.Array, *flakyBackend, *recordingBackend) {
+	t.Helper()
+	g := benchStore(t).Graph()
+	devs := device.NewArray(g.Total)
+	fb := &flakyBackend{Backend: NewArrayBackend(devs), node: 1}
+	rec := &recordingBackend{Backend: fb}
+	s, err := NewWithBackend(g, rec, Config{BlockSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := payload(s.Layout().StripeCapacity-7, 11)
+	if err := s.Put("obj", data); err != nil {
+		t.Fatal(err)
+	}
+	return s, data, devs, fb, rec
+}
+
 // TestGetStripeBackendCallSequence pins what one stripe read does to the
 // backend: which blocks it reads, which it writes back, in which order, and
 // the GetStats it reports. The goldens were captured at f956280, before the
@@ -71,84 +173,9 @@ func (b *recordingBackend) Delete(ctx context.Context, node int, key []byte) err
 // planning, decoding or scratch ownership must leave them alone. (The chaos
 // soak's seeded schedule diverges as soon as one read-repair write moves.)
 func TestGetStripeBackendCallSequence(t *testing.T) {
-	corrupt := func(t *testing.T, devs device.Array, node int) {
-		t.Helper()
-		key := blockKey("obj", 0, node)
-		framed, err := devs[node].Read(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		framed[len(framed)-1] ^= 0x40
-		if err := devs[node].Write(key, framed); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, tc := range []struct {
-		name   string
-		damage func(t *testing.T, devs device.Array, fb *flakyBackend)
-		ops    string
-		stats  string
-	}{
-		{
-			name:   "healthy",
-			damage: func(*testing.T, device.Array, *flakyBackend) {},
-			ops:    "R0-47",
-			stats:  "{DevicesAccessed:48 BlocksRead:48 BlocksRepaired:0 CorruptBlocks:0 ReadRepairs:0 Retries:0 Repair:{BlocksRead:0 BlocksWritten:0 BytesRead:0 BytesWritten:0}}",
-		},
-		{
-			name: "four data devices failed",
-			damage: func(_ *testing.T, devs device.Array, _ *flakyBackend) {
-				for _, node := range []int{0, 5, 17, 33} {
-					devs[node].Fail()
-				}
-			},
-			ops:   "R1-4 R6-16 R18-32 R34-47 R50 R54 R57 R59",
-			stats: "{DevicesAccessed:48 BlocksRead:48 BlocksRepaired:4 CorruptBlocks:0 ReadRepairs:0 Retries:0 Repair:{BlocksRead:0 BlocksWritten:0 BytesRead:0 BytesWritten:0}}",
-		},
-		{
-			name: "corrupt data frame",
-			damage: func(t *testing.T, devs device.Array, _ *flakyBackend) {
-				corrupt(t, devs, 9)
-			},
-			ops:   "R0-95 W9",
-			stats: "{DevicesAccessed:96 BlocksRead:96 BlocksRepaired:0 CorruptBlocks:1 ReadRepairs:1 Retries:0 Repair:{BlocksRead:48 BlocksWritten:1 BytesRead:3264 BytesWritten:68}}",
-		},
-		{
-			name: "blank replaced drive",
-			damage: func(_ *testing.T, devs device.Array, _ *flakyBackend) {
-				devs[21].Fail()
-				devs[21].Replace()
-			},
-			ops:   "R0-20 R22-47 R56 W21",
-			stats: "{DevicesAccessed:48 BlocksRead:48 BlocksRepaired:1 CorruptBlocks:0 ReadRepairs:1 Retries:0 Repair:{BlocksRead:0 BlocksWritten:1 BytesRead:0 BytesWritten:68}}",
-		},
-		{
-			// Node 1 errors past the retry budget, the data-only plan comes
-			// up short, and the sweep over everything else reachable meets a
-			// rotted level-2 check: that frame is rebuilt and written back,
-			// node 1's (intact on disk) is not.
-			name: "fallback sweep meets corrupt check",
-			damage: func(t *testing.T, devs device.Array, fb *flakyBackend) {
-				corrupt(t, devs, 75)
-				fb.failures = 100
-			},
-			ops:   "R0 R1! R1! R1! R2-47 R1! R1! R1! R48-95 W75",
-			stats: "{DevicesAccessed:95 BlocksRead:95 BlocksRepaired:0 CorruptBlocks:1 ReadRepairs:1 Retries:4 Repair:{BlocksRead:47 BlocksWritten:1 BytesRead:3196 BytesWritten:68}}",
-		},
-	} {
+	for _, tc := range callseqCases {
 		t.Run(tc.name, func(t *testing.T) {
-			g := benchStore(t).Graph()
-			devs := device.NewArray(g.Total)
-			fb := &flakyBackend{Backend: NewArrayBackend(devs), node: 1}
-			rec := &recordingBackend{Backend: fb}
-			s, err := NewWithBackend(g, rec, Config{BlockSize: 64})
-			if err != nil {
-				t.Fatal(err)
-			}
-			data := payload(s.Layout().StripeCapacity-7, 11)
-			if err := s.Put("obj", data); err != nil {
-				t.Fatal(err)
-			}
+			s, data, devs, fb, rec := callseqStore(t)
 			tc.damage(t, devs, fb)
 			rec.ops, rec.run = nil, ""
 
@@ -165,6 +192,34 @@ func TestGetStripeBackendCallSequence(t *testing.T) {
 			}
 			if st := fmt.Sprintf("%+v", stats); st != tc.stats {
 				t.Errorf("stats\n got %s\nwant %s", st, tc.stats)
+			}
+		})
+	}
+}
+
+// TestScrubBackendCallSequence pins what a repairing scrub does to the
+// backend on the same five stripes, and the ScrubReport it returns. The
+// goldens were captured at 4b47b14, when scrubStripe still peeled through the
+// allocating codec.Repair and framed every rewrite with frameBlock; the pooled
+// per-stripe repair body must read, rebuild and write exactly the same blocks
+// in the same order. (The chaos soak schedules its faults by backend op.)
+func TestScrubBackendCallSequence(t *testing.T) {
+	for _, tc := range callseqCases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _, devs, fb, rec := callseqStore(t)
+			tc.damage(t, devs, fb)
+			rec.ops, rec.run = nil, ""
+
+			rep, err := s.ScrubCtx(context.Background(), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.flush()
+			if ops := strings.Join(rec.ops, " "); ops != tc.scrubOps {
+				t.Errorf("backend calls\n got %s\nwant %s", ops, tc.scrubOps)
+			}
+			if r := fmt.Sprintf("%+v", rep); r != tc.scrubReport {
+				t.Errorf("report\n got %s\nwant %s", r, tc.scrubReport)
 			}
 		})
 	}

@@ -65,9 +65,11 @@ func frameSum(payload []byte) uint32 {
 // (framed[4:]); no copy is made. Callers that retain the payload must not
 // mutate it — and must not let anything else mutate framed — for the
 // payload's lifetime. Within this package the alias is safe because the
-// codec only reads block contents (reconstruction allocates fresh buffers)
-// and every write path re-frames through frameBlock, which copies. Callers
-// that need an independent copy use unframeBlockCopy.
+// codec only reads the blocks it is handed (what it rebuilds is carved from
+// the stripe scratch's own arena, never written over a block that was read)
+// and every write path re-frames into a buffer of its own — frameBlock's
+// fresh one or the scratch's frameBuf — before the backend sees the bytes.
+// Callers that need an independent copy use unframeBlockCopy.
 func unframeBlock(framed []byte) ([]byte, bool) {
 	if len(framed) < frameOverhead {
 		return nil, false

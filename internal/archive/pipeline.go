@@ -15,6 +15,7 @@ type stripeSlot struct {
 	buf     []byte         // produce's read buffer on Put, work's decode buffer on Get
 	sc      *stripeScratch // work's scratch, taken off the store's free list on first use
 	stats   GetStats       // summed by work over every stripe the slot served
+	health  StripeHealth   // a scrub's stripe: named by produce, filled in by work
 	err     error          // the stripe's failure, set by the pipe
 }
 

@@ -2,7 +2,9 @@ package archive
 
 import (
 	"context"
+	"fmt"
 	"slices"
+	"sync"
 
 	"tornado/internal/repairbw"
 )
@@ -39,6 +41,29 @@ type ScrubReport struct {
 	Cost repairbw.CostReport
 }
 
+// Donor supplies the data blocks a RepairFrom pass cannot get from its own
+// store. Asked for data block node of one stripe — one that is missing on
+// disk and that peeling the stripe's surviving blocks did not reach — it
+// returns the block (BlockSize bytes, the pass's to keep), nil when it has
+// none to give, or an error, which ends the pass. The pass calls it from its
+// worker goroutines, for several stripes at once.
+type Donor func(ctx context.Context, name string, stripe, node int) ([]byte, error)
+
+// DonorReport is the outcome of a RepairFrom pass: its scrub report, and how
+// the blocks it wrote home split between the store's own redundancy and the
+// donor. The two counts are folded in stripe by stripe as the work is done, so
+// unlike the per-stripe list they are complete on an error return as well.
+type DonorReport struct {
+	ScrubReport
+	// BlocksLocal counts the rewritten blocks that peeling rebuilt from what
+	// the store still held, before the donor was asked for anything.
+	BlocksLocal int
+	// BlocksImported counts the donor's data blocks written home. Each is
+	// billed to the Federation cause, as WriteBlock bills it, and is not in
+	// Cost; the checks re-encoded from them are ordinary scrub repairs.
+	BlocksImported int
+}
+
 // Scrub inspects every stripe of every object, reports each stripe's
 // health, and — when repair is true — reconstructs missing blocks and
 // rewrites them to their home devices (replaced drives are repopulated this
@@ -58,29 +83,93 @@ func (s *Store) Scrub(repair bool) (ScrubReport, error) {
 // ScrubCtx is Scrub with cancellation: the pass checks ctx at every stripe
 // boundary and returns ctx.Err() with the partial report, so a steward can
 // bound scrub latency on a large store. A cancelled pass gathers no
-// quarantine evidence (partial passes must not readmit nodes).
+// quarantine evidence (partial passes must not readmit nodes). Stripes are
+// visited one at a time, objects in List order: what the pass does to the
+// backend, and in which order, is a function of the store's state alone.
 func (s *Store) ScrubCtx(ctx context.Context, repair bool) (ScrubReport, error) {
+	rep, err := s.scrub(ctx, repair, nil, 1)
+	return rep.ScrubReport, err
+}
+
+// RepairFrom is a repairing scrub with somewhere to turn when a stripe's own
+// redundancy is not enough — the pass that rebuilds a site whose media is
+// gone. Per stripe it reads and verifies what is there, peels, asks donor for
+// just the data blocks peeling could not reach, peels on so the store's own
+// checks are re-encoded from them, and writes every rebuilt block home: one
+// visit per stripe, nothing read that was not already on disk. A stripe the
+// donor could not complete is reported not Recoverable (what peeling reached
+// is still written) and left to the caller. Stripes run through the stripe
+// pipeline at the default stream width, so unlike ScrubCtx the order of
+// backend calls is not fixed; the report, and what ends up stored, are.
+func (s *Store) RepairFrom(ctx context.Context, donor Donor) (DonorReport, error) {
+	return s.scrub(ctx, true, donor, applyStreamOptions(nil).parallelism)
+}
+
+// scrub is the one scrub pass: every stripe of every object through
+// repairStripe on a stripePipe of the given width, reported in List order.
+func (s *Store) scrub(ctx context.Context, repair bool, donor Donor, width int) (DonorReport, error) {
 	s.mScrubPasses.Inc()
-	var rep ScrubReport
+	var rep DonorReport
 	// Per-node evidence for the quarantine verdict: frames that verified
 	// and frames that failed their checksum during this pass.
 	pass := scrubPass{
 		clean:   make([]int, s.g.Total),
 		corrupt: make([]int, s.g.Total),
 	}
-	for _, obj := range s.List() {
-		for st := 0; st < obj.Stripes; st++ {
-			if err := ctx.Err(); err != nil {
-				return rep, err
+	var mu sync.Mutex // guards pass and rep's totals: the workers fold into both
+	stripe := func(ctx context.Context, h *StripeHealth, sc *stripeScratch) error {
+		t, err := s.repairStripe(ctx, h, repair, donor, sc)
+		s.meter.Record(repairbw.Scrub, t.cost)
+		mu.Lock()
+		rep.Cost.Add(t.cost)
+		rep.BlocksLocal += t.local
+		rep.BlocksImported += t.imported
+		for node := range sc.fromRead {
+			if sc.fromRead[node] {
+				pass.clean[node]++
 			}
-			h, cost, err := s.scrubStripe(ctx, obj.Name, st, repair, &pass)
-			rep.Cost.Add(cost)
-			s.meter.Record(repairbw.Scrub, cost)
-			if err != nil {
-				return rep, err
+			if sc.corrupt[node] {
+				pass.corrupt[node]++
 			}
-			rep.Stripes = append(rep.Stripes, h)
 		}
+		mu.Unlock()
+		return err
+	}
+
+	objs := s.List()
+	stripes := 0
+	for _, obj := range objs {
+		stripes += obj.Stripes
+	}
+	obj, st := 0, 0
+	p := stripePipe{
+		width: max(1, min(width, stripes)),
+		produce: func(sl *stripeSlot) (bool, error) {
+			for obj < len(objs) && st == objs[obj].Stripes {
+				obj, st = obj+1, 0
+			}
+			if obj == len(objs) {
+				return false, nil
+			}
+			sl.health = StripeHealth{Object: objs[obj].Name, Stripe: st}
+			st++
+			return true, nil
+		},
+		work: func(ctx context.Context, sl *stripeSlot) error {
+			if sl.sc == nil {
+				sl.sc = s.scratch()
+			}
+			return stripe(ctx, &sl.health, sl.sc)
+		},
+		consume: func(sl *stripeSlot) error {
+			rep.Stripes = append(rep.Stripes, sl.health)
+			return nil
+		},
+	}
+	err := p.run(ctx)
+	s.releaseScratches(&p)
+	if err != nil {
+		return rep, err
 	}
 	// Second look at stripes the first sweep could not reconstruct: their
 	// failure is often transient unavailability (a flapping node, a device
@@ -104,9 +193,10 @@ func (s *Store) ScrubCtx(ctx context.Context, repair bool) (ScrubReport, error) 
 			if !s.secondLookWorthwhile(h, &keys) {
 				continue
 			}
-			h2, cost, err := s.scrubStripe(ctx, h.Object, h.Stripe, repair, &pass)
-			rep.Cost.Add(cost)
-			s.meter.Record(repairbw.Scrub, cost)
+			h2 := StripeHealth{Object: h.Object, Stripe: h.Stripe}
+			sc := s.scratch()
+			err := stripe(ctx, &h2, sc)
+			s.release(sc)
 			if err != nil {
 				return rep, err
 			}
@@ -148,36 +238,53 @@ func (s *Store) secondLookWorthwhile(h StripeHealth, keys *keyBuf) bool {
 	return false
 }
 
-// scrubStripe verifies one stripe, optionally repairing it, and returns its
-// health along with the stripe's repair-traffic bill (every byte read to
-// verify plus every byte written to repair).
-func (s *Store) scrubStripe(ctx context.Context, name string, st int, repair bool, pass *scrubPass) (StripeHealth, repairbw.CostReport, error) {
-	h := StripeHealth{Object: name, Stripe: st, Quarantined: s.Quarantined()}
-	var cost repairbw.CostReport
-	blocks := make([][]byte, s.g.Total)
-	var keys keyBuf
-	keys.stripe(name, st)
-	for node := 0; node < s.g.Total; node++ {
-		key := keys.key(node)
+// stripeTally is what one repairStripe call moved: the scrub-cause bill
+// (every byte read to verify plus every byte written to repair), and how many
+// of the rewritten blocks were rebuilt unaided or came from the donor.
+type stripeTally struct {
+	cost            repairbw.CostReport
+	local, imported int
+}
+
+// repairStripe is the per-stripe body of every scrub: it verifies the stripe
+// named in h, fills in h, and — when repair is set — rebuilds what is missing
+// in sc's pooled workspace, with donor's help if there is one, and writes it
+// home. sc.fromRead and sc.corrupt are left holding the stripe's per-node
+// quarantine evidence.
+func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, repair bool, donor Donor, sc *stripeScratch) (stripeTally, error) {
+	var t stripeTally
+	// A stripe the pipeline dispatched as the pass was being cancelled must
+	// not start: a blank stripe reads nothing, so nothing below would notice.
+	if err := ctx.Err(); err != nil {
+		return t, err
+	}
+	h.Quarantined = s.Quarantined()
+	for node := range sc.blocks {
+		sc.blocks[node] = nil
+		sc.fromRead[node], sc.corrupt[node] = false, false
+		sc.unaided[node], sc.donated[node] = false, false
+	}
+	sc.keys.stripe(h.Object, h.Stripe)
+	for node := range sc.blocks {
+		key := sc.keys.key(node)
 		if s.backend.Available(s.dev(node), key) {
 			framed, err := s.readFramed(ctx, node, key, nil)
 			if errIsCtx(err) {
 				// A cancelled read is not evidence of a missing block; abort
 				// the stripe so the pass reports ctx.Err(), not phantom damage.
-				return h, cost, err
+				return t, err
 			}
 			if err == nil {
-				cost.BlocksRead++
-				cost.BytesRead += int64(len(framed))
-				// The payload aliases framed; it is only read by the codec
-				// and copied by frameBlock before any repair write.
+				t.cost.BlocksRead++
+				t.cost.BytesRead += int64(len(framed))
+				// The payload aliases framed; the codec only reads it.
 				if b, ok := unframeBlock(framed); ok {
-					blocks[node] = b
-					pass.clean[node]++
+					sc.blocks[node] = b
+					sc.fromRead[node] = true
 					continue
 				}
 				h.Corrupt = append(h.Corrupt, node)
-				pass.corrupt[node]++
+				sc.corrupt[node] = true
 				s.noteCorrupt(node)
 			}
 		}
@@ -186,33 +293,68 @@ func (s *Store) scrubStripe(ctx context.Context, name string, st int, repair boo
 	if len(h.Missing) == 0 {
 		h.Recoverable = true
 		h.Margin = s.cfg.FirstFailure
-		return h, cost, nil
+		return t, nil
 	}
 
-	err := s.codec.Repair(blocks)
-	h.Recoverable = err == nil
+	h.Recoverable = s.codec.RepairWith(sc.ws, sc.blocks) == nil
 	if s.cfg.FirstFailure > 0 {
 		h.Margin = s.cfg.FirstFailure - len(h.Missing)
 	}
 	if !repair {
-		return h, cost, nil
+		return t, nil
+	}
+	for _, node := range h.Missing {
+		sc.unaided[node] = sc.blocks[node] != nil
+	}
+	if donor != nil && !h.Recoverable {
+		for node := 0; node < s.g.Data; node++ {
+			if sc.blocks[node] != nil {
+				continue
+			}
+			b, err := donor(ctx, h.Object, h.Stripe, node)
+			if err != nil {
+				return t, err
+			}
+			if b == nil {
+				continue
+			}
+			if len(b) != s.cfg.BlockSize {
+				return t, fmt.Errorf("archive: donor block %q stripe %d node %d has %d bytes, want %d",
+					h.Object, h.Stripe, node, len(b), s.cfg.BlockSize)
+			}
+			sc.blocks[node], sc.donated[node] = b, true
+		}
+		h.Recoverable = s.codec.ResumeRepair(sc.ws, sc.blocks) == nil
 	}
 	// Even an unrecoverable stripe gets partial repair: every block the
 	// peeling did reach is correct, and writing it back monotonically
 	// shrinks the missing set — so when the transient unavailability that
 	// defeated this pass clears, the stripe needs less to come back.
 	for _, node := range h.Missing {
-		if blocks[node] == nil {
+		if sc.blocks[node] == nil {
 			continue // peeling never reached it (or never needed to)
 		}
 		// Quarantined nodes are repaired too: the rewrite is what heals
 		// at-rest damage, and the next pass's evidence decides readmission.
-		if werr := s.writeFramed(ctx, node, keys.key(node), blocks[node]); werr != nil {
+		var werr error
+		sc.frameBuf, werr = s.writeFramedBuf(ctx, node, sc.keys.key(node), sc.blocks[node], sc.frameBuf)
+		if werr != nil {
 			continue // home device still dead; the next scrub retries
 		}
-		cost.BlocksWritten++
-		cost.BytesWritten += s.frameSize()
 		h.Repaired = append(h.Repaired, node)
+		if sc.donated[node] {
+			t.imported++
+			continue
+		}
+		t.cost.BlocksWritten++
+		t.cost.BytesWritten += s.frameSize()
+		if sc.unaided[node] {
+			t.local++
+		}
 	}
-	return h, cost, nil
+	if t.imported > 0 {
+		s.meter.Record(repairbw.Federation, repairbw.CostReport{
+			BlocksWritten: t.imported, BytesWritten: int64(t.imported) * s.frameSize()})
+	}
+	return t, nil
 }

@@ -4,15 +4,17 @@
 // per-link latency brownouts, and site flapping. Like the node injector it
 // is seeded and deterministic: all rate-based decisions come from a single
 // PCG stream consumed in Step order, and every query method (SiteUp,
-// LinkUp, LinkLatency) consumes no randomness, so probing the topology
-// never perturbs the schedule.
+// LinkUp, LinkLatency, Transfer) consumes no randomness, so probing the
+// topology never perturbs the schedule.
 //
 // The model: N sites are joined pairwise by symmetric WAN links. A lost or
 // flapping site is unreachable to everyone (the facade and every peer). A
 // partitioned link blocks only site-to-site exchange between that pair —
 // an external client (the fedstore facade) is assumed to have its own
 // connectivity to every site. A browned-out link stays up but adds a fixed
-// latency to every exchange crossing it.
+// latency to every exchange crossing it. A link may also carry a byte-rate
+// cap (LimitLink): not a fault but the link's capacity, so that a repair is
+// priced by the bytes it moves and gains nothing from moving them in parallel.
 package chaos
 
 import (
@@ -62,6 +64,8 @@ type WAN struct {
 	flapUntil []int64         // site dark while flapUntil > steps
 	cut       []bool          // link (a,b), a<b: partitioned
 	slow      []time.Duration // link (a,b), a<b: brownout latency
+	rate      []int64         // link (a,b), a<b: byte-rate cap, 0 for none
+	busyUntil []time.Time     // link (a,b), a<b: when the bytes admitted so far have cleared
 	quiesced  bool
 
 	metrics  *obs.Registry
@@ -91,6 +95,8 @@ func NewWAN(cfg WANConfig) *WAN {
 		flapUntil: make([]int64, n),
 		cut:       make([]bool, n*n),
 		slow:      make([]time.Duration, n*n),
+		rate:      make([]int64, n*n),
+		busyUntil: make([]time.Time, n*n),
 		metrics:   reg,
 		injected:  map[string]*obs.Counter{},
 		gDown:     reg.Gauge("chaos.wan.sites_down"),
@@ -213,6 +219,22 @@ func (w *WAN) BrownoutLink(a, b int, d time.Duration) {
 	w.slow[w.link(a, b)] = d
 }
 
+// LimitLink caps the a-b link at bytesPerSec in total, both directions and
+// every caller together; bytesPerSec <= 0 lifts the cap. The cap is the
+// link's capacity, not an injected fault: it counts under no fault class and
+// HealLink and HealAll leave it in place.
+func (w *WAN) LimitLink(a, b int, bytesPerSec int64) {
+	w.checkSite(a)
+	w.checkSite(b)
+	if a == b {
+		return
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.rate[w.link(a, b)] = max(bytesPerSec, 0)
+	w.busyUntil[w.link(a, b)] = time.Time{}
+}
+
 // HealAll restores every site and every link: no losses, no flaps, no
 // partitions, no brownouts.
 func (w *WAN) HealAll() {
@@ -302,6 +324,38 @@ func (w *WAN) LinkLatency(a, b int) time.Duration {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.slow[w.link(a, b)]
+}
+
+// Transfer admits n bytes to the a-b link and returns how long the caller
+// must wait for them to have crossed: the brownout latency, plus — on a
+// capped link — the time until the link has carried everything admitted
+// before them and then these n bytes at the capped rate. The link keeps one
+// busy-until clock, so transfers queue behind one another however many
+// goroutines ask at once: the bytes admitted over any interval never exceed
+// rate × interval. On an uncapped link it is LinkLatency. Consumes no
+// randomness.
+func (w *WAN) Transfer(a, b int, n int64) time.Duration {
+	w.checkSite(a)
+	w.checkSite(b)
+	if a == b {
+		return 0
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	l := w.link(a, b)
+	d := w.slow[l]
+	if rate := w.rate[l]; rate > 0 && n > 0 {
+		now := time.Now()
+		start := w.busyUntil[l]
+		if start.Before(now) {
+			start = now
+		}
+		// Rounded up: a whole repair's waits must add up to no less than
+		// bytes / rate.
+		w.busyUntil[l] = start.Add(time.Duration((n*int64(time.Second) + rate - 1) / rate))
+		d += w.busyUntil[l].Sub(now)
+	}
+	return d
 }
 
 // UpSites returns the reachable sites in ascending order.

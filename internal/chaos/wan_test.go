@@ -145,3 +145,55 @@ func TestWANQuiesceStopsFlapsKeepsLosses(t *testing.T) {
 		t.Error("HealAll left damage")
 	}
 }
+
+// TestWANLinkCap: an uncapped link charges only its brownout latency; a capped
+// one charges each transfer the time the link needs to carry everything
+// admitted before it and then the transfer itself, so however many callers
+// ask at once the link never carries more than its rate. The cap is capacity,
+// not a fault: healing leaves it, only LimitLink(…, 0) lifts it.
+func TestWANLinkCap(t *testing.T) {
+	w := NewWAN(WANConfig{Sites: 3})
+	if d := w.Transfer(0, 1, 1<<20); d != 0 {
+		t.Errorf("uncapped healthy link charged %v", d)
+	}
+	w.BrownoutLink(0, 1, 3*time.Millisecond)
+	if d := w.Transfer(1, 0, 1<<20); d != w.LinkLatency(0, 1) {
+		t.Errorf("uncapped browned-out link charged %v, its latency is %v", d, w.LinkLatency(0, 1))
+	}
+	w.HealAll()
+
+	const rate, n, callers = 1_000_000, 5_000, 8 // 5 ms a transfer
+	w.LimitLink(1, 0, rate)
+	if d := w.Transfer(0, 2, n); d != 0 {
+		t.Errorf("cap on 0-1 charged the 0-2 link %v", d)
+	}
+	t0 := time.Now()
+	clears := make(chan time.Time, callers)
+	for range callers {
+		go func() {
+			d := w.Transfer(0, 1, n)
+			clears <- time.Now().Add(d)
+		}()
+	}
+	var last time.Time
+	for range callers {
+		if c := <-clears; c.After(last) {
+			last = c
+		}
+	}
+	if floor := callers * n * time.Second / rate; last.Sub(t0) < floor {
+		t.Errorf("%d concurrent transfers of %d B clear a %d B/s link after %v, under the %v they take back to back", callers, n, rate, last.Sub(t0), floor)
+	}
+	if got := w.InjectedWANTotals(); got[WANClassBrownout] != 1 || got[WANClassPartition] != 0 {
+		t.Errorf("a cap was counted as a fault: %v", got)
+	}
+
+	w.HealAll()
+	if d := w.Transfer(0, 1, n); d <= 0 {
+		t.Error("HealAll lifted the cap")
+	}
+	w.LimitLink(0, 1, 0)
+	if d := w.Transfer(0, 1, n); d != 0 {
+		t.Errorf("lifted cap still charges %v", d)
+	}
+}

@@ -122,6 +122,13 @@ func (c *Codec) checkBlocks(blocks [][]byte) error {
 // Repair runs data-carrying peeling over blocks (nil entries are missing),
 // reconstructing every block it can reach. It returns ErrUnrecoverable if
 // any data block remains missing; check blocks may legitimately stay nil.
+//
+// Every block it fills in is a fresh allocation the caller owns outright,
+// which is what the cross-site exchanges (fedstore, steward: their block
+// arrays outlive the call and are shared between sites) and Decode want, and
+// what makes it the plain oracle the tests hold RepairWith and DecodeInto
+// against. The archive's stripe paths — Get, scrub, site repair — go through
+// a pooled Workspace (RepairWith, ResumeRepair, DecodeInto) and never call it.
 func (c *Codec) Repair(blocks [][]byte) error {
 	if err := c.checkBlocks(blocks); err != nil {
 		return err

@@ -148,14 +148,25 @@ func (c *Codec) reached(ws *Workspace, blocks [][]byte, wanted bool) bool {
 }
 
 // RepairWith is Repair carving recovered blocks from ws: it fills in every
-// block peeling can reach, whatever ws.Want names. Blocks filled into the input slice alias ws's arena and are
-// valid only until the next RepairWith/DecodeInto call on the same
-// workspace; the archive's write paths copy before the backend sees them.
+// block peeling can reach, whatever ws.Want names. Blocks filled into the
+// input slice alias ws's arena and are valid only until the next
+// RepairWith/DecodeInto call on the same workspace; the archive's write paths
+// copy before the backend sees them.
 func (c *Codec) RepairWith(ws *Workspace, blocks [][]byte) error {
+	ws.reset()
+	return c.ResumeRepair(ws, blocks)
+}
+
+// ResumeRepair takes up the peel where RepairWith stopped, after the caller
+// has put blocks from elsewhere (a donor site's copy) into the holes it left:
+// the arena is not recycled, so everything the earlier peel filled in stays
+// valid, and the checks that depend on the new blocks are re-encoded beside
+// it. One stripe's RepairWith and ResumeRepair calls together fill at most
+// Total blocks, which is what the arena holds.
+func (c *Codec) ResumeRepair(ws *Workspace, blocks [][]byte) error {
 	if err := c.checkBlocks(blocks); err != nil {
 		return err
 	}
-	ws.reset()
 	c.peel(ws, blocks, true)
 	if !c.reached(ws, blocks, false) {
 		return ErrUnrecoverable

@@ -142,6 +142,62 @@ func TestRepairWithMatchesRepair(t *testing.T) {
 	}
 }
 
+// TestResumeRepairKeepsEarlierBlocks: a stripe that lost too much for
+// RepairWith is handed its missing data blocks from outside; ResumeRepair then
+// completes it to exactly the encoded stripe, and what the first peel had
+// rebuilt is neither recycled nor overwritten by the second.
+func TestResumeRepairKeepsEarlierBlocks(t *testing.T) {
+	g := testGraph(t)
+	c, err := New(g, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := c.NewWorkspace()
+	rng := rand.New(rand.NewPCG(5, 5))
+	payload := make([]byte, c.Capacity())
+	for i := range payload {
+		payload[i] = byte(rng.IntN(256))
+	}
+	full, err := c.Encode(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := 0
+	for trial := 0; trial < 200; trial++ {
+		blocks := make([][]byte, len(full))
+		for i := range full {
+			if rng.IntN(3) > 0 { // about a third erased: mostly past what peeling absorbs
+				blocks[i] = full[i]
+			}
+		}
+		if c.RepairWith(ws, blocks) == nil {
+			continue
+		}
+		resumed++
+		first := make([][]byte, len(blocks))
+		copy(first, blocks)
+		for v := 0; v < g.Data; v++ {
+			if blocks[v] == nil {
+				blocks[v] = append([]byte(nil), full[v]...)
+			}
+		}
+		if err := c.ResumeRepair(ws, blocks); err != nil {
+			t.Fatalf("trial %d: all data present, ResumeRepair: %v", trial, err)
+		}
+		for i := range full {
+			if !bytes.Equal(blocks[i], full[i]) {
+				t.Fatalf("trial %d: block %d is not the encoded block", trial, i)
+			}
+			if first[i] != nil && &first[i][0] != &blocks[i][0] {
+				t.Fatalf("trial %d: block %d, present after the first peel, was replaced", trial, i)
+			}
+		}
+	}
+	if resumed < 50 {
+		t.Fatalf("only %d of 200 trials needed a resume", resumed)
+	}
+}
+
 // TestDecodeIntoRoundTrip streams several stripes through one workspace and
 // one payload buffer, checking each decode against the source bytes.
 func TestDecodeIntoRoundTrip(t *testing.T) {

@@ -1,0 +1,71 @@
+package fedstore
+
+import (
+	"fmt"
+	"testing"
+
+	"tornado/internal/archive"
+	"tornado/internal/device"
+	"tornado/internal/graphml"
+)
+
+// BenchmarkRepairSite is bench/'s site_wipe workload as a Go benchmark: the
+// three shipped graphs as three sites, 64 objects of 1 MiB in 4 KiB blocks,
+// every device of site 0 wiped and RepairSite timed. It reports the repair
+// time and how many blocks the repair read at all three sites per stripe
+// rebuilt — Data at a donor plus Total for the residue scrub is the floor.
+func BenchmarkRepairSite(b *testing.B) {
+	const objects, size = 64, 1 << 20
+	var stores []*archive.Store
+	var counts []*countingBackend
+	var devs []device.Array
+	for i := 1; i <= 3; i++ {
+		g, err := graphml.ReadFile(fmt.Sprintf("../../precompiled/tornado96-%d.graphml", i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		d := device.NewArray(g.Total)
+		cb := &countingBackend{Backend: archive.NewArrayBackend(d)}
+		s, err := archive.NewWithBackend(g, cb, archive.Config{BlockSize: 4096})
+		if err != nil {
+			b.Fatal(err)
+		}
+		stores, counts, devs = append(stores, s), append(counts, cb), append(devs, d)
+	}
+	f, err := New(stores, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := testPayload(size, 1)
+	for k := 0; k < objects; k++ {
+		if err := f.Put(fmt.Sprintf("obj-%03d", k), data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	stripes := 0
+	for _, obj := range stores[0].List() {
+		stripes += obj.Stripes
+	}
+	var reads int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for _, d := range devs[0] {
+			d.Fail()
+			d.Replace()
+		}
+		for _, cb := range counts {
+			reads -= cb.reads.Load()
+		}
+		b.StartTimer()
+		rep, err := f.RepairSite(0)
+		if err != nil || rep.MissingAfter != 0 || rep.Unrecoverable != 0 {
+			b.Fatalf("repair: %v, report %+v", err, rep)
+		}
+		for _, cb := range counts {
+			reads += cb.reads.Load()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "repair_ms")
+	b.ReportMetric(float64(reads)/float64(b.N*stripes), "reads/stripe")
+}

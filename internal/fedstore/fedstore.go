@@ -142,12 +142,13 @@ func (f *Store) linkUp(a, b int) bool {
 	return f.cfg.WAN == nil || f.cfg.WAN.LinkUp(a, b)
 }
 
-// linkStall sleeps out any brownout latency on the a-b link.
-func (f *Store) linkStall(ctx context.Context, a, b int) error {
+// linkStall sleeps out what moving n bytes over the a-b link costs: any
+// brownout latency, and the link's share of a byte-rate cap.
+func (f *Store) linkStall(ctx context.Context, a, b int, n int64) error {
 	if f.cfg.WAN == nil {
 		return nil
 	}
-	d := f.cfg.WAN.LinkLatency(a, b)
+	d := f.cfg.WAN.Transfer(a, b, n)
 	if d <= 0 {
 		return nil
 	}

@@ -3,6 +3,7 @@ package fedstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -341,5 +342,65 @@ func TestDeleteAcrossSites(t *testing.T) {
 	}
 	if err := f.Delete("obj"); !errors.Is(err, archive.ErrNotFound) {
 		t.Errorf("double delete err = %v, want ErrNotFound", err)
+	}
+}
+
+// partialDamage wipes devices 0-2 of the site (within what peeling absorbs)
+// and deletes a growing run of further blocks from every other stripe of
+// every object, so some stripes come back by local peeling alone, some get
+// part of the way, and the rest need their donors for nearly everything.
+func partialDamage(t *testing.T, s site) {
+	t.Helper()
+	for _, d := range []int{0, 1, 2} {
+		s.devs[d].Fail()
+		s.inj.VoidNode(d)
+		s.devs[d].Replace()
+	}
+	for _, obj := range s.store.List() {
+		for st := 0; st < obj.Stripes; st += 2 {
+			for node := 3; node < 6+2*st; node++ {
+				if err := s.devs[node].Delete([]byte(fmt.Sprintf("%s/%d/%d", obj.Name, st, node))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// TestRepairSitePartialDamage: a site that lost a few devices and a scatter
+// of blocks repairs what it can by itself and imports only the data blocks
+// peeling could not reach. The counts are goldens captured at 4b47b14 from
+// the four-phase RepairSite (repair scrub, probe scrub, per-block import,
+// rebuild scrub); the one-pass repair must report exactly the same work.
+func TestRepairSitePartialDamage(t *testing.T) {
+	f, sites := fedOver(t, Config{},
+		newSiteWithGraph(t, tornadoGraph(t, 21), 32),
+		newSiteWithGraph(t, tornadoGraph(t, 22), 32),
+		newSiteWithGraph(t, tornadoGraph(t, 23), 32))
+	datas := map[string][]byte{}
+	for i := 0; i < 5; i++ {
+		name := string(rune('a' + i))
+		datas[name] = testPayload(700+611*i, uint64(i))
+		if err := f.Put(name, datas[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	partialDamage(t, sites[0])
+	rep, err := f.RepairSite(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "{Site:0 ShellsSynced:0 LocalRepairs:59 DirectImports:84 ExchangedStripes:0 Exchange:{BlocksRead:84 BlocksWritten:84 BytesRead:3024 BytesWritten:3024} MissingAfter:0 Unrecoverable:0}"
+	if got := fmt.Sprintf("%+v", rep); got != want {
+		t.Errorf("report\n got %s\nwant %s", got, want)
+	}
+	if got, want := f.ExchangeTotals(), f.SiteFederationTotals(); got != want {
+		t.Errorf("conservation: facade %+v != sites %+v", got, want)
+	}
+	for name, data := range datas {
+		got, _, err := sites[0].store.Get(name)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Errorf("repaired site get %q: err=%v exact=%v", name, err, bytes.Equal(got, data))
+		}
 	}
 }

@@ -83,7 +83,7 @@ func (f *Store) recoverStripe(ctx context.Context, name string, stripe int) (int
 			}
 			b, err := f.sites[i].ReadBlockCtx(ctx, name, stripe, node)
 			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				if isCtxErr(err) {
 					return 0, nil, err
 				}
 				continue // missing or corrupt: a hole for the peel to fill
@@ -126,7 +126,7 @@ func (f *Store) recoverStripe(ctx context.Context, name string, stripe int) (int
 					if !f.linkUp(a, b) {
 						continue
 					}
-					if err := f.linkStall(ctx, a, b); err != nil {
+					if err := f.linkStall(ctx, a, b, frameBytes); err != nil {
 						return 0, nil, err
 					}
 					perSite[b][v] = perSite[a][v]
@@ -154,11 +154,11 @@ func (f *Store) recoverStripe(ctx context.Context, name string, stripe int) (int
 			if fetched[j][v] || perSite[winner][v] == nil {
 				continue
 			}
-			if err := f.linkStall(ctx, winner, j); err != nil {
+			if err := f.linkStall(ctx, winner, j, frameBytes); err != nil {
 				return 0, nil, err
 			}
 			if err := f.sites[j].WriteBlockCtx(ctx, name, stripe, v, perSite[winner][v]); err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				if isCtxErr(err) {
 					return 0, nil, err
 				}
 				continue // site degraded mid-repair; a later RepairSite retries
@@ -177,8 +177,8 @@ type RepairReport struct {
 	// objects the site missed entirely (down during Put, or device-wiped
 	// with the steward database surviving).
 	ShellsSynced int
-	// LocalRepairs counts blocks the site's own repair scrub rebuilt from
-	// its surviving blocks, before any cross-site traffic.
+	// LocalRepairs counts blocks the site rebuilt by peeling its own
+	// surviving blocks, before any cross-site traffic.
 	LocalRepairs int
 	// DirectImports counts data blocks copied straight from a donor
 	// site's intact replica.
@@ -186,7 +186,8 @@ type RepairReport struct {
 	// ExchangedStripes counts stripes that needed full joint exchange
 	// because no single donor held the missing blocks.
 	ExchangedStripes int
-	// Exchange is the facade-tallied cross-site traffic of this repair.
+	// Exchange is the facade-tallied cross-site traffic of this repair,
+	// filled in on an error return too.
 	Exchange repairbw.CostReport
 	// MissingAfter and Unrecoverable are the site's post-repair scrub
 	// residue; both must be zero after a successful disaster recovery.
@@ -194,19 +195,27 @@ type RepairReport struct {
 	Unrecoverable int
 }
 
-// RepairSite restores a site after a disaster: sync object shells from
-// donor sites, let the site repair what it can locally, import still-
-// missing data blocks from donor replicas (falling back to joint exchange
-// when no single donor has them), and rebuild site-local check blocks with
-// a final repair scrub. Every imported byte flows through the archive
-// block interface and is billed to the federation repair cause.
+// RepairSite restores a site after a disaster, visiting each of its stripes
+// once. Object shells the site never saw are copied from its donors (the
+// reachable sites with a working link to it). Then one repairing pass
+// (archive.RepairFrom) runs with the federation as donor: per stripe the
+// site verifies what it holds and peels, only the data blocks peeling cannot
+// reach are read from the first donor that has them, and the site re-encodes
+// its own checks from them — a lost byte costs one byte across the WAN,
+// never a check block, all of it billed to the federation repair cause.
+// Stripes no single donor could complete go through the joint exchange
+// (recoverStripe) and, only if there were any, one more pass for their
+// checks. A verify-only scrub, independent of all that, measures the residue.
+//
+// A device that refuses a rebuilt block (a dead replacement drive) does not
+// stop the repair: the block shows up in MissingAfter and a later run retries.
 func (f *Store) RepairSite(target int) (RepairReport, error) {
 	return f.RepairSiteCtx(context.Background(), target)
 }
 
 // RepairSiteCtx is RepairSite with cancellation.
-func (f *Store) RepairSiteCtx(ctx context.Context, target int) (RepairReport, error) {
-	rep := RepairReport{Site: target}
+func (f *Store) RepairSiteCtx(ctx context.Context, target int) (rep RepairReport, err error) {
+	rep = RepairReport{Site: target}
 	if target < 0 || target >= len(f.sites) {
 		return rep, fmt.Errorf("fedstore: site %d out of range [0,%d)", target, len(f.sites))
 	}
@@ -215,6 +224,7 @@ func (f *Store) RepairSiteCtx(ctx context.Context, target int) (RepairReport, er
 	}
 	f.cRepairs.Inc()
 	before := f.ExchangeTotals()
+	defer func() { rep.Exchange = costDelta(f.ExchangeTotals(), before) }()
 	ts := f.sites[target]
 
 	// Donors: reachable sites with a working link to the target.
@@ -225,8 +235,7 @@ func (f *Store) RepairSiteCtx(ctx context.Context, target int) (RepairReport, er
 		}
 	}
 
-	// Phase 1 — shell sync: recover metadata for objects the target never
-	// saw. List is name-sorted at every site, so this is deterministic.
+	// List is name-sorted at every site, so the shell sync is deterministic.
 	for _, d := range donors {
 		for _, obj := range f.sites[d].List() {
 			if _, err := ts.Stat(obj.Name); err == nil {
@@ -239,75 +248,53 @@ func (f *Store) RepairSiteCtx(ctx context.Context, target int) (RepairReport, er
 		}
 	}
 
-	// Phase 2 — local repair: everything the site can rebuild from its own
-	// surviving blocks costs no WAN traffic.
-	local, err := ts.ScrubCtx(ctx, true)
-	if err != nil {
-		return rep, fmt.Errorf("fedstore: local repair scrub at site %d: %w", target, err)
-	}
-	rep.LocalRepairs = local.BlocksRepaired
-
-	// Phase 3 — import: probe what is still missing and pull data blocks
-	// from donors; stripes no single donor can serve go through the full
-	// joint exchange (whose write-back heals the target as a participant).
-	probe, err := ts.ScrubCtx(ctx, false)
-	if err != nil {
-		return rep, fmt.Errorf("fedstore: probe scrub at site %d: %w", target, err)
-	}
-	data := f.layout.DataNodes
-	for _, h := range probe.Stripes {
-		needExchange := false
-		for _, v := range h.Missing {
-			if v >= data {
-				continue // site-local check block; phase 4 rebuilds it
+	frameBytes := int64(ts.FrameSize())
+	donor := func(ctx context.Context, name string, stripe, node int) ([]byte, error) {
+		for _, d := range donors {
+			b, err := f.sites[d].ReadBlockCtx(ctx, name, stripe, node)
+			if err != nil {
+				if isCtxErr(err) {
+					return nil, err
+				}
+				continue
 			}
-			imported := false
-			for _, d := range donors {
-				if err := ctx.Err(); err != nil {
-					return rep, err
-				}
-				b, err := f.sites[d].ReadBlockCtx(ctx, h.Object, h.Stripe, v)
-				if err != nil {
-					if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-						return rep, err
-					}
-					continue
-				}
-				f.cExBlkRead.Inc()
-				f.cExByRead.Add(int64(f.sites[d].FrameSize()))
-				if err := f.linkStall(ctx, d, target); err != nil {
-					return rep, err
-				}
-				if err := ts.WriteBlockCtx(ctx, h.Object, h.Stripe, v, b); err != nil {
-					return rep, fmt.Errorf("fedstore: import %q stripe %d block %d to site %d: %w",
-						h.Object, h.Stripe, v, target, err)
-				}
-				f.cExBlkWrit.Inc()
-				f.cExByWrit.Add(int64(ts.FrameSize()))
-				rep.DirectImports++
-				imported = true
-				break
+			f.cExBlkRead.Inc()
+			f.cExByRead.Add(int64(f.sites[d].FrameSize()))
+			if err := f.linkStall(ctx, d, target, frameBytes); err != nil {
+				return nil, err
 			}
-			if !imported {
-				needExchange = true
-			}
+			return b, nil
 		}
-		if needExchange {
-			if _, _, err := f.recoverStripe(ctx, h.Object, h.Stripe); err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return rep, err
-				}
-				continue // truly lost; the final scrub counts it
+		return nil, nil // the stripe goes to the joint exchange below
+	}
+	pass, err := ts.RepairFrom(ctx, donor)
+	f.cExBlkWrit.Add(int64(pass.BlocksImported))
+	f.cExByWrit.Add(int64(pass.BlocksImported) * frameBytes)
+	rep.LocalRepairs, rep.DirectImports = pass.BlocksLocal, pass.BlocksImported
+	if err != nil {
+		return rep, fmt.Errorf("fedstore: repair pass at site %d: %w", target, err)
+	}
+
+	for _, h := range pass.Stripes {
+		if h.Recoverable {
+			continue
+		}
+		if _, _, err := f.recoverStripe(ctx, h.Object, h.Stripe); err != nil {
+			if isCtxErr(err) {
+				return rep, err
 			}
-			rep.ExchangedStripes++
+			continue // truly lost; the final scrub counts it
+		}
+		rep.ExchangedStripes++
+	}
+	if rep.ExchangedStripes > 0 {
+		// The exchange wrote data blocks home; the checks over them are the
+		// site's own to re-encode.
+		if _, err := ts.RepairFrom(ctx, nil); err != nil {
+			return rep, fmt.Errorf("fedstore: rebuild pass at site %d: %w", target, err)
 		}
 	}
 
-	// Phase 4 — rebuild site-local check blocks from the now-complete data,
-	// then measure the residue.
-	if _, err := ts.ScrubCtx(ctx, true); err != nil {
-		return rep, fmt.Errorf("fedstore: rebuild scrub at site %d: %w", target, err)
-	}
 	final, err := ts.ScrubCtx(ctx, false)
 	if err != nil {
 		return rep, fmt.Errorf("fedstore: final scrub at site %d: %w", target, err)
@@ -318,12 +305,10 @@ func (f *Store) RepairSiteCtx(ctx context.Context, target int) (RepairReport, er
 			rep.Unrecoverable++
 		}
 	}
-	after := f.ExchangeTotals()
-	rep.Exchange = repairbw.CostReport{
-		BlocksRead:    after.BlocksRead - before.BlocksRead,
-		BlocksWritten: after.BlocksWritten - before.BlocksWritten,
-		BytesRead:     after.BytesRead - before.BytesRead,
-		BytesWritten:  after.BytesWritten - before.BytesWritten,
-	}
 	return rep, nil
+}
+
+// isCtxErr reports whether err is a cancellation or a missed deadline.
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

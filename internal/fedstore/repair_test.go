@@ -1,0 +1,259 @@
+package fedstore
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"tornado/internal/archive"
+	"tornado/internal/chaos"
+	"tornado/internal/device"
+)
+
+// countingBackend counts the block reads and writes that reach a site's
+// devices.
+type countingBackend struct {
+	archive.Backend
+	reads, writes atomic.Int64
+}
+
+func (b *countingBackend) Read(ctx context.Context, node int, key []byte) ([]byte, error) {
+	b.reads.Add(1)
+	return b.Backend.Read(ctx, node, key)
+}
+
+func (b *countingBackend) Write(ctx context.Context, node int, key, data []byte) error {
+	b.writes.Add(1)
+	return b.Backend.Write(ctx, node, key, data)
+}
+
+// wipedFederation builds the three-site federation of TestRepairSiteAfterFullWipe
+// over counting backends, stores a few multi-stripe objects and wipes site 0.
+// It returns the stripes stored per site.
+func wipedFederation(t *testing.T, cfg Config) (f *Store, sites []site, counts []*countingBackend, stripes int) {
+	t.Helper()
+	for seed := uint64(21); seed <= 23; seed++ {
+		g := tornadoGraph(t, seed)
+		devs := device.NewArray(g.Total)
+		cb := &countingBackend{Backend: archive.NewArrayBackend(devs)}
+		inj := chaos.Wrap(cb, chaos.Config{})
+		store, err := archive.NewWithBackend(g, inj, archive.Config{BlockSize: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites = append(sites, site{store: store, devs: devs, inj: inj})
+		counts = append(counts, cb)
+	}
+	f, sites = fedOver(t, cfg, sites...)
+	for i := 0; i < 4; i++ {
+		if err := f.Put(string(rune('a'+i)), testPayload(400+777*i, uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, obj := range sites[0].store.List() {
+		stripes += obj.Stripes
+	}
+	wipeSite(sites[0])
+	for _, cb := range counts {
+		cb.reads.Store(0)
+		cb.writes.Store(0)
+	}
+	return f, sites, counts, stripes
+}
+
+// setProcs runs the rest of the test at GOMAXPROCS n: RepairSite's pass is as
+// wide as the default stream width, which is clamped to it.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// TestRepairSiteBlockOpBudget: rebuilding a blank site of S stripes costs the
+// donors one read per data block, and the site one write per block plus the
+// read-back of the residue scrub — nothing is read twice, no check block
+// crosses the WAN, and the second donor is never asked.
+func TestRepairSiteBlockOpBudget(t *testing.T) {
+	f, sites, counts, stripes := wipedFederation(t, Config{})
+	rep, err := f.RepairSite(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.MissingAfter != 0 || rep.Unrecoverable != 0 {
+		t.Fatalf("residue: %+v", rep)
+	}
+	lay := sites[0].store.Layout()
+	data, total := int64(stripes*lay.DataNodes), int64(stripes*lay.NodesPerStripe)
+	for _, c := range []struct {
+		what      string
+		got, want int64
+	}{
+		{"first donor reads", counts[1].reads.Load(), data},
+		{"second donor reads", counts[2].reads.Load(), 0},
+		{"donor writes", counts[1].writes.Load() + counts[2].writes.Load(), 0},
+		{"target writes", counts[0].writes.Load(), total},
+		{"target reads", counts[0].reads.Load(), total},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.what, c.got, c.want)
+		}
+	}
+	if rep.DirectImports != int(data) || rep.LocalRepairs != 0 || rep.ExchangedStripes != 0 {
+		t.Errorf("report %+v, want %d imports and nothing else", rep, data)
+	}
+}
+
+// TestRepairSiteWidthChangesNothing: one worker or several, the same wiped
+// federation ends up with the same report and the same bytes on every device.
+func TestRepairSiteWidthChangesNothing(t *testing.T) {
+	run := func(procs int) (RepairReport, [][]byte) {
+		setProcs(t, procs)
+		f, sites, _, _ := wipedFederation(t, Config{})
+		rep, err := f.RepairSite(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stored [][]byte
+		for _, s := range sites {
+			for _, obj := range s.store.List() {
+				for st := 0; st < obj.Stripes; st++ {
+					for node, dev := range s.devs {
+						b, err := dev.Read([]byte(fmt.Sprintf("%s/%d/%d", obj.Name, st, node)))
+						if err != nil {
+							t.Fatalf("procs=%d: %s stripe %d node %d: %v", procs, obj.Name, st, node, err)
+						}
+						stored = append(stored, b)
+					}
+				}
+			}
+		}
+		return rep, stored
+	}
+	serialRep, serial := run(1)
+	wideRep, wide := run(4)
+	if serialRep != wideRep {
+		t.Errorf("reports differ:\n 1 proc  %+v\n 4 procs %+v", serialRep, wideRep)
+	}
+	if !reflect.DeepEqual(serial, wide) {
+		t.Error("device contents differ between one worker and several")
+	}
+}
+
+// TestRepairSiteDeadReplacementDrive: a replacement drive that is itself dead
+// refuses its blocks. The repair finishes the rest of the site, reports what
+// crossed the WAN, and leaves that drive's blocks — all still recoverable —
+// to the residue count and a later run.
+func TestRepairSiteDeadReplacementDrive(t *testing.T) {
+	f, sites, _, stripes := wipedFederation(t, Config{})
+	sites[0].devs[3].Fail()
+	rep, err := f.RepairSite(0)
+	if err != nil {
+		t.Fatalf("one dead drive aborted the repair: %v (report %+v)", err, rep)
+	}
+	data := sites[0].store.Layout().DataNodes
+	if rep.MissingAfter != stripes || rep.Unrecoverable != 0 {
+		t.Errorf("residue missing=%d unrecoverable=%d, want %d (one block a stripe) and 0", rep.MissingAfter, rep.Unrecoverable, stripes)
+	}
+	if rep.Exchange.BlocksRead != stripes*data || rep.Exchange.BlocksWritten != stripes*(data-1) || rep.DirectImports != stripes*(data-1) {
+		t.Errorf("report %+v: want %d blocks read at the donors, all but one a stripe written home", rep, stripes*data)
+	}
+	if got, want := f.ExchangeTotals(), f.SiteFederationTotals(); got != want {
+		t.Errorf("conservation: facade %+v != sites %+v", got, want)
+	}
+	sites[0].devs[3].Replace()
+	rep, err = f.RepairSite(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.MissingAfter != 0 || rep.LocalRepairs != stripes || rep.DirectImports != 0 {
+		t.Errorf("second run %+v: want the %d blocks rebuilt locally, none left", rep, stripes)
+	}
+}
+
+// TestRepairSiteErrorStillReportsExchange: a repair cut short returns the
+// traffic it had already caused, and the facade's tally still matches the
+// sites' meters.
+func TestRepairSiteErrorStillReportsExchange(t *testing.T) {
+	w := chaos.NewWAN(chaos.WANConfig{Sites: 3})
+	f, _, _, _ := wipedFederation(t, Config{WAN: w})
+	w.LimitLink(0, 1, 100) // one 36-byte frame every 0.36 s: the repair cannot finish
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	rep, err := f.RepairSiteCtx(ctx, 0)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want a deadline error", err)
+	}
+	if rep.Exchange.BlocksRead == 0 || rep.Exchange != f.ExchangeTotals() {
+		t.Errorf("report carries %+v, the facade moved %+v", rep.Exchange, f.ExchangeTotals())
+	}
+	if got, want := f.ExchangeTotals(), f.SiteFederationTotals(); got != want {
+		t.Errorf("conservation: facade %+v != sites %+v", got, want)
+	}
+}
+
+// TestRepairSiteExchangeFallback: every donor has lost the device holding
+// data block 0, so no replica of it is on disk anywhere and each stripe goes
+// through the joint exchange — after which the site's checks over the
+// exchanged data are rebuilt too.
+func TestRepairSiteExchangeFallback(t *testing.T) {
+	f, sites, _, stripes := wipedFederation(t, Config{})
+	sites[1].inj.LoseNode(0)
+	sites[2].inj.LoseNode(0)
+	rep, err := f.RepairSite(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ExchangedStripes != stripes || rep.MissingAfter != 0 || rep.Unrecoverable != 0 {
+		t.Errorf("report %+v, want %d exchanged stripes and no residue", rep, stripes)
+	}
+	if got, want := f.ExchangeTotals(), f.SiteFederationTotals(); got != want {
+		t.Errorf("conservation: facade %+v != sites %+v", got, want)
+	}
+	for i := 0; i < 4; i++ {
+		name := string(rune('a' + i))
+		got, _, err := sites[0].store.Get(name)
+		if err != nil || !bytes.Equal(got, testPayload(400+777*i, uint64(i))) {
+			t.Errorf("repaired site get %q: %v", name, err)
+		}
+	}
+}
+
+// TestRepairSiteUnderByteCap: on a link capped at r bytes/s a repair takes at
+// least imported bytes / r however many workers it runs, and the cap changes
+// nothing but the time.
+func TestRepairSiteUnderByteCap(t *testing.T) {
+	f, _, _, _ := wipedFederation(t, Config{WAN: chaos.NewWAN(chaos.WANConfig{Sites: 3})})
+	uncapped, err := f.RepairSite(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 4} {
+		setProcs(t, procs)
+		w := chaos.NewWAN(chaos.WANConfig{Sites: 3})
+		f, _, _, _ := wipedFederation(t, Config{WAN: w})
+		const rate = 200_000 // bytes/s
+		w.LimitLink(1, 0, rate)
+		t0 := time.Now()
+		rep, err := f.RepairSite(0)
+		took := time.Since(t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep != uncapped {
+			t.Errorf("procs=%d: capped report %+v, uncapped %+v", procs, rep, uncapped)
+		}
+		floor := time.Duration(rep.Exchange.BytesWritten) * time.Second / rate
+		if floor < 20*time.Millisecond {
+			t.Fatalf("floor %v too short to measure", floor)
+		}
+		if took < floor {
+			t.Errorf("procs=%d: %d bytes crossed a %d B/s link in %v, under the %v it takes", procs, rep.Exchange.BytesWritten, rate, took, floor)
+		}
+	}
+}
