@@ -36,8 +36,9 @@ vet:
 
 # fuzz gives the frame codec, the kernel differential batteries (peeling
 # decoder, closed-set defect scan), the read path's two oracles (planner
-# against plain reverse-delete, targeted decode against Repair) and the
-# campaign journal parser (arbitrary bytes through the resume path) a short
+# against plain reverse-delete, targeted decode against Repair), the
+# campaign journal parser (arbitrary bytes through the resume path) and the
+# federation's union peel (against the §5.3 exchange fixpoint) a short
 # randomized shake on every check; longer sessions: make fuzz FUZZTIME=10m
 FUZZTIME ?= 3s
 fuzz:
@@ -48,6 +49,7 @@ fuzz:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzPlanMatchesReverseDelete -fuzztime $(FUZZTIME) ./internal/retrieval/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzDecodeIntoMatchesRepair -fuzztime $(FUZZTIME) ./internal/codec/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzJournalResume -fuzztime $(FUZZTIME) ./internal/campaign/
+	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzJointDecodeMatchesExchange -fuzztime $(FUZZTIME) ./internal/federation/
 
 # bench runs the repo benchmark, bench/: numbers only, check is the gate.
 bench:

@@ -53,7 +53,7 @@ const (
 // reconstruct (the Plank-style metric the paper defers to future work,
 // §5.2).
 func MeasureOverhead(g *Graph, opts OverheadOptions) (OverheadResult, error) {
-	return sim.Overhead(g, opts)
+	return sim.OverheadCtx(context.Background(), g, opts)
 }
 
 // MeasureOverheadCtx is MeasureOverhead with cancellation, checked between
@@ -80,7 +80,7 @@ func AnnualLossProbability(mttdlYears float64) float64 {
 // actual graph under exponential per-device failures and a bounded repair
 // crew, event by event, until the real decoder reports data loss.
 func SimulateLifetime(g *Graph, opts LifetimeOptions) (LifetimeResult, error) {
-	return sim.SimulateLifetime(g, opts)
+	return sim.SimulateLifetimeCtx(context.Background(), g, opts)
 }
 
 // SimulateLifetimeCtx is SimulateLifetime with cancellation, checked
@@ -92,7 +92,7 @@ func SimulateLifetimeCtx(ctx context.Context, g *Graph, opts LifetimeOptions) (L
 // AnnualLossMonteCarlo estimates the one-year loss probability by direct
 // simulation (the end-to-end check of the Table 5 composition).
 func AnnualLossMonteCarlo(g *Graph, afr float64, trials int64, seed uint64) (float64, error) {
-	p, err := sim.AnnualLossMonteCarlo(g, afr, trials, seed, 0)
+	p, err := sim.AnnualLossMonteCarlo(context.Background(), g, afr, trials, seed, 0)
 	if err != nil {
 		return 0, err
 	}

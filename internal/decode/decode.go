@@ -5,19 +5,18 @@
 // are present. The two rules are applied to fixpoint across all cascade
 // levels; data survives if every data node is present afterwards.
 //
-// The package answers recoverability at two levels. Decoder is the general,
-// stateful reconstruction engine — erase anytime, Supply recovered nodes,
-// full Decode reports — and the oracle the kernel's differential tests run
-// against. Kernel (over a shared read-only CSR snapshot) is the hot path of
-// the exhaustive worst-case searches and Monte Carlo profiles (paper §3):
-// it evaluates erasure patterns by incremental erase/restore/swap deltas
-// with a tiered, allocation-free Eval, which is what lets the revolving-
-// door scans in internal/sim test tens of millions of patterns per second.
-// See DESIGN.md "Decoder kernels".
+// The package answers recoverability with three engines, one per job.
+// Decoder is the array peel for large erasure sets and full reports — erase
+// anytime, Decode names what stays lost — and the oracle the kernels'
+// differential tests run against. Kernel (over a shared read-only CSR
+// snapshot) answers one-node deltas near the healthy state: incremental
+// erase/restore/swap with a tiered, allocation-free Eval. SlicedKernel
+// peels 64 patterns a word and carries all certification (paper §3) in
+// internal/sim. See DESIGN.md "Decoder kernels".
 package decode
 
 import (
-	"sort"
+	"slices"
 
 	"tornado/internal/graph"
 )
@@ -55,10 +54,6 @@ func newTrue(n int) []bool {
 // Graph returns the graph this decoder evaluates.
 func (d *Decoder) Graph() *graph.Graph { return d.g }
 
-// Present reports whether node v's block is currently available (either
-// never erased, or recovered/recomputed by peeling, or supplied externally).
-func (d *Decoder) Present(v int) bool { return d.present[v] }
-
 // Erase marks nodes as missing. Erasing an already-missing node is a no-op.
 // Call Peel afterwards to run reconstruction.
 func (d *Decoder) Erase(nodes ...int) {
@@ -78,16 +73,6 @@ func (d *Decoder) Erase(nodes ...int) {
 			d.queue = append(d.queue, int32(v))
 		}
 	}
-}
-
-// Supply makes node v's block available from an external source (e.g. a
-// replica site exchanging blocks, paper §5.3) and lets peeling continue from
-// it. Supplying a present node is a no-op.
-func (d *Decoder) Supply(v int) {
-	if d.present[v] {
-		return
-	}
-	d.makePresent(int32(v))
 }
 
 // makePresent marks v available and propagates the state change: parents'
@@ -168,17 +153,10 @@ func (d *Decoder) missingFiltered(dst []int, dataOnly bool) []int {
 		dst = append(dst, int(v))
 	}
 	tail := dst[start:]
-	sort.Ints(tail)
-	// Deduplicate (log may contain a node twice if it was erased, supplied,
-	// and erased again).
-	w := start
-	for i, v := range dst[start:] {
-		if i == 0 || v != dst[w-1] {
-			dst[w] = v
-			w++
-		}
-	}
-	return dst[:w]
+	slices.Sort(tail)
+	// The log names a node twice when it was erased, recovered by Peel and
+	// erased again.
+	return dst[:start+len(slices.Compact(tail))]
 }
 
 // Reset restores the baseline state (all nodes present). It runs in time

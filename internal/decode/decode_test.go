@@ -2,6 +2,7 @@ package decode
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -147,33 +148,6 @@ func TestEraseDuplicatesAndResetIndependence(t *testing.T) {
 	}
 }
 
-func TestSupplyUnlocksDecode(t *testing.T) {
-	g := defective(t)
-	d := New(g)
-	d.Erase(0, 1)
-	d.Peel()
-	if d.AllDataPresent() {
-		t.Fatal("should be stuck")
-	}
-	// Federation exchange: a replica supplies block 0; peeling then
-	// recovers block 1 through the shared check.
-	d.Supply(0)
-	d.Peel()
-	if !d.AllDataPresent() {
-		t.Error("supplying one critical block should unlock the rest")
-	}
-	d.Reset()
-}
-
-func TestSupplyPresentNodeNoOp(t *testing.T) {
-	g := cascade(t)
-	d := New(g)
-	d.Supply(0) // already present
-	if !d.Recoverable([]int{0, 4, 5}) {
-		t.Error("no-op Supply corrupted state")
-	}
-}
-
 func TestMissingNodesReporting(t *testing.T) {
 	g := defective(t)
 	d := New(g)
@@ -195,20 +169,28 @@ func TestMissingNodesReporting(t *testing.T) {
 	d.Reset()
 }
 
-func TestEraseSupplyEraseAgain(t *testing.T) {
+// TestErasePeelEraseAgain: a node erased, recovered by Peel and erased again
+// is in the erase log twice; it must still count, and be reported, once.
+func TestErasePeelEraseAgain(t *testing.T) {
 	g := mirror(2)
 	d := New(g)
 	d.Erase(0)
-	d.Supply(0)
+	d.Peel() // recovered from its mirror
 	d.Erase(0)
 	d.Erase(2) // 0's mirror
 	d.Peel()
 	if d.AllDataPresent() {
 		t.Error("re-erased node with dead mirror should fail")
 	}
+	if got := d.MissingData(nil); !slices.Equal(got, []int{0}) {
+		t.Errorf("MissingData = %v, want [0]", got)
+	}
+	if got := d.MissingNodes([]int{7}); !slices.Equal(got, []int{7, 0, 2}) {
+		t.Errorf("MissingNodes = %v, want [7 0 2]", got)
+	}
 	d.Reset()
 	if !d.Recoverable(nil) {
-		t.Error("baseline broken after erase/supply/erase cycle")
+		t.Error("baseline broken after erase/peel/erase cycle")
 	}
 }
 

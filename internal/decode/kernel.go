@@ -2,11 +2,11 @@ package decode
 
 import "math/bits"
 
-// Kernel is the flat-array peeling kernel behind the exhaustive worst-case
-// scans and Monte Carlo profiles. It trades the Decoder's generality
-// (Supply, Decode reports, erase-anytime) for throughput on the one
-// question the certification hot path asks: "is this erasure set
-// recoverable?".
+// Kernel is the flat-array incremental peeling kernel: the evaluator for
+// one-node deltas near the healthy state (retrieval's planner is its
+// production user). It trades the Decoder's generality (Decode reports,
+// erase-anytime) for throughput on the one question its caller asks: "is
+// this erasure set recoverable?".
 //
 // Design (see DESIGN.md "Decoder kernels"):
 //

@@ -20,11 +20,21 @@ import (
 // replica at site i. All graphs must agree on the data node count (they
 // protect the same logical blocks); device numbering is per-site.
 //
-// Decoder state is per call (a sync.Pool of per-site decoder sets), so
-// JointDecode and the searches built on it are safe for concurrent use.
+// Block exchange to fixpoint is one peel of the union graph: the shared
+// data nodes under every site's check levels, site i's check IDs shifted by
+// offset[i]. A union data node is erased iff every site lost its replica.
 type System struct {
-	sites []*graph.Graph
-	pool  sync.Pool // of []*decode.Decoder, one per site, Reset between uses
+	sites  []*graph.Graph
+	union  *graph.Graph
+	offset []int     // union ID of site i's check v is v + offset[i]
+	pool   sync.Pool // of *jointScratch: JointDecode is safe for concurrent use
+}
+
+// jointScratch is one JointDecode call's state.
+type jointScratch struct {
+	d      *decode.Decoder // over the union graph
+	lostAt []int           // lostAt[v] = i: data block v is lost at sites 0..i-1; all 0 between calls
+	erased []int           // the union erasure
 }
 
 // NewSystem builds a federation over the given site graphs.
@@ -38,29 +48,40 @@ func NewSystem(sites ...*graph.Graph) (*System, error) {
 			return nil, fmt.Errorf("federation: site %d has %d data nodes, site 0 has %d", i, g.Data, data)
 		}
 	}
-	s := &System{sites: sites}
-	s.pool.New = func() any {
-		ds := make([]*decode.Decoder, len(sites))
-		for i, g := range sites {
-			ds[i] = decode.New(g)
+	s := &System{sites: sites, offset: make([]int, len(sites))}
+	for i := 1; i < len(sites); i++ {
+		s.offset[i] = s.offset[i-1] + sites[i-1].Total - data
+	}
+	b := graph.NewBuilder(data)
+	for i, g := range sites {
+		for _, lv := range g.Levels {
+			// A left range that straddles data and checks widens over the
+			// other sites' checks in between; no edge names those.
+			first, last := s.unionID(i, lv.LeftFirst), s.unionID(i, lv.LeftFirst+lv.LeftCount-1)
+			b.AddLevel(first, last-first+1, lv.RightCount)
 		}
-		return ds
+	}
+	s.union = b.Graph()
+	for i, g := range sites {
+		for r := data; r < g.Total; r++ {
+			for _, l := range g.LeftNeighbors(r) {
+				s.union.AddEdge(s.unionID(i, r), s.unionID(i, int(l)))
+			}
+		}
+	}
+	s.pool.New = func() any {
+		return &jointScratch{d: decode.New(s.union), lostAt: make([]int, data)}
 	}
 	return s, nil
 }
 
-// acquire checks out a clean per-site decoder set; release Resets it and
-// returns it to the pool. decode.Decoder is not safe for concurrent use,
-// so every JointDecode call works on its own set.
-func (s *System) acquire() []*decode.Decoder {
-	return s.pool.Get().([]*decode.Decoder)
-}
-
-func (s *System) release(ds []*decode.Decoder) {
-	for _, d := range ds {
-		d.Reset()
+// unionID maps site i's node v into the union graph: data nodes are shared,
+// site i's checks follow those of the sites before it.
+func (s *System) unionID(i, v int) int {
+	if v < s.Data() {
+		return v
 	}
-	s.pool.Put(ds)
+	return v + s.offset[i]
 }
 
 // Sites returns the number of sites.
@@ -79,55 +100,46 @@ func (s *System) TotalDevices() int {
 }
 
 // JointDecode evaluates a federation-wide failure: erased[i] lists the
-// offline devices at site i (graph-local node IDs). Sites peel
-// independently, then exchange every data block any site holds, repeating
-// to fixpoint. It returns whether all data survived and the lost blocks.
-// Safe for concurrent use.
+// offline devices at site i (graph-local node IDs). Sites peel and exchange
+// every data block any of them holds, to fixpoint (paper §5.3) — one peel
+// of the union graph. It returns whether all data survived and the lost
+// blocks. Safe for concurrent use.
 func (s *System) JointDecode(erased [][]int) (ok bool, lost []int) {
 	if len(erased) != len(s.sites) {
 		panic(fmt.Sprintf("federation: %d erasure sets for %d sites", len(erased), len(s.sites)))
 	}
-	decoders := s.acquire()
-	defer s.release(decoders)
-	for i, d := range decoders {
-		d.Erase(erased[i]...)
-		d.Peel()
-	}
-
+	sc := s.pool.Get().(*jointScratch) // not returned on a panic: lostAt would be dirty
 	data := s.Data()
-	for changed := true; changed; {
-		changed = false
-		for v := 0; v < data; v++ {
-			present := false
-			missing := false
-			for _, d := range decoders {
-				if d.Present(v) {
-					present = true
-				} else {
-					missing = true
-				}
+	sc.erased = sc.erased[:0]
+	for i, set := range erased {
+		for _, v := range set {
+			if v < 0 || v >= s.sites[i].Total {
+				panic(fmt.Sprintf("federation: site %d has no device %d", i, v))
 			}
-			if present && missing {
-				for _, d := range decoders {
-					d.Supply(v) // no-op where already present
-				}
-				changed = true
-			}
-		}
-		if changed {
-			for _, d := range decoders {
-				d.Peel()
+			if v >= data {
+				sc.erased = append(sc.erased, v+s.offset[i])
+			} else if sc.lostAt[v] == i {
+				sc.lostAt[v]++ // a repeat within the site finds i+1 and is skipped
 			}
 		}
 	}
-	for v := 0; v < data; v++ {
-		if !decoders[0].Present(v) {
-			// After exchange, a block missing at one site is missing at
-			// all sites.
-			lost = append(lost, v)
+	// Erased in the union = lost everywhere, which only site 0's losses can be.
+	for _, v := range erased[0] {
+		if v < data {
+			if sc.lostAt[v] == len(erased) {
+				sc.erased = append(sc.erased, v)
+			}
+			sc.lostAt[v] = 0
 		}
 	}
-	return len(lost) == 0, lost
+	sc.d.Erase(sc.erased...)
+	sc.d.Peel()
+	if ok = sc.d.AllDataPresent(); !ok {
+		lost = sc.d.MissingData(nil)
+	}
+	sc.d.Reset()
+	s.pool.Put(sc)
+	return ok, lost
 }
 
 // JointRecoverable reports whether the federation survives the given

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"context"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 
 func mirrorSite(pairs int) *graph.Graph { return raid.MirroredGraph(pairs) }
 
-func tornadoSite(t *testing.T, seed uint64) *graph.Graph {
+func tornadoSite(t testing.TB, seed uint64) *graph.Graph {
 	t.Helper()
 	g, _, err := core.Generate(core.DefaultParams(), rand.New(rand.NewPCG(seed, 1)))
 	if err != nil {
@@ -226,24 +227,25 @@ func TestDetectFirstFailureNoCriticalSets(t *testing.T) {
 	}
 }
 
+// BenchmarkJointDecode times one joint verdict on 8 random erasures per
+// site, for two and three generated 96-node sites.
 func BenchmarkJointDecode(b *testing.B) {
-	gA, _, err := core.Generate(core.DefaultParams(), rand.New(rand.NewPCG(1, 1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	gB, _, err := core.Generate(core.DefaultParams(), rand.New(rand.NewPCG(2, 2)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := NewSystem(gA, gB)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(3, 3))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eA := rng.Perm(96)[:8]
-		eB := rng.Perm(96)[:8]
-		sys.JointDecode([][]int{eA, eB})
+	graphs := []*graph.Graph{tornadoSite(b, 1), tornadoSite(b, 2), tornadoSite(b, 3)}
+	for _, n := range []int{2, 3} {
+		b.Run(fmt.Sprintf("sites=%d", n), func(b *testing.B) {
+			sys, err := NewSystem(graphs[:n]...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewPCG(3, 3))
+			erased := make([][]int, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for s := range erased {
+					erased[s] = rng.Perm(96)[:8]
+				}
+				sys.JointDecode(erased)
+			}
+		})
 	}
 }

@@ -1,11 +1,10 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 
-	"tornado/internal/decode"
 	"tornado/internal/graph"
 	"tornado/internal/stats"
 )
@@ -15,50 +14,34 @@ import (
 // every device independently with probability afr and asks the decoder
 // whether data survived. It is the end-to-end cross-check of Equation
 // (3)'s composition (binomial weights × conditional failure profile) —
-// both must converge to the same number.
-func AnnualLossMonteCarlo(g *graph.Graph, afr float64, trials int64, seed uint64, workers int) (stats.Proportion, error) {
+// both must converge to the same number. The result depends on seed and
+// trials only, not on workers; cancellation is checked between trials.
+func AnnualLossMonteCarlo(ctx context.Context, g *graph.Graph, afr float64, trials int64, seed uint64, workers int) (stats.Proportion, error) {
 	if afr < 0 || afr > 1 {
 		return stats.Proportion{}, fmt.Errorf("sim: afr %v out of [0,1]", afr)
 	}
 	trials = int64Or(trials, 10000)
-	workers = defaultWorkers(workers)
-	per := trials / int64(workers)
-	rem := trials % int64(workers)
-
-	var mu sync.Mutex
-	var agg stats.Proportion
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		n := per
-		if int64(w) < rem {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(worker int, n int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(seed, 0xAFA<<20|uint64(worker)))
-			d := decode.New(g)
-			erased := make([]int, 0, g.Total)
+	blocks, err := forTrialBlocks(ctx, g, defaultWorkers(workers), trials, annualBlock, seed, 0xAFA<<48,
+		func(ctx context.Context, w *simWorker, rng *rand.Rand, n int64) (stats.Proportion, error) {
 			var hits int64
 			for t := int64(0); t < n; t++ {
-				erased = erased[:0]
+				if err := ctx.Err(); err != nil {
+					return stats.Proportion{}, err
+				}
+				erased := w.nodes[:0]
 				for v := 0; v < g.Total; v++ {
 					if rng.Float64() < afr {
 						erased = append(erased, v)
 					}
 				}
-				if len(erased) > 0 && !d.Recoverable(erased) {
+				if len(erased) > 0 && !w.d.Recoverable(erased) {
 					hits++
 				}
 			}
-			mu.Lock()
-			agg.Add(hits, n)
-			mu.Unlock()
-		}(w, n)
+			return stats.Proportion{Hits: hits, Trials: n}, nil
+		})
+	if err != nil {
+		return stats.Proportion{}, err
 	}
-	wg.Wait()
-	return agg, nil
+	return stats.Pool(blocks...), nil
 }

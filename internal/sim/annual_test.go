@@ -10,6 +10,7 @@ import (
 	"tornado/internal/graph"
 	"tornado/internal/raid"
 	"tornado/internal/reliability"
+	"tornado/internal/stats"
 )
 
 // TestAnnualLossMatchesEquation3 cross-validates the §5.1 analysis end to
@@ -23,7 +24,7 @@ func TestAnnualLossMatchesEquation3(t *testing.T) {
 	want := reliability.SystemFailure(2*pairs, afr, func(k int) float64 {
 		return raid.MirroredFailGivenK(pairs, k)
 	})
-	got, err := AnnualLossMonteCarlo(g, afr, 60000, 5, 2)
+	got, err := AnnualLossMonteCarlo(context.Background(), g, afr, 60000, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,31 +36,31 @@ func TestAnnualLossMatchesEquation3(t *testing.T) {
 
 func TestAnnualLossEdgeCases(t *testing.T) {
 	g := mirrorGraph(4)
-	p, err := AnnualLossMonteCarlo(g, 0, 1000, 1, 2)
+	p, err := AnnualLossMonteCarlo(context.Background(), g, 0, 1000, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Hits != 0 {
 		t.Errorf("afr=0 produced %d losses", p.Hits)
 	}
-	p, err = AnnualLossMonteCarlo(g, 1, 1000, 1, 2)
+	p, err = AnnualLossMonteCarlo(context.Background(), g, 1, 1000, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Hits != p.Trials {
 		t.Errorf("afr=1 survived %d times", p.Trials-p.Hits)
 	}
-	if _, err := AnnualLossMonteCarlo(g, -0.1, 10, 1, 1); err == nil {
+	if _, err := AnnualLossMonteCarlo(context.Background(), g, -0.1, 10, 1, 1); err == nil {
 		t.Error("negative afr accepted")
 	}
-	if _, err := AnnualLossMonteCarlo(g, 1.5, 10, 1, 1); err == nil {
+	if _, err := AnnualLossMonteCarlo(context.Background(), g, 1.5, 10, 1, 1); err == nil {
 		t.Error("afr>1 accepted")
 	}
 }
 
 func TestAnnualLossDefaultTrials(t *testing.T) {
 	g := mirrorGraph(2)
-	p, err := AnnualLossMonteCarlo(g, 0.1, 0, 2, 1)
+	p, err := AnnualLossMonteCarlo(context.Background(), g, 0.1, 0, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestAnnualLossOnTornadoProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := reliability.SystemFailure(g.Total, afr, prof.FailFraction)
-	got, err := AnnualLossMonteCarlo(g, afr, 30000, 9, 2)
+	got, err := AnnualLossMonteCarlo(context.Background(), g, afr, 30000, 9, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,4 +97,26 @@ func tornadoForAnnual(t *testing.T) *graph.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// TestAnnualLossDeterministicAcrossWorkers: Hits/Trials depend on the seed
+// and the trial count only.
+func TestAnnualLossDeterministicAcrossWorkers(t *testing.T) {
+	g := mirrorGraph(8)
+	const trials = 5*annualBlock + 5
+	var want stats.Proportion
+	for i, workers := range []int{1, 2, 3, 7} {
+		got, err := AnnualLossMonteCarlo(context.Background(), g, 0.15, trials, 5, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Errorf("workers %d: %v, workers 1: %v", workers, got, want)
+		}
+	}
+	if want.Trials != trials || want.Hits == 0 || want.Hits == trials {
+		t.Errorf("implausible result %v", want)
+	}
 }

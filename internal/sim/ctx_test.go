@@ -126,6 +126,23 @@ func TestOverheadCtxCancellation(t *testing.T) {
 	}
 }
 
+// TestSideSimulationsPreCancelled: the three Decoder simulations share one
+// fan-out, and it runs no trial under a cancelled context.
+func TestSideSimulationsPreCancelled(t *testing.T) {
+	g := mirrorGraph(4)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := AnnualLossMonteCarlo(ctx, g, 0.1, 1000, 1, 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("AnnualLossMonteCarlo: err = %v, want context.Canceled", err)
+	}
+	if _, err := OverheadCtx(ctx, g, OverheadOptions{Trials: 1000, Workers: 2}); !errors.Is(err, context.Canceled) {
+		t.Errorf("OverheadCtx: err = %v, want context.Canceled", err)
+	}
+	if _, err := SimulateLifetimeCtx(ctx, g, LifetimeOptions{Lambda: 1, Runs: 100, Workers: 2}); !errors.Is(err, context.Canceled) {
+		t.Errorf("SimulateLifetimeCtx: err = %v, want context.Canceled", err)
+	}
+}
+
 // TestKernelScanCancellationLeaksNothing cancels an exhaustive kernel scan
 // mid-flight and checks that every scan worker (each owning a private
 // Kernel and its scratch arrays) exits — no goroutine is left holding a

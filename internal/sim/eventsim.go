@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sync"
 
-	"tornado/internal/decode"
 	"tornado/internal/graph"
 )
 
@@ -46,19 +44,16 @@ type LifetimeResult struct {
 	MeanYears float64
 }
 
-// SimulateLifetime is the ground-truth counterpart of the Markov MTTDL
+// SimulateLifetimeCtx is the ground-truth counterpart of the Markov MTTDL
 // model (reliability.MTTDL): a discrete-event simulation of the actual
 // graph under exponential per-device failures and a bounded repair crew.
 // Unlike the Markov chain — which collapses the failed-device identities
 // into a count and the measured profile — the event simulation tracks
 // exactly which devices are down and asks the real decoder whether data
-// survived, so it validates both the chain and the profile at once.
-func SimulateLifetime(g *graph.Graph, opts LifetimeOptions) (LifetimeResult, error) {
-	return SimulateLifetimeCtx(context.Background(), g, opts)
-}
-
-// SimulateLifetimeCtx is SimulateLifetime with cancellation, checked
-// between runs in each worker.
+// survived, so it validates both the chain and the profile at once. The
+// result depends on Seed and Runs only, not on Workers (MeanYears bit for
+// bit: the runs' lifetimes are summed in run order); cancellation is
+// checked between runs.
 func SimulateLifetimeCtx(ctx context.Context, g *graph.Graph, opts LifetimeOptions) (LifetimeResult, error) {
 	opts = opts.normalize()
 	if opts.Lambda <= 0 {
@@ -67,61 +62,55 @@ func SimulateLifetimeCtx(ctx context.Context, g *graph.Graph, opts LifetimeOptio
 	if opts.Mu < 0 || opts.Repairmen < 0 {
 		return LifetimeResult{}, fmt.Errorf("sim: negative repair parameters")
 	}
-
-	per := opts.Runs / opts.Workers
-	rem := opts.Runs % opts.Workers
-	var mu sync.Mutex
 	res := LifetimeResult{Runs: opts.Runs}
-	total := 0.0
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		n := per
-		if w < rem {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(worker, n int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(opts.Seed, 0x11FE<<16|uint64(worker)))
-			d := decode.New(g)
-			localTotal := 0.0
-			localTrunc := 0
-			for i := 0; i < n; i++ {
-				if ctx.Err() != nil {
-					return
+	blocks, err := forTrialBlocks(ctx, g, opts.Workers, int64(opts.Runs), lifetimeBlock, opts.Seed, 0x11FE<<48,
+		func(ctx context.Context, w *simWorker, rng *rand.Rand, n int64) (sum lifetimeSum, err error) {
+			for i := int64(0); i < n; i++ {
+				if err := ctx.Err(); err != nil {
+					return sum, err
 				}
-				t, truncated := oneLifetime(g, d, opts, rng)
-				localTotal += t
+				t, truncated := oneLifetime(w, opts, rng)
+				sum.years += t
 				if truncated {
-					localTrunc++
+					sum.truncated++
 				}
 			}
-			mu.Lock()
-			total += localTotal
-			res.Truncated += localTrunc
-			mu.Unlock()
-		}(w, n)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+			return sum, nil
+		})
+	if err != nil {
 		return res, err
 	}
-	res.MeanYears = total / float64(opts.Runs)
+	years := 0.0
+	for _, sum := range blocks {
+		years += sum.years
+		res.Truncated += sum.truncated
+	}
+	res.MeanYears = years / float64(opts.Runs)
 	return res, nil
+}
+
+// lifetimeSum is one block of runs: their lifetimes summed in run order.
+type lifetimeSum struct {
+	years     float64
+	truncated int
 }
 
 // oneLifetime runs a single system lifetime: exponential failure clocks on
 // live devices, exponential rebuild clocks on up to Repairmen failed
 // devices, stepping event by event until the surviving set cannot
-// reconstruct the data.
-func oneLifetime(g *graph.Graph, d *decode.Decoder, opts LifetimeOptions, rng *rand.Rand) (float64, bool) {
-	failed := make([]int, 0, g.Total)
+// reconstruct the data. The failed devices are w.nodes as a list and w.down
+// as flags.
+func oneLifetime(w *simWorker, opts LifetimeOptions, rng *rand.Rand) (float64, bool) {
+	total := len(w.down)
+	failed := w.nodes[:0]
+	defer func() {
+		for _, v := range failed {
+			w.down[v] = false
+		}
+	}()
 	now := 0.0
 	for now < opts.MaxYears {
-		up := g.Total - len(failed)
+		up := total - len(failed)
 		failRate := float64(up) * opts.Lambda
 		repairRate := float64(min(len(failed), opts.Repairmen)) * opts.Mu
 		totalRate := failRate + repairRate
@@ -134,14 +123,19 @@ func oneLifetime(g *graph.Graph, d *decode.Decoder, opts LifetimeOptions, rng *r
 		}
 		if rng.Float64()*totalRate < failRate {
 			// A uniformly random live device fails.
-			v := randomLive(g.Total, failed, rng)
+			v := rng.IntN(total)
+			for w.down[v] {
+				v = rng.IntN(total)
+			}
+			w.down[v] = true
 			failed = append(failed, v)
-			if !d.Recoverable(failed) {
+			if !w.d.Recoverable(failed) {
 				return now, false
 			}
 		} else {
 			// A uniformly random under-repair device comes back.
 			i := rng.IntN(min(len(failed), opts.Repairmen))
+			w.down[failed[i]] = false
 			failed[i] = failed[len(failed)-1]
 			failed = failed[:len(failed)-1]
 		}
@@ -152,21 +146,4 @@ func oneLifetime(g *graph.Graph, d *decode.Decoder, opts LifetimeOptions, rng *r
 // expRand draws an exponential variate with the given rate.
 func expRand(rng *rand.Rand, rate float64) float64 {
 	return -math.Log(1-rng.Float64()) / rate
-}
-
-// randomLive picks a uniformly random device not in failed.
-func randomLive(total int, failed []int, rng *rand.Rand) int {
-	for {
-		v := rng.IntN(total)
-		live := true
-		for _, f := range failed {
-			if f == v {
-				live = false
-				break
-			}
-		}
-		if live {
-			return v
-		}
-	}
 }

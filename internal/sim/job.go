@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"tornado/internal/combin"
 	"tornado/internal/decode"
@@ -113,21 +112,12 @@ func (j *Job) Run(ctx context.Context, r Runner) error {
 }
 
 func runGroup(ctx context.Context, r Runner, units []Unit) ([]UnitResult, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	res := make([]UnitResult, len(units))
-	var first error
-	var once sync.Once
-	forBlocks(r.Workers(), 0, int64(len(units)), func(w int, i int64) {
-		err := ctx.Err()
-		if err == nil {
-			res[i], err = r.RunUnit(ctx, w, units[i])
-		}
-		if err != nil {
-			once.Do(func() { first = err; cancel() })
-		}
+	err := forBlocksCtx(ctx, r.Workers(), int64(len(units)), func(ctx context.Context, w int, i int64) (err error) {
+		res[i], err = r.RunUnit(ctx, w, units[i])
+		return err
 	})
-	return res, first
+	return res, err
 }
 
 // Accepts reports whether r is a complete, well-formed result of unit u:

@@ -1,8 +1,13 @@
 package sim
 
 import (
+	"context"
+	"math/rand/v2"
 	"runtime"
 	"sync"
+
+	"tornado/internal/decode"
+	"tornado/internal/graph"
 )
 
 // Effective defaults for the package's option types, exported so callers,
@@ -74,6 +79,65 @@ func forBlocks(workers int, lo, hi int64, fn func(w int, b int64)) {
 	}
 	close(ch)
 	wg.Wait()
+}
+
+// forBlocksCtx is forBlocks over [0, n) for blocks that can fail. The first
+// error — the caller's cancellation included — cancels the context fn runs
+// under, skips the blocks not yet started, and is returned.
+func forBlocksCtx(ctx context.Context, workers int, n int64, fn func(ctx context.Context, w int, b int64) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var first error
+	var once sync.Once
+	forBlocks(workers, 0, n, func(w int, b int64) {
+		err := ctx.Err()
+		if err == nil {
+			err = fn(ctx, w, b)
+		}
+		if err != nil {
+			once.Do(func() { first = err; cancel() })
+		}
+	})
+	return first
+}
+
+// Trial-block sizes of the three Decoder simulations: a few milliseconds of
+// work each, so a modest trial count still spreads over the workers. They
+// are part of the sampling scheme — changing one changes every result.
+const (
+	annualBlock   = 4096 // trials
+	overheadBlock = 256  // retrieval orders
+	lifetimeBlock = 8    // system lifetimes
+)
+
+// simWorker is the state one forTrialBlocks goroutine reuses across blocks.
+type simWorker struct {
+	d     *decode.Decoder
+	nodes []int  // node-ID scratch, capacity Total
+	down  []bool // per-node flags, all false between trials
+}
+
+// forTrialBlocks is the fan-out of the simulations that ask the Decoder
+// (annual loss, overhead, lifetime): trials [0, trials) are cut into blocks
+// of blockSize, and block b runs on whichever worker is free, drawing from
+// its own PCG stream (seed, tag|b). The per-block results come back in
+// block order, so a caller that folds them in order returns the same bits
+// at any worker count. The first block error — cancellation included —
+// stops the blocks not yet started and is returned.
+func forTrialBlocks[R any](ctx context.Context, g *graph.Graph, workers int, trials, blockSize int64, seed, tag uint64,
+	block func(ctx context.Context, w *simWorker, rng *rand.Rand, n int64) (R, error)) ([]R, error) {
+	blocks := (trials + blockSize - 1) / blockSize
+	res := make([]R, blocks)
+	state := make([]*simWorker, workers)
+	err := forBlocksCtx(ctx, workers, blocks, func(ctx context.Context, w int, b int64) (err error) {
+		if state[w] == nil {
+			state[w] = &simWorker{d: decode.New(g), nodes: make([]int, 0, g.Total), down: make([]bool, g.Total)}
+		}
+		rng := rand.New(rand.NewPCG(seed, tag|uint64(b)))
+		res[b], err = block(ctx, state[w], rng, min(blockSize, trials-b*blockSize))
+		return err
+	})
+	return res, err
 }
 
 // intOr returns v when positive, otherwise def.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 
 	"tornado/internal/decode"
 	"tornado/internal/graph"
@@ -54,18 +53,13 @@ func (r OverheadResult) MeanOverhead() float64 { return r.Mean() / float64(r.Dat
 // Quantile returns the retrieval count at the given quantile.
 func (r OverheadResult) Quantile(q float64) int { return r.Counts.Quantile(q) }
 
-// Overhead measures g's reconstruction overhead: each trial draws a random
-// permutation of the node IDs (the order blocks arrive from devices) and
-// binary-searches the shortest prefix that reconstructs all data.
+// OverheadCtx measures g's reconstruction overhead: each trial draws a
+// random permutation of the node IDs (the order blocks arrive from devices)
+// and binary-searches the shortest prefix that reconstructs all data.
 //
 // Monotonicity makes the per-trial binary search sound: supersets of a
-// decodable block set are decodable.
-func Overhead(g *graph.Graph, opts OverheadOptions) (OverheadResult, error) {
-	return OverheadCtx(context.Background(), g, opts)
-}
-
-// OverheadCtx is Overhead with cancellation, checked between trials in
-// each worker.
+// decodable block set are decodable. The result depends on Seed and Trials
+// only, not on Workers; cancellation is checked between trials.
 func OverheadCtx(ctx context.Context, g *graph.Graph, opts OverheadOptions) (OverheadResult, error) {
 	opts = opts.normalize()
 	res := OverheadResult{
@@ -74,60 +68,35 @@ func OverheadCtx(ctx context.Context, g *graph.Graph, opts OverheadOptions) (Ove
 		Total:     g.Total,
 		Counts:    stats.NewHistogram(g.Total + 1),
 	}
-
-	per := opts.Trials / int64(opts.Workers)
-	rem := opts.Trials % int64(opts.Workers)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-	for w := 0; w < opts.Workers; w++ {
-		n := per
-		if int64(w) < rem {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(worker int, trials int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(opts.Seed, 0xC0DE<<16|uint64(worker)))
-			d := decode.New(g)
-			local := stats.NewHistogram(g.Total + 1)
-			order := make([]int, g.Total)
+	blocks, err := forTrialBlocks(ctx, g, opts.Workers, opts.Trials, overheadBlock, opts.Seed, 0xC0DE<<48,
+		func(ctx context.Context, w *simWorker, rng *rand.Rand, n int64) ([]int32, error) {
+			// Every block shuffles on from the identity, not from the order
+			// the worker's last block left behind.
+			order := w.nodes[:g.Total]
 			for i := range order {
 				order[i] = i
 			}
-			for t := int64(0); t < trials; t++ {
-				if t%1024 == 0 && ctx.Err() != nil {
-					return
+			prefixes := make([]int32, n)
+			for t := range prefixes {
+				if err := ctx.Err(); err != nil {
+					return nil, err
 				}
 				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-				n, ok := minimumPrefix(d, order)
+				prefix, ok := minimumPrefix(w.d, order)
 				if !ok {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("sim: full block set not decodable — graph is broken")
-					}
-					mu.Unlock()
-					return
+					return nil, fmt.Errorf("sim: full block set not decodable — graph is broken")
 				}
-				local.Observe(n)
+				prefixes[t] = int32(prefix)
 			}
-			mu.Lock()
-			for v, c := range local.Counts {
-				res.Counts.Counts[v] += c
-			}
-			res.Counts.Total += local.Total
-			mu.Unlock()
-		}(w, n)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+			return prefixes, nil
+		})
+	if err != nil {
 		return res, err
 	}
-	if firstErr != nil {
-		return res, firstErr
+	for _, prefixes := range blocks {
+		for _, p := range prefixes {
+			res.Counts.Observe(int(p))
+		}
 	}
 	return res, nil
 }

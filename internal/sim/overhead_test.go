@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"tornado/internal/core"
@@ -15,7 +17,7 @@ func TestOverheadMirrorExact(t *testing.T) {
 	// pair (either member). The minimum is between n (one per pair, best
 	// case) and 2n-? … sanity-check the support of the distribution.
 	g := mirrorGraph(6)
-	res, err := Overhead(g, OverheadOptions{Trials: 4000, Seed: 1, Workers: 2})
+	res, err := OverheadCtx(context.Background(), g, OverheadOptions{Trials: 4000, Seed: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestOverheadCouponCollectorMean(t *testing.T) {
 	rec(0)
 	want := total / count
 
-	res, err := Overhead(g, OverheadOptions{Trials: 60000, Seed: 9, Workers: 2})
+	res, err := OverheadCtx(context.Background(), g, OverheadOptions{Trials: 60000, Seed: 9, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestOverheadTornadoShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Overhead(g, OverheadOptions{Trials: 3000, Seed: 4})
+	res, err := OverheadCtx(context.Background(), g, OverheadOptions{Trials: 3000, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,20 +107,33 @@ func TestOverheadTornadoShape(t *testing.T) {
 	}
 }
 
+// TestOverheadDeterministicSeed: the result is a function of the seed and
+// the trial count — the same histogram at every worker count, ragged last
+// block included.
 func TestOverheadDeterministicSeed(t *testing.T) {
 	g := mirrorGraph(4)
-	a, err := Overhead(g, OverheadOptions{Trials: 2000, Seed: 5, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Overhead(g, OverheadOptions{Trials: 2000, Seed: 5, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range a.Counts.Counts {
-		if a.Counts.Counts[v] != b.Counts.Counts[v] {
-			t.Fatalf("bin %d differs with same seed", v)
+	const trials = 9*overheadBlock + 17
+	var want OverheadResult
+	for i, workers := range []int{1, 2, 3, 7, 2} {
+		got, err := OverheadCtx(context.Background(), g, OverheadOptions{Trials: trials, Seed: 5, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got.Counts.Total != trials {
+			t.Fatalf("workers %d: %d trials observed, want %d", workers, got.Counts.Total, trials)
+		}
+		if i == 0 {
+			want = got
+		} else if !slices.Equal(got.Counts.Counts, want.Counts.Counts) {
+			t.Errorf("workers %d: histogram %v, workers 1: %v", workers, got.Counts.Counts, want.Counts.Counts)
+		}
+	}
+	other, err := OverheadCtx(context.Background(), g, OverheadOptions{Trials: trials, Seed: 6, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(other.Counts.Counts, want.Counts.Counts) {
+		t.Error("seeds 5 and 6 drew the same histogram")
 	}
 }
 
@@ -135,7 +150,7 @@ func TestOverheadBrokenGraph(t *testing.T) {
 	g := b.Graph()
 	g.SetNeighbors(r, []int{0, 1})
 	g.SetNeighbors(r+1, []int{0, 1})
-	res, err := Overhead(g, OverheadOptions{Trials: 100, Seed: 1})
+	res, err := OverheadCtx(context.Background(), g, OverheadOptions{Trials: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

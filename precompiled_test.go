@@ -66,6 +66,9 @@ func TestPrecompiledCertificates(t *testing.T) {
 // claim on the shipped graphs: for every pair and the triple, every
 // certified critical set of every member — which defeats its home site
 // alone — erased identically at all sites at once is jointly recoverable.
+// The detected joint first failures of EXPERIMENTS.md's Table 7 extension
+// (search seed 2006, 8 restarts) ride along: the seeded search walks the
+// same path as long as every JointDecode verdict is the same.
 func TestMirroredCriticalSetsJointlyRecoverable(t *testing.T) {
 	names := []string{"tornado96-1", "tornado96-2", "tornado96-3"}
 	graphs := make([]*tornado.Graph, len(names))
@@ -101,10 +104,13 @@ func TestMirroredCriticalSetsJointlyRecoverable(t *testing.T) {
 			t.Fatalf("%s: certificate lists no critical set", name)
 		}
 	}
-	for _, combo := range [][]int{{0, 1}, {0, 2}, {1, 2}, {0, 1, 2}} {
+	detected := []int{25, 15, 19, 32}
+	for ci, combo := range [][]int{{0, 1}, {0, 2}, {1, 2}, {0, 1, 2}} {
 		sites := make([]*tornado.Graph, len(combo))
+		sets := make([][]tornado.CriticalSet, len(combo))
 		for i, gi := range combo {
 			sites[i] = graphs[gi]
+			sets[i] = tornado.CriticalSetsOf(graphs[gi], critical[gi])
 		}
 		sys, err := tornado.NewFederation(sites...)
 		if err != nil {
@@ -120,6 +126,13 @@ func TestMirroredCriticalSetsJointlyRecoverable(t *testing.T) {
 					t.Errorf("sites %v: %s critical set %v mirrored at every site is not jointly recoverable", combo, names[gi], set)
 				}
 			}
+		}
+		det, err := sys.DetectFirstFailure(sets, tornado.FederationSearchOptions{Seed: 2006, Restarts: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if det.TotalErased != detected[ci] {
+			t.Errorf("sites %v: detected joint first failure %d, want %d", combo, det.TotalErased, detected[ci])
 		}
 	}
 }
