@@ -17,15 +17,17 @@ build:
 test:
 	$(GO) test -timeout $(TEST_TIMEOUT) ./...
 
-# The steward federation stack, the simulation workers (including the
-# stratified certification sampler and the screened n=10k archival-scale
-# smoke), the campaign worker pool, the decode/adjust certification loops,
+# The site API over HTTP (server, retrying client, the federated store run
+# over them), the simulation workers (including the stratified certification
+# sampler and the screened n=10k archival-scale smoke), the campaign worker pool, the decode/adjust certification loops,
 # the streaming graph construction, the serving layer (hedged reads,
 # admission, stripe cache), the archive's stripe pipeline (the one place
 # the data path starts goroutines) and its stream adapters, the load
 # generator, the joint-decode federation search, the chaos/WAN injectors,
-# and the federated store (disaster soak) are the concurrency-heavy
-# packages; run them under the race detector.
+# and the federated store itself (the one federation runtime: per-site
+# health under concurrent calls, RepairSite's donor hook on the stripe
+# pipeline, the disaster soak) are the concurrency-heavy packages; run them
+# under the race detector.
 race:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) ./internal/steward/ ./internal/sim/ ./internal/obs/ ./internal/campaign/ \
 		./internal/decode/ ./internal/adjust/ ./internal/core/ ./internal/serve/ ./internal/archive/ \

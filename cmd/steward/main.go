@@ -1,14 +1,14 @@
 // Command steward is the client for one or more stewarding sites: store
 // and fetch objects, inspect health, trigger scrubs, and — with multiple
-// sites — federated reads with block exchange and full steward passes
-// (paper §5.3).
+// sites — the federated store over them (paper §5.3): writes to every
+// reachable site, reads that fail over and fall back to block exchange, and
+// the steward pass that repairs every site from the others.
 //
 // Usage:
 //
 //	steward -sites http://a:8080 put name < file
 //	steward -sites http://a:8080,http://b:8081 get name > file
 //	steward -sites http://a:8080 health
-//	steward -sites http://a:8080,http://b:8081 recover name > file
 //	steward -sites http://a:8080,http://b:8081 pass
 //
 // Every request carries a per-request deadline (-timeout) and transient
@@ -43,7 +43,7 @@ func main() {
 	flag.Parse()
 	args := flag.Args()
 	if len(args) < 1 {
-		log.Fatal("usage: steward -sites <urls> {put|get|rm|ls|stat|health|scrub|recover|pass} [name]")
+		log.Fatal("usage: steward -sites <urls> {put|get|rm|ls|stat|health|scrub|pass} [name]")
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -51,10 +51,22 @@ func main() {
 
 	opts := tornado.SiteClientOptions{RequestTimeout: *timeout, MaxAttempts: *retries}
 	var clients []*tornado.SiteClient
+	var sites []tornado.FederatedSite
 	for _, u := range strings.Split(*sitesFlag, ",") {
-		clients = append(clients, tornado.NewSiteClientWithOptions(strings.TrimSpace(u), opts))
+		c := tornado.NewSiteClientWithOptions(strings.TrimSpace(u), opts)
+		clients = append(clients, c)
+		sites = append(sites, c)
 	}
 	single := clients[0]
+	// federation opens the one federated store over the sites: a write needs
+	// one site, every site that is up gets it, the pass brings it to the rest.
+	federation := func() *tornado.FederatedStore {
+		f, err := tornado.OpenFederatedStore(ctx, sites, tornado.FederatedConfig{WriteQuorum: 1})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return f
+	}
 
 	needName := func() string {
 		if len(args) < 2 {
@@ -71,82 +83,61 @@ func main() {
 		}
 		name := needName()
 		if len(clients) > 1 {
-			r, err := tornado.NewReplicator(clients...)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := r.PutCtx(ctx, name, data); err != nil {
+			f := federation()
+			if err := f.PutCtx(ctx, name, data); err != nil {
 				log.Fatal(err)
 			}
 			live := 0
-			for _, st := range r.Health() {
-				if st.Healthy {
+			for _, st := range f.Health() {
+				if st.Up {
 					live++
 				}
 			}
 			log.Printf("stored %q (%d bytes) at %d/%d sites", name, len(data), live, len(clients))
 		} else {
-			if err := single.PutCtx(ctx, name, data); err != nil {
+			if err := single.Put(ctx, name, data); err != nil {
 				log.Fatal(err)
 			}
 			log.Printf("stored %q (%d bytes)", name, len(data))
 		}
 	case "get":
 		name := needName()
-		var data []byte
-		var err error
+		get := single.Get
 		if len(clients) > 1 {
-			var r *tornado.Replicator
-			if r, err = tornado.NewReplicator(clients...); err == nil {
-				data, err = r.GetCtx(ctx, name)
-			}
-		} else {
-			data, err = single.GetCtx(ctx, name)
+			get = federation().GetCtx
 		}
+		data, err := get(ctx, name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		os.Stdout.Write(data)
-	case "recover":
-		name := needName()
-		r, err := tornado.NewReplicator(clients...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		data, err := r.ExchangeRecoverCtx(ctx, name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("recovered %q (%d bytes) via block exchange", name, len(data))
 		os.Stdout.Write(data)
 	case "pass":
-		r, err := tornado.NewReplicator(clients...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep, err := r.StewardPass(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
+		rep, err := federation().PassCtx(ctx)
 		for _, st := range rep.Sites {
 			state := "healthy"
-			if !st.Healthy {
+			if !st.Up {
 				state = fmt.Sprintf("DOWN (%s)", st.LastError)
 			}
-			fmt.Printf("site %d %s: %s\n", st.Site, st.URL, state)
+			fmt.Printf("site %d %s: %s\n", st.Site, clients[st.Site].BaseURL(), state)
 		}
-		fmt.Printf("steward pass: %d objects examined, %d restored, %d blocks repaired, %d unrecoverable, %d sites skipped\n",
-			rep.ObjectsExamined, rep.ObjectsRestored, rep.BlocksRepaired,
-			len(rep.Unrecoverable), len(rep.SkippedSites))
+		for _, r := range rep.Repairs {
+			fmt.Printf("site %d repair: %d objects restored, %d blocks rebuilt locally, %d imported, %d stripes exchanged; %d blocks missing, %d stripes unrecoverable\n",
+				r.Site, r.ShellsSynced, r.LocalRepairs, r.DirectImports, r.ExchangedStripes, r.MissingAfter, r.Unrecoverable)
+		}
+		fmt.Printf("steward pass: %d sites repaired, %d skipped, %d readmitted\n",
+			len(rep.Repairs), len(rep.Skipped), len(rep.Readmitted))
+		if err != nil {
+			log.Fatal(err)
+		}
 	case "rm":
 		name := needName()
 		for _, c := range clients {
-			if err := c.DeleteCtx(ctx, name); err != nil {
+			if err := c.Delete(ctx, name); err != nil {
 				log.Printf("delete: %v", err)
 			}
 		}
 	case "ls":
-		objs, err := single.ListCtx(ctx)
+		objs, err := single.List(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -154,20 +145,14 @@ func main() {
 			fmt.Printf("%10d  %2d stripes  %s\n", o.Size, o.Stripes, o.Name)
 		}
 	case "stat":
-		obj, err := single.StatCtx(ctx, needName())
+		obj, err := single.Stat(ctx, needName())
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s: %d bytes, %d stripes\n", obj.Name, obj.Size, obj.Stripes)
 	case "health", "scrub":
 		for i, c := range clients {
-			var rep tornado.ScrubReport
-			var err error
-			if args[0] == "health" {
-				rep, err = c.HealthCtx(ctx)
-			} else {
-				rep, err = c.ScrubCtx(ctx)
-			}
+			rep, err := c.Scrub(ctx, args[0] == "scrub")
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -8,13 +8,20 @@ import (
 	"tornado/internal/fedstore"
 )
 
-// Federated storage runtime (§5.3 made live): N per-site archives — each
-// with its own Tornado graph — behind one Get/Put/Scrub facade with
-// site-failover reads, quorum-gated writes, joint cross-site block
-// exchange, and whole-site disaster repair.
+// Federated storage runtime (§5.3 made live): N sites — each with its own
+// Tornado graph, in-process Archives or SiteClients over HTTP — behind one
+// Get/Put/Scrub/Pass facade with site-failover reads, quorum-gated writes,
+// joint cross-site block exchange, and whole-site disaster repair.
 type (
-	// FederatedStore is the live N-site facade over per-site Archives.
+	// FederatedStore is the live N-site facade.
 	FederatedStore = fedstore.Store
+	// FederatedSite is one member of a FederatedStore: the site API an
+	// Archive fills in process and a SiteClient over HTTP.
+	FederatedSite = fedstore.Site
+	// SiteStatus is the store's health view of one site.
+	SiteStatus = fedstore.SiteStatus
+	// StewardReport summarizes one FederatedStore.PassCtx maintenance sweep.
+	StewardReport = fedstore.PassReport
 	// FederatedConfig tunes the facade (write quorum, WAN topology).
 	FederatedConfig = fedstore.Config
 	// SiteScrub is one site's outcome from a federation-wide scrub.
@@ -43,7 +50,8 @@ var (
 	ErrSiteQuorum = fedstore.ErrSiteQuorum
 	// ErrNoSite means no federation site is currently reachable.
 	ErrNoSite = fedstore.ErrNoSite
-	// ErrSiteDown is a site-targeted operation against an unreachable site.
+	// ErrSiteDown is the site-down class: a site that cannot be reached, or a
+	// site-targeted operation against one.
 	ErrSiteDown = fedstore.ErrSiteDown
 )
 
@@ -54,6 +62,14 @@ func NewFederatedStore(sites []*Archive, cfg FederatedConfig) (*FederatedStore, 
 	return fedstore.New(sites, cfg)
 }
 
+// OpenFederatedStore composes any sites — SiteClients for a federation over
+// HTTP — under the same striping rule. A site unreachable now starts marked
+// down and is admitted by the first PassCtx that reaches it; at least one
+// must answer.
+func OpenFederatedStore(ctx context.Context, sites []FederatedSite, cfg FederatedConfig) (*FederatedStore, error) {
+	return fedstore.Open(ctx, sites, cfg)
+}
+
 // NewWAN builds a seeded site-scale fault topology for a FederatedConfig.
 func NewWAN(cfg WANConfig) *WAN { return chaos.NewWAN(cfg) }
 
@@ -62,7 +78,7 @@ func NewWAN(cfg WANConfig) *WAN { return chaos.NewWAN(cfg) }
 // cross-site repair — and returns its report; call Report.Check for the
 // recovery-guarantee verdict.
 func RunDisasterSoak(cfg DisasterSoakConfig) (DisasterSoakReport, error) {
-	return fedstore.Soak(cfg)
+	return fedstore.SoakCtx(context.Background(), cfg)
 }
 
 // RunDisasterSoakCtx is RunDisasterSoak with cancellation between

@@ -26,6 +26,10 @@ type StripeLayout struct {
 	DataNodes      int
 }
 
+// FrameSize is the on-device (and on-the-wire accounting) size of one framed
+// block under this layout: block size plus checksum framing.
+func (l StripeLayout) FrameSize() int { return l.BlockSize + frameOverhead }
+
 // Layout returns the store's striping parameters.
 func (s *Store) Layout() StripeLayout {
 	return StripeLayout{

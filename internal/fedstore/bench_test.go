@@ -38,7 +38,7 @@ func BenchmarkRepairSite(b *testing.B) {
 	}
 	data := testPayload(size, 1)
 	for k := 0; k < objects; k++ {
-		if err := f.Put(fmt.Sprintf("obj-%03d", k), data); err != nil {
+		if err := f.PutCtx(ctx, fmt.Sprintf("obj-%03d", k), data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +58,7 @@ func BenchmarkRepairSite(b *testing.B) {
 			reads -= cb.reads.Load()
 		}
 		b.StartTimer()
-		rep, err := f.RepairSite(0)
+		rep, err := f.RepairSiteCtx(ctx, 0)
 		if err != nil || rep.MissingAfter != 0 || rep.Unrecoverable != 0 {
 			b.Fatalf("repair: %v, report %+v", err, rep)
 		}

@@ -1,28 +1,32 @@
-// Package fedstore is the live federated store runtime: N archive.Store
-// sites — each with its own Tornado graph, placement, and (in tests) its
-// own chaos injector — composed behind a single Get/Put/Scrub facade.
-// Where internal/federation answers the analytical question ("would these
-// joint erasures lose data?"), fedstore moves real bytes: reads fail over
-// across sites, writes require a configurable site quorum and roll back
-// below it, and when every site individually reports data loss the facade
-// runs the paper's §5.3 block exchange for real — partial peeling at each
-// site, reconstructed data blocks shipped between sites over the WAN
+// Package fedstore is the live federated store runtime — the only one: N
+// sites, each with its own Tornado graph and placement, composed behind a
+// single Get/Put/Scrub/Pass facade. A site is anything that fills the Site
+// interface: an archive.Store in process (with, in tests, its own chaos
+// injector) or a steward.Client over HTTP; the facade runs the same bodies
+// over both. Where internal/federation answers the analytical question
+// ("would these joint erasures lose data?"), fedstore moves real bytes: reads
+// fail over across sites, writes require a configurable site quorum and roll
+// back below it, and when every site individually reports data loss the
+// facade runs the paper's §5.3 block exchange for real — partial peeling at
+// each site, reconstructed data blocks shipped between sites over the WAN
 // topology, repeated to fixpoint — then re-exports recovered blocks to the
-// broken sites through the archive's block interface, so every exchanged
-// byte lands in the sites' repairbw meters under the federation cause.
+// broken sites through the sites' block interface, so every exchanged byte
+// lands in the sites' repairbw meters under the federation cause.
 //
-// Site-scale failures come from an optional chaos.WAN: whole-site loss,
-// inter-site partitions, per-link brownout latency, and site flapping, all
-// seeded and deterministic. The facade is modeled as an external client
-// with its own connectivity to every site — WAN links gate only
-// site-to-site exchange; a lost or flapping site is unreachable to
-// everyone.
+// A site leaves the federation two ways. An optional chaos.WAN injects
+// site-scale failures — whole-site loss, inter-site partitions, per-link
+// brownout latency, site flapping, all seeded and deterministic — and a site
+// whose calls fail with ErrSiteDown is marked down until a probe (PassCtx)
+// reaches it again. The facade is modeled as an external client with its own
+// connectivity to every site: WAN links gate only site-to-site exchange; a
+// lost, flapping or marked-down site is unreachable to everyone.
 package fedstore
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"tornado/internal/archive"
@@ -38,8 +42,10 @@ var (
 	ErrSiteQuorum = errors.New("fedstore: too few sites up for write quorum")
 	// ErrNoSite means no site is currently reachable.
 	ErrNoSite = errors.New("fedstore: no reachable site")
-	// ErrSiteDown is returned by site-targeted operations (RepairSite)
-	// when the target is unreachable.
+	// ErrSiteDown is the site-down error class: a Site returns it (wrapped)
+	// when the site itself cannot be reached, as opposed to a definitive
+	// answer about an object, and site-targeted operations (RepairSite)
+	// return it when the target is unreachable.
 	ErrSiteDown = errors.New("fedstore: site unreachable")
 )
 
@@ -56,14 +62,18 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// Store is the federated facade over N per-site archive stores. It is safe
-// for concurrent use (each archive.Store is; the facade adds no shared
-// mutable state beyond counters).
+// Store is the federated facade over N sites. It is safe for concurrent use
+// (each Site is; the facade's own mutable state is the counters and the
+// per-site health below).
 type Store struct {
-	sites  []*archive.Store
-	codecs []*codec.Codec
+	sites  []Site
 	cfg    Config
-	layout archive.StripeLayout
+	layout archive.StripeLayout // of the first site admitted; fixed after Open
+	frame  int64                // framed bytes per block, the unit of every tally
+
+	mu     sync.Mutex
+	codecs []*codec.Codec // nil until the site is first admitted
+	down   []error        // non-nil: the failure that marked the site down
 
 	metrics    *obs.Registry
 	cFailover  *obs.Counter // reads served only after at least one site failed
@@ -74,12 +84,27 @@ type Store struct {
 	cExByRead  *obs.Counter // framed bytes of the above
 	cExByWrit  *obs.Counter
 	cRepairs   *obs.Counter // RepairSite runs
+	cDown      *obs.Counter // site-down detections, one per outage
+	cReadmit   *obs.Counter // marked-down sites a probe reached again
+	gHealthy   []*obs.Gauge // per site: 1 while not marked down
 }
 
-// New builds the facade. All sites must agree on block size and data-node
-// count (they hold replicas of the same logical blocks); their graphs may
-// — and for complementary fault tolerance should — differ.
+// New builds the facade over in-process sites. All sites must agree on block
+// size and data-node count (they hold replicas of the same logical blocks);
+// their graphs may — and for complementary fault tolerance should — differ.
 func New(sites []*archive.Store, cfg Config) (*Store, error) {
+	wrapped := make([]Site, len(sites))
+	for i, s := range sites {
+		wrapped[i] = local{s}
+	}
+	return Open(context.Background(), wrapped, cfg)
+}
+
+// Open builds the facade over any sites, under New's striping rule. A site
+// that answers ErrSiteDown starts marked down — its striping check and codec
+// wait for the probe that first reaches it — but at least one site must
+// answer, and striping disagreement is always a hard error.
+func Open(ctx context.Context, sites []Site, cfg Config) (*Store, error) {
 	if len(sites) < 2 {
 		return nil, fmt.Errorf("fedstore: need at least 2 sites, got %d", len(sites))
 	}
@@ -89,52 +114,160 @@ func New(sites []*archive.Store, cfg Config) (*Store, error) {
 	if cfg.WAN != nil && cfg.WAN.Sites() != len(sites) {
 		return nil, fmt.Errorf("fedstore: WAN has %d sites, store has %d", cfg.WAN.Sites(), len(sites))
 	}
-	layout := sites[0].Layout()
-	f := &Store{sites: sites, cfg: cfg, layout: layout}
-	for i, s := range sites {
-		l := s.Layout()
-		if l.BlockSize != layout.BlockSize || l.DataNodes != layout.DataNodes {
-			return nil, fmt.Errorf("fedstore: site %d striping (%d×%d) differs from site 0 (%d×%d)",
-				i, l.DataNodes, l.BlockSize, layout.DataNodes, layout.BlockSize)
-		}
-		c, err := codec.New(s.Graph(), l.BlockSize)
-		if err != nil {
-			return nil, fmt.Errorf("fedstore: site %d codec: %w", i, err)
-		}
-		f.codecs = append(f.codecs, c)
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	f.metrics = reg
-	f.cFailover = reg.Counter("fedstore.read_failover")
-	f.cQuorumRef = reg.Counter("fedstore.put.quorum_refused")
-	f.cExStripes = reg.Counter("fedstore.exchange.stripes")
-	f.cExBlkRead = reg.Counter("fedstore.exchange.blocks_read")
-	f.cExBlkWrit = reg.Counter("fedstore.exchange.blocks_written")
-	f.cExByRead = reg.Counter("fedstore.exchange.bytes_read")
-	f.cExByWrit = reg.Counter("fedstore.exchange.bytes_written")
-	f.cRepairs = reg.Counter("fedstore.repair.site_repairs")
+	f := &Store{
+		sites:      sites,
+		cfg:        cfg,
+		codecs:     make([]*codec.Codec, len(sites)),
+		down:       make([]error, len(sites)),
+		metrics:    reg,
+		cFailover:  reg.Counter("fedstore.read_failover"),
+		cQuorumRef: reg.Counter("fedstore.put.quorum_refused"),
+		cExStripes: reg.Counter("fedstore.exchange.stripes"),
+		cExBlkRead: reg.Counter("fedstore.exchange.blocks_read"),
+		cExBlkWrit: reg.Counter("fedstore.exchange.blocks_written"),
+		cExByRead:  reg.Counter("fedstore.exchange.bytes_read"),
+		cExByWrit:  reg.Counter("fedstore.exchange.bytes_written"),
+		cRepairs:   reg.Counter("fedstore.repair.site_repairs"),
+		cDown:      reg.Counter("fedstore.site_down_detected"),
+		cReadmit:   reg.Counter("fedstore.site_readmitted"),
+	}
+	answered := 0
+	var lastErr error
+	for i := range sites {
+		g := reg.Gauge(fmt.Sprintf("fedstore.site.%d.healthy", i))
+		g.Set(1)
+		f.gHealthy = append(f.gHealthy, g)
+		if lastErr = f.siteErr(i, f.admit(ctx, i)); lastErr == nil {
+			answered++
+		} else if !errors.Is(lastErr, ErrSiteDown) {
+			return nil, lastErr
+		}
+	}
+	if answered == 0 {
+		return nil, fmt.Errorf("%w: none of the %d sites answered (%v)", ErrNoSite, len(sites), lastErr)
+	}
 	return f, nil
+}
+
+// admit fetches site i's layout, checks its striping against the
+// federation's, and builds the site's codec if it has none yet. It runs at
+// construction and whenever a marked-down site is probed.
+func (f *Store) admit(ctx context.Context, i int) error {
+	lay, err := f.sites[i].Layout(ctx)
+	if err != nil {
+		return fmt.Errorf("fedstore: site %d layout: %w", i, err)
+	}
+	f.mu.Lock()
+	if f.frame == 0 {
+		f.layout, f.frame = lay, int64(lay.FrameSize())
+	}
+	ref, built := f.layout, f.codecs[i] != nil
+	f.mu.Unlock()
+	if lay.BlockSize != ref.BlockSize || lay.DataNodes != ref.DataNodes {
+		return fmt.Errorf("fedstore: site %d striping (%d×%d) differs from the federation's (%d×%d)",
+			i, lay.DataNodes, lay.BlockSize, ref.DataNodes, ref.BlockSize)
+	}
+	if built {
+		return nil
+	}
+	g, err := f.sites[i].Graph(ctx)
+	if err != nil {
+		return fmt.Errorf("fedstore: site %d graph: %w", i, err)
+	}
+	c, err := codec.New(g, lay.BlockSize)
+	if err != nil {
+		return fmt.Errorf("fedstore: site %d codec: %w", i, err)
+	}
+	f.mu.Lock()
+	f.codecs[i] = c
+	f.mu.Unlock()
+	return nil
+}
+
+// codec returns site i's codec; every site that is up has been admitted.
+func (f *Store) codec(i int) *codec.Codec {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.codecs[i]
 }
 
 // Sites returns the site count.
 func (f *Store) Sites() int { return len(f.sites) }
 
-// Site returns site i's archive store (tests and repair tooling reach
-// through for site-local scrubs and meters).
-func (f *Store) Site(i int) *archive.Store { return f.sites[i] }
-
 // Layout returns the shared striping parameters.
 func (f *Store) Layout() archive.StripeLayout { return f.layout }
 
-// Metrics returns the registry carrying the fedstore.* counters.
+// Metrics returns the registry carrying the fedstore.* counters and the
+// per-site fedstore.site.<i>.healthy gauges.
 func (f *Store) Metrics() *obs.Registry { return f.metrics }
 
-// SiteUp reports whether site i is reachable under the WAN topology.
+// SiteUp reports whether site i is reachable: up under the WAN topology and
+// not marked down by a failed call.
 func (f *Store) SiteUp(i int) bool {
-	return f.cfg.WAN == nil || f.cfg.WAN.SiteUp(i)
+	return (f.cfg.WAN == nil || f.cfg.WAN.SiteUp(i)) && f.downErr(i) == nil
+}
+
+// downErr returns the failure that marked site i down, nil while it is not.
+func (f *Store) downErr(i int) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.down[i]
+}
+
+// siteErr passes a call's error at site i through, marking the site down —
+// once per outage — when the error says the site itself is unreachable.
+// Marked sites are skipped by reads, writes and repairs until probe.
+func (f *Store) siteErr(i int, err error) error {
+	if !errors.Is(err, ErrSiteDown) {
+		return err
+	}
+	f.mu.Lock()
+	wasUp := f.down[i] == nil
+	f.down[i] = err
+	f.mu.Unlock()
+	if wasUp {
+		f.cDown.Inc()
+		f.gHealthy[i].Set(0)
+	}
+	return err
+}
+
+// probe readmits marked-down site i if it answers a cheap layout fetch (and,
+// for a site first seen down, yields the graph for its codec).
+func (f *Store) probe(ctx context.Context, i int) error {
+	if err := f.admit(ctx, i); err != nil {
+		return f.siteErr(i, err)
+	}
+	f.mu.Lock()
+	f.down[i] = nil
+	f.mu.Unlock()
+	f.cReadmit.Inc()
+	f.gHealthy[i].Set(1)
+	return nil
+}
+
+// SiteStatus is the facade's health view of one site.
+type SiteStatus struct {
+	Site int
+	Up   bool // SiteUp: reachable under the WAN and not marked down
+	// LastError is the failure that marked the site down ("" otherwise).
+	LastError string
+}
+
+// Health returns the current per-site status.
+func (f *Store) Health() []SiteStatus {
+	out := make([]SiteStatus, len(f.sites))
+	for i := range out {
+		out[i] = SiteStatus{Site: i, Up: f.SiteUp(i)}
+		if err := f.downErr(i); err != nil {
+			out[i].LastError = err.Error()
+		}
+	}
+	return out
 }
 
 // linkUp reports whether sites a and b can exchange blocks.
@@ -193,25 +326,28 @@ func (f *Store) ExchangeTotals() repairbw.CostReport {
 	}
 }
 
-// SiteFederationTotals aggregates every site's repairbw federation-cause
-// meter — the store-side view of the same exchange traffic.
+// SiteFederationTotals aggregates the repairbw federation-cause meters of
+// the sites that keep one in this process (every in-process site; a remote
+// site's ledger lives with its server) — the store-side view of the same
+// exchange traffic.
 func (f *Store) SiteFederationTotals() repairbw.CostReport {
 	var total repairbw.CostReport
 	for _, s := range f.sites {
-		total.Add(s.RepairMeter().Totals(repairbw.Federation))
+		if m, ok := s.(interface{ RepairMeter() *repairbw.Meter }); ok {
+			total.Add(m.RepairMeter().Totals(repairbw.Federation))
+		}
 	}
 	return total
 }
 
-// Put stores the object at every reachable site. At least WriteQuorum
+// PutCtx stores the object at every reachable site. At least WriteQuorum
 // sites must durably accept it; otherwise every successful site write is
 // rolled back and the Put fails with ErrSiteQuorum — graceful degradation
-// refuses new writes rather than silently under-replicating them.
-func (f *Store) Put(name string, data []byte) error {
-	return f.PutCtx(context.Background(), name, data)
-}
-
-// PutCtx is Put with cancellation.
+// refuses new writes rather than silently under-replicating them. Only down
+// or degraded sites count against the quorum: a site that answers
+// archive.ErrExists has given a definitive verdict on the name, and the Put
+// is rolled back and refused with it. The rollback runs to completion even
+// when ctx is what ended the Put.
 func (f *Store) PutCtx(ctx context.Context, name string, data []byte) error {
 	f.step()
 	up := f.upSites()
@@ -222,22 +358,26 @@ func (f *Store) PutCtx(ctx context.Context, name string, data []byte) error {
 	var stored []int
 	var firstErr error
 	rollback := func() {
+		ctx := context.WithoutCancel(ctx)
 		for _, i := range stored {
-			_ = f.sites[i].DeleteCtx(ctx, name) // best effort; quorum error wins
+			_ = f.siteErr(i, f.sites[i].Delete(ctx, name)) // best effort; the Put's error wins
 		}
 	}
 	for _, i := range up {
-		err := f.sites[i].PutCtx(ctx, name, data)
+		err := f.siteErr(i, f.sites[i].Put(ctx, name, data))
 		switch {
 		case err == nil:
 			stored = append(stored, i)
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		case isCtxErr(err):
 			rollback()
 			return err
+		case errors.Is(err, archive.ErrExists):
+			rollback()
+			return fmt.Errorf("fedstore: put at site %d: %w", i, err)
 		default:
-			// A degraded or failing site counts against the quorum but does
-			// not abort the put outright — the healthy sites may still
-			// carry it.
+			// A down or degraded site counts against the quorum but does not
+			// abort the put outright — the healthy sites may still carry it,
+			// and the next RepairSite brings the object to this one.
 			if firstErr == nil {
 				firstErr = fmt.Errorf("site %d: %w", i, err)
 			}
@@ -256,43 +396,44 @@ func (f *Store) PutCtx(ctx context.Context, name string, data []byte) error {
 	return nil
 }
 
-// Get reads the object from the first reachable site that can serve it,
-// failing over across sites; when every reachable site individually
-// reports data loss it falls back to joint cross-site exchange recovery.
-// The result is always bit-exact or a definitive error.
-func (f *Store) Get(name string) ([]byte, error) {
-	return f.GetCtx(context.Background(), name)
-}
-
-// GetCtx is Get with cancellation.
+// GetCtx reads the object from the first reachable site, in ascending order,
+// that can serve it, failing over across sites; when every site that knows
+// the object reports data loss it falls back to joint cross-site exchange
+// recovery. The result is always bit-exact or a definitive error: not-found
+// only when every site asked answered not-found, ErrSiteDown when a site
+// went down under the read and none served.
 func (f *Store) GetCtx(ctx context.Context, name string) ([]byte, error) {
 	f.step()
 	up := f.upSites()
 	if len(up) == 0 {
 		return nil, fmt.Errorf("%w: all %d sites down", ErrNoSite, len(f.sites))
 	}
-	exists := false
 	failedOver := false
-	var lastErr error
+	var lastErr, downErr error
 	for _, i := range up {
-		if _, err := f.sites[i].Stat(name); err != nil {
-			continue // site never saw the object (down during Put, or rolled back)
-		}
-		exists = true
-		data, _, err := f.sites[i].GetCtx(ctx, name)
+		data, err := f.sites[i].Get(ctx, name)
 		if err == nil {
 			if failedOver {
 				f.cFailover.Inc()
 			}
 			return data, nil
 		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		switch {
+		case isCtxErr(err):
 			return nil, err
+		case errors.Is(err, archive.ErrNotFound):
+			// The site never saw the object (down during Put, or rolled back).
+		case errors.Is(f.siteErr(i, err), ErrSiteDown):
+			failedOver, downErr = true, err
+		default:
+			failedOver, lastErr = true, err
 		}
-		failedOver = true
-		lastErr = err
 	}
-	if !exists {
+	if lastErr == nil {
+		if downErr != nil {
+			// A site that went down may still hold the object.
+			return nil, fmt.Errorf("fedstore: reading %q: %w", name, downErr)
+		}
 		return nil, fmt.Errorf("%w: %q", archive.ErrNotFound, name)
 	}
 	// Every site that knows the object failed to serve it alone. The
@@ -302,24 +443,19 @@ func (f *Store) GetCtx(ctx context.Context, name string) ([]byte, error) {
 		f.cFailover.Inc()
 		return data, nil
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if isCtxErr(err) {
 		return nil, err
 	}
 	return nil, fmt.Errorf("fedstore: %q lost at all reachable sites (last site error: %v): %w", name, lastErr, err)
 }
 
-// Delete removes the object from every reachable site.
-func (f *Store) Delete(name string) error {
-	return f.DeleteCtx(context.Background(), name)
-}
-
-// DeleteCtx is Delete with cancellation.
+// DeleteCtx removes the object from every reachable site.
 func (f *Store) DeleteCtx(ctx context.Context, name string) error {
 	f.step()
 	var firstErr error
 	deleted := false
 	for _, i := range f.upSites() {
-		err := f.sites[i].DeleteCtx(ctx, name)
+		err := f.siteErr(i, f.sites[i].Delete(ctx, name))
 		switch {
 		case err == nil:
 			deleted = true
@@ -344,14 +480,10 @@ type SiteScrub struct {
 	Report  archive.ScrubReport
 }
 
-// Scrub runs a site-local scrub at every reachable site (repair=true
-// rebuilds what each site can recover alone). Unreachable sites are
-// reported skipped, not failed — they are scrubbed when they return.
-func (f *Store) Scrub(repair bool) ([]SiteScrub, error) {
-	return f.ScrubCtx(context.Background(), repair)
-}
-
-// ScrubCtx is Scrub with cancellation.
+// ScrubCtx runs a site-local scrub at every reachable site (repair=true
+// rebuilds what each site can recover alone). Unreachable sites — and one
+// that goes down under its scrub — are reported skipped, not failed: they
+// are scrubbed when they return.
 func (f *Store) ScrubCtx(ctx context.Context, repair bool) ([]SiteScrub, error) {
 	f.step()
 	out := make([]SiteScrub, len(f.sites))
@@ -361,7 +493,11 @@ func (f *Store) ScrubCtx(ctx context.Context, repair bool) ([]SiteScrub, error) 
 			out[i].Skipped = true
 			continue
 		}
-		rep, err := f.sites[i].ScrubCtx(ctx, repair)
+		rep, err := f.sites[i].Scrub(ctx, repair)
+		if errors.Is(f.siteErr(i, err), ErrSiteDown) {
+			out[i].Skipped = true
+			continue
+		}
 		if err != nil {
 			return out, fmt.Errorf("fedstore: scrub site %d: %w", i, err)
 		}

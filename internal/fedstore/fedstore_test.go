@@ -2,6 +2,7 @@ package fedstore
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -14,6 +15,9 @@ import (
 	"tornado/internal/graph"
 	"tornado/internal/raid"
 )
+
+// ctx is the context of every test call that needs none of its own.
+var ctx = context.Background()
 
 // site is one test site: its store, raw devices, and transparent injector
 // (zero rates — used only for explicit LoseNode/VoidNode manipulation).
@@ -100,28 +104,28 @@ func TestPutGetSiteFailover(t *testing.T) {
 		newSiteWithGraph(t, tornadoGraph(t, 1), 32),
 		newSiteWithGraph(t, tornadoGraph(t, 2), 32))
 	data := testPayload(900, 5)
-	if err := f.Put("obj", data); err != nil {
+	if err := f.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	// Healthy read.
-	got, err := f.Get("obj")
+	got, err := f.GetCtx(ctx, "obj")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("healthy get: err=%v exact=%v", err, bytes.Equal(got, data))
 	}
 	// Site 0 gone: reads fail over to site 1.
 	w.LoseSite(0)
-	got, err = f.Get("obj")
+	got, err = f.GetCtx(ctx, "obj")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("failover get: err=%v exact=%v", err, bytes.Equal(got, data))
 	}
 	// Both gone: definitive error, not silence.
 	w.LoseSite(1)
-	if _, err := f.Get("obj"); !errors.Is(err, ErrNoSite) {
+	if _, err := f.GetCtx(ctx, "obj"); !errors.Is(err, ErrNoSite) {
 		t.Errorf("all-down get err = %v, want ErrNoSite", err)
 	}
 	w.RestoreSite(0)
 	w.RestoreSite(1)
-	if _, err := f.Get("missing"); !errors.Is(err, archive.ErrNotFound) {
+	if _, err := f.GetCtx(ctx, "missing"); !errors.Is(err, archive.ErrNotFound) {
 		t.Errorf("missing object err = %v, want ErrNotFound", err)
 	}
 }
@@ -133,7 +137,7 @@ func TestPutQuorumRefusalAndRollback(t *testing.T) {
 		newSiteWithGraph(t, tornadoGraph(t, 2), 32),
 		newSiteWithGraph(t, tornadoGraph(t, 3), 32))
 	w.LoseSite(2)
-	err := f.Put("obj", testPayload(500, 1))
+	err := f.PutCtx(ctx, "obj", testPayload(500, 1))
 	if !errors.Is(err, ErrSiteQuorum) {
 		t.Fatalf("put below quorum err = %v, want ErrSiteQuorum", err)
 	}
@@ -153,13 +157,13 @@ func TestPutQuorumRefusalAndRollback(t *testing.T) {
 		newSiteWithGraph(t, tornadoGraph(t, 5), 32),
 		newSiteWithGraph(t, tornadoGraph(t, 6), 32))
 	data := testPayload(500, 2)
-	if err := f2.Put("obj", data); err != nil {
+	if err := f2.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sites2[2].store.Stat("obj"); !errors.Is(err, archive.ErrNotFound) {
 		t.Error("down site somehow received the object")
 	}
-	got, err := f2.Get("obj")
+	got, err := f2.GetCtx(ctx, "obj")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("degraded get: err=%v", err)
 	}
@@ -174,7 +178,7 @@ func TestExchangeRecoversWhatNoSiteCanAlone(t *testing.T) {
 	b := newSiteWithGraph(t, g.Clone(), 32)
 	f, _ := fedOver(t, Config{}, a, b)
 	data := testPayload(4*32, 7) // one full stripe
-	if err := f.Put("obj", data); err != nil {
+	if err := f.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	// Site A loses both copies of block 0; site B both copies of block 1.
@@ -188,7 +192,7 @@ func TestExchangeRecoversWhatNoSiteCanAlone(t *testing.T) {
 	if _, _, err := b.store.Get("obj"); !errors.Is(err, archive.ErrDataLoss) {
 		t.Fatalf("site B alone should report data loss, got %v", err)
 	}
-	got, err := f.Get("obj")
+	got, err := f.GetCtx(ctx, "obj")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("federated get: err=%v exact=%v", err, bytes.Equal(got, data))
 	}
@@ -208,7 +212,7 @@ func TestPartitionBlocksExchange(t *testing.T) {
 	b := newSiteWithGraph(t, g.Clone(), 32)
 	f, _ := fedOver(t, Config{WAN: w}, a, b)
 	data := testPayload(4*32, 8)
-	if err := f.Put("obj", data); err != nil {
+	if err := f.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	a.inj.LoseNode(0)
@@ -217,12 +221,12 @@ func TestPartitionBlocksExchange(t *testing.T) {
 	b.inj.LoseNode(5)
 	// With the inter-site link cut, neither site can be rescued.
 	w.Partition(0, 1)
-	if _, err := f.Get("obj"); !errors.Is(err, archive.ErrDataLoss) {
+	if _, err := f.GetCtx(ctx, "obj"); !errors.Is(err, archive.ErrDataLoss) {
 		t.Fatalf("partitioned get err = %v, want ErrDataLoss", err)
 	}
 	// Healing the link heals the read.
 	w.HealLink(0, 1)
-	got, err := f.Get("obj")
+	got, err := f.GetCtx(ctx, "obj")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("post-heal get: err=%v", err)
 	}
@@ -238,7 +242,7 @@ func TestRepairSiteAfterFullWipe(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		name := string(rune('a' + i))
 		data := testPayload(200+137*i, uint64(i))
-		if err := f.Put(name, data); err != nil {
+		if err := f.PutCtx(ctx, name, data); err != nil {
 			t.Fatal(err)
 		}
 		names = append(names, name)
@@ -249,7 +253,7 @@ func TestRepairSiteAfterFullWipe(t *testing.T) {
 	if _, _, err := sites[0].store.Get(names[0]); !errors.Is(err, archive.ErrDataLoss) {
 		t.Fatalf("wiped site get err = %v, want ErrDataLoss", err)
 	}
-	rep, err := f.RepairSite(0)
+	rep, err := f.RepairSiteCtx(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,14 +285,14 @@ func TestRepairSiteSyncsShells(t *testing.T) {
 	// Site 1 down during the Put: it never hears about the object.
 	w.LoseSite(1)
 	data := testPayload(700, 9)
-	if err := f.Put("obj", data); err != nil {
+	if err := f.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	w.RestoreSite(1)
 	if _, err := sites[1].store.Stat("obj"); !errors.Is(err, archive.ErrNotFound) {
 		t.Fatal("site 1 should not know the object yet")
 	}
-	rep, err := f.RepairSite(1)
+	rep, err := f.RepairSiteCtx(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,18 +313,18 @@ func TestScrubSkipsDownSites(t *testing.T) {
 	f, _ := fedOver(t, Config{WAN: w, WriteQuorum: 1},
 		newSiteWithGraph(t, tornadoGraph(t, 41), 32),
 		newSiteWithGraph(t, tornadoGraph(t, 42), 32))
-	if err := f.Put("obj", testPayload(300, 3)); err != nil {
+	if err := f.PutCtx(ctx, "obj", testPayload(300, 3)); err != nil {
 		t.Fatal(err)
 	}
 	w.LoseSite(1)
-	reps, err := f.Scrub(true)
+	reps, err := f.ScrubCtx(ctx, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reps[0].Skipped || !reps[1].Skipped {
 		t.Errorf("scrub skip flags: %v %v, want false true", reps[0].Skipped, reps[1].Skipped)
 	}
-	if _, err := f.RepairSite(1); !errors.Is(err, ErrSiteDown) {
+	if _, err := f.RepairSiteCtx(ctx, 1); !errors.Is(err, ErrSiteDown) {
 		t.Errorf("repair of down site err = %v, want ErrSiteDown", err)
 	}
 }
@@ -329,10 +333,10 @@ func TestDeleteAcrossSites(t *testing.T) {
 	f, sites := fedOver(t, Config{},
 		newSiteWithGraph(t, tornadoGraph(t, 51), 32),
 		newSiteWithGraph(t, tornadoGraph(t, 52), 32))
-	if err := f.Put("obj", testPayload(100, 4)); err != nil {
+	if err := f.PutCtx(ctx, "obj", testPayload(100, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Delete("obj"); err != nil {
+	if err := f.DeleteCtx(ctx, "obj"); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range sites {
@@ -340,7 +344,7 @@ func TestDeleteAcrossSites(t *testing.T) {
 			t.Errorf("site %d still has deleted object", i)
 		}
 	}
-	if err := f.Delete("obj"); !errors.Is(err, archive.ErrNotFound) {
+	if err := f.DeleteCtx(ctx, "obj"); !errors.Is(err, archive.ErrNotFound) {
 		t.Errorf("double delete err = %v, want ErrNotFound", err)
 	}
 }
@@ -381,12 +385,12 @@ func TestRepairSitePartialDamage(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		name := string(rune('a' + i))
 		datas[name] = testPayload(700+611*i, uint64(i))
-		if err := f.Put(name, datas[name]); err != nil {
+		if err := f.PutCtx(ctx, name, datas[name]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	partialDamage(t, sites[0])
-	rep, err := f.RepairSite(0)
+	rep, err := f.RepairSiteCtx(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,5 +406,89 @@ func TestRepairSitePartialDamage(t *testing.T) {
 		if err != nil || !bytes.Equal(got, data) {
 			t.Errorf("repaired site get %q: err=%v exact=%v", name, err, bytes.Equal(got, data))
 		}
+	}
+}
+
+// cancellingBackend cancels a context the first time a block is written
+// through it — a Put's caller giving up while a later site is mid-write.
+type cancellingBackend struct {
+	archive.Backend
+	cancel context.CancelFunc
+}
+
+func (b *cancellingBackend) Write(ctx context.Context, node int, key, data []byte) error {
+	if b.cancel != nil {
+		b.cancel()
+		b.cancel = nil
+	}
+	return b.Backend.Write(ctx, node, key, data)
+}
+
+// TestCancelledPutRollsBack: a Put cancelled while site 1 writes must not
+// leave site 0's finished copy behind — the rollback deletes run outside the
+// dead context — so a retry of the same name succeeds.
+func TestCancelledPutRollsBack(t *testing.T) {
+	cb := &cancellingBackend{}
+	var stores []*archive.Store
+	for i := uint64(1); i <= 3; i++ {
+		g := tornadoGraph(t, i)
+		var backend archive.Backend = archive.NewArrayBackend(device.NewArray(g.Total))
+		if i == 2 {
+			cb.Backend = backend
+			backend = cb
+		}
+		store, err := archive.NewWithBackend(g, backend, archive.Config{BlockSize: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores = append(stores, store)
+	}
+	f, err := New(stores, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := testPayload(2000, 9)
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	cb.cancel = cancel
+	if err := f.PutCtx(cctx, "obj", data); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled put err = %v, want context.Canceled", err)
+	}
+	for i, s := range stores {
+		if _, err := s.Stat("obj"); !errors.Is(err, archive.ErrNotFound) {
+			t.Errorf("site %d kept the cancelled object (err=%v)", i, err)
+		}
+	}
+	if err := f.PutCtx(ctx, "obj", data); err != nil {
+		t.Fatalf("retry after a cancelled put: %v", err)
+	}
+	if got, err := f.GetCtx(ctx, "obj"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("get after retry: err=%v", err)
+	}
+}
+
+// TestPutConflictAbortsBelowFullQuorum: a site that already holds the name
+// has given a definitive answer. Counting it against a quorum the other
+// sites meet would leave its stale copy beside their new bytes — and Get
+// asks it first.
+func TestPutConflictAbortsBelowFullQuorum(t *testing.T) {
+	f, sites := fedOver(t, Config{WriteQuorum: 1},
+		newSiteWithGraph(t, tornadoGraph(t, 1), 32),
+		newSiteWithGraph(t, tornadoGraph(t, 2), 32),
+		newSiteWithGraph(t, tornadoGraph(t, 3), 32))
+	stale := testPayload(300, 1)
+	if err := sites[1].store.PutCtx(ctx, "obj", stale); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.PutCtx(ctx, "obj", testPayload(300, 2)); !errors.Is(err, archive.ErrExists) {
+		t.Fatalf("conflicting put err = %v, want ErrExists", err)
+	}
+	for _, i := range []int{0, 2} {
+		if _, err := sites[i].store.Stat("obj"); !errors.Is(err, archive.ErrNotFound) {
+			t.Errorf("site %d kept the refused object (err=%v)", i, err)
+		}
+	}
+	if got, err := f.GetCtx(ctx, "obj"); err != nil || !bytes.Equal(got, stale) {
+		t.Fatalf("the existing object must be untouched: err=%v", err)
 	}
 }

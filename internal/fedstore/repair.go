@@ -16,7 +16,7 @@ func (f *Store) exchangeGet(ctx context.Context, name string) ([]byte, error) {
 	var obj archive.Object
 	found := false
 	for _, i := range f.upSites() {
-		if o, err := f.sites[i].Stat(name); err == nil {
+		if o, err := f.sites[i].Stat(ctx, name); f.siteErr(i, err) == nil {
 			obj = o
 			found = true
 			break
@@ -39,7 +39,7 @@ func (f *Store) exchangeGet(ctx context.Context, name string) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		chunk, err := f.codecs[winner].Decode(blocks, payloadLen)
+		chunk, err := f.codec(winner).Decode(blocks, payloadLen)
 		if err != nil {
 			return nil, fmt.Errorf("fedstore: decode %q stripe %d: %w", name, st, err)
 		}
@@ -55,14 +55,14 @@ func (f *Store) exchangeGet(ctx context.Context, name string) ([]byte, error) {
 // are re-exported to every participating site that was missing them (the
 // cross-site repair write-back), and it returns the index of the site
 // whose codec completed plus that site's block array (all data blocks
-// filled). Every byte moved goes through ReadBlockCtx/WriteBlockCtx, so
+// filled). Every byte moved goes through the sites' ReadBlock/WriteBlock, so
 // the sites bill it to the federation cause; the facade keeps its own
 // tally in the fedstore.exchange.* counters for the conservation check.
 func (f *Store) recoverStripe(ctx context.Context, name string, stripe int) (int, [][]byte, error) {
 	// Participants: reachable sites that know the object.
 	var live []int
 	for _, i := range f.upSites() {
-		if _, err := f.sites[i].Stat(name); err == nil {
+		if _, err := f.sites[i].Stat(ctx, name); f.siteErr(i, err) == nil {
 			live = append(live, i)
 		}
 	}
@@ -70,28 +70,30 @@ func (f *Store) recoverStripe(ctx context.Context, name string, stripe int) (int
 		return 0, nil, fmt.Errorf("%w: %q", ErrNoSite, name)
 	}
 
-	frameBytes := int64(f.sites[live[0]].FrameSize())
 	perSite := make(map[int][][]byte, len(live))
 	fetched := make(map[int][]bool, len(live))
 	for _, i := range live {
-		total := f.sites[i].Graph().Total
+		total := f.codec(i).Graph().Total
 		blocks := make([][]byte, total)
 		have := make([]bool, total)
 		for node := 0; node < total; node++ {
 			if err := ctx.Err(); err != nil {
 				return 0, nil, err
 			}
-			b, err := f.sites[i].ReadBlockCtx(ctx, name, stripe, node)
+			b, err := f.sites[i].ReadBlock(ctx, name, stripe, node)
 			if err != nil {
 				if isCtxErr(err) {
 					return 0, nil, err
+				}
+				if errors.Is(f.siteErr(i, err), ErrSiteDown) {
+					break // the site went down mid-fetch; peel with what it gave
 				}
 				continue // missing or corrupt: a hole for the peel to fill
 			}
 			blocks[node] = b
 			have[node] = true
 			f.cExBlkRead.Inc()
-			f.cExByRead.Add(frameBytes)
+			f.cExByRead.Add(f.frame)
 		}
 		perSite[i] = blocks
 		fetched[i] = have
@@ -103,7 +105,7 @@ func (f *Store) recoverStripe(ctx context.Context, name string, stripe int) (int
 		// Let every site peel as far as it can (Repair reconstructs blocks
 		// in place even when it ultimately fails).
 		for _, i := range live {
-			if err := f.codecs[i].Repair(perSite[i]); err == nil {
+			if err := f.codec(i).Repair(perSite[i]); err == nil {
 				winner = i
 				break
 			}
@@ -126,7 +128,7 @@ func (f *Store) recoverStripe(ctx context.Context, name string, stripe int) (int
 					if !f.linkUp(a, b) {
 						continue
 					}
-					if err := f.linkStall(ctx, a, b, frameBytes); err != nil {
+					if err := f.linkStall(ctx, a, b, f.frame); err != nil {
 						return 0, nil, err
 					}
 					perSite[b][v] = perSite[a][v]
@@ -154,17 +156,20 @@ func (f *Store) recoverStripe(ctx context.Context, name string, stripe int) (int
 			if fetched[j][v] || perSite[winner][v] == nil {
 				continue
 			}
-			if err := f.linkStall(ctx, winner, j, frameBytes); err != nil {
+			if err := f.linkStall(ctx, winner, j, f.frame); err != nil {
 				return 0, nil, err
 			}
-			if err := f.sites[j].WriteBlockCtx(ctx, name, stripe, v, perSite[winner][v]); err != nil {
+			if err := f.sites[j].WriteBlock(ctx, name, stripe, v, perSite[winner][v]); err != nil {
 				if isCtxErr(err) {
 					return 0, nil, err
+				}
+				if errors.Is(f.siteErr(j, err), ErrSiteDown) {
+					break
 				}
 				continue // site degraded mid-repair; a later RepairSite retries
 			}
 			f.cExBlkWrit.Inc()
-			f.cExByWrit.Add(frameBytes)
+			f.cExByWrit.Add(f.frame)
 		}
 	}
 	return winner, perSite[winner], nil
@@ -195,25 +200,21 @@ type RepairReport struct {
 	Unrecoverable int
 }
 
-// RepairSite restores a site after a disaster, visiting each of its stripes
-// once. Object shells the site never saw are copied from its donors (the
-// reachable sites with a working link to it). Then one repairing pass
-// (archive.RepairFrom) runs with the federation as donor: per stripe the
-// site verifies what it holds and peels, only the data blocks peeling cannot
-// reach are read from the first donor that has them, and the site re-encodes
-// its own checks from them — a lost byte costs one byte across the WAN,
-// never a check block, all of it billed to the federation repair cause.
-// Stripes no single donor could complete go through the joint exchange
-// (recoverStripe) and, only if there were any, one more pass for their
-// checks. A verify-only scrub, independent of all that, measures the residue.
+// RepairSiteCtx restores a site after a disaster, visiting each of its
+// stripes once. Object shells the site never saw are copied from its donors
+// (the reachable sites with a working link to it). Then one repairing pass
+// (Site.RepairFrom) runs with the federation as donor: per stripe the site
+// verifies what it holds and peels, only the data blocks it cannot rebuild
+// are read from the first donor that has them, and the site re-encodes its
+// own checks from them — a lost byte costs one byte across the WAN, never a
+// check block, all of it billed to the federation repair cause. Stripes no
+// single donor could complete go through the joint exchange (recoverStripe)
+// and, only if there were any, one more pass for their checks. A verify-only
+// scrub, independent of all that, measures the residue.
 //
 // A device that refuses a rebuilt block (a dead replacement drive) does not
-// stop the repair: the block shows up in MissingAfter and a later run retries.
-func (f *Store) RepairSite(target int) (RepairReport, error) {
-	return f.RepairSiteCtx(context.Background(), target)
-}
-
-// RepairSiteCtx is RepairSite with cancellation.
+// stop the repair: the block shows up in MissingAfter and a later run
+// retries. A donor that goes down under the repair is dropped from it.
 func (f *Store) RepairSiteCtx(ctx context.Context, target int) (rep RepairReport, err error) {
 	rep = RepairReport{Site: target}
 	if target < 0 || target >= len(f.sites) {
@@ -224,7 +225,10 @@ func (f *Store) RepairSiteCtx(ctx context.Context, target int) (rep RepairReport
 	}
 	f.cRepairs.Inc()
 	before := f.ExchangeTotals()
-	defer func() { rep.Exchange = costDelta(f.ExchangeTotals(), before) }()
+	defer func() {
+		rep.Exchange = costDelta(f.ExchangeTotals(), before)
+		f.siteErr(target, err) // every error below that wraps ErrSiteDown is the target's
+	}()
 	ts := f.sites[target]
 
 	// Donors: reachable sites with a working link to the target.
@@ -236,31 +240,50 @@ func (f *Store) RepairSiteCtx(ctx context.Context, target int) (rep RepairReport
 	}
 
 	// List is name-sorted at every site, so the shell sync is deterministic.
+	held, err := ts.List(ctx)
+	if err != nil {
+		return rep, fmt.Errorf("fedstore: list at site %d: %w", target, err)
+	}
+	known := make(map[string]bool, len(held))
+	for _, obj := range held {
+		known[obj.Name] = true
+	}
 	for _, d := range donors {
-		for _, obj := range f.sites[d].List() {
-			if _, err := ts.Stat(obj.Name); err == nil {
+		objs, err := f.sites[d].List(ctx)
+		if isCtxErr(err) {
+			return rep, err
+		}
+		if f.siteErr(d, err) != nil {
+			continue
+		}
+		for _, obj := range objs {
+			if known[obj.Name] {
 				continue
 			}
-			if err := ts.PutShell(obj.Name, obj.Size, obj.Stripes); err != nil {
+			if err := ts.PutShell(ctx, obj.Name, obj.Size, obj.Stripes); err != nil {
 				return rep, fmt.Errorf("fedstore: shell %q at site %d: %w", obj.Name, target, err)
 			}
+			known[obj.Name] = true
 			rep.ShellsSynced++
 		}
 	}
 
-	frameBytes := int64(ts.FrameSize())
 	donor := func(ctx context.Context, name string, stripe, node int) ([]byte, error) {
 		for _, d := range donors {
-			b, err := f.sites[d].ReadBlockCtx(ctx, name, stripe, node)
+			if f.downErr(d) != nil {
+				continue
+			}
+			b, err := f.sites[d].ReadBlock(ctx, name, stripe, node)
 			if err != nil {
 				if isCtxErr(err) {
 					return nil, err
 				}
+				f.siteErr(d, err)
 				continue
 			}
 			f.cExBlkRead.Inc()
-			f.cExByRead.Add(int64(f.sites[d].FrameSize()))
-			if err := f.linkStall(ctx, d, target, frameBytes); err != nil {
+			f.cExByRead.Add(f.frame)
+			if err := f.linkStall(ctx, d, target, f.frame); err != nil {
 				return nil, err
 			}
 			return b, nil
@@ -269,7 +292,7 @@ func (f *Store) RepairSiteCtx(ctx context.Context, target int) (rep RepairReport
 	}
 	pass, err := ts.RepairFrom(ctx, donor)
 	f.cExBlkWrit.Add(int64(pass.BlocksImported))
-	f.cExByWrit.Add(int64(pass.BlocksImported) * frameBytes)
+	f.cExByWrit.Add(int64(pass.BlocksImported) * f.frame)
 	rep.LocalRepairs, rep.DirectImports = pass.BlocksLocal, pass.BlocksImported
 	if err != nil {
 		return rep, fmt.Errorf("fedstore: repair pass at site %d: %w", target, err)
@@ -295,7 +318,7 @@ func (f *Store) RepairSiteCtx(ctx context.Context, target int) (rep RepairReport
 		}
 	}
 
-	final, err := ts.ScrubCtx(ctx, false)
+	final, err := ts.Scrub(ctx, false)
 	if err != nil {
 		return rep, fmt.Errorf("fedstore: final scrub at site %d: %w", target, err)
 	}
@@ -306,6 +329,62 @@ func (f *Store) RepairSiteCtx(ctx context.Context, target int) (rep RepairReport
 		}
 	}
 	return rep, nil
+}
+
+// PassReport is the outcome of one maintenance pass.
+type PassReport struct {
+	// Sites is the health of every site after the pass, filled in on an
+	// error return too.
+	Sites []SiteStatus
+	// Readmitted lists the marked-down sites the pass's probe reached again;
+	// Skipped the sites that are down as the pass ends.
+	Readmitted, Skipped []int
+	// Repairs holds one RepairSite report per site repaired, in site order.
+	Repairs []RepairReport
+}
+
+// PassCtx is one federation maintenance sweep: every marked-down site is
+// probed and readmitted if it answers, then every reachable site gets a
+// RepairSite — shells it missed, blocks it lost, from whichever donors are
+// up — in index order. A site that is or goes down is recorded and skipped,
+// never fatal to the pass; it fails only when no site is reachable or ctx
+// ends, and otherwise returns the repairs' own errors joined.
+func (f *Store) PassCtx(ctx context.Context) (rep PassReport, err error) {
+	defer func() {
+		rep.Sites = f.Health()
+		for _, st := range rep.Sites {
+			if !st.Up {
+				rep.Skipped = append(rep.Skipped, st.Site)
+			}
+		}
+	}()
+	for i := range f.sites {
+		if f.downErr(i) != nil && f.probe(ctx, i) == nil {
+			rep.Readmitted = append(rep.Readmitted, i)
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return rep, err
+	}
+	if len(f.upSites()) == 0 {
+		return rep, fmt.Errorf("%w: all %d sites down", ErrNoSite, len(f.sites))
+	}
+	var errs []error
+	for i := range f.sites {
+		if !f.SiteUp(i) {
+			continue
+		}
+		r, err := f.RepairSiteCtx(ctx, i)
+		switch {
+		case err == nil:
+			rep.Repairs = append(rep.Repairs, r)
+		case isCtxErr(err):
+			return rep, err
+		case !errors.Is(err, ErrSiteDown):
+			errs = append(errs, err)
+		}
+	}
+	return rep, errors.Join(errs...)
 }
 
 // isCtxErr reports whether err is a cancellation or a missed deadline.

@@ -52,7 +52,7 @@ func wipedFederation(t *testing.T, cfg Config) (f *Store, sites []site, counts [
 	}
 	f, sites = fedOver(t, cfg, sites...)
 	for i := 0; i < 4; i++ {
-		if err := f.Put(string(rune('a'+i)), testPayload(400+777*i, uint64(i))); err != nil {
+		if err := f.PutCtx(ctx, string(rune('a'+i)), testPayload(400+777*i, uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,7 +81,7 @@ func setProcs(t *testing.T, n int) {
 // crosses the WAN, and the second donor is never asked.
 func TestRepairSiteBlockOpBudget(t *testing.T) {
 	f, sites, counts, stripes := wipedFederation(t, Config{})
-	rep, err := f.RepairSite(0)
+	rep, err := f.RepairSiteCtx(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestRepairSiteWidthChangesNothing(t *testing.T) {
 	run := func(procs int) (RepairReport, [][]byte) {
 		setProcs(t, procs)
 		f, sites, _, _ := wipedFederation(t, Config{})
-		rep, err := f.RepairSite(0)
+		rep, err := f.RepairSiteCtx(ctx, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestRepairSiteWidthChangesNothing(t *testing.T) {
 func TestRepairSiteDeadReplacementDrive(t *testing.T) {
 	f, sites, _, stripes := wipedFederation(t, Config{})
 	sites[0].devs[3].Fail()
-	rep, err := f.RepairSite(0)
+	rep, err := f.RepairSiteCtx(ctx, 0)
 	if err != nil {
 		t.Fatalf("one dead drive aborted the repair: %v (report %+v)", err, rep)
 	}
@@ -167,7 +167,7 @@ func TestRepairSiteDeadReplacementDrive(t *testing.T) {
 		t.Errorf("conservation: facade %+v != sites %+v", got, want)
 	}
 	sites[0].devs[3].Replace()
-	rep, err = f.RepairSite(0)
+	rep, err = f.RepairSiteCtx(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestRepairSiteExchangeFallback(t *testing.T) {
 	f, sites, _, stripes := wipedFederation(t, Config{})
 	sites[1].inj.LoseNode(0)
 	sites[2].inj.LoseNode(0)
-	rep, err := f.RepairSite(0)
+	rep, err := f.RepairSiteCtx(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestRepairSiteExchangeFallback(t *testing.T) {
 // nothing but the time.
 func TestRepairSiteUnderByteCap(t *testing.T) {
 	f, _, _, _ := wipedFederation(t, Config{WAN: chaos.NewWAN(chaos.WANConfig{Sites: 3})})
-	uncapped, err := f.RepairSite(0)
+	uncapped, err := f.RepairSiteCtx(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestRepairSiteUnderByteCap(t *testing.T) {
 		const rate = 200_000 // bytes/s
 		w.LimitLink(1, 0, rate)
 		t0 := time.Now()
-		rep, err := f.RepairSite(0)
+		rep, err := f.RepairSiteCtx(ctx, 0)
 		took := time.Since(t0)
 		if err != nil {
 			t.Fatal(err)

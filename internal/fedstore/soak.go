@@ -194,16 +194,11 @@ type soakSite struct {
 	inj   *chaos.Injector
 }
 
-// Soak executes one seeded disaster campaign and returns its report. An
-// error means the harness itself failed — invariant violations are
-// reported via SoakReport.Check, not the error.
-func Soak(cfg SoakConfig) (SoakReport, error) {
-	return SoakCtx(context.Background(), cfg)
-}
-
-// SoakCtx is Soak with cancellation: the campaign checks ctx between
-// operations and aborts with the context's error. A run that completes
-// produces the same report whether or not a context was attached.
+// SoakCtx executes one seeded disaster campaign and returns its report. An
+// error means the harness itself failed — invariant violations are reported
+// via SoakReport.Check, not the error. The campaign checks ctx between
+// operations and aborts with the context's error; a run that completes
+// produces the same report whatever context was attached.
 func SoakCtx(ctx context.Context, cfg SoakConfig) (SoakReport, error) {
 	if cfg.Sites < 2 {
 		cfg.Sites = 3
@@ -501,7 +496,7 @@ func SoakCtx(ctx context.Context, cfg SoakConfig) (SoakReport, error) {
 	}
 	for _, name := range names {
 		for i := range sites {
-			got, _, err := sites[i].store.Get(name)
+			got, _, err := sites[i].store.GetCtx(ctx, name)
 			if err != nil || !bytes.Equal(got, golden[name]) {
 				rep.FinalVerifyFailures++
 				note("final get %s site %d BAD", name, i)

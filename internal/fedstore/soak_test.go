@@ -6,7 +6,7 @@ import (
 )
 
 func TestDisasterSoakConverges(t *testing.T) {
-	rep, err := Soak(SoakConfig{Seed: 1})
+	rep, err := SoakCtx(ctx, SoakConfig{Seed: 1})
 	if err != nil {
 		t.Fatalf("harness: %v", err)
 	}
@@ -29,11 +29,11 @@ func TestDisasterSoakConverges(t *testing.T) {
 }
 
 func TestDisasterSoakDeterministic(t *testing.T) {
-	a, err := Soak(SoakConfig{Seed: 42, Ops: 120, Objects: 4})
+	a, err := SoakCtx(ctx, SoakConfig{Seed: 42, Ops: 120, Objects: 4})
 	if err != nil {
 		t.Fatalf("harness: %v", err)
 	}
-	b, err := Soak(SoakConfig{Seed: 42, Ops: 120, Objects: 4})
+	b, err := SoakCtx(ctx, SoakConfig{Seed: 42, Ops: 120, Objects: 4})
 	if err != nil {
 		t.Fatalf("harness: %v", err)
 	}
@@ -43,7 +43,7 @@ func TestDisasterSoakDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same seed, different reports:\n%+v\n%+v", a, b)
 	}
-	c, err := Soak(SoakConfig{Seed: 43, Ops: 120, Objects: 4})
+	c, err := SoakCtx(ctx, SoakConfig{Seed: 43, Ops: 120, Objects: 4})
 	if err != nil {
 		t.Fatalf("harness: %v", err)
 	}
@@ -57,7 +57,7 @@ func TestDisasterSoakSeedSweep(t *testing.T) {
 		t.Skip("seed sweep in short mode")
 	}
 	for seed := uint64(2); seed <= 4; seed++ {
-		rep, err := Soak(SoakConfig{Seed: seed, Ops: 160, Objects: 4})
+		rep, err := SoakCtx(ctx, SoakConfig{Seed: seed, Ops: 160, Objects: 4})
 		if err != nil {
 			t.Fatalf("seed %d harness: %v", seed, err)
 		}

@@ -1,8 +1,8 @@
 // Package obs is the reproduction's stdlib-only observability layer:
 // counters, gauges, and latency histograms collected in a Registry and
-// exported as a JSON snapshot (expvar-style) or over HTTP. The steward
-// federation stack threads a Registry through its client, server, and
-// replicator so that bounded-latency behavior — retries, per-route request
+// exported as a JSON snapshot (expvar-style) or over HTTP. The federation
+// stack threads a Registry through the site client, the site server, and
+// the federated store so that bounded-latency behavior — retries, per-route request
 // timing, site-down detections — is visible rather than inferred from
 // logs.
 //

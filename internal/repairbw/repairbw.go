@@ -36,7 +36,7 @@ const (
 	// and failed recovery attempts.
 	DegradedGet
 	// Federation is the block-level exchange between federated sites
-	// (ReadBlock/WriteBlock) used by ExchangeRecover and RestoreSites.
+	// (ReadBlock/WriteBlock) used by fedstore's exchange and RepairSite.
 	Federation
 
 	// NumCauses is the cause count (for iteration).

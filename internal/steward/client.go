@@ -10,11 +10,13 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"tornado/internal/archive"
+	"tornado/internal/fedstore"
 	"tornado/internal/graph"
 	"tornado/internal/graphml"
 	"tornado/internal/obs"
@@ -28,11 +30,11 @@ var (
 	ErrExists = archive.ErrExists
 	// ErrDataLoss mirrors archive.ErrDataLoss across the wire.
 	ErrDataLoss = archive.ErrDataLoss
-	// ErrUnavailable wraps transport failures and 5xx responses that
+	// ErrUnavailable wraps transport failures and 502/503/504 responses that
 	// persist after the retry budget: the site is down or unreachable, not
-	// merely missing an object. The replicator uses it to mark a site
-	// unhealthy instead of failing a whole steward pass.
-	ErrUnavailable = errors.New("steward: site unavailable")
+	// merely missing an object. It is the federation's site-down class — a
+	// fedstore.Store marks the site down on it instead of failing the call.
+	ErrUnavailable = fedstore.ErrSiteDown
 )
 
 // Client option defaults.
@@ -91,16 +93,18 @@ func (o ClientOptions) normalize() ClientOptions {
 	return o
 }
 
-// Client is a typed client for one stewarding site. Every method has a
-// context-first variant (GetCtx, PutCtx, ...); the short names delegate
-// with context.Background(). Each request carries a per-attempt deadline
-// and is retried with bounded exponential backoff and jitter on transport
-// errors and 5xx responses — never on 4xx, which are real answers.
+// Client is a typed, context-first client for one stewarding site, and the
+// remote fedstore.Site: a federation of Clients runs the same store as one of
+// in-process archives. Each request carries a per-attempt deadline and is
+// retried with bounded exponential backoff and jitter on transport errors
+// and 502/503/504 — never on 4xx or 500, which are the site's own answers.
 type Client struct {
 	base    *url.URL
 	baseErr error // deferred NewClient parse failure, reported per call
 	opts    ClientOptions
 }
+
+var _ fedstore.Site = (*Client)(nil)
 
 // NewClient returns a client for the site at baseURL. httpClient may be
 // nil for http.DefaultClient.
@@ -173,12 +177,15 @@ func (c *Client) do(ctx context.Context, method string, query url.Values, body [
 		if err == nil && status < 300 {
 			return data, nil
 		}
-		if err == nil && status < 500 {
-			// A definitive site answer: map it, never retry.
+		if err == nil && status <= http.StatusInternalServerError {
+			// A definitive site answer: map it, never retry. A 500 is one
+			// too — the site ran the request and its store refused (a dead
+			// home device, too degraded to write) — so it is an error about
+			// the request, never ErrUnavailable.
 			m.Counter("client.failures").Inc()
 			return nil, mapStatus(method, target, status, data)
 		}
-		// Transport error or 5xx.
+		// Transport error, or a 502/503/504 from in front of the site.
 		if err != nil {
 			lastErr = err
 		} else {
@@ -217,8 +224,8 @@ func (c *Client) attempt(ctx context.Context, method, target string, body []byte
 	return data, resp.StatusCode, nil
 }
 
-// mapStatus translates the site API's definitive (non-5xx) error statuses
-// into the shared archive error values.
+// mapStatus translates the site API's definitive error statuses into the
+// shared archive error values.
 func mapStatus(method, target string, status int, body []byte) error {
 	msg := bytes.TrimSpace(body)
 	switch status {
@@ -253,94 +260,55 @@ func blockQuery(stripe, node int) url.Values {
 	}
 }
 
-// PutCtx uploads an object.
-func (c *Client) PutCtx(ctx context.Context, name string, data []byte) error {
+// Put uploads an object.
+func (c *Client) Put(ctx context.Context, name string, data []byte) error {
 	_, err := c.do(ctx, http.MethodPut, nil, data, nameSegments("objects", name)...)
 	return err
 }
 
-// Put uploads an object.
-func (c *Client) Put(name string, data []byte) error {
-	return c.PutCtx(context.Background(), name, data)
-}
-
-// GetCtx downloads an object, reconstructing at the site if needed.
-func (c *Client) GetCtx(ctx context.Context, name string) ([]byte, error) {
+// Get downloads an object, reconstructing at the site if needed.
+func (c *Client) Get(ctx context.Context, name string) ([]byte, error) {
 	return c.do(ctx, http.MethodGet, nil, nil, nameSegments("objects", name)...)
 }
 
-// Get downloads an object, reconstructing at the site if needed.
-func (c *Client) Get(name string) ([]byte, error) {
-	return c.GetCtx(context.Background(), name)
-}
-
-// DeleteCtx removes an object.
-func (c *Client) DeleteCtx(ctx context.Context, name string) error {
+// Delete removes an object.
+func (c *Client) Delete(ctx context.Context, name string) error {
 	_, err := c.do(ctx, http.MethodDelete, nil, nil, nameSegments("objects", name)...)
 	return err
 }
 
-// Delete removes an object.
-func (c *Client) Delete(name string) error {
-	return c.DeleteCtx(context.Background(), name)
-}
-
-// StatCtx fetches an object's metadata.
-func (c *Client) StatCtx(ctx context.Context, name string) (archive.Object, error) {
-	data, err := c.do(ctx, http.MethodGet, nil, nil, nameSegments("stat", name)...)
+// doJSON decodes the JSON answer of one body-less site API request into v.
+func (c *Client) doJSON(ctx context.Context, method string, v any, segments ...string) error {
+	data, err := c.do(ctx, method, nil, nil, segments...)
 	if err != nil {
-		return archive.Object{}, err
+		return err
 	}
-	var obj archive.Object
-	if err := json.Unmarshal(data, &obj); err != nil {
-		return archive.Object{}, fmt.Errorf("steward: stat decode: %w", err)
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("steward: %s decode: %w", segments[0], err)
 	}
-	return obj, nil
+	return nil
 }
 
 // Stat fetches an object's metadata.
-func (c *Client) Stat(name string) (archive.Object, error) {
-	return c.StatCtx(context.Background(), name)
-}
-
-// ListCtx fetches the site's object listing.
-func (c *Client) ListCtx(ctx context.Context) ([]archive.Object, error) {
-	data, err := c.do(ctx, http.MethodGet, nil, nil, "list")
-	if err != nil {
-		return nil, err
-	}
-	var objs []archive.Object
-	if err := json.Unmarshal(data, &objs); err != nil {
-		return nil, fmt.Errorf("steward: list decode: %w", err)
-	}
-	return objs, nil
+func (c *Client) Stat(ctx context.Context, name string) (obj archive.Object, err error) {
+	err = c.doJSON(ctx, http.MethodGet, &obj, nameSegments("stat", name)...)
+	return obj, err
 }
 
 // List fetches the site's object listing.
-func (c *Client) List() ([]archive.Object, error) {
-	return c.ListCtx(context.Background())
-}
-
-// LayoutCtx fetches the site's striping parameters.
-func (c *Client) LayoutCtx(ctx context.Context) (archive.StripeLayout, error) {
-	data, err := c.do(ctx, http.MethodGet, nil, nil, "layout")
-	if err != nil {
-		return archive.StripeLayout{}, err
-	}
-	var lay archive.StripeLayout
-	if err := json.Unmarshal(data, &lay); err != nil {
-		return archive.StripeLayout{}, fmt.Errorf("steward: layout decode: %w", err)
-	}
-	return lay, nil
+func (c *Client) List(ctx context.Context) (objs []archive.Object, err error) {
+	err = c.doJSON(ctx, http.MethodGet, &objs, "list")
+	return objs, err
 }
 
 // Layout fetches the site's striping parameters.
-func (c *Client) Layout() (archive.StripeLayout, error) {
-	return c.LayoutCtx(context.Background())
+func (c *Client) Layout(ctx context.Context) (lay archive.StripeLayout, err error) {
+	err = c.doJSON(ctx, http.MethodGet, &lay, "layout")
+	return lay, err
 }
 
-// GraphCtx fetches the site's erasure graph (GraphML over the wire).
-func (c *Client) GraphCtx(ctx context.Context) (*graph.Graph, error) {
+// Graph fetches the site's erasure graph (GraphML over the wire).
+func (c *Client) Graph(ctx context.Context) (*graph.Graph, error) {
 	data, err := c.do(ctx, http.MethodGet, nil, nil, "graph")
 	if err != nil {
 		return nil, err
@@ -348,37 +316,21 @@ func (c *Client) GraphCtx(ctx context.Context) (*graph.Graph, error) {
 	return graphml.Decode(bytes.NewReader(data))
 }
 
-// Graph fetches the site's erasure graph (GraphML over the wire).
-func (c *Client) Graph() (*graph.Graph, error) {
-	return c.GraphCtx(context.Background())
-}
-
-// ReadBlockCtx fetches one verified block; missing, rotted, and
-// out-of-range blocks all report ErrNotFound.
-func (c *Client) ReadBlockCtx(ctx context.Context, name string, stripe, node int) ([]byte, error) {
+// ReadBlock fetches one verified block; missing, rotted, and out-of-range
+// blocks all report ErrNotFound.
+func (c *Client) ReadBlock(ctx context.Context, name string, stripe, node int) ([]byte, error) {
 	return c.do(ctx, http.MethodGet, blockQuery(stripe, node), nil, nameSegments("blocks", name)...)
 }
 
-// ReadBlock fetches one verified block; missing, rotted, and out-of-range
-// blocks all report ErrNotFound.
-func (c *Client) ReadBlock(name string, stripe, node int) ([]byte, error) {
-	return c.ReadBlockCtx(context.Background(), name, stripe, node)
-}
-
-// WriteBlockCtx restores one block to its home device at the site.
-func (c *Client) WriteBlockCtx(ctx context.Context, name string, stripe, node int, payload []byte) error {
+// WriteBlock restores one block to its home device at the site.
+func (c *Client) WriteBlock(ctx context.Context, name string, stripe, node int, payload []byte) error {
 	_, err := c.do(ctx, http.MethodPut, blockQuery(stripe, node), payload, nameSegments("blocks", name)...)
 	return err
 }
 
-// WriteBlock restores one block to its home device at the site.
-func (c *Client) WriteBlock(name string, stripe, node int, payload []byte) error {
-	return c.WriteBlockCtx(context.Background(), name, stripe, node, payload)
-}
-
-// PutShellCtx registers object metadata at the site without uploading data
+// PutShell registers object metadata at the site without uploading data
 // (blocks follow via WriteBlock).
-func (c *Client) PutShellCtx(ctx context.Context, name string, size, stripes int) error {
+func (c *Client) PutShell(ctx context.Context, name string, size, stripes int) error {
 	q := url.Values{
 		"size":    []string{strconv.Itoa(size)},
 		"stripes": []string{strconv.Itoa(stripes)},
@@ -387,42 +339,61 @@ func (c *Client) PutShellCtx(ctx context.Context, name string, size, stripes int
 	return err
 }
 
-// PutShell registers object metadata at the site without uploading data
-// (blocks follow via WriteBlock).
-func (c *Client) PutShell(name string, size, stripes int) error {
-	return c.PutShellCtx(context.Background(), name, size, stripes)
+// Scrub runs a scrub at the site and returns its report: the repairing
+// POST /scrub, or with repair false the non-mutating GET /health.
+func (c *Client) Scrub(ctx context.Context, repair bool) (rep archive.ScrubReport, err error) {
+	method, path := http.MethodGet, "health"
+	if repair {
+		method, path = http.MethodPost, "scrub"
+	}
+	err = c.doJSON(ctx, method, &rep, path)
+	return rep, err
 }
 
-// HealthCtx runs a non-mutating scrub at the site and returns the report.
-func (c *Client) HealthCtx(ctx context.Context) (archive.ScrubReport, error) {
-	return c.scrub(ctx, http.MethodGet, "health")
-}
-
-// Health runs a non-mutating scrub at the site and returns the report.
-func (c *Client) Health() (archive.ScrubReport, error) {
-	return c.HealthCtx(context.Background())
-}
-
-// ScrubCtx runs a repairing scrub at the site and returns the report.
-func (c *Client) ScrubCtx(ctx context.Context) (archive.ScrubReport, error) {
-	return c.scrub(ctx, http.MethodPost, "scrub")
-}
-
-// Scrub runs a repairing scrub at the site and returns the report.
-func (c *Client) Scrub() (archive.ScrubReport, error) {
-	return c.ScrubCtx(context.Background())
-}
-
-func (c *Client) scrub(ctx context.Context, method, path string) (archive.ScrubReport, error) {
-	data, err := c.do(ctx, method, nil, nil, path)
+// RepairFrom is the remote form of archive.Store.RepairFrom, driven from this
+// side of the wire: a repairing scrub at the site; then, for each stripe it
+// left unrecoverable, the missing data blocks donor can supply are written
+// home; then a second repairing scrub, in which the site re-encodes its own
+// checks from them. Only data blocks cross the wire. (The in-process pass
+// asks donor just for the blocks peeling could not reach; this one cannot see
+// the peel, so it asks for every data block such a stripe is missing.)
+func (c *Client) RepairFrom(ctx context.Context, donor archive.Donor) (archive.DonorReport, error) {
+	first, err := c.Scrub(ctx, true)
+	rep := archive.DonorReport{ScrubReport: first, BlocksLocal: first.BlocksRepaired}
+	if err != nil || donor == nil || first.Unrecoverable == 0 {
+		return rep, err
+	}
+	lay, err := c.Layout(ctx)
 	if err != nil {
-		return archive.ScrubReport{}, err
+		return rep, err
 	}
-	var rep archive.ScrubReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return archive.ScrubReport{}, fmt.Errorf("steward: scrub decode: %w", err)
+	for _, h := range first.Stripes {
+		if h.Recoverable {
+			continue
+		}
+		for _, node := range h.Missing {
+			if node >= lay.DataNodes || slices.Contains(h.Repaired, node) {
+				continue
+			}
+			b, err := donor(ctx, h.Object, h.Stripe, node)
+			if err != nil {
+				return rep, err
+			}
+			if b == nil {
+				continue
+			}
+			if err := c.WriteBlock(ctx, h.Object, h.Stripe, node, b); err == nil {
+				rep.BlocksImported++
+			} else if ctx.Err() != nil || IsUnavailable(err) {
+				return rep, err
+			} // else the home device refused it; a later pass retries
+		}
 	}
-	return rep, nil
+	if rep.BlocksImported == 0 {
+		return rep, nil
+	}
+	rep.ScrubReport, err = c.Scrub(ctx, true)
+	return rep, err
 }
 
 // IsNotFound reports whether err is the cross-site not-found error.

@@ -1,6 +1,7 @@
 package steward
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -9,10 +10,10 @@ import (
 
 func TestClientConnectionRefused(t *testing.T) {
 	c := NewClient("http://127.0.0.1:1", nil) // nothing listens on port 1
-	if err := c.Put("x", []byte("data")); err == nil {
+	if err := c.Put(ctx, "x", []byte("data")); err == nil {
 		t.Error("put to dead site succeeded")
 	}
-	if _, err := c.List(); err == nil {
+	if _, err := c.List(ctx); err == nil {
 		t.Error("list from dead site succeeded")
 	}
 }
@@ -33,16 +34,16 @@ func TestClientServerErrorsMapped(t *testing.T) {
 	defer srv.Close()
 	c := NewClient(srv.URL, srv.Client())
 
-	if _, err := c.Get("missing"); !IsNotFound(err) {
+	if _, err := c.Get(ctx, "missing"); !IsNotFound(err) {
 		t.Errorf("404 mapped to %v", err)
 	}
-	if err := c.Put("dup", nil); err == nil || IsNotFound(err) {
+	if err := c.Put(ctx, "dup", nil); err == nil || IsNotFound(err) {
 		t.Errorf("409 mapped to %v", err)
 	}
-	if _, err := c.Get("lost"); err == nil || IsNotFound(err) {
+	if _, err := c.Get(ctx, "lost"); err == nil || IsNotFound(err) {
 		t.Errorf("410 mapped to %v", err)
 	}
-	if _, err := c.Get("other"); err == nil {
+	if _, err := c.Get(ctx, "other"); err == nil {
 		t.Error("500 swallowed")
 	}
 }
@@ -53,19 +54,19 @@ func TestClientGarbageJSON(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := NewClient(srv.URL, srv.Client())
-	if _, err := c.List(); err == nil {
+	if _, err := c.List(ctx); err == nil {
 		t.Error("garbage list accepted")
 	}
-	if _, err := c.Stat("x"); err == nil {
+	if _, err := c.Stat(ctx, "x"); err == nil {
 		t.Error("garbage stat accepted")
 	}
-	if _, err := c.Layout(); err == nil {
+	if _, err := c.Layout(ctx); err == nil {
 		t.Error("garbage layout accepted")
 	}
-	if _, err := c.Health(); err == nil {
+	if _, err := c.Scrub(ctx, false); err == nil {
 		t.Error("garbage health accepted")
 	}
-	if _, err := c.Graph(); err == nil {
+	if _, err := c.Graph(ctx); err == nil {
 		t.Error("garbage graph accepted")
 	}
 }
@@ -107,19 +108,21 @@ func TestServerMethodRouting(t *testing.T) {
 func TestReplicatorPutRollsBack(t *testing.T) {
 	a := newSite(t, 52, 64)
 	b := newSite(t, 53, 64)
-	r, err := NewReplicator(a.client, b.client)
+	f, err := federate(a.client, b.client)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pre-claim the name at site B so the replicated put fails there.
-	if err := b.client.Put("obj", []byte("previous")); err != nil {
+	// Pre-claim the name at site B so the federated put fails there.
+	if err := b.client.Put(ctx, "obj", []byte("previous")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Put("obj", randPayload(100, 52)); err == nil {
-		t.Fatal("conflicting put succeeded")
+	// Quorum 1 would be met by site A alone: the conflict is a definitive
+	// answer about the name, not a site to work around.
+	if err := f.PutCtx(ctx, "obj", randPayload(100, 52)); !errors.Is(err, ErrExists) {
+		t.Fatalf("conflicting put: %v, want ErrExists", err)
 	}
 	// The rollback must have removed site A's copy.
-	if _, err := a.client.Get("obj"); !IsNotFound(err) {
+	if _, err := a.client.Get(ctx, "obj"); !IsNotFound(err) {
 		t.Errorf("site A still holds the rolled-back object: %v", err)
 	}
 }

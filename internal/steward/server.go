@@ -1,20 +1,22 @@
-// Package steward turns archive sites into a federated data stewarding
-// system (paper §5.3, §6): each site serves its Tornado-coded object store
-// over HTTP — object upload/download, block-level access for inter-site
-// exchange, scrubbing and health introspection — and a Replicator stewards
-// every object across two or more sites with complementary graphs,
-// performing real byte-level block exchange when a failure pattern defeats
-// the sites individually ("by allowing the replicas to exchange the
-// missing data nodes, restoring just one critical data node allows the
-// data graph to be reconstructed even when both graphs cannot
-// independently perform the reconstruction").
+// Package steward is the HTTP form of a federation site (paper §5.3, §6).
+// A Server puts one archive — its Tornado-coded object store — on the wire:
+// object upload/download, block-level access for inter-site exchange,
+// scrubbing and health introspection. A Client is the same site seen from the
+// other end, and fills fedstore.Site: the federation itself — quorum writes,
+// failover reads, the byte-level block exchange ("by allowing the replicas to
+// exchange the missing data nodes, restoring just one critical data node
+// allows the data graph to be reconstructed even when both graphs cannot
+// independently perform the reconstruction"), site repair and the steward
+// pass — is fedstore.Store over Clients, the one runtime that also runs over
+// in-process archives.
 //
-// The stack is context-first and observable: every client method has a
-// ...Ctx variant with per-request deadlines and bounded retry, the server
-// wraps each route in panic recovery and request metrics and exports them
-// at /metrics (JSON, see tornado/internal/obs) next to a /healthz liveness
-// probe, and the replicator degrades gracefully around down sites instead
-// of stalling a steward pass on the first unreachable peer.
+// The stack is context-first and observable: every client call takes a
+// context and carries per-request deadlines and bounded retry, the server
+// hands each request's context to the store, wraps each route in panic
+// recovery and request metrics and exports them at /metrics (JSON, see
+// tornado/internal/obs) next to a /healthz liveness probe. A site that stays
+// unreachable after the retry budget answers ErrUnavailable, the class on
+// which the store marks it down and works around it.
 package steward
 
 import (
@@ -188,7 +190,7 @@ func (s *Server) getObject(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) deleteObject(w http.ResponseWriter, r *http.Request) {
-	if err := s.store.Delete(r.PathValue("name")); err != nil {
+	if err := s.store.DeleteCtx(r.Context(), r.PathValue("name")); err != nil {
 		httpError(w, err)
 		return
 	}
@@ -240,7 +242,7 @@ func (s *Server) getBlock(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	b, err := s.store.ReadBlock(r.PathValue("name"), stripe, node)
+	b, err := s.store.ReadBlockCtx(r.Context(), r.PathValue("name"), stripe, node)
 	if err != nil {
 		httpError(w, err)
 		return
@@ -259,7 +261,7 @@ func (s *Server) putBlock(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := s.store.WriteBlock(r.PathValue("name"), stripe, node, body); err != nil {
+	if err := s.store.WriteBlockCtx(r.Context(), r.PathValue("name"), stripe, node, body); err != nil {
 		httpError(w, err)
 		return
 	}

@@ -13,18 +13,12 @@ type (
 	// /metrics (JSON request metrics) and /healthz (liveness).
 	SiteServer = steward.Server
 	// SiteClient is the typed client for one site: context-first methods,
-	// per-request deadlines, and bounded retry with jittered backoff.
+	// per-request deadlines, and bounded retry with jittered backoff. It is
+	// a FederatedSite: OpenFederatedStore over SiteClients is the HTTP
+	// federation.
 	SiteClient = steward.Client
 	// SiteClientOptions tunes a SiteClient's timeout/retry/metrics.
 	SiteClientOptions = steward.ClientOptions
-	// Replicator stewards objects across sites with block exchange,
-	// per-site health tracking, and graceful degradation around down
-	// sites.
-	Replicator = steward.Replicator
-	// SiteStatus is the replicator's health view of one site.
-	SiteStatus = steward.SiteStatus
-	// StewardReport summarizes one Replicator.StewardPass.
-	StewardReport = steward.StewardReport
 	// Metrics is a named collection of counters, gauges, and latency
 	// histograms (see internal/obs); Metrics.Handler serves it as JSON.
 	Metrics = obs.Registry
@@ -34,7 +28,7 @@ type (
 
 // ErrSiteUnavailable marks transport failures and persistent 5xx answers:
 // the site is down or unreachable, as opposed to a definitive reply about
-// an object. Replicators use it to mark sites unhealthy.
+// an object. It is ErrSiteDown: a FederatedStore marks the site down on it.
 var ErrSiteUnavailable = steward.ErrUnavailable
 
 // NewSiteServer exposes an archive over HTTP (implements http.Handler).
@@ -49,11 +43,4 @@ func NewSiteClient(baseURL string, httpClient *http.Client) *SiteClient {
 // retry, and metrics configuration.
 func NewSiteClientWithOptions(baseURL string, opts SiteClientOptions) *SiteClient {
 	return steward.NewClientWithOptions(baseURL, opts)
-}
-
-// NewReplicator federates two or more sites; their striping must agree
-// while their graphs should differ (complementary graphs raise the joint
-// first-failure point, Table 7).
-func NewReplicator(sites ...*SiteClient) (*Replicator, error) {
-	return steward.NewReplicator(sites...)
 }

@@ -29,9 +29,8 @@
 // The pairs are WorstCase/WorstCaseCtx, Profile/ProfileCtx,
 // Certify/CertifyCtx, ClearCardinality/ClearCardinalityCtx, Improve/ImproveCtx,
 // MeasureOverhead/MeasureOverheadCtx, and
-// SimulateLifetime/SimulateLifetimeCtx; steward clients and replicators
-// carry ...Ctx methods the same way. New long-running APIs should follow
-// the same convention.
+// SimulateLifetime/SimulateLifetimeCtx. Site clients and the federated
+// store are context-first only. New long-running APIs should take a context.
 package tornado
 
 import (

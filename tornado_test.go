@@ -2,6 +2,7 @@ package tornado_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -294,13 +295,13 @@ func TestPublicFederatedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := bytes.Repeat([]byte{0x5A, 0xC3}, 700)
-	if err := f.Put("doc", data); err != nil {
+	if err := f.PutCtx(context.Background(), "doc", data); err != nil {
 		t.Fatal(err)
 	}
 
 	// Failover: reads survive losing one site outright.
 	wan.LoseSite(1)
-	got, err := f.Get("doc")
+	got, err := f.GetCtx(context.Background(), "doc")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("get with site 1 down: %v", err)
 	}
@@ -311,7 +312,7 @@ func TestPublicFederatedStore(t *testing.T) {
 		devices[0][id].Fail()
 		devices[0][id].Replace()
 	}
-	rep, err := f.RepairSite(0)
+	rep, err := f.RepairSiteCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
