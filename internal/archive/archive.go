@@ -135,6 +135,7 @@ type Store struct {
 	g       *graph.Graph
 	codec   *codec.Codec
 	backend Backend
+	reader  ReaderInto   // backend's read, resolved once: every block read goes through it
 	devices device.Array // non-nil only for array-backed stores
 	cfg     Config
 	place   placement.Placement
@@ -224,6 +225,7 @@ func NewWithBackend(g *graph.Graph, backend Backend, cfg Config) (*Store, error)
 		g:            g,
 		codec:        c,
 		backend:      backend,
+		reader:       ReaderIntoOf(backend),
 		cfg:          cfg,
 		place:        place,
 		nodeDev:      nodeDev,
@@ -468,17 +470,19 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// readFramed reads a framed block, retrying transient backend errors with
-// bounded exponential backoff. Cancellation is honored between attempts and
-// during backoff sleeps. Any other error (failed device, missing block)
-// returns immediately — the caller treats the block as an erasure.
-func (s *Store) readFramed(ctx context.Context, node int, key []byte, stats *GetStats) ([]byte, error) {
+// readFramed reads a framed block into dst under the ReaderInto contract —
+// the frame may alias dst; with a nil dst it is the caller's to keep —
+// retrying transient backend errors with bounded exponential backoff.
+// Cancellation is honored between attempts and during backoff sleeps. Any
+// other error (failed device, missing block) returns immediately — the
+// caller treats the block as an erasure.
+func (s *Store) readFramed(ctx context.Context, node int, key, dst []byte, stats *GetStats) ([]byte, error) {
 	backoff := s.cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		framed, err := s.backend.Read(ctx, s.dev(node), key)
+		framed, err := s.reader.ReadInto(ctx, s.dev(node), key, dst)
 		if err == nil || !errors.Is(err, ErrTransient) {
 			return framed, err
 		}
@@ -497,16 +501,16 @@ func (s *Store) readFramed(ctx context.Context, node int, key []byte, stats *Get
 }
 
 // writeFramed frames and writes a payload, retrying transient errors with
-// the same bounded backoff as reads. frameBlock copies the payload, so
-// callers may pass buffers that alias read frames (see unframeBlock).
+// the same bounded backoff as reads.
 func (s *Store) writeFramed(ctx context.Context, node int, key []byte, payload []byte) error {
 	return s.writeFrame(ctx, node, key, frameBlock(payload))
 }
 
 // writeFramedBuf is writeFramed through a caller-owned frame buffer — the
-// streaming put path's allocation-free variant (the Backend contract lets
-// the buffer be reused once Write returns). The possibly-grown buffer is
-// returned for reuse.
+// stripe paths' allocation-free variant (the Backend contract lets the
+// buffer be reused once Write returns). frameAppend copies the payload into
+// buf, so payload may alias a read frame in the scratch's arena (see
+// unframeBlock). The possibly-grown buffer is returned for reuse.
 func (s *Store) writeFramedBuf(ctx context.Context, node int, key []byte, payload, buf []byte) ([]byte, error) {
 	buf = frameAppend(buf, payload)
 	return buf, s.writeFrame(ctx, node, key, buf)
@@ -578,12 +582,14 @@ func (k *keyBuf) key(node int) []byte {
 }
 
 // stripeScratch is the reusable workspace of the stripe data path: block
-// pointers, availability masks, the codec repair workspace, the planner and
-// the frame/key buffers — everything a stripe needs except its payload
-// buffer, which belongs to whoever receives the payload. One scratch serves
-// one goroutine at a time; it comes off Store.scratches and goes back there.
+// pointers, availability masks, the codec repair workspace, the planner, the
+// arena the stripe's frames are read into and the frame/key buffers —
+// everything a stripe needs except its payload buffer, which belongs to
+// whoever receives the payload. One scratch serves one goroutine at a time;
+// it comes off Store.scratches and goes back there.
 type stripeScratch struct {
-	blocks   [][]byte
+	blocks   [][]byte // read blocks alias frames; rebuilt ones the workspace arena
+	frames   []byte   // Total frame slots, one per node: where reads land
 	avail    []bool
 	corrupt  []bool
 	fromRead []bool // blocks[i] came from a backend read (not reconstruction)
@@ -601,9 +607,10 @@ type stripeScratch struct {
 }
 
 // newScratch returns a stripe workspace sized for the store's graph. The
-// encoder, the planner and the workspace's repair arena are created lazily
-// (get-only scratches never pay for an encoder; put-only scratches never pay
-// for a planner kernel, nor they or healthy reads for an arena).
+// encoder, the planner, the frame arena and the workspace's repair arena are
+// created lazily (get-only scratches never pay for an encoder; put-only
+// scratches never pay for a planner kernel or a frame arena, nor they or
+// healthy reads for a repair arena).
 func (s *Store) newScratch() *stripeScratch {
 	return &stripeScratch{
 		blocks:   make([][]byte, s.g.Total),
@@ -621,8 +628,9 @@ func (s *Store) newScratch() *stripeScratch {
 // scratch takes a stripe workspace off the free list.
 func (s *Store) scratch() *stripeScratch { return s.scratches.Get().(*stripeScratch) }
 
-// release hands a scratch back to the free list, letting go of the frames
-// its last stripe read.
+// release hands a scratch back to the free list, letting go of the blocks
+// its last stripe held that are not the scratch's own (a donor's, the
+// caller-owned frames of a backend without ReadInto).
 func (s *Store) release(sc *stripeScratch) {
 	clear(sc.blocks)
 	clear(sc.touched)
@@ -636,6 +644,21 @@ func (sc *stripeScratch) plan(s *Store) (*retrieval.Planner, retrieval.CostFunc)
 		sc.planCost = s.planCost
 	}
 	return sc.planner, sc.planCost
+}
+
+// frame returns node's slot of the scratch's frame arena: the dst of the
+// node's read, empty, with room for exactly one frame — a longer frame is
+// grown out of the arena, never into the next node's slot. What a stripe
+// read into its slots is dead once the scratch starts the next stripe:
+// sc.blocks, which aliases them, is reset first, payloads are decoded (copied)
+// into the receiver's buffer, and every write-back re-frames into frameBuf.
+func (sc *stripeScratch) frame(s *Store, node int) []byte {
+	size := s.FrameSize()
+	if sc.frames == nil {
+		sc.frames = make([]byte, s.g.Total*size)
+	}
+	lo := node * size
+	return sc.frames[lo : lo : lo+size]
 }
 
 func (sc *stripeScratch) encoder(s *Store) *codec.Encoder {
@@ -818,7 +841,7 @@ func (s *Store) getStripe(ctx context.Context, name string, st int, dst []byte, 
 		if ctxErr != nil {
 			return
 		}
-		framed, err := s.readFramed(ctx, node, sc.keys.key(node), stats)
+		framed, err := s.readFramed(ctx, node, sc.keys.key(node), sc.frame(s, node), stats)
 		if err != nil {
 			if errIsCtx(err) {
 				ctxErr = err
@@ -829,9 +852,10 @@ func (s *Store) getStripe(ctx context.Context, name string, st int, dst []byte, 
 		stats.BlocksRead++
 		gotBlocks++
 		gotBytes += int64(len(framed))
-		// unframeBlock's payload aliases framed; the alias lives only in
-		// sc.blocks[node], which is read (never mutated) by the codec and
-		// copied by the frame layer before any write-back.
+		// unframeBlock's payload aliases framed, and framed the node's slot
+		// of the scratch's arena; the alias lives only in sc.blocks[node],
+		// which is read (never mutated) by the codec and copied by the frame
+		// layer before any write-back.
 		b, ok := unframeBlock(framed)
 		if !ok {
 			stats.CorruptBlocks++ // bit rot: treat as an erasure
@@ -916,9 +940,9 @@ func (s *Store) readRepairStripe(ctx context.Context, sc *stripeScratch, stats *
 		if s.isQuarantined(node) || math.IsInf(s.backend.Cost(s.dev(node)), 1) {
 			continue
 		}
-		// writeFramed copies sc.blocks[node] (which may alias a read frame)
-		// into a fresh framed buffer before the backend sees it.
-		if err := s.writeFramed(ctx, node, sc.keys.key(node), sc.blocks[node]); err == nil {
+		var err error
+		sc.frameBuf, err = s.writeFramedBuf(ctx, node, sc.keys.key(node), sc.blocks[node], sc.frameBuf)
+		if err == nil {
 			s.mReadRepairs.Inc()
 			bill.BlocksWritten++
 			bill.BytesWritten += s.frameSize()

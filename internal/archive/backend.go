@@ -41,7 +41,8 @@ type Backend interface {
 	// Read fetches a block, performing any power management needed. The
 	// returned slice is owned by the caller: the backend must not reuse
 	// or mutate its backing array after returning (unframeBlock hands out
-	// payloads that alias it).
+	// payloads that alias it). For a backend that is also a ReaderInto,
+	// Read(ctx, node, key) is ReadInto(ctx, node, key, nil).
 	Read(ctx context.Context, node int, key []byte) ([]byte, error)
 	// Write stores a block, performing any power management needed. The
 	// backend must not retain data (or the key) after returning (callers
@@ -52,6 +53,41 @@ type Backend interface {
 	// Cost prices reading node for retrieval planning (e.g. spun-down
 	// drives cost a spin-up). Unreachable nodes return +Inf.
 	Cost(node int) float64
+}
+
+// ReaderInto is the read a Backend offers when it can put a block where the
+// caller wants it. The store reads through it when the backend has it — every
+// backend in this repository does — and through Read when it does not.
+//
+// ReadInto fetches the block Read would, appended to dst[:0]. dst is the
+// caller's, before and after the call: the backend writes the block into its
+// capacity and keeps no reference to it. When the block fits, the result
+// aliases dst, so it is good only until the caller next writes to dst — the
+// store hands each node of a stripe its own slot of a per-scratch arena and
+// reuses the arena for the next stripe, and whatever must outlive that
+// (anything returned to a caller, anything retained) is copied out first.
+// When the block does not fit, or dst is nil, the result is a fresh slice
+// the caller owns, exactly as Read returns. On error the result is not
+// used, and dst may have been written to.
+type ReaderInto interface {
+	ReadInto(ctx context.Context, node int, key []byte, dst []byte) ([]byte, error)
+}
+
+// ReaderIntoOf resolves the read function of b: b itself when it is a
+// ReaderInto, otherwise an adapter over b.Read that ignores dst and returns
+// Read's caller-owned slice. The store calls it once, in NewWithBackend; a
+// Backend that wraps another resolves its inner backend the same way.
+func ReaderIntoOf(b Backend) ReaderInto {
+	if r, ok := b.(ReaderInto); ok {
+		return r
+	}
+	return readAdapter{b}
+}
+
+type readAdapter struct{ Backend }
+
+func (a readAdapter) ReadInto(ctx context.Context, node int, key []byte, _ []byte) ([]byte, error) {
+	return a.Read(ctx, node, key)
 }
 
 // arrayBackend serves an always-on device array.
@@ -65,11 +101,15 @@ func NewArrayBackend(devs device.Array) Backend { return arrayBackend{devs: devs
 func (a arrayBackend) Nodes() int { return len(a.devs) }
 
 func (a arrayBackend) Available(node int, key []byte) bool {
-	return a.devs[node].State() == device.Online && a.devs[node].Has(key)
+	return a.devs[node].Holds(key, device.Online)
 }
 
 func (a arrayBackend) Read(_ context.Context, node int, key []byte) ([]byte, error) {
-	return a.devs[node].Read(key)
+	return a.devs[node].ReadInto(key, nil)
+}
+
+func (a arrayBackend) ReadInto(_ context.Context, node int, key []byte, dst []byte) ([]byte, error) {
+	return a.devs[node].ReadInto(key, dst)
 }
 
 func (a arrayBackend) Write(_ context.Context, node int, key []byte, data []byte) error {

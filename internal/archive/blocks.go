@@ -62,7 +62,7 @@ func (s *Store) ReadBlockCtx(ctx context.Context, name string, stripe, node int)
 	if !s.backend.Available(s.dev(node), key) {
 		return nil, fmt.Errorf("%w: %q stripe %d node %d", ErrNotFound, name, stripe, node)
 	}
-	framed, err := s.readFramed(ctx, node, key, nil)
+	framed, err := s.readFramed(ctx, node, key, nil, nil) // no dst: the frame is ours to hand out
 	if err != nil {
 		if errIsCtx(err) {
 			return nil, err
@@ -73,9 +73,9 @@ func (s *Store) ReadBlockCtx(ctx context.Context, name string, stripe, node int)
 	// frame is federation repair traffic.
 	s.meter.Record(repairbw.Federation, repairbw.CostReport{BlocksRead: 1, BytesRead: int64(len(framed))})
 	// The payload crosses an ownership boundary (HTTP response body, peer
-	// exchange buffers), so take an independent copy rather than the alias
-	// unframeBlock returns.
-	b, ok := unframeBlockCopy(framed)
+	// exchange buffers): it aliases the frame read above, which nothing
+	// else refers to.
+	b, ok := unframeBlock(framed)
 	if !ok {
 		s.noteCorrupt(node)
 		return nil, fmt.Errorf("%w: %q stripe %d node %d (checksum)", ErrNotFound, name, stripe, node)

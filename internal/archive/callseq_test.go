@@ -47,7 +47,11 @@ func (b *recordingBackend) flush() {
 }
 
 func (b *recordingBackend) Read(ctx context.Context, node int, key []byte) ([]byte, error) {
-	framed, err := b.Backend.Read(ctx, node, key)
+	return b.ReadInto(ctx, node, key, nil)
+}
+
+func (b *recordingBackend) ReadInto(ctx context.Context, node int, key, dst []byte) ([]byte, error) {
+	framed, err := ReaderIntoOf(b.Backend).ReadInto(ctx, node, key, dst)
 	b.note("R", node, err)
 	return framed, err
 }
@@ -81,14 +85,16 @@ func corruptFrame(t *testing.T, devs device.Array, node int) {
 // callseqCases are five scripted stripes: one damage pattern each, with what
 // one ReadStripe (ops, stats) and one repairing scrub (scrubOps, scrubReport)
 // of the stripe do to the backend and report.
-var callseqCases = []struct {
+type callseqCase struct {
 	name        string
 	damage      func(t *testing.T, devs device.Array, fb *flakyBackend)
 	ops         string
 	stats       string
 	scrubOps    string
 	scrubReport string
-}{
+}
+
+var callseqCases = []callseqCase{
 	{
 		name:        "healthy",
 		damage:      func(*testing.T, device.Array, *flakyBackend) {},
@@ -147,17 +153,31 @@ var callseqCases = []struct {
 	},
 }
 
+// readOnlyBackend is the one test backend without a ReadInto: embedding the
+// interface hides whatever the wrapped backend offers, so a store over it
+// reads through ReaderIntoOf's adapter.
+type readOnlyBackend struct{ Backend }
+
 // callseqStore puts one stripe ("obj") on a recording backend over a flaky
-// one (node 1, no failures yet) and hands back every layer.
-func callseqStore(t *testing.T) (*Store, []byte, device.Array, *flakyBackend, *recordingBackend) {
+// one (node 1, no failures yet) and hands back every layer. With adapter set
+// the store sees the stack through a readOnlyBackend: every read arrives as
+// Read, in a caller-owned slice, none in the scratch's arena.
+func callseqStore(t *testing.T, adapter bool) (*Store, []byte, device.Array, *flakyBackend, *recordingBackend) {
 	t.Helper()
 	g := benchStore(t).Graph()
 	devs := device.NewArray(g.Total)
 	fb := &flakyBackend{Backend: NewArrayBackend(devs), node: 1}
 	rec := &recordingBackend{Backend: fb}
-	s, err := NewWithBackend(g, rec, Config{BlockSize: 64})
+	var backend Backend = rec
+	if adapter {
+		backend = readOnlyBackend{rec}
+	}
+	s, err := NewWithBackend(g, backend, Config{BlockSize: 64})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, native := s.reader.(*recordingBackend); native == adapter {
+		t.Fatalf("store reads through %T with adapter=%v", s.reader, adapter)
 	}
 	data := payload(s.Layout().StripeCapacity-7, 11)
 	if err := s.Put("obj", data); err != nil {
@@ -172,28 +192,32 @@ func callseqStore(t *testing.T) (*Store, []byte, device.Array, *flakyBackend, *r
 // read path stopped re-encoding parity it was not asked for; every change to
 // planning, decoding or scratch ownership must leave them alone. (The chaos
 // soak's seeded schedule diverges as soon as one read-repair write moves.)
+// Every backend in the stack has a ReadInto, so this is the production path:
+// frames land in the scratch's arena.
 func TestGetStripeBackendCallSequence(t *testing.T) {
 	for _, tc := range callseqCases {
-		t.Run(tc.name, func(t *testing.T) {
-			s, data, devs, fb, rec := callseqStore(t)
-			tc.damage(t, devs, fb)
-			rec.ops, rec.run = nil, ""
+		t.Run(tc.name, func(t *testing.T) { tc.readStripe(t, false) })
+	}
+}
 
-			got, stats, err := s.ReadStripe(context.Background(), "obj", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != string(data) {
-				t.Error("payload mismatch")
-			}
-			rec.flush()
-			if ops := strings.Join(rec.ops, " "); ops != tc.ops {
-				t.Errorf("backend calls\n got %s\nwant %s", ops, tc.ops)
-			}
-			if st := fmt.Sprintf("%+v", stats); st != tc.stats {
-				t.Errorf("stats\n got %s\nwant %s", st, tc.stats)
-			}
-		})
+func (tc callseqCase) readStripe(t *testing.T, adapter bool) {
+	s, data, devs, fb, rec := callseqStore(t, adapter)
+	tc.damage(t, devs, fb)
+	rec.ops, rec.run = nil, ""
+
+	got, stats, err := s.ReadStripe(context.Background(), "obj", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(data) {
+		t.Error("payload mismatch")
+	}
+	rec.flush()
+	if ops := strings.Join(rec.ops, " "); ops != tc.ops {
+		t.Errorf("backend calls\n got %s\nwant %s", ops, tc.ops)
+	}
+	if st := fmt.Sprintf("%+v", stats); st != tc.stats {
+		t.Errorf("stats\n got %s\nwant %s", st, tc.stats)
 	}
 }
 
@@ -205,22 +229,42 @@ func TestGetStripeBackendCallSequence(t *testing.T) {
 // in the same order. (The chaos soak schedules its faults by backend op.)
 func TestScrubBackendCallSequence(t *testing.T) {
 	for _, tc := range callseqCases {
-		t.Run(tc.name, func(t *testing.T) {
-			s, _, devs, fb, rec := callseqStore(t)
-			tc.damage(t, devs, fb)
-			rec.ops, rec.run = nil, ""
+		t.Run(tc.name, func(t *testing.T) { tc.scrub(t, false) })
+	}
+}
 
-			rep, err := s.ScrubCtx(context.Background(), true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec.flush()
-			if ops := strings.Join(rec.ops, " "); ops != tc.scrubOps {
-				t.Errorf("backend calls\n got %s\nwant %s", ops, tc.scrubOps)
-			}
-			if r := fmt.Sprintf("%+v", rep); r != tc.scrubReport {
-				t.Errorf("report\n got %s\nwant %s", r, tc.scrubReport)
-			}
+func (tc callseqCase) scrub(t *testing.T, adapter bool) {
+	s, data, devs, fb, rec := callseqStore(t, adapter)
+	tc.damage(t, devs, fb)
+	rec.ops, rec.run = nil, ""
+
+	rep, err := s.ScrubCtx(context.Background(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.flush()
+	if ops := strings.Join(rec.ops, " "); ops != tc.scrubOps {
+		t.Errorf("backend calls\n got %s\nwant %s", ops, tc.scrubOps)
+	}
+	if r := fmt.Sprintf("%+v", rep); r != tc.scrubReport {
+		t.Errorf("report\n got %s\nwant %s", r, tc.scrubReport)
+	}
+	fb.failures = 0 // what the scrub left behind reads back exact
+	if got, _, err := s.Get("obj"); err != nil || string(got) != string(data) {
+		t.Errorf("Get after the scrub: %v, exact=%v", err, string(got) == string(data))
+	}
+}
+
+// TestReadAdapterMatchesReadInto is the differential test of the Read
+// adapter, the path a backend without ReadInto takes: on the five scripted
+// stripes, a store that is handed caller-owned frames must return the same
+// payload, GetStats, repair bill and scrub report through the same backend
+// calls as the one whose frames land in its arena — both against one golden.
+func TestReadAdapterMatchesReadInto(t *testing.T) {
+	for _, tc := range callseqCases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.readStripe(t, true)
+			tc.scrub(t, true)
 		})
 	}
 }

@@ -16,9 +16,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 const frameOverhead = 4
 
 // frameBlock prepends the payload's checksum (see frameSum). The returned
-// frame is a fresh buffer — the payload is copied, never aliased — so
-// callers may frame a payload that itself aliases another frame (the
-// read-repair write-back path does exactly that).
+// frame is a fresh buffer — the payload is copied, never aliased.
 func frameBlock(payload []byte) []byte {
 	out := make([]byte, frameOverhead+len(payload))
 	binary.BigEndian.PutUint32(out, frameSum(payload))
@@ -69,7 +67,8 @@ func frameSum(payload []byte) uint32 {
 // the stripe scratch's own arena, never written over a block that was read)
 // and every write path re-frames into a buffer of its own — frameBlock's
 // fresh one or the scratch's frameBuf — before the backend sees the bytes.
-// Callers that need an independent copy use unframeBlockCopy.
+// A caller that hands the payload on reads its frame with no dst, so that
+// the frame is its own (ReadBlockCtx).
 func unframeBlock(framed []byte) ([]byte, bool) {
 	if len(framed) < frameOverhead {
 		return nil, false
@@ -80,16 +79,4 @@ func unframeBlock(framed []byte) ([]byte, bool) {
 		return nil, false
 	}
 	return payload, true
-}
-
-// unframeBlockCopy is unframeBlock for payloads that outlive the framed
-// buffer or cross an ownership boundary: the payload is copied, so later
-// mutation of framed (e.g. a backend reusing its read buffer) cannot
-// corrupt it.
-func unframeBlockCopy(framed []byte) ([]byte, bool) {
-	payload, ok := unframeBlock(framed)
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), payload...), true
 }

@@ -1,0 +1,231 @@
+package archive
+
+import (
+	"bytes"
+	"context"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"tornado/internal/device"
+)
+
+// arenaWatch makes every scratch the store builds from here on come with its
+// frame arena already allocated, and keeps them all, so a test can ask
+// whether a slice points into any arena and overwrite every arena at once.
+// (An arena is allocated once per scratch, so its address is stable; the free
+// list may drop scratches, which only means more of them get built.)
+type arenaWatch struct {
+	mu     sync.Mutex
+	arenas [][]byte
+}
+
+func watchArenas(s *Store) *arenaWatch {
+	w := &arenaWatch{}
+	s.scratches.New = func() any {
+		sc := s.newScratch()
+		sc.frame(s, 0)
+		w.mu.Lock()
+		w.arenas = append(w.arenas, sc.frames)
+		w.mu.Unlock()
+		return sc
+	}
+	return w
+}
+
+// holds reports whether p shares memory with any frame arena.
+func (w *arenaWatch) holds(p []byte) bool {
+	if len(p) == 0 {
+		return false
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(p)))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, a := range w.arenas {
+		if alo := uintptr(unsafe.Pointer(unsafe.SliceData(a))); lo < alo+uintptr(len(a)) && alo < lo+uintptr(len(p)) {
+			return true
+		}
+	}
+	return false
+}
+
+// scribble overwrites every arena. Only for moments when no stripe is in
+// flight: a stripe mid-read owns its scratch's arena.
+func (w *arenaWatch) scribble() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, a := range w.arenas {
+		for i := range a {
+			a[i] ^= 0xA5
+		}
+	}
+}
+
+// TestReadStripePayloadOutlivesArena: frames land in the scratch's arena, but
+// the payload ReadStripe hands out does not point there — it is intact after
+// the same scratch has served other stripes and after the arena itself has
+// been overwritten, and a stale arena does not leak into the next read.
+func TestReadStripePayloadOutlivesArena(t *testing.T) {
+	s := testStore(t, Config{BlockSize: 64})
+	arenas := watchArenas(s)
+	stripeCap := s.Layout().StripeCapacity
+	data := payload(3*stripeCap, 7)
+	if err := s.Put("obj", data); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	held, _, err := s.ReadStripe(ctx, "obj", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(arenas.arenas) == 0 {
+		t.Fatal("ReadStripe built no frame arena: the reads did not go through the scratch")
+	}
+	if arenas.holds(held) {
+		t.Fatal("ReadStripe returned a payload inside a frame arena")
+	}
+	for st := 1; st < 3; st++ {
+		if _, _, err := s.ReadStripe(ctx, "obj", st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arenas.scribble()
+	if !bytes.Equal(held, data[:stripeCap]) {
+		t.Error("a held payload changed when its scratch's arena was reused and overwritten")
+	}
+	for st := 0; st < 3; st++ {
+		got, _, err := s.ReadStripe(ctx, "obj", st)
+		if err != nil || !bytes.Equal(got, data[st*stripeCap:(st+1)*stripeCap]) {
+			t.Errorf("stripe %d after the arenas were overwritten: err=%v", st, err)
+		}
+	}
+}
+
+// arenaCheckWriter is GetStream's sink: each chunk must be the next bytes of
+// want and must not point into a frame arena. With scribble set it overwrites
+// every arena while it holds the chunk — safe only at width 1, where no other
+// stripe is in flight — and checks the chunk again.
+type arenaCheckWriter struct {
+	t        *testing.T
+	arenas   *arenaWatch
+	want     []byte
+	off      int
+	scribble bool
+}
+
+func (w *arenaCheckWriter) Write(p []byte) (int, error) {
+	if w.arenas.holds(p) {
+		w.t.Errorf("chunk at offset %d points into a frame arena", w.off)
+	}
+	if w.scribble {
+		w.arenas.scribble()
+	}
+	if w.off+len(p) > len(w.want) || !bytes.Equal(p, w.want[w.off:w.off+len(p)]) {
+		w.t.Errorf("chunk at offset %d is not the object's bytes", w.off)
+	}
+	w.off += len(p)
+	return len(p), nil
+}
+
+// TestGetStreamChunksOutliveArena: every chunk GetStream emits is exact and
+// outside the frame arenas — at width 1, where the arenas are overwritten
+// under each chunk while the writer holds it, and at the default width with
+// the head stripe stalled, so later stripes finish, wait for their turn with
+// their frames still in their arenas, and hand their scratches to the stripes
+// behind them while earlier chunks are being written. Run under -race, a
+// chunk that aliased an arena would be a reported race with the next
+// stripe's reads.
+func TestGetStreamChunksOutliveArena(t *testing.T) {
+	width := applyStreamOptions(nil).parallelism
+	base := testStore(t, Config{BlockSize: 64})
+	data := payload(3*max(width, 2)*base.codec.Capacity()+5, 9)
+	ctx := context.Background()
+
+	t.Run("width 1", func(t *testing.T) {
+		s := testStore(t, Config{BlockSize: 64})
+		arenas := watchArenas(s)
+		if err := s.Put("obj", data); err != nil {
+			t.Fatal(err)
+		}
+		w := &arenaCheckWriter{t: t, arenas: arenas, want: data, scribble: true}
+		if n, _, err := s.GetStream(ctx, "obj", w, WithParallelism(1)); err != nil || n != len(data) {
+			t.Fatalf("GetStream: %d bytes, %v", n, err)
+		}
+	})
+	t.Run("default width, stalled head", func(t *testing.T) {
+		if width < 2 {
+			t.Skip("one CPU: the default width is the inline loop")
+		}
+		stall := &headStallBackend{Backend: base.backend, width: width, released: make(chan struct{})}
+		s, err := NewWithBackend(base.g, stall, Config{BlockSize: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arenas := watchArenas(s)
+		if err := s.Put("obj", data); err != nil {
+			t.Fatal(err)
+		}
+		w := &arenaCheckWriter{t: t, arenas: arenas, want: data}
+		if n, _, err := s.GetStream(ctx, "obj", w); err != nil || n != len(data) {
+			t.Fatalf("GetStream: %d bytes, %v", n, err)
+		}
+		if len(arenas.arenas) < width {
+			t.Errorf("%d frame arenas for %d stripes in flight", len(arenas.arenas), width)
+		}
+		arenas.scribble()
+		var again bytes.Buffer
+		if _, _, err := s.GetStream(ctx, "obj", &again); err != nil || !bytes.Equal(again.Bytes(), data) {
+			t.Errorf("second GetStream over overwritten arenas: %v", err)
+		}
+	})
+}
+
+// TestFallbackSweepOnArenaFrames: the plan races with a failure. Three data
+// devices are already gone, so the plan leans on checks and the first decode
+// peels part of the way before it finds the fourth block missing — the victim
+// died between the availability probe and its read. The sweep then reads
+// everything else reachable into the same arena, beside the frames the plan
+// read, and the second decode must come out bit-exact; the next stripe, on
+// the same scratch with the first one's frames still lying in the arena, too.
+func TestFallbackSweepOnArenaFrames(t *testing.T) {
+	g := benchStore(t).Graph()
+	devs := device.NewArray(g.Total)
+	mrf := &midReadFailBackend{Backend: NewArrayBackend(devs), devs: devs, victim: 0}
+	s, err := NewWithBackend(g, mrf, Config{BlockSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arenas := watchArenas(s)
+	stripeCap := s.Layout().StripeCapacity
+	data := payload(2*stripeCap, 3)
+	if err := s.Put("obj", data); err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range []int{5, 17, 33} {
+		devs[node].Fail()
+	}
+	arenas.scribble() // stale bytes in every slot the stripe does not read
+
+	mrf.armed = true
+	got, stats, err := s.Get("obj")
+	if err != nil {
+		t.Fatalf("Get: %v (stats %+v)", err, stats)
+	}
+	if !mrf.tripped {
+		t.Fatal("trap never fired; node 0 was not in the retrieval plan")
+	}
+	if !bytes.Equal(got, data) {
+		t.Error("fallback sweep over arena-backed frames returned wrong bytes")
+	}
+	// Stripe 0 swept every reachable block; stripe 1 planned around the four
+	// dead devices and read no more than it needed.
+	reachable := g.Total - 4
+	if stats.BlocksRead != reachable+g.Data {
+		t.Errorf("BlocksRead = %d, want %d (a sweep of %d, then a plan of %d)", stats.BlocksRead, reachable+g.Data, reachable, g.Data)
+	}
+	// The victim answered stripe 0's availability probe, so that stripe
+	// counts three blocks as repaired and the next one four.
+	if stats.BlocksRepaired != 7 {
+		t.Errorf("BlocksRepaired = %d, want 7", stats.BlocksRepaired)
+	}
+}

@@ -45,6 +45,7 @@ func wipedPair(t *testing.T, stripes int) (s, ref *Store, hook *writeHook, data 
 }
 
 // writeHook is a backend that tells the test which stripe each write is for.
+// Reads go straight through, on the inner backend's own read path.
 type writeHook struct {
 	Backend
 	mu      sync.Mutex
@@ -61,6 +62,10 @@ func (b *writeHook) Write(ctx context.Context, node int, key, data []byte) error
 		f(st)
 	}
 	return b.Backend.Write(ctx, node, key, data)
+}
+
+func (b *writeHook) ReadInto(ctx context.Context, node int, key, dst []byte) ([]byte, error) {
+	return ReaderIntoOf(b.Backend).ReadInto(ctx, node, key, dst)
 }
 
 // refDonor donates ref's copy of a block.
@@ -289,13 +294,14 @@ func storedDevBlocks(s *Store, name string) [][]byte {
 	return out
 }
 
-// TestScrubAllocBudget is the allocation gate on the scrub stripe loop. The
-// Backend contract makes one allocation per block read irreducible; beyond
-// that a verify-only stripe may cost nothing, and a stripe that rebuilds one
-// block only what naming it in the report and storing it on the device
-// cost. The per-stripe block-pointer slice, the allocating codec.Repair and
-// a fresh frame per rewrite — what scrubStripe cost before it shared the
-// pooled stripe scratch — each trip it.
+// TestScrubAllocBudget is the allocation gate on the scrub stripe loop.
+// Frames are read into the scratch's arena, so a verify-only stripe may cost
+// nothing — one whole allocation per stripe already fails — and a stripe that
+// rebuilds one block only what naming it in the report and storing it on the
+// device cost (measured 0.1 and 4.2). A caller-owned frame per block read, the
+// per-stripe block-pointer slice, the allocating codec.Repair and a fresh
+// frame per rewrite — what scrubStripe cost before it shared the pooled stripe
+// scratch — each trip it.
 func TestScrubAllocBudget(t *testing.T) {
 	ctx := context.Background()
 	allocs := func(stripes int, repair bool, damage func(*Store)) float64 {
@@ -313,17 +319,16 @@ func TestScrubAllocBudget(t *testing.T) {
 	slope := func(repair bool, damage func(*Store)) float64 {
 		return (allocs(64, repair, damage) - allocs(8, repair, damage)) / (64 - 8)
 	}
-	total := float64(benchStore(t).Graph().Total)
 	verify := slope(false, func(*Store) {})
-	if verify >= total+1 {
-		t.Errorf("verify-only scrub grows by %.1f allocs/stripe, not under the backend-contract floor of %.0f plus one", verify, total)
+	if verify >= 1 {
+		t.Errorf("verify-only scrub grows by %.1f allocs/stripe; a stripe read into the scratch's arena costs none", verify)
 	}
 	rebuild := slope(true, func(s *Store) {
 		s.Devices()[21].Fail()
 		s.Devices()[21].Replace()
 	})
-	if rebuild >= total+4 {
-		t.Errorf("scrub rebuilding one block a stripe grows by %.1f allocs/stripe, over the budget of %.0f", rebuild, total+4)
+	if rebuild > 6 {
+		t.Errorf("scrub rebuilding one block a stripe grows by %.1f allocs/stripe, over the budget of 6", rebuild)
 	}
-	t.Logf("allocs/stripe: verify-only %.1f, rebuilding one block %.1f, of which %.0f are the blocks read", verify, rebuild, total)
+	t.Logf("allocs/stripe: verify-only %.1f, rebuilding one block %.1f", verify, rebuild)
 }

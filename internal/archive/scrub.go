@@ -268,7 +268,7 @@ func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, repair bool, 
 	for node := range sc.blocks {
 		key := sc.keys.key(node)
 		if s.backend.Available(s.dev(node), key) {
-			framed, err := s.readFramed(ctx, node, key, nil)
+			framed, err := s.readFramed(ctx, node, key, sc.frame(s, node), nil)
 			if errIsCtx(err) {
 				// A cancelled read is not evidence of a missing block; abort
 				// the stripe so the pass reports ctx.Err(), not phantom damage.
@@ -277,7 +277,8 @@ func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, repair bool, 
 			if err == nil {
 				t.cost.BlocksRead++
 				t.cost.BytesRead += int64(len(framed))
-				// The payload aliases framed; the codec only reads it.
+				// The payload aliases framed — the node's arena slot; the
+				// codec only reads it.
 				if b, ok := unframeBlock(framed); ok {
 					sc.blocks[node] = b
 					sc.fromRead[node] = true

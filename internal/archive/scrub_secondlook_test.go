@@ -130,11 +130,11 @@ func (f *flakyAvailBackend) Available(node int, key []byte) bool {
 	return f.Backend.Available(node, key)
 }
 
-func (f *flakyAvailBackend) Read(ctx context.Context, node int, key []byte) ([]byte, error) {
+func (f *flakyAvailBackend) ReadInto(ctx context.Context, node int, key, dst []byte) ([]byte, error) {
 	if f.calls <= f.total && f.hidden[node] {
 		return nil, fmt.Errorf("flaky: node %d hidden", node)
 	}
-	return f.Backend.Read(ctx, node, key)
+	return ReaderIntoOf(f.Backend).ReadInto(ctx, node, key, dst)
 }
 
 // TestScrubSecondLookRetriesNewAvailability: the converse — when a missing

@@ -23,13 +23,13 @@ type midReadFailBackend struct {
 	tripped bool
 }
 
-func (b *midReadFailBackend) Read(ctx context.Context, node int, key []byte) ([]byte, error) {
+func (b *midReadFailBackend) ReadInto(ctx context.Context, node int, key, dst []byte) ([]byte, error) {
 	if b.armed && node == b.victim {
 		b.armed = false
 		b.tripped = true
 		b.devs[b.victim].Fail()
 	}
-	return b.Backend.Read(ctx, node, key)
+	return ReaderIntoOf(b.Backend).ReadInto(ctx, node, key, dst)
 }
 
 // TestGetMidReadDeviceFailure plants a device failure between the
@@ -98,12 +98,12 @@ type flakyBackend struct {
 	seen     int
 }
 
-func (b *flakyBackend) Read(ctx context.Context, node int, key []byte) ([]byte, error) {
+func (b *flakyBackend) ReadInto(ctx context.Context, node int, key, dst []byte) ([]byte, error) {
 	if node == b.node && b.seen < b.failures {
 		b.seen++
 		return nil, fmt.Errorf("flaky read of node %d: %w", node, ErrTransient)
 	}
-	return b.Backend.Read(ctx, node, key)
+	return ReaderIntoOf(b.Backend).ReadInto(ctx, node, key, dst)
 }
 
 // TestGetRetriesTransientErrors: a read that fails transiently within the

@@ -408,7 +408,7 @@ type headStallBackend struct {
 	ahead    atomic.Int64
 }
 
-func (b *headStallBackend) Read(ctx context.Context, node int, key []byte) ([]byte, error) {
+func (b *headStallBackend) ReadInto(ctx context.Context, node int, key, dst []byte) ([]byte, error) {
 	st, _ := strconv.Atoi(strings.Split(string(key), "/")[1]) // "obj/<stripe>/<node>"
 	switch {
 	case st == 0:
@@ -422,7 +422,7 @@ func (b *headStallBackend) Read(ctx context.Context, node int, key []byte) ([]by
 			b.ahead.Store(int64(st))
 		}
 	}
-	return b.Backend.Read(ctx, node, key)
+	return ReaderIntoOf(b.Backend).ReadInto(ctx, node, key, dst)
 }
 
 // TestGetStreamStalledHeadStripe drives the stalled-head schedule (see

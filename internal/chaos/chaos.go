@@ -116,8 +116,9 @@ type frameID struct {
 // Injector implements archive.Backend over an inner backend, injecting the
 // configured fault schedule. All methods are safe for concurrent use.
 type Injector struct {
-	inner archive.Backend
-	cfg   Config
+	inner  archive.Backend
+	reader archive.ReaderInto // inner's read
+	cfg    Config
 
 	mu          sync.Mutex
 	rng         *rand.Rand
@@ -137,7 +138,10 @@ type Injector struct {
 	gOutst   *obs.Gauge
 }
 
-var _ archive.Backend = (*Injector)(nil)
+var (
+	_ archive.Backend    = (*Injector)(nil)
+	_ archive.ReaderInto = (*Injector)(nil)
+)
 
 // Wrap builds an injector over inner with the given schedule.
 func Wrap(inner archive.Backend, cfg Config) *Injector {
@@ -150,6 +154,7 @@ func Wrap(inner archive.Backend, cfg Config) *Injector {
 	}
 	in := &Injector{
 		inner:       inner,
+		reader:      archive.ReaderIntoOf(inner),
 		cfg:         cfg,
 		rng:         rand.New(rand.NewPCG(cfg.Seed, 0xC4A05)),
 		lost:        make([]bool, inner.Nodes()),
@@ -297,16 +302,15 @@ func (in *Injector) CorruptStored(node int, key string) error {
 		return nil // already corrupt at rest; flipping again could revert it
 	}
 	kb := []byte(key)
-	framed, err := in.inner.Read(context.Background(), node, kb)
+	framed, err := in.reader.ReadInto(context.Background(), node, kb, nil)
 	if err != nil {
 		return fmt.Errorf("chaos: corrupt stored: %w", err)
 	}
 	if len(framed) == 0 {
 		return errors.New("chaos: corrupt stored: empty frame")
 	}
-	bad := append([]byte(nil), framed...)
-	bad[0] ^= 0x80 // break the stored checksum deterministically
-	if err := in.inner.Write(context.Background(), node, kb, bad); err != nil {
+	framed[0] ^= 0x80 // break the stored checksum deterministically
+	if err := in.inner.Write(context.Background(), node, kb, framed); err != nil {
 		return fmt.Errorf("chaos: corrupt stored: %w", err)
 	}
 	in.injected[ClassBitFlip].Inc()
@@ -360,10 +364,19 @@ func (in *Injector) Cost(node int) float64 {
 	return in.inner.Cost(node)
 }
 
-// Read serves a block through the fault schedule. The context is checked on
-// entry (a cancelled read consumes no randomness, keeping the schedule
-// deterministic under cancellation) and passed through to the inner backend.
+// Read serves a block through the fault schedule into a slice the caller
+// owns.
 func (in *Injector) Read(ctx context.Context, node int, key []byte) ([]byte, error) {
+	return in.ReadInto(ctx, node, key, nil)
+}
+
+// ReadInto serves a block through the fault schedule into dst
+// (archive.ReaderInto). The context is checked on entry (a cancelled read
+// consumes no randomness, keeping the schedule deterministic under
+// cancellation) and passed through to the inner backend. In-flight damage is
+// done to the served copy — in dst, or in the fresh slice the inner backend
+// returned — never to the stored block.
+func (in *Injector) ReadInto(ctx context.Context, node int, key []byte, dst []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -392,7 +405,7 @@ func (in *Injector) Read(ctx context.Context, node int, key []byte) ([]byte, err
 			return nil, fmt.Errorf("%w (read node %d)", ErrInjected, node)
 		}
 	}
-	framed, err := in.inner.Read(ctx, node, key)
+	framed, err := in.reader.ReadInto(ctx, node, key, dst)
 	if err != nil {
 		return framed, err
 	}
@@ -408,7 +421,7 @@ func (in *Injector) Read(ctx context.Context, node int, key []byte) ([]byte, err
 			// write-back fails the damage did not stick at rest, so count
 			// it as in-flight corruption instead — the outstanding set
 			// must only track frames that are actually corrupt on disk.
-			framed = in.flipBit(framed)
+			in.flipBit(framed)
 			if werr := in.inner.Write(ctx, node, key, framed); werr == nil {
 				in.injected[ClassBitFlip].Inc()
 				in.markOutstandingLocked(id)
@@ -417,11 +430,11 @@ func (in *Injector) Read(ctx context.Context, node int, key []byte) ([]byte, err
 			}
 			corrupt = true
 		case in.roll(in.cfg.ReadCorruptRate):
-			framed = in.flipBit(framed)
+			in.flipBit(framed)
 			in.injected[ClassReadCorruption].Inc()
 			corrupt = true
 		case in.roll(in.cfg.TruncateRate):
-			framed = append([]byte(nil), framed[:in.rng.IntN(len(framed))]...)
+			framed = framed[:in.rng.IntN(len(framed))]
 			in.injected[ClassTruncate].Inc()
 			corrupt = true
 		}
@@ -549,13 +562,11 @@ func (in *Injector) roll(p float64) bool {
 	return in.rng.Float64() < p
 }
 
-// flipBit returns a copy of framed with one schedule-chosen bit flipped —
-// any single-bit flip breaks the CRC-32C match.
-func (in *Injector) flipBit(framed []byte) []byte {
-	out := append([]byte(nil), framed...)
-	bit := in.rng.IntN(len(out) * 8)
-	out[bit/8] ^= 1 << (bit % 8)
-	return out
+// flipBit flips one schedule-chosen bit of framed, the served copy — any
+// single-bit flip breaks the CRC-32C match.
+func (in *Injector) flipBit(framed []byte) {
+	bit := in.rng.IntN(len(framed) * 8)
+	framed[bit/8] ^= 1 << (bit % 8)
 }
 
 func (in *Injector) loseLocked(node int, byRate bool) {

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"math/rand/v2"
+	"reflect"
+	"strconv"
 	"testing"
 
 	"tornado/internal/archive"
@@ -370,4 +372,86 @@ func TestDeterministicSchedule(t *testing.T) {
 
 func name(i int) string {
 	return string(rune('a'+i)) + "-obj"
+}
+
+// TestInFlightDamageStaysInFlight: read corruption and truncation are done to
+// the served copy — the caller's dst under ReadInto, the returned slice under
+// Read — never to the stored block, and the two entry points are one
+// schedule: the same seed serves byte-identical frames through either, with
+// the same injection counts. Then, through a store (whose reads land in its
+// scratch arena): every Get is exact, detected == served, and the devices
+// hold what they held before the first read.
+func TestInFlightDamageStaysInFlight(t *testing.T) {
+	g := testGraph(t)
+	faults := Config{Seed: 9, ReadCorruptRate: 0.3, TruncateRate: 0.2}
+	storeCfg := archive.Config{BlockSize: 32, QuarantineThreshold: -1, DisableReadRepair: true}
+	stored := func(devs device.Array) [][]byte {
+		var out [][]byte
+		for node, d := range devs {
+			b, err := d.Read([]byte("obj/0/" + strconv.Itoa(node)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, b)
+		}
+		return out
+	}
+	ctx := context.Background()
+
+	viaRead, storeA, _, devsA := stack(t, g, faults, storeCfg)
+	viaInto, storeB, _, devsB := stack(t, g, faults, storeCfg)
+	data := payload(400, 4)
+	for _, s := range []*archive.Store{storeA, storeB} {
+		if err := s.Put("obj", data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	atRest := stored(devsA)
+	dst := make([]byte, 0, storeA.FrameSize())
+	for round := 0; round < 20; round++ {
+		for node := 0; node < g.Total; node++ {
+			key := []byte("obj/0/" + strconv.Itoa(node))
+			a, errA := viaRead.Read(ctx, node, key)
+			b, errB := viaInto.ReadInto(ctx, node, key, dst)
+			if (errA == nil) != (errB == nil) || !bytes.Equal(a, b) {
+				t.Fatalf("round %d node %d: Read served %x (%v), ReadInto %x (%v)", round, node, a, errA, b, errB)
+			}
+			if len(b) > 0 && &b[0] != &dst[:1][0] {
+				t.Fatalf("round %d node %d: ReadInto served a frame outside dst", round, node)
+			}
+		}
+	}
+	if a, b := viaRead.InjectedTotals(), viaInto.InjectedTotals(); !reflect.DeepEqual(a, b) {
+		t.Errorf("injections diverged: Read %v, ReadInto %v", a, b)
+	}
+	if viaInto.ServedCorrupt() == 0 {
+		t.Fatal("schedule injected nothing; raise rates or change seed")
+	}
+	if !reflect.DeepEqual(stored(devsA), atRest) || !reflect.DeepEqual(stored(devsB), atRest) {
+		t.Error("in-flight damage reached a stored frame")
+	}
+
+	inj, store, reg, devs := stack(t, g, faults, storeCfg)
+	if err := store.Put("obj", data); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 30; round++ {
+		got, _, err := store.Get("obj")
+		if err != nil {
+			if !errors.Is(err, archive.ErrDataLoss) {
+				t.Fatalf("unexpected Get error: %v", err)
+			}
+			continue
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("SILENT CORRUPTION in round %d", round)
+		}
+	}
+	served, detected := inj.ServedCorrupt(), reg.Counter("archive.detected.corrupt_frames").Value()
+	if served == 0 || detected != served {
+		t.Errorf("detected %d corrupt frames, injector served %d", detected, served)
+	}
+	if inj.Outstanding() != 0 || !reflect.DeepEqual(stored(devs), atRest) {
+		t.Error("in-flight damage through the store reached a stored frame")
+	}
 }

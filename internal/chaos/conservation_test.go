@@ -54,7 +54,11 @@ func (c *countingBackend) Available(node int, key []byte) bool {
 }
 
 func (c *countingBackend) Read(ctx context.Context, node int, key []byte) ([]byte, error) {
-	b, err := c.inner.Read(ctx, node, key)
+	return c.ReadInto(ctx, node, key, nil)
+}
+
+func (c *countingBackend) ReadInto(ctx context.Context, node int, key, dst []byte) ([]byte, error) {
+	b, err := archive.ReaderIntoOf(c.inner).ReadInto(ctx, node, key, dst)
 	if err == nil {
 		c.mu.Lock()
 		c.readOps++

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 )
 
@@ -87,11 +88,17 @@ func (d *Device) Stats() Stats {
 	return d.stats
 }
 
-// Read returns a copy of the named block. The key is borrowed for the
-// duration of the call only — the map lookup goes through m[string(k)],
-// which the compiler keeps allocation-free, so hot read paths can build
-// keys in a reused buffer.
-func (d *Device) Read(key []byte) ([]byte, error) {
+// Read returns a copy of the named block in a slice the caller owns: it is
+// ReadInto with no destination.
+func (d *Device) Read(key []byte) ([]byte, error) { return d.ReadInto(key, nil) }
+
+// ReadInto copies the named block into dst's capacity (appending to dst[:0],
+// so a dst that is too small, or nil, is grown into a fresh slice) and
+// returns the copy; the device keeps no reference to dst. The key is
+// borrowed for the duration of the call only — the map lookup goes through
+// m[string(k)], which the compiler keeps allocation-free, so hot read paths
+// can build keys in a reused buffer and land blocks in a reused arena.
+func (d *Device) ReadInto(key, dst []byte) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.state != Online {
@@ -103,7 +110,7 @@ func (d *Device) Read(key []byte) ([]byte, error) {
 	}
 	d.stats.Reads++
 	d.stats.BytesRead += int64(len(b))
-	return append([]byte(nil), b...), nil
+	return append(dst[:0], b...), nil
 }
 
 // Write stores a copy of data under key. The key is copied (the map entry
@@ -131,10 +138,14 @@ func (d *Device) Delete(key []byte) error {
 	return nil
 }
 
-// Has reports whether the device holds key (regardless of state).
-func (d *Device) Has(key []byte) bool {
+// Holds reports whether the device is in one of the given states and holds
+// key — the availability probe of a backend, answered under one lock.
+func (d *Device) Holds(key []byte, states ...State) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if !slices.Contains(states, d.state) {
+		return false
+	}
 	_, ok := d.blocks[string(key)]
 	return ok
 }

@@ -39,6 +39,46 @@ func TestReadIsCopy(t *testing.T) {
 	}
 }
 
+// TestReadIntoLandsInDst: a block that fits is copied into the caller's
+// buffer (no allocation, the stored copy untouched by later writes to dst),
+// one that does not fit is grown into a fresh slice, and errors hand back
+// nothing.
+func TestReadIntoLandsInDst(t *testing.T) {
+	d := New(0)
+	d.Write([]byte("a"), []byte("abc"))
+	dst := make([]byte, 1, 8)
+	got, err := d.ReadInto([]byte("a"), dst)
+	if err != nil || string(got) != "abc" || &got[0] != &dst[0] {
+		t.Fatalf("ReadInto = %q, %v (aliases dst: %v)", got, err, len(got) > 0 && &got[0] == &dst[0])
+	}
+	got[0] = 'X'
+	if again, _ := d.ReadInto([]byte("a"), nil); string(again) != "abc" {
+		t.Error("ReadInto handed out the stored block")
+	}
+	if small, err := d.ReadInto([]byte("a"), make([]byte, 0, 2)); err != nil || string(small) != "abc" {
+		t.Errorf("ReadInto with a short dst = %q, %v", small, err)
+	}
+	if got, err := d.ReadInto([]byte("nope"), dst); got != nil || !errors.Is(err, ErrNotFound) {
+		t.Errorf("missing block: %q, %v", got, err)
+	}
+	key := []byte("a")
+	if n := testing.AllocsPerRun(100, func() { d.ReadInto(key, dst) }); n != 0 {
+		t.Errorf("ReadInto into a large enough dst allocates %.0f times", n)
+	}
+}
+
+func TestHoldsAnswersStateAndKey(t *testing.T) {
+	d := New(0)
+	d.Write([]byte("a"), []byte("x"))
+	d.PowerOff()
+	if d.Holds([]byte("a"), Online) || !d.Holds([]byte("a"), Online, Standby) {
+		t.Error("standby device: Holds must honour the state list")
+	}
+	if d.Holds([]byte("nope"), Online, Standby) {
+		t.Error("Holds reported a key the device never stored")
+	}
+}
+
 func TestWriteIsCopy(t *testing.T) {
 	d := New(0)
 	buf := []byte("abc")
@@ -120,7 +160,7 @@ func TestFailDestroysData(t *testing.T) {
 	if d.State() != Failed {
 		t.Fatalf("state = %v", d.State())
 	}
-	if d.Has([]byte("a")) {
+	if d.Holds([]byte("a"), Failed) {
 		t.Error("failed device still holds data")
 	}
 	// Offline/online transitions must not resurrect a failed device.
@@ -148,13 +188,13 @@ func TestDeleteAndHasAndLen(t *testing.T) {
 	d := New(0)
 	d.Write([]byte("a"), []byte("x"))
 	d.Write([]byte("b"), []byte("y"))
-	if d.Len() != 2 || !d.Has([]byte("a")) {
-		t.Error("Has/Len wrong")
+	if d.Len() != 2 || !d.Holds([]byte("a"), Online) {
+		t.Error("Holds/Len wrong")
 	}
 	if err := d.Delete([]byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if d.Has([]byte("a")) || d.Len() != 1 {
+	if d.Holds([]byte("a"), Online) || d.Len() != 1 {
 		t.Error("Delete did not remove block")
 	}
 	if err := d.Delete([]byte("nope")); err != nil {
@@ -202,7 +242,7 @@ func TestConcurrentAccess(t *testing.T) {
 			for j := 0; j < 100; j++ {
 				d.Write(key, []byte{byte(j)})
 				d.Read(key)
-				d.Has(key)
+				d.Holds(key, Online)
 			}
 		}(i)
 	}

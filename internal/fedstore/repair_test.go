@@ -23,9 +23,9 @@ type countingBackend struct {
 	reads, writes atomic.Int64
 }
 
-func (b *countingBackend) Read(ctx context.Context, node int, key []byte) ([]byte, error) {
+func (b *countingBackend) ReadInto(ctx context.Context, node int, key, dst []byte) ([]byte, error) {
 	b.reads.Add(1)
-	return b.Backend.Read(ctx, node, key)
+	return archive.ReaderIntoOf(b.Backend).ReadInto(ctx, node, key, dst)
 }
 
 func (b *countingBackend) Write(ctx context.Context, node int, key, data []byte) error {

@@ -66,3 +66,27 @@ func TestDisasterSoakSeedSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestDisasterSoakFingerprintsPinned holds the disaster campaign's outcome
+// log byte for byte: the fingerprints were captured at 48f3225, before block
+// reads went through archive.ReaderInto. Node-level chaos at the survivors
+// draws its faults in backend-operation order, so any change to what a Get, a
+// scrub or RepairSite reads, and in which order, moves them.
+func TestDisasterSoakFingerprintsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  SoakConfig
+		want string
+	}{
+		{SoakConfig{Seed: 1}, "71bc8b6ea6b1226556e3b5b6fb6f7c00f3c67bbdd733bb18599a759873afefa0"},
+		{SoakConfig{Seed: 42, Ops: 120, Objects: 4}, "8c99b5d38057243d6942bb6e657ba49952083471cd4a73376066c885829a2679"},
+		{SoakConfig{Seed: 3, Ops: 160, Objects: 4}, "ad4932cd7944bb6f44e761014e84314576aa4bc5fa870d3cc6be0bcc99307394"},
+	} {
+		rep, err := SoakCtx(ctx, tc.cfg)
+		if err != nil {
+			t.Fatalf("seed %d: harness: %v", tc.cfg.Seed, err)
+		}
+		if rep.Fingerprint != tc.want {
+			t.Errorf("seed %d: fingerprint %s, want %s", tc.cfg.Seed, rep.Fingerprint, tc.want)
+		}
+	}
+}

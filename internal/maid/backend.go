@@ -15,7 +15,10 @@ type StoreBackend struct {
 	shelf *Shelf
 }
 
-var _ archive.Backend = StoreBackend{}
+var (
+	_ archive.Backend    = StoreBackend{}
+	_ archive.ReaderInto = StoreBackend{}
+)
 
 // NewStoreBackend wraps shelf for use with archive.NewWithBackend.
 func NewStoreBackend(shelf *Shelf) StoreBackend { return StoreBackend{shelf: shelf} }
@@ -27,22 +30,23 @@ func (b StoreBackend) Nodes() int { return len(b.shelf.devices) }
 // shelf can reach: standby drives count (a spin-up away); failed and
 // offline drives do not.
 func (b StoreBackend) Available(node int, key []byte) bool {
-	switch b.shelf.devices[node].State() {
-	case device.Online, device.Standby:
-		return b.shelf.devices[node].Has(key)
-	default:
-		return false
-	}
+	return b.shelf.devices[node].Holds(key, device.Online, device.Standby)
 }
 
-// Read fetches a block through the shelf, spinning the drive up if needed.
-// The simulated shelf spins up synchronously, so ctx is only checked on
-// entry; a real shelf would wait on the spin-up queue under ctx.
+// Read fetches a block through the shelf into a slice the caller owns.
 func (b StoreBackend) Read(ctx context.Context, node int, key []byte) ([]byte, error) {
+	return b.ReadInto(ctx, node, key, nil)
+}
+
+// ReadInto fetches a block through the shelf into dst (archive.ReaderInto),
+// spinning the drive up if needed. The simulated shelf spins up
+// synchronously, so ctx is only checked on entry; a real shelf would wait on
+// the spin-up queue under ctx.
+func (b StoreBackend) ReadInto(ctx context.Context, node int, key []byte, dst []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return b.shelf.Read(node, key)
+	return b.shelf.ReadInto(node, key, dst)
 }
 
 // Write stores a block through the shelf, spinning the drive up if needed.

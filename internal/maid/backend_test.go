@@ -59,6 +59,35 @@ func TestStoreBackendAvailability(t *testing.T) {
 	}
 }
 
+// TestStoreBackendReadInto: the shelf's read lands in the caller's buffer,
+// spins the parked drive up on the way like Read does, and honours a dead
+// context before touching the shelf.
+func TestStoreBackendReadInto(t *testing.T) {
+	s := newShelf(t, 4, 2)
+	b := NewStoreBackend(s)
+	ctx := context.Background()
+	if err := b.Write(ctx, 0, []byte("k"), []byte("xyz")); err != nil {
+		t.Fatal(err)
+	}
+	s.ParkAll()
+	dst := make([]byte, 0, 8)
+	got, err := b.ReadInto(ctx, 0, []byte("k"), dst)
+	if err != nil || string(got) != "xyz" || &got[0] != &dst[:1][0] {
+		t.Fatalf("ReadInto = %q, %v; want the block, in dst", got, err)
+	}
+	if s.Devices()[0].State() != device.Online {
+		t.Error("ReadInto left the drive parked")
+	}
+	if own, err := b.Read(ctx, 0, []byte("k")); err != nil || string(own) != "xyz" || &own[0] == &dst[:1][0] {
+		t.Errorf("Read = %q, %v; want the block, in a slice of its own", own, err)
+	}
+	dead, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := b.ReadInto(dead, 0, []byte("k"), dst); err != context.Canceled {
+		t.Errorf("ReadInto under a cancelled context: %v", err)
+	}
+}
+
 func TestStoreBackendCostAndDelete(t *testing.T) {
 	s := newShelf(t, 4, 2)
 	b := NewStoreBackend(s)

@@ -134,13 +134,18 @@ func (s *Shelf) promoteLocked(id int) {
 	s.lru = append(s.lru, id)
 }
 
-// Read fetches a block from a device, spinning it up if necessary. The key
-// is borrowed for the duration of the call (device lookups copy nothing).
-func (s *Shelf) Read(id int, key []byte) ([]byte, error) {
+// Read fetches a block from a device, spinning it up if necessary, into a
+// slice the caller owns.
+func (s *Shelf) Read(id int, key []byte) ([]byte, error) { return s.ReadInto(id, key, nil) }
+
+// ReadInto fetches a block from a device into dst (device.ReadInto), spinning
+// the device up if necessary. The key is borrowed for the duration of the call
+// (device lookups copy nothing).
+func (s *Shelf) ReadInto(id int, key, dst []byte) ([]byte, error) {
 	s.mu.Lock()
 	s.touchLocked(id)
 	s.mu.Unlock()
-	return s.devices[id].Read(key)
+	return s.devices[id].ReadInto(key, dst)
 }
 
 // Write stores a block on a device, spinning it up if necessary.

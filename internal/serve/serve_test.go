@@ -193,7 +193,7 @@ func TestAdmissionBackpressure(t *testing.T) {
 	}
 }
 
-// blockingBackend parks every Read until the request context dies,
+// blockingBackend parks every read until the request context dies,
 // modeling a wedged replica; Writes pass through so Puts replicate.
 type blockingBackend struct {
 	archive.Backend
@@ -201,7 +201,7 @@ type blockingBackend struct {
 	blocked int
 }
 
-func (b *blockingBackend) Read(ctx context.Context, node int, key []byte) ([]byte, error) {
+func (b *blockingBackend) ReadInto(ctx context.Context, node int, key, dst []byte) ([]byte, error) {
 	b.mu.Lock()
 	b.blocked++
 	b.mu.Unlock()

@@ -158,11 +158,11 @@ func (b *stuckBackend) wait(ctx context.Context) error {
 	return ctx.Err()
 }
 
-func (b *stuckBackend) Read(ctx context.Context, node int, key []byte) ([]byte, error) {
+func (b *stuckBackend) ReadInto(ctx context.Context, node int, key, dst []byte) ([]byte, error) {
 	if b.stuck {
 		return nil, b.wait(ctx)
 	}
-	return b.Backend.Read(ctx, node, key)
+	return archive.ReaderIntoOf(b.Backend).ReadInto(ctx, node, key, dst)
 }
 
 func (b *stuckBackend) Write(ctx context.Context, node int, key, data []byte) error {
