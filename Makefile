@@ -21,8 +21,9 @@ test:
 # over them), the simulation workers (including the stratified certification
 # sampler and the screened n=10k archival-scale smoke), the campaign worker pool, the decode/adjust certification loops,
 # the streaming graph construction, the serving layer (hedged reads,
-# admission, stripe cache), the archive's stripe pipeline (the one place
-# the data path starts goroutines) and its stream adapters, the load
+# admission, the stripe cache's pinned, recycled payloads), the archive's
+# stripe pipeline (the one place the data path starts goroutines) and its
+# stream adapters, the devices (in-place overwrites, lock-free state), the load
 # generator, the joint-decode federation search, the chaos/WAN injectors,
 # and the federated store itself (the one federation runtime: per-site
 # health under concurrent calls, RepairSite's donor hook on the stripe
@@ -31,7 +32,7 @@ test:
 race:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) ./internal/steward/ ./internal/sim/ ./internal/obs/ ./internal/campaign/ \
 		./internal/decode/ ./internal/adjust/ ./internal/core/ ./internal/serve/ ./internal/archive/ \
-		./internal/workload/ ./internal/federation/ ./internal/chaos/ ./internal/fedstore/
+		./internal/device/ ./internal/workload/ ./internal/federation/ ./internal/chaos/ ./internal/fedstore/
 
 vet:
 	$(GO) vet ./...

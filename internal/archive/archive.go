@@ -353,6 +353,14 @@ func (s *Store) isQuarantined(node int) bool {
 	return s.quarantined[node]
 }
 
+// quarantineSnapshot copies every node's quarantine flag into dst under one
+// lock — what a stripe read plans with.
+func (s *Store) quarantineSnapshot(dst []bool) {
+	s.healMu.Lock()
+	copy(dst, s.quarantined)
+	s.healMu.Unlock()
+}
+
 // Quarantined returns the currently quarantined nodes in ascending order.
 func (s *Store) Quarantined() []int {
 	s.healMu.Lock()
@@ -537,15 +545,6 @@ func (s *Store) writeFrame(ctx context.Context, node int, key []byte, framed []b
 	}
 }
 
-// planCost prices node reads for retrieval planning, forbidding quarantined
-// nodes (their data cannot be trusted even when the device answers).
-func (s *Store) planCost(node int) float64 {
-	if s.isQuarantined(node) {
-		return math.Inf(1)
-	}
-	return s.backend.Cost(s.dev(node))
-}
-
 // blockKey builds one block key ("name/stripe/node") in a fresh buffer —
 // the convenience form for cold paths and tests; hot loops reuse a keyBuf.
 func blockKey(name string, stripe, node int) []byte {
@@ -583,14 +582,17 @@ func (k *keyBuf) key(node int) []byte {
 
 // stripeScratch is the reusable workspace of the stripe data path: block
 // pointers, availability masks, the codec repair workspace, the planner, the
-// arena the stripe's frames are read into and the frame/key buffers —
-// everything a stripe needs except its payload buffer, which belongs to
-// whoever receives the payload. One scratch serves one goroutine at a time;
-// it comes off Store.scratches and goes back there.
+// arena the stripe's frames are read into, the frame/key buffers and a
+// pipeline slot's payload buffer — everything a stripe needs except a payload
+// that leaves the store (ReadStripeInto's result), which belongs to whoever
+// receives it. One scratch serves one goroutine at a time; it comes off
+// Store.scratches and goes back there.
 type stripeScratch struct {
 	blocks   [][]byte // read blocks alias frames; rebuilt ones the workspace arena
 	frames   []byte   // Total frame slots, one per node: where reads land
 	avail    []bool
+	quar     []bool    // the stripe read's quarantine snapshot
+	cost     []float64 // what planning each available node costs, probed beside avail
 	corrupt  []bool
 	fromRead []bool // blocks[i] came from a backend read (not reconstruction)
 	want     []bool // blocks the decode is to rebuild for read-repair
@@ -600,8 +602,9 @@ type stripeScratch struct {
 	ws       *codec.Workspace
 	enc      *codec.Encoder
 	planner  *retrieval.Planner // reused: planning a stripe allocates nothing
-	planCost retrieval.CostFunc // bound once; a per-call method value allocates
+	planCost retrieval.CostFunc // reads cost; bound once, a per-call closure allocates
 	frameBuf []byte
+	payload  []byte // a pipeline slot's stripe: PutStream reads into it, GetStream decodes into it
 	keys     keyBuf
 	touched  map[int]bool
 }
@@ -615,6 +618,8 @@ func (s *Store) newScratch() *stripeScratch {
 	return &stripeScratch{
 		blocks:   make([][]byte, s.g.Total),
 		avail:    make([]bool, s.g.Total),
+		quar:     make([]bool, s.g.Total),
+		cost:     make([]float64, s.g.Total),
 		corrupt:  make([]bool, s.g.Total),
 		fromRead: make([]bool, s.g.Total),
 		want:     make([]bool, s.g.Total),
@@ -641,9 +646,18 @@ func (s *Store) release(sc *stripeScratch) {
 func (sc *stripeScratch) plan(s *Store) (*retrieval.Planner, retrieval.CostFunc) {
 	if sc.planner == nil {
 		sc.planner = retrieval.NewPlanner(s.g)
-		sc.planCost = s.planCost
+		sc.planCost = func(node int) float64 { return sc.cost[node] }
 	}
 	return sc.planner, sc.planCost
+}
+
+// payloadBuf returns the scratch's stripe-sized payload buffer, built on
+// first use.
+func (sc *stripeScratch) payloadBuf(s *Store) []byte {
+	if sc.payload == nil {
+		sc.payload = make([]byte, s.codec.Capacity())
+	}
+	return sc.payload
 }
 
 // frame returns node's slot of the scratch's frame arena: the dst of the
@@ -761,10 +775,18 @@ func (s *Store) GetCtx(ctx context.Context, name string) ([]byte, GetStats, erro
 }
 
 // ReadStripe retrieves one stripe's decoded payload — the serve layer's
-// cache-fill granularity. The stripe is decoded straight into the returned
-// slice, which is exactly as long as the payload (len == cap) and owned by
-// the caller: no later read writes to it.
+// cache-fill granularity — in a slice of its own: ReadStripeInto(…, nil),
+// exactly as long as the payload (len == cap).
 func (s *Store) ReadStripe(ctx context.Context, name string, st int) ([]byte, GetStats, error) {
+	return s.ReadStripeInto(ctx, name, st, nil)
+}
+
+// ReadStripeInto is ReadStripe decoding into dst: when the payload fits in
+// cap(dst) the result is dst[:len(payload)], otherwise a fresh slice exactly
+// as long as the payload. Either way it is the caller's — the store keeps no
+// reference to it, or to dst, and no later read writes to it. On error dst
+// may have been written to.
+func (s *Store) ReadStripeInto(ctx context.Context, name string, st int, dst []byte) ([]byte, GetStats, error) {
 	obj, err := s.Stat(name)
 	var stats GetStats
 	if err != nil {
@@ -774,22 +796,32 @@ func (s *Store) ReadStripe(ctx context.Context, name string, st int) ([]byte, Ge
 		return nil, stats, fmt.Errorf("%w: %q stripe %d", ErrNotFound, name, st)
 	}
 	stripeCap := s.codec.Capacity()
+	n := min(obj.Size-st*stripeCap, stripeCap)
+	if cap(dst) < n {
+		dst = make([]byte, 0, n)
+	}
 	sc := s.scratch()
 	defer s.release(sc)
-	payload, err := s.getStripe(ctx, name, st, make([]byte, 0, min(obj.Size-st*stripeCap, stripeCap)), sc, &stats)
+	payload, err := s.getStripe(ctx, name, st, dst[:0:n], sc, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
 	stats.DevicesAccessed = len(sc.touched)
-	return payload, stats, nil
+	return dst[:len(payload)], stats, nil
 }
 
 // getStripe reconstructs one stripe into dst's spare capacity — cap(dst)
 // is the payload length — and returns the filled slice.
 func (s *Store) getStripe(ctx context.Context, name string, st int, dst []byte, sc *stripeScratch, stats *GetStats) ([]byte, error) {
+	// One probe pass: a quarantine snapshot taken under one lock, then per
+	// node its availability and — for the planner — its read cost.
 	sc.keys.stripe(name, st)
+	s.quarantineSnapshot(sc.quar)
 	for node := range sc.avail {
-		sc.avail[node] = !s.isQuarantined(node) && s.backend.Available(s.dev(node), sc.keys.key(node))
+		sc.avail[node] = !sc.quar[node] && s.backend.Available(s.dev(node), sc.keys.key(node))
+		if sc.avail[node] && !s.cfg.NaiveRetrieval {
+			sc.cost[node] = s.backend.Cost(s.dev(node))
+		}
 		sc.blocks[node] = nil
 		sc.corrupt[node] = false
 		sc.fromRead[node] = false
@@ -937,6 +969,8 @@ func (s *Store) readRepairStripe(ctx context.Context, sc *stripeScratch, stats *
 		if sc.blocks[node] == nil || (sc.avail[node] && !sc.corrupt[node]) {
 			continue // nothing reconstructed, or the stored frame is fine
 		}
+		// Both checks are live, not the probe pass's: this stripe's own reads
+		// can have quarantined the node or lost its device since.
 		if s.isQuarantined(node) || math.IsInf(s.backend.Cost(s.dev(node)), 1) {
 			continue
 		}

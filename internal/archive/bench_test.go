@@ -5,6 +5,8 @@ import (
 	"context"
 	"io"
 	"math/rand/v2"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"tornado/internal/core"
@@ -94,5 +96,42 @@ func BenchmarkPutStreamSequential(b *testing.B) {
 		if err := s.Delete("obj"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestPutStreamAllocBudget is the allocation gate on the write stripe loop.
+// The stream is read into the slot scratch's payload buffer, encoded in the
+// scratch's encoder and framed into its frame buffer, and the devices copy
+// each frame into a slot they recycle, so what a stripe costs is the block
+// keys the devices keep — Total strings — and at most 4 more, as the slope
+// between an 8- and a 64-stripe object. A payload buffer per call or a frame
+// per block (what the device's copy-on-write cost before its slots) trips it.
+func TestPutStreamAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the free list drops scratches at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := benchStore(t)
+	ctx := context.Background()
+	r := new(bytes.Reader)
+	allocs := func(stripes int) float64 {
+		data := payload(stripes*s.Layout().StripeCapacity, 2)
+		return testing.AllocsPerRun(5, func() {
+			r.Reset(data)
+			if _, err := s.PutStream(ctx, "obj", r, WithParallelism(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Delete("obj"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	allocs(64) // carve every device's slots once
+	short, long := allocs(8), allocs(64)
+	perStripe := (long - short) / (64 - 8)
+	t.Logf("per stripe: %.1f allocations (%d block keys)", perStripe, s.Graph().Total)
+	if budget := float64(s.Graph().Total + 4); perStripe > budget {
+		t.Errorf("PutStream allocates %.1f times per stripe, over the budget of Total + 4 = %.0f", perStripe, budget)
 	}
 }

@@ -7,13 +7,12 @@ import (
 
 // stripeSlot is one stripe's seat in a stripePipe. Everything a stripe needs
 // in memory hangs off its slot and is reused by the slot's next stripe, so a
-// run holds at most width payload buffers and width scratches however many
-// stripes pass through.
+// run holds at most width scratches — and in them width payload buffers —
+// however many stripes pass through.
 type stripeSlot struct {
 	st      int            // stripe index, set by the pipe
-	payload []byte         // the stripe's bytes: produce's output on Put, work's on Get
-	buf     []byte         // produce's read buffer on Put, work's decode buffer on Get
-	sc      *stripeScratch // work's scratch, taken off the store's free list on first use
+	payload []byte         // the stripe's bytes, in sc's payload buffer (a PutCtx's: in its data)
+	sc      *stripeScratch // taken off the store's free list on first use, by produce or work
 	stats   GetStats       // summed by work over every stripe the slot served
 	health  StripeHealth   // a scrub's stripe: named by produce, filled in by work
 	err     error          // the stripe's failure, set by the pipe

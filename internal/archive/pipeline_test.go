@@ -114,8 +114,9 @@ func TestPipeStalledHeadUnordered(t *testing.T) {
 }
 
 // TestPipeBoundedBuffers: a source that allocates a buffer only when its slot
-// has none — the way PutStream's does — allocates at most width of them over
-// 10×width stripes, in both directions and inline.
+// has none — the way PutStream's takes a scratch, and the payload buffer in
+// it — allocates at most width of them over 10×width stripes, in both
+// directions and inline.
 func TestPipeBoundedBuffers(t *testing.T) {
 	for _, width := range []int{1, 2, 4} {
 		for _, ordered := range []bool{false, true} {
@@ -126,11 +127,10 @@ func TestPipeBoundedBuffers(t *testing.T) {
 				width: width,
 				produce: func(sl *stripeSlot) (bool, error) {
 					seen[sl] = true
-					if sl.buf == nil {
-						sl.buf = make([]byte, 8)
+					if sl.payload == nil {
+						sl.payload = make([]byte, 8)
 						allocs++
 					}
-					sl.payload = sl.buf
 					return sl.st < jobs, nil
 				},
 				work: func(context.Context, *stripeSlot) error { runtime.Gosched(); return nil },

@@ -105,6 +105,60 @@ func TestReadStripeOwnership(t *testing.T) {
 	}
 }
 
+// TestReadStripeIntoOwnership: ReadStripeInto decodes into a dst that holds
+// the payload — the result is dst, cap and all — and replaces one that does
+// not with a fresh slice exactly as long as the payload. Either way the store
+// keeps no reference: later reads, into other buffers or into none, leave
+// what the caller holds alone, and a failed read hands nothing back.
+func TestReadStripeIntoOwnership(t *testing.T) {
+	s := testStore(t, Config{BlockSize: 64})
+	stripeCap := s.Layout().StripeCapacity
+	data := payload(2*stripeCap+11, 8)
+	if err := s.Put("obj", data); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want := func(st int) []byte { return data[st*stripeCap : min((st+1)*stripeCap, len(data))] }
+
+	big := make([]byte, 3, stripeCap+5) // fits, with room to spare and stale length
+	got, _, err := s.ReadStripeInto(ctx, "obj", 0, big)
+	if err != nil || !bytes.Equal(got, want(0)) {
+		t.Fatalf("stripe 0 into a roomy dst: %v, exact=%v", err, bytes.Equal(got, want(0)))
+	}
+	if &got[0] != &big[:1][0] || cap(got) != cap(big) {
+		t.Errorf("a dst that fits was not used: result cap %d, dst cap %d", cap(got), cap(big))
+	}
+
+	short := make([]byte, 0, 10)
+	tail, _, err := s.ReadStripeInto(ctx, "obj", 1, short)
+	if err != nil || !bytes.Equal(tail, want(1)) {
+		t.Fatalf("stripe 1 into a short dst: %v", err)
+	}
+	if len(tail) != stripeCap || cap(tail) != stripeCap || &tail[0] == &short[:1][0] {
+		t.Errorf("a short dst: result len %d cap %d (aliases dst: %v), want a fresh slice of %d",
+			len(tail), cap(tail), &tail[0] == &short[:1][0], stripeCap)
+	}
+	exact := make([]byte, 0, 11)
+	if last, _, err := s.ReadStripeInto(ctx, "obj", 2, exact); err != nil || !bytes.Equal(last, want(2)) || &last[0] != &exact[:1][0] {
+		t.Errorf("stripe 2 into an exactly sized dst: %v", err)
+	}
+
+	for st := 0; st < 3; st++ { // reads into other buffers and into none
+		if _, _, err := s.ReadStripeInto(ctx, "obj", st, make([]byte, 0, stripeCap)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.ReadStripe(ctx, "obj", st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(got, want(0)) || !bytes.Equal(tail, want(1)) {
+		t.Error("a later read wrote to a payload the caller holds")
+	}
+	if p, _, err := s.ReadStripeInto(ctx, "obj", 3, big); !errors.Is(err, ErrNotFound) || p != nil {
+		t.Errorf("stripe past the end: %d bytes, %v", len(p), err)
+	}
+}
+
 // TestReadStripeConcurrentReaders: eight goroutines reading distinct stripes
 // at once each get their own stripe's bytes — scratches from the free list
 // are never shared. Meaningful under -race.

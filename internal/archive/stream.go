@@ -60,21 +60,21 @@ func applyStreamOptions(opts []StreamOption) streamOptions {
 // This is the data path's write API of record; PutCtx is the same loop fed
 // from a byte slice.
 func (s *Store) PutStream(ctx context.Context, name string, r io.Reader, opts ...StreamOption) (int, error) {
-	stripeCap := s.codec.Capacity()
 	eof := false
 	return s.putObject(ctx, name, applyStreamOptions(opts).parallelism, func(sl *stripeSlot) (bool, error) {
 		if eof {
 			return false, nil
 		}
-		if sl.buf == nil {
-			sl.buf = make([]byte, stripeCap)
+		if sl.sc == nil {
+			sl.sc = s.scratch()
 		}
-		n, err := io.ReadFull(r, sl.buf)
+		buf := sl.sc.payloadBuf(s)
+		n, err := io.ReadFull(r, buf)
 		eof = err == io.EOF || err == io.ErrUnexpectedEOF
 		if err != nil && !eof {
 			return false, fmt.Errorf("archive: stream %q: %w", name, err)
 		}
-		sl.payload = sl.buf[:n]
+		sl.payload = buf[:n]
 		return n > 0 || sl.st == 0, nil // an empty object still stores one stripe
 	})
 }
@@ -154,9 +154,9 @@ func (s *Store) getStripes(ctx context.Context, obj Object, width int, emit func
 		work: func(ctx context.Context, sl *stripeSlot) (err error) {
 			if sl.sc == nil {
 				sl.sc = s.scratch()
-				sl.buf = make([]byte, stripeCap)
 			}
-			sl.payload, err = s.getStripe(ctx, obj.Name, sl.st, sl.buf[:0:min(obj.Size-sl.st*stripeCap, stripeCap)], sl.sc, &sl.stats)
+			buf := sl.sc.payloadBuf(s)[:0:min(obj.Size-sl.st*stripeCap, stripeCap)]
+			sl.payload, err = s.getStripe(ctx, obj.Name, sl.st, buf, sl.sc, &sl.stats)
 			return err
 		},
 		consume: func(sl *stripeSlot) error { return emit(sl.payload) },

@@ -11,6 +11,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // State is a device's availability state.
@@ -56,29 +57,79 @@ type Stats struct {
 	SpinUps       int64
 }
 
+// A device stores its frames in slots carved from slabs of slabFrames frames,
+// at most maxSlab bytes; a frame larger than maxSlab gets a slot of its own.
+const (
+	slabFrames = 16
+	maxSlab    = 64 << 10
+)
+
 // Device is one simulated drive. All methods are safe for concurrent use.
+//
+// Frames live in reusable slots: Write copies into a slot (in place when the
+// key already holds a frame of the same length), and Delete or an overwrite
+// of another length puts the old slot on a free list keyed by length, where
+// the next Write of that length finds it. Every read copies out under mu, so
+// no slot is ever seen by a caller. The slots are the device's: its footprint
+// stays at its high-water mark until Fail or Replace drops them all.
 type Device struct {
 	id int
 
+	// state is written under mu and read without it, so State — the probe
+	// retrieval planning makes of every node on every stripe — takes no lock.
+	state atomic.Int32
+
 	mu     sync.Mutex
-	state  State
 	blocks map[string][]byte
+	free   map[int][][]byte // released slots, by length
+	slab   []byte           // the unused tail of the slab slots are carved from
 	stats  Stats
 }
 
 // New returns an online, empty device.
 func New(id int) *Device {
-	return &Device{id: id, state: Online, blocks: map[string][]byte{}}
+	return &Device{id: id, blocks: map[string][]byte{}} // the zero state is Online
 }
 
 // ID returns the device's index.
 func (d *Device) ID() int { return d.id }
 
 // State returns the current state.
-func (d *Device) State() State {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.state
+func (d *Device) State() State { return State(d.state.Load()) }
+
+func (d *Device) setStateLocked(s State) { d.state.Store(int32(s)) }
+
+// slotLocked returns a slot for a frame of n bytes: a released one of that
+// length, the next n bytes of the current slab, or one of its own when the
+// frame is larger than a slab may be.
+func (d *Device) slotLocked(n int) []byte {
+	if fl := d.free[n]; len(fl) > 0 {
+		d.free[n] = fl[:len(fl)-1]
+		return fl[len(fl)-1]
+	}
+	if n > maxSlab {
+		return make([]byte, n)
+	}
+	if len(d.slab) < n {
+		d.slab = make([]byte, min(slabFrames*n, maxSlab))
+	}
+	b := d.slab[:n:n]
+	d.slab = d.slab[n:]
+	return b
+}
+
+// releaseLocked puts a slot that holds no frame any more on the free list.
+func (d *Device) releaseLocked(b []byte) {
+	if d.free == nil {
+		d.free = map[int][][]byte{}
+	}
+	d.free[len(b)] = append(d.free[len(b)], b)
+}
+
+// dropLocked forgets every frame and every slot: the device's media is gone.
+func (d *Device) dropLocked() {
+	d.blocks = map[string][]byte{}
+	d.free, d.slab = nil, nil
 }
 
 // Stats returns a snapshot of the activity counters.
@@ -101,8 +152,8 @@ func (d *Device) Read(key []byte) ([]byte, error) { return d.ReadInto(key, nil) 
 func (d *Device) ReadInto(key, dst []byte) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.state != Online {
-		return nil, fmt.Errorf("%w (device %d is %v)", ErrUnavailable, d.id, d.state)
+	if st := d.State(); st != Online {
+		return nil, fmt.Errorf("%w (device %d is %v)", ErrUnavailable, d.id, st)
 	}
 	b, ok := d.blocks[string(key)]
 	if !ok {
@@ -113,15 +164,26 @@ func (d *Device) ReadInto(key, dst []byte) ([]byte, error) {
 	return append(dst[:0], b...), nil
 }
 
-// Write stores a copy of data under key. The key is copied (the map entry
-// owns its own string), so callers may reuse the buffer.
+// Write stores a copy of data under key, in a slot of the device's own. The
+// key is copied (the map entry owns its own string) when it is new, so callers
+// may reuse both buffers.
 func (d *Device) Write(key []byte, data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.state != Online {
-		return fmt.Errorf("%w (device %d is %v)", ErrUnavailable, d.id, d.state)
+	if st := d.State(); st != Online {
+		return fmt.Errorf("%w (device %d is %v)", ErrUnavailable, d.id, st)
 	}
-	d.blocks[string(key)] = append([]byte(nil), data...)
+	old, ok := d.blocks[string(key)]
+	if ok && len(old) == len(data) {
+		copy(old, data)
+	} else {
+		if ok {
+			d.releaseLocked(old)
+		}
+		b := d.slotLocked(len(data))
+		copy(b, data)
+		d.blocks[string(key)] = b
+	}
 	d.stats.Writes++
 	d.stats.BytesWritten += int64(len(data))
 	return nil
@@ -131,10 +193,13 @@ func (d *Device) Write(key []byte, data []byte) error {
 func (d *Device) Delete(key []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.state != Online {
-		return fmt.Errorf("%w (device %d is %v)", ErrUnavailable, d.id, d.state)
+	if st := d.State(); st != Online {
+		return fmt.Errorf("%w (device %d is %v)", ErrUnavailable, d.id, st)
 	}
-	delete(d.blocks, string(key))
+	if b, ok := d.blocks[string(key)]; ok {
+		d.releaseLocked(b)
+		delete(d.blocks, string(key))
+	}
 	return nil
 }
 
@@ -143,7 +208,7 @@ func (d *Device) Delete(key []byte) error {
 func (d *Device) Holds(key []byte, states ...State) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !slices.Contains(states, d.state) {
+	if !slices.Contains(states, d.State()) {
 		return false
 	}
 	_, ok := d.blocks[string(key)]
@@ -161,8 +226,8 @@ func (d *Device) Len() int {
 func (d *Device) PowerOff() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.state == Online {
-		d.state = Standby
+	if d.State() == Online {
+		d.setStateLocked(Standby)
 	}
 }
 
@@ -170,8 +235,8 @@ func (d *Device) PowerOff() {
 func (d *Device) PowerOn() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.state == Standby {
-		d.state = Online
+	if d.State() == Standby {
+		d.setStateLocked(Online)
 		d.stats.SpinUps++
 	}
 }
@@ -180,8 +245,8 @@ func (d *Device) PowerOn() {
 func (d *Device) SetOffline() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.state != Failed {
-		d.state = Offline
+	if d.State() != Failed {
+		d.setStateLocked(Offline)
 	}
 }
 
@@ -189,8 +254,8 @@ func (d *Device) SetOffline() {
 func (d *Device) SetOnline() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.state == Offline || d.state == Standby {
-		d.state = Online
+	if st := d.State(); st == Offline || st == Standby {
+		d.setStateLocked(Online)
 	}
 }
 
@@ -199,16 +264,16 @@ func (d *Device) SetOnline() {
 func (d *Device) Fail() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.state = Failed
-	d.blocks = map[string][]byte{}
+	d.setStateLocked(Failed)
+	d.dropLocked()
 }
 
 // Replace swaps in a fresh empty drive (Failed → Online).
 func (d *Device) Replace() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.state = Online
-	d.blocks = map[string][]byte{}
+	d.setStateLocked(Online)
+	d.dropLocked()
 }
 
 // Array is an indexed shelf of devices.

@@ -1,10 +1,13 @@
 package device
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestReadWriteRoundTrip(t *testing.T) {
@@ -259,5 +262,160 @@ func TestStateString(t *testing.T) {
 		if s.String() != want {
 			t.Errorf("%d.String() = %q", int(s), s.String())
 		}
+	}
+}
+
+// TestSlotsRoundTrip: frames of every shape — slab-sized, odd-length (a
+// torn write's prefix), empty and larger than a slab — read back exactly
+// through overwrites of equal and of other lengths and through delete and
+// rewrite, and Fail and Replace leave nothing behind.
+func TestSlotsRoundTrip(t *testing.T) {
+	d := New(0)
+	rng := rand.New(rand.NewPCG(5, 5))
+	frame := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(rng.IntN(256))
+		}
+		return b
+	}
+	want := map[string][]byte{}
+	write := func(k string, n int) {
+		t.Helper()
+		b := frame(n)
+		if err := d.Write([]byte(k), b); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = bytes.Clone(b)
+		for i := range b { // the device holds a copy
+			b[i] ^= 0xFF
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		if d.Len() != len(want) {
+			t.Fatalf("%s: %d frames stored, want %d", when, d.Len(), len(want))
+		}
+		for k, w := range want {
+			got, err := d.Read([]byte(k))
+			if err != nil || !bytes.Equal(got, w) {
+				t.Fatalf("%s: frame %q read back %d bytes, %v; want %d", when, k, len(got), err, len(w))
+			}
+		}
+	}
+	sizes := []int{4100, 4100, 1, 0, 2999, maxSlab, maxSlab + 1, 3 * maxSlab, 68}
+	for i, n := range sizes {
+		write(fmt.Sprint(i), n)
+	}
+	check("written")
+	for i, n := range sizes { // equal length: in place
+		write(fmt.Sprint(i), n)
+	}
+	check("overwritten in place")
+	for i := range sizes { // another length: a new slot, the old one freed
+		write(fmt.Sprint(i), sizes[(i+1)%len(sizes)])
+	}
+	check("overwritten at another length")
+	for i := 0; i < len(sizes); i += 2 {
+		if err := d.Delete([]byte(fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+		delete(want, fmt.Sprint(i))
+	}
+	check("half deleted")
+	for i, n := range sizes { // freed slots come back for new keys
+		write(fmt.Sprintf("new%d", i), n)
+	}
+	check("rewritten")
+
+	d.Fail()
+	d.Replace()
+	if d.Len() != 0 || d.free != nil || d.slab != nil {
+		t.Fatalf("Replace kept %d frames, %d free lengths, %d bytes of slab", d.Len(), len(d.free), len(d.slab))
+	}
+	want = map[string][]byte{}
+	write("again", 4100)
+	check("after Replace")
+}
+
+// TestOverwriteDoesNotReachReaders: an equal-length overwrite copies into the
+// stored slot, which no reader ever holds — a frame read before it keeps its
+// bytes.
+func TestOverwriteDoesNotReachReaders(t *testing.T) {
+	d := New(0)
+	d.Write([]byte("a"), []byte("abc"))
+	before, _ := d.Read([]byte("a"))
+	into, _ := d.ReadInto([]byte("a"), make([]byte, 0, 8))
+	d.Write([]byte("a"), []byte("xyz"))
+	if string(before) != "abc" || string(into) != "abc" {
+		t.Errorf("reads taken before an overwrite changed to %q, %q", before, into)
+	}
+	if got, _ := d.Read([]byte("a")); string(got) != "xyz" {
+		t.Errorf("overwrite read back %q", got)
+	}
+}
+
+// TestDeviceWriteChurnAllocs: once the device has slots to hand out, an
+// equal-length overwrite, a Delete and a Write of a key written before
+// allocate nothing beyond the map's copy of a new key — the churn a Put
+// followed by a Delete puts on every device.
+func TestDeviceWriteChurnAllocs(t *testing.T) {
+	d := New(0)
+	frame := make([]byte, 4100)
+	const keys = 64
+	key := func(i int) []byte { return []byte(fmt.Sprintf("obj/%d/7", i)) }
+	churn := func() {
+		for i := range keys {
+			d.Write(key(i), frame)
+		}
+		for i := range keys {
+			d.Write(key(i), frame)
+		}
+		for i := range keys {
+			d.Delete(key(i))
+		}
+	}
+	for range 3 { // warm-up: slabs carved, map grown
+		churn()
+	}
+	ks := make([][]byte, keys)
+	for i := range ks {
+		ks[i] = key(i)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, k := range ks {
+			d.Write(k, frame)
+		}
+		for _, k := range ks {
+			d.Write(k, frame)
+		}
+		for _, k := range ks {
+			d.Delete(k)
+		}
+	})
+	if allocs > keys {
+		t.Errorf("write, overwrite and delete of %d frames allocate %.0f times; only the %d new key strings may", keys, allocs, keys)
+	}
+	if n := testing.AllocsPerRun(20, func() { d.Write(ks[0], frame) }); n != 0 {
+		t.Errorf("an equal-length overwrite allocates %.0f times", n)
+	}
+}
+
+// TestStateReadsWithoutLock: State answers while another goroutine holds the
+// device's lock — it is the lock-free probe planning makes per node.
+func TestStateReadsWithoutLock(t *testing.T) {
+	d := New(0)
+	d.SetOffline()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	got := make(chan State, 1)
+	go func() { got <- d.State() }()
+	select {
+	case st := <-got:
+		if st != Offline {
+			t.Errorf("state = %v, want offline", st)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("State waits for the device lock")
 	}
 }

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"container/list"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"tornado/internal/obs"
 )
@@ -17,18 +19,35 @@ import (
 // are object-level (Delete, re-Put), and the service invalidates the
 // object's entries on both. Cached slices are shared between callers and
 // must be treated as read-only.
+//
+// Ownership: the cache owns every payload buffer it hands out, and recycles
+// them. A reader pins the entry it gets (get, or add on a miss) and unpins it
+// once it is done with the payload; an entry that is evicted, invalidated or
+// replaced drops the cache's own reference. Whoever drops the last reference
+// puts the buffer on the free list, exactly once, and the next miss of that
+// size decodes into it instead of allocating.
 type stripeCache struct {
 	mu     sync.Mutex
 	budget int
-	bytes  int
+	bytes  int        // cap of every resident payload
 	ll     *list.List // front = most recently used
 	items  map[cacheKey]*list.Element
+
+	// free holds released payload buffers, oldest first: at most freeBuffers
+	// of them and no more bytes of cap than the budget. Past that the oldest
+	// are dropped, so a size no miss asks for any more ages out.
+	free      [][]byte
+	freeBytes int
 
 	hits      *obs.Counter
 	misses    *obs.Counter
 	evictions *obs.Counter
 	gBytes    *obs.Gauge
 }
+
+// freeBuffers bounds the free list: enough to keep a payload ready for every
+// miss a service has in flight, which the admission limits keep small.
+const freeBuffers = 8
 
 type cacheKey struct {
 	key    string
@@ -38,6 +57,9 @@ type cacheKey struct {
 type cacheEntry struct {
 	k       cacheKey
 	payload []byte
+	// refs is one for the cache while the entry is resident plus one per
+	// reader holding it pinned.
+	refs atomic.Int32
 }
 
 func newStripeCache(budget int, reg *obs.Registry) *stripeCache {
@@ -52,9 +74,9 @@ func newStripeCache(budget int, reg *obs.Registry) *stripeCache {
 	}
 }
 
-// get returns the cached payload (shared, read-only) and refreshes its
-// recency.
-func (c *stripeCache) get(key string, stripe int) ([]byte, bool) {
+// get returns the cached entry, pinned, and refreshes its recency; the
+// caller reads its payload (shared, read-only) and then unpins it.
+func (c *stripeCache) get(key string, stripe int) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[cacheKey{key, stripe}]
@@ -64,37 +86,62 @@ func (c *stripeCache) get(key string, stripe int) ([]byte, bool) {
 	}
 	c.ll.MoveToFront(el)
 	c.hits.Inc()
-	return el.Value.(*cacheEntry).payload, true
+	ent := el.Value.(*cacheEntry)
+	ent.refs.Add(1)
+	return ent, true
 }
 
-// add inserts a payload, taking ownership of the slice, and evicts from
-// the cold end until the budget holds. Payloads larger than the whole
-// budget are not cached.
-func (c *stripeCache) add(key string, stripe int, payload []byte) {
-	if len(payload) > c.budget {
+// unpin drops a reader's reference to ent (nil is a no-op, for payloads that
+// did not come from a cache).
+func (c *stripeCache) unpin(ent *cacheEntry) {
+	if ent == nil || ent.refs.Add(-1) > 0 {
 		return
 	}
-	k := cacheKey{key, stripe}
+	c.mu.Lock()
+	c.recycleLocked(ent.payload)
+	c.mu.Unlock()
+}
+
+// take returns a free buffer of exactly size bytes of cap, emptied, or nil
+// when there is none.
+func (c *stripeCache) take(size int) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		// Replace in place (a re-read after invalidation raced another).
-		c.bytes += len(payload) - len(el.Value.(*cacheEntry).payload)
-		el.Value.(*cacheEntry).payload = payload
-		c.ll.MoveToFront(el)
-	} else {
-		c.items[k] = c.ll.PushFront(&cacheEntry{k: k, payload: payload})
-		c.bytes += len(payload)
-	}
-	for c.bytes > c.budget {
-		el := c.ll.Back()
-		if el == nil {
-			break
+	for i := len(c.free) - 1; i >= 0; i-- {
+		if b := c.free[i]; cap(b) == size {
+			c.free = slices.Delete(c.free, i, i+1)
+			c.freeBytes -= size
+			return b[:0]
 		}
+	}
+	return nil
+}
+
+// add inserts a payload, taking ownership of the slice, evicts from the cold
+// end until the budget holds, and returns the entry pinned for the caller. A
+// payload larger than the whole budget is not cached: its entry is the
+// caller's alone.
+func (c *stripeCache) add(key string, stripe int, payload []byte) *cacheEntry {
+	ent := &cacheEntry{k: cacheKey{key, stripe}, payload: payload}
+	ent.refs.Store(1)
+	if cap(payload) > c.budget {
+		return ent
+	}
+	ent.refs.Add(1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[ent.k]; ok {
+		// A re-read after invalidation raced another: the newer one stays.
 		c.removeLocked(el)
+	}
+	c.items[ent.k] = c.ll.PushFront(ent)
+	c.bytes += cap(payload)
+	for c.bytes > c.budget {
+		c.removeLocked(c.ll.Back())
 		c.evictions.Inc()
 	}
 	c.gBytes.Set(int64(c.bytes))
+	return ent
 }
 
 // invalidate drops every cached stripe of one object (Delete / re-Put).
@@ -111,9 +158,28 @@ func (c *stripeCache) invalidate(key string) {
 	c.gBytes.Set(int64(c.bytes))
 }
 
+// removeLocked takes an entry out of the cache and drops the cache's
+// reference to it.
 func (c *stripeCache) removeLocked(el *list.Element) {
 	ent := el.Value.(*cacheEntry)
 	c.ll.Remove(el)
 	delete(c.items, ent.k)
-	c.bytes -= len(ent.payload)
+	c.bytes -= cap(ent.payload)
+	if ent.refs.Add(-1) == 0 {
+		c.recycleLocked(ent.payload)
+	}
+}
+
+// recycleLocked puts a buffer nobody references any more on the free list
+// (one too large to be cached is dropped).
+func (c *stripeCache) recycleLocked(b []byte) {
+	if cap(b) > c.budget {
+		return
+	}
+	c.free = append(c.free, b)
+	c.freeBytes += cap(b)
+	for len(c.free) > freeBuffers || c.freeBytes > c.budget {
+		c.freeBytes -= cap(c.free[0])
+		c.free = slices.Delete(c.free, 0, 1)
+	}
 }

@@ -41,9 +41,14 @@ func (s *Service) pickPrimary(st int) int {
 // launched, and so on. The first success wins and every other in-flight read is
 // cancelled. Errors only surface once all replicas have failed, so a
 // degraded or unrecoverable replica is masked by any healthy one.
-func (s *Service) readStripeHedged(ctx context.Context, k string, st int) ([]byte, archive.GetStats, error) {
+//
+// The primary decodes into dst (archive.Store.ReadStripeInto), every hedge
+// into a slice of its own. Only the winner's buffer comes back; a loser may
+// still be writing to its buffer when the call returns, so dst is dropped,
+// never reused, unless the primary wins.
+func (s *Service) readStripeHedged(ctx context.Context, k string, st int, dst []byte) ([]byte, archive.GetStats, error) {
 	if len(s.stores) == 1 || s.cfg.HedgeDelay < 0 {
-		return s.stores[0].ReadStripe(ctx, k, st)
+		return s.stores[0].ReadStripeInto(ctx, k, st, dst)
 	}
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel() // losers are cancelled the moment a winner returns
@@ -58,16 +63,16 @@ func (s *Service) readStripeHedged(ctx context.Context, k string, st int) ([]byt
 	// its (cancelled) result and exit — no goroutine outlives the call by
 	// more than its own cancelled read.
 	results := make(chan result, len(s.stores))
-	launch := func(i int) {
+	launch := func(i int, dst []byte) {
 		go func() {
-			p, stats, err := s.stores[i].ReadStripe(hctx, k, st)
+			p, stats, err := s.stores[i].ReadStripeInto(hctx, k, st, dst)
 			results <- result{p, stats, err, i}
 		}()
 	}
 
 	primary := s.pickPrimary(st)
 	launched := 1
-	launch(primary)
+	launch(primary, dst)
 	timer := time.NewTimer(s.cfg.HedgeDelay)
 	defer timer.Stop()
 
@@ -95,13 +100,13 @@ func (s *Service) readStripeHedged(ctx context.Context, k string, st int) ([]byt
 			if launched < len(s.stores) {
 				// A failure is a stronger signal than a timeout: hedge now.
 				s.mHedges.Inc()
-				launch((primary + launched) % len(s.stores))
+				launch((primary+launched)%len(s.stores), nil)
 				launched++
 			}
 		case <-timer.C:
 			if launched < len(s.stores) {
 				s.mHedges.Inc()
-				launch((primary + launched) % len(s.stores))
+				launch((primary+launched)%len(s.stores), nil)
 				launched++
 				timer.Reset(s.cfg.HedgeDelay)
 			}

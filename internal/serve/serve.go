@@ -339,15 +339,17 @@ func (s *Service) Get(ctx context.Context, tn, name string, w io.Writer) (int, e
 		if err := ctx.Err(); err != nil {
 			return written, err
 		}
-		payload, err := s.stripe(ctx, k, st)
+		want := min(obj.Size-st*lay.StripeCapacity, lay.StripeCapacity)
+		payload, ent, err := s.stripe(ctx, k, st, want)
 		if err != nil {
 			return written, err
 		}
-		want := min(obj.Size-st*lay.StripeCapacity, lay.StripeCapacity)
 		if len(payload) != want {
+			s.cache.unpin(ent)
 			return written, fmt.Errorf("serve: %q stripe %d: got %d bytes, want %d", name, st, len(payload), want)
 		}
 		n, werr := w.Write(payload)
+		s.cache.unpin(ent) // an io.Writer does not retain p
 		written += n
 		if werr != nil {
 			return written, fmt.Errorf("serve: get %q: %w", name, werr)
@@ -356,17 +358,22 @@ func (s *Service) Get(ctx context.Context, tn, name string, w io.Writer) (int, e
 	return written, nil
 }
 
-// stripe returns one decoded stripe payload, via the cache when possible.
-// The returned slice is shared (cache-resident) and must not be mutated.
-func (s *Service) stripe(ctx context.Context, k string, st int) ([]byte, error) {
+// stripe returns one decoded stripe payload of size bytes, via the cache when
+// possible. With a cache, the payload is shared (cache-resident), must not be
+// mutated, and is the caller's to read until it unpins the returned entry; a
+// miss decodes into a buffer the cache recycled. Without one the entry is
+// nil and the payload the caller's own.
+func (s *Service) stripe(ctx context.Context, k string, st, size int) ([]byte, *cacheEntry, error) {
+	var dst []byte
 	if s.cache != nil {
-		if p, ok := s.cache.get(k, st); ok {
-			return p, nil
+		if ent, ok := s.cache.get(k, st); ok {
+			return ent.payload, ent, nil
 		}
+		dst = s.cache.take(size)
 	}
-	payload, stats, err := s.readStripeHedged(ctx, k, st)
+	payload, stats, err := s.readStripeHedged(ctx, k, st, dst)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Repair traffic accounting: the store's repairbw meter attributed this
 	// read's bill byte-exactly (degraded-get amplification plus read-repair
@@ -374,10 +381,10 @@ func (s *Service) stripe(ctx context.Context, k string, st int) ([]byte, error) 
 	if b := stats.Repair.Bytes(); b > 0 {
 		s.mRepairBytes.Add(b)
 	}
-	if s.cache != nil {
-		s.cache.add(k, st, payload)
+	if s.cache == nil {
+		return payload, nil, nil
 	}
-	return payload, nil
+	return payload, s.cache.add(k, st, payload), nil
 }
 
 // Delete removes a tenant's object from every replica.

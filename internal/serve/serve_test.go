@@ -24,7 +24,7 @@ import (
 )
 
 // testGraph builds one graph; replicas share it so layouts match.
-func testGraph(t *testing.T) *graph.Graph {
+func testGraph(t testing.TB) *graph.Graph {
 	t.Helper()
 	g, _, err := core.Generate(core.DefaultParams(), rand.New(rand.NewPCG(77, 1)))
 	if err != nil {
@@ -34,7 +34,7 @@ func testGraph(t *testing.T) *graph.Graph {
 }
 
 // testService builds a service over n array-backed replicas.
-func testService(t *testing.T, n int, cfg Config) (*Service, []*archive.Store) {
+func testService(t testing.TB, n int, cfg Config) (*Service, []*archive.Store) {
 	t.Helper()
 	g := testGraph(t)
 	stores := make([]*archive.Store, n)
