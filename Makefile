@@ -2,7 +2,7 @@ GO ?= go
 
 # Every go test below carries an explicit -timeout, so a hang fails in about
 # two minutes, not the ten-minute default. The slowest package is
-# internal/sim: ~5 s unraced, ~40 s under -race on two cores. Time spent
+# internal/sim: ~5 s unraced, ~50 s under -race on two cores. Time spent
 # fuzzing is not counted, only the seed-corpus run before it.
 TEST_TIMEOUT ?= 2m
 RACE_TIMEOUT ?= 3m
@@ -38,7 +38,8 @@ vet:
 	$(GO) vet ./...
 
 # fuzz gives the frame codec, the kernel differential batteries (peeling
-# decoder, closed-set defect scan), the read path's two oracles (planner
+# decoder, the stopping-set search against the scan and the reference
+# peel, closed-set defect scan), the read path's two oracles (planner
 # against plain reverse-delete, targeted decode against Repair), the
 # campaign journal parser (arbitrary bytes through the resume path) and the
 # federation's union peel (against the §5.3 exchange fixpoint) a short
@@ -48,6 +49,7 @@ fuzz:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME) ./internal/archive/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzKernelMatchesReference -fuzztime $(FUZZTIME) ./internal/decode/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzSlicedMatchesReference -fuzztime $(FUZZTIME) ./internal/decode/
+	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzStoppingMatchesScan -fuzztime $(FUZZTIME) ./internal/decode/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzDefectKernelMatchesReference -fuzztime $(FUZZTIME) ./internal/defect/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzPlanMatchesReverseDelete -fuzztime $(FUZZTIME) ./internal/retrieval/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzDecodeIntoMatchesRepair -fuzztime $(FUZZTIME) ./internal/codec/

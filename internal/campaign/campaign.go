@@ -44,8 +44,8 @@ import (
 type Kind string
 
 const (
-	// KindWorstCase is the exhaustive first-failure search
-	// (sim.WorstCaseCtx).
+	// KindWorstCase is the exhaustive first-failure search as a rank scan
+	// (sim.NewWorstCaseJob); it returns what sim.WorstCaseCtx does.
 	KindWorstCase Kind = "worstcase"
 	// KindProfile is the Monte Carlo reconstruction-failure profile
 	// (sim.FailureProfileCtx).

@@ -11,8 +11,10 @@
 // differential tests run against. Kernel (over a shared read-only CSR
 // snapshot) answers one-node deltas near the healthy state: incremental
 // erase/restore/swap with a tiered, allocation-free Eval. SlicedKernel
-// peels 64 patterns a word and carries all certification (paper §3) in
-// internal/sim. See DESIGN.md "Decoder kernels".
+// peels 64 patterns a word and carries internal/sim's rank scans and
+// samplers (paper §3). StoppingEnumerator does not evaluate patterns: it
+// lists the small stopping sets, where peeling stalls, from which sim
+// answers the in-memory exhaustive search. See DESIGN.md "Decoder kernels".
 package decode
 
 import (

@@ -223,6 +223,10 @@ func randomCascade(rng *rand.Rand) *graph.Graph {
 	return g
 }
 
+// RandomCascade lends randomCascade to the external test package, whose
+// stopping-set battery runs sim's exhaustive search.
+var RandomCascade = randomCascade
+
 // Property: the incremental decoder agrees with the naive reference on
 // random graphs and random erasure patterns, including back-to-back calls
 // on one decoder instance (exercising Reset).

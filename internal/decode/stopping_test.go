@@ -1,0 +1,86 @@
+package decode_test
+
+import (
+	"context"
+	"math/rand/v2"
+	"reflect"
+	"slices"
+	"testing"
+
+	"tornado/internal/combin"
+	"tornado/internal/decode"
+	"tornado/internal/sim"
+)
+
+// FuzzStoppingMatchesScan is the stopping-set path's randomized arm, on
+// seeded random cascades. The enumerator's sets must each be no larger than
+// the bound, ascending, fail under ReferenceRecoverable and have the root
+// as their smallest data member, and every minimal failing set must be
+// among them. sim.ExhaustiveKCtx, which answers from those sets (or hands
+// the cardinality to the scan when their closure is over budget), must
+// return exactly the scan's count and recorded sets (sim.ScanRangeCtx over
+// the whole rank space), and both must equal the brute-force count and
+// lexicographically smallest failing sets under ReferenceRecoverable.
+func FuzzStoppingMatchesScan(f *testing.F) {
+	f.Add(uint64(1), uint64(2))
+	f.Add(uint64(2006), uint64(0))
+	f.Add(uint64(0x5709), uint64(7))
+	f.Fuzz(func(t *testing.T, seed, stream uint64) {
+		ctx := context.Background()
+		rng := rand.New(rand.NewPCG(seed, stream))
+		g := decode.RandomCascade(rng)
+		en := decode.NewStoppingEnumerator(decode.NewCSR(g))
+		maxF := 1 + rng.IntN(8)
+		for k := 1; k <= min(5, g.Total); k++ {
+			total, _ := combin.BinomialInt64(g.Total, k)
+			if total > 50_000 {
+				break
+			}
+			var found [][]int
+			for v0 := 0; v0 < g.Data; v0++ {
+				for _, s := range en.Root(nil, v0, k) {
+					if len(s) > k || !slices.IsSorted(s) || s[0] != v0 || decode.ReferenceRecoverable(g, s) {
+						t.Fatalf("k=%d root %d: recorded %v, want ≤ k ascending nodes from the root that fail", k, v0, s)
+					}
+					found = append(found, s)
+				}
+			}
+
+			var fails int64
+			var smallest [][]int
+			combin.ForEach(g.Total, k, func(idx []int) bool {
+				if decode.ReferenceRecoverable(g, idx) {
+					return true
+				}
+				fails++
+				if len(smallest) < maxF {
+					smallest = append(smallest, slices.Clone(idx))
+				}
+				for drop := range idx {
+					if !decode.ReferenceRecoverable(g, slices.Delete(slices.Clone(idx), drop, drop+1)) {
+						return true // not minimal
+					}
+				}
+				if !slices.ContainsFunc(found, func(s []int) bool { return slices.Equal(s, idx) }) {
+					t.Fatalf("k=%d: minimal failing set %v not enumerated (graph %v)", k, idx, g)
+				}
+				return true
+			})
+
+			got, err := sim.ExhaustiveKCtx(ctx, g, k, maxF, 1+rng.IntN(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan, err := sim.ScanRangeCtx(ctx, g, k, 0, total, maxF)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Tested != total || got.FailureCount != scan.FailureCount || !reflect.DeepEqual(got.Failures, scan.Failures) {
+				t.Fatalf("k=%d: stopping sets %+v, scan %+v (graph %v)", k, got, scan, g)
+			}
+			if got.FailureCount != fails || !reflect.DeepEqual(got.Failures, smallest) {
+				t.Fatalf("k=%d: %d failures %v, reference %d %v (graph %v)", k, got.FailureCount, got.Failures, fails, smallest, g)
+			}
+		}
+	})
+}

@@ -41,20 +41,21 @@ func goroutineSettles(t *testing.T, baseline int) {
 	}
 }
 
-// TestWorstCaseCtxCancellation is the issue's acceptance criterion:
-// cancelling a large exhaustive search returns promptly — within one
-// combination-chunk boundary — with ctx.Err(), and the search workers all
-// exit (no goroutine leak).
+// TestWorstCaseCtxCancellation: cancelling a large exhaustive search
+// returns promptly — within one root of the stopping-set search or one
+// chunk of its closure — with ctx.Err(), and the search workers all exit
+// (no goroutine leak).
 func TestWorstCaseCtxCancellation(t *testing.T) {
 	g := ctxTestGraph(t)
 	baseline := runtime.NumGoroutine()
 
-	// MaxK 6 over 96 nodes is ~1e9 combinations: minutes of work, so a
-	// prompt return can only come from the cancellation path.
+	// Through k=9 this graph has about 5,000 stopping sets and 1.7e8
+	// failing 9-sets to close up: many seconds of work, so a prompt return
+	// can only come from the cancellation path.
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := WorstCaseCtx(ctx, g, WorstCaseOptions{MaxK: 6, KeepGoing: true})
+		_, err := WorstCaseCtx(ctx, g, WorstCaseOptions{MaxK: 9, KeepGoing: true})
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the workers spin up and descend
@@ -155,9 +156,11 @@ func TestKernelScanCancellationLeaksNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		// C(96,5) ≈ 6e7 combinations: enough work that a prompt return can
-		// only come from the cancellation path inside ScanRangeCtx.
-		_, err := ExhaustiveKCtx(ctx, g, 5, DefaultMaxFailures, 0)
+		// A 48-pair mirror at k=12: closing up its 48 stopping sets costs
+		// more than the C(96,12) ≈ 1.7e14 patterns, so the cost guard hands
+		// the cardinality to the rank scan, and a prompt return can only
+		// come from the cancellation path inside ScanRangeCtx.
+		_, err := ExhaustiveKCtx(ctx, mirrorGraph(48), 12, DefaultMaxFailures, 0)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)

@@ -15,9 +15,12 @@ import (
 // deterministic plan of Units in ordered groups, a stopping rule that may
 // skip later groups, and a fold of unit results into the job's result.
 // Job.Run is the only loop; its one parameter is the Runner that computes a
-// unit. The in-memory entry points (WorstCaseCtx, FailureProfileCtx,
-// SampleStratifiedCtx) pass a LocalRunner; internal/campaign passes the
-// same LocalRunner wrapped to skip journaled units and journal fresh ones.
+// unit. The in-memory entry points (FailureProfileCtx, SampleStratifiedCtx)
+// pass a LocalRunner; internal/campaign passes the same LocalRunner wrapped
+// to skip journaled units and journal fresh ones. The in-memory worst-case
+// search (WorstCaseCtx, ExhaustiveKCtx) is not a Job: it answers each
+// cardinality from stopping sets (stopping.go) and runs a rank-scan group
+// on the same LocalRunner only where that would cost more.
 
 // Unit is one deterministic piece of certification work, a pure function
 // of its fields. A unit with Trials == 0 scans the revolving-door rank
@@ -191,8 +194,9 @@ func blockUnits(units []Unit, tmpl Unit, trials, blockSize, lo, hi int64) []Unit
 }
 
 // LocalRunner computes units in this process: one CSR for the job, and per
-// worker one scanner and one sampler of each kind, built on first use and
-// re-aimed from unit to unit and cardinality to cardinality.
+// worker one scanner, one stopping-set enumerator (stopping.go) and one
+// sampler of each kind, built on first use and re-aimed from unit to unit
+// and cardinality to cardinality.
 type LocalRunner struct {
 	csr     *decode.CSR
 	workers []localWorker
@@ -200,6 +204,7 @@ type LocalRunner struct {
 
 type localWorker struct {
 	scan   *scanner
+	enum   *decode.StoppingEnumerator
 	stream *streamSampler
 	strat  *StratifiedSampler
 }

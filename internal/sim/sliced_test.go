@@ -234,11 +234,12 @@ func TestSlicedPruningSoundness(t *testing.T) {
 	}
 }
 
-// TestSlicedGoldenTornado96 pins the sliced path against the precompiled
+// TestSlicedGoldenTornado96 pins WorstCaseCtx against the precompiled
 // scalar certification results of the three paper graphs: per-k tested /
 // failure counts, first failure, and the exact critical sets. Graphs 2
 // and 3 first fail at k=4; graph 1 survives to k=5 with 16 critical sets
-// (61M patterns — the sliced kernel's home turf).
+// among 61M patterns. TestStoppingMatchesScan holds the sliced scan to the
+// same answers.
 func TestSlicedGoldenTornado96(t *testing.T) {
 	type pin struct {
 		file         string
@@ -282,9 +283,6 @@ func TestSlicedGoldenTornado96(t *testing.T) {
 	for _, p := range pins {
 		p := p
 		t.Run(p.file, func(t *testing.T) {
-			if p.firstFailure == 5 && testing.Short() {
-				t.Skip("k=5 golden pin (61M patterns) skipped in -short mode")
-			}
 			g, err := graphml.ReadFile("../../precompiled/" + p.file)
 			if err != nil {
 				t.Fatal(err)

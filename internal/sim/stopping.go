@@ -1,0 +1,203 @@
+package sim
+
+import (
+	"cmp"
+	"context"
+	"math/bits"
+	"slices"
+
+	"tornado/internal/combin"
+	"tornado/internal/decode"
+)
+
+// This file answers one cardinality of the in-memory exhaustive search
+// (WorstCaseCtx, ExhaustiveKCtx) without visiting its C(n,k) patterns. A
+// pattern loses data iff it contains a stopping set holding a data node
+// (decode.StoppingEnumerator has the argument), so the failing k-sets are
+// exactly the k-supersets of the minimal failing sets of at most k nodes,
+// and the enumerator lists a superset of those. The rank scan (sliced.go)
+// stays: campaigns shard it (NewWorstCaseJob), the profile's exact points
+// use it, and here it is the fallback when closing the sets up would cost
+// more than scanning — and, in the tests, this path's differential oracle.
+
+// exhaustiveK computes cardinality k's KResult: the stopping sets of at
+// most k nodes, one root data node per block over the runner's workers,
+// merged in root order; then their closure up to k (closeUp), or the rank
+// scan when the closure is over budget. Cancellation is checked once per
+// root and every cancelCheckInterval closure steps.
+func (l *LocalRunner) exhaustiveK(ctx context.Context, k, maxFailures int) (KResult, error) {
+	n := int(l.csr.Total)
+	space, err := rankSpace(n, k)
+	if err != nil {
+		return KResult{}, err
+	}
+	roots := make([][][]int, l.csr.Data)
+	err = forBlocksCtx(ctx, l.Workers(), int64(len(roots)), func(_ context.Context, w int, b int64) error {
+		lw := &l.workers[w]
+		if lw.enum == nil {
+			lw.enum = decode.NewStoppingEnumerator(l.csr)
+		}
+		roots[b] = lw.enum.Root(nil, int(b), k)
+		return nil
+	})
+	if err != nil {
+		return KResult{}, err
+	}
+	kr, ok, err := closeUp(ctx, slices.Concat(roots...), n, k, maxFailures, space)
+	if err != nil || ok {
+		return kr, err
+	}
+	units, err := rankUnits(n, k, maxFailures, l.Workers(), 0)
+	if err != nil {
+		return KResult{}, err
+	}
+	res, err := runGroup(ctx, l, units)
+	if err != nil {
+		return KResult{}, err
+	}
+	return mergeRanges(k, res, maxFailures), nil
+}
+
+// closeUp counts the failing k-sets of an n-node graph from sets, which
+// must contain every minimal failing set of at most k nodes and nothing
+// that does not fail. Each failing k-set is counted once, credited to the
+// first set (by size, then lexicographically) it contains: set i's
+// supersets are enumerated over its complement, and one that contains an
+// earlier set is skipped by a bitmask test. Only the earlier sets that some
+// k-superset of set i can contain — at most k−|S_i| of their nodes outside
+// S_i — are tested, and a set containing an earlier one credits nothing.
+// Every counted set goes through recordFailure, so Failures is the same
+// lexicographically smallest prefix the scan records. There is no
+// per-pattern state.
+//
+// Work is counted in subset tests and visited supersets; when it would
+// pass C(n,k) (space) — many small sets, as on unscreened graphs or
+// mirrors at middle k — closeUp gives up before enumerating anything and
+// reports ok false, and the caller scans instead.
+func closeUp(ctx context.Context, sets [][]int, n, k, maxFailures int, space int64) (kr KResult, ok bool, err error) {
+	slices.SortFunc(sets, func(a, b []int) int { return cmp.Or(len(a)-len(b), slices.Compare(a, b)) })
+	words := (n + 63) / 64
+	masks := make([]uint64, len(sets)*words)
+	maskOf := func(i int) []uint64 { return masks[i*words : (i+1)*words] }
+	for i, s := range sets {
+		m := maskOf(i)
+		for _, v := range s {
+			m[v>>6] |= 1 << (uint(v) & 63)
+		}
+	}
+
+	// Plan, within budget: whether each set credits anything (not when it
+	// contains an earlier set), its candidates, and its superset walk's cost.
+	cands := make([][]int32, len(sets))
+	credits := make([]bool, len(sets))
+	var work int64
+	for i, s := range sets {
+		r := k - len(s)
+		if work += int64(i); work > space {
+			return KResult{}, false, nil
+		}
+		mi := maskOf(i)
+		credits[i] = true
+		for j := 0; j < i && credits[i]; j++ {
+			outside := 0
+			for w, x := range maskOf(j) {
+				outside += bits.OnesCount64(x &^ mi[w])
+			}
+			switch {
+			case outside == 0:
+				credits[i] = false
+			case outside <= r:
+				cands[i] = append(cands[i], int32(j))
+			}
+		}
+		if !credits[i] {
+			continue
+		}
+		sup, _ := combin.BinomialInt64(n-len(s), r) // ≤ space, which fits
+		per := int64(1 + len(cands[i]))
+		if sup > (space-work)/per {
+			return KResult{}, false, nil
+		}
+		work += sup * per
+	}
+
+	kr = KResult{K: k, Tested: space}
+	f := make([]uint64, words)
+	comp := make([]int, 0, n) // nodes outside the current set
+	pos := make([]int, k)     // the superset's extra nodes, as indices into comp
+	failing := make([]int, k)
+	var steps int64
+	for i, s := range sets {
+		if !credits[i] {
+			continue
+		}
+		comp = comp[:0]
+		for v, si := 0, 0; v < n; v++ {
+			if si < len(s) && s[si] == v {
+				si++
+				continue
+			}
+			comp = append(comp, v)
+		}
+		x := pos[:k-len(s)]
+		combin.First(x, len(comp))
+		for {
+			if steps%cancelCheckInterval == 0 && ctx.Err() != nil {
+				return KResult{}, false, ctx.Err()
+			}
+			steps++
+			copy(f, maskOf(i))
+			for _, p := range x {
+				f[comp[p]>>6] |= 1 << (uint(comp[p]) & 63)
+			}
+			if !containsAny(f, masks, words, cands[i]) {
+				kr.FailureCount++
+				if maxFailures > 0 {
+					mergeSorted(failing, s, comp, x)
+					kr.Failures = recordFailure(kr.Failures, failing, maxFailures)
+				}
+			}
+			if !combin.Next(x, len(comp)) {
+				break
+			}
+		}
+	}
+	reg := Metrics()
+	reg.Counter(MetricCombinationsTested).Add(kr.Tested)
+	reg.Counter(MetricFailuresFound).Add(kr.FailureCount)
+	return kr, true, nil
+}
+
+// containsAny reports whether node mask f contains any of the sets cands
+// names in masks (stride words).
+func containsAny(f, masks []uint64, words int, cands []int32) bool {
+	for _, j := range cands {
+		m := masks[int(j)*words : (int(j)+1)*words]
+		inside := true
+		for w, x := range m {
+			if x&^f[w] != 0 {
+				inside = false
+				break
+			}
+		}
+		if inside {
+			return true
+		}
+	}
+	return false
+}
+
+// mergeSorted writes the ascending union of s and comp[x] (disjoint, both
+// ascending) into dst, which has room for exactly both.
+func mergeSorted(dst, s, comp, x []int) {
+	a, b := 0, 0
+	for o := range dst {
+		if b == len(x) || a < len(s) && s[a] < comp[x[b]] {
+			dst[o] = s[a]
+			a++
+		} else {
+			dst[o] = comp[x[b]]
+			b++
+		}
+	}
+}

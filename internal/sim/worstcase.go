@@ -5,12 +5,13 @@
 // each number of offline devices. Both are Jobs (job.go): plans of
 // deterministic units — a contiguous rank range of the combination space,
 // or a fixed block of the trial stream — that one driver fans out over
-// goroutines, each worker owning a private bit-sliced kernel.
+// goroutines, each worker owning a private bit-sliced kernel. In memory,
+// the worst-case search answers a cardinality from the graph's stopping
+// sets instead (stopping.go), with the rank scan as its fallback.
 //
 // Every long-running entry point takes a context (WorstCaseCtx,
 // FailureProfileCtx, SampleStratifiedCtx, OverheadCtx,
-// SimulateLifetimeCtx): workers check cancellation at combination-chunk
-// boundaries.
+// SimulateLifetimeCtx): workers check cancellation between chunks of work.
 package sim
 
 import (
@@ -78,41 +79,45 @@ func (r WorstCaseResult) FailureCountAt(k int) int64 {
 
 // WorstCaseCtx exhaustively searches erasure combinations of increasing
 // cardinality for the graph's worst-case failure scenario (paper §3:
-// "(96 choose 1 lost block) through (96 choose 6)"). Workers observe ctx at
-// combination-chunk boundaries, so cancellation returns (with the
-// cardinalities completed so far and ctx.Err()) within one chunk of
-// decoding work.
+// "(96 choose 1 lost block) through (96 choose 6)"). Each cardinality is
+// answered from the graph's small stopping sets (stopping.go), or by the
+// rank scan where closing them up would cost more than scanning; the result
+// is the same either way, at any worker count. Cancellation returns the
+// cardinalities completed so far and ctx.Err().
 func WorstCaseCtx(ctx context.Context, g *graph.Graph, opts WorstCaseOptions) (WorstCaseResult, error) {
-	j := NewWorstCaseJob(g, opts, 0)
-	err := j.Run(ctx, NewLocalRunner(g, opts.Workers))
-	return *j.WorstCase, err
+	opts = opts.normalize()
+	r := NewLocalRunner(g, opts.Workers)
+	var wc WorstCaseResult
+	for k := 1; k <= opts.MaxK; k++ {
+		kr, err := r.exhaustiveK(ctx, k, opts.MaxFailures)
+		if err != nil {
+			return wc, err
+		}
+		if wc.add(kr, opts.KeepGoing) {
+			break
+		}
+	}
+	return wc, nil
 }
 
 // ExhaustiveKCtx examines every erasure combination of exactly k of the
 // graph's nodes, returning the exact failure count and up to maxFailures
-// recorded failing sets. The rank space is split across workers;
-// cancellation is checked every cancelCheckInterval combinations per
-// worker. The result is bit-identical at any worker count.
+// recorded failing sets, by the same per-cardinality step as WorstCaseCtx.
+// The result is bit-identical at any worker count.
 func ExhaustiveKCtx(ctx context.Context, g *graph.Graph, k, maxFailures, workers int) (KResult, error) {
-	workers = defaultWorkers(workers)
-	j := newExhaustiveJob(g.Total, k, WorstCaseOptions{MaxK: k, MaxFailures: maxFailures, Workers: workers}, 0)
-	if err := j.Run(ctx, NewLocalRunner(g, workers)); err != nil {
-		return KResult{}, err
-	}
-	return j.WorstCase.PerK[0], nil
+	return NewLocalRunner(g, workers).exhaustiveK(ctx, k, maxFailures)
 }
 
-// NewWorstCaseJob plans the worst-case search of g: one group per
-// cardinality 1..MaxK, ascending, each tiled by rankUnits(shardSize). The
-// search stops at the first failing cardinality unless opts.KeepGoing.
+// NewWorstCaseJob plans the worst-case search of g as a rank scan: one group
+// per cardinality 1..MaxK, ascending, each tiled by rankUnits(shardSize).
+// The search stops at the first failing cardinality unless opts.KeepGoing.
+// This is the resumable, shardable form campaigns run; its results equal
+// WorstCaseCtx's.
 func NewWorstCaseJob(g *graph.Graph, opts WorstCaseOptions, shardSize int64) *Job {
-	return newExhaustiveJob(g.Total, 1, opts.normalize(), shardSize)
-}
-
-func newExhaustiveJob(total, minK int, opts WorstCaseOptions, shardSize int64) *Job {
-	j := &Job{total: total, WorstCase: &WorstCaseResult{}}
-	for k := minK; k <= opts.MaxK; k++ {
-		units, err := rankUnits(total, k, opts.MaxFailures, opts.Workers, shardSize)
+	opts = opts.normalize()
+	j := &Job{total: g.Total, WorstCase: &WorstCaseResult{}}
+	for k := 1; k <= opts.MaxK; k++ {
+		units, err := rankUnits(g.Total, k, opts.MaxFailures, opts.Workers, shardSize)
 		if err != nil {
 			j.Err = err
 			break
@@ -120,34 +125,46 @@ func newExhaustiveJob(total, minK int, opts WorstCaseOptions, shardSize int64) *
 		j.Groups = append(j.Groups, units)
 	}
 	j.fold = func(gi int, res []UnitResult) int {
-		kr := KResult{K: j.Groups[gi][0].K}
-		for _, r := range res {
-			kr.Tested += r.Tally.Trials
-			kr.FailureCount += r.Tally.Hits
-			kr.Failures = append(kr.Failures, r.Failures...)
-		}
-		// Each range keeps its lexicographically smallest failures (up to
-		// MaxFailures), so their union contains the global lex-smallest
-		// MaxFailures: sorting then truncating yields a canonical prefix
-		// that is independent of the tiling, the worker count and where a
-		// run was interrupted.
-		slices.SortFunc(kr.Failures, slices.Compare)
-		if len(kr.Failures) > opts.MaxFailures {
-			kr.Failures = kr.Failures[:opts.MaxFailures:opts.MaxFailures]
-		}
-		wc := j.WorstCase
-		wc.PerK = append(wc.PerK, kr)
-		wc.Tested += kr.Tested
-		if kr.FailureCount > 0 && !wc.Found {
-			wc.Found, wc.FirstFailure = true, kr.K
-			if !opts.KeepGoing {
-				j.Err = nil // the cardinalities the plan stops short of are never reached
-				return len(j.Groups)
-			}
+		if j.WorstCase.add(mergeRanges(j.Groups[gi][0].K, res, opts.MaxFailures), opts.KeepGoing) {
+			j.Err = nil // the cardinalities the plan stops short of are never reached
+			return len(j.Groups)
 		}
 		return gi + 1
 	}
 	return j.number()
+}
+
+// add folds the next cardinality into the search and reports whether the
+// search stops there: at the first failing cardinality, unless keepGoing.
+func (wc *WorstCaseResult) add(kr KResult, keepGoing bool) (stop bool) {
+	wc.PerK = append(wc.PerK, kr)
+	wc.Tested += kr.Tested
+	if kr.FailureCount > 0 && !wc.Found {
+		wc.Found, wc.FirstFailure = true, kr.K
+		return !keepGoing
+	}
+	return false
+}
+
+// mergeRanges folds the rank ranges that tile cardinality k into its
+// KResult.
+func mergeRanges(k int, res []UnitResult, maxFailures int) KResult {
+	kr := KResult{K: k}
+	for _, r := range res {
+		kr.Tested += r.Tally.Trials
+		kr.FailureCount += r.Tally.Hits
+		kr.Failures = append(kr.Failures, r.Failures...)
+	}
+	// Each range keeps its lexicographically smallest failures (up to
+	// maxFailures), so their union contains the global lex-smallest
+	// maxFailures: sorting then truncating yields a canonical prefix that is
+	// independent of the tiling, the worker count and where a run was
+	// interrupted.
+	slices.SortFunc(kr.Failures, slices.Compare)
+	if len(kr.Failures) > maxFailures {
+		kr.Failures = kr.Failures[:maxFailures:maxFailures]
+	}
+	return kr
 }
 
 // rankSpace returns C(total, k), or why cardinality k cannot be scanned

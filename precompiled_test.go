@@ -1,6 +1,8 @@
 package tornado_test
 
 import (
+	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -57,6 +59,62 @@ func TestPrecompiledCertificates(t *testing.T) {
 		for _, want := range []string{"seed:", "first-failure:", "k=1:"} {
 			if !strings.Contains(cert, want) {
 				t.Errorf("%s certificate missing %q:\n%s", name, want, cert)
+			}
+		}
+	}
+}
+
+// TestShippedCertsMatchGraphs recomputes every shipped certificate from its
+// graph — what cmd/precompile's certification step writes (-certify 5):
+// edges, average data degree, the k= lines, first failure and the critical
+// sets — and requires the shipped file to say exactly that. It also pins
+// the k=6 failure counts EXPERIMENTS.md reports for the three graphs.
+func TestShippedCertsMatchGraphs(t *testing.T) {
+	k6 := map[string]int64{"tornado96-1": 1503, "tornado96-2": 4764, "tornado96-3": 13587}
+	for _, name := range tornado.PrecompiledNames() {
+		g, err := tornado.LoadPrecompiled(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cert, err := tornado.PrecompiledCertificate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, line := range strings.Split(cert, "\n") {
+			for _, prefix := range []string{"edges:", "avg-data-degree:", "k=", "first-failure:", "critical-set:"} {
+				if strings.HasPrefix(line, prefix) {
+					want = append(want, line)
+				}
+			}
+		}
+		wc, err := tornado.WorstCase(g, tornado.WorstCaseOptions{MaxK: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := []string{fmt.Sprintf("edges: %d", g.EdgeCount()), fmt.Sprintf("avg-data-degree: %.3f", g.AvgDataDegree())}
+		for _, kr := range wc.PerK {
+			got = append(got, fmt.Sprintf("k=%d: %d failures / %d combinations", kr.K, kr.FailureCount, kr.Tested))
+		}
+		if wc.Found {
+			got = append(got, fmt.Sprintf("first-failure: %d", wc.FirstFailure))
+			for _, f := range wc.PerK[len(wc.PerK)-1].Failures {
+				got = append(got, fmt.Sprintf("critical-set: %v", f))
+			}
+		} else {
+			got = append(got, "first-failure: none-found")
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: recomputed certificate\n%s\nshipped\n%s", name, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+
+		if n, ok := k6[name]; ok {
+			wc, err := tornado.WorstCase(g, tornado.WorstCaseOptions{MaxK: 6, KeepGoing: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := wc.PerK[5].FailureCount; got != n {
+				t.Errorf("%s: %d failing 6-sets, want %d", name, got, n)
 			}
 		}
 	}

@@ -164,8 +164,8 @@ func WorstCase(g *Graph, opts WorstCaseOptions) (WorstCaseResult, error) {
 }
 
 // WorstCaseCtx is WorstCase with cancellation: search workers observe ctx
-// at combination-chunk boundaries and a canceled search returns ctx.Err()
-// within one chunk of decoding work.
+// between chunks of work, and a canceled search returns ctx.Err() within
+// one of them.
 func WorstCaseCtx(ctx context.Context, g *Graph, opts WorstCaseOptions) (WorstCaseResult, error) {
 	return sim.WorstCaseCtx(ctx, g, opts)
 }
