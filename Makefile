@@ -20,8 +20,8 @@ test:
 # The site API over HTTP (server, retrying client, the federated store run
 # over them), the simulation workers (including the stratified certification
 # sampler and the screened n=10k archival-scale smoke), the campaign worker pool, the decode/adjust certification loops,
-# the streaming graph construction, the serving layer (hedged reads,
-# admission, the stripe cache's pinned, recycled payloads), the archive's
+# the streaming graph construction, the serving layer (admission, the
+# stripe cache's pinned, recycled payloads), the archive's
 # stripe pipeline (the one place the data path starts goroutines) and its
 # stream adapters, the devices (in-place overwrites, lock-free state), the load
 # generator, the joint-decode federation search, the chaos/WAN injectors,

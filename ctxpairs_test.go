@@ -17,7 +17,7 @@ import (
 // A package not listed carries none. Lower a number when you delete a twin;
 // never raise one.
 var ctxPairCeiling = map[string]int{
-	"internal/archive":    6,
+	"internal/archive":    3,
 	"internal/defect":     4,
 	"internal/adjust":     2,
 	"internal/federation": 1,

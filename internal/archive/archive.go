@@ -264,15 +264,6 @@ func (s *Store) Placement() placement.Placement { return s.place }
 // repairbw.* counters on the metric registry).
 func (s *Store) RepairMeter() *repairbw.Meter { return s.meter }
 
-// RepairPressure is a cheap replica-selection signal: the total repair
-// bytes the read path has moved (degraded-get amplification plus
-// read-repair write-backs). A replica with higher pressure is paying for
-// damage on its reads, so hedged readers prefer a lower-pressure peer. The
-// value is cumulative and monotonic; callers compare replicas, not epochs.
-func (s *Store) RepairPressure() int64 {
-	return s.meter.Totals(repairbw.DegradedGet).Bytes() + s.meter.Totals(repairbw.ReadRepair).Bytes()
-}
-
 // dev maps a logical graph node to the backend device slot serving it.
 func (s *Store) dev(node int) int { return s.nodeDev[node] }
 
@@ -991,12 +982,8 @@ func (s *Store) readRepairStripe(ctx context.Context, sc *stripeScratch, stats *
 	s.meter.Record(repairbw.ReadRepair, bill)
 }
 
-// Delete removes an object and its blocks from all reachable devices.
-func (s *Store) Delete(name string) error {
-	return s.DeleteCtx(context.Background(), name)
-}
-
-// DeleteCtx is Delete with cancellation between block deletions.
+// DeleteCtx removes an object and its blocks from all reachable devices,
+// with cancellation between block deletions.
 func (s *Store) DeleteCtx(ctx context.Context, name string) error {
 	obj, err := s.Stat(name)
 	if err != nil {

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand/v2"
 	"testing"
@@ -153,7 +154,7 @@ func TestDelete(t *testing.T) {
 	if err := s.Put("obj", payload(100, 6)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("obj"); err != nil {
+	if err := s.DeleteCtx(context.Background(), "obj"); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.List()) != 0 {
@@ -162,7 +163,7 @@ func TestDelete(t *testing.T) {
 	if _, _, err := s.Get("obj"); !errors.Is(err, ErrNotFound) {
 		t.Error("object still retrievable")
 	}
-	if err := s.Delete("obj"); !errors.Is(err, ErrNotFound) {
+	if err := s.DeleteCtx(context.Background(), "obj"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double delete = %v", err)
 	}
 	// Devices must no longer hold blocks.

@@ -93,7 +93,7 @@ func BenchmarkPutStreamSequential(b *testing.B) {
 		if _, err := s.PutStream(ctx, "obj", r, WithParallelism(1)); err != nil {
 			b.Fatal(err)
 		}
-		if err := s.Delete("obj"); err != nil {
+		if err := s.DeleteCtx(ctx, "obj"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -122,7 +122,7 @@ func TestPutStreamAllocBudget(t *testing.T) {
 			if _, err := s.PutStream(ctx, "obj", r, WithParallelism(1)); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Delete("obj"); err != nil {
+			if err := s.DeleteCtx(ctx, "obj"); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -40,16 +40,11 @@ func (s *Store) Layout() StripeLayout {
 	}
 }
 
-// ReadBlock returns one checksum-verified block of an object's stripe —
+// ReadBlockCtx returns one checksum-verified block of an object's stripe —
 // the block-level interface the federated stewarding system uses to
 // exchange blocks between sites (§5.3). Corrupt blocks report ErrNotFound
 // (to a remote peer, a rotted block and a missing block are the same).
-func (s *Store) ReadBlock(name string, stripe, node int) ([]byte, error) {
-	return s.ReadBlockCtx(context.Background(), name, stripe, node)
-}
-
-// ReadBlockCtx is ReadBlock with cancellation plumbed through to the
-// backend read and its retry backoff.
+// Cancellation reaches the backend read and its retry backoff.
 func (s *Store) ReadBlockCtx(ctx context.Context, name string, stripe, node int) ([]byte, error) {
 	obj, err := s.Stat(name)
 	if err != nil {
@@ -83,14 +78,9 @@ func (s *Store) ReadBlockCtx(ctx context.Context, name string, stripe, node int)
 	return b, nil
 }
 
-// WriteBlock stores one block of an object's stripe, framed with its
+// WriteBlockCtx stores one block of an object's stripe, framed with its
 // checksum. It is the restore path of the federated exchange: a recovered
-// block is written back to its home device.
-func (s *Store) WriteBlock(name string, stripe, node int, payload []byte) error {
-	return s.WriteBlockCtx(context.Background(), name, stripe, node, payload)
-}
-
-// WriteBlockCtx is WriteBlock with cancellation plumbed through to the
+// block is written back to its home device. Cancellation reaches the
 // backend write and its retry backoff.
 func (s *Store) WriteBlockCtx(ctx context.Context, name string, stripe, node int, payload []byte) error {
 	obj, err := s.Stat(name)

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -112,12 +113,13 @@ func TestScrubReportsCorruption(t *testing.T) {
 }
 
 func TestReadWriteBlock(t *testing.T) {
+	ctx := context.Background()
 	s := testStore(t, Config{BlockSize: 64})
 	data := payload(500, 23)
 	if err := s.Put("obj", data); err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.ReadBlock("obj", 0, 0)
+	b, err := s.ReadBlockCtx(ctx, "obj", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,31 +127,31 @@ func TestReadWriteBlock(t *testing.T) {
 		t.Error("block content wrong")
 	}
 	// Out of range and missing cases.
-	if _, err := s.ReadBlock("obj", 5, 0); !errors.Is(err, ErrNotFound) {
+	if _, err := s.ReadBlockCtx(ctx, "obj", 5, 0); !errors.Is(err, ErrNotFound) {
 		t.Errorf("stripe oob: %v", err)
 	}
-	if _, err := s.ReadBlock("obj", 0, 200); !errors.Is(err, ErrNotFound) {
+	if _, err := s.ReadBlockCtx(ctx, "obj", 0, 200); !errors.Is(err, ErrNotFound) {
 		t.Errorf("node oob: %v", err)
 	}
-	if _, err := s.ReadBlock("nope", 0, 0); !errors.Is(err, ErrNotFound) {
+	if _, err := s.ReadBlockCtx(ctx, "nope", 0, 0); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown object: %v", err)
 	}
 	// A failed device's block is gone.
 	s.Devices()[0].Fail()
-	if _, err := s.ReadBlock("obj", 0, 0); !errors.Is(err, ErrNotFound) {
+	if _, err := s.ReadBlockCtx(ctx, "obj", 0, 0); !errors.Is(err, ErrNotFound) {
 		t.Errorf("failed device: %v", err)
 	}
-	// WriteBlock restores it after replacement.
+	// WriteBlockCtx restores it after replacement.
 	s.Devices()[0].Replace()
-	if err := s.WriteBlock("obj", 0, 0, b); err != nil {
+	if err := s.WriteBlockCtx(ctx, "obj", 0, 0, b); err != nil {
 		t.Fatal(err)
 	}
-	back, err := s.ReadBlock("obj", 0, 0)
+	back, err := s.ReadBlockCtx(ctx, "obj", 0, 0)
 	if err != nil || !bytes.Equal(back, b) {
 		t.Errorf("restored block wrong: %v", err)
 	}
 	// Size validation.
-	if err := s.WriteBlock("obj", 0, 0, []byte("short")); err == nil {
+	if err := s.WriteBlockCtx(ctx, "obj", 0, 0, []byte("short")); err == nil {
 		t.Error("short block accepted")
 	}
 }
@@ -173,6 +175,7 @@ func TestStatAndLayout(t *testing.T) {
 }
 
 func TestPutShell(t *testing.T) {
+	ctx := context.Background()
 	s := testStore(t, Config{BlockSize: 32})
 	if err := s.PutShell("x", 100, 1); err != nil {
 		t.Fatal(err)
@@ -193,7 +196,7 @@ func TestPutShell(t *testing.T) {
 		t.Fatal(err)
 	}
 	for node, b := range blocks {
-		if err := s.WriteBlock("x", 0, node, b); err != nil {
+		if err := s.WriteBlockCtx(ctx, "x", 0, node, b); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -303,7 +303,7 @@ func TestPutInFlightIsInvisible(t *testing.T) {
 		if objs := s.List(); len(objs) != 0 {
 			t.Errorf("par=%d: List mid-Put = %+v; want nothing", par, objs)
 		}
-		if err := s.Delete("obj"); !errors.Is(err, ErrNotFound) {
+		if err := s.DeleteCtx(context.Background(), "obj"); !errors.Is(err, ErrNotFound) {
 			t.Errorf("par=%d: Delete mid-Put: %v", par, err)
 		}
 		if err := s.Put("obj", []byte("usurper")); !errors.Is(err, ErrExists) {

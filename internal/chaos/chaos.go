@@ -97,7 +97,7 @@ type Config struct {
 	// [LatencyMin, LatencyMax] before touching the inner backend. The
 	// stall happens outside the injector mutex and respects the op
 	// context, so slow nodes delay only their own callers. Zero rates
-	// draw no randomness; see also SlowNode for a persistent stall.
+	// draw no randomness.
 	ReadLatencyRate  float64
 	WriteLatencyRate float64
 	LatencyMin       time.Duration // default 1ms when a latency rate is set
@@ -126,7 +126,6 @@ type Injector struct {
 	lost        []bool
 	lostByRate  int
 	flapUntil   []int64
-	slow        []time.Duration  // persistent per-node stall (SlowNode)
 	outstanding map[frameID]bool // frames corrupt at rest, not yet rewritten
 	quiesced    bool
 
@@ -159,7 +158,6 @@ func Wrap(inner archive.Backend, cfg Config) *Injector {
 		rng:         rand.New(rand.NewPCG(cfg.Seed, 0xC4A05)),
 		lost:        make([]bool, inner.Nodes()),
 		flapUntil:   make([]int64, inner.Nodes()),
-		slow:        make([]time.Duration, inner.Nodes()),
 		outstanding: map[frameID]bool{},
 		metrics:     reg,
 		injected:    map[string]*obs.Counter{},
@@ -220,8 +218,8 @@ func (in *Injector) Ops() int64 {
 	return in.ops
 }
 
-// Quiesce stops all new fault injection, ends active flap windows, and
-// clears persistent SlowNode stalls. Already-lost nodes stay lost (the
+// Quiesce stops all new fault injection, including latency stalls, and ends
+// active flap windows. Already-lost nodes stay lost (the
 // loss was permanent) and frames already corrupt at rest stay corrupt — a
 // post-quiesce repair scrub is what heals them, which is exactly what soak
 // campaigns verify.
@@ -231,9 +229,6 @@ func (in *Injector) Quiesce() {
 	in.quiesced = true
 	for i := range in.flapUntil {
 		in.flapUntil[i] = 0
-	}
-	for i := range in.slow {
-		in.slow[i] = 0
 	}
 }
 
@@ -273,23 +268,6 @@ func (in *Injector) FlapNode(node, window int) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.flapLocked(node, window)
-}
-
-// SlowNode installs a persistent per-op stall on node — every read and
-// write of that node sleeps d (respecting the op context) before touching
-// the inner backend. d <= 0 clears the stall. Explicit like LoseNode, it
-// consumes no randomness; Quiesce clears it. This is the slow-replica
-// source for brownout scenarios and hedged-read tests.
-func (in *Injector) SlowNode(node int, d time.Duration) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if d < 0 {
-		d = 0
-	}
-	if d > 0 && in.slow[node] == 0 {
-		in.injected[ClassLatency].Inc()
-	}
-	in.slow[node] = d
 }
 
 // CorruptStored flips one deterministic bit of the stored frame and
@@ -380,7 +358,7 @@ func (in *Injector) ReadInto(ctx context.Context, node int, key []byte, dst []by
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := in.stall(ctx, node, in.cfg.ReadLatencyRate); err != nil {
+	if err := in.stall(ctx, in.cfg.ReadLatencyRate); err != nil {
 		return nil, err
 	}
 	in.mu.Lock()
@@ -452,7 +430,7 @@ func (in *Injector) Write(ctx context.Context, node int, key []byte, data []byte
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := in.stall(ctx, node, in.cfg.WriteLatencyRate); err != nil {
+	if err := in.stall(ctx, in.cfg.WriteLatencyRate); err != nil {
 		return err
 	}
 	in.mu.Lock()
@@ -501,19 +479,18 @@ func (in *Injector) Delete(ctx context.Context, node int, key []byte) error {
 	return in.inner.Delete(ctx, node, key)
 }
 
-// stall applies the injected latency for one op on node: the persistent
-// SlowNode delay plus, when rate rolls, a seeded draw from
-// [LatencyMin, LatencyMax]. The draw happens under the injector mutex (so
-// sequential schedules stay deterministic) but the sleep happens outside
-// it, so one stalled op never blocks the rest of the fault schedule. A
-// cancelled stall returns the context error without touching the inner
-// backend. Zero rates and unset SlowNode make this a no-op that consumes
-// no randomness.
-func (in *Injector) stall(ctx context.Context, node int, rate float64) error {
+// stall applies the injected latency for one op: when rate rolls, a seeded
+// draw from [LatencyMin, LatencyMax]. The draw happens under the injector
+// mutex (so sequential schedules stay deterministic) but the sleep happens
+// outside it, so one stalled op never blocks the rest of the fault
+// schedule. A cancelled stall returns the context error without touching
+// the inner backend. A zero rate makes this a no-op that consumes no
+// randomness.
+func (in *Injector) stall(ctx context.Context, rate float64) error {
 	in.mu.Lock()
-	d := in.slow[node]
+	var d time.Duration
 	if !in.quiesced && in.roll(rate) {
-		d += in.latencyDrawLocked()
+		d = in.latencyDrawLocked()
 		in.injected[ClassLatency].Inc()
 	}
 	in.mu.Unlock()

@@ -10,67 +10,51 @@ import (
 	"tornado/internal/device"
 )
 
-func TestSlowNodeStallsOps(t *testing.T) {
-	devs := device.NewArray(4)
-	inj := Wrap(archive.NewArrayBackend(devs), Config{Seed: 1})
-	key := []byte("k")
-	for node := 0; node < 2; node++ {
-		if err := inj.Write(context.Background(), node, key, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
+// stalledInjector wraps a four-node array whose every read stalls exactly d,
+// with node 0 holding key "k".
+func stalledInjector(t *testing.T, d time.Duration) *Injector {
+	t.Helper()
+	inj := Wrap(archive.NewArrayBackend(device.NewArray(4)), Config{
+		Seed:            1,
+		ReadLatencyRate: 1,
+		LatencyMin:      d,
+		LatencyMax:      d,
+	})
+	if err := inj.Write(context.Background(), 0, []byte("k"), []byte("x")); err != nil {
+		t.Fatal(err)
 	}
-	// A direct backend read of the slowed node must take at least the stall.
-	inj.SlowNode(0, 30*time.Millisecond)
+	return inj
+}
+
+func TestQuiesceEndsStalls(t *testing.T) {
+	inj := stalledInjector(t, 30*time.Millisecond)
+	// A direct backend read must take at least the stall.
 	start := time.Now()
-	if _, err := inj.Read(context.Background(), 0, key); err != nil {
+	if _, err := inj.Read(context.Background(), 0, []byte("k")); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < 30*time.Millisecond {
-		t.Errorf("slowed read took %v, want >= 30ms", d)
+		t.Errorf("stalled read took %v, want >= 30ms", d)
 	}
 	if got := inj.InjectedTotals()[ClassLatency]; got != 1 {
 		t.Errorf("latency injections = %d, want 1", got)
 	}
-	// Other nodes are unaffected (no multi-ms stall).
-	start = time.Now()
-	if _, err := inj.Read(context.Background(), 1, key); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d > 20*time.Millisecond {
-		t.Errorf("unslowed read took %v", d)
-	}
-	// Clearing ends the stall; Quiesce clears too.
-	inj.SlowNode(0, 0)
-	start = time.Now()
-	if _, err := inj.Read(context.Background(), 0, key); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d > 20*time.Millisecond {
-		t.Errorf("cleared node still slow: %v", d)
-	}
-	inj.SlowNode(0, time.Second)
 	inj.Quiesce()
 	start = time.Now()
-	if _, err := inj.Read(context.Background(), 0, key); err != nil {
+	if _, err := inj.Read(context.Background(), 0, []byte("k")); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Errorf("quiesce left node slow: %v", d)
+		t.Errorf("quiesce left reads stalled: %v", d)
 	}
 }
 
-func TestSlowNodeRespectsContext(t *testing.T) {
-	devs := device.NewArray(4)
-	inj := Wrap(archive.NewArrayBackend(devs), Config{Seed: 1})
-	key := []byte("k")
-	if err := inj.Write(context.Background(), 0, key, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	inj.SlowNode(0, 10*time.Second)
+func TestReadLatencyRespectsContext(t *testing.T) {
+	inj := stalledInjector(t, 10*time.Second)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := inj.Read(ctx, 0, key)
+	_, err := inj.Read(ctx, 0, []byte("k"))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,7 +19,7 @@ import (
 //	DELETE /t/{tenant}/objects/{name...}  remove (204)
 //	GET    /t/{tenant}/stat/{name...}     metadata (JSON)
 //	GET    /t/{tenant}/list               tenant's objects (JSON)
-//	GET    /metrics                       serve.* plus every replica's archive.* (JSON)
+//	GET    /metrics                       serve.* plus the store's archive.* (JSON)
 //	GET    /healthz                       liveness
 //
 // Backpressure surfaces as 503 with a Retry-After header; an unknown
@@ -31,13 +32,9 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("DELETE /t/{tenant}/objects/{name...}", s.httpDelete)
 	mux.HandleFunc("GET /t/{tenant}/stat/{name...}", s.httpStat)
 	mux.HandleFunc("GET /t/{tenant}/list", s.httpList)
-	regs := []*obs.Registry{s.metrics}
-	for _, st := range s.stores {
-		regs = append(regs, st.Metrics())
-	}
-	mux.Handle("GET /metrics", obs.MergedHandler(regs...))
+	mux.Handle("GET /metrics", obs.MergedHandler(s.metrics, s.store.Metrics()))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, `{"status":"ok","replicas":%d}`+"\n", len(s.stores))
+		fmt.Fprintln(w, `{"status":"ok"}`)
 	})
 	return mux
 }
@@ -94,7 +91,7 @@ func (s *Service) httpGet(w http.ResponseWriter, r *http.Request) {
 
 // headerOnFirstByte delays Content-Length until the stream actually
 // produces bytes, so a Get that fails before its first stripe (admission
-// shed, dead replicas) still maps to an error status instead of an empty
+// shed, data loss) still maps to an error status instead of an empty
 // 200.
 type headerOnFirstByte struct {
 	w      http.ResponseWriter
@@ -141,4 +138,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
+}
+
+func errIsCtx(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

@@ -1,12 +1,10 @@
 // Package serve is the multi-tenant archive service: a high-throughput
-// front door over one or more archive.Store replicas. It adds the four
-// things the raw store does not have — per-tenant namespaces with
-// admission control (so one tenant's burst cannot starve another),
-// backpressure (bounded queues that shed load with ErrOverloaded instead
-// of collapsing), a bounded hot-stripe read cache that stays coherent with
-// the self-healing data path, and request hedging across replicas (a read
-// stalled on a slow or degraded replica is raced against another copy,
-// and the loser is cancelled).
+// front door over one archive.Store. It adds the three things the raw store
+// does not have — per-tenant namespaces with admission control (so one
+// tenant's burst cannot starve another), backpressure (bounded queues that
+// shed load with ErrOverloaded instead of collapsing), and a bounded
+// hot-stripe read cache that stays coherent with the self-healing data path.
+// Replication across sites is fedstore's job.
 //
 // The data path is streaming and context-first end to end: Put consumes an
 // io.Reader and Get produces into an io.Writer stripe by stripe, so peak
@@ -39,9 +37,6 @@ const (
 	DefaultMaxQueue = 32
 	// DefaultCacheBytes is the hot-stripe read cache budget.
 	DefaultCacheBytes = 8 << 20
-	// DefaultHedgeDelay is how long a stripe read waits on one replica
-	// before hedging to another.
-	DefaultHedgeDelay = 20 * time.Millisecond
 )
 
 var (
@@ -69,13 +64,6 @@ type Config struct {
 	// CacheBytes is the hot-stripe cache budget. 0 means
 	// DefaultCacheBytes, negative disables the cache.
 	CacheBytes int
-	// HedgeDelay is how long a stripe read waits before racing another
-	// replica. 0 means DefaultHedgeDelay, negative disables hedging.
-	// Hedging also requires at least two replicas.
-	HedgeDelay time.Duration
-	// Parallelism is the stripe pipeline width of Put ingest. 0 means
-	// archive.DefaultStreamParallelism.
-	Parallelism int
 	// Metrics receives the service counters (serve.*). Nil gets a private
 	// registry, still readable via Service.Metrics.
 	Metrics *obs.Registry
@@ -94,12 +82,6 @@ func (c Config) normalize() Config {
 	if c.CacheBytes == 0 {
 		c.CacheBytes = DefaultCacheBytes
 	}
-	if c.HedgeDelay == 0 {
-		c.HedgeDelay = DefaultHedgeDelay
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = archive.DefaultStreamParallelism
-	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
 	}
@@ -112,12 +94,11 @@ type tenant struct {
 	queued atomic.Int64  // requests waiting for a slot
 }
 
-// Service fronts archive replicas with tenancy, admission, caching, and
-// hedging. It is safe for concurrent use.
+// Service fronts one archive store with tenancy, admission and caching. It
+// is safe for concurrent use.
 type Service struct {
-	stores    []*archive.Store
-	cfg       Config
-	blockSize int
+	store *archive.Store
+	cfg   Config
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
@@ -130,25 +111,13 @@ type Service struct {
 	mDeletes     *obs.Counter
 	mOverloaded  *obs.Counter
 	mShedCtx     *obs.Counter
-	mHedges      *obs.Counter
-	mHedgeWins   *obs.Counter
 	mRepairBytes *obs.Counter
 	hPutLatency  *obs.Histogram
 	hGetLatency  *obs.Histogram
 }
 
-// New builds a service over stores (replicas of one another: same graph
-// shape and block size, stewarded so each holds every object).
-func New(stores []*archive.Store, cfg Config) (*Service, error) {
-	if len(stores) == 0 {
-		return nil, errors.New("serve: need at least one store")
-	}
-	lay := stores[0].Layout()
-	for i, st := range stores[1:] {
-		if st.Layout() != lay {
-			return nil, fmt.Errorf("serve: replica %d layout %+v differs from replica 0 %+v", i+1, st.Layout(), lay)
-		}
-	}
+// New builds a service over st.
+func New(st *archive.Store, cfg Config) (*Service, error) {
 	cfg = cfg.normalize()
 	for _, tn := range cfg.Tenants {
 		if err := checkTenantName(tn); err != nil {
@@ -156,9 +125,8 @@ func New(stores []*archive.Store, cfg Config) (*Service, error) {
 		}
 	}
 	s := &Service{
-		stores:       stores,
+		store:        st,
 		cfg:          cfg,
-		blockSize:    lay.BlockSize,
 		tenants:      make(map[string]*tenant),
 		metrics:      cfg.Metrics,
 		mPuts:        cfg.Metrics.Counter("serve.puts"),
@@ -166,8 +134,6 @@ func New(stores []*archive.Store, cfg Config) (*Service, error) {
 		mDeletes:     cfg.Metrics.Counter("serve.deletes"),
 		mOverloaded:  cfg.Metrics.Counter("serve.overloaded"),
 		mShedCtx:     cfg.Metrics.Counter("serve.cancelled_waiting"),
-		mHedges:      cfg.Metrics.Counter("serve.hedge.launched"),
-		mHedgeWins:   cfg.Metrics.Counter("serve.hedge.wins"),
 		mRepairBytes: cfg.Metrics.Counter("serve.repair.bytes"),
 		hPutLatency:  cfg.Metrics.Histogram("serve.put.latency"),
 		hGetLatency:  cfg.Metrics.Histogram("serve.get.latency"),
@@ -183,9 +149,6 @@ func New(stores []*archive.Store, cfg Config) (*Service, error) {
 
 // Metrics returns the service registry (serve.* counters and histograms).
 func (s *Service) Metrics() *obs.Registry { return s.metrics }
-
-// Stores returns the replica set (for scrub drivers and tests).
-func (s *Service) Stores() []*archive.Store { return s.stores }
 
 func checkTenantName(tn string) error {
 	if tn == "" || strings.ContainsAny(tn, "\x00/") {
@@ -246,9 +209,8 @@ func (s *Service) admit(ctx context.Context, tn string) (release func(), err err
 	}
 }
 
-// Put ingests an object for a tenant, streaming it to every replica
-// concurrently through bounded pipes. All replicas succeed or the object
-// exists on none (partial replicas are rolled back).
+// Put ingests an object for a tenant, streaming it into the store at
+// archive.DefaultStreamParallelism. A failed Put leaves no object behind.
 func (s *Service) Put(ctx context.Context, tn, name string, r io.Reader) (int, error) {
 	release, err := s.admit(ctx, tn)
 	if err != nil {
@@ -262,63 +224,11 @@ func (s *Service) Put(ctx context.Context, tn, name string, r io.Reader) (int, e
 	if s.cache != nil {
 		defer s.cache.invalidate(k)
 	}
-	if len(s.stores) == 1 {
-		return s.stores[0].PutStream(ctx, k, r, archive.WithParallelism(s.cfg.Parallelism))
-	}
-
-	// Fan the byte stream out to every replica: one pipe per store, all fed
-	// by a single pass over r, so replication costs no extra object-sized
-	// buffering.
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	prs := make([]*io.PipeReader, len(s.stores))
-	pws := make([]io.Writer, len(s.stores))
-	for i := range s.stores {
-		pr, pw := io.Pipe()
-		prs[i], pws[i] = pr, pw
-	}
-	errs := make([]error, len(s.stores))
-	var wg sync.WaitGroup
-	for i, st := range s.stores {
-		wg.Add(1)
-		go func(i int, st *archive.Store) {
-			defer wg.Done()
-			_, errs[i] = st.PutStream(pctx, k, prs[i], archive.WithParallelism(s.cfg.Parallelism))
-			// Unblock the fan-out writer if this replica bailed early.
-			prs[i].CloseWithError(errs[i])
-		}(i, st)
-	}
-	n, copyErr := io.Copy(io.MultiWriter(pws...), r)
-	for i := range pws {
-		pws[i].(*io.PipeWriter).CloseWithError(copyErr)
-	}
-	wg.Wait()
-	var firstErr error
-	if copyErr != nil {
-		firstErr = fmt.Errorf("serve: put %q: %w", name, copyErr)
-	}
-	for _, e := range errs {
-		if e != nil && firstErr == nil {
-			firstErr = e
-		}
-	}
-	if firstErr != nil {
-		// All-or-nothing across replicas: PutStream rolled back its own
-		// failures; remove the copies that succeeded. The cleanup must
-		// survive the (possibly cancelled) request context.
-		dctx := context.WithoutCancel(ctx)
-		for i, e := range errs {
-			if e == nil {
-				_ = s.stores[i].DeleteCtx(dctx, k)
-			}
-		}
-		return 0, firstErr
-	}
-	return int(n), nil
+	return s.store.PutStream(ctx, k, r)
 }
 
 // Get streams an object to w stripe by stripe, serving hot stripes from
-// the cache and hedging cold reads across replicas.
+// the cache and decoding the rest from the store.
 func (s *Service) Get(ctx context.Context, tn, name string, w io.Writer) (int, error) {
 	release, err := s.admit(ctx, tn)
 	if err != nil {
@@ -329,11 +239,11 @@ func (s *Service) Get(ctx context.Context, tn, name string, w io.Writer) (int, e
 	defer func() { s.hGetLatency.Observe(time.Since(start)) }()
 	s.mGets.Inc()
 	k := key(tn, name)
-	obj, err := s.stores[0].Stat(k)
+	obj, err := s.store.Stat(k)
 	if err != nil {
 		return 0, err
 	}
-	lay := s.stores[0].Layout()
+	lay := s.store.Layout()
 	written := 0
 	for st := 0; st < obj.Stripes; st++ {
 		if err := ctx.Err(); err != nil {
@@ -371,7 +281,7 @@ func (s *Service) stripe(ctx context.Context, k string, st, size int) ([]byte, *
 		}
 		dst = s.cache.take(size)
 	}
-	payload, stats, err := s.readStripeHedged(ctx, k, st, dst)
+	payload, stats, err := s.store.ReadStripeInto(ctx, k, st, dst)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -387,7 +297,7 @@ func (s *Service) stripe(ctx context.Context, k string, st, size int) ([]byte, *
 	return payload, s.cache.add(k, st, payload), nil
 }
 
-// Delete removes a tenant's object from every replica.
+// Delete removes a tenant's object.
 func (s *Service) Delete(ctx context.Context, tn, name string) error {
 	release, err := s.admit(ctx, tn)
 	if err != nil {
@@ -399,13 +309,7 @@ func (s *Service) Delete(ctx context.Context, tn, name string) error {
 	if s.cache != nil {
 		s.cache.invalidate(k)
 	}
-	var firstErr error
-	for _, st := range s.stores {
-		if err := st.DeleteCtx(ctx, k); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return s.store.DeleteCtx(ctx, k)
 }
 
 // Stat returns a tenant's object metadata (Name is the tenant-relative
@@ -414,7 +318,7 @@ func (s *Service) Stat(ctx context.Context, tn, name string) (archive.Object, er
 	if _, err := s.tenantFor(tn); err != nil {
 		return archive.Object{}, err
 	}
-	obj, err := s.stores[0].Stat(key(tn, name))
+	obj, err := s.store.Stat(key(tn, name))
 	if err != nil {
 		return archive.Object{}, err
 	}
@@ -429,7 +333,7 @@ func (s *Service) List(tn string) ([]archive.Object, error) {
 	}
 	prefix := tn + "\x00"
 	var out []archive.Object
-	for _, obj := range s.stores[0].List() {
+	for _, obj := range s.store.List() {
 		if strings.HasPrefix(obj.Name, prefix) {
 			obj.Name = obj.Name[len(prefix):]
 			out = append(out, obj)

@@ -23,7 +23,7 @@ import (
 	"tornado/internal/obs"
 )
 
-// testGraph builds one graph; replicas share it so layouts match.
+// testGraph builds the graph every test store uses.
 func testGraph(t testing.TB) *graph.Graph {
 	t.Helper()
 	g, _, err := core.Generate(core.DefaultParams(), rand.New(rand.NewPCG(77, 1)))
@@ -33,23 +33,24 @@ func testGraph(t testing.TB) *graph.Graph {
 	return g
 }
 
-// testService builds a service over n array-backed replicas.
-func testService(t testing.TB, n int, cfg Config) (*Service, []*archive.Store) {
+// testService builds a service over one array-backed store and returns the
+// store as a one-element slice, the form the cache tests index; stores must
+// be 1.
+func testService(t testing.TB, stores int, cfg Config) (*Service, []*archive.Store) {
 	t.Helper()
-	g := testGraph(t)
-	stores := make([]*archive.Store, n)
-	for i := range stores {
-		s, err := archive.New(g, device.NewArray(g.Total), archive.Config{BlockSize: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores[i] = s
+	if stores != 1 {
+		t.Fatalf("a service fronts one store, not %d", stores)
 	}
-	svc, err := New(stores, cfg)
+	g := testGraph(t)
+	st, err := archive.New(g, device.NewArray(g.Total), archive.Config{BlockSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return svc, stores
+	svc, err := New(st, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc, []*archive.Store{st}
 }
 
 func testPayload(n int, seed uint64) []byte {
@@ -194,7 +195,7 @@ func TestAdmissionBackpressure(t *testing.T) {
 }
 
 // blockingBackend parks every read until the request context dies,
-// modeling a wedged replica; Writes pass through so Puts replicate.
+// modeling a wedged store; Writes pass through so Puts land.
 type blockingBackend struct {
 	archive.Backend
 	mu      sync.Mutex
@@ -215,54 +216,8 @@ func (b *blockingBackend) blockedReads() int {
 	return b.blocked
 }
 
-// TestHedgingMasksSlowReplica: replica 0 wedges on read; the hedge races
-// replica 1 and the Get succeeds bit-exact. The loser's read is cancelled
-// — no goroutine may outlive the request.
-func TestHedgingMasksSlowReplica(t *testing.T) {
-	g := testGraph(t)
-	slow := &blockingBackend{Backend: archive.NewArrayBackend(device.NewArray(g.Total))}
-	s0, err := archive.NewWithBackend(g, slow, archive.Config{BlockSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := archive.New(g, device.NewArray(g.Total), archive.Config{BlockSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := New([]*archive.Store{s0, s1}, Config{HedgeDelay: time.Millisecond, CacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	data := testPayload(4*s0.Layout().StripeCapacity, 4)
-	if _, err := svc.Put(ctx, "t", "obj", bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
-	}
-
-	before := runtime.NumGoroutine()
-	var buf bytes.Buffer
-	if _, err := svc.Get(ctx, "t", "obj", &buf); err != nil {
-		t.Fatalf("hedged Get: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), data) {
-		t.Fatal("hedged Get returned wrong bytes")
-	}
-	if slow.blockedReads() == 0 {
-		t.Error("slow replica never consulted; hedge test proves nothing")
-	}
-	if svc.metrics.Counter("serve.hedge.launched").Value() == 0 {
-		t.Error("no hedges launched")
-	}
-	if svc.metrics.Counter("serve.hedge.wins").Value() == 0 {
-		t.Error("no hedge wins recorded against a wedged primary")
-	}
-	// Losers must drain: the wedged reads were cancelled when the winners
-	// returned, so the goroutine count returns to (about) the baseline.
-	expectNoGoroutineLeak(t, before)
-}
-
 // expectNoGoroutineLeak waits for the goroutine count to fall back to the
-// baseline taken before a hedged Get, and reports a leak if it does not.
+// baseline taken before a Get, and reports a leak if it does not.
 func expectNoGoroutineLeak(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -270,31 +225,25 @@ func expectNoGoroutineLeak(t *testing.T, before int) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > before {
-		t.Errorf("goroutine leak after hedged Get: %d > %d", n, before)
+		t.Errorf("goroutine leak after Get: %d > %d", n, before)
 	}
 }
 
-// TestHedgingAllStalledCallerCancel: every replica wedges and the caller
-// gives up. The Get returns the caller's ctx.Err() — not a hang, not a
-// replica's error — and every hedged read drains into the buffered results
-// channel: no goroutine outlives the request.
-func TestHedgingAllStalledCallerCancel(t *testing.T) {
+// TestGetStalledCallerCancel: the store wedges on read and the caller gives
+// up. The Get returns the caller's ctx.Err() promptly — not a hang — and no
+// goroutine outlives the request.
+func TestGetStalledCallerCancel(t *testing.T) {
 	g := testGraph(t)
-	var stalled []*blockingBackend
-	var stores []*archive.Store
-	for range 2 {
-		b := &blockingBackend{Backend: archive.NewArrayBackend(device.NewArray(g.Total))}
-		st, err := archive.NewWithBackend(g, b, archive.Config{BlockSize: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stalled, stores = append(stalled, b), append(stores, st)
-	}
-	svc, err := New(stores, Config{HedgeDelay: time.Millisecond, CacheBytes: -1})
+	stalled := &blockingBackend{Backend: archive.NewArrayBackend(device.NewArray(g.Total))}
+	st, err := archive.NewWithBackend(g, stalled, archive.Config{BlockSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := testPayload(2*stores[0].Layout().StripeCapacity, 9)
+	svc, err := New(st, Config{CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := testPayload(2*st.Layout().StripeCapacity, 9)
 	if _, err := svc.Put(context.Background(), "t", "obj", bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
@@ -307,16 +256,14 @@ func TestHedgingAllStalledCallerCancel(t *testing.T) {
 		_, err := svc.Get(ctx, "t", "obj", io.Discard)
 		done <- err
 	}()
-	for _, b := range stalled { // primary and hedge are both parked in a read
-		for b.blockedReads() == 0 {
-			time.Sleep(time.Millisecond)
-		}
+	for stalled.blockedReads() == 0 {
+		time.Sleep(time.Millisecond)
 	}
 	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("Get with every replica stalled and the caller gone: %v, want %v", err, context.Canceled)
+			t.Errorf("Get with the store stalled and the caller gone: %v, want %v", err, context.Canceled)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Get hung after the caller cancelled")
@@ -324,81 +271,30 @@ func TestHedgingAllStalledCallerCancel(t *testing.T) {
 	expectNoGoroutineLeak(t, before)
 }
 
-// TestHedgingMasksDegradedReplica: replica 0 has lost too many devices to
-// reconstruct; the error hedges immediately to replica 1.
-func TestHedgingMasksDegradedReplica(t *testing.T) {
-	svc, stores := testService(t, 2, Config{HedgeDelay: time.Hour, CacheBytes: -1})
+// TestGetDeadStoreIsDataLoss: a store whose devices have all failed reports
+// the loss — ErrDataLoss from Get, 410 Gone over HTTP — never empty success.
+func TestGetDeadStoreIsDataLoss(t *testing.T) {
+	svc, stores := testService(t, 1, Config{})
 	ctx := context.Background()
-	data := testPayload(3000, 5)
-	if _, err := svc.Put(ctx, "t", "obj", bytes.NewReader(data)); err != nil {
+	if _, err := svc.Put(ctx, "t", "obj", bytes.NewReader(testPayload(3000, 5))); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range stores[0].Devices() {
-		d.Fail() // replica 0 is a total loss
-	}
-	var buf bytes.Buffer
-	if _, err := svc.Get(ctx, "t", "obj", &buf); err != nil {
-		t.Fatalf("Get with dead primary: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), data) {
-		t.Fatal("failover returned wrong bytes")
-	}
-	// With every replica dead, the real error surfaces.
-	for _, d := range stores[1].Devices() {
 		d.Fail()
 	}
-	svc2, err := New(stores, Config{HedgeDelay: time.Millisecond, CacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf2 bytes.Buffer
-	if _, err := svc2.Get(ctx, "t", "obj", &buf2); !errors.Is(err, archive.ErrDataLoss) {
-		t.Errorf("all-replicas-dead Get: %v", err)
-	}
-}
-
-// TestHedgingMasksChaosSlowNode: replica 0 is slow rather than wedged —
-// every node stalls via the chaos injector's latency fault — and the hedge
-// still wins within the fast replica's latency, not the slow one's.
-func TestHedgingMasksChaosSlowNode(t *testing.T) {
-	g := testGraph(t)
-	inj := chaos.Wrap(archive.NewArrayBackend(device.NewArray(g.Total)), chaos.Config{Seed: 3})
-	s0, err := archive.NewWithBackend(g, inj, archive.Config{BlockSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := archive.New(g, device.NewArray(g.Total), archive.Config{BlockSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := New([]*archive.Store{s0, s1}, Config{HedgeDelay: time.Millisecond, CacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	data := testPayload(2*s0.Layout().StripeCapacity, 6)
-	if _, err := svc.Put(ctx, "t", "obj", bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
-	}
-	// Slow every node after the Put so only reads stall. A non-hedged read
-	// of the slow replica would pay the stall once per block — seconds —
-	// while the hedge should answer within the healthy replica's time.
-	for node := 0; node < g.Total; node++ {
-		inj.SlowNode(node, 2*time.Second)
-	}
-	start := time.Now()
 	var buf bytes.Buffer
-	if _, err := svc.Get(ctx, "t", "obj", &buf); err != nil {
-		t.Fatalf("hedged Get over slow replica: %v", err)
+	if _, err := svc.Get(ctx, "t", "obj", &buf); !errors.Is(err, archive.ErrDataLoss) {
+		t.Errorf("Get from a dead store: %v, want %v", err, archive.ErrDataLoss)
 	}
-	if !bytes.Equal(buf.Bytes(), data) {
-		t.Fatal("hedged Get returned wrong bytes")
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/t/t/objects/obj")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d := time.Since(start); d > time.Second {
-		t.Errorf("hedged Get took %v — the slow replica's stall leaked into the request", d)
-	}
-	if svc.metrics.Counter("serve.hedge.launched").Value() == 0 {
-		t.Error("no hedges launched against the slow replica")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone {
+		t.Errorf("HTTP GET from a dead store = %d, want %d", resp.StatusCode, http.StatusGone)
 	}
 }
 
@@ -413,7 +309,7 @@ func TestCacheCoherence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New([]*archive.Store{st}, Config{})
+	svc, err := New(st, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +378,7 @@ func TestCacheBudget(t *testing.T) {
 // TestHTTPEndToEnd drives the full handler over httptest: round trip,
 // status mapping, tenant scoping, metrics.
 func TestHTTPEndToEnd(t *testing.T) {
-	svc, _ := testService(t, 2, Config{HedgeDelay: time.Millisecond})
+	svc, _ := testService(t, 1, Config{})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	client := srv.Client()
@@ -610,7 +506,7 @@ func TestServeChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New([]*archive.Store{st}, Config{CacheBytes: 64 << 10})
+	svc, err := New(st, Config{CacheBytes: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,23 +567,5 @@ func TestServeChaosSoak(t *testing.T) {
 		} else if !bytes.Equal(buf.Bytes(), want[i]) {
 			t.Errorf("obj%d bytes differ after quiesce", i)
 		}
-	}
-}
-
-// TestReplicatedPutAllOrNothing: when one replica cannot take the object,
-// no replica keeps it.
-func TestReplicatedPutAllOrNothing(t *testing.T) {
-	svc, stores := testService(t, 2, Config{})
-	ctx := context.Background()
-	// Poison replica 1 with a colliding raw key so its PutStream fails
-	// with ErrExists while replica 0 succeeds.
-	if err := stores[1].Put("t\x00obj", []byte("squatter")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Put(ctx, "t", "obj", bytes.NewReader(testPayload(3000, 10))); err == nil {
-		t.Fatal("replicated put succeeded with a failing replica")
-	}
-	if _, err := stores[0].Stat("t\x00obj"); !errors.Is(err, archive.ErrNotFound) {
-		t.Errorf("replica 0 kept a partial object: %v", err)
 	}
 }

@@ -95,7 +95,7 @@ func TestRunLoadUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := serve.New([]*archive.Store{st}, serve.Config{CacheBytes: 32 << 10})
+	svc, err := serve.New(st, serve.Config{CacheBytes: 32 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestRunLoadCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := serve.New([]*archive.Store{st}, serve.Config{})
+	svc, err := serve.New(st, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package tornado
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math/rand/v2"
 
@@ -65,9 +66,9 @@ type (
 	SoakReport = soak.Report
 	// StreamOption tunes PutStream/GetStream (e.g. WithStreamParallelism).
 	StreamOption = archive.StreamOption
-	// ServeService is the multi-tenant archive front door: per-tenant
-	// namespaces and admission control, a bounded hot-stripe cache wired to
-	// read-repair, and request hedging across replica stores.
+	// ServeService is the multi-tenant front door over one Archive:
+	// per-tenant namespaces and admission control, and a bounded hot-stripe
+	// cache wired to read-repair. Replication is a FederatedStore's job.
 	ServeService = serve.Service
 	// ServeConfig tunes the serving layer; zero values take the exported
 	// serve defaults.
@@ -111,10 +112,13 @@ const (
 // concurrent stripes — peak memory is O(n × stripe), never O(object).
 func WithStreamParallelism(n int) StreamOption { return archive.WithParallelism(n) }
 
-// NewService fronts one or more replica archives (identical layouts) with
-// the multi-tenant serving layer.
+// NewService fronts one archive with the multi-tenant serving layer; stores
+// must hold exactly one. To replicate across sites, use NewFederatedStore.
 func NewService(stores []*Archive, cfg ServeConfig) (*ServeService, error) {
-	return serve.New(stores, cfg)
+	if len(stores) != 1 {
+		return nil, fmt.Errorf("tornado: NewService fronts one archive, got %d; replicate with NewFederatedStore", len(stores))
+	}
+	return serve.New(stores[0], cfg)
 }
 
 // RunLoad drives a deterministic Zipf read/write load against a

@@ -147,6 +147,39 @@ func TestPublicArchiveFlow(t *testing.T) {
 	}
 }
 
+// TestPublicService: NewService fronts exactly one archive — a Put/Get
+// round-trips through it, and zero or two archives are refused.
+func TestPublicService(t *testing.T) {
+	g, _, err := tornado.Generate(tornado.DefaultParams(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	archives := make([]*tornado.Archive, 2)
+	for i := range archives {
+		if archives[i], err = tornado.NewArchive(g, tornado.NewDevices(g.Total), tornado.ArchiveConfig{BlockSize: 32}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, stores := range [][]*tornado.Archive{nil, archives} {
+		if _, err := tornado.NewService(stores, tornado.ServeConfig{}); err == nil {
+			t.Errorf("NewService over %d archives succeeded", len(stores))
+		}
+	}
+	svc, err := tornado.NewService(archives[:1], tornado.ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	data := bytes.Repeat([]byte{0x3C, 0x96}, 900)
+	if _, err := svc.Put(ctx, "tenant", "doc", bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if _, err := svc.Get(ctx, "tenant", "doc", &got); err != nil || !bytes.Equal(got.Bytes(), data) {
+		t.Fatalf("service round trip: %v", err)
+	}
+}
+
 func TestPublicFederation(t *testing.T) {
 	gA := tornado.MirroredGraph(4)
 	gB := tornado.MirroredGraph(4)
