@@ -68,19 +68,22 @@ bench-api:
 
 check: vet build test bench-api race fuzz
 
-# smoke runs a small end-to-end campaign under the race detector: fresh
-# run, cache-served rerun, status — the moving parts CI should exercise
-# beyond unit tests. A sampled certification on a streamed n=2000 graph
-# then drives the stratified sampler and its stopping rule through the
-# same journaled pipeline, and a profile whose trial budget its blocks do
-# not divide runs twice: the second must be served from the cache. One
+# smoke runs a small end-to-end campaign under the race detector: the
+# paper's search on tornado96-1 to k=6 (seconds from stopping sets; a
+# campaign that slid back to the rank scan would take minutes and time the
+# step out), a cache-served rerun, status — the moving parts CI should
+# exercise beyond unit tests. A sampled certification on a streamed n=2000
+# graph then drives the stratified sampler and its stopping rule through
+# the same journaled pipeline, and a profile whose trial budget its blocks
+# do not divide runs twice: the second must be served from the cache. One
 # shell, so a failing step still cleans up.
 smoke:
 	set -e; d=$$(mktemp -d /tmp/tornado-smoke.XXXXXX); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) run -race ./cmd/campaign run -dir $$d/camp -cache $$d/cache \
-		-kind worstcase -seed 2006 -maxk 3 -quiet; \
+		-kind worstcase -graph precompiled/tornado96-1.graphml -maxk 6 -keepgoing -quiet 2>&1 | tee $$d/camp.log; \
+	grep -q 'k=6: 1503 failures' $$d/camp.log; \
 	$(GO) run -race ./cmd/campaign run -dir $$d/camp2 -cache $$d/cache \
-		-kind worstcase -seed 2006 -maxk 3 -quiet; \
+		-kind worstcase -graph precompiled/tornado96-1.graphml -maxk 6 -keepgoing -quiet; \
 	$(GO) run -race ./cmd/campaign status -dir $$d/camp; \
 	$(GO) run -race ./cmd/campaign run -dir $$d/cert -cache $$d/cache \
 		-kind sampled -seed 2006 -nodes 2000 -mink 5 -maxk 5 -epsilon 1e-3 -quiet; \

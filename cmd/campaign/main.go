@@ -7,6 +7,7 @@
 // Usage:
 //
 //	campaign run -dir wc96 -kind worstcase -seed 2006 -maxk 5
+//	campaign run -dir wc7 -kind worstcase -graph precompiled/tornado96-1.graphml -maxk 7 -keepgoing -failures 16
 //	campaign run -dir prof96 -kind profile -graph graph3.graphml -trials 100000
 //	campaign run -dir cert10k -kind sampled -graph big.graphml -mink 5 -maxk 5 -epsilon 1e-4
 //	campaign resume -dir wc96
@@ -51,12 +52,12 @@ func main() {
 		adjustK   = fs.Int("adjust", 0, "adjust the generated graph to tolerate this cardinality first")
 		maxK      = fs.Int("maxk", 0, "largest erasure cardinality examined")
 		keepGoing = fs.Bool("keepgoing", false, "worstcase: search all cardinalities past the first failure")
-		failures  = fs.Int("failures", 0, "worstcase: failing sets recorded per cardinality")
+		failures  = fs.Int("failures", 0, "worstcase/sampled: failing sets recorded per cardinality (worstcase prints them)")
 		trials    = fs.Int64("trials", 0, "profile/sampled: Monte Carlo trial budget per offline-node count")
 		mcSeed    = fs.Uint64("mcseed", 2006, "profile/sampled: sampling seed")
 		minK      = fs.Int("mink", 0, "profile/sampled: smallest erasure cardinality examined")
 		epsilon   = fs.Float64("epsilon", 0, "sampled: stop once the 95% CI half-width reaches this (negative runs the full budget)")
-		shardSize = fs.Int64("shardsize", 0, "combinations/trials per checkpoint shard")
+		shardSize = fs.Int64("shardsize", 0, "profile/sampled: trials per checkpoint shard")
 		quiet     = fs.Bool("quiet", false, "suppress per-shard progress lines")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -118,7 +119,7 @@ func main() {
 			}
 			log.Fatal(err)
 		}
-		report(res, time.Since(start))
+		report(res, time.Since(start), *failures)
 
 	case "resume":
 		start := time.Now()
@@ -129,7 +130,7 @@ func main() {
 			}
 			log.Fatal(err)
 		}
-		report(res, time.Since(start))
+		report(res, time.Since(start), *failures)
 
 	case "status":
 		st, err := tornado.CampaignProgress(*dir)
@@ -183,7 +184,9 @@ func loadGraph(path string, seed uint64, nodes, adjustK int) *tornado.Graph {
 	return g
 }
 
-func report(res *tornado.CampaignResult, elapsed time.Duration) {
+// report prints the result; a worst-case search also prints up to
+// printFailures of each cardinality's recorded failing sets.
+func report(res *tornado.CampaignResult, elapsed time.Duration, printFailures int) {
 	if res.Cached {
 		log.Printf("served from cache (fingerprint %.12s…)", res.Fingerprint)
 	}
@@ -191,6 +194,9 @@ func report(res *tornado.CampaignResult, elapsed time.Duration) {
 	case res.WorstCase != nil:
 		for _, kr := range res.WorstCase.PerK {
 			fmt.Printf("k=%d: %d failures / %d combinations\n", kr.K, kr.FailureCount, kr.Tested)
+			for _, f := range kr.Failures[:min(printFailures, len(kr.Failures))] {
+				fmt.Printf("  failing set: %v\n", f)
+			}
 		}
 		if res.WorstCase.Found {
 			fmt.Printf("worst case failure scenario: %d lost nodes\n", res.WorstCase.FirstFailure)
@@ -209,5 +215,6 @@ func report(res *tornado.CampaignResult, elapsed time.Duration) {
 				sr.K, sr.Estimate(), lo, hi, sr.Tally.Trials, 100*sr.ScreenRate(), len(sr.Rounds))
 		}
 	}
-	fmt.Printf("%d combinations+trials evaluated in %v\n", res.WorkDone, elapsed.Round(time.Millisecond))
+	fmt.Printf("%d combinations+trials evaluated in %v (%.0f/s)\n",
+		res.WorkDone, elapsed.Round(time.Millisecond), float64(res.WorkDone)/elapsed.Seconds())
 }

@@ -18,7 +18,6 @@ import (
 // never raise one.
 var ctxPairCeiling = map[string]int{
 	"internal/archive":    3,
-	"internal/defect":     4,
 	"internal/adjust":     2,
 	"internal/federation": 1,
 	"internal/chaos/soak": 1,

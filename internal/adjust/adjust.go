@@ -89,7 +89,10 @@ func clearK(ctx context.Context, g *graph.Graph, kr sim.KResult, opts Options, r
 	var lineage []Rewire
 
 	for round := 0; kr.FailureCount > 0 && round < opts.MaxRounds; round++ {
-		rw, ok := pickRewire(work, kr.Failures, rng)
+		rw, ok, err := pickRewire(ctx, work, kr.Failures, rng)
+		if err != nil {
+			return nil, rep, err
+		}
 		if !ok {
 			break // insufficient replacement candidates (paper §3.3)
 		}
@@ -172,10 +175,11 @@ func ImproveCtx(ctx context.Context, g *graph.Graph, maxK int, opts Options, rng
 // the data node appearing in the most failure sets is the target; among the
 // target's checks, the one most implicated in failures is dropped; the
 // replacement is a check in the same level that is involved in no failure
-// set and not already a neighbor, preferring low degree.
-func pickRewire(g *graph.Graph, failures [][]int, rng *rand.Rand) (Rewire, bool) {
+// set and not already a neighbor, preferring low degree. The error is the
+// candidate screen's: only cancellation.
+func pickRewire(ctx context.Context, g *graph.Graph, failures [][]int, rng *rand.Rand) (Rewire, bool, error) {
 	if len(failures) == 0 {
-		return Rewire{}, false
+		return Rewire{}, false, nil
 	}
 	// Frequency of data nodes across failure sets, and the set of involved
 	// checks (erased checks plus checks of erased data nodes).
@@ -194,7 +198,7 @@ func pickRewire(g *graph.Graph, failures [][]int, rng *rand.Rand) (Rewire, bool)
 		}
 	}
 	if len(dataFreq) == 0 {
-		return Rewire{}, false
+		return Rewire{}, false, nil
 	}
 	target, bestFreq := -1, 0
 	for v, c := range dataFreq {
@@ -228,7 +232,7 @@ func pickRewire(g *graph.Graph, failures [][]int, rng *rand.Rand) (Rewire, bool)
 		}
 	}
 	if from < 0 {
-		return Rewire{}, false
+		return Rewire{}, false, nil
 	}
 
 	// Replacement candidates: same level, uninvolved, not already adjacent.
@@ -242,7 +246,7 @@ func pickRewire(g *graph.Graph, failures [][]int, rng *rand.Rand) (Rewire, bool)
 		cands = append(cands, r)
 	}
 	if len(cands) == 0 || g.RightDegree(from) <= 1 {
-		return Rewire{}, false
+		return Rewire{}, false, nil
 	}
 	to := cands[rng.IntN(len(cands))]
 	for _, r := range cands {
@@ -258,7 +262,10 @@ func pickRewire(g *graph.Graph, failures [][]int, rng *rand.Rand) (Rewire, bool)
 	// preferred candidate goes first, the rest in ascending degree; when
 	// every candidate introduces a defect, fall back to the preferred one —
 	// the graph may already carry the defect this rewire is meant to fix.
-	before := defect.ScanDataLevel(g, rewireScreenSize)
+	before, err := defect.ScanDataLevelCtx(ctx, g, rewireScreenSize, 0)
+	if err != nil {
+		return Rewire{}, false, err
+	}
 	rest := make([]int, 0, len(cands)-1)
 	for _, r := range cands {
 		if r != to {
@@ -268,13 +275,16 @@ func pickRewire(g *graph.Graph, failures [][]int, rng *rand.Rand) (Rewire, bool)
 	slices.SortStableFunc(rest, func(a, b int) int { return g.RightDegree(a) - g.RightDegree(b) })
 	for _, cand := range append([]int{to}, rest...) {
 		g.RewireEdge(target, from, cand)
-		bad := introducesNewDefect(g, before)
+		bad, err := introducesNewDefect(ctx, g, before)
 		g.RewireEdge(target, cand, from)
+		if err != nil {
+			return Rewire{}, false, err
+		}
 		if !bad {
-			return Rewire{Left: target, From: from, To: cand}, true
+			return Rewire{Left: target, From: from, To: cand}, true, nil
 		}
 	}
-	return Rewire{Left: target, From: from, To: to}, true
+	return Rewire{Left: target, From: from, To: to}, true, nil
 }
 
 // rewireScreenSize bounds the closed-set screen applied to replacement
@@ -283,8 +293,12 @@ const rewireScreenSize = 3
 
 // introducesNewDefect reports whether g (with a rewire tentatively applied)
 // has a data-level closed set that was not present before the rewire.
-func introducesNewDefect(g *graph.Graph, before []defect.Finding) bool {
-	for _, f := range defect.ScanDataLevel(g, rewireScreenSize) {
+func introducesNewDefect(ctx context.Context, g *graph.Graph, before []defect.Finding) (bool, error) {
+	after, err := defect.ScanDataLevelCtx(ctx, g, rewireScreenSize, 0)
+	if err != nil {
+		return false, err
+	}
+	for _, f := range after {
 		known := false
 		for _, b := range before {
 			if slices.Equal(f.Lefts, b.Lefts) {
@@ -293,10 +307,10 @@ func introducesNewDefect(g *graph.Graph, before []defect.Finding) bool {
 			}
 		}
 		if !known {
-			return true
+			return true, nil
 		}
 	}
-	return false
+	return false, nil
 }
 
 func contains(xs []int, v int) bool {

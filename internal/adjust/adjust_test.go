@@ -132,7 +132,7 @@ func TestImproveOnScreenedTornado(t *testing.T) {
 
 func TestPickRewireNoFailures(t *testing.T) {
 	g := defectivePair(t)
-	if _, ok := pickRewire(g, nil, rand.New(rand.NewPCG(1, 2))); ok {
+	if _, ok, _ := pickRewire(t.Context(), g, nil, rand.New(rand.NewPCG(1, 2))); ok {
 		t.Error("pickRewire with no failures should report false")
 	}
 }
@@ -141,7 +141,10 @@ func TestPickRewireTargetsMostFrequentDataNode(t *testing.T) {
 	g := defectivePair(t)
 	// Two failure sets both containing node 0; node 0 must be the target.
 	failures := [][]int{{0, 1}, {0, 2, 6}}
-	rw, ok := pickRewire(g, failures, rand.New(rand.NewPCG(4, 4)))
+	rw, ok, err := pickRewire(t.Context(), g, failures, rand.New(rand.NewPCG(4, 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !ok {
 		t.Fatal("pickRewire failed")
 	}

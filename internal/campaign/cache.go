@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -27,12 +26,10 @@ func CacheKey(g *graph.Graph, spec Spec) string {
 	return cacheKey(g.Fingerprint(), spec.normalize(g.Total))
 }
 
-// scanOrderVersion participates in the cache key so entries computed under
-// a different shard scan order (and thus with different recorded failure
-// sets) miss instead of being served stale. "sl1" = revolving-door order,
-// lexicographically smallest failures per shard, evaluated by the
-// bit-sliced scanner — the only exhaustive scan there is. The tags of
-// retired orders and kernels (none, "rd1", "rd2") simply miss.
+// scanOrderVersion participates in the cache key so entries whose recorded
+// failure sets were chosen differently miss instead of being served stale.
+// "sl1" = each cardinality's lexicographically smallest failing sets. The
+// tags of retired orders (none, "rd1", "rd2") simply miss.
 const scanOrderVersion = "sl1"
 
 // scanOrderVersionSampled tags sampled-certification entries (KindSampled).
@@ -41,15 +38,8 @@ const scanOrderVersion = "sl1"
 // is versioned independently of the exhaustive scan order.
 const scanOrderVersionSampled = "st1"
 
-// legacyKernelField is what a worst-case spec that selected the bit-sliced
-// scanner marshaled between max_failures/keep_going and shard_size while
-// the scan kernel was a Spec field. The field is gone (old manifests that
-// carry it still load; it is ignored), but it stays in the hashed bytes so
-// the entries those campaigns stored are still hits.
-const legacyKernelField = `"kernel":"sliced",`
-
 // scanOrderVersionProfile tags profile entries (KindProfile). Their exact
-// points are "sl1" scans, but their sampled points are defined by the trial
+// points are exhaustive counts, but their sampled points are defined by the trial
 // tiling: "pb1" = sim's fixed blocks, shard b drawing trials [b·ShardSize,
 // (b+1)·ShardSize) from stream b. Entries stored under "sl1" cut the same
 // budget into near-equal parts — a different result wherever ShardSize does
@@ -73,11 +63,6 @@ func cacheKey(fingerprint string, normSpec Spec) string {
 	if err != nil {
 		// Spec is a plain struct of marshalable fields; this cannot fail.
 		panic(fmt.Sprintf("campaign: marshaling spec: %v", err))
-	}
-	if normSpec.Kind == KindWorstCase {
-		// A normalized worst-case spec zeroes every field between
-		// keep_going and shard_size, so this is where the field sat.
-		data = bytes.Replace(data, []byte(`"shard_size"`), []byte(legacyKernelField+`"shard_size"`), 1)
 	}
 	h := sha256.New()
 	h.Write([]byte(fingerprint))

@@ -1,17 +1,16 @@
-// Package campaign turns the paper's hours-to-days testing workloads — the
-// exhaustive combinatorial worst-case searches and Monte Carlo
-// reconstruction-failure profiles of §3 — into durable, resumable units of
-// work. What is computed is internal/sim's: a campaign spec (graph +
-// options) names a sim.Job, whose plan cuts exhaustive cardinalities into
-// contiguous revolving-door rank ranges and Monte Carlo points into
-// fixed-size trial blocks each owning a seeded RNG stream, and whose Run
-// loop orders the groups, applies the stopping rules and folds the results.
-// This package supplies the runner that loop calls: sim's LocalRunner,
-// wrapped to skip the units ("shards") an earlier process journaled and to
-// append each freshly computed one to a crash-safe JSONL journal. Because
-// every unit is a pure function of its plan entry, a resumed campaign is
-// bit-identical to an uninterrupted one — and to the in-memory sim call
-// with the same options and block size.
+// Package campaign turns the paper's testing workloads — the exhaustive
+// worst-case searches, Monte Carlo reconstruction-failure profiles and
+// sampled certifications of §3 — into durable, resumable units of work.
+// What is computed is internal/sim's: a campaign spec (graph + options)
+// names a sim.Job, whose plan is one unit per exhaustive cardinality and
+// fixed-size trial blocks each owning a seeded RNG stream for Monte Carlo
+// points, and whose Run loop orders the groups, applies the stopping rules
+// and folds the results. This package supplies the runner that loop calls:
+// sim's LocalRunner, wrapped to skip the units ("shards") an earlier
+// process journaled and to append each freshly computed one to a
+// crash-safe JSONL journal. Because every unit is a pure function of its
+// plan entry, a resumed campaign is bit-identical to an uninterrupted one —
+// and to the in-memory sim call with the same options and block size.
 //
 // A content-addressed result cache keyed by graph.Fingerprint plus the
 // normalized spec makes re-running an unchanged graph free: only rewired
@@ -44,8 +43,9 @@ import (
 type Kind string
 
 const (
-	// KindWorstCase is the exhaustive first-failure search as a rank scan
-	// (sim.NewWorstCaseJob); it returns what sim.WorstCaseCtx does.
+	// KindWorstCase is the exhaustive first-failure search
+	// (sim.NewWorstCaseJob), one shard per cardinality; it returns what
+	// sim.WorstCaseCtx does.
 	KindWorstCase Kind = "worstcase"
 	// KindProfile is the Monte Carlo reconstruction-failure profile
 	// (sim.FailureProfileCtx).
@@ -57,11 +57,11 @@ const (
 	KindSampled Kind = "sampled"
 )
 
-// DefaultShardSize is the target number of combinations (or Monte Carlo
-// trials) per shard. Shards are the unit of checkpointing: small enough
-// that a crash loses little work, large enough that journal writes are
-// noise against decoding cost. It is sim's Monte Carlo block size, so a
-// default campaign draws the blocks the in-memory call draws.
+// DefaultShardSize is the number of Monte Carlo trials per shard. Shards
+// are the unit of checkpointing: small enough that a crash loses little
+// work, large enough that journal writes are noise against decoding cost.
+// It is sim's Monte Carlo block size, so a default campaign draws the
+// blocks the in-memory call draws.
 const DefaultShardSize = sim.DefaultSampledBlock
 
 // Spec is the canonical description of a campaign's workload. Zero fields
@@ -93,11 +93,11 @@ type Spec struct {
 	// Negative disables the rule (the full Trials budget runs).
 	Epsilon float64 `json:"epsilon,omitempty"`
 
-	// ShardSize overrides DefaultShardSize. For Monte Carlo shards — all of
-	// KindSampled, and the sampled points of KindProfile — it is the trial
-	// block size: shard b draws trials [b·ShardSize, (b+1)·ShardSize) from
-	// RNG stream b, so it participates in the computed result, not just the
-	// checkpoint layout. Exhaustive results do not depend on it.
+	// ShardSize overrides DefaultShardSize (KindProfile and KindSampled).
+	// It is the trial block size of the Monte Carlo shards: shard b draws
+	// trials [b·ShardSize, (b+1)·ShardSize) from RNG stream b, so it
+	// participates in the computed result, not just the checkpoint layout.
+	// An exhaustive cardinality is always one shard.
 	ShardSize int64 `json:"shard_size,omitempty"`
 }
 
@@ -119,7 +119,7 @@ func (s Spec) normalize(total int) Spec {
 			s.MaxFailures = sim.DefaultMaxFailures
 		}
 		s.Trials, s.ExhaustiveLimit, s.MinK, s.Seed = 0, 0, 0, 0
-		s.Epsilon = 0
+		s.Epsilon, s.ShardSize = 0, 0
 	case KindProfile:
 		if s.Trials <= 0 {
 			s.Trials = sim.DefaultProfileTrials
@@ -242,7 +242,7 @@ type Status struct {
 func (s Spec) job(g *graph.Graph) (j *sim.Job, err error) {
 	switch s.Kind {
 	case KindWorstCase:
-		j = sim.NewWorstCaseJob(g, sim.WorstCaseOptions{MaxK: s.MaxK, MaxFailures: s.MaxFailures, KeepGoing: s.KeepGoing}, s.ShardSize)
+		j = sim.NewWorstCaseJob(g, sim.WorstCaseOptions{MaxK: s.MaxK, MaxFailures: s.MaxFailures, KeepGoing: s.KeepGoing})
 	case KindProfile:
 		j, err = sim.NewProfileJob(g, sim.ProfileOptions{
 			Trials: s.Trials, ExhaustiveLimit: s.ExhaustiveLimit, MinK: s.MinK, MaxK: s.MaxK, Seed: s.Seed,
@@ -349,7 +349,7 @@ func RunCtx(ctx context.Context, dir string, g *graph.Graph, spec Spec, opts Opt
 	for _, grp := range job.Groups {
 		man.TotalShards += len(grp)
 		for _, u := range grp {
-			man.TotalWork += u.Work()
+			man.TotalWork += job.Work(u)
 		}
 	}
 	if err := writeJSONAtomic(filepath.Join(dir, manifestFile), man); err != nil {
@@ -395,6 +395,7 @@ func ResumeCtx(ctx context.Context, dir string, opts Options) (*Result, error) {
 // a unit, between a journal lookup and a journal append.
 type runner struct {
 	*sim.LocalRunner
+	job   *sim.Job
 	opts  Options
 	jw    *journalWriter
 	done  map[int]sim.UnitResult // journaled by an earlier process; read-only while the job runs
@@ -424,7 +425,7 @@ func (r *runner) RunUnit(ctx context.Context, w int, u sim.Unit) (sim.UnitResult
 // plan is served, not recomputed; everything else is appended to jw.
 func newRunner(g *graph.Graph, job *sim.Job, journaled map[int]Record, jw *journalWriter, st Status, opts Options) *runner {
 	r := &runner{
-		LocalRunner: sim.NewLocalRunner(g, opts.Workers), opts: opts, jw: jw,
+		LocalRunner: sim.NewLocalRunner(g, opts.Workers), job: job, opts: opts, jw: jw,
 		done: map[int]sim.UnitResult{}, start: time.Now(), status: st,
 	}
 	for _, grp := range job.Groups {
@@ -436,7 +437,7 @@ func newRunner(g *graph.Graph, job *sim.Job, journaled map[int]Record, jw *journ
 			if res, ok := fromRecord(job, u, rec); ok {
 				r.done[u.ID] = res
 				r.status.DoneShards++
-				r.status.WorkDone += u.Work()
+				r.status.WorkDone += job.Work(u)
 			}
 		}
 	}
@@ -485,9 +486,10 @@ func execute(ctx context.Context, dir string, g *graph.Graph, man Manifest, job 
 func (r *runner) noteDone(u sim.Unit) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	work := r.job.Work(u)
 	r.status.DoneShards++
-	r.status.WorkDone += u.Work()
-	r.workThisRun += u.Work()
+	r.status.WorkDone += work
+	r.workThisRun += work
 	st := r.status
 
 	m := r.opts.Metrics

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tornado/internal/graph"
@@ -54,7 +56,7 @@ func TestWorstCaseCampaignMatchesSim(t *testing.T) {
 	// MaxFailures large enough to record every failing set, so both the
 	// campaign and sim lists are the complete sorted enumeration and can be
 	// compared exactly.
-	spec := Spec{Kind: KindWorstCase, MaxK: 3, MaxFailures: 100000, KeepGoing: true, ShardSize: 128}
+	spec := Spec{Kind: KindWorstCase, MaxK: 3, MaxFailures: 100000, KeepGoing: true}
 
 	res, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 4})
 	if err != nil {
@@ -81,7 +83,7 @@ func TestWorstCaseCampaignMatchesSim(t *testing.T) {
 func TestEarlyStopSkipsHigherCardinalities(t *testing.T) {
 	g := testGraph(t)
 	dir := t.TempDir()
-	spec := Spec{Kind: KindWorstCase, MaxK: 4, MaxFailures: 8, ShardSize: 128}
+	spec := Spec{Kind: KindWorstCase, MaxK: 4, MaxFailures: 8}
 	res, err := RunCtx(context.Background(), dir, g, spec, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -102,11 +104,12 @@ func TestEarlyStopSkipsHigherCardinalities(t *testing.T) {
 }
 
 // TestCrashResumeBitIdentical is the crash/resume integration test: cancel
-// a campaign mid-run, resume it, and require the final result to be
-// bit-identical (JSON bytes) to an uninterrupted run of the same spec.
+// a campaign mid-run (after three of its five cardinalities), resume it,
+// and require the final result to be bit-identical (JSON bytes) to an
+// uninterrupted run of the same spec.
 func TestCrashResumeBitIdentical(t *testing.T) {
 	g := testGraph(t)
-	spec := Spec{Kind: KindWorstCase, MaxK: 3, MaxFailures: 64, KeepGoing: true, ShardSize: 128}
+	spec := Spec{Kind: KindWorstCase, MaxK: 5, MaxFailures: 64, KeepGoing: true}
 
 	uninterrupted, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 4})
 	if err != nil {
@@ -227,7 +230,7 @@ func TestProfileCampaignResumeDeterministic(t *testing.T) {
 func TestResultCache(t *testing.T) {
 	g := testGraph(t)
 	cache := t.TempDir()
-	spec := Spec{Kind: KindWorstCase, MaxK: 2, MaxFailures: 16, ShardSize: 128}
+	spec := Spec{Kind: KindWorstCase, MaxK: 2, MaxFailures: 16}
 	opts := Options{Workers: 2, CacheDir: cache}
 
 	first, err := RunCtx(context.Background(), t.TempDir(), g, spec, opts)
@@ -278,7 +281,7 @@ func TestResultCache(t *testing.T) {
 func TestRunRefusesOccupiedDir(t *testing.T) {
 	g := testGraph(t)
 	dir := t.TempDir()
-	spec := Spec{Kind: KindWorstCase, MaxK: 1, ShardSize: 128}
+	spec := Spec{Kind: KindWorstCase, MaxK: 1}
 	if _, err := RunCtx(context.Background(), dir, g, spec, Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +308,7 @@ func TestSpecValidation(t *testing.T) {
 
 func TestJournalSurvivesTruncatedTail(t *testing.T) {
 	g := testGraph(t)
-	spec := Spec{Kind: KindWorstCase, MaxK: 3, MaxFailures: 64, KeepGoing: true, ShardSize: 128}
+	spec := Spec{Kind: KindWorstCase, MaxK: 6, MaxFailures: 64, KeepGoing: true}
 
 	uninterrupted, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 2})
 	if err != nil {
@@ -349,7 +352,7 @@ func TestJournalSurvivesTruncatedTail(t *testing.T) {
 func TestProgressMetrics(t *testing.T) {
 	g := testGraph(t)
 	reg := obs.NewRegistry()
-	spec := Spec{Kind: KindWorstCase, MaxK: 3, MaxFailures: 8, KeepGoing: true, ShardSize: 128}
+	spec := Spec{Kind: KindWorstCase, MaxK: 3, MaxFailures: 8, KeepGoing: true}
 	if _, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 2, Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
@@ -368,61 +371,36 @@ func TestProgressMetrics(t *testing.T) {
 
 // TestLegacyKernelManifestResume: campaigns written while the scan kernel
 // was a Spec field (PR 9–11) carry "kernel":"sliced" or "kernel":"scalar"
-// in manifest.json. Such a directory must still load and resume — the
-// field is ignored, the one scanner produces the same bytes either kernel
-// did — nothing this build writes may carry the field, and the cache
-// entries sliced campaigns stored must still be hits.
+// in a version-3 manifest, and so does every directory journaled in rank
+// ranges. Such a directory must be refused with the version error rather
+// than half-matched against the one-shard-per-cardinality plan; nothing
+// this build writes carries the field, a spec file of that vintage still
+// decodes, and the cache keys are pinned.
 func TestLegacyKernelManifestResume(t *testing.T) {
 	g := testGraph(t)
-	spec := Spec{Kind: KindWorstCase, MaxK: 3, MaxFailures: 64, KeepGoing: true, ShardSize: 128}
-	uninterrupted, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 4})
+	spec := Spec{Kind: KindWorstCase, MaxK: 3, MaxFailures: 64, KeepGoing: true}
+	dir, _ := interruptedJournal(t, g, spec, 2)
+
+	path := filepath.Join(dir, manifestFile)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for _, kernel := range []string{"sliced", "scalar"} {
-		dir := t.TempDir()
-		ctx, cancel := context.WithCancel(context.Background())
-		_, err = RunCtx(ctx, dir, g, spec, Options{
-			Workers: 2,
-			Progress: func(st Status) {
-				if st.DoneShards >= 3 {
-					cancel()
-				}
-			},
-		})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("interrupted run returned %v, want context.Canceled", err)
-		}
-
-		// Rewrite the manifest as the older build would have written it.
-		path := filepath.Join(dir, manifestFile)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Contains(data, []byte(`"kernel"`)) {
-			t.Fatalf("this build wrote a kernel field into the manifest: %s", data)
-		}
-		legacy := bytes.Replace(data, []byte(`"shard_size"`), []byte(`"kernel":"`+kernel+`","shard_size"`), 1)
-		if bytes.Equal(legacy, data) {
-			t.Fatal("manifest has no shard_size field to anchor the legacy kernel field")
-		}
-		if err := os.WriteFile(path, legacy, 0o644); err != nil {
-			t.Fatal(err)
-		}
-
-		resumed, err := ResumeCtx(context.Background(), dir, Options{Workers: 4})
-		if err != nil {
-			t.Fatalf("kernel %q: resuming a legacy manifest: %v", kernel, err)
-		}
-		if got, want := marshal(t, resumed), marshal(t, uninterrupted); string(got) != string(want) {
-			t.Errorf("kernel %q: resumed legacy campaign not bit-identical:\n got %s\nwant %s", kernel, got, want)
-		}
-		if bytes.Contains(marshal(t, resumed), []byte(`"kernel"`)) {
-			t.Errorf("kernel %q: result carries a kernel field", kernel)
-		}
+	if bytes.Contains(data, []byte(`"kernel"`)) {
+		t.Fatalf("this build wrote a kernel field into the manifest: %s", data)
+	}
+	var man map[string]any
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	man["version"] = 3
+	man["spec"].(map[string]any)["kernel"] = "sliced"
+	man["spec"].(map[string]any)["shard_size"] = 128
+	if err := os.WriteFile(path, marshal(t, man), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeCtx(context.Background(), dir, Options{Workers: 2}); err == nil || !strings.Contains(err.Error(), "manifest version 3") {
+		t.Errorf("resuming a version-3 directory returned %v, want the version error", err)
 	}
 
 	// A spec file of the same vintage decodes with the field dropped.
@@ -434,8 +412,9 @@ func TestLegacyKernelManifestResume(t *testing.T) {
 		t.Errorf("legacy spec JSON decoded to %+v, want %+v", old, want)
 	}
 
-	// Keys of sliced worst-case and of sampled campaigns, as commit 34981eb
-	// computed them for tornado96-1: entries stored then are served now.
+	// Keys for tornado96-1. The worst-case keys changed when the shard size
+	// and the legacy kernel field left the hashed spec; the sampled key is
+	// the one commit 34981eb computed, so entries stored then are served now.
 	g96, err := graphml.ReadFile("../../precompiled/tornado96-1.graphml")
 	if err != nil {
 		t.Fatal(err)
@@ -444,12 +423,52 @@ func TestLegacyKernelManifestResume(t *testing.T) {
 		spec Spec
 		key  string
 	}{
-		{Spec{Kind: KindWorstCase, MaxK: 3}, "9a924e2ac371b6b626be29c6b93e17fbb8e8e87514ca2aa7bc3d8c7199abd4b6"},
-		{Spec{Kind: KindWorstCase, MaxK: 4, MaxFailures: 16, KeepGoing: true, ShardSize: 4096}, "ca58924b173b043f40778b94ec568b7e38d8f976f9fd78b8c09474ccfb460298"},
+		{Spec{Kind: KindWorstCase, MaxK: 3}, "8fd098d0247d17dad6c78fb78a0488b8d4297255ecd143e9b9bae4fe0fb7e26f"},
+		{Spec{Kind: KindWorstCase, MaxK: 4, MaxFailures: 16, KeepGoing: true, ShardSize: 4096}, "e49edf7fc04c9850d292d8a0a644d0855144c4af707a016105b75fb7b0eb1e90"},
 		{Spec{Kind: KindSampled, MaxK: 5, MinK: 5, Seed: 9}, "df2c8abb73bf207af3171010a9b0b32117538e87b12654f1d7b29fe8f8d9b6b5"},
 	} {
 		if got := CacheKey(g96, pin.spec); got != pin.key {
-			t.Errorf("CacheKey(%+v) = %s, want the pre-existing %s", pin.spec, got, pin.key)
+			t.Errorf("CacheKey(%+v) = %s, want %s", pin.spec, got, pin.key)
+		}
+	}
+}
+
+// TestWorstCaseCampaignTornado96 runs the paper's search on the shipped
+// graphs to k=6 as a campaign: it must equal WorstCaseCtx field by field,
+// with the pinned k=6 counts, and a campaign interrupted after its k=3
+// journal line must resume to the same bytes.
+func TestWorstCaseCampaignTornado96(t *testing.T) {
+	spec := Spec{Kind: KindWorstCase, MaxK: 6, KeepGoing: true}
+	for i, k6 := range []int64{1503, 4764, 13587} {
+		g, err := graphml.ReadFile(fmt.Sprintf("../../precompiled/tornado96-%d.graphml", i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sim.WorstCaseCtx(context.Background(), g, sim.WorstCaseOptions{MaxK: 6, KeepGoing: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*res.WorstCase, want) {
+			t.Errorf("%s: campaign %+v, WorstCaseCtx %+v", g.Name, *res.WorstCase, want)
+		}
+		if got := res.WorstCase.FailureCountAt(6); got != k6 {
+			t.Errorf("%s: %d failing 6-sets, want %d", g.Name, got, k6)
+		}
+
+		dir, journal := interruptedJournal(t, g, spec, 3)
+		if n := bytes.Count(journal, []byte("\n")); n != 3 {
+			t.Fatalf("%s: interrupted after %d journal lines, want 3", g.Name, n)
+		}
+		resumed, err := ResumeCtx(context.Background(), dir, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := marshal(t, resumed), marshal(t, res); !bytes.Equal(got, want) {
+			t.Errorf("%s: resumed result not bit-identical:\n got %s\nwant %s", g.Name, got, want)
 		}
 	}
 }

@@ -146,10 +146,11 @@ func (f *flakyFile) Write(p []byte) (int, error) {
 // TestUnitErrorCancelsItsGroup: the first unit error of a group — here the
 // journal refusing one append — cancels the group's remaining units and is
 // what Run returns: the other workers do not go on to compute and journal
-// the group's remaining shards first.
+// the group's remaining shards first. The sampled plan's last round is 64
+// blocks.
 func TestUnitErrorCancelsItsGroup(t *testing.T) {
 	g := testGraph(t)
-	spec := Spec{Kind: KindWorstCase, MaxK: 3, MaxFailures: 8, KeepGoing: true, ShardSize: 64}.normalize(g.Total)
+	spec := Spec{Kind: KindSampled, MinK: 4, MaxK: 4, Trials: 127 * 64, ShardSize: 64, Seed: 17, Epsilon: -1}.normalize(g.Total)
 	job, err := spec.job(g)
 	if err != nil {
 		t.Fatal(err)
@@ -176,8 +177,8 @@ func TestUnitErrorCancelsItsGroup(t *testing.T) {
 	if got, most := int(flaky.writes.Load()), before+5+opts.Workers-1; got > most {
 		t.Errorf("%d journal appends after the group's first error; want at most %d of %d", got, most, before+len(last))
 	}
-	if got := len(job.WorstCase.PerK); got != len(job.Groups)-1 {
-		t.Errorf("%d cardinalities folded, want the %d completed before the failing group", got, len(job.Groups)-1)
+	if got := len(job.Sampled[0].Rounds); got != len(job.Groups)-1 {
+		t.Errorf("%d rounds folded, want the %d completed before the failing group", got, len(job.Groups)-1)
 	}
 }
 
@@ -196,7 +197,7 @@ func (nopFile) Close() error                { return nil }
 func FuzzJournalResume(f *testing.F) {
 	g := testGraph(f)
 	specs := []Spec{
-		{Kind: KindWorstCase, MaxK: 2, MaxFailures: 4, KeepGoing: true, ShardSize: 128},
+		{Kind: KindWorstCase, MaxK: 4, MaxFailures: 4, KeepGoing: true},
 		{Kind: KindProfile, MinK: 2, MaxK: 4, Trials: 600, ExhaustiveLimit: 500, Seed: 3, ShardSize: 256},
 		{Kind: KindSampled, MinK: 3, MaxK: 3, Trials: 2048, ShardSize: 512, Seed: 17, Epsilon: -1, MaxFailures: 2},
 	}

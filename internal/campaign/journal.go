@@ -27,14 +27,11 @@ const (
 
 // manifestVersion guards the on-disk format; Resume rejects manifests from
 // a different version rather than misreading them. Version 2 switched
-// exhaustive shards from lexicographic to revolving-door rank ranges
-// (sim.ScanRangeCtx), which changes each shard's recorded failure sets —
-// resuming a v1 journal against the v2 scanner would silently mix the two
-// orderings, so the bump forces a fresh campaign. Version 3 changed what a
-// shard records again: the lexicographically smallest failures of its range
-// rather than the first encountered in scan order, so merged results no
-// longer depend on the shard layout.
-const manifestVersion = 3
+// exhaustive shards to revolving-door rank ranges, version 3 made a shard
+// record its range's lexicographically smallest failures. Version 4 made an
+// exhaustive cardinality one shard, computed from stopping sets: a v3
+// journal's range shards do not match the v4 plan.
+const manifestVersion = 4
 
 // Manifest is the immutable identity of a campaign directory.
 type Manifest struct {
@@ -54,7 +51,8 @@ func (m Manifest) status(dir string) Status {
 
 // Record is one journal line: the complete, deterministic result of one
 // shard — a sim.Unit, Shard being its ID (see toRecord). Exhaustive shards
-// carry Tested/FailCount/Failures; Monte Carlo shards carry Trials/Hits.
+// (one cardinality each) carry Tested/FailCount/Failures; Monte Carlo
+// shards carry Trials/Hits.
 // Sampled shards additionally carry the per-stratum tallies and the
 // screening count, and reuse Failures for the failing witness patterns.
 type Record struct {

@@ -105,7 +105,7 @@ func TestGenerate96Structure(t *testing.T) {
 		t.Errorf("AvgDataDegree = %v, want ≈3.6", avg)
 	}
 	// Screened: no small closed sets in the data level.
-	if fs := defect.ScanDataLevel(g, 3); len(fs) != 0 {
+	if fs := dataDefects(g, 3); len(fs) != 0 {
 		t.Errorf("screened graph still has defects: %v", fs)
 	}
 }
@@ -186,7 +186,7 @@ func TestScreeningRejectsDefectiveGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if defect.Screen(g, 3) != nil {
+		if defect.ScreenCtx(t.Context(), g, 3) != nil {
 			rejected++
 		}
 	}
@@ -213,7 +213,7 @@ func TestQuickGenerateValid(t *testing.T) {
 		if g.Validate() != nil {
 			return false
 		}
-		return len(defect.ScanDataLevel(g, 3)) == 0
+		return len(dataDefects(g, 3)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand/v2"
 
 	"tornado/internal/defect"
@@ -18,7 +19,7 @@ func RepairDefects(g *graph.Graph, maxSize, maxRounds int, rng *rand.Rand) (bool
 	lv := g.Levels[0]
 	rewires := 0
 	for round := 0; round < maxRounds; round++ {
-		fs := defect.ScanDataLevel(g, maxSize)
+		fs := dataDefects(g, maxSize)
 		if len(fs) == 0 {
 			return true, rewires
 		}
@@ -28,7 +29,14 @@ func RepairDefects(g *graph.Graph, maxSize, maxRounds int, rng *rand.Rand) (bool
 		}
 		rewires++
 	}
-	return len(defect.ScanDataLevel(g, maxSize)) == 0, rewires
+	return len(dataDefects(g, maxSize)) == 0, rewires
+}
+
+// dataDefects is the generation screen's scan of the data level. Generation
+// takes no context, and nothing but cancellation fails a scan.
+func dataDefects(g *graph.Graph, maxSize int) []defect.Finding {
+	fs, _ := defect.ScanDataLevelCtx(context.Background(), g, maxSize, 0)
+	return fs
 }
 
 // rewireOpen breaks one closed set by moving a random member's edge off a

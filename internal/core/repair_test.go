@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tornado/internal/decode"
-	"tornado/internal/defect"
 )
 
 func TestRepairDefectsCleansUnscreenedGraphs(t *testing.T) {
@@ -18,7 +17,7 @@ func TestRepairDefectsCleansUnscreenedGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(defect.ScanDataLevel(g, 3)) == 0 {
+		if len(dataDefects(g, 3)) == 0 {
 			continue // already clean
 		}
 		tried++
@@ -33,7 +32,7 @@ func TestRepairDefectsCleansUnscreenedGraphs(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("repaired graph invalid: %v", err)
 		}
-		if fs := defect.ScanDataLevel(g, 3); len(fs) != 0 {
+		if fs := dataDefects(g, 3); len(fs) != 0 {
 			t.Errorf("repair claimed success but defects remain: %v", fs)
 		}
 	}
@@ -54,7 +53,7 @@ func TestRepairedDefectsAreReallyGone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := defect.ScanDataLevel(g, 3)
+		before := dataDefects(g, 3)
 		if len(before) == 0 {
 			continue
 		}
@@ -80,7 +79,7 @@ func TestRepairZeroRoundsLeavesDefects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(defect.ScanDataLevel(g, 3)) == 0 {
+		if len(dataDefects(g, 3)) == 0 {
 			continue
 		}
 		ok, rewires := RepairDefects(g, 3, 0, rng)

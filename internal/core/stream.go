@@ -216,7 +216,7 @@ func streamDefects(g *graph.Graph, maxSize int) []defect.Finding {
 		return nil
 	}
 	if total, ok := combin.BinomialInt64(g.Data, 2); ok && total <= pairKernelLimit {
-		return defect.ScanDataLevel(g, maxSize)
+		return dataDefects(g, maxSize)
 	}
 	return closedPairsHash(g)
 }

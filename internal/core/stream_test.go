@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"tornado/internal/defect"
 	"tornado/internal/graph"
 )
 
@@ -174,7 +173,7 @@ func TestClosedPairsHashMatchesKernel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		want := defect.ScanDataLevel(g, 2)
+		want := dataDefects(g, 2)
 		got := closedPairsHash(g)
 		if len(want) != len(got) {
 			t.Fatalf("seed %d: kernel found %d pairs, hash found %d", seed, len(want), len(got))

@@ -59,6 +59,7 @@ type StoppingEnumerator struct {
 
 	root int32
 	k    int
+	left int64 // nodes the search may still add (see Root)
 	out  [][]int
 }
 
@@ -76,17 +77,22 @@ func NewStoppingEnumerator(c *CSR) *StoppingEnumerator {
 
 // Root appends to dst every stopping set the search from data node v0
 // records with at most k nodes (see StoppingEnumerator), each as ascending
-// node IDs, and returns dst. The order is deterministic.
-func (e *StoppingEnumerator) Root(dst [][]int, v0, k int) [][]int {
+// node IDs, and returns dst. The order is deterministic. The search adds at
+// most budget nodes to S after v0; complete is false once that budget is
+// spent, and dst may then hold only part of the root's sets. The number of
+// stopping sets grows with k far faster than the search space shrinks —
+// near k = Total there are few patterns and an astronomical number of
+// sets — so a caller bounds the work by what its alternative costs.
+func (e *StoppingEnumerator) Root(dst [][]int, v0, k int, budget int64) (_ [][]int, complete bool) {
 	if k < 1 || v0 < 0 || v0 >= int(e.c.Data) {
-		return dst
+		return dst, true
 	}
-	e.root, e.k, e.out = int32(v0), k, dst
+	e.root, e.k, e.left, e.out = int32(v0), k, budget, dst
 	e.add(int32(v0))
 	e.grow()
 	e.remove(int32(v0))
 	dst, e.out = e.out, nil
-	return dst
+	return dst, e.left > 0
 }
 
 // grow extends S through its lowest-numbered violated check.
@@ -119,11 +125,12 @@ func (e *StoppingEnumerator) grow() {
 
 // branch searches the subtree that adds v, then forbids v to the later
 // siblings. Members, forbidden nodes and data nodes below the root are not
-// options.
+// options, and nothing is once the budget is spent.
 func (e *StoppingEnumerator) branch(v int32) {
-	if e.in[v] || e.banned[v] || v < e.root {
+	if e.in[v] || e.banned[v] || v < e.root || e.left == 0 {
 		return
 	}
+	e.left--
 	e.add(v)
 	e.grow()
 	e.remove(v)

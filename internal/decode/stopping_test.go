@@ -2,6 +2,7 @@ package decode_test
 
 import (
 	"context"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -38,7 +39,11 @@ func FuzzStoppingMatchesScan(f *testing.F) {
 			}
 			var found [][]int
 			for v0 := 0; v0 < g.Data; v0++ {
-				for _, s := range en.Root(nil, v0, k) {
+				sets, complete := en.Root(nil, v0, k, math.MaxInt64)
+				if !complete {
+					t.Fatalf("k=%d root %d: an unlimited search reports a spent budget", k, v0)
+				}
+				for _, s := range sets {
 					if len(s) > k || !slices.IsSorted(s) || s[0] != v0 || decode.ReferenceRecoverable(g, s) {
 						t.Fatalf("k=%d root %d: recorded %v, want ≤ k ascending nodes from the root that fail", k, v0, s)
 					}

@@ -12,7 +12,7 @@
 // condition when choosing replacement edges.
 //
 // One implementation is built (see DESIGN.md "Defect kernels"): the
-// kernel path (Table/Kernel + ScanDataLevel, ScanLevelCtx, ScanGraphCtx,
+// kernel path (Table/Kernel + ScanDataLevelCtx, ScanLevelCtx, ScanGraphCtx,
 // ScreenCtx) precomputes per-left-node parent bitmasks and maintains
 // per-check member counts incrementally across revolving-door subset
 // order, sharding each size's combination rank space across a worker
@@ -80,16 +80,11 @@ func subset(a, b []int) bool {
 	return i == len(a)
 }
 
-// Screen returns an error describing the first structural defect found in
-// the data level, or nil when the graph passes. It is the generation-time
-// gate of paper §3.3 ("graphs that fail are discarded").
-func Screen(g *graph.Graph, maxSize int) error {
-	return ScreenCtx(context.Background(), g, maxSize)
-}
-
-// ScreenCtx is Screen with cancellation: the scan workers observe ctx at
-// subset-chunk boundaries, so a canceled screen returns ctx.Err() within
-// one chunk of kernel work.
+// ScreenCtx returns an error describing the first structural defect found
+// in the data level, or nil when the graph passes. It is the generation-time
+// gate of paper §3.3 ("graphs that fail are discarded"). The scan workers
+// observe ctx at subset-chunk boundaries, so a canceled screen returns
+// ctx.Err() within one chunk of kernel work.
 func ScreenCtx(ctx context.Context, g *graph.Graph, maxSize int) error {
 	fs, err := scanTableCtx(ctx, NewDataTable(g), maxSize, 0)
 	if err != nil {

@@ -115,7 +115,7 @@ func TestClosedSetIsActuallyUnrecoverable(t *testing.T) {
 	} {
 		g := build(t)
 		d := decode.New(g)
-		findings := ScanDataLevel(g, 3)
+		findings := MustScanData(t, g, 3)
 		if len(findings) == 0 {
 			t.Fatalf("%s: no findings", name)
 		}
@@ -129,7 +129,7 @@ func TestClosedSetIsActuallyUnrecoverable(t *testing.T) {
 
 func TestScanFindsMinimalOnly(t *testing.T) {
 	g := pairDefect(t)
-	findings := ScanDataLevel(g, 3)
+	findings := MustScanData(t, g, 3)
 	if len(findings) != 1 {
 		t.Fatalf("findings = %v, want exactly the {0,1} pair", findings)
 	}
@@ -147,17 +147,17 @@ func TestScanFindsMinimalOnly(t *testing.T) {
 
 func TestScanClean(t *testing.T) {
 	g := clean(t)
-	if fs := ScanDataLevel(g, 3); len(fs) != 0 {
+	if fs := MustScanData(t, g, 3); len(fs) != 0 {
 		t.Errorf("clean graph produced findings: %v", fs)
 	}
-	if err := Screen(g, 3); err != nil {
+	if err := ScreenCtx(t.Context(), g, 3); err != nil {
 		t.Errorf("Screen(clean) = %v", err)
 	}
 }
 
 func TestScreenReportsDefect(t *testing.T) {
 	g := tripleDefect(t)
-	err := Screen(g, 3)
+	err := ScreenCtx(t.Context(), g, 3)
 	if err == nil {
 		t.Fatal("Screen missed the triple defect")
 	}
@@ -166,7 +166,7 @@ func TestScreenReportsDefect(t *testing.T) {
 func TestScanMaxSizeClamped(t *testing.T) {
 	g := clean(t)
 	// maxSize larger than the data level must not panic.
-	if fs := ScanDataLevel(g, 100); len(fs) != 0 {
+	if fs := MustScanData(t, g, 100); len(fs) != 0 {
 		t.Errorf("findings = %v", fs)
 	}
 }
@@ -207,6 +207,6 @@ func BenchmarkScanDataLevel96(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ScanDataLevel(g, 3)
+		MustScanData(b, g, 3)
 	}
 }

@@ -26,12 +26,12 @@ func TestPrecompiledGraphsKernelMatchesReference(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		maxSize := 4
-		if got, want := defect.ScanDataLevel(g, maxSize), defect.ReferenceScan(g, maxSize); !reflect.DeepEqual(got, want) {
+		if got, want := defect.MustScanData(t, g, maxSize), defect.ReferenceScan(g, maxSize); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s data level: kernel = %v, reference = %v", name, got, want)
 		}
 		for li := range g.Levels {
 			want := defect.ReferenceScanLevel(g, li, 3)
-			got, err := defect.ScanLevel(g, li, 3)
+			got, err := defect.ScanLevelCtx(t.Context(), g, li, 3, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,12 +61,12 @@ func TestSmallGeneratedGraphsClosedFourSets(t *testing.T) {
 		if len(want) > 0 {
 			foundAny = true
 		}
-		if got := defect.ScanDataLevel(g, 4); !reflect.DeepEqual(got, want) {
+		if got := defect.MustScanData(t, g, 4); !reflect.DeepEqual(got, want) {
 			t.Errorf("seed %d: kernel = %v, reference = %v", seed, got, want)
 		}
 		for li := range g.Levels {
 			want := defect.ReferenceScanLevel(g, li, 4)
-			got, err := defect.ScanLevel(g, li, 4)
+			got, err := defect.ScanLevelCtx(t.Context(), g, li, 4, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

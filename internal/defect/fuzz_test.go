@@ -53,7 +53,7 @@ func FuzzDefectKernelMatchesReference(f *testing.F) {
 		g := randomCascade(rng)
 		maxSize := 2 + rng.IntN(3)
 
-		if got, want := ScanDataLevel(g, maxSize), ReferenceScan(g, maxSize); !reflect.DeepEqual(got, want) {
+		if got, want := MustScanData(t, g, maxSize), ReferenceScan(g, maxSize); !reflect.DeepEqual(got, want) {
 			t.Fatalf("data level: kernel = %v, reference = %v (graph %v)", got, want, g)
 		}
 		for li := range g.Levels {

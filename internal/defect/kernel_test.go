@@ -125,7 +125,7 @@ func TestScanMatchesReference(t *testing.T) {
 		g := build(t)
 		for maxSize := 2; maxSize <= 4; maxSize++ {
 			want := ReferenceScan(g, maxSize)
-			if got := ScanDataLevel(g, maxSize); !reflect.DeepEqual(got, want) {
+			if got := MustScanData(t, g, maxSize); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s maxSize=%d: kernel = %v, reference = %v", name, maxSize, got, want)
 			}
 			for _, workers := range []int{1, 2, 8} {
@@ -147,7 +147,7 @@ func TestScanLevelMatchesReference(t *testing.T) {
 		g := randomCascade(rng)
 		for li := range g.Levels {
 			want := ReferenceScanLevel(g, li, 4)
-			got, err := ScanLevel(g, li, 4)
+			got, err := ScanLevelCtx(t.Context(), g, li, 4, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,10 +160,10 @@ func TestScanLevelMatchesReference(t *testing.T) {
 
 func TestScanLevelRejectsBadLevel(t *testing.T) {
 	g := clean(t)
-	if _, err := ScanLevel(g, -1, 3); err == nil {
+	if _, err := ScanLevelCtx(t.Context(), g, -1, 3, 0); err == nil {
 		t.Error("no error for level -1")
 	}
-	if _, err := ScanLevel(g, len(g.Levels), 3); err == nil {
+	if _, err := ScanLevelCtx(t.Context(), g, len(g.Levels), 3, 0); err == nil {
 		t.Error("no error for out-of-range level")
 	}
 }
@@ -172,7 +172,7 @@ func TestScanGraphTagsLevels(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 3))
 	for trial := 0; trial < 20; trial++ {
 		g := randomCascade(rng)
-		all, err := ScanGraph(g, 3)
+		all, err := ScanGraphCtx(t.Context(), g, 3, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestPlantedMinimality(t *testing.T) {
 		t.Fatal(err)
 	}
 	for maxSize := 2; maxSize <= 4; maxSize++ {
-		fs := ScanDataLevel(g, maxSize)
+		fs := MustScanData(t, g, maxSize)
 		if len(fs) != 1 {
 			t.Fatalf("maxSize=%d: findings = %v, want only the planted pair", maxSize, fs)
 		}
@@ -226,7 +226,7 @@ func TestPlantedMinimality(t *testing.T) {
 func TestScreenSingleFindingMessage(t *testing.T) {
 	// Regression: a single finding used to print "(and 0 more)".
 	g := pairDefect(t)
-	err := Screen(g, 3)
+	err := ScreenCtx(t.Context(), g, 3)
 	if err == nil {
 		t.Fatal("Screen missed the pair defect")
 	}
@@ -250,7 +250,7 @@ func TestScreenMultiFindingMessage(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	err := Screen(g, 2)
+	err := ScreenCtx(t.Context(), g, 2)
 	if err == nil {
 		t.Fatal("Screen missed the defects")
 	}
@@ -282,7 +282,7 @@ func TestFindingStringLevel(t *testing.T) {
 func TestScanMetrics(t *testing.T) {
 	g := tripleDefect(t)
 	before := Metrics().Snapshot().Counters[MetricSubsetsTested]
-	ScanDataLevel(g, 3)
+	MustScanData(t, g, 3)
 	after := Metrics().Snapshot().Counters[MetricSubsetsTested]
 	want := int64(combin.Binomial(6, 2) + combin.Binomial(6, 3))
 	if after-before != want {

@@ -2,6 +2,7 @@ package defect
 
 import (
 	"slices"
+	"testing"
 
 	"tornado/internal/combin"
 	"tornado/internal/graph"
@@ -10,10 +11,21 @@ import (
 // ReferenceScan is the deliberately simple pre-kernel data-level scanner —
 // lexicographic enumeration, one count map per subset — kept as the
 // differential-testing oracle for the bitmask kernel (the role
-// decode.ReferenceRecoverable plays for the peeling kernel). ScanDataLevel
-// returns bit-identical findings in the same order.
+// decode.ReferenceRecoverable plays for the peeling kernel).
+// ScanDataLevelCtx returns bit-identical findings in the same order.
 func ReferenceScan(g *graph.Graph, maxSize int) []Finding {
 	return referenceScanRange(g, 0, 0, g.Data, maxSize)
+}
+
+// MustScanData is ScanDataLevelCtx for tests that never cancel: default
+// workers, and a scan error fails the test.
+func MustScanData(tb testing.TB, g *graph.Graph, maxSize int) []Finding {
+	tb.Helper()
+	fs, err := ScanDataLevelCtx(tb.Context(), g, maxSize, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fs
 }
 
 // ReferenceScanLevel is ReferenceScan over level li's left range; it is the

@@ -31,19 +31,12 @@ func scanWorkers(workers int, total int64) int {
 	return workers
 }
 
-// ScanDataLevel enumerates subsets of the data nodes of size 2..maxSize and
-// returns every minimal closed set (subsets containing an already-reported
-// set are skipped). maxSize is clamped to the data node count. Findings
-// are bit-identical, order included, to the lexicographic test oracle
-// (ReferenceScan, reference_test.go).
-func ScanDataLevel(g *graph.Graph, maxSize int) []Finding {
-	fs, _ := scanTableCtx(context.Background(), NewDataTable(g), maxSize, 0)
-	return fs
-}
-
-// ScanDataLevelCtx is ScanDataLevel with cancellation and an explicit
-// worker count (0 = GOMAXPROCS); see ScanLevelCtx for the sharding and
-// cancellation contract.
+// ScanDataLevelCtx enumerates subsets of the data nodes of size
+// 2..maxSize and returns every minimal closed set (subsets containing an
+// already-reported set are skipped). maxSize is clamped to the data node
+// count. Findings are bit-identical, order included, to the lexicographic
+// test oracle (ReferenceScan, reference_test.go). See ScanLevelCtx for the
+// sharding (workers 0 = GOMAXPROCS) and cancellation contract.
 func ScanDataLevelCtx(ctx context.Context, g *graph.Graph, maxSize, workers int) ([]Finding, error) {
 	return scanTableCtx(ctx, NewDataTable(g), maxSize, workers)
 }
@@ -61,17 +54,12 @@ func ScanDataLevelCtx(ctx context.Context, g *graph.Graph, maxSize, workers int)
 // its members remain recomputable bottom-up (rule 2) while their own left
 // neighbors survive. Upper-level findings therefore mark cascade weak
 // points that erode multi-loss tolerance rather than standalone data loss;
-// the hard generation gate (Screen) stays on the data level.
+// the hard generation gate (ScreenCtx) stays on the data level.
 func ScanLevelCtx(ctx context.Context, g *graph.Graph, li, maxSize, workers int) ([]Finding, error) {
 	if li < 0 || li >= len(g.Levels) {
 		return nil, fmt.Errorf("defect: level %d out of range (graph has %d levels)", li, len(g.Levels))
 	}
 	return scanTableCtx(ctx, NewLevelTable(g, li), maxSize, workers)
-}
-
-// ScanLevel is ScanLevelCtx with context.Background and default workers.
-func ScanLevel(g *graph.Graph, li, maxSize int) ([]Finding, error) {
-	return ScanLevelCtx(context.Background(), g, li, maxSize, 0)
 }
 
 // ScanGraphCtx scans every distinct left range of the cascade — the data
@@ -98,11 +86,6 @@ func ScanGraphCtx(ctx context.Context, g *graph.Graph, maxSize, workers int) ([]
 		all = append(all, fs...)
 	}
 	return all, nil
-}
-
-// ScanGraph is ScanGraphCtx with context.Background and default workers.
-func ScanGraph(g *graph.Graph, maxSize int) ([]Finding, error) {
-	return ScanGraphCtx(context.Background(), g, maxSize, 0)
 }
 
 // scanTableCtx runs the sized scans over one table, ascending, filtering

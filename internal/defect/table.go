@@ -27,7 +27,7 @@ type Table struct {
 }
 
 // NewDataTable builds the Table of the data-node range [0, g.Data) — the
-// range ScanDataLevel and the generation-time Screen gate evaluate.
+// range ScanDataLevelCtx and the generation-time ScreenCtx gate evaluate.
 func NewDataTable(g *graph.Graph) *Table {
 	return newTable(g, 0, 0, g.Data)
 }

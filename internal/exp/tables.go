@@ -187,7 +187,11 @@ func Table2(cfg Config, tornadoes []*TornadoGraph) (string, []System, error) {
 	for _, s := range systems {
 		rows = append(rows, []string{s.Name, ffString(s.FirstFailure, cfg.CertifyK), avgString(s)})
 	}
-	note := fmt.Sprintf("unscreened defects up to size 3: %d", len(defect.ScanDataLevel(raw, 3)))
+	defects, err := defect.ScanDataLevelCtx(context.Background(), raw, 3, cfg.Workers)
+	if err != nil {
+		return "", nil, err
+	}
+	note := fmt.Sprintf("unscreened defects up to size 3: %d", len(defects))
 	return renderTable(
 		"Table 2 / Figure 4 — defect detection and adjustment ("+note+")",
 		[]string{"System", "First Failure", "Avg to Reconstruct"},

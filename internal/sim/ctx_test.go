@@ -46,16 +46,16 @@ func goroutineSettles(t *testing.T, baseline int) {
 // chunk of its closure — with ctx.Err(), and the search workers all exit
 // (no goroutine leak).
 func TestWorstCaseCtxCancellation(t *testing.T) {
-	g := ctxTestGraph(t)
+	g := unscreened96(t, 0)
 	baseline := runtime.NumGoroutine()
 
-	// Through k=9 this graph has about 5,000 stopping sets and 1.7e8
-	// failing 9-sets to close up: many seconds of work, so a prompt return
-	// can only come from the cancellation path.
+	// At k=7 this unscreened graph has 1.2e8 failing sets to close up,
+	// within the closure's budget: seconds of work, so a prompt return can
+	// only come from the cancellation path.
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := WorstCaseCtx(ctx, g, WorstCaseOptions{MaxK: 9, KeepGoing: true})
+		_, err := WorstCaseCtx(ctx, g, WorstCaseOptions{MaxK: 7, KeepGoing: true})
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the workers spin up and descend
@@ -156,11 +156,11 @@ func TestKernelScanCancellationLeaksNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		// A 48-pair mirror at k=12: closing up its 48 stopping sets costs
-		// more than the C(96,12) ≈ 1.7e14 patterns, so the cost guard hands
-		// the cardinality to the rank scan, and a prompt return can only
-		// come from the cancellation path inside ScanRangeCtx.
-		_, err := ExhaustiveKCtx(ctx, mirrorGraph(48), 12, DefaultMaxFailures, 0)
+		// A 48-pair mirror at k=7: closing up its 48 stopping sets costs
+		// more than the C(96,7) ≈ 1.1e10 patterns, so the cost guard hands
+		// the cardinality to the rank scan — minutes of it — and a prompt
+		// return can only come from the cancellation path of the scan.
+		_, err := ExhaustiveKCtx(ctx, mirrorGraph(48), 7, DefaultMaxFailures, 0)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)

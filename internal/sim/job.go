@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
 
 	"tornado/internal/combin"
 	"tornado/internal/decode"
@@ -15,40 +14,28 @@ import (
 // deterministic plan of Units in ordered groups, a stopping rule that may
 // skip later groups, and a fold of unit results into the job's result.
 // Job.Run is the only loop; its one parameter is the Runner that computes a
-// unit. The in-memory entry points (FailureProfileCtx, SampleStratifiedCtx)
-// pass a LocalRunner; internal/campaign passes the same LocalRunner wrapped
-// to skip journaled units and journal fresh ones. The in-memory worst-case
-// search (WorstCaseCtx, ExhaustiveKCtx) is not a Job: it answers each
-// cardinality from stopping sets (stopping.go) and runs a rank-scan group
-// on the same LocalRunner only where that would cost more.
+// unit. The in-memory entry points (WorstCaseCtx, FailureProfileCtx,
+// SampleStratifiedCtx) pass a LocalRunner; internal/campaign passes the
+// same LocalRunner wrapped to skip journaled units and journal fresh ones.
 
 // Unit is one deterministic piece of certification work, a pure function
-// of its fields. A unit with Trials == 0 scans the revolving-door rank
-// range [Lo, Hi) of cardinality K exhaustively; otherwise it draws Trials
-// k-subsets from the RNG stream (Seed, K, Stream), through the stratified
-// sampler when Stratified is set.
+// of its fields. A unit with Trials == 0 examines every erasure pattern of
+// cardinality K (exhaustiveK: stopping sets, or the rank scan where those
+// cost more); otherwise it draws Trials k-subsets from the RNG stream
+// (Seed, K, Stream), through the stratified sampler when Stratified is set.
 type Unit struct {
 	ID           int // position in plan order: the same plan numbers its units the same way every time
 	K            int
-	Lo, Hi       int64
 	Trials       int64
 	Seed, Stream uint64
 	Stratified   bool
 	MaxFailures  int // cap on the failing sets recorded verbatim
 }
 
-// Work returns the number of combinations or trials the unit examines.
-func (u Unit) Work() int64 {
-	if u.Trials > 0 {
-		return u.Trials
-	}
-	return u.Hi - u.Lo
-}
-
 // UnitResult is the result of one Unit.
 type UnitResult struct {
 	Tally    stats.Proportion // failing / examined combinations or trials
-	Failures [][]int          // failing sets recorded verbatim: a range's lex-smallest, a block's first witnesses
+	Failures [][]int          // failing sets recorded verbatim: a cardinality's lex-smallest, a block's first witnesses
 	// Stratified units only: Tally split by stratum (see SampledBlock),
 	// and the trials resolved by structural proof alone.
 	Strata   []stats.Proportion
@@ -71,7 +58,7 @@ type Job struct {
 	// order, because the stopping rule looks at everything before it.
 	Groups [][]Unit
 	// Err is why the plan ends short of the requested cardinalities (a
-	// rank space beyond int64, or beyond the planning budget). Run reports
+	// cardinality out of range or beyond exhaustiveBudget). Run reports
 	// it unless a stopping rule ends the job first; a caller that must not
 	// start what it cannot finish checks it up front.
 	Err error
@@ -123,6 +110,15 @@ func runGroup(ctx context.Context, r Runner, units []Unit) ([]UnitResult, error)
 	return res, err
 }
 
+// Work returns the number of combinations or trials unit u examines.
+func (j *Job) Work(u Unit) int64 {
+	if u.Trials > 0 {
+		return u.Trials
+	}
+	c, _ := combin.BinomialInt64(j.total, u.K) // planned, so within exhaustiveBudget
+	return c
+}
+
 // Accepts reports whether r is a complete, well-formed result of unit u:
 // the work adds up to the unit's, a stratified unit's K+1 strata add up to
 // its tally, and there are no more recorded failing sets than failures,
@@ -134,7 +130,7 @@ func (j *Job) Accepts(u Unit, r UnitResult) bool {
 		strata = u.K + 1
 	}
 	if len(r.Strata) != strata || strata > 0 && stats.Pool(r.Strata...) != r.Tally ||
-		r.Tally.Trials != u.Work() || r.Tally.Hits > r.Tally.Trials || int64(len(r.Failures)) > r.Tally.Hits {
+		r.Tally.Trials != j.Work(u) || r.Tally.Hits > r.Tally.Trials || int64(len(r.Failures)) > r.Tally.Hits {
 		return false
 	}
 	for _, set := range r.Failures {
@@ -150,38 +146,6 @@ func (j *Job) Accepts(u Unit, r UnitResult) bool {
 	return true
 }
 
-// maxPlannedUnits bounds the units one cardinality may be cut into. An
-// archival-scale cardinality whose rank space still fits int64 (C(100000,
-// 4) ≈ 4.2e18) would otherwise ask for trillions of Unit structs; like a
-// true rank overflow, that means exhaustive enumeration is infeasible and
-// the job should be sampled instead.
-const maxPlannedUnits = 1 << 20
-
-// rankUnits tiles cardinality k's rank space [0, C(total, k)) with
-// near-equal contiguous ranges: one per worker when shardSize is 0 (the
-// in-memory tiling), else as many as keep each range within shardSize
-// ranks.
-func rankUnits(total, k, maxFailures, workers int, shardSize int64) ([]Unit, error) {
-	space, err := rankSpace(total, k)
-	if err != nil {
-		return nil, err
-	}
-	parts := int64(workers)
-	if shardSize > 0 {
-		parts = (space + shardSize - 1) / shardSize
-	}
-	if parts > maxPlannedUnits {
-		return nil, fmt.Errorf("sim: C(%d,%d) = %d needs %d ranges of %d, beyond the exhaustive planning budget (%w); use the sampled certification spec",
-			total, k, space, parts, shardSize, combin.ErrRankOverflow)
-	}
-	ranges := combin.SplitRanges(space, int(parts))
-	units := make([]Unit, len(ranges))
-	for i, rg := range ranges {
-		units[i] = Unit{K: k, Lo: rg[0], Hi: rg[1], MaxFailures: maxFailures}
-	}
-	return units, nil
-}
-
 // blockUnits appends blocks [lo, hi) of the fixed tiling of a trial
 // budget: block b is trials [b·blockSize, (b+1)·blockSize) — the last one
 // short — drawn from stream b. tmpl carries the fields the blocks share.
@@ -194,17 +158,16 @@ func blockUnits(units []Unit, tmpl Unit, trials, blockSize, lo, hi int64) []Unit
 }
 
 // LocalRunner computes units in this process: one CSR for the job, and per
-// worker one scanner, one stopping-set enumerator (stopping.go) and one
-// sampler of each kind, built on first use and re-aimed from unit to unit
-// and cardinality to cardinality.
+// worker one sampler of each kind, built on first use and re-aimed from
+// unit to unit. An exhaustive unit brings its own enumerators and scanners
+// and spreads its work over the runner's worker count (exhaustiveK), so it
+// can run beside the other units of its group.
 type LocalRunner struct {
 	csr     *decode.CSR
 	workers []localWorker
 }
 
 type localWorker struct {
-	scan   *scanner
-	enum   *decode.StoppingEnumerator
 	stream *streamSampler
 	strat  *StratifiedSampler
 }
@@ -221,11 +184,8 @@ func (l *LocalRunner) RunUnit(ctx context.Context, w int, u Unit) (UnitResult, e
 	lw := &l.workers[w]
 	switch {
 	case u.Trials == 0:
-		if lw.scan == nil {
-			lw.scan = newScanner(l.csr)
-		}
-		rr, err := lw.scan.scanRange(ctx, u.K, u.Lo, u.Hi, u.MaxFailures)
-		return UnitResult{Tally: stats.Proportion{Hits: rr.FailureCount, Trials: rr.Tested}, Failures: rr.Failures}, err
+		kr, err := l.exhaustiveK(ctx, u.K, u.MaxFailures)
+		return UnitResult{Tally: stats.Proportion{Hits: kr.FailureCount, Trials: kr.Tested}, Failures: kr.Failures}, err
 	case u.Stratified:
 		if lw.strat == nil {
 			lw.strat = NewStratifiedSampler(l.csr)

@@ -61,12 +61,22 @@ func TestRunGroupFirstErrorCancelsTheRest(t *testing.T) {
 
 // TestWorstCasePlanEndingShort: a search asked for cardinalities it cannot
 // plan reports that only if it gets there. The 8-node mirror fails at k=2;
-// MaxK 12 asks for four cardinalities that do not exist.
+// MaxK 12 asks for four cardinalities that do not exist. On 96 nodes the
+// plan ends at k=7, the last cardinality within the exhaustive budget.
 func TestWorstCasePlanEndingShort(t *testing.T) {
 	g := mirrorGraph(4)
-	j := NewWorstCaseJob(g, WorstCaseOptions{MaxK: 12}, 0)
+	j := NewWorstCaseJob(g, WorstCaseOptions{MaxK: 12})
 	if len(j.Groups) != 8 || j.Err == nil {
 		t.Fatalf("plan has %d groups and error %v, want 8 and an out-of-range error", len(j.Groups), j.Err)
+	}
+	for gi, grp := range j.Groups {
+		if len(grp) != 1 || grp[0] != (Unit{ID: gi, K: gi + 1, MaxFailures: DefaultMaxFailures}) {
+			t.Errorf("group %d is %+v, want one unit for cardinality %d", gi, grp, gi+1)
+		}
+	}
+	j = NewWorstCaseJob(mirrorGraph(48), WorstCaseOptions{MaxK: 8})
+	if len(j.Groups) != 7 || !errors.Is(j.Err, combin.ErrRankOverflow) {
+		t.Errorf("96 nodes to k=8: %d groups, error %v; want 7 and the budget's ErrRankOverflow", len(j.Groups), j.Err)
 	}
 	res, err := WorstCaseCtx(context.Background(), g, WorstCaseOptions{MaxK: 12})
 	if err != nil || res.FirstFailure != 2 || len(res.PerK) != 2 {
@@ -78,34 +88,11 @@ func TestWorstCasePlanEndingShort(t *testing.T) {
 	}
 }
 
-// TestTilingIsTheDocumentedOne pins what the two tilings promise: in
-// memory one rank range per worker and DefaultSampledBlock-trial blocks;
-// with a shard size, ranges within it and blocks of exactly it — block b
-// on stream b, the last one short — numbered in plan order.
+// TestTilingIsTheDocumentedOne pins the trial tiling: blocks of
+// DefaultSampledBlock in memory, of exactly the shard size otherwise —
+// block b on stream b, the last one short — numbered in plan order.
 func TestTilingIsTheDocumentedOne(t *testing.T) {
 	g := mirrorGraph(12) // 24 nodes
-	j := NewWorstCaseJob(g, WorstCaseOptions{MaxK: 3, Workers: 3, KeepGoing: true}, 0)
-	for gi, grp := range j.Groups {
-		if len(grp) != 3 {
-			t.Errorf("in-memory k=%d: %d ranges for 3 workers", gi+1, len(grp))
-		}
-	}
-	j = NewWorstCaseJob(g, WorstCaseOptions{MaxK: 3}, 100)
-	id := 0
-	for gi, grp := range j.Groups {
-		space, _ := combin.BinomialInt64(g.Total, gi+1)
-		var lo int64
-		for _, u := range grp {
-			if u.ID != id || u.K != gi+1 || u.Lo != lo || u.Work() > 100 || u.Work() < 1 {
-				t.Fatalf("k=%d: unit %+v after id %d rank %d", gi+1, u, id, lo)
-			}
-			id, lo = id+1, u.Hi
-		}
-		if lo != space || int64(len(grp)) != (space+99)/100 {
-			t.Errorf("k=%d: %d ranges tile %d of %d ranks", gi+1, len(grp), lo, space)
-		}
-	}
-
 	for _, tc := range []struct{ shard, block int64 }{{0, DefaultSampledBlock}, {30000, 30000}} {
 		pj, err := NewProfileJob(g, ProfileOptions{Trials: 150000, MinK: 6, MaxK: 7, ExhaustiveLimit: 1}, tc.shard)
 		if err != nil {

@@ -69,11 +69,10 @@ func FailureProfileCtx(ctx context.Context, g *graph.Graph, opts ProfileOptions)
 
 // NewProfileJob plans the failure profile of g as one group — every point
 // is independent. A point whose rank space is within opts.ExhaustiveLimit
-// is enumerated (rankUnits(shardSize); only the count matters, so at most
-// one witness is recorded); any other is sampled in fixed blocks of
-// shardSize trials, block b drawing from RNG stream b, so the block size
-// is part of what defines the result. shardSize 0 is the in-memory
-// tiling: one rank range per worker, DefaultSampledBlock-trial blocks.
+// is one exhaustive unit (only the count matters, so at most one witness
+// is recorded); any other is sampled in fixed blocks of shardSize trials,
+// block b drawing from RNG stream b, so the block size is part of what
+// defines the result. shardSize 0 means DefaultSampledBlock.
 func NewProfileJob(g *graph.Graph, opts ProfileOptions, shardSize int64) (*Job, error) {
 	opts = opts.normalize(g.Total)
 	p := &Profile{
@@ -91,11 +90,10 @@ func NewProfileJob(g *graph.Graph, opts ProfileOptions, shardSize int64) (*Job, 
 	var units []Unit
 	for k := opts.MinK; k <= opts.MaxK; k++ {
 		if c, ok := combin.BinomialInt64(g.Total, k); ok && c <= opts.ExhaustiveLimit {
-			exact, err := rankUnits(g.Total, k, 1, opts.Workers, shardSize)
-			if err != nil {
+			if _, err := exhaustiveSpace(g.Total, k); err != nil {
 				return nil, err
 			}
-			units = append(units, exact...)
+			units = append(units, Unit{K: k, MaxFailures: 1})
 			continue
 		}
 		nBlocks := (opts.Trials + blockSize - 1) / blockSize

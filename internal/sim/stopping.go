@@ -3,6 +3,7 @@ package sim
 import (
 	"cmp"
 	"context"
+	"errors"
 	"math/bits"
 	"slices"
 
@@ -10,48 +11,61 @@ import (
 	"tornado/internal/decode"
 )
 
-// This file answers one cardinality of the in-memory exhaustive search
-// (WorstCaseCtx, ExhaustiveKCtx) without visiting its C(n,k) patterns. A
-// pattern loses data iff it contains a stopping set holding a data node
+// This file computes an exhaustive unit: every erasure pattern of one
+// cardinality, without visiting the C(n,k) patterns. A pattern loses data
+// iff it contains a stopping set holding a data node
 // (decode.StoppingEnumerator has the argument), so the failing k-sets are
 // exactly the k-supersets of the minimal failing sets of at most k nodes,
-// and the enumerator lists a superset of those. The rank scan (sliced.go)
-// stays: campaigns shard it (NewWorstCaseJob), the profile's exact points
-// use it, and here it is the fallback when closing the sets up would cost
-// more than scanning — and, in the tests, this path's differential oracle.
+// and the enumerator lists a superset of those. Where listing the sets or
+// closing them up would cost more than C(n,k), the cardinality is handed to
+// the rank scan (sliced.go) instead, which is also this path's
+// differential oracle in the tests.
+
+// errOverBudget stops the stopping-set search of a cardinality whose sets
+// cost more to list than scanning its patterns would.
+var errOverBudget = errors.New("sim: stopping-set search over budget")
 
 // exhaustiveK computes cardinality k's KResult: the stopping sets of at
 // most k nodes, one root data node per block over the runner's workers,
-// merged in root order; then their closure up to k (closeUp), or the rank
-// scan when the closure is over budget. Cancellation is checked once per
-// root and every cancelCheckInterval closure steps.
+// each root allowed C(n,k)/Data search steps, merged in root order; then
+// their closure up to k (closeUp). When a root or the closure is over
+// budget, the rank scan runs instead, [0, C(n,k)) split over the workers.
+// Every goroutine gets its own enumerator or scanner, so the unit is safe
+// beside any other. Cancellation is checked once per root, every
+// cancelCheckInterval closure steps, and at the scan's chunk boundaries.
 func (l *LocalRunner) exhaustiveK(ctx context.Context, k, maxFailures int) (KResult, error) {
 	n := int(l.csr.Total)
-	space, err := rankSpace(n, k)
+	space, err := exhaustiveSpace(n, k)
 	if err != nil {
 		return KResult{}, err
 	}
+	enums := make([]*decode.StoppingEnumerator, l.Workers())
 	roots := make([][][]int, l.csr.Data)
-	err = forBlocksCtx(ctx, l.Workers(), int64(len(roots)), func(_ context.Context, w int, b int64) error {
-		lw := &l.workers[w]
-		if lw.enum == nil {
-			lw.enum = decode.NewStoppingEnumerator(l.csr)
+	budget := max(space/int64(len(roots)), 1)
+	err = forBlocksCtx(ctx, len(enums), int64(len(roots)), func(_ context.Context, w int, b int64) error {
+		if enums[w] == nil {
+			enums[w] = decode.NewStoppingEnumerator(l.csr)
 		}
-		roots[b] = lw.enum.Root(nil, int(b), k)
+		var complete bool
+		if roots[b], complete = enums[w].Root(nil, int(b), k, budget); !complete {
+			return errOverBudget
+		}
 		return nil
 	})
-	if err != nil {
+	if err == nil {
+		kr, ok, err := closeUp(ctx, slices.Concat(roots...), n, k, maxFailures, space)
+		if err != nil || ok {
+			return kr, err
+		}
+	} else if err != errOverBudget {
 		return KResult{}, err
 	}
-	kr, ok, err := closeUp(ctx, slices.Concat(roots...), n, k, maxFailures, space)
-	if err != nil || ok {
-		return kr, err
-	}
-	units, err := rankUnits(n, k, maxFailures, l.Workers(), 0)
-	if err != nil {
-		return KResult{}, err
-	}
-	res, err := runGroup(ctx, l, units)
+	ranges := combin.SplitRanges(space, l.Workers())
+	res := make([]RangeResult, len(ranges))
+	err = forBlocksCtx(ctx, len(ranges), int64(len(ranges)), func(ctx context.Context, _ int, i int64) (err error) {
+		res[i], err = newScanner(l.csr).scanRange(ctx, k, ranges[i][0], ranges[i][1], maxFailures)
+		return err
+	})
 	if err != nil {
 		return KResult{}, err
 	}

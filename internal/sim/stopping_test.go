@@ -7,20 +7,36 @@ import (
 	"reflect"
 	"testing"
 
+	"tornado/internal/combin"
 	"tornado/internal/core"
+	"tornado/internal/decode"
 	"tornado/internal/graph"
 	"tornado/internal/graphml"
 )
 
 // scanWorstCase is the stopping-set path's differential oracle: the same
-// search as a rank-scan Job over a LocalRunner.
+// search as one ScanRangeCtx over each cardinality's whole rank space,
+// stopping after the first failing cardinality unless opts.KeepGoing.
 func scanWorstCase(t *testing.T, g *graph.Graph, opts WorstCaseOptions) WorstCaseResult {
 	t.Helper()
-	j := NewWorstCaseJob(g, opts, 0)
-	if err := j.Run(context.Background(), NewLocalRunner(g, opts.Workers)); err != nil {
-		t.Fatal(err)
+	opts = opts.normalize()
+	var wc WorstCaseResult
+	for k := 1; k <= opts.MaxK; k++ {
+		space, _ := combin.BinomialInt64(g.Total, k)
+		rr, err := ScanRangeCtx(context.Background(), g, k, 0, space, opts.MaxFailures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wc.PerK = append(wc.PerK, KResult{K: k, Tested: rr.Tested, FailureCount: rr.FailureCount, Failures: rr.Failures})
+		wc.Tested += rr.Tested
+		if rr.FailureCount > 0 && !wc.Found {
+			wc.Found, wc.FirstFailure = true, k
+			if !opts.KeepGoing {
+				break
+			}
+		}
 	}
-	return *j.WorstCase
+	return wc
 }
 
 // TestStoppingMatchesScan is the stopping-set path's differential battery:
@@ -71,6 +87,34 @@ func TestStoppingMatchesScan(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s workers=%d:\n stopping sets %+v\n scan          %+v", c.name, workers, got, want)
 			}
+		}
+	}
+}
+
+// TestDenseCardinalitiesTakeTheScan: near k = n a graph has few patterns
+// and an astronomical number of stopping sets — the default profile's
+// exact points on tornado96 are k = 94, 95, 96 — so the search's step
+// budget must hand them to the scan, with the scan's answer.
+func TestDenseCardinalitiesTakeTheScan(t *testing.T) {
+	g, err := graphml.ReadFile("../../precompiled/tornado96-1.graphml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, complete := decode.NewStoppingEnumerator(decode.NewCSR(g)).Root(nil, 0, 94, 95); complete {
+		t.Error("a 95-step search from root 0 at k=94 reports it finished")
+	}
+	for k := 94; k <= 96; k++ {
+		space, _ := combin.BinomialInt64(g.Total, k)
+		want, err := ScanRangeCtx(context.Background(), g, k, 0, space, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ExhaustiveKCtx(context.Background(), g, k, 4, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Tested != want.Tested || got.FailureCount != want.FailureCount || !reflect.DeepEqual(got.Failures, want.Failures) {
+			t.Errorf("k=%d: %+v, scan %+v", k, got, want)
 		}
 	}
 }

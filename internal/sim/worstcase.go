@@ -2,12 +2,11 @@
 // exhaustive combinatorial worst-case search that finds the minimum number
 // of lost nodes causing data loss, and the Monte Carlo reconstruction-
 // failure profiles that estimate the fraction of failed reconstructions for
-// each number of offline devices. Both are Jobs (job.go): plans of
-// deterministic units — a contiguous rank range of the combination space,
-// or a fixed block of the trial stream — that one driver fans out over
-// goroutines, each worker owning a private bit-sliced kernel. In memory,
-// the worst-case search answers a cardinality from the graph's stopping
-// sets instead (stopping.go), with the rank scan as its fallback.
+// each number of offline devices. All of them are Jobs (job.go): plans of
+// deterministic units — every pattern of one cardinality, answered from the
+// graph's stopping sets with the bit-sliced rank scan as the fallback
+// (stopping.go, sliced.go), or a fixed block of the trial stream — that one
+// driver fans out over goroutines.
 //
 // Every long-running entry point takes a context (WorstCaseCtx,
 // FailureProfileCtx, SampleStratifiedCtx, OverheadCtx,
@@ -79,53 +78,42 @@ func (r WorstCaseResult) FailureCountAt(k int) int64 {
 
 // WorstCaseCtx exhaustively searches erasure combinations of increasing
 // cardinality for the graph's worst-case failure scenario (paper §3:
-// "(96 choose 1 lost block) through (96 choose 6)"). Each cardinality is
-// answered from the graph's small stopping sets (stopping.go), or by the
-// rank scan where closing them up would cost more than scanning; the result
-// is the same either way, at any worker count. Cancellation returns the
-// cardinalities completed so far and ctx.Err().
+// "(96 choose 1 lost block) through (96 choose 6)"): it runs
+// NewWorstCaseJob on a LocalRunner. The result is the same at any worker
+// count. Cancellation returns the cardinalities completed so far and
+// ctx.Err().
 func WorstCaseCtx(ctx context.Context, g *graph.Graph, opts WorstCaseOptions) (WorstCaseResult, error) {
-	opts = opts.normalize()
-	r := NewLocalRunner(g, opts.Workers)
-	var wc WorstCaseResult
-	for k := 1; k <= opts.MaxK; k++ {
-		kr, err := r.exhaustiveK(ctx, k, opts.MaxFailures)
-		if err != nil {
-			return wc, err
-		}
-		if wc.add(kr, opts.KeepGoing) {
-			break
-		}
-	}
-	return wc, nil
+	j := NewWorstCaseJob(g, opts)
+	err := j.Run(ctx, NewLocalRunner(g, opts.Workers))
+	return *j.WorstCase, err
 }
 
 // ExhaustiveKCtx examines every erasure combination of exactly k of the
 // graph's nodes, returning the exact failure count and up to maxFailures
-// recorded failing sets, by the same per-cardinality step as WorstCaseCtx.
-// The result is bit-identical at any worker count.
+// recorded failing sets: one unit of the worst-case job. The result is
+// bit-identical at any worker count.
 func ExhaustiveKCtx(ctx context.Context, g *graph.Graph, k, maxFailures, workers int) (KResult, error) {
 	return NewLocalRunner(g, workers).exhaustiveK(ctx, k, maxFailures)
 }
 
-// NewWorstCaseJob plans the worst-case search of g as a rank scan: one group
-// per cardinality 1..MaxK, ascending, each tiled by rankUnits(shardSize).
-// The search stops at the first failing cardinality unless opts.KeepGoing.
-// This is the resumable, shardable form campaigns run; its results equal
-// WorstCaseCtx's.
-func NewWorstCaseJob(g *graph.Graph, opts WorstCaseOptions, shardSize int64) *Job {
+// NewWorstCaseJob plans the worst-case search of g: one group per
+// cardinality 1..MaxK, ascending, each a single exhaustive unit. The search
+// stops at the first failing cardinality unless opts.KeepGoing. WorstCaseCtx
+// runs it in memory; campaigns journal it.
+func NewWorstCaseJob(g *graph.Graph, opts WorstCaseOptions) *Job {
 	opts = opts.normalize()
 	j := &Job{total: g.Total, WorstCase: &WorstCaseResult{}}
 	for k := 1; k <= opts.MaxK; k++ {
-		units, err := rankUnits(g.Total, k, opts.MaxFailures, opts.Workers, shardSize)
-		if err != nil {
+		if _, err := exhaustiveSpace(g.Total, k); err != nil {
 			j.Err = err
 			break
 		}
-		j.Groups = append(j.Groups, units)
+		j.Groups = append(j.Groups, []Unit{{K: k, MaxFailures: opts.MaxFailures}})
 	}
 	j.fold = func(gi int, res []UnitResult) int {
-		if j.WorstCase.add(mergeRanges(j.Groups[gi][0].K, res, opts.MaxFailures), opts.KeepGoing) {
+		r := res[0]
+		kr := KResult{K: j.Groups[gi][0].K, Tested: r.Tally.Trials, FailureCount: r.Tally.Hits, Failures: r.Failures}
+		if j.WorstCase.add(kr, opts.KeepGoing) {
 			j.Err = nil // the cardinalities the plan stops short of are never reached
 			return len(j.Groups)
 		}
@@ -148,11 +136,11 @@ func (wc *WorstCaseResult) add(kr KResult, keepGoing bool) (stop bool) {
 
 // mergeRanges folds the rank ranges that tile cardinality k into its
 // KResult.
-func mergeRanges(k int, res []UnitResult, maxFailures int) KResult {
+func mergeRanges(k int, res []RangeResult, maxFailures int) KResult {
 	kr := KResult{K: k}
 	for _, r := range res {
-		kr.Tested += r.Tally.Trials
-		kr.FailureCount += r.Tally.Hits
+		kr.Tested += r.Tested
+		kr.FailureCount += r.FailureCount
 		kr.Failures = append(kr.Failures, r.Failures...)
 	}
 	// Each range keeps its lexicographically smallest failures (up to
@@ -165,6 +153,26 @@ func mergeRanges(k int, res []UnitResult, maxFailures int) KResult {
 		kr.Failures = kr.Failures[:maxFailures:maxFailures]
 	}
 	return kr
+}
+
+// exhaustiveBudget bounds the patterns of one exhaustive cardinality:
+// 2^20 blocks of DefaultSampledBlock, about 6.9e10 (C(96,7) ≈ 1.1e10 fits,
+// C(96,8) does not). Stopping sets usually answer far below it, but a
+// cardinality they cannot answer runs the rank scan, and one beyond the
+// budget would scan for hours; it is planned as a sampled certification
+// instead.
+const exhaustiveBudget = 1 << 20 * DefaultSampledBlock
+
+// exhaustiveSpace returns C(total, k), or why cardinality k cannot be
+// examined exhaustively: out of range, beyond int64, or beyond
+// exhaustiveBudget.
+func exhaustiveSpace(total, k int) (int64, error) {
+	space, err := rankSpace(total, k)
+	if err == nil && space > exhaustiveBudget {
+		err = fmt.Errorf("sim: C(%d,%d) = %d is beyond the exhaustive budget of %d patterns (%w); use the sampled certification spec",
+			total, k, space, int64(exhaustiveBudget), combin.ErrRankOverflow)
+	}
+	return space, err
 }
 
 // rankSpace returns C(total, k), or why cardinality k cannot be scanned
@@ -180,8 +188,7 @@ func rankSpace(total, k int) (int64, error) {
 	return c, nil
 }
 
-// RangeResult reports an exhaustive scan of one contiguous rank range: what
-// an exhaustive Unit computes.
+// RangeResult reports an exhaustive scan of one contiguous rank range.
 type RangeResult struct {
 	Tested       int64   // combinations examined (= hi - lo)
 	FailureCount int64   // combinations that lost data
@@ -195,12 +202,11 @@ type RangeResult struct {
 // bit-sliced scanner (sliced.go) — this is the system's decode hot path
 // (see DESIGN.md "Decoder kernels").
 //
-// ScanRangeCtx is deterministic in its arguments, which is what makes
-// jobs resumable: re-scanning the same range always reproduces the same
-// result, and ranges tiling [0, C(total,k)) together examine every
-// combination exactly once. Cancellation is honored at combination-chunk
-// boundaries, and progress counters are flushed to Metrics() at the same
-// cadence.
+// ScanRangeCtx is deterministic in its arguments: re-scanning the same
+// range always reproduces the same result, and ranges tiling
+// [0, C(total,k)) together examine every combination exactly once.
+// Cancellation is honored at combination-chunk boundaries, and progress
+// counters are flushed to Metrics() at the same cadence.
 func ScanRangeCtx(ctx context.Context, g *graph.Graph, k int, lo, hi int64, maxFailures int) (RangeResult, error) {
 	return newScanner(decode.NewCSR(g)).scanRange(ctx, k, lo, hi, maxFailures)
 }
@@ -210,7 +216,7 @@ func ScanRangeCtx(ctx context.Context, g *graph.Graph, k int, lo, hi int64, maxF
 // (rather than the first maxFailures in revolving-door scan order) makes
 // the recorded sets a pure function of the range — merging any tiling of
 // [0, C(total,k)) reproduces the same global prefix regardless of worker
-// count or shard schedule.
+// count, and the same prefix the stopping-set closure records.
 func recordFailure(fs [][]int, idx []int, maxFailures int) [][]int {
 	if maxFailures <= 0 {
 		return fs

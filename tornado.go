@@ -105,7 +105,8 @@ func GenerateUnscreened(p Params, seed uint64) (*Graph, error) {
 
 // ScanDefects finds closed data-node sets up to maxSize (paper §3.2).
 func ScanDefects(g *Graph, maxSize int) []Defect {
-	return defect.ScanDataLevel(g, maxSize)
+	fs, _ := defect.ScanDataLevelCtx(context.Background(), g, maxSize, 0) // only cancellation fails a scan
+	return fs
 }
 
 // ScanDefectsCtx is ScanDefects with cancellation and an explicit worker
@@ -122,7 +123,7 @@ func ScanDefectsCtx(ctx context.Context, g *Graph, maxSize, workers int) ([]Defe
 // sealed checks cannot recover those nodes top-down) rather than
 // standalone data loss; the generation gate remains data-level only.
 func ScanAllDefects(g *Graph, maxSize int) ([]Defect, error) {
-	return defect.ScanGraph(g, maxSize)
+	return defect.ScanGraphCtx(context.Background(), g, maxSize, 0)
 }
 
 // ScanAllDefectsCtx is ScanAllDefects with cancellation and an explicit
