@@ -7,7 +7,7 @@ GO ?= go
 TEST_TIMEOUT ?= 2m
 RACE_TIMEOUT ?= 3m
 
-.PHONY: all build test race vet fuzz bench bench-api check smoke clean
+.PHONY: all build test race vet fmt fuzz bench bench-api check smoke clean
 
 all: build
 
@@ -36,6 +36,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails, listing the files, when any Go file in the tree (bench/ too)
+# is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # fuzz gives the frame codec, the kernel differential batteries (peeling
 # decoder, the stopping-set search against the scan and the reference
@@ -66,7 +71,7 @@ bench:
 bench-api:
 	cd bench && $(GO) vet . && $(GO) test -timeout $(TEST_TIMEOUT) .
 
-check: vet build test bench-api race fuzz
+check: fmt vet build test bench-api race fuzz
 
 # smoke runs a small end-to-end campaign under the race detector: the
 # paper's search on tornado96-1 to k=6 (seconds from stopping sets; a

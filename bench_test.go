@@ -275,58 +275,6 @@ func BenchmarkMicro_MonteCarloPoint(b *testing.B) {
 
 // --- Ablations of DESIGN.md's called-out choices ---
 
-// Ablation: the incremental decoder against the naive reference scan.
-func BenchmarkAblation_ReferenceDecoderK5(b *testing.B) {
-	g := benchGraph(b)
-	rng := rand.New(rand.NewPCG(1, 1))
-	erased := make([]int, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range erased {
-			erased[j] = rng.IntN(g.Total)
-		}
-		referenceRecoverable(g, erased)
-	}
-}
-
-// referenceRecoverable mirrors internal/decode.ReferenceRecoverable using
-// only the public API (kept here so the ablation compiles outside the
-// internal tree).
-func referenceRecoverable(g *tornado.Graph, erased []int) bool {
-	present := make([]bool, g.Total)
-	for i := range present {
-		present[i] = true
-	}
-	for _, v := range erased {
-		present[v] = false
-	}
-	for changed := true; changed; {
-		changed = false
-		for r := g.Data; r < g.Total; r++ {
-			nMissing, missing := 0, -1
-			for _, l := range g.LeftNeighbors(r) {
-				if !present[l] {
-					nMissing++
-					missing = int(l)
-				}
-			}
-			if present[r] && nMissing == 1 {
-				present[missing] = true
-				changed = true
-			} else if !present[r] && nMissing == 0 {
-				present[r] = true
-				changed = true
-			}
-		}
-	}
-	for v := 0; v < g.Data; v++ {
-		if !present[v] {
-			return false
-		}
-	}
-	return true
-}
-
 // Ablation: defect screening cost and acceptance (generation with and
 // without the §3.2 screen+repair).
 func BenchmarkAblation_GenerateUnscreened(b *testing.B) {
@@ -336,38 +284,4 @@ func BenchmarkAblation_GenerateUnscreened(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// Ablation: guided vs naive retrieval — devices touched per archive read.
-func BenchmarkAblation_GuidedRetrieval(b *testing.B) {
-	benchmarkRetrieval(b, false)
-}
-
-func BenchmarkAblation_NaiveRetrieval(b *testing.B) {
-	benchmarkRetrieval(b, true)
-}
-
-func benchmarkRetrieval(b *testing.B, naive bool) {
-	g := benchGraph(b)
-	store, err := tornado.NewArchive(g, tornado.NewDevices(g.Total), tornado.ArchiveConfig{
-		BlockSize: 512, NaiveRetrieval: naive,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, 20000)
-	if err := store.Put("obj", payload); err != nil {
-		b.Fatal(err)
-	}
-	store.Devices()[7].Fail()
-	var touched int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, stats, err := store.Get("obj")
-		if err != nil {
-			b.Fatal(err)
-		}
-		touched = stats.DevicesAccessed
-	}
-	b.ReportMetric(float64(touched), "devices/get")
 }

@@ -126,7 +126,7 @@ func main() {
 		log.Printf("MAID spin-ups so far: %d (budget %d)", shelf.SpinUps(), shelf.Budget())
 	}
 
-	rep, err := store.Scrub(false)
+	rep, err := store.ScrubCtx(ctx, false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -136,13 +136,13 @@ func main() {
 	for _, id := range failed {
 		devices[id].Replace()
 	}
-	rep, err = store.Scrub(true)
+	rep, err = store.ScrubCtx(ctx, true)
 	if err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("scrub (repair after replacement): %d blocks rewritten", rep.BlocksRepaired)
 
-	rep, err = store.Scrub(false)
+	rep, err = store.ScrubCtx(ctx, false)
 	if err != nil {
 		log.Fatal(err)
 	}

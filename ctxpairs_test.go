@@ -11,18 +11,9 @@ import (
 	"testing"
 )
 
-// ctxPairCeiling pins, per internal package, how many exported Foo/FooCtx
-// pairs (a function or method and its context-less twin) it may carry —
-// ROADMAP 8(ii): internal callers pass a context, so the twins only go away.
-// A package not listed carries none. Lower a number when you delete a twin;
-// never raise one.
-var ctxPairCeiling = map[string]int{
-	"internal/archive":    3,
-	"internal/adjust":     2,
-	"internal/federation": 1,
-	"internal/chaos/soak": 1,
-}
-
+// TestCtxPairsOnlyGoDown: no internal package carries an exported Foo/FooCtx
+// pair (a function or method and its context-less twin). Internal callers
+// pass a context; only the facade keeps such pairs.
 func TestCtxPairsOnlyGoDown(t *testing.T) {
 	pairs := map[string][]string{}
 	err := filepath.WalkDir("internal", func(dir string, d fs.DirEntry, err error) error {
@@ -69,14 +60,6 @@ func TestCtxPairsOnlyGoDown(t *testing.T) {
 	}
 	for dir, got := range pairs {
 		sort.Strings(got)
-		if max := ctxPairCeiling[dir]; len(got) > max {
-			t.Errorf("%s has %d Foo/FooCtx pairs %v, pinned at %d: take a context instead of adding a twin",
-				dir, len(got), got, max)
-		}
-	}
-	for dir, max := range ctxPairCeiling {
-		if len(pairs[dir]) < max {
-			t.Errorf("%s is down to %d Foo/FooCtx pairs: lower its ceiling from %d", dir, len(pairs[dir]), max)
-		}
+		t.Errorf("%s has Foo/FooCtx pairs %v: take a context instead of adding a twin", dir, got)
 	}
 }

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -18,6 +19,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 
 	// Build and certify the erasure graph: adjust until any 3 losses are
 	// tolerated, then certify the first-failure point.
@@ -58,7 +60,7 @@ func main() {
 		for j := range data {
 			data[j] = byte(rng.IntN(256))
 		}
-		if err := store.Put(name, data); err != nil {
+		if err := store.PutCtx(ctx, name, data); err != nil {
 			log.Fatal(err)
 		}
 		originals[name] = data
@@ -76,7 +78,7 @@ func main() {
 		devices[id].Fail()
 		failed = append(failed, id)
 
-		rep, err := store.Scrub(false)
+		rep, err := store.ScrubCtx(ctx, false)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -91,7 +93,7 @@ func main() {
 
 		// Every object must still read back intact.
 		for name, want := range originals {
-			got, _, err := store.Get(name)
+			got, _, err := store.GetCtx(ctx, name)
 			if err != nil {
 				log.Fatalf("object %s lost after %d failures: %v", name, len(failed), err)
 			}
@@ -107,13 +109,13 @@ func main() {
 	for _, id := range failed {
 		devices[id].Replace()
 	}
-	rep, err := store.Scrub(true)
+	rep, err := store.ScrubCtx(ctx, true)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("replaced %d drives; scrub rewrote %d blocks\n", len(failed), rep.BlocksRepaired)
 
-	rep, err = store.Scrub(false)
+	rep, err = store.ScrubCtx(ctx, false)
 	if err != nil {
 		log.Fatal(err)
 	}

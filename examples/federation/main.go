@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -88,7 +89,7 @@ func main() {
 
 	// Finally, search for the smallest joint failure the seeded heuristic
 	// can construct (Table 7's "first failure detected").
-	det, err := sys.DetectFirstFailure(
+	det, err := sys.DetectFirstFailureCtx(context.Background(),
 		[][]tornado.CriticalSet{csA, csB},
 		tornado.FederationSearchOptions{Seed: 3},
 	)

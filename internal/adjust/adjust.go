@@ -54,18 +54,13 @@ type Report struct {
 	Cleared         bool     // no failures remain at cardinality K
 }
 
-// ClearK attempts to eliminate every failing erasure set of cardinality k
-// by iterative rewiring. It returns the best graph found (fewest failures
+// ClearKCtx attempts to eliminate every failing erasure set of cardinality
+// k by iterative rewiring. It returns the best graph found (fewest failures
 // at k; the input graph is not modified) together with a report. Cleared
 // is false when the loop runs out of rounds or candidates — the paper notes
-// success "is ultimately related to the degree of the graph".
-func ClearK(g *graph.Graph, k int, opts Options, rng *rand.Rand) (*graph.Graph, Report, error) {
-	return ClearKCtx(context.Background(), g, k, opts, rng)
-}
-
-// ClearKCtx is ClearK with cancellation: the exhaustive re-tests honor ctx
-// and the rewire loop checks it between rounds, so a canceled adjustment
-// returns within one test round.
+// success "is ultimately related to the degree of the graph". The
+// exhaustive re-tests honor ctx and the rewire loop checks it between
+// rounds, so a canceled adjustment returns within one test round.
 func ClearKCtx(ctx context.Context, g *graph.Graph, k int, opts Options, rng *rand.Rand) (*graph.Graph, Report, error) {
 	opts.setDefaults()
 	kr, err := sim.ExhaustiveKCtx(ctx, g, k, opts.MaxFailures, opts.Workers)
@@ -126,18 +121,14 @@ func clearK(ctx context.Context, g *graph.Graph, kr sim.KResult, opts Options, r
 	return best, rep, nil
 }
 
-// Improve finds the graph's first failing cardinality (searching up to
+// ImproveCtx finds the graph's first failing cardinality (searching up to
 // maxK) and repeatedly clears it, raising the first failure point until
 // either maxK is tolerated or adjustment stalls. It returns the improved
-// graph and the reports of each cleared cardinality.
-func Improve(g *graph.Graph, maxK int, opts Options, rng *rand.Rand) (*graph.Graph, []Report, error) {
-	return ImproveCtx(context.Background(), g, maxK, opts, rng)
-}
-
-// ImproveCtx is Improve with cancellation threaded through every exhaustive
-// test. No cardinality of a graph is examined twice: the scan that finds a
-// failing cardinality is clearK's first test round, and the round that
-// shows it cleared stands when the rewired graph re-earns the lower ones.
+// graph and the reports of each cleared cardinality. Cancellation is
+// threaded through every exhaustive test. No cardinality of a graph is
+// examined twice: the scan that finds a failing cardinality is clearK's
+// first test round, and the round that shows it cleared stands when the
+// rewired graph re-earns the lower ones.
 func ImproveCtx(ctx context.Context, g *graph.Graph, maxK int, opts Options, rng *rand.Rand) (*graph.Graph, []Report, error) {
 	opts.setDefaults()
 	if maxK <= 0 {

@@ -10,6 +10,9 @@ import (
 	"tornado/internal/sim"
 )
 
+// ctx is the context of every test call that needs none of its own.
+var ctx = context.Background()
+
 // defectivePair builds a 12-node graph whose only worst-case-2 failure is
 // the closed pair {0,1} (the paper's "17 [48,57] / 22 [48,57]" situation),
 // with enough uninvolved checks for the adjustment to use as replacements.
@@ -47,7 +50,7 @@ func TestClearKRemovesClosedPair(t *testing.T) {
 	if ff := firstFailure(t, g, 3); ff != 2 {
 		t.Fatalf("fixture first failure = %d, want 2", ff)
 	}
-	improved, rep, err := ClearK(g, 2, Options{}, rand.New(rand.NewPCG(1, 1)))
+	improved, rep, err := ClearKCtx(ctx, g, 2, Options{}, rand.New(rand.NewPCG(1, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +77,7 @@ func TestClearKRemovesClosedPair(t *testing.T) {
 
 func TestClearKAlreadyClean(t *testing.T) {
 	g := defectivePair(t)
-	improved, rep, err := ClearK(g, 1, Options{}, rand.New(rand.NewPCG(2, 2)))
+	improved, rep, err := ClearKCtx(ctx, g, 1, Options{}, rand.New(rand.NewPCG(2, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +91,7 @@ func TestClearKAlreadyClean(t *testing.T) {
 
 func TestImproveRaisesFirstFailure(t *testing.T) {
 	g := defectivePair(t)
-	improved, reports, err := Improve(g, 3, Options{}, rand.New(rand.NewPCG(3, 3)))
+	improved, reports, err := ImproveCtx(ctx, g, 3, Options{}, rand.New(rand.NewPCG(3, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +113,7 @@ func TestImproveOnScreenedTornado(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	improved, reports, err := Improve(gph, 3, Options{MaxRounds: 12}, rand.New(rand.NewPCG(9, 9)))
+	improved, reports, err := ImproveCtx(ctx, gph, 3, Options{MaxRounds: 12}, rand.New(rand.NewPCG(9, 9)))
 	if err != nil {
 		t.Fatal(err)
 	}

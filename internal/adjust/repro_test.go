@@ -74,7 +74,7 @@ func TestClearKLineageMatchesGraph(t *testing.T) {
 	if !res.Found {
 		t.Skip("fixture tolerates 4 losses; nothing to clear")
 	}
-	out, rep, err := ClearK(g, res.FirstFailure, Options{MaxRounds: 6}, rand.New(rand.NewPCG(7, 7)))
+	out, rep, err := ClearKCtx(ctx, g, res.FirstFailure, Options{MaxRounds: 6}, rand.New(rand.NewPCG(7, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestClearKNeverDegrades(t *testing.T) {
 			continue
 		}
 		k := res.FirstFailure
-		out, rep, err := ClearK(g, k, Options{MaxRounds: 4}, rand.New(rand.NewPCG(seed, 99)))
+		out, rep, err := ClearKCtx(ctx, g, k, Options{MaxRounds: 4}, rand.New(rand.NewPCG(seed, 99)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,11 +8,15 @@
 // stripes and reconstruct missing blocks before a stripe approaches the
 // initial failure point".
 //
-// The data path is self-healing: transient backend errors are retried with
-// bounded backoff, blocks reconstructed during a Get are written back to
-// their home nodes (read-repair), and nodes that repeatedly serve corrupt
+// The data path is self-healing: transient backend errors are retried a
+// fixed number of times, blocks reconstructed during a Get are written back
+// to their home nodes (read-repair), and nodes that repeatedly serve corrupt
 // frames are quarantined — excluded from retrieval planning and surfaced in
 // scrub reports until an operator replaces the device and clears them.
+// Graph node v lives on backend device v.
+//
+// The store is context-first: every operation that touches the backend
+// takes a context.Context.
 package archive
 
 import (
@@ -23,13 +27,11 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"tornado/internal/codec"
 	"tornado/internal/device"
 	"tornado/internal/graph"
 	"tornado/internal/obs"
-	"tornado/internal/placement"
 	"tornado/internal/repairbw"
 	"tornado/internal/retrieval"
 )
@@ -52,6 +54,10 @@ var (
 	// missing block immediately.
 	ErrTransient = errors.New("archive: transient backend error")
 )
+
+// transientRetries is how many extra attempts a transient backend error
+// (ErrTransient) earns before the block is treated as missing.
+const transientRetries = 2
 
 // Object describes a stored object.
 type Object struct {
@@ -89,16 +95,6 @@ type Config struct {
 	// the exhaustive search); Scrub uses it to report each stripe's margin
 	// to the initial failure point. Zero disables margin reporting.
 	FirstFailure int
-	// NaiveRetrieval disables the guided minimal-block retrieval plan
-	// (§5.2/§6 optimization) and reads every reachable block on Get.
-	NaiveRetrieval bool
-	// Retries is how many extra attempts a transient backend error
-	// (ErrTransient) earns before the block is treated as missing.
-	// 0 means the default (2); negative disables retry.
-	Retries int
-	// RetryBackoff is the sleep before the first retry, doubling on each
-	// further attempt. Zero means no sleep (in-memory backends, tests).
-	RetryBackoff time.Duration
 	// QuarantineThreshold is how many corrupt frames one node may serve
 	// before the store quarantines it: Get planning and read-repair stop
 	// relying on it. Scrub still reads and repairs it, and readmits it
@@ -106,28 +102,15 @@ type Config struct {
 	// readmits immediately). 0 means the default (3); negative disables
 	// quarantine.
 	QuarantineThreshold int
-	// DisableReadRepair turns off the write-back of blocks reconstructed
-	// during Get; repair then happens only in Scrub.
-	DisableReadRepair bool
 	// MaxPutFailures is how many failed block writes Put tolerates per
 	// stripe before refusing the object with ErrDegraded and rolling back
 	// what it wrote. 0 means unlimited (parity and scrub absorb every
 	// failure — the seed behaviour); negative refuses on any failure.
 	MaxPutFailures int
-	// Metrics receives the store's self-healing and scrub counters. Nil
-	// gets a private registry (still readable via Store.Metrics).
+	// Metrics receives the store's self-healing and scrub counters and its
+	// repair-traffic meter (repairbw.*). Nil gets a private registry (still
+	// readable via Store.Metrics).
 	Metrics *obs.Registry
-	// Placement maps graph nodes onto backend device slots. Nil means the
-	// identity layout (node v on device v) — the seed behaviour. A
-	// degree-aware layout (internal/placement.DegreeAware) co-locates each
-	// check family so single-loss repairs stay group-local. Block keys keep
-	// the logical node ID; placement only chooses which device serves it.
-	Placement placement.Placement
-	// RepairMeter receives the store's byte-level repair-traffic attribution
-	// (scrub, read-repair, degraded gets, federation block exchange). Nil
-	// creates one on the Metrics registry; share one Meter across stores to
-	// aggregate a fleet.
-	RepairMeter *repairbw.Meter
 }
 
 // Store is the archival object store. It is safe for concurrent use.
@@ -138,8 +121,6 @@ type Store struct {
 	reader  ReaderInto   // backend's read, resolved once: every block read goes through it
 	devices device.Array // non-nil only for array-backed stores
 	cfg     Config
-	place   placement.Placement
-	nodeDev []int // node -> backend device slot (place, flattened)
 	meter   *repairbw.Meter
 
 	mu      sync.Mutex
@@ -205,31 +186,13 @@ func NewWithBackend(g *graph.Graph, backend Backend, cfg Config) (*Store, error)
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	place := cfg.Placement
-	if place == nil {
-		place = placement.NewIdentity(g.Total)
-	}
-	if place.Nodes() != g.Total {
-		return nil, fmt.Errorf("archive: placement %q covers %d nodes for a %d-node graph",
-			place.Name(), place.Nodes(), g.Total)
-	}
-	nodeDev := make([]int, g.Total)
-	for v := range nodeDev {
-		nodeDev[v] = place.Device(v)
-	}
-	meter := cfg.RepairMeter
-	if meter == nil {
-		meter = repairbw.NewMeter(reg)
-	}
 	s := &Store{
 		g:            g,
 		codec:        c,
 		backend:      backend,
 		reader:       ReaderIntoOf(backend),
 		cfg:          cfg,
-		place:        place,
-		nodeDev:      nodeDev,
-		meter:        meter,
+		meter:        repairbw.NewMeter(reg),
 		objects:      map[string]*Object{},
 		corruptCount: make([]int, g.Total),
 		quarantined:  make([]bool, g.Total),
@@ -257,15 +220,9 @@ func (s *Store) Graph() *graph.Graph { return s.g }
 // nil for custom backends.
 func (s *Store) Devices() device.Array { return s.devices }
 
-// Placement returns the node-to-device layout the store was built with.
-func (s *Store) Placement() placement.Placement { return s.place }
-
 // RepairMeter returns the store's repair-traffic ledger (also exported as
 // repairbw.* counters on the metric registry).
 func (s *Store) RepairMeter() *repairbw.Meter { return s.meter }
-
-// dev maps a logical graph node to the backend device slot serving it.
-func (s *Store) dev(node int) int { return s.nodeDev[node] }
 
 // frameSize is the on-device size of one framed block.
 func (s *Store) frameSize() int64 { return int64(s.cfg.BlockSize + frameOverhead) }
@@ -280,19 +237,6 @@ func (s *Store) FrameSize() int { return s.cfg.BlockSize + frameOverhead }
 // archive.read.retries, archive.quarantine.*) and scrub outcomes
 // (archive.scrub.*).
 func (s *Store) Metrics() *obs.Registry { return s.metrics }
-
-// retries resolves the transient-retry budget: Config.Retries, defaulting
-// to 2 extra attempts, with negative meaning none.
-func (s *Store) retries() int {
-	switch {
-	case s.cfg.Retries < 0:
-		return 0
-	case s.cfg.Retries == 0:
-		return 2
-	default:
-		return s.cfg.Retries
-	}
-}
 
 // putFailureLimit resolves Config.MaxPutFailures: -1 means unlimited
 // (the zero-value default), otherwise the per-stripe tolerance.
@@ -319,7 +263,7 @@ func (s *Store) discardBlocks(ctx context.Context, name string, stripes int) {
 	for st := 0; st < stripes; st++ {
 		keys.stripe(name, st)
 		for node := 0; node < s.g.Total; node++ {
-			_ = s.backend.Delete(ctx, s.dev(node), keys.key(node))
+			_ = s.backend.Delete(ctx, node, keys.key(node))
 		}
 	}
 }
@@ -454,53 +398,30 @@ func (s *Store) noteScrubPass(pass scrubPass) {
 	s.gQuarNodes.Set(int64(n))
 }
 
-// sleepCtx waits for d or until ctx is done, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // readFramed reads a framed block into dst under the ReaderInto contract —
 // the frame may alias dst; with a nil dst it is the caller's to keep —
-// retrying transient backend errors with bounded exponential backoff.
-// Cancellation is honored between attempts and during backoff sleeps. Any
-// other error (failed device, missing block) returns immediately — the
-// caller treats the block as an erasure.
+// retrying a transient backend error up to transientRetries times, at once.
+// Cancellation is honored between attempts. Any other error (failed device,
+// missing block) returns immediately — the caller treats the block as an
+// erasure.
 func (s *Store) readFramed(ctx context.Context, node int, key, dst []byte, stats *GetStats) ([]byte, error) {
-	backoff := s.cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		framed, err := s.reader.ReadInto(ctx, s.dev(node), key, dst)
-		if err == nil || !errors.Is(err, ErrTransient) {
+		framed, err := s.reader.ReadInto(ctx, node, key, dst)
+		if err == nil || !errors.Is(err, ErrTransient) || attempt >= transientRetries {
 			return framed, err
-		}
-		if attempt >= s.retries() {
-			return nil, err
 		}
 		s.mReadRetries.Inc()
 		if stats != nil {
 			stats.Retries++
 		}
-		if err := sleepCtx(ctx, backoff); err != nil {
-			return nil, err
-		}
-		backoff *= 2
 	}
 }
 
-// writeFramed frames and writes a payload, retrying transient errors with
-// the same bounded backoff as reads.
+// writeFramed frames and writes a payload, retrying transient errors as
+// reads do.
 func (s *Store) writeFramed(ctx context.Context, node int, key []byte, payload []byte) error {
 	return s.writeFrame(ctx, node, key, frameBlock(payload))
 }
@@ -516,23 +437,15 @@ func (s *Store) writeFramedBuf(ctx context.Context, node int, key []byte, payloa
 }
 
 func (s *Store) writeFrame(ctx context.Context, node int, key []byte, framed []byte) error {
-	backoff := s.cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		err := s.backend.Write(ctx, s.dev(node), key, framed)
-		if err == nil || !errors.Is(err, ErrTransient) {
-			return err
-		}
-		if attempt >= s.retries() {
+		err := s.backend.Write(ctx, node, key, framed)
+		if err == nil || !errors.Is(err, ErrTransient) || attempt >= transientRetries {
 			return err
 		}
 		s.mWriteRetries.Inc()
-		if err := sleepCtx(ctx, backoff); err != nil {
-			return err
-		}
-		backoff *= 2
 	}
 }
 
@@ -589,7 +502,6 @@ type stripeScratch struct {
 	want     []bool // blocks the decode is to rebuild for read-repair
 	unaided  []bool // scrub: blocks[i] was rebuilt before any donor block arrived
 	donated  []bool // scrub: blocks[i] came from the pass's Donor
-	toRead   []int
 	ws       *codec.Workspace
 	enc      *codec.Encoder
 	planner  *retrieval.Planner // reused: planning a stripe allocates nothing
@@ -690,7 +602,7 @@ func (s *Store) reserve(name string) (*Object, error) {
 // are unavailable at write time simply miss their block — exactly the
 // redundancy the code is there to absorb. Blocks are stored framed with a
 // CRC-32C so bit rot is detected on read; transient write faults are
-// retried with bounded backoff. A ctx error aborts immediately.
+// retried. A ctx error aborts immediately.
 func (s *Store) putStripe(ctx context.Context, name string, st int, payload []byte, sc *stripeScratch) error {
 	blocks, err := sc.encoder(s).Encode(payload)
 	if err != nil {
@@ -718,16 +630,11 @@ func (s *Store) putStripe(ctx context.Context, name string, st int, payload []by
 	return nil
 }
 
-// Put encodes and stores an object. The transactional archival interface
-// takes whole objects; there are no partial updates (paper §2.2).
-func (s *Store) Put(name string, data []byte) error {
-	return s.PutCtx(context.Background(), name, data)
-}
-
-// PutCtx is Put with cancellation: the write checks ctx between blocks and
-// during retry backoff, and a cancelled Put rolls its partial object back
-// (the rollback itself is not cancellable). The stripes are sub-slices of
-// data, encoded one at a time on the caller's goroutine.
+// PutCtx encodes and stores an object. The transactional archival interface
+// takes whole objects; there are no partial updates (paper §2.2). The write
+// checks ctx between blocks, and a cancelled Put rolls its partial object
+// back (the rollback itself is not cancellable). The stripes are sub-slices
+// of data, encoded one at a time on the caller's goroutine.
 func (s *Store) PutCtx(ctx context.Context, name string, data []byte) error {
 	stripeCap := s.codec.Capacity()
 	_, err := s.putObject(ctx, name, 1, func(sl *stripeSlot) (bool, error) {
@@ -741,14 +648,9 @@ func (s *Store) PutCtx(ctx context.Context, name string, data []byte) error {
 	return err
 }
 
-// Get retrieves an object, reconstructing around unavailable devices.
-func (s *Store) Get(name string) ([]byte, GetStats, error) {
-	return s.GetCtx(context.Background(), name)
-}
-
-// GetCtx is Get with cancellation: ctx is checked between stripes, between
-// blocks, and during retry backoff, so a cancelled Get returns promptly
-// mid-object instead of finishing the remaining stripes.
+// GetCtx retrieves an object, reconstructing around unavailable devices.
+// ctx is checked between stripes and between blocks, so a cancelled Get
+// returns promptly mid-object instead of finishing the remaining stripes.
 func (s *Store) GetCtx(ctx context.Context, name string) ([]byte, GetStats, error) {
 	obj, err := s.Stat(name)
 	if err != nil {
@@ -809,9 +711,9 @@ func (s *Store) getStripe(ctx context.Context, name string, st int, dst []byte, 
 	sc.keys.stripe(name, st)
 	s.quarantineSnapshot(sc.quar)
 	for node := range sc.avail {
-		sc.avail[node] = !sc.quar[node] && s.backend.Available(s.dev(node), sc.keys.key(node))
-		if sc.avail[node] && !s.cfg.NaiveRetrieval {
-			sc.cost[node] = s.backend.Cost(s.dev(node))
+		sc.avail[node] = !sc.quar[node] && s.backend.Available(node, sc.keys.key(node))
+		if sc.avail[node] {
+			sc.cost[node] = s.backend.Cost(node)
 		}
 		sc.blocks[node] = nil
 		sc.corrupt[node] = false
@@ -837,24 +739,13 @@ func (s *Store) getStripe(ctx context.Context, name string, st int, dst []byte, 
 		s.meter.Record(repairbw.DegradedGet, bill)
 	}
 
-	toRead := sc.toRead[:0]
-	if !s.cfg.NaiveRetrieval {
-		// PlanEconomic prefers the recovery plan with the fewest projected
-		// repair bytes (blocks beyond the data floor), falling back to plan
-		// price on ties; a healthy stripe short-circuits after one ordering.
-		planner, planCost := sc.plan(s)
-		plan, _, err := planner.PlanEconomic(sc.avail, planCost)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %q stripe %d: %v", ErrDataLoss, name, st, err)
-		}
-		toRead = plan
-	} else {
-		for node, ok := range sc.avail {
-			if ok {
-				toRead = append(toRead, node)
-			}
-		}
-		sc.toRead = toRead
+	// PlanEconomic prefers the recovery plan with the fewest projected
+	// repair bytes (blocks beyond the data floor), falling back to plan
+	// price on ties; a healthy stripe short-circuits after one ordering.
+	planner, planCost := sc.plan(s)
+	toRead, _, err := planner.PlanEconomic(sc.avail, planCost)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %q stripe %d: %v", ErrDataLoss, name, st, err)
 	}
 
 	// corrupt marks frames that failed their checksum during this read, so
@@ -902,13 +793,13 @@ func (s *Store) getStripe(ctx context.Context, name string, st int, dst []byte, 
 	// read is not re-encoded.
 	decode := func() ([]byte, error) {
 		for node := range sc.want {
-			sc.want[node] = !s.cfg.DisableReadRepair && (!sc.avail[node] || sc.corrupt[node])
+			sc.want[node] = !sc.avail[node] || sc.corrupt[node]
 		}
 		sc.ws.Want(sc.want)
 		return s.codec.DecodeInto(sc.ws, dst[:0], sc.blocks, cap(dst))
 	}
 	payload, err := decode()
-	if errors.Is(err, codec.ErrUnrecoverable) && !s.cfg.NaiveRetrieval {
+	if errors.Is(err, codec.ErrUnrecoverable) {
 		// The plan raced with failures; fall back to everything reachable
 		// that has not already been read or detected corrupt. Blocks the
 		// failed peel reconstructed alias the workspace arena, which the
@@ -940,9 +831,7 @@ func (s *Store) getStripe(ctx context.Context, name string, st int, dst []byte, 
 			stats.BlocksRepaired++
 		}
 	}
-	if !s.cfg.DisableReadRepair {
-		s.readRepairStripe(ctx, sc, stats)
-	}
+	s.readRepairStripe(ctx, sc, stats)
 	return payload, nil
 }
 
@@ -962,7 +851,7 @@ func (s *Store) readRepairStripe(ctx context.Context, sc *stripeScratch, stats *
 		}
 		// Both checks are live, not the probe pass's: this stripe's own reads
 		// can have quarantined the node or lost its device since.
-		if s.isQuarantined(node) || math.IsInf(s.backend.Cost(s.dev(node)), 1) {
+		if s.isQuarantined(node) || math.IsInf(s.backend.Cost(node), 1) {
 			continue
 		}
 		var err error
@@ -971,14 +860,10 @@ func (s *Store) readRepairStripe(ctx context.Context, sc *stripeScratch, stats *
 			s.mReadRepairs.Inc()
 			bill.BlocksWritten++
 			bill.BytesWritten += s.frameSize()
-			if stats != nil {
-				stats.ReadRepairs++
-			}
+			stats.ReadRepairs++
 		}
 	}
-	if stats != nil {
-		stats.Repair.Add(bill)
-	}
+	stats.Repair.Add(bill)
 	s.meter.Record(repairbw.ReadRepair, bill)
 }
 
@@ -996,7 +881,7 @@ func (s *Store) DeleteCtx(ctx context.Context, name string) error {
 		}
 		keys.stripe(name, st)
 		for node := 0; node < s.g.Total; node++ {
-			_ = s.backend.Delete(ctx, s.dev(node), keys.key(node))
+			_ = s.backend.Delete(ctx, node, keys.key(node))
 		}
 	}
 	s.deleteObject(name)

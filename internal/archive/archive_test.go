@@ -12,6 +12,9 @@ import (
 	"tornado/internal/graph"
 )
 
+// ctx is the context of every test call that needs none of its own.
+var ctx = context.Background()
+
 func testStore(t *testing.T, cfg Config) *Store {
 	t.Helper()
 	g, _, err := core.Generate(core.DefaultParams(), rand.New(rand.NewPCG(77, 1)))
@@ -47,10 +50,10 @@ func TestNewValidation(t *testing.T) {
 func TestPutGetRoundTrip(t *testing.T) {
 	s := testStore(t, Config{BlockSize: 64})
 	data := payload(1000, 1)
-	if err := s.Put("obj", data); err != nil {
+	if err := s.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := s.Get("obj")
+	got, stats, err := s.GetCtx(ctx, "obj")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +72,14 @@ func TestPutGetRoundTrip(t *testing.T) {
 func TestPutMultiStripe(t *testing.T) {
 	s := testStore(t, Config{BlockSize: 16}) // capacity 768/stripe
 	data := payload(3000, 2)                 // 4 stripes
-	if err := s.Put("big", data); err != nil {
+	if err := s.PutCtx(ctx, "big", data); err != nil {
 		t.Fatal(err)
 	}
 	objs := s.List()
 	if len(objs) != 1 || objs[0].Stripes != 4 || objs[0].Size != 3000 {
 		t.Fatalf("List = %+v", objs)
 	}
-	got, _, err := s.Get("big")
+	got, _, err := s.GetCtx(ctx, "big")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +90,10 @@ func TestPutMultiStripe(t *testing.T) {
 
 func TestPutEmptyObject(t *testing.T) {
 	s := testStore(t, Config{BlockSize: 16})
-	if err := s.Put("empty", nil); err != nil {
+	if err := s.PutCtx(ctx, "empty", nil); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := s.Get("empty")
+	got, _, err := s.GetCtx(ctx, "empty")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,17 +104,17 @@ func TestPutEmptyObject(t *testing.T) {
 
 func TestPutDuplicate(t *testing.T) {
 	s := testStore(t, Config{})
-	if err := s.Put("a", []byte("x")); err != nil {
+	if err := s.PutCtx(ctx, "a", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("a", []byte("y")); !errors.Is(err, ErrExists) {
+	if err := s.PutCtx(ctx, "a", []byte("y")); !errors.Is(err, ErrExists) {
 		t.Errorf("err = %v, want ErrExists", err)
 	}
 }
 
 func TestGetMissing(t *testing.T) {
 	s := testStore(t, Config{})
-	if _, _, err := s.Get("nope"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := s.GetCtx(ctx, "nope"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -119,13 +122,13 @@ func TestGetMissing(t *testing.T) {
 func TestGetSurvivesDeviceFailures(t *testing.T) {
 	s := testStore(t, Config{BlockSize: 32})
 	data := payload(900, 3)
-	if err := s.Put("obj", data); err != nil {
+	if err := s.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	// Fail 4 random devices — a screened tornado graph tolerates small
 	// losses overwhelmingly often; retry seeds if the draw is unlucky.
 	s.Devices().FailRandom(4, rand.New(rand.NewPCG(4, 4)))
-	got, stats, err := s.Get("obj")
+	got, stats, err := s.GetCtx(ctx, "obj")
 	if err != nil {
 		t.Fatalf("Get after failures: %v", err)
 	}
@@ -137,21 +140,21 @@ func TestGetSurvivesDeviceFailures(t *testing.T) {
 
 func TestGetReportsDataLoss(t *testing.T) {
 	s := testStore(t, Config{BlockSize: 32})
-	if err := s.Put("obj", payload(100, 5)); err != nil {
+	if err := s.PutCtx(ctx, "obj", payload(100, 5)); err != nil {
 		t.Fatal(err)
 	}
 	// Fail everything: clearly unrecoverable.
 	for _, d := range s.Devices() {
 		d.Fail()
 	}
-	if _, _, err := s.Get("obj"); !errors.Is(err, ErrDataLoss) {
+	if _, _, err := s.GetCtx(ctx, "obj"); !errors.Is(err, ErrDataLoss) {
 		t.Errorf("err = %v, want ErrDataLoss", err)
 	}
 }
 
 func TestDelete(t *testing.T) {
 	s := testStore(t, Config{BlockSize: 32})
-	if err := s.Put("obj", payload(100, 6)); err != nil {
+	if err := s.PutCtx(ctx, "obj", payload(100, 6)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.DeleteCtx(context.Background(), "obj"); err != nil {
@@ -160,7 +163,7 @@ func TestDelete(t *testing.T) {
 	if len(s.List()) != 0 {
 		t.Error("object still listed")
 	}
-	if _, _, err := s.Get("obj"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := s.GetCtx(ctx, "obj"); !errors.Is(err, ErrNotFound) {
 		t.Error("object still retrievable")
 	}
 	if err := s.DeleteCtx(context.Background(), "obj"); !errors.Is(err, ErrNotFound) {
@@ -174,34 +177,12 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestUnguidedRetrievalReadsEverything(t *testing.T) {
-	g, _, err := core.Generate(core.DefaultParams(), rand.New(rand.NewPCG(77, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(g, device.NewArray(g.Total), Config{BlockSize: 32, NaiveRetrieval: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := payload(500, 7)
-	if err := s.Put("obj", data); err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := s.Get("obj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.DevicesAccessed != g.Total {
-		t.Errorf("unguided accessed %d devices, want %d", stats.DevicesAccessed, g.Total)
-	}
-}
-
 func TestScrubHealthy(t *testing.T) {
 	s := testStore(t, Config{BlockSize: 32, FirstFailure: 5})
-	if err := s.Put("a", payload(100, 8)); err != nil {
+	if err := s.PutCtx(ctx, "a", payload(100, 8)); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Scrub(false)
+	rep, err := s.ScrubCtx(ctx, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,14 +198,14 @@ func TestScrubHealthy(t *testing.T) {
 func TestScrubRepairsAfterReplacement(t *testing.T) {
 	s := testStore(t, Config{BlockSize: 32, FirstFailure: 5})
 	data := payload(600, 9)
-	if err := s.Put("a", data); err != nil {
+	if err := s.PutCtx(ctx, "a", data); err != nil {
 		t.Fatal(err)
 	}
 	// A drive dies and is replaced with a blank one.
 	s.Devices()[10].Fail()
 	s.Devices()[10].Replace()
 
-	rep, err := s.Scrub(true)
+	rep, err := s.ScrubCtx(ctx, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +214,7 @@ func TestScrubRepairsAfterReplacement(t *testing.T) {
 	}
 	// After repair the stripe is whole again: a fresh scrub sees nothing
 	// missing.
-	rep2, err := s.Scrub(false)
+	rep2, err := s.ScrubCtx(ctx, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +223,7 @@ func TestScrubRepairsAfterReplacement(t *testing.T) {
 			t.Errorf("stripe %+v still missing blocks after repair", h)
 		}
 	}
-	got, _, err := s.Get("a")
+	got, _, err := s.GetCtx(ctx, "a")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Error("object damaged by scrub")
 	}
@@ -250,7 +231,7 @@ func TestScrubRepairsAfterReplacement(t *testing.T) {
 
 func TestScrubMarginCountsRisk(t *testing.T) {
 	s := testStore(t, Config{BlockSize: 32, FirstFailure: 5})
-	if err := s.Put("a", payload(100, 10)); err != nil {
+	if err := s.PutCtx(ctx, "a", payload(100, 10)); err != nil {
 		t.Fatal(err)
 	}
 	// Take 5 devices down (offline, not failed): margin hits 0 → at risk,
@@ -258,7 +239,7 @@ func TestScrubMarginCountsRisk(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Devices()[i].SetOffline()
 	}
-	rep, err := s.Scrub(false)
+	rep, err := s.ScrubCtx(ctx, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,13 +250,13 @@ func TestScrubMarginCountsRisk(t *testing.T) {
 
 func TestScrubReportsUnrecoverable(t *testing.T) {
 	s := testStore(t, Config{BlockSize: 32})
-	if err := s.Put("a", payload(100, 11)); err != nil {
+	if err := s.PutCtx(ctx, "a", payload(100, 11)); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range s.Devices() {
 		d.Fail()
 	}
-	rep, err := s.Scrub(true)
+	rep, err := s.ScrubCtx(ctx, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,15 +279,15 @@ func TestArchiveOnMirroredGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := payload(32, 12)
-	if err := s.Put("m", data); err != nil {
+	if err := s.PutCtx(ctx, "m", data); err != nil {
 		t.Fatal(err)
 	}
 	s.Devices()[1].Fail() // one of a pair: fine
-	if got, _, err := s.Get("m"); err != nil || !bytes.Equal(got, data) {
+	if got, _, err := s.GetCtx(ctx, "m"); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("single failure: %v", err)
 	}
 	s.Devices()[5].Fail() // its mirror: data loss
-	if _, _, err := s.Get("m"); !errors.Is(err, ErrDataLoss) {
+	if _, _, err := s.GetCtx(ctx, "m"); !errors.Is(err, ErrDataLoss) {
 		t.Errorf("dead pair: err = %v, want ErrDataLoss", err)
 	}
 }

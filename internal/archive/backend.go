@@ -15,12 +15,12 @@ import (
 // store plumbs the caller's context from Put/Get/Scrub all the way down,
 // so a backend backed by a network or a spin-up queue can honor deadlines
 // and cancellation. In-memory backends may ignore ctx entirely — the store
-// itself checks it between blocks and during retry backoff, so cancellation
-// is honored promptly either way.
+// itself checks it between blocks and between retries, so cancellation is
+// honored promptly either way.
 //
 // Error semantics: a backend that can fail transiently (network blip,
 // injected fault) wraps those errors with ErrTransient; the store retries
-// them with bounded backoff. A ctx error must be returned as (or wrapped
+// them twice, at once. A ctx error must be returned as (or wrapped
 // around) ctx.Err() so the store can distinguish cancellation from damage.
 // Any other error is treated as a missing block, to be reconstructed from
 // parity.

@@ -33,7 +33,7 @@ func BenchmarkGetStreamSequential(b *testing.B) {
 	s := benchStore(b)
 	const stripes = 64
 	data := payload(stripes*s.Layout().StripeCapacity, 1)
-	if err := s.Put("obj", data); err != nil {
+	if err := s.PutCtx(ctx, "obj", data); err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
@@ -60,7 +60,7 @@ func TestGetStreamAllocBudget(t *testing.T) {
 	s := benchStore(t)
 	ctx := context.Background()
 	allocs := func(name string, stripes int) float64 {
-		if err := s.Put(name, payload(stripes*s.Layout().StripeCapacity, 1)); err != nil {
+		if err := s.PutCtx(ctx, name, payload(stripes*s.Layout().StripeCapacity, 1)); err != nil {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(5, func() {

@@ -44,7 +44,7 @@ func (s *Store) Layout() StripeLayout {
 // the block-level interface the federated stewarding system uses to
 // exchange blocks between sites (§5.3). Corrupt blocks report ErrNotFound
 // (to a remote peer, a rotted block and a missing block are the same).
-// Cancellation reaches the backend read and its retry backoff.
+// Cancellation reaches the backend read and its retries.
 func (s *Store) ReadBlockCtx(ctx context.Context, name string, stripe, node int) ([]byte, error) {
 	obj, err := s.Stat(name)
 	if err != nil {
@@ -54,7 +54,7 @@ func (s *Store) ReadBlockCtx(ctx context.Context, name string, stripe, node int)
 		return nil, fmt.Errorf("%w: %q stripe %d node %d", ErrNotFound, name, stripe, node)
 	}
 	key := blockKey(name, stripe, node)
-	if !s.backend.Available(s.dev(node), key) {
+	if !s.backend.Available(node, key) {
 		return nil, fmt.Errorf("%w: %q stripe %d node %d", ErrNotFound, name, stripe, node)
 	}
 	framed, err := s.readFramed(ctx, node, key, nil, nil) // no dst: the frame is ours to hand out
@@ -81,7 +81,7 @@ func (s *Store) ReadBlockCtx(ctx context.Context, name string, stripe, node int)
 // WriteBlockCtx stores one block of an object's stripe, framed with its
 // checksum. It is the restore path of the federated exchange: a recovered
 // block is written back to its home device. Cancellation reaches the
-// backend write and its retry backoff.
+// backend write and its retries.
 func (s *Store) WriteBlockCtx(ctx context.Context, name string, stripe, node int, payload []byte) error {
 	obj, err := s.Stat(name)
 	if err != nil {
@@ -102,9 +102,16 @@ func (s *Store) WriteBlockCtx(ctx context.Context, name string, stripe, node int
 
 // PutShell registers an object's metadata without writing any blocks —
 // used when a replica site receives blocks out of band (federated
-// replication streams blocks, not whole objects).
+// replication streams blocks, not whole objects). The stripe count must be
+// the one a Put of size bytes records, max(1, ⌈size / StripeCapacity⌉): the
+// read path sizes every stripe's payload from the two.
 func (s *Store) PutShell(name string, size, stripes int) error {
-	if size < 0 || stripes < 1 {
+	stripeCap := s.codec.Capacity()
+	want := size / stripeCap // rounded up below; size+stripeCap-1 could overflow
+	if size%stripeCap != 0 || size == 0 {
+		want++
+	}
+	if size < 0 || stripes != want {
 		return fmt.Errorf("archive: invalid shell %q (size %d, stripes %d)", name, size, stripes)
 	}
 	s.mu.Lock()

@@ -180,7 +180,7 @@ func callseqStore(t *testing.T, adapter bool) (*Store, []byte, device.Array, *fl
 		t.Fatalf("store reads through %T with adapter=%v", s.reader, adapter)
 	}
 	data := payload(s.Layout().StripeCapacity-7, 11)
-	if err := s.Put("obj", data); err != nil {
+	if err := s.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	return s, data, devs, fb, rec
@@ -250,7 +250,7 @@ func (tc callseqCase) scrub(t *testing.T, adapter bool) {
 		t.Errorf("report\n got %s\nwant %s", r, tc.scrubReport)
 	}
 	fb.failures = 0 // what the scrub left behind reads back exact
-	if got, _, err := s.Get("obj"); err != nil || string(got) != string(data) {
+	if got, _, err := s.GetCtx(ctx, "obj"); err != nil || string(got) != string(data) {
 		t.Errorf("Get after the scrub: %v, exact=%v", err, string(got) == string(data))
 	}
 }

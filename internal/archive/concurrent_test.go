@@ -19,7 +19,7 @@ func TestConcurrentPutGetScrub(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		name := fmt.Sprintf("seed-%d", i)
 		data := payload(700+i*13, uint64(i))
-		if err := s.Put(name, data); err != nil {
+		if err := s.PutCtx(ctx, name, data); err != nil {
 			t.Fatal(err)
 		}
 		base[name] = data
@@ -35,7 +35,7 @@ func TestConcurrentPutGetScrub(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				name := fmt.Sprintf("w%d-%d", w, i)
-				if err := s.Put(name, payload(300, uint64(w*100+i))); err != nil {
+				if err := s.PutCtx(ctx, name, payload(300, uint64(w*100+i))); err != nil {
 					errs <- err
 					return
 				}
@@ -49,7 +49,7 @@ func TestConcurrentPutGetScrub(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
 				for name, want := range base {
-					got, _, err := s.Get(name)
+					got, _, err := s.GetCtx(ctx, name)
 					if err != nil {
 						// Data loss is impossible here (no failures while
 						// reading in this goroutine — the injector only
@@ -70,7 +70,7 @@ func TestConcurrentPutGetScrub(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 8; i++ {
-			if _, err := s.Scrub(true); err != nil {
+			if _, err := s.ScrubCtx(ctx, true); err != nil {
 				errs <- err
 				return
 			}

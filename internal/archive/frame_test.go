@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -53,7 +55,7 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 func TestGetSurvivesBitRot(t *testing.T) {
 	s := testStore(t, Config{BlockSize: 64})
 	data := payload(900, 21)
-	if err := s.Put("obj", data); err != nil {
+	if err := s.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	// Flip bits in three stored blocks directly on the devices.
@@ -68,7 +70,7 @@ func TestGetSurvivesBitRot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, stats, err := s.Get("obj")
+	got, stats, err := s.GetCtx(ctx, "obj")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func TestGetSurvivesBitRot(t *testing.T) {
 
 func TestScrubReportsCorruption(t *testing.T) {
 	s := testStore(t, Config{BlockSize: 64, FirstFailure: 4})
-	if err := s.Put("obj", payload(300, 22)); err != nil {
+	if err := s.PutCtx(ctx, "obj", payload(300, 22)); err != nil {
 		t.Fatal(err)
 	}
 	key := blockKey("obj", 0, 5)
@@ -91,7 +93,7 @@ func TestScrubReportsCorruption(t *testing.T) {
 	framed[0] ^= 1
 	s.Devices()[5].Write(key, framed)
 
-	rep, err := s.Scrub(true)
+	rep, err := s.ScrubCtx(ctx, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestScrubReportsCorruption(t *testing.T) {
 		t.Error("scrub did not rewrite the rotted block")
 	}
 	// After repair the block must verify again.
-	rep2, err := s.Scrub(false)
+	rep2, err := s.ScrubCtx(ctx, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func TestReadWriteBlock(t *testing.T) {
 	ctx := context.Background()
 	s := testStore(t, Config{BlockSize: 64})
 	data := payload(500, 23)
-	if err := s.Put("obj", data); err != nil {
+	if err := s.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	b, err := s.ReadBlockCtx(ctx, "obj", 0, 0)
@@ -161,7 +163,7 @@ func TestStatAndLayout(t *testing.T) {
 	if _, err := s.Stat("nope"); !errors.Is(err, ErrNotFound) {
 		t.Error("unknown Stat")
 	}
-	if err := s.Put("obj", payload(5000, 24)); err != nil {
+	if err := s.PutCtx(ctx, "obj", payload(5000, 24)); err != nil {
 		t.Fatal(err)
 	}
 	obj, err := s.Stat("obj")
@@ -189,6 +191,13 @@ func TestPutShell(t *testing.T) {
 	if err := s.PutShell("z", 1, 0); err == nil {
 		t.Error("zero stripes accepted")
 	}
+	// Exactly the stripe count a Put of the size records is accepted.
+	stripeCap := s.Layout().StripeCapacity
+	for i, sh := range []struct{ size, stripes int }{{0, 1}, {stripeCap, 1}, {stripeCap + 1, 2}} {
+		if err := s.PutShell("ok"+strconv.Itoa(i), sh.size, sh.stripes); err != nil {
+			t.Errorf("consistent shell (size %d, stripes %d): %v", sh.size, sh.stripes, err)
+		}
+	}
 	// A shell with all blocks written becomes retrievable.
 	data := payload(100, 25)
 	blocks, err := encodeFor(s, data)
@@ -200,9 +209,46 @@ func TestPutShell(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, _, err := s.Get("x")
+	got, _, err := s.GetCtx(ctx, "x")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Errorf("shell get: %v", err)
+	}
+}
+
+// A shell whose size and stripe count disagree is refused: the read path
+// sizes each stripe's payload from the two, so an accepted one would panic a
+// stripe-pipeline goroutine (GetStream) or ReadStripeInto, or make GetCtx
+// allocate the claimed size up front. Each case reads the name after the
+// refusal: it must not exist.
+func TestPutShellRejectsInconsistentStripes(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name          string
+		size, stripes int
+		read          func(s *Store, name string) error
+	}{
+		{"empty_with_5_stripes", 0, 5, func(s *Store, name string) error {
+			_, _, err := s.GetStream(ctx, name, io.Discard)
+			return err
+		}},
+		{"stripe_past_size", 0, 5, func(s *Store, name string) error {
+			_, _, err := s.ReadStripe(ctx, name, 1)
+			return err
+		}},
+		{"terabyte_in_1_stripe", 1 << 40, 1, func(s *Store, name string) error {
+			_, _, err := s.GetCtx(ctx, name)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := testStore(t, Config{BlockSize: 32})
+			if err := s.PutShell(tc.name, tc.size, tc.stripes); err == nil {
+				t.Fatalf("PutShell(size %d, stripes %d) accepted", tc.size, tc.stripes)
+			}
+			if err := tc.read(s, tc.name); !errors.Is(err, ErrNotFound) {
+				t.Errorf("read of a refused shell: %v, want ErrNotFound", err)
+			}
+		})
 	}
 }
 

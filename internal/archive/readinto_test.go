@@ -70,7 +70,7 @@ func TestReadStripePayloadOutlivesArena(t *testing.T) {
 	arenas := watchArenas(s)
 	stripeCap := s.Layout().StripeCapacity
 	data := payload(3*stripeCap, 7)
-	if err := s.Put("obj", data); err != nil {
+	if err := s.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -144,7 +144,7 @@ func TestGetStreamChunksOutliveArena(t *testing.T) {
 	t.Run("width 1", func(t *testing.T) {
 		s := testStore(t, Config{BlockSize: 64})
 		arenas := watchArenas(s)
-		if err := s.Put("obj", data); err != nil {
+		if err := s.PutCtx(ctx, "obj", data); err != nil {
 			t.Fatal(err)
 		}
 		w := &arenaCheckWriter{t: t, arenas: arenas, want: data, scribble: true}
@@ -162,7 +162,7 @@ func TestGetStreamChunksOutliveArena(t *testing.T) {
 			t.Fatal(err)
 		}
 		arenas := watchArenas(s)
-		if err := s.Put("obj", data); err != nil {
+		if err := s.PutCtx(ctx, "obj", data); err != nil {
 			t.Fatal(err)
 		}
 		w := &arenaCheckWriter{t: t, arenas: arenas, want: data}
@@ -198,7 +198,7 @@ func TestFallbackSweepOnArenaFrames(t *testing.T) {
 	arenas := watchArenas(s)
 	stripeCap := s.Layout().StripeCapacity
 	data := payload(2*stripeCap, 3)
-	if err := s.Put("obj", data); err != nil {
+	if err := s.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	for _, node := range []int{5, 17, 33} {
@@ -207,7 +207,7 @@ func TestFallbackSweepOnArenaFrames(t *testing.T) {
 	arenas.scribble() // stale bytes in every slot the stripe does not read
 
 	mrf.armed = true
-	got, stats, err := s.Get("obj")
+	got, stats, err := s.GetCtx(ctx, "obj")
 	if err != nil {
 		t.Fatalf("Get: %v (stats %+v)", err, stats)
 	}

@@ -27,7 +27,7 @@ func TestReadStripeAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := benchStore(t)
 	layout := s.Layout()
-	if err := s.Put("obj", payload(64*layout.StripeCapacity, 1)); err != nil {
+	if err := s.PutCtx(ctx, "obj", payload(64*layout.StripeCapacity, 1)); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -68,7 +68,7 @@ func TestReadStripeOwnership(t *testing.T) {
 	s := testStore(t, Config{BlockSize: 64})
 	stripeCap := s.Layout().StripeCapacity
 	data := payload(2*stripeCap+11, 7)
-	if err := s.Put("obj", data); err != nil {
+	if err := s.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -114,7 +114,7 @@ func TestReadStripeIntoOwnership(t *testing.T) {
 	s := testStore(t, Config{BlockSize: 64})
 	stripeCap := s.Layout().StripeCapacity
 	data := payload(2*stripeCap+11, 8)
-	if err := s.Put("obj", data); err != nil {
+	if err := s.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -166,7 +166,7 @@ func TestReadStripeConcurrentReaders(t *testing.T) {
 	s := testStore(t, Config{BlockSize: 64})
 	stripeCap := s.Layout().StripeCapacity
 	data := payload(8*stripeCap, 9)
-	if err := s.Put("obj", data); err != nil {
+	if err := s.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -201,7 +201,7 @@ func TestReadStripeErrorReturnsScratch(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := testStore(t, Config{BlockSize: 64})
-	if err := s.Put("obj", payload(100, 3)); err != nil {
+	if err := s.PutCtx(ctx, "obj", payload(100, 3)); err != nil {
 		t.Fatal(err)
 	}
 	built := 0

@@ -33,7 +33,7 @@ func wipedPair(t *testing.T, stripes int) (s, ref *Store, hook *writeHook, data 
 	s.devices = devs
 	data = payload(stripes*ref.Layout().StripeCapacity-5, 7)
 	for _, st := range []*Store{s, ref} {
-		if err := st.Put("obj", data); err != nil {
+		if err := st.PutCtx(ctx, "obj", data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,7 +124,7 @@ func TestRepairFromRebuildsWipedStore(t *testing.T) {
 			t.Fatalf("stored block %d differs from the intact store's", i)
 		}
 	}
-	if out, _, err := s.Get("obj"); err != nil || !bytes.Equal(out, data) {
+	if out, _, err := s.GetCtx(ctx, "obj"); err != nil || !bytes.Equal(out, data) {
 		t.Errorf("Get after repair: %v", err)
 	}
 }
@@ -165,7 +165,7 @@ func TestRepairFromHeldHeadStripe(t *testing.T) {
 	if len(rep.Stripes) != 5 {
 		t.Errorf("%d stripes reported, want 5", len(rep.Stripes))
 	}
-	if out, _, err := s.Get("obj"); err != nil || !bytes.Equal(out, data) {
+	if out, _, err := s.GetCtx(ctx, "obj"); err != nil || !bytes.Equal(out, data) {
 		t.Errorf("Get after repair: %v", err)
 	}
 }
@@ -236,10 +236,10 @@ func TestRepairFromMatchesScrub(t *testing.T) {
 	ctx := context.Background()
 	damaged := func() *Store {
 		s := testStore(t, Config{BlockSize: 32})
-		if err := s.Put("a", payload(3000, 1)); err != nil {
+		if err := s.PutCtx(ctx, "a", payload(3000, 1)); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Put("b", payload(5000, 2)); err != nil {
+		if err := s.PutCtx(ctx, "b", payload(5000, 2)); err != nil {
 			t.Fatal(err)
 		}
 		devs := s.Devices()
@@ -306,7 +306,7 @@ func TestScrubAllocBudget(t *testing.T) {
 	ctx := context.Background()
 	allocs := func(stripes int, repair bool, damage func(*Store)) float64 {
 		s := benchStore(t)
-		if err := s.Put("obj", payload(stripes*s.Layout().StripeCapacity, 1)); err != nil {
+		if err := s.PutCtx(ctx, "obj", payload(stripes*s.Layout().StripeCapacity, 1)); err != nil {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(3, func() {

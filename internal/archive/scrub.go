@@ -64,7 +64,7 @@ type DonorReport struct {
 	BlocksImported int
 }
 
-// Scrub inspects every stripe of every object, reports each stripe's
+// ScrubCtx inspects every stripe of every object, reports each stripe's
 // health, and — when repair is true — reconstructs missing blocks and
 // rewrites them to their home devices (replaced drives are repopulated this
 // way). Unrecoverable stripes are reported, never touched.
@@ -76,16 +76,13 @@ type DonorReport struct {
 // if quarantined, is readmitted to the data path. A node that keeps serving
 // corrupt frames keeps its record and stays out. Outcomes are exported as
 // obs metrics (archive.scrub.*) on the store's registry.
-func (s *Store) Scrub(repair bool) (ScrubReport, error) {
-	return s.ScrubCtx(context.Background(), repair)
-}
-
-// ScrubCtx is Scrub with cancellation: the pass checks ctx at every stripe
-// boundary and returns ctx.Err() with the partial report, so a steward can
-// bound scrub latency on a large store. A cancelled pass gathers no
-// quarantine evidence (partial passes must not readmit nodes). Stripes are
-// visited one at a time, objects in List order: what the pass does to the
-// backend, and in which order, is a function of the store's state alone.
+//
+// The pass checks ctx at every stripe boundary and returns ctx.Err() with
+// the partial report, so a steward can bound scrub latency on a large
+// store. A cancelled pass gathers no quarantine evidence (partial passes
+// must not readmit nodes). Stripes are visited one at a time, objects in
+// List order: what the pass does to the backend, and in which order, is a
+// function of the store's state alone.
 func (s *Store) ScrubCtx(ctx context.Context, repair bool) (ScrubReport, error) {
 	rep, err := s.scrub(ctx, repair, nil, 1)
 	return rep.ScrubReport, err
@@ -231,7 +228,7 @@ func (s *Store) secondLookWorthwhile(h StripeHealth, keys *keyBuf) bool {
 		if slices.Contains(h.Repaired, node) {
 			continue
 		}
-		if s.backend.Available(s.dev(node), keys.key(node)) {
+		if s.backend.Available(node, keys.key(node)) {
 			return true
 		}
 	}
@@ -267,7 +264,7 @@ func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, repair bool, 
 	sc.keys.stripe(h.Object, h.Stripe)
 	for node := range sc.blocks {
 		key := sc.keys.key(node)
-		if s.backend.Available(s.dev(node), key) {
+		if s.backend.Available(node, key) {
 			framed, err := s.readFramed(ctx, node, key, sc.frame(s, node), nil)
 			if errIsCtx(err) {
 				// A cancelled read is not evidence of a missing block; abort

@@ -59,7 +59,7 @@ func TestScrubSecondLookSkipsSamePassRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("obj", payload(g.Data*64, 5)); err != nil {
+	if err := s.PutCtx(ctx, "obj", payload(g.Data*64, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if s.List()[0].Stripes != 1 {
@@ -83,7 +83,7 @@ func TestScrubSecondLookSkipsSamePassRepairs(t *testing.T) {
 	for _, d := range devs {
 		readsBefore += d.Stats().Reads
 	}
-	rep, err := s.Scrub(true)
+	rep, err := s.ScrubCtx(ctx, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestScrubSecondLookRetriesNewAvailability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("obj", payload(g.Data*64, 6)); err != nil {
+	if err := s.PutCtx(ctx, "obj", payload(g.Data*64, 6)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -165,7 +165,7 @@ func TestScrubSecondLookRetriesNewAvailability(t *testing.T) {
 	}
 	fb.calls = 0
 
-	rep, err := s.Scrub(true)
+	rep, err := s.ScrubCtx(ctx, true)
 	if err != nil {
 		t.Fatal(err)
 	}

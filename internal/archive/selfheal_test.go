@@ -48,12 +48,12 @@ func TestGetMidReadDeviceFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := payload(1500, 3)
-	if err := s.Put("obj", data); err != nil {
+	if err := s.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 
 	mrf.armed = true
-	got, stats, err := s.Get("obj")
+	got, stats, err := s.GetCtx(ctx, "obj")
 	if err != nil {
 		t.Fatalf("Get under mid-read failure: %v (stats %+v)", err, stats)
 	}
@@ -74,7 +74,7 @@ func TestGetMidReadDeviceFailure(t *testing.T) {
 
 	// The stripe now reports the dead node missing but recoverable, and a
 	// repair scrub cannot repopulate it until the drive is replaced.
-	rep, err := s.Scrub(false)
+	rep, err := s.ScrubCtx(ctx, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,25 +118,24 @@ func TestGetRetriesTransientErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		failures int
-		retries  int
 	}{
-		{"within budget", 2, 2},
-		{"past budget", 10, 2},
+		{"within budget", transientRetries},
+		{"past budget", 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			devs := device.NewArray(g.Total)
 			fb := &flakyBackend{Backend: NewArrayBackend(devs), node: 1}
-			s, err := NewWithBackend(g, fb, Config{BlockSize: 64, Retries: tc.retries})
+			s, err := NewWithBackend(g, fb, Config{BlockSize: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
 			data := payload(900, 4)
-			if err := s.Put("obj", data); err != nil {
+			if err := s.PutCtx(ctx, "obj", data); err != nil {
 				t.Fatal(err)
 			}
 			fb.failures = tc.failures
 
-			got, stats, err := s.Get("obj")
+			got, stats, err := s.GetCtx(ctx, "obj")
 			if err != nil {
 				t.Fatalf("Get: %v", err)
 			}

@@ -66,7 +66,7 @@ func TestStreamRoundTrip(t *testing.T) {
 				t.Errorf("stats not aggregated over %d stripes (par=%d): %+v", wantStripes, par, stats)
 			}
 			// Cross-API: the streamed object must read back through Get too.
-			got, _, err := s.Get(name)
+			got, _, err := s.GetCtx(ctx, name)
 			if err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("Get after PutStream: %v", err)
 			}
@@ -291,7 +291,7 @@ func TestPutInFlightIsInvisible(t *testing.T) {
 		if n, _, err := s.GetStream(context.Background(), "obj", &out); !errors.Is(err, ErrNotFound) {
 			t.Errorf("par=%d: GetStream mid-Put = %d bytes, %v; want ErrNotFound", par, n, err)
 		}
-		if got, _, err := s.Get("obj"); !errors.Is(err, ErrNotFound) {
+		if got, _, err := s.GetCtx(ctx, "obj"); !errors.Is(err, ErrNotFound) {
 			t.Errorf("par=%d: Get mid-Put = %d bytes, %v; want ErrNotFound", par, len(got), err)
 		}
 		if _, _, err := s.ReadStripe(context.Background(), "obj", 0); !errors.Is(err, ErrNotFound) {
@@ -306,7 +306,7 @@ func TestPutInFlightIsInvisible(t *testing.T) {
 		if err := s.DeleteCtx(context.Background(), "obj"); !errors.Is(err, ErrNotFound) {
 			t.Errorf("par=%d: Delete mid-Put: %v", par, err)
 		}
-		if err := s.Put("obj", []byte("usurper")); !errors.Is(err, ErrExists) {
+		if err := s.PutCtx(ctx, "obj", []byte("usurper")); !errors.Is(err, ErrExists) {
 			t.Errorf("par=%d: second Put of a name mid-Put: %v; want ErrExists", par, err)
 		}
 
@@ -317,7 +317,7 @@ func TestPutInFlightIsInvisible(t *testing.T) {
 		if objs := s.List(); len(objs) != 1 || objs[0].Size != len(data) || objs[0].Stripes != 4 {
 			t.Errorf("par=%d: List after commit = %+v", par, objs)
 		}
-		if got, _, err := s.Get("obj"); err != nil || !bytes.Equal(got, data) {
+		if got, _, err := s.GetCtx(ctx, "obj"); err != nil || !bytes.Equal(got, data) {
 			t.Errorf("par=%d: Get after commit: %v", par, err)
 		}
 	}
@@ -368,7 +368,7 @@ func TestGetMidObjectCancellation(t *testing.T) {
 	s := testStore(t, Config{BlockSize: 64})
 	cap := s.codec.Capacity()
 	data := payload(8*cap, 4)
-	if err := s.Put("obj", data); err != nil {
+	if err := s.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 
@@ -440,7 +440,7 @@ func TestGetStreamStalledHeadStripe(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := payload(3*par*s.codec.Capacity()+5, 9)
-	if err := s.Put("obj", data); err != nil {
+	if err := s.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -563,7 +563,7 @@ func TestReadStripe(t *testing.T) {
 	s := testStore(t, Config{BlockSize: 64})
 	cap := s.codec.Capacity()
 	data := payload(3*cap+11, 7)
-	if err := s.Put("obj", data); err != nil {
+	if err := s.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	for st := 0; st < 4; st++ {
@@ -586,7 +586,7 @@ func TestReadStripe(t *testing.T) {
 	if _, _, err := s.ReadStripe(context.Background(), "obj", -1); !errors.Is(err, ErrNotFound) {
 		t.Errorf("negative stripe: %v", err)
 	}
-	got, _, err := s.Get("obj")
+	got, _, err := s.GetCtx(ctx, "obj")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Errorf("Get after ReadStripe scribbles: %v", err)
 	}

@@ -497,7 +497,14 @@ func (in *Injector) stall(ctx context.Context, rate float64) error {
 	if d <= 0 {
 		return nil
 	}
-	return sleepCtx(ctx, d)
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
 }
 
 // latencyDrawLocked picks one stall duration from the configured band.
@@ -516,18 +523,6 @@ func (in *Injector) latencyDrawLocked() time.Duration {
 		return lo
 	}
 	return lo + time.Duration(in.rng.Int64N(int64(hi-lo)+1))
-}
-
-// sleepCtx sleeps for d or until ctx is cancelled, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // --- internals (callers hold in.mu) ---

@@ -16,6 +16,9 @@ import (
 	"tornado/internal/obs"
 )
 
+// ctx is the context of every test call that needs none of its own.
+var ctx = context.Background()
+
 // testGraph builds a small screened tornado graph (32 nodes, 16 data).
 func testGraph(t *testing.T) *graph.Graph {
 	t.Helper()
@@ -56,10 +59,10 @@ func TestZeroConfigIsTransparent(t *testing.T) {
 	g := testGraph(t)
 	inj, store, _, _ := stack(t, g, Config{Seed: 1}, archive.Config{BlockSize: 32})
 	data := payload(700, 1)
-	if err := store.Put("obj", data); err != nil {
+	if err := store.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := store.Get("obj")
+	got, stats, err := store.GetCtx(ctx, "obj")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("round trip: %v", err)
 	}
@@ -74,13 +77,13 @@ func TestZeroConfigIsTransparent(t *testing.T) {
 // TestReadRepairHealsCorruptFrame is the read-repair acceptance check: a
 // block corrupted at rest is detected during Get, rewritten to its home
 // node during the same Get, and the subsequent scrub finds nothing to
-// repair for that stripe.
+// repair for that stripe. Node 0 is a data node, so a healthy stripe's
+// planned read touches it: detection is guaranteed.
 func TestReadRepairHealsCorruptFrame(t *testing.T) {
 	g := testGraph(t)
-	inj, store, reg, _ := stack(t, g, Config{Seed: 2},
-		archive.Config{BlockSize: 32, NaiveRetrieval: true}) // read every block: detection guaranteed
+	inj, store, reg, _ := stack(t, g, Config{Seed: 2}, archive.Config{BlockSize: 32})
 	data := payload(500, 2)
-	if err := store.Put("obj", data); err != nil {
+	if err := store.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	if err := inj.CorruptStored(0, "obj/0/0"); err != nil {
@@ -90,7 +93,7 @@ func TestReadRepairHealsCorruptFrame(t *testing.T) {
 		t.Fatalf("outstanding = %d, want 1", inj.Outstanding())
 	}
 
-	got, stats, err := store.Get("obj")
+	got, stats, err := store.GetCtx(ctx, "obj")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("Get over corrupt frame: %v", err)
 	}
@@ -108,7 +111,7 @@ func TestReadRepairHealsCorruptFrame(t *testing.T) {
 	}
 
 	// The scrub after the healing Get has nothing left to do.
-	rep, err := store.Scrub(true)
+	rep, err := store.ScrubCtx(ctx, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +119,7 @@ func TestReadRepairHealsCorruptFrame(t *testing.T) {
 		t.Errorf("scrub after read-repair: %+v", rep)
 	}
 	// And the healed frame serves clean reads.
-	if _, stats, err := store.Get("obj"); err != nil || stats.CorruptBlocks != 0 {
+	if _, stats, err := store.GetCtx(ctx, "obj"); err != nil || stats.CorruptBlocks != 0 {
 		t.Errorf("post-heal Get: err=%v stats=%+v", err, stats)
 	}
 }
@@ -138,13 +141,13 @@ func TestDetectedEqualsServed(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		data := payload(400+i*97, uint64(i))
 		want = append(want, data)
-		if err := store.Put(name(i), data); err != nil {
+		if err := store.PutCtx(ctx, name(i), data); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for round := 0; round < 20; round++ {
 		for i, data := range want {
-			got, _, err := store.Get(name(i))
+			got, _, err := store.GetCtx(ctx, name(i))
 			if err != nil {
 				if !errors.Is(err, archive.ErrDataLoss) {
 					t.Fatalf("unexpected Get error: %v", err)
@@ -157,7 +160,7 @@ func TestDetectedEqualsServed(t *testing.T) {
 		}
 	}
 	inj.Quiesce()
-	if _, err := store.Scrub(true); err != nil {
+	if _, err := store.ScrubCtx(ctx, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -180,19 +183,19 @@ func TestDetectedEqualsServed(t *testing.T) {
 // readmitted automatically after a pass in which it served only clean frames.
 func TestQuarantine(t *testing.T) {
 	g := testGraph(t)
-	inj, store, reg, _ := stack(t, g, Config{Seed: 4},
-		archive.Config{BlockSize: 32, NaiveRetrieval: true, QuarantineThreshold: 3, DisableReadRepair: true})
+	inj, store, reg, _ := stack(t, g, Config{Seed: 4}, archive.Config{BlockSize: 32, QuarantineThreshold: 3})
 	data := payload(300, 4)
-	if err := store.Put("obj", data); err != nil {
+	if err := store.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
-	// Without read-repair the corrupt frame persists: three detections on
-	// node 0 cross the threshold.
+	// Node 0 is a data node, so every planned read touches it. Read-repair
+	// heals the frame a Get detects, so it is corrupted again before each
+	// one: three detections on node 0 cross the threshold.
 	for i := 0; i < 3; i++ {
-		if err := inj.CorruptStored(0, "obj/0/0"); err != nil && i == 0 {
+		if err := inj.CorruptStored(0, "obj/0/0"); err != nil {
 			t.Fatal(err)
 		}
-		if got, _, err := store.Get("obj"); err != nil || !bytes.Equal(got, data) {
+		if got, _, err := store.GetCtx(ctx, "obj"); err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("Get %d: %v", i, err)
 		}
 	}
@@ -204,7 +207,7 @@ func TestQuarantine(t *testing.T) {
 	}
 
 	// Quarantined: reads no longer touch node 0 and still succeed.
-	got, stats, err := store.Get("obj")
+	got, stats, err := store.GetCtx(ctx, "obj")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("Get with quarantined node: %v", err)
 	}
@@ -212,7 +215,7 @@ func TestQuarantine(t *testing.T) {
 		t.Errorf("quarantined node still served corruption: %+v", stats)
 	}
 
-	rep, err := store.Scrub(false)
+	rep, err := store.ScrubCtx(ctx, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +230,7 @@ func TestQuarantine(t *testing.T) {
 	// the corrupt frame, but the node stays out — it served corruption
 	// during that very pass. The next pass sees only verified frames from
 	// it and readmits it.
-	if _, err := store.Scrub(true); err != nil {
+	if _, err := store.ScrubCtx(ctx, true); err != nil {
 		t.Fatal(err)
 	}
 	if inj.Outstanding() != 0 {
@@ -236,7 +239,7 @@ func TestQuarantine(t *testing.T) {
 	if q := store.Quarantined(); len(q) != 1 {
 		t.Fatalf("node readmitted during the pass it corrupted in: %v", q)
 	}
-	rep, err = store.Scrub(false)
+	rep, err = store.ScrubCtx(ctx, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +264,11 @@ func TestTransientErrorsRetried(t *testing.T) {
 	_, store, reg, _ := stack(t, g, Config{Seed: 5, ReadErrRate: 0.35, WriteErrRate: 0.1},
 		archive.Config{BlockSize: 32})
 	data := payload(900, 5)
-	if err := store.Put("obj", data); err != nil {
+	if err := store.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		got, _, err := store.Get("obj")
+		got, _, err := store.GetCtx(ctx, "obj")
 		if err != nil {
 			if errors.Is(err, archive.ErrDataLoss) {
 				continue
@@ -286,7 +289,7 @@ func TestNodeLossAndFlap(t *testing.T) {
 	g := testGraph(t)
 	inj, store, _, _ := stack(t, g, Config{Seed: 6}, archive.Config{BlockSize: 32})
 	data := payload(600, 6)
-	if err := store.Put("obj", data); err != nil {
+	if err := store.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 
@@ -300,7 +303,7 @@ func TestNodeLossAndFlap(t *testing.T) {
 	if errors.Is(ErrNodeLost, archive.ErrTransient) {
 		t.Error("node loss must not be transient")
 	}
-	got, _, err := store.Get("obj")
+	got, _, err := store.GetCtx(ctx, "obj")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("Get around lost node: %v", err)
 	}
@@ -314,7 +317,7 @@ func TestNodeLossAndFlap(t *testing.T) {
 	}
 	// The flap window expires as the op clock advances.
 	for i := 0; i < 6; i++ {
-		_, _, _ = store.Get("obj")
+		_, _, _ = store.GetCtx(ctx, "obj")
 	}
 	if !inj.Available(5, []byte("obj/0/5")) {
 		t.Error("flap window never expired")
@@ -324,7 +327,7 @@ func TestNodeLossAndFlap(t *testing.T) {
 	if !inj.Available(3, []byte("obj/0/3")) {
 		t.Error("restored node still unavailable")
 	}
-	if got, _, err := store.Get("obj"); err != nil || !bytes.Equal(got, data) {
+	if got, _, err := store.GetCtx(ctx, "obj"); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("Get after restore: %v", err)
 	}
 }
@@ -344,14 +347,14 @@ func TestDeterministicSchedule(t *testing.T) {
 			FlapWindow:      8,
 		}, archive.Config{BlockSize: 32})
 		for i := 0; i < 4; i++ {
-			if err := store.Put(name(i), payload(500, uint64(i))); err != nil {
+			if err := store.PutCtx(ctx, name(i), payload(500, uint64(i))); err != nil {
 				t.Fatal(err)
 			}
 		}
 		dataLoss := 0
 		for round := 0; round < 10; round++ {
 			for i := 0; i < 4; i++ {
-				if _, _, err := store.Get(name(i)); err != nil {
+				if _, _, err := store.GetCtx(ctx, name(i)); err != nil {
 					dataLoss++
 				}
 			}
@@ -384,7 +387,7 @@ func name(i int) string {
 func TestInFlightDamageStaysInFlight(t *testing.T) {
 	g := testGraph(t)
 	faults := Config{Seed: 9, ReadCorruptRate: 0.3, TruncateRate: 0.2}
-	storeCfg := archive.Config{BlockSize: 32, QuarantineThreshold: -1, DisableReadRepair: true}
+	storeCfg := archive.Config{BlockSize: 32, QuarantineThreshold: -1}
 	stored := func(devs device.Array) [][]byte {
 		var out [][]byte
 		for node, d := range devs {
@@ -402,7 +405,7 @@ func TestInFlightDamageStaysInFlight(t *testing.T) {
 	viaInto, storeB, _, devsB := stack(t, g, faults, storeCfg)
 	data := payload(400, 4)
 	for _, s := range []*archive.Store{storeA, storeB} {
-		if err := s.Put("obj", data); err != nil {
+		if err := s.PutCtx(ctx, "obj", data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -432,11 +435,11 @@ func TestInFlightDamageStaysInFlight(t *testing.T) {
 	}
 
 	inj, store, reg, devs := stack(t, g, faults, storeCfg)
-	if err := store.Put("obj", data); err != nil {
+	if err := store.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 30; round++ {
-		got, _, err := store.Get("obj")
+		got, _, err := store.GetCtx(ctx, "obj")
 		if err != nil {
 			if !errors.Is(err, archive.ErrDataLoss) {
 				t.Fatalf("unexpected Get error: %v", err)

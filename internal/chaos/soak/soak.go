@@ -152,17 +152,12 @@ func (r Report) Check() error {
 	return nil
 }
 
-// Run executes one seeded campaign and returns its Report. An error means
-// the harness itself failed (bad config, unexpected store error) — invariant
-// violations are reported via Report.Check, not the error.
-func Run(cfg Config) (Report, error) {
-	return RunCtx(context.Background(), cfg)
-}
-
-// RunCtx is Run with cancellation: the campaign checks ctx between
-// operations and aborts with the context's error. Cancellation does not
-// perturb the schedule — a run that completes produces the same Report and
-// fingerprint whether or not a context was attached.
+// RunCtx executes one seeded campaign and returns its Report. An error
+// means the harness itself failed (bad config, unexpected store error) —
+// invariant violations are reported via Report.Check, not the error. The
+// campaign checks ctx between operations and aborts with the context's
+// error. Cancellation does not perturb the schedule — a run that completes
+// produces the same Report and fingerprint whatever context it was given.
 func RunCtx(ctx context.Context, cfg Config) (Report, error) {
 	if cfg.Ops <= 0 {
 		cfg.Ops = 400
@@ -385,10 +380,10 @@ func RunCtx(ctx context.Context, cfg Config) (Report, error) {
 	for _, node := range store.Quarantined() {
 		store.ClearQuarantine(node)
 	}
-	if _, err := store.Scrub(true); err != nil {
+	if _, err := store.ScrubCtx(ctx, true); err != nil {
 		return rep, fmt.Errorf("soak: convergence scrub: %w", err)
 	}
-	final, err := store.Scrub(false)
+	final, err := store.ScrubCtx(ctx, false)
 	if err != nil {
 		return rep, fmt.Errorf("soak: final scrub: %w", err)
 	}
@@ -403,7 +398,7 @@ func RunCtx(ctx context.Context, cfg Config) (Report, error) {
 		}
 	}
 	for _, name := range names {
-		got, _, err := store.Get(name)
+		got, _, err := store.GetCtx(ctx, name)
 		if err != nil || !bytes.Equal(got, golden[name]) {
 			rep.FinalVerifyFailures++ // post-quiesce, even an error is a violation
 			note("final get %s BAD", name)

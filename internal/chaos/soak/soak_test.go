@@ -1,8 +1,12 @@
 package soak
 
 import (
+	"context"
 	"testing"
 )
+
+// ctx is the context of every test call that needs none of its own.
+var ctx = context.Background()
 
 // TestSoakInvariants runs ten seeded chaos campaigns over the array
 // backend and enforces the end-to-end invariants on each: zero silent
@@ -13,7 +17,7 @@ func TestSoakInvariants(t *testing.T) {
 		seed := seed
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
-			rep, err := Run(Config{Seed: seed, Ops: 300})
+			rep, err := RunCtx(ctx, Config{Seed: seed, Ops: 300})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -37,7 +41,7 @@ func TestSoakMAID(t *testing.T) {
 		seed := seed
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
-			rep, err := Run(Config{Seed: seed, Ops: 200, MAID: true})
+			rep, err := RunCtx(ctx, Config{Seed: seed, Ops: 200, MAID: true})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -52,11 +56,11 @@ func TestSoakMAID(t *testing.T) {
 // schedule and the identical outcome, fingerprint included.
 func TestSoakDeterminism(t *testing.T) {
 	cfg := Config{Seed: 99, Ops: 250}
-	a, err := Run(cfg)
+	a, err := RunCtx(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := RunCtx(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +79,7 @@ func TestSoakDeterminism(t *testing.T) {
 
 	// A different seed must produce a different schedule (fingerprints
 	// collide only if the campaign ignored the seed).
-	c, err := Run(Config{Seed: 100, Ops: 250})
+	c, err := RunCtx(ctx, Config{Seed: 100, Ops: 250})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +100,7 @@ func TestSoakHeavySchedule(t *testing.T) {
 	faults.TruncateRate = 0.02
 	faults.TornWriteRate = 0.02
 	faults.ReadErrRate = 0.08
-	rep, err := Run(Config{Seed: 7, Ops: 250, Faults: faults, ScrubEvery: 24})
+	rep, err := RunCtx(ctx, Config{Seed: 7, Ops: 250, Faults: faults, ScrubEvery: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +134,7 @@ func TestSoakFingerprintsPinned(t *testing.T) {
 		{Config{Seed: 3, MAID: true}, "86db10bf789932a78cdf39a686565fb2e9831b559dcca3086d09c7b265ac33cc"},
 		{Config{Seed: 7, Ops: 200}, "879e5bad3445e2a54c0714bcee62664ed3fe7cdc86cb80520c3c605109120bb5"},
 	} {
-		rep, err := Run(tc.cfg)
+		rep, err := RunCtx(ctx, tc.cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", tc.cfg.Seed, err)
 		}

@@ -75,7 +75,7 @@ func PrepareTornado(cfg Config, idx int) (*TornadoGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, _, err = adjust.Improve(g, cfg.AdjustK, adjust.Options{Workers: cfg.Workers}, rand.New(rand.NewPCG(seed, 1)))
+	g, _, err = adjust.ImproveCtx(context.Background(), g, cfg.AdjustK, adjust.Options{Workers: cfg.Workers}, rand.New(rand.NewPCG(seed, 1)))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -86,7 +87,7 @@ func TestGoldenClearCardinality(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", want.seed, err)
 		}
-		_, reps, err := adjust.Improve(g, 4, adjust.Options{}, rand.New(rand.NewPCG(want.seed, 1)))
+		_, reps, err := adjust.ImproveCtx(context.Background(), g, 4, adjust.Options{}, rand.New(rand.NewPCG(want.seed, 1)))
 		if err != nil {
 			t.Fatalf("seed %d: %v", want.seed, err)
 		}

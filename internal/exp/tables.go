@@ -380,7 +380,7 @@ func Table7(cfg Config, tornadoes []*TornadoGraph) (string, map[string]int, erro
 	if err != nil {
 		return "", nil, err
 	}
-	det, err := msys.DetectFirstFailure([][]federation.CriticalSet{mcs, mcs}, federation.SearchOptions{Seed: 70})
+	det, err := msys.DetectFirstFailureCtx(context.Background(), [][]federation.CriticalSet{mcs, mcs}, federation.SearchOptions{Seed: 70})
 	if err != nil {
 		return "", nil, err
 	}
@@ -405,7 +405,7 @@ func Table7(cfg Config, tornadoes []*TornadoGraph) (string, map[string]int, erro
 			rows = append(rows, []string{name, "n/a (no critical sets found)"})
 			continue
 		}
-		det, err := sys.DetectFirstFailure([][]federation.CriticalSet{csA, csB}, federation.SearchOptions{Seed: 71})
+		det, err := sys.DetectFirstFailureCtx(context.Background(), [][]federation.CriticalSet{csA, csB}, federation.SearchOptions{Seed: 71})
 		if err != nil {
 			return "", nil, err
 		}

@@ -13,6 +13,9 @@ import (
 	"tornado/internal/sim"
 )
 
+// ctx is the context of every test call that needs none of its own.
+var ctx = context.Background()
+
 func mirrorSite(pairs int) *graph.Graph { return raid.MirroredGraph(pairs) }
 
 func tornadoSite(t testing.TB, seed uint64) *graph.Graph {
@@ -105,7 +108,7 @@ func TestDetectFirstFailureMirrored(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := CriticalSets(s.sites[0], wc.PerK[1].Failures)
-	det, err := s.DetectFirstFailure([][]CriticalSet{cs, cs}, SearchOptions{Seed: 5})
+	det, err := s.DetectFirstFailureCtx(ctx, [][]CriticalSet{cs, cs}, SearchOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +143,7 @@ func TestDetectFirstFailureSameTornadoGraph(t *testing.T) {
 	if len(cs) == 0 {
 		t.Fatal("no critical sets")
 	}
-	det, err := s.DetectFirstFailure([][]CriticalSet{cs, cs}, SearchOptions{Seed: 6, Restarts: 16})
+	det, err := s.DetectFirstFailureCtx(ctx, [][]CriticalSet{cs, cs}, SearchOptions{Seed: 6, Restarts: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +168,11 @@ func TestComplementaryGraphsBeatSameGraph(t *testing.T) {
 	gA := tornadoSite(t, 11)
 	gB := tornadoSite(t, 12)
 	rng := rand.New(rand.NewPCG(13, 13))
-	gA, _, err := adjust.Improve(gA, 3, adjust.Options{MaxRounds: 10}, rng)
+	gA, _, err := adjust.ImproveCtx(ctx, gA, 3, adjust.Options{MaxRounds: 10}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gB, _, err = adjust.Improve(gB, 3, adjust.Options{MaxRounds: 10}, rng)
+	gB, _, err = adjust.ImproveCtx(ctx, gB, 3, adjust.Options{MaxRounds: 10}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +196,7 @@ func TestComplementaryGraphsBeatSameGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	detSame, err := same.DetectFirstFailure([][]CriticalSet{csA, csA}, SearchOptions{Seed: 1})
+	detSame, err := same.DetectFirstFailureCtx(ctx, [][]CriticalSet{csA, csA}, SearchOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +205,7 @@ func TestComplementaryGraphsBeatSameGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	detComp, err := comp.DetectFirstFailure([][]CriticalSet{csA, csB}, SearchOptions{Seed: 1})
+	detComp, err := comp.DetectFirstFailureCtx(ctx, [][]CriticalSet{csA, csB}, SearchOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,10 +222,10 @@ func TestDetectFirstFailureNoCriticalSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.DetectFirstFailure([][]CriticalSet{{}, {}}, SearchOptions{}); err == nil {
+	if _, err := s.DetectFirstFailureCtx(ctx, [][]CriticalSet{{}, {}}, SearchOptions{}); err == nil {
 		t.Error("empty critical sets should error")
 	}
-	if _, err := s.DetectFirstFailure([][]CriticalSet{{}}, SearchOptions{}); err == nil {
+	if _, err := s.DetectFirstFailureCtx(ctx, [][]CriticalSet{{}}, SearchOptions{}); err == nil {
 		t.Error("wrong site count should error")
 	}
 }

@@ -109,7 +109,7 @@ func TestDetectFirstFailureThreeSitesMirrored(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := CriticalSets(s.sites[0], wc.PerK[1].Failures)
-	det, err := s.DetectFirstFailure([][]CriticalSet{cs, cs, cs}, SearchOptions{Seed: 9})
+	det, err := s.DetectFirstFailureCtx(ctx, [][]CriticalSet{cs, cs, cs}, SearchOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ type Detection struct {
 	SiteErasures [][]int
 }
 
-// DetectFirstFailure searches for the smallest federation-wide failure it
+// DetectFirstFailureCtx searches for the smallest federation-wide failure it
 // can construct — the paper's "first failure detected" (Table 7),
 // generalized from the paper's two sites to any N. Because the joint
 // device space is far too large for brute force, the search is seeded
@@ -49,14 +49,8 @@ type Detection struct {
 // block — with N sites, every partner must independently be unable to
 // recover D, or exchange resurrects it everywhere — then minimizes the
 // whole witness greedily. The result is an upper bound witness, exactly
-// as in the paper.
-func (s *System) DetectFirstFailure(critical [][]CriticalSet, opts SearchOptions) (Detection, error) {
-	return s.DetectFirstFailureCtx(context.Background(), critical, opts)
-}
-
-// DetectFirstFailureCtx is DetectFirstFailure with cancellation, checked
-// between critical-set searches so a canceled federation search returns
-// within one critical-set attempt.
+// as in the paper. Cancellation is checked between critical-set searches,
+// so a canceled federation search returns within one critical-set attempt.
 func (s *System) DetectFirstFailureCtx(ctx context.Context, critical [][]CriticalSet, opts SearchOptions) (Detection, error) {
 	if len(critical) != len(s.sites) {
 		return Detection{}, fmt.Errorf("federation: critical sets for %d sites, system has %d", len(critical), len(s.sites))

@@ -186,10 +186,10 @@ func TestExchangeRecoversWhatNoSiteCanAlone(t *testing.T) {
 	a.inj.LoseNode(4)
 	b.inj.LoseNode(1)
 	b.inj.LoseNode(5)
-	if _, _, err := a.store.Get("obj"); !errors.Is(err, archive.ErrDataLoss) {
+	if _, _, err := a.store.GetCtx(ctx, "obj"); !errors.Is(err, archive.ErrDataLoss) {
 		t.Fatalf("site A alone should report data loss, got %v", err)
 	}
-	if _, _, err := b.store.Get("obj"); !errors.Is(err, archive.ErrDataLoss) {
+	if _, _, err := b.store.GetCtx(ctx, "obj"); !errors.Is(err, archive.ErrDataLoss) {
 		t.Fatalf("site B alone should report data loss, got %v", err)
 	}
 	got, err := f.GetCtx(ctx, "obj")
@@ -250,7 +250,7 @@ func TestRepairSiteAfterFullWipe(t *testing.T) {
 	}
 	wipeSite(sites[0])
 	// The wiped site alone is useless.
-	if _, _, err := sites[0].store.Get(names[0]); !errors.Is(err, archive.ErrDataLoss) {
+	if _, _, err := sites[0].store.GetCtx(ctx, names[0]); !errors.Is(err, archive.ErrDataLoss) {
 		t.Fatalf("wiped site get err = %v, want ErrDataLoss", err)
 	}
 	rep, err := f.RepairSiteCtx(ctx, 0)
@@ -270,7 +270,7 @@ func TestRepairSiteAfterFullWipe(t *testing.T) {
 	}
 	// The repaired site must now serve everything alone.
 	for i, name := range names {
-		got, _, err := sites[0].store.Get(name)
+		got, _, err := sites[0].store.GetCtx(ctx, name)
 		if err != nil || !bytes.Equal(got, datas[i]) {
 			t.Errorf("repaired site get %q: err=%v exact=%v", name, err, bytes.Equal(got, datas[i]))
 		}
@@ -302,7 +302,7 @@ func TestRepairSiteSyncsShells(t *testing.T) {
 	if rep.MissingAfter != 0 {
 		t.Errorf("missing after = %d", rep.MissingAfter)
 	}
-	got, _, err := sites[1].store.Get("obj")
+	got, _, err := sites[1].store.GetCtx(ctx, "obj")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Errorf("restored site get: err=%v exact=%v", err, bytes.Equal(got, data))
 	}
@@ -402,7 +402,7 @@ func TestRepairSitePartialDamage(t *testing.T) {
 		t.Errorf("conservation: facade %+v != sites %+v", got, want)
 	}
 	for name, data := range datas {
-		got, _, err := sites[0].store.Get(name)
+		got, _, err := sites[0].store.GetCtx(ctx, name)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Errorf("repaired site get %q: err=%v exact=%v", name, err, bytes.Equal(got, data))
 		}

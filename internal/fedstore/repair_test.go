@@ -217,7 +217,7 @@ func TestRepairSiteExchangeFallback(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		name := string(rune('a' + i))
-		got, _, err := sites[0].store.Get(name)
+		got, _, err := sites[0].store.GetCtx(ctx, name)
 		if err != nil || !bytes.Equal(got, testPayload(400+777*i, uint64(i))) {
 			t.Errorf("repaired site get %q: %v", name, err)
 		}

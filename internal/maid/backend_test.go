@@ -12,6 +12,9 @@ import (
 	"tornado/internal/device"
 )
 
+// ctx is the context of every test call that needs none of its own.
+var ctx = context.Background()
+
 func TestParkAll(t *testing.T) {
 	s := newShelf(t, 4, 2)
 	s.Write(0, []byte("k"), []byte("a"))
@@ -127,13 +130,13 @@ func TestArchiveOverMAIDShelf(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := bytes.Repeat([]byte("maid"), 500)
-	if err := store.Put("obj", data); err != nil {
+	if err := store.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	shelf.ParkAll()
 	base := shelf.SpinUps()
 
-	got, stats, err := store.Get("obj")
+	got, stats, err := store.GetCtx(ctx, "obj")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +154,7 @@ func TestArchiveOverMAIDShelf(t *testing.T) {
 	// Survive failures too.
 	shelf.Devices()[2].Fail()
 	shelf.Devices()[50].Fail()
-	if got, _, err := store.Get("obj"); err != nil || !bytes.Equal(got, data) {
+	if got, _, err := store.GetCtx(ctx, "obj"); err != nil || !bytes.Equal(got, data) {
 		t.Errorf("get after failures: %v", err)
 	}
 }

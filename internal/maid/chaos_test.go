@@ -2,6 +2,7 @@ package maid_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -20,6 +21,7 @@ import (
 // path, serve bit-exact data, and heal the damage by scrub — all without
 // either layer knowing the other is there.
 func TestChaosOverShelf(t *testing.T) {
+	ctx := context.Background()
 	g, _, err := core.Generate(core.DefaultParams(), rand.New(rand.NewPCG(42, 1)))
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +42,7 @@ func TestChaosOverShelf(t *testing.T) {
 	for i := range data {
 		data[i] = byte(rng.IntN(256))
 	}
-	if err := store.Put("obj", data); err != nil {
+	if err := store.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
 
@@ -53,7 +55,7 @@ func TestChaosOverShelf(t *testing.T) {
 	// And permanently lose a fourth node.
 	inj.LoseNode(5)
 
-	got, stats, err := store.Get("obj")
+	got, stats, err := store.GetCtx(ctx, "obj")
 	if err != nil {
 		t.Fatalf("Get: %v (stats %+v)", err, stats)
 	}
@@ -70,13 +72,13 @@ func TestChaosOverShelf(t *testing.T) {
 	// Scrub the remainder: with the lost node restored, repair must clear
 	// every outstanding at-rest corruption the Get did not reach.
 	inj.RestoreNode(5)
-	if _, err := store.Scrub(true); err != nil {
+	if _, err := store.ScrubCtx(ctx, true); err != nil {
 		t.Fatal(err)
 	}
 	if n := inj.Outstanding(); n != 0 {
 		t.Errorf("%d corrupt frames still at rest after repair scrub", n)
 	}
-	rep, err := store.Scrub(false)
+	rep, err := store.ScrubCtx(ctx, false)
 	if err != nil {
 		t.Fatal(err)
 	}

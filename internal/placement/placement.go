@@ -1,5 +1,6 @@
-// Package placement maps graph nodes onto device slots. The default
-// archive layout is the identity map — node v lives on device v — which
+// Package placement is the analysis library for maps of graph nodes onto
+// device slots. It prices layouts; it does not deploy them. The archive's
+// layout is the identity map — node v lives on device v — which
 // scatters each check block's left neighbors across the shelf, so even the
 // common single-loss repair reads most of its inputs from remote groups
 // (drawers, shelves, racks: whatever boundary makes a read "expensive").
@@ -11,7 +12,9 @@
 // the difference — mean blocks read per loss and mean *remote* blocks read
 // per loss — and TestDegreeAwareReducesRemoteReads gates that the
 // degree-aware layout reads fewer remote blocks than the identity layout
-// on a generated cascade and on each shipped tornado96 graph.
+// on a generated cascade and on each shipped tornado96 graph. A store that
+// wanted a permuted layout would remap devices in an archive.Backend
+// wrapper.
 package placement
 
 import (
@@ -26,8 +29,7 @@ import (
 const DefaultGroupSize = 12
 
 // Placement is a bijection between graph nodes and device slots.
-// Implementations must be immutable after construction (the archive caches
-// the mapping into flat slices for the data path).
+// Implementations must be immutable after construction.
 type Placement interface {
 	// Nodes returns the node/device count.
 	Nodes() int

@@ -91,10 +91,9 @@ func (c *stripeCache) get(key string, stripe int) (*cacheEntry, bool) {
 	return ent, true
 }
 
-// unpin drops a reader's reference to ent (nil is a no-op, for payloads that
-// did not come from a cache).
+// unpin drops a reader's reference to ent.
 func (c *stripeCache) unpin(ent *cacheEntry) {
-	if ent == nil || ent.refs.Add(-1) > 0 {
+	if ent.refs.Add(-1) > 0 {
 		return
 	}
 	c.mu.Lock()

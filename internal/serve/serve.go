@@ -61,8 +61,8 @@ type Config struct {
 	// arrivals beyond it are shed with ErrOverloaded. 0 means
 	// DefaultMaxQueue, negative means no queueing (shed when saturated).
 	MaxQueue int
-	// CacheBytes is the hot-stripe cache budget. 0 means
-	// DefaultCacheBytes, negative disables the cache.
+	// CacheBytes is the hot-stripe cache budget. Zero or negative means
+	// DefaultCacheBytes: the cache is always on.
 	CacheBytes int
 	// Metrics receives the service counters (serve.*). Nil gets a private
 	// registry, still readable via Service.Metrics.
@@ -79,7 +79,7 @@ func (c Config) normalize() Config {
 	if c.MaxQueue < 0 {
 		c.MaxQueue = 0
 	}
-	if c.CacheBytes == 0 {
+	if c.CacheBytes <= 0 {
 		c.CacheBytes = DefaultCacheBytes
 	}
 	if c.Metrics == nil {
@@ -128,6 +128,7 @@ func New(st *archive.Store, cfg Config) (*Service, error) {
 		store:        st,
 		cfg:          cfg,
 		tenants:      make(map[string]*tenant),
+		cache:        newStripeCache(cfg.CacheBytes, cfg.Metrics),
 		metrics:      cfg.Metrics,
 		mPuts:        cfg.Metrics.Counter("serve.puts"),
 		mGets:        cfg.Metrics.Counter("serve.gets"),
@@ -137,9 +138,6 @@ func New(st *archive.Store, cfg Config) (*Service, error) {
 		mRepairBytes: cfg.Metrics.Counter("serve.repair.bytes"),
 		hPutLatency:  cfg.Metrics.Histogram("serve.put.latency"),
 		hGetLatency:  cfg.Metrics.Histogram("serve.get.latency"),
-	}
-	if cfg.CacheBytes > 0 {
-		s.cache = newStripeCache(cfg.CacheBytes, cfg.Metrics)
 	}
 	for _, tn := range cfg.Tenants {
 		s.tenants[tn] = &tenant{sem: make(chan struct{}, cfg.MaxInflight)}
@@ -221,9 +219,7 @@ func (s *Service) Put(ctx context.Context, tn, name string, r io.Reader) (int, e
 	defer func() { s.hPutLatency.Observe(time.Since(start)) }()
 	s.mPuts.Inc()
 	k := key(tn, name)
-	if s.cache != nil {
-		defer s.cache.invalidate(k)
-	}
+	defer s.cache.invalidate(k)
 	return s.store.PutStream(ctx, k, r)
 }
 
@@ -269,19 +265,14 @@ func (s *Service) Get(ctx context.Context, tn, name string, w io.Writer) (int, e
 }
 
 // stripe returns one decoded stripe payload of size bytes, via the cache when
-// possible. With a cache, the payload is shared (cache-resident), must not be
-// mutated, and is the caller's to read until it unpins the returned entry; a
-// miss decodes into a buffer the cache recycled. Without one the entry is
-// nil and the payload the caller's own.
+// possible. The payload is shared (cache-resident), must not be mutated, and
+// is the caller's to read until it unpins the returned entry; a miss decodes
+// into a buffer the cache recycled.
 func (s *Service) stripe(ctx context.Context, k string, st, size int) ([]byte, *cacheEntry, error) {
-	var dst []byte
-	if s.cache != nil {
-		if ent, ok := s.cache.get(k, st); ok {
-			return ent.payload, ent, nil
-		}
-		dst = s.cache.take(size)
+	if ent, ok := s.cache.get(k, st); ok {
+		return ent.payload, ent, nil
 	}
-	payload, stats, err := s.store.ReadStripeInto(ctx, k, st, dst)
+	payload, stats, err := s.store.ReadStripeInto(ctx, k, st, s.cache.take(size))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -290,9 +281,6 @@ func (s *Service) stripe(ctx context.Context, k string, st, size int) ([]byte, *
 	// write-backs); surface the total on the service counter.
 	if b := stats.Repair.Bytes(); b > 0 {
 		s.mRepairBytes.Add(b)
-	}
-	if s.cache == nil {
-		return payload, nil, nil
 	}
 	return payload, s.cache.add(k, st, payload), nil
 }
@@ -306,9 +294,7 @@ func (s *Service) Delete(ctx context.Context, tn, name string) error {
 	defer release()
 	s.mDeletes.Inc()
 	k := key(tn, name)
-	if s.cache != nil {
-		s.cache.invalidate(k)
-	}
+	s.cache.invalidate(k)
 	return s.store.DeleteCtx(ctx, k)
 }
 

@@ -239,7 +239,7 @@ func TestGetStalledCallerCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(st, Config{CacheBytes: -1})
+	svc, err := New(st, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +557,7 @@ func TestServeChaosSoak(t *testing.T) {
 	// After the faults stop, a repair scrub converges and every object
 	// verifies.
 	inj.Quiesce()
-	if _, err := st.Scrub(true); err != nil {
+	if _, err := st.ScrubCtx(ctx, true); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {

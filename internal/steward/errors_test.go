@@ -1,6 +1,7 @@
 package steward
 
 import (
+	"bytes"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -89,6 +90,32 @@ func TestServerBadBlockParams(t *testing.T) {
 		if resp.StatusCode < 400 {
 			t.Errorf("%s: status %d", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestServerRefusesInconsistentShell: a peer's shell whose size and stripe
+// count disagree is refused, so no later read of the name can take the
+// server down — reading an accepted one would panic a stripe-pipeline
+// goroutine, which no handler recovers. The site then goes on serving.
+func TestServerRefusesInconsistentShell(t *testing.T) {
+	s := newSite(t, 54, 64)
+	resp, err := s.httpSrv.Client().Post(s.httpSrv.URL+"/shell/bad?size=0&stripes=5", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode < 300 {
+		t.Errorf("inconsistent shell: status %d, want a refusal", resp.StatusCode)
+	}
+	if _, err := s.client.Get(ctx, "bad"); !IsNotFound(err) {
+		t.Errorf("get of a refused shell: %v", err)
+	}
+	data := randPayload(500, 54)
+	if err := s.client.Put(ctx, "obj", data); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.client.Get(ctx, "obj"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("round trip after the refusal: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math/rand/v2"
@@ -32,6 +33,7 @@ func Run(store *archive.Store, devices device.Array, spec Spec) (Result, error) 
 	if err != nil {
 		return Result{}, err
 	}
+	ctx := context.TODO() // Run keeps its context-less signature
 	rng := rand.New(rand.NewPCG(spec.Seed, 0xD1CE))
 	var res Result
 	var putBuf, verifyBuf []byte // reused across ops; payloads are regenerated, never stored
@@ -43,13 +45,13 @@ func Run(store *archive.Store, devices device.Array, spec Spec) (Result, error) 
 		switch op.Kind {
 		case OpPut:
 			putBuf = payloadInto(putBuf, op.Object, op.Size)
-			if err := store.Put(op.Object, putBuf); err != nil {
+			if err := store.PutCtx(ctx, op.Object, putBuf); err != nil {
 				return res, fmt.Errorf("workload: put %s: %w", op.Object, err)
 			}
 			res.Puts++
 			res.BytesIn += int64(len(putBuf))
 		case OpGet:
-			got, stats, err := store.Get(op.Object)
+			got, stats, err := store.GetCtx(ctx, op.Object)
 			if err != nil {
 				res.LostObjects++
 				continue
@@ -81,7 +83,7 @@ func Run(store *archive.Store, devices device.Array, spec Spec) (Result, error) 
 					res.Replacements++
 				}
 			}
-			rep, err := store.Scrub(true)
+			rep, err := store.ScrubCtx(ctx, true)
 			if err != nil {
 				return res, fmt.Errorf("workload: scrub: %w", err)
 			}

@@ -185,7 +185,7 @@ func TestMirroredCriticalSetsJointlyRecoverable(t *testing.T) {
 				}
 			}
 		}
-		det, err := sys.DetectFirstFailure(sets, tornado.FederationSearchOptions{Seed: 2006, Restarts: 8})
+		det, err := sys.DetectFirstFailureCtx(ctx, sets, tornado.FederationSearchOptions{Seed: 2006, Restarts: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,7 @@ type (
 	ArchiveConfig = archive.Config
 	// ArchiveObject describes a stored object.
 	ArchiveObject = archive.Object
-	// GetStats reports the retrieval work of one Archive.Get.
+	// GetStats reports the retrieval work of one Archive.GetCtx.
 	GetStats = archive.GetStats
 	// StripeHealth is one stripe's scrub record.
 	StripeHealth = archive.StripeHealth
@@ -135,7 +135,7 @@ func NewChaosBackend(inner StorageBackend, cfg ChaosConfig) *ChaosInjector {
 
 // RunSoak executes one seeded chaos campaign against a fresh archive stack
 // and returns its report; call Report.Check for the invariant verdict.
-func RunSoak(cfg SoakConfig) (SoakReport, error) { return soak.Run(cfg) }
+func RunSoak(cfg SoakConfig) (SoakReport, error) { return soak.RunCtx(context.Background(), cfg) }
 
 // RunSoakCtx is RunSoak with cancellation between campaign operations; a
 // run that completes is byte-identical to an uncancelled one.

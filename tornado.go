@@ -28,8 +28,8 @@
 // backward-compatible wrapper that delegates with context.Background().
 // The pairs are WorstCase/WorstCaseCtx, Profile/ProfileCtx,
 // Certify/CertifyCtx, ClearCardinality/ClearCardinalityCtx, Improve/ImproveCtx,
-// MeasureOverhead/MeasureOverheadCtx, and
-// SimulateLifetime/SimulateLifetimeCtx. Site clients and the federated
+// MeasureOverhead/MeasureOverheadCtx, SimulateLifetime/SimulateLifetimeCtx
+// and RunSoak/RunSoakCtx. Site clients, the federated store and the archive
 // store are context-first only. New long-running APIs should take a context.
 package tornado
 
@@ -198,7 +198,7 @@ func NewDecoder(g *Graph) *decode.Decoder { return decode.New(g) }
 // set of exactly k nodes loses data, following the paper's §3.3 feedback
 // adjustment. The input graph is not modified.
 func ClearCardinality(g *Graph, k int, opts AdjustOptions, seed uint64) (*Graph, AdjustReport, error) {
-	return adjust.ClearK(g, k, opts, rand.New(rand.NewPCG(seed, 1)))
+	return adjust.ClearKCtx(context.Background(), g, k, opts, rand.New(rand.NewPCG(seed, 1)))
 }
 
 // ClearCardinalityCtx is ClearCardinality with cancellation between
@@ -211,7 +211,7 @@ func ClearCardinalityCtx(ctx context.Context, g *Graph, k int, opts AdjustOption
 // raising the graph's first-failure point as far as adjustment allows
 // (paper §3.3: screened graphs typically move from first failure 4 to 5).
 func Improve(g *Graph, maxK int, opts AdjustOptions, seed uint64) (*Graph, []AdjustReport, error) {
-	return adjust.Improve(g, maxK, opts, rand.New(rand.NewPCG(seed, 1)))
+	return adjust.ImproveCtx(context.Background(), g, maxK, opts, rand.New(rand.NewPCG(seed, 1)))
 }
 
 // ImproveCtx is Improve with cancellation threaded through every

@@ -10,6 +10,9 @@ import (
 	"tornado"
 )
 
+// ctx is the context of every test call that needs none of its own.
+var ctx = context.Background()
+
 // TestPaperPipeline exercises the public API end-to-end the way the paper
 // does: generate → screen → adjust → certify → profile → reliability.
 func TestPaperPipeline(t *testing.T) {
@@ -122,12 +125,12 @@ func TestPublicArchiveFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := bytes.Repeat([]byte{0xAB}, 500)
-	if err := store.Put("doc", data); err != nil {
+	if err := store.PutCtx(ctx, "doc", data); err != nil {
 		t.Fatal(err)
 	}
 	store.Devices()[10].Fail()
 	store.Devices()[60].Fail()
-	got, stats, err := store.Get("doc")
+	got, stats, err := store.GetCtx(ctx, "doc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +141,7 @@ func TestPublicArchiveFlow(t *testing.T) {
 
 	store.Devices()[10].Replace()
 	store.Devices()[60].Replace()
-	rep, err := store.Scrub(true)
+	rep, err := store.ScrubCtx(ctx, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +201,7 @@ func TestPublicFederation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := tornado.CriticalSetsOf(gA, wc.PerK[1].Failures)
-	det, err := sys.DetectFirstFailure([][]tornado.CriticalSet{cs, cs}, tornado.FederationSearchOptions{Seed: 3})
+	det, err := sys.DetectFirstFailureCtx(ctx, [][]tornado.CriticalSet{cs, cs}, tornado.FederationSearchOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +358,7 @@ func TestPublicFederatedStore(t *testing.T) {
 	if rep.Exchange.BytesWritten == 0 {
 		t.Error("site repair moved zero bytes")
 	}
-	got, _, err = sites[0].Get("doc")
+	got, _, err = sites[0].GetCtx(ctx, "doc")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("victim site read after repair: %v", err)
 	}
