@@ -174,11 +174,28 @@ func Unrank(idx []int, n int, r int64) {
 	}
 }
 
-// RandomSubset fills idx with a uniformly random k-subset of {0,…,n-1} in
-// increasing order using Floyd's algorithm: one rng.IntN draw per element,
-// so a given rng state always yields the same subset. seen is the
-// membership scratch, a bitset of at least (n+63)/64 words that must be
-// all-zero on entry and is all-zero again on return; reusing it across
+// RandomSet adds a uniformly random k-subset of {0,…,n-1} to the bitset
+// seen (at least (n+63)/64 words, all-zero on entry) using Floyd's
+// algorithm: one rng.IntN draw per element, so a given rng state always
+// yields the same set. The caller reads the set off seen and zeroes it.
+func RandomSet(seen []uint64, n, k int, rng *rand.Rand) {
+	if k > n {
+		panic(fmt.Sprintf("combin: k=%d exceeds n=%d", k, n))
+	}
+	for j := n - k; j < n; j++ {
+		// Step j: draw t from [0, j], take j instead if t is already in.
+		// At k ≈ n/2 that test is a coin flip, so the select is arithmetic
+		// rather than a branch.
+		t := rng.IntN(j + 1)
+		hit := int(seen[t>>6]>>(uint(t)&63)) & 1
+		t ^= (t ^ j) & -hit
+		seen[t>>6] |= 1 << (uint(t) & 63)
+	}
+}
+
+// RandomSubset fills idx with the k-subset RandomSet draws from the same
+// rng state, in increasing order. seen is RandomSet's scratch and must be
+// all-zero on entry; it is all-zero again on return, so reusing it across
 // calls avoids allocation. Pass nil to allocate internally.
 func RandomSubset(idx []int, n int, rng *rand.Rand, seen []uint64) {
 	k := len(idx)
@@ -189,21 +206,12 @@ func RandomSubset(idx []int, n int, rng *rand.Rand, seen []uint64) {
 	if seen == nil {
 		seen = make([]uint64, words)
 	}
-	i := 0
-	for j := n - k; j < n; j++ {
-		t := rng.IntN(j + 1)
-		if seen[t>>6]&(1<<(uint(t)&63)) != 0 {
-			t = j
-		}
-		seen[t>>6] |= 1 << (uint(t) & 63)
-		idx[i] = t
-		i++
-	}
 	// Floyd's algorithm yields an unordered set. Reading the bitset back
-	// in order costs a pass over its words, sorting idx about k²/4 moves:
-	// take whichever is cheaper for this (n, k).
+	// in order costs a pass over its words, sorting the draws about k²/4
+	// moves: take whichever is cheaper for this (n, k).
 	if 4*words <= k*k {
-		i = 0
+		RandomSet(seen, n, k, rng)
+		i := 0
 		for w, x := range seen[:words] {
 			for ; x != 0; x &= x - 1 {
 				idx[i] = w<<6 + bits.TrailingZeros64(x)
@@ -212,6 +220,14 @@ func RandomSubset(idx []int, n int, rng *rand.Rand, seen []uint64) {
 			seen[w] = 0
 		}
 		return
+	}
+	for i := range idx {
+		j := n - k + i // RandomSet's step j, keeping the picks in draw order
+		t := rng.IntN(j + 1)
+		hit := int(seen[t>>6]>>(uint(t)&63)) & 1
+		t ^= (t ^ j) & -hit
+		seen[t>>6] |= 1 << (uint(t) & 63)
+		idx[i] = t
 	}
 	for _, v := range idx {
 		seen[v>>6] = 0

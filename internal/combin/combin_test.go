@@ -1,7 +1,9 @@
 package combin
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/big"
 	"math/rand/v2"
@@ -266,6 +268,65 @@ func TestRandomSubsetDrawIdentity(t *testing.T) {
 					t.Fatalf("n=%d k=%d: scratch word %d = %#x after the draw, want 0", n, k, w, x)
 				}
 			}
+		}
+	}
+}
+
+// TestRandomSubsetPinned pins the draws themselves, captured before the
+// collision select became branch-free: 4096 draws per (n, k) from a fresh
+// rng, the first three verbatim and all of them through an FNV-1a
+// fingerprint. (96, 40) and (96, 3) read the bitset back; (96, 2), (640, 6)
+// and (30000, 5) sort the draws, and (640, 6) collides often enough to pin
+// the select on that branch too. RandomSet from a twin rng must draw the
+// same set, and RandomSubset must hand its scratch back zeroed.
+func TestRandomSubsetPinned(t *testing.T) {
+	pins := []struct {
+		n, k  int
+		first [3][]int
+		fnv   uint64
+	}{
+		{96, 40, [3][]int{
+			{3, 5, 10, 14, 15, 16, 20, 23, 24, 30, 31, 34, 35, 37, 38, 42, 45, 46, 49, 52, 53, 56, 59, 61, 64, 65, 67, 69, 70, 73, 76, 77, 80, 83, 85, 86, 88, 89, 90, 94},
+			{4, 5, 8, 9, 11, 13, 15, 16, 18, 21, 22, 23, 25, 26, 27, 29, 32, 34, 37, 41, 46, 47, 48, 50, 51, 58, 59, 63, 65, 71, 72, 77, 78, 83, 84, 85, 86, 89, 92, 94},
+			{0, 5, 6, 7, 10, 12, 14, 16, 17, 19, 20, 23, 27, 36, 37, 39, 42, 44, 46, 51, 52, 53, 56, 58, 63, 64, 65, 67, 70, 72, 73, 74, 77, 78, 82, 86, 88, 90, 91, 92},
+		}, 0x5a47ce1e626cc26f},
+		{96, 3, [3][]int{{34, 43, 53}, {9, 20, 65}, {13, 35, 59}}, 0xa0c6a7911cb312},
+		{96, 2, [3][]int{{6, 27}, {63, 75}, {26, 86}}, 0x50fc031135bd1d42},
+		{640, 6, [3][]int{{20, 31, 87, 197, 401, 616}, {16, 36, 288, 425, 493, 584}, {156, 157, 246, 260, 302, 534}}, 0xc6ff08121802748e},
+		{30000, 5, [3][]int{
+			{9618, 11901, 16830, 17644, 23928},
+			{10993, 11607, 14255, 15620, 23937},
+			{1612, 3818, 9760, 16260, 26250},
+		}, 0xd9341ab88ca452f5},
+	}
+	for _, p := range pins {
+		words := (p.n + 63) / 64
+		seed := uint64(p.n)<<32 | uint64(p.k)
+		rng, twin := rand.New(rand.NewPCG(2006, seed)), rand.New(rand.NewPCG(2006, seed))
+		seen, set := make([]uint64, words), make([]uint64, words)
+		idx := make([]int, p.k)
+		h := fnv.New64a()
+		for d := 0; d < 4096; d++ {
+			RandomSubset(idx, p.n, rng, seen)
+			if d < len(p.first) && !slices.Equal(idx, p.first[d]) {
+				t.Fatalf("n=%d k=%d draw %d: %v, pinned %v", p.n, p.k, d, idx, p.first[d])
+			}
+			for _, v := range idx {
+				h.Write(binary.LittleEndian.AppendUint32(nil, uint32(v)))
+			}
+			if slices.ContainsFunc(seen, func(x uint64) bool { return x != 0 }) {
+				t.Fatalf("n=%d k=%d draw %d: scratch not zeroed", p.n, p.k, d)
+			}
+			RandomSet(set, p.n, p.k, twin)
+			for _, v := range idx {
+				set[v>>6] ^= 1 << (uint(v) & 63)
+			}
+			if slices.ContainsFunc(set, func(x uint64) bool { return x != 0 }) {
+				t.Fatalf("n=%d k=%d draw %d: RandomSet drew a different set than %v", p.n, p.k, d, idx)
+			}
+		}
+		if got := h.Sum64(); got != p.fnv {
+			t.Errorf("n=%d k=%d: fingerprint of 4096 draws %#x, pinned %#x", p.n, p.k, got, p.fnv)
 		}
 	}
 }

@@ -95,10 +95,10 @@ func FuzzKernelMatchesReference(f *testing.F) {
 // FuzzSlicedMatchesReference is the bit-sliced kernel's randomized arm:
 // a seeded random cascade plus random words of up to 64 erasure patterns
 // (random per-lane sizes, random active masks, one kernel reused across
-// words), every active lane compared against both the scalar kernel and
-// ReferenceRecoverable. This is the fuzz face of the differential battery
-// required by the sliced scan path (see also TestSliced* and the
-// pruning-soundness tests in internal/sim).
+// words, each evaluated twice), every active lane compared against both
+// the scalar kernel and ReferenceRecoverable. This is the fuzz face of the
+// differential battery required by the sliced scan path (see also
+// TestSliced* and the pruning-soundness tests in internal/sim).
 func FuzzSlicedMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint64(2))
 	f.Add(uint64(2006), uint64(0))
@@ -129,6 +129,9 @@ func FuzzSlicedMatchesReference(f *testing.F) {
 			}
 			sk.SetActive(active)
 			got := sk.Eval()
+			if again := sk.Eval(); again != got {
+				t.Fatalf("re-evaluated word: verdict %#x, first %#x (graph %v)", again, got, g)
+			}
 			if got&^active != 0 {
 				t.Fatalf("verdict %#x outside active mask %#x", got, active)
 			}

@@ -135,7 +135,10 @@ func (s *SlicedKernel) Eval() uint64 {
 	}
 
 	for {
-		changed := false
+		// The updates are unconditional: whether a lane changes is data,
+		// and a branch on it mispredicts; clearing no bits is harmless.
+		// changed collects the lanes that moved this sweep.
+		var changed uint64
 		for _, r := range checks {
 			// Carry-save count of r's missing left neighbors, all lanes at
 			// once: ones = parity, twos = "two or more".
@@ -145,24 +148,22 @@ func (s *SlicedKernel) Eval() uint64 {
 				twos |= ones & m
 				ones ^= m
 			}
-			mr := s.missing[r]
 			// Rule 2: a missing check with zero missing left neighbors is
 			// recomputed from them.
-			if re := mr & ^ones & ^twos; re != 0 {
-				mr &^= re
-				s.missing[r] = mr
-				changed = true
-			}
+			mr := s.missing[r]
+			re := mr & ^ones & ^twos
+			mr &^= re
+			s.missing[r] = mr
+			changed |= re
 			// Rule 1: a present check with exactly one missing left
 			// neighbor recovers it. Per qualifying lane exactly one
 			// neighbor holds the missing bit, so ANDing the rescue lanes
 			// into each neighbor clears precisely that node.
 			if rescue := ^mr & ones & ^twos; rescue != 0 {
 				for _, l := range s.c.LeftNeighbors(r) {
-					if rec := rescue & s.missing[l]; rec != 0 {
-						s.missing[l] &^= rec
-						changed = true
-					}
+					m := s.missing[l]
+					changed |= m & rescue
+					s.missing[l] = m &^ rescue
 				}
 			}
 		}
@@ -172,7 +173,7 @@ func (s *SlicedKernel) Eval() uint64 {
 				failed |= s.missing[v]
 			}
 		}
-		if failed == 0 || !changed {
+		if failed == 0 || changed == 0 {
 			// Restore the between-Evals invariant (missing all-zero, no
 			// candidate marks) before reporting.
 			for _, v := range s.touched {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tornado/internal/combin"
+	"tornado/internal/graph"
 )
 
 // slicedVerdicts evaluates a batch of up to 64 erasure patterns in one
@@ -151,6 +152,66 @@ func TestSlicedReuse(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSlicedChainCascade drives the fixpoint loop's exit. On a chain —
+// check i covers data nodes i and i+1, the last check data node D−1 alone —
+// erasing data 0..L takes L+1 sweeps to peel back when the checks are
+// visited in ascending order, as ascending Erase calls queue them: each
+// sweep only the check at the front of the erased run has one missing
+// neighbor. Lanes 0..D−1 erase 0..L and recover after 1..D sweeps; lane
+// D+m erases every data node and check m, so it recovers D−1−m nodes and
+// then sticks (check m is erased with one missing neighbor). One word must
+// report exactly the first D lanes, the same again when re-evaluated, and
+// leave the peel state all-zero between Evals.
+func TestSlicedChainCascade(t *testing.T) {
+	const depth = Lanes / 2
+	g := chainGraph(depth)
+	csr := NewCSR(g)
+	sk := NewSlicedKernel(csr)
+	patterns := make([][]int, Lanes)
+	for L := 0; L < depth; L++ {
+		for v := 0; v <= L; v++ {
+			patterns[L] = append(patterns[L], v)
+		}
+		for v := 0; v < depth; v++ {
+			patterns[depth+L] = append(patterns[depth+L], v)
+		}
+		patterns[depth+L] = append(patterns[depth+L], depth+L)
+	}
+	want := uint64(1)<<depth - 1
+	for L, p := range patterns {
+		if ref := ReferenceRecoverable(g, p); ref != (want&(1<<uint(L)) != 0) {
+			t.Fatalf("lane %d (erased %v): reference says recoverable=%v", L, p, ref)
+		}
+	}
+	if got := slicedVerdicts(sk, patterns); got != want {
+		t.Fatalf("verdict %#x, want %#x", got, want)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for v, m := range sk.missing {
+			if m != 0 || sk.onCheck[v] {
+				t.Fatalf("after Eval: node %d missing %#x, onCheck %v", v, m, sk.onCheck[v])
+			}
+		}
+		if got := sk.Eval(); got != want {
+			t.Fatalf("re-evaluated word: verdict %#x, want %#x", got, want)
+		}
+	}
+}
+
+// chainGraph returns the chain graph of TestSlicedChainCascade: data
+// nodes 0..depth−1, check depth+i over data i and i+1, the last check over
+// data depth−1 alone.
+func chainGraph(depth int) *graph.Graph {
+	b := graph.NewBuilder(depth)
+	r := b.AddLevel(0, depth, depth)
+	g := b.Graph()
+	for i := 0; i < depth-1; i++ {
+		g.SetNeighbors(r+i, []int{i, i + 1})
+	}
+	g.SetNeighbors(r+depth-1, []int{depth - 1})
+	return g
 }
 
 // evalBenchWord loads and evaluates one word of 64 distinct k=5 patterns:

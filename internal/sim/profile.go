@@ -111,21 +111,29 @@ func NewProfileJob(g *graph.Graph, opts ProfileOptions, shardSize int64) (*Job, 
 }
 
 // streamSampler is the reusable state of the profile's trial loop: the
-// bit-sliced kernel trials are decoded in, 64 per word, and the subset
-// draw's buffers. One sampler serves one goroutine.
+// bit-sliced kernel trials are decoded in, 64 per word, and the bitset the
+// subsets are drawn into. One sampler serves one goroutine.
 type streamSampler struct {
 	c    *decode.CSR
 	sk   *decode.SlicedKernel
-	idx  []int    // cap Total; the current k-subset, ascending
-	seen []uint64 // combin.RandomSubset scratch
+	seen []uint64 // the current k-subset (combin.RandomSet); all-zero between trials
+	// dataMask[w] is the data nodes of seen[w], for the words that hold any.
+	dataMask []uint64
 }
 
 func newStreamSampler(c *decode.CSR) *streamSampler {
+	dataMask := make([]uint64, (c.Data+63)/64)
+	for w := range dataMask {
+		dataMask[w] = ^uint64(0)
+	}
+	if r := c.Data % 64; r != 0 {
+		dataMask[len(dataMask)-1] = 1<<uint(r) - 1
+	}
 	return &streamSampler{
-		c:    c,
-		sk:   decode.NewSlicedKernel(c),
-		idx:  make([]int, c.Total),
-		seen: make([]uint64, c.Words),
+		c:        c,
+		sk:       decode.NewSlicedKernel(c),
+		seen:     make([]uint64, c.Words),
+		dataMask: dataMask,
 	}
 }
 
@@ -152,7 +160,6 @@ func (s *streamSampler) sample(ctx context.Context, k int, trials int64, seed, s
 	}
 
 	rng := rand.New(rand.NewPCG(seed, uint64(k)<<32|stream))
-	idx := s.idx[:k]
 	s.sk.Reset() // a canceled call leaves its last partial word behind
 	lanes := 0   // trials staged in the kernel word
 	var hits int64
@@ -166,12 +173,20 @@ func (s *streamSampler) sample(ctx context.Context, k int, trials int64, seed, s
 			mcFails.Add(hits - lastFlushHits)
 			lastFlushTrials, lastFlushHits = i, hits
 		}
-		combin.RandomSubset(idx, total, rng, s.seen)
-		if idx[0] >= data {
-			continue // idx is sorted: only checks erased, nothing to recover
+		combin.RandomSet(s.seen, total, k, rng)
+		var erasedData uint64
+		for w, m := range s.dataMask {
+			erasedData |= s.seen[w] & m
 		}
-		for _, v := range idx {
-			s.sk.Erase(v, 1<<uint(lanes))
+		if erasedData == 0 {
+			clear(s.seen) // only checks erased, nothing to recover
+			continue
+		}
+		for w, x := range s.seen {
+			for ; x != 0; x &= x - 1 {
+				s.sk.Erase(w<<6+bits.TrailingZeros64(x), 1<<uint(lanes))
+			}
+			s.seen[w] = 0
 		}
 		if lanes++; lanes == decode.Lanes {
 			hits += int64(bits.OnesCount64(evalStaged(s.sk, lanes)))

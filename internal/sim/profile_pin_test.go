@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"tornado/internal/combin"
+	"tornado/internal/core"
 	"tornado/internal/decode"
+	"tornado/internal/graph"
 	"tornado/internal/graphml"
 	"tornado/internal/stats"
 )
@@ -92,14 +94,34 @@ func TestSampleKPinnedTallies(t *testing.T) {
 // TestSampleStreamMatchesScalarReplay cross-checks the sampler on graphs
 // with no pinned history — unscreened ones, which carry real defects at low
 // k — against a scalar-kernel replay of the identical stream, on a sampler
-// reused from point to point with a stale lane left in its kernel.
+// reused from point to point with a stale lane left in its kernel. The
+// n=200 cascade has Data 100: its data nodes end inside the second bitset
+// word, so a trial whose erased data nodes all sit in that word's low 36
+// bits is decoded only if the sampler's data-word test reads them.
 func TestSampleStreamMatchesScalarReplay(t *testing.T) {
+	type tc struct {
+		g    *graph.Graph
+		seed uint64
+		ks   []int
+	}
+	var cases []tc
 	for seed := uint64(0); seed < 3; seed++ {
-		g := unscreened96(t, seed)
+		cases = append(cases, tc{unscreened96(t, seed), seed, []int{1, 3, 7, 20, 33, 47, 48}})
+	}
+	p := core.DefaultParams()
+	p.TotalNodes, p.MinFinalLeft = 200, 26 // levels of 50, 25 and 25 checks
+	g200, err := core.GenerateUnscreened(p, rand.New(rand.NewPCG(0, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// At k = 4, 5, 6 and 12 this stream has failing trials of that kind.
+	cases = append(cases, tc{g200, 0, []int{1, 2, 3, 4, 5, 6, 8, 12, 20, 60, 99, 100}})
+	for _, cs := range cases {
+		g, seed := cs.g, cs.seed
 		c := decode.NewCSR(g)
 		ref := decode.NewKernel(c)
 		sp := newStreamSampler(c)
-		for _, k := range []int{1, 3, 7, 20, 33, 47, 48} {
+		for _, k := range cs.ks {
 			const trials = 3000
 			rng := rand.New(rand.NewPCG(seed, uint64(k)<<32|5))
 			idx := make([]int, k)
@@ -116,8 +138,32 @@ func TestSampleStreamMatchesScalarReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got.Hits != want || got.Trials != trials {
-				t.Errorf("seed %d k=%d: sampler %+v, scalar replay found %d failures", seed, k, got, want)
+				t.Errorf("n=%d seed %d k=%d: sampler %+v, scalar replay found %d failures", g.Total, seed, k, got, want)
 			}
 		}
 	}
+}
+
+// BenchmarkFailureProfile is one default failure profile of tornado96-1 at
+// 1000 trials a point on one worker — the profile step of bench's
+// design_certify workload — reporting trials/s as that workload counts
+// them: every point's trials or patterns, exact points included.
+func BenchmarkFailureProfile(b *testing.B) {
+	g, err := graphml.ReadFile("../../precompiled/tornado96-1.graphml")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := ProfileOptions{Trials: 1000, Workers: 1, Seed: 2006}
+	var trials int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := FailureProfileCtx(context.Background(), g, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, f := range p.Fail {
+			trials += f.Trials
+		}
+	}
+	b.ReportMetric(float64(trials)/b.Elapsed().Seconds(), "trials/s")
 }

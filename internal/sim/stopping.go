@@ -30,6 +30,7 @@ var errOverBudget = errors.New("sim: stopping-set search over budget")
 // each root allowed C(n,k)/Data search steps, merged in root order; then
 // their closure up to k (closeUp). When a root or the closure is over
 // budget, the rank scan runs instead, [0, C(n,k)) split over the workers.
+// Past k = Total − Data every pattern fails (allFail) and nothing runs.
 // Every goroutine gets its own enumerator or scanner, so the unit is safe
 // beside any other. Cancellation is checked once per root, every
 // cancelCheckInterval closure steps, and at the scan's chunk boundaries.
@@ -38,6 +39,9 @@ func (l *LocalRunner) exhaustiveK(ctx context.Context, k, maxFailures int) (KRes
 	space, err := exhaustiveSpace(n, k)
 	if err != nil {
 		return KResult{}, err
+	}
+	if k > n-int(l.csr.Data) {
+		return allFail(n, k, maxFailures, space), nil
 	}
 	enums := make([]*decode.StoppingEnumerator, l.Workers())
 	roots := make([][][]int, l.csr.Data)
@@ -70,6 +74,27 @@ func (l *LocalRunner) exhaustiveK(ctx context.Context, k, maxFailures int) (KRes
 		return KResult{}, err
 	}
 	return mergeRanges(k, res, maxFailures), nil
+}
+
+// allFail is the KResult of a cardinality k > n − Data, where fewer than
+// Data nodes survive every pattern: each node holds a linear function of
+// the Data data blocks, so no decoder can determine them, and all
+// space = C(n,k) patterns fail. The recorded failures are the first
+// maxFailures k-sets in lexicographic order, the counters move as the scan
+// would move them, and no pattern is visited.
+func allFail(n, k, maxFailures int, space int64) KResult {
+	kr := KResult{K: k, Tested: space, FailureCount: space}
+	if maxFailures > 0 {
+		idx := make([]int, k)
+		combin.First(idx, n)
+		for ok := true; ok && len(kr.Failures) < maxFailures; ok = combin.Next(idx, n) {
+			kr.Failures = append(kr.Failures, slices.Clone(idx))
+		}
+	}
+	reg := Metrics()
+	reg.Counter(MetricCombinationsTested).Add(space)
+	reg.Counter(MetricFailuresFound).Add(space)
+	return kr
 }
 
 // closeUp counts the failing k-sets of an n-node graph from sets, which

@@ -91,30 +91,84 @@ func TestStoppingMatchesScan(t *testing.T) {
 	}
 }
 
-// TestDenseCardinalitiesTakeTheScan: near k = n a graph has few patterns
-// and an astronomical number of stopping sets — the default profile's
-// exact points on tornado96 are k = 94, 95, 96 — so the search's step
-// budget must hand them to the scan, with the scan's answer.
-func TestDenseCardinalitiesTakeTheScan(t *testing.T) {
-	g, err := graphml.ReadFile("../../precompiled/tornado96-1.graphml")
+// scanK is cardinality k's KResult from one ScanRangeCtx over its whole
+// rank space: the oracle of every exhaustiveK shortcut.
+func scanK(t *testing.T, g *graph.Graph, k, maxFailures int) KResult {
+	t.Helper()
+	space, _ := combin.BinomialInt64(g.Total, k)
+	rr, err := ScanRangeCtx(context.Background(), g, k, 0, space, maxFailures)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, complete := decode.NewStoppingEnumerator(decode.NewCSR(g)).Root(nil, 0, 94, 95); complete {
-		t.Error("a 95-step search from root 0 at k=94 reports it finished")
+	return KResult{K: k, Tested: rr.Tested, FailureCount: rr.FailureCount, Failures: rr.Failures}
+}
+
+// TestDenseCardinalitiesTakeTheScan: a graph can have far more small
+// stopping sets than patterns. With two checks over all 8 data nodes,
+// every data pair is one, 7 from each root at k=2, where the search's step
+// budget is C(10,2)/8 = 5 per root: the search must give up and hand the
+// cardinality to the scan, with the scan's answer.
+func TestDenseCardinalitiesTakeTheScan(t *testing.T) {
+	b := graph.NewBuilder(8)
+	r := b.AddLevel(0, 8, 2)
+	g := b.Graph()
+	for q := r; q < r+2; q++ {
+		g.SetNeighbors(q, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	}
-	for k := 94; k <= 96; k++ {
-		space, _ := combin.BinomialInt64(g.Total, k)
-		want, err := ScanRangeCtx(context.Background(), g, k, 0, space, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+	if _, complete := decode.NewStoppingEnumerator(decode.NewCSR(g)).Root(nil, 0, 2, 5); complete {
+		t.Error("a 5-step search from root 0 at k=2 reports it finished")
+	}
+	for k := 1; k <= 2; k++ {
+		want := scanK(t, g, k, 4)
 		got, err := ExhaustiveKCtx(context.Background(), g, k, 4, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Tested != want.Tested || got.FailureCount != want.FailureCount || !reflect.DeepEqual(got.Failures, want.Failures) {
+		if !reflect.DeepEqual(got, want) {
 			t.Errorf("k=%d: %+v, scan %+v", k, got, want)
+		}
+	}
+}
+
+// TestClosedFormMatchesScan: past k = Total − Data exhaustiveK answers in
+// closed form (allFail) and visits no pattern. At every such k whose rank
+// space a unit test scans quickly — k ≥ 93 on tornado96-1, k ≥ 27 on the
+// unscreened n=32 graphs, and from the first closed-form cardinality, k=9,
+// on an n=16 one — its KResult must equal the rank scan's at MaxFailures 0,
+// 1 and 16.
+func TestClosedFormMatchesScan(t *testing.T) {
+	g96, err := graphml.ReadFile("../../precompiled/tornado96-1.graphml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []*graph.Graph{g96}
+	for _, c := range []struct {
+		n    int
+		seed uint64
+	}{{32, 0}, {32, 1}, {16, 0}} {
+		p := core.DefaultParams()
+		p.TotalNodes = c.n
+		g, err := core.GenerateUnscreened(p, rand.New(rand.NewPCG(c.seed, 0x570)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	for _, g := range graphs {
+		l := NewLocalRunner(g, 2)
+		for k := g.Total - g.Data + 1; k <= g.Total; k++ {
+			if space, ok := combin.BinomialInt64(g.Total, k); !ok || space > 1<<18 {
+				continue
+			}
+			for _, maxFailures := range []int{0, 1, 16} {
+				got, err := l.exhaustiveK(context.Background(), k, maxFailures)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := scanK(t, g, k, maxFailures); !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d k=%d maxFailures=%d:\n closed form %+v\n scan        %+v", g.Total, k, maxFailures, got, want)
+				}
+			}
 		}
 	}
 }
