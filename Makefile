@@ -7,7 +7,7 @@ GO ?= go
 TEST_TIMEOUT ?= 2m
 RACE_TIMEOUT ?= 3m
 
-.PHONY: all build test race vet fmt fuzz bench bench-api check smoke clean
+.PHONY: all build test race vet fmt fuzz bench bench-smoke bench-api check smoke clean
 
 all: build
 
@@ -64,6 +64,43 @@ fuzz:
 # bench runs the repo benchmark, bench/: numbers only, check is the gate.
 bench:
 	bash bench/run.sh
+
+# bench-smoke runs each Go benchmark once: proof it still compiles and runs.
+# Timings on shared runners are not meaningful and gate nothing; allocs/op and
+# B/op (-benchmem) are printed for the loops whose allocations are budgeted.
+# - Recoverable, SlicedEvalWord, KernelGrayLoop: the decode and defect kernels.
+# - CertifyScale: sampled certification at n=100,000, the O(edges) path (a
+#   CSR with no mask tables) at the size the dense tables made unreachable.
+# - FailureProfile: the paper's Monte Carlo failure profile on tornado96-1,
+#   1000 trials a point on one worker (design_certify's profile step).
+# - RepairSite: site_wipe as a Go benchmark (three shipped graphs, 64 x 1 MiB,
+#   site 0 wiped and rebuilt). reads/stripe is Data + Total when no block is
+#   read twice; B/op fell from 260.7 MB to about 3 MB once replacement drives
+#   refilled the dead drives' slabs and donor blocks landed in the pass's
+#   stripe scratch.
+# - GetStreamSequential, PutStreamSequential: the read and the write stripe
+#   loop (a one-shot 64-stripe GetStream is ~50 allocations, its scratch built
+#   cold, when frames land in the scratch arena; over 3,000 when the backend
+#   drops to the Read adapter).
+# - ServeColdMiss: a cold serve Get whose stripes all miss the cache; each
+#   decodes into a payload buffer the cache recycled, so allocs/op is the
+#   request's and the cache entries' bookkeeping, not a stripe per miss.
+# - JointDecode, OverheadTrial: the benchmarks that size the Decoder's jobs
+#   (one joint verdict of a 2- and a 3-site federation; one overhead trial, a
+#   prefix search of ~7 large-erasure peels).
+BENCH1 = $(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -benchtime 1x
+bench-smoke:
+	$(BENCH1) -bench Recoverable ./internal/decode/
+	$(BENCH1) -bench SlicedEvalWord ./internal/decode/
+	$(BENCH1) -bench KernelGrayLoop ./internal/defect/
+	$(BENCH1) -bench CertifyScale ./internal/sim/
+	$(BENCH1) -bench FailureProfile ./internal/sim/
+	$(BENCH1) -bench RepairSite -benchmem ./internal/fedstore/
+	$(BENCH1) -bench GetStreamSequential -benchmem ./internal/archive/
+	$(BENCH1) -bench PutStreamSequential -benchmem ./internal/archive/
+	$(BENCH1) -bench ServeColdMiss -benchmem ./internal/serve/
+	$(BENCH1) -bench JointDecode ./internal/federation/
+	$(BENCH1) -bench OverheadTrial ./internal/sim/
 
 # bench/ is a module of its own, so the root vet/build/test never compile
 # bench/api.go — the one file a signature change in the library breaks.

@@ -420,14 +420,8 @@ func (s *Store) readFramed(ctx context.Context, node int, key, dst []byte, stats
 	}
 }
 
-// writeFramed frames and writes a payload, retrying transient errors as
-// reads do.
-func (s *Store) writeFramed(ctx context.Context, node int, key []byte, payload []byte) error {
-	return s.writeFrame(ctx, node, key, frameBlock(payload))
-}
-
-// writeFramedBuf is writeFramed through a caller-owned frame buffer — the
-// stripe paths' allocation-free variant (the Backend contract lets the
+// writeFramedBuf frames a payload into a caller-owned frame buffer and writes
+// it, retrying transient errors as reads do (the Backend contract lets the
 // buffer be reused once Write returns). frameAppend copies the payload into
 // buf, so payload may alias a read frame in the scratch's arena (see
 // unframeBlock). The possibly-grown buffer is returned for reuse.
@@ -447,14 +441,6 @@ func (s *Store) writeFrame(ctx context.Context, node int, key []byte, framed []b
 		}
 		s.mWriteRetries.Inc()
 	}
-}
-
-// blockKey builds one block key ("name/stripe/node") in a fresh buffer —
-// the convenience form for cold paths and tests; hot loops reuse a keyBuf.
-func blockKey(name string, stripe, node int) []byte {
-	var k keyBuf
-	k.stripe(name, stripe)
-	return k.key(node)
 }
 
 // keyBuf builds block keys ("name/stripe/node") through one reusable byte

@@ -42,10 +42,14 @@ func (s *Store) Layout() StripeLayout {
 
 // ReadBlockCtx returns one checksum-verified block of an object's stripe —
 // the block-level interface the federated stewarding system uses to
-// exchange blocks between sites (§5.3). Corrupt blocks report ErrNotFound
-// (to a remote peer, a rotted block and a missing block are the same).
-// Cancellation reaches the backend read and its retries.
-func (s *Store) ReadBlockCtx(ctx context.Context, name string, stripe, node int) ([]byte, error) {
+// exchange blocks between sites (§5.3). The block's frame is read into dst
+// under the ReaderInto contract and the block aliases it: it lies in dst's
+// capacity when the frame (FrameSize bytes) fits, and otherwise — a nil or
+// smaller dst, a backend with Read alone — in a fresh slice, the caller's to
+// keep. The store keeps no reference to either. Corrupt blocks report
+// ErrNotFound (to a remote peer, a rotted block and a missing block are the
+// same). Cancellation reaches the backend read and its retries.
+func (s *Store) ReadBlockCtx(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
 	obj, err := s.Stat(name)
 	if err != nil {
 		return nil, err
@@ -53,11 +57,16 @@ func (s *Store) ReadBlockCtx(ctx context.Context, name string, stripe, node int)
 	if stripe < 0 || stripe >= obj.Stripes || node < 0 || node >= s.g.Total {
 		return nil, fmt.Errorf("%w: %q stripe %d node %d", ErrNotFound, name, stripe, node)
 	}
-	key := blockKey(name, stripe, node)
+	// A pooled stripe scratch lends its key buffer. A repair pass keeps the
+	// pool warm; a cold call (an idle server, -race) builds a whole scratch.
+	sc := s.scratch()
+	defer s.release(sc)
+	sc.keys.stripe(name, stripe)
+	key := sc.keys.key(node)
 	if !s.backend.Available(node, key) {
 		return nil, fmt.Errorf("%w: %q stripe %d node %d", ErrNotFound, name, stripe, node)
 	}
-	framed, err := s.readFramed(ctx, node, key, nil, nil) // no dst: the frame is ours to hand out
+	framed, err := s.readFramed(ctx, node, key, dst, nil)
 	if err != nil {
 		if errIsCtx(err) {
 			return nil, err
@@ -67,9 +76,9 @@ func (s *Store) ReadBlockCtx(ctx context.Context, name string, stripe, node int)
 	// Block-level reads exist only for the federated exchange, so the whole
 	// frame is federation repair traffic.
 	s.meter.Record(repairbw.Federation, repairbw.CostReport{BlocksRead: 1, BytesRead: int64(len(framed))})
-	// The payload crosses an ownership boundary (HTTP response body, peer
-	// exchange buffers): it aliases the frame read above, which nothing
-	// else refers to.
+	// The payload crosses an ownership boundary (a donor's dst, HTTP response
+	// body, peer exchange buffers): it aliases the frame read above, which
+	// lies in the caller's dst or in a slice nothing else refers to.
 	b, ok := unframeBlock(framed)
 	if !ok {
 		s.noteCorrupt(node)
@@ -93,7 +102,10 @@ func (s *Store) WriteBlockCtx(ctx context.Context, name string, stripe, node int
 	if len(payload) != s.cfg.BlockSize {
 		return fmt.Errorf("archive: block size %d, want %d", len(payload), s.cfg.BlockSize)
 	}
-	if err := s.writeFramed(ctx, node, blockKey(name, stripe, node), payload); err != nil {
+	sc := s.scratch() // for its key and frame buffers
+	defer s.release(sc)
+	sc.keys.stripe(name, stripe)
+	if sc.frameBuf, err = s.writeFramedBuf(ctx, node, sc.keys.key(node), payload, sc.frameBuf); err != nil {
 		return err
 	}
 	s.meter.Record(repairbw.Federation, repairbw.CostReport{BlocksWritten: 1, BytesWritten: s.frameSize()})

@@ -15,18 +15,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 const frameOverhead = 4
 
-// frameBlock prepends the payload's checksum (see frameSum). The returned
-// frame is a fresh buffer — the payload is copied, never aliased.
-func frameBlock(payload []byte) []byte {
-	out := make([]byte, frameOverhead+len(payload))
-	binary.BigEndian.PutUint32(out, frameSum(payload))
-	copy(out[frameOverhead:], payload)
-	return out
-}
-
-// frameAppend frames payload into buf (reusing its capacity, truncating
-// its length) and returns the frame. It is frameBlock for hot loops: the
-// streaming put path frames every block of every stripe through one
+// frameAppend prepends the payload's checksum (see frameSum) in buf (reusing
+// its capacity, truncating its length) and returns the frame; the payload is
+// copied, never aliased. Every write path frames every block through one
 // per-worker buffer, relying on the Backend contract that Write does not
 // retain the slice after returning.
 func frameAppend(buf []byte, payload []byte) []byte {
@@ -65,10 +56,9 @@ func frameSum(payload []byte) uint32 {
 // payload's lifetime. Within this package the alias is safe because the
 // codec only reads the blocks it is handed (what it rebuilds is carved from
 // the stripe scratch's own arena, never written over a block that was read)
-// and every write path re-frames into a buffer of its own — frameBlock's
-// fresh one or the scratch's frameBuf — before the backend sees the bytes.
-// A caller that hands the payload on reads its frame with no dst, so that
-// the frame is its own (ReadBlockCtx).
+// and every write path re-frames into the scratch's frameBuf before the
+// backend sees the bytes. ReadBlockCtx, which hands the payload on, reads its
+// frame into its caller's dst or, with none, a fresh slice.
 func unframeBlock(framed []byte) ([]byte, bool) {
 	if len(framed) < frameOverhead {
 		return nil, false

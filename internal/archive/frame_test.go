@@ -3,12 +3,30 @@ package archive
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"strconv"
 	"testing"
 	"testing/quick"
 )
+
+// frameBlock is the reference frame the tests compare frameAppend against:
+// the payload's checksum, then a copy of the payload, in a fresh buffer.
+func frameBlock(payload []byte) []byte {
+	out := make([]byte, frameOverhead+len(payload))
+	binary.BigEndian.PutUint32(out, frameSum(payload))
+	copy(out[frameOverhead:], payload)
+	return out
+}
+
+// blockKey builds one block key ("name/stripe/node") in a fresh buffer, for
+// tests that reach past the store to its devices.
+func blockKey(name string, stripe, node int) []byte {
+	var k keyBuf
+	k.stripe(name, stripe)
+	return k.key(node)
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	for _, payload := range [][]byte{nil, {}, {0}, []byte("hello"), bytes.Repeat([]byte{0xAA}, 4096)} {
@@ -121,7 +139,7 @@ func TestReadWriteBlock(t *testing.T) {
 	if err := s.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.ReadBlockCtx(ctx, "obj", 0, 0)
+	b, err := s.ReadBlockCtx(ctx, "obj", 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,18 +147,18 @@ func TestReadWriteBlock(t *testing.T) {
 		t.Error("block content wrong")
 	}
 	// Out of range and missing cases.
-	if _, err := s.ReadBlockCtx(ctx, "obj", 5, 0); !errors.Is(err, ErrNotFound) {
+	if _, err := s.ReadBlockCtx(ctx, "obj", 5, 0, nil); !errors.Is(err, ErrNotFound) {
 		t.Errorf("stripe oob: %v", err)
 	}
-	if _, err := s.ReadBlockCtx(ctx, "obj", 0, 200); !errors.Is(err, ErrNotFound) {
+	if _, err := s.ReadBlockCtx(ctx, "obj", 0, 200, nil); !errors.Is(err, ErrNotFound) {
 		t.Errorf("node oob: %v", err)
 	}
-	if _, err := s.ReadBlockCtx(ctx, "nope", 0, 0); !errors.Is(err, ErrNotFound) {
+	if _, err := s.ReadBlockCtx(ctx, "nope", 0, 0, nil); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown object: %v", err)
 	}
 	// A failed device's block is gone.
 	s.Devices()[0].Fail()
-	if _, err := s.ReadBlockCtx(ctx, "obj", 0, 0); !errors.Is(err, ErrNotFound) {
+	if _, err := s.ReadBlockCtx(ctx, "obj", 0, 0, nil); !errors.Is(err, ErrNotFound) {
 		t.Errorf("failed device: %v", err)
 	}
 	// WriteBlockCtx restores it after replacement.
@@ -148,7 +166,7 @@ func TestReadWriteBlock(t *testing.T) {
 	if err := s.WriteBlockCtx(ctx, "obj", 0, 0, b); err != nil {
 		t.Fatal(err)
 	}
-	back, err := s.ReadBlockCtx(ctx, "obj", 0, 0)
+	back, err := s.ReadBlockCtx(ctx, "obj", 0, 0, nil)
 	if err != nil || !bytes.Equal(back, b) {
 		t.Errorf("restored block wrong: %v", err)
 	}

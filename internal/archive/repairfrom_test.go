@@ -68,10 +68,10 @@ func (b *writeHook) ReadInto(ctx context.Context, node int, key, dst []byte) ([]
 	return ReaderIntoOf(b.Backend).ReadInto(ctx, node, key, dst)
 }
 
-// refDonor donates ref's copy of a block.
+// refDonor donates ref's copy of a block, read into the pass's dst.
 func refDonor(ref *Store) Donor {
-	return func(ctx context.Context, name string, stripe, node int) ([]byte, error) {
-		return ref.ReadBlockCtx(ctx, name, stripe, node)
+	return func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
+		return ref.ReadBlockCtx(ctx, name, stripe, node, dst)
 	}
 }
 
@@ -85,11 +85,11 @@ func TestRepairFromRebuildsWipedStore(t *testing.T) {
 	s, ref, _, data := wipedPair(t, stripes)
 	var mu sync.Mutex
 	asked := map[string]int{}
-	rep, err := s.RepairFrom(context.Background(), func(ctx context.Context, name string, stripe, node int) ([]byte, error) {
+	rep, err := s.RepairFrom(context.Background(), func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
 		mu.Lock()
 		asked[fmt.Sprintf("%s/%d/%d", name, stripe, node)]++
 		mu.Unlock()
-		return ref.ReadBlockCtx(ctx, name, stripe, node)
+		return ref.ReadBlockCtx(ctx, name, stripe, node, dst)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,6 +129,72 @@ func TestRepairFromRebuildsWipedStore(t *testing.T) {
 	}
 }
 
+// TestRepairFromDonorDst: a donor that reads each block into the pass's dst
+// and returns an alias of it, and one that returns a slice of its own, leave
+// the same bytes stored, the same report and the same follow-up scrub report,
+// at width 2 (under -race, a block landing in a slot another stripe still
+// read from would be a reported race). A block of the wrong size ends the
+// pass with its error either way.
+func TestRepairFromDonorDst(t *testing.T) {
+	old := runtime.GOMAXPROCS(2) // RepairFrom's width is min(4, GOMAXPROCS)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	const stripes = 6
+	donor := func(s, ref *Store, into bool, trim int) Donor {
+		return func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
+			if len(dst) != 0 || cap(dst) != s.FrameSize() {
+				return nil, fmt.Errorf("dst has len %d, cap %d; want an empty frame of %d", len(dst), cap(dst), s.FrameSize())
+			}
+			if !into {
+				dst = nil
+			}
+			b, err := ref.ReadBlockCtx(ctx, name, stripe, node, dst)
+			if err != nil {
+				return nil, err
+			}
+			if into && &b[0] != &dst[:cap(dst)][frameOverhead] {
+				return nil, errors.New("the block read into dst does not alias it")
+			}
+			return b[:len(b)-trim], nil
+		}
+	}
+	run := func(into bool) (DonorReport, ScrubReport, [][]byte) {
+		s, ref, _, data := wipedPair(t, stripes)
+		rep, err := s.RepairFrom(ctx, donor(s, ref, into, 0))
+		if err != nil {
+			t.Fatalf("into dst %v: %v", into, err)
+		}
+		after, err := s.ScrubCtx(ctx, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, _, err := s.GetCtx(ctx, "obj"); err != nil || !bytes.Equal(out, data) {
+			t.Errorf("into dst %v: Get after repair: %v", into, err)
+		}
+		return rep, after, storedDevBlocks(s, "obj")
+	}
+	intoRep, intoAfter, intoStored := run(true)
+	ownRep, ownAfter, ownStored := run(false)
+	if intoRep.BlocksImported == 0 || intoAfter.Unrecoverable != 0 {
+		t.Fatalf("the repair imported %d blocks and left %d stripes unrecoverable", intoRep.BlocksImported, intoAfter.Unrecoverable)
+	}
+	if !reflect.DeepEqual(intoRep, ownRep) {
+		t.Errorf("reports differ:\ninto dst %+v\nown      %+v", intoRep, ownRep)
+	}
+	if !reflect.DeepEqual(intoAfter, ownAfter) {
+		t.Errorf("follow-up scrub reports differ:\ninto dst %+v\nown      %+v", intoAfter, ownAfter)
+	}
+	if !reflect.DeepEqual(intoStored, ownStored) {
+		t.Error("stored blocks differ")
+	}
+	for _, into := range []bool{true, false} {
+		s, ref, _, _ := wipedPair(t, stripes)
+		_, err := s.RepairFrom(ctx, donor(s, ref, into, 1))
+		if want := fmt.Sprintf("has %d bytes, want %d", s.cfg.BlockSize-1, s.cfg.BlockSize); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("into dst %v: a short donor block ends the pass with %v, want %q", into, err, want)
+		}
+	}
+}
+
 // TestRepairFromHeldHeadStripe forces the schedule a serial pass cannot
 // survive: the donor keeps stripe 0 waiting until a block of a later stripe
 // has been written home. The pass must run later stripes meanwhile, and still
@@ -144,7 +210,7 @@ func TestRepairFromHeldHeadStripe(t *testing.T) {
 		}
 	}
 	donate := refDonor(ref)
-	rep, err := s.RepairFrom(context.Background(), func(ctx context.Context, name string, stripe, node int) ([]byte, error) {
+	rep, err := s.RepairFrom(context.Background(), func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
 		if stripe == 0 {
 			select {
 			case <-later:
@@ -152,7 +218,7 @@ func TestRepairFromHeldHeadStripe(t *testing.T) {
 				return nil, errors.New("stripe 0 was never overtaken: the pass is serial")
 			}
 		}
-		return donate(ctx, name, stripe, node)
+		return donate(ctx, name, stripe, node, dst)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +257,7 @@ func TestRepairFromDonorError(t *testing.T) {
 	behind := make(chan struct{}) // closed once a stripe after bad is in flight
 	var once sync.Once
 	donate := refDonor(ref)
-	rep, err := s.RepairFrom(context.Background(), func(ctx context.Context, name string, stripe, node int) ([]byte, error) {
+	rep, err := s.RepairFrom(context.Background(), func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
 		touch(stripe)
 		switch {
 		case stripe == bad:
@@ -202,7 +268,7 @@ func TestRepairFromDonorError(t *testing.T) {
 			<-ctx.Done() // only the failure of stripe bad ends these
 			return nil, ctx.Err()
 		}
-		return donate(ctx, name, stripe, node)
+		return donate(ctx, name, stripe, node, dst)
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)

@@ -44,10 +44,14 @@ type ScrubReport struct {
 // Donor supplies the data blocks a RepairFrom pass cannot get from its own
 // store. Asked for data block node of one stripe — one that is missing on
 // disk and that peeling the stripe's surviving blocks did not reach — it
-// returns the block (BlockSize bytes, the pass's to keep), nil when it has
-// none to give, or an error, which ends the pass. The pass calls it from its
-// worker goroutines, for several stripes at once.
-type Donor func(ctx context.Context, name string, stripe, node int) ([]byte, error)
+// returns the block (BlockSize bytes), nil when it has none to give, or an
+// error, which ends the pass. dst is the pass's buffer for the block, empty
+// with room for one frame (FrameSize bytes), or nil: the donor may fill it
+// and return a slice of it — ReadBlockCtx(ctx, name, stripe, node, dst) does
+// — or return a slice of its own. Either way the block is the pass's to keep,
+// and the donor keeps no reference to dst. The pass calls it from its worker
+// goroutines, for several stripes at once.
+type Donor func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error)
 
 // DonorReport is the outcome of a RepairFrom pass: its scrub report, and how
 // the blocks it wrote home split between the store's own redundancy and the
@@ -309,7 +313,9 @@ func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, repair bool, 
 			if sc.blocks[node] != nil {
 				continue
 			}
-			b, err := donor(ctx, h.Object, h.Stripe, node)
+			// The node's arena slot holds nothing peeling reads: the block
+			// lands there, and like a read block it is written home from it.
+			b, err := donor(ctx, h.Object, h.Stripe, node, sc.frame(s, node))
 			if err != nil {
 				return t, err
 			}

@@ -71,7 +71,8 @@ const (
 // of another length puts the old slot on a free list keyed by length, where
 // the next Write of that length finds it. Every read copies out under mu, so
 // no slot is ever seen by a caller. The slots are the device's: its footprint
-// stays at its high-water mark until Fail or Replace drops them all.
+// stays at its high-water mark, across Fail and Replace too — they forget
+// every frame but keep the slabs, which the replacement medium refills.
 type Device struct {
 	id int
 
@@ -82,6 +83,8 @@ type Device struct {
 	mu     sync.Mutex
 	blocks map[string][]byte
 	free   map[int][][]byte // released slots, by length
+	slabs  [][]byte         // every slab carved, in carving order
+	next   int              // slabs[next:] hold no slot since the last rewind
 	slab   []byte           // the unused tail of the slab slots are carved from
 	stats  Stats
 }
@@ -101,7 +104,9 @@ func (d *Device) setStateLocked(s State) { d.state.Store(int32(s)) }
 
 // slotLocked returns a slot for a frame of n bytes: a released one of that
 // length, the next n bytes of the current slab, or one of its own when the
-// frame is larger than a slab may be.
+// frame is larger than a slab may be. When the current slab runs out, the
+// next slab already carved takes over (one too short for n is skipped until
+// the next rewind); a new slab is carved only when none is left.
 func (d *Device) slotLocked(n int) []byte {
 	if fl := d.free[n]; len(fl) > 0 {
 		d.free[n] = fl[:len(fl)-1]
@@ -110,8 +115,12 @@ func (d *Device) slotLocked(n int) []byte {
 	if n > maxSlab {
 		return make([]byte, n)
 	}
-	if len(d.slab) < n {
-		d.slab = make([]byte, min(slabFrames*n, maxSlab))
+	for len(d.slab) < n {
+		if d.next == len(d.slabs) {
+			d.slabs = append(d.slabs, make([]byte, min(slabFrames*n, maxSlab)))
+		}
+		d.slab = d.slabs[d.next]
+		d.next++
 	}
 	b := d.slab[:n:n]
 	d.slab = d.slab[n:]
@@ -126,10 +135,14 @@ func (d *Device) releaseLocked(b []byte) {
 	d.free[len(b)] = append(d.free[len(b)], b)
 }
 
-// dropLocked forgets every frame and every slot: the device's media is gone.
+// dropLocked forgets every frame — the device's media is gone — but keeps the
+// memory that held them: the map is cleared in place and the slab arena is
+// rewound, so new frames refill the slabs from the first in write order. The
+// free lists are emptied, or the rewind would hand their slots out twice.
 func (d *Device) dropLocked() {
-	d.blocks = map[string][]byte{}
-	d.free, d.slab = nil, nil
+	clear(d.free)
+	clear(d.blocks)
+	d.slab, d.next = nil, 0
 }
 
 // Stats returns a snapshot of the activity counters.
@@ -259,8 +272,8 @@ func (d *Device) SetOnline() {
 	}
 }
 
-// Fail destroys the device: contents are dropped and the state becomes
-// Failed until Replace.
+// Fail destroys the device: contents are dropped (their memory is kept for
+// the replacement) and the state becomes Failed until Replace.
 func (d *Device) Fail() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -268,7 +281,8 @@ func (d *Device) Fail() {
 	d.dropLocked()
 }
 
-// Replace swaps in a fresh empty drive (Failed → Online).
+// Replace swaps in a fresh empty drive (Failed → Online), which refills the
+// dead drive's slabs.
 func (d *Device) Replace() {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -268,7 +268,8 @@ func TestStateString(t *testing.T) {
 // TestSlotsRoundTrip: frames of every shape — slab-sized, odd-length (a
 // torn write's prefix), empty and larger than a slab — read back exactly
 // through overwrites of equal and of other lengths and through delete and
-// rewrite, and Fail and Replace leave nothing behind.
+// rewrite; Fail and Replace forget every frame, and the replacement refills
+// the dead drive's memory without carving a new slab.
 func TestSlotsRoundTrip(t *testing.T) {
 	d := New(0)
 	rng := rand.New(rand.NewPCG(5, 5))
@@ -328,14 +329,68 @@ func TestSlotsRoundTrip(t *testing.T) {
 	}
 	check("rewritten")
 
+	old, slabs := want, len(d.slabs)
 	d.Fail()
 	d.Replace()
-	if d.Len() != 0 || d.free != nil || d.slab != nil {
-		t.Fatalf("Replace kept %d frames, %d free lengths, %d bytes of slab", d.Len(), len(d.free), len(d.slab))
-	}
 	want = map[string][]byte{}
-	write("again", 4100)
 	check("after Replace")
+	for k := range old {
+		if _, err := d.Read([]byte(k)); !errors.Is(err, ErrNotFound) || d.Holds([]byte(k), Online) {
+			t.Fatalf("frame %q of the dead drive still answers: %v", k, err)
+		}
+	}
+	for i, n := range sizes {
+		write(fmt.Sprint("again", i), n)
+	}
+	check("refilled after Replace")
+	if len(d.slabs) != slabs {
+		t.Errorf("refilled with the same frames, the replaced drive holds %d slabs; the dead one held %d", len(d.slabs), slabs)
+	}
+}
+
+// TestReplaceLeavesNoStaleBytes: frames written to a replacement drive land
+// in the slabs the dead drive's frames filled, and read back exactly as
+// written — a shorter frame shows none of the old bytes past its end, and no
+// slot is handed out twice, though the dead drive had deleted frames on its
+// free list — while no key of the dead drive answers.
+func TestReplaceLeavesNoStaleBytes(t *testing.T) {
+	const frames = 40
+	d := New(0)
+	for i := range frames {
+		if err := d.Write([]byte(fmt.Sprint("old", i)), bytes.Repeat([]byte{0xAA}, 4100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range frames / 2 {
+		if err := d.Delete([]byte(fmt.Sprint("old", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Fail()
+	d.Replace()
+	want := map[string][]byte{}
+	for i := range 2 * frames { // as many 4100-byte frames as the dead drive had slots
+		n := 68
+		if i%2 == 0 {
+			n = 4100
+		}
+		k, b := fmt.Sprint("new", i), bytes.Repeat([]byte{byte(i)}, n)
+		if err := d.Write([]byte(k), b); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = b
+	}
+	for k, w := range want {
+		if got, err := d.Read([]byte(k)); err != nil || !bytes.Equal(got, w) {
+			t.Errorf("frame %q read back %d bytes other than the %d written: %v", k, len(got), len(w), err)
+		}
+	}
+	for i := range frames {
+		k := []byte(fmt.Sprint("old", i))
+		if _, err := d.Read(k); !errors.Is(err, ErrNotFound) || d.Holds(k, Online) {
+			t.Errorf("frame %q of the dead drive still answers: %v", k, err)
+		}
+	}
 }
 
 // TestOverwriteDoesNotReachReaders: an equal-length overwrite copies into the
@@ -358,7 +413,8 @@ func TestOverwriteDoesNotReachReaders(t *testing.T) {
 // TestDeviceWriteChurnAllocs: once the device has slots to hand out, an
 // equal-length overwrite, a Delete and a Write of a key written before
 // allocate nothing beyond the map's copy of a new key — the churn a Put
-// followed by a Delete puts on every device.
+// followed by a Delete puts on every device — and neither does refilling a
+// drive after Fail and Replace, the churn of a site rebuilt from its peers.
 func TestDeviceWriteChurnAllocs(t *testing.T) {
 	d := New(0)
 	frame := make([]byte, 4100)
@@ -398,6 +454,16 @@ func TestDeviceWriteChurnAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { d.Write(ks[0], frame) }); n != 0 {
 		t.Errorf("an equal-length overwrite allocates %.0f times", n)
+	}
+	refill := testing.AllocsPerRun(20, func() {
+		d.Fail()
+		d.Replace()
+		for _, k := range ks {
+			d.Write(k, frame)
+		}
+	})
+	if refill > keys {
+		t.Errorf("Fail, Replace and a refill of %d frames allocate %.0f times; only the %d new key strings may", keys, refill, keys)
 	}
 }
 

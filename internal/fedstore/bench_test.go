@@ -9,39 +9,44 @@ import (
 	"tornado/internal/graphml"
 )
 
+// shippedFederation is bench/'s site_wipe federation at a given object count:
+// the three shipped graphs as three sites over counting device arrays, 4 KiB
+// blocks, that many objects of 1 MiB stored at every site.
+func shippedFederation(tb testing.TB, objects int) (f *Store, stores []*archive.Store, counts []*countingBackend, devs []device.Array) {
+	tb.Helper()
+	for i := 1; i <= 3; i++ {
+		g, err := graphml.ReadFile(fmt.Sprintf("../../precompiled/tornado96-%d.graphml", i))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		d := device.NewArray(g.Total)
+		cb := &countingBackend{Backend: archive.NewArrayBackend(d)}
+		s, err := archive.NewWithBackend(g, cb, archive.Config{BlockSize: 4096})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		stores, counts, devs = append(stores, s), append(counts, cb), append(devs, d)
+	}
+	f, err := New(stores, Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data := testPayload(1<<20, 1)
+	for k := 0; k < objects; k++ {
+		if err := f.PutCtx(ctx, fmt.Sprintf("obj-%03d", k), data); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return f, stores, counts, devs
+}
+
 // BenchmarkRepairSite is bench/'s site_wipe workload as a Go benchmark: the
 // three shipped graphs as three sites, 64 objects of 1 MiB in 4 KiB blocks,
 // every device of site 0 wiped and RepairSite timed. It reports the repair
 // time and how many blocks the repair read at all three sites per stripe
 // rebuilt — Data at a donor plus Total for the residue scrub is the floor.
 func BenchmarkRepairSite(b *testing.B) {
-	const objects, size = 64, 1 << 20
-	var stores []*archive.Store
-	var counts []*countingBackend
-	var devs []device.Array
-	for i := 1; i <= 3; i++ {
-		g, err := graphml.ReadFile(fmt.Sprintf("../../precompiled/tornado96-%d.graphml", i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		d := device.NewArray(g.Total)
-		cb := &countingBackend{Backend: archive.NewArrayBackend(d)}
-		s, err := archive.NewWithBackend(g, cb, archive.Config{BlockSize: 4096})
-		if err != nil {
-			b.Fatal(err)
-		}
-		stores, counts, devs = append(stores, s), append(counts, cb), append(devs, d)
-	}
-	f, err := New(stores, Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := testPayload(size, 1)
-	for k := 0; k < objects; k++ {
-		if err := f.PutCtx(ctx, fmt.Sprintf("obj-%03d", k), data); err != nil {
-			b.Fatal(err)
-		}
-	}
+	f, stores, counts, devs := shippedFederation(b, 64)
 	stripes := 0
 	for _, obj := range stores[0].List() {
 		stripes += obj.Stripes

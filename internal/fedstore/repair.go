@@ -80,7 +80,7 @@ func (f *Store) recoverStripe(ctx context.Context, name string, stripe int) (int
 			if err := ctx.Err(); err != nil {
 				return 0, nil, err
 			}
-			b, err := f.sites[i].ReadBlock(ctx, name, stripe, node)
+			b, err := f.sites[i].ReadBlock(ctx, name, stripe, node, nil)
 			if err != nil {
 				if isCtxErr(err) {
 					return 0, nil, err
@@ -268,12 +268,12 @@ func (f *Store) RepairSiteCtx(ctx context.Context, target int) (rep RepairReport
 		}
 	}
 
-	donor := func(ctx context.Context, name string, stripe, node int) ([]byte, error) {
+	donor := func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
 		for _, d := range donors {
 			if f.downErr(d) != nil {
 				continue
 			}
-			b, err := f.sites[d].ReadBlock(ctx, name, stripe, node)
+			b, err := f.sites[d].ReadBlock(ctx, name, stripe, node, dst)
 			if err != nil {
 				if isCtxErr(err) {
 					return nil, err

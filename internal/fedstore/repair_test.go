@@ -109,6 +109,44 @@ func TestRepairSiteBlockOpBudget(t *testing.T) {
 	}
 }
 
+// TestRepairSiteAllocBudget is the allocation gate on a site rebuild. Once a
+// first repair has built the stripe scratches, wiping the site again and
+// rebuilding it must allocate under a tenth of the framed bytes it rebuilds:
+// the replacement drives refill the dead drives' slabs, and donor blocks land
+// in the pass's stripe scratch. A device that carves new slabs for the
+// replacement, or a donor block read into a frame of its own, costs a good
+// share of the rebuilt bytes and fails it.
+func TestRepairSiteAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratches, which are then rebuilt")
+	}
+	f, stores, _, devs := shippedFederation(t, 8)
+	lay := stores[0].Layout()
+	framed := uint64(0)
+	for _, obj := range stores[0].List() {
+		framed += uint64(obj.Stripes * lay.NodesPerStripe * lay.FrameSize())
+	}
+	repair := func() {
+		for _, d := range devs[0] {
+			d.Fail()
+			d.Replace()
+		}
+		if rep, err := f.RepairSiteCtx(ctx, 0); err != nil || rep.MissingAfter != 0 || rep.Unrecoverable != 0 {
+			t.Fatalf("repair: %v, report %+v", err, rep)
+		}
+	}
+	repair()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	repair()
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if got*10 >= framed {
+		t.Errorf("wipe and repair allocate %d bytes, %.0f%% of the %d framed bytes rebuilt; the budget is 10%%", got, 100*float64(got)/float64(framed), framed)
+	}
+	t.Logf("wipe and repair: %d bytes allocated for %d framed bytes rebuilt", got, framed)
+}
+
 // TestRepairSiteWidthChangesNothing: one worker or several, the same wiped
 // federation ends up with the same report and the same bytes on every device.
 func TestRepairSiteWidthChangesNothing(t *testing.T) {

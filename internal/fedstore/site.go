@@ -21,7 +21,10 @@ type Site interface {
 	Put(ctx context.Context, name string, data []byte) error
 	Get(ctx context.Context, name string) ([]byte, error)
 	Delete(ctx context.Context, name string) error
-	ReadBlock(ctx context.Context, name string, stripe, node int) ([]byte, error)
+	// ReadBlock returns one verified block, read into dst's capacity when the
+	// site can (archive.Store.ReadBlockCtx); a nil dst asks for a block of the
+	// caller's own.
+	ReadBlock(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error)
 	WriteBlock(ctx context.Context, name string, stripe, node int, payload []byte) error
 	PutShell(ctx context.Context, name string, size, stripes int) error
 	// Scrub runs a site-local scrub; repair rebuilds what the site can
@@ -55,8 +58,8 @@ func (l local) Get(ctx context.Context, name string) ([]byte, error) {
 
 func (l local) Delete(ctx context.Context, name string) error { return l.s.DeleteCtx(ctx, name) }
 
-func (l local) ReadBlock(ctx context.Context, name string, stripe, node int) ([]byte, error) {
-	return l.s.ReadBlockCtx(ctx, name, stripe, node)
+func (l local) ReadBlock(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
+	return l.s.ReadBlockCtx(ctx, name, stripe, node, dst)
 }
 
 func (l local) WriteBlock(ctx context.Context, name string, stripe, node int, payload []byte) error {

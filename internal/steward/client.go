@@ -317,8 +317,9 @@ func (c *Client) Graph(ctx context.Context) (*graph.Graph, error) {
 }
 
 // ReadBlock fetches one verified block; missing, rotted, and out-of-range
-// blocks all report ErrNotFound.
-func (c *Client) ReadBlock(ctx context.Context, name string, stripe, node int) ([]byte, error) {
+// blocks all report ErrNotFound. dst is ignored: the block is the response
+// body, a slice of the caller's own.
+func (c *Client) ReadBlock(ctx context.Context, name string, stripe, node int, _ []byte) ([]byte, error) {
 	return c.do(ctx, http.MethodGet, blockQuery(stripe, node), nil, nameSegments("blocks", name)...)
 }
 
@@ -375,7 +376,7 @@ func (c *Client) RepairFrom(ctx context.Context, donor archive.Donor) (archive.D
 			if node >= lay.DataNodes || slices.Contains(h.Repaired, node) {
 				continue
 			}
-			b, err := donor(ctx, h.Object, h.Stripe, node)
+			b, err := donor(ctx, h.Object, h.Stripe, node, nil)
 			if err != nil {
 				return rep, err
 			}

@@ -166,7 +166,7 @@ func TestHostileObjectNames(t *testing.T) {
 		if err != nil || obj.Name != name {
 			t.Errorf("stat %q → %q, %v", name, obj.Name, err)
 		}
-		if b, err := s.client.ReadBlock(ctx, name, 0, 0); err != nil || !bytes.Equal(b, data[:64]) {
+		if b, err := s.client.ReadBlock(ctx, name, 0, 0, nil); err != nil || !bytes.Equal(b, data[:64]) {
 			t.Errorf("read block of %q: %v", name, err)
 		}
 		if err := s.client.Delete(ctx, name); err != nil {

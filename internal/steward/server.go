@@ -242,7 +242,7 @@ func (s *Server) getBlock(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	b, err := s.store.ReadBlockCtx(r.Context(), r.PathValue("name"), stripe, node)
+	b, err := s.store.ReadBlockCtx(r.Context(), r.PathValue("name"), stripe, node, nil)
 	if err != nil {
 		httpError(w, err)
 		return

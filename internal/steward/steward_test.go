@@ -146,11 +146,11 @@ func TestClientBlocksAndShell(t *testing.T) {
 	if err := s.client.Put(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.client.ReadBlock(ctx, "obj", 0, 0)
+	b, err := s.client.ReadBlock(ctx, "obj", 0, 0, nil)
 	if err != nil || !bytes.Equal(b, data[:64]) {
 		t.Fatalf("read block: %v", err)
 	}
-	if _, err := s.client.ReadBlock(ctx, "obj", 0, 9999); !IsNotFound(err) {
+	if _, err := s.client.ReadBlock(ctx, "obj", 0, 9999, nil); !IsNotFound(err) {
 		t.Errorf("oob block: %v", err)
 	}
 	// Shell + block-level restore on a second object.
@@ -158,7 +158,7 @@ func TestClientBlocksAndShell(t *testing.T) {
 		t.Fatal(err)
 	}
 	for node := 0; node < 96; node++ {
-		src, err := s.client.ReadBlock(ctx, "obj", 0, node)
+		src, err := s.client.ReadBlock(ctx, "obj", 0, node, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
