@@ -2,8 +2,9 @@ GO ?= go
 
 # Every go test below carries an explicit -timeout, so a hang fails in about
 # two minutes, not the ten-minute default. The slowest package is
-# internal/sim: ~5 s unraced, ~50 s under -race on two cores. Time spent
-# fuzzing is not counted, only the seed-corpus run before it.
+# internal/sim: ~8 s unraced, ~47 s under -race on two cores (the n=96
+# rank-scan oracle cases skip under -race). Time spent fuzzing is not
+# counted, only the seed-corpus run before it.
 TEST_TIMEOUT ?= 2m
 RACE_TIMEOUT ?= 3m
 

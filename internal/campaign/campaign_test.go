@@ -436,9 +436,12 @@ func TestLegacyKernelManifestResume(t *testing.T) {
 // TestWorstCaseCampaignTornado96 runs the paper's search on the shipped
 // graphs to k=6 as a campaign: it must equal WorstCaseCtx field by field,
 // with the pinned k=6 counts, and a campaign interrupted after its k=3
-// journal line must resume to the same bytes.
+// journal line must resume to the same bytes. Stopping sets answer every
+// cardinality: no unit may fall back to the rank scan.
 func TestWorstCaseCampaignTornado96(t *testing.T) {
 	spec := Spec{Kind: KindWorstCase, MaxK: 6, KeepGoing: true}
+	fallbacks := sim.Metrics().Counter(sim.MetricScanFallbacks)
+	before := fallbacks.Value()
 	for i, k6 := range []int64{1503, 4764, 13587} {
 		g, err := graphml.ReadFile(fmt.Sprintf("../../precompiled/tornado96-%d.graphml", i+1))
 		if err != nil {
@@ -470,5 +473,8 @@ func TestWorstCaseCampaignTornado96(t *testing.T) {
 		if got, want := marshal(t, resumed), marshal(t, res); !bytes.Equal(got, want) {
 			t.Errorf("%s: resumed result not bit-identical:\n got %s\nwant %s", g.Name, got, want)
 		}
+	}
+	if n := fallbacks.Value() - before; n != 0 {
+		t.Errorf("%d cardinalities of the shipped graphs fell back to the rank scan, want 0", n)
 	}
 }

@@ -15,12 +15,11 @@ import (
 // indirection per neighbor list is measurable.
 //
 // The snapshot itself is O(edges). The two dense per-node bitmask tables
-// some evaluators want on top of it are not part of it: Masks builds them
-// on first use, and only NewKernel and sim's exhaustive scanner call it.
-// SlicedKernel and both samplers walk the offset arrays alone, so a graph
-// that is only ever sampled — the archival-scale certification path — never
-// pays the tables' O(Total²/64) words; a Kernel or a scanner over such a
-// graph still does.
+// the scalar Kernel wants on top of it are not part of it: Masks builds
+// them on first use, and only NewKernel calls it. SlicedKernel — and with
+// it sim's rank scan and both samplers — walks the offset arrays alone, so
+// a graph that is only ever scanned or sampled never pays the tables'
+// O(Total²/64) words; a Kernel over such a graph still does.
 //
 // A CSR does not observe later mutations of the source graph (AddEdge,
 // RewireEdge, …); build a fresh CSR after adjusting a graph. This is the

@@ -15,7 +15,7 @@ func TestCSRMasksBuiltOnFirstUse(t *testing.T) {
 	c := NewCSR(g)
 	evalBenchWord(NewSlicedKernel(c))
 	if c.leftMask != nil || c.parMask != nil {
-		t.Fatal("NewCSR + SlicedKernel built the mask tables; only NewKernel and sim's scanner may")
+		t.Fatal("NewCSR + SlicedKernel built the mask tables; only NewKernel may")
 	}
 
 	kn := NewKernel(c)

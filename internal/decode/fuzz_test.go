@@ -98,7 +98,7 @@ func FuzzKernelMatchesReference(f *testing.F) {
 // words, each evaluated twice), every active lane compared against both
 // the scalar kernel and ReferenceRecoverable. This is the fuzz face of the
 // differential battery required by the sliced scan path (see also
-// TestSliced* and the pruning-soundness tests in internal/sim).
+// TestSliced* in internal/sim).
 func FuzzSlicedMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint64(2))
 	f.Add(uint64(2006), uint64(0))

@@ -135,25 +135,6 @@ func (k *Kernel) Erased() int { return len(k.eset) }
 // A set with MissingData() == 0 is trivially recoverable.
 func (k *Kernel) MissingData() int { return int(k.edata) }
 
-// IsErased reports whether node v is in the current erasure set.
-func (k *Kernel) IsErased(v int) bool {
-	return k.erasedMask[v>>6]&(1<<(uint(v)&63)) != 0
-}
-
-// Certified reports whether every erased data node currently holds a
-// valid rule-1 certificate pair — i.e. the last Eval's fast path applies:
-// the set is recoverable by npairs independent rule-1 applications, with
-// no peeling needed. Only meaningful directly after an Eval that returned
-// true (erase/restore deltas put touched nodes back on the uncertified
-// list until the next Eval).
-func (k *Kernel) Certified() bool { return len(k.ulist) == 0 }
-
-// Rescuer returns the check certified to recover erased data node v by a
-// single rule-1 application (present, exactly one missing left neighbor:
-// v), or -1 if v holds no certificate pair. Only meaningful under the
-// same conditions as Certified.
-func (k *Kernel) Rescuer(v int32) int32 { return k.rescuer[v] }
-
 // EraseOne adds node v to the erasure set. v must not already be erased.
 func (k *Kernel) EraseOne(v int) {
 	k.erasedMask[v>>6] |= 1 << (uint(v) & 63)

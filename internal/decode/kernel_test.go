@@ -237,12 +237,12 @@ func BenchmarkKernelGrayRecoverableK5(b *testing.B) {
 	}
 }
 
-// TestKernelIntrospection exercises the IsErased/Certified/Rescuer
-// surface over every k=3 erasure set of the small corpus: membership
-// queries must track the erasure set exactly, and whenever an Eval
-// certifies the set, every erased data node must hold a valid rule-1
-// pair — a present check whose only missing left neighbor is that node —
-// with no two nodes sharing a rescuer.
+// TestKernelIntrospection reads the kernel's erased mask and certificate
+// over every k=3 erasure set of the small corpus: the mask must track the
+// erasure set exactly, and whenever an Eval certifies the set (empty
+// ulist), every erased data node must hold a valid rule-1 pair — a present
+// check whose only missing left neighbor is that node — with no two nodes
+// sharing a rescuer.
 func TestKernelIntrospection(t *testing.T) {
 	for gi, g := range exhaustiveGraphs(t) {
 		if g.Total < 3 {
@@ -262,22 +262,22 @@ func TestKernelIntrospection(t *testing.T) {
 				inSet[v] = true
 			}
 			for v := 0; v < g.Total; v++ {
-				if kn.IsErased(v) != inSet[v] {
-					t.Fatalf("graph %d set %v: IsErased(%d) = %v", gi, idx, v, kn.IsErased(v))
+				if got := erased(kn.erasedMask, int32(v)); got != inSet[v] {
+					t.Fatalf("graph %d set %v: erased mask has %d = %v", gi, idx, v, got)
 				}
 			}
-			if kn.Eval() && kn.Certified() {
+			if kn.Eval() && len(kn.ulist) == 0 {
 				certified++
 				used := make(map[int32]bool, len(idx))
 				for _, v := range idx {
 					if v >= g.Data {
 						continue
 					}
-					r := kn.Rescuer(int32(v))
+					r := kn.rescuer[v]
 					if r < 0 {
 						t.Fatalf("graph %d set %v: certified but data node %d has no rescuer", gi, idx, v)
 					}
-					if kn.IsErased(int(r)) {
+					if erased(kn.erasedMask, r) {
 						t.Fatalf("graph %d set %v: rescuer %d of %d is itself erased", gi, idx, r, v)
 					}
 					if used[r] {
@@ -287,7 +287,7 @@ func TestKernelIntrospection(t *testing.T) {
 					missing := 0
 					sawV := false
 					for _, l := range csr.LeftNeighbors(r) {
-						if kn.IsErased(int(l)) {
+						if erased(kn.erasedMask, l) {
 							missing++
 							sawV = sawV || int(l) == v
 						}

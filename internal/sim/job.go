@@ -159,9 +159,9 @@ func blockUnits(units []Unit, tmpl Unit, trials, blockSize, lo, hi int64) []Unit
 
 // LocalRunner computes units in this process: one CSR for the job, and per
 // worker one sampler of each kind, built on first use and re-aimed from
-// unit to unit. An exhaustive unit brings its own enumerators and scanners
-// and spreads its work over the runner's worker count (exhaustiveK), so it
-// can run beside the other units of its group.
+// unit to unit. An exhaustive unit brings its own enumerators and sliced
+// kernels and spreads its work over the runner's worker count (exhaustiveK),
+// so it can run beside the other units of its group.
 type LocalRunner struct {
 	csr     *decode.CSR
 	workers []localWorker

@@ -17,6 +17,9 @@ const (
 	// MetricFailuresFound counts combinations that lost data during
 	// exhaustive scans.
 	MetricFailuresFound = "sim_failures_found"
+	// MetricScanFallbacks counts exhaustive cardinalities handed to the rank
+	// scan because their stopping sets cost more than their patterns.
+	MetricScanFallbacks = "sim_scan_fallbacks"
 	// MetricMCTrials counts Monte Carlo reconstruction trials drawn.
 	MetricMCTrials = "sim_mc_trials"
 	// MetricMCFailures counts Monte Carlo trials that lost data.

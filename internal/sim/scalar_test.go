@@ -11,11 +11,11 @@ import (
 
 // scanRangeScalar is the differential oracle of the exhaustive scan: the
 // one-pattern-per-step loop that was ScanRangeCtx's production body before
-// the bit-sliced scanner replaced it. It shares nothing with the scanner
-// but the enumeration order — the incremental decode.Kernel advanced by a
-// two-node revolving-door delta per pattern — so agreement on counts and
-// witness lists checks the word layout, the certificate pruning and the
-// batch bookkeeping all at once.
+// the bit-sliced scan replaced it. It shares nothing with the scan but the
+// enumeration order — the incremental decode.Kernel advanced by a two-node
+// revolving-door delta per pattern — so agreement on counts and witness
+// lists checks the lane layout, the word-wide fixpoint and the failure
+// bookkeeping all at once.
 func scanRangeScalar(ctx context.Context, g *graph.Graph, k int, lo, hi int64, maxFailures int) (RangeResult, error) {
 	total, err := rankSpace(g.Total, k)
 	if err != nil {

@@ -3,21 +3,18 @@ package sim
 import (
 	"context"
 	"math/rand/v2"
-	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 
-	"tornado/internal/combin"
 	"tornado/internal/core"
 	"tornado/internal/decode"
 	"tornado/internal/graph"
 )
 
-// The sampled-certification path costs what the graph's edges cost. The
-// dense mask tables of decode.CSR.Masks are Total²/4 bytes — 226 MB at
-// n=30,000, 2.5 GB at n=100,000 — and belong to the exhaustive scanner and
-// decode.Kernel; nothing below may build them.
+// The sampled-certification path and the rank scan cost what the graph's
+// edges cost. The dense mask tables of decode.CSR.Masks are Total²/4 bytes
+// — 226 MB at n=30,000, 2.5 GB at n=100,000 — and belong to decode.Kernel
+// alone; nothing below may build them.
 
 // streamGraph generates the archival-scale graph of total nodes from seed
 // 2006, the graph of bench's certify_scale workload.
@@ -95,50 +92,23 @@ func TestSamplerNeverBuildsMasks(t *testing.T) {
 	}
 }
 
-// TestScannersShareOneMaskBuild: every worker's newScanner reaches a fresh
-// shared CSR at once. The mask table must be built exactly once — every
-// scanner reads the same backing array — and every scanner's slice of the
-// k=3 rank space must equal the scalar oracle's. Run under -race (make
-// race).
-func TestScannersShareOneMaskBuild(t *testing.T) {
-	const workers = 8
-	ctx := context.Background()
-	g := unscreened96(t, 7)
-	csr := decode.NewCSR(g)
-	total, _ := combin.BinomialInt64(g.Total, 3)
-
-	scanners := make([]*scanner, workers)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := range scanners {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			sc := newScanner(csr)
-			scanners[w] = sc
-			lo, hi := total*int64(w)/workers, total*int64(w+1)/workers
-			got, err := sc.scanRange(ctx, 3, lo, hi, 4)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			want, err := scanRangeScalar(ctx, g, 3, lo, hi, 4)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("worker %d [%d,%d): scanner %+v, oracle %+v", w, lo, hi, got, want)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	for w, sc := range scanners {
-		if &sc.leftMask[0] != &scanners[0].leftMask[0] {
-			t.Errorf("scanner %d holds its own mask table; it must be built once per CSR", w)
+// TestScanNeverBuildsMasks: ScanRangeCtx over a 64K-rank window at k=2 of
+// the n=30,000 graph builds a CSR and one sliced kernel and stays inside
+// the sparse budget (6.6 MB), which a 226 MB mask build cannot.
+func TestScanNeverBuildsMasks(t *testing.T) {
+	g := streamGraph(t, 30000)
+	got := allocatedBy(func() {
+		rr, err := ScanRangeCtx(context.Background(), g, 2, 0, 1<<16, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if rr.Tested != 1<<16 {
+			t.Errorf("scanned %d patterns, want %d", rr.Tested, 1<<16)
+		}
+	})
+	if budget := sparseBudget(g); got > budget {
+		t.Errorf("ScanRangeCtx on %d nodes allocated %d bytes, budget %d: the mask tables were built",
+			g.Total, got, budget)
 	}
 }
 

@@ -111,42 +111,6 @@ func TestSlicedScanSubranges(t *testing.T) {
 	}
 }
 
-// TestScannerReuse drives one scanner through random ranges of rising and
-// falling cardinality — what a LocalRunner worker sees over a WorstCaseCtx
-// call — and after a scan abandoned mid-range by cancellation. Every range
-// must match the oracle run on fresh state: re-aiming has to leave nothing
-// of the previous suffix, batch or k-sized buffers behind.
-func TestScannerReuse(t *testing.T) {
-	rng := rand.New(rand.NewPCG(12, 0x5CA7))
-	for gi, g := range slicedTestGraphs(t) {
-		sc := newScanner(decode.NewCSR(g))
-		for trial := 0; trial < 24; trial++ {
-			k := 1 + rng.IntN(min(5, g.Total))
-			total, _ := combin.BinomialInt64(g.Total, k)
-			lo := rng.Int64N(total)
-			hi := lo + rng.Int64N(total-lo+1)
-			if trial%6 == 5 {
-				ctx, cancel := context.WithCancel(context.Background())
-				cancel()
-				if _, err := sc.scanRange(ctx, k, 0, total, 4); total > 0 && err == nil {
-					t.Fatalf("graph %d: canceled scan returned no error", gi)
-				}
-			}
-			want, err := scanRangeScalar(context.Background(), g, k, lo, hi, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sc.scanRange(context.Background(), k, lo, hi, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("graph %d trial %d k=%d [%d,%d): reused scanner %+v, oracle %+v", gi, trial, k, lo, hi, got, want)
-			}
-		}
-	}
-}
-
 // TestSlicedWorkerIndependence: 1/4/16 workers must produce bit-identical
 // KResults from the sliced path, all equal to the scalar result — the
 // worker-count-determinism guarantee the campaign layer rests on.
@@ -196,41 +160,6 @@ func TestSlicedProgressCountsPatterns(t *testing.T) {
 	}
 	if got := reg.Counter(MetricFailuresFound).Value(); got != rr.FailureCount {
 		t.Fatalf("%s = %d, want %d", MetricFailuresFound, got, rr.FailureCount)
-	}
-}
-
-// TestSlicedPruningSoundness re-evaluates every pattern the sliced scan
-// decided — including the certificate-pruned lanes and monotonicity-
-// pruned whole runs, which never reach the bit-sliced fixpoint — with
-// the scalar kernel, via the scanner's per-verdict hook. It also checks
-// the hook saw every rank exactly once, in revolving-door order.
-func TestSlicedPruningSoundness(t *testing.T) {
-	ctx := context.Background()
-	for gi, g := range slicedTestGraphs(t) {
-		csr := decode.NewCSR(g)
-		kn := decode.NewKernel(csr)
-		for k := 1; k <= min(4, g.Total); k++ {
-			total, _ := combin.BinomialInt64(g.Total, k)
-			next := int64(0)
-			hook := func(rank int64, idx []int, recoverable bool) {
-				if rank != next {
-					t.Fatalf("graph %d k=%d: verdict for rank %d, want %d", gi, k, rank, next)
-				}
-				next++
-				if want := kn.Recoverable(idx); recoverable != want {
-					t.Fatalf("graph %d k=%d rank %d: sliced verdict %v, scalar %v (erased %v)",
-						gi, k, rank, recoverable, want, idx)
-				}
-			}
-			sc := newScanner(csr)
-			sc.onVerdict = hook
-			if _, err := sc.scanRange(ctx, k, 0, total, 4); err != nil {
-				t.Fatal(err)
-			}
-			if next != total {
-				t.Fatalf("graph %d k=%d: hook saw %d verdicts, want %d", gi, k, next, total)
-			}
-		}
 	}
 }
 

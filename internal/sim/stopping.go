@@ -29,11 +29,12 @@ var errOverBudget = errors.New("sim: stopping-set search over budget")
 // most k nodes, one root data node per block over the runner's workers,
 // each root allowed C(n,k)/Data search steps, merged in root order; then
 // their closure up to k (closeUp). When a root or the closure is over
-// budget, the rank scan runs instead, [0, C(n,k)) split over the workers.
-// Past k = Total − Data every pattern fails (allFail) and nothing runs.
-// Every goroutine gets its own enumerator or scanner, so the unit is safe
-// beside any other. Cancellation is checked once per root, every
-// cancelCheckInterval closure steps, and at the scan's chunk boundaries.
+// budget, the rank scan runs instead, [0, C(n,k)) split over the workers,
+// and MetricScanFallbacks moves by one. Past k = Total − Data every pattern
+// fails (allFail) and nothing runs. Every goroutine gets its own enumerator
+// or sliced kernel, so the unit is safe beside any other. Cancellation is
+// checked once per root, every cancelCheckInterval closure steps, and at
+// the scan's chunk boundaries.
 func (l *LocalRunner) exhaustiveK(ctx context.Context, k, maxFailures int) (KResult, error) {
 	n := int(l.csr.Total)
 	space, err := exhaustiveSpace(n, k)
@@ -64,10 +65,11 @@ func (l *LocalRunner) exhaustiveK(ctx context.Context, k, maxFailures int) (KRes
 	} else if err != errOverBudget {
 		return KResult{}, err
 	}
+	Metrics().Counter(MetricScanFallbacks).Add(1)
 	ranges := combin.SplitRanges(space, l.Workers())
 	res := make([]RangeResult, len(ranges))
 	err = forBlocksCtx(ctx, len(ranges), int64(len(ranges)), func(ctx context.Context, _ int, i int64) (err error) {
-		res[i], err = newScanner(l.csr).scanRange(ctx, k, ranges[i][0], ranges[i][1], maxFailures)
+		res[i], err = scanRange(ctx, l.csr, k, ranges[i][0], ranges[i][1], maxFailures)
 		return err
 	})
 	if err != nil {

@@ -198,9 +198,9 @@ type RangeResult struct {
 // ScanRangeCtx examines every erasure combination of cardinality k whose
 // revolving-door rank (combin.GrayRank) lies in [lo, hi), single-threaded,
 // recording the range's lexicographically smallest failing sets (up to
-// maxFailures). Patterns are evaluated 64 per machine word by the
-// bit-sliced scanner (sliced.go) — this is the system's decode hot path
-// (see DESIGN.md "Decoder kernels").
+// maxFailures). Patterns are evaluated 64 per machine word by one
+// decode.SlicedKernel (sliced.go). It is the fallback of the cardinalities
+// stopping sets cannot answer within budget, and their oracle.
 //
 // ScanRangeCtx is deterministic in its arguments: re-scanning the same
 // range always reproduces the same result, and ranges tiling
@@ -208,7 +208,7 @@ type RangeResult struct {
 // Cancellation is honored at combination-chunk boundaries, and progress
 // counters are flushed to Metrics() at the same cadence.
 func ScanRangeCtx(ctx context.Context, g *graph.Graph, k int, lo, hi int64, maxFailures int) (RangeResult, error) {
-	return newScanner(decode.NewCSR(g)).scanRange(ctx, k, lo, hi, maxFailures)
+	return scanRange(ctx, decode.NewCSR(g), k, lo, hi, maxFailures)
 }
 
 // recordFailure maintains fs as the lexicographically smallest failing sets
