@@ -89,6 +89,9 @@ bench:
 # - JointDecode, OverheadTrial: the benchmarks that size the Decoder's jobs
 #   (one joint verdict of a 2- and a 3-site federation; one overhead trial, a
 #   prefix search of ~7 large-erasure peels).
+# - PlanEconomicDegraded: a degraded stripe read's plan (tornado96, four data
+#   nodes lost), the scalar decode.Kernel's one production workload; 0
+#   allocs/op.
 BENCH1 = $(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -benchtime 1x
 bench-smoke:
 	$(BENCH1) -bench Recoverable ./internal/decode/
@@ -102,6 +105,7 @@ bench-smoke:
 	$(BENCH1) -bench ServeColdMiss -benchmem ./internal/serve/
 	$(BENCH1) -bench JointDecode ./internal/federation/
 	$(BENCH1) -bench OverheadTrial ./internal/sim/
+	$(BENCH1) -bench PlanEconomicDegraded -benchmem ./internal/retrieval/
 
 # bench/ is a module of its own, so the root vet/build/test never compile
 # bench/api.go — the one file a signature change in the library breaks.

@@ -1,10 +1,6 @@
 package decode
 
-import (
-	"sync"
-
-	"tornado/internal/graph"
-)
+import "tornado/internal/graph"
 
 // CSR is a flat-array (compressed sparse row) snapshot of a graph's
 // adjacency, built once and then shared read-only by any number of
@@ -14,17 +10,13 @@ import (
 // exhaustive scans evaluate tens of millions of patterns, so the pointer
 // indirection per neighbor list is measurable.
 //
-// The snapshot itself is O(edges). The two dense per-node bitmask tables
-// the scalar Kernel wants on top of it are not part of it: Masks builds
-// them on first use, and only NewKernel calls it. SlicedKernel — and with
-// it sim's rank scan and both samplers — walks the offset arrays alone, so
-// a graph that is only ever scanned or sampled never pays the tables'
-// O(Total²/64) words; a Kernel over such a graph still does.
+// The snapshot is O(edges) and holds nothing else: every evaluator walks
+// the offset arrays alone, so no graph ever pays for an O(Total²) table.
 //
 // A CSR does not observe later mutations of the source graph (AddEdge,
-// RewireEdge, …); build a fresh CSR after adjusting a graph. This is the
-// access pattern of the certification loops, which re-certify a rewired
-// graph from scratch anyway.
+// RewireEdge, …); build a fresh CSR (or Decoder) after adjusting a graph.
+// This is the access pattern of the certification loops, which re-certify
+// a rewired graph from scratch anyway.
 type CSR struct {
 	Data  int32 // data node count; IDs 0..Data-1
 	Total int32 // total node count
@@ -41,12 +33,6 @@ type CSR struct {
 
 	// Words is the length of a node bitmask: ceil(Total/64).
 	Words int
-
-	// The mask tables, nil until Masks builds them (once, under masksOnce:
-	// the CSR is shared across workers).
-	masksOnce sync.Once
-	leftMask  []uint64
-	parMask   []uint64
 }
 
 // NewCSR flattens g's adjacency. The graph is not retained.
@@ -78,36 +64,6 @@ func NewCSR(g *graph.Graph) *CSR {
 		}
 	}
 	return c
-}
-
-// Masks returns the two Total × Words bitmask tables, building them on the
-// first call; every later call, from any goroutine, returns the same
-// backing arrays. Row r of left (left[r*Words:(r+1)*Words]) has the bits of
-// right node r's left neighbors set — all-zero for data nodes — so a
-// check's missing neighbors are counted against an erased-set mask with a
-// couple of AND+POPCNT operations instead of a walk of its adjacency list.
-// par is the transpose: row v has the bits of v's parents set, which a
-// Kernel intersects with its active rescuer checks to find the certificate
-// pairs an erasure breaks. Constructors call this once and index the
-// slices directly in their hot loops. The caller must not mutate the
-// tables.
-func (c *CSR) Masks() (left, par []uint64) {
-	c.masksOnce.Do(func() {
-		total, words := int(c.Total), c.Words
-		c.leftMask = make([]uint64, total*words)
-		c.parMask = make([]uint64, total*words)
-		for v := 0; v < total; v++ {
-			lm := c.leftMask[v*words : (v+1)*words]
-			for _, l := range c.LeftNeighbors(int32(v)) {
-				lm[l>>6] |= 1 << (uint(l) & 63)
-			}
-			pm := c.parMask[v*words : (v+1)*words]
-			for _, p := range c.Parents(int32(v)) {
-				pm[p>>6] |= 1 << (uint(p) & 63)
-			}
-		}
-	})
-	return c.leftMask, c.parMask
 }
 
 // Parents returns the right nodes referencing v. The caller must not

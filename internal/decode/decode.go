@@ -5,16 +5,15 @@
 // are present. The two rules are applied to fixpoint across all cascade
 // levels; data survives if every data node is present afterwards.
 //
-// The package answers recoverability with three engines, one per job.
-// Decoder is the array peel for large erasure sets and full reports — erase
-// anytime, Decode names what stays lost — and the oracle the kernels'
-// differential tests run against. Kernel (over a shared read-only CSR
-// snapshot) answers one-node deltas near the healthy state: incremental
-// erase/restore/swap with a tiered, allocation-free Eval. SlicedKernel
-// peels 64 patterns a word and carries internal/sim's rank scans and
-// samplers (paper §3). StoppingEnumerator does not evaluate patterns: it
-// lists the small stopping sets, where peeling stalls, from which sim
-// answers the in-memory exhaustive search. See DESIGN.md "Decoder kernels".
+// Every evaluator walks a shared read-only CSR snapshot. Decoder and Kernel
+// run one array peel: Decoder for large erasure sets and full reports —
+// erase anytime, Decode names what stays lost — and as the oracle of the
+// other evaluators' differential tests; Kernel for a set changed a node at
+// a time (retrieval's reverse-delete probes). SlicedKernel peels 64
+// patterns a word and carries internal/sim's rank scans and samplers (paper
+// §3). StoppingEnumerator does not evaluate patterns: it lists the small
+// stopping sets, where peeling stalls, from which sim answers the in-memory
+// exhaustive search. See DESIGN.md "Decoder kernels".
 package decode
 
 import (
@@ -23,34 +22,130 @@ import (
 	"tornado/internal/graph"
 )
 
+// peeler is the array peel Decoder and Kernel share: per-node present
+// flags, per-check missing-neighbor counts and a work stack of nodes to
+// re-examine. At baseline every node is present, every count zero and the
+// stack empty.
+type peeler struct {
+	c        *CSR
+	present  []bool  // present[v]: node v's block is available
+	missing  []int32 // missing[r]: number of missing left neighbors of right node r
+	stack    []int32 // nodes to re-examine
+	lostData int32   // data nodes currently missing
+}
+
+func newPeeler(c *CSR) peeler {
+	p := peeler{
+		c:       c,
+		present: make([]bool, c.Total),
+		missing: make([]int32, c.Total),
+		stack:   make([]int32, 0, 4*c.Total),
+	}
+	for i := range p.present {
+		p.present[i] = true
+	}
+	return p
+}
+
+// erase marks present node v missing and queues what its loss may enable: a
+// present parent left with one missing neighbor (rule 1), and v itself if it
+// is a check whose left neighbors are all present (rule 2).
+func (p *peeler) erase(v int32) {
+	p.present[v] = false
+	if v < p.c.Data {
+		p.lostData++
+	}
+	for _, r := range p.c.Parents(v) {
+		p.missing[r]++
+		if p.missing[r] == 1 && p.present[r] {
+			p.stack = append(p.stack, r)
+		}
+	}
+	if v >= p.c.Data && p.missing[v] == 0 {
+		p.stack = append(p.stack, v)
+	}
+}
+
+// makePresent marks v available and propagates the state change: parents'
+// missing counts drop (possibly enabling recovery or recomputation), and if
+// v is itself a right node with exactly one missing left neighbor it can now
+// act as a check.
+func (p *peeler) makePresent(v int32) {
+	p.present[v] = true
+	if v < p.c.Data {
+		p.lostData--
+	}
+	for _, r := range p.c.Parents(v) {
+		p.missing[r]--
+		if p.present[r] {
+			if p.missing[r] == 1 {
+				p.stack = append(p.stack, r)
+			}
+		} else if p.missing[r] == 0 {
+			p.stack = append(p.stack, r)
+		}
+	}
+	if v >= p.c.Data && p.missing[v] == 1 {
+		p.stack = append(p.stack, v)
+	}
+}
+
+// peel applies the two rules until no data node is missing or none applies.
+// Nodes left on the stack by the early stop are still valid work for a later
+// peel.
+func (p *peeler) peel() {
+	for len(p.stack) > 0 && p.lostData > 0 {
+		r := p.stack[len(p.stack)-1]
+		p.stack = p.stack[:len(p.stack)-1]
+		if p.present[r] {
+			if p.missing[r] != 1 {
+				continue
+			}
+			// Exactly one left neighbor missing: recover it.
+			for _, l := range p.c.LeftNeighbors(r) {
+				if !p.present[l] {
+					p.makePresent(l)
+					break
+				}
+			}
+		} else if p.missing[r] == 0 {
+			// All left neighbors present: recompute the check itself.
+			p.makePresent(r)
+		}
+	}
+}
+
+// restore returns to baseline, given every node erased since the last
+// restore (duplicates allowed). A node peeling recovered has already undone
+// its erasure's count updates, so only the still-missing ones are walked:
+// the cost tracks the erasure, not the graph.
+func (p *peeler) restore(erased []int32) {
+	for _, v := range erased {
+		if p.present[v] {
+			continue
+		}
+		p.present[v] = true
+		for _, r := range p.c.Parents(v) {
+			p.missing[r]--
+		}
+	}
+	p.lostData = 0
+	p.stack = p.stack[:0]
+}
+
 // Decoder evaluates erasure patterns against a fixed graph. It is not safe
-// for concurrent use; create one Decoder per goroutine (they share the
-// read-only graph).
+// for concurrent use; create one Decoder per goroutine. A Decoder peels a
+// CSR snapshot of the graph taken by New, so it does not observe later
+// mutations of the graph.
 type Decoder struct {
-	g       *graph.Graph
-	present []bool  // present[v]: node v's block is available (baseline: all true)
-	missing []int32 // missing[r]: number of missing left neighbors of right node r (baseline: 0)
-	queue   []int32 // work stack of right nodes to re-examine
-	log     []int32 // every node erased since the last Reset (may contain duplicates)
+	g *graph.Graph
+	peeler
+	log []int32 // every node erased since the last Reset (may contain duplicates)
 }
 
 // New returns a Decoder for g in the baseline state (everything present).
 func New(g *graph.Graph) *Decoder {
-	return &Decoder{
-		g:       g,
-		present: newTrue(g.Total),
-		missing: make([]int32, g.Total),
-		queue:   make([]int32, 0, 4*g.Total),
-		log:     make([]int32, 0, g.Total),
-	}
-}
-
-func newTrue(n int) []bool {
-	p := make([]bool, n)
-	for i := range p {
-		p[i] = true
-	}
-	return p
+	return &Decoder{g: g, peeler: newPeeler(NewCSR(g)), log: make([]int32, 0, g.Total)}
 }
 
 // Graph returns the graph this decoder evaluates.
@@ -60,76 +155,21 @@ func (d *Decoder) Graph() *graph.Graph { return d.g }
 // Call Peel afterwards to run reconstruction.
 func (d *Decoder) Erase(nodes ...int) {
 	for _, v := range nodes {
-		if !d.present[v] {
-			continue
-		}
-		d.present[v] = false
-		d.log = append(d.log, int32(v))
-		for _, p := range d.g.Parents(v) {
-			d.missing[p]++
-			if d.missing[p] == 1 && d.present[p] {
-				d.queue = append(d.queue, p)
-			}
-		}
-		if d.g.IsRight(v) && d.missing[v] == 0 {
-			d.queue = append(d.queue, int32(v))
+		if d.present[v] {
+			d.log = append(d.log, int32(v))
+			d.erase(int32(v))
 		}
 	}
 }
 
-// makePresent marks v available and propagates the state change: parents'
-// missing counts drop (possibly enabling recovery or recomputation), and if
-// v is itself a right node with exactly one missing left neighbor it can now
-// act as a check.
-func (d *Decoder) makePresent(v int32) {
-	d.present[v] = true
-	for _, p := range d.g.Parents(int(v)) {
-		d.missing[p]--
-		if d.present[p] {
-			if d.missing[p] == 1 {
-				d.queue = append(d.queue, p)
-			}
-		} else if d.missing[p] == 0 {
-			d.queue = append(d.queue, p)
-		}
-	}
-	if d.g.IsRight(int(v)) && d.missing[v] == 1 {
-		d.queue = append(d.queue, v)
-	}
-}
-
-// Peel runs reconstruction to fixpoint.
-func (d *Decoder) Peel() {
-	for len(d.queue) > 0 {
-		r := d.queue[len(d.queue)-1]
-		d.queue = d.queue[:len(d.queue)-1]
-		if d.present[r] {
-			if d.missing[r] != 1 {
-				continue
-			}
-			// Exactly one left neighbor missing: recover it.
-			for _, l := range d.g.LeftNeighbors(int(r)) {
-				if !d.present[l] {
-					d.makePresent(l)
-					break
-				}
-			}
-		} else if d.missing[r] == 0 {
-			// All left neighbors present: recompute the check itself.
-			d.makePresent(r)
-		}
-	}
-}
+// Peel runs reconstruction until every data node is present or no rule
+// applies. A peel that recovered every data node stops there, so it may
+// leave checks un-recomputed that a full fixpoint would rebuild; one that
+// leaves data missing has reached the fixpoint.
+func (d *Decoder) Peel() { d.peel() }
 
 // AllDataPresent reports whether every data node is currently available.
-func (d *Decoder) AllDataPresent() bool {
-	for _, v := range d.log {
-		if int(v) < d.g.Data && !d.present[v] {
-			return false
-		}
-	}
-	return true
-}
+func (d *Decoder) AllDataPresent() bool { return d.lostData == 0 }
 
 // MissingData appends the IDs of data nodes currently missing to dst,
 // sorted and deduplicated, and returns it.
@@ -138,7 +178,9 @@ func (d *Decoder) MissingData(dst []int) []int {
 }
 
 // MissingNodes appends the IDs of all nodes currently missing to dst,
-// sorted and deduplicated, and returns it.
+// sorted and deduplicated, and returns it. After a Peel that recovered
+// every data node it may name checks a full fixpoint would have recomputed
+// (see Peel); when data is lost it is the fixpoint's residue.
 func (d *Decoder) MissingNodes(dst []int) []int {
 	return d.missingFiltered(dst, false)
 }
@@ -164,17 +206,8 @@ func (d *Decoder) missingFiltered(dst []int, dataOnly bool) []int {
 // Reset restores the baseline state (all nodes present). It runs in time
 // proportional to the work done since the previous Reset.
 func (d *Decoder) Reset() {
-	for _, v := range d.log {
-		if d.present[v] {
-			continue
-		}
-		d.present[v] = true
-		for _, p := range d.g.Parents(int(v)) {
-			d.missing[p]--
-		}
-	}
+	d.restore(d.log)
 	d.log = d.log[:0]
-	d.queue = d.queue[:0]
 }
 
 // Recoverable reports whether erasing exactly the given nodes still allows

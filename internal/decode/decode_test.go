@@ -229,7 +229,10 @@ var RandomCascade = randomCascade
 
 // Property: the incremental decoder agrees with the naive reference on
 // random graphs and random erasure patterns, including back-to-back calls
-// on one decoder instance (exercising Reset).
+// on one decoder instance (exercising Reset). Whenever data is lost,
+// Decode's reports must name exactly the reference fixpoint's residue: the
+// peel's early exit (it stops once no data node is missing) must never cut
+// short a peel that loses data.
 func TestQuickDecoderMatchesReference(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 42))
@@ -239,8 +242,27 @@ func TestQuickDecoderMatchesReference(t *testing.T) {
 			k := rng.IntN(g.Total + 1)
 			perm := rng.Perm(g.Total)
 			erased := perm[:k]
-			if d.Recoverable(erased) != ReferenceRecoverable(g, erased) {
+			want, residue := referencePeel(g, erased)
+			if d.Recoverable(erased) != want {
 				t.Logf("mismatch: seed=%d graph=%v erased=%v", seed, g, erased)
+				return false
+			}
+			res := d.Decode(erased)
+			if want {
+				if !res.OK || res.Unrecovered != nil || res.UnrecoveredData != nil {
+					t.Logf("seed=%d erased=%v: recoverable but Decode = %+v", seed, erased, res)
+					return false
+				}
+				continue
+			}
+			var residueData []int
+			for _, v := range residue {
+				if v < g.Data {
+					residueData = append(residueData, v)
+				}
+			}
+			if res.OK || !slices.Equal(res.Unrecovered, residue) || !slices.Equal(res.UnrecoveredData, residueData) {
+				t.Logf("seed=%d graph=%v erased=%v: Decode = %+v, reference residue %v", seed, g, erased, res, residue)
 				return false
 			}
 		}

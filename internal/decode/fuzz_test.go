@@ -13,9 +13,8 @@ import (
 // Decoder, the kernel's one-shot path, and the kernel's incremental path
 // (mutating one long-lived kernel by per-set deltas, the revolving-door
 // scan access pattern). Any disagreement is a finding. Erasure-set sizes
-// deliberately straddle maskPeelMaxK so both the mask peel and the array
-// peel are exercised, and a revolving-door burst checks Swap against the
-// one-shot verdicts.
+// range from empty to the whole graph, and a revolving-door burst checks
+// Swap against the one-shot verdicts.
 func FuzzKernelMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint64(2))
 	f.Add(uint64(2006), uint64(0))

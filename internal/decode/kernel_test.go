@@ -237,85 +237,6 @@ func BenchmarkKernelGrayRecoverableK5(b *testing.B) {
 	}
 }
 
-// TestKernelIntrospection reads the kernel's erased mask and certificate
-// over every k=3 erasure set of the small corpus: the mask must track the
-// erasure set exactly, and whenever an Eval certifies the set (empty
-// ulist), every erased data node must hold a valid rule-1 pair — a present
-// check whose only missing left neighbor is that node — with no two nodes
-// sharing a rescuer.
-func TestKernelIntrospection(t *testing.T) {
-	for gi, g := range exhaustiveGraphs(t) {
-		if g.Total < 3 {
-			continue
-		}
-		csr := NewCSR(g)
-		kn := NewKernel(csr)
-		idx := make([]int, 3)
-		combin.First(idx, g.Total)
-		for _, v := range idx {
-			kn.EraseOne(v)
-		}
-		certified := 0
-		for {
-			inSet := make(map[int]bool, len(idx))
-			for _, v := range idx {
-				inSet[v] = true
-			}
-			for v := 0; v < g.Total; v++ {
-				if got := erased(kn.erasedMask, int32(v)); got != inSet[v] {
-					t.Fatalf("graph %d set %v: erased mask has %d = %v", gi, idx, v, got)
-				}
-			}
-			if kn.Eval() && len(kn.ulist) == 0 {
-				certified++
-				used := make(map[int32]bool, len(idx))
-				for _, v := range idx {
-					if v >= g.Data {
-						continue
-					}
-					r := kn.rescuer[v]
-					if r < 0 {
-						t.Fatalf("graph %d set %v: certified but data node %d has no rescuer", gi, idx, v)
-					}
-					if erased(kn.erasedMask, r) {
-						t.Fatalf("graph %d set %v: rescuer %d of %d is itself erased", gi, idx, r, v)
-					}
-					if used[r] {
-						t.Fatalf("graph %d set %v: rescuer %d certifies two nodes", gi, idx, r)
-					}
-					used[r] = true
-					missing := 0
-					sawV := false
-					for _, l := range csr.LeftNeighbors(r) {
-						if erased(kn.erasedMask, l) {
-							missing++
-							sawV = sawV || int(l) == v
-						}
-					}
-					if missing != 1 || !sawV {
-						t.Fatalf("graph %d set %v: rescuer %d of %d has %d missing left neighbors (contains v: %v)",
-							gi, idx, r, v, missing, sawV)
-					}
-				}
-			}
-			out, in, ok := combin.GrayNext(idx, g.Total)
-			if !ok {
-				break
-			}
-			kn.Swap(out, in)
-		}
-		if certified == 0 {
-			t.Errorf("graph %d: no k=3 set took the certified fast path; the assertion body never ran", gi)
-		}
-		for _, v := range idx {
-			kn.RestoreOne(v)
-		}
-		if kn.Erased() != 0 || kn.MissingData() != 0 {
-			t.Errorf("graph %d: kernel not restored after scan", gi)
-		}
-	}
-}
-
 // TestKernelsZeroAllocs is the allocation gate on the steady-state
 // evaluators the certification scans and the retrieval planner sit on: a
 // one-shot Kernel.Recoverable, one revolving-door Eval/Swap step, and one

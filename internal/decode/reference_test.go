@@ -7,6 +7,13 @@ import "tornado/internal/graph"
 // for the incremental Decoder. It repeatedly scans every right node applying
 // both reconstruction rules until a full pass makes no progress.
 func ReferenceRecoverable(g *graph.Graph, erased []int) bool {
+	ok, _ := referencePeel(g, erased)
+	return ok
+}
+
+// referencePeel runs ReferenceRecoverable's fixpoint to the end and returns
+// its verdict and residue: the nodes still missing, ascending.
+func referencePeel(g *graph.Graph, erased []int) (ok bool, residue []int) {
 	present := make([]bool, g.Total)
 	for i := range present {
 		present[i] = true
@@ -34,10 +41,12 @@ func ReferenceRecoverable(g *graph.Graph, erased []int) bool {
 			}
 		}
 	}
-	for v := 0; v < g.Data; v++ {
-		if !present[v] {
-			return false
+	ok = true
+	for v, p := range present {
+		if !p {
+			residue = append(residue, v)
+			ok = ok && v >= g.Data
 		}
 	}
-	return true
+	return ok, residue
 }

@@ -78,9 +78,8 @@ func (t *Table) Rights() int { return len(t.rights) }
 // makes Closed an O(1) read after an O(degree) Add/Remove delta.
 //
 // Driven in revolving-door order (combin.GrayNext) the kernel evaluates one
-// subset per two mask walks instead of rebuilding a count map per subset —
-// the same delta-evaluation shape as decode.Kernel under the certification
-// scans. Nothing allocates after NewKernel. A Kernel is not safe for
+// subset per two mask walks instead of rebuilding a count map per subset.
+// Nothing allocates after NewKernel. A Kernel is not safe for
 // concurrent use; create one per goroutine. Many kernels may share one
 // read-only Table.
 type Kernel struct {

@@ -10,12 +10,13 @@
 // globally minimum — matching the paper's framing of guided search as a
 // heuristic optimization.
 //
-// The hot entry point is Planner: it keeps an incremental decode kernel
-// and every buffer across calls, so planning a stripe in the archive read
-// path allocates nothing in the steady state, costs at most one
-// EraseOne+Eval delta per candidate, and on a stripe whose data blocks are
-// all readable at no more than any check's price costs one scan and no
-// kernel call. The package-level Plan is the one-shot convenience wrapper.
+// The hot entry point is Planner: it keeps a decode.Kernel and every buffer
+// across calls, so planning a stripe in the archive read path allocates
+// nothing in the steady state. Each candidate costs at most one
+// EraseOne+Eval probe, an array peel of the current erasure; a stripe whose
+// data blocks are all readable at no more than any check's price costs one
+// scan and no kernel call. The package-level Plan is the one-shot
+// convenience wrapper.
 package retrieval
 
 import (
@@ -38,8 +39,8 @@ type CostFunc func(v int) float64
 // UnitCost charges 1 per block — minimizing the number of devices accessed.
 func UnitCost(int) float64 { return 1 }
 
-// Planner plans retrievals over one graph, reusing an incremental decode
-// kernel and all working buffers between calls. Not safe for concurrent
+// Planner plans retrievals over one graph, reusing a decode kernel and all
+// working buffers between calls. Not safe for concurrent
 // use; create one per goroutine (they may not share kernels).
 type Planner struct {
 	g      *graph.Graph

@@ -307,3 +307,27 @@ func BenchmarkPlannerSteadyState(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPlanEconomicDegraded is the degraded stripe read's planning cost,
+// the decode kernel's one production workload: one reused Planner on
+// tornado96 with four data nodes lost, unit cost. The first ordering already
+// reads no more blocks than the data floor, so one reverse-delete runs — one
+// EraseOne/Eval probe per candidate. Must not allocate.
+func BenchmarkPlanEconomicDegraded(b *testing.B) {
+	g := tornado96(b)
+	p := NewPlanner(g)
+	avail := allAvailable(g.Total)
+	for _, v := range rand.New(rand.NewPCG(96, 4)).Perm(g.Data)[:4] {
+		avail[v] = false
+	}
+	if _, cost, err := p.PlanEconomic(avail, UnitCost); err != nil || cost.Surplus != 0 {
+		b.Fatalf("PlanEconomic = %+v, %v; want a plan at the data floor", cost, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := p.PlanEconomic(avail, UnitCost); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

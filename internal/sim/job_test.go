@@ -11,11 +11,13 @@ import (
 )
 
 // scriptRunner is a Runner that computes nothing: it counts the units it is
-// handed and fails the one whose ID is failID.
+// handed, and those handed under an already-canceled context, and fails the
+// one whose ID is failID.
 type scriptRunner struct {
 	workers int
 	failID  int
 	ran     atomic.Int32
+	late    atomic.Int32
 }
 
 var errScript = errors.New("scripted unit failure")
@@ -24,6 +26,9 @@ func (r *scriptRunner) Workers() int { return r.workers }
 
 func (r *scriptRunner) RunUnit(ctx context.Context, w int, u Unit) (UnitResult, error) {
 	r.ran.Add(1)
+	if ctx.Err() != nil {
+		r.late.Add(1)
+	}
 	if u.ID == r.failID {
 		return UnitResult{}, errScript
 	}
@@ -44,10 +49,15 @@ func TestRunGroupFirstErrorCancelsTheRest(t *testing.T) {
 		if _, err := runGroup(context.Background(), r, units); err != errScript {
 			t.Errorf("workers=%d: group returned %v, want the unit's error", workers, err)
 		}
-		// Units 0..7, plus at most one more per other worker already past
-		// its cancellation check.
-		if ran := int(r.ran.Load()); ran > 8+workers-1 {
-			t.Errorf("workers=%d: %d units ran after unit 7 failed", workers, ran)
+		// One worker runs units 0..7 and stops. With more, the others may
+		// run any number of units while unit 7's worker is descheduled, but
+		// once the failure has canceled the group at most one more each,
+		// already past its cancellation check.
+		if ran := r.ran.Load(); workers == 1 && ran != 8 {
+			t.Errorf("workers=1: %d units ran, want 8", ran)
+		}
+		if late := int(r.late.Load()); late > workers-1 {
+			t.Errorf("workers=%d: %d units ran after the failure canceled the group", workers, late)
 		}
 
 		ctx, cancel := context.WithCancel(context.Background())

@@ -11,10 +11,10 @@ import (
 	"tornado/internal/graph"
 )
 
-// The sampled-certification path and the rank scan cost what the graph's
-// edges cost. The dense mask tables of decode.CSR.Masks are Total²/4 bytes
-// — 226 MB at n=30,000, 2.5 GB at n=100,000 — and belong to decode.Kernel
-// alone; nothing below may build them.
+// Every evaluator costs what the graph's edges cost: the sampled
+// certification, the rank scan and the planner's scalar kernel alike. Dense
+// per-node bitmask tables (Total × Words words each, 226 MB for two of them
+// at n=30,000, 2.5 GB at n=100,000) are what the tests below rule out.
 
 // streamGraph generates the archival-scale graph of total nodes from seed
 // 2006, the graph of bench's certify_scale workload.
@@ -35,8 +35,8 @@ var scaleOptions = SampledOptions{Epsilon: 2e-5, Workers: 1, Seed: 2006}
 
 // sparseBudget is the allocation allowance of one sampled certification of
 // g, in bytes: 48 per node and per edge. The CSR is 8 bytes a node and 8 an
-// edge, a sampler with its sliced kernel a few dozen bytes a node; the mask
-// tables would be Total/4 bytes a node on top.
+// edge, a sampler with its sliced kernel a few dozen bytes a node; dense
+// bitmask tables would be Total/4 bytes a node on top.
 func sparseBudget(g *graph.Graph) uint64 { return 48 * uint64(g.Total+g.EdgeCount()) }
 
 // allocatedBy returns the bytes fn allocates (cumulative, not peak: nothing
@@ -75,29 +75,32 @@ func TestCertifyScaleIsEdgeBound(t *testing.T) {
 	}
 }
 
-// TestSamplerNeverBuildsMasks is the same bound one layer down, on the
-// n=30,000 graph: a CSR, a StratifiedSampler over it and one block stay
-// inside the budget (6.6 MB), which a 226 MB mask build cannot.
-func TestSamplerNeverBuildsMasks(t *testing.T) {
+// requireSparse is the same bound one layer down, on the n=30,000 graph:
+// run, which builds a CSR and one evaluator over it, must stay inside the
+// sparse budget (6.6 MB), which a 226 MB table build cannot.
+func requireSparse(t *testing.T, what string, run func(g *graph.Graph)) {
+	t.Helper()
 	g := streamGraph(t, 30000)
-	got := allocatedBy(func() {
+	if got, budget := allocatedBy(func() { run(g) }), sparseBudget(g); got > budget {
+		t.Errorf("%s on %d nodes allocated %d bytes, over the O(edges) budget of %d",
+			what, g.Total, got, budget)
+	}
+}
+
+// TestSamplerNeverBuildsMasks: a StratifiedSampler and one block.
+func TestSamplerNeverBuildsMasks(t *testing.T) {
+	requireSparse(t, "NewStratifiedSampler + SampleBlock", func(g *graph.Graph) {
 		sp := NewStratifiedSampler(decode.NewCSR(g))
 		if _, err := sp.SampleBlock(context.Background(), 5, 4096, 2006, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if budget := sparseBudget(g); got > budget {
-		t.Errorf("NewCSR + NewStratifiedSampler + SampleBlock on %d nodes allocated %d bytes, budget %d: the mask tables were built",
-			g.Total, got, budget)
-	}
 }
 
-// TestScanNeverBuildsMasks: ScanRangeCtx over a 64K-rank window at k=2 of
-// the n=30,000 graph builds a CSR and one sliced kernel and stays inside
-// the sparse budget (6.6 MB), which a 226 MB mask build cannot.
+// TestScanNeverBuildsMasks: ScanRangeCtx over a 64K-rank window at k=2 (a
+// CSR and one sliced kernel).
 func TestScanNeverBuildsMasks(t *testing.T) {
-	g := streamGraph(t, 30000)
-	got := allocatedBy(func() {
+	requireSparse(t, "ScanRangeCtx", func(g *graph.Graph) {
 		rr, err := ScanRangeCtx(context.Background(), g, 2, 0, 1<<16, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -106,10 +109,16 @@ func TestScanNeverBuildsMasks(t *testing.T) {
 			t.Errorf("scanned %d patterns, want %d", rr.Tested, 1<<16)
 		}
 	})
-	if budget := sparseBudget(g); got > budget {
-		t.Errorf("ScanRangeCtx on %d nodes allocated %d bytes, budget %d: the mask tables were built",
-			g.Total, got, budget)
-	}
+}
+
+// TestKernelNeverBuildsMasks: the scalar kernel retrieval.NewPlanner builds.
+func TestKernelNeverBuildsMasks(t *testing.T) {
+	requireSparse(t, "NewKernel", func(g *graph.Graph) {
+		kn := decode.NewKernel(decode.NewCSR(g))
+		if !kn.Recoverable([]int{0, 1, 2}) {
+			t.Error("three lost data nodes of the n=30,000 graph do not decode")
+		}
+	})
 }
 
 // BenchmarkCertifyScale is one sampled certification at n=100,000, k=5, to
