@@ -145,13 +145,7 @@ func Generate(p Params, rng *rand.Rand) (*graph.Graph, GenStats, error) {
 		if err != nil {
 			return nil, st, err
 		}
-		var ok bool
-		var rewires int
-		if stream {
-			ok, rewires = repairDefectsStream(g, p, rng)
-		} else {
-			ok, rewires = RepairDefects(g, p.DefectScanSize, p.RepairRounds, rng)
-		}
+		ok, rewires := RepairDefects(g, p.DefectScanSize, p.RepairRounds, rng)
 		if !ok {
 			st.Discarded++
 			continue

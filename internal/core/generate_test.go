@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"tornado/internal/decode"
-	"tornado/internal/defect"
 )
 
 func TestPlanLevels96(t *testing.T) {
@@ -186,7 +185,7 @@ func TestScreeningRejectsDefectiveGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if defect.ScreenCtx(t.Context(), g, 3) != nil {
+		if len(dataDefects(g, 3)) != 0 {
 			rejected++
 		}
 	}

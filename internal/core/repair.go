@@ -13,13 +13,19 @@ import (
 // one member's edge from a sealing check to a check outside the sealed set.
 // The rewire makes some check adjacent to exactly one member of the set,
 // which opens it; the rescan loop catches any new closed set the rewire
-// introduces. It reports whether the graph is clean after at most maxRounds
-// rewires, and the number of rewires performed.
+// introduces. The screen is the exhaustive kernel scan up to maxSize on
+// graphs of at most StreamThreshold nodes and the streaming path's
+// closed-pair scan above it. It reports whether the graph is clean after at
+// most maxRounds rewires, and the number of rewires performed.
 func RepairDefects(g *graph.Graph, maxSize, maxRounds int, rng *rand.Rand) (bool, int) {
+	find := dataDefects
+	if g.Total > StreamThreshold {
+		find = streamDefects
+	}
 	lv := g.Levels[0]
 	rewires := 0
 	for round := 0; round < maxRounds; round++ {
-		fs := dataDefects(g, maxSize)
+		fs := find(g, maxSize)
 		if len(fs) == 0 {
 			return true, rewires
 		}
@@ -29,7 +35,7 @@ func RepairDefects(g *graph.Graph, maxSize, maxRounds int, rng *rand.Rand) (bool
 		}
 		rewires++
 	}
-	return len(dataDefects(g, maxSize)) == 0, rewires
+	return len(find(g, maxSize)) == 0, rewires
 }
 
 // dataDefects is the generation screen's scan of the data level. Generation

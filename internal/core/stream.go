@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"slices"
 
-	"tornado/internal/combin"
 	"tornado/internal/defect"
 	"tornado/internal/graph"
 )
@@ -16,14 +15,6 @@ import (
 // tests pin); the streaming path trades that bit-compatibility for
 // O(edges) time and memory at archival scale (n = 1k–100k).
 const StreamThreshold = 1024
-
-// pairKernelLimit is the largest C(data, 2) rank space the streaming
-// screen walks with the revolving-door defect kernel. Beyond it (data
-// > 4096) the screen switches to the O(edges) hashed closed-pair scan,
-// which finds exactly the same size-2 defects — a pair is closed iff the
-// two nodes have identical parent sets — but without walking the pair
-// rank space, which the repair rescan loop would otherwise multiply.
-const pairKernelLimit = int64(8) << 20
 
 // PlanLevelsLarge computes a cascade layout for any even TotalNodes >= 8.
 // Unlike PlanLevels it never requires a clean halving chain: level sizes
@@ -183,40 +174,13 @@ func commitStubs(g *graph.Graph, stubs []int32, rightDegs []int, leftFirst, righ
 	}
 }
 
-// repairDefectsStream is the screening loop of the streaming path. Full
-// subset scanning is infeasible at archival scale — C(50000, 3) alone is
-// ~2e13 — so the screen covers closed sets of size <= 2, which the paper
-// identifies as the dominant defect class, using the defect kernel while
-// the pair rank space is walkable and the exact hashed scan beyond.
-// Repairs reuse rewireOpen, and the rescan loop catches any defect a
-// rewire introduces.
-func repairDefectsStream(g *graph.Graph, p Params, rng *rand.Rand) (bool, int) {
-	maxSize := min(p.DefectScanSize, 2)
-	lv := g.Levels[0]
-	rewires := 0
-	for round := 0; round < p.RepairRounds; round++ {
-		fs := streamDefects(g, maxSize)
-		if len(fs) == 0 {
-			return true, rewires
-		}
-		f := fs[rng.IntN(len(fs))]
-		if !rewireOpen(g, lv, f, rng) {
-			return false, rewires
-		}
-		rewires++
-	}
-	return len(streamDefects(g, maxSize)) == 0, rewires
-}
-
-// streamDefects finds the closed data-node sets the streaming screen
-// covers: the kernel-backed subset scan while C(data, 2) stays within
-// pairKernelLimit, the hashed identical-parent-set scan beyond it.
+// streamDefects is the streaming path's screen. Full subset scanning is
+// infeasible at archival scale — C(50000, 3) alone is ~2e13 — so it covers
+// closed sets of size <= 2, which the paper identifies as the dominant
+// defect class, with the exact O(edges) hashed pair scan.
 func streamDefects(g *graph.Graph, maxSize int) []defect.Finding {
 	if maxSize < 2 {
 		return nil
-	}
-	if total, ok := combin.BinomialInt64(g.Data, 2); ok && total <= pairKernelLimit {
-		return dataDefects(g, maxSize)
 	}
 	return closedPairsHash(g)
 }

@@ -113,6 +113,34 @@ func TestStreamGenerateScreened10k(t *testing.T) {
 	}
 }
 
+// TestStreamGenerateFingerprints pins streamed generation, repair included:
+// the graphs below were captured before the streaming screen lost its
+// kernel branch (data <= 4096 scanned pairs with the subset kernel, not
+// the hash), and the rewire counts show which seeds repaired closed pairs.
+func TestStreamGenerateFingerprints(t *testing.T) {
+	for _, tc := range []struct {
+		n       int
+		seed    uint64
+		rewires int
+		fp      string
+	}{
+		{1026, 0, 0, "c9e839a5e2fd83f14fbcc4c6b88ec5e8c2ca43160b5ece5524e02226f056ebaf"},
+		{1026, 1, 1, "aaad6a3532b6b0ae4eeb1b7fe7b8958f04ce50ab797ea47c6d9ad328631f3c7d"},
+		{1026, 3, 2, "735216de5be9250a184d722962e30a849a7d11094c8c19f599b7182bc939dc39"},
+		{2050, 3, 2, "2161b5cf14f524c8cf16a52b7cf90d0efcb0e0fd2a3725583734047db1c4e90c"},
+		{4000, 0, 3, "8749eb3c4e9ed90307943a270115961e94aa1609323cfe9dc74e6631807e1d75"},
+	} {
+		g, st, err := Generate(streamParams(tc.n), rand.New(rand.NewPCG(tc.seed, 0)))
+		if err != nil {
+			t.Fatalf("n=%d seed %d: %v", tc.n, tc.seed, err)
+		}
+		if st.Rewires != tc.rewires || g.Fingerprint() != tc.fp {
+			t.Errorf("n=%d seed %d: %d rewires, fingerprint %s; want %d, %s",
+				tc.n, tc.seed, st.Rewires, g.Fingerprint(), tc.rewires, tc.fp)
+		}
+	}
+}
+
 // TestStreamMemoryCeiling asserts the streaming construction allocates
 // O(edges), not O(n²): a quadratic intermediate at n=10,000 would cost
 // hundreds of megabytes (5000² ints alone is 200 MB); the whole build must
@@ -166,24 +194,29 @@ func TestStreamFingerprintPermutationStability(t *testing.T) {
 
 // TestClosedPairsHashMatchesKernel differentially checks the O(edges)
 // hashed pair scan against the kernel-backed subset scan on unscreened
-// small graphs, where both are exact for size 2.
+// graphs, where both are exact for size 2: small ones, and one streamed
+// size (n=2050, two closed pairs) from the range the hash alone screens.
 func TestClosedPairsHashMatchesKernel(t *testing.T) {
-	for seed := uint64(0); seed < 8; seed++ {
-		g, err := GenerateUnscreened(DefaultParams(), rand.New(rand.NewPCG(seed, 0)))
+	check := func(n int, seed uint64) {
+		g, err := GenerateUnscreened(streamParams(n), rand.New(rand.NewPCG(seed, 0)))
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("n=%d seed %d: %v", n, seed, err)
 		}
 		want := dataDefects(g, 2)
 		got := closedPairsHash(g)
 		if len(want) != len(got) {
-			t.Fatalf("seed %d: kernel found %d pairs, hash found %d", seed, len(want), len(got))
+			t.Fatalf("n=%d seed %d: kernel found %d pairs, hash found %d", n, seed, len(want), len(got))
 		}
 		for i := range want {
 			if !slices.Equal(want[i].Lefts, got[i].Lefts) || !slices.Equal(want[i].Rights, got[i].Rights) {
-				t.Fatalf("seed %d: finding %d differs: kernel %v, hash %v", seed, i, want[i], got[i])
+				t.Fatalf("n=%d seed %d: finding %d differs: kernel %v, hash %v", n, seed, i, want[i], got[i])
 			}
 		}
 	}
+	for seed := uint64(0); seed < 8; seed++ {
+		check(96, seed)
+	}
+	check(2050, 3)
 	// A hand-built closed pair both scanners must agree on: two data nodes
 	// wired to exactly the same two checks.
 	b := graph.NewBuilder(4)

@@ -77,9 +77,6 @@ func (s *SlicedKernel) CSR() *CSR { return s.c }
 // erased bits.
 func (s *SlicedKernel) SetActive(lanes uint64) { s.active = lanes }
 
-// Active returns the current active-lane mask.
-func (s *SlicedKernel) Active() uint64 { return s.active }
-
 // Erase marks node v erased in every lane of lanes. Erasures accumulate
 // (a second call ORs in more lanes); Reset clears all of them.
 func (s *SlicedKernel) Erase(v int, lanes uint64) {
@@ -92,9 +89,6 @@ func (s *SlicedKernel) Erase(v int, lanes uint64) {
 	}
 	s.erased[v] |= lanes
 }
-
-// ErasedLanes returns the lanes in which node v is currently erased.
-func (s *SlicedKernel) ErasedLanes(v int) uint64 { return s.erased[v] }
 
 // Reset clears every lane's erasure set and the active mask, returning
 // the kernel to its post-NewSlicedKernel state without allocating.
@@ -110,8 +104,8 @@ func (s *SlicedKernel) Reset() {
 // Eval runs the bit-sliced peeling fixpoint over all lanes at once and
 // returns the per-lane verdict bitmap: bit L set means pattern L is
 // recoverable (every data node it erased peels back). Only active lanes
-// report; the erased masks are untouched, so lanes can be inspected or
-// re-evaluated afterwards.
+// report; the erased masks are untouched, so lanes can be re-evaluated
+// afterwards.
 func (s *SlicedKernel) Eval() uint64 {
 	if s.active == 0 {
 		return 0

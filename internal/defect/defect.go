@@ -7,23 +7,23 @@
 // paper's "17 [48, 57] / 22 [48, 57]" example, a worst case of two).
 //
 // The scan enumerates candidate left subsets up to a configurable size and
-// reports each minimal closed set found. Graph generation discards graphs
-// with data-level findings; the adjustment procedure uses the same
-// condition when choosing replacement edges.
+// reports each minimal closed set found. Graph generation repairs the
+// data-level findings by rewiring (and discards a graph only when repair
+// fails); the adjustment procedure uses the same condition when choosing
+// replacement edges.
 //
 // One implementation is built (see DESIGN.md "Defect kernels"): the
-// kernel path (Table/Kernel + ScanDataLevelCtx, ScanLevelCtx, ScanGraphCtx,
-// ScreenCtx) precomputes per-left-node parent bitmasks and maintains
-// per-check member counts incrementally across revolving-door subset
-// order, sharding each size's combination rank space across a worker
-// pool. The generation discard gate, the adjustment replacement check,
-// and cmd/graphcheck all run it. The original single-threaded
-// map-per-subset scanner survives only in reference_test.go, as the
-// differential-testing oracle the kernel must match bit for bit.
+// kernel path (Table/Kernel + ScanDataLevelCtx, ScanLevelCtx, ScanGraphCtx)
+// precomputes per-left-node parent bitmasks and maintains per-check member
+// counts incrementally across revolving-door subset order, sharding each
+// size's combination rank space across a worker pool. Generation's repair
+// screen, the adjustment replacement check, and cmd/graphcheck all run it.
+// The original single-threaded map-per-subset scanner survives only in
+// reference_test.go, as the differential-testing oracle the kernel must
+// match bit for bit.
 package defect
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
@@ -78,24 +78,4 @@ func subset(a, b []int) bool {
 		}
 	}
 	return i == len(a)
-}
-
-// ScreenCtx returns an error describing the first structural defect found
-// in the data level, or nil when the graph passes. It is the generation-time
-// gate of paper §3.3 ("graphs that fail are discarded"). The scan workers
-// observe ctx at subset-chunk boundaries, so a canceled screen returns
-// ctx.Err() within one chunk of kernel work.
-func ScreenCtx(ctx context.Context, g *graph.Graph, maxSize int) error {
-	fs, err := scanTableCtx(ctx, NewDataTable(g), maxSize, 0)
-	if err != nil {
-		return err
-	}
-	switch len(fs) {
-	case 0:
-		return nil
-	case 1:
-		return fmt.Errorf("defect: %v", fs[0])
-	default:
-		return fmt.Errorf("defect: %v (and %d more)", fs[0], len(fs)-1)
-	}
 }

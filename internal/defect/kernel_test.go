@@ -223,48 +223,11 @@ func TestPlantedMinimality(t *testing.T) {
 	}
 }
 
-func TestScreenSingleFindingMessage(t *testing.T) {
-	// Regression: a single finding used to print "(and 0 more)".
-	g := pairDefect(t)
-	err := ScreenCtx(t.Context(), g, 3)
-	if err == nil {
-		t.Fatal("Screen missed the pair defect")
-	}
-	if strings.Contains(err.Error(), "0 more") {
-		t.Errorf("single-finding message still has the empty suffix: %q", err)
-	}
-	if !strings.Contains(err.Error(), "closed set") {
-		t.Errorf("message lost the finding: %q", err)
-	}
-}
-
-func TestScreenMultiFindingMessage(t *testing.T) {
-	// Two mirrored pairs: both are minimal findings.
-	b := graph.NewBuilder(4)
-	r := b.AddLevel(0, 4, 4)
-	g := b.Graph()
-	g.SetNeighbors(r, []int{0, 1})
-	g.SetNeighbors(r+1, []int{0, 1})
-	g.SetNeighbors(r+2, []int{2, 3})
-	g.SetNeighbors(r+3, []int{2, 3})
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	err := ScreenCtx(t.Context(), g, 2)
-	if err == nil {
-		t.Fatal("Screen missed the defects")
-	}
-	if !strings.Contains(err.Error(), "and 1 more") {
-		t.Errorf("multi-finding message = %q, want \"... (and 1 more)\"", err)
-	}
-}
-
-func TestScreenCtxCanceled(t *testing.T) {
+func TestScanDataLevelCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	g := pairDefect(t)
-	if err := ScreenCtx(ctx, g, 3); err != context.Canceled {
-		t.Errorf("ScreenCtx(canceled) = %v, want context.Canceled", err)
+	if _, err := ScanDataLevelCtx(ctx, pairDefect(t), 3, 1); err != context.Canceled {
+		t.Errorf("ScanDataLevelCtx(canceled) = %v, want context.Canceled", err)
 	}
 }
 

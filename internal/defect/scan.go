@@ -12,7 +12,7 @@ import (
 )
 
 // minShardSize keeps parallel shards from dropping below a useful grain:
-// small scans (the generation gate's C(48,2) pass) run inline instead of
+// small scans (the generation screen's C(48,2) pass) run inline instead of
 // paying goroutine fan-out for microseconds of kernel work.
 const minShardSize = 4096
 
@@ -54,7 +54,7 @@ func ScanDataLevelCtx(ctx context.Context, g *graph.Graph, maxSize, workers int)
 // its members remain recomputable bottom-up (rule 2) while their own left
 // neighbors survive. Upper-level findings therefore mark cascade weak
 // points that erode multi-loss tolerance rather than standalone data loss;
-// the hard generation gate (ScreenCtx) stays on the data level.
+// generation's repair screen stays on the data level.
 func ScanLevelCtx(ctx context.Context, g *graph.Graph, li, maxSize, workers int) ([]Finding, error) {
 	if li < 0 || li >= len(g.Levels) {
 		return nil, fmt.Errorf("defect: level %d out of range (graph has %d levels)", li, len(g.Levels))

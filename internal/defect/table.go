@@ -3,7 +3,6 @@ package defect
 import (
 	"math/bits"
 
-	"tornado/internal/bitset"
 	"tornado/internal/graph"
 )
 
@@ -22,12 +21,13 @@ type Table struct {
 	LeftFirst int // first left node ID of the range
 	LeftCount int // number of left nodes in the range
 
-	rights []int32       // dense right index -> graph node ID, ascending
-	masks  []*bitset.Set // masks[l]: dense parent set of left node LeftFirst+l
+	rights []int32  // dense right index -> graph node ID, ascending
+	words  int      // mask stride: 64-bit words per left node
+	masks  []uint64 // masks[l*words:(l+1)*words]: dense parent set of left node LeftFirst+l
 }
 
 // NewDataTable builds the Table of the data-node range [0, g.Data) — the
-// range ScanDataLevelCtx and the generation-time ScreenCtx gate evaluate.
+// range ScanDataLevelCtx and generation's repair screen evaluate.
 func NewDataTable(g *graph.Graph) *Table {
 	return newTable(g, 0, 0, g.Data)
 }
@@ -41,29 +41,33 @@ func NewLevelTable(g *graph.Graph, li int) *Table {
 func newTable(g *graph.Graph, level, leftFirst, leftCount int) *Table {
 	t := &Table{Level: level, LeftFirst: leftFirst, LeftCount: leftCount}
 
-	// Collect the distinct parents of the range, ascending. A bitset over
-	// the node space gives the sorted ID list for free via NextSet.
-	seen := bitset.New(g.Total)
+	// Collect the distinct parents of the range, ascending: flag them in a
+	// dense index over the node space, then number the flagged IDs in order.
+	dense := make([]int32, g.Total)
 	for l := leftFirst; l < leftFirst+leftCount; l++ {
 		for _, p := range g.Parents(l) {
-			seen.Set(int(p))
+			dense[p] = 1
 		}
 	}
-	dense := make([]int32, g.Total)
-	for r := seen.NextSet(0); r >= 0; r = seen.NextSet(r + 1) {
-		dense[r] = int32(len(t.rights))
-		t.rights = append(t.rights, int32(r))
+	for r, flagged := range dense {
+		if flagged != 0 {
+			dense[r] = int32(len(t.rights))
+			t.rights = append(t.rights, int32(r))
+		}
 	}
-	t.masks = make([]*bitset.Set, leftCount)
-	for i := range t.masks {
-		m := bitset.New(len(t.rights))
+	t.words = (len(t.rights) + 63) / 64
+	t.masks = make([]uint64, leftCount*t.words)
+	for i := range leftCount {
+		m := t.mask(i)
 		for _, p := range g.Parents(leftFirst + i) {
-			m.Set(int(dense[p]))
+			m[dense[p]>>6] |= 1 << (dense[p] & 63)
 		}
-		t.masks[i] = m
 	}
 	return t
 }
+
+// mask returns the dense parent set of left node LeftFirst+l.
+func (t *Table) mask(l int) []uint64 { return t.masks[l*t.words : (l+1)*t.words] }
 
 // Rights returns the number of distinct checks adjacent to the range.
 func (t *Table) Rights() int { return len(t.rights) }
@@ -100,7 +104,7 @@ func (k *Kernel) Table() *Table { return k.t }
 // Add inserts left node LeftFirst+l (l is the range-local index) into the
 // member set, updating the per-check counts by one mask walk.
 func (k *Kernel) Add(l int) {
-	for i, w := range k.t.masks[l].Words() {
+	for i, w := range k.t.mask(l) {
 		for ; w != 0; w &= w - 1 {
 			r := i<<6 + bits.TrailingZeros64(w)
 			c := k.count[r]
@@ -119,7 +123,7 @@ func (k *Kernel) Add(l int) {
 // Remove deletes left node LeftFirst+l from the member set. The node must
 // be a member.
 func (k *Kernel) Remove(l int) {
-	for i, w := range k.t.masks[l].Words() {
+	for i, w := range k.t.mask(l) {
 		for ; w != 0; w &= w - 1 {
 			r := i<<6 + bits.TrailingZeros64(w)
 			c := k.count[r] - 1

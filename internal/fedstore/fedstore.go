@@ -1,6 +1,6 @@
 // Package fedstore is the live federated store runtime — the only one: N
-// sites, each with its own Tornado graph and placement, composed behind a
-// single Get/Put/Scrub/Pass facade. A site is anything that fills the Site
+// sites, each with its own Tornado graph, composed behind a single
+// Get/Put/Scrub/Pass facade. A site is anything that fills the Site
 // interface: an archive.Store in process (with, in tests, its own chaos
 // injector) or a steward.Client over HTTP; the facade runs the same bodies
 // over both. Where internal/federation answers the analytical question
