@@ -86,15 +86,17 @@ bench:
 #   loop (a one-shot 64-stripe GetStream is ~50 allocations, its scratch built
 #   cold, when frames land in the scratch arena; over 3,000 when the backend
 #   drops to the Read adapter).
+# - GetStreamSequential/degraded: the read loop with four data devices failed.
 # - ServeColdMiss: a cold serve Get whose stripes all miss the cache; each
 #   decodes into a payload buffer the cache recycled, so allocs/op is the
 #   request's and the cache entries' bookkeeping, not a stripe per miss.
 # - JointDecode, OverheadTrial: the benchmarks that size the Decoder's jobs
 #   (one joint verdict of a 2- and a 3-site federation; one overhead trial, a
 #   prefix search of ~7 large-erasure peels).
-# - PlanEconomicDegraded: a degraded stripe read's plan (tornado96, four data
+# - PlanEconomicDegraded: a cold degraded stripe plan (tornado96, four data
 #   nodes lost), the scalar decode.Kernel's one production workload; 0
 #   allocs/op.
+# - PlanEconomicRepeat: the same plan asked again, answered from the stored one.
 BENCH1 = $(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -benchtime 1x
 bench-smoke:
 	$(BENCH1) -bench Recoverable ./internal/decode/
@@ -110,6 +112,7 @@ bench-smoke:
 	$(BENCH1) -bench JointDecode ./internal/federation/
 	$(BENCH1) -bench OverheadTrial ./internal/sim/
 	$(BENCH1) -bench PlanEconomicDegraded -benchmem ./internal/retrieval/
+	$(BENCH1) -bench PlanEconomicRepeat -benchmem ./internal/retrieval/
 
 # bench/ is a module of its own, so the root vet/build/test never compile
 # bench/api.go — the one file a signature change in the library breaks.

@@ -26,55 +26,88 @@ func benchStore(b testing.TB) *Store {
 	return s
 }
 
+// streamCases are the stores the read stripe loop is timed and gated on: all
+// devices up, and the four data devices the call-sequence goldens fail, so
+// every stripe is rebuilt and planned around them.
+var streamCases = []struct {
+	name   string
+	failed []int
+}{
+	{"healthy", nil},
+	{"degraded", []int{0, 5, 17, 33}},
+}
+
 // BenchmarkGetStreamSequential is the streaming read stripe loop: one
-// 64-stripe object per op through the sequential path;
-// TestGetStreamAllocBudget gates its allocations per stripe.
+// 64-stripe object per op through the sequential path, healthy and with four
+// data devices failed; TestGetStreamAllocBudget gates its allocations per
+// stripe.
 func BenchmarkGetStreamSequential(b *testing.B) {
-	s := benchStore(b)
-	const stripes = 64
-	data := payload(stripes*s.Layout().StripeCapacity, 1)
-	if err := s.PutCtx(ctx, "obj", data); err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.GetStream(ctx, "obj", io.Discard, WithParallelism(1)); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range streamCases {
+		b.Run(tc.name, func(b *testing.B) {
+			s := benchStore(b)
+			const stripes = 64
+			data := payload(stripes*s.Layout().StripeCapacity, 1)
+			if err := s.PutCtx(ctx, "obj", data); err != nil {
+				b.Fatal(err)
+			}
+			for _, node := range tc.failed {
+				s.Devices()[node].Fail()
+			}
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := s.GetStream(ctx, "obj", io.Discard, WithParallelism(1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // TestGetStreamAllocBudget is the allocation gate on the read stripe loop.
 // Frames are read into the scratch's arena, the payload is decoded into the
-// slot's buffer and keys are rewritten in one []byte buffer, so a healthy
-// width-1 GetStream must not grow with the object at all: under one
-// allocation per stripe as the slope between an 8- and a 64-stripe object,
-// and the 64-stripe call, set-up included, within one per stripe too (it
-// measures 10 in all). A caller-owned frame per block, planning, decode,
+// slot's buffer, keys are rewritten in one []byte buffer and a degraded
+// stripe's plan is the planner's stored one, so a width-1 GetStream, healthy
+// or with four data devices failed, must not grow with the object at all:
+// under one allocation per stripe as the slope between an 8- and a 64-stripe
+// object, and the 64-stripe call, set-up included, under one per stripe too
+// (it measures 9 in all, either way). A caller-owned frame per block, planning, decode,
 // framing or key building re-growing a per-stripe allocation trips it (the
 // Read adapter costs 48/stripe; a planner regression once measured 869,
 // string keys 192).
 func TestGetStreamAllocBudget(t *testing.T) {
-	s := benchStore(t)
-	ctx := context.Background()
-	allocs := func(name string, stripes int) float64 {
-		if err := s.PutCtx(ctx, name, payload(stripes*s.Layout().StripeCapacity, 1)); err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(5, func() {
-			if _, _, err := s.GetStream(ctx, name, io.Discard, WithParallelism(1)); err != nil {
-				t.Fatal(err)
+	for _, tc := range streamCases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := benchStore(t)
+			ctx := context.Background()
+			for _, o := range []struct {
+				name    string
+				stripes int
+			}{{"short", 8}, {"long", 64}} {
+				if err := s.PutCtx(ctx, o.name, payload(o.stripes*s.Layout().StripeCapacity, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, node := range tc.failed {
+				s.Devices()[node].Fail()
+			}
+			allocs := func(name string) float64 {
+				return testing.AllocsPerRun(5, func() {
+					if _, _, err := s.GetStream(ctx, name, io.Discard, WithParallelism(1)); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			short, long := allocs("short"), allocs("long")
+			t.Logf("%.0f allocations on 8 stripes, %.0f on 64", short, long)
+			if slope := (long - short) / (64 - 8); slope >= 1 {
+				t.Errorf("GetStream grows by %.1f allocs/stripe (%.0f on 8 stripes, %.0f on 64); a stripe costs none", slope, short, long)
+			}
+			if perStripe := long / 64; perStripe >= 1 {
+				t.Errorf("GetStream allocates %.1f/stripe on a 64-stripe object, over the budget of < 1", perStripe)
 			}
 		})
-	}
-	short, long := allocs("short", 8), allocs("long", 64)
-	if slope := (long - short) / (64 - 8); slope >= 1 {
-		t.Errorf("GetStream grows by %.1f allocs/stripe (%.0f on 8 stripes, %.0f on 64); a healthy stripe costs none", slope, short, long)
-	}
-	if perStripe := long / 64; perStripe > 1 {
-		t.Errorf("GetStream allocates %.1f/stripe on a 64-stripe object, over the budget of 1", perStripe)
 	}
 }
 

@@ -88,6 +88,74 @@ func TestGetMidReadDeviceFailure(t *testing.T) {
 	}
 }
 
+// stripeFailBackend fails a chosen device when the store first probes a block
+// of one stripe — between two stripes of a read — and counts the reads of the
+// device tried before and after that.
+type stripeFailBackend struct {
+	Backend
+	devs    device.Array
+	victim  int
+	at      []byte // key prefix of the stripe the device fails at ("obj/2/")
+	tripped bool
+	reads   [2]int // reads of the victim tried before and after it failed
+}
+
+func (b *stripeFailBackend) Available(node int, key []byte) bool {
+	if !b.tripped && bytes.HasPrefix(key, b.at) {
+		b.tripped = true
+		b.devs[b.victim].Fail()
+	}
+	return b.Backend.Available(node, key)
+}
+
+func (b *stripeFailBackend) ReadInto(ctx context.Context, node int, key, dst []byte) ([]byte, error) {
+	if node == b.victim {
+		if b.tripped {
+			b.reads[1]++
+		} else {
+			b.reads[0]++
+		}
+	}
+	return ReaderIntoOf(b.Backend).ReadInto(ctx, node, key, dst)
+}
+
+// TestGetStreamPlansAroundDeviceFailure fails a data device between stripes 1
+// and 2 of a width-1 GetStream that already runs with four data devices
+// failed: the stripes before read it, the stripes after plan around it —
+// never trying a read of it — and the stream's GetStats equal the goldens
+// captured before the planner kept its last plan.
+func TestGetStreamPlansAroundDeviceFailure(t *testing.T) {
+	g := benchStore(t).Graph()
+	devs := device.NewArray(g.Total)
+	sb := &stripeFailBackend{Backend: NewArrayBackend(devs), devs: devs, victim: 9, at: []byte("obj/2/")}
+	s, err := NewWithBackend(g, sb, Config{BlockSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := payload(4*s.Layout().StripeCapacity, 5)
+	if err := s.PutCtx(ctx, "obj", data); err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range []int{0, 5, 17, 33} {
+		devs[node].Fail()
+	}
+	var out bytes.Buffer
+	_, stats, err := s.GetStream(ctx, "obj", &out, WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), data) {
+		t.Error("payload mismatch")
+	}
+	if sb.reads != [2]int{2, 0} {
+		t.Errorf("victim reads before/after its failure = %v, want [2 0]", sb.reads)
+	}
+	const want = "{DevicesAccessed:49 BlocksRead:192 BlocksRepaired:18 CorruptBlocks:0 ReadRepairs:0 Retries:0 Repair:{BlocksRead:0 BlocksWritten:0 BytesRead:0 BytesWritten:0}}"
+	if got := fmt.Sprintf("%+v", stats); got != want {
+		t.Errorf("stats\n got %s\nwant %s", got, want)
+	}
+}
+
 // flakyBackend fails every read of one node with ErrTransient a fixed
 // number of times before letting it through — the shape of a network blip
 // or an injector's transient read error.

@@ -1,40 +1,15 @@
 package codec
 
-import "encoding/binary"
+import "crypto/subtle"
 
 // xorInto sets dst ^= src for equal-length slices.
 //
-// The hot loop works 64 bytes (eight 64-bit words) per iteration:
-// binary.LittleEndian.Uint64/PutUint64 compile to single unaligned
-// load/store instructions on little-endian targets, so each line is one
-// load-xor-store of a machine word, and the 8-way unroll keeps the loop
-// overhead off the critical path. This is the encoder's inner kernel —
-// every parity byte the archive writes and every block it reconstructs
-// flows through here — so it must not allocate and should run at memory
-// bandwidth.
+// This is the encoder's inner kernel — every parity byte the archive writes
+// and every block it reconstructs flows through here — so it must not
+// allocate and should run at memory bandwidth: subtle.XORBytes has an
+// assembly loop on amd64 and arm64 and a word-wide one elsewhere.
 func xorInto(dst, src []byte) {
-	n := len(dst)
-	i := 0
-	for ; i+64 <= n; i += 64 {
-		d := dst[i : i+64 : i+64]
-		s := src[i : i+64 : i+64]
-		binary.LittleEndian.PutUint64(d[0:8], binary.LittleEndian.Uint64(d[0:8])^binary.LittleEndian.Uint64(s[0:8]))
-		binary.LittleEndian.PutUint64(d[8:16], binary.LittleEndian.Uint64(d[8:16])^binary.LittleEndian.Uint64(s[8:16]))
-		binary.LittleEndian.PutUint64(d[16:24], binary.LittleEndian.Uint64(d[16:24])^binary.LittleEndian.Uint64(s[16:24]))
-		binary.LittleEndian.PutUint64(d[24:32], binary.LittleEndian.Uint64(d[24:32])^binary.LittleEndian.Uint64(s[24:32]))
-		binary.LittleEndian.PutUint64(d[32:40], binary.LittleEndian.Uint64(d[32:40])^binary.LittleEndian.Uint64(s[32:40]))
-		binary.LittleEndian.PutUint64(d[40:48], binary.LittleEndian.Uint64(d[40:48])^binary.LittleEndian.Uint64(s[40:48]))
-		binary.LittleEndian.PutUint64(d[48:56], binary.LittleEndian.Uint64(d[48:56])^binary.LittleEndian.Uint64(s[48:56]))
-		binary.LittleEndian.PutUint64(d[56:64], binary.LittleEndian.Uint64(d[56:64])^binary.LittleEndian.Uint64(s[56:64]))
-	}
-	for ; i+8 <= n; i += 8 {
-		d := dst[i : i+8 : i+8]
-		s := src[i : i+8 : i+8]
-		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(d)^binary.LittleEndian.Uint64(s))
-	}
-	for ; i < n; i++ {
-		dst[i] ^= src[i]
-	}
+	subtle.XORBytes(dst, dst, src)
 }
 
 // xorIntoRef is the byte-at-a-time reference the tests cross-check the

@@ -3,6 +3,7 @@ package maid
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tornado/internal/graph"
 	"tornado/internal/retrieval"
@@ -45,6 +46,7 @@ func Schedule(g *graph.Graph, jobs []StripeJob, initialHot []int, budget int) ([
 		state.touch(id)
 	}
 
+	planner := retrieval.NewPlanner(g)
 	pending := make([]StripeJob, len(jobs))
 	copy(pending, jobs)
 	var out []ScheduledJob
@@ -56,13 +58,14 @@ func Schedule(g *graph.Graph, jobs []StripeJob, initialHot []int, budget int) ([
 			if len(job.Available) != g.Total {
 				return nil, 0, fmt.Errorf("maid: job %q availability vector size mismatch", job.ID)
 			}
-			plan, _, err := retrieval.Plan(g, job.Available, state.cost)
+			plan, _, err := planner.Plan(job.Available, state.cost)
 			if err != nil {
 				return nil, 0, fmt.Errorf("maid: job %q: %w", job.ID, err)
 			}
 			c := state.spinUpsFor(plan)
 			if bestIdx < 0 || c < bestCost {
-				bestIdx, bestCost, bestPlan = i, c, plan
+				// The planner reuses plan's array on its next call.
+				bestIdx, bestCost, bestPlan = i, c, slices.Clone(plan)
 			}
 		}
 		job := pending[bestIdx]
@@ -86,13 +89,14 @@ func ScheduleArrivalOrder(g *graph.Graph, jobs []StripeJob, initialHot []int, bu
 	for _, id := range initialHot {
 		state.touch(id)
 	}
+	planner := retrieval.NewPlanner(g)
 	var out []ScheduledJob
 	total := 0
 	for _, job := range jobs {
 		if len(job.Available) != g.Total {
 			return nil, 0, fmt.Errorf("maid: job %q availability vector size mismatch", job.ID)
 		}
-		plan, _, err := retrieval.Plan(g, job.Available, state.cost)
+		plan, _, err := planner.Plan(job.Available, state.cost)
 		if err != nil {
 			return nil, 0, fmt.Errorf("maid: job %q: %w", job.ID, err)
 		}
@@ -100,7 +104,7 @@ func ScheduleArrivalOrder(g *graph.Graph, jobs []StripeJob, initialHot []int, bu
 		for _, v := range plan {
 			state.touch(v)
 		}
-		out = append(out, ScheduledJob{ID: job.ID, Plan: plan, SpinUps: c})
+		out = append(out, ScheduledJob{ID: job.ID, Plan: slices.Clone(plan), SpinUps: c})
 		total += c
 	}
 	return out, total, nil

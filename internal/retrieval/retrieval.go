@@ -15,8 +15,11 @@
 // nothing in the steady state. Each candidate costs at most one
 // EraseOne+Eval probe, an array peel of the current erasure; a stripe whose
 // data blocks are all readable at no more than any check's price costs one
-// scan and no kernel call. The package-level Plan is the one-shot
-// convenience wrapper.
+// scan and no kernel call. PlanEconomic also keeps its last answer with the
+// price vector it came from, and returns it again for an equal vector: the
+// stripes of one read see the same devices at the same prices, so a
+// degraded read plans once, not once per stripe. The package-level Plan is
+// the one-shot convenience wrapper.
 package retrieval
 
 import (
@@ -46,26 +49,34 @@ type Planner struct {
 	g      *graph.Graph
 	k      *decode.Kernel
 	cands  []int
-	costs  []float64 // costs[v] for the current call
+	costs  []float64 // the current call's prices: cost(v), or +Inf where v is unavailable
 	inPlan []bool    // candidate survives reverse-delete
 	orphan []bool    // no ancestor check is left in the plan (see rebuildable)
 	erased []int     // every node this call erased, for unwinding
 	plan   []int
-	alt    []int // PlanEconomic's best-so-far snapshot
+	alt    []int // PlanEconomic's answer: its best-so-far while it runs
+
+	// PlanEconomic's last answer (alt, lastCost) and the prices it answered.
+	// The answer is a function of the prices alone, so an equal vector gets
+	// it back; lastOK is false until there is one, and after an error.
+	lastPrices []float64
+	lastCost   PlanCost
+	lastOK     bool
 }
 
 // NewPlanner returns a Planner for g.
 func NewPlanner(g *graph.Graph) *Planner {
 	return &Planner{
-		g:      g,
-		k:      decode.NewKernel(decode.NewCSR(g)),
-		cands:  make([]int, 0, g.Total),
-		costs:  make([]float64, g.Total),
-		inPlan: make([]bool, g.Total),
-		orphan: make([]bool, g.Total),
-		erased: make([]int, 0, g.Total),
-		plan:   make([]int, 0, g.Total),
-		alt:    make([]int, 0, g.Total),
+		g:          g,
+		k:          decode.NewKernel(decode.NewCSR(g)),
+		cands:      make([]int, 0, g.Total),
+		costs:      make([]float64, g.Total),
+		inPlan:     make([]bool, g.Total),
+		orphan:     make([]bool, g.Total),
+		erased:     make([]int, 0, g.Total),
+		plan:       make([]int, 0, g.Total),
+		alt:        make([]int, 0, g.Total),
+		lastPrices: make([]float64, g.Total),
 	}
 }
 
@@ -91,26 +102,36 @@ const (
 // node v's block is retrievable at all. The returned slice is reused by
 // the next Plan call — callers that keep it must copy.
 func (p *Planner) Plan(available []bool, cost CostFunc) ([]int, float64, error) {
-	return p.planOrdered(available, cost, orderCostDeep)
+	if err := p.price(available, cost); err != nil {
+		return nil, 0, err
+	}
+	return p.planOrdered(orderCostDeep)
 }
 
-func (p *Planner) planOrdered(available []bool, cost CostFunc, ord ordering) ([]int, float64, error) {
+// price fills p.costs, calling cost once per available node.
+func (p *Planner) price(available []bool, cost CostFunc) error {
 	if len(available) != p.g.Total {
-		return nil, 0, errors.New("retrieval: availability vector size mismatch")
+		return errors.New("retrieval: availability vector size mismatch")
 	}
 	if cost == nil {
 		cost = UnitCost
 	}
-
-	// Candidate set: available nodes with finite cost, in node order.
-	p.cands = p.cands[:0]
-	allData := true // every data node is a candidate
-	for v := 0; v < p.g.Total; v++ {
-		if available[v] {
+	for v, ok := range available {
+		if ok {
 			p.costs[v] = cost(v)
 		} else {
 			p.costs[v] = math.Inf(1)
 		}
+	}
+	return nil
+}
+
+// planOrdered runs reverse-delete in ord's order over the prices in p.costs.
+func (p *Planner) planOrdered(ord ordering) ([]int, float64, error) {
+	// Candidate set: available nodes with finite cost, in node order.
+	p.cands = p.cands[:0]
+	allData := true // every data node is a candidate
+	for v := 0; v < p.g.Total; v++ {
 		p.inPlan[v] = !math.IsInf(p.costs[v], 1)
 		p.orphan[v] = false
 		if p.inPlan[v] {
@@ -248,20 +269,58 @@ func (c PlanCost) Bytes(frameSize int64) int64 { return int64(c.Surplus) * frame
 // plan reading the fewest blocks, breaking ties by CostFunc price. A plan
 // already at the data-block floor (Surplus 0 — every healthy stripe) wins
 // outright, so a healthy read runs one ordering, and that one is answered
-// by a scan of the costs (see planOrdered). The returned slice is reused by
-// the next call — callers that keep it must copy.
+// by a scan of the costs (see planOrdered).
+//
+// cost is called once per available node. When the resulting prices — cost
+// where available, +Inf elsewhere — equal, bit for bit, those of the last
+// successful call, that call's plan and PlanCost are returned without
+// planning again: one scan instead of a reverse-delete, and the same answer,
+// since nothing else goes into it. An error forgets the stored answer. The
+// returned slice is the stored answer and is reused by later calls —
+// callers must not modify it, and those that keep it must copy.
 func (p *Planner) PlanEconomic(available []bool, cost CostFunc) ([]int, PlanCost, error) {
-	plan, total, err := p.planOrdered(available, cost, orderCostDeep)
+	if err := p.price(available, cost); err != nil {
+		p.lastOK = false
+		return nil, PlanCost{}, err
+	}
+	if p.lastOK && samePrices(p.costs, p.lastPrices) {
+		return p.alt, p.lastCost, nil
+	}
+	best, err := p.planEconomic()
+	p.lastOK = err == nil
 	if err != nil {
 		return nil, PlanCost{}, err
 	}
-	best := PlanCost{Blocks: len(plan), Surplus: len(plan) - p.g.Data, Cost: total}
-	if best.Surplus <= 0 {
-		return plan, best, nil // at the information floor; unbeatable
+	copy(p.lastPrices, p.costs)
+	p.lastCost = best
+	return p.alt, best, nil
+}
+
+// samePrices reports whether a and b hold the same float64 bit patterns, so
+// a NaN price matches itself and +0 does not match -0.
+func samePrices(a, b []float64) bool {
+	for i, x := range a {
+		if math.Float64bits(x) != math.Float64bits(b[i]) {
+			return false
+		}
 	}
+	return true
+}
+
+// planEconomic is PlanEconomic's search over the prices in p.costs; the
+// plan it picks is left in p.alt.
+func (p *Planner) planEconomic() (PlanCost, error) {
+	plan, total, err := p.planOrdered(orderCostDeep)
+	if err != nil {
+		return PlanCost{}, err
+	}
+	best := PlanCost{Blocks: len(plan), Surplus: len(plan) - p.g.Data, Cost: total}
 	p.alt = append(p.alt[:0], plan...)
+	if best.Surplus <= 0 {
+		return best, nil // at the information floor; unbeatable
+	}
 	for _, ord := range [...]ordering{orderDeep, orderCostShallow} {
-		altPlan, altTotal, err := p.planOrdered(available, cost, ord)
+		altPlan, altTotal, err := p.planOrdered(ord)
 		if err != nil {
 			continue // cannot happen: feasibility is ordering-independent
 		}
@@ -274,7 +333,7 @@ func (p *Planner) PlanEconomic(available []bool, cost CostFunc) ([]int, PlanCost
 			break
 		}
 	}
-	return p.alt, best, nil
+	return best, nil
 }
 
 // Plan is the one-shot wrapper: build a throwaway Planner and run it.

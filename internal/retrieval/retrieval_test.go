@@ -265,7 +265,8 @@ func TestPlannerMatchesReference(t *testing.T) {
 }
 
 // TestPlannerReuseMatchesFresh: a Planner's Nth call equals a fresh
-// Planner's — the kernel unwinds completely between calls.
+// Planner's — the kernel unwinds completely between calls, and PlanEconomic
+// hands back its stored answer only for the prices it was computed from.
 func TestPlannerReuseMatchesFresh(t *testing.T) {
 	g := tornado96(t)
 	p := NewPlanner(g)
@@ -280,6 +281,62 @@ func TestPlannerReuseMatchesFresh(t *testing.T) {
 		if (gotErr == nil) != (wantErr == nil) || gotTotal != wantTotal || !slices.Equal(got, want) {
 			t.Fatalf("trial %d: reused planner diverged: %v (%v, %v) vs %v (%v, %v)",
 				trial, got, gotTotal, gotErr, want, wantTotal, wantErr)
+		}
+	}
+
+	// The PlanEconomic leg: a scripted sequence, then a seeded random walk
+	// over the same inputs, some steps preceded by a Plan call on another.
+	type input struct {
+		name   string
+		avail  []bool
+		prices []float64
+	}
+	degraded := func(name string, lost ...int) input {
+		in := input{name, allAvailable(g.Total), make([]float64, g.Total)}
+		for v := range in.prices {
+			in.prices[v] = float64(1 + rng.IntN(3))
+		}
+		for _, v := range lost {
+			in.avail[v] = false
+		}
+		return in
+	}
+	a := degraded("A", 0, 5, 17, 33)
+	plan, _, err := NewPlanner(g).PlanEconomic(a.avail, func(v int) float64 { return a.prices[v] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	repriced := input{"A, one planned node repriced", a.avail, slices.Clone(a.prices)}
+	repriced.prices[plan[0]] = 7
+	shrunk := input{"A's prices, one more data node lost", slices.Clone(a.avail), a.prices}
+	shrunk.avail[plan[0]] = false
+	nan := input{"A, a planned data node priced NaN", a.avail, slices.Clone(a.prices)}
+	nan.prices[plan[1]] = math.NaN()
+	short := input{"nothing available", make([]bool, g.Total), a.prices}
+	healthy := input{"healthy", allAvailable(g.Total), a.prices}
+	b := degraded("B", 2, 3, 40, 41, 47)
+	inputs := []input{a, b, repriced, shrunk, nan, short, healthy}
+
+	seq := []input{a, a, b, a, repriced, a, repriced, repriced, shrunk, a, shrunk,
+		a, short, a, short, short, a, nan, nan, a, nan, healthy, healthy, a}
+	scripted := len(seq)
+	for range 60 {
+		seq = append(seq, inputs[rng.IntN(len(inputs))])
+	}
+	samePC := func(x, y PlanCost) bool {
+		return x.Blocks == y.Blocks && x.Surplus == y.Surplus && math.Float64bits(x.Cost) == math.Float64bits(y.Cost)
+	}
+	for i, in := range seq {
+		if i >= scripted && rng.IntN(3) == 0 {
+			other := inputs[rng.IntN(len(inputs))]
+			p.Plan(other.avail, func(v int) float64 { return other.prices[v] })
+		}
+		cost := func(v int) float64 { return in.prices[v] }
+		got, gotCost, gotErr := p.PlanEconomic(in.avail, cost)
+		want, wantCost, wantErr := NewPlanner(g).PlanEconomic(in.avail, cost)
+		if !errors.Is(gotErr, wantErr) || !samePC(gotCost, wantCost) || !slices.Equal(got, want) {
+			t.Fatalf("call %d (%s): reused PlanEconomic diverged: %v (%+v, %v) vs fresh %v (%+v, %v)",
+				i, in.name, got, gotCost, gotErr, want, wantCost, wantErr)
 		}
 	}
 }
@@ -308,20 +365,54 @@ func BenchmarkPlannerSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanEconomicDegraded is the degraded stripe read's planning cost,
-// the decode kernel's one production workload: one reused Planner on
-// tornado96 with four data nodes lost, unit cost. The first ordering already
-// reads no more blocks than the data floor, so one reverse-delete runs — one
+// fourLost returns two availability vectors of tornado96, each with a
+// different four data nodes lost.
+func fourLost(g *graph.Graph) [2][]bool {
+	perm := rand.New(rand.NewPCG(96, 4)).Perm(g.Data)
+	var avail [2][]bool
+	for i := range avail {
+		avail[i] = allAvailable(g.Total)
+		for _, v := range perm[4*i : 4*i+4] {
+			avail[i][v] = false
+		}
+	}
+	return avail
+}
+
+// BenchmarkPlanEconomicDegraded is a cold degraded plan, the decode kernel's
+// one production workload: one reused Planner on tornado96, unit cost, the
+// calls alternating between two four-data-node losses so that none is
+// answered from the stored plan. The first ordering already reads no more
+// blocks than the data floor, so one reverse-delete runs — at most one
 // EraseOne/Eval probe per candidate. Must not allocate.
 func BenchmarkPlanEconomicDegraded(b *testing.B) {
 	g := tornado96(b)
 	p := NewPlanner(g)
-	avail := allAvailable(g.Total)
-	for _, v := range rand.New(rand.NewPCG(96, 4)).Perm(g.Data)[:4] {
-		avail[v] = false
+	avail := fourLost(g)
+	for _, a := range avail {
+		if _, cost, err := p.PlanEconomic(a, UnitCost); err != nil || cost.Surplus != 0 {
+			b.Fatalf("PlanEconomic = %+v, %v; want a plan at the data floor", cost, err)
+		}
 	}
-	if _, cost, err := p.PlanEconomic(avail, UnitCost); err != nil || cost.Surplus != 0 {
-		b.Fatalf("PlanEconomic = %+v, %v; want a plan at the data floor", cost, err)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := p.PlanEconomic(avail[i%2], UnitCost); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlanEconomicRepeat is what every stripe after the first of a
+// degraded read pays: the same four data nodes lost at the same prices, so
+// each call is answered from the stored plan after one scan of the prices.
+// Must not allocate.
+func BenchmarkPlanEconomicRepeat(b *testing.B) {
+	g := tornado96(b)
+	p := NewPlanner(g)
+	avail := fourLost(g)[0]
+	if _, _, err := p.PlanEconomic(avail, UnitCost); err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
