@@ -2,7 +2,7 @@ GO ?= go
 
 # Every go test below carries an explicit -timeout, so a hang fails in about
 # two minutes, not the ten-minute default. The slowest package is
-# internal/sim: ~8 s unraced, ~47 s under -race on two cores (the n=96
+# internal/sim: 14–17 s unraced, ~47 s under -race on two cores (the n=96
 # rank-scan oracle cases skip under -race). Time spent fuzzing is not
 # counted, only the seed-corpus run before it.
 TEST_TIMEOUT ?= 2m
@@ -47,9 +47,10 @@ fmt:
 # decoder, the stopping-set search against the scan and the reference
 # peel, closed-set defect scan), the read path's two oracles (planner
 # against plain reverse-delete, targeted decode against Repair), the
-# campaign journal parser (arbitrary bytes through the resume path) and the
-# federation's union peel (against the §5.3 exchange fixpoint) a short
-# randomized shake on every check; longer sessions: make fuzz FUZZTIME=10m
+# campaign journal parser (arbitrary bytes through the resume path), the
+# GraphML parser (user-supplied graph files) and the federation's union peel
+# (against the §5.3 exchange fixpoint) a short randomized shake on every
+# check; longer sessions: make fuzz FUZZTIME=10m
 FUZZTIME ?= 3s
 fuzz:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME) ./internal/archive/
@@ -60,6 +61,7 @@ fuzz:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzPlanMatchesReverseDelete -fuzztime $(FUZZTIME) ./internal/retrieval/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzDecodeIntoMatchesRepair -fuzztime $(FUZZTIME) ./internal/codec/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzJournalResume -fuzztime $(FUZZTIME) ./internal/campaign/
+	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/graphml/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzJointDecodeMatchesExchange -fuzztime $(FUZZTIME) ./internal/federation/
 
 # bench runs the repo benchmark, bench/: numbers only, check is the gate.
@@ -87,6 +89,8 @@ bench:
 #   cold, when frames land in the scratch arena; over 3,000 when the backend
 #   drops to the Read adapter).
 # - GetStreamSequential/degraded: the read loop with four data devices failed.
+#   probes/stripe is its Available calls: 0 healthy, 4 degraded (one per
+#   failed device), where every stripe once probed all 96 nodes.
 # - ServeColdMiss: a cold serve Get whose stripes all miss the cache; each
 #   decodes into a payload buffer the cache recycled, so allocs/op is the
 #   request's and the cache entries' bookkeeping, not a stripe per miss.

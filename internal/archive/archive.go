@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"tornado/internal/codec"
 	"tornado/internal/device"
@@ -72,6 +73,54 @@ type Object struct {
 // and List — and through them Get, ReadStripe, Delete and Scrub — do not see
 // it, only a second Put of the same name does.
 func (o *Object) committed() bool { return o.Stripes > 0 }
+
+// entry is the store's record of one name: the object's metadata and, once a
+// Put has committed it, what the Put proved about where its blocks are (a
+// shell, whose blocks arrive out of band, has no such proof).
+type entry struct {
+	Object
+	rec *availRecord
+}
+
+// availRecord is what a committed Put proved about its blocks: the epoch of
+// every node's medium before the first write, and which nodes took every one
+// of the object's block writes. Every such block was written while the
+// recorded epoch was current, so while MediaEpoch still answers that epoch —
+// the medium has lost nothing since — and the store has not begun to delete
+// the object, the node holds each of them: the read path asks the backend
+// about them key by key only for the nodes the record does not cover. The
+// record is immutable once committed, except for retired.
+type availRecord struct {
+	epoch   []uint64
+	whole   []bool
+	retired atomic.Bool // set by DeleteCtx before it deletes a block
+}
+
+// live returns r unless it is nil or retired: the record one stripe's probes
+// consult, read once per stripe.
+func (r *availRecord) live() *availRecord {
+	if r == nil || r.retired.Load() {
+		return nil
+	}
+	return r
+}
+
+// available is the data path's one availability probe: whether node holds
+// its block of the stripe keys is set to. It answers from rec (a live record
+// or nil) when the record covers the node, and asks the backend otherwise.
+func (s *Store) available(rec *availRecord, node int, keys *keyBuf) bool {
+	return s.covers(rec, node) || s.backend.Available(node, keys.key(node))
+}
+
+// covers reports whether rec (a live record or nil) proves that node holds
+// every block of its object.
+func (s *Store) covers(rec *availRecord, node int) bool {
+	if rec == nil || !rec.whole[node] {
+		return false
+	}
+	e, ok := s.backend.MediaEpoch(node)
+	return ok && e == rec.epoch[node]
+}
 
 // GetStats reports the retrieval work of one Get.
 type GetStats struct {
@@ -124,7 +173,7 @@ type Store struct {
 	meter   *repairbw.Meter
 
 	mu      sync.Mutex
-	objects map[string]*Object
+	objects map[string]*entry
 
 	// scratches is the free list of stripe workspaces: ReadStripe and every
 	// stripePipe slot take one and hand it back, so the planner, kernel and
@@ -193,7 +242,7 @@ func NewWithBackend(g *graph.Graph, backend Backend, cfg Config) (*Store, error)
 		reader:       ReaderIntoOf(backend),
 		cfg:          cfg,
 		meter:        repairbw.NewMeter(reg),
-		objects:      map[string]*Object{},
+		objects:      map[string]*entry{},
 		corruptCount: make([]int, g.Total),
 		quarantined:  make([]bool, g.Total),
 		metrics:      reg,
@@ -571,25 +620,25 @@ func (sc *stripeScratch) encoder(s *Store) *codec.Encoder {
 	return sc.enc
 }
 
-// reserve claims name in the object map, returning the uncommitted record
+// reserve claims name in the object map, returning the uncommitted entry
 // the caller finalizes (or rolls back) later.
-func (s *Store) reserve(name string) (*Object, error) {
+func (s *Store) reserve(name string) (*entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.objects[name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	obj := &Object{Name: name}
-	s.objects[name] = obj
-	return obj, nil
+	e := &entry{Object: Object{Name: name}}
+	s.objects[name] = e
+	return e, nil
 }
 
 // putStripe encodes one stripe payload and writes its blocks. Devices that
 // are unavailable at write time simply miss their block — exactly the
-// redundancy the code is there to absorb. Blocks are stored framed with a
-// CRC-32C so bit rot is detected on read; transient write faults are
-// retried. A ctx error aborts immediately.
-func (s *Store) putStripe(ctx context.Context, name string, st int, payload []byte, sc *stripeScratch) error {
+// redundancy the code is there to absorb — and are marked in missed. Blocks
+// are stored framed with a CRC-32C so bit rot is detected on read; transient
+// write faults are retried. A ctx error aborts immediately.
+func (s *Store) putStripe(ctx context.Context, name string, st int, payload []byte, sc *stripeScratch, missed []bool) error {
 	blocks, err := sc.encoder(s).Encode(payload)
 	if err != nil {
 		return err
@@ -606,6 +655,7 @@ func (s *Store) putStripe(ctx context.Context, name string, st int, payload []by
 			if errIsCtx(werr) {
 				return werr
 			}
+			missed[node] = true
 			failed++
 		}
 	}
@@ -638,12 +688,12 @@ func (s *Store) PutCtx(ctx context.Context, name string, data []byte) error {
 // ctx is checked between stripes and between blocks, so a cancelled Get
 // returns promptly mid-object instead of finishing the remaining stripes.
 func (s *Store) GetCtx(ctx context.Context, name string) ([]byte, GetStats, error) {
-	obj, err := s.Stat(name)
+	obj, rec, err := s.lookup(name)
 	if err != nil {
 		return nil, GetStats{}, err
 	}
 	out := make([]byte, 0, obj.Size)
-	stats, err := s.getStripes(ctx, obj, 1, func(payload []byte) error {
+	stats, err := s.getStripes(ctx, obj, rec, 1, func(payload []byte) error {
 		out = append(out, payload...)
 		return nil
 	})
@@ -666,7 +716,7 @@ func (s *Store) ReadStripe(ctx context.Context, name string, st int) ([]byte, Ge
 // reference to it, or to dst, and no later read writes to it. On error dst
 // may have been written to.
 func (s *Store) ReadStripeInto(ctx context.Context, name string, st int, dst []byte) ([]byte, GetStats, error) {
-	obj, err := s.Stat(name)
+	obj, rec, err := s.lookup(name)
 	var stats GetStats
 	if err != nil {
 		return nil, stats, err
@@ -681,7 +731,7 @@ func (s *Store) ReadStripeInto(ctx context.Context, name string, st int, dst []b
 	}
 	sc := s.scratch()
 	defer s.release(sc)
-	payload, err := s.getStripe(ctx, name, st, dst[:0:n], sc, &stats)
+	payload, err := s.getStripe(ctx, name, st, rec, dst[:0:n], sc, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -689,15 +739,17 @@ func (s *Store) ReadStripeInto(ctx context.Context, name string, st int, dst []b
 	return dst[:len(payload)], stats, nil
 }
 
-// getStripe reconstructs one stripe into dst's spare capacity — cap(dst)
-// is the payload length — and returns the filled slice.
-func (s *Store) getStripe(ctx context.Context, name string, st int, dst []byte, sc *stripeScratch, stats *GetStats) ([]byte, error) {
+// getStripe reconstructs one stripe of the object rec records into dst's
+// spare capacity — cap(dst) is the payload length — and returns the filled
+// slice.
+func (s *Store) getStripe(ctx context.Context, name string, st int, rec *availRecord, dst []byte, sc *stripeScratch, stats *GetStats) ([]byte, error) {
 	// One probe pass: a quarantine snapshot taken under one lock, then per
 	// node its availability and — for the planner — its read cost.
 	sc.keys.stripe(name, st)
 	s.quarantineSnapshot(sc.quar)
+	rec = rec.live()
 	for node := range sc.avail {
-		sc.avail[node] = !sc.quar[node] && s.backend.Available(node, sc.keys.key(node))
+		sc.avail[node] = !sc.quar[node] && s.available(rec, node, &sc.keys)
 		if sc.avail[node] {
 			sc.cost[node] = s.backend.Cost(node)
 		}
@@ -854,11 +906,15 @@ func (s *Store) readRepairStripe(ctx context.Context, sc *stripeScratch, stats *
 }
 
 // DeleteCtx removes an object and its blocks from all reachable devices,
-// with cancellation between block deletions.
+// with cancellation between block deletions. Its availability record is
+// retired first: from then on every probe of the object asks the backend.
 func (s *Store) DeleteCtx(ctx context.Context, name string) error {
-	obj, err := s.Stat(name)
+	obj, rec, err := s.lookup(name)
 	if err != nil {
 		return err
+	}
+	if rec != nil {
+		rec.retired.Store(true)
 	}
 	var keys keyBuf
 	for st := 0; st < obj.Stripes; st++ {
@@ -882,12 +938,22 @@ func (s *Store) deleteObject(name string) {
 
 // List returns the stored objects sorted by name.
 func (s *Store) List() []Object {
+	es := s.entries()
+	out := make([]Object, len(es))
+	for i, e := range es {
+		out[i] = e.Object
+	}
+	return out
+}
+
+// entries returns the committed objects with their records, sorted by name.
+func (s *Store) entries() []entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Object, 0, len(s.objects))
-	for _, o := range s.objects {
-		if o.committed() {
-			out = append(out, *o)
+	out := make([]entry, 0, len(s.objects))
+	for _, e := range s.objects {
+		if e.committed() {
+			out = append(out, *e)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

@@ -38,6 +38,17 @@ type Backend interface {
 	// all, possibly after a spin-up. Failed or unreachable devices are
 	// unavailable.
 	Available(node int, key []byte) bool
+	// MediaEpoch is the probe that lets the store skip Available for blocks
+	// it wrote itself, so it must be cheap (the device backends take no
+	// lock) and it takes no key: ok is
+	// false when Available would be false for every key (the device is not
+	// Online, say), and epoch changes only when node's medium loses frames —
+	// a failure, a replacement, a lost frame — never for the owner's Delete.
+	// An implementation loads the device state before the epoch, and
+	// publishes a new epoch before the state that makes the node reachable
+	// again. A wrapper that fakes unavailability through Available must
+	// answer ok == false wherever it does.
+	MediaEpoch(node int) (epoch uint64, ok bool)
 	// Read fetches a block, performing any power management needed. The
 	// returned slice is owned by the caller: the backend must not reuse
 	// or mutate its backing array after returning (unframeBlock hands out
@@ -102,6 +113,14 @@ func (a arrayBackend) Nodes() int { return len(a.devs) }
 
 func (a arrayBackend) Available(node int, key []byte) bool {
 	return a.devs[node].Holds(key, device.Online)
+}
+
+func (a arrayBackend) MediaEpoch(node int) (uint64, bool) {
+	d := a.devs[node]
+	if d.State() != device.Online {
+		return 0, false
+	}
+	return d.Epoch(), true
 }
 
 func (a arrayBackend) Read(_ context.Context, node int, key []byte) ([]byte, error) {

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"testing"
 
 	"tornado/internal/core"
@@ -28,31 +29,65 @@ func benchStore(b testing.TB) *Store {
 
 // streamCases are the stores the read stripe loop is timed and gated on: all
 // devices up, and the four data devices the call-sequence goldens fail, so
-// every stripe is rebuilt and planned around them.
+// every stripe is rebuilt and planned around them. probes is how many
+// Available calls one GetStream of a 64-stripe object makes: the object's
+// availability record answers for every node that is still Online on the
+// medium it was written to, and only the failed devices are asked per key.
 var streamCases = []struct {
 	name   string
 	failed []int
+	probes int64
 }{
-	{"healthy", nil},
-	{"degraded", []int{0, 5, 17, 33}},
+	{"healthy", nil, 0},
+	{"degraded", []int{0, 5, 17, 33}, 4 * 64},
+}
+
+// probeCounter counts the per-key availability probes — Available calls —
+// the store makes of the backend it wraps.
+type probeCounter struct {
+	Backend
+	probes atomic.Int64
+}
+
+func (p *probeCounter) Available(node int, key []byte) bool {
+	p.probes.Add(1)
+	return p.Backend.Available(node, key)
+}
+
+func (p *probeCounter) ReadInto(ctx context.Context, node int, key, dst []byte) ([]byte, error) {
+	return ReaderIntoOf(p.Backend).ReadInto(ctx, node, key, dst)
+}
+
+// probedStream stores one 64-stripe object ("obj") over a probeCounter,
+// fails the failed devices, and zeroes the count.
+func probedStream(tb testing.TB, failed []int) (*Store, *probeCounter) {
+	tb.Helper()
+	g := benchStore(tb).Graph()
+	devs := device.NewArray(g.Total)
+	pc := &probeCounter{Backend: NewArrayBackend(devs)}
+	s, err := NewWithBackend(g, pc, Config{BlockSize: 64})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.PutCtx(ctx, "obj", payload(64*s.Layout().StripeCapacity, 1)); err != nil {
+		tb.Fatal(err)
+	}
+	for _, node := range failed {
+		devs[node].Fail()
+	}
+	pc.probes.Store(0)
+	return s, pc
 }
 
 // BenchmarkGetStreamSequential is the streaming read stripe loop: one
 // 64-stripe object per op through the sequential path, healthy and with four
 // data devices failed; TestGetStreamAllocBudget gates its allocations per
-// stripe.
+// stripe and TestGetStreamProbeCount its Available calls, which probes/stripe
+// reports.
 func BenchmarkGetStreamSequential(b *testing.B) {
 	for _, tc := range streamCases {
 		b.Run(tc.name, func(b *testing.B) {
-			s := benchStore(b)
-			const stripes = 64
-			data := payload(stripes*s.Layout().StripeCapacity, 1)
-			if err := s.PutCtx(ctx, "obj", data); err != nil {
-				b.Fatal(err)
-			}
-			for _, node := range tc.failed {
-				s.Devices()[node].Fail()
-			}
+			s, pc := probedStream(b, tc.failed)
 			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -60,6 +95,24 @@ func BenchmarkGetStreamSequential(b *testing.B) {
 				if _, _, err := s.GetStream(ctx, "obj", io.Discard, WithParallelism(1)); err != nil {
 					b.Fatal(err)
 				}
+			}
+			b.ReportMetric(float64(pc.probes.Load())/float64(64*b.N), "probes/stripe")
+		})
+	}
+}
+
+// TestGetStreamProbeCount pins how many Available calls a 64-stripe GetStream
+// makes, healthy and degraded: one per failed device per stripe, where every
+// read once probed all Total nodes (6,144 a call).
+func TestGetStreamProbeCount(t *testing.T) {
+	for _, tc := range streamCases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, pc := probedStream(t, tc.failed)
+			if _, _, err := s.GetStream(ctx, "obj", io.Discard, WithParallelism(1)); err != nil {
+				t.Fatal(err)
+			}
+			if got := pc.probes.Load(); got != tc.probes {
+				t.Errorf("GetStream made %d Available calls, want %d", got, tc.probes)
 			}
 		})
 	}

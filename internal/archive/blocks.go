@@ -9,13 +9,19 @@ import (
 
 // Stat returns an object's metadata.
 func (s *Store) Stat(name string) (Object, error) {
+	obj, _, err := s.lookup(name)
+	return obj, err
+}
+
+// lookup is Stat with the object's availability record (nil for a shell).
+func (s *Store) lookup(name string) (Object, *availRecord, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	obj, ok := s.objects[name]
-	if !ok || !obj.committed() {
-		return Object{}, fmt.Errorf("%w: %q", ErrNotFound, name)
+	e, ok := s.objects[name]
+	if !ok || !e.committed() {
+		return Object{}, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return *obj, nil
+	return e.Object, e.rec, nil
 }
 
 // StripeLayout describes how objects are striped for block-level access.
@@ -50,7 +56,7 @@ func (s *Store) Layout() StripeLayout {
 // ErrNotFound (to a remote peer, a rotted block and a missing block are the
 // same). Cancellation reaches the backend read and its retries.
 func (s *Store) ReadBlockCtx(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
-	obj, err := s.Stat(name)
+	obj, rec, err := s.lookup(name)
 	if err != nil {
 		return nil, err
 	}
@@ -62,11 +68,10 @@ func (s *Store) ReadBlockCtx(ctx context.Context, name string, stripe, node int,
 	sc := s.scratch()
 	defer s.release(sc)
 	sc.keys.stripe(name, stripe)
-	key := sc.keys.key(node)
-	if !s.backend.Available(node, key) {
+	if !s.available(rec.live(), node, &sc.keys) {
 		return nil, fmt.Errorf("%w: %q stripe %d node %d", ErrNotFound, name, stripe, node)
 	}
-	framed, err := s.readFramed(ctx, node, key, dst, nil)
+	framed, err := s.readFramed(ctx, node, sc.keys.key(node), dst, nil)
 	if err != nil {
 		if errIsCtx(err) {
 			return nil, err
@@ -131,6 +136,6 @@ func (s *Store) PutShell(name string, size, stripes int) error {
 	if _, ok := s.objects[name]; ok {
 		return fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	s.objects[name] = &Object{Name: name, Size: size, Stripes: stripes}
+	s.objects[name] = &entry{Object: Object{Name: name, Size: size, Stripes: stripes}}
 	return nil
 }

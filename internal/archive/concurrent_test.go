@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -92,5 +93,52 @@ func TestConcurrentPutGetScrub(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestRecordRaceReplace runs a device's Fail and Replace against the
+// availability probe and the reads of an object written before them: once a
+// Replace has returned, the object's record never covers the device again,
+// and every read returns the object. Run it with -race: it is the check on
+// the publication order — Replace bumps the epoch before it publishes Online,
+// and the probe loads the state before the epoch.
+func TestRecordRaceReplace(t *testing.T) {
+	s := testStore(t, Config{BlockSize: 64})
+	data := payload(3*s.Layout().StripeCapacity, 9)
+	if err := s.PutCtx(ctx, "obj", data); err != nil {
+		t.Fatal(err)
+	}
+	const victim = 7
+	if !s.RecordCovers("obj", victim) {
+		t.Fatal("a fresh object's record does not cover a healthy node")
+	}
+	var replaced atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range 100 {
+			if i%2 == 0 {
+				s.Devices()[victim].Fail()
+			} else {
+				s.Devices()[victim].SetOffline() // replaced without failing first
+			}
+			s.Devices()[victim].Replace()
+			replaced.Add(1)
+		}
+	}()
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		after := replaced.Load() > 0
+		if s.RecordCovers("obj", victim) && after {
+			t.Fatal("the record covers a node whose medium was replaced")
+		}
+		got, _, err := s.GetCtx(ctx, "obj")
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("Get beside Fail/Replace: %v, exact=%v", err, bytes.Equal(got, data))
+		}
 	}
 }

@@ -15,6 +15,8 @@ type stripeSlot struct {
 	sc      *stripeScratch // taken off the store's free list on first use, by produce or work
 	stats   GetStats       // summed by work over every stripe the slot served
 	health  StripeHealth   // a scrub's stripe: named by produce, filled in by work
+	rec     *availRecord   // the availability record of a scrub's stripe's object
+	missed  []bool         // a Put's nodes that failed a block write, over the slot's stripes
 	err     error          // the stripe's failure, set by the pipe
 }
 

@@ -118,8 +118,8 @@ func (s *Store) scrub(ctx context.Context, repair bool, donor Donor, width int) 
 		corrupt: make([]int, s.g.Total),
 	}
 	var mu sync.Mutex // guards pass and rep's totals: the workers fold into both
-	stripe := func(ctx context.Context, h *StripeHealth, sc *stripeScratch) error {
-		t, err := s.repairStripe(ctx, h, repair, donor, sc)
+	stripe := func(ctx context.Context, h *StripeHealth, rec *availRecord, sc *stripeScratch) error {
+		t, err := s.repairStripe(ctx, h, rec, repair, donor, sc)
 		s.meter.Record(repairbw.Scrub, t.cost)
 		mu.Lock()
 		rep.Cost.Add(t.cost)
@@ -137,7 +137,8 @@ func (s *Store) scrub(ctx context.Context, repair bool, donor Donor, width int) 
 		return err
 	}
 
-	objs := s.List()
+	objs := s.entries()
+	recs := make([]*availRecord, 0, len(objs)) // each reported stripe's object's record
 	stripes := 0
 	for _, obj := range objs {
 		stripes += obj.Stripes
@@ -153,6 +154,7 @@ func (s *Store) scrub(ctx context.Context, repair bool, donor Donor, width int) 
 				return false, nil
 			}
 			sl.health = StripeHealth{Object: objs[obj].Name, Stripe: st}
+			sl.rec = objs[obj].rec
 			st++
 			return true, nil
 		},
@@ -160,10 +162,11 @@ func (s *Store) scrub(ctx context.Context, repair bool, donor Donor, width int) 
 			if sl.sc == nil {
 				sl.sc = s.scratch()
 			}
-			return stripe(ctx, &sl.health, sl.sc)
+			return stripe(ctx, &sl.health, sl.rec, sl.sc)
 		},
 		consume: func(sl *stripeSlot) error {
 			rep.Stripes = append(rep.Stripes, sl.health)
+			recs = append(recs, sl.rec)
 			return nil
 		},
 	}
@@ -191,12 +194,12 @@ func (s *Store) scrub(ctx context.Context, repair bool, donor Donor, width int) 
 			// would re-read the whole stripe (including stripes this same
 			// pass just repaired onto a replaced device) only to fail or
 			// no-op the same way, doubling the pass's repair traffic.
-			if !s.secondLookWorthwhile(h, &keys) {
+			if !s.secondLookWorthwhile(h, recs[i], &keys) {
 				continue
 			}
 			h2 := StripeHealth{Object: h.Object, Stripe: h.Stripe}
 			sc := s.scratch()
-			err := stripe(ctx, &h2, sc)
+			err := stripe(ctx, &h2, recs[i], sc)
 			s.release(sc)
 			if err != nil {
 				return rep, err
@@ -226,13 +229,14 @@ func (s *Store) scrub(ctx context.Context, repair bool, donor Donor, width int) 
 // second-look re-scrub: some node it is missing — and that the first sweep
 // did not itself repair — answers Available now, meaning the transient
 // unavailability that defeated the sweep has passed.
-func (s *Store) secondLookWorthwhile(h StripeHealth, keys *keyBuf) bool {
+func (s *Store) secondLookWorthwhile(h StripeHealth, rec *availRecord, keys *keyBuf) bool {
 	keys.stripe(h.Object, h.Stripe)
+	rec = rec.live()
 	for _, node := range h.Missing {
 		if slices.Contains(h.Repaired, node) {
 			continue
 		}
-		if s.backend.Available(node, keys.key(node)) {
+		if s.available(rec, node, keys) {
 			return true
 		}
 	}
@@ -248,11 +252,11 @@ type stripeTally struct {
 }
 
 // repairStripe is the per-stripe body of every scrub: it verifies the stripe
-// named in h, fills in h, and — when repair is set — rebuilds what is missing
-// in sc's pooled workspace, with donor's help if there is one, and writes it
-// home. sc.fromRead and sc.corrupt are left holding the stripe's per-node
-// quarantine evidence.
-func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, repair bool, donor Donor, sc *stripeScratch) (stripeTally, error) {
+// named in h (rec is its object's record), fills in h, and — when repair is
+// set — rebuilds what is missing in sc's pooled workspace, with donor's help
+// if there is one, and writes it home. sc.fromRead and sc.corrupt are left
+// holding the stripe's per-node quarantine evidence.
+func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, rec *availRecord, repair bool, donor Donor, sc *stripeScratch) (stripeTally, error) {
 	var t stripeTally
 	// A stripe the pipeline dispatched as the pass was being cancelled must
 	// not start: a blank stripe reads nothing, so nothing below would notice.
@@ -266,10 +270,10 @@ func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, repair bool, 
 		sc.unaided[node], sc.donated[node] = false, false
 	}
 	sc.keys.stripe(h.Object, h.Stripe)
+	rec = rec.live()
 	for node := range sc.blocks {
-		key := sc.keys.key(node)
-		if s.backend.Available(node, key) {
-			framed, err := s.readFramed(ctx, node, key, sc.frame(s, node), nil)
+		if s.available(rec, node, &sc.keys) {
+			framed, err := s.readFramed(ctx, node, sc.keys.key(node), sc.frame(s, node), nil)
 			if errIsCtx(err) {
 				// A cancelled read is not evidence of a missing block; abort
 				// the stripe so the pass reports ctx.Err(), not phantom damage.

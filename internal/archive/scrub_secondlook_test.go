@@ -70,10 +70,7 @@ func TestScrubSecondLookSkipsSamePassRepairs(t *testing.T) {
 	deleted := 0
 	for node := 0; node < g.Total; node++ {
 		if node == d1 || node == d2 || (!g.IsData(node) && node != c) {
-			key := []byte(fmt.Sprintf("obj/0/%d", node))
-			if err := devs[node].Delete(key); err != nil {
-				t.Fatal(err)
-			}
+			devs[node].Lose([]byte(fmt.Sprintf("obj/0/%d", node)))
 			deleted++
 		}
 	}
@@ -128,6 +125,15 @@ func (f *flakyAvailBackend) Available(node int, key []byte) bool {
 		return false
 	}
 	return f.Backend.Available(node, key)
+}
+
+// MediaEpoch answers not ok until the first sweep has passed, so that every
+// probe of it reaches Available (and is counted) while nodes may be hidden.
+func (f *flakyAvailBackend) MediaEpoch(node int) (uint64, bool) {
+	if f.calls < f.total {
+		return 0, false
+	}
+	return f.Backend.MediaEpoch(node)
 }
 
 func (f *flakyAvailBackend) ReadInto(ctx context.Context, node int, key, dst []byte) ([]byte, error) {

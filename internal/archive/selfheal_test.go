@@ -108,6 +108,15 @@ func (b *stripeFailBackend) Available(node int, key []byte) bool {
 	return b.Backend.Available(node, key)
 }
 
+// MediaEpoch answers not ok until the device has failed, so that the probe
+// of the stripe it fails at reaches Available.
+func (b *stripeFailBackend) MediaEpoch(node int) (uint64, bool) {
+	if !b.tripped {
+		return 0, false
+	}
+	return b.Backend.MediaEpoch(node)
+}
+
 func (b *stripeFailBackend) ReadInto(ctx context.Context, node int, key, dst []byte) ([]byte, error) {
 	if node == b.victim {
 		if b.tripped {

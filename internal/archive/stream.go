@@ -81,12 +81,18 @@ func (s *Store) PutStream(ctx context.Context, name string, r io.Reader, opts ..
 
 // putObject is the write path: it reserves name, runs the stripes next
 // yields (as sl.payload, in stripe order) through the pipeline, and commits
-// the object — or, on any error, rolls back every stripe that may have
-// blocks written. It returns the object's size.
+// the object with its availability record — or, on any error, rolls back
+// every stripe that may have blocks written. It returns the object's size.
 func (s *Store) putObject(ctx context.Context, name string, width int, next func(sl *stripeSlot) (bool, error)) (int, error) {
-	obj, err := s.reserve(name)
+	e, err := s.reserve(name)
 	if err != nil {
 		return 0, err
+	}
+	// The epochs are read before the first write: a medium that loses frames
+	// from here on has moved past the recorded epoch.
+	rec := &availRecord{epoch: make([]uint64, s.g.Total), whole: make([]bool, s.g.Total)}
+	for node := range rec.epoch {
+		rec.epoch[node], rec.whole[node] = s.backend.MediaEpoch(node)
 	}
 	size, stripes := 0, 0
 	p := stripePipe{
@@ -103,7 +109,10 @@ func (s *Store) putObject(ctx context.Context, name string, width int, next func
 			if sl.sc == nil {
 				sl.sc = s.scratch()
 			}
-			return s.putStripe(ctx, name, sl.st, sl.payload, sl.sc)
+			if sl.missed == nil {
+				sl.missed = make([]bool, s.g.Total)
+			}
+			return s.putStripe(ctx, name, sl.st, sl.payload, sl.sc, sl.missed)
 		},
 	}
 	err = p.run(ctx)
@@ -113,8 +122,13 @@ func (s *Store) putObject(ctx context.Context, name string, width int, next func
 		s.deleteObject(name)
 		return 0, err
 	}
+	for i := range p.slots {
+		for node, m := range p.slots[i].missed {
+			rec.whole[node] = rec.whole[node] && !m
+		}
+	}
 	s.mu.Lock()
-	obj.Size, obj.Stripes = size, stripes
+	e.Size, e.Stripes, e.rec = size, stripes, rec
 	s.mu.Unlock()
 	return size, nil
 }
@@ -127,12 +141,12 @@ func (s *Store) putObject(ctx context.Context, name string, width int, next func
 // This is the data path's read API of record; GetCtx is the same loop
 // collecting into a byte slice.
 func (s *Store) GetStream(ctx context.Context, name string, w io.Writer, opts ...StreamOption) (int, GetStats, error) {
-	obj, err := s.Stat(name)
+	obj, rec, err := s.lookup(name)
 	if err != nil {
 		return 0, GetStats{}, err
 	}
 	written := 0
-	stats, err := s.getStripes(ctx, obj, applyStreamOptions(opts).parallelism, func(payload []byte) error {
+	stats, err := s.getStripes(ctx, obj, rec, applyStreamOptions(opts).parallelism, func(payload []byte) error {
 		n, err := w.Write(payload)
 		written += n
 		if err != nil {
@@ -143,10 +157,10 @@ func (s *Store) GetStream(ctx context.Context, name string, w io.Writer, opts ..
 	return written, stats, err
 }
 
-// getStripes is the read path: it reconstructs obj's stripes through
-// the pipeline and hands each payload to emit in stripe order. A payload is
-// valid only during its emit call.
-func (s *Store) getStripes(ctx context.Context, obj Object, width int, emit func(payload []byte) error) (GetStats, error) {
+// getStripes is the read path: it reconstructs obj's stripes (rec is its
+// availability record) through the pipeline and hands each payload to emit in
+// stripe order. A payload is valid only during its emit call.
+func (s *Store) getStripes(ctx context.Context, obj Object, rec *availRecord, width int, emit func(payload []byte) error) (GetStats, error) {
 	stripeCap := s.codec.Capacity()
 	p := stripePipe{
 		width:   min(width, obj.Stripes),
@@ -156,7 +170,7 @@ func (s *Store) getStripes(ctx context.Context, obj Object, width int, emit func
 				sl.sc = s.scratch()
 			}
 			buf := sl.sc.payloadBuf(s)[:0:min(obj.Size-sl.st*stripeCap, stripeCap)]
-			sl.payload, err = s.getStripe(ctx, obj.Name, sl.st, buf, sl.sc, &sl.stats)
+			sl.payload, err = s.getStripe(ctx, obj.Name, sl.st, rec, buf, sl.sc, &sl.stats)
 			return err
 		},
 		consume: func(sl *stripeSlot) error { return emit(sl.payload) },

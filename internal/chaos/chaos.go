@@ -330,6 +330,18 @@ func (in *Injector) Available(node int, key []byte) bool {
 	return in.inner.Available(node, key)
 }
 
+// MediaEpoch is the inner backend's, except that a lost or flapping node is
+// unreachable, as Available says.
+func (in *Injector) MediaEpoch(node int) (uint64, bool) {
+	in.mu.Lock()
+	down := in.lost[node] || in.flapUntil[node] > in.ops
+	in.mu.Unlock()
+	if down {
+		return 0, false
+	}
+	return in.inner.MediaEpoch(node)
+}
+
 // Cost forbids lost and flapping nodes and otherwise defers to the inner
 // backend, so retrieval planning routes around injected unavailability.
 func (in *Injector) Cost(node int) float64 {

@@ -53,6 +53,11 @@ func (c *countingBackend) Available(node int, key []byte) bool {
 	return c.inner.Available(node, key)
 }
 
+// MediaEpoch is the inner backend's: the shim fakes no unavailability.
+func (c *countingBackend) MediaEpoch(node int) (uint64, bool) {
+	return c.inner.MediaEpoch(node)
+}
+
 func (c *countingBackend) Read(ctx context.Context, node int, key []byte) ([]byte, error) {
 	return c.ReadInto(ctx, node, key, nil)
 }

@@ -79,6 +79,11 @@ type Device struct {
 	// state is written under mu and read without it, so State — the probe
 	// retrieval planning makes of every node on every stripe — takes no lock.
 	state atomic.Int32
+	// epoch counts the times the medium lost frames (Fail, Replace, Lose),
+	// written under mu and read without it: a store that wrote a block under
+	// one epoch and finds it unchanged knows the medium still holds the block,
+	// unless the store itself deleted it.
+	epoch atomic.Uint64
 
 	mu     sync.Mutex
 	blocks map[string][]byte
@@ -99,6 +104,13 @@ func (d *Device) ID() int { return d.id }
 
 // State returns the current state.
 func (d *Device) State() State { return State(d.state.Load()) }
+
+// Epoch returns the medium's epoch: it changes whenever the device loses
+// frames it was not asked to delete — Fail, Replace, Lose — and never
+// otherwise (Delete leaves it alone). Load it after State: Replace bumps the
+// epoch before it publishes Online, so a reader that saw the new drive Online
+// also sees its new epoch.
+func (d *Device) Epoch() uint64 { return d.epoch.Load() }
 
 func (d *Device) setStateLocked(s State) { d.state.Store(int32(s)) }
 
@@ -135,11 +147,13 @@ func (d *Device) releaseLocked(b []byte) {
 	d.free[len(b)] = append(d.free[len(b)], b)
 }
 
-// dropLocked forgets every frame — the device's media is gone — but keeps the
-// memory that held them: the map is cleared in place and the slab arena is
-// rewound, so new frames refill the slabs from the first in write order. The
-// free lists are emptied, or the rewind would hand their slots out twice.
+// dropLocked forgets every frame — the device's media is gone, and the epoch
+// moves on — but keeps the memory that held them: the map is cleared in place
+// and the slab arena is rewound, so new frames refill the slabs from the
+// first in write order. The free lists are emptied, or the rewind would hand
+// their slots out twice.
 func (d *Device) dropLocked() {
+	d.epoch.Add(1)
 	clear(d.free)
 	clear(d.blocks)
 	d.slab, d.next = nil, 0
@@ -216,6 +230,18 @@ func (d *Device) Delete(key []byte) error {
 	return nil
 }
 
+// Lose destroys the named frame, as a bad sector would: the block is gone, in
+// any state, and — unlike Delete, which is the owner's — the epoch moves on.
+func (d *Device) Lose(key []byte) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.epoch.Add(1)
+	if b, ok := d.blocks[string(key)]; ok {
+		d.releaseLocked(b)
+		delete(d.blocks, string(key))
+	}
+}
+
 // Holds reports whether the device is in one of the given states and holds
 // key — the availability probe of a backend, answered under one lock.
 func (d *Device) Holds(key []byte, states ...State) bool {
@@ -282,12 +308,12 @@ func (d *Device) Fail() {
 }
 
 // Replace swaps in a fresh empty drive (Failed → Online), which refills the
-// dead drive's slabs.
+// dead drive's slabs. The new epoch is published before Online (see Epoch).
 func (d *Device) Replace() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.setStateLocked(Online)
 	d.dropLocked()
+	d.setStateLocked(Online)
 }
 
 // Array is an indexed shelf of devices.

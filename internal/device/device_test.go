@@ -485,3 +485,43 @@ func TestStateReadsWithoutLock(t *testing.T) {
 		t.Fatal("State waits for the device lock")
 	}
 }
+
+// TestEpochMovesOnlyOnLoss: the epoch moves when the medium loses frames
+// (Fail, Replace, Lose) and for nothing else — writes, the owner's deletes and
+// every state change that keeps the data leave it alone.
+func TestEpochMovesOnlyOnLoss(t *testing.T) {
+	d := New(0)
+	e := d.Epoch()
+	keep := func(what string) {
+		t.Helper()
+		if got := d.Epoch(); got != e {
+			t.Fatalf("%s moved the epoch %d → %d", what, e, got)
+		}
+	}
+	move := func(what string) {
+		t.Helper()
+		if got := d.Epoch(); got == e {
+			t.Fatalf("%s left the epoch at %d", what, e)
+		}
+		e = d.Epoch()
+	}
+	d.Write([]byte("a"), []byte("x"))
+	d.Write([]byte("b"), []byte("y"))
+	keep("Write")
+	d.Delete([]byte("b"))
+	keep("Delete")
+	d.PowerOff()
+	d.PowerOn()
+	d.SetOffline()
+	d.SetOnline()
+	keep("a power or reachability cycle")
+	d.Lose([]byte("a"))
+	move("Lose")
+	if d.Holds([]byte("a"), Online) {
+		t.Error("Lose left the frame in place")
+	}
+	d.Fail()
+	move("Fail")
+	d.Replace()
+	move("Replace")
+}

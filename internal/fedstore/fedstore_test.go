@@ -363,9 +363,7 @@ func partialDamage(t *testing.T, s site) {
 	for _, obj := range s.store.List() {
 		for st := 0; st < obj.Stripes; st += 2 {
 			for node := 3; node < 6+2*st; node++ {
-				if err := s.devs[node].Delete([]byte(fmt.Sprintf("%s/%d/%d", obj.Name, st, node))); err != nil {
-					t.Fatal(err)
-				}
+				s.devs[node].Lose([]byte(fmt.Sprintf("%s/%d/%d", obj.Name, st, node)))
 			}
 		}
 	}

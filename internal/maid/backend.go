@@ -33,6 +33,16 @@ func (b StoreBackend) Available(node int, key []byte) bool {
 	return b.shelf.devices[node].Holds(key, device.Online, device.Standby)
 }
 
+// MediaEpoch reports the device's medium epoch while the shelf can reach it
+// (online or standby), as Available does.
+func (b StoreBackend) MediaEpoch(node int) (uint64, bool) {
+	d := b.shelf.devices[node]
+	if st := d.State(); st != device.Online && st != device.Standby {
+		return 0, false
+	}
+	return d.Epoch(), true
+}
+
 // Read fetches a block through the shelf into a slice the caller owns.
 func (b StoreBackend) Read(ctx context.Context, node int, key []byte) ([]byte, error) {
 	return b.ReadInto(ctx, node, key, nil)

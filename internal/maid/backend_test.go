@@ -47,9 +47,12 @@ func TestStoreBackendAvailability(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.ParkAll()
-	// Standby drive holding the block: available.
+	// Standby drive holding the block: available, and its medium reachable.
 	if !b.Available(0, []byte("k")) {
 		t.Error("standby block should be available")
+	}
+	if _, ok := b.MediaEpoch(0); !ok {
+		t.Error("standby drive's medium epoch not reported")
 	}
 	// Standby drive without the block: unavailable.
 	if b.Available(1, []byte("k")) {
@@ -59,6 +62,9 @@ func TestStoreBackendAvailability(t *testing.T) {
 	s.Devices()[0].Fail()
 	if b.Available(0, []byte("k")) {
 		t.Error("failed drive reported available")
+	}
+	if _, ok := b.MediaEpoch(0); ok {
+		t.Error("failed drive's medium epoch reported")
 	}
 }
 

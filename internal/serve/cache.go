@@ -17,8 +17,11 @@ import (
 // healing (read-repair, scrub rewrites) never changes them — repair is
 // bit-exact by construction. The only mutations that change payload bytes
 // are object-level (Delete, re-Put), and the service invalidates the
-// object's entries on both. Cached slices are shared between callers and
-// must be treated as read-only.
+// object's entries on both — and its fills in flight: a miss registers the
+// entry it will fill, an invalidation voids it, and a voided fill is handed
+// to its reader but never inserted, so a read that raced a Delete and re-Put
+// cannot leave what it decoded behind for later readers. Cached slices are
+// shared between callers and must be treated as read-only.
 //
 // Ownership: the cache owns every payload buffer it hands out, and recycles
 // them. A reader pins the entry it gets (get, or add on a miss) and unpins it
@@ -32,6 +35,9 @@ type stripeCache struct {
 	bytes  int        // cap of every resident payload
 	ll     *list.List // front = most recently used
 	items  map[cacheKey]*list.Element
+	// pending holds the fills of the misses in flight, until add or abandon
+	// resolves them; invalidate takes an object's out, voiding them.
+	pending map[*cacheEntry]struct{}
 
 	// free holds released payload buffers, oldest first: at most freeBuffers
 	// of them and no more bytes of cap than the budget. Past that the oldest
@@ -67,6 +73,7 @@ func newStripeCache(budget int, reg *obs.Registry) *stripeCache {
 		budget:    budget,
 		ll:        list.New(),
 		items:     make(map[cacheKey]*list.Element),
+		pending:   make(map[*cacheEntry]struct{}),
 		hits:      reg.Counter("serve.cache.hits"),
 		misses:    reg.Counter("serve.cache.misses"),
 		evictions: reg.Counter("serve.cache.evictions"),
@@ -75,14 +82,18 @@ func newStripeCache(budget int, reg *obs.Registry) *stripeCache {
 }
 
 // get returns the cached entry, pinned, and refreshes its recency; the
-// caller reads its payload (shared, read-only) and then unpins it.
+// caller reads its payload (shared, read-only) and then unpins it. On a miss
+// it returns false and the pending fill of the stripe instead, which the
+// caller completes with add or drops with abandon.
 func (c *stripeCache) get(key string, stripe int) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[cacheKey{key, stripe}]
 	if !ok {
 		c.misses.Inc()
-		return nil, false
+		fill := &cacheEntry{k: cacheKey{key, stripe}}
+		c.pending[fill] = struct{}{}
+		return fill, false
 	}
 	c.ll.MoveToFront(el)
 	c.hits.Inc()
@@ -116,19 +127,22 @@ func (c *stripeCache) take(size int) []byte {
 	return nil
 }
 
-// add inserts a payload, taking ownership of the slice, evicts from the cold
-// end until the budget holds, and returns the entry pinned for the caller. A
-// payload larger than the whole budget is not cached: its entry is the
+// add completes a miss's fill with its payload, taking ownership of the
+// slice, inserts it, evicts from the cold end until the budget holds, and
+// returns the entry pinned for the caller. A fill an invalidation voided, or
+// a payload larger than the whole budget, is not cached: its entry is the
 // caller's alone.
-func (c *stripeCache) add(key string, stripe int, payload []byte) *cacheEntry {
-	ent := &cacheEntry{k: cacheKey{key, stripe}, payload: payload}
+func (c *stripeCache) add(ent *cacheEntry, payload []byte) *cacheEntry {
+	ent.payload = payload
 	ent.refs.Store(1)
-	if cap(payload) > c.budget {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, live := c.pending[ent]
+	delete(c.pending, ent)
+	if !live || cap(payload) > c.budget {
 		return ent
 	}
 	ent.refs.Add(1)
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.items[ent.k]; ok {
 		// A re-read after invalidation raced another: the newer one stays.
 		c.removeLocked(el)
@@ -143,10 +157,23 @@ func (c *stripeCache) add(key string, stripe int, payload []byte) *cacheEntry {
 	return ent
 }
 
-// invalidate drops every cached stripe of one object (Delete / re-Put).
+// abandon drops a miss's fill that will not be completed.
+func (c *stripeCache) abandon(fill *cacheEntry) {
+	c.mu.Lock()
+	delete(c.pending, fill)
+	c.mu.Unlock()
+}
+
+// invalidate drops every cached stripe of one object (Delete / re-Put) and
+// voids its fills in flight.
 func (c *stripeCache) invalidate(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for fill := range c.pending {
+		if fill.k.key == key {
+			delete(c.pending, fill)
+		}
+	}
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()
 		if el.Value.(*cacheEntry).k.key == key {

@@ -37,9 +37,18 @@ func freeCount(c *stripeCache, b []byte) int {
 func TestCacheRecyclesOnlyUnpinned(t *testing.T) {
 	const size = 10
 	c := newStripeCache(3*size, obs.NewRegistry())
-	fill := func(key string, st int) (*cacheEntry, []byte) {
+	// complete fills a miss's entry with a fresh buffer.
+	complete := func(f *cacheEntry) (*cacheEntry, []byte) {
 		b := make([]byte, size)
-		return c.add(key, st, b), b
+		return c.add(f, b), b
+	}
+	fill := func(key string, st int) (*cacheEntry, []byte) {
+		t.Helper()
+		f, hit := c.get(key, st)
+		if hit {
+			t.Fatalf("%s/%d is already cached", key, st)
+		}
+		return complete(f)
 	}
 	expect := func(what string, b []byte, want int) {
 		t.Helper()
@@ -105,9 +114,12 @@ func TestCacheRecyclesOnlyUnpinned(t *testing.T) {
 	expect("invalidated, unpinned after", b1.payload, 1)
 	drain("invalidated", b1.payload, b2.payload, b3.payload)
 
-	// Replaced by a duplicate add while pinned.
-	old, oldBuf := fill("c", 0)
-	repl, replBuf := fill("c", 0)
+	// Replaced by a duplicate add while pinned: two misses of one stripe, the
+	// later fill landing second.
+	f1, _ := c.get("c", 0)
+	f2, _ := c.get("c", 0)
+	old, oldBuf := complete(f1)
+	repl, replBuf := complete(f2)
 	expect("replaced, pinned", oldBuf, 0)
 	c.unpin(old)
 	expect("replaced, unpinned", oldBuf, 1)
@@ -119,6 +131,36 @@ func TestCacheRecyclesOnlyUnpinned(t *testing.T) {
 		c.unpin(got)
 	}
 	drain("replaced", oldBuf)
+}
+
+// TestCacheVoidedFillNotCached: a miss whose object is invalidated before its
+// fill lands hands the payload to its reader but does not cache it, and the
+// buffer goes to the free list once the reader is done; an abandoned fill
+// leaves nothing pending.
+func TestCacheVoidedFillNotCached(t *testing.T) {
+	c := newStripeCache(100, obs.NewRegistry())
+	f, hit := c.get("a", 0)
+	if hit {
+		t.Fatal("empty cache hit")
+	}
+	c.invalidate("a")
+	buf := make([]byte, 10)
+	ent := c.add(f, buf)
+	if &ent.payload[0] != &buf[0] {
+		t.Fatal("the reader did not get its payload")
+	}
+	if got, hit := c.get("a", 0); hit {
+		t.Fatalf("a voided fill was cached: %v", got.payload)
+	} else {
+		c.abandon(got)
+	}
+	c.unpin(ent)
+	if n := freeCount(c, buf); n != 1 {
+		t.Errorf("voided fill's buffer on the free list %d times, want 1", n)
+	}
+	if len(c.pending) != 0 || c.bytes != 0 {
+		t.Errorf("%d fills pending, %d bytes resident; want none", len(c.pending), c.bytes)
+	}
 }
 
 // TestCacheFreeListBounded: the free list keeps at most freeBuffers buffers

@@ -269,11 +269,13 @@ func (s *Service) Get(ctx context.Context, tn, name string, w io.Writer) (int, e
 // is the caller's to read until it unpins the returned entry; a miss decodes
 // into a buffer the cache recycled.
 func (s *Service) stripe(ctx context.Context, k string, st, size int) ([]byte, *cacheEntry, error) {
-	if ent, ok := s.cache.get(k, st); ok {
+	ent, ok := s.cache.get(k, st)
+	if ok {
 		return ent.payload, ent, nil
 	}
 	payload, stats, err := s.store.ReadStripeInto(ctx, k, st, s.cache.take(size))
 	if err != nil {
+		s.cache.abandon(ent)
 		return nil, nil, err
 	}
 	// Repair traffic accounting: the store's repairbw meter attributed this
@@ -282,7 +284,7 @@ func (s *Service) stripe(ctx context.Context, k string, st, size int) ([]byte, *
 	if b := stats.Repair.Bytes(); b > 0 {
 		s.mRepairBytes.Add(b)
 	}
-	return payload, s.cache.add(k, st, payload), nil
+	return payload, s.cache.add(ent, payload), nil
 }
 
 // Delete removes a tenant's object.

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -349,6 +350,72 @@ func TestCacheCoherence(t *testing.T) {
 	buf.Reset()
 	if _, err := svc.Get(ctx, "t", "obj", &buf); err != nil || !bytes.Equal(buf.Bytes(), fresh) {
 		t.Fatalf("Get after re-put served stale bytes: %v", err)
+	}
+}
+
+// gateBackend stalls the first read of one key until the test releases it,
+// and tells the test when a read got there.
+type gateBackend struct {
+	archive.Backend
+	key     string
+	armed   atomic.Bool
+	reached chan struct{}
+	release chan struct{}
+}
+
+func (b *gateBackend) ReadInto(ctx context.Context, node int, key, dst []byte) ([]byte, error) {
+	if string(key) == b.key && b.armed.CompareAndSwap(true, false) {
+		close(b.reached)
+		<-b.release
+	}
+	return archive.ReaderIntoOf(b.Backend).ReadInto(ctx, node, key, dst)
+}
+
+// TestCacheFillRacingDeleteAndPut: a Get misses stripe 0 and is held on its
+// first block read while the object is deleted and put again, shorter, under
+// the same name; its fill lands after both invalidations. That fill must not
+// be cached — the next Get must serve the new object. (What the racing Get
+// itself returns is torn, and not checked.)
+func TestCacheFillRacingDeleteAndPut(t *testing.T) {
+	g := testGraph(t)
+	gate := &gateBackend{
+		Backend: archive.NewArrayBackend(device.NewArray(g.Total)),
+		key:     "t\x00obj/0/0",
+		reached: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	st, err := archive.NewWithBackend(g, gate, archive.Config{BlockSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(st, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	stripeCap := st.Layout().StripeCapacity
+	fresh := testPayload(stripeCap/2, 2)
+	if _, err := svc.Put(ctx, "t", "obj", bytes.NewReader(testPayload(2*stripeCap, 1))); err != nil {
+		t.Fatal(err)
+	}
+	gate.armed.Store(true)
+	raced := make(chan struct{})
+	go func() {
+		defer close(raced)
+		_, _ = svc.Get(ctx, "t", "obj", io.Discard)
+	}()
+	<-gate.reached
+	if err := svc.Delete(ctx, "t", "obj"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Put(ctx, "t", "obj", bytes.NewReader(fresh)); err != nil {
+		t.Fatal(err)
+	}
+	close(gate.release)
+	<-raced
+	var buf bytes.Buffer
+	if _, err := svc.Get(ctx, "t", "obj", &buf); err != nil || !bytes.Equal(buf.Bytes(), fresh) {
+		t.Fatalf("Get after the racing fill: %v, exact=%v", err, bytes.Equal(buf.Bytes(), fresh))
 	}
 }
 
