@@ -21,7 +21,7 @@ test:
 # The site API over HTTP (server, retrying client, the federated store run
 # over them), the simulation workers (including the stratified certification
 # sampler and the screened n=10k archival-scale smoke), the campaign worker pool, the decode/adjust certification loops,
-# the streaming graph construction, the serving layer (admission, the
+# the closed-set screen's root-range workers, the streaming graph construction, the serving layer (admission, the
 # stripe cache's pinned, recycled payloads), the archive's
 # stripe pipeline (the one place the data path starts goroutines) and its
 # stream adapters, the devices (in-place overwrites, lock-free state), the load
@@ -32,7 +32,7 @@ test:
 # under the race detector.
 race:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) ./internal/steward/ ./internal/sim/ ./internal/obs/ ./internal/campaign/ \
-		./internal/decode/ ./internal/adjust/ ./internal/core/ ./internal/serve/ ./internal/archive/ \
+		./internal/decode/ ./internal/defect/ ./internal/adjust/ ./internal/core/ ./internal/serve/ ./internal/archive/ \
 		./internal/device/ ./internal/workload/ ./internal/federation/ ./internal/chaos/ ./internal/fedstore/
 
 vet:
@@ -71,10 +71,10 @@ bench:
 # bench-smoke runs each Go benchmark once: proof it still compiles and runs.
 # Timings on shared runners are not meaningful and gate nothing; allocs/op and
 # B/op (-benchmem) are printed for the loops whose allocations are budgeted.
-# - Recoverable, SlicedEvalWord, KernelGrayLoop: the decode and defect kernels.
-# - ScanDataLevel96: a whole closed-set scan of tornado96's data level, table
-#   build included; allocs/op fell from 131 to 34 when the table's parent
-#   masks became one flat []uint64 (KernelGrayLoop must stay at 0).
+# - Recoverable, SlicedEvalWord: the decode kernels.
+# - ScanDataLevel96: a whole size-3 closed-set screen of a 96-node-scale data
+#   level, the root-by-root search generation runs at every n; allocs/op is
+#   the search state plus the findings.
 # - CertifyScale: sampled certification at n=100,000, the O(edges) path (a
 #   CSR with no mask tables) at the size the dense tables made unreachable.
 # - FailureProfile: the paper's Monte Carlo failure profile on tornado96-1,
@@ -105,7 +105,6 @@ BENCH1 = $(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -benchtime 1x
 bench-smoke:
 	$(BENCH1) -bench Recoverable ./internal/decode/
 	$(BENCH1) -bench SlicedEvalWord ./internal/decode/
-	$(BENCH1) -bench KernelGrayLoop -benchmem ./internal/defect/
 	$(BENCH1) -bench ScanDataLevel96 -benchmem ./internal/defect/
 	$(BENCH1) -bench CertifyScale ./internal/sim/
 	$(BENCH1) -bench FailureProfile ./internal/sim/

@@ -4,9 +4,9 @@
 // as GraphML (and optionally Graphviz DOT).
 //
 // Node counts above 1024 switch to the streaming construction path:
-// O(edges) stub-shuffle wiring with the hashed closed-pair screen, so
-// archival-scale graphs (n = 10,000–100,000) generate in well under a
-// second.
+// O(edges) stub-shuffle wiring, screened for closed sets of up to 3 data
+// nodes like every size, so archival-scale graphs (n = 10,000–100,000)
+// generate in well under a second.
 //
 // Usage:
 //
@@ -48,16 +48,7 @@ func main() {
 		g, err = tornado.GenerateUnscreened(p, *seed)
 		if err == nil {
 			log.Printf("generated unscreened %v", g)
-			// The subset-scanning kernel is only affordable on small pair
-			// rank spaces; at archival scale warn via the O(edges) hashed
-			// closed-pair scan instead.
-			var defects []tornado.Defect
-			if *nodes <= 1024 {
-				defects = tornado.ScanDefects(g, 3)
-			} else {
-				defects = tornado.ScanClosedPairs(g)
-			}
-			if len(defects) > 0 {
+			if defects := tornado.ScanDefects(g, 3); len(defects) > 0 {
 				log.Printf("warning: %d structural defects present (first: %v)", len(defects), defects[0])
 			}
 		}

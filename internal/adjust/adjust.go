@@ -249,7 +249,7 @@ func pickRewire(ctx context.Context, g *graph.Graph, failures [][]int, rng *rand
 	// Screen the candidates so adjustment cannot trade exhaustive-search
 	// failures for a structural defect: tentatively apply each rewire and
 	// reject any that plants a new closed data set (the same condition the
-	// generation gate enforces, evaluated by the bitmask kernel). The
+	// generation gate enforces, evaluated by the same search). The
 	// preferred candidate goes first, the rest in ascending degree; when
 	// every candidate introduces a defect, fall back to the preferred one —
 	// the graph may already carry the defect this rewire is meant to fix.

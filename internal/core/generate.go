@@ -119,11 +119,12 @@ func PlanLevels(p Params) (LevelPlan, error) {
 
 // Generate produces a defect-screened Tornado Code graph. The rng drives
 // all randomness, so a fixed seed reproduces the same graph. Above
-// StreamThreshold total nodes, construction and screening switch to the
-// streaming path (see stream.go): O(edges) stub wiring instead of the
-// quadratic per-edge stub scan, and closed-pair screening instead of the
-// full subset scan. The sub-threshold path — and therefore every graph the
-// paper's evaluation pins — is byte-identical to earlier releases.
+// StreamThreshold total nodes, construction switches to the streaming path
+// (see stream.go): O(edges) stub wiring instead of the quadratic per-edge
+// stub scan. Both paths screen closed data sets up to DefectScanSize with
+// the same search (RepairDefects). The sub-threshold path — and therefore
+// every graph the paper's evaluation pins — is byte-identical to earlier
+// releases.
 func Generate(p Params, rng *rand.Rand) (*graph.Graph, GenStats, error) {
 	var st GenStats
 	if p.MaxAttempts < 1 {

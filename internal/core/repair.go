@@ -12,44 +12,32 @@ import (
 // cases are easily detected and corrected") by rewiring, for each finding,
 // one member's edge from a sealing check to a check outside the sealed set.
 // The rewire makes some check adjacent to exactly one member of the set,
-// which opens it; the rescan loop catches any new closed set the rewire
-// introduces. The screen is the exhaustive kernel scan up to maxSize on
-// graphs of at most StreamThreshold nodes and the streaming path's
-// closed-pair scan above it. It reports whether the graph is clean after at
-// most maxRounds rewires, and the number of rewires performed.
+// which opens it. The screen is defect.ScanDataLevelCtx up to maxSize at
+// every graph size; after each rewire defect.Update revises the findings
+// (catching any closed set the rewire introduces) instead of rescanning.
+// It reports whether the graph is clean after at most maxRounds rewires,
+// and the number of rewires performed.
 func RepairDefects(g *graph.Graph, maxSize, maxRounds int, rng *rand.Rand) (bool, int) {
-	find := dataDefects
-	if g.Total > StreamThreshold {
-		find = streamDefects
-	}
+	// Generation takes no context, and nothing but cancellation fails a scan.
+	fs, _ := defect.ScanDataLevelCtx(context.Background(), g, maxSize, 0)
 	lv := g.Levels[0]
 	rewires := 0
-	for round := 0; round < maxRounds; round++ {
-		fs := find(g, maxSize)
-		if len(fs) == 0 {
-			return true, rewires
-		}
-		f := fs[rng.IntN(len(fs))]
-		if !rewireOpen(g, lv, f, rng) {
+	for ; rewires < maxRounds && len(fs) > 0; rewires++ {
+		l, ok := rewireOpen(g, lv, fs[rng.IntN(len(fs))], rng)
+		if !ok {
 			return false, rewires
 		}
-		rewires++
+		fs = defect.Update(g, fs, l, maxSize)
 	}
-	return len(find(g, maxSize)) == 0, rewires
-}
-
-// dataDefects is the generation screen's scan of the data level. Generation
-// takes no context, and nothing but cancellation fails a scan.
-func dataDefects(g *graph.Graph, maxSize int) []defect.Finding {
-	fs, _ := defect.ScanDataLevelCtx(context.Background(), g, maxSize, 0)
-	return fs
+	return len(fs) == 0, rewires
 }
 
 // rewireOpen breaks one closed set by moving a random member's edge off a
 // random sealing check onto a level-0 check outside the sealed set that is
-// not already a neighbor. It returns false when no candidate replacement
-// exists (a pathologically dense level).
-func rewireOpen(g *graph.Graph, lv graph.Level, f defect.Finding, rng *rand.Rand) bool {
+// not already a neighbor, and returns the member it rewired. It returns
+// false when no candidate replacement exists (a pathologically dense
+// level).
+func rewireOpen(g *graph.Graph, lv graph.Level, f defect.Finding, rng *rand.Rand) (int, bool) {
 	sealed := make(map[int]bool, len(f.Rights))
 	for _, r := range f.Rights {
 		sealed[r] = true
@@ -93,7 +81,7 @@ func rewireOpen(g *graph.Graph, lv graph.Level, f defect.Finding, rng *rand.Rand
 			continue
 		}
 		g.RewireEdge(l, from, best)
-		return true
+		return l, true
 	}
-	return false
+	return 0, false
 }

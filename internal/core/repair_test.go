@@ -1,11 +1,20 @@
 package core
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
 	"tornado/internal/decode"
+	"tornado/internal/defect"
+	"tornado/internal/graph"
 )
+
+// dataDefects is the generation screen's full scan of the data level.
+func dataDefects(g *graph.Graph, maxSize int) []defect.Finding {
+	fs, _ := defect.ScanDataLevelCtx(context.Background(), g, maxSize, 0)
+	return fs
+}
 
 func TestRepairDefectsCleansUnscreenedGraphs(t *testing.T) {
 	// Most unscreened 96-node graphs carry closed pairs (§3.2); repair

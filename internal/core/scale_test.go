@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -64,5 +65,32 @@ func TestLargerSystemDecodeBehavior(t *testing.T) {
 	}
 	if fails > trials/20 {
 		t.Errorf("384-node graph failed %d/%d at 10%% losses", fails, trials)
+	}
+}
+
+// TestStreamGenerate100kSurvivesThreeLosses pins the archival-scale screen:
+// the n=100,000 seed-2006 graph has no stopping set of at most 3 nodes that
+// holds data, so no 3 lost nodes lose data. Before generation screened
+// closed sets of size 3 at this scale, three closed triangles of degree-2
+// data nodes survived it.
+func TestStreamGenerate100kSurvivesThreeLosses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n=100,000 generation and stopping-set search")
+	}
+	g, st, err := Generate(streamParams(100000), rand.New(rand.NewPCG(2006, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fp = "0cee1db54c364765b75951fe9dbcd580371c78dc3e4e548aca0654376a844ce1"
+	if st.Rewires != 6 || g.Fingerprint() != fp {
+		t.Errorf("%d rewires, fingerprint %s; want 6, %s", st.Rewires, g.Fingerprint(), fp)
+	}
+	e := decode.NewStoppingEnumerator(decode.NewCSR(g))
+	var sets [][]int
+	for v := range g.Data {
+		sets, _ = e.Root(sets[:0], v, 3, math.MaxInt64)
+		if len(sets) > 0 {
+			t.Fatalf("stopping set %v of at most 3 nodes holds data", sets[0])
+		}
 	}
 }

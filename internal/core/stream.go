@@ -1,9 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
-	"slices"
 
 	"tornado/internal/defect"
 	"tornado/internal/graph"
@@ -13,7 +13,8 @@ import (
 // the streaming construction path. The sub-threshold generator keeps the
 // historical wiring (and therefore the exact graphs the paper's golden
 // tests pin); the streaming path trades that bit-compatibility for
-// O(edges) time and memory at archival scale (n = 1k–100k).
+// O(edges) time and memory at archival scale (n = 1k–100k). The defect
+// screen is the same on both sides of the threshold.
 const StreamThreshold = 1024
 
 // PlanLevelsLarge computes a cascade layout for any even TotalNodes >= 8.
@@ -174,58 +175,10 @@ func commitStubs(g *graph.Graph, stubs []int32, rightDegs []int, leftFirst, righ
 	}
 }
 
-// streamDefects is the streaming path's screen. Full subset scanning is
-// infeasible at archival scale — C(50000, 3) alone is ~2e13 — so it covers
-// closed sets of size <= 2, which the paper identifies as the dominant
-// defect class, with the exact O(edges) hashed pair scan.
-func streamDefects(g *graph.Graph, maxSize int) []defect.Finding {
-	if maxSize < 2 {
-		return nil
-	}
-	return closedPairsHash(g)
-}
-
-// ClosedDataPairs finds every closed data-node pair with the O(edges)
-// hashed scan, regardless of graph size — the screen the streaming
-// generation path applies at archival scale, exported for callers (CLIs,
-// health checks) that need a defect warning on graphs whose pair rank
-// space is far beyond the subset-scanning kernel.
+// ClosedDataPairs returns every closed data-node pair: the size-2 data-level
+// defect screen. It exists only because the benchmark harness binds it
+// (bench/api.go) and goes when that binding does (ROADMAP item 3(h)).
 func ClosedDataPairs(g *graph.Graph) []defect.Finding {
-	return closedPairsHash(g)
-}
-
-// closedPairsHash finds every closed data-node pair in O(edges): a pair
-// {a, b} is closed exactly when every check adjacent to either node sees
-// both, i.e. the two nodes have identical parent sets. Data nodes are
-// bucketed by a hash of their sorted parent list and buckets are verified
-// exactly, so hash collisions cannot fabricate findings. Findings come out
-// in ascending (a, b) order for deterministic repair.
-func closedPairsHash(g *graph.Graph) []defect.Finding {
-	type entry struct {
-		node    int
-		parents []int32 // sorted copy
-	}
-	buckets := make(map[uint64][]entry, g.Data)
-	var fs []defect.Finding
-	for v := 0; v < g.Data; v++ {
-		ps := slices.Clone(g.Parents(v))
-		slices.Sort(ps)
-		h := uint64(14695981039346656037) // FNV-1a over the sorted parent IDs
-		for _, p := range ps {
-			h ^= uint64(uint32(p))
-			h *= 1099511628211
-		}
-		for _, e := range buckets[h] {
-			if slices.Equal(e.parents, ps) {
-				rights := make([]int, len(ps))
-				for i, p := range ps {
-					rights[i] = int(p)
-				}
-				fs = append(fs, defect.Finding{Lefts: []int{e.node, v}, Rights: rights})
-			}
-		}
-		buckets[h] = append(buckets[h], entry{node: v, parents: ps})
-	}
-	slices.SortFunc(fs, func(a, b defect.Finding) int { return slices.Compare(a.Lefts, b.Lefts) })
+	fs, _ := defect.ScanDataLevelCtx(context.Background(), g, 2, 0) // only cancellation fails a scan
 	return fs
 }

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-
-	"tornado/internal/graph"
 )
 
 func streamParams(n int) Params {
@@ -84,7 +82,7 @@ func TestPlanLevelsLargeBudget(t *testing.T) {
 // TestStreamGenerateScreened10k builds a screened n=10,000 cascade — the
 // archival-scale acceptance size, an odd-halving chain the historical
 // planner cannot lay out — and checks structure, determinism, and that the
-// screen left no closed pair behind.
+// screen repaired every closed set of up to 3 nodes.
 func TestStreamGenerateScreened10k(t *testing.T) {
 	p := streamParams(10000)
 	g, st, err := Generate(p, rand.New(rand.NewPCG(2006, 0)))
@@ -100,8 +98,11 @@ func TestStreamGenerateScreened10k(t *testing.T) {
 	if d := g.AvgDataDegree(); d < 2.5 || d > 5 {
 		t.Errorf("avg data degree %.2f outside the heavy-tail band", d)
 	}
-	if fs := streamDefects(g, 2); len(fs) != 0 {
-		t.Errorf("screened graph still has %d closed pairs: %v (stats %+v)", len(fs), fs[0], st)
+	if fs := dataDefects(g, 3); len(fs) != 0 {
+		t.Errorf("screened graph still has %d closed sets: %v (stats %+v)", len(fs), fs[0], st)
+	}
+	if st.Rewires != 3 {
+		t.Errorf("%d rewires, want 3 (two closed pairs and a closed triple)", st.Rewires)
 	}
 	// Same seed, same graph.
 	g2, _, err := Generate(p, rand.New(rand.NewPCG(2006, 0)))
@@ -113,10 +114,9 @@ func TestStreamGenerateScreened10k(t *testing.T) {
 	}
 }
 
-// TestStreamGenerateFingerprints pins streamed generation, repair included:
-// the graphs below were captured before the streaming screen lost its
-// kernel branch (data <= 4096 scanned pairs with the subset kernel, not
-// the hash), and the rewire counts show which seeds repaired closed pairs.
+// TestStreamGenerateFingerprints pins streamed generation, repair included.
+// The rewire counts show how many closed sets each seed repaired; every
+// seed here but n=2050 seed 3 (pairs only) starts with closed triples.
 func TestStreamGenerateFingerprints(t *testing.T) {
 	for _, tc := range []struct {
 		n       int
@@ -124,11 +124,11 @@ func TestStreamGenerateFingerprints(t *testing.T) {
 		rewires int
 		fp      string
 	}{
-		{1026, 0, 0, "c9e839a5e2fd83f14fbcc4c6b88ec5e8c2ca43160b5ece5524e02226f056ebaf"},
-		{1026, 1, 1, "aaad6a3532b6b0ae4eeb1b7fe7b8958f04ce50ab797ea47c6d9ad328631f3c7d"},
-		{1026, 3, 2, "735216de5be9250a184d722962e30a849a7d11094c8c19f599b7182bc939dc39"},
+		{1026, 0, 2, "04518a77cf83044471abf30932b7b2aff37d10c3761b56daa1da18548a6efcc2"},
+		{1026, 1, 2, "906c1fc5d8fde07161a06ccc2f0a0b0cb9c3590cc7398edd2e63c2afe7af69c5"},
+		{1026, 3, 5, "67da177bb73f7c4c1cea67aa971eea7143a59b559d07eb6d5e462450e0d91602"},
 		{2050, 3, 2, "2161b5cf14f524c8cf16a52b7cf90d0efcb0e0fd2a3725583734047db1c4e90c"},
-		{4000, 0, 3, "8749eb3c4e9ed90307943a270115961e94aa1609323cfe9dc74e6631807e1d75"},
+		{4000, 0, 7, "eaba4b2ad06cfb6b999e7e3c886bbca48c0a91d2196b93078bf19570d20ae005"},
 	} {
 		g, st, err := Generate(streamParams(tc.n), rand.New(rand.NewPCG(tc.seed, 0)))
 		if err != nil {
@@ -189,47 +189,5 @@ func TestStreamFingerprintPermutationStability(t *testing.T) {
 	}
 	if perm.Fingerprint() != fp {
 		t.Error("fingerprint changed under edge-order permutation")
-	}
-}
-
-// TestClosedPairsHashMatchesKernel differentially checks the O(edges)
-// hashed pair scan against the kernel-backed subset scan on unscreened
-// graphs, where both are exact for size 2: small ones, and one streamed
-// size (n=2050, two closed pairs) from the range the hash alone screens.
-func TestClosedPairsHashMatchesKernel(t *testing.T) {
-	check := func(n int, seed uint64) {
-		g, err := GenerateUnscreened(streamParams(n), rand.New(rand.NewPCG(seed, 0)))
-		if err != nil {
-			t.Fatalf("n=%d seed %d: %v", n, seed, err)
-		}
-		want := dataDefects(g, 2)
-		got := closedPairsHash(g)
-		if len(want) != len(got) {
-			t.Fatalf("n=%d seed %d: kernel found %d pairs, hash found %d", n, seed, len(want), len(got))
-		}
-		for i := range want {
-			if !slices.Equal(want[i].Lefts, got[i].Lefts) || !slices.Equal(want[i].Rights, got[i].Rights) {
-				t.Fatalf("n=%d seed %d: finding %d differs: kernel %v, hash %v", n, seed, i, want[i], got[i])
-			}
-		}
-	}
-	for seed := uint64(0); seed < 8; seed++ {
-		check(96, seed)
-	}
-	check(2050, 3)
-	// A hand-built closed pair both scanners must agree on: two data nodes
-	// wired to exactly the same two checks.
-	b := graph.NewBuilder(4)
-	b.AddLevel(0, 4, 2)
-	b.AddLevel(4, 2, 1)
-	b.AddLevel(4, 2, 1)
-	g := b.Graph()
-	g.SetNeighbors(4, []int{0, 1, 2})
-	g.SetNeighbors(5, []int{0, 1, 3})
-	g.SetNeighbors(6, []int{4, 5})
-	g.SetNeighbors(7, []int{4})
-	fs := closedPairsHash(g)
-	if len(fs) != 1 || !slices.Equal(fs[0].Lefts, []int{0, 1}) {
-		t.Fatalf("hand-built closed pair not found: %v", fs)
 	}
 }

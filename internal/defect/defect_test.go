@@ -1,7 +1,6 @@
 package defect
 
 import (
-	"math/rand/v2"
 	"testing"
 
 	"tornado/internal/decode"
@@ -192,15 +191,8 @@ func TestSubset(t *testing.T) {
 }
 
 func BenchmarkScanDataLevel96(b *testing.B) {
-	// Hand-rolled 96-node-scale level (defect cannot import core: cycle).
-	rng := rand.New(rand.NewPCG(1, 1))
-	bld := graph.NewBuilder(48)
-	r := bld.AddLevel(0, 48, 24)
-	g := bld.Graph()
-	for i := 0; i < 24; i++ {
-		perm := rng.Perm(48)
-		g.SetNeighbors(r+i, perm[:3+rng.IntN(5)])
-	}
+	g := bench96Graph()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MustScanData(b, g, 3)

@@ -39,11 +39,10 @@ func randomCascade(rng *rand.Rand) *graph.Graph {
 	return g
 }
 
-// FuzzDefectKernelMatchesReference is the randomized arm of the kernel's
-// differential battery: a seeded random cascade, scanned by the bitmask
-// kernel at several worker counts and by the map-based reference oracle,
-// on every distinct left range. Any difference in findings — content or
-// order — is a finding.
+// FuzzDefectKernelMatchesReference is the randomized arm of the scan's
+// differential battery: a seeded random cascade, scanned by the search at
+// several worker counts and by the map-based reference oracle, on every
+// level. Any difference in findings — content or order — is a finding.
 func FuzzDefectKernelMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint64(2))
 	f.Add(uint64(2006), uint64(0))
@@ -54,17 +53,17 @@ func FuzzDefectKernelMatchesReference(f *testing.F) {
 		maxSize := 2 + rng.IntN(3)
 
 		if got, want := MustScanData(t, g, maxSize), ReferenceScan(g, maxSize); !reflect.DeepEqual(got, want) {
-			t.Fatalf("data level: kernel = %v, reference = %v (graph %v)", got, want, g)
+			t.Fatalf("data level: scan = %v, reference = %v (graph %v)", got, want, g)
 		}
 		for li := range g.Levels {
 			want := ReferenceScanLevel(g, li, maxSize)
 			for _, workers := range []int{1, 3} {
-				got, err := scanTableCtx(t.Context(), NewLevelTable(g, li), maxSize, workers)
+				got, err := ScanLevelCtx(t.Context(), g, li, maxSize, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("level %d workers %d: kernel = %v, reference = %v (graph %v)", li, workers, got, want, g)
+					t.Fatalf("level %d workers %d: scan = %v, reference = %v (graph %v)", li, workers, got, want, g)
 				}
 			}
 		}

@@ -8,11 +8,11 @@ import (
 	"tornado/internal/graph"
 )
 
-// ReferenceScan is the deliberately simple pre-kernel data-level scanner —
+// ReferenceScan is the deliberately simple data-level scanner —
 // lexicographic enumeration, one count map per subset — kept as the
-// differential-testing oracle for the bitmask kernel (the role
+// differential-testing oracle for the closed-set search (the role
 // decode.ReferenceRecoverable plays for the peeling kernel).
-// ScanDataLevelCtx returns bit-identical findings in the same order.
+// ScanDataLevelCtx returns the same findings in the same order.
 func ReferenceScan(g *graph.Graph, maxSize int) []Finding {
 	return referenceScanRange(g, 0, 0, g.Data, maxSize)
 }
@@ -36,6 +36,17 @@ func ReferenceScanLevel(g *graph.Graph, li, maxSize int) []Finding {
 	}
 	lv := g.Levels[li]
 	return referenceScanRange(g, li, lv.LeftFirst, lv.LeftCount, maxSize)
+}
+
+// containsFound reports whether S is a superset of an already-reported
+// closed set (S is then non-minimal and suppressed).
+func containsFound(findings []Finding, S []int) bool {
+	for _, f := range findings {
+		if subset(f.Lefts, S) {
+			return true
+		}
+	}
+	return false
 }
 
 func referenceScanRange(g *graph.Graph, level, leftFirst, leftCount, maxSize int) []Finding {

@@ -110,9 +110,8 @@ func ScanDefects(g *Graph, maxSize int) []Defect {
 }
 
 // ScanDefectsCtx is ScanDefects with cancellation and an explicit worker
-// count (0 = GOMAXPROCS): scan workers observe ctx at subset-chunk
-// boundaries, so a canceled scan returns ctx.Err() within one chunk of
-// kernel work.
+// count (0 = GOMAXPROCS): scan workers observe ctx every 1024 search roots,
+// so a canceled scan returns ctx.Err() promptly.
 func ScanDefectsCtx(ctx context.Context, g *Graph, maxSize, workers int) ([]Defect, error) {
 	return defect.ScanDataLevelCtx(ctx, g, maxSize, workers)
 }
@@ -148,14 +147,6 @@ func Certify(g *Graph, k int, opts CertifyOptions) (*CertifyResult, error) {
 // boundaries inside every sampling worker.
 func CertifyCtx(ctx context.Context, g *Graph, k int, opts CertifyOptions) (*CertifyResult, error) {
 	return sim.SampleStratifiedCtx(ctx, g, k, opts)
-}
-
-// ScanClosedPairs finds every closed data-node pair with the O(edges)
-// hashed scan the streaming generation path uses at archival scale. Unlike
-// ScanDefects it never walks the pair rank space, so it stays fast at
-// n=100,000.
-func ScanClosedPairs(g *Graph) []Defect {
-	return core.ClosedDataPairs(g)
 }
 
 // WorstCase runs the exhaustive combinatorial search for the graph's
