@@ -29,11 +29,14 @@ test:
 # and the federated store itself (the one federation runtime: per-site
 # health under concurrent calls, RepairSite's donor hook on the stripe
 # pipeline, the disaster soak) are the concurrency-heavy packages; run them
-# under the race detector.
+# under the race detector. The stripe pipeline's own tests then run 1,000
+# times over (~7 s on two cores), so a schedule-dependent flake there fails
+# this target instead of some later, unrelated change.
 race:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) ./internal/steward/ ./internal/sim/ ./internal/obs/ ./internal/campaign/ \
 		./internal/decode/ ./internal/defect/ ./internal/adjust/ ./internal/core/ ./internal/serve/ ./internal/archive/ \
 		./internal/device/ ./internal/workload/ ./internal/federation/ ./internal/chaos/ ./internal/fedstore/
+	$(GO) test -race -timeout $(RACE_TIMEOUT) -run '^TestPipe' -count=1000 ./internal/archive/
 
 vet:
 	$(GO) vet ./...

@@ -13,6 +13,7 @@
 package tornado_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"sync"
@@ -226,7 +227,7 @@ func BenchmarkMicro_ExhaustiveK3(b *testing.B) {
 	g := benchGraph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := tornado.WorstCase(g, tornado.WorstCaseOptions{MaxK: 3})
+		res, err := tornado.WorstCaseCtx(context.Background(), g, tornado.WorstCaseOptions{MaxK: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -265,7 +266,7 @@ func BenchmarkMicro_MonteCarloPoint(b *testing.B) {
 	g := benchGraph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tornado.Profile(g, tornado.ProfileOptions{
+		if _, err := tornado.ProfileCtx(context.Background(), g, tornado.ProfileOptions{
 			Trials: 5000, MinK: 24, MaxK: 24, ExhaustiveLimit: 1, Seed: uint64(i),
 		}); err != nil {
 			b.Fatal(err)

@@ -90,7 +90,7 @@ func main() {
 
 	switch sub {
 	case "run":
-		g := loadGraph(*graphPath, *seed, *nodes, *adjustK)
+		g := loadGraph(ctx, *graphPath, *seed, *nodes, *adjustK)
 		spec := tornado.CampaignSpec{
 			Kind:      tornado.CampaignKind(*kind),
 			MaxK:      *maxK,
@@ -162,7 +162,7 @@ func usage() {
 	os.Exit(2)
 }
 
-func loadGraph(path string, seed uint64, nodes, adjustK int) *tornado.Graph {
+func loadGraph(ctx context.Context, path string, seed uint64, nodes, adjustK int) *tornado.Graph {
 	var g *tornado.Graph
 	var err error
 	if path != "" {
@@ -174,7 +174,7 @@ func loadGraph(path string, seed uint64, nodes, adjustK int) *tornado.Graph {
 		}
 		g, _, err = tornado.Generate(p, seed)
 		if err == nil && adjustK > 0 {
-			g, _, err = tornado.Improve(g, adjustK, tornado.AdjustOptions{}, seed+1)
+			g, _, err = tornado.ImproveCtx(ctx, g, adjustK, tornado.AdjustOptions{}, seed+1)
 		}
 	}
 	if err != nil {

@@ -24,6 +24,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -71,7 +72,7 @@ func main() {
 		if *verbose {
 			cfg.Log = os.Stderr
 		}
-		rep, err := tornado.RunSoak(cfg)
+		rep, err := tornado.RunSoakCtx(context.Background(), cfg)
 		if err != nil {
 			log.Fatalf("campaign seed %d: harness error: %v", cfg.Seed, err)
 		}

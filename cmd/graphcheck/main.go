@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -35,6 +36,7 @@ func main() {
 		svgPath     = flag.String("svg", "", "render the first failing pattern (or the clean graph) as SVG")
 	)
 	flag.Parse()
+	ctx := context.Background()
 
 	var g *tornado.Graph
 	var err error
@@ -56,7 +58,7 @@ func main() {
 	}
 	fmt.Println("structure: valid")
 
-	all, err := tornado.ScanAllDefects(g, 3)
+	all, err := tornado.ScanAllDefectsCtx(ctx, g, 3, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func main() {
 		}
 	}
 
-	wc, err := tornado.WorstCase(g, tornado.WorstCaseOptions{MaxK: *maxK})
+	wc, err := tornado.WorstCaseCtx(ctx, g, tornado.WorstCaseOptions{MaxK: *maxK})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func main() {
 	}
 
 	if *profileIt {
-		p, err := tornado.Profile(g, tornado.ProfileOptions{Trials: *trials, Seed: 1})
+		p, err := tornado.ProfileCtx(ctx, g, tornado.ProfileOptions{Trials: *trials, Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

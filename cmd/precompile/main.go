@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -35,6 +36,7 @@ func main() {
 	)
 	flag.Parse()
 	seeds := []uint64{2006, 2007, 2011}
+	ctx := context.Background()
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		log.Fatal(err)
@@ -45,11 +47,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		g, reports, err := tornado.Improve(g, *adjustK, tornado.AdjustOptions{}, seed+1)
+		g, reports, err := tornado.ImproveCtx(ctx, g, *adjustK, tornado.AdjustOptions{}, seed+1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		wc, err := tornado.WorstCase(g, tornado.WorstCaseOptions{MaxK: *certify, KeepGoing: false})
+		wc, err := tornado.WorstCaseCtx(ctx, g, tornado.WorstCaseOptions{MaxK: *certify, KeepGoing: false})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -48,7 +49,8 @@ func main() {
 		g, err = tornado.GenerateUnscreened(p, *seed)
 		if err == nil {
 			log.Printf("generated unscreened %v", g)
-			if defects := tornado.ScanDefects(g, 3); len(defects) > 0 {
+			// Only cancellation fails a scan, and nothing cancels this one.
+			if defects, _ := tornado.ScanDefectsCtx(context.Background(), g, 3, 0); len(defects) > 0 {
 				log.Printf("warning: %d structural defects present (first: %v)", len(defects), defects[0])
 			}
 		}
@@ -65,7 +67,7 @@ func main() {
 	}
 
 	if *adjustK > 0 {
-		improved, reports, err := tornado.Improve(g, *adjustK, tornado.AdjustOptions{}, *seed+1)
+		improved, reports, err := tornado.ImproveCtx(context.Background(), g, *adjustK, tornado.AdjustOptions{}, *seed+1)
 		if err != nil {
 			log.Fatal(err)
 		}

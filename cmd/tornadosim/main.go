@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -40,6 +41,7 @@ func main() {
 		repairmen  = flag.Int("repairmen", 1, "lifetime: concurrent rebuilds (0 = no repair)")
 	)
 	flag.Parse()
+	ctx := context.Background()
 
 	var g *tornado.Graph
 	var err error
@@ -48,7 +50,7 @@ func main() {
 	} else {
 		g, _, err = tornado.Generate(tornado.DefaultParams(), *seed)
 		if err == nil && *adjustK > 0 {
-			g, _, err = tornado.Improve(g, *adjustK, tornado.AdjustOptions{}, *seed+1)
+			g, _, err = tornado.ImproveCtx(ctx, g, *adjustK, tornado.AdjustOptions{}, *seed+1)
 		}
 	}
 	if err != nil {
@@ -58,7 +60,7 @@ func main() {
 
 	if *lifetime {
 		start := time.Now()
-		res, err := tornado.SimulateLifetime(g, tornado.LifetimeOptions{
+		res, err := tornado.SimulateLifetimeCtx(ctx, g, tornado.LifetimeOptions{
 			Lambda: *lambda, Mu: *mu, Repairmen: *repairmen,
 			Runs: int(*trials), Seed: *simSeed,
 		})
@@ -73,7 +75,7 @@ func main() {
 
 	if *overhead {
 		start := time.Now()
-		res, err := tornado.MeasureOverhead(g, tornado.OverheadOptions{Trials: *trials, Seed: *simSeed})
+		res, err := tornado.MeasureOverheadCtx(ctx, g, tornado.OverheadOptions{Trials: *trials, Seed: *simSeed})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -90,7 +92,7 @@ func main() {
 	}
 
 	start := time.Now()
-	p, err := tornado.Profile(g, tornado.ProfileOptions{
+	p, err := tornado.ProfileCtx(ctx, g, tornado.ProfileOptions{
 		Trials:          *trials,
 		ExhaustiveLimit: *exhaustive,
 		MinK:            *minK,

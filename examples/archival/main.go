@@ -27,11 +27,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, _, err = tornado.Improve(g, 3, tornado.AdjustOptions{}, 12)
+	g, _, err = tornado.ImproveCtx(ctx, g, 3, tornado.AdjustOptions{}, 12)
 	if err != nil {
 		log.Fatal(err)
 	}
-	wc, err := tornado.WorstCase(g, tornado.WorstCaseOptions{MaxK: 4})
+	wc, err := tornado.WorstCaseCtx(ctx, g, tornado.WorstCaseOptions{MaxK: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

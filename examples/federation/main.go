@@ -15,13 +15,14 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 
 	// Two sites, two different graphs over the same 48 logical blocks.
 	gA, _, err := tornado.Generate(tornado.DefaultParams(), 2006)
 	if err != nil {
 		log.Fatal(err)
 	}
-	gA, _, err = tornado.Improve(gA, 3, tornado.AdjustOptions{}, 1)
+	gA, _, err = tornado.ImproveCtx(ctx, gA, 3, tornado.AdjustOptions{}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	gB, _, err = tornado.Improve(gB, 3, tornado.AdjustOptions{}, 2)
+	gB, _, err = tornado.ImproveCtx(ctx, gB, 3, tornado.AdjustOptions{}, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,11 +39,11 @@ func main() {
 	fmt.Printf("site A: %v\nsite B: %v\n\n", gA, gB)
 
 	// Find each site's critical sets (smallest failing erasure patterns).
-	wcA, err := tornado.WorstCase(gA, tornado.WorstCaseOptions{MaxK: 4})
+	wcA, err := tornado.WorstCaseCtx(ctx, gA, tornado.WorstCaseOptions{MaxK: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
-	wcB, err := tornado.WorstCase(gB, tornado.WorstCaseOptions{MaxK: 4})
+	wcB, err := tornado.WorstCaseCtx(ctx, gB, tornado.WorstCaseOptions{MaxK: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func main() {
 
 	// Finally, search for the smallest joint failure the seeded heuristic
 	// can construct (Table 7's "first failure detected").
-	det, err := sys.DetectFirstFailureCtx(context.Background(),
+	det, err := sys.DetectFirstFailureCtx(ctx,
 		[][]tornado.CriticalSet{csA, csB},
 		tornado.FederationSearchOptions{Seed: 3},
 	)

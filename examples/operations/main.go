@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ func main() {
 
 	// 1. Capacity planning: how long until data loss, with and without a
 	//    repair crew? (AFR 1%/drive.)
-	prof, err := tornado.Profile(g, tornado.ProfileOptions{Trials: 4000, Seed: 1})
+	prof, err := tornado.ProfileCtx(context.Background(), g, tornado.ProfileOptions{Trials: 4000, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

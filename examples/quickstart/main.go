@@ -5,6 +5,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -59,7 +60,7 @@ func main() {
 
 	// 5. Ask the analysis machinery how safe that was: what is the
 	//    worst-case loss this graph tolerates?
-	wc, err := tornado.WorstCase(g, tornado.WorstCaseOptions{MaxK: 4})
+	wc, err := tornado.WorstCaseCtx(context.Background(), g, tornado.WorstCaseOptions{MaxK: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

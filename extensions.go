@@ -2,9 +2,7 @@ package tornado
 
 import (
 	"context"
-	"math/rand/v2"
 
-	"tornado/internal/lec"
 	"tornado/internal/maid"
 	"tornado/internal/reliability"
 	"tornado/internal/sim"
@@ -27,10 +25,6 @@ type (
 	WorkloadOp = workload.Op
 	// WorkloadResult aggregates a workload run.
 	WorkloadResult = workload.Result
-	// LECOptions tunes the LEC-style candidate search.
-	LECOptions = lec.Options
-	// LECSearchStats reports the LEC candidate search.
-	LECSearchStats = lec.SearchStats
 	// LifetimeOptions tunes the discrete-event lifetime simulation.
 	LifetimeOptions = sim.LifetimeOptions
 	// LifetimeResult summarizes simulated times to data loss.
@@ -48,16 +42,10 @@ const (
 	OpRepair      = workload.OpRepair
 )
 
-// MeasureOverhead measures the reconstruction overhead of g: the
+// MeasureOverheadCtx measures the reconstruction overhead of g: the
 // distribution of the minimum number of randomly ordered blocks needed to
 // reconstruct (the Plank-style metric the paper defers to future work,
-// §5.2).
-func MeasureOverhead(g *Graph, opts OverheadOptions) (OverheadResult, error) {
-	return sim.OverheadCtx(context.Background(), g, opts)
-}
-
-// MeasureOverheadCtx is MeasureOverhead with cancellation, checked between
-// sampled retrieval orders.
+// §5.2). Cancellation is checked between sampled retrieval orders.
 func MeasureOverheadCtx(ctx context.Context, g *Graph, opts OverheadOptions) (OverheadResult, error) {
 	return sim.OverheadCtx(ctx, g, opts)
 }
@@ -70,33 +58,12 @@ func MTTDL(devices int, lambda, mu float64, repairmen int, failGivenK func(k int
 	return reliability.MTTDL(devices, lambda, mu, repairmen, failGivenK)
 }
 
-// AnnualLossProbability converts an MTTDL in years to a one-year loss
-// probability.
-func AnnualLossProbability(mttdlYears float64) float64 {
-	return reliability.AnnualLossProbability(mttdlYears)
-}
-
-// SimulateLifetime runs the discrete-event ground truth of MTTDL: the
+// SimulateLifetimeCtx runs the discrete-event ground truth of MTTDL: the
 // actual graph under exponential per-device failures and a bounded repair
 // crew, event by event, until the real decoder reports data loss.
-func SimulateLifetime(g *Graph, opts LifetimeOptions) (LifetimeResult, error) {
-	return sim.SimulateLifetimeCtx(context.Background(), g, opts)
-}
-
-// SimulateLifetimeCtx is SimulateLifetime with cancellation, checked
-// between simulated lifetimes.
+// Cancellation is checked between simulated lifetimes.
 func SimulateLifetimeCtx(ctx context.Context, g *Graph, opts LifetimeOptions) (LifetimeResult, error) {
 	return sim.SimulateLifetimeCtx(ctx, g, opts)
-}
-
-// AnnualLossMonteCarlo estimates the one-year loss probability by direct
-// simulation (the end-to-end check of the Table 5 composition).
-func AnnualLossMonteCarlo(g *Graph, afr float64, trials int64, seed uint64) (float64, error) {
-	p, err := sim.AnnualLossMonteCarlo(context.Background(), g, afr, trials, seed, 0)
-	if err != nil {
-		return 0, err
-	}
-	return p.Estimate(), nil
 }
 
 // ScheduleReconstruction orders multiple stripe retrievals on a
@@ -117,11 +84,4 @@ func ScheduleArrivalOrder(g *Graph, jobs []StripeJob, initialHot []int, budget i
 // verifying every retrieved payload.
 func RunWorkload(store *Archive, devices DeviceArray, spec WorkloadSpec) (WorkloadResult, error) {
 	return workload.Run(store, devices, spec)
-}
-
-// GenerateLEC draws and scores LEC-style single-level candidates and
-// returns the best — the alternative family the paper marks as future
-// work (§2.1).
-func GenerateLEC(data, checks int, opts LECOptions, seed uint64) (*Graph, LECSearchStats, error) {
-	return lec.Generate(data, checks, opts, rand.New(rand.NewPCG(seed, 3)))
 }

@@ -1,9 +1,11 @@
 package tornado_test
 
 import (
+	"context"
 	"testing"
 
 	"tornado"
+	"tornado/internal/reliability"
 )
 
 func TestMeasureOverheadPublic(t *testing.T) {
@@ -11,7 +13,7 @@ func TestMeasureOverheadPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tornado.MeasureOverhead(g, tornado.OverheadOptions{Trials: 1500, Seed: 2})
+	res, err := tornado.MeasureOverheadCtx(context.Background(), g, tornado.OverheadOptions{Trials: 1500, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +38,7 @@ func TestMTTDLPublic(t *testing.T) {
 	if withRepair <= noRepair {
 		t.Errorf("repair did not help: %v vs %v", withRepair, noRepair)
 	}
-	if p := tornado.AnnualLossProbability(withRepair); p <= 0 || p >= 1 {
+	if p := reliability.AnnualLossProbability(withRepair); p <= 0 || p >= 1 {
 		t.Errorf("annual loss probability = %v", p)
 	}
 }
@@ -89,23 +91,5 @@ func TestRunWorkloadPublic(t *testing.T) {
 	}
 	if res.Puts == 0 || res.Corrupted != 0 || res.LostObjects != 0 {
 		t.Errorf("workload result: %+v", res)
-	}
-}
-
-func TestGenerateLECPublic(t *testing.T) {
-	g, st, err := tornado.GenerateLEC(48, 48, tornado.LECOptions{Candidates: 4}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Total != 96 || st.Candidates != 4 {
-		t.Errorf("lec: %v %+v", g, st)
-	}
-	// The LEC graph plugs into the same analysis pipeline.
-	prof, err := tornado.Profile(g, tornado.ProfileOptions{Trials: 500, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if avg := prof.AvgNodesToReconstruct(); avg < 48 || avg > 96 {
-		t.Errorf("LEC avg to reconstruct = %v", avg)
 	}
 }

@@ -3,8 +3,6 @@ package tornado
 import (
 	"context"
 
-	"tornado/internal/chaos"
-	"tornado/internal/federation"
 	"tornado/internal/fedstore"
 )
 
@@ -28,19 +26,6 @@ type (
 	SiteScrub = fedstore.SiteScrub
 	// SiteRepairReport is the outcome of one RepairSite disaster recovery.
 	SiteRepairReport = fedstore.RepairReport
-	// DisasterSoakConfig tunes one seeded site-loss disaster campaign.
-	DisasterSoakConfig = fedstore.SoakConfig
-	// DisasterSoakReport is a campaign's outcome; Check() enforces the
-	// recovery and byte-conservation invariants.
-	DisasterSoakReport = fedstore.SoakReport
-	// WAN is the site-scale chaos topology: whole-site loss, inter-site
-	// partitions, per-link brownout latency, seeded site flapping.
-	WAN = chaos.WAN
-	// WANConfig tunes the WAN injector.
-	WANConfig = chaos.WANConfig
-	// FederationSetScore ranks one graph combination from
-	// SearchComplementarySets by its detected joint first failure.
-	FederationSetScore = federation.SetScore
 )
 
 // Federated-store error sentinels.
@@ -68,34 +53,4 @@ func NewFederatedStore(sites []*Archive, cfg FederatedConfig) (*FederatedStore, 
 // must answer.
 func OpenFederatedStore(ctx context.Context, sites []FederatedSite, cfg FederatedConfig) (*FederatedStore, error) {
 	return fedstore.Open(ctx, sites, cfg)
-}
-
-// NewWAN builds a seeded site-scale fault topology for a FederatedConfig.
-func NewWAN(cfg WANConfig) *WAN { return chaos.NewWAN(cfg) }
-
-// RunDisasterSoak executes one seeded site-loss disaster campaign —
-// build, load, whole-site destruction under survivor chaos, quiesce,
-// cross-site repair — and returns its report; call Report.Check for the
-// recovery-guarantee verdict.
-func RunDisasterSoak(cfg DisasterSoakConfig) (DisasterSoakReport, error) {
-	return fedstore.SoakCtx(context.Background(), cfg)
-}
-
-// RunDisasterSoakCtx is RunDisasterSoak with cancellation between
-// operations; a run that completes is identical to an uncancelled one.
-func RunDisasterSoakCtx(ctx context.Context, cfg DisasterSoakConfig) (DisasterSoakReport, error) {
-	return fedstore.SoakCtx(ctx, cfg)
-}
-
-// DefaultSurvivorFaults is the node-level fault schedule disaster
-// campaigns apply at surviving sites by default.
-func DefaultSurvivorFaults() ChaosConfig { return fedstore.DefaultSurvivorFaults() }
-
-// SearchComplementarySets runs the detected-first-failure search over
-// every n-combination of candidate graphs and ranks the combinations by
-// joint first failure, best first — the campaign that finds complementary
-// graph sets worth federating (critical[i] lists graphs[i]'s known
-// critical sets).
-func SearchComplementarySets(ctx context.Context, graphs []*Graph, critical [][]CriticalSet, n int, opts FederationSearchOptions) ([]FederationSetScore, error) {
-	return federation.SearchComplementarySets(ctx, graphs, critical, n, opts)
 }

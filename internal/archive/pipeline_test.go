@@ -238,13 +238,19 @@ func TestPipeCallerCancel(t *testing.T) {
 			p := &stripePipe{
 				width:   width,
 				produce: firstN(jobs),
-				work: func(_ context.Context, sl *stripeSlot) error { // deaf to ctx
+				work: func(wctx context.Context, sl *stripeSlot) error { // never returns wctx.Err()
 					worked.Add(1)
 					if !ordered && sl.st == 2 {
 						cancel()
 					}
 					if !ordered && sl.st > 2 {
-						<-ctx.Done() // stripe 2 may be scheduled last; hold the rest for it
+						// Stripe 2 may be scheduled last; hold the rest for it.
+						// They wait on the context the pipe hands to work, not
+						// on the caller's: cancel closes the caller's Done
+						// before it cancels the pipe's, and a stripe released
+						// in that gap lets the producer feed every stripe
+						// without seeing the cancel.
+						<-wctx.Done()
 					}
 					return nil
 				},

@@ -2,12 +2,10 @@ package federation
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
-	"tornado/internal/graph"
 	"tornado/internal/sim"
 )
 
@@ -126,59 +124,5 @@ func TestDetectFirstFailureThreeSitesMirrored(t *testing.T) {
 	}
 	if ok, _ := s.JointDecode(det.SiteErasures); ok {
 		t.Error("detection witness does not actually fail")
-	}
-}
-
-// TestSearchComplementarySets exercises the campaign search plumbing on a
-// cheap candidate pool: identical mirrored graphs score identically, every
-// 2-combination is present exactly once, and each reported detection is a
-// real joint failure.
-func TestSearchComplementarySets(t *testing.T) {
-	g0, g1, g2 := mirrorSite(4), mirrorSite(4), mirrorSite(4)
-	wc, err := sim.WorstCaseCtx(context.Background(), g0, sim.WorstCaseOptions{MaxK: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := CriticalSets(g0, wc.PerK[1].Failures)
-	candidates := []*graph.Graph{g0, g1, g2}
-	critical := [][]CriticalSet{cs, cs, cs}
-
-	scores, err := SearchComplementarySets(context.Background(), candidates, critical, 2, SearchOptions{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scores) != 3 {
-		t.Fatalf("got %d combinations of 3 choose 2, want 3", len(scores))
-	}
-	seen := map[string]bool{}
-	for _, sc := range scores {
-		if len(sc.Indices) != 2 {
-			t.Fatalf("combination %v has wrong size", sc.Indices)
-		}
-		key := fmt.Sprintf("%v", sc.Indices)
-		if seen[key] {
-			t.Fatalf("combination %v reported twice", sc.Indices)
-		}
-		seen[key] = true
-		// All candidates are the same mirrored graph: every pair detects
-		// the all-copies-of-one-block failure at exactly 4.
-		if sc.Detection.TotalErased != 4 {
-			t.Errorf("combination %v detected %d, want 4", sc.Indices, sc.Detection.TotalErased)
-		}
-		sys, err := NewSystem(candidates[sc.Indices[0]], candidates[sc.Indices[1]])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok, _ := sys.JointDecode(sc.Detection.SiteErasures); ok {
-			t.Errorf("combination %v witness does not fail", sc.Indices)
-		}
-	}
-
-	// Bad inputs.
-	if _, err := SearchComplementarySets(context.Background(), candidates, critical[:2], 2, SearchOptions{}); err == nil {
-		t.Error("mismatched critical length accepted")
-	}
-	if _, err := SearchComplementarySets(context.Background(), candidates, critical, 5, SearchOptions{}); err == nil {
-		t.Error("oversized combination accepted")
 	}
 }

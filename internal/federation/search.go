@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 	"slices"
 
-	"tornado/internal/combin"
 	"tornado/internal/graph"
 )
 
@@ -205,73 +204,4 @@ func (s *System) minimizeBlocking(a int, cs CriticalSet, x [][]int) [][]int {
 		}
 	}
 	return erased
-}
-
-// SetScore ranks one candidate graph combination from
-// SearchComplementarySets: the chosen graph indices and the smallest joint
-// failure the detection search could construct against them. Higher
-// Detection.TotalErased means a more complementary set.
-type SetScore struct {
-	// Indices into the candidate graph slice, ascending.
-	Indices []int
-	// Detection is the smallest witnessed joint failure for this set.
-	Detection Detection
-}
-
-// SearchComplementarySets runs the detected-first-failure search over
-// every n-combination of the candidate graphs and ranks the combinations
-// by joint first-failure, best (largest) first — the campaign that finds
-// complementary graph sets worth federating. critical[i] carries the
-// known critical sets of graphs[i]; combinations whose detection search
-// finds no joint failure rank last with TotalErased 0 (no witness is
-// evidence of complementarity, not failure). ctx is checked between
-// combinations.
-func SearchComplementarySets(ctx context.Context, graphs []*graph.Graph, critical [][]CriticalSet, n int, opts SearchOptions) ([]SetScore, error) {
-	if len(critical) != len(graphs) {
-		return nil, fmt.Errorf("federation: critical sets for %d graphs, got %d graphs", len(critical), len(graphs))
-	}
-	if n < 2 || n > len(graphs) {
-		return nil, fmt.Errorf("federation: set size %d out of range [2,%d]", n, len(graphs))
-	}
-	idx := make([]int, n)
-	combin.First(idx, len(graphs))
-	var out []SetScore
-	for ok := true; ok; ok = combin.Next(idx, len(graphs)) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sites := make([]*graph.Graph, n)
-		crit := make([][]CriticalSet, n)
-		for i, gi := range idx {
-			sites[i] = graphs[gi]
-			crit[i] = critical[gi]
-		}
-		sys, err := NewSystem(sites...)
-		if err != nil {
-			return nil, fmt.Errorf("federation: combination %v: %w", idx, err)
-		}
-		score := SetScore{Indices: slices.Clone(idx)}
-		if det, err := sys.DetectFirstFailureCtx(ctx, crit, opts); err == nil {
-			score.Detection = det
-		} else if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		out = append(out, score)
-	}
-	slices.SortStableFunc(out, func(x, y SetScore) int {
-		// Undetected (TotalErased 0) means the search found no failure at
-		// all — rank those above any witnessed failure.
-		xt, yt := x.Detection.TotalErased, y.Detection.TotalErased
-		switch {
-		case xt == yt:
-			return 0
-		case xt == 0:
-			return -1
-		case yt == 0:
-			return 1
-		default:
-			return yt - xt
-		}
-	})
-	return out, nil
 }

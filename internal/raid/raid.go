@@ -112,61 +112,3 @@ func MirroredGraph(pairs int) *graph.Graph {
 	g.Name = fmt.Sprintf("mirrored-%d", 2*pairs)
 	return g
 }
-
-// RAID5Graph expresses luns drawers of disksPerLUN drives as a parity
-// graph: each drawer's parity disk is one XOR check over its disksPerLUN−1
-// data disks. Data nodes are grouped per drawer: drawer j owns data nodes
-// [j·(disksPerLUN−1), (j+1)·(disksPerLUN−1)).
-func RAID5Graph(luns, disksPerLUN int) *graph.Graph {
-	if disksPerLUN < 2 {
-		panic("raid: RAID5 needs at least 2 disks per LUN")
-	}
-	dataPer := disksPerLUN - 1
-	b := graph.NewBuilder(luns * dataPer)
-	r := b.AddLevel(0, luns*dataPer, luns)
-	g := b.Graph()
-	for j := 0; j < luns; j++ {
-		lefts := make([]int, 0, dataPer)
-		for i := 0; i < dataPer; i++ {
-			lefts = append(lefts, j*dataPer+i)
-		}
-		g.SetNeighbors(r+j, lefts)
-	}
-	g.Name = fmt.Sprintf("raid5-%dx%d", luns, disksPerLUN)
-	return g
-}
-
-// Scheme bundles a named baseline with its analytic failure model for the
-// comparison tables.
-type Scheme struct {
-	Name   string
-	Drives int
-	Data   int // drives presented as capacity
-	Parity int
-	// FailGivenK returns P(data loss | exactly k drives offline).
-	FailGivenK func(k int) float64
-}
-
-// Paper96Schemes returns the baseline systems of the paper's 96-drive
-// comparison (§4.1, Table 5): individual disks, striping, RAID5 and RAID6
-// as 8 drawers × 12 disks, and mirroring.
-func Paper96Schemes() []Scheme {
-	return []Scheme{
-		{
-			Name: "Striping", Drives: 96, Data: 96, Parity: 0,
-			FailGivenK: func(k int) float64 { return StripingFailGivenK(96, k) },
-		},
-		{
-			Name: "RAID5", Drives: 96, Data: 88, Parity: 8,
-			FailGivenK: func(k int) float64 { return RAID5FailGivenK(8, 12, k) },
-		},
-		{
-			Name: "RAID6", Drives: 96, Data: 80, Parity: 16,
-			FailGivenK: func(k int) float64 { return RAID6FailGivenK(8, 12, k) },
-		},
-		{
-			Name: "Mirrored", Drives: 96, Data: 48, Parity: 48,
-			FailGivenK: func(k int) float64 { return MirroredFailGivenK(48, k) },
-		},
-	}
-}

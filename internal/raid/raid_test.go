@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"tornado/internal/combin"
+	"tornado/internal/graph"
 	"tornado/internal/sim"
 )
 
@@ -107,10 +108,29 @@ func TestSimulatorMatchesMirroredTheory(t *testing.T) {
 	}
 }
 
+// raid5Graph expresses luns drawers of disksPerLUN drives as a parity
+// graph: each drawer's parity disk is one XOR check over its disksPerLUN−1
+// data disks, and drawer j owns data nodes [j·(disksPerLUN−1),
+// (j+1)·(disksPerLUN−1)).
+func raid5Graph(luns, disksPerLUN int) *graph.Graph {
+	dataPer := disksPerLUN - 1
+	b := graph.NewBuilder(luns * dataPer)
+	r := b.AddLevel(0, luns*dataPer, luns)
+	g := b.Graph()
+	for j := 0; j < luns; j++ {
+		lefts := make([]int, 0, dataPer)
+		for i := 0; i < dataPer; i++ {
+			lefts = append(lefts, j*dataPer+i)
+		}
+		g.SetNeighbors(r+j, lefts)
+	}
+	return g
+}
+
 // The simulated RAID5 graph must reproduce the analytic drawer formula.
 func TestSimulatorMatchesRAID5Theory(t *testing.T) {
 	// 3 LUNs × 4 disks = 9 data + 3 parity nodes.
-	g := RAID5Graph(3, 4)
+	g := raid5Graph(3, 4)
 	if g.Total != 12 || g.Data != 9 {
 		t.Fatalf("graph shape: %v", g)
 	}
@@ -122,24 +142,6 @@ func TestSimulatorMatchesRAID5Theory(t *testing.T) {
 		want := RAID5FailGivenK(3, 4, k)
 		if got := p.FailFraction(k); !approx(got, want, 1e-12) {
 			t.Errorf("k=%d: simulated %.15f, analytic %.15f", k, got, want)
-		}
-	}
-}
-
-func TestPaper96Schemes(t *testing.T) {
-	schemes := Paper96Schemes()
-	if len(schemes) != 4 {
-		t.Fatalf("got %d schemes", len(schemes))
-	}
-	for _, s := range schemes {
-		if s.Data+s.Parity != s.Drives {
-			t.Errorf("%s: data %d + parity %d != drives %d", s.Name, s.Data, s.Parity, s.Drives)
-		}
-		if got := s.FailGivenK(0); got != 0 {
-			t.Errorf("%s: P(fail|0) = %v", s.Name, got)
-		}
-		if got := s.FailGivenK(s.Drives); got != 1 {
-			t.Errorf("%s: P(fail|all) = %v", s.Name, got)
 		}
 	}
 }
@@ -164,15 +166,6 @@ func TestQuickFailGivenKMonotone(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestRAID5GraphPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("RAID5Graph with 1 disk per LUN did not panic")
-		}
-	}()
-	RAID5Graph(2, 1)
 }
 
 func TestMirroredDeadPairsPMF(t *testing.T) {

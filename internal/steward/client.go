@@ -100,20 +100,15 @@ func (o ClientOptions) normalize() ClientOptions {
 // and 502/503/504 — never on 4xx or 500, which are the site's own answers.
 type Client struct {
 	base    *url.URL
-	baseErr error // deferred NewClient parse failure, reported per call
+	baseErr error // deferred NewClientWithOptions parse failure, reported per call
 	opts    ClientOptions
 }
 
 var _ fedstore.Site = (*Client)(nil)
 
-// NewClient returns a client for the site at baseURL. httpClient may be
-// nil for http.DefaultClient.
-func NewClient(baseURL string, httpClient *http.Client) *Client {
-	return NewClientWithOptions(baseURL, ClientOptions{HTTPClient: httpClient})
-}
-
-// NewClientWithOptions returns a client with explicit timeout/retry/metrics
-// configuration.
+// NewClientWithOptions returns a client for the site at baseURL with
+// explicit timeout/retry/metrics configuration; zero fields take the
+// defaults (http.DefaultClient, DefaultRequestTimeout, ...).
 func NewClientWithOptions(baseURL string, opts ClientOptions) *Client {
 	c := &Client{opts: opts.normalize()}
 	c.base, c.baseErr = url.Parse(strings.TrimSuffix(baseURL, "/"))

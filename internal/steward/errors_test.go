@@ -10,7 +10,7 @@ import (
 )
 
 func TestClientConnectionRefused(t *testing.T) {
-	c := NewClient("http://127.0.0.1:1", nil) // nothing listens on port 1
+	c := NewClientWithOptions("http://127.0.0.1:1", ClientOptions{}) // nothing listens on port 1
 	if err := c.Put(ctx, "x", []byte("data")); err == nil {
 		t.Error("put to dead site succeeded")
 	}
@@ -33,7 +33,7 @@ func TestClientServerErrorsMapped(t *testing.T) {
 		}
 	}))
 	defer srv.Close()
-	c := NewClient(srv.URL, srv.Client())
+	c := NewClientWithOptions(srv.URL, ClientOptions{HTTPClient: srv.Client()})
 
 	if _, err := c.Get(ctx, "missing"); !IsNotFound(err) {
 		t.Errorf("404 mapped to %v", err)
@@ -54,7 +54,7 @@ func TestClientGarbageJSON(t *testing.T) {
 		w.Write([]byte("this is not json"))
 	}))
 	defer srv.Close()
-	c := NewClient(srv.URL, srv.Client())
+	c := NewClientWithOptions(srv.URL, ClientOptions{HTTPClient: srv.Client()})
 	if _, err := c.List(ctx); err == nil {
 		t.Error("garbage list accepted")
 	}

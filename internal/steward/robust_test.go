@@ -180,7 +180,7 @@ func TestHostileObjectNames(t *testing.T) {
 
 func TestClientTrailingSlashBaseURL(t *testing.T) {
 	s := newSite(t, 61, 64)
-	c := NewClient(s.httpSrv.URL+"/", s.httpSrv.Client())
+	c := NewClientWithOptions(s.httpSrv.URL+"/", ClientOptions{HTTPClient: s.httpSrv.Client()})
 	data := randPayload(100, 61)
 	if err := c.Put(ctx, "obj", data); err != nil {
 		t.Fatal(err)

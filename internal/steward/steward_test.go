@@ -51,7 +51,7 @@ func newSiteWithGraph(t *testing.T, g *graph.Graph, blockSize int) *site {
 	return &site{
 		store:   store,
 		devices: devices,
-		client:  NewClient(srv.URL, srv.Client()),
+		client:  NewClientWithOptions(srv.URL, ClientOptions{HTTPClient: srv.Client()}),
 		srv:     h,
 		httpSrv: srv,
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"tornado/internal/graphml"
 )
 
 // The paper's conclusion: "A storage system using Tornado Codes where data
@@ -18,8 +20,8 @@ import (
 //go:embed precompiled
 var precompiledFS embed.FS
 
-// PrecompiledNames lists the certified graphs shipped with the library.
-func PrecompiledNames() []string {
+// precompiledNames lists the certified graphs shipped with the library.
+func precompiledNames() []string {
 	entries, err := precompiledFS.ReadDir("precompiled")
 	if err != nil {
 		return nil
@@ -34,14 +36,14 @@ func PrecompiledNames() []string {
 	return names
 }
 
-// LoadPrecompiled returns a shipped certified graph by name (see
-// PrecompiledNames).
+// LoadPrecompiled returns a shipped certified graph by name; an unknown
+// name's error lists the shipped ones.
 func LoadPrecompiled(name string) (*Graph, error) {
 	data, err := precompiledFS.ReadFile("precompiled/" + name + ".graphml")
 	if err != nil {
-		return nil, fmt.Errorf("tornado: unknown precompiled graph %q (have %v)", name, PrecompiledNames())
+		return nil, fmt.Errorf("tornado: unknown precompiled graph %q (have %v)", name, precompiledNames())
 	}
-	return ReadGraphML(bytes.NewReader(data))
+	return graphml.Decode(bytes.NewReader(data))
 }
 
 // PrecompiledCertificate returns the certification record of a shipped

@@ -35,12 +35,12 @@ func TestLoadPrecompiledGraphsAreCertifiablyGood(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 		// No structural defects.
-		if defects := tornado.ScanDefects(g, 3); len(defects) != 0 {
-			t.Errorf("%s: defects %v", name, defects)
+		if defects, err := tornado.ScanDefectsCtx(ctx, g, 3, 0); err != nil || len(defects) != 0 {
+			t.Errorf("%s: defects %v (%v)", name, defects, err)
 		}
 		// Quick re-certification: must tolerate any 3 losses (the shipped
 		// certificates claim at least first failure 4).
-		wc, err := tornado.WorstCase(g, tornado.WorstCaseOptions{MaxK: 3})
+		wc, err := tornado.WorstCaseCtx(ctx, g, tornado.WorstCaseOptions{MaxK: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestShippedCertsMatchGraphs(t *testing.T) {
 				}
 			}
 		}
-		wc, err := tornado.WorstCase(g, tornado.WorstCaseOptions{MaxK: 5})
+		wc, err := tornado.WorstCaseCtx(ctx, g, tornado.WorstCaseOptions{MaxK: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestShippedCertsMatchGraphs(t *testing.T) {
 		}
 
 		if n, ok := k6[name]; ok {
-			wc, err := tornado.WorstCase(g, tornado.WorstCaseOptions{MaxK: 6, KeepGoing: true})
+			wc, err := tornado.WorstCaseCtx(ctx, g, tornado.WorstCaseOptions{MaxK: 6, KeepGoing: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +153,7 @@ func TestMirroredCriticalSetsJointlyRecoverable(t *testing.T) {
 				}
 				set = append(set, v)
 			}
-			if tornado.Recoverable(graphs[i], set) {
+			if tornado.NewDecoder(graphs[i]).Recoverable(set) {
 				t.Errorf("%s: certified critical set %v is recoverable at its home site", name, set)
 			}
 			critical[i] = append(critical[i], set)

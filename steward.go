@@ -1,8 +1,6 @@
 package tornado
 
 import (
-	"net/http"
-
 	"tornado/internal/obs"
 	"tornado/internal/steward"
 )
@@ -33,11 +31,6 @@ var ErrSiteUnavailable = steward.ErrUnavailable
 
 // NewSiteServer exposes an archive over HTTP (implements http.Handler).
 func NewSiteServer(store *Archive) *SiteServer { return steward.NewServer(store) }
-
-// NewSiteClient connects to a site at baseURL; httpClient may be nil.
-func NewSiteClient(baseURL string, httpClient *http.Client) *SiteClient {
-	return steward.NewClient(baseURL, httpClient)
-}
 
 // NewSiteClientWithOptions connects to a site with explicit timeout,
 // retry, and metrics configuration.

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand/v2"
 
-	"tornado/internal/altgraph"
 	"tornado/internal/archive"
 	"tornado/internal/chaos"
 	"tornado/internal/chaos/soak"
@@ -18,7 +16,6 @@ import (
 	"tornado/internal/raid"
 	"tornado/internal/retrieval"
 	"tornado/internal/serve"
-	"tornado/internal/workload"
 )
 
 // Data-path and storage-system types.
@@ -54,8 +51,6 @@ type (
 	FederationSearchOptions = federation.SearchOptions
 	// FederationDetection is a witnessed federation-wide failure.
 	FederationDetection = federation.Detection
-	// RAIDScheme is a named baseline with its analytic failure model.
-	RAIDScheme = raid.Scheme
 	// ChaosConfig is a deterministic fault-injection schedule.
 	ChaosConfig = chaos.Config
 	// ChaosInjector wraps a StorageBackend with seeded fault injection.
@@ -73,10 +68,6 @@ type (
 	// ServeConfig tunes the serving layer; zero values take the exported
 	// serve defaults.
 	ServeConfig = serve.Config
-	// LoadSpec configures a Zipf load-generator run against a ServeService.
-	LoadSpec = workload.LoadSpec
-	// LoadResult aggregates one load run (exact p50/p99/p999 latencies).
-	LoadResult = workload.LoadResult
 )
 
 // Fault-tolerance error sentinels.
@@ -121,24 +112,16 @@ func NewService(stores []*Archive, cfg ServeConfig) (*ServeService, error) {
 	return serve.New(stores[0], cfg)
 }
 
-// RunLoad drives a deterministic Zipf read/write load against a
-// ServeService, verifying every retrieved payload bit-for-bit.
-func RunLoad(ctx context.Context, svc *ServeService, spec LoadSpec) (LoadResult, error) {
-	return workload.RunLoad(ctx, svc, spec)
-}
-
 // NewChaosBackend wraps inner with a seeded, deterministic fault injector —
 // composable over the device-array and MAID backends alike.
 func NewChaosBackend(inner StorageBackend, cfg ChaosConfig) *ChaosInjector {
 	return chaos.Wrap(inner, cfg)
 }
 
-// RunSoak executes one seeded chaos campaign against a fresh archive stack
-// and returns its report; call Report.Check for the invariant verdict.
-func RunSoak(cfg SoakConfig) (SoakReport, error) { return soak.RunCtx(context.Background(), cfg) }
-
-// RunSoakCtx is RunSoak with cancellation between campaign operations; a
-// run that completes is byte-identical to an uncancelled one.
+// RunSoakCtx executes one seeded chaos campaign against a fresh archive
+// stack and returns its report; call Report.Check for the invariant
+// verdict. Cancellation is checked between campaign operations; a run that
+// completes is byte-identical to an uncancelled one.
 func RunSoakCtx(ctx context.Context, cfg SoakConfig) (SoakReport, error) {
 	return soak.RunCtx(ctx, cfg)
 }
@@ -211,58 +194,9 @@ func CriticalSetsOf(g *Graph, failures [][]int) []CriticalSet {
 	return federation.CriticalSets(g, failures)
 }
 
-// Baseline graph families (§4.1, §4.3).
-
-// MirroredGraph returns an n-pair mirrored system as a parity graph.
-func MirroredGraph(pairs int) *Graph { return raid.MirroredGraph(pairs) }
-
-// RAID5Graph returns luns drawers of disksPerLUN drives as a parity graph.
-func RAID5Graph(luns, disksPerLUN int) *Graph { return raid.RAID5Graph(luns, disksPerLUN) }
-
-// RegularGraph returns a random degree-regular single-stage bipartite graph
-// with data nodes per side.
-func RegularGraph(data, degree int, seed uint64) (*Graph, error) {
-	return altgraph.RegularSingleStage(data, degree, rand.New(rand.NewPCG(seed, 2)))
-}
-
-// FixedCascadeGraph returns a cascaded random graph with constant left
-// degree (the paper's fixed-degree cascading LDPC graphs).
-func FixedCascadeGraph(totalNodes, degree int, seed uint64) (*Graph, error) {
-	return altgraph.FixedCascade(totalNodes, degree, rand.New(rand.NewPCG(seed, 2)))
-}
-
-// DoubledTornadoGraph returns an altered Tornado graph with the left
-// distribution doubled (§4.3).
-func DoubledTornadoGraph(p Params, seed uint64) (*Graph, GenStats, error) {
-	return altgraph.DoubledTornado(p, rand.New(rand.NewPCG(seed, 2)))
-}
-
-// ShiftedTornadoGraph returns an altered Tornado graph with the left
-// distribution shifted +1 edge (§4.3).
-func ShiftedTornadoGraph(p Params, seed uint64) (*Graph, GenStats, error) {
-	return altgraph.ShiftedTornado(p, rand.New(rand.NewPCG(seed, 2)))
-}
-
-// Analytic baseline failure models (§4.1, Table 5).
-
-// MirroredFailGivenK is Equation (1) for an n-pair mirrored array.
+// MirroredFailGivenK is Equation (1), the analytic mirrored baseline of §4.1
+// and Table 5, for an n-pair mirrored array.
 func MirroredFailGivenK(pairs, k int) float64 { return raid.MirroredFailGivenK(pairs, k) }
-
-// RAID5FailGivenK is the analytic drawer-parity model.
-func RAID5FailGivenK(luns, disksPerLUN, k int) float64 {
-	return raid.RAID5FailGivenK(luns, disksPerLUN, k)
-}
-
-// RAID6FailGivenK is the analytic dual-parity drawer model.
-func RAID6FailGivenK(luns, disksPerLUN, k int) float64 {
-	return raid.RAID6FailGivenK(luns, disksPerLUN, k)
-}
-
-// StripingFailGivenK is the no-redundancy model (any loss is fatal).
-func StripingFailGivenK(n, k int) float64 { return raid.StripingFailGivenK(n, k) }
-
-// Paper96Schemes returns the paper's 96-drive baseline systems.
-func Paper96Schemes() []RAIDScheme { return raid.Paper96Schemes() }
 
 // WriteDOT renders g as Graphviz DOT with the given nodes highlighted (the
 // testing suite's failed-graph rendering).
@@ -278,6 +212,3 @@ func WriteSVG(w io.Writer, g *Graph, highlight []int) error {
 
 // WriteGraphML writes g as GraphML to w.
 func WriteGraphML(w io.Writer, g *Graph) error { return graphml.Encode(w, g) }
-
-// ReadGraphML parses a GraphML graph from r.
-func ReadGraphML(r io.Reader) (*Graph, error) { return graphml.Decode(r) }

@@ -12,25 +12,23 @@
 //
 // A typical session mirrors the paper's §3–§4 pipeline:
 //
-//	g, _, err := tornado.Generate(tornado.DefaultParams(), 2006)   // construct + screen
-//	g, reports, err := tornado.Improve(g, 4, tornado.AdjustOptions{}, 7) // raise first failure
-//	wc, err := tornado.WorstCase(g, tornado.WorstCaseOptions{MaxK: 5})   // certify
-//	profile, err := tornado.Profile(g, tornado.ProfileOptions{Trials: 100000})
-//	pfail := tornado.SystemFailure(g.Total, 0.01, profile.FailFraction)  // Table 5 row
+//	ctx := context.Background()
+//	g, _, err := tornado.Generate(tornado.DefaultParams(), 2006)                  // construct + screen
+//	g, reports, err := tornado.ImproveCtx(ctx, g, 4, tornado.AdjustOptions{}, 7) // raise first failure
+//	wc, err := tornado.WorstCaseCtx(ctx, g, tornado.WorstCaseOptions{MaxK: 5})   // certify
+//	profile, err := tornado.ProfileCtx(ctx, g, tornado.ProfileOptions{Trials: 100000})
+//	pfail := tornado.SystemFailure(g.Total, 0.01, profile.FailFraction) // Table 5 row
 //
 // # Context-first API convention
 //
-// Every long-running entry point comes in a pair: Foo(args) and
-// FooCtx(ctx, args). The ctx-first variant honors cancellation and
-// deadlines — worker loops check the context at combination-chunk
-// boundaries, so cancellation returns promptly (with ctx.Err()) instead of
-// finishing a multi-minute search. The short name is a thin
-// backward-compatible wrapper that delegates with context.Background().
-// The pairs are WorstCase/WorstCaseCtx, Profile/ProfileCtx,
-// Certify/CertifyCtx, ClearCardinality/ClearCardinalityCtx, Improve/ImproveCtx,
-// MeasureOverhead/MeasureOverheadCtx, SimulateLifetime/SimulateLifetimeCtx
-// and RunSoak/RunSoakCtx. Site clients, the federated store and the archive
-// store are context-first only. New long-running APIs should take a context.
+// Every long-running entry point takes a context as its first argument and
+// has no context-less twin; a caller with nothing to cancel passes
+// context.Background(). Cancellation and deadlines are honored promptly:
+// worker loops check the context at combination-chunk boundaries, so a
+// canceled search returns ctx.Err() instead of finishing a multi-minute
+// run. Site clients, the federated store and the archive store follow the
+// same rule. Every exported function here has a caller under cmd/,
+// examples/ or bench/, or an Example.
 package tornado
 
 import (
@@ -103,110 +101,63 @@ func GenerateUnscreened(p Params, seed uint64) (*Graph, error) {
 	return core.GenerateUnscreened(p, rand.New(rand.NewPCG(seed, 0)))
 }
 
-// ScanDefects finds closed data-node sets up to maxSize (paper §3.2).
-func ScanDefects(g *Graph, maxSize int) []Defect {
-	fs, _ := defect.ScanDataLevelCtx(context.Background(), g, maxSize, 0) // only cancellation fails a scan
-	return fs
-}
-
-// ScanDefectsCtx is ScanDefects with cancellation and an explicit worker
-// count (0 = GOMAXPROCS): scan workers observe ctx every 1024 search roots,
-// so a canceled scan returns ctx.Err() promptly.
+// ScanDefectsCtx finds closed data-node sets up to maxSize (paper §3.2)
+// with workers scan workers (0 = GOMAXPROCS). Workers observe ctx every 1024
+// search roots, so a canceled scan returns ctx.Err() promptly.
 func ScanDefectsCtx(ctx context.Context, g *Graph, maxSize, workers int) ([]Defect, error) {
 	return defect.ScanDataLevelCtx(ctx, g, maxSize, workers)
 }
 
-// ScanAllDefects extends the closed-set scan to every cascade level: the
+// ScanAllDefectsCtx extends the closed-set scan to every cascade level: the
 // data level plus each distinct check-level left range, findings tagged
 // with their Level. Upper-level findings mark cascade weak points (the
 // sealed checks cannot recover those nodes top-down) rather than
 // standalone data loss; the generation gate remains data-level only.
-func ScanAllDefects(g *Graph, maxSize int) ([]Defect, error) {
-	return defect.ScanGraphCtx(context.Background(), g, maxSize, 0)
-}
-
-// ScanAllDefectsCtx is ScanAllDefects with cancellation and an explicit
-// worker count (0 = GOMAXPROCS).
+// workers is the scan worker count (0 = GOMAXPROCS).
 func ScanAllDefectsCtx(ctx context.Context, g *Graph, maxSize, workers int) ([]Defect, error) {
 	return defect.ScanGraphCtx(ctx, g, maxSize, workers)
 }
 
-// Certify runs the archival-scale sampled certification of erasure
+// CertifyCtx runs the archival-scale sampled certification of erasure
 // cardinality k: stratified Monte Carlo where most patterns are resolved
 // by structural proof (the generation-time defect screen's collision
 // analysis) and only the unresolved tail is decoded, 64 patterns per pass
 // through the bit-sliced kernel. Sampling stops once the pooled 95% Wilson
 // CI half-width reaches opts.Epsilon. This is the certification path for
 // graphs whose erasure spaces overflow exhaustive rank arithmetic
-// (WorstCase at n=100,000 fails with a rank-overflow error pointing here).
-func Certify(g *Graph, k int, opts CertifyOptions) (*CertifyResult, error) {
-	return sim.SampleStratifiedCtx(context.Background(), g, k, opts)
-}
-
-// CertifyCtx is Certify with cancellation, honored at combination-chunk
-// boundaries inside every sampling worker.
+// (WorstCaseCtx at n=100,000 fails with a rank-overflow error pointing
+// here). Cancellation is honored at combination-chunk boundaries inside
+// every sampling worker.
 func CertifyCtx(ctx context.Context, g *Graph, k int, opts CertifyOptions) (*CertifyResult, error) {
 	return sim.SampleStratifiedCtx(ctx, g, k, opts)
 }
 
-// WorstCase runs the exhaustive combinatorial search for the graph's
-// worst-case failure scenario (paper §3).
-func WorstCase(g *Graph, opts WorstCaseOptions) (WorstCaseResult, error) {
-	return sim.WorstCaseCtx(context.Background(), g, opts)
-}
-
-// WorstCaseCtx is WorstCase with cancellation: search workers observe ctx
+// WorstCaseCtx runs the exhaustive combinatorial search for the graph's
+// worst-case failure scenario (paper §3). Search workers observe ctx
 // between chunks of work, and a canceled search returns ctx.Err() within
 // one of them.
 func WorstCaseCtx(ctx context.Context, g *Graph, opts WorstCaseOptions) (WorstCaseResult, error) {
 	return sim.WorstCaseCtx(ctx, g, opts)
 }
 
-// Profile measures the fraction of failed reconstructions for each number
-// of offline nodes (paper §3), exhaustively where cheap and by Monte Carlo
-// sampling elsewhere.
-func Profile(g *Graph, opts ProfileOptions) (*FailureProfile, error) {
-	return sim.FailureProfileCtx(context.Background(), g, opts)
-}
-
-// ProfileCtx is Profile with cancellation threaded through the enumeration
-// and sampling workers.
+// ProfileCtx measures the fraction of failed reconstructions for each
+// number of offline nodes (paper §3), exhaustively where cheap and by Monte
+// Carlo sampling elsewhere, with cancellation threaded through the
+// enumeration and sampling workers.
 func ProfileCtx(ctx context.Context, g *Graph, opts ProfileOptions) (*FailureProfile, error) {
 	return sim.FailureProfileCtx(ctx, g, opts)
 }
 
-// Recoverable reports whether erasing the given nodes still allows full
-// data reconstruction. For bulk queries construct a decoder once via
-// NewDecoder.
-func Recoverable(g *Graph, erased []int) bool {
-	return decode.New(g).Recoverable(erased)
-}
-
-// NewDecoder returns a reusable structural peeling decoder for g.
+// NewDecoder returns a reusable structural peeling decoder for g; its
+// Recoverable reports whether erasing a node set still allows full data
+// reconstruction.
 func NewDecoder(g *Graph) *decode.Decoder { return decode.New(g) }
 
-// ClearCardinality rewires g (returning an improved copy) until no erasure
-// set of exactly k nodes loses data, following the paper's §3.3 feedback
-// adjustment. The input graph is not modified.
-func ClearCardinality(g *Graph, k int, opts AdjustOptions, seed uint64) (*Graph, AdjustReport, error) {
-	return adjust.ClearKCtx(context.Background(), g, k, opts, rand.New(rand.NewPCG(seed, 1)))
-}
-
-// ClearCardinalityCtx is ClearCardinality with cancellation between
-// adjustment rounds and inside each exhaustive re-test.
-func ClearCardinalityCtx(ctx context.Context, g *Graph, k int, opts AdjustOptions, seed uint64) (*Graph, AdjustReport, error) {
-	return adjust.ClearKCtx(ctx, g, k, opts, rand.New(rand.NewPCG(seed, 1)))
-}
-
-// Improve repeatedly clears the first failing cardinality up to maxK,
-// raising the graph's first-failure point as far as adjustment allows
-// (paper §3.3: screened graphs typically move from first failure 4 to 5).
-func Improve(g *Graph, maxK int, opts AdjustOptions, seed uint64) (*Graph, []AdjustReport, error) {
-	return adjust.ImproveCtx(context.Background(), g, maxK, opts, rand.New(rand.NewPCG(seed, 1)))
-}
-
-// ImproveCtx is Improve with cancellation threaded through every
-// worst-case search and adjustment round.
+// ImproveCtx repeatedly clears the first failing cardinality up to maxK,
+// rewiring a copy of g by the paper's §3.3 feedback adjustment, and raises
+// the graph's first-failure point as far as adjustment allows (screened
+// graphs typically move from first failure 4 to 5). Cancellation is
+// threaded through every worst-case search and adjustment round.
 func ImproveCtx(ctx context.Context, g *Graph, maxK int, opts AdjustOptions, seed uint64) (*Graph, []AdjustReport, error) {
 	return adjust.ImproveCtx(ctx, g, maxK, opts, rand.New(rand.NewPCG(seed, 1)))
 }
@@ -216,11 +167,6 @@ func ImproveCtx(ctx context.Context, g *Graph, maxK int, opts AdjustOptions, see
 // Table 5.
 func SystemFailure(devices int, afr float64, failGivenK func(k int) float64) float64 {
 	return reliability.SystemFailure(devices, afr, failGivenK)
-}
-
-// BinomialPMF is Equation (2): P(exactly k of n devices fail) at rate p.
-func BinomialPMF(n, k int, p float64) float64 {
-	return reliability.BinomialPMF(n, k, p)
 }
 
 // SaveGraphML / LoadGraphML persist graphs in the paper's interchange
@@ -255,32 +201,21 @@ const (
 	// CampaignSampled is the archival-scale sampled certification as a
 	// durable campaign: per-block journaling, bit-identical resume, and the
 	// Wilson-CI stopping rule evaluated at the same round boundaries as
-	// Certify.
+	// CertifyCtx.
 	CampaignSampled = campaign.KindSampled
 )
 
-// RunCampaign starts a fresh campaign in dir and executes it to
-// completion, journaling every completed shard so an interrupted run can
-// be resumed. Results for unchanged graphs are served from the
-// opts.CacheDir result cache when set.
-func RunCampaign(dir string, g *Graph, spec CampaignSpec, opts CampaignOptions) (*CampaignResult, error) {
-	return campaign.RunCtx(context.Background(), dir, g, spec, opts)
-}
-
-// RunCampaignCtx is RunCampaign with cancellation: completed shards stay
-// journaled and ResumeCampaignCtx continues from them.
+// RunCampaignCtx starts a fresh campaign in dir and executes it to
+// completion, journaling every completed shard so an interrupted or
+// canceled run can be resumed with ResumeCampaignCtx. Results for unchanged
+// graphs are served from the opts.CacheDir result cache when set.
 func RunCampaignCtx(ctx context.Context, dir string, g *Graph, spec CampaignSpec, opts CampaignOptions) (*CampaignResult, error) {
 	return campaign.RunCtx(ctx, dir, g, spec, opts)
 }
 
-// ResumeCampaign continues an interrupted campaign to completion, skipping
-// journaled shards; the merged result is bit-identical to an uninterrupted
-// run.
-func ResumeCampaign(dir string, opts CampaignOptions) (*CampaignResult, error) {
-	return campaign.ResumeCtx(context.Background(), dir, opts)
-}
-
-// ResumeCampaignCtx is ResumeCampaign with cancellation.
+// ResumeCampaignCtx continues an interrupted campaign to completion,
+// skipping journaled shards; the merged result is bit-identical to an
+// uninterrupted run.
 func ResumeCampaignCtx(ctx context.Context, dir string, opts CampaignOptions) (*CampaignResult, error) {
 	return campaign.ResumeCtx(ctx, dir, opts)
 }

@@ -3,11 +3,12 @@ package tornado_test
 import (
 	"bytes"
 	"context"
-	"math"
 	"path/filepath"
 	"testing"
 
 	"tornado"
+	"tornado/internal/chaos"
+	"tornado/internal/raid"
 )
 
 // ctx is the context of every test call that needs none of its own.
@@ -25,27 +26,27 @@ func TestPaperPipeline(t *testing.T) {
 	}
 	t.Logf("generation: %+v, avg data degree %.2f", st, g.AvgDataDegree())
 
-	if defects := tornado.ScanDefects(g, 3); len(defects) != 0 {
-		t.Fatalf("screened graph has defects: %v", defects)
+	if defects, err := tornado.ScanDefectsCtx(ctx, g, 3, 0); err != nil || len(defects) != 0 {
+		t.Fatalf("screened graph has defects: %v (%v)", defects, err)
 	}
 
 	// Adjust up to k=3 cheaply (the full k=4 clearing runs in the bench
 	// harness and cmd/experiments).
-	improved, reports, err := tornado.Improve(g, 3, tornado.AdjustOptions{}, 7)
+	improved, reports, err := tornado.ImproveCtx(ctx, g, 3, tornado.AdjustOptions{}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("adjustment: %d cardinalities cleared", len(reports))
 
-	wc, err := tornado.WorstCase(improved, tornado.WorstCaseOptions{MaxK: 3})
+	wc, err := tornado.WorstCaseCtx(ctx, improved, tornado.WorstCaseOptions{MaxK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wc.Found {
-		t.Errorf("first failure %d <= 3 after Improve(3)", wc.FirstFailure)
+		t.Errorf("first failure %d <= 3 after ImproveCtx(3)", wc.FirstFailure)
 	}
 
-	prof, err := tornado.Profile(improved, tornado.ProfileOptions{
+	prof, err := tornado.ProfileCtx(ctx, improved, tornado.ProfileOptions{
 		Trials: 2000, MaxK: 60, Seed: 1,
 	})
 	if err != nil {
@@ -184,8 +185,8 @@ func TestPublicService(t *testing.T) {
 }
 
 func TestPublicFederation(t *testing.T) {
-	gA := tornado.MirroredGraph(4)
-	gB := tornado.MirroredGraph(4)
+	gA := raid.MirroredGraph(4)
+	gB := raid.MirroredGraph(4)
 	sys, err := tornado.NewFederation(gA, gB)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +197,7 @@ func TestPublicFederation(t *testing.T) {
 	if !sys.JointRecoverable([][]int{{0, 4}, {}}) {
 		t.Error("partner should rescue a dead pair")
 	}
-	wc, err := tornado.WorstCase(gA, tornado.WorstCaseOptions{MaxK: 2})
+	wc, err := tornado.WorstCaseCtx(ctx, gA, tornado.WorstCaseOptions{MaxK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,39 +208,6 @@ func TestPublicFederation(t *testing.T) {
 	}
 	if det.TotalErased != 4 {
 		t.Errorf("mirrored federation first failure detected = %d, want 4", det.TotalErased)
-	}
-}
-
-func TestPublicBaselines(t *testing.T) {
-	if got := tornado.StripingFailGivenK(96, 1); got != 1 {
-		t.Errorf("striping P(fail|1) = %v", got)
-	}
-	if got := tornado.RAID6FailGivenK(8, 12, 2); got != 0 {
-		t.Errorf("raid6 P(fail|2) = %v", got)
-	}
-	if len(tornado.Paper96Schemes()) != 4 {
-		t.Error("schemes missing")
-	}
-	if g := tornado.RAID5Graph(8, 12); g.Total != 96 || g.Data != 88 {
-		t.Errorf("raid5 graph shape %v", g)
-	}
-	if math.Abs(tornado.BinomialPMF(96, 3, 0.01)-0.056) > 0.001 {
-		t.Error("BinomialPMF off")
-	}
-}
-
-func TestPublicAltGraphs(t *testing.T) {
-	if g, err := tornado.RegularGraph(48, 4, 1); err != nil || g.Total != 96 {
-		t.Errorf("regular: %v %v", g, err)
-	}
-	if g, err := tornado.FixedCascadeGraph(96, 3, 1); err != nil || g.Total != 96 {
-		t.Errorf("cascade: %v %v", g, err)
-	}
-	if g, _, err := tornado.DoubledTornadoGraph(tornado.DefaultParams(), 1); err != nil || g.Total != 96 {
-		t.Errorf("doubled: %v %v", g, err)
-	}
-	if g, _, err := tornado.ShiftedTornadoGraph(tornado.DefaultParams(), 1); err != nil || g.Total != 96 {
-		t.Errorf("shifted: %v %v", g, err)
 	}
 }
 
@@ -273,14 +241,14 @@ func TestPublicRetrievalAndMAID(t *testing.T) {
 }
 
 func TestRecoverableHelper(t *testing.T) {
-	g := tornado.MirroredGraph(4)
-	if !tornado.Recoverable(g, []int{0}) {
+	g := raid.MirroredGraph(4)
+	d := tornado.NewDecoder(g)
+	if !d.Recoverable([]int{0}) {
 		t.Error("single loss should be recoverable")
 	}
-	if tornado.Recoverable(g, []int{0, 4}) {
+	if d.Recoverable([]int{0, 4}) {
 		t.Error("dead pair should fail")
 	}
-	d := tornado.NewDecoder(g)
 	if !d.Recoverable([]int{1}) || d.Recoverable([]int{1, 5}) {
 		t.Error("decoder helper wrong")
 	}
@@ -294,21 +262,6 @@ func TestGenerateUnscreenedPublic(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestClearCardinalityPublic(t *testing.T) {
-	g, _, err := tornado.Generate(tornado.DefaultParams(), 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	improved, rep, err := tornado.ClearCardinality(g, 3, tornado.AdjustOptions{MaxRounds: 8}, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if improved == nil {
-		t.Fatal("nil graph")
-	}
-	t.Logf("clear k=3: %+v", rep)
 }
 
 func TestPublicFederatedStore(t *testing.T) {
@@ -325,7 +278,7 @@ func TestPublicFederatedStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wan := tornado.NewWAN(tornado.WANConfig{Sites: 3, Seed: 9})
+	wan := chaos.NewWAN(chaos.WANConfig{Sites: 3, Seed: 9})
 	f, err := tornado.NewFederatedStore(sites, tornado.FederatedConfig{WriteQuorum: 2, WAN: wan})
 	if err != nil {
 		t.Fatal(err)
@@ -361,15 +314,5 @@ func TestPublicFederatedStore(t *testing.T) {
 	got, _, err = sites[0].GetCtx(ctx, "doc")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("victim site read after repair: %v", err)
-	}
-}
-
-func TestPublicDisasterSoak(t *testing.T) {
-	rep, err := tornado.RunDisasterSoak(tornado.DisasterSoakConfig{Seed: 11, Ops: 80, Objects: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Check(); err != nil {
-		t.Fatal(err)
 	}
 }
