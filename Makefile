@@ -48,8 +48,9 @@ fmt:
 
 # fuzz gives the frame codec, the kernel differential batteries (peeling
 # decoder, the stopping-set search against the scan and the reference
-# peel, closed-set defect scan), the read path's two oracles (planner
-# against plain reverse-delete, targeted decode against Repair), the
+# peel, closed-set defect scan), the read path's three oracles (planner
+# against plain reverse-delete, targeted decode against Repair, a short
+# stripe's read against the reference peel with its padding known), the
 # campaign journal parser (arbitrary bytes through the resume path), the
 # GraphML parser (user-supplied graph files) and the federation's union peel
 # (against the §5.3 exchange fixpoint) a short randomized shake on every
@@ -57,6 +58,7 @@ fmt:
 FUZZTIME ?= 3s
 fuzz:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME) ./internal/archive/
+	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzShortStripeRead -fuzztime $(FUZZTIME) ./internal/archive/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzKernelMatchesReference -fuzztime $(FUZZTIME) ./internal/decode/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzSlicedMatchesReference -fuzztime $(FUZZTIME) ./internal/decode/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzStoppingMatchesScan -fuzztime $(FUZZTIME) ./internal/decode/
@@ -97,6 +99,9 @@ bench:
 # - ServeColdMiss: a cold serve Get whose stripes all miss the cache; each
 #   decodes into a payload buffer the cache recycled, so allocs/op is the
 #   request's and the cache entries' bookkeeping, not a stripe per miss.
+#   reads/get is the Get's device reads: 192 for a 4-stripe object, 64 for a
+#   1.33-stripe one (serve_cold's shape), whose second stripe's zero padding
+#   is known to the read, not fetched (96 when it was).
 # - JointDecode, OverheadTrial: the benchmarks that size the Decoder's jobs
 #   (one joint verdict of a 2- and a 3-site federation; one overhead trial, a
 #   prefix search of ~7 large-erasure peels).

@@ -76,24 +76,38 @@ func (o *Object) committed() bool { return o.Stripes > 0 }
 
 // entry is the store's record of one name: the object's metadata and, once a
 // Put has committed it, what the Put proved about where its blocks are (a
-// shell, whose blocks arrive out of band, has no such proof).
+// shell, whose blocks arrive out of band, has no such proof until a scrub
+// pass gives it one). rec is read and replaced under Store.mu.
 type entry struct {
 	Object
 	rec *availRecord
 }
 
-// availRecord is what a committed Put proved about its blocks: the epoch of
-// every node's medium before the first write, and which nodes took every one
-// of the object's block writes. Every such block was written while the
-// recorded epoch was current, so while MediaEpoch still answers that epoch —
+// availRecord is what a committed Put, or a later scrub pass, proved about an
+// object's blocks: per node, the epoch of its medium when the proof began,
+// and whether the node then came to hold every one of the object's blocks —
+// by taking every block write of the Put, or by the pass reading and
+// verifying or writing each one. While MediaEpoch still answers that epoch —
 // the medium has lost nothing since — and the store has not begun to delete
 // the object, the node holds each of them: the read path asks the backend
-// about them key by key only for the nodes the record does not cover. The
-// record is immutable once committed, except for retired.
+// about them key by key only for the nodes the record does not cover. A
+// record is immutable once installed, except for retired; a pass that proves
+// more installs a new one (see renewRecords).
 type availRecord struct {
 	epoch   []uint64
 	whole   []bool
 	retired atomic.Bool // set by DeleteCtx before it deletes a block
+}
+
+// epochs reads every node's MediaEpoch into a fresh record that covers the
+// nodes reachable now, at the epochs they are at: where a proof of coverage
+// starts, read before its first block operation.
+func (s *Store) epochs() *availRecord {
+	rec := &availRecord{epoch: make([]uint64, s.g.Total), whole: make([]bool, s.g.Total)}
+	for node := range rec.epoch {
+		rec.epoch[node], rec.whole[node] = s.backend.MediaEpoch(node)
+	}
+	return rec
 }
 
 // live returns r unless it is nil or retired: the record one stripe's probes
@@ -171,6 +185,7 @@ type Store struct {
 	devices device.Array // non-nil only for array-backed stores
 	cfg     Config
 	meter   *repairbw.Meter
+	zero    []byte // one all-zero block: every Get's stand-in for a padding block, never written
 
 	mu      sync.Mutex
 	objects map[string]*entry
@@ -242,6 +257,7 @@ func NewWithBackend(g *graph.Graph, backend Backend, cfg Config) (*Store, error)
 		reader:       ReaderIntoOf(backend),
 		cfg:          cfg,
 		meter:        repairbw.NewMeter(reg),
+		zero:         make([]byte, cfg.BlockSize),
 		objects:      map[string]*entry{},
 		corruptCount: make([]int, g.Total),
 		quarantined:  make([]bool, g.Total),
@@ -530,6 +546,7 @@ type stripeScratch struct {
 	blocks   [][]byte // read blocks alias frames; rebuilt ones the workspace arena
 	frames   []byte   // Total frame slots, one per node: where reads land
 	avail    []bool
+	known    []bool    // a Get's padding nodes: data past the payload, zero by construction
 	quar     []bool    // the stripe read's quarantine snapshot
 	cost     []float64 // what planning each available node costs, probed beside avail
 	corrupt  []bool
@@ -556,6 +573,7 @@ func (s *Store) newScratch() *stripeScratch {
 	return &stripeScratch{
 		blocks:   make([][]byte, s.g.Total),
 		avail:    make([]bool, s.g.Total),
+		known:    make([]bool, s.g.Total),
 		quar:     make([]bool, s.g.Total),
 		cost:     make([]float64, s.g.Total),
 		corrupt:  make([]bool, s.g.Total),
@@ -580,10 +598,12 @@ func (s *Store) release(sc *stripeScratch) {
 	s.scratches.Put(sc)
 }
 
-// plan returns the scratch's reusable stripe planner.
+// plan returns the scratch's reusable stripe planner, which knows the blocks
+// sc.known names.
 func (sc *stripeScratch) plan(s *Store) (*retrieval.Planner, retrieval.CostFunc) {
 	if sc.planner == nil {
 		sc.planner = retrieval.NewPlanner(s.g)
+		sc.planner.Known(sc.known)
 		sc.planCost = func(node int) float64 { return sc.cost[node] }
 	}
 	return sc.planner, sc.planCost
@@ -742,43 +762,55 @@ func (s *Store) ReadStripeInto(ctx context.Context, name string, st int, dst []b
 // getStripe reconstructs one stripe of the object rec records into dst's
 // spare capacity — cap(dst) is the payload length — and returns the filled
 // slice.
+//
+// The data nodes past the payload's last block hold zero padding, which the
+// read knows without asking: they are present to the planner at no cost and
+// to the peel as one shared zero block, and the stripe never probes, reads or
+// writes them back (Put writes them, scrub verifies and repairs them).
 func (s *Store) getStripe(ctx context.Context, name string, st int, rec *availRecord, dst []byte, sc *stripeScratch, stats *GetStats) ([]byte, error) {
 	// One probe pass: a quarantine snapshot taken under one lock, then per
-	// node its availability and — for the planner — its read cost.
+	// node not known its availability and — for the planner — its read cost.
+	live := s.liveBlocks(cap(dst))
 	sc.keys.stripe(name, st)
 	s.quarantineSnapshot(sc.quar)
 	rec = rec.live()
 	for node := range sc.avail {
+		sc.known[node] = node >= live && node < s.g.Data
+		sc.blocks[node] = nil
+		sc.corrupt[node] = false
+		sc.fromRead[node] = false
+		if sc.known[node] {
+			sc.avail[node] = true
+			sc.blocks[node] = s.zero
+			continue
+		}
 		sc.avail[node] = !sc.quar[node] && s.available(rec, node, &sc.keys)
 		if sc.avail[node] {
 			sc.cost[node] = s.backend.Cost(node)
 		}
-		sc.blocks[node] = nil
-		sc.corrupt[node] = false
-		sc.fromRead[node] = false
 	}
 
-	// Repair-traffic accounting: a healthy stripe read moves exactly Data
-	// full frames, so on success everything beyond that baseline — extra
-	// plan blocks, corrupt frames, the fallback sweep — is degraded-get
-	// traffic; a failed stripe attributes every byte it read. A successful
-	// decode necessarily consumed at least Data verified full-size frames
-	// (Data blocks cannot be rebuilt from fewer), so the surplus is never
-	// negative.
+	// Repair-traffic accounting: a healthy stripe read moves exactly one
+	// full frame per live data block, so on success everything beyond that
+	// baseline — extra plan blocks, corrupt frames, the fallback sweep — is
+	// degraded-get traffic; a failed stripe attributes every byte it read. A
+	// successful decode necessarily consumed at least live verified
+	// full-size frames (live blocks cannot be rebuilt from fewer), so the
+	// surplus is never negative.
 	var gotBlocks int
 	var gotBytes int64
 	record := func(success bool) {
 		bill := repairbw.CostReport{BlocksRead: gotBlocks, BytesRead: gotBytes}
 		if success {
-			bill.BlocksRead -= s.g.Data
-			bill.BytesRead -= int64(s.g.Data) * s.frameSize()
+			bill.BlocksRead -= live
+			bill.BytesRead -= int64(live) * s.frameSize()
 		}
 		stats.Repair.Add(bill)
 		s.meter.Record(repairbw.DegradedGet, bill)
 	}
 
 	// PlanEconomic prefers the recovery plan with the fewest projected
-	// repair bytes (blocks beyond the data floor), falling back to plan
+	// repair bytes (blocks beyond the live data floor), falling back to plan
 	// price on ties; a healthy stripe short-circuits after one ordering.
 	planner, planCost := sc.plan(s)
 	toRead, _, err := planner.PlanEconomic(sc.avail, planCost)
@@ -844,7 +876,7 @@ func (s *Store) getStripe(ctx context.Context, name string, st int, rec *availRe
 		// retry's DecodeInto recycles — drop them so the retry peels only
 		// from blocks whose memory it does not own.
 		for node := range sc.blocks {
-			if !sc.fromRead[node] {
+			if !sc.fromRead[node] && !sc.known[node] {
 				sc.blocks[node] = nil
 			}
 		}
@@ -872,6 +904,10 @@ func (s *Store) getStripe(ctx context.Context, name string, st int, rec *availRe
 	s.readRepairStripe(ctx, sc, stats)
 	return payload, nil
 }
+
+// liveBlocks is how many data blocks a stripe payload of n bytes fills: the
+// rest of the stripe's data blocks are zero padding.
+func (s *Store) liveBlocks(n int) int { return (n + s.cfg.BlockSize - 1) / s.cfg.BlockSize }
 
 // readRepairStripe writes blocks reconstructed during a read back to their
 // home nodes, so a Get heals the damage it discovers instead of deferring
@@ -909,12 +945,9 @@ func (s *Store) readRepairStripe(ctx context.Context, sc *stripeScratch, stats *
 // with cancellation between block deletions. Its availability record is
 // retired first: from then on every probe of the object asks the backend.
 func (s *Store) DeleteCtx(ctx context.Context, name string) error {
-	obj, rec, err := s.lookup(name)
+	obj, err := s.retire(name)
 	if err != nil {
 		return err
-	}
-	if rec != nil {
-		rec.retired.Store(true)
 	}
 	var keys keyBuf
 	for st := 0; st < obj.Stripes; st++ {
@@ -928,6 +961,23 @@ func (s *Store) DeleteCtx(ctx context.Context, name string) error {
 	}
 	s.deleteObject(name)
 	return nil
+}
+
+// retire looks name up and retires its availability record in one step under
+// s.mu, so no scrub pass renews the record after: a shell, which has none,
+// gets a retired empty one.
+func (s *Store) retire(name string) (Object, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.objects[name]
+	if !ok || !e.committed() {
+		return Object{}, fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	if e.rec == nil {
+		e.rec = &availRecord{}
+	}
+	e.rec.retired.Store(true)
+	return e.Object, nil
 }
 
 func (s *Store) deleteObject(name string) {
@@ -946,14 +996,21 @@ func (s *Store) List() []Object {
 	return out
 }
 
+// entryRef is a committed entry as one look under Store.mu saw it, and the
+// entry itself.
+type entryRef struct {
+	entry
+	at *entry
+}
+
 // entries returns the committed objects with their records, sorted by name.
-func (s *Store) entries() []entry {
+func (s *Store) entries() []entryRef {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]entry, 0, len(s.objects))
+	out := make([]entryRef, 0, len(s.objects))
 	for _, e := range s.objects {
 		if e.committed() {
-			out = append(out, *e)
+			out = append(out, entryRef{*e, e})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

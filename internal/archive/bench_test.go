@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -27,19 +28,25 @@ func benchStore(b testing.TB) *Store {
 	return s
 }
 
+// streamCase is a store the read stripe loop runs on: the devices failed
+// after the Put, whether they were then replaced and rebuilt by a repairing
+// scrub, and how many Available calls one GetStream of its 64-stripe object
+// makes. The object's availability record answers for every node that is
+// still Online on the medium it was written to, or that a completed scrub
+// pass rewrote or verified in full; only the other nodes are asked per key.
+type streamCase struct {
+	name     string
+	failed   []int
+	replaced bool
+	probes   int64
+}
+
 // streamCases are the stores the read stripe loop is timed and gated on: all
 // devices up, and the four data devices the call-sequence goldens fail, so
-// every stripe is rebuilt and planned around them. probes is how many
-// Available calls one GetStream of a 64-stripe object makes: the object's
-// availability record answers for every node that is still Online on the
-// medium it was written to, and only the failed devices are asked per key.
-var streamCases = []struct {
-	name   string
-	failed []int
-	probes int64
-}{
-	{"healthy", nil, 0},
-	{"degraded", []int{0, 5, 17, 33}, 4 * 64},
+// every stripe is rebuilt and planned around them.
+var streamCases = []streamCase{
+	{name: "healthy", probes: 0},
+	{name: "degraded", failed: []int{0, 5, 17, 33}, probes: 4 * 64},
 }
 
 // probeCounter counts the per-key availability probes — Available calls —
@@ -59,8 +66,9 @@ func (p *probeCounter) ReadInto(ctx context.Context, node int, key, dst []byte) 
 }
 
 // probedStream stores one 64-stripe object ("obj") over a probeCounter,
-// fails the failed devices, and zeroes the count.
-func probedStream(tb testing.TB, failed []int) (*Store, *probeCounter) {
+// fails tc's failed devices — then replaces them and runs a repairing scrub,
+// if tc says so — and zeroes the count.
+func probedStream(tb testing.TB, tc streamCase) (*Store, *probeCounter) {
 	tb.Helper()
 	g := benchStore(tb).Graph()
 	devs := device.NewArray(g.Total)
@@ -72,8 +80,16 @@ func probedStream(tb testing.TB, failed []int) (*Store, *probeCounter) {
 	if err := s.PutCtx(ctx, "obj", payload(64*s.Layout().StripeCapacity, 1)); err != nil {
 		tb.Fatal(err)
 	}
-	for _, node := range failed {
+	for _, node := range tc.failed {
 		devs[node].Fail()
+	}
+	if tc.replaced {
+		for _, node := range tc.failed {
+			devs[node].Replace()
+		}
+		if _, err := s.ScrubCtx(ctx, true); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	pc.probes.Store(0)
 	return s, pc
@@ -87,7 +103,7 @@ func probedStream(tb testing.TB, failed []int) (*Store, *probeCounter) {
 func BenchmarkGetStreamSequential(b *testing.B) {
 	for _, tc := range streamCases {
 		b.Run(tc.name, func(b *testing.B) {
-			s, pc := probedStream(b, tc.failed)
+			s, pc := probedStream(b, tc)
 			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -103,16 +119,22 @@ func BenchmarkGetStreamSequential(b *testing.B) {
 
 // TestGetStreamProbeCount pins how many Available calls a 64-stripe GetStream
 // makes, healthy and degraded: one per failed device per stripe, where every
-// read once probed all Total nodes (6,144 a call).
+// read once probed all Total nodes (6,144 a call). Once the failed devices
+// are replaced and a repairing scrub has rewritten every block on them, the
+// renewed record answers for them too: none, on every later read.
 func TestGetStreamProbeCount(t *testing.T) {
-	for _, tc := range streamCases {
+	repaired := streamCase{name: "repaired", failed: streamCases[1].failed, replaced: true, probes: 0}
+	for _, tc := range append(slices.Clone(streamCases), repaired) {
 		t.Run(tc.name, func(t *testing.T) {
-			s, pc := probedStream(t, tc.failed)
-			if _, _, err := s.GetStream(ctx, "obj", io.Discard, WithParallelism(1)); err != nil {
-				t.Fatal(err)
-			}
-			if got := pc.probes.Load(); got != tc.probes {
-				t.Errorf("GetStream made %d Available calls, want %d", got, tc.probes)
+			s, pc := probedStream(t, tc)
+			for range 2 {
+				if _, _, err := s.GetStream(ctx, "obj", io.Discard, WithParallelism(1)); err != nil {
+					t.Fatal(err)
+				}
+				if got := pc.probes.Load(); got != tc.probes {
+					t.Errorf("GetStream made %d Available calls, want %d", got, tc.probes)
+				}
+				pc.probes.Store(0)
 			}
 		})
 	}

@@ -82,11 +82,14 @@ func corruptFrame(t *testing.T, devs device.Array, node int) {
 	}
 }
 
-// callseqCases are five scripted stripes: one damage pattern each, with what
-// one ReadStripe (ops, stats) and one repairing scrub (scrubOps, scrubReport)
-// of the stripe do to the backend and report.
+// callseqCases are six scripted stripes: one damage pattern or payload size
+// each, with what one ReadStripe (ops, stats) and one repairing scrub
+// (scrubOps, scrubReport) of the stripe do to the backend and report. The
+// first five are full stripes (their payload is StripeCapacity-7 bytes);
+// size sets another payload length.
 type callseqCase struct {
 	name        string
+	size        int
 	damage      func(t *testing.T, devs device.Array, fb *flakyBackend)
 	ops         string
 	stats       string
@@ -151,6 +154,18 @@ var callseqCases = []callseqCase{
 		scrubOps:    "R0 R1! R1! R1! R2-95 W1 W75",
 		scrubReport: "{Stripes:[{Object:obj Stripe:0 Missing:[1 75] Corrupt:[75] Quarantined:[] Recoverable:true Margin:0 Repaired:[1 75]}] BlocksRepaired:2 CorruptFrames:1 AtRisk:0 Unrecoverable:0 QuarantinedNodes:[] Cost:{BlocksRead:95 BlocksWritten:2 BytesRead:6460 BytesWritten:136}}",
 	},
+	{
+		// A 1,017-byte payload fills data blocks 0-15; 16-47 are zero
+		// padding. The read knows them and fetches the live blocks alone;
+		// the scrub still reads and verifies every frame the Put wrote.
+		name:        "short stripe",
+		size:        16*64 - 7,
+		damage:      func(*testing.T, device.Array, *flakyBackend) {},
+		ops:         "R0-15",
+		stats:       "{DevicesAccessed:16 BlocksRead:16 BlocksRepaired:0 CorruptBlocks:0 ReadRepairs:0 Retries:0 Repair:{BlocksRead:0 BlocksWritten:0 BytesRead:0 BytesWritten:0}}",
+		scrubOps:    "R0-95",
+		scrubReport: "{Stripes:[{Object:obj Stripe:0 Missing:[] Corrupt:[] Quarantined:[] Recoverable:true Margin:0 Repaired:[]}] BlocksRepaired:0 CorruptFrames:0 AtRisk:0 Unrecoverable:0 QuarantinedNodes:[] Cost:{BlocksRead:96 BlocksWritten:0 BytesRead:6528 BytesWritten:0}}",
+	},
 }
 
 // readOnlyBackend is the one test backend without a ReadInto: embedding the
@@ -158,11 +173,12 @@ var callseqCases = []callseqCase{
 // reads through ReaderIntoOf's adapter.
 type readOnlyBackend struct{ Backend }
 
-// callseqStore puts one stripe ("obj") on a recording backend over a flaky
-// one (node 1, no failures yet) and hands back every layer. With adapter set
-// the store sees the stack through a readOnlyBackend: every read arrives as
-// Read, in a caller-owned slice, none in the scratch's arena.
-func callseqStore(t *testing.T, adapter bool) (*Store, []byte, device.Array, *flakyBackend, *recordingBackend) {
+// callseqStore puts one stripe ("obj") of size bytes — StripeCapacity-7
+// when size is 0 — on a recording backend over a flaky one (node 1, no
+// failures yet) and hands back every layer. With adapter set the store sees
+// the stack through a readOnlyBackend: every read arrives as Read, in a
+// caller-owned slice, none in the scratch's arena.
+func callseqStore(t *testing.T, adapter bool, size int) (*Store, []byte, device.Array, *flakyBackend, *recordingBackend) {
 	t.Helper()
 	g := benchStore(t).Graph()
 	devs := device.NewArray(g.Total)
@@ -179,7 +195,10 @@ func callseqStore(t *testing.T, adapter bool) (*Store, []byte, device.Array, *fl
 	if _, native := s.reader.(*recordingBackend); native == adapter {
 		t.Fatalf("store reads through %T with adapter=%v", s.reader, adapter)
 	}
-	data := payload(s.Layout().StripeCapacity-7, 11)
+	if size == 0 {
+		size = s.Layout().StripeCapacity - 7
+	}
+	data := payload(size, 11)
 	if err := s.PutCtx(ctx, "obj", data); err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +207,9 @@ func callseqStore(t *testing.T, adapter bool) (*Store, []byte, device.Array, *fl
 
 // TestGetStripeBackendCallSequence pins what one stripe read does to the
 // backend: which blocks it reads, which it writes back, in which order, and
-// the GetStats it reports. The goldens were captured at f956280, before the
-// read path stopped re-encoding parity it was not asked for; every change to
+// the GetStats it reports. The full-stripe goldens were captured at f956280,
+// before the read path stopped re-encoding parity it was not asked for, the
+// short stripe's when reads stopped fetching zero padding; every change to
 // planning, decoding or scratch ownership must leave them alone. (The chaos
 // soak's seeded schedule diverges as soon as one read-repair write moves.)
 // Every backend in the stack has a ReadInto, so this is the production path:
@@ -201,7 +221,7 @@ func TestGetStripeBackendCallSequence(t *testing.T) {
 }
 
 func (tc callseqCase) readStripe(t *testing.T, adapter bool) {
-	s, data, devs, fb, rec := callseqStore(t, adapter)
+	s, data, devs, fb, rec := callseqStore(t, adapter, tc.size)
 	tc.damage(t, devs, fb)
 	rec.ops, rec.run = nil, ""
 
@@ -222,7 +242,7 @@ func (tc callseqCase) readStripe(t *testing.T, adapter bool) {
 }
 
 // TestScrubBackendCallSequence pins what a repairing scrub does to the
-// backend on the same five stripes, and the ScrubReport it returns. The
+// backend on the same six stripes, and the ScrubReport it returns. The
 // goldens were captured at 4b47b14, when scrubStripe still peeled through the
 // allocating codec.Repair and framed every rewrite with frameBlock; the pooled
 // per-stripe repair body must read, rebuild and write exactly the same blocks
@@ -234,7 +254,7 @@ func TestScrubBackendCallSequence(t *testing.T) {
 }
 
 func (tc callseqCase) scrub(t *testing.T, adapter bool) {
-	s, data, devs, fb, rec := callseqStore(t, adapter)
+	s, data, devs, fb, rec := callseqStore(t, adapter, tc.size)
 	tc.damage(t, devs, fb)
 	rec.ops, rec.run = nil, ""
 
@@ -256,7 +276,7 @@ func (tc callseqCase) scrub(t *testing.T, adapter bool) {
 }
 
 // TestReadAdapterMatchesReadInto is the differential test of the Read
-// adapter, the path a backend without ReadInto takes: on the five scripted
+// adapter, the path a backend without ReadInto takes: on the six scripted
 // stripes, a store that is handed caller-owned frames must return the same
 // payload, GetStats, repair bill and scrub report through the same backend
 // calls as the one whose frames land in its arena — both against one golden.

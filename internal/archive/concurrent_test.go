@@ -142,3 +142,58 @@ func TestRecordRaceReplace(t *testing.T) {
 		}
 	}
 }
+
+// TestRenewalRaceDelete runs verifying scrubs against a shell that is written
+// in full, deleted and registered again under the same name with nothing
+// written: a pass that proved the first shell's blocks must not hand its
+// proof to the second, so once the second is registered no record covers any
+// of its nodes. Run it with -race: renewal and DeleteCtx meet under the
+// store's lock.
+func TestRenewalRaceDelete(t *testing.T) {
+	s := testStore(t, Config{BlockSize: 64})
+	lay := s.Layout()
+	block := make([]byte, lay.BlockSize)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := s.ScrubCtx(ctx, false); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer wg.Wait()
+	defer close(stop)
+	for range 300 {
+		if err := s.PutShell("s", lay.StripeCapacity, 1); err != nil {
+			t.Fatal(err)
+		}
+		for node := range lay.NodesPerStripe {
+			if err := s.WriteBlockCtx(ctx, "s", 0, node, block); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.DeleteCtx(ctx, "s"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutShell("s", lay.StripeCapacity, 1); err != nil {
+			t.Fatal(err)
+		}
+		for node := range lay.NodesPerStripe {
+			if s.RecordCovers("s", node) {
+				t.Fatalf("a shell with no block written is covered on node %d", node)
+			}
+		}
+		if err := s.DeleteCtx(ctx, "s"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

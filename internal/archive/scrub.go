@@ -84,7 +84,8 @@ type DonorReport struct {
 // The pass checks ctx at every stripe boundary and returns ctx.Err() with
 // the partial report, so a steward can bound scrub latency on a large
 // store. A cancelled pass gathers no quarantine evidence (partial passes
-// must not readmit nodes). Stripes are visited one at a time, objects in
+// must not readmit nodes) and renews no availability record (a completed
+// one does: see renewRecords). Stripes are visited one at a time, objects in
 // List order: what the pass does to the backend, and in which order, is a
 // function of the store's state alone.
 func (s *Store) ScrubCtx(ctx context.Context, repair bool) (ScrubReport, error) {
@@ -110,6 +111,7 @@ func (s *Store) RepairFrom(ctx context.Context, donor Donor) (DonorReport, error
 // repairStripe on a stripePipe of the given width, reported in List order.
 func (s *Store) scrub(ctx context.Context, repair bool, donor Donor, width int) (DonorReport, error) {
 	s.mScrubPasses.Inc()
+	start := s.epochs()
 	var rep DonorReport
 	// Per-node evidence for the quarantine verdict: frames that verified
 	// and frames that failed their checksum during this pass.
@@ -208,6 +210,7 @@ func (s *Store) scrub(ctx context.Context, repair bool, donor Donor, width int) 
 			rep.Stripes[i] = h2
 		}
 	}
+	s.renewRecords(objs, rep.Stripes, start)
 	for _, h := range rep.Stripes {
 		rep.BlocksRepaired += len(h.Repaired)
 		rep.CorruptFrames += len(h.Corrupt)
@@ -223,6 +226,67 @@ func (s *Store) scrub(ctx context.Context, repair bool, donor Donor, width int) 
 	s.mScrubCorrupt.Add(int64(rep.CorruptFrames))
 	s.mScrubUnrecov.Add(int64(rep.Unrecoverable))
 	return rep, nil
+}
+
+// renewRecords re-proves coverage after a completed pass over objs, whose
+// stripes are reported in order in stripes; start holds the epochs read
+// before the pass's first block operation. A node that the pass read and
+// verified or wrote in every stripe of an object — it is not Missing, or it
+// is Repaired — and whose medium answers the same epoch at the end as at the
+// start has held each of those blocks since: it gets into the object's
+// record at that epoch. The new record is a copy of the old with those nodes
+// added, installed under s.mu only if the entry is the one the pass visited,
+// still with the record the pass read, and not being deleted; otherwise the
+// pass's proof is dropped. A shell gets its first record this way.
+func (s *Store) renewRecords(objs []entryRef, stripes []StripeHealth, start *availRecord) {
+	end := s.epochs()
+	held := make([]bool, s.g.Total) // per node: proved in every stripe so far
+	lost := make([]bool, s.g.Total) // per node: not proved in this stripe
+	for _, o := range objs {
+		for node := range held {
+			held[node] = start.whole[node] && end.whole[node] && start.epoch[node] == end.epoch[node]
+		}
+		for _, h := range stripes[:o.Stripes] {
+			clear(lost)
+			for _, node := range h.Missing {
+				lost[node] = true
+			}
+			for _, node := range h.Repaired {
+				lost[node] = false
+			}
+			for node, l := range lost {
+				held[node] = held[node] && !l
+			}
+		}
+		stripes = stripes[o.Stripes:]
+
+		old := o.rec
+		if old != nil && old.retired.Load() {
+			continue // being deleted
+		}
+		var rec *availRecord
+		for node, h := range held {
+			if !h || (old != nil && old.whole[node] && old.epoch[node] == start.epoch[node]) {
+				continue // nothing proved, or nothing new
+			}
+			if rec == nil {
+				rec = &availRecord{epoch: make([]uint64, s.g.Total), whole: make([]bool, s.g.Total)}
+				if old != nil {
+					copy(rec.epoch, old.epoch)
+					copy(rec.whole, old.whole)
+				}
+			}
+			rec.epoch[node], rec.whole[node] = start.epoch[node], true
+		}
+		if rec == nil {
+			continue
+		}
+		s.mu.Lock()
+		if e := s.objects[o.Name]; e == o.at && e.rec == old && (old == nil || !old.retired.Load()) {
+			e.rec = rec
+		}
+		s.mu.Unlock()
+	}
 }
 
 // secondLookWorthwhile reports whether an unrecoverable stripe deserves the

@@ -90,10 +90,7 @@ func (s *Store) putObject(ctx context.Context, name string, width int, next func
 	}
 	// The epochs are read before the first write: a medium that loses frames
 	// from here on has moved past the recorded epoch.
-	rec := &availRecord{epoch: make([]uint64, s.g.Total), whole: make([]bool, s.g.Total)}
-	for node := range rec.epoch {
-		rec.epoch[node], rec.whole[node] = s.backend.MediaEpoch(node)
-	}
+	rec := s.epochs()
 	size, stripes := 0, 0
 	p := stripePipe{
 		width: width,

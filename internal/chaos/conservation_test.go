@@ -112,7 +112,8 @@ func meterDelta(m *repairbw.Meter, prev map[repairbw.Cause]repairbw.CostReport, 
 
 // TestSoakConservation is the repair-traffic conservation law, checked
 // against a chaos-soaked store: every byte the backend actually serves is
-// either the information-theoretic decode floor (Data full frames per
+// either the information-theoretic decode floor (one full frame per live
+// data block — data the payload reaches, not zero padding — of every
 // successfully decoded stripe) or attributed by the repair meter to a
 // cause — nothing leaks, nothing is double-counted. The test runs under
 // -race in CI's chaos-soak job, so the meter's and shim's concurrency
@@ -170,10 +171,11 @@ func TestSoakConservation(t *testing.T) {
 
 	// Phase 2: degraded reads. Seed extra at-rest corruption, then Get
 	// every object several times. Each successful stripe decode consumed at
-	// least Data full frames (the floor); everything beyond the floor is
-	// DegradedGet surplus, and each write-back is ReadRepair. Conservation:
+	// least one full frame per live data block (the floor); everything
+	// beyond the floor is DegradedGet surplus, and each write-back is
+	// ReadRepair. Conservation:
 	//
-	//	shim reads  == floorStripes*Data*frameSize + DegradedGet.BytesRead
+	//	shim reads  == floorBlocks*frameSize + DegradedGet.BytesRead
 	//	shim writes == ReadRepair.BytesWritten
 	capacity := g.Data * blockSize
 	stripesOf := func(name string) int {
@@ -183,6 +185,16 @@ func TestSoakConservation(t *testing.T) {
 			st = 1
 		}
 		return st
+	}
+	// liveOf is the floor of one Get of name: the data blocks its stripes'
+	// payloads fill.
+	liveOf := func(name string) int {
+		n := len(golden[name])
+		live := 0
+		for st := range stripesOf(name) {
+			live += (min(n-st*capacity, capacity) + blockSize - 1) / blockSize
+		}
+		return live
 	}
 	for i := 0; i < 10; i++ {
 		name := names[rng.IntN(len(names))]
@@ -194,7 +206,7 @@ func TestSoakConservation(t *testing.T) {
 	}
 	preGet := meterSnap(meter)
 	preGetTraffic := shim.snap()
-	floorStripes := 0
+	floorBlocks := 0
 	for round := 0; round < 3; round++ {
 		for _, name := range names {
 			got, _, err := store.GetCtx(ctx, name)
@@ -204,17 +216,17 @@ func TestSoakConservation(t *testing.T) {
 			if !bytes.Equal(got, golden[name]) {
 				t.Fatalf("get %s: wrong bytes", name)
 			}
-			floorStripes += stripesOf(name)
+			floorBlocks += liveOf(name)
 		}
 	}
 	getTraffic := shim.snap().sub(preGetTraffic)
 	dg := meterDelta(meter, preGet, repairbw.DegradedGet)
 	rr := meterDelta(meter, preGet, repairbw.ReadRepair)
-	if want := int64(floorStripes*g.Data)*frameSize + dg.BytesRead; getTraffic.readBytes != want {
-		t.Errorf("get-phase read bytes: shim saw %d, floor+meter account %d (floor %d stripes, surplus %d)",
-			getTraffic.readBytes, want, floorStripes, dg.BytesRead)
+	if want := int64(floorBlocks)*frameSize + dg.BytesRead; getTraffic.readBytes != want {
+		t.Errorf("get-phase read bytes: shim saw %d, floor+meter account %d (floor %d blocks, surplus %d)",
+			getTraffic.readBytes, want, floorBlocks, dg.BytesRead)
 	}
-	if want := int64(floorStripes*g.Data) + int64(dg.BlocksRead); getTraffic.readOps != want {
+	if want := int64(floorBlocks) + int64(dg.BlocksRead); getTraffic.readOps != want {
 		t.Errorf("get-phase read blocks: shim saw %d, floor+meter account %d", getTraffic.readOps, want)
 	}
 	if getTraffic.writeBytes != rr.BytesWritten {

@@ -14,8 +14,9 @@ import (
 
 // referencePlanOrdered is the plain reverse-delete loop — every probe a full
 // Decoder peel of everything outside the plan, no kernel, no structural
-// shortcut — kept as the differential oracle for Planner.
-func referencePlanOrdered(g *graph.Graph, available []bool, cost CostFunc, ord ordering) ([]int, float64, error) {
+// shortcut — kept as the differential oracle for Planner. Known nodes (nil:
+// none) are selected throughout, never candidates and never listed.
+func referencePlanOrdered(g *graph.Graph, available, known []bool, cost CostFunc, ord ordering) ([]int, float64, error) {
 	if cost == nil {
 		cost = UnitCost
 	}
@@ -31,8 +32,12 @@ func referencePlanOrdered(g *graph.Graph, available []bool, cost CostFunc, ord o
 	}
 	selected := make([]bool, g.Total)
 	var cands []int
+	isKnown := func(v int) bool { return known != nil && known[v] }
 	for v := 0; v < g.Total; v++ {
-		if available[v] && !math.IsInf(cost(v), 1) {
+		switch {
+		case isKnown(v):
+			selected[v] = true
+		case available[v] && !math.IsInf(cost(v), 1):
 			selected[v] = true
 			cands = append(cands, v)
 		}
@@ -64,7 +69,7 @@ func referencePlanOrdered(g *graph.Graph, available []bool, cost CostFunc, ord o
 	var plan []int
 	total := 0.0
 	for v := 0; v < g.Total; v++ {
-		if selected[v] {
+		if selected[v] && !isKnown(v) {
 			plan = append(plan, v)
 			total += cost(v)
 		}
@@ -72,22 +77,29 @@ func referencePlanOrdered(g *graph.Graph, available []bool, cost CostFunc, ord o
 	return plan, total, nil
 }
 
-func referencePlan(g *graph.Graph, available []bool, cost CostFunc) ([]int, float64, error) {
-	return referencePlanOrdered(g, available, cost, orderCostDeep)
+func referencePlan(g *graph.Graph, available, known []bool, cost CostFunc) ([]int, float64, error) {
+	return referencePlanOrdered(g, available, known, cost, orderCostDeep)
 }
 
 // referencePlanEconomic is PlanEconomic's selection rule over the oracle's
 // plans: fewest blocks, then lowest price, first ordering winning ties, no
-// alternative tried once a plan sits on the data-block floor.
-func referencePlanEconomic(g *graph.Graph, available []bool, cost CostFunc) ([]int, PlanCost, error) {
+// alternative tried once a plan sits on the data-block floor — the data nodes
+// not known.
+func referencePlanEconomic(g *graph.Graph, available, known []bool, cost CostFunc) ([]int, PlanCost, error) {
+	floor := g.Data
+	for v := 0; known != nil && v < g.Data; v++ {
+		if known[v] {
+			floor--
+		}
+	}
 	var best []int
 	var bestCost PlanCost
 	for i, ord := range [...]ordering{orderCostDeep, orderDeep, orderCostShallow} {
-		plan, total, err := referencePlanOrdered(g, available, cost, ord)
+		plan, total, err := referencePlanOrdered(g, available, known, cost, ord)
 		if err != nil {
 			return nil, PlanCost{}, err
 		}
-		c := PlanCost{Blocks: len(plan), Surplus: len(plan) - g.Data, Cost: total}
+		c := PlanCost{Blocks: len(plan), Surplus: len(plan) - floor, Cost: total}
 		if i == 0 || c.Blocks < bestCost.Blocks || (c.Blocks == bestCost.Blocks && c.Cost < bestCost.Cost) {
 			best, bestCost = plan, c
 		}
@@ -137,29 +149,41 @@ func oracleCosts(kind int, n int, rng *rand.Rand) CostFunc {
 }
 
 // checkAgainstOracle compares Plan and PlanEconomic on p with the oracle for
-// one availability mask and cost function.
-func checkAgainstOracle(t testing.TB, p *Planner, g *graph.Graph, avail []bool, cost CostFunc) {
+// one availability mask, known mask (nil: none) and cost function.
+func checkAgainstOracle(t testing.TB, p *Planner, g *graph.Graph, avail, known []bool, cost CostFunc) {
 	t.Helper()
-	want, wantTotal, wantErr := referencePlan(g, avail, cost)
+	p.Known(known)
+	want, wantTotal, wantErr := referencePlan(g, avail, known, cost)
 	got, gotTotal, gotErr := p.Plan(avail, cost)
 	if gotErr != wantErr || gotTotal != wantTotal || !slices.Equal(got, want) {
-		t.Fatalf("Plan = %v (%v, %v), reverse-delete oracle = %v (%v, %v); avail %v",
-			got, gotTotal, gotErr, want, wantTotal, wantErr, avail)
+		t.Fatalf("Plan = %v (%v, %v), reverse-delete oracle = %v (%v, %v); avail %v, known %v",
+			got, gotTotal, gotErr, want, wantTotal, wantErr, avail, known)
 	}
-	wantE, wantCost, wantErr := referencePlanEconomic(g, avail, cost)
+	wantE, wantCost, wantErr := referencePlanEconomic(g, avail, known, cost)
 	gotE, gotCost, gotErr := p.PlanEconomic(avail, cost)
 	if gotErr != wantErr || gotCost != wantCost || !slices.Equal(gotE, wantE) {
-		t.Fatalf("PlanEconomic = %v (%+v, %v), reverse-delete oracle = %v (%+v, %v); avail %v",
-			gotE, gotCost, gotErr, wantE, wantCost, wantErr, avail)
+		t.Fatalf("PlanEconomic = %v (%+v, %v), reverse-delete oracle = %v (%+v, %v); avail %v, known %v",
+			gotE, gotCost, gotErr, wantE, wantCost, wantErr, avail, known)
 	}
 }
 
+// paddingMask is the known mask of a stripe whose payload fills live data
+// blocks: the data nodes from live on.
+func paddingMask(g *graph.Graph, live int) []bool {
+	known := make([]bool, g.Total)
+	for v := live; v < g.Data; v++ {
+		known[v] = true
+	}
+	return known
+}
+
 // TestPlansMatchReverseDelete is the property behind the planner's
-// structural shortcuts: for every availability mask and cost function, Plan
-// and PlanEconomic return the plain reverse-delete loop's plan, cost and
-// PlanCost, and ErrInsufficient exactly when it does. One Planner serves
-// every trial of a graph, feasible or not, so a kernel left dirty by one
-// call shows in the next.
+// structural shortcuts: for every availability mask, known mask and cost
+// function, Plan and PlanEconomic return the plain reverse-delete loop's
+// plan, cost and PlanCost, and ErrInsufficient exactly when it does. Every
+// other trial is a short stripe: the data nodes past a random live count are
+// known. One Planner serves every trial of a graph, feasible or not, so a
+// kernel left dirty by one call shows in the next.
 func TestPlansMatchReverseDelete(t *testing.T) {
 	for gi, g := range oracleGraphs(t) {
 		p := NewPlanner(g)
@@ -174,10 +198,14 @@ func TestPlansMatchReverseDelete(t *testing.T) {
 				avail[v] = rng.Float64() >= loss || (trial%3 == 0 && v >= g.Data)
 			}
 			cost := oracleCosts(trial/6, g.Total, rng)
-			if _, _, err := referencePlan(g, avail, cost); err != nil {
+			var known []bool
+			if trial%2 == 1 {
+				known = paddingMask(g, rng.IntN(g.Data+1))
+			}
+			if _, _, err := referencePlan(g, avail, known, cost); err != nil {
 				insufficient++
 			}
-			checkAgainstOracle(t, p, g, avail, cost)
+			checkAgainstOracle(t, p, g, avail, known, cost)
 		}
 		if insufficient == 0 || insufficient == 120 {
 			t.Errorf("graph %d: %d of 120 trials insufficient; both outcomes must be exercised", gi, insufficient)
@@ -188,7 +216,8 @@ func TestPlansMatchReverseDelete(t *testing.T) {
 // FuzzPlanMatchesReverseDelete is the randomized arm of
 // TestPlansMatchReverseDelete: mask bit v set means node v is unavailable,
 // kind and seed pick the cost vector, and the same Planner then plans the
-// byte-rotated mask, which must match too.
+// byte-rotated mask, which must match too, and the rotated mask again as a
+// short stripe, its data nodes from seed mod (Data+1) on known.
 func FuzzPlanMatchesReverseDelete(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint64(1), []byte{})
 	f.Add(uint8(1), uint8(1), uint64(2), []byte{0x21, 0, 0x02, 0, 0x02})
@@ -205,7 +234,11 @@ func FuzzPlanMatchesReverseDelete(f *testing.F) {
 				i := v/8 + round
 				avail[v] = i >= len(mask) || mask[i]&(1<<(v%8)) == 0
 			}
-			checkAgainstOracle(t, p, g, avail, oracleCosts(int(kind)+round, g.Total, rng))
+			checkAgainstOracle(t, p, g, avail, nil, oracleCosts(int(kind)+round, g.Total, rng))
+			if round == 1 {
+				known := paddingMask(g, int(seed%uint64(g.Data+1)))
+				checkAgainstOracle(t, p, g, avail, known, oracleCosts(int(kind)+round, g.Total, rng))
+			}
 		}
 	})
 }

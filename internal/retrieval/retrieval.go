@@ -18,8 +18,10 @@
 // scan and no kernel call. PlanEconomic also keeps its last answer with the
 // price vector it came from, and returns it again for an equal vector: the
 // stripes of one read see the same devices at the same prices, so a
-// degraded read plans once, not once per stripe. The package-level Plan is
-// the one-shot convenience wrapper.
+// degraded read plans once, not once per stripe. Known names blocks the
+// caller holds without reading — a short stripe's zero padding — which every
+// plan counts as present and none lists. The package-level Plan is the
+// one-shot convenience wrapper.
 package retrieval
 
 import (
@@ -54,19 +56,24 @@ type Planner struct {
 	orphan []bool    // no ancestor check is left in the plan (see rebuildable)
 	erased []int     // every node this call erased, for unwinding
 	plan   []int
-	alt    []int // PlanEconomic's answer: its best-so-far while it runs
+	alt    []int  // PlanEconomic's answer: its best-so-far while it runs
+	known  []bool // borrowed from Known, or none: one entry per node
+	none   []bool // the known mask naming no node
+	floor  int    // the current call's data nodes not known: a plan's fewest blocks
 
-	// PlanEconomic's last answer (alt, lastCost) and the prices it answered.
-	// The answer is a function of the prices alone, so an equal vector gets
-	// it back; lastOK is false until there is one, and after an error.
+	// PlanEconomic's last answer (alt, lastCost) and the prices and known
+	// mask it answered. The answer is a function of the two alone, so equal
+	// ones get it back; lastOK is false until there is one, and after an
+	// error.
 	lastPrices []float64
+	lastKnown  []bool
 	lastCost   PlanCost
 	lastOK     bool
 }
 
 // NewPlanner returns a Planner for g.
 func NewPlanner(g *graph.Graph) *Planner {
-	return &Planner{
+	p := &Planner{
 		g:          g,
 		k:          decode.NewKernel(decode.NewCSR(g)),
 		cands:      make([]int, 0, g.Total),
@@ -77,7 +84,25 @@ func NewPlanner(g *graph.Graph) *Planner {
 		plan:       make([]int, 0, g.Total),
 		alt:        make([]int, 0, g.Total),
 		lastPrices: make([]float64, g.Total),
+		lastKnown:  make([]bool, g.Total),
 	}
+	p.none = make([]bool, g.Total)
+	p.known = p.none
+	return p
+}
+
+// Known names the nodes whose blocks the caller holds without reading them —
+// the data nodes past a short stripe's payload, which the encoder filled with
+// zeros. Every later plan counts them as present at no cost, whatever the
+// availability vector says: it never lists them to read and never drops
+// them, and its data floor (PlanCost.Surplus) is the data nodes not known.
+// known has one entry per node and is borrowed, not copied, until the next
+// Known; nil (the default) names none.
+func (p *Planner) Known(known []bool) {
+	if known == nil {
+		known = p.none
+	}
+	p.known = known[:p.g.Total]
 }
 
 // ordering selects the reverse-delete drop order. Every ordering yields a
@@ -108,7 +133,8 @@ func (p *Planner) Plan(available []bool, cost CostFunc) ([]int, float64, error) 
 	return p.planOrdered(orderCostDeep)
 }
 
-// price fills p.costs, calling cost once per available node.
+// price fills p.costs, calling cost once per available node not known (a
+// known node costs 0), and counts p.floor.
 func (p *Planner) price(available []bool, cost CostFunc) error {
 	if len(available) != p.g.Total {
 		return errors.New("retrieval: availability vector size mismatch")
@@ -116,10 +142,18 @@ func (p *Planner) price(available []bool, cost CostFunc) error {
 	if cost == nil {
 		cost = UnitCost
 	}
+	p.floor = p.g.Data
+	known := p.known
 	for v, ok := range available {
-		if ok {
+		switch {
+		case known[v]:
+			p.costs[v] = 0
+			if v < p.g.Data {
+				p.floor--
+			}
+		case ok:
 			p.costs[v] = cost(v)
-		} else {
+		default:
 			p.costs[v] = math.Inf(1)
 		}
 	}
@@ -127,16 +161,21 @@ func (p *Planner) price(available []bool, cost CostFunc) error {
 }
 
 // planOrdered runs reverse-delete in ord's order over the prices in p.costs.
+// Known nodes are in the plan from the start, as present blocks, but are
+// neither candidates to drop nor listed in the answer.
 func (p *Planner) planOrdered(ord ordering) ([]int, float64, error) {
 	// Candidate set: available nodes with finite cost, in node order.
 	p.cands = p.cands[:0]
-	allData := true // every data node is a candidate
+	allData := true // every data node is known or a candidate
+	known := p.known
 	for v := 0; v < p.g.Total; v++ {
-		p.inPlan[v] = !math.IsInf(p.costs[v], 1)
+		p.inPlan[v] = known[v] || !math.IsInf(p.costs[v], 1)
 		p.orphan[v] = false
-		if p.inPlan[v] {
+		switch {
+		case known[v]:
+		case p.inPlan[v]:
 			p.cands = append(p.cands, v)
-		} else if v < p.g.Data {
+		case v < p.g.Data:
 			allData = false
 		}
 	}
@@ -144,8 +183,8 @@ func (p *Planner) planOrdered(ord ordering) ([]int, float64, error) {
 	if allData && p.checksDropFirst(ord) {
 		// Reverse-delete would drop every check while all the data is still
 		// read, then find no data node it can do without: the plan is the
-		// data nodes, and no kernel is asked.
-		for _, v := range p.cands[p.g.Data:] {
+		// data nodes not known, and no kernel is asked.
+		for _, v := range p.cands[p.floor:] {
 			p.inPlan[v] = false
 		}
 	} else if !p.reverseDelete(ord) {
@@ -155,7 +194,7 @@ func (p *Planner) planOrdered(ord ordering) ([]int, float64, error) {
 	plan := p.plan[:0]
 	total := 0.0
 	for v := 0; v < p.g.Total; v++ {
-		if p.inPlan[v] {
+		if p.inPlan[v] && !known[v] {
 			plan = append(plan, v)
 			total += p.costs[v]
 		}
@@ -181,16 +220,20 @@ func (p *Planner) dropOrder(ord ordering, a, b int) int {
 }
 
 // checksDropFirst reports whether ord tries every candidate check before any
-// data node. It is called with every data node a candidate, so the candidate
-// list is the data nodes followed by the checks.
+// data node. It is called with every data node known or a candidate, so the
+// candidate list is the p.floor data nodes not known followed by the checks;
+// with none of the first, every check can go.
 func (p *Planner) checksDropFirst(ord ordering) bool {
-	first := 0 // the data node tried first
-	for v := 1; v < p.g.Data; v++ {
+	if p.floor == 0 {
+		return true
+	}
+	first := p.cands[0] // the data node tried first
+	for _, v := range p.cands[1:p.floor] {
 		if p.dropOrder(ord, v, first) < 0 {
 			first = v
 		}
 	}
-	for _, v := range p.cands[p.g.Data:] {
+	for _, v := range p.cands[p.floor:] {
 		if p.dropOrder(ord, v, first) > 0 {
 			return false
 		}
@@ -252,9 +295,9 @@ func (p *Planner) rebuildable(v int) bool {
 type PlanCost struct {
 	// Blocks is how many blocks the plan reads.
 	Blocks int
-	// Surplus is Blocks minus the data-block floor: the read amplification
-	// the degraded stripe forces, i.e. the projected repair reads. Zero for
-	// a healthy stripe.
+	// Surplus is Blocks minus the data-block floor, the data nodes not
+	// known: the read amplification the degraded stripe forces, i.e. the
+	// projected repair reads. Zero for a healthy stripe.
 	Surplus int
 	// Cost is the plan's total CostFunc price (spin-ups, remote reads).
 	Cost float64
@@ -271,11 +314,12 @@ func (c PlanCost) Bytes(frameSize int64) int64 { return int64(c.Surplus) * frame
 // outright, so a healthy read runs one ordering, and that one is answered
 // by a scan of the costs (see planOrdered).
 //
-// cost is called once per available node. When the resulting prices — cost
-// where available, +Inf elsewhere — equal, bit for bit, those of the last
-// successful call, that call's plan and PlanCost are returned without
-// planning again: one scan instead of a reverse-delete, and the same answer,
-// since nothing else goes into it. An error forgets the stored answer. The
+// cost is called once per available node not known. When the resulting
+// prices — 0 where known, cost where available, +Inf elsewhere — equal, bit
+// for bit, those of the last successful call, and the known mask equals its
+// mask, that call's plan and PlanCost are returned without planning again:
+// one scan instead of a reverse-delete, and the same answer, since nothing
+// else goes into it. An error forgets the stored answer. The
 // returned slice is the stored answer and is reused by later calls —
 // callers must not modify it, and those that keep it must copy.
 func (p *Planner) PlanEconomic(available []bool, cost CostFunc) ([]int, PlanCost, error) {
@@ -283,7 +327,7 @@ func (p *Planner) PlanEconomic(available []bool, cost CostFunc) ([]int, PlanCost
 		p.lastOK = false
 		return nil, PlanCost{}, err
 	}
-	if p.lastOK && samePrices(p.costs, p.lastPrices) {
+	if p.lastOK && samePrices(p.costs, p.lastPrices) && slices.Equal(p.known, p.lastKnown) {
 		return p.alt, p.lastCost, nil
 	}
 	best, err := p.planEconomic()
@@ -292,6 +336,7 @@ func (p *Planner) PlanEconomic(available []bool, cost CostFunc) ([]int, PlanCost
 		return nil, PlanCost{}, err
 	}
 	copy(p.lastPrices, p.costs)
+	copy(p.lastKnown, p.known)
 	p.lastCost = best
 	return p.alt, best, nil
 }
@@ -314,7 +359,7 @@ func (p *Planner) planEconomic() (PlanCost, error) {
 	if err != nil {
 		return PlanCost{}, err
 	}
-	best := PlanCost{Blocks: len(plan), Surplus: len(plan) - p.g.Data, Cost: total}
+	best := PlanCost{Blocks: len(plan), Surplus: len(plan) - p.floor, Cost: total}
 	p.alt = append(p.alt[:0], plan...)
 	if best.Surplus <= 0 {
 		return best, nil // at the information floor; unbeatable
@@ -324,7 +369,7 @@ func (p *Planner) planEconomic() (PlanCost, error) {
 		if err != nil {
 			continue // cannot happen: feasibility is ordering-independent
 		}
-		c := PlanCost{Blocks: len(altPlan), Surplus: len(altPlan) - p.g.Data, Cost: altTotal}
+		c := PlanCost{Blocks: len(altPlan), Surplus: len(altPlan) - p.floor, Cost: altTotal}
 		if c.Blocks < best.Blocks || (c.Blocks == best.Blocks && c.Cost < best.Cost) {
 			best = c
 			p.alt = append(p.alt[:0], altPlan...)

@@ -251,7 +251,7 @@ func TestPlannerMatchesReference(t *testing.T) {
 		}
 		cost := func(v int) float64 { return costs[v] }
 		got, gotTotal, gotErr := p.Plan(avail, cost)
-		want, wantTotal, wantErr := referencePlan(g, avail, cost)
+		want, wantTotal, wantErr := referencePlan(g, avail, nil, cost)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("trial %d: err %v vs reference %v", trial, gotErr, wantErr)
 		}
@@ -266,7 +266,8 @@ func TestPlannerMatchesReference(t *testing.T) {
 
 // TestPlannerReuseMatchesFresh: a Planner's Nth call equals a fresh
 // Planner's — the kernel unwinds completely between calls, and PlanEconomic
-// hands back its stored answer only for the prices it was computed from.
+// hands back its stored answer only for the prices and known mask it was
+// computed from.
 func TestPlannerReuseMatchesFresh(t *testing.T) {
 	g := tornado96(t)
 	p := NewPlanner(g)
@@ -290,9 +291,10 @@ func TestPlannerReuseMatchesFresh(t *testing.T) {
 		name   string
 		avail  []bool
 		prices []float64
+		known  []bool
 	}
 	degraded := func(name string, lost ...int) input {
-		in := input{name, allAvailable(g.Total), make([]float64, g.Total)}
+		in := input{name, allAvailable(g.Total), make([]float64, g.Total), nil}
 		for v := range in.prices {
 			in.prices[v] = float64(1 + rng.IntN(3))
 		}
@@ -306,19 +308,26 @@ func TestPlannerReuseMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repriced := input{"A, one planned node repriced", a.avail, slices.Clone(a.prices)}
+	repriced := input{"A, one planned node repriced", a.avail, slices.Clone(a.prices), nil}
 	repriced.prices[plan[0]] = 7
-	shrunk := input{"A's prices, one more data node lost", slices.Clone(a.avail), a.prices}
+	shrunk := input{"A's prices, one more data node lost", slices.Clone(a.avail), a.prices, nil}
 	shrunk.avail[plan[0]] = false
-	nan := input{"A, a planned data node priced NaN", a.avail, slices.Clone(a.prices)}
+	nan := input{"A, a planned data node priced NaN", a.avail, slices.Clone(a.prices), nil}
 	nan.prices[plan[1]] = math.NaN()
-	short := input{"nothing available", make([]bool, g.Total), a.prices}
-	healthy := input{"healthy", allAvailable(g.Total), a.prices}
+	short := input{"nothing available", make([]bool, g.Total), a.prices, nil}
+	healthy := input{"healthy", allAvailable(g.Total), a.prices, nil}
 	b := degraded("B", 2, 3, 40, 41, 47)
-	inputs := []input{a, b, repriced, shrunk, nan, short, healthy}
+	// Short stripes: A's damage with the data nodes from 20 on known (node 33
+	// is lost and known), the same padding one block longer, and every data
+	// node known.
+	padded := input{"A, data from 20 on known", a.avail, a.prices, paddingMask(g, 20)}
+	padded21 := input{"A, data from 21 on known", a.avail, a.prices, paddingMask(g, 21)}
+	empty := input{"A, all data known", a.avail, a.prices, paddingMask(g, 0)}
+	inputs := []input{a, b, repriced, shrunk, nan, short, healthy, padded, padded21, empty}
 
 	seq := []input{a, a, b, a, repriced, a, repriced, repriced, shrunk, a, shrunk,
-		a, short, a, short, short, a, nan, nan, a, nan, healthy, healthy, a}
+		a, short, a, short, short, a, nan, nan, a, nan, healthy, healthy, a,
+		padded, padded, a, padded, padded21, padded, empty, empty, padded, a}
 	scripted := len(seq)
 	for range 60 {
 		seq = append(seq, inputs[rng.IntN(len(inputs))])
@@ -329,11 +338,15 @@ func TestPlannerReuseMatchesFresh(t *testing.T) {
 	for i, in := range seq {
 		if i >= scripted && rng.IntN(3) == 0 {
 			other := inputs[rng.IntN(len(inputs))]
+			p.Known(other.known)
 			p.Plan(other.avail, func(v int) float64 { return other.prices[v] })
 		}
 		cost := func(v int) float64 { return in.prices[v] }
+		p.Known(in.known)
 		got, gotCost, gotErr := p.PlanEconomic(in.avail, cost)
-		want, wantCost, wantErr := NewPlanner(g).PlanEconomic(in.avail, cost)
+		fresh := NewPlanner(g)
+		fresh.Known(in.known)
+		want, wantCost, wantErr := fresh.PlanEconomic(in.avail, cost)
 		if !errors.Is(gotErr, wantErr) || !samePC(gotCost, wantCost) || !slices.Equal(got, want) {
 			t.Fatalf("call %d (%s): reused PlanEconomic diverged: %v (%+v, %v) vs fresh %v (%+v, %v)",
 				i, in.name, got, gotCost, gotErr, want, wantCost, wantErr)

@@ -326,28 +326,49 @@ func TestServeMissAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkServeColdMiss is one cold Get of a 4-stripe object through a
-// service whose cache the working set overflows: admission, four misses, four
-// decodes into recycled buffers, four evictions. -benchmem shows the miss
-// path's allocations per op.
+// BenchmarkServeColdMiss is one cold Get through a service whose cache the
+// working set overflows: admission, a miss per stripe, each decoded into a
+// recycled buffer, and as many evictions. "4-stripe" objects are whole
+// stripes; "1.33-stripe" ones are serve_cold's shape, a full stripe and one a
+// third full. reads/get is the device reads of one Get, the live data blocks
+// of its stripes: 4×48 and 48+16, where reading the second stripe's zero
+// padding made the latter 2×48. -benchmem shows the miss path's allocations
+// per op.
 func BenchmarkServeColdMiss(b *testing.B) {
-	svc, stores := testService(b, 1, Config{})
-	stripeCap := stores[0].Layout().StripeCapacity
-	svc.cache = newStripeCache(6*stripeCap, svc.metrics)
-	ctx := context.Background()
-	const objects = 8
-	names := make([]string, objects)
-	for i := range names {
-		names[i] = fmt.Sprint(i)
-		if _, err := svc.Put(ctx, "t", names[i], bytes.NewReader(testPayload(4*stripeCap, uint64(i)))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := svc.Get(ctx, "t", names[i%objects], io.Discard); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range []struct {
+		name   string
+		thirds int // object size in thirds of a stripe
+	}{{"4-stripe", 12}, {"1.33-stripe", 4}} {
+		b.Run(tc.name, func(b *testing.B) {
+			svc, stores := testService(b, 1, Config{})
+			stripeCap := stores[0].Layout().StripeCapacity
+			svc.cache = newStripeCache(6*stripeCap, svc.metrics)
+			ctx := context.Background()
+			const objects = 8
+			names := make([]string, objects)
+			for i := range names {
+				names[i] = fmt.Sprint(i)
+				data := testPayload(tc.thirds*stripeCap/3, uint64(i))
+				if _, err := svc.Put(ctx, "t", names[i], bytes.NewReader(data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reads := func() (n int64) {
+				for _, d := range stores[0].Devices() {
+					n += d.Stats().Reads
+				}
+				return n
+			}
+			r0 := reads()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := svc.Get(ctx, "t", names[i%objects], io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(reads()-r0)/float64(b.N), "reads/get")
+		})
 	}
 }
