@@ -47,11 +47,11 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # fuzz gives the frame codec, the kernel differential batteries (peeling
-# decoder, the stopping-set search against the scan and the reference
-# peel, closed-set defect scan), the read path's three oracles (planner
-# against plain reverse-delete, targeted decode against Repair, a short
-# stripe's read against the reference peel with its padding known), the
-# campaign journal parser (arbitrary bytes through the resume path), the
+# decoder and its schedules, the stopping-set search against the scan and
+# the reference peel, closed-set defect scan), the read path's three oracles
+# (planner against plain reverse-delete, targeted decode against the
+# reference sweep, a short stripe's read against the reference peel with
+# its padding known), the campaign journal parser (arbitrary bytes through the resume path), the
 # GraphML parser (user-supplied graph files) and the federation's union peel
 # (against the §5.3 exchange fixpoint) a short randomized shake on every
 # check; longer sessions: make fuzz FUZZTIME=10m
@@ -109,6 +109,9 @@ bench:
 #   nodes lost), the scalar decode.Kernel's one production workload; 0
 #   allocs/op.
 # - PlanEconomicRepeat: the same plan asked again, answered from the stored one.
+# - Repair5Lost, DecodeInto4Lost: the codec executing decode's schedule on a
+#   reused workspace, as scrub and RepairFrom (five blocks lost) and a
+#   degraded read (four data blocks lost) run it; 0 allocs/op.
 BENCH1 = $(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -benchtime 1x
 bench-smoke:
 	$(BENCH1) -bench Recoverable ./internal/decode/
@@ -124,6 +127,7 @@ bench-smoke:
 	$(BENCH1) -bench OverheadTrial ./internal/sim/
 	$(BENCH1) -bench PlanEconomicDegraded -benchmem ./internal/retrieval/
 	$(BENCH1) -bench PlanEconomicRepeat -benchmem ./internal/retrieval/
+	$(BENCH1) -bench 'Repair5Lost|DecodeInto4Lost' -benchmem ./internal/codec/
 
 # bench/ is a module of its own, so the root vet/build/test never compile
 # bench/api.go — the one file a signature change in the library breaks.

@@ -1,14 +1,15 @@
 // Package codec carries real data through a Tornado graph: data blocks are
 // XORed into check blocks exactly as the graph edges describe (paper §2),
-// and lost blocks are reconstructed with the peeling rules operating on the
-// actual bytes. The structural simulator (internal/decode) answers "is this
-// erasure pattern recoverable?"; this package performs the recovery.
+// and lost blocks are reconstructed on the actual bytes. Which blocks are
+// rebuilt, and in what order, is internal/decode's peel: its Decoder emits
+// the schedule, and this package only executes each step's XORs.
 package codec
 
 import (
 	"errors"
 	"fmt"
 
+	"tornado/internal/decode"
 	"tornado/internal/graph"
 )
 
@@ -20,15 +21,17 @@ var ErrUnrecoverable = errors.New("codec: data blocks unrecoverable from survivi
 // stateless apart from the graph and safe for concurrent use.
 type Codec struct {
 	g         *graph.Graph
+	csr       *decode.CSR // read-only adjacency every decoder of the codec shares
 	blockSize int
 }
 
-// New returns a Codec for g with the given block size in bytes.
+// New returns a Codec for g with the given block size in bytes. g must not
+// change afterwards.
 func New(g *graph.Graph, blockSize int) (*Codec, error) {
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("codec: block size %d must be positive", blockSize)
 	}
-	return &Codec{g: g, blockSize: blockSize}, nil
+	return &Codec{g: g, csr: decode.NewCSR(g), blockSize: blockSize}, nil
 }
 
 // Graph returns the codec's graph.
@@ -93,89 +96,18 @@ func (c *Codec) EncodeChecks(blocks [][]byte) error {
 // partial block set (nil entries are missing). The input slice is repaired
 // in place: every recoverable block is filled in.
 func (c *Codec) Decode(blocks [][]byte, payloadLen int) ([]byte, error) {
-	if payloadLen < 0 || payloadLen > c.Capacity() {
-		return nil, fmt.Errorf("codec: payload length %d out of range", payloadLen)
-	}
-	if err := c.Repair(blocks); err != nil {
-		return nil, err
-	}
-	out := make([]byte, payloadLen)
-	for i := 0; i < c.g.Data && i*c.blockSize < payloadLen; i++ {
-		copy(out[i*c.blockSize:], blocks[i])
-	}
-	return out, nil
+	return c.decode(&Workspace{fresh: true}, nil, blocks, payloadLen, true)
 }
 
-// checkBlocks validates a partial block set (nil entries are missing).
-func (c *Codec) checkBlocks(blocks [][]byte) error {
-	if len(blocks) != c.g.Total {
-		return fmt.Errorf("codec: got %d blocks, graph has %d nodes", len(blocks), c.g.Total)
-	}
-	for i, b := range blocks {
-		if b != nil && len(b) != c.blockSize {
-			return fmt.Errorf("codec: block %d has %d bytes, want %d", i, len(b), c.blockSize)
-		}
-	}
-	return nil
-}
-
-// Repair runs data-carrying peeling over blocks (nil entries are missing),
-// reconstructing every block it can reach. It returns ErrUnrecoverable if
-// any data block remains missing; check blocks may legitimately stay nil.
+// Repair executes decode's full schedule over blocks (nil entries are
+// missing), rebuilding every block peeling can reach. It returns
+// ErrUnrecoverable if any data block remains missing.
 //
 // Every block it fills in is a fresh allocation the caller owns outright,
 // which is what the cross-site exchanges (fedstore, steward: their block
-// arrays outlive the call and are shared between sites) and Decode want, and
-// what makes it the plain oracle the tests hold RepairWith and DecodeInto
-// against. The archive's stripe paths — Get, scrub, site repair — go through
-// a pooled Workspace (RepairWith, ResumeRepair, DecodeInto) and never call it.
+// arrays outlive the call and are shared between sites) and Decode want.
+// The archive's stripe paths — Get, scrub, site repair — go through a pooled
+// Workspace (RepairWith, ResumeRepair, DecodeInto) and never call it.
 func (c *Codec) Repair(blocks [][]byte) error {
-	if err := c.checkBlocks(blocks); err != nil {
-		return err
-	}
-	scratch := make([]byte, c.blockSize)
-	for changed := true; changed; {
-		changed = false
-		for r := c.g.Data; r < c.g.Total; r++ {
-			lefts := c.g.LeftNeighbors(r)
-			missing := -1
-			nMissing := 0
-			for _, l := range lefts {
-				if blocks[l] == nil {
-					nMissing++
-					missing = int(l)
-					if nMissing > 1 {
-						break
-					}
-				}
-			}
-			switch {
-			case blocks[r] != nil && nMissing == 1:
-				// Recover the single missing left: XOR of the check and
-				// the other lefts.
-				copy(scratch, blocks[r])
-				for _, l := range lefts {
-					if int(l) != missing {
-						xorInto(scratch, blocks[l])
-					}
-				}
-				blocks[missing] = append([]byte(nil), scratch...)
-				changed = true
-			case blocks[r] == nil && nMissing == 0:
-				// Recompute the check from its complete left set.
-				b := make([]byte, c.blockSize)
-				for _, l := range lefts {
-					xorInto(b, blocks[l])
-				}
-				blocks[r] = b
-				changed = true
-			}
-		}
-	}
-	for i := 0; i < c.g.Data; i++ {
-		if blocks[i] == nil {
-			return ErrUnrecoverable
-		}
-	}
-	return nil
+	return c.rebuild(&Workspace{fresh: true}, blocks, true)
 }

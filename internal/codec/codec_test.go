@@ -247,27 +247,51 @@ func BenchmarkEncode96x4KiB(b *testing.B) {
 	}
 }
 
+// BenchmarkRepair5Lost times the pooled RepairWith, the repair scrub and
+// RepairFrom run, on a stripe with five blocks lost; 0 allocs/op.
 func BenchmarkRepair5Lost(b *testing.B) {
+	benchDegraded(b, []int{0, 1, 50, 60, 70}, func(c *Codec, ws *Workspace, work [][]byte, _ []byte) error {
+		return c.RepairWith(ws, work)
+	})
+}
+
+// BenchmarkDecodeInto4Lost times a degraded read's decode: four data blocks
+// lost, every other block present, the payload appended to a reused buffer;
+// 0 allocs/op.
+func BenchmarkDecodeInto4Lost(b *testing.B) {
+	benchDegraded(b, []int{3, 17, 29, 41}, func(c *Codec, ws *Workspace, work [][]byte, dst []byte) error {
+		_, err := c.DecodeInto(ws, dst, work, c.Capacity())
+		return err
+	})
+}
+
+// benchDegraded times op on one reused, warmed workspace over a 4 KiB-block
+// stripe with the lost blocks missing.
+func benchDegraded(b *testing.B, lost []int, op func(c *Codec, ws *Workspace, work [][]byte, dst []byte) error) {
 	g := testGraph(b)
 	c, _ := New(g, 4096)
 	payload := make([]byte, c.Capacity())
 	blocks, _ := c.Encode(payload)
-	d := decode.New(g)
-	if !d.Recoverable([]int{0, 1, 50, 60, 70}) {
+	if !decode.New(g).Recoverable(lost) {
 		b.Skip("pattern unrecoverable for this draw")
 	}
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		work := make([][]byte, len(blocks))
+	ws := c.NewWorkspace()
+	work := make([][]byte, len(blocks))
+	dst := make([]byte, 0, c.Capacity())
+	run := func() {
 		copy(work, blocks)
-		for _, v := range []int{0, 1, 50, 60, 70} {
+		for _, v := range lost {
 			work[v] = nil
 		}
-		b.StartTimer()
-		if err := c.Repair(work); err != nil {
+		if err := op(c, ws, work, dst); err != nil {
 			b.Fatal(err)
 		}
+	}
+	run() // builds the workspace's decoder and arena
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }

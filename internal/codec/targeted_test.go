@@ -34,9 +34,9 @@ func newTargetedFixture(t testing.TB) *targetedFixture {
 }
 
 // check decodes the stripe with the erased blocks missing and the wanted ones
-// asked for, on the fixture's one workspace, and compares with Repair on a
-// copy. fellBack reports that an erased check nobody asked for was filled in:
-// by rule 1 from above, or by the full-closure pass.
+// asked for, on the fixture's one workspace, and compares with the reference
+// repair on a copy. fellBack reports that an erased check nobody asked for
+// was filled in: a step some asked-for block depends on.
 func (f *targetedFixture) check(t testing.TB, erased, want []bool) (fellBack bool) {
 	t.Helper()
 	oracle := make([][]byte, len(f.full))
@@ -46,7 +46,7 @@ func (f *targetedFixture) check(t testing.TB, erased, want []bool) (fellBack boo
 			oracle[v], blocks[v] = b, b
 		}
 	}
-	wantErr := f.c.Repair(oracle)
+	wantErr := repairRef(f.c, oracle)
 	f.ws.Want(want)
 	got, err := f.c.DecodeInto(f.ws, f.dst[:0], blocks, len(f.payload))
 	if err != wantErr {
@@ -95,8 +95,8 @@ func TestDecodeIntoMatchesRepair(t *testing.T) {
 	}
 
 	// The stall, scripted: no check was read and a second-level check is
-	// asked for. The targeted peel cannot re-encode it (its lefts are checks
-	// nobody asked for), so the full closure must, on the same arena.
+	// asked for. Its lefts are checks nobody asked for, so the pruned
+	// schedule must re-encode them first, on the same arena.
 	erased, want := make([]bool, n), make([]bool, n)
 	for r := f.c.g.Data; r < n; r++ {
 		erased[r] = true
@@ -155,5 +155,53 @@ func TestHealthyDecodeDoesNoXOR(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("healthy decode allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestDegradedRepairAllocs: on a reused workspace a degraded DecodeInto and
+// RepairWith allocate nothing — nor, so, do the reused decoder's ScheduleFor
+// and Schedule they run; the allocating Repair allocates the blocks it
+// fills plus the decoder it schedules with (the struct and its six arrays),
+// never the graph's adjacency, which the codec's decoders share.
+func TestDegradedRepairAllocs(t *testing.T) {
+	f := newTargetedFixture(t)
+	work := make([][]byte, len(f.full))
+	// allocs runs op on the stripe with lost missing and returns its
+	// allocations per call and the number of blocks the last call filled.
+	allocs := func(lost []int, op func() error) (perCall float64, filled int) {
+		t.Helper()
+		perCall = testing.AllocsPerRun(20, func() {
+			copy(work, f.full)
+			for _, v := range lost {
+				work[v] = nil
+			}
+			if err := op(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for _, v := range lost {
+			if work[v] != nil {
+				filled++
+				if !bytes.Equal(work[v], f.full[v]) {
+					t.Fatalf("lost %v: block %d holds the wrong bytes", lost, v)
+				}
+			}
+		}
+		return perCall, filled
+	}
+	f.ws.Want(nil)
+	for _, lost := range [][]int{{3, 17, 29, 41}, {0, 1, 50, 60, 70}} {
+		if a, _ := allocs(lost, func() error {
+			_, err := f.c.DecodeInto(f.ws, f.dst[:0], work, len(f.payload))
+			return err
+		}); a != 0 {
+			t.Errorf("lost %v: degraded DecodeInto allocates %.0f times, want 0", lost, a)
+		}
+		if a, _ := allocs(lost, func() error { return f.c.RepairWith(f.ws, work) }); a != 0 {
+			t.Errorf("lost %v: degraded RepairWith allocates %.0f times, want 0", lost, a)
+		}
+		if a, filled := allocs(lost, func() error { return f.c.Repair(work) }); a > float64(filled+7) {
+			t.Errorf("lost %v: Repair allocates %.0f times, want at most %d filled blocks + 7", lost, a, filled)
+		}
 	}
 }

@@ -1,6 +1,11 @@
 package codec
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"tornado/internal/decode"
+)
 
 // Encoder is a reusable encoding workspace: one flat arena holding all
 // Total blocks of a stripe, carved once and reused for every subsequent
@@ -51,16 +56,20 @@ func (e *Encoder) Encode(payload []byte) ([][]byte, error) {
 	return e.blocks, nil
 }
 
-// Workspace is a reusable repair/decode workspace: an arena that recovered
-// blocks are carved from, so repairing stripe after stripe of a streaming
-// Get reuses the same memory instead of allocating per recovered block. The
-// arena is built by the first call that rebuilds a block: a workspace that
-// only ever decodes healthy stripes holds no memory.
+// Workspace is a reusable repair/decode workspace: a decoder that
+// schedules each stripe's rebuilds and an arena the rebuilt blocks are
+// carved from, so repairing stripe after stripe of a streaming Get reuses
+// the same memory instead of allocating per recovered block. Both are built
+// by the first call that rebuilds a block: a workspace that only ever
+// decodes healthy stripes holds no memory.
 //
 // A Workspace is NOT safe for concurrent use; each goroutine needs its own.
 type Workspace struct {
+	d     *decode.Decoder
+	csr   *decode.CSR // the adjacency d peels: its codec's
 	arena []byte
 	used  int
+	fresh bool // every rebuilt block is a fresh allocation (Repair's)
 	want  []bool
 }
 
@@ -72,10 +81,16 @@ func (c *Codec) NewWorkspace() *Workspace { return &Workspace{} }
 // borrowed, not copied, until the next Want; nil (the default) names none.
 func (w *Workspace) Want(want []bool) { w.want = want }
 
-// alloc carves one block from the arena, which is first built for a full
-// stripe's worth of recoveries and grown if a pathological call pattern
-// (wrong codec, repeated reuse without reset) exhausts it.
+func (w *Workspace) wants(v int) bool { return v < len(w.want) && w.want[v] }
+
+// alloc returns the memory for one rebuilt block: a fresh allocation, or a
+// block carved from the arena, which is first built for a full stripe's
+// worth of recoveries and grown if a pathological call pattern (wrong codec,
+// repeated reuse without reset) exhausts it.
 func (w *Workspace) alloc(c *Codec) []byte {
+	if w.fresh {
+		return make([]byte, c.blockSize)
+	}
 	if w.used+c.blockSize > len(w.arena) {
 		w.arena = make([]byte, max(c.g.Total*c.blockSize, len(w.arena)+c.blockSize*8))
 		w.used = 0
@@ -89,62 +104,62 @@ func (w *Workspace) alloc(c *Codec) []byte {
 // must no longer be referenced by the caller.
 func (w *Workspace) reset() { w.used = 0 }
 
-// peel runs the peeling rules over blocks to their fixpoint, carving every
-// block it fills in from ws. Rule 1 — a present check with one missing left
-// rebuilds that left — always runs. Rule 2 — a missing check is re-encoded
-// from its complete lefts — runs for every check when all is set, else only
-// for those ws.want names.
-func (c *Codec) peel(ws *Workspace, blocks [][]byte, all bool) {
-	for changed := true; changed; {
-		changed = false
-		for r := c.g.Data; r < c.g.Total; r++ {
-			lefts := c.g.LeftNeighbors(r)
-			missing := -1
-			nMissing := 0
-			for _, l := range lefts {
-				if blocks[l] == nil {
-					nMissing++
-					missing = int(l)
-					if nMissing > 1 {
-						break
-					}
-				}
-			}
-			switch {
-			case blocks[r] != nil && nMissing == 1:
-				b := ws.alloc(c)
-				copy(b, blocks[r])
-				for _, l := range lefts {
-					if int(l) != missing {
-						xorInto(b, blocks[l])
-					}
-				}
-				blocks[missing] = b
-				changed = true
-			case blocks[r] == nil && nMissing == 0 && (all || ws.wants(r)):
-				b := ws.alloc(c)
-				clear(b)
-				for _, l := range lefts {
-					xorInto(b, blocks[l])
-				}
-				blocks[r] = b
-				changed = true
-			}
-		}
+// rebuild is the one place the codec fills in blocks, and it decides none
+// of them. It validates blocks (nil entries are missing); when a data block
+// (or, with all set, any block; else one ws.want names) is missing, it
+// erases the nil entries from ws's decoder and executes the decoder's
+// schedule — the full fixpoint's with all set, else the steps the data
+// blocks and ws.want's depend on — taking each rebuilt block from ws.alloc.
+// It reports ErrUnrecoverable if a data block stays missing.
+func (c *Codec) rebuild(ws *Workspace, blocks [][]byte, all bool) error {
+	if len(blocks) != c.g.Total {
+		return fmt.Errorf("codec: got %d blocks, graph has %d nodes", len(blocks), c.g.Total)
 	}
-}
-
-func (w *Workspace) wants(v int) bool { return v < len(w.want) && w.want[v] }
-
-// reached reports whether every data block, and every block ws.want names
-// when wanted is set, is present.
-func (c *Codec) reached(ws *Workspace, blocks [][]byte, wanted bool) bool {
+	healthy := true
 	for v, b := range blocks {
-		if b == nil && (v < c.g.Data || (wanted && ws.wants(v))) {
-			return false
+		if b != nil && len(b) != c.blockSize {
+			return fmt.Errorf("codec: block %d has %d bytes, want %d", v, len(b), c.blockSize)
+		}
+		healthy = healthy && (b != nil || v >= c.g.Data && !all && !ws.wants(v))
+	}
+	if healthy {
+		return nil
+	}
+	if ws.csr != c.csr {
+		ws.d, ws.csr = decode.NewDecoder(c.csr), c.csr
+	}
+	for v, b := range blocks {
+		if b == nil {
+			ws.d.Erase(v)
 		}
 	}
-	return true
+	var steps []decode.Step
+	if all {
+		steps = ws.d.Schedule()
+	} else {
+		steps = ws.d.ScheduleFor(ws.want)
+	}
+	ws.d.Reset()
+	for _, st := range steps {
+		b := ws.alloc(c)
+		if st.Node == st.Check {
+			clear(b)
+		} else {
+			copy(b, blocks[st.Check])
+		}
+		for _, l := range c.csr.LeftNeighbors(st.Check) {
+			if l != st.Node {
+				xorInto(b, blocks[l])
+			}
+		}
+		blocks[st.Node] = b
+	}
+	for _, b := range blocks[:c.g.Data] {
+		if b == nil {
+			return ErrUnrecoverable
+		}
+	}
+	return nil
 }
 
 // RepairWith is Repair carving recovered blocks from ws: it fills in every
@@ -157,48 +172,39 @@ func (c *Codec) RepairWith(ws *Workspace, blocks [][]byte) error {
 	return c.ResumeRepair(ws, blocks)
 }
 
-// ResumeRepair takes up the peel where RepairWith stopped, after the caller
+// ResumeRepair takes up the repair where RepairWith stopped, after the caller
 // has put blocks from elsewhere (a donor site's copy) into the holes it left:
-// the arena is not recycled, so everything the earlier peel filled in stays
+// the arena is not recycled, so everything the earlier call filled in stays
 // valid, and the checks that depend on the new blocks are re-encoded beside
 // it. One stripe's RepairWith and ResumeRepair calls together fill at most
 // Total blocks, which is what the arena holds.
 func (c *Codec) ResumeRepair(ws *Workspace, blocks [][]byte) error {
-	if err := c.checkBlocks(blocks); err != nil {
-		return err
-	}
-	c.peel(ws, blocks, true)
-	if !c.reached(ws, blocks, false) {
-		return ErrUnrecoverable
-	}
-	return nil
+	return c.rebuild(ws, blocks, true)
 }
 
 // DecodeInto reconstructs the stripe payload into dst (which must have
 // payloadLen capacity available via append semantics: the payload is
 // appended to dst and the extended slice returned). It is Decode for the
 // read path, and does only what the payload needs: blocks is filled in with
-// the data blocks and the blocks ws.Want names, and parity nobody asked for
-// is not re-encoded — from exactly the data blocks the call is one copy.
-// Only when that targeted peel leaves a data or wanted block missing does
-// it peel to the full closure, as RepairWith does, since a re-encoded check
-// may be what unlocks the block. Filled-in blocks alias ws's arena as
-// RepairWith's do.
+// the data blocks and the recoverable blocks ws.Want names — the schedule
+// pruned to the steps those depend on — and parity nobody asked for is not
+// re-encoded: from exactly the data blocks the call is one copy. Filled-in
+// blocks alias ws's arena as RepairWith's do.
 func (c *Codec) DecodeInto(ws *Workspace, dst []byte, blocks [][]byte, payloadLen int) ([]byte, error) {
+	ws.reset()
+	return c.decode(ws, dst, blocks, payloadLen, false)
+}
+
+// decode rebuilds blocks (to the full fixpoint when all is set) and appends
+// the payload's payloadLen bytes to dst, growing it at most once.
+func (c *Codec) decode(ws *Workspace, dst []byte, blocks [][]byte, payloadLen int, all bool) ([]byte, error) {
 	if payloadLen < 0 || payloadLen > c.Capacity() {
 		return nil, fmt.Errorf("codec: payload length %d out of range", payloadLen)
 	}
-	if err := c.checkBlocks(blocks); err != nil {
+	if err := c.rebuild(ws, blocks, all); err != nil {
 		return nil, err
 	}
-	ws.reset()
-	c.peel(ws, blocks, false)
-	if !c.reached(ws, blocks, true) {
-		c.peel(ws, blocks, true) // the arena is not recycled: blocks filled in so far stay
-		if !c.reached(ws, blocks, false) {
-			return nil, ErrUnrecoverable
-		}
-	}
+	dst = slices.Grow(dst, payloadLen)
 	for i := 0; i < c.g.Data && i*c.blockSize < payloadLen; i++ {
 		end := min((i+1)*c.blockSize, payloadLen)
 		dst = append(dst, blocks[i][:end-i*c.blockSize]...)

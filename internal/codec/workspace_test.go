@@ -93,7 +93,7 @@ func TestEncoderReuseDoesNotLeakPriorStripe(t *testing.T) {
 }
 
 // TestRepairWithMatchesRepair erases random subsets and checks the
-// workspace repair agrees with the allocating Repair, including the
+// workspace repair agrees with the reference repair, including the
 // unrecoverable verdict.
 func TestRepairWithMatchesRepair(t *testing.T) {
 	g := testGraph(t)
@@ -123,7 +123,7 @@ func TestRepairWithMatchesRepair(t *testing.T) {
 			v := rng.IntN(len(full))
 			a[v], b[v] = nil, nil
 		}
-		errA := c.Repair(a)
+		errA := repairRef(c, a)
 		errB := c.RepairWith(ws, b)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("trial %d: Repair err %v, RepairWith err %v", trial, errA, errB)

@@ -7,13 +7,14 @@
 //
 // Every evaluator walks a shared read-only CSR snapshot. Decoder and Kernel
 // run one array peel: Decoder for large erasure sets and full reports —
-// erase anytime, Decode names what stays lost — and as the oracle of the
-// other evaluators' differential tests; Kernel for a set changed a node at
-// a time (retrieval's reverse-delete probes). SlicedKernel peels 64
-// patterns a word and carries internal/sim's rank scans and samplers (paper
-// §3). StoppingEnumerator does not evaluate patterns: it lists the small
-// stopping sets, where peeling stalls, from which sim answers the in-memory
-// exhaustive search. See DESIGN.md "Decoder kernels".
+// erase anytime, Decode names what stays lost — for the codec's rebuild
+// order (Schedule) and as the other evaluators' differential oracle; Kernel
+// for a set changed a node at a time (retrieval's reverse-delete probes).
+// SlicedKernel peels 64 patterns a word and carries internal/sim's rank
+// scans and samplers (paper §3). StoppingEnumerator does not evaluate
+// patterns: it lists the small stopping sets, where peeling stalls, from
+// which sim answers the in-memory exhaustive search. See DESIGN.md
+// "Decoder kernels".
 package decode
 
 import (
@@ -90,11 +91,17 @@ func (p *peeler) makePresent(v int32) {
 	}
 }
 
-// peel applies the two rules until no data node is missing or none applies.
-// Nodes left on the stack by the early stop are still valid work for a later
-// peel.
-func (p *peeler) peel() {
-	for len(p.stack) > 0 && p.lostData > 0 {
+// Step is one rebuild of a peeling schedule. Node != Check is rule 1: left
+// node Node is Check XOR Check's other left neighbors. Node == Check is
+// rule 2: the check is re-encoded as the XOR of its left neighbors.
+type Step struct{ Node, Check int32 }
+
+// peel applies the two rules until none applies or, unless full is set, no
+// data node is missing. Nodes left on the stack by the early stop are still
+// valid work for a later peel. With log set, every rebuild is appended to
+// *log in the order the peel makes them.
+func (p *peeler) peel(log *[]Step, full bool) {
+	for len(p.stack) > 0 && (p.lostData > 0 || full) {
 		r := p.stack[len(p.stack)-1]
 		p.stack = p.stack[:len(p.stack)-1]
 		if p.present[r] {
@@ -105,12 +112,18 @@ func (p *peeler) peel() {
 			for _, l := range p.c.LeftNeighbors(r) {
 				if !p.present[l] {
 					p.makePresent(l)
+					if log != nil {
+						*log = append(*log, Step{l, r})
+					}
 					break
 				}
 			}
 		} else if p.missing[r] == 0 {
 			// All left neighbors present: recompute the check itself.
 			p.makePresent(r)
+			if log != nil {
+				*log = append(*log, Step{r, r})
+			}
 		}
 	}
 }
@@ -135,21 +148,24 @@ func (p *peeler) restore(erased []int32) {
 
 // Decoder evaluates erasure patterns against a fixed graph. It is not safe
 // for concurrent use; create one Decoder per goroutine. A Decoder peels a
-// CSR snapshot of the graph taken by New, so it does not observe later
-// mutations of the graph.
+// CSR snapshot of the graph, so it does not observe later mutations of the
+// graph.
 type Decoder struct {
-	g *graph.Graph
 	peeler
-	log []int32 // every node erased since the last Reset (may contain duplicates)
+	log   []int32 // every node erased since the last Reset (may contain duplicates)
+	steps []Step  // Schedule's result: each node at most once
+	need  []bool  // ScheduleFor's marks, all false between calls
 }
 
 // New returns a Decoder for g in the baseline state (everything present).
-func New(g *graph.Graph) *Decoder {
-	return &Decoder{g: g, peeler: newPeeler(NewCSR(g)), log: make([]int32, 0, g.Total)}
-}
+func New(g *graph.Graph) *Decoder { return NewDecoder(NewCSR(g)) }
 
-// Graph returns the graph this decoder evaluates.
-func (d *Decoder) Graph() *graph.Graph { return d.g }
+// NewDecoder returns a Decoder over c in the baseline state. Many decoders
+// may share one read-only CSR.
+func NewDecoder(c *CSR) *Decoder {
+	steps, need := make([]Step, 0, c.Total), make([]bool, c.Total)
+	return &Decoder{peeler: newPeeler(c), log: make([]int32, 0, c.Total), steps: steps, need: need}
+}
 
 // Erase marks nodes as missing. Erasing an already-missing node is a no-op.
 // Call Peel afterwards to run reconstruction.
@@ -166,7 +182,50 @@ func (d *Decoder) Erase(nodes ...int) {
 // applies. A peel that recovered every data node stops there, so it may
 // leave checks un-recomputed that a full fixpoint would rebuild; one that
 // leaves data missing has reached the fixpoint.
-func (d *Decoder) Peel() { d.peel() }
+func (d *Decoder) Peel() { d.peel(nil, false) }
+
+// Schedule peels the current erasure to the full fixpoint, past the point
+// where every data node is back, and returns its rebuilds in order: each
+// target once, every source present before or an earlier target. Call it
+// after Erase with no Peel, and Reset afterwards; the slice is the
+// decoder's until the next Schedule.
+func (d *Decoder) Schedule() []Step {
+	d.steps = d.steps[:0]
+	d.peel(&d.steps, true)
+	return d.steps
+}
+
+// ScheduleFor is Schedule pruned to the steps that rebuild a data node or a
+// node want names (want is indexed by node; nil names none), and the steps
+// those depend on, in the same order. The peel stops once those nodes are
+// all back: every later step would be pruned.
+func (d *Decoder) ScheduleFor(want []bool) []Step {
+	d.steps = d.steps[:0]
+	d.peel(&d.steps, false)
+	for v, w := range want {
+		if w && !d.present[v] {
+			d.peel(&d.steps, true)
+			break
+		}
+	}
+	steps := d.steps
+	kept := len(steps)
+	for i := len(steps) - 1; i >= 0; i-- {
+		s := steps[i]
+		if s.Node >= d.c.Data && !d.need[s.Node] && (int(s.Node) >= len(want) || !want[s.Node]) {
+			continue
+		}
+		d.need[s.Check] = true
+		for _, l := range d.c.LeftNeighbors(s.Check) {
+			d.need[l] = true
+		}
+		kept--
+		steps[kept] = s
+	}
+	clear(d.need)
+	d.steps = append(steps[:0], steps[kept:]...)
+	return d.steps
+}
 
 // AllDataPresent reports whether every data node is currently available.
 func (d *Decoder) AllDataPresent() bool { return d.lostData == 0 }
@@ -191,7 +250,7 @@ func (d *Decoder) missingFiltered(dst []int, dataOnly bool) []int {
 		if d.present[v] {
 			continue
 		}
-		if dataOnly && int(v) >= d.g.Data {
+		if dataOnly && v >= d.c.Data {
 			continue
 		}
 		dst = append(dst, int(v))

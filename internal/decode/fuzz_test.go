@@ -12,9 +12,11 @@ import (
 // evaluated four ways — ReferenceRecoverable (the oracle), the stateful
 // Decoder, the kernel's one-shot path, and the kernel's incremental path
 // (mutating one long-lived kernel by per-set deltas, the revolving-door
-// scan access pattern). Any disagreement is a finding. Erasure-set sizes
-// range from empty to the whole graph, and a revolving-door burst checks
-// Swap against the one-shot verdicts.
+// scan access pattern) — and the Decoder's schedules, full and pruned to a
+// random want set, held to the reference fixpoint (checkSchedule). Any
+// disagreement is a finding. Erasure-set sizes range from empty to the
+// whole graph, and a revolving-door burst checks Swap against the one-shot
+// verdicts.
 func FuzzKernelMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint64(2))
 	f.Add(uint64(2006), uint64(0))
@@ -39,6 +41,7 @@ func FuzzKernelMatchesReference(f *testing.F) {
 			if got := d.Recoverable(next); got != want {
 				t.Fatalf("decoder = %v, reference = %v (graph %v, erased %v)", got, want, g, next)
 			}
+			checkSchedule(t, g, d, next, randomWant(rng, g.Total))
 
 			// Delta-update incr from cur to next: restore what left the
 			// set, erase what entered it.

@@ -73,7 +73,7 @@ func (k *Kernel) Eval() bool {
 	for _, v := range k.eset {
 		k.erase(v)
 	}
-	k.peel()
+	k.peel(nil, false)
 	ok := k.lostData == 0
 	k.restore(k.eset)
 	return ok
