@@ -2,6 +2,7 @@ package fedstore
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"tornado/internal/archive"
@@ -73,4 +74,29 @@ func BenchmarkRepairSite(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "repair_ms")
 	b.ReportMetric(float64(reads)/float64(b.N*stripes), "reads/stripe")
+}
+
+// BenchmarkFederatedPut is site_wipe's setup as a Go benchmark: 1 MiB objects
+// Put through the facade into the three shipped graphs, every site written at
+// once, each object on fresh device slabs as the setup's are. Every 16 objects
+// a fresh federation replaces the full one off the clock, which bounds the
+// memory held. It reports ms/object.
+func BenchmarkFederatedPut(b *testing.B) {
+	const perFederation = 16
+	data := testPayload(1<<20, 1)
+	var f *Store
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%perFederation == 0 {
+			b.StopTimer()
+			f = nil
+			runtime.GC()
+			f, _, _, _ = shippedFederation(b, 0)
+			b.StartTimer()
+		}
+		if err := f.PutCtx(ctx, fmt.Sprintf("obj-%03d", i%perFederation), data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/object")
 }

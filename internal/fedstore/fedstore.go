@@ -5,13 +5,14 @@
 // injector) or a steward.Client over HTTP; the facade runs the same bodies
 // over both. Where internal/federation answers the analytical question
 // ("would these joint erasures lose data?"), fedstore moves real bytes: reads
-// fail over across sites, writes require a configurable site quorum and roll
-// back below it, and when every site individually reports data loss the
-// facade runs the paper's §5.3 block exchange for real — partial peeling at
-// each site, reconstructed data blocks shipped between sites over the WAN
-// topology, repeated to fixpoint — then re-exports recovered blocks to the
-// broken sites through the sites' block interface, so every exchanged byte
-// lands in the sites' repairbw meters under the federation cause.
+// fail over across sites, writes reach every site at once, require a
+// configurable site quorum and roll back below it, and when every site
+// individually reports data loss the facade runs the paper's §5.3 block
+// exchange for real — partial peeling at each site, reconstructed data
+// blocks shipped between sites over the WAN topology, repeated to fixpoint —
+// then re-exports recovered blocks to the broken sites through the sites'
+// block interface, so every exchanged byte lands in the sites' repairbw
+// meters under the federation cause.
 //
 // A site leaves the federation two ways. An optional chaos.WAN injects
 // site-scale failures — whole-site loss, inter-site partitions, per-link
@@ -26,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -340,14 +342,25 @@ func (f *Store) SiteFederationTotals() repairbw.CostReport {
 	return total
 }
 
-// PutCtx stores the object at every reachable site. At least WriteQuorum
-// sites must durably accept it; otherwise every successful site write is
-// rolled back and the Put fails with ErrSiteQuorum — graceful degradation
-// refuses new writes rather than silently under-replicating them. Only down
-// or degraded sites count against the quorum: a site that answers
-// archive.ErrExists has given a definitive verdict on the name, and the Put
-// is rolled back and refused with it. The rollback runs to completion even
+// PutCtx stores the object at every reachable site, writing them all at
+// once: one goroutine per site, each running that site's own Put (in
+// process, archive.PutCtx at width 1). Every verdict is taken after the join,
+// in ascending site order. At least WriteQuorum sites must durably accept the
+// object; otherwise every successful site write is rolled back and the Put
+// fails with ErrSiteQuorum — graceful degradation refuses new writes rather
+// than silently under-replicating them. Only down or degraded sites count
+// against the quorum: a site that answers archive.ErrExists has given a
+// definitive verdict on the name, and the Put is rolled back at every site it
+// reached and refused with it. Two Puts racing on one name may therefore
+// both be refused; at most one succeeds. The rollback runs to completion even
 // when ctx is what ended the Put.
+//
+// Until the rollback ends, a refused Put's bytes sit at every site that took
+// them — for a repeat Put of an existing name, every up site that lacked it,
+// such as one waiting for RepairSite — and a concurrent Get may read them. A
+// rollback Delete that fails leaves that copy behind, consistent within its
+// site but unlike the other sites' copies; the returned error names each
+// such site, so the caller can delete the name there.
 func (f *Store) PutCtx(ctx context.Context, name string, data []byte) error {
 	f.step()
 	up := f.upSites()
@@ -355,45 +368,67 @@ func (f *Store) PutCtx(ctx context.Context, name string, data []byte) error {
 		f.cQuorumRef.Inc()
 		return fmt.Errorf("%w: %d sites up, quorum %d", ErrSiteQuorum, len(up), f.cfg.WriteQuorum)
 	}
+	errs := fanOut(up, func(i int) error { return f.sites[i].Put(ctx, name, data) })
 	var stored []int
-	var firstErr error
-	rollback := func() {
-		ctx := context.WithoutCancel(ctx)
-		for _, i := range stored {
-			_ = f.siteErr(i, f.sites[i].Delete(ctx, name)) // best effort; the Put's error wins
-		}
-	}
-	for _, i := range up {
-		err := f.siteErr(i, f.sites[i].Put(ctx, name, data))
+	var verdict, firstErr error
+	for k, i := range up {
+		err := f.siteErr(i, errs[k])
 		switch {
 		case err == nil:
 			stored = append(stored, i)
+		case verdict != nil:
 		case isCtxErr(err):
-			rollback()
-			return err
+			verdict = err
 		case errors.Is(err, archive.ErrExists):
-			rollback()
-			return fmt.Errorf("fedstore: put at site %d: %w", i, err)
-		default:
+			verdict = fmt.Errorf("fedstore: put at site %d: %w", i, err)
+		case firstErr == nil:
 			// A down or degraded site counts against the quorum but does not
 			// abort the put outright — the healthy sites may still carry it,
 			// and the next RepairSite brings the object to this one.
-			if firstErr == nil {
-				firstErr = fmt.Errorf("site %d: %w", i, err)
-			}
+			firstErr = fmt.Errorf("site %d: %w", i, err)
 		}
 	}
-	if len(stored) < f.cfg.WriteQuorum {
-		rollback()
+	if verdict == nil && len(stored) >= f.cfg.WriteQuorum {
+		return nil
+	}
+	rctx := context.WithoutCancel(ctx)
+	errs = fanOut(stored, func(i int) error { return f.sites[i].Delete(rctx, name) })
+	var left []string
+	for k, i := range stored {
+		if err := f.siteErr(i, errs[k]); err != nil && !errors.Is(err, archive.ErrNotFound) {
+			left = append(left, fmt.Sprintf("site %d (%v)", i, err))
+		}
+	}
+	err := verdict
+	if err == nil {
 		f.cQuorumRef.Inc()
-		if firstErr != nil {
-			return fmt.Errorf("%w: %d of %d site writes succeeded (quorum %d): %s",
-				ErrSiteQuorum, len(stored), len(up), f.cfg.WriteQuorum, firstErr)
-		}
-		return fmt.Errorf("%w: %d of %d site writes succeeded (quorum %d)",
+		err = fmt.Errorf("%w: %d of %d site writes succeeded (quorum %d)",
 			ErrSiteQuorum, len(stored), len(up), f.cfg.WriteQuorum)
+		if firstErr != nil {
+			err = fmt.Errorf("%w: %s", err, firstErr)
+		}
 	}
-	return nil
+	if len(left) > 0 {
+		return fmt.Errorf("%w; rollback failed, refused copy left at %s", err, strings.Join(left, ", "))
+	}
+	return err
+}
+
+// fanOut calls fn for every site in sites, each on its own goroutine, and
+// returns their errors in the order of sites once every call has returned. A
+// site sees one call from it, so its own calls keep their order.
+func fanOut(sites []int, fn func(i int) error) []error {
+	errs := make([]error, len(sites))
+	var wg sync.WaitGroup
+	for k, i := range sites {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[k] = fn(i)
+		}()
+	}
+	wg.Wait()
+	return errs
 }
 
 // GetCtx reads the object from the first reachable site, in ascending order,

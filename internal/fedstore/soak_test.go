@@ -2,6 +2,7 @@ package fedstore
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -42,6 +43,19 @@ func TestDisasterSoakDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same seed, different reports:\n%+v\n%+v", a, b)
+	}
+	// A Put reaches its sites at once, but each site's calls keep their
+	// order, so the report must not depend on how many cores run them.
+	for _, procs := range []int{1, 4} {
+		old := runtime.GOMAXPROCS(procs)
+		p, err := SoakCtx(ctx, SoakConfig{Seed: 42, Ops: 120, Objects: 4})
+		runtime.GOMAXPROCS(old)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: harness: %v", procs, err)
+		}
+		if p.Fingerprint != a.Fingerprint {
+			t.Errorf("GOMAXPROCS %d: fingerprint %.12s, want %.12s", procs, p.Fingerprint, a.Fingerprint)
+		}
 	}
 	c, err := SoakCtx(ctx, SoakConfig{Seed: 43, Ops: 120, Objects: 4})
 	if err != nil {
