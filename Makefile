@@ -24,8 +24,8 @@ test:
 # the closed-set screen's root-range workers, the streaming graph construction, the serving layer (admission, the
 # stripe cache's pinned, recycled payloads), the archive's
 # stripe pipeline (the one place the data path starts goroutines) and its
-# stream adapters, the devices (in-place overwrites, lock-free state), the load
-# generator, the joint-decode federation search, the chaos/WAN injectors,
+# stream adapters, the devices (in-place overwrites, lock-free state), the
+# joint-decode federation search, the chaos/WAN injectors,
 # and the federated store itself (the one federation runtime: per-site
 # health under concurrent calls, RepairSite's donor hook on the stripe
 # pipeline, the disaster soak) are the concurrency-heavy packages; run them

@@ -21,8 +21,6 @@ type (
 	ScheduledJob = maid.ScheduledJob
 	// WorkloadSpec configures a synthetic archival workload.
 	WorkloadSpec = workload.Spec
-	// WorkloadOp is one generated operation.
-	WorkloadOp = workload.Op
 	// WorkloadResult aggregates a workload run.
 	WorkloadResult = workload.Result
 	// LifetimeOptions tunes the discrete-event lifetime simulation.
@@ -31,15 +29,11 @@ type (
 	LifetimeResult = sim.LifetimeResult
 )
 
-// Workload size distributions and op kinds.
+// Workload size distributions.
 const (
 	SizeFixed     = workload.SizeFixed
 	SizeUniform   = workload.SizeUniform
 	SizeLogNormal = workload.SizeLogNormal
-	OpPut         = workload.OpPut
-	OpGet         = workload.OpGet
-	OpFail        = workload.OpFail
-	OpRepair      = workload.OpRepair
 )
 
 // MeasureOverheadCtx measures the reconstruction overhead of g: the

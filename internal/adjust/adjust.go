@@ -54,25 +54,15 @@ type Report struct {
 	Cleared         bool     // no failures remain at cardinality K
 }
 
-// ClearKCtx attempts to eliminate every failing erasure set of cardinality
-// k by iterative rewiring. It returns the best graph found (fewest failures
-// at k; the input graph is not modified) together with a report. Cleared
-// is false when the loop runs out of rounds or candidates — the paper notes
-// success "is ultimately related to the degree of the graph". The
-// exhaustive re-tests honor ctx and the rewire loop checks it between
-// rounds, so a canceled adjustment returns within one test round.
-func ClearKCtx(ctx context.Context, g *graph.Graph, k int, opts Options, rng *rand.Rand) (*graph.Graph, Report, error) {
-	opts.setDefaults()
-	kr, err := sim.ExhaustiveKCtx(ctx, g, k, opts.MaxFailures, opts.Workers)
-	if err != nil {
-		return nil, Report{K: k}, err
-	}
-	return clearK(ctx, g, kr, opts, rng)
-}
-
-// clearK is ClearKCtx from the first test round on: kr is the exhaustive
-// examination of g at the cardinality to clear, which the caller has
-// already paid for.
+// clearK attempts to eliminate every failing erasure set of cardinality
+// kr.K by iterative rewiring. kr is the exhaustive examination of g at that
+// cardinality, which the caller has already paid for. It returns the best
+// graph found (fewest failures at k; the input graph is not modified)
+// together with a report. Cleared is false when the loop runs out of rounds
+// or candidates — the paper notes success "is ultimately related to the
+// degree of the graph". The exhaustive re-tests honor ctx and the rewire
+// loop checks it between rounds, so a canceled adjustment returns within
+// one test round.
 func clearK(ctx context.Context, g *graph.Graph, kr sim.KResult, opts Options, rng *rand.Rand) (*graph.Graph, Report, error) {
 	k := kr.K
 	rep := Report{K: k, InitialFailures: kr.FailureCount, FinalFailures: kr.FailureCount, Rounds: 1}

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"tornado/internal/graph"
 )
 
 // The result cache is content-addressed: one file per (graph, spec) pair,
@@ -16,15 +14,6 @@ import (
 // the marshaled Result. Writes go through atomic rename, so concurrent
 // campaigns over the same cache directory at worst redo work — they never
 // corrupt an entry.
-
-// CacheKey returns the cache key a campaign over (g, spec) is stored
-// under: a hex sha256 of the graph fingerprint and the normalized spec.
-// Anything that changes the computed result — a rewired edge, a different
-// trial budget or seed — changes the key; Workers and other Options do
-// not participate.
-func CacheKey(g *graph.Graph, spec Spec) string {
-	return cacheKey(g.Fingerprint(), spec.normalize(g.Total))
-}
 
 // scanOrderVersion participates in the cache key so entries whose recorded
 // failure sets were chosen differently miss instead of being served stale.

@@ -151,15 +151,6 @@ func (w *WAN) RestoreSite(i int) {
 	w.gDown.Set(w.downCountLocked())
 }
 
-// FlapSite takes site i dark for the next window Steps (cfg.FlapWindow if
-// window <= 0), then it recovers by itself.
-func (w *WAN) FlapSite(i, window int) {
-	w.checkSite(i)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.flapSiteLocked(i, window)
-}
-
 func (w *WAN) flapSiteLocked(i, window int) {
 	if window <= 0 {
 		window = w.cfg.FlapWindow
@@ -280,13 +271,6 @@ func (w *WAN) Step() {
 	}
 }
 
-// Steps returns the WAN operation clock.
-func (w *WAN) Steps() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.steps
-}
-
 // SiteUp reports whether site i is reachable (not lost, not flapping).
 // Consumes no randomness.
 func (w *WAN) SiteUp(i int) bool {
@@ -356,19 +340,6 @@ func (w *WAN) Transfer(a, b int, n int64) time.Duration {
 		d += w.busyUntil[l].Sub(now)
 	}
 	return d
-}
-
-// UpSites returns the reachable sites in ascending order.
-func (w *WAN) UpSites() []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var out []int
-	for i := 0; i < w.cfg.Sites; i++ {
-		if w.siteUpLocked(i) {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // InjectedWANTotals snapshots the per-class chaos.wan injection counters.

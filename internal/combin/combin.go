@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
 	"math/bits"
 	"math/rand/v2"
 )
@@ -24,8 +23,8 @@ import (
 var ErrRankOverflow = errors.New("combin: combination space overflows int64 rank arithmetic")
 
 // Binomial returns C(n, k) as a float64. It is exact for results that fit a
-// float64 mantissa and a close approximation beyond; for exact arithmetic use
-// BinomialBig. Binomial returns 0 for k < 0 or k > n.
+// float64 mantissa and a close approximation beyond; BinomialInt64 is exact
+// where the result fits an int64. Binomial returns 0 for k < 0 or k > n.
 func Binomial(n, k int) float64 {
 	if k < 0 || k > n {
 		return 0
@@ -38,14 +37,6 @@ func Binomial(n, k int) float64 {
 		r *= float64(n-i) / float64(i+1)
 	}
 	return r
-}
-
-// BinomialBig returns C(n, k) exactly. It returns 0 for k < 0 or k > n.
-func BinomialBig(n, k int) *big.Int {
-	if k < 0 || k > n {
-		return big.NewInt(0)
-	}
-	return new(big.Int).Binomial(int64(n), int64(k))
 }
 
 // BinomialInt64 returns C(n, k) as an int64 and reports whether the value
@@ -128,25 +119,6 @@ func Next(idx []int, n int) bool {
 		}
 	}
 	return false
-}
-
-// Rank returns the zero-based lexicographic rank of the combination idx
-// among all k-combinations of {0,…,n-1}.
-func Rank(idx []int, n int) int64 {
-	k := len(idx)
-	var rank int64
-	prev := -1
-	for i, v := range idx {
-		for x := prev + 1; x < v; x++ {
-			c, ok := BinomialInt64(n-x-1, k-i-1)
-			if !ok {
-				panic("combin: Rank overflow; use big-int path")
-			}
-			rank += c
-		}
-		prev = v
-	}
-	return rank
 }
 
 // Unrank fills idx with the combination of {0,…,n-1} whose zero-based
@@ -244,26 +216,6 @@ func insertionSort(a []int) {
 			j--
 		}
 		a[j+1] = v
-	}
-}
-
-// ForEach enumerates every k-combination of {0,…,n-1} in lexicographic
-// order, invoking fn with a reused slice (fn must not retain it). It stops
-// early and returns false if fn returns false; otherwise returns true after
-// full enumeration.
-func ForEach(n, k int, fn func(idx []int) bool) bool {
-	if k == 0 {
-		return fn(nil)
-	}
-	idx := make([]int, k)
-	First(idx, n)
-	for {
-		if !fn(idx) {
-			return false
-		}
-		if !Next(idx, n) {
-			return true
-		}
 	}
 }
 

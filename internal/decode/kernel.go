@@ -25,9 +25,6 @@ func NewKernel(c *CSR) *Kernel {
 	}
 }
 
-// CSR returns the adjacency snapshot this kernel evaluates.
-func (k *Kernel) CSR() *CSR { return k.c }
-
 // Erased returns the size of the current erasure set.
 func (k *Kernel) Erased() int { return len(k.eset) }
 

@@ -69,9 +69,6 @@ func NewSlicedKernel(c *CSR) *SlicedKernel {
 	}
 }
 
-// CSR returns the adjacency snapshot this kernel evaluates.
-func (s *SlicedKernel) CSR() *CSR { return s.c }
-
 // SetActive declares which lanes hold a pattern. Eval's verdict bitmap is
 // masked to the active lanes; inactive lanes report 0 regardless of their
 // erased bits.

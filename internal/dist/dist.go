@@ -85,21 +85,6 @@ func (d Dist) Doubled() Dist {
 // MaxDegree returns the largest degree carried by the distribution.
 func (d Dist) MaxDegree() int { return d.MinDegree + len(d.Weights) - 1 }
 
-// AvgNodeDegree returns the average node degree implied by the edge-degree
-// distribution: Σλ_i / Σ(λ_i/i).
-func (d Dist) AvgNodeDegree() float64 {
-	var sw, swi float64
-	for i, v := range d.Weights {
-		deg := float64(d.MinDegree + i)
-		sw += v
-		swi += v / deg
-	}
-	if swi == 0 {
-		return 0
-	}
-	return sw / swi
-}
-
 // nodeCounts returns the per-degree node counts implied by scaling the
 // distribution by multiplier c: count_i = round(c·λ_i/i).
 func (d Dist) nodeCounts(c float64) []int {
@@ -207,18 +192,13 @@ func Solve(d Dist, nodes int) (Solution, error) {
 	return sol, nil
 }
 
-// SolveEdges produces per-node degrees for exactly nodes nodes whose total
-// degree equals edges, following the shape of d as closely as possible.
-// This is used for the right side of a level: after left degrees fix the
-// edge total, the right node degrees must sum to the same total. The
-// solution from Solve is adjusted by ±1 steps spread across nodes.
-func SolveEdges(d Dist, nodes, edges int) (Solution, error) {
-	return SolveEdgesMax(d, nodes, edges, edges)
-}
-
-// SolveEdgesMax is SolveEdges with a hard per-node degree cap, needed when
-// a check node cannot reference more distinct left nodes than its level
-// holds.
+// SolveEdgesMax produces per-node degrees for exactly nodes nodes whose
+// total degree equals edges, following the shape of d as closely as
+// possible, with no node above maxDeg. This is used for the right side of a
+// level: after left degrees fix the edge total, the right node degrees must
+// sum to the same total, and a check node cannot reference more distinct
+// left nodes than its level holds. The solution from Solve is adjusted by
+// ±1 steps spread across nodes.
 func SolveEdgesMax(d Dist, nodes, edges, maxDeg int) (Solution, error) {
 	if edges < nodes {
 		return Solution{}, fmt.Errorf("dist: %d edges cannot cover %d nodes at degree >= 1", edges, nodes)
@@ -254,7 +234,7 @@ func SolveEdgesMax(d Dist, nodes, edges, maxDeg int) (Solution, error) {
 		}
 		i++
 		if steps > 1000000 {
-			return Solution{}, fmt.Errorf("dist: SolveEdges failed to converge (nodes=%d edges=%d)", nodes, edges)
+			return Solution{}, fmt.Errorf("dist: SolveEdgesMax failed to converge (nodes=%d edges=%d)", nodes, edges)
 		}
 	}
 	// Re-bucket into a Solution.

@@ -147,12 +147,12 @@ func TestSolutionDegrees(t *testing.T) {
 
 func TestSolveEdgesExact(t *testing.T) {
 	// 24 right nodes must absorb exactly 100 edges.
-	sol, err := SolveEdges(PoissonRight(3, 12), 24, 100)
+	sol, err := SolveEdgesMax(PoissonRight(3, 12), 24, 100, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Nodes != 24 || sol.Edges != 100 {
-		t.Fatalf("SolveEdges = %+v", sol)
+		t.Fatalf("SolveEdgesMax = %+v", sol)
 	}
 	total := 0
 	for i, c := range sol.Counts {
@@ -167,8 +167,8 @@ func TestSolveEdgesExact(t *testing.T) {
 }
 
 func TestSolveEdgesTooFew(t *testing.T) {
-	if _, err := SolveEdges(PoissonRight(3, 12), 24, 23); err == nil {
-		t.Error("SolveEdges with edges < nodes should fail")
+	if _, err := SolveEdgesMax(PoissonRight(3, 12), 24, 23, 23); err == nil {
+		t.Error("SolveEdgesMax with edges < nodes should fail")
 	}
 }
 
@@ -205,13 +205,13 @@ func TestQuickSolveExact(t *testing.T) {
 	}
 }
 
-// Property: SolveEdges hits both node and edge targets whenever feasible.
+// Property: SolveEdgesMax (capped at the edge total) hits both node and edge targets whenever feasible.
 func TestQuickSolveEdgesExact(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 6))
 		nodes := 1 + rng.IntN(100)
 		edges := nodes + rng.IntN(5*nodes)
-		sol, err := SolveEdges(PoissonRight(0.5+3*rng.Float64(), 1+rng.IntN(10)), nodes, edges)
+		sol, err := SolveEdgesMax(PoissonRight(0.5+3*rng.Float64(), 1+rng.IntN(10)), nodes, edges, edges)
 		if err != nil {
 			return false
 		}

@@ -30,24 +30,3 @@ func CurvesCSV(systems []System) string {
 	}
 	return b.String()
 }
-
-// CurveSummary renders a coarse text preview of the curves (every 8th
-// point) for terminal output.
-func CurveSummary(systems []System) string {
-	if len(systems) == 0 {
-		return ""
-	}
-	header := []string{"offline"}
-	for _, s := range systems {
-		header = append(header, s.Name)
-	}
-	var rows [][]string
-	for k := 0; k <= systems[0].Devices; k += 8 {
-		row := []string{fmt.Sprintf("%d", k)}
-		for _, s := range systems {
-			row = append(row, fmt.Sprintf("%.4f", s.FailGivenK(k)))
-		}
-		rows = append(rows, row)
-	}
-	return renderTable("Failure fraction by offline nodes (every 8th point)", header, rows)
-}

@@ -243,9 +243,6 @@ func TestCurvesCSV(t *testing.T) {
 	if CurvesCSV(nil) != "" {
 		t.Error("empty input should give empty CSV")
 	}
-	if s := CurveSummary(systems); !strings.Contains(s, "offline") {
-		t.Error("summary missing header")
-	}
 }
 
 func TestBestTornado(t *testing.T) {

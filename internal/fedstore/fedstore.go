@@ -317,8 +317,9 @@ func (f *Store) upSites() []int {
 
 // ExchangeTotals is the facade's own tally of cross-site exchange traffic
 // (framed bytes, counted per successful block transfer). On a clean run it
-// must equal SiteFederationTotals byte for byte — the conservation
-// invariant the disaster soak and TestRepairSiteAfterFullWipe enforce.
+// must equal the sum of the sites' federation-cause repair meters byte for
+// byte — the conservation invariant the disaster soak and
+// TestRepairSiteAfterFullWipe enforce.
 func (f *Store) ExchangeTotals() repairbw.CostReport {
 	return repairbw.CostReport{
 		BlocksRead:    int(f.cExBlkRead.Value()),
@@ -326,20 +327,6 @@ func (f *Store) ExchangeTotals() repairbw.CostReport {
 		BytesRead:     f.cExByRead.Value(),
 		BytesWritten:  f.cExByWrit.Value(),
 	}
-}
-
-// SiteFederationTotals aggregates the repairbw federation-cause meters of
-// the sites that keep one in this process (every in-process site; a remote
-// site's ledger lives with its server) — the store-side view of the same
-// exchange traffic.
-func (f *Store) SiteFederationTotals() repairbw.CostReport {
-	var total repairbw.CostReport
-	for _, s := range f.sites {
-		if m, ok := s.(interface{ RepairMeter() *repairbw.Meter }); ok {
-			total.Add(m.RepairMeter().Totals(repairbw.Federation))
-		}
-	}
-	return total
 }
 
 // PutCtx stores the object at every reachable site, writing them all at

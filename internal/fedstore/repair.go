@@ -391,3 +391,13 @@ func (f *Store) PassCtx(ctx context.Context) (rep PassReport, err error) {
 func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
+
+// costDelta subtracts two CostReport snapshots.
+func costDelta(after, before repairbw.CostReport) repairbw.CostReport {
+	return repairbw.CostReport{
+		BlocksRead:    after.BlocksRead - before.BlocksRead,
+		BlocksWritten: after.BlocksWritten - before.BlocksWritten,
+		BytesRead:     after.BytesRead - before.BytesRead,
+		BytesWritten:  after.BytesWritten - before.BytesWritten,
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"tornado/internal/archive"
 	"tornado/internal/graph"
-	"tornado/internal/repairbw"
 )
 
 // Site is one member of the federation as the Store sees it — exactly the
@@ -77,6 +76,3 @@ func (l local) Scrub(ctx context.Context, repair bool) (archive.ScrubReport, err
 func (l local) RepairFrom(ctx context.Context, donor archive.Donor) (archive.DonorReport, error) {
 	return l.s.RepairFrom(ctx, donor)
 }
-
-// RepairMeter exposes the store's repair ledger to SiteFederationTotals.
-func (l local) RepairMeter() *repairbw.Meter { return l.s.RepairMeter() }

@@ -308,12 +308,6 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 	return out
 }
 
-// Handler serves the registry as a JSON snapshot — mounted by the steward
-// server at /metrics.
-func (r *Registry) Handler() http.Handler {
-	return MergedHandler(r)
-}
-
 // MergedHandler serves the union of several registries as one JSON
 // snapshot (see MergeSnapshots) — the steward server uses it to export its
 // HTTP request metrics next to the archive store's self-healing and scrub

@@ -77,7 +77,7 @@ func TestSnapshotAndHandler(t *testing.T) {
 	}
 
 	rec := httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	MergedHandler(r).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	var decoded Snapshot
 	if err := json.Unmarshal(rec.Body.Bytes(), &decoded); err != nil {
 		t.Fatalf("handler output not JSON: %v", err)

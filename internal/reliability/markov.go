@@ -1,9 +1,6 @@
 package reliability
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // MTTDL computes the mean time to data loss of an n-device system under a
 // continuous-time birth–death repair model — the extension the paper's
@@ -103,13 +100,4 @@ func MTTDL(n int, lambda, mu float64, repairmen int, failGivenK func(k int) floa
 		T[k] = (rhs[k] - sup[k]*T[k+1]) / diag[k]
 	}
 	return T[0], nil
-}
-
-// AnnualLossProbability converts an MTTDL into the probability of data
-// loss within one year under the standard exponential approximation.
-func AnnualLossProbability(mttdlYears float64) float64 {
-	if mttdlYears <= 0 {
-		return 1
-	}
-	return 1 - math.Exp(-1/mttdlYears)
 }

@@ -50,25 +50,3 @@ func SystemFailure(n int, afr float64, failGivenK func(k int) float64) float64 {
 	}
 	return total
 }
-
-// DominantTerm returns the k whose contribution to SystemFailure is
-// largest, with that contribution — the paper's observation that "the
-// first failure provides the greatest contribution to the system failure
-// rate" (§5.1).
-func DominantTerm(n int, afr float64, failGivenK func(k int) float64) (k int, contribution float64) {
-	for i := 0; i <= n; i++ {
-		c := failGivenK(i) * BinomialPMF(n, i, afr)
-		if c > contribution {
-			k, contribution = i, c
-		}
-	}
-	return k, contribution
-}
-
-// Entry is one row of a Table 5 style reliability report.
-type Entry struct {
-	Name   string
-	Data   int
-	Parity int
-	PFail  float64
-}

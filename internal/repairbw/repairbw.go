@@ -53,9 +53,6 @@ func (c Cause) String() string {
 	return causeNames[c]
 }
 
-// Causes lists every cause in declaration order.
-func Causes() []Cause { return []Cause{Scrub, ReadRepair, DegradedGet, Federation} }
-
 // CostReport is the repair bill of one operation (or one cause's running
 // total): blocks and framed bytes moved in each direction.
 type CostReport struct {

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
-	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -64,8 +62,9 @@ func testPayload(n int, seed uint64) []byte {
 }
 
 // TestTenantIsolation: two tenants use the same object name with different
-// bytes; each sees only its own data and namespace, and deleting one
-// tenant's object leaves the other's untouched.
+// bytes; each sees only its own data and namespace, a duplicate Put is a
+// conflict that leaves the stored object intact, and deleting one tenant's
+// object leaves the other's untouched.
 func TestTenantIsolation(t *testing.T) {
 	svc, _ := testService(t, 1, Config{})
 	ctx := context.Background()
@@ -76,6 +75,9 @@ func TestTenantIsolation(t *testing.T) {
 	}
 	if _, err := svc.Put(ctx, "bob", "report", bytes.NewReader(b)); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := svc.Put(ctx, "alice", "report", bytes.NewReader(b)); !errors.Is(err, archive.ErrExists) {
+		t.Errorf("duplicate Put = %v, want %v", err, archive.ErrExists)
 	}
 	var bufA, bufB bytes.Buffer
 	if _, err := svc.Get(ctx, "alice", "report", &bufA); err != nil {
@@ -96,6 +98,9 @@ func TestTenantIsolation(t *testing.T) {
 	}
 	if _, err := svc.Stat(ctx, "alice", "report"); !errors.Is(err, archive.ErrNotFound) {
 		t.Errorf("alice's object survives delete: %v", err)
+	}
+	if _, err := svc.Get(ctx, "alice", "report", io.Discard); !errors.Is(err, archive.ErrNotFound) {
+		t.Errorf("Get after delete = %v, want %v", err, archive.ErrNotFound)
 	}
 	var again bytes.Buffer
 	if _, err := svc.Get(ctx, "bob", "report", &again); err != nil || !bytes.Equal(again.Bytes(), b) {
@@ -273,7 +278,7 @@ func TestGetStalledCallerCancel(t *testing.T) {
 }
 
 // TestGetDeadStoreIsDataLoss: a store whose devices have all failed reports
-// the loss — ErrDataLoss from Get, 410 Gone over HTTP — never empty success.
+// the loss — ErrDataLoss from Get — never empty success.
 func TestGetDeadStoreIsDataLoss(t *testing.T) {
 	svc, stores := testService(t, 1, Config{})
 	ctx := context.Background()
@@ -286,16 +291,6 @@ func TestGetDeadStoreIsDataLoss(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := svc.Get(ctx, "t", "obj", &buf); !errors.Is(err, archive.ErrDataLoss) {
 		t.Errorf("Get from a dead store: %v, want %v", err, archive.ErrDataLoss)
-	}
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/t/t/objects/obj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
-		t.Errorf("HTTP GET from a dead store = %d, want %d", resp.StatusCode, http.StatusGone)
 	}
 }
 
@@ -442,120 +437,10 @@ func TestCacheBudget(t *testing.T) {
 	}
 }
 
-// TestHTTPEndToEnd drives the full handler over httptest: round trip,
-// status mapping, tenant scoping, metrics.
-func TestHTTPEndToEnd(t *testing.T) {
-	svc, _ := testService(t, 1, Config{})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-	client := srv.Client()
-	data := testPayload(5000, 8)
-
-	put := func(tenant, name string, body []byte) *http.Response {
-		req, _ := http.NewRequest(http.MethodPut, srv.URL+"/t/"+tenant+"/objects/"+name, bytes.NewReader(body))
-		resp, err := client.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp
-	}
-	if resp := put("alice", "report", data); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("PUT = %d", resp.StatusCode)
-	}
-	if resp := put("alice", "report", data); resp.StatusCode != http.StatusConflict {
-		t.Fatalf("duplicate PUT = %d", resp.StatusCode)
-	}
-
-	resp, err := client.Get(srv.URL + "/t/alice/objects/report")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, data) {
-		t.Fatalf("GET = %d, %d bytes", resp.StatusCode, len(got))
-	}
-
-	// Tenant scoping at the HTTP layer.
-	resp, err = client.Get(srv.URL + "/t/bob/objects/report")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("cross-tenant GET = %d", resp.StatusCode)
-	}
-
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/t/alice/objects/report", nil)
-	resp, err = client.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("DELETE = %d", resp.StatusCode)
-	}
-	resp, err = client.Get(srv.URL + "/t/alice/objects/report")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET after DELETE = %d", resp.StatusCode)
-	}
-
-	for _, path := range []string{"/metrics", "/healthz"} {
-		resp, err := client.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s = %d", path, resp.StatusCode)
-		}
-	}
-}
-
-// TestHTTPBackpressure: a saturated tenant gets 503 + Retry-After.
-func TestHTTPBackpressure(t *testing.T) {
-	svc, _ := testService(t, 1, Config{MaxInflight: 1, MaxQueue: -1})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-	data := testPayload(2000, 9)
-	if _, err := svc.Put(context.Background(), "t", "obj", bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
-	}
-	// Pin the only slot with a direct service call.
-	gate := make(chan struct{})
-	entered := make(chan struct{})
-	gw := &gateWriter{gate: gate, entered: entered}
-	done := make(chan error, 1)
-	go func() {
-		_, err := svc.Get(context.Background(), "t", "obj", gw)
-		done <- err
-	}()
-	<-entered
-	resp, err := srv.Client().Get(srv.URL + "/t/t/objects/obj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("saturated GET = %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("503 without Retry-After")
-	}
-	close(gate)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestServeChaosSoak: the service under a deterministic fault schedule with
-// a concurrent repair scrub — every Get must return bit-exact data or an
-// explicit error, never silently wrong bytes.
+// a concurrent repair scrub, driven the way clients drive it — concurrent
+// workers, two tenants, fresh Puts beside the Gets. Every Get must return
+// bit-exact data or an explicit error, never silently wrong bytes.
 func TestServeChaosSoak(t *testing.T) {
 	g := testGraph(t)
 	reg := obs.NewRegistry()
@@ -579,18 +464,24 @@ func TestServeChaosSoak(t *testing.T) {
 	}
 	ctx := context.Background()
 	cap := st.Layout().StripeCapacity
+	tenants := []string{"a", "b"}
 
+	// The Gets read the preloaded objects; want gains every object a Put
+	// stored, keyed tenant/name.
 	const objects = 12
-	want := make([][]byte, objects)
-	for i := range want {
-		want[i] = testPayload((i%3+1)*cap+i*7, uint64(100+i))
-		name := fmt.Sprintf("obj%d", i)
-		if _, err := svc.Put(ctx, "t", name, bytes.NewReader(want[i])); err != nil {
-			t.Fatalf("put %s: %v", name, err)
+	preload := make([][]byte, objects)
+	var mu sync.Mutex
+	want := map[[2]string][]byte{}
+	for i := range preload {
+		preload[i] = testPayload((i%3+1)*cap+i*7, uint64(100+i))
+		key := [2]string{tenants[i%2], fmt.Sprintf("obj%d", i)}
+		if _, err := svc.Put(ctx, key[0], key[1], bytes.NewReader(preload[i])); err != nil {
+			t.Fatalf("put %s/%s: %v", key[0], key[1], err)
 		}
+		want[key] = preload[i]
 	}
 
-	// Concurrent repair scrubs while the read load runs.
+	// Concurrent repair scrubs while the load runs.
 	scrubCtx, stopScrub := context.WithCancel(ctx)
 	scrubDone := make(chan struct{})
 	go func() {
@@ -600,39 +491,73 @@ func TestServeChaosSoak(t *testing.T) {
 		}
 	}()
 
-	rng := rand.New(rand.NewPCG(12, 13))
-	silent := 0
-	errored := 0
-	for op := 0; op < 300; op++ {
-		i := rng.IntN(objects)
-		var buf bytes.Buffer
-		_, err := svc.Get(ctx, "t", fmt.Sprintf("obj%d", i), &buf)
-		if err != nil {
-			errored++ // explicit failure is allowed; silence is not
-			continue
-		}
-		if !bytes.Equal(buf.Bytes(), want[i]) {
-			silent++
-		}
+	// Four closed-loop workers share 300 operations: 80% Gets of a stored
+	// object, 20% Puts of a fresh one.
+	const workers, ops = 4, 300
+	var silent, errored, gets, puts atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(12, uint64(w)))
+			for op := 0; op < ops/workers; op++ {
+				if rng.Float64() < 0.2 {
+					data := testPayload(1+rng.IntN(2*cap), rng.Uint64())
+					key := [2]string{tenants[rng.IntN(2)], fmt.Sprintf("w%d-%d", w, op)}
+					puts.Add(1)
+					if _, err := svc.Put(ctx, key[0], key[1], bytes.NewReader(data)); err != nil {
+						errored.Add(1)
+						continue
+					}
+					mu.Lock()
+					want[key] = data
+					mu.Unlock()
+					continue
+				}
+				i := rng.IntN(objects)
+				key := [2]string{tenants[i%2], fmt.Sprintf("obj%d", i)}
+				var buf bytes.Buffer
+				gets.Add(1)
+				if _, err := svc.Get(ctx, key[0], key[1], &buf); err != nil {
+					errored.Add(1) // explicit failure is allowed; silence is not
+					continue
+				}
+				if !bytes.Equal(buf.Bytes(), preload[i]) {
+					silent.Add(1)
+				}
+			}
+		}(w)
 	}
+	wg.Wait()
 	stopScrub()
 	<-scrubDone
-	if silent > 0 {
-		t.Fatalf("%d silent corruptions under chaos + concurrent scrub (%d explicit errors)", silent, errored)
+	if silent.Load() > 0 {
+		t.Fatalf("%d silent corruptions under chaos + concurrent scrub (%d explicit errors)", silent.Load(), errored.Load())
+	}
+	if gets.Load() == 0 || puts.Load() == 0 {
+		t.Fatalf("mix degenerate: %d gets, %d puts", gets.Load(), puts.Load())
 	}
 
-	// After the faults stop, a repair scrub converges and every object
-	// verifies.
+	// After the faults stop, a repair scrub converges and every stored
+	// object verifies, in its own tenant only.
 	inj.Quiesce()
 	if _, err := st.ScrubCtx(ctx, true); err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
+	for key, data := range want {
 		var buf bytes.Buffer
-		if _, err := svc.Get(ctx, "t", fmt.Sprintf("obj%d", i), &buf); err != nil {
-			t.Errorf("obj%d after quiesce: %v", i, err)
-		} else if !bytes.Equal(buf.Bytes(), want[i]) {
-			t.Errorf("obj%d bytes differ after quiesce", i)
+		if _, err := svc.Get(ctx, key[0], key[1], &buf); err != nil {
+			t.Errorf("%s/%s after quiesce: %v", key[0], key[1], err)
+		} else if !bytes.Equal(buf.Bytes(), data) {
+			t.Errorf("%s/%s bytes differ after quiesce", key[0], key[1])
+		}
+		other := tenants[0]
+		if key[0] == other {
+			other = tenants[1]
+		}
+		if _, err := svc.Stat(ctx, other, key[1]); err == nil {
+			t.Errorf("%s/%s is visible to tenant %s", key[0], key[1], other)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // Metric names published by the simulation workers. Counters are flushed at
 // combination-chunk boundaries (every cancelCheckInterval iterations), so a
 // multi-hour exhaustive search or Monte Carlo profile is observable while it
-// runs — scrape Metrics().Snapshot() or mount Metrics().Handler().
+// runs — scrape Metrics().Snapshot() or serve obs.MergedHandler(Metrics()).
 const (
 	// MetricCombinationsTested counts erasure combinations examined by the
 	// exhaustive worst-case scans.
@@ -28,7 +28,7 @@ const (
 
 // metricsReg holds the registry the workers publish to. A package-level
 // default (rather than an option threaded through every call) keeps the
-// hot-path signatures unchanged and gives CLIs one switch to flip.
+// hot-path signatures unchanged; tests swap it with SetMetrics.
 var metricsReg atomic.Pointer[obs.Registry]
 
 func init() { metricsReg.Store(obs.NewRegistry()) }
@@ -36,11 +36,3 @@ func init() { metricsReg.Store(obs.NewRegistry()) }
 // Metrics returns the registry the simulation workers publish progress
 // counters to.
 func Metrics() *obs.Registry { return metricsReg.Load() }
-
-// SetMetrics redirects the simulation progress counters to reg (e.g. a
-// registry already exported over HTTP). A nil reg is ignored.
-func SetMetrics(reg *obs.Registry) {
-	if reg != nil {
-		metricsReg.Store(reg)
-	}
-}

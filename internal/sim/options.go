@@ -101,13 +101,12 @@ func forBlocksCtx(ctx context.Context, workers int, n int64, fn func(ctx context
 	return first
 }
 
-// Trial-block sizes of the three Decoder simulations: a few milliseconds of
+// Trial-block sizes of the two Decoder simulations: a few milliseconds of
 // work each, so a modest trial count still spreads over the workers. They
 // are part of the sampling scheme — changing one changes every result.
 const (
-	annualBlock   = 4096 // trials
-	overheadBlock = 256  // retrieval orders
-	lifetimeBlock = 8    // system lifetimes
+	overheadBlock = 256 // retrieval orders
+	lifetimeBlock = 8   // system lifetimes
 )
 
 // simWorker is the state one forTrialBlocks goroutine reuses across blocks.

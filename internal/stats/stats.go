@@ -1,55 +1,12 @@
 // Package stats provides the small statistical helpers used when reporting
-// simulation results: sample means and deviations, Wilson score intervals
-// for Monte Carlo failure fractions, and simple histograms.
+// simulation results: Wilson score intervals for Monte Carlo failure
+// fractions, and simple histograms.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation (n-1 denominator) of xs, or 0
-// when fewer than two samples are present.
-func StdDev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
-// Median returns the median of xs, or 0 for an empty slice.
-func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
 
 // Proportion is a Monte Carlo success/failure tally.
 type Proportion struct {
@@ -150,14 +107,6 @@ func (h *Histogram) Observe(v int) {
 	}
 	h.Counts[v]++
 	h.Total++
-}
-
-// Fraction returns the fraction of observations in bin v.
-func (h *Histogram) Fraction(v int) float64 {
-	if h.Total == 0 || v < 0 || v >= len(h.Counts) {
-		return 0
-	}
-	return float64(h.Counts[v]) / float64(h.Total)
 }
 
 // MeanValue returns the mean of the observed values.

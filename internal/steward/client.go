@@ -392,9 +392,6 @@ func (c *Client) RepairFrom(ctx context.Context, donor archive.Donor) (archive.D
 	return rep, err
 }
 
-// IsNotFound reports whether err is the cross-site not-found error.
-func IsNotFound(err error) bool { return errors.Is(err, ErrNotFound) }
-
 // IsUnavailable reports whether err means the site itself is down or
 // unreachable (as opposed to a definitive answer about an object).
 func IsUnavailable(err error) bool { return errors.Is(err, ErrUnavailable) }

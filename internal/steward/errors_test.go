@@ -35,13 +35,13 @@ func TestClientServerErrorsMapped(t *testing.T) {
 	defer srv.Close()
 	c := NewClientWithOptions(srv.URL, ClientOptions{HTTPClient: srv.Client()})
 
-	if _, err := c.Get(ctx, "missing"); !IsNotFound(err) {
+	if _, err := c.Get(ctx, "missing"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("404 mapped to %v", err)
 	}
-	if err := c.Put(ctx, "dup", nil); err == nil || IsNotFound(err) {
+	if err := c.Put(ctx, "dup", nil); err == nil || errors.Is(err, ErrNotFound) {
 		t.Errorf("409 mapped to %v", err)
 	}
-	if _, err := c.Get(ctx, "lost"); err == nil || IsNotFound(err) {
+	if _, err := c.Get(ctx, "lost"); err == nil || errors.Is(err, ErrNotFound) {
 		t.Errorf("410 mapped to %v", err)
 	}
 	if _, err := c.Get(ctx, "other"); err == nil {
@@ -107,7 +107,7 @@ func TestServerRefusesInconsistentShell(t *testing.T) {
 	if resp.StatusCode < 300 {
 		t.Errorf("inconsistent shell: status %d, want a refusal", resp.StatusCode)
 	}
-	if _, err := s.client.Get(ctx, "bad"); !IsNotFound(err) {
+	if _, err := s.client.Get(ctx, "bad"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("get of a refused shell: %v", err)
 	}
 	data := randPayload(500, 54)
@@ -149,7 +149,7 @@ func TestReplicatorPutRollsBack(t *testing.T) {
 		t.Fatalf("conflicting put: %v, want ErrExists", err)
 	}
 	// The rollback must have removed site A's copy.
-	if _, err := a.client.Get(ctx, "obj"); !IsNotFound(err) {
+	if _, err := a.client.Get(ctx, "obj"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("site A still holds the rolled-back object: %v", err)
 	}
 }

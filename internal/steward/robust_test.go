@@ -94,7 +94,7 @@ func TestClientNeverRetries4xx(t *testing.T) {
 
 	c := NewClientWithOptions(srv.URL, fastOptions(srv.Client()))
 	_, err := c.Get(ctx, "missing")
-	if !IsNotFound(err) {
+	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 	if IsUnavailable(err) {
@@ -172,7 +172,7 @@ func TestHostileObjectNames(t *testing.T) {
 		if err := s.client.Delete(ctx, name); err != nil {
 			t.Errorf("delete %q: %v", name, err)
 		}
-		if _, err := s.client.Get(ctx, name); !IsNotFound(err) {
+		if _, err := s.client.Get(ctx, name); !errors.Is(err, ErrNotFound) {
 			t.Errorf("get after delete %q: %v", name, err)
 		}
 	}
@@ -508,7 +508,7 @@ func TestReplicatorGetReportsOutageNotNotFound(t *testing.T) {
 	if !IsUnavailable(err) {
 		t.Errorf("err = %v, want ErrUnavailable (object may survive the outage)", err)
 	}
-	if IsNotFound(err) {
+	if errors.Is(err, ErrNotFound) {
 		t.Error("total outage misreported as not-found")
 	}
 	// All sites are now marked down; the next read short-circuits, and so

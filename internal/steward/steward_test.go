@@ -111,10 +111,10 @@ func TestClientServerCRUD(t *testing.T) {
 	if err := c.Delete(ctx, "docs/report.dat"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(ctx, "docs/report.dat"); !IsNotFound(err) {
+	if _, err := c.Get(ctx, "docs/report.dat"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("get after delete: %v", err)
 	}
-	if err := c.Delete(ctx, "docs/report.dat"); !IsNotFound(err) {
+	if err := c.Delete(ctx, "docs/report.dat"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double delete: %v", err)
 	}
 }
@@ -150,7 +150,7 @@ func TestClientBlocksAndShell(t *testing.T) {
 	if err != nil || !bytes.Equal(b, data[:64]) {
 		t.Fatalf("read block: %v", err)
 	}
-	if _, err := s.client.ReadBlock(ctx, "obj", 0, 9999, nil); !IsNotFound(err) {
+	if _, err := s.client.ReadBlock(ctx, "obj", 0, 9999, nil); !errors.Is(err, ErrNotFound) {
 		t.Errorf("oob block: %v", err)
 	}
 	// Shell + block-level restore on a second object.

@@ -59,8 +59,9 @@ func Run(store *archive.Store, devices device.Array, spec Spec) (Result, error) 
 			res.Gets++
 			res.BytesOut += int64(len(got))
 			res.DevicesAccessed += int64(stats.DevicesAccessed)
-			verifyBuf = payloadInto(verifyBuf, op.Object, len(got))
-			if !bytes.Equal(got, verifyBuf) {
+			var ok bool
+			ok, verifyBuf = verifyGet(op, got, verifyBuf)
+			if !ok {
 				res.Corrupted++
 			}
 		case OpFail:
@@ -92,10 +93,15 @@ func Run(store *archive.Store, devices device.Array, spec Spec) (Result, error) 
 	}
 }
 
-// payloadFor deterministically regenerates an object's content from its
-// name, so verification needs no copy of the data.
-func payloadFor(name string, size int) []byte {
-	return payloadInto(nil, name, size)
+// verifyGet reports whether got is exactly the payload op's object was Put
+// with: its length and every byte of the seeded regeneration. buf is reused
+// scratch, returned for the next call.
+func verifyGet(op Op, got, buf []byte) (bool, []byte) {
+	if len(got) != op.Size {
+		return false, buf
+	}
+	buf = payloadInto(buf, op.Object, op.Size)
+	return bytes.Equal(got, buf), buf
 }
 
 // payloadInto regenerates the payload into dst's storage when it fits,

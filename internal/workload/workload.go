@@ -59,7 +59,7 @@ func (k OpKind) String() string {
 type Op struct {
 	Kind   OpKind
 	Object string // for Put/Get
-	Size   int    // for Put
+	Size   int    // for Put; for Get, the size the object was Put with
 }
 
 // Spec configures a workload.
@@ -109,7 +109,7 @@ type Generator struct {
 	spec       Spec
 	rng        *rand.Rand
 	emitted    int
-	stored     []string
+	stored     []Op // every Put so far, in order
 	nextID     int
 	lastFail   int
 	lastRepair int
@@ -150,17 +150,19 @@ func (g *Generator) Next() (Op, bool) {
 	g.emitted++
 
 	if len(g.stored) == 0 || g.rng.Float64() < s.PutFraction {
-		name := fmt.Sprintf("obj-%06d", g.nextID)
+		put := Op{Kind: OpPut, Object: fmt.Sprintf("obj-%06d", g.nextID), Size: g.size()}
 		g.nextID++
-		g.stored = append(g.stored, name)
-		return Op{Kind: OpPut, Object: name, Size: g.size()}, true
+		g.stored = append(g.stored, put)
+		return put, true
 	}
 	// Recency-biased read: sample an index skewed toward recent ingests.
 	idx := len(g.stored) - 1 - int(float64(len(g.stored))*math.Pow(g.rng.Float64(), 2))
 	if idx < 0 {
 		idx = 0
 	}
-	return Op{Kind: OpGet, Object: g.stored[idx]}, true
+	get := g.stored[idx]
+	get.Kind = OpGet
+	return get, true
 }
 
 // fail/repair bookkeeping: at most one injected event per schedule slot.

@@ -1,11 +1,13 @@
 package workload
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
 	"tornado/internal/archive"
+	"tornado/internal/chaos"
 	"tornado/internal/core"
 	"tornado/internal/device"
 )
@@ -88,6 +90,53 @@ func TestGeneratorGetsReferenceStoredObjects(t *testing.T) {
 				t.Fatalf("get of unknown object %s", op.Object)
 			}
 		}
+	}
+}
+
+// TestGetVerifiesLength: every Get op carries the size its object was Put
+// with, and a Get that returns a short payload counts as corrupted even when
+// the bytes it did return are a prefix of the object's seeded stream.
+func TestGetVerifiesLength(t *testing.T) {
+	gen, err := NewGenerator(Spec{Ops: 500, Seed: 6, SizeDist: SizeUniform, MinSize: 1, MaxSize: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := map[string]int{}
+	gets := 0
+	for {
+		op, ok := gen.Next()
+		if !ok {
+			break
+		}
+		switch op.Kind {
+		case OpPut:
+			sizes[op.Object] = op.Size
+		case OpGet:
+			gets++
+			if op.Size != sizes[op.Object] {
+				t.Fatalf("get %s carries size %d, its put had %d", op.Object, op.Size, sizes[op.Object])
+			}
+		}
+	}
+	if gets == 0 {
+		t.Fatal("no gets generated")
+	}
+
+	op := Op{Kind: OpGet, Object: "obj-000007", Size: 300}
+	whole := payloadInto(nil, op.Object, op.Size)
+	if ok, _ := verifyGet(op, whole, nil); !ok {
+		t.Fatal("the exact payload failed verification")
+	}
+	if ok, _ := verifyGet(op, whole[:op.Size-1], nil); ok {
+		t.Error("a truncated payload that is a prefix of the seeded stream verified clean")
+	}
+	if ok, _ := verifyGet(op, nil, nil); ok {
+		t.Error("an empty payload verified clean")
+	}
+	flipped := append([]byte(nil), whole...)
+	flipped[op.Size/2] ^= 1
+	if ok, _ := verifyGet(op, flipped, nil); ok {
+		t.Error("a flipped byte verified clean")
 	}
 }
 
@@ -239,4 +288,59 @@ func TestQuickGeneratorWellFormed(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestRunLoadUnderChaos runs the workload over a chaos-injected store with
+// a concurrent repair scrub underneath, on top of the workload's own device
+// failures and replace-and-scrub passes. The invariant is
+// bit-exact-or-error: a Get may be lost, never silently wrong.
+func TestRunLoadUnderChaos(t *testing.T) {
+	g, _, err := core.Generate(core.DefaultParams(), rand.New(rand.NewPCG(21, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	devices := device.NewArray(g.Total)
+	inj := chaos.Wrap(archive.NewArrayBackend(devices), chaos.Config{
+		Seed:            31,
+		BitFlipRate:     0.002,
+		ReadCorruptRate: 0.002,
+		TruncateRate:    0.002,
+		ReadErrRate:     0.005,
+	})
+	store, err := archive.NewWithBackend(g, inj, archive.Config{BlockSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	scrubCtx, stopScrub := context.WithCancel(context.Background())
+	scrubDone := make(chan struct{})
+	go func() {
+		defer close(scrubDone)
+		for scrubCtx.Err() == nil {
+			_, _ = store.ScrubCtx(scrubCtx, true)
+		}
+	}()
+	res, err := Run(store, devices, Spec{
+		Ops: 200, PutFraction: 0.3, SizeDist: SizeLogNormal,
+		MeanSize: 2000, MaxSize: 8000,
+		FailEvery: 50, RepairEvery: 70, Seed: 5,
+	})
+	stopScrub()
+	<-scrubDone
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Corrupted != 0 {
+		t.Fatalf("%d silent corruptions under chaos load", res.Corrupted)
+	}
+	if res.Puts == 0 || res.Gets == 0 {
+		t.Errorf("mix degenerate: %d gets, %d puts", res.Gets, res.Puts)
+	}
+	if res.FailuresInjected == 0 || res.Replacements == 0 || res.BlocksRepaired == 0 {
+		t.Errorf("maintenance not exercised: %+v", res)
+	}
+	if in := inj.InjectedTotals(); in[chaos.ClassBitFlip]+in[chaos.ClassReadCorruption]+in[chaos.ClassTruncate] == 0 {
+		t.Errorf("chaos injected no corruption: %v", in)
+	}
+	t.Logf("workload result: %+v", res)
 }

@@ -18,7 +18,8 @@ type (
 	// SiteClientOptions tunes a SiteClient's timeout/retry/metrics.
 	SiteClientOptions = steward.ClientOptions
 	// Metrics is a named collection of counters, gauges, and latency
-	// histograms (see internal/obs); Metrics.Handler serves it as JSON.
+	// histograms (see internal/obs); a SiteServer serves it as JSON at
+	// /metrics.
 	Metrics = obs.Registry
 	// MetricsSnapshot is a point-in-time export of a Metrics registry.
 	MetricsSnapshot = obs.Snapshot
