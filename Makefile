@@ -56,8 +56,9 @@ fmt:
 # reference sweep, a short stripe's read against the reference peel with
 # its padding known), the campaign journal parser (arbitrary bytes through the resume path), the
 # GraphML parser (user-supplied graph files) and the federation's union peel
-# (against the §5.3 exchange fixpoint) a short randomized shake on every
-# check; longer sessions: make fuzz FUZZTIME=10m
+# (against the §5.3 exchange fixpoint) and the device (its slots, zero tails
+# kept as their prefix, against a map of the frames written) a short
+# randomized shake on every check; longer sessions: make fuzz FUZZTIME=10m
 FUZZTIME ?= 3s
 fuzz:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME) ./internal/archive/
@@ -71,6 +72,7 @@ fuzz:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzJournalResume -fuzztime $(FUZZTIME) ./internal/campaign/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/graphml/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzJointDecodeMatchesExchange -fuzztime $(FUZZTIME) ./internal/federation/
+	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzDeviceMatchesMap -fuzztime $(FUZZTIME) ./internal/device/
 
 # bench runs the repo benchmark, bench/: numbers only, check is the gate.
 bench:
@@ -116,6 +118,10 @@ bench:
 #   nodes lost), the scalar decode.Kernel's one production workload; 0
 #   allocs/op.
 # - PlanEconomicRepeat: the same plan asked again, answered from the stored one.
+# - DeviceWrite: an overwrite of a held 4100-byte frame on one device, random
+#   (kept whole) and zero-tailed (kept as its checksum prefix, its tail
+#   scanned); 0 allocs/op, so a zero-detection cost or an allocation that
+#   creeps into the write path shows here.
 # - Repair5Lost, DecodeInto4Lost: the codec executing decode's schedule on a
 #   reused workspace, as scrub and RepairFrom (five blocks lost) and a
 #   degraded read (four data blocks lost) run it; 0 allocs/op.
@@ -136,6 +142,7 @@ bench-smoke:
 	$(BENCH1) -bench PlanEconomicDegraded -benchmem ./internal/retrieval/
 	$(BENCH1) -bench PlanEconomicRepeat -benchmem ./internal/retrieval/
 	$(BENCH1) -bench 'Repair5Lost|DecodeInto4Lost' -benchmem ./internal/codec/
+	$(BENCH1) -bench DeviceWrite -benchmem ./internal/device/
 
 # bench/ is a module of its own, so the root vet/build/test never compile
 # bench/api.go — the one file a signature change in the library breaks.

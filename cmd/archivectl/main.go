@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand/v2"
+	"os"
 	"os/signal"
 	"syscall"
 
@@ -40,6 +41,11 @@ func main() {
 			"stripe pipeline width for streaming puts/gets")
 	)
 	flag.Parse()
+	if *objects < 1 {
+		fmt.Fprintln(os.Stderr, "archivectl: -objects must be at least 1")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// Ctrl-C cancels the graph adjustment and worst-case search — the
 	// slow phases — via the ctx-first facade entry points.
@@ -152,5 +158,5 @@ func main() {
 	}
 	log.Printf("final state: %d stripes, %d blocks missing, %d unrecoverable",
 		len(rep.Stripes), missing, rep.Unrecoverable)
-	fmt.Println("scenario complete: all data survived", *failN, "device failures")
+	fmt.Println("scenario complete: all data survived", len(failed), "device failures")
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -176,4 +177,57 @@ func FuzzShortStripeRead(f *testing.F) {
 		}
 		shortStripeRead(t, g, int(size)%(2*g.Data*64+1), failed, corrupt)
 	})
+}
+
+// TestPaddingFrameElisionInvisible: a device keeps a zero-padding block's
+// frame as its checksum prefix, and nothing above the device can tell. A
+// 256 KiB object — serve_cold's shape: a full stripe, then 16 live data
+// blocks and 32 of padding — over a generated 96-node graph loses the device
+// of a node that is padding in the short stripe, and the replacement comes up
+// empty. Scrub reports the node missing and repaired in both stripes, a Get
+// and a degraded Get return the object bit-exact, and the padding node's
+// block reads back as 4096 zero bytes.
+func TestPaddingFrameElisionInvisible(t *testing.T) {
+	const block = 4096
+	s := testStore(t, Config{BlockSize: block})
+	data := payload(256<<10, 46)
+	if err := s.PutCtx(ctx, "obj", data); err != nil {
+		t.Fatal(err)
+	}
+	live := (len(data) - s.Layout().StripeCapacity + block - 1) / block
+	node := s.Layout().DataNodes - 1 // padding in stripe 1
+	if obj, err := s.Stat("obj"); err != nil || obj.Stripes != 2 || live != 16 {
+		t.Fatalf("object of %d stripes (%v), %d live blocks in the second; want 2 and 16", obj.Stripes, err, live)
+	}
+	devs := s.Devices()
+	devs[node].Fail()
+	devs[node].Replace()
+
+	rep, err := s.ScrubCtx(ctx, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Stripes) != 2 || rep.BlocksRepaired != 2 {
+		t.Fatalf("scrub saw %d stripes and repaired %d blocks; want 2 and 2", len(rep.Stripes), rep.BlocksRepaired)
+	}
+	for _, h := range rep.Stripes {
+		if !slices.Equal(h.Missing, []int{node}) || !slices.Equal(h.Repaired, []int{node}) {
+			t.Errorf("stripe %d: missing %v, repaired %v; want node %d in both", h.Stripe, h.Missing, h.Repaired, node)
+		}
+	}
+	if !devs[node].Holds(blockKey("obj", 1, node), device.Online) {
+		t.Error("scrub did not write the padding frame back")
+	}
+	if got, _, err := s.GetCtx(ctx, "obj"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("Get after repair: %d bytes, %v", len(got), err)
+	}
+	for n := range 4 { // four live data blocks of every stripe
+		devs[n].Fail()
+	}
+	if got, _, err := s.GetCtx(ctx, "obj"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("degraded Get: %d bytes, %v", len(got), err)
+	}
+	if b, err := s.ReadBlockCtx(ctx, "obj", 1, node, nil); err != nil || !bytes.Equal(b, make([]byte, block)) {
+		t.Errorf("padding block read back %d bytes (%v), not %d zeros", len(b), err, block)
+	}
 }

@@ -234,6 +234,17 @@ func TestArray(t *testing.T) {
 	}
 }
 
+// TestFailRandomClampsK: a k below zero fails no device and one above the
+// array's length fails every device, neither panicking.
+func TestFailRandomClampsK(t *testing.T) {
+	for _, tc := range []struct{ k, want int }{{-1, 0}, {0, 0}, {11, 10}} {
+		a := NewArray(10)
+		if got := a.FailRandom(tc.k, rand.New(rand.NewPCG(1, 1))); len(got) != tc.want || a.CountState(Failed) != tc.want {
+			t.Errorf("FailRandom(%d) on 10 devices failed %v (%d failed), want %d", tc.k, got, a.CountState(Failed), tc.want)
+		}
+	}
+}
+
 func TestConcurrentAccess(t *testing.T) {
 	d := New(0)
 	var wg sync.WaitGroup
@@ -410,60 +421,130 @@ func TestOverwriteDoesNotReachReaders(t *testing.T) {
 	}
 }
 
-// TestDeviceWriteChurnAllocs: once the device has slots to hand out, an
-// equal-length overwrite, a Delete and a Write of a key written before
-// allocate nothing beyond the map's copy of a new key — the churn a Put
-// followed by a Delete puts on every device — and neither does refilling a
-// drive after Fail and Replace, the churn of a site rebuilt from its peers.
+// randomFrame returns n random bytes, and zeroTailed a frame of n bytes whose
+// payload is zero behind a 4-byte checksum-like header — the shape of a
+// padding block's frame.
+func randomFrame(rng *rand.Rand, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(rng.IntN(256))
+	}
+	return b
+}
+
+func zeroTailed(rng *rand.Rand, n int) []byte {
+	b := make([]byte, n)
+	copy(b, randomFrame(rng, 4))
+	return b
+}
+
+// TestDeviceWriteChurnAllocs: once the device has slots to hand out, writes,
+// overwrites, Deletes and Writes of keys written before allocate nothing
+// beyond the map's copy of a new key — the churn a Put followed by a Delete
+// puts on every device — whether the frame is random (kept whole), zero-tailed
+// (kept as its prefix) or a key flipping between the two; and neither does
+// refilling a drive after Fail and Replace, the churn of a site rebuilt from
+// its peers.
 func TestDeviceWriteChurnAllocs(t *testing.T) {
 	d := New(0)
-	frame := make([]byte, 4100)
+	rng := rand.New(rand.NewPCG(3, 3))
+	frames := [2][]byte{randomFrame(rng, 4100), zeroTailed(rng, 4100)}
 	const keys = 64
-	key := func(i int) []byte { return []byte(fmt.Sprintf("obj/%d/7", i)) }
-	churn := func() {
-		for i := range keys {
-			d.Write(key(i), frame)
-		}
-		for i := range keys {
-			d.Write(key(i), frame)
-		}
-		for i := range keys {
-			d.Delete(key(i))
-		}
-	}
-	for range 3 { // warm-up: slabs carved, map grown
-		churn()
-	}
 	ks := make([][]byte, keys)
 	for i := range ks {
-		ks[i] = key(i)
+		ks[i] = []byte(fmt.Sprintf("obj/%d/7", i))
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		for _, k := range ks {
-			d.Write(k, frame)
+	churn := func() {
+		for i, k := range ks { // random and zero-tailed frames side by side
+			d.Write(k, frames[i%2])
 		}
-		for _, k := range ks {
-			d.Write(k, frame)
+		for i, k := range ks { // every key flips
+			d.Write(k, frames[(i+1)%2])
+		}
+		for i, k := range ks { // and flips back
+			d.Write(k, frames[i%2])
 		}
 		for _, k := range ks {
 			d.Delete(k)
 		}
-	})
-	if allocs > keys {
-		t.Errorf("write, overwrite and delete of %d frames allocate %.0f times; only the %d new key strings may", keys, allocs, keys)
 	}
-	if n := testing.AllocsPerRun(20, func() { d.Write(ks[0], frame) }); n != 0 {
-		t.Errorf("an equal-length overwrite allocates %.0f times", n)
+	for range 3 { // warm-up: slabs carved, map grown, free lists filled
+		churn()
+	}
+	if allocs := testing.AllocsPerRun(20, churn); allocs > keys {
+		t.Errorf("write, flip, flip back and delete of %d frames allocate %.0f times; only the %d new key strings may", keys, allocs, keys)
+	}
+	for i, f := range frames {
+		if n := testing.AllocsPerRun(20, func() { d.Write(ks[0], f) }); n != 0 {
+			t.Errorf("an overwrite with frame %d allocates %.0f times", i, n)
+		}
+	}
+	flip := testing.AllocsPerRun(20, func() {
+		d.Write(ks[0], frames[0])
+		d.Write(ks[0], frames[1])
+	})
+	if flip != 0 {
+		t.Errorf("a key flipping between a random and a zero-tailed frame allocates %.0f times", flip)
 	}
 	refill := testing.AllocsPerRun(20, func() {
 		d.Fail()
 		d.Replace()
-		for _, k := range ks {
-			d.Write(k, frame)
+		for i, k := range ks {
+			d.Write(k, frames[i%2])
 		}
 	})
 	if refill > keys {
 		t.Errorf("Fail, Replace and a refill of %d frames allocate %.0f times; only the %d new key strings may", keys, refill, keys)
+	}
+}
+
+// carved is the memory a device has carved for slots, and filled what of it
+// the slots handed out and the tails skipped take: the part ever written.
+func (d *Device) carved() (n int) {
+	for _, s := range d.slabs {
+		n += len(s)
+	}
+	return n
+}
+
+func (d *Device) filled() int {
+	n := d.carved() - len(d.slab)
+	for _, s := range d.slabs[d.next:] {
+		n -= len(s)
+	}
+	return n
+}
+
+// TestDeviceFootprint pins what the media hold: random 4100-byte frames fill
+// the geometric slabs to within 1% of their bytes, zero-payload frames fill
+// under 1% of theirs, and a device holding 32 frames — serve_hot's load —
+// carves no more than its first two slabs, 192 KiB.
+func TestDeviceFootprint(t *testing.T) {
+	const frames, size = 1000, 4100
+	rng := rand.New(rand.NewPCG(9, 9))
+	fill := func(n int, frame func() []byte) *Device {
+		d := New(0)
+		for i := range n {
+			if err := d.Write([]byte(fmt.Sprint(i)), frame()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d
+	}
+	for _, tc := range []struct {
+		name  string
+		frame func() []byte
+		most  float64 // of the frames' bytes
+	}{
+		{"random", func() []byte { return randomFrame(rng, size) }, 1.01},
+		{"zero-payload", func() []byte { return zeroTailed(rng, size) }, 0.01},
+	} {
+		if got := fill(frames, tc.frame).filled(); float64(got) > tc.most*frames*size {
+			t.Errorf("%d %s frames fill %d bytes of slabs, %.4f× their %d", frames, tc.name, got, float64(got)/(frames*size), frames*size)
+		}
+	}
+	if got := fill(32, func() []byte { return randomFrame(rng, size) }).carved(); got > 192<<10 {
+		t.Errorf("a device holding 32 frames carves %d bytes, over 192 KiB", got)
 	}
 }
 
@@ -524,4 +605,31 @@ func TestEpochMovesOnlyOnLoss(t *testing.T) {
 	move("Fail")
 	d.Replace()
 	move("Replace")
+}
+
+// BenchmarkDeviceWrite is the write a Put repeats on every device: an
+// overwrite of a held key, with a random frame (kept whole after one byte's
+// test) and a zero-tailed frame (kept as its prefix after a scan of its
+// tail). Both run at 0 allocs/op.
+func BenchmarkDeviceWrite(b *testing.B) {
+	rng := rand.New(rand.NewPCG(4, 4))
+	for _, bc := range []struct {
+		name  string
+		frame []byte
+	}{{"random", randomFrame(rng, 4100)}, {"zero-tailed", zeroTailed(rng, 4100)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			d := New(0)
+			ks := make([][]byte, 64)
+			for i := range ks {
+				ks[i] = []byte(fmt.Sprintf("obj/%d/7", i))
+				d.Write(ks[i], bc.frame)
+			}
+			b.SetBytes(int64(len(bc.frame)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Write(ks[i%len(ks)], bc.frame)
+			}
+		})
+	}
 }
