@@ -2,8 +2,9 @@ GO ?= go
 
 # Every go test below carries an explicit -timeout, so a hang fails in about
 # two minutes, not the ten-minute default. The slowest package is
-# internal/sim: 14–17 s unraced, ~47 s under -race on two cores (the n=96
-# rank-scan oracle cases skip under -race). Time spent fuzzing is not
+# internal/sim: ~20 s unraced, ~70 s under -race on two cores (the n=96
+# rank-scan oracle cases and the arrival-order oracle loops skip under
+# -race). Time spent fuzzing is not
 # counted, only the seed-corpus run before it.
 TEST_TIMEOUT ?= 2m
 RACE_TIMEOUT ?= 3m
@@ -51,7 +52,8 @@ fmt:
 
 # fuzz gives the frame codec, the kernel differential batteries (peeling
 # decoder and its schedules, the stopping-set search against the scan and
-# the reference peel, closed-set defect scan), the read path's three oracles
+# the reference peel, the arrival-order threshold against the prefix binary
+# search and the reference peel at every k, closed-set defect scan), the read path's three oracles
 # (planner against plain reverse-delete, targeted decode against the
 # reference sweep, a short stripe's read against the reference peel with
 # its padding known), the campaign journal parser (arbitrary bytes through the resume path), the
@@ -66,6 +68,7 @@ fuzz:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzKernelMatchesReference -fuzztime $(FUZZTIME) ./internal/decode/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzSlicedMatchesReference -fuzztime $(FUZZTIME) ./internal/decode/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzStoppingMatchesScan -fuzztime $(FUZZTIME) ./internal/decode/
+	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzThresholdMatchesPeel -fuzztime $(FUZZTIME) ./internal/decode/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzDefectKernelMatchesReference -fuzztime $(FUZZTIME) ./internal/defect/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzPlanMatchesReverseDelete -fuzztime $(FUZZTIME) ./internal/retrieval/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzDecodeIntoMatchesRepair -fuzztime $(FUZZTIME) ./internal/codec/
@@ -88,7 +91,8 @@ bench:
 # - CertifyScale: sampled certification at n=100,000, the O(edges) path (a
 #   CSR with no mask tables) at the size the dense tables made unreachable.
 # - FailureProfile: the paper's Monte Carlo failure profile on tornado96-1,
-#   1000 trials a point on one worker (design_certify's profile step).
+#   1000 arrival orders on one worker, every sampled point read off each
+#   order's one threshold peel (design_certify's profile step).
 # - RepairSite: site_wipe as a Go benchmark (three shipped graphs, 64 x 1 MiB,
 #   site 0 wiped and rebuilt). reads/stripe is Data + Total when no block is
 #   read twice; B/op fell from 260.7 MB to about 3 MB once replacement drives
@@ -113,7 +117,8 @@ bench:
 #   is known to the read, not fetched (96 when it was).
 # - JointDecode, OverheadTrial: the benchmarks that size the Decoder's jobs
 #   (one joint verdict of a 2- and a 3-site federation; one overhead trial, a
-#   prefix search of ~7 large-erasure peels).
+#   shuffle and one threshold peel of the order as it arrives, ~9 us where
+#   the prefix search of ~7 large-erasure peels it replaced took ~30 us).
 # - PlanEconomicDegraded: a cold degraded stripe plan (tornado96, four data
 #   nodes lost), the scalar decode.Kernel's one production workload; 0
 #   allocs/op.

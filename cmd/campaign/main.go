@@ -20,8 +20,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -34,13 +36,21 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("campaign: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if len(os.Args) < 2 {
-		usage()
+// run is the command over its arguments: 0 on success, 1 when the work
+// fails, 2 on a usage error (no or an unknown subcommand, bad flags, or a
+// -mink..-maxk window that holds no cardinality).
+func run(args []string, stdout, stderr io.Writer) int {
+	log.SetOutput(stderr)
+	if len(args) < 1 {
+		return usage(stderr)
 	}
-	sub, args := os.Args[1], os.Args[2:]
+	sub, args := args[0], args[1:]
 
-	fs := flag.NewFlagSet(sub, flag.ExitOnError)
+	fs := flag.NewFlagSet(sub, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		dir       = fs.String("dir", "", "campaign directory (journal, manifest, result)")
 		cacheDir  = fs.String("cache", "", "result cache directory (empty disables caching)")
@@ -53,7 +63,7 @@ func main() {
 		maxK      = fs.Int("maxk", 0, "largest erasure cardinality examined")
 		keepGoing = fs.Bool("keepgoing", false, "worstcase: search all cardinalities past the first failure")
 		failures  = fs.Int("failures", 0, "worstcase/sampled: failing sets recorded per cardinality (worstcase prints them)")
-		trials    = fs.Int64("trials", 0, "profile/sampled: Monte Carlo trial budget per offline-node count")
+		trials    = fs.Int64("trials", 0, "profile: random arrival orders, the trials of every sampled cardinality; sampled: trial budget per cardinality")
 		mcSeed    = fs.Uint64("mcseed", 2006, "profile/sampled: sampling seed")
 		minK      = fs.Int("mink", 0, "profile/sampled: smallest erasure cardinality examined")
 		epsilon   = fs.Float64("epsilon", 0, "sampled: stop once the 95% CI half-width reaches this (negative runs the full budget)")
@@ -61,10 +71,14 @@ func main() {
 		quiet     = fs.Bool("quiet", false, "suppress per-shard progress lines")
 	)
 	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
 	if *dir == "" {
-		log.Fatal("-dir is required")
+		log.Print("-dir is required")
+		return 1
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -90,7 +104,11 @@ func main() {
 
 	switch sub {
 	case "run":
-		g := loadGraph(ctx, *graphPath, *seed, *nodes, *adjustK)
+		g, err := loadGraph(ctx, *graphPath, *seed, *nodes, *adjustK)
+		if err != nil {
+			log.Print(err)
+			return 1
+		}
 		spec := tornado.CampaignSpec{
 			Kind:      tornado.CampaignKind(*kind),
 			MaxK:      *maxK,
@@ -113,29 +131,39 @@ func main() {
 		}
 		start := time.Now()
 		res, err := tornado.RunCampaignCtx(ctx, *dir, g, spec, opts)
+		if errors.Is(err, tornado.ErrEmptyWindow) {
+			fmt.Fprintf(stderr, "campaign: -mink %d -maxk %d: no cardinality of a %d-node graph is in that window\n", *minK, *maxK, g.Total)
+			fs.Usage()
+			return 2
+		}
 		if err != nil {
 			if ctx.Err() != nil {
-				log.Fatalf("interrupted; completed shards are journaled — `campaign resume -dir %s` continues", *dir)
+				log.Printf("interrupted; completed shards are journaled — `campaign resume -dir %s` continues", *dir)
+			} else {
+				log.Print(err)
 			}
-			log.Fatal(err)
+			return 1
 		}
-		report(res, time.Since(start), *failures)
+		report(stdout, res, time.Since(start), *failures)
 
 	case "resume":
 		start := time.Now()
 		res, err := tornado.ResumeCampaignCtx(ctx, *dir, opts)
 		if err != nil {
 			if ctx.Err() != nil {
-				log.Fatalf("interrupted again; rerun `campaign resume -dir %s`", *dir)
+				log.Printf("interrupted again; rerun `campaign resume -dir %s`", *dir)
+			} else {
+				log.Print(err)
 			}
-			log.Fatal(err)
+			return 1
 		}
-		report(res, time.Since(start), *failures)
+		report(stdout, res, time.Since(start), *failures)
 
 	case "status":
 		st, err := tornado.CampaignProgress(*dir)
 		if err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 1
 		}
 		state := "in progress"
 		if st.Completed {
@@ -143,26 +171,27 @@ func main() {
 		} else if st.DoneShards == 0 {
 			state = "not started"
 		}
-		fmt.Printf("campaign:    %s (%s)\n", st.Dir, state)
-		fmt.Printf("kind:        %s\n", st.Kind)
-		fmt.Printf("fingerprint: %s\n", st.Fingerprint)
-		fmt.Printf("shards:      %d/%d\n", st.DoneShards, st.TotalShards)
-		fmt.Printf("work:        %d/%d combinations+trials\n", st.WorkDone, st.WorkTotal)
+		fmt.Fprintf(stdout, "campaign:    %s (%s)\n", st.Dir, state)
+		fmt.Fprintf(stdout, "kind:        %s\n", st.Kind)
+		fmt.Fprintf(stdout, "fingerprint: %s\n", st.Fingerprint)
+		fmt.Fprintf(stdout, "shards:      %d/%d\n", st.DoneShards, st.TotalShards)
+		fmt.Fprintf(stdout, "work:        %d/%d combinations+trials\n", st.WorkDone, st.WorkTotal)
 
 	default:
-		usage()
+		return usage(stderr)
 	}
+	return 0
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: campaign {run|resume|status} -dir <dir> [flags]
+func usage(w io.Writer) int {
+	fmt.Fprintln(w, `usage: campaign {run|resume|status} -dir <dir> [flags]
   run     start a fresh campaign (see -kind, -graph/-seed, -maxk, -trials)
   resume  continue an interrupted campaign from its journal
   status  report shard progress without running anything`)
-	os.Exit(2)
+	return 2
 }
 
-func loadGraph(ctx context.Context, path string, seed uint64, nodes, adjustK int) *tornado.Graph {
+func loadGraph(ctx context.Context, path string, seed uint64, nodes, adjustK int) (*tornado.Graph, error) {
 	var g *tornado.Graph
 	var err error
 	if path != "" {
@@ -178,43 +207,43 @@ func loadGraph(ctx context.Context, path string, seed uint64, nodes, adjustK int
 		}
 	}
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	log.Printf("testing %v", g)
-	return g
+	return g, nil
 }
 
 // report prints the result; a worst-case search also prints up to
 // printFailures of each cardinality's recorded failing sets.
-func report(res *tornado.CampaignResult, elapsed time.Duration, printFailures int) {
+func report(w io.Writer, res *tornado.CampaignResult, elapsed time.Duration, printFailures int) {
 	if res.Cached {
 		log.Printf("served from cache (fingerprint %.12s…)", res.Fingerprint)
 	}
 	switch {
 	case res.WorstCase != nil:
 		for _, kr := range res.WorstCase.PerK {
-			fmt.Printf("k=%d: %d failures / %d combinations\n", kr.K, kr.FailureCount, kr.Tested)
+			fmt.Fprintf(w, "k=%d: %d failures / %d combinations\n", kr.K, kr.FailureCount, kr.Tested)
 			for _, f := range kr.Failures[:min(printFailures, len(kr.Failures))] {
-				fmt.Printf("  failing set: %v\n", f)
+				fmt.Fprintf(w, "  failing set: %v\n", f)
 			}
 		}
 		if res.WorstCase.Found {
-			fmt.Printf("worst case failure scenario: %d lost nodes\n", res.WorstCase.FirstFailure)
+			fmt.Fprintf(w, "worst case failure scenario: %d lost nodes\n", res.WorstCase.FirstFailure)
 		} else {
-			fmt.Printf("no failure found up to the examined cardinality\n")
+			fmt.Fprintf(w, "no failure found up to the examined cardinality\n")
 		}
 	case res.Profile != nil:
 		p := res.Profile
-		fmt.Printf("first observed failure: %d offline nodes\n", p.FirstObservedFailure())
-		fmt.Printf("avg nodes to reconstruct: %.2f (%.2f)\n", p.AvgNodesToReconstruct(), p.AvgToReconstructRatio())
-		fmt.Printf("50%% reconstruction overhead: %.3f\n", p.Overhead())
+		fmt.Fprintf(w, "first observed failure: %d offline nodes\n", p.FirstObservedFailure())
+		fmt.Fprintf(w, "avg nodes to reconstruct: %.2f (%.2f)\n", p.AvgNodesToReconstruct(), p.AvgToReconstructRatio())
+		fmt.Fprintf(w, "50%% reconstruction overhead: %.3f\n", p.Overhead())
 	case res.Sampled != nil:
 		for _, sr := range res.Sampled {
 			lo, hi := sr.Wilson()
-			fmt.Printf("k=%d: P(fail) = %.3g, 95%% CI [%.3g, %.3g] over %d trials (%.1f%% screened, %d rounds)\n",
+			fmt.Fprintf(w, "k=%d: P(fail) = %.3g, 95%% CI [%.3g, %.3g] over %d trials (%.1f%% screened, %d rounds)\n",
 				sr.K, sr.Estimate(), lo, hi, sr.Tally.Trials, 100*sr.ScreenRate(), len(sr.Rounds))
 		}
 	}
-	fmt.Printf("%d combinations+trials evaluated in %v (%.0f/s)\n",
+	fmt.Fprintf(w, "%d combinations+trials evaluated in %v (%.0f/s)\n",
 		res.WorkDone, elapsed.Round(time.Millisecond), float64(res.WorkDone)/elapsed.Seconds())
 }

@@ -32,7 +32,7 @@ func main() {
 		precompiled = flag.String("precompiled", "", "vet a shipped certified graph by name")
 		maxK        = flag.Int("maxk", 4, "exhaustive worst-case search bound")
 		profileIt   = flag.Bool("profile", false, "also sample the failure profile and summary metrics")
-		trials      = flag.Int64("trials", 20000, "profile trials per point")
+		trials      = flag.Int64("trials", 20000, "profile arrival orders: the trials of every sampled point")
 		svgPath     = flag.String("svg", "", "render the first failing pattern (or the clean graph) as SVG")
 	)
 	flag.Parse()

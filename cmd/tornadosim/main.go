@@ -11,8 +11,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -23,24 +25,38 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tornadosim: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the command over its arguments: 0 on success, 1 when the work
+// fails, 2 on a usage error (bad flags, or a -mink..-maxk window that holds
+// no offline count).
+func run(args []string, stdout, stderr io.Writer) int {
+	log.SetOutput(stderr)
+	fs := flag.NewFlagSet("tornadosim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		graphPath  = flag.String("graph", "", "GraphML graph to profile (overrides -seed)")
-		seed       = flag.Uint64("seed", 2006, "generate a fresh 96-node graph from this seed")
-		adjustK    = flag.Int("adjust", 0, "adjust the generated graph to tolerate this cardinality first")
-		trials     = flag.Int64("trials", 20000, "Monte Carlo trials per offline-node count")
-		exhaustive = flag.Int64("exhaustive", 100000, "enumerate exactly when C(n,k) is at most this")
-		minK       = flag.Int("mink", 1, "smallest offline count")
-		maxK       = flag.Int("maxk", 0, "largest offline count (0 = all)")
-		simSeed    = flag.Uint64("simseed", 1, "sampling seed")
-		summary    = flag.Bool("summary", false, "print summary metrics instead of CSV")
-		overhead   = flag.Bool("overhead", false, "measure reconstruction overhead (min random-order retrievals) instead of the failure profile")
-		lifetime   = flag.Bool("lifetime", false, "simulate system lifetimes (discrete-event MTTDL) instead of the failure profile")
-		lambda     = flag.Float64("lambda", 0.1, "lifetime: per-device failure rate per year")
-		mu         = flag.Float64("mu", 12, "lifetime: per-repairman rebuild rate per year")
-		repairmen  = flag.Int("repairmen", 1, "lifetime: concurrent rebuilds (0 = no repair)")
+		graphPath  = fs.String("graph", "", "GraphML graph to profile (overrides -seed)")
+		seed       = fs.Uint64("seed", 2006, "generate a fresh 96-node graph from this seed")
+		adjustK    = fs.Int("adjust", 0, "adjust the generated graph to tolerate this cardinality first")
+		trials     = fs.Int64("trials", 20000, "random arrival orders drawn: the trials of every sampled offline count")
+		exhaustive = fs.Int64("exhaustive", 100000, "enumerate exactly when C(n,k) is at most this")
+		minK       = fs.Int("mink", 1, "smallest offline count")
+		maxK       = fs.Int("maxk", 0, "largest offline count (0 = all)")
+		simSeed    = fs.Uint64("simseed", 1, "sampling seed")
+		summary    = fs.Bool("summary", false, "print summary metrics instead of CSV")
+		overhead   = fs.Bool("overhead", false, "measure reconstruction overhead (min random-order retrievals) instead of the failure profile")
+		lifetime   = fs.Bool("lifetime", false, "simulate system lifetimes (discrete-event MTTDL) instead of the failure profile")
+		lambda     = fs.Float64("lambda", 0.1, "lifetime: per-device failure rate per year")
+		mu         = fs.Float64("mu", 12, "lifetime: per-repairman rebuild rate per year")
+		repairmen  = fs.Int("repairmen", 1, "lifetime: concurrent rebuilds (0 = no repair)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	ctx := context.Background()
 
 	var g *tornado.Graph
@@ -54,7 +70,8 @@ func main() {
 		}
 	}
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 	log.Printf("profiling %v", g)
 
@@ -65,30 +82,32 @@ func main() {
 			Runs: int(*trials), Seed: *simSeed,
 		})
 		if err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 1
 		}
 		log.Printf("simulated %d lifetimes in %v", res.Runs, time.Since(start).Round(time.Millisecond))
-		fmt.Printf("mean time to data loss: %.4g years (%d runs, %d truncated)\n",
+		fmt.Fprintf(stdout, "mean time to data loss: %.4g years (%d runs, %d truncated)\n",
 			res.MeanYears, res.Runs, res.Truncated)
-		return
+		return 0
 	}
 
 	if *overhead {
 		start := time.Now()
 		res, err := tornado.MeasureOverheadCtx(ctx, g, tornado.OverheadOptions{Trials: *trials, Seed: *simSeed})
 		if err != nil {
-			log.Fatal(err)
+			log.Print(err)
+			return 1
 		}
 		log.Printf("measured in %v", time.Since(start).Round(time.Millisecond))
-		fmt.Printf("mean minimum retrievals: %.2f (overhead %.3f)\n", res.Mean(), res.MeanOverhead())
-		fmt.Printf("median: %d  p99: %d\n", res.Quantile(0.5), res.Quantile(0.99))
-		fmt.Println("retrievals,count")
+		fmt.Fprintf(stdout, "mean minimum retrievals: %.2f (overhead %.3f)\n", res.Mean(), res.MeanOverhead())
+		fmt.Fprintf(stdout, "median: %d  p99: %d\n", res.Quantile(0.5), res.Quantile(0.99))
+		fmt.Fprintln(stdout, "retrievals,count")
 		for v, c := range res.Counts.Counts {
 			if c > 0 {
-				fmt.Printf("%d,%d\n", v, c)
+				fmt.Fprintf(stdout, "%d,%d\n", v, c)
 			}
 		}
-		return
+		return 0
 	}
 
 	start := time.Now()
@@ -99,24 +118,30 @@ func main() {
 		MaxK:            *maxK,
 		Seed:            *simSeed,
 	})
+	if errors.Is(err, tornado.ErrEmptyWindow) {
+		fmt.Fprintf(stderr, "tornadosim: -mink %d -maxk %d: no offline count of a %d-node graph is in that window\n", *minK, *maxK, g.Total)
+		fs.Usage()
+		return 2
+	}
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 	log.Printf("profiled in %v", time.Since(start).Round(time.Millisecond))
 
+	w := stdout
 	if *summary {
-		fmt.Printf("graph:                    %s\n", g.Name)
-		fmt.Printf("first observed failure:   %d offline nodes\n", p.FirstObservedFailure())
+		fmt.Fprintf(w, "graph:                    %s\n", g.Name)
+		fmt.Fprintf(w, "first observed failure:   %d offline nodes\n", p.FirstObservedFailure())
 		avg := p.AvgNodesToReconstruct()
-		fmt.Printf("avg nodes to reconstruct: %.2f (%.2f)\n", avg, avg/float64(g.Data))
+		fmt.Fprintf(w, "avg nodes to reconstruct: %.2f (%.2f)\n", avg, avg/float64(g.Data))
 		n50 := p.NodesForSuccessProbability(0.5)
-		fmt.Printf("nodes for 50%% success:    %d (overhead %.2f)\n", n50, p.Overhead())
+		fmt.Fprintf(w, "nodes for 50%% success:    %d (overhead %.2f)\n", n50, p.Overhead())
 		pfail := tornado.SystemFailure(g.Total, 0.01, p.FailFraction)
-		fmt.Printf("P(fail) at AFR 1%%:        %.4g\n", pfail)
-		return
+		fmt.Fprintf(w, "P(fail) at AFR 1%%:        %.4g\n", pfail)
+		return 0
 	}
 
-	w := os.Stdout
 	fmt.Fprintln(w, "offline,failures,trials,fraction,exact")
 	for k := 0; k <= g.Total; k++ {
 		prop := p.Fail[k]
@@ -125,4 +150,5 @@ func main() {
 		}
 		fmt.Fprintf(w, "%d,%d,%d,%.9g,%v\n", k, prop.Hits, prop.Trials, prop.Estimate(), p.Exact[k])
 	}
+	return 0
 }

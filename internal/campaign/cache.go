@@ -28,12 +28,14 @@ const scanOrderVersion = "sl1"
 const scanOrderVersionSampled = "st1"
 
 // scanOrderVersionProfile tags profile entries (KindProfile). Their exact
-// points are exhaustive counts, but their sampled points are defined by the trial
-// tiling: "pb1" = sim's fixed blocks, shard b drawing trials [b·ShardSize,
-// (b+1)·ShardSize) from stream b. Entries stored under "sl1" cut the same
-// budget into near-equal parts — a different result wherever ShardSize does
-// not divide Trials — and simply miss.
-const scanOrderVersionProfile = "pb1"
+// points are exhaustive counts, but their sampled points are defined by the
+// sampling scheme: "pa1" = one shared set of random arrival orders in sim's
+// fixed blocks, shard b shuffling orders [b·ShardSize, (b+1)·ShardSize) from
+// stream b, every sampled point read off each order's threshold. Entries
+// stored under "pb1" (a fresh k-subset per trial per point) and "sl1"
+// (those blocks cut into near-equal parts) hold other samples and simply
+// miss.
+const scanOrderVersionProfile = "pa1"
 
 // orderVersion returns the scan-order tag a normalized spec's cache
 // entries are hashed under.
@@ -48,6 +50,11 @@ func orderVersion(normSpec Spec) string {
 }
 
 func cacheKey(fingerprint string, normSpec Spec) string {
+	return taggedCacheKey(fingerprint, orderVersion(normSpec), normSpec)
+}
+
+// taggedCacheKey is cacheKey with the scan-order tag given.
+func taggedCacheKey(fingerprint, tag string, normSpec Spec) string {
 	data, err := json.Marshal(normSpec)
 	if err != nil {
 		// Spec is a plain struct of marshalable fields; this cannot fail.
@@ -56,7 +63,7 @@ func cacheKey(fingerprint string, normSpec Spec) string {
 	h := sha256.New()
 	h.Write([]byte(fingerprint))
 	h.Write([]byte{'\n'})
-	h.Write([]byte(orderVersion(normSpec)))
+	h.Write([]byte(tag))
 	h.Write([]byte{'\n'})
 	h.Write(data)
 	return hex.EncodeToString(h.Sum(nil))

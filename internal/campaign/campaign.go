@@ -4,7 +4,8 @@
 // What is computed is internal/sim's: a campaign spec (graph + options)
 // names a sim.Job, whose plan is one unit per exhaustive cardinality and
 // fixed-size trial blocks each owning a seeded RNG stream for Monte Carlo
-// points, and whose Run loop orders the groups, applies the stopping rules
+// points (a profile's blocks of arrival orders serve all its sampled points
+// at once), and whose Run loop orders the groups, applies the stopping rules
 // and folds the results. This package supplies the runner that loop calls:
 // sim's LocalRunner, wrapped to skip the units ("shards") an earlier
 // process journaled and to append each freshly computed one to a
@@ -265,7 +266,7 @@ func (s Spec) job(g *graph.Graph) (j *sim.Job, err error) {
 
 // toRecord is the journal line of unit u's result.
 func toRecord(u sim.Unit, res sim.UnitResult) Record {
-	rec := Record{Shard: u.ID, K: u.K, Failures: res.Failures, Screened: res.Screened}
+	rec := Record{Shard: u.ID, K: u.K, Failures: res.Failures, Screened: res.Screened, Thresholds: res.Thresholds}
 	if u.Trials == 0 {
 		rec.Tested, rec.FailCount = res.Tally.Trials, res.Tally.Hits
 	} else {
@@ -284,7 +285,7 @@ func toRecord(u sim.Unit, res sim.UnitResult) Record {
 // unchanged. Anything less (a stale plan, a torn write or a rotted byte
 // that still parsed) is discarded like a torn tail and the unit reruns.
 func fromRecord(j *sim.Job, u sim.Unit, rec Record) (sim.UnitResult, bool) {
-	res := sim.UnitResult{Failures: rec.Failures, Screened: rec.Screened}
+	res := sim.UnitResult{Failures: rec.Failures, Screened: rec.Screened, Thresholds: rec.Thresholds}
 	if u.Trials == 0 {
 		res.Tally = stats.Proportion{Hits: rec.FailCount, Trials: rec.Tested}
 	} else {

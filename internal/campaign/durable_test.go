@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -127,6 +128,126 @@ func TestResumeDiscardsMalformedRecords(t *testing.T) {
 	}
 }
 
+// TestResumeDiscardsMalformedProfileRecords: a profile order shard's
+// journaled histogram must be its shard's — one entry per point it answers
+// plus one, nonnegative counts summing to the shard's orders and ending in
+// its hits — or the line is discarded and the shard reruns.
+func TestResumeDiscardsMalformedProfileRecords(t *testing.T) {
+	g := testGraph(t)
+	spec := Spec{Kind: KindProfile, MinK: 3, MaxK: 9, Trials: 3000, ExhaustiveLimit: 500, Seed: 5, ShardSize: 256}
+	want, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rot := range map[string]func(*Record){
+		"histogram sums past trials":   func(r *Record) { r.Thresholds[1]++ },
+		"histogram sums short":         func(r *Record) { r.Thresholds[len(r.Thresholds)-2]-- },
+		"histogram one entry short":    func(r *Record) { r.Thresholds = r.Thresholds[1:] },
+		"histogram one entry long":     func(r *Record) { r.Thresholds = append([]int64{0}, r.Thresholds...) },
+		"negative count":               func(r *Record) { r.Thresholds[0], r.Thresholds[1] = -1, r.Thresholds[1]+r.Thresholds[0]+1 },
+		"hits disagree with histogram": func(r *Record) { r.Hits++ },
+		"no histogram":                 func(r *Record) { r.Thresholds = nil },
+		"exhaustive fields":            func(r *Record) { r.Trials, r.Hits, r.Tested, r.FailCount = 0, 0, r.Trials, r.Hits },
+	} {
+		dir, data := interruptedJournal(t, g, spec, 4)
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		var rec Record
+		if err := json.Unmarshal(lines[3], &rec); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Thresholds) != 9-3+2 || rec.Thresholds[0] == 0 || rec.Hits == 0 {
+			t.Fatalf("fixture shard %d is not a profile order shard with orders at both ends: %+v", rec.Shard, rec)
+		}
+		rot(&rec)
+		lines[3] = append(marshal(t, rec), '\n')
+		if err := os.WriteFile(filepath.Join(dir, journalFile), bytes.Join(lines, nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var rerun int
+		got, err := ResumeCtx(context.Background(), dir, Options{Workers: 2, Progress: func(st Status) {
+			if !st.Completed {
+				rerun++
+			}
+		}})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if string(marshal(t, got)) != string(marshal(t, want)) {
+			t.Errorf("%s: resumed result differs from the uninterrupted run", name)
+		}
+		// C(28,3) = 3276 > 500, so k = 3..9 are all sampled: 12 order
+		// shards. Every unjournaled shard plus the rotted one reruns.
+		if planned := 12; rerun != planned-(len(lines)-1)+1 {
+			t.Errorf("%s: resume ran %d shards over a journal of %d lines, one of them rotted", name, rerun, len(lines)-1)
+		}
+	}
+}
+
+// TestOldProfileCampaignsAreRefused: a profile campaign directory of the
+// per-cardinality sampler (manifest version 4) is refused with an error
+// that names the version and the way out, and a profile result cached
+// under that sampler's tag ("pb1") misses: it is another sample.
+func TestOldProfileCampaignsAreRefused(t *testing.T) {
+	g := testGraph(t)
+	spec := Spec{Kind: KindProfile, MinK: 3, MaxK: 9, Trials: 3000, ExhaustiveLimit: 500, Seed: 5, ShardSize: 256}
+	dir, _ := interruptedJournal(t, g, spec, 2)
+	path := filepath.Join(dir, manifestFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]any
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	man["version"] = 4
+	if err := os.WriteFile(path, marshal(t, man), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ResumeCtx(context.Background(), dir, Options{Workers: 2})
+	if err == nil || !strings.Contains(err.Error(), "manifest version 4") || !strings.Contains(err.Error(), "new directory") {
+		t.Errorf("resuming a version-4 profile directory returned %v, want the version error", err)
+	}
+	if _, err := ReadStatus(dir); err == nil {
+		t.Error("status of a version-4 directory read without error")
+	}
+
+	cache := t.TempDir()
+	norm := spec.normalize(g.Total)
+	stale := &Result{Kind: KindProfile, Fingerprint: g.Fingerprint(), Spec: norm, Profile: &sim.Profile{GraphName: "stale"}}
+	if err := storeCache(cache, taggedCacheKey(g.Fingerprint(), "pb1", norm), stale); err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 2, CacheDir: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cached || res.Profile.GraphName == "stale" {
+		t.Error("a profile cached under the retired per-cardinality tag was served")
+	}
+}
+
+// TestEmptyWindowRefusedBeforeManifest: a profile or sampled campaign whose
+// normalized window holds no cardinality fails with sim.ErrEmptyWindow and
+// leaves nothing behind — no manifest, so no campaign to resume.
+func TestEmptyWindowRefusedBeforeManifest(t *testing.T) {
+	g := testGraph(t)
+	for _, spec := range []Spec{
+		{Kind: KindProfile, MinK: 20, MaxK: 10, Trials: 1000},
+		{Kind: KindProfile, MinK: 29, Trials: 1000},
+		{Kind: KindSampled, MinK: 6, MaxK: 5, Trials: 1000},
+	} {
+		dir := filepath.Join(t.TempDir(), "camp")
+		res, err := RunCtx(context.Background(), dir, g, spec, Options{Workers: 1})
+		if !errors.Is(err, sim.ErrEmptyWindow) {
+			t.Errorf("%+v: %v, %v; want sim.ErrEmptyWindow", spec, res, err)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%+v: the refused campaign left %s behind (%v)", spec, dir, err)
+		}
+	}
+}
+
 // flakyFile is a journal file whose failAt-th write fails, once.
 type flakyFile struct {
 	*os.File
@@ -208,6 +329,7 @@ func FuzzJournalResume(f *testing.F) {
 		f.Add(journal[:len(journal)-9])
 		f.Add(bytes.Replace(journal, []byte(`"strata_trials":[`), []byte(`"strata_trials":[7,`), 1))
 		f.Add(bytes.Replace(journal, []byte(`"failures":[[`), []byte(`"failures":[[-1,`), 1))
+		f.Add(bytes.Replace(journal, []byte(`"thresholds":[`), []byte(`"thresholds":[7,`), 1))
 	}
 	f.Add([]byte(`{"shard":0,"k":1,"tested":28}` + "\n" + `{"shard":1,"k":2,"tested":128,"fail_count":-3}` + "\nnull\n[]\n{"))
 

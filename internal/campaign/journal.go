@@ -30,8 +30,11 @@ const (
 // exhaustive shards to revolving-door rank ranges, version 3 made a shard
 // record its range's lexicographically smallest failures. Version 4 made an
 // exhaustive cardinality one shard, computed from stopping sets: a v3
-// journal's range shards do not match the v4 plan.
-const manifestVersion = 4
+// journal's range shards do not match the v4 plan. Version 5 made a
+// profile's sampled points share one set of arrival-order shards, each
+// journaling its histogram of thresholds: a v4 profile's per-cardinality
+// shards do not match the v5 plan.
+const manifestVersion = 5
 
 // Manifest is the immutable identity of a campaign directory.
 type Manifest struct {
@@ -55,6 +58,7 @@ func (m Manifest) status(dir string) Status {
 // shards carry Trials/Hits.
 // Sampled shards additionally carry the per-stratum tallies and the
 // screening count, and reuse Failures for the failing witness patterns.
+// Profile order shards additionally carry their threshold histogram.
 type Record struct {
 	Shard     int     `json:"shard"`
 	K         int     `json:"k"`
@@ -71,6 +75,12 @@ type Record struct {
 	// Screened counts the shard's trials resolved by structural proof
 	// alone, never decoded.
 	Screened int64 `json:"screened,omitempty"`
+
+	// Profile order shards (KindProfile): entry i counts the shard's
+	// arrival orders whose threshold is Total−MaxK+i, the first and last
+	// entries taking every order below and above the sampled points
+	// K..MaxK (sim.UnitResult.Thresholds).
+	Thresholds []int64 `json:"thresholds,omitempty"`
 }
 
 // writeFileAtomic writes data to path via a temp file, fsync, and rename,
@@ -116,7 +126,8 @@ func readManifest(dir string) (Manifest, error) {
 		return m, fmt.Errorf("campaign: corrupt manifest in %s: %w", dir, err)
 	}
 	if m.Version != manifestVersion {
-		return m, fmt.Errorf("campaign: manifest version %d in %s, this build reads %d", m.Version, dir, manifestVersion)
+		return m, fmt.Errorf("campaign: manifest version %d in %s, this build reads %d: its shards do not match this build's plan; rerun the campaign in a new directory",
+			m.Version, dir, manifestVersion)
 	}
 	return m, nil
 }

@@ -2,6 +2,7 @@ package decode
 
 import (
 	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"tornado/internal/combin"
@@ -149,6 +150,47 @@ func FuzzSlicedMatchesReference(f *testing.F) {
 					t.Fatalf("sliced lane %d = %v, reference = %v (graph %v, erased %v)",
 						L, lane, want, g, patterns[L])
 				}
+			}
+		}
+	})
+}
+
+// FuzzThresholdMatchesPeel holds the arrival-order threshold — one peel as
+// an order's nodes arrive — to two oracles on a seeded random cascade: the
+// binary search for the shortest decodable prefix over Recoverable, and
+// ReferenceRecoverable at every cardinality k, which must recover the order
+// with its last k nodes erased exactly when the threshold is at most
+// Total−k. That second equivalence is what lets one order answer every
+// point of the failure profile. A random window [from, limit] must clamp
+// the threshold to [from, limit+1] from either starting state, and the
+// decoder must be back at baseline after every call.
+func FuzzThresholdMatchesPeel(f *testing.F) {
+	f.Add(uint64(1), uint64(2))
+	f.Add(uint64(2006), uint64(0))
+	f.Add(uint64(0xA221), uint64(7))
+	f.Fuzz(func(t *testing.T, seed, stream uint64) {
+		rng := rand.New(rand.NewPCG(seed, stream))
+		g := randomCascade(rng)
+		d, oracle := New(g), New(g)
+		for trial := 0; trial < 8; trial++ {
+			order := rng.Perm(g.Total)
+			got := d.Threshold(order, 0, g.Total)
+			want := sort.Search(g.Total+1, func(n int) bool { return oracle.Recoverable(order[n:]) })
+			if got != want {
+				t.Fatalf("threshold %d, binary search %d (graph %v, order %v)", got, want, g, order)
+			}
+			for k := 0; k <= g.Total; k++ {
+				if ok := ReferenceRecoverable(g, order[g.Total-k:]); ok != (got <= g.Total-k) {
+					t.Fatalf("k=%d: reference %v, threshold %d of %d (graph %v, order %v)", k, ok, got, g.Total, g, order)
+				}
+			}
+			from := rng.IntN(g.Total + 1)
+			limit := from + rng.IntN(g.Total+1-from)
+			if clamped := d.Threshold(order, from, limit); clamped != min(max(got, from), limit+1) {
+				t.Fatalf("window [%d,%d]: %d, threshold %d (graph %v, order %v)", from, limit, clamped, got, g, order)
+			}
+			if erased := order[:rng.IntN(g.Total+1)]; d.Recoverable(erased) != ReferenceRecoverable(g, erased) {
+				t.Fatalf("after Threshold the decoder misjudges %v: it is not back at baseline", erased)
 			}
 		}
 	})

@@ -253,6 +253,8 @@ func TestKernelsZeroAllocs(t *testing.T) {
 		scan.EraseOne(v)
 	}
 	sk := NewSlicedKernel(csr)
+	d, order := NewDecoder(csr), rng.Perm(g.Total)
+	d.Threshold(order, 0, g.Total) // builds the all-erased snapshot
 
 	for _, tc := range []struct {
 		name string
@@ -270,6 +272,11 @@ func TestKernelsZeroAllocs(t *testing.T) {
 			scan.Swap(out, in)
 		}},
 		{"SlicedKernel word", func() { evalBenchWord(sk) }},
+		{"Decoder.Threshold", func() {
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			d.Threshold(order, 0, g.Total)
+			d.Threshold(order, g.Total-8, g.Total)
+		}},
 	} {
 		if allocs := testing.AllocsPerRun(100, tc.step); allocs != 0 {
 			t.Errorf("%s allocates %.1f/op; steady-state kernel paths must be allocation-free", tc.name, allocs)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 
 	"tornado/internal/combin"
 	"tornado/internal/decode"
@@ -21,11 +22,15 @@ import (
 // Unit is one deterministic piece of certification work, a pure function
 // of its fields. A unit with Trials == 0 examines every erasure pattern of
 // cardinality K (exhaustiveK: stopping sets, or the rank scan where those
-// cost more); otherwise it draws Trials k-subsets from the RNG stream
-// (Seed, K, Stream), through the stratified sampler when Stratified is set.
+// cost more). A Stratified unit draws Trials k-subsets from the RNG stream
+// (Seed, K, Stream) through the stratified sampler. Any other is a block of
+// the failure profile: Trials random arrival orders from the stream (Seed,
+// Stream), each peeled only as far as it decides the points K..MaxK
+// (orderSampler).
 type Unit struct {
 	ID           int // position in plan order: the same plan numbers its units the same way every time
 	K            int
+	MaxK         int // profile order blocks only: the largest point they answer
 	Trials       int64
 	Seed, Stream uint64
 	Stratified   bool
@@ -40,7 +45,16 @@ type UnitResult struct {
 	// and the trials resolved by structural proof alone.
 	Strata   []stats.Proportion
 	Screened int64
+	// Profile order blocks only: the histogram of the orders' thresholds
+	// over the points K..MaxK, MaxK−K+2 entries (orderSampler.sample), the
+	// last one the orders that lose data at K offline — Tally's hits.
+	Thresholds []int64
 }
+
+// ErrEmptyWindow is the Job.Err of a profile or sampled certification whose
+// cardinality window, once normalized, holds no cardinality: it would
+// certify nothing.
+var ErrEmptyWindow = errors.New("sim: empty cardinality window")
 
 // A Runner computes units. Job.Run calls RunUnit from up to Workers()
 // goroutines at once; w < Workers() names the calling goroutine, so a
@@ -121,15 +135,20 @@ func (j *Job) Work(u Unit) int64 {
 
 // Accepts reports whether r is a complete, well-formed result of unit u:
 // the work adds up to the unit's, a stratified unit's K+1 strata add up to
-// its tally, and there are no more recorded failing sets than failures,
-// each K ascending node IDs. A durable runner applies it to results it did
-// not compute in this process before they reach fold.
+// its tally, an order block's MaxK−K+2 histogram counts add up to its
+// orders and end in its hits, and there are no more recorded failing sets
+// than failures, each K ascending node IDs. A durable runner applies it to
+// results it did not compute in this process before they reach fold.
 func (j *Job) Accepts(u Unit, r UnitResult) bool {
-	strata := 0
-	if u.Stratified {
+	strata, hist := 0, 0
+	switch {
+	case u.Stratified:
 		strata = u.K + 1
+	case u.Trials > 0:
+		hist = u.MaxK - u.K + 2
 	}
 	if len(r.Strata) != strata || strata > 0 && stats.Pool(r.Strata...) != r.Tally ||
+		len(r.Thresholds) != hist || hist > 0 && !histogramOf(r.Thresholds, r.Tally) ||
 		r.Tally.Trials != j.Work(u) || r.Tally.Hits > r.Tally.Trials || int64(len(r.Failures)) > r.Tally.Hits {
 		return false
 	}
@@ -144,6 +163,19 @@ func (j *Job) Accepts(u Unit, r UnitResult) bool {
 		}
 	}
 	return true
+}
+
+// histogramOf reports whether hist's counts are nonnegative, sum to
+// tally's trials and end in its hits.
+func histogramOf(hist []int64, tally stats.Proportion) bool {
+	var sum int64
+	for _, n := range hist {
+		if n < 0 {
+			return false
+		}
+		sum += n
+	}
+	return sum == tally.Trials && hist[len(hist)-1] == tally.Hits
 }
 
 // blockUnits appends blocks [lo, hi) of the fixed tiling of a trial
@@ -168,7 +200,7 @@ type LocalRunner struct {
 }
 
 type localWorker struct {
-	stream *streamSampler
+	orders *orderSampler
 	strat  *StratifiedSampler
 }
 
@@ -193,9 +225,12 @@ func (l *LocalRunner) RunUnit(ctx context.Context, w int, u Unit) (UnitResult, e
 		blk, err := lw.strat.SampleBlock(ctx, u.K, u.Trials, u.Seed, u.Stream, u.MaxFailures)
 		return UnitResult{Tally: blk.Tally(), Failures: blk.Witnesses, Strata: blk.Strata, Screened: blk.Screened}, err
 	}
-	if lw.stream == nil {
-		lw.stream = newStreamSampler(l.csr)
+	if lw.orders == nil {
+		lw.orders = newOrderSampler(l.csr)
 	}
-	tally, err := lw.stream.sample(ctx, u.K, u.Trials, u.Seed, u.Stream)
-	return UnitResult{Tally: tally}, err
+	hist, err := lw.orders.sample(ctx, u.K, u.MaxK, u.Trials, u.Seed, u.Stream)
+	if err != nil {
+		return UnitResult{}, err
+	}
+	return UnitResult{Tally: stats.Proportion{Hits: hist[len(hist)-1], Trials: u.Trials}, Thresholds: hist}, nil
 }

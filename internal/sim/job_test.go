@@ -100,7 +100,9 @@ func TestWorstCasePlanEndingShort(t *testing.T) {
 
 // TestTilingIsTheDocumentedOne pins the trial tiling: blocks of
 // DefaultSampledBlock in memory, of exactly the shard size otherwise —
-// block b on stream b, the last one short — numbered in plan order.
+// block b on stream b, the last one short — numbered in plan order. The
+// sampled points of a profile share one set of order blocks, whose K is
+// the smallest of them.
 func TestTilingIsTheDocumentedOne(t *testing.T) {
 	g := mirrorGraph(12) // 24 nodes
 	for _, tc := range []struct{ shard, block int64 }{{0, DefaultSampledBlock}, {30000, 30000}} {
@@ -109,12 +111,12 @@ func TestTilingIsTheDocumentedOne(t *testing.T) {
 			t.Fatal(err)
 		}
 		per := int((150000 + tc.block - 1) / tc.block)
-		if len(pj.Groups) != 1 || len(pj.Groups[0]) != 2*per {
-			t.Fatalf("shard %d: %d groups, %d units, want 1 and %d", tc.shard, len(pj.Groups), len(pj.Groups[0]), 2*per)
+		if len(pj.Groups) != 1 || len(pj.Groups[0]) != per {
+			t.Fatalf("shard %d: %d groups, %d units, want 1 and %d", tc.shard, len(pj.Groups), len(pj.Groups[0]), per)
 		}
 		for i, u := range pj.Groups[0] {
-			b := int64(i % per)
-			if u.ID != i || u.K != 6+i/per || u.Stream != uint64(b) || u.Trials != min(tc.block, 150000-b*tc.block) {
+			b := int64(i)
+			if u.ID != i || u.K != 6 || u.Stream != uint64(b) || u.Trials != min(tc.block, 150000-b*tc.block) {
 				t.Errorf("shard %d: unit %d is %+v", tc.shard, i, u)
 			}
 		}

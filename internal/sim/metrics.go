@@ -20,9 +20,11 @@ const (
 	// MetricScanFallbacks counts exhaustive cardinalities handed to the rank
 	// scan because their stopping sets cost more than their patterns.
 	MetricScanFallbacks = "sim_scan_fallbacks"
-	// MetricMCTrials counts Monte Carlo reconstruction trials drawn.
+	// MetricMCTrials counts Monte Carlo trials drawn: a sampled
+	// certification's k-subsets, a profile's arrival orders.
 	MetricMCTrials = "sim_mc_trials"
-	// MetricMCFailures counts Monte Carlo trials that lost data.
+	// MetricMCFailures counts Monte Carlo trials that lost data; a profile
+	// order counts when it loses data at its block's smallest point.
 	MetricMCFailures = "sim_mc_failures"
 )
 

@@ -27,15 +27,17 @@ func TestMetricsWiring(t *testing.T) {
 		t.Errorf("%s = %d, want %d", MetricFailuresFound, got, kr.FailureCount)
 	}
 
-	prop, err := newStreamSampler(decode.NewCSR(g)).sample(context.Background(), 40, 500, 7, 0)
+	// An order block counts its orders, and as failures the orders still
+	// undecoded with k nodes to arrive.
+	hist, err := newOrderSampler(decode.NewCSR(g)).sample(context.Background(), 40, 40, 500, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter(MetricMCTrials).Value(); got != prop.Trials {
-		t.Errorf("%s = %d, want %d", MetricMCTrials, got, prop.Trials)
+	if got := reg.Counter(MetricMCTrials).Value(); got != 500 {
+		t.Errorf("%s = %d, want 500", MetricMCTrials, got)
 	}
-	if got := reg.Counter(MetricMCFailures).Value(); got != prop.Hits {
-		t.Errorf("%s = %d, want %d", MetricMCFailures, got, prop.Hits)
+	if got, want := reg.Counter(MetricMCFailures).Value(), hist[len(hist)-1]; got != want || want == 0 {
+		t.Errorf("%s = %d, want %d (> 0)", MetricMCFailures, got, want)
 	}
 	// SetMetrics(nil) must be a no-op, not a nil registry.
 	SetMetrics(nil)

@@ -2,10 +2,8 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"math/rand/v2"
 
-	"tornado/internal/decode"
 	"tornado/internal/graph"
 	"tornado/internal/stats"
 )
@@ -55,11 +53,11 @@ func (r OverheadResult) Quantile(q float64) int { return r.Counts.Quantile(q) }
 
 // OverheadCtx measures g's reconstruction overhead: each trial draws a
 // random permutation of the node IDs (the order blocks arrive from devices)
-// and binary-searches the shortest prefix that reconstructs all data.
+// and peels it once as it arrives, to its shortest prefix that reconstructs
+// all data (decode.Decoder.Threshold).
 //
-// Monotonicity makes the per-trial binary search sound: supersets of a
-// decodable block set are decodable. The result depends on Seed and Trials
-// only, not on Workers; cancellation is checked between trials.
+// The result depends on Seed and Trials only, not on Workers; cancellation
+// is checked between trials.
 func OverheadCtx(ctx context.Context, g *graph.Graph, opts OverheadOptions) (OverheadResult, error) {
 	opts = opts.normalize()
 	res := OverheadResult{
@@ -82,11 +80,7 @@ func OverheadCtx(ctx context.Context, g *graph.Graph, opts OverheadOptions) (Ove
 					return nil, err
 				}
 				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-				prefix, ok := minimumPrefix(w.d, order)
-				if !ok {
-					return nil, fmt.Errorf("sim: full block set not decodable — graph is broken")
-				}
-				prefixes[t] = int32(prefix)
+				prefixes[t] = int32(w.d.Threshold(order, 0, g.Total))
 			}
 			return prefixes, nil
 		})
@@ -99,27 +93,4 @@ func OverheadCtx(ctx context.Context, g *graph.Graph, opts OverheadOptions) (Ove
 		}
 	}
 	return res, nil
-}
-
-// minimumPrefix binary-searches the shortest decodable prefix of the
-// retrieval order. order must contain every node exactly once.
-func minimumPrefix(d *decode.Decoder, order []int) (int, bool) {
-	total := len(order)
-	decodable := func(n int) bool {
-		// Present = order[:n]; erased = order[n:].
-		return d.Recoverable(order[n:])
-	}
-	if !decodable(total) {
-		return 0, false
-	}
-	lo, hi := 0, total // lo: not necessarily decodable; hi: decodable
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if decodable(mid) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return hi, true
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"tornado/internal/core"
 	"tornado/internal/decode"
 	"tornado/internal/graph"
+	"tornado/internal/graphml"
 )
 
 func TestOverheadMirrorExact(t *testing.T) {
@@ -183,6 +185,64 @@ func TestMinimumPrefixMonotone(t *testing.T) {
 	}
 }
 
+// minimumPrefix binary-searches the shortest decodable prefix of the
+// retrieval order — about log2(Total) large-erasure peels — and is the
+// oracle of the threshold peel OverheadCtx runs. order must contain every
+// node exactly once.
+func minimumPrefix(d *decode.Decoder, order []int) (int, bool) {
+	total := len(order)
+	decodable := func(n int) bool {
+		// Present = order[:n]; erased = order[n:].
+		return d.Recoverable(order[n:])
+	}
+	if !decodable(total) {
+		return 0, false
+	}
+	lo, hi := 0, total // lo: not necessarily decodable; hi: decodable
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if decodable(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return hi, true
+}
+
+// TestOverheadMatchesPrefixSearch: over 10,000 random orders on each of the
+// shipped graphs and three unscreened 96-node graphs (real defects at low
+// k), the threshold peel equals the binary search it replaced, so
+// OverheadResult is the same for every seed. One goroutine does all the
+// work, so it runs unraced only.
+func TestOverheadMatchesPrefixSearch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine oracle loop: ~30 s under the race detector, kept in the unraced run")
+	}
+	var graphs []*graph.Graph
+	for i := 1; i <= 3; i++ {
+		g, err := graphml.ReadFile(fmt.Sprintf("../../precompiled/tornado96-%d.graphml", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g, unscreened96(t, uint64(i)))
+	}
+	for _, g := range graphs {
+		d, oracle := decode.New(g), decode.New(g)
+		rng := rand.New(rand.NewPCG(uint64(g.Total), 47))
+		order := rng.Perm(g.Total)
+		for trial := 0; trial < 10000; trial++ {
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			want, ok := minimumPrefix(oracle, order)
+			if got := d.Threshold(order, 0, g.Total); !ok || got != want {
+				t.Fatalf("%s trial %d: threshold %d, prefix search %d (ok %v)", g.Name, trial, got, want, ok)
+			}
+		}
+	}
+}
+
+// BenchmarkOverheadTrial is one overhead trial: a shuffle and the threshold
+// peel of the order.
 func BenchmarkOverheadTrial(b *testing.B) {
 	g, _, err := core.Generate(core.DefaultParams(), rand.New(rand.NewPCG(2, 2)))
 	if err != nil {
@@ -197,7 +257,7 @@ func BenchmarkOverheadTrial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng.Shuffle(len(order), func(x, y int) { order[x], order[y] = order[y], order[x] })
-		if _, ok := minimumPrefix(d, order); !ok {
+		if d.Threshold(order, 0, g.Total) > g.Total {
 			b.Fatal("undecodable")
 		}
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"math/rand/v2"
 
 	"tornado/internal/combin"
@@ -15,16 +14,18 @@ import (
 // ProfileOptions tunes the reconstruction-failure profile (paper §3: "the
 // fraction of failed reconstructions for a large number of test cases").
 type ProfileOptions struct {
-	// Trials is the Monte Carlo sample count per offline-node count. The
-	// paper used 10–34 million per point (962,144,153 cases, 34 CPU-days);
-	// the default of DefaultProfileTrials preserves the curve shape on a
-	// laptop.
+	// Trials is the number of random arrival orders drawn. Every sampled
+	// point is read off all of them, so it is also each sampled point's
+	// trial count. The paper used 10–34 million per point (962,144,153
+	// cases, 34 CPU-days); the default of DefaultProfileTrials preserves
+	// the curve shape on a laptop.
 	Trials int64
 	// ExhaustiveLimit switches a point to exact enumeration when
 	// C(total, k) is at most this bound. Default DefaultExhaustiveLimit.
 	ExhaustiveLimit int64
 	// MinK and MaxK bound the examined offline counts; MaxK=0 means the
-	// whole range up to Total.
+	// whole range up to Total. The window is a view: a point's tally does
+	// not depend on it. An empty window is an error (ErrEmptyWindow).
 	MinK, MaxK int
 	// Workers is the number of goroutines; default GOMAXPROCS.
 	Workers int
@@ -45,7 +46,9 @@ func (o ProfileOptions) normalize(total int) ProfileOptions {
 
 // Profile holds the measured failure fraction for each number of offline
 // nodes. Entry k answers: with exactly k randomly chosen devices offline,
-// what fraction of cases lose data?
+// what fraction of cases lose data? The sampled entries share one set of
+// arrival orders (see NewProfileJob): each is exactly Binomial(Trials, p_k),
+// but they are correlated across k.
 type Profile struct {
 	GraphName string
 	Total     int // nodes in the graph
@@ -67,12 +70,18 @@ func FailureProfileCtx(ctx context.Context, g *graph.Graph, opts ProfileOptions)
 	return j.Profile, nil
 }
 
-// NewProfileJob plans the failure profile of g as one group — every point
-// is independent. A point whose rank space is within opts.ExhaustiveLimit
-// is one exhaustive unit (only the count matters, so at most one witness
-// is recorded); any other is sampled in fixed blocks of shardSize trials,
-// block b drawing from RNG stream b, so the block size is part of what
-// defines the result. shardSize 0 means DefaultSampledBlock.
+// NewProfileJob plans the failure profile of g as one group. A point whose
+// rank space is within opts.ExhaustiveLimit is one exhaustive unit (only
+// the count matters, so at most one witness is recorded). Every other point
+// is read off one shared set of opts.Trials random arrival orders: an
+// order's last k nodes are a uniform k-subset for every k, and decodability
+// is monotone, so with T the order's threshold — its shortest decodable
+// prefix — k offline nodes lose data exactly when T > Total−k. The orders
+// come in fixed blocks of shardSize, block b shuffled from RNG stream b, so
+// the block size is part of what defines the result; each block is one unit
+// returning the histogram of its orders' T over the sampled points.
+// shardSize 0 means DefaultSampledBlock. An empty window plans nothing and
+// sets Job.Err.
 func NewProfileJob(g *graph.Graph, opts ProfileOptions, shardSize int64) (*Job, error) {
 	opts = opts.normalize(g.Total)
 	p := &Profile{
@@ -86,117 +95,114 @@ func NewProfileJob(g *graph.Graph, opts ProfileOptions, shardSize int64) (*Job, 
 	p.Fail[0] = stats.Proportion{Hits: 0, Trials: 1}
 	p.Exact[0] = true
 
-	blockSize := int64Or(shardSize, DefaultSampledBlock)
 	var units []Unit
+	orders := Unit{Seed: opts.Seed} // K..MaxK: the sampled points, 0 while there are none
 	for k := opts.MinK; k <= opts.MaxK; k++ {
 		if c, ok := combin.BinomialInt64(g.Total, k); ok && c <= opts.ExhaustiveLimit {
 			if _, err := exhaustiveSpace(g.Total, k); err != nil {
 				return nil, err
 			}
 			units = append(units, Unit{K: k, MaxFailures: 1})
+			p.Exact[k] = true
 			continue
 		}
+		if orders.K == 0 {
+			orders.K = k
+		}
+		orders.MaxK = k
+	}
+	if orders.K > 0 {
+		blockSize := int64Or(shardSize, DefaultSampledBlock)
 		nBlocks := (opts.Trials + blockSize - 1) / blockSize
-		units = blockUnits(units, Unit{K: k, Seed: opts.Seed}, opts.Trials, blockSize, 0, nBlocks)
+		units = blockUnits(units, orders, opts.Trials, blockSize, 0, nBlocks)
 	}
 	j := &Job{total: g.Total, Groups: [][]Unit{units}, Profile: p}
+	if opts.MinK > opts.MaxK {
+		j.Err = fmt.Errorf("%w: offline counts %d..%d of %d nodes", ErrEmptyWindow, opts.MinK, opts.MaxK, g.Total)
+	}
 	j.fold = func(gi int, res []UnitResult) int {
+		hist := make([]int64, orders.MaxK-orders.K+2) // the order blocks' pooled histogram
 		for i, u := range units {
-			p.Fail[u.K].Add(res[i].Tally.Hits, res[i].Tally.Trials)
-			p.Exact[u.K] = u.Trials == 0
+			if u.Trials == 0 {
+				p.Fail[u.K].Add(res[i].Tally.Hits, res[i].Tally.Trials)
+				continue
+			}
+			for t, n := range res[i].Thresholds {
+				hist[t] += n
+			}
+		}
+		// Point k fails in the orders of hist[MaxK−k+1:]: sum them from the
+		// top, where hist's last entry is the orders undecoded at K.
+		var fails int64
+		for k := orders.K; orders.K > 0 && k <= orders.MaxK; k++ {
+			fails += hist[orders.MaxK-k+1]
+			if !p.Exact[k] {
+				p.Fail[k] = stats.Proportion{Hits: fails, Trials: opts.Trials}
+			}
 		}
 		return gi + 1
 	}
 	return j.number(), nil
 }
 
-// streamSampler is the reusable state of the profile's trial loop: the
-// bit-sliced kernel trials are decoded in, 64 per word, and the bitset the
-// subsets are drawn into. One sampler serves one goroutine.
-type streamSampler struct {
-	c    *decode.CSR
-	sk   *decode.SlicedKernel
-	seen []uint64 // the current k-subset (combin.RandomSet); all-zero between trials
-	// dataMask[w] is the data nodes of seen[w], for the words that hold any.
-	dataMask []uint64
+// arrivalStreamTag marks the profile's arrival-order RNG streams: block b
+// draws from PCG stream (seed, arrivalStreamTag|b), apart from every
+// k-keyed stream of the stratified sampler and from the overhead's.
+const arrivalStreamTag = 0xA221 << 48
+
+// orderSampler is the reusable state of the profile's order loop: the
+// decoder each order's threshold peel runs on, and the order itself. One
+// sampler serves one goroutine.
+type orderSampler struct {
+	d     *decode.Decoder
+	order []int
 }
 
-func newStreamSampler(c *decode.CSR) *streamSampler {
-	dataMask := make([]uint64, (c.Data+63)/64)
-	for w := range dataMask {
-		dataMask[w] = ^uint64(0)
-	}
-	if r := c.Data % 64; r != 0 {
-		dataMask[len(dataMask)-1] = 1<<uint(r) - 1
-	}
-	return &streamSampler{
-		c:        c,
-		sk:       decode.NewSlicedKernel(c),
-		seen:     make([]uint64, c.Words),
-		dataMask: dataMask,
-	}
+func newOrderSampler(c *decode.CSR) *orderSampler {
+	return &orderSampler{d: decode.NewDecoder(c), order: make([]int, c.Total)}
 }
 
-// sample draws trials uniformly random k-subsets from the deterministic
-// RNG stream identified by (seed, k, stream) and tallies the unrecoverable
-// ones: fixed arguments always reproduce the same tally. Cancellation is
-// honored at combination-chunk boundaries, and progress counters are
-// flushed to Metrics() at the same cadence.
-func (s *streamSampler) sample(ctx context.Context, k int, trials int64, seed, stream uint64) (stats.Proportion, error) {
-	total, data := int(s.c.Total), int(s.c.Data)
-	if k < 1 || k > total {
-		return stats.Proportion{}, fmt.Errorf("sim: cardinality %d out of range for %d nodes", k, total)
+// sample draws n random arrival orders — each a rand.Shuffle of the node
+// IDs, the block starting from the identity, all from stream (seed,
+// arrivalStreamTag|stream) — and returns the histogram of their thresholds
+// T over the points minK..maxK: hist[i] counts the orders with T =
+// Total−maxK+i. Its first entry holds every order that decodes with maxK
+// nodes still to arrive, its last, maxK−minK+1, every order still undecoded
+// with minK to arrive: those lose data at minK offline, and they are what
+// the progress counters count as failures. No order is peeled outside that
+// window (Decoder.Threshold), so the block is as cheap as its window is
+// narrow.
+func (s *orderSampler) sample(ctx context.Context, minK, maxK int, n int64, seed, stream uint64) ([]int64, error) {
+	total := len(s.order)
+	if minK < 1 || maxK < minK || maxK > total {
+		return nil, fmt.Errorf("sim: cardinalities %d..%d out of range for %d nodes", minK, maxK, total)
 	}
 	reg := Metrics()
 	mcTrials := reg.Counter(MetricMCTrials)
 	mcFails := reg.Counter(MetricMCFailures)
-	if k > total-data {
-		// Fewer than Data nodes survive, and every node holds a linear
-		// function of the Data data blocks: no decoder can determine them
-		// from fewer than Data values, so every trial fails undrawn.
-		mcTrials.Add(trials)
-		mcFails.Add(trials)
-		return stats.Proportion{Hits: trials, Trials: trials}, nil
+	from, limit := total-maxK, total-minK
+	hist := make([]int64, maxK-minK+2)
+	last := &hist[len(hist)-1]
+	for i := range s.order {
+		s.order[i] = i
 	}
-
-	rng := rand.New(rand.NewPCG(seed, uint64(k)<<32|stream))
-	s.sk.Reset() // a canceled call leaves its last partial word behind
-	lanes := 0   // trials staged in the kernel word
-	var hits int64
+	rng := rand.New(rand.NewPCG(seed, arrivalStreamTag|stream))
 	var lastFlushTrials, lastFlushHits int64
-	for i := int64(0); i < trials; i++ {
+	for i := int64(0); i < n; i++ {
 		if i%cancelCheckInterval == 0 {
 			if ctx.Err() != nil {
-				return stats.Proportion{}, ctx.Err()
+				return nil, ctx.Err()
 			}
 			mcTrials.Add(i - lastFlushTrials)
-			mcFails.Add(hits - lastFlushHits)
-			lastFlushTrials, lastFlushHits = i, hits
+			mcFails.Add(*last - lastFlushHits)
+			lastFlushTrials, lastFlushHits = i, *last
 		}
-		combin.RandomSet(s.seen, total, k, rng)
-		var erasedData uint64
-		for w, m := range s.dataMask {
-			erasedData |= s.seen[w] & m
-		}
-		if erasedData == 0 {
-			clear(s.seen) // only checks erased, nothing to recover
-			continue
-		}
-		for w, x := range s.seen {
-			for ; x != 0; x &= x - 1 {
-				s.sk.Erase(w<<6+bits.TrailingZeros64(x), 1<<uint(lanes))
-			}
-			s.seen[w] = 0
-		}
-		if lanes++; lanes == decode.Lanes {
-			hits += int64(bits.OnesCount64(evalStaged(s.sk, lanes)))
-			lanes = 0
-		}
+		rng.Shuffle(total, func(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] })
+		hist[s.d.Threshold(s.order, from, limit)-from]++
 	}
-	hits += int64(bits.OnesCount64(evalStaged(s.sk, lanes)))
-	mcTrials.Add(trials - lastFlushTrials)
-	mcFails.Add(hits - lastFlushHits)
-	return stats.Proportion{Hits: hits, Trials: trials}, nil
+	mcTrials.Add(n - lastFlushTrials)
+	mcFails.Add(*last - lastFlushHits)
+	return hist, nil
 }
 
 // FailFraction returns the measured failure fraction with exactly k nodes
@@ -234,7 +240,9 @@ func (p *Profile) FirstObservedFailure() int {
 // needed for reconstruction — the paper's "average number of nodes capable
 // of reconstructing the data" (Tables 1–4). With T the online-count
 // threshold, E[T] = Σ_m P(T > m) and P(T > m) is the failure fraction with
-// m nodes online, i.e. Total−m offline.
+// m nodes online, i.e. Total−m offline. Where the points are sampled they
+// share one set of arrival orders, so the sum is the plain mean of those
+// orders' thresholds.
 func (p *Profile) AvgNodesToReconstruct() float64 {
 	sum := 0.0
 	for m := 0; m < p.Total; m++ {

@@ -380,11 +380,15 @@ func SampleStratifiedCtx(ctx context.Context, g *graph.Graph, k int, opts Sample
 // NewSampledJob plans the sampled certification of cardinalities
 // minK..maxK: one group per (cardinality, round of sampledPlan), one unit
 // per block. A cardinality's remaining rounds are skipped from the first
-// round boundary where its pooled half-width is within opts.Epsilon.
+// round boundary where its pooled half-width is within opts.Epsilon. An
+// empty window plans nothing and sets Job.Err.
 func NewSampledJob(g *graph.Graph, minK, maxK int, opts SampledOptions) *Job {
 	opts = opts.normalize()
 	_, rounds := sampledPlan(opts.MaxTrials, opts.BlockSize)
 	j := &Job{total: g.Total}
+	if minK > maxK {
+		j.Err = fmt.Errorf("%w: cardinalities %d..%d", ErrEmptyWindow, minK, maxK)
+	}
 	for k := minK; k <= maxK; k++ {
 		j.Sampled = append(j.Sampled, &SampledResult{K: k, Strata: make([]stats.Proportion, k+1)})
 		tmpl := Unit{K: k, Seed: opts.Seed, Stratified: true, MaxFailures: opts.MaxWitnesses}

@@ -269,8 +269,9 @@ func TestSlicedScanRange96Smoke(t *testing.T) {
 // loops. Each call's set-up may allocate; its pattern or trial loop may
 // not, so the allocation count must be the same on an 8x longer run:
 // ScanRangeCtx over a mid-rank k=5 window (witnesses off), a fresh
-// streamSampler at k=36 (about half the patterns fail, so every lane does real work),
-// and a warm StratifiedSampler.SampleBlock.
+// orderSampler at k=36 (about half the orders are still undecoded with 36
+// nodes to arrive, so their peels run to the limit), and a warm
+// StratifiedSampler.SampleBlock.
 func TestLoopsDoNotAllocate(t *testing.T) {
 	ctx := context.Background()
 	g := ctxTestGraph(t)
@@ -285,8 +286,8 @@ func TestLoopsDoNotAllocate(t *testing.T) {
 			_, err := ScanRangeCtx(ctx, g, 5, total/2, total/2+n, 0)
 			return err
 		}},
-		{"streamSampler.sample", 1 << 12, func(n int64) error {
-			_, err := newStreamSampler(decode.NewCSR(g)).sample(ctx, 36, n, 2006, 0)
+		{"orderSampler.sample", 1 << 10, func(n int64) error {
+			_, err := newOrderSampler(decode.NewCSR(g)).sample(ctx, 36, 36, n, 2006, 0)
 			return err
 		}},
 		{"SampleBlock", 1 << 12, func(n int64) error {

@@ -86,6 +86,11 @@ type (
 	CertifyResult = sim.SampledResult
 )
 
+// ErrEmptyWindow is returned by ProfileCtx and by profile and sampled
+// campaigns whose offline-count window, once normalized, is empty (MinK
+// above MaxK, or above the node count): they would measure nothing.
+var ErrEmptyWindow = sim.ErrEmptyWindow
+
 // DefaultParams returns the paper's 96-node construction parameters.
 func DefaultParams() Params { return core.DefaultParams() }
 
