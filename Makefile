@@ -57,8 +57,9 @@ fmt:
 # (planner against plain reverse-delete, targeted decode against the
 # reference sweep, a short stripe's read against the reference peel with
 # its padding known), the campaign journal parser (arbitrary bytes through the resume path), the
-# GraphML parser (user-supplied graph files) and the federation's union peel
-# (against the §5.3 exchange fixpoint) and the device (its slots, zero tails
+# GraphML parser (user-supplied graph files), the federation's union peel
+# (against the §5.3 exchange fixpoint), the federated store's exchange (its
+# Get against the union peel, links cut or not) and the device (its slots, zero tails
 # kept as their prefix, against a map of the frames written) a short
 # randomized shake on every check; longer sessions: make fuzz FUZZTIME=10m
 FUZZTIME ?= 3s
@@ -75,6 +76,7 @@ fuzz:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzJournalResume -fuzztime $(FUZZTIME) ./internal/campaign/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/graphml/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzJointDecodeMatchesExchange -fuzztime $(FUZZTIME) ./internal/federation/
+	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzExchangeMatchesJoint -fuzztime $(FUZZTIME) ./internal/fedstore/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzDeviceMatchesMap -fuzztime $(FUZZTIME) ./internal/device/
 
 # bench runs the repo benchmark, bench/: numbers only, check is the gate.

@@ -28,3 +28,33 @@ func TestEmptyWindowIsAUsageError(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileSummaryNeedsFullWindow: the average nodes to reconstruct and
+// the 50% overhead read the failure fraction at every offline count, so a
+// profile of a partial -mink..-maxk window prints a line saying they need
+// the full window instead of numbers, and a full-window profile prints them.
+func TestProfileSummaryNeedsFullWindow(t *testing.T) {
+	for _, c := range []struct {
+		window []string
+		full   bool
+	}{
+		{[]string{"-mink", "4", "-maxk", "8"}, false},
+		{nil, true},
+	} {
+		dir := filepath.Join(t.TempDir(), "camp")
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"run", "-dir", dir, "-graph", "../../precompiled/tornado96-1.graphml", "-quiet", "-kind", "profile", "-trials", "1000"}, c.window...)
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d, stderr %q", c.window, code, stderr.String())
+		}
+		out := stdout.String()
+		for _, line := range []string{"avg nodes to reconstruct: ", "50% reconstruction overhead: "} {
+			if strings.Contains(out, line) != c.full {
+				t.Errorf("window %v: %q printed %v, want %v; output:\n%s", c.window, line, !c.full, c.full, out)
+			}
+		}
+		if strings.Contains(out, "need the full window (-mink 1 -maxk 96)") == c.full {
+			t.Errorf("window %v: full-window notice printed %v, want %v; output:\n%s", c.window, c.full, !c.full, out)
+		}
+	}
+}

@@ -133,6 +133,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *summary {
 		fmt.Fprintf(w, "graph:                    %s\n", g.Name)
 		fmt.Fprintf(w, "first observed failure:   %d offline nodes\n", p.FirstObservedFailure())
+		if !p.FullWindow() {
+			fmt.Fprintf(w, "avg nodes, 50%% success and P(fail) need the full window (-mink 1 -maxk %d)\n", g.Total)
+			return 0
+		}
 		avg := p.AvgNodesToReconstruct()
 		fmt.Fprintf(w, "avg nodes to reconstruct: %.2f (%.2f)\n", avg, avg/float64(g.Data))
 		n50 := p.NodesForSuccessProbability(0.5)

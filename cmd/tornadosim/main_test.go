@@ -18,3 +18,33 @@ func TestEmptyWindowIsAUsageError(t *testing.T) {
 		}
 	}
 }
+
+// TestSummaryNeedsFullWindow: -summary's average nodes to reconstruct, 50%
+// success point and P(fail) at AFR 1% read the failure fraction at every
+// offline count, so a partial -mink..-maxk window prints a line saying they
+// need the full window instead of numbers, and the full window prints them.
+func TestSummaryNeedsFullWindow(t *testing.T) {
+	lines := []string{"avg nodes to reconstruct: ", "nodes for 50% success: ", "P(fail) at AFR 1%: "}
+	for _, c := range []struct {
+		window []string
+		full   bool
+	}{
+		{[]string{"-mink", "4", "-maxk", "8"}, false},
+		{nil, true},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-graph", "../../precompiled/tornado96-1.graphml", "-summary", "-trials", "1000"}, c.window...)
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d, stderr %q", c.window, code, stderr.String())
+		}
+		out := stdout.String()
+		for _, line := range lines {
+			if strings.Contains(out, line) != c.full {
+				t.Errorf("window %v: %q printed %v, want %v; output:\n%s", c.window, line, !c.full, c.full, out)
+			}
+		}
+		if strings.Contains(out, "need the full window (-mink 1 -maxk 96)") == c.full {
+			t.Errorf("window %v: full-window notice printed %v, want %v; output:\n%s", c.window, c.full, !c.full, out)
+		}
+	}
+}

@@ -104,8 +104,9 @@ func (c *Codec) Decode(blocks [][]byte, payloadLen int) ([]byte, error) {
 // ErrUnrecoverable if any data block remains missing.
 //
 // Every block it fills in is a fresh allocation the caller owns outright,
-// which is what the cross-site exchanges (fedstore, steward: their block
-// arrays outlive the call and are shared between sites) and Decode want.
+// which is what Decode and the federated store's joint decode want: that
+// one production caller repairs a stripe over a federation's union graph
+// and writes the rebuilt data blocks home to several sites after the call.
 // The archive's stripe paths — Get, scrub, site repair — go through a pooled
 // Workspace (RepairWith, ResumeRepair, DecodeInto) and never call it.
 func (c *Codec) Repair(blocks [][]byte) error {

@@ -57,7 +57,7 @@ func NewSystem(sites ...*graph.Graph) (*System, error) {
 		for _, lv := range g.Levels {
 			// A left range that straddles data and checks widens over the
 			// other sites' checks in between; no edge names those.
-			first, last := s.unionID(i, lv.LeftFirst), s.unionID(i, lv.LeftFirst+lv.LeftCount-1)
+			first, last := s.UnionID(i, lv.LeftFirst), s.UnionID(i, lv.LeftFirst+lv.LeftCount-1)
 			b.AddLevel(first, last-first+1, lv.RightCount)
 		}
 	}
@@ -65,7 +65,7 @@ func NewSystem(sites ...*graph.Graph) (*System, error) {
 	for i, g := range sites {
 		for r := data; r < g.Total; r++ {
 			for _, l := range g.LeftNeighbors(r) {
-				s.union.AddEdge(s.unionID(i, r), s.unionID(i, int(l)))
+				s.union.AddEdge(s.UnionID(i, r), s.UnionID(i, int(l)))
 			}
 		}
 	}
@@ -75,9 +75,13 @@ func NewSystem(sites ...*graph.Graph) (*System, error) {
 	return s, nil
 }
 
-// unionID maps site i's node v into the union graph: data nodes are shared,
+// Union returns the union graph JointDecode peels. Its nodes are numbered by
+// UnionID; it must not be changed.
+func (s *System) Union() *graph.Graph { return s.union }
+
+// UnionID maps site i's node v into the union graph: data nodes are shared,
 // site i's checks follow those of the sites before it.
-func (s *System) unionID(i, v int) int {
+func (s *System) UnionID(i, v int) int {
 	if v < s.Data() {
 		return v
 	}

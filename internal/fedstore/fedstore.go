@@ -8,11 +8,12 @@
 // fail over across sites, writes reach every site at once, require a
 // configurable site quorum and roll back below it, and when every site
 // individually reports data loss the facade runs the paper's §5.3 block
-// exchange for real — partial peeling at each site, reconstructed data
-// blocks shipped between sites over the WAN topology, repeated to fixpoint —
-// then re-exports recovered blocks to the broken sites through the sites'
-// block interface, so every exchanged byte lands in the sites' repairbw
-// meters under the federation cause.
+// exchange for real. Per group of sites linked over the WAN topology, it
+// fetches every block the members hold and peels them once over the group's
+// union graph — internal/federation's System, the model Table 7 is computed
+// on — then writes recovered data blocks home to the broken sites through
+// the sites' block interface, so every exchanged byte lands in the sites'
+// repairbw meters under the federation cause.
 //
 // A site leaves the federation two ways. An optional chaos.WAN injects
 // site-scale failures — whole-site loss, inter-site partitions, per-link
@@ -33,7 +34,7 @@ import (
 
 	"tornado/internal/archive"
 	"tornado/internal/chaos"
-	"tornado/internal/codec"
+	"tornado/internal/graph"
 	"tornado/internal/obs"
 	"tornado/internal/repairbw"
 )
@@ -74,7 +75,7 @@ type Store struct {
 	frame  int64                // framed bytes per block, the unit of every tally
 
 	mu     sync.Mutex
-	codecs []*codec.Codec // nil until the site is first admitted
+	graphs []*graph.Graph // nil until the site is first admitted
 	down   []error        // non-nil: the failure that marked the site down
 
 	metrics    *obs.Registry
@@ -103,7 +104,7 @@ func New(sites []*archive.Store, cfg Config) (*Store, error) {
 }
 
 // Open builds the facade over any sites, under New's striping rule. A site
-// that answers ErrSiteDown starts marked down — its striping check and codec
+// that answers ErrSiteDown starts marked down — its striping check and graph
 // wait for the probe that first reaches it — but at least one site must
 // answer, and striping disagreement is always a hard error.
 func Open(ctx context.Context, sites []Site, cfg Config) (*Store, error) {
@@ -123,7 +124,7 @@ func Open(ctx context.Context, sites []Site, cfg Config) (*Store, error) {
 	f := &Store{
 		sites:      sites,
 		cfg:        cfg,
-		codecs:     make([]*codec.Codec, len(sites)),
+		graphs:     make([]*graph.Graph, len(sites)),
 		down:       make([]error, len(sites)),
 		metrics:    reg,
 		cFailover:  reg.Counter("fedstore.read_failover"),
@@ -156,7 +157,7 @@ func Open(ctx context.Context, sites []Site, cfg Config) (*Store, error) {
 }
 
 // admit fetches site i's layout, checks its striping against the
-// federation's, and builds the site's codec if it has none yet. It runs at
+// federation's, and fetches the site's graph if it has none yet. It runs at
 // construction and whenever a marked-down site is probed.
 func (f *Store) admit(ctx context.Context, i int) error {
 	lay, err := f.sites[i].Layout(ctx)
@@ -167,8 +168,11 @@ func (f *Store) admit(ctx context.Context, i int) error {
 	if f.frame == 0 {
 		f.layout, f.frame = lay, int64(lay.FrameSize())
 	}
-	ref, built := f.layout, f.codecs[i] != nil
+	ref, built := f.layout, f.graphs[i] != nil
 	f.mu.Unlock()
+	if lay.BlockSize <= 0 {
+		return fmt.Errorf("fedstore: site %d block size %d must be positive", i, lay.BlockSize)
+	}
 	if lay.BlockSize != ref.BlockSize || lay.DataNodes != ref.DataNodes {
 		return fmt.Errorf("fedstore: site %d striping (%d×%d) differs from the federation's (%d×%d)",
 			i, lay.DataNodes, lay.BlockSize, ref.DataNodes, ref.BlockSize)
@@ -180,21 +184,17 @@ func (f *Store) admit(ctx context.Context, i int) error {
 	if err != nil {
 		return fmt.Errorf("fedstore: site %d graph: %w", i, err)
 	}
-	c, err := codec.New(g, lay.BlockSize)
-	if err != nil {
-		return fmt.Errorf("fedstore: site %d codec: %w", i, err)
-	}
 	f.mu.Lock()
-	f.codecs[i] = c
+	f.graphs[i] = g
 	f.mu.Unlock()
 	return nil
 }
 
-// codec returns site i's codec; every site that is up has been admitted.
-func (f *Store) codec(i int) *codec.Codec {
+// graph returns site i's graph; every site that is up has been admitted.
+func (f *Store) graph(i int) *graph.Graph {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.codecs[i]
+	return f.graphs[i]
 }
 
 // Sites returns the site count.
@@ -239,7 +239,7 @@ func (f *Store) siteErr(i int, err error) error {
 }
 
 // probe readmits marked-down site i if it answers a cheap layout fetch (and,
-// for a site first seen down, yields the graph for its codec).
+// for a site first seen down, yields its graph).
 func (f *Store) probe(ctx context.Context, i int) error {
 	if err := f.admit(ctx, i); err != nil {
 		return f.siteErr(i, err)

@@ -295,3 +295,24 @@ func TestRepairSiteUnderByteCap(t *testing.T) {
 		}
 	}
 }
+
+// TestRepairSiteCutOffTargetExchangesNothing: a target with no up link to a
+// donor can be written nothing, so the joint exchange does not start — no
+// block is read for stripes that could never go home, no stripe counts as
+// exchanged — and every stripe is left to the residue.
+func TestRepairSiteCutOffTargetExchangesNothing(t *testing.T) {
+	w := chaos.NewWAN(chaos.WANConfig{Sites: 3})
+	f, _, _, stripes := wipedFederation(t, Config{WAN: w})
+	w.Partition(0, 1)
+	w.Partition(0, 2)
+	rep, err := f.RepairSiteCtx(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ExchangedStripes != 0 || !rep.Exchange.Zero() || rep.Unrecoverable != stripes {
+		t.Errorf("report %+v, want no exchange and all %d stripes unrecoverable", rep, stripes)
+	}
+	if got := f.Metrics().Counter("fedstore.exchange.stripes").Value(); got != 0 {
+		t.Errorf("fedstore.exchange.stripes = %d, want 0", got)
+	}
+}

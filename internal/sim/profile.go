@@ -225,6 +225,20 @@ func (p *Profile) FailFraction(k int) float64 {
 	return 0
 }
 
+// FullWindow reports whether every offline count 1..Total was measured.
+// The whole-curve summaries — AvgNodesToReconstruct, the overhead, a
+// SystemFailure over FailFraction — read FailFraction at every k, which
+// outside the window is 0 or a carried point: they mean something only
+// over the full window.
+func (p *Profile) FullWindow() bool {
+	for k := 1; k <= p.Total; k++ {
+		if k >= len(p.Fail) || p.Fail[k].Trials == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // FirstObservedFailure returns the smallest offline count whose measured
 // failure fraction is nonzero, or 0 when none was observed.
 func (p *Profile) FirstObservedFailure() int {

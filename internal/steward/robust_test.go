@@ -423,7 +423,7 @@ func TestConcurrentReadsWhileSiteGoesDown(t *testing.T) {
 // TestNewReplicatorToleratesDeadSiteAtConstruction covers the CLI path:
 // `steward pass` opens its store at invocation time, when a site may already
 // be hard-down. Construction must succeed, the pass must degrade, and the
-// dead site's codec must be built lazily once it returns.
+// dead site's graph must be fetched lazily once it returns.
 func TestNewReplicatorToleratesDeadSiteAtConstruction(t *testing.T) {
 	a := newSite(t, 80, 64)
 	b := newSite(t, 81, 64)
@@ -465,7 +465,7 @@ func TestNewReplicatorToleratesDeadSiteAtConstruction(t *testing.T) {
 	}
 
 	// The site comes up for the first time: the pass admits it — striping
-	// check and codec included — and brings it the object it never saw.
+	// check and graph included — and brings it the object it never saw.
 	revive(t, addr, c.srv)
 	rep, err = f.PassCtx(ctx)
 	if err != nil || len(rep.Readmitted) != 1 || rep.Readmitted[0] != 2 {
