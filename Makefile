@@ -118,9 +118,9 @@ bench:
 #   1.33-stripe one (serve_cold's shape), whose second stripe's zero padding
 #   is known to the read, not fetched (96 when it was).
 # - JointDecode, OverheadTrial: the benchmarks that size the Decoder's jobs
-#   (one joint verdict of a 2- and a 3-site federation; one overhead trial, a
-#   shuffle and one threshold peel of the order as it arrives, ~9 us where
-#   the prefix search of ~7 large-erasure peels it replaced took ~30 us).
+#   (one joint verdict of a 2- and a 3-site federation; one arrival order of
+#   the profile: a shuffle and one threshold peel, ~9 us where the prefix
+#   search of ~7 large-erasure peels it replaced took ~30 us).
 # - PlanEconomicDegraded: a cold degraded stripe plan (tornado96, four data
 #   nodes lost), the scalar decode.Kernel's one production workload; 0
 #   allocs/op.
@@ -166,8 +166,9 @@ check: fmt vet build test bench-api race fuzz
 # exercise beyond unit tests. A sampled certification on a streamed n=2000
 # graph then drives the stratified sampler and its stopping rule through
 # the same journaled pipeline, and a profile whose trial budget its blocks
-# do not divide runs twice: the second must be served from the cache. One
-# shell, so a failing step still cleans up.
+# do not divide runs twice: the second must be served from the cache. Last,
+# tornadosim -summary reads the reconstruction overhead's mean, median and
+# 99% point off one profile. One shell, so a failing step still cleans up.
 smoke:
 	set -e; d=$$(mktemp -d /tmp/tornado-smoke.XXXXXX); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) run -race ./cmd/campaign run -dir $$d/camp -cache $$d/cache \
@@ -182,7 +183,9 @@ smoke:
 		-kind profile -seed 2006 -trials 100000 -mink 4 -maxk 8 -quiet; \
 	$(GO) run -race ./cmd/campaign run -dir $$d/prof2 -cache $$d/cache \
 		-kind profile -seed 2006 -trials 100000 -mink 4 -maxk 8 -quiet 2>&1 | tee $$d/prof2.log; \
-	grep -q 'served from cache' $$d/prof2.log
+	grep -q 'served from cache' $$d/prof2.log; \
+	$(GO) run -race ./cmd/tornadosim -graph precompiled/tornado96-1.graphml -trials 2000 -summary | tee $$d/sim.log; \
+	grep -q 'nodes for 99% success' $$d/sim.log
 
 clean:
 	$(GO) clean ./...

@@ -1,7 +1,10 @@
 // Command tornadosim measures a graph's reconstruction-failure profile:
 // for each number of offline devices, the fraction of random failure
 // patterns that lose data (paper §3's 962-million-case test suite, with a
-// configurable budget). Output is CSV suitable for plotting Figures 3–6.
+// configurable budget). Output is CSV suitable for plotting Figures 3–6;
+// -summary prints the statistics read off it, among them the distribution
+// of the reconstruction overhead (the shortest prefix of a random arrival
+// order that decodes): its mean and its 50% and 99% points.
 //
 // Usage:
 //
@@ -39,13 +42,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		graphPath  = fs.String("graph", "", "GraphML graph to profile (overrides -seed)")
 		seed       = fs.Uint64("seed", 2006, "generate a fresh 96-node graph from this seed")
 		adjustK    = fs.Int("adjust", 0, "adjust the generated graph to tolerate this cardinality first")
-		trials     = fs.Int64("trials", 20000, "random arrival orders drawn: the trials of every sampled offline count")
+		trials     = fs.Int64("trials", 0, "random arrival orders drawn, the trials of every sampled offline count (0 = 20000); with -lifetime, the lifetimes simulated (0 = 200)")
 		exhaustive = fs.Int64("exhaustive", 100000, "enumerate exactly when C(n,k) is at most this")
 		minK       = fs.Int("mink", 1, "smallest offline count")
 		maxK       = fs.Int("maxk", 0, "largest offline count (0 = all)")
 		simSeed    = fs.Uint64("simseed", 1, "sampling seed")
 		summary    = fs.Bool("summary", false, "print summary metrics instead of CSV")
-		overhead   = fs.Bool("overhead", false, "measure reconstruction overhead (min random-order retrievals) instead of the failure profile")
 		lifetime   = fs.Bool("lifetime", false, "simulate system lifetimes (discrete-event MTTDL) instead of the failure profile")
 		lambda     = fs.Float64("lambda", 0.1, "lifetime: per-device failure rate per year")
 		mu         = fs.Float64("mu", 12, "lifetime: per-repairman rebuild rate per year")
@@ -91,25 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *overhead {
-		start := time.Now()
-		res, err := tornado.MeasureOverheadCtx(ctx, g, tornado.OverheadOptions{Trials: *trials, Seed: *simSeed})
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		log.Printf("measured in %v", time.Since(start).Round(time.Millisecond))
-		fmt.Fprintf(stdout, "mean minimum retrievals: %.2f (overhead %.3f)\n", res.Mean(), res.MeanOverhead())
-		fmt.Fprintf(stdout, "median: %d  p99: %d\n", res.Quantile(0.5), res.Quantile(0.99))
-		fmt.Fprintln(stdout, "retrievals,count")
-		for v, c := range res.Counts.Counts {
-			if c > 0 {
-				fmt.Fprintf(stdout, "%d,%d\n", v, c)
-			}
-		}
-		return 0
-	}
-
 	start := time.Now()
 	p, err := tornado.ProfileCtx(ctx, g, tornado.ProfileOptions{
 		Trials:          *trials,
@@ -134,13 +117,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(w, "graph:                    %s\n", g.Name)
 		fmt.Fprintf(w, "first observed failure:   %d offline nodes\n", p.FirstObservedFailure())
 		if !p.FullWindow() {
-			fmt.Fprintf(w, "avg nodes, 50%% success and P(fail) need the full window (-mink 1 -maxk %d)\n", g.Total)
+			fmt.Fprintf(w, "avg nodes, 50%%/99%% success and P(fail) need the full window (-mink 1 -maxk %d)\n", g.Total)
 			return 0
 		}
 		avg := p.AvgNodesToReconstruct()
 		fmt.Fprintf(w, "avg nodes to reconstruct: %.2f (%.2f)\n", avg, avg/float64(g.Data))
 		n50 := p.NodesForSuccessProbability(0.5)
 		fmt.Fprintf(w, "nodes for 50%% success:    %d (overhead %.2f)\n", n50, p.Overhead())
+		fmt.Fprintf(w, "nodes for 99%% success:    %d\n", p.NodesForSuccessProbability(0.99))
 		pfail := tornado.SystemFailure(g.Total, 0.01, p.FailFraction)
 		fmt.Fprintf(w, "P(fail) at AFR 1%%:        %.4g\n", pfail)
 		return 0

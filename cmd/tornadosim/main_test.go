@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"tornado"
+	"tornado/internal/raid"
 )
 
 // TestEmptyWindowIsAUsageError: a -mink..-maxk window that holds no offline
@@ -45,6 +49,32 @@ func TestSummaryNeedsFullWindow(t *testing.T) {
 		}
 		if strings.Contains(out, "need the full window (-mink 1 -maxk 96)") == c.full {
 			t.Errorf("window %v: full-window notice printed %v, want %v; output:\n%s", c.window, c.full, !c.full, out)
+		}
+	}
+}
+
+// TestLifetimeTrialsDefault: -trials counts arrival orders for the profile
+// and lifetimes for -lifetime, and left unset it is each mode's library
+// default — 200 lifetimes, not the profile's 20,000 orders.
+func TestLifetimeTrialsDefault(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mirror4.graphml")
+	if err := tornado.SaveGraphML(path, raid.MirroredGraph(4)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		trials []string
+		want   string
+	}{
+		{nil, "(200 runs"},
+		{[]string{"-trials", "7"}, "(7 runs"},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-graph", path, "-lifetime", "-lambda", "1"}, c.trials...)
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d, stderr %q", c.trials, code, stderr.String())
+		}
+		if !strings.Contains(stdout.String(), c.want) {
+			t.Errorf("%v: output %q, want %q", c.trials, stdout.String(), c.want)
 		}
 	}
 }

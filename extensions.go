@@ -11,10 +11,6 @@ import (
 
 // Extension types: the paper's §5.2/§6 future-work features, implemented.
 type (
-	// OverheadOptions tunes the reconstruction-overhead measurement.
-	OverheadOptions = sim.OverheadOptions
-	// OverheadResult is the minimum-retrieval-count distribution.
-	OverheadResult = sim.OverheadResult
 	// StripeJob is one stripe awaiting scheduled reconstruction.
 	StripeJob = maid.StripeJob
 	// ScheduledJob is a stripe with its planned blocks and spin-up cost.
@@ -35,14 +31,6 @@ const (
 	SizeUniform   = workload.SizeUniform
 	SizeLogNormal = workload.SizeLogNormal
 )
-
-// MeasureOverheadCtx measures the reconstruction overhead of g: the
-// distribution of the minimum number of randomly ordered blocks needed to
-// reconstruct (the Plank-style metric the paper defers to future work,
-// §5.2). Cancellation is checked between sampled retrieval orders.
-func MeasureOverheadCtx(ctx context.Context, g *Graph, opts OverheadOptions) (OverheadResult, error) {
-	return sim.OverheadCtx(ctx, g, opts)
-}
 
 // MTTDL computes the mean time to data loss under a birth–death repair
 // model (the with-repair extension of Table 5). lambda and mu are failure

@@ -8,19 +8,22 @@ import (
 	"tornado/internal/reliability"
 )
 
+// TestMeasureOverheadPublic: the reconstruction overhead — the shortest
+// prefix of a random arrival order that decodes — is read off a full-window
+// failure profile: its mean over the data count, and its median.
 func TestMeasureOverheadPublic(t *testing.T) {
 	g, _, err := tornado.Generate(tornado.DefaultParams(), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tornado.MeasureOverheadCtx(context.Background(), g, tornado.OverheadOptions{Trials: 1500, Seed: 2})
+	p, err := tornado.ProfileCtx(context.Background(), g, tornado.ProfileOptions{Trials: 1500, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oh := res.MeanOverhead(); oh < 1.0 || oh > 1.6 {
+	if oh := p.AvgToReconstructRatio(); oh < 1.0 || oh > 1.6 {
 		t.Errorf("overhead = %v", oh)
 	}
-	if res.Quantile(0.5) < g.Data {
+	if p.NodesForSuccessProbability(0.5) < g.Data {
 		t.Errorf("median below data count")
 	}
 }

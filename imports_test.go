@@ -253,7 +253,6 @@ var exportAllowList = map[string]string{
 	"tornado.LifetimeResult":      "returned by tornado.SimulateLifetimeCtx",
 	"tornado.Metrics":             "returned by tornado.Archive.Metrics",
 	"tornado.MetricsSnapshot":     "returned by tornado.Metrics.Snapshot",
-	"tornado.OverheadResult":      "returned by tornado.MeasureOverheadCtx",
 	"tornado.Params":              "input to tornado.Generate",
 	"tornado.ScheduledJob":        "returned by tornado.ScheduleReconstruction",
 	"tornado.ScrubReport":         "returned by tornado.Archive.ScrubCtx",

@@ -140,15 +140,13 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 // stats snapshots a histogram.
 func (h *Histogram) stats() HistogramStats {
 	s := HistogramStats{
-		Count:     h.Count(),
-		P50Micros: h.Quantile(0.50).Microseconds(),
-		P95Micros: h.Quantile(0.95).Microseconds(),
-		P99Micros: h.Quantile(0.99).Microseconds(),
+		Count:      h.Count(),
+		MeanMicros: h.Mean().Microseconds(),
+		P50Micros:  h.Quantile(0.50).Microseconds(),
+		P95Micros:  h.Quantile(0.95).Microseconds(),
+		P99Micros:  h.Quantile(0.99).Microseconds(),
 	}
 	h.mu.Lock()
-	if h.count > 0 {
-		s.MeanMicros = h.sum / h.count
-	}
 	s.MaxMicros = h.max
 	h.mu.Unlock()
 	return s

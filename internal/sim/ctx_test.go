@@ -107,37 +107,15 @@ func TestProfileCtxCancellation(t *testing.T) {
 	goroutineSettles(t, baseline+1)
 }
 
-func TestOverheadCtxCancellation(t *testing.T) {
-	g := ctxTestGraph(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := OverheadCtx(ctx, g, OverheadOptions{Trials: 50_000_000})
-		done <- err
-	}()
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled overhead measurement did not return promptly")
-	}
-}
-
-// TestSideSimulationsPreCancelled: the three Decoder simulations share one
-// fan-out, and it runs no trial under a cancelled context.
+// TestSideSimulationsPreCancelled: the two event-by-event Decoder
+// simulations share one fan-out, and it runs no trial under a cancelled
+// context.
 func TestSideSimulationsPreCancelled(t *testing.T) {
 	g := mirrorGraph(4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := AnnualLossMonteCarlo(ctx, g, 0.1, 1000, 1, 2); !errors.Is(err, context.Canceled) {
 		t.Errorf("AnnualLossMonteCarlo: err = %v, want context.Canceled", err)
-	}
-	if _, err := OverheadCtx(ctx, g, OverheadOptions{Trials: 1000, Workers: 2}); !errors.Is(err, context.Canceled) {
-		t.Errorf("OverheadCtx: err = %v, want context.Canceled", err)
 	}
 	if _, err := SimulateLifetimeCtx(ctx, g, LifetimeOptions{Lambda: 1, Runs: 100, Workers: 2}); !errors.Is(err, context.Canceled) {
 		t.Errorf("SimulateLifetimeCtx: err = %v, want context.Canceled", err)

@@ -27,9 +27,6 @@ const (
 	// DefaultExhaustiveLimit switches a profile point to exact enumeration
 	// when C(total, k) is at most this bound.
 	DefaultExhaustiveLimit = 100000
-	// DefaultOverheadTrials is the number of random retrieval orders
-	// sampled by Overhead.
-	DefaultOverheadTrials = 10000
 	// DefaultLifetimeRuns is the number of independent system lifetimes
 	// SimulateLifetime draws.
 	DefaultLifetimeRuns = 200
@@ -40,8 +37,8 @@ const (
 
 // cancelCheckInterval is the combination-chunk size between context checks
 // in worker loops: cancellation is honored within one chunk of work, so a
-// canceled WorstCase/Profile/Overhead returns promptly without paying a
-// per-combination atomic load.
+// canceled WorstCase, Profile or SampleStratified returns promptly without
+// paying a per-combination atomic load.
 const cancelCheckInterval = 8192
 
 // The package's option idiom: every Options type has a normalize() method
@@ -101,13 +98,11 @@ func forBlocksCtx(ctx context.Context, workers int, n int64, fn func(ctx context
 	return first
 }
 
-// Trial-block sizes of the two Decoder simulations: a few milliseconds of
-// work each, so a modest trial count still spreads over the workers. They
-// are part of the sampling scheme — changing one changes every result.
-const (
-	overheadBlock = 256 // retrieval orders
-	lifetimeBlock = 8   // system lifetimes
-)
+// lifetimeBlock is the lifetime simulation's trial-block size, in system
+// lifetimes: a few milliseconds of work, so a modest run count still spreads
+// over the workers. It is part of the sampling scheme — changing it changes
+// every result.
+const lifetimeBlock = 8
 
 // simWorker is the state one forTrialBlocks goroutine reuses across blocks.
 type simWorker struct {
@@ -117,9 +112,10 @@ type simWorker struct {
 }
 
 // forTrialBlocks is the fan-out of the simulations that ask the Decoder
-// (annual loss, overhead, lifetime): trials [0, trials) are cut into blocks
-// of blockSize, and block b runs on whichever worker is free, drawing from
-// its own PCG stream (seed, tag|b). The per-block results come back in
+// event by event (the lifetime simulation, and the tests' annual-loss Monte
+// Carlo): trials [0, trials) are cut into blocks of blockSize, and block b
+// runs on whichever worker is free, drawing from its own PCG stream (seed,
+// tag|b). The per-block results come back in
 // block order, so a caller that folds them in order returns the same bits
 // at any worker count. The first block error — cancellation included —
 // stops the blocks not yet started and is returned.

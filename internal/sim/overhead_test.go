@@ -14,39 +14,46 @@ import (
 	"tornado/internal/graphml"
 )
 
+// The reconstruction overhead — the shortest prefix T of a uniformly random
+// arrival order that decodes (the experiment the paper defers to §5.2/§6,
+// after Plank: "retrieve nodes until the graph can be reconstructed") — is
+// read off the failure profile: with k offline the data is lost exactly
+// when T > Total−k, so P(T > m) = FailFraction(Total−m), E[T] =
+// AvgNodesToReconstruct and T's q-quantile is
+// NodesForSuccessProbability(q). ExhaustiveLimit 1 below samples every
+// point but k = Total off the profile's arrival orders.
+
 func TestOverheadMirrorExact(t *testing.T) {
 	// For a mirrored system, a prefix reconstructs iff it covers every
-	// pair (either member). The minimum is between n (one per pair, best
-	// case) and 2n-? … sanity-check the support of the distribution.
+	// pair (either member): at least 6 retrievals of 12 drives, and at
+	// most 11 (after 11 drives only one is missing, and its pair was
+	// surely seen).
 	g := mirrorGraph(6)
-	res, err := OverheadCtx(context.Background(), g, OverheadOptions{Trials: 4000, Seed: 1, Workers: 2})
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{Trials: 4000, ExhaustiveLimit: 1, Seed: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Counts.Total != 4000 {
-		t.Fatalf("trials = %d", res.Counts.Total)
-	}
-	for v, c := range res.Counts.Counts {
-		if c > 0 && (v < 6 || v > 11) {
-			// Coupon-collector over 6 pairs from 12 drives: at least 6
-			// retrievals; the worst case needs at most 11 (after 11
-			// drives only one is missing, and its pair was surely seen).
-			t.Errorf("impossible retrieval count %d observed", v)
+	for k := 1; k < g.Total; k++ {
+		if p.Exact[k] || p.Fail[k].Trials != 4000 {
+			t.Fatalf("k=%d: %d trials (exact %v), want 4000 sampled", k, p.Fail[k].Trials, p.Exact[k])
 		}
 	}
-	if m := res.Mean(); m < 6 || m > 11 {
+	if f := p.FailFraction(g.Total - 5); f != 1 {
+		t.Errorf("P(T > 5) = %v: a retrieval count below 6 observed", f)
+	}
+	if f := p.FailFraction(g.Total - 11); f != 0 {
+		t.Errorf("P(T > 11) = %v: a retrieval count above 11 observed", f)
+	}
+	if m := p.AvgNodesToReconstruct(); m < 6 || m > 11 {
 		t.Errorf("mean = %v", m)
 	}
 }
 
 func TestOverheadCouponCollectorMean(t *testing.T) {
 	// The mirrored minimum-prefix length is the number of draws (without
-	// replacement) needed to touch all n pairs. For n=2 pairs (4 drives)
-	// the exact expectation is 2 + P(3rd needed) + … computable directly:
-	// orders of 4 distinct drives; prefix covers both pairs. E = 2·(1/3) +
-	// 3·(2/3)·(1/2)·… — just brute-force it.
+	// replacement) needed to touch all n pairs. For n=2 pairs (4 drives),
+	// brute-force it over all 24 orders.
 	g := mirrorGraph(2)
-	// Enumerate all 24 permutations exactly.
 	perm := []int{0, 1, 2, 3}
 	var total, count float64
 	var rec func(k int)
@@ -77,12 +84,20 @@ func TestOverheadCouponCollectorMean(t *testing.T) {
 	rec(0)
 	want := total / count
 
-	res, err := OverheadCtx(context.Background(), g, OverheadOptions{Trials: 60000, Seed: 9, Workers: 2})
+	sampled, err := FailureProfileCtx(context.Background(), g, ProfileOptions{Trials: 60000, ExhaustiveLimit: 1, Seed: 9, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Mean(); math.Abs(got-want) > 0.03 {
+	if got := sampled.AvgNodesToReconstruct(); math.Abs(got-want) > 0.03 {
 		t.Errorf("sampled mean %v, exact %v", got, want)
+	}
+	// Enumerating every point instead is the exact expectation.
+	exact, err := FailureProfileCtx(context.Background(), g, ProfileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := exact.AvgNodesToReconstruct(); math.Abs(got-want) > 1e-12 {
+		t.Errorf("enumerated mean %v, exact %v", got, want)
 	}
 }
 
@@ -91,76 +106,136 @@ func TestOverheadTornadoShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OverheadCtx(context.Background(), g, OverheadOptions{Trials: 3000, Seed: 4})
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{Trials: 3000, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Literature shape: overhead between 1.0 (MDS) and ~1.5 for small
-	// LDPC graphs; the median must be below the paper's 50%-profile
-	// numbers (61-62) because the minimum prefix ignores wasted blocks.
-	if oh := res.MeanOverhead(); oh < 1.0 || oh > 1.6 {
+	// LDPC graphs, and a median between the data count and the paper's
+	// Table 6 range.
+	if oh := p.AvgToReconstructRatio(); oh < 1.0 || oh > 1.6 {
 		t.Errorf("mean overhead = %v", oh)
 	}
-	if q := res.Quantile(0.5); q < g.Data || q > 70 {
-		t.Errorf("median retrieval count = %d", q)
+	median := p.NodesForSuccessProbability(0.5)
+	if median < g.Data || median > 70 {
+		t.Errorf("median retrieval count = %d", median)
 	}
-	if res.Quantile(0.99) < res.Quantile(0.5) {
+	if p.NodesForSuccessProbability(0.99) < median {
 		t.Error("quantiles not monotone")
 	}
 }
 
-// TestOverheadDeterministicSeed: the result is a function of the seed and
-// the trial count — the same histogram at every worker count, ragged last
-// block included.
-func TestOverheadDeterministicSeed(t *testing.T) {
-	g := mirrorGraph(4)
-	const trials = 9*overheadBlock + 17
-	var want OverheadResult
-	for i, workers := range []int{1, 2, 3, 7, 2} {
-		got, err := OverheadCtx(context.Background(), g, OverheadOptions{Trials: trials, Seed: 5, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Counts.Total != trials {
-			t.Fatalf("workers %d: %d trials observed, want %d", workers, got.Counts.Total, trials)
-		}
-		if i == 0 {
-			want = got
-		} else if !slices.Equal(got.Counts.Counts, want.Counts.Counts) {
-			t.Errorf("workers %d: histogram %v, workers 1: %v", workers, got.Counts.Counts, want.Counts.Counts)
-		}
-	}
-	other, err := OverheadCtx(context.Background(), g, OverheadOptions{Trials: trials, Seed: 6, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slices.Equal(other.Counts.Counts, want.Counts.Counts) {
-		t.Error("seeds 5 and 6 drew the same histogram")
-	}
-}
-
 func TestOverheadBrokenGraph(t *testing.T) {
-	// A graph with an uncovered... coverage is enforced by Validate, so
-	// build a decodable-never case: data node whose only check shares a
-	// closed pair — full set IS decodable there. Instead corrupt by
-	// erasing... simplest: a graph whose full block set is trivially
-	// decodable can't fail. Use minimumPrefix directly with a wrong-size
-	// order to assert the failure path of Overhead is unreachable for
-	// valid graphs.
+	// A closed pair: two data nodes whose two checks both cover exactly
+	// the pair, so the checks cannot recover both data nodes at once, and
+	// no order decodes from fewer than two blocks.
 	b := graph.NewBuilder(2)
 	r := b.AddLevel(0, 2, 2)
 	g := b.Graph()
 	g.SetNeighbors(r, []int{0, 1})
 	g.SetNeighbors(r+1, []int{0, 1})
-	res, err := OverheadCtx(context.Background(), g, OverheadOptions{Trials: 100, Seed: 1})
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{Trials: 100, ExhaustiveLimit: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Data nodes must be retrieved directly (checks can never recover a
-	// closed pair), so every trial needs both data nodes in the prefix.
-	for v, c := range res.Counts.Counts {
-		if c > 0 && v < 2 {
-			t.Errorf("retrieval count %d impossible for the closed pair", v)
+	if f := p.FailFraction(g.Total - 1); f != 1 {
+		t.Errorf("P(T > 1) = %v: a retrieval count below 2 is impossible for the closed pair", f)
+	}
+	// Enumerated, two offline lose data only when both are data nodes: 1
+	// of the 6 pairs.
+	exact, err := FailureProfileCtx(context.Background(), g, ProfileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := exact.Fail[2]; f.Hits != 1 || f.Trials != 6 {
+		t.Errorf("two offline: %d of %d lose data, want 1 of 6", f.Hits, f.Trials)
+	}
+}
+
+// replayArrivalOrders regenerates the first trials arrival orders of a
+// profile with the given seed, cut into blocks of blockSize: block b
+// shuffled from the identity by PCG stream (seed, arrivalStreamTag|b). It
+// returns each order's threshold by the prefix-search oracle.
+func replayArrivalOrders(t *testing.T, g *graph.Graph, seed uint64, trials, blockSize int64) []int {
+	t.Helper()
+	d := decode.New(g)
+	order := make([]int, g.Total)
+	var ts []int
+	for b := int64(0); b*blockSize < trials; b++ {
+		for i := range order {
+			order[i] = i
+		}
+		rng := rand.New(rand.NewPCG(seed, arrivalStreamTag|uint64(b)))
+		for range min(blockSize, trials-b*blockSize) {
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			n, ok := minimumPrefix(d, order)
+			if !ok {
+				t.Fatalf("%s: the full node set does not decode", g.Name)
+			}
+			ts = append(ts, n)
+		}
+	}
+	return ts
+}
+
+// TestProfileMatchesArrivalOrderOracle is the differential test of the
+// overhead statistics: the profile's arrival orders, replayed and searched
+// by minimumPrefix, give the profile's average to reconstruct as their mean
+// and its 50% and 99% points as their median and 99th percentile. The
+// shipped graphs first fail at 3 or more offline, so the enumerated points
+// (k ≤ 2 and k ≥ 94) agree with every order: none fails below 3, all fail
+// from 94. It runs the production profile (one DefaultSampledBlock block)
+// and a job tiled in short blocks, the last one ragged.
+func TestProfileMatchesArrivalOrderOracle(t *testing.T) {
+	for i := 1; i <= 3; i++ {
+		g, err := graphml.ReadFile(fmt.Sprintf("../../precompiled/tornado96-%d.graphml", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct{ trials, block int64 }{{1500, 0}, {1700, 400}} {
+			opts := ProfileOptions{Trials: c.trials, Seed: uint64(i), Workers: 2}
+			var p *Profile
+			if c.block == 0 {
+				p, err = FailureProfileCtx(context.Background(), g, opts)
+			} else {
+				j, jerr := NewProfileJob(g, opts, c.block)
+				if jerr != nil {
+					t.Fatal(jerr)
+				}
+				err = j.Run(context.Background(), NewLocalRunner(g, 2))
+				p = j.Profile
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !p.FullWindow() {
+				t.Fatalf("%s: profile window not full", g.Name)
+			}
+			ts := replayArrivalOrders(t, g, opts.Seed, c.trials, int64Or(c.block, DefaultSampledBlock))
+			sum := 0
+			for _, n := range ts {
+				sum += n
+			}
+			mean := float64(sum) / float64(len(ts))
+			slices.Sort(ts)
+			// The smallest m with P(T ≤ m) ≥ q.
+			quantile := func(q float64) int {
+				for j, n := range ts {
+					if float64(j+1) >= q*float64(len(ts)) {
+						return n
+					}
+				}
+				return g.Total
+			}
+			tag := fmt.Sprintf("%s, %d orders in blocks of %d", g.Name, c.trials, c.block)
+			if got := p.AvgNodesToReconstruct(); math.Abs(got-mean) > 1e-9 {
+				t.Errorf("%s: average to reconstruct %v, oracle mean %v", tag, got, mean)
+			}
+			for _, q := range []float64{0.5, 0.99} {
+				if got, want := p.NodesForSuccessProbability(q), quantile(q); got != want {
+					t.Errorf("%s: nodes for %v success %d, oracle quantile %d", tag, q, got, want)
+				}
+			}
 		}
 	}
 }
@@ -187,7 +262,7 @@ func TestMinimumPrefixMonotone(t *testing.T) {
 
 // minimumPrefix binary-searches the shortest decodable prefix of the
 // retrieval order — about log2(Total) large-erasure peels — and is the
-// oracle of the threshold peel OverheadCtx runs. order must contain every
+// oracle of the threshold peel the profile's order sampler runs. order must contain every
 // node exactly once.
 func minimumPrefix(d *decode.Decoder, order []int) (int, bool) {
 	total := len(order)
@@ -212,8 +287,8 @@ func minimumPrefix(d *decode.Decoder, order []int) (int, bool) {
 
 // TestOverheadMatchesPrefixSearch: over 10,000 random orders on each of the
 // shipped graphs and three unscreened 96-node graphs (real defects at low
-// k), the threshold peel equals the binary search it replaced, so
-// OverheadResult is the same for every seed. One goroutine does all the
+// k), the threshold peel equals the binary search it replaced, so the
+// profile's thresholds are the same for every seed. One goroutine does all the
 // work, so it runs unraced only.
 func TestOverheadMatchesPrefixSearch(t *testing.T) {
 	if raceEnabled {
@@ -241,8 +316,8 @@ func TestOverheadMatchesPrefixSearch(t *testing.T) {
 	}
 }
 
-// BenchmarkOverheadTrial is one overhead trial: a shuffle and the threshold
-// peel of the order.
+// BenchmarkOverheadTrial is one arrival order of the profile: a shuffle and
+// one threshold peel.
 func BenchmarkOverheadTrial(b *testing.B) {
 	g, _, err := core.Generate(core.DefaultParams(), rand.New(rand.NewPCG(2, 2)))
 	if err != nil {

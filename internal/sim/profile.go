@@ -147,7 +147,7 @@ func NewProfileJob(g *graph.Graph, opts ProfileOptions, shardSize int64) (*Job, 
 
 // arrivalStreamTag marks the profile's arrival-order RNG streams: block b
 // draws from PCG stream (seed, arrivalStreamTag|b), apart from every
-// k-keyed stream of the stratified sampler and from the overhead's.
+// k-keyed stream of the stratified sampler.
 const arrivalStreamTag = 0xA221 << 48
 
 // orderSampler is the reusable state of the profile's order loop: the

@@ -9,8 +9,8 @@
 // driver fans out over goroutines.
 //
 // Every long-running entry point takes a context (WorstCaseCtx,
-// FailureProfileCtx, SampleStratifiedCtx, OverheadCtx,
-// SimulateLifetimeCtx): workers check cancellation between chunks of work.
+// FailureProfileCtx, SampleStratifiedCtx, SimulateLifetimeCtx): workers
+// check cancellation between chunks of work.
 package sim
 
 import (

@@ -70,36 +70,3 @@ func TestPool(t *testing.T) {
 		t.Fatal("empty Pool must be the zero tally")
 	}
 }
-
-// TestQuantileEdges pins Quantile(0), Quantile(1), and the float-rounding
-// fall-through: when q*Total rounds above the running total, the last bin
-// must be returned rather than falling off the loop.
-func TestQuantileEdges(t *testing.T) {
-	h := NewHistogram(5)
-	h.Observe(1)
-	h.Observe(1)
-	h.Observe(3)
-	// q=0: the smallest bin with any mass at or below it. target=0, so the
-	// first bin (even empty) satisfies cum >= 0.
-	if got := h.Quantile(0); got != 0 {
-		t.Fatalf("Quantile(0) = %d, want 0", got)
-	}
-	// q=1: the largest occupied bin.
-	if got := h.Quantile(1); got != 3 {
-		t.Fatalf("Quantile(1) = %d, want 3", got)
-	}
-	// Force the fall-through arm: with Total observations and q slightly
-	// above representable 1.0 sums, target can exceed Total in floats. The
-	// guard must return the last bin index, not a garbage value.
-	big := NewHistogram(3)
-	for i := 0; i < 7; i++ {
-		big.Observe(2)
-	}
-	if got := big.Quantile(1.0000001); got != len(big.Counts)-1 {
-		t.Fatalf("over-unity quantile = %d, want %d", got, len(big.Counts)-1)
-	}
-	// Empty histogram: defined as bin 0.
-	if got := NewHistogram(4).Quantile(0.5); got != 0 {
-		t.Fatalf("empty Quantile(0.5) = %d, want 0", got)
-	}
-}

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical helpers used when reporting
 // simulation results: Wilson score intervals for Monte Carlo failure
-// fractions, and simple histograms.
+// fractions.
 package stats
 
 import (
@@ -84,56 +84,4 @@ func Pool(parts ...Proportion) Proportion {
 func (p Proportion) String() string {
 	lo, hi := p.Wilson(1.96)
 	return fmt.Sprintf("%.6g [%.6g, %.6g] (%d/%d)", p.Estimate(), lo, hi, p.Hits, p.Trials)
-}
-
-// Histogram is a fixed-bin integer histogram over [0, Bins).
-type Histogram struct {
-	Counts []int64
-	Total  int64
-}
-
-// NewHistogram returns a histogram with bins buckets.
-func NewHistogram(bins int) *Histogram {
-	return &Histogram{Counts: make([]int64, bins)}
-}
-
-// Observe records value v; out-of-range values are clamped to the edge bins.
-func (h *Histogram) Observe(v int) {
-	if v < 0 {
-		v = 0
-	}
-	if v >= len(h.Counts) {
-		v = len(h.Counts) - 1
-	}
-	h.Counts[v]++
-	h.Total++
-}
-
-// MeanValue returns the mean of the observed values.
-func (h *Histogram) MeanValue() float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	s := 0.0
-	for v, c := range h.Counts {
-		s += float64(v) * float64(c)
-	}
-	return s / float64(h.Total)
-}
-
-// Quantile returns the smallest bin v such that at least q of the mass lies
-// in bins <= v. q must be in [0, 1].
-func (h *Histogram) Quantile(q float64) int {
-	if h.Total == 0 {
-		return 0
-	}
-	target := q * float64(h.Total)
-	var cum int64
-	for v, c := range h.Counts {
-		cum += c
-		if float64(cum) >= target {
-			return v
-		}
-	}
-	return len(h.Counts) - 1
 }

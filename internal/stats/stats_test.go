@@ -38,39 +38,6 @@ func TestWilsonHalfAndHalf(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10)
-	for _, v := range []int{1, 1, 2, 3, 3, 3, -5, 100} {
-		h.Observe(v)
-	}
-	if h.Total != 8 {
-		t.Errorf("Total = %d", h.Total)
-	}
-	if h.Counts[0] != 1 || h.Counts[9] != 1 {
-		t.Errorf("clamping failed: %v", h.Counts)
-	}
-}
-
-func TestHistogramMeanQuantile(t *testing.T) {
-	h := NewHistogram(100)
-	for i := 0; i < 100; i++ {
-		h.Observe(i)
-	}
-	if !approx(h.MeanValue(), 49.5, 1e-12) {
-		t.Errorf("MeanValue = %v", h.MeanValue())
-	}
-	if q := h.Quantile(0.5); q != 49 {
-		t.Errorf("Quantile(0.5) = %d", q)
-	}
-	if q := h.Quantile(1.0); q != 99 {
-		t.Errorf("Quantile(1.0) = %d", q)
-	}
-	empty := NewHistogram(5)
-	if empty.MeanValue() != 0 || empty.Quantile(0.5) != 0 {
-		t.Error("empty histogram mean/quantile should be 0")
-	}
-}
-
 // Property: Wilson interval always contains the point estimate and stays in
 // [0,1] for any tally.
 func TestQuickWilsonBrackets(t *testing.T) {
