@@ -267,7 +267,7 @@ func BenchmarkMicro_MonteCarloPoint(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tornado.ProfileCtx(context.Background(), g, tornado.ProfileOptions{
-			Trials: 5000, MinK: 24, MaxK: 24, ExhaustiveLimit: 1, Seed: uint64(i),
+			Trials: 5000, MinK: 24, MaxK: 24, Seed: uint64(i),
 		}); err != nil {
 			b.Fatal(err)
 		}

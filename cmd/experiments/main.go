@@ -123,7 +123,8 @@ func main() {
 		}
 		ff := "none found"
 		if tg.FirstFailure > 0 {
-			ff = fmt.Sprintf("%d (%d/%d cases)", tg.FirstFailure, tg.FailuresAtFF, tg.TestedAtFF)
+			at := tg.Profile.Fail[tg.FirstFailure]
+			ff = fmt.Sprintf("%d (%d/%d cases)", tg.FirstFailure, at.Hits, at.Trials)
 		}
 		log.Printf("%s ready: first failure %s", tg.Name, ff)
 		tornadoes = append(tornadoes, tg)

@@ -4,8 +4,8 @@
 // perform basic worst-case fault detection on new graphs before use".
 //
 // It validates the structure, scans for closed-set defects, runs the
-// exhaustive worst-case search, optionally samples the failure profile,
-// and can render the first failing pattern as SVG for inspection.
+// exhaustive worst-case search, optionally samples the failure profile
+// (the searched cardinalities folded in as exact points), and can render the first failing pattern as SVG for inspection.
 //
 // Usage:
 //
@@ -115,6 +115,9 @@ func main() {
 	if *profileIt {
 		p, err := tornado.ProfileCtx(ctx, g, tornado.ProfileOptions{Trials: *trials, Seed: 1})
 		if err != nil {
+			log.Fatal(err)
+		}
+		if err := p.AddExact(wc); err != nil { // the searched cardinalities are exact points
 			log.Fatal(err)
 		}
 		avg := p.AvgNodesToReconstruct()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -76,5 +77,33 @@ func TestLifetimeTrialsDefault(t *testing.T) {
 		if !strings.Contains(stdout.String(), c.want) {
 			t.Errorf("%v: output %q, want %q", c.trials, stdout.String(), c.want)
 		}
+	}
+}
+
+// TestSummaryFoldsTheWorstCase: P(fail) at AFR 1% is set by the rare
+// low-k failures, which sampling misses and the worst-case search counts.
+// On tornado96-1 the summary reports the certified first failure, 5, and a
+// P(fail) no smaller than the k=5 term alone: C(96,5) · 0.01⁵ · 0.99⁹¹ ·
+// 16/C(96,5) ≈ 6.41e-10. The sample alone first fails near k = 12.
+func TestSummaryFoldsTheWorstCase(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-graph", "../../precompiled/tornado96-1.graphml", "-summary", "-trials", "1000"}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	out := stdout.String()
+	if !strings.Contains(out, "first observed failure:   5 offline nodes") {
+		t.Errorf("first failure is not 5:\n%s", out)
+	}
+	var pfail float64
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, "P(fail) at AFR 1%:"); ok {
+			if _, err := fmt.Sscan(rest, &pfail); err != nil {
+				t.Fatalf("P(fail) line %q: %v", line, err)
+			}
+		}
+	}
+	if pfail < 6.41e-10 {
+		t.Errorf("P(fail) = %g, want at least the k=5 term 6.41e-10:\n%s", pfail, out)
 	}
 }

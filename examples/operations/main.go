@@ -36,9 +36,17 @@ func main() {
 	fmt.Println()
 
 	// 1. Capacity planning: how long until data loss, with and without a
-	//    repair crew? (AFR 1%/drive.)
+	//    repair crew? (AFR 1%/drive.) The rare k=5 failures set the
+	//    answer, and only the worst-case search counts them: fold it in.
 	prof, err := tornado.ProfileCtx(context.Background(), g, tornado.ProfileOptions{Trials: 4000, Seed: 1})
 	if err != nil {
+		log.Fatal(err)
+	}
+	wc, err := tornado.WorstCaseCtx(context.Background(), g, tornado.WorstCaseOptions{MaxK: 5, KeepGoing: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := prof.AddExact(wc); err != nil {
 		log.Fatal(err)
 	}
 	mirror := func(k int) float64 { return tornado.MirroredFailGivenK(48, k) }

@@ -27,15 +27,15 @@ const scanOrderVersion = "sl1"
 // is versioned independently of the exhaustive scan order.
 const scanOrderVersionSampled = "st1"
 
-// scanOrderVersionProfile tags profile entries (KindProfile). Their exact
-// points are exhaustive counts, but their sampled points are defined by the
-// sampling scheme: "pa1" = one shared set of random arrival orders in sim's
-// fixed blocks, shard b shuffling orders [b·ShardSize, (b+1)·ShardSize) from
-// stream b, every sampled point read off each order's threshold. Entries
-// stored under "pb1" (a fresh k-subset per trial per point) and "sl1"
-// (those blocks cut into near-equal parts) hold other samples and simply
-// miss.
-const scanOrderVersionProfile = "pa1"
+// scanOrderVersionProfile tags profile entries (KindProfile). Their points
+// are defined by the sampling scheme: "pa2" = one shared set of random
+// arrival orders in sim's fixed blocks, shard b shuffling orders
+// [b·ShardSize, (b+1)·ShardSize) from stream b, every point of the window
+// read off each order's threshold. Entries stored under "pa1" (the same
+// orders, but the points with C(n,k) ≤ 100,000 enumerated instead), "pb1"
+// (a fresh k-subset per trial per point) and "sl1" (those blocks cut into
+// near-equal parts) hold other tallies and simply miss.
+const scanOrderVersionProfile = "pa2"
 
 // orderVersion returns the scan-order tag a normalized spec's cache
 // entries are hashed under.

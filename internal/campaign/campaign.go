@@ -83,10 +83,9 @@ type Spec struct {
 	// Monte Carlo fields (KindProfile and KindSampled). For KindSampled,
 	// Trials is the per-cardinality trial budget the stopping rule may cut
 	// short, and MaxFailures doubles as the witness cap.
-	Trials          int64  `json:"trials,omitempty"`
-	ExhaustiveLimit int64  `json:"exhaustive_limit,omitempty"`
-	MinK            int    `json:"min_k,omitempty"`
-	Seed            uint64 `json:"seed,omitempty"`
+	Trials int64  `json:"trials,omitempty"`
+	MinK   int    `json:"min_k,omitempty"`
+	Seed   uint64 `json:"seed,omitempty"`
 
 	// Epsilon is the sampled certification's planned-precision target
 	// (KindSampled): sampling of a cardinality stops at the first round
@@ -119,14 +118,11 @@ func (s Spec) normalize(total int) Spec {
 		if s.MaxFailures <= 0 {
 			s.MaxFailures = sim.DefaultMaxFailures
 		}
-		s.Trials, s.ExhaustiveLimit, s.MinK, s.Seed = 0, 0, 0, 0
+		s.Trials, s.MinK, s.Seed = 0, 0, 0
 		s.Epsilon, s.ShardSize = 0, 0
 	case KindProfile:
 		if s.Trials <= 0 {
 			s.Trials = sim.DefaultProfileTrials
-		}
-		if s.ExhaustiveLimit <= 0 {
-			s.ExhaustiveLimit = sim.DefaultExhaustiveLimit
 		}
 		if s.MinK <= 0 {
 			s.MinK = 1
@@ -155,7 +151,7 @@ func (s Spec) normalize(total int) Spec {
 		if s.MaxFailures <= 0 {
 			s.MaxFailures = sim.DefaultMaxFailures
 		}
-		s.ExhaustiveLimit, s.KeepGoing = 0, false
+		s.KeepGoing = false
 	}
 	return s
 }
@@ -240,14 +236,13 @@ type Status struct {
 // job returns the sim.Job a normalized spec describes over g. A campaign
 // must not start what it cannot finish, so a plan that ends short of the
 // requested cardinalities is an error here, before anything is written.
-func (s Spec) job(g *graph.Graph) (j *sim.Job, err error) {
+func (s Spec) job(g *graph.Graph) (*sim.Job, error) {
+	var j *sim.Job
 	switch s.Kind {
 	case KindWorstCase:
 		j = sim.NewWorstCaseJob(g, sim.WorstCaseOptions{MaxK: s.MaxK, MaxFailures: s.MaxFailures, KeepGoing: s.KeepGoing})
 	case KindProfile:
-		j, err = sim.NewProfileJob(g, sim.ProfileOptions{
-			Trials: s.Trials, ExhaustiveLimit: s.ExhaustiveLimit, MinK: s.MinK, MaxK: s.MaxK, Seed: s.Seed,
-		}, s.ShardSize)
+		j = sim.NewProfileJob(g, sim.ProfileOptions{Trials: s.Trials, MinK: s.MinK, MaxK: s.MaxK, Seed: s.Seed}, s.ShardSize)
 	case KindSampled:
 		j = sim.NewSampledJob(g, s.MinK, s.MaxK, sim.SampledOptions{
 			Epsilon: s.Epsilon, MaxTrials: s.Trials, BlockSize: s.ShardSize, MaxWitnesses: s.MaxFailures, Seed: s.Seed,
@@ -255,11 +250,8 @@ func (s Spec) job(g *graph.Graph) (j *sim.Job, err error) {
 	default:
 		return nil, s.validate()
 	}
-	if err == nil {
-		err = j.Err
-	}
-	if err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
+	if j.Err != nil {
+		return nil, fmt.Errorf("campaign: %w", j.Err)
 	}
 	return j, nil
 }

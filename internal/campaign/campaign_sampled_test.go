@@ -189,7 +189,7 @@ func TestSampledSpecNormalizeAndCacheKey(t *testing.T) {
 	if spec.MinK != 1 || spec.MaxK != sim.DefaultMaxK || spec.MaxFailures != sim.DefaultMaxFailures {
 		t.Errorf("sampled range defaults: %+v", spec)
 	}
-	if spec.ExhaustiveLimit != 0 || spec.KeepGoing {
+	if spec.KeepGoing {
 		t.Errorf("sampled spec kept foreign fields: %+v", spec)
 	}
 	if orderVersion(spec) != scanOrderVersionSampled {

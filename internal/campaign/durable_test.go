@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -23,12 +24,12 @@ import (
 func TestProfileCampaignMatchesSim(t *testing.T) {
 	g := testGraph(t)
 	for _, trials := range []int64{20000, 65536, 70000, 100000, 131072} {
-		opts := sim.ProfileOptions{Trials: trials, MinK: 5, MaxK: 7, ExhaustiveLimit: 500, Seed: 2006}
+		opts := sim.ProfileOptions{Trials: trials, MinK: 5, MaxK: 7, Seed: 2006}
 		want, err := sim.FailureProfileCtx(context.Background(), g, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := Spec{Kind: KindProfile, Trials: trials, MinK: 5, MaxK: 7, ExhaustiveLimit: 500, Seed: 2006}
+		spec := Spec{Kind: KindProfile, Trials: trials, MinK: 5, MaxK: 7, Seed: 2006}
 		res, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -134,7 +135,7 @@ func TestResumeDiscardsMalformedRecords(t *testing.T) {
 // its hits — or the line is discarded and the shard reruns.
 func TestResumeDiscardsMalformedProfileRecords(t *testing.T) {
 	g := testGraph(t)
-	spec := Spec{Kind: KindProfile, MinK: 3, MaxK: 9, Trials: 3000, ExhaustiveLimit: 500, Seed: 5, ShardSize: 256}
+	spec := Spec{Kind: KindProfile, MinK: 3, MaxK: 9, Trials: 3000, Seed: 5, ShardSize: 256}
 	want, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +176,8 @@ func TestResumeDiscardsMalformedProfileRecords(t *testing.T) {
 		if string(marshal(t, got)) != string(marshal(t, want)) {
 			t.Errorf("%s: resumed result differs from the uninterrupted run", name)
 		}
-		// C(28,3) = 3276 > 500, so k = 3..9 are all sampled: 12 order
-		// shards. Every unjournaled shard plus the rotted one reruns.
+		// k = 3..9 share 12 order shards. Every unjournaled shard plus
+		// the rotted one reruns.
 		if planned := 12; rerun != planned-(len(lines)-1)+1 {
 			t.Errorf("%s: resume ran %d shards over a journal of %d lines, one of them rotted", name, rerun, len(lines)-1)
 		}
@@ -184,13 +185,83 @@ func TestResumeDiscardsMalformedProfileRecords(t *testing.T) {
 }
 
 // TestOldProfileCampaignsAreRefused: a profile campaign directory of the
-// per-cardinality sampler (manifest version 4) is refused with an error
-// that names the version and the way out, and a profile result cached
-// under that sampler's tag ("pb1") misses: it is another sample.
+// per-cardinality sampler (manifest version 4), or of the plan that
+// enumerated the points with C(n,k) ≤ 100,000 (version 5, its spec holding
+// an exhaustive_limit), is refused with an error that names the version and
+// the way out, and a profile result cached under either's tag ("pb1",
+// "pa1") misses: it is another tally.
 func TestOldProfileCampaignsAreRefused(t *testing.T) {
 	g := testGraph(t)
-	spec := Spec{Kind: KindProfile, MinK: 3, MaxK: 9, Trials: 3000, ExhaustiveLimit: 500, Seed: 5, ShardSize: 256}
-	dir, _ := interruptedJournal(t, g, spec, 2)
+	spec := Spec{Kind: KindProfile, MinK: 3, MaxK: 9, Trials: 3000, Seed: 5, ShardSize: 256}
+	for _, version := range []int{4, 5} {
+		dir, _ := interruptedJournal(t, g, spec, 2)
+		setManifest(t, dir, func(man map[string]any) {
+			man["version"] = version
+			man["spec"].(map[string]any)["exhaustive_limit"] = 500
+		})
+		want := fmt.Sprintf("manifest version %d", version)
+		_, err := ResumeCtx(context.Background(), dir, Options{Workers: 2})
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "new directory") {
+			t.Errorf("resuming a version-%d profile directory returned %v, want the version error", version, err)
+		}
+		if _, err := ReadStatus(dir); err == nil {
+			t.Errorf("status of a version-%d directory read without error", version)
+		}
+	}
+
+	cache := t.TempDir()
+	norm := spec.normalize(g.Total)
+	stale := &Result{Kind: KindProfile, Fingerprint: g.Fingerprint(), Spec: norm, Profile: &sim.Profile{GraphName: "stale"}}
+	for _, tag := range []string{"pb1", "pa1"} {
+		if err := storeCache(cache, taggedCacheKey(g.Fingerprint(), tag, norm), stale); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 2, CacheDir: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cached || res.Profile.GraphName == "stale" {
+		t.Error("a profile cached under a retired tag was served")
+	}
+}
+
+// TestWorstCaseAndSampledIdentityKept: the profile's plan changed, the
+// other kinds' did not. Their specs never stored an exhaustive limit, so
+// they hash to the cache keys they had (pinned), and a version-5 worst-case
+// directory still resumes to the fresh run's result.
+func TestWorstCaseAndSampledIdentityKept(t *testing.T) {
+	g := testGraph(t)
+	wc := Spec{Kind: KindWorstCase, MaxK: 4, KeepGoing: true}
+	for _, c := range []struct {
+		spec Spec
+		key  string
+	}{
+		{wc, "69f989e3e24e7e3f42cd5cd0458e38fdd8bb1e52a1ce195f4215bf5b82f62b60"},
+		{Spec{Kind: KindSampled, MinK: 3, MaxK: 4, Seed: 17, Epsilon: 1e-3}, "ba9e5581ddc3195ec7f7485167a651202aa818aae043512e3b84c9ac69d484b4"},
+	} {
+		if got := CacheKey(g, c.spec); got != c.key {
+			t.Errorf("%s: cache key %s, pinned %s", c.spec.Kind, got, c.key)
+		}
+	}
+	want, err := RunCtx(context.Background(), t.TempDir(), g, wc, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, _ := interruptedJournal(t, g, wc, 2)
+	setManifest(t, dir, func(man map[string]any) { man["version"] = 5 })
+	got, err := ResumeCtx(context.Background(), dir, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshal(t, got), marshal(t, want)) {
+		t.Error("resumed version-5 worst case differs from the fresh run")
+	}
+}
+
+// setManifest rewrites the manifest in dir through edit.
+func setManifest(t *testing.T, dir string, edit func(map[string]any)) {
+	t.Helper()
 	path := filepath.Join(dir, manifestFile)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -200,30 +271,9 @@ func TestOldProfileCampaignsAreRefused(t *testing.T) {
 	if err := json.Unmarshal(data, &man); err != nil {
 		t.Fatal(err)
 	}
-	man["version"] = 4
+	edit(man)
 	if err := os.WriteFile(path, marshal(t, man), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	_, err = ResumeCtx(context.Background(), dir, Options{Workers: 2})
-	if err == nil || !strings.Contains(err.Error(), "manifest version 4") || !strings.Contains(err.Error(), "new directory") {
-		t.Errorf("resuming a version-4 profile directory returned %v, want the version error", err)
-	}
-	if _, err := ReadStatus(dir); err == nil {
-		t.Error("status of a version-4 directory read without error")
-	}
-
-	cache := t.TempDir()
-	norm := spec.normalize(g.Total)
-	stale := &Result{Kind: KindProfile, Fingerprint: g.Fingerprint(), Spec: norm, Profile: &sim.Profile{GraphName: "stale"}}
-	if err := storeCache(cache, taggedCacheKey(g.Fingerprint(), "pb1", norm), stale); err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 2, CacheDir: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cached || res.Profile.GraphName == "stale" {
-		t.Error("a profile cached under the retired per-cardinality tag was served")
 	}
 }
 
@@ -319,7 +369,7 @@ func FuzzJournalResume(f *testing.F) {
 	g := testGraph(f)
 	specs := []Spec{
 		{Kind: KindWorstCase, MaxK: 4, MaxFailures: 4, KeepGoing: true},
-		{Kind: KindProfile, MinK: 2, MaxK: 4, Trials: 600, ExhaustiveLimit: 500, Seed: 3, ShardSize: 256},
+		{Kind: KindProfile, MinK: 2, MaxK: 4, Trials: 1000, Seed: 3, ShardSize: 256},
 		{Kind: KindSampled, MinK: 3, MaxK: 3, Trials: 2048, ShardSize: 512, Seed: 17, Epsilon: -1, MaxFailures: 2},
 	}
 	for i := range specs {

@@ -33,8 +33,11 @@ const (
 // journal's range shards do not match the v4 plan. Version 5 made a
 // profile's sampled points share one set of arrival-order shards, each
 // journaling its histogram of thresholds: a v4 profile's per-cardinality
-// shards do not match the v5 plan.
-const manifestVersion = 5
+// shards do not match the v5 plan. Version 6 planned a profile as order
+// shards only: a v5 profile's exhaustive shards for the points with
+// C(n,k) ≤ 100,000 do not match the v6 plan. A v5 worst-case or sampled
+// campaign plans as it did, so it is still read.
+const manifestVersion = 6
 
 // Manifest is the immutable identity of a campaign directory.
 type Manifest struct {
@@ -125,7 +128,7 @@ func readManifest(dir string) (Manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return m, fmt.Errorf("campaign: corrupt manifest in %s: %w", dir, err)
 	}
-	if m.Version != manifestVersion {
+	if m.Version != manifestVersion && (m.Version != 5 || m.Spec.Kind == KindProfile) {
 		return m, fmt.Errorf("campaign: manifest version %d in %s, this build reads %d: its shards do not match this build's plan; rerun the campaign in a new directory",
 			m.Version, dir, manifestVersion)
 	}

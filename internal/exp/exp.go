@@ -57,11 +57,12 @@ func Full() Config {
 type TornadoGraph struct {
 	Name         string
 	Graph        *graph.Graph
-	FirstFailure int // 0 = none found up to CertifyK
-	FailuresAtFF int64
-	TestedAtFF   int64
+	FirstFailure int     // 0 = none found up to CertifyK
 	CriticalSets [][]int // failing sets at the first failing cardinality
-	Profile      *sim.Profile
+	// Profile is the sampled failure profile with the certification folded
+	// in: its points through the first failure (through CertifyK when none
+	// was found) are the exhaustive counts.
+	Profile *sim.Profile
 }
 
 // PrepareTornado generates, screens, adjusts and certifies one Tornado
@@ -83,7 +84,8 @@ func PrepareTornado(cfg Config, idx int) (*TornadoGraph, error) {
 	return finishGraph(cfg, g)
 }
 
-// finishGraph certifies and profiles an already-built graph.
+// finishGraph certifies and profiles an already-built graph, folding the
+// certification into the profile.
 func finishGraph(cfg Config, g *graph.Graph) (*TornadoGraph, error) {
 	tg := &TornadoGraph{Name: g.Name, Graph: g}
 	wc, err := sim.WorstCaseCtx(context.Background(), g, sim.WorstCaseOptions{MaxK: cfg.CertifyK, Workers: cfg.Workers})
@@ -92,15 +94,15 @@ func finishGraph(cfg Config, g *graph.Graph) (*TornadoGraph, error) {
 	}
 	if wc.Found {
 		tg.FirstFailure = wc.FirstFailure
-		last := wc.PerK[len(wc.PerK)-1]
-		tg.FailuresAtFF = last.FailureCount
-		tg.TestedAtFF = last.Tested
-		tg.CriticalSets = last.Failures
+		tg.CriticalSets = wc.PerK[len(wc.PerK)-1].Failures
 	}
 	tg.Profile, err = sim.FailureProfileCtx(context.Background(), g, sim.ProfileOptions{
 		Trials: cfg.Trials, Workers: cfg.Workers, Seed: 0xF00D,
 	})
 	if err != nil {
+		return nil, err
+	}
+	if err := tg.Profile.AddExact(wc); err != nil {
 		return nil, err
 	}
 	return tg, nil

@@ -52,11 +52,12 @@ func TestGoldenQuickCertification(t *testing.T) {
 		if tg.FirstFailure != want.firstFailure {
 			t.Errorf("%s: first failure = %d, want %d", want.name, tg.FirstFailure, want.firstFailure)
 		}
-		if tg.FailuresAtFF != want.failuresAtFF {
-			t.Errorf("%s: failures at first failure = %d, want %d", want.name, tg.FailuresAtFF, want.failuresAtFF)
+		at := tg.Profile.Fail[tg.FirstFailure]
+		if at.Hits != want.failuresAtFF {
+			t.Errorf("%s: failures at first failure = %d, want %d", want.name, at.Hits, want.failuresAtFF)
 		}
-		if tg.TestedAtFF != want.testedAtFF {
-			t.Errorf("%s: combinations tested = %d, want %d", want.name, tg.TestedAtFF, want.testedAtFF)
+		if at.Trials != want.testedAtFF {
+			t.Errorf("%s: combinations tested = %d, want %d", want.name, at.Trials, want.testedAtFF)
 		}
 		if got := len(tg.CriticalSets); got != want.criticalSets {
 			t.Errorf("%s: %d critical sets recorded, want %d", want.name, got, want.criticalSets)

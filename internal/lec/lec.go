@@ -98,8 +98,7 @@ func Generate(data, checks int, opts Options, rng *rand.Rand) (*graph.Graph, Sea
 			ffScore = opts.ScreenK + 1 // tolerating everything scores best
 		}
 		prof, err := sim.FailureProfileCtx(context.Background(), g, sim.ProfileOptions{
-			Trials: opts.ProbeTrials, MinK: probeK, MaxK: probeK,
-			ExhaustiveLimit: 1, Workers: opts.Workers, Seed: uint64(c) + 1,
+			Trials: opts.ProbeTrials, MinK: probeK, MaxK: probeK, Workers: opts.Workers, Seed: uint64(c) + 1,
 		})
 		if err != nil {
 			return nil, st, err

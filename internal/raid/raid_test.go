@@ -90,16 +90,31 @@ func TestGroupTolerancePanics(t *testing.T) {
 	GroupToleranceFailGivenK(8, 12, 1, -1)
 }
 
+// exactProfile is g's failure profile with a KeepGoing worst case through
+// Total folded in: every point enumerated.
+func exactProfile(t *testing.T, g *graph.Graph) *sim.Profile {
+	t.Helper()
+	p, err := sim.FailureProfileCtx(context.Background(), g, sim.ProfileOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc, err := sim.WorstCaseCtx(context.Background(), g, sim.WorstCaseOptions{MaxK: g.Total, MaxFailures: 1, KeepGoing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddExact(wc); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestSimulatorMatchesMirroredTheory is the paper's §3 validation scaled to
 // an exhaustively checkable size: the simulated mirrored-graph profile must
 // match Equation (1) exactly (the paper reports agreement to ≥9 significant
 // digits from sampling; enumeration makes it exact).
 func TestSimulatorMatchesMirroredTheory(t *testing.T) {
 	g := MirroredGraph(8)
-	p, err := sim.FailureProfileCtx(context.Background(), g, sim.ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := exactProfile(t, g)
 	for k := 0; k <= 16; k++ {
 		want := MirroredFailGivenK(8, k)
 		if got := p.FailFraction(k); !approx(got, want, 1e-12) {
@@ -134,10 +149,7 @@ func TestSimulatorMatchesRAID5Theory(t *testing.T) {
 	if g.Total != 12 || g.Data != 9 {
 		t.Fatalf("graph shape: %v", g)
 	}
-	p, err := sim.FailureProfileCtx(context.Background(), g, sim.ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := exactProfile(t, g)
 	for k := 0; k <= 12; k++ {
 		want := RAID5FailGivenK(3, 4, k)
 		if got := p.FailFraction(k); !approx(got, want, 1e-12) {

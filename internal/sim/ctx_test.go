@@ -90,7 +90,7 @@ func TestProfileCtxCancellation(t *testing.T) {
 	go func() {
 		// Large trial count so sampling dominates and cancellation hits the
 		// Monte Carlo worker loop.
-		_, err := FailureProfileCtx(ctx, g, ProfileOptions{Trials: 50_000_000, ExhaustiveLimit: 1})
+		_, err := FailureProfileCtx(ctx, g, ProfileOptions{Trials: 50_000_000})
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)

@@ -101,15 +101,12 @@ func TestWorstCasePlanEndingShort(t *testing.T) {
 // TestTilingIsTheDocumentedOne pins the trial tiling: blocks of
 // DefaultSampledBlock in memory, of exactly the shard size otherwise —
 // block b on stream b, the last one short — numbered in plan order. The
-// sampled points of a profile share one set of order blocks, whose K is
-// the smallest of them.
+// points of a profile share one set of order blocks, whose K is the
+// window's smallest.
 func TestTilingIsTheDocumentedOne(t *testing.T) {
 	g := mirrorGraph(12) // 24 nodes
 	for _, tc := range []struct{ shard, block int64 }{{0, DefaultSampledBlock}, {30000, 30000}} {
-		pj, err := NewProfileJob(g, ProfileOptions{Trials: 150000, MinK: 6, MaxK: 7, ExhaustiveLimit: 1}, tc.shard)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pj := NewProfileJob(g, ProfileOptions{Trials: 150000, MinK: 6, MaxK: 7}, tc.shard)
 		per := int((150000 + tc.block - 1) / tc.block)
 		if len(pj.Groups) != 1 || len(pj.Groups[0]) != per {
 			t.Fatalf("shard %d: %d groups, %d units, want 1 and %d", tc.shard, len(pj.Groups), len(pj.Groups[0]), per)

@@ -24,9 +24,6 @@ const (
 	// offline-node count in FailureProfile. The paper used 10–34 million
 	// per point; 20,000 preserves the curve shape on a laptop.
 	DefaultProfileTrials = 20000
-	// DefaultExhaustiveLimit switches a profile point to exact enumeration
-	// when C(total, k) is at most this bound.
-	DefaultExhaustiveLimit = 100000
 	// DefaultLifetimeRuns is the number of independent system lifetimes
 	// SimulateLifetime draws.
 	DefaultLifetimeRuns = 200

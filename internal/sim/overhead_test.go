@@ -20,8 +20,8 @@ import (
 // read off the failure profile: with k offline the data is lost exactly
 // when T > Total−k, so P(T > m) = FailFraction(Total−m), E[T] =
 // AvgNodesToReconstruct and T's q-quantile is
-// NodesForSuccessProbability(q). ExhaustiveLimit 1 below samples every
-// point but k = Total off the profile's arrival orders.
+// NodesForSuccessProbability(q). A profile samples every point off its
+// arrival orders; the exact comparisons fold in a worst case (AddExact).
 
 func TestOverheadMirrorExact(t *testing.T) {
 	// For a mirrored system, a prefix reconstructs iff it covers every
@@ -29,7 +29,7 @@ func TestOverheadMirrorExact(t *testing.T) {
 	// most 11 (after 11 drives only one is missing, and its pair was
 	// surely seen).
 	g := mirrorGraph(6)
-	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{Trials: 4000, ExhaustiveLimit: 1, Seed: 1, Workers: 2})
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{Trials: 4000, Seed: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestOverheadCouponCollectorMean(t *testing.T) {
 	rec(0)
 	want := total / count
 
-	sampled, err := FailureProfileCtx(context.Background(), g, ProfileOptions{Trials: 60000, ExhaustiveLimit: 1, Seed: 9, Workers: 2})
+	sampled, err := FailureProfileCtx(context.Background(), g, ProfileOptions{Trials: 60000, Seed: 9, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +92,7 @@ func TestOverheadCouponCollectorMean(t *testing.T) {
 		t.Errorf("sampled mean %v, exact %v", got, want)
 	}
 	// Enumerating every point instead is the exact expectation.
-	exact, err := FailureProfileCtx(context.Background(), g, ProfileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := exactProfile(t, g, ProfileOptions{})
 	if got := exact.AvgNodesToReconstruct(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("enumerated mean %v, exact %v", got, want)
 	}
@@ -134,7 +131,7 @@ func TestOverheadBrokenGraph(t *testing.T) {
 	g := b.Graph()
 	g.SetNeighbors(r, []int{0, 1})
 	g.SetNeighbors(r+1, []int{0, 1})
-	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{Trials: 100, ExhaustiveLimit: 1, Seed: 1})
+	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{Trials: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +140,7 @@ func TestOverheadBrokenGraph(t *testing.T) {
 	}
 	// Enumerated, two offline lose data only when both are data nodes: 1
 	// of the 6 pairs.
-	exact, err := FailureProfileCtx(context.Background(), g, ProfileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := exactProfile(t, g, ProfileOptions{})
 	if f := exact.Fail[2]; f.Hits != 1 || f.Trials != 6 {
 		t.Errorf("two offline: %d of %d lose data, want 1 of 6", f.Hits, f.Trials)
 	}
@@ -198,10 +192,7 @@ func TestProfileMatchesArrivalOrderOracle(t *testing.T) {
 			if c.block == 0 {
 				p, err = FailureProfileCtx(context.Background(), g, opts)
 			} else {
-				j, jerr := NewProfileJob(g, opts, c.block)
-				if jerr != nil {
-					t.Fatal(jerr)
-				}
+				j := NewProfileJob(g, opts, c.block)
 				err = j.Run(context.Background(), NewLocalRunner(g, 2))
 				p = j.Profile
 			}

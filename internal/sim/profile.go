@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"tornado/internal/combin"
 	"tornado/internal/decode"
 	"tornado/internal/graph"
 	"tornado/internal/stats"
@@ -20,9 +19,6 @@ type ProfileOptions struct {
 	// cases, 34 CPU-days); the default of DefaultProfileTrials preserves
 	// the curve shape on a laptop.
 	Trials int64
-	// ExhaustiveLimit switches a point to exact enumeration when
-	// C(total, k) is at most this bound. Default DefaultExhaustiveLimit.
-	ExhaustiveLimit int64
 	// MinK and MaxK bound the examined offline counts; MaxK=0 means the
 	// whole range up to Total. The window is a view: a point's tally does
 	// not depend on it. An empty window is an error (ErrEmptyWindow).
@@ -35,7 +31,6 @@ type ProfileOptions struct {
 
 func (o ProfileOptions) normalize(total int) ProfileOptions {
 	o.Trials = int64Or(o.Trials, DefaultProfileTrials)
-	o.ExhaustiveLimit = int64Or(o.ExhaustiveLimit, DefaultExhaustiveLimit)
 	o.MinK = intOr(o.MinK, 1)
 	if o.MaxK <= 0 || o.MaxK > total {
 		o.MaxK = total
@@ -48,41 +43,38 @@ func (o ProfileOptions) normalize(total int) ProfileOptions {
 // nodes. Entry k answers: with exactly k randomly chosen devices offline,
 // what fraction of cases lose data? The sampled entries share one set of
 // arrival orders (see NewProfileJob): each is exactly Binomial(Trials, p_k),
-// but they are correlated across k.
+// but they are correlated across k. Exact entries come only from a
+// worst-case search folded in by AddExact.
 type Profile struct {
 	GraphName string
 	Total     int // nodes in the graph
 	Data      int // data nodes
 	Fail      []stats.Proportion
-	Exact     []bool // Fail[k] computed by full enumeration rather than sampling
+	Exact     []bool // Fail[k] is a worst-case search's count over C(Total, k) rather than a sample
 }
 
 // FailureProfileCtx measures g's reconstruction-failure profile, with
 // cancellation checked at combination-chunk boundaries inside each worker.
 func FailureProfileCtx(ctx context.Context, g *graph.Graph, opts ProfileOptions) (*Profile, error) {
-	j, err := NewProfileJob(g, opts, 0)
-	if err != nil {
-		return nil, err
-	}
+	j := NewProfileJob(g, opts, 0)
 	if err := j.Run(ctx, NewLocalRunner(g, opts.Workers)); err != nil {
 		return nil, err
 	}
 	return j.Profile, nil
 }
 
-// NewProfileJob plans the failure profile of g as one group. A point whose
-// rank space is within opts.ExhaustiveLimit is one exhaustive unit (only
-// the count matters, so at most one witness is recorded). Every other point
-// is read off one shared set of opts.Trials random arrival orders: an
-// order's last k nodes are a uniform k-subset for every k, and decodability
-// is monotone, so with T the order's threshold — its shortest decodable
-// prefix — k offline nodes lose data exactly when T > Total−k. The orders
-// come in fixed blocks of shardSize, block b shuffled from RNG stream b, so
-// the block size is part of what defines the result; each block is one unit
-// returning the histogram of its orders' T over the sampled points.
-// shardSize 0 means DefaultSampledBlock. An empty window plans nothing and
-// sets Job.Err.
-func NewProfileJob(g *graph.Graph, opts ProfileOptions, shardSize int64) (*Job, error) {
+// NewProfileJob plans the failure profile of g as one group of arrival-order
+// blocks. Every point is read off one shared set of opts.Trials random
+// arrival orders: an order's last k nodes are a uniform k-subset for every
+// k, and decodability is monotone, so with T the order's threshold — its
+// shortest decodable prefix — k offline nodes lose data exactly when
+// T > Total−k. The orders come in fixed blocks of shardSize, block b
+// shuffled from RNG stream b, so the block size is part of what defines the
+// result; each block is one unit returning the histogram of its orders' T
+// over the window's points. shardSize 0 means DefaultSampledBlock. An empty
+// window plans nothing and sets Job.Err. Exact points are not planned here:
+// fold a worst-case search in with AddExact.
+func NewProfileJob(g *graph.Graph, opts ProfileOptions, shardSize int64) *Job {
 	opts = opts.normalize(g.Total)
 	p := &Profile{
 		GraphName: g.Name,
@@ -95,54 +87,54 @@ func NewProfileJob(g *graph.Graph, opts ProfileOptions, shardSize int64) (*Job, 
 	p.Fail[0] = stats.Proportion{Hits: 0, Trials: 1}
 	p.Exact[0] = true
 
-	var units []Unit
-	orders := Unit{Seed: opts.Seed} // K..MaxK: the sampled points, 0 while there are none
-	for k := opts.MinK; k <= opts.MaxK; k++ {
-		if c, ok := combin.BinomialInt64(g.Total, k); ok && c <= opts.ExhaustiveLimit {
-			if _, err := exhaustiveSpace(g.Total, k); err != nil {
-				return nil, err
-			}
-			units = append(units, Unit{K: k, MaxFailures: 1})
-			p.Exact[k] = true
-			continue
-		}
-		if orders.K == 0 {
-			orders.K = k
-		}
-		orders.MaxK = k
-	}
-	if orders.K > 0 {
-		blockSize := int64Or(shardSize, DefaultSampledBlock)
-		nBlocks := (opts.Trials + blockSize - 1) / blockSize
-		units = blockUnits(units, orders, opts.Trials, blockSize, 0, nBlocks)
-	}
-	j := &Job{total: g.Total, Groups: [][]Unit{units}, Profile: p}
+	j := &Job{total: g.Total, Profile: p}
 	if opts.MinK > opts.MaxK {
 		j.Err = fmt.Errorf("%w: offline counts %d..%d of %d nodes", ErrEmptyWindow, opts.MinK, opts.MaxK, g.Total)
+		return j
 	}
+	blockSize := int64Or(shardSize, DefaultSampledBlock)
+	nBlocks := (opts.Trials + blockSize - 1) / blockSize
+	units := blockUnits(nil, Unit{K: opts.MinK, MaxK: opts.MaxK, Seed: opts.Seed}, opts.Trials, blockSize, 0, nBlocks)
+	j.Groups = [][]Unit{units}
 	j.fold = func(gi int, res []UnitResult) int {
-		hist := make([]int64, orders.MaxK-orders.K+2) // the order blocks' pooled histogram
-		for i, u := range units {
-			if u.Trials == 0 {
-				p.Fail[u.K].Add(res[i].Tally.Hits, res[i].Tally.Trials)
-				continue
-			}
-			for t, n := range res[i].Thresholds {
+		hist := make([]int64, opts.MaxK-opts.MinK+2) // the blocks' pooled histogram
+		for _, r := range res {
+			for t, n := range r.Thresholds {
 				hist[t] += n
 			}
 		}
 		// Point k fails in the orders of hist[MaxK−k+1:]: sum them from the
-		// top, where hist's last entry is the orders undecoded at K.
+		// top, where hist's last entry is the orders undecoded at MinK.
 		var fails int64
-		for k := orders.K; orders.K > 0 && k <= orders.MaxK; k++ {
-			fails += hist[orders.MaxK-k+1]
-			if !p.Exact[k] {
-				p.Fail[k] = stats.Proportion{Hits: fails, Trials: opts.Trials}
-			}
+		for k := opts.MinK; k <= opts.MaxK; k++ {
+			fails += hist[opts.MaxK-k+1]
+			p.Fail[k] = stats.Proportion{Hits: fails, Trials: opts.Trials}
 		}
 		return gi + 1
 	}
-	return j.number(), nil
+	return j.number()
+}
+
+// AddExact folds a worst-case search of the profile's graph into it: every
+// cardinality the search examined becomes an exact point, its failure count
+// over C(Total, k), in place of any sampled one. A search whose tested count
+// at some k is not C(Total, k) examined another graph; AddExact refuses it
+// and leaves the profile as it was.
+func (p *Profile) AddExact(wc WorstCaseResult) error {
+	for _, kr := range wc.PerK {
+		space, err := rankSpace(p.Total, kr.K)
+		if err == nil && kr.Tested != space {
+			err = fmt.Errorf("sim: worst case tested %d patterns at k=%d, but C(%d,%d) = %d: it searched another graph", kr.Tested, kr.K, p.Total, kr.K, space)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	for _, kr := range wc.PerK {
+		p.Fail[kr.K] = stats.Proportion{Hits: kr.FailureCount, Trials: kr.Tested}
+		p.Exact[kr.K] = true
+	}
+	return nil
 }
 
 // arrivalStreamTag marks the profile's arrival-order RNG streams: block b
@@ -254,9 +246,10 @@ func (p *Profile) FirstObservedFailure() int {
 // needed for reconstruction — the paper's "average number of nodes capable
 // of reconstructing the data" (Tables 1–4). With T the online-count
 // threshold, E[T] = Σ_m P(T > m) and P(T > m) is the failure fraction with
-// m nodes online, i.e. Total−m offline. Where the points are sampled they
-// share one set of arrival orders, so the sum is the plain mean of those
-// orders' thresholds.
+// m nodes online, i.e. Total−m offline. In a profile with no exact points
+// folded in (AddExact), every point is read off one set of arrival orders,
+// so the sum is the plain mean of those orders' thresholds; a folded point
+// replaces its sampled term with the exact one.
 func (p *Profile) AvgNodesToReconstruct() float64 {
 	sum := 0.0
 	for m := 0; m < p.Total; m++ {

@@ -84,8 +84,8 @@ func TestSampleStreamPinnedTallies(t *testing.T) {
 // tornado96-1 at seed 2006 — two full order blocks and a short third — at 1,
 // 4 and 16 workers. k = 49, 60 and 96 exceed the 48 checks: fewer than Data
 // nodes survive, so every order fails there because its threshold is at
-// least Data, not because a shortcut says so. k = 96 is exhaustive (one
-// pattern). Under the race detector only the 16-worker run is made.
+// least Data, not because a shortcut says so. Under the race detector only
+// the 16-worker run is made.
 func TestSampleKPinnedTallies(t *testing.T) {
 	g, err := graphml.ReadFile("../../precompiled/tornado96-1.graphml")
 	if err != nil {
@@ -97,7 +97,7 @@ func TestSampleKPinnedTallies(t *testing.T) {
 		hits int64
 	}{
 		{5, 0}, {12, 42}, {24, 3989}, {40, 126424},
-		{48, trials}, {49, trials}, {60, trials}, {96, 1},
+		{48, trials}, {49, trials}, {60, trials}, {96, trials},
 	}
 	for _, workers := range []int{1, 4, 16} {
 		if raceEnabled && workers < 16 {
@@ -109,9 +109,6 @@ func TestSampleKPinnedTallies(t *testing.T) {
 		}
 		for _, pin := range pins {
 			want := stats.Proportion{Hits: pin.hits, Trials: trials}
-			if p.Exact[pin.k] {
-				want.Trials = 1
-			}
 			if got := p.Fail[pin.k]; got != want {
 				t.Errorf("workers=%d k=%d: tally %+v, pinned %+v", workers, pin.k, got, want)
 			}
@@ -132,9 +129,9 @@ func cascade24(t *testing.T) *graph.Graph {
 	return g
 }
 
-// TestSampledPointsMatchEnumeration: with sampling forced everywhere, every
-// point read off the shared arrival orders is within 4σ of its exact
-// enumeration — each point is Binomial(Trials, p_k) on its own, however the
+// TestSampledPointsMatchEnumeration: every point read off the shared
+// arrival orders is within 4σ of its exact enumeration (a KeepGoing worst
+// case through Total, folded in) — each point is Binomial(Trials, p_k) on its own, however the
 // points correlate — and AvgNodesToReconstruct is the plain mean of the
 // orders' thresholds. The cascade's enumeration runs unraced only.
 func TestSampledPointsMatchEnumeration(t *testing.T) {
@@ -144,11 +141,8 @@ func TestSampledPointsMatchEnumeration(t *testing.T) {
 		graphs = graphs[:1]
 	}
 	for _, g := range graphs {
-		exact, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 22, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := ProfileOptions{Trials: trials, ExhaustiveLimit: 1, Seed: 11, Workers: 2}
+		exact := exactProfile(t, g, ProfileOptions{Trials: 1, Workers: 2})
+		opts := ProfileOptions{Trials: trials, Seed: 11, Workers: 2}
 		p, err := FailureProfileCtx(context.Background(), g, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -164,10 +158,7 @@ func TestSampledPointsMatchEnumeration(t *testing.T) {
 			}
 		}
 
-		j, err := NewProfileJob(g, opts, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		j := NewProfileJob(g, opts, 0)
 		res, err := runGroup(context.Background(), NewLocalRunner(g, 2), j.Groups[0])
 		if err != nil {
 			t.Fatal(err)
@@ -194,12 +185,12 @@ func TestSampledPointsMatchEnumeration(t *testing.T) {
 // order once it passes Total−MinK arrivals changes no point in the window.
 func TestProfileWindowIsAView(t *testing.T) {
 	g := cascade24(t)
-	full, err := FailureProfileCtx(context.Background(), g, ProfileOptions{Trials: 5000, ExhaustiveLimit: 1, Seed: 3})
+	full, err := FailureProfileCtx(context.Background(), g, ProfileOptions{Trials: 5000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range [][2]int{{3, 9}, {10, 10}, {12, 0}, {20, 23}} {
-		p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{Trials: 5000, ExhaustiveLimit: 1, Seed: 3, MinK: w[0], MaxK: w[1]})
+		p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{Trials: 5000, Seed: 3, MinK: w[0], MaxK: w[1]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +225,7 @@ func TestEmptyWindowIsAnError(t *testing.T) {
 // BenchmarkFailureProfile is one default failure profile of tornado96-1 at
 // 1000 trials a point on one worker — the profile step of bench's
 // design_certify workload — reporting trials/s as that workload counts
-// them: every point's trials or patterns, exact points included.
+// them: every point's trials, summed over the points.
 func BenchmarkFailureProfile(b *testing.B) {
 	g, err := graphml.ReadFile("../../precompiled/tornado96-1.graphml")
 	if err != nil {

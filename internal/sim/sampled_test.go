@@ -192,7 +192,7 @@ func TestSampledPlanSchedule(t *testing.T) {
 // count, including when trials % workers != 0.
 func TestProfileWorkerCountIndependence(t *testing.T) {
 	g := unscreened96(t, 2)
-	base := ProfileOptions{Trials: 100003, MinK: 4, MaxK: 5, Seed: 77, Workers: 1, ExhaustiveLimit: 1}
+	base := ProfileOptions{Trials: 100003, MinK: 4, MaxK: 5, Seed: 77, Workers: 1}
 	want, err := FailureProfileCtx(context.Background(), g, base)
 	if err != nil {
 		t.Fatal(err)

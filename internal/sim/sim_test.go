@@ -4,11 +4,13 @@ import (
 	"context"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"tornado/internal/combin"
 	"tornado/internal/core"
 	"tornado/internal/graph"
+	"tornado/internal/stats"
 )
 
 // mirrorGraph builds an n-pair (2n-node) mirrored system: data i is
@@ -22,6 +24,24 @@ func mirrorGraph(n int) *graph.Graph {
 	}
 	g.Name = "mirror"
 	return g
+}
+
+// exactProfile is g's profile under opts with a KeepGoing worst case folded
+// in through opts.MaxK (0: Total), so every point in the window is exact.
+func exactProfile(t *testing.T, g *graph.Graph, opts ProfileOptions) *Profile {
+	t.Helper()
+	p, err := FailureProfileCtx(context.Background(), g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc, err := WorstCaseCtx(context.Background(), g, WorstCaseOptions{MaxK: intOr(opts.MaxK, g.Total), MaxFailures: 1, KeepGoing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddExact(wc); err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // mirrorTheory is Equation (1): the probability that k offline drives in an
@@ -125,10 +145,7 @@ func TestExhaustiveKRangeErrors(t *testing.T) {
 
 func TestFailureProfileExactMatchesTheory(t *testing.T) {
 	g := mirrorGraph(8)
-	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := exactProfile(t, g, ProfileOptions{Seed: 1})
 	for k := 0; k <= 16; k++ {
 		if !p.Exact[k] {
 			t.Fatalf("k=%d not exact", k)
@@ -145,10 +162,9 @@ func TestFailureProfileExactMatchesTheory(t *testing.T) {
 func TestFailureProfileSamplingApproximatesTheory(t *testing.T) {
 	g := mirrorGraph(8)
 	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{
-		Trials:          40000,
-		ExhaustiveLimit: 1, // force sampling everywhere
-		Seed:            7,
-		Workers:         2,
+		Trials:  40000,
+		Seed:    7,
+		Workers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +184,7 @@ func TestFailureProfileSamplingApproximatesTheory(t *testing.T) {
 
 func TestProfileDeterministicSeed(t *testing.T) {
 	g := mirrorGraph(6)
-	opts := ProfileOptions{Trials: 5000, ExhaustiveLimit: 1, Seed: 42, Workers: 2}
+	opts := ProfileOptions{Trials: 5000, Seed: 42, Workers: 2}
 	a, err := FailureProfileCtx(context.Background(), g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -186,10 +202,7 @@ func TestProfileDeterministicSeed(t *testing.T) {
 
 func TestAvgNodesToReconstructMirror(t *testing.T) {
 	g := mirrorGraph(8)
-	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := exactProfile(t, g, ProfileOptions{Seed: 1})
 	// E[T] = Σ_m P(fail with m online) computed from the exact theory.
 	want := 0.0
 	for m := 0; m < 16; m++ {
@@ -206,10 +219,7 @@ func TestAvgNodesToReconstructMirror(t *testing.T) {
 
 func TestNodesForSuccessProbability(t *testing.T) {
 	g := mirrorGraph(8)
-	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := exactProfile(t, g, ProfileOptions{Seed: 1})
 	m := p.NodesForSuccessProbability(0.5)
 	// Verify directly against theory: success(m) = 1 - theory(16-m).
 	for x := 0; x <= 16; x++ {
@@ -228,10 +238,7 @@ func TestNodesForSuccessProbability(t *testing.T) {
 
 func TestFirstObservedFailure(t *testing.T) {
 	g := mirrorGraph(8)
-	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := exactProfile(t, g, ProfileOptions{Seed: 1})
 	if got := p.FirstObservedFailure(); got != 2 {
 		t.Errorf("FirstObservedFailure = %d, want 2", got)
 	}
@@ -259,14 +266,8 @@ func TestProfilePartialRangeMonotoneExtension(t *testing.T) {
 	// A profile measured only up to MaxK must carry its last (≈1) value
 	// forward so AvgNodesToReconstruct is not underestimated.
 	g := mirrorGraph(8)
-	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1, MaxK: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := exactProfile(t, g, ProfileOptions{Seed: 1, MaxK: 10})
+	full := exactProfile(t, g, ProfileOptions{Seed: 1})
 	if got, want := p.FailFraction(14), full.FailFraction(10); math.Abs(got-want) > 1e-12 {
 		t.Errorf("extension at k=14 = %v, want carried %v", got, want)
 	}
@@ -277,10 +278,7 @@ func TestProfilePartialRangeMonotoneExtension(t *testing.T) {
 
 func TestProfileFailFractionBounds(t *testing.T) {
 	g := mirrorGraph(4)
-	p, err := FailureProfileCtx(context.Background(), g, ProfileOptions{ExhaustiveLimit: 1 << 20, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := exactProfile(t, g, ProfileOptions{Seed: 3})
 	if p.FailFraction(-1) != 0 {
 		t.Error("negative k should report 0")
 	}
@@ -289,5 +287,49 @@ func TestProfileFailFractionBounds(t *testing.T) {
 	}
 	if p.FailFraction(0) != 0 {
 		t.Error("k=0 should report 0")
+	}
+}
+
+// TestAddExact: a worst case folds into a profile as exact points, each
+// its failure count over C(Total, k), only when it searched a graph of the
+// profile's size; a search of another graph is refused and leaves the
+// profile as it was.
+func TestAddExact(t *testing.T) {
+	ctx := context.Background()
+	g := mirrorGraph(8)
+	p, err := FailureProfileCtx(ctx, g, ProfileOptions{Trials: 1000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := slices.Clone(p.Fail)
+	other, err := WorstCaseCtx(ctx, mirrorGraph(9), WorstCaseOptions{MaxK: 3, KeepGoing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddExact(other); err == nil {
+		t.Error("a worst case of an 18-node graph folded into a 16-node profile")
+	}
+	if !slices.Equal(p.Fail, before) || slices.Contains(p.Exact[1:], true) {
+		t.Errorf("refused fold changed the profile: %v, exact %v", p.Fail[:4], p.Exact[:4])
+	}
+	wc, err := WorstCaseCtx(ctx, g, WorstCaseOptions{MaxK: 3, KeepGoing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddExact(wc); err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 4; k++ {
+		c, _ := combin.BinomialInt64(16, k)
+		want := stats.Proportion{Hits: wc.FailureCountAt(k), Trials: c}
+		if k == 4 {
+			want = before[4]
+		}
+		if p.Fail[k] != want || p.Exact[k] != (k <= 3) {
+			t.Errorf("k=%d: %+v (exact %v), want %+v", k, p.Fail[k], p.Exact[k], want)
+		}
+	}
+	if p.Fail[2].Hits != 8 {
+		t.Errorf("k=2: %d failing pairs, want the 8 mirrored pairs", p.Fail[2].Hits)
 	}
 }

@@ -17,6 +17,7 @@
 //	g, reports, err := tornado.ImproveCtx(ctx, g, 4, tornado.AdjustOptions{}, 7) // raise first failure
 //	wc, err := tornado.WorstCaseCtx(ctx, g, tornado.WorstCaseOptions{MaxK: 5})   // certify
 //	profile, err := tornado.ProfileCtx(ctx, g, tornado.ProfileOptions{Trials: 100000})
+//	err = profile.AddExact(wc)                                          // certified points are exact
 //	pfail := tornado.SystemFailure(g.Total, 0.01, profile.FailFraction) // Table 5 row
 //
 // # Context-first API convention
@@ -146,9 +147,10 @@ func WorstCaseCtx(ctx context.Context, g *Graph, opts WorstCaseOptions) (WorstCa
 }
 
 // ProfileCtx measures the fraction of failed reconstructions for each
-// number of offline nodes (paper §3), exhaustively where cheap and by Monte
-// Carlo sampling elsewhere, with cancellation threaded through the
-// enumeration and sampling workers.
+// number of offline nodes (paper §3) by Monte Carlo sampling, with
+// cancellation threaded through the sampling workers. Its points are all
+// sampled; FailureProfile.AddExact folds in a worst-case search's exact
+// counts.
 func ProfileCtx(ctx context.Context, g *Graph, opts ProfileOptions) (*FailureProfile, error) {
 	return sim.FailureProfileCtx(ctx, g, opts)
 }
