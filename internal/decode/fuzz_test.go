@@ -163,7 +163,10 @@ func FuzzSlicedMatchesReference(f *testing.F) {
 // Total−k. That second equivalence is what lets one order answer every
 // point of the failure profile. A random window [from, limit] must clamp
 // the threshold to [from, limit+1] from either starting state, and the
-// decoder must be back at baseline after every call.
+// decoder must be back at baseline after every call. The sliced arm reads
+// words of 1–64 random orders with SlicedKernel.Thresholds over a random
+// window: every lane must equal Decoder.Threshold, and the kernel must be
+// back in its post-Reset state (no lane active, nothing erased) afterwards.
 func FuzzThresholdMatchesPeel(f *testing.F) {
 	f.Add(uint64(1), uint64(2))
 	f.Add(uint64(2006), uint64(0))
@@ -192,6 +195,30 @@ func FuzzThresholdMatchesPeel(f *testing.F) {
 			if erased := order[:rng.IntN(g.Total+1)]; d.Recoverable(erased) != ReferenceRecoverable(g, erased) {
 				t.Fatalf("after Threshold the decoder misjudges %v: it is not back at baseline", erased)
 			}
+		}
+		sk := NewSlicedKernel(NewCSR(g))
+		out := make([]int, Lanes)
+		for word := 0; word < 4; word++ {
+			orders := make([][]int, 1+rng.IntN(Lanes))
+			for L := range orders {
+				orders[L] = rng.Perm(g.Total)
+			}
+			from := rng.IntN(g.Total + 1)
+			limit := from + rng.IntN(g.Total+1-from)
+			sk.Thresholds(orders, from, limit, out)
+			for L, order := range orders {
+				if want := d.Threshold(order, from, limit); out[L] != want {
+					t.Fatalf("window [%d,%d] lane %d of %d: sliced %d, decoder %d (graph %v, order %v)",
+						from, limit, L, len(orders), out[L], want, g, order)
+				}
+			}
+			if got := sk.Eval(); got != 0 {
+				t.Fatalf("after Thresholds Eval reports lanes %#x: a lane is still active", got)
+			}
+			if sk.SetActive(^uint64(0)); sk.Eval() != ^uint64(0) {
+				t.Fatalf("after Thresholds a lane is still erased (graph %v)", g)
+			}
+			sk.Reset()
 		}
 	})
 }

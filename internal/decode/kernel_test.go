@@ -239,8 +239,10 @@ func BenchmarkKernelGrayRecoverableK5(b *testing.B) {
 
 // TestKernelsZeroAllocs is the allocation gate on the steady-state
 // evaluators the certification scans and the retrieval planner sit on: a
-// one-shot Kernel.Recoverable, one revolving-door Eval/Swap step, and one
-// SlicedKernel word (Reset, 68 Erases, Eval) must not allocate.
+// one-shot Kernel.Recoverable, one revolving-door Eval/Swap step, one
+// SlicedKernel word (Reset, 68 Erases, Eval) and the profile's order
+// thresholds (Decoder.Threshold, a SlicedKernel.Thresholds word) must not
+// allocate.
 func TestKernelsZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	g := randomBench96(rng)
@@ -255,6 +257,10 @@ func TestKernelsZeroAllocs(t *testing.T) {
 	sk := NewSlicedKernel(csr)
 	d, order := NewDecoder(csr), rng.Perm(g.Total)
 	d.Threshold(order, 0, g.Total) // builds the all-erased snapshot
+	orders, ts := make([][]int, Lanes), make([]int, Lanes)
+	for L := range orders {
+		orders[L] = rng.Perm(g.Total)
+	}
 
 	for _, tc := range []struct {
 		name string
@@ -276,6 +282,10 @@ func TestKernelsZeroAllocs(t *testing.T) {
 			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 			d.Threshold(order, 0, g.Total)
 			d.Threshold(order, g.Total-8, g.Total)
+		}},
+		{"SlicedKernel.Thresholds", func() {
+			sk.Thresholds(orders, 0, g.Total, ts)
+			sk.Thresholds(orders[:5], g.Total-8, g.Total, ts)
 		}},
 	} {
 		if allocs := testing.AllocsPerRun(100, tc.step); allocs != 0 {

@@ -15,7 +15,9 @@ import "fmt"
 //
 // The chain's states are the non-fatal failure counts 0..kmax (kmax is the
 // last k with F(k) < 1); absorption is data loss. The expected absorption
-// time from the all-healthy state solves a tridiagonal first-step system.
+// time from the all-healthy state solves a tridiagonal first-step system,
+// eliminated from the top state down without a subtraction, so the result
+// is positive and accurate however rarely the chain is absorbed.
 //
 // Units: lambda and mu are rates per the same time unit; the result is in
 // that unit. For an annual failure rate a, lambda ≈ −ln(1−a) per year.
@@ -40,64 +42,37 @@ func MTTDL(n int, lambda, mu float64, repairmen int, failGivenK func(k int) floa
 		}
 	}
 
-	// First-step analysis: for k in 0..kmax,
-	//   (a_k + d_k) T_k = 1 + u_k T_{k+1} + d_k T_{k-1}
-	// with a_k the total failure rate, u_k = a_k (1 − q_k) the non-fatal
-	// part, d_k the repair rate; T_{kmax+1} plays no role because from
-	// kmax every further failure is fatal (u_kmax may still be nonzero if
-	// F(kmax+1) < 1 — guard by clamping q to [0,1]).
-	size := kmax + 1
-	// Tridiagonal coefficients: sub[k] T_{k-1} + diag[k] T_k + sup[k] T_{k+1} = 1.
-	sub := make([]float64, size)
-	diag := make([]float64, size)
-	sup := make([]float64, size)
-	for k := 0; k <= kmax; k++ {
+	// First-step analysis: for k in 0..kmax, with a_k the total failure
+	// rate, u_k = a_k·(1 − q_k) its non-fatal and f_k = a_k·q_k its fatal
+	// part, d_k the repair rate,
+	//   (u_k + f_k + d_k)·T_k = 1 + u_k·T_{k+1} + d_k·T_{k−1}.
+	// From kmax every further failure is fatal: u_kmax = 0, f_kmax = a_kmax
+	// (q is clamped to [0,1] below it). Top-down, T_k = α_k + (1 − γ_k)·T_{k−1}
+	// with γ_k the probability that the chain, entering k from below, is
+	// absorbed before it first steps back down:
+	//   D_k = u_k·γ_{k+1} + f_k + d_k,
+	//   γ_k = (u_k·γ_{k+1} + f_k) / D_k,
+	//   α_k = (1 + u_k·α_{k+1}) / D_k,
+	// and d_0 = 0 makes MTTDL = T_0 = α_0. Every term is a sum of
+	// nonnegative ones, so nothing cancels: a Thomas solve of the same
+	// system subtracts d_k·u_{k−1}/D_{k−1} from D_k, which loses every
+	// digit when q_k ≈ 0 over many states (it returned negative MTTDLs).
+	var alpha, gamma float64 // α_{k+1}, γ_{k+1}; unused at kmax, where u = 0
+	for k := kmax; k >= 0; k-- {
 		ak := float64(n-k) * lambda
 		dk := float64(min(k, repairmen)) * mu
-		Fk := failGivenK(k)
-		Fk1 := failGivenK(k + 1)
-		qk := 0.0
-		if Fk < 1 {
-			qk = (Fk1 - Fk) / (1 - Fk)
-		}
-		if qk < 0 {
-			qk = 0
-		}
-		if qk > 1 {
-			qk = 1
-		}
-		uk := ak * (1 - qk)
-		diag[k] = ak + dk
-		if k > 0 {
-			sub[k] = -dk
-		}
+		qk := 1.0
 		if k < kmax {
-			sup[k] = -uk
+			Fk, Fk1 := failGivenK(k), failGivenK(k+1)
+			qk = min(max((Fk1-Fk)/(1-Fk), 0), 1)
 		}
-		// Transitions above kmax are fatal regardless; uk beyond kmax is
-		// dropped, which is exactly "next failure kills".
-		if diag[k] <= 0 {
+		uk, fk := ak*(1-qk), ak*qk
+		D := uk*gamma + fk + dk
+		if !(D > 0) {
 			return 0, fmt.Errorf("reliability: absorbing non-fatal state %d (no failure or repair flow)", k)
 		}
+		gamma = (uk*gamma + fk) / D
+		alpha = (1 + uk*alpha) / D
 	}
-
-	// Thomas algorithm.
-	rhs := make([]float64, size)
-	for i := range rhs {
-		rhs[i] = 1
-	}
-	for k := 1; k < size; k++ {
-		m := sub[k] / diag[k-1]
-		diag[k] -= m * sup[k-1]
-		rhs[k] -= m * rhs[k-1]
-		if diag[k] == 0 {
-			return 0, fmt.Errorf("reliability: singular chain at state %d", k)
-		}
-	}
-	T := make([]float64, size)
-	T[size-1] = rhs[size-1] / diag[size-1]
-	for k := size - 2; k >= 0; k-- {
-		T[k] = (rhs[k] - sup[k]*T[k+1]) / diag[k]
-	}
-	return T[0], nil
+	return alpha, nil
 }
