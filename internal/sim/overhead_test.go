@@ -253,8 +253,8 @@ func TestMinimumPrefixMonotone(t *testing.T) {
 
 // minimumPrefix binary-searches the shortest decodable prefix of the
 // retrieval order — about log2(Total) large-erasure peels — and is the
-// oracle of the threshold peel the profile's order sampler runs. order must contain every
-// node exactly once.
+// oracle of the thresholds the profile's order sampler reads. order must
+// contain every node exactly once.
 func minimumPrefix(d *decode.Decoder, order []int) (int, bool) {
 	total := len(order)
 	decodable := func(n int) bool {
@@ -307,8 +307,8 @@ func TestOverheadMatchesPrefixSearch(t *testing.T) {
 	}
 }
 
-// BenchmarkOverheadTrial is one arrival order of the profile: a shuffle and
-// one threshold peel.
+// BenchmarkOverheadTrial is one arrival order on the profile's scalar
+// oracle: a shuffle and one Decoder.Threshold peel.
 func BenchmarkOverheadTrial(b *testing.B) {
 	g, _, err := core.Generate(core.DefaultParams(), rand.New(rand.NewPCG(2, 2)))
 	if err != nil {
