@@ -543,7 +543,7 @@ func (k *keyBuf) key(node int) []byte {
 // receives it. One scratch serves one goroutine at a time; it comes off
 // Store.scratches and goes back there.
 type stripeScratch struct {
-	blocks   [][]byte // read blocks alias frames; rebuilt ones the workspace arena
+	blocks   [][]byte // read blocks alias frames (a Get's data blocks, its dst); rebuilt ones the workspace arena
 	frames   []byte   // Total frame slots, one per node: where reads land
 	avail    []bool
 	known    []bool    // a Get's padding nodes: data past the payload, zero by construction
@@ -624,6 +624,8 @@ func (sc *stripeScratch) payloadBuf(s *Store) []byte {
 // read into its slots is dead once the scratch starts the next stripe:
 // sc.blocks, which aliases them, is reset first, payloads are decoded (copied)
 // into the receiver's buffer, and every write-back re-frames into frameBuf.
+// A Get reads most full data blocks straight into the receiver's buffer
+// instead (see getStripe): those never pass through a slot.
 func (sc *stripeScratch) frame(s *Store, node int) []byte {
 	size := s.FrameSize()
 	if sc.frames == nil {
@@ -705,18 +707,16 @@ func (s *Store) PutCtx(ctx context.Context, name string, data []byte) error {
 }
 
 // GetCtx retrieves an object, reconstructing around unavailable devices.
-// ctx is checked between stripes and between blocks, so a cancelled Get
-// returns promptly mid-object instead of finishing the remaining stripes.
+// Each stripe is decoded straight into its place in the returned slice. ctx
+// is checked between stripes and between blocks, so a cancelled Get returns
+// promptly mid-object instead of finishing the remaining stripes.
 func (s *Store) GetCtx(ctx context.Context, name string) ([]byte, GetStats, error) {
 	obj, rec, err := s.lookup(name)
 	if err != nil {
 		return nil, GetStats{}, err
 	}
-	out := make([]byte, 0, obj.Size)
-	stats, err := s.getStripes(ctx, obj, rec, 1, func(payload []byte) error {
-		out = append(out, payload...)
-		return nil
-	})
+	out := make([]byte, obj.Size)
+	stats, err := s.getStripes(ctx, obj, rec, 1, out, nil)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -821,11 +821,8 @@ func (s *Store) getStripe(ctx context.Context, name string, st int, rec *availRe
 	// corrupt marks frames that failed their checksum during this read, so
 	// the fallback pass never re-reads (and never double-counts) them.
 	var ctxErr error
-	readInto := func(node int) {
-		if ctxErr != nil {
-			return
-		}
-		framed, err := s.readFramed(ctx, node, sc.keys.key(node), sc.frame(s, node), stats)
+	readFrame := func(node int, slot []byte) {
+		framed, err := s.readFramed(ctx, node, sc.keys.key(node), slot, stats)
 		if err != nil {
 			if errIsCtx(err) {
 				ctxErr = err
@@ -836,10 +833,10 @@ func (s *Store) getStripe(ctx context.Context, name string, st int, rec *availRe
 		stats.BlocksRead++
 		gotBlocks++
 		gotBytes += int64(len(framed))
-		// unframeBlock's payload aliases framed, and framed the node's slot
-		// of the scratch's arena; the alias lives only in sc.blocks[node],
-		// which is read (never mutated) by the codec and copied by the frame
-		// layer before any write-back.
+		// unframeBlock's payload aliases framed, and framed the slot (or, from
+		// a backend without ReadInto, a fresh slice); the alias lives only in
+		// sc.blocks[node], which is read (never mutated) by the codec and
+		// copied by the frame layer before any write-back.
 		b, ok := unframeBlock(framed)
 		if !ok {
 			stats.CorruptBlocks++ // bit rot: treat as an erasure
@@ -849,6 +846,29 @@ func (s *Store) getStripe(ctx context.Context, name string, st int, rec *availRe
 		}
 		sc.blocks[node] = b
 		sc.fromRead[node] = true
+	}
+	// A full live data block other than the first is read straight into its
+	// place in dst, so the decode has nothing to copy for it: its frame's
+	// checksum header lands over the last bytes of the block before, which
+	// are saved first and put back once the frame is checked, whatever the
+	// read's outcome. The slot's capacity ends at the block's end, so a frame
+	// that does not fit is grown elsewhere. Every other block — the first,
+	// a partial last one, parity — is read into the node's slot of the
+	// scratch's arena and copied by the decode.
+	bs := s.cfg.BlockSize
+	readInto := func(node int) {
+		if ctxErr != nil {
+			return
+		}
+		if node == 0 || (node+1)*bs > cap(dst) {
+			readFrame(node, sc.frame(s, node))
+			return
+		}
+		at := node*bs - frameOverhead
+		tail := dst[at : node*bs]
+		saved := [frameOverhead]byte(tail)
+		readFrame(node, dst[at:at:(node+1)*bs])
+		copy(tail, saved[:])
 	}
 	for _, node := range toRead {
 		readInto(node)

@@ -57,8 +57,11 @@ func frameSum(payload []byte) uint32 {
 // codec only reads the blocks it is handed (what it rebuilds is carved from
 // the stripe scratch's own arena, never written over a block that was read)
 // and every write path re-frames into the scratch's frameBuf before the
-// backend sees the bytes. ReadBlockCtx, which hands the payload on, reads its
-// frame into its caller's dst or, with none, a fresh slice.
+// backend sees the bytes. A payload may alias the caller's buffer: a Get
+// reads a data block's frame into its place in the dst it decodes into, so
+// the block is already where the payload wants it, and ReadBlockCtx, which
+// hands the payload on, reads its frame into its caller's dst or, with none,
+// a fresh slice.
 func unframeBlock(framed []byte) ([]byte, bool) {
 	if len(framed) < frameOverhead {
 		return nil, false

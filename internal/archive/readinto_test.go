@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"tornado/internal/device"
+	"tornado/internal/repairbw"
 )
 
 // arenaWatch makes every scratch the store builds from here on come with its
@@ -227,5 +228,111 @@ func TestFallbackSweepOnArenaFrames(t *testing.T) {
 	// counts three blocks as repaired and the next one four.
 	if stats.BlocksRepaired != 7 {
 		t.Errorf("BlocksRepaired = %d, want 7", stats.BlocksRepaired)
+	}
+}
+
+// tamperBackend damages what one read of one block returns, in flight (the
+// stored frame stays intact): "flip" flips the first byte of the frame — its
+// checksum header — "short" drops the frame's last byte, and "long" appends
+// eight bytes, which a frame that fills its slot cannot take in place.
+type tamperBackend struct {
+	Backend
+	stripe, node int
+	mode         string
+}
+
+func (b *tamperBackend) ReadInto(ctx context.Context, node int, key, dst []byte) ([]byte, error) {
+	framed, err := ReaderIntoOf(b.Backend).ReadInto(ctx, node, key, dst)
+	if err != nil || !bytes.Equal(key, blockKey("obj", b.stripe, b.node)) {
+		return framed, err
+	}
+	switch b.mode {
+	case "flip":
+		framed[0] ^= 0x01
+	case "short":
+		framed = framed[:len(framed)-1]
+	case "long":
+		framed = append(framed, 1, 2, 3, 4, 5, 6, 7, 8)
+	}
+	return framed, nil
+}
+
+// TestReadStripeIntoLandsInPlace: ReadStripeInto reads most data blocks'
+// frames straight into dst, each frame's checksum header over the last bytes
+// of the block before. Into a dst full of garbage, between sentinel bytes,
+// every read must return dst holding the stripe's exact bytes, leave the
+// sentinels alone and report the stats a read through the scratch's arena
+// reports — with the frame of the first block, of the second (whose header
+// lies over the first's tail), of the last full block or of a partial last
+// block rotten, cut short by a byte or grown past its slot.
+func TestReadStripeIntoLandsInPlace(t *testing.T) {
+	g := testStore(t, Config{BlockSize: 64}).Graph()
+	stripeCap := g.Data * 64
+	data := payload(stripeCap+20*64+10, 52) // stripe 1: 20 full blocks, then 10 bytes
+	last := g.Data - 1                      // stripe 0's last full block
+	const frame = 64 + frameOverhead
+	// One of a stripe's live data blocks comes back damaged as a frame of n
+	// bytes: the decode around it fails, the fallback sweep reads every other
+	// reachable block, and the rebuilt block is written back. The repair bill
+	// is what was read beyond the live blocks' frames, and the write.
+	damaged := func(live, n int) GetStats {
+		reads := g.Total - (g.Data - live) // the padding is never read
+		return GetStats{DevicesAccessed: reads, BlocksRead: reads, CorruptBlocks: 1, ReadRepairs: 1,
+			Repair: repairbw.CostReport{BlocksRead: reads - live, BytesRead: int64((reads-1-live)*frame + n),
+				BlocksWritten: 1, BytesWritten: frame}}
+	}
+	cases := []struct {
+		name   string
+		stripe int
+		node   int // the tampered block; -1 for none
+		mode   string
+		stats  GetStats
+	}{
+		{"healthy", 0, -1, "", GetStats{DevicesAccessed: g.Data, BlocksRead: g.Data}},
+		{"healthy partial", 1, -1, "", GetStats{DevicesAccessed: 21, BlocksRead: 21}},
+		{"rotten node 0", 0, 0, "flip", damaged(g.Data, frame)},
+		{"rotten node 1", 0, 1, "flip", damaged(g.Data, frame)},
+		{"rotten last full block", 0, last, "flip", damaged(g.Data, frame)},
+		{"rotten partial block", 1, 20, "flip", damaged(21, frame)},
+		{"rotten block before partial", 1, 19, "flip", damaged(21, frame)},
+		{"short node 1", 0, 1, "short", damaged(g.Data, frame-1)},
+		{"long node 1", 0, 1, "long", damaged(g.Data, frame+8)},
+		{"long last full block", 0, last, "long", damaged(g.Data, frame+8)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			devs := device.NewArray(g.Total)
+			tb := &tamperBackend{Backend: NewArrayBackend(devs), stripe: tc.stripe, node: tc.node, mode: tc.mode}
+			s, err := NewWithBackend(g, tb, Config{BlockSize: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.PutCtx(ctx, "obj", data); err != nil {
+				t.Fatal(err)
+			}
+			want := data[tc.stripe*stripeCap : min((tc.stripe+1)*stripeCap, len(data))]
+			const pad = 16
+			buf := bytes.Repeat([]byte{0xEE}, pad+len(want)+pad)
+			dst := buf[pad : pad+len(want)]
+			copy(dst, payload(len(dst), 99)) // garbage
+			got, stats, err := s.ReadStripeInto(ctx, "obj", tc.stripe, dst[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Error("wrong bytes")
+			}
+			if len(got) > 0 && &got[0] != &dst[0] {
+				t.Error("the payload is not in dst")
+			}
+			for _, i := range []int{0, pad - 1, pad + len(want), len(buf) - 1} {
+				if buf[i] != 0xEE {
+					t.Errorf("sentinel byte %d overwritten", i)
+				}
+			}
+			if stats != tc.stats {
+				t.Errorf("stats %+v, want %+v", stats, tc.stats)
+			}
+		})
 	}
 }

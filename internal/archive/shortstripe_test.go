@@ -18,7 +18,8 @@ import (
 // stores one object of size bytes (up to two stripes, block size 64) over a
 // recordingBackend, fails the devices failed names, rots the stored frame of
 // every stripe on each node corrupt names, and reads every stripe with
-// ReadStripe. Against the reference peel (decode.Decoder) it demands:
+// ReadStripeInto into a buffer of garbage. Against the reference peel
+// (decode.Decoder) it demands:
 //
 //   - the read succeeds exactly when the stripe's damaged nodes, less its
 //     padding (the data nodes past the payload, zero by construction), leave
@@ -83,17 +84,18 @@ func shortStripeRead(t *testing.T, g *graph.Graph, size int, failed, corrupt []b
 		want, fetched := d.Recoverable(damagedLive), d.Recoverable(damaged)
 
 		rec.ops, rec.run = nil, ""
-		got, _, err := s.ReadStripe(ctx, "obj", st)
+		dst := payload(n, uint64(st)+7)
+		got, _, err := s.ReadStripeInto(ctx, "obj", st, dst[:0])
 		rec.flush()
 		switch {
 		case want && err != nil:
-			t.Fatalf("size %d stripe %d: the peel recovers %v, ReadStripe: %v", size, st, damagedLive, err)
+			t.Fatalf("size %d stripe %d: the peel recovers %v, ReadStripeInto: %v", size, st, damagedLive, err)
 		case !want && !errors.Is(err, ErrDataLoss):
-			t.Fatalf("size %d stripe %d: the peel does not recover %v, ReadStripe: %v", size, st, damagedLive, err)
+			t.Fatalf("size %d stripe %d: the peel does not recover %v, ReadStripeInto: %v", size, st, damagedLive, err)
 		case fetched && err != nil:
-			t.Fatalf("size %d stripe %d: a read of the padding recovered %v, ReadStripe: %v", size, st, damaged, err)
+			t.Fatalf("size %d stripe %d: a read of the padding recovered %v, ReadStripeInto: %v", size, st, damaged, err)
 		case err == nil && !bytes.Equal(got, data[st*capacity:st*capacity+n]):
-			t.Fatalf("size %d stripe %d: ReadStripe returned wrong bytes", size, st)
+			t.Fatalf("size %d stripe %d: ReadStripeInto returned wrong bytes", size, st)
 		}
 		if err == nil {
 			ok++
@@ -105,7 +107,7 @@ func shortStripeRead(t *testing.T, g *graph.Graph, size int, failed, corrupt []b
 			lo, hi := opNodes(t, op)
 			for node := lo; node <= hi; node++ {
 				if padding(node) {
-					t.Fatalf("size %d stripe %d: ReadStripe touched padding node %d (%s; ops %v)", size, st, node, op, rec.ops)
+					t.Fatalf("size %d stripe %d: ReadStripeInto touched padding node %d (%s; ops %v)", size, st, node, op, rec.ops)
 				}
 			}
 		}

@@ -143,7 +143,7 @@ func (s *Store) GetStream(ctx context.Context, name string, w io.Writer, opts ..
 		return 0, GetStats{}, err
 	}
 	written := 0
-	stats, err := s.getStripes(ctx, obj, rec, applyStreamOptions(opts).parallelism, func(payload []byte) error {
+	stats, err := s.getStripes(ctx, obj, rec, applyStreamOptions(opts).parallelism, nil, func(payload []byte) error {
 		n, err := w.Write(payload)
 		written += n
 		if err != nil {
@@ -155,9 +155,11 @@ func (s *Store) GetStream(ctx context.Context, name string, w io.Writer, opts ..
 }
 
 // getStripes is the read path: it reconstructs obj's stripes (rec is its
-// availability record) through the pipeline and hands each payload to emit in
-// stripe order. A payload is valid only during its emit call.
-func (s *Store) getStripes(ctx context.Context, obj Object, rec *availRecord, width int, emit func(payload []byte) error) (GetStats, error) {
+// availability record) through the pipeline. With out nil, each stripe is
+// decoded into its slot's payload buffer and handed to emit in stripe order,
+// valid only during its emit call. Otherwise out is obj.Size bytes, each
+// stripe is decoded straight into its own range of it, and emit is not called.
+func (s *Store) getStripes(ctx context.Context, obj Object, rec *availRecord, width int, out []byte, emit func(payload []byte) error) (GetStats, error) {
 	stripeCap := s.codec.Capacity()
 	p := stripePipe{
 		width:   min(width, obj.Stripes),
@@ -166,11 +168,20 @@ func (s *Store) getStripes(ctx context.Context, obj Object, rec *availRecord, wi
 			if sl.sc == nil {
 				sl.sc = s.scratch()
 			}
-			buf := sl.sc.payloadBuf(s)[:0:min(obj.Size-sl.st*stripeCap, stripeCap)]
+			lo := sl.st * stripeCap
+			n := min(obj.Size-lo, stripeCap)
+			var buf []byte
+			if out != nil {
+				buf = out[lo : lo : lo+n]
+			} else {
+				buf = sl.sc.payloadBuf(s)[:0:n]
+			}
 			sl.payload, err = s.getStripe(ctx, obj.Name, sl.st, rec, buf, sl.sc, &sl.stats)
 			return err
 		},
-		consume: func(sl *stripeSlot) error { return emit(sl.payload) },
+	}
+	if emit != nil {
+		p.consume = func(sl *stripeSlot) error { return emit(sl.payload) }
 	}
 	err := p.run(ctx)
 	var stats GetStats

@@ -6,6 +6,7 @@
 package codec
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 
@@ -78,18 +79,30 @@ func (c *Codec) EncodeChecks(blocks [][]byte) error {
 		}
 	}
 	for r := c.g.Data; r < c.g.Total; r++ {
-		b := blocks[r]
-		if len(b) != c.blockSize {
-			b = make([]byte, c.blockSize)
-		} else {
-			clear(b)
+		if len(blocks[r]) != c.blockSize {
+			blocks[r] = make([]byte, c.blockSize)
 		}
-		for _, l := range c.g.LeftNeighbors(r) {
-			xorInto(b, blocks[l])
-		}
-		blocks[r] = b
+		encodeCheck(blocks[r], blocks, c.g.LeftNeighbors(r))
 	}
 	return nil
+}
+
+// encodeCheck overwrites the check block b with the XOR of the blocks lefts
+// names. The first two are XORed straight into b, so b is written once
+// rather than cleared and then XORed into twice; a check of degree 1 is a
+// copy, one of degree 0 all zeros.
+func encodeCheck(b []byte, blocks [][]byte, lefts []int32) {
+	switch len(lefts) {
+	case 0:
+		clear(b)
+	case 1:
+		copy(b, blocks[lefts[0]])
+	default:
+		subtle.XORBytes(b, blocks[lefts[0]], blocks[lefts[1]])
+		for _, l := range lefts[2:] {
+			xorInto(b, blocks[l])
+		}
+	}
 }
 
 // Decode reconstructs the original payload of length payloadLen from a

@@ -161,17 +161,30 @@ func TestCheckBlocksAreXOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := xorStripe(g, 4, payload)
 	for r := g.Data; r < g.Total; r++ {
-		want := make([]byte, 4)
-		for _, l := range g.LeftNeighbors(r) {
-			for i := range want {
-				want[i] ^= blocks[l][i]
-			}
-		}
-		if !bytes.Equal(blocks[r], want) {
+		if !bytes.Equal(blocks[r], want[r]) {
 			t.Fatalf("check %d is not the XOR of its lefts", r)
 		}
 	}
+}
+
+// xorStripe is the byte-at-a-time reference stripe of payload: the payload
+// cut into data blocks of bs bytes, the last one zero-padded and any past it
+// all zeros, then every check block, level by level, the XOR of its lefts.
+func xorStripe(g *graph.Graph, bs int, payload []byte) [][]byte {
+	blocks := make([][]byte, g.Total)
+	for v := range blocks {
+		blocks[v] = make([]byte, bs)
+		if v < g.Data {
+			copy(blocks[v], payload[min(v*bs, len(payload)):])
+			continue
+		}
+		for _, l := range g.LeftNeighbors(v) {
+			xorIntoRef(blocks[v], blocks[l])
+		}
+	}
+	return blocks
 }
 
 func TestDecodePayloadLenBounds(t *testing.T) {

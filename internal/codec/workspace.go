@@ -7,12 +7,13 @@ import (
 	"tornado/internal/decode"
 )
 
-// Encoder is a reusable encoding workspace: one flat arena holding all
-// Total blocks of a stripe, carved once and reused for every subsequent
-// stripe. The streaming data path (archive.PutStream) keeps one Encoder per
-// worker so a multi-gigabyte ingest allocates its stripe buffers exactly
-// once — the per-stripe encode is allocation-free (the CI bench gate
-// enforces 0 allocs/op on this loop).
+// Encoder is a reusable encoding workspace. Full data blocks are read where
+// they lie in the payload; one flat arena, carved once, holds the rest of a
+// stripe — a partial last data block, the zero padding after it and every
+// check block — and is reused for every subsequent stripe. The streaming data
+// path (archive.PutStream) keeps one Encoder per worker, so a multi-gigabyte
+// ingest allocates its stripe buffers exactly once: the per-stripe encode is
+// allocation-free (TestEncoderZeroAllocs).
 //
 // An Encoder is NOT safe for concurrent use; each goroutine needs its own.
 type Encoder struct {
@@ -23,37 +24,47 @@ type Encoder struct {
 
 // NewEncoder returns a reusable encoder for the codec.
 func (c *Codec) NewEncoder() *Encoder {
-	arena := make([]byte, c.g.Total*c.blockSize)
-	blocks := make([][]byte, c.g.Total)
-	for i := range blocks {
-		blocks[i] = arena[i*c.blockSize : (i+1)*c.blockSize : (i+1)*c.blockSize]
+	e := &Encoder{c: c, arena: make([]byte, c.g.Total*c.blockSize), blocks: make([][]byte, c.g.Total)}
+	for i := range e.blocks {
+		e.blocks[i] = e.own(i)
 	}
-	return &Encoder{c: c, arena: arena, blocks: blocks}
+	return e
+}
+
+// own returns block i's slot of the encoder's arena.
+func (e *Encoder) own(i int) []byte {
+	bs := e.c.blockSize
+	return e.arena[i*bs : (i+1)*bs : (i+1)*bs]
 }
 
 // Encode splits payload into data blocks (zero-padding the final block),
 // derives every check block, and returns all Total blocks. The returned
-// slice and every block in it are owned by the Encoder and valid only
-// until the next Encode call; callers that retain blocks must copy them
-// (the archive's frame layer copies on write, so the data path never
-// does).
+// slice is owned by the Encoder and valid only until the next Encode call.
+// Each full data block in it aliases payload, which must not change while
+// the blocks are in use; every other block lies in the Encoder's arena.
+// Callers that retain blocks must copy them (the archive's frame layer
+// copies on write, so the data path never does).
 func (e *Encoder) Encode(payload []byte) ([][]byte, error) {
 	c := e.c
 	if len(payload) > c.Capacity() {
 		return nil, fmt.Errorf("codec: payload %d bytes exceeds stripe capacity %d", len(payload), c.Capacity())
 	}
-	// Refill the data region: payload bytes then zero padding.
-	dataBytes := c.g.Data * c.blockSize
-	n := copy(e.arena[:dataBytes], payload)
-	clear(e.arena[n:dataBytes])
-	for r := c.g.Data; r < c.g.Total; r++ {
-		b := e.blocks[r]
-		clear(b)
-		for _, l := range c.g.LeftNeighbors(r) {
-			xorInto(b, e.blocks[l])
-		}
+	bs := c.blockSize
+	full := len(payload) / bs
+	for i := 0; i < full; i++ {
+		e.blocks[i] = payload[i*bs : (i+1)*bs : (i+1)*bs]
 	}
-	return e.blocks, nil
+	// The arena's data slots held an earlier stripe's partial block: the
+	// partial block's tail and every padding block are zeroed on each call.
+	for i := full; i < c.g.Data; i++ {
+		b, n := e.own(i), 0
+		if i == full {
+			n = copy(b, payload[i*bs:])
+		}
+		clear(b[n:])
+		e.blocks[i] = b
+	}
+	return e.blocks, c.EncodeChecks(e.blocks)
 }
 
 // Workspace is a reusable repair/decode workspace: a decoder that
@@ -190,6 +201,10 @@ func (c *Codec) ResumeRepair(ws *Workspace, blocks [][]byte) error {
 // pruned to the steps those depend on — and parity nobody asked for is not
 // re-encoded: from exactly the data blocks the call is one copy. Filled-in
 // blocks alias ws's arena as RepairWith's do.
+//
+// A data block may already lie at its place in dst's spare capacity — data
+// block i at dst[len(dst)+i·BlockSize:] — where the archive reads it: that
+// block is not copied. No block may overlap another data block's place.
 func (c *Codec) DecodeInto(ws *Workspace, dst []byte, blocks [][]byte, payloadLen int) ([]byte, error) {
 	ws.reset()
 	return c.decode(ws, dst, blocks, payloadLen, false)
@@ -206,8 +221,12 @@ func (c *Codec) decode(ws *Workspace, dst []byte, blocks [][]byte, payloadLen in
 	}
 	dst = slices.Grow(dst, payloadLen)
 	for i := 0; i < c.g.Data && i*c.blockSize < payloadLen; i++ {
-		end := min((i+1)*c.blockSize, payloadLen)
-		dst = append(dst, blocks[i][:end-i*c.blockSize]...)
+		n := min(c.blockSize, payloadLen-i*c.blockSize)
+		if at := dst[len(dst) : len(dst)+n]; &at[0] == &blocks[i][0] {
+			dst = dst[:len(dst)+n] // read in place
+			continue
+		}
+		dst = append(dst, blocks[i][:n]...)
 	}
 	return dst, nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand/v2"
 	"testing"
+
+	"tornado/internal/graph"
 )
 
 // TestXorIntoMatchesReference cross-checks the word-wide kernel against the
@@ -88,6 +90,55 @@ func TestEncoderReuseDoesNotLeakPriorStripe(t *testing.T) {
 	for i := range want {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Fatalf("block %d differs after reuse: prior stripe leaked into padding", i)
+		}
+	}
+}
+
+// TestEncoderReadsPayloadInPlace: the Encoder's full data blocks are the
+// payload's own bytes, and the rest of the stripe comes from its arena.
+// Payloads of every shape, each shorter than the one before so that a byte an
+// earlier stripe left in the arena would show, must encode to the reference
+// stripe — on a generated graph, and on a hand-built one whose cascade has
+// checks of degree 1 and 2.
+func TestEncoderReadsPayloadInPlace(t *testing.T) {
+	b := graph.NewBuilder(4)
+	r1 := b.AddLevel(0, 4, 3)
+	r2 := b.AddLevel(r1, 3, 2)
+	small := b.Graph()
+	small.SetNeighbors(r1, []int{0, 1, 2})
+	small.SetNeighbors(r1+1, []int{3})
+	small.SetNeighbors(r1+2, []int{1, 3})
+	small.SetNeighbors(r2, []int{r1})
+	small.SetNeighbors(r2+1, []int{r1 + 1, r1 + 2})
+	const bs = 16
+	rng := rand.New(rand.NewPCG(5, 2))
+	for _, g := range []*graph.Graph{testGraph(t), small} {
+		c, err := New(g, bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := c.NewEncoder()
+		k := g.Data / 2
+		for _, n := range []int{c.Capacity(), k*bs + 5, bs, bs - 1, 1, 0} {
+			payload := make([]byte, n)
+			for i := range payload {
+				payload[i] = byte(rng.IntN(256))
+			}
+			got, err := enc.Encode(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := xorStripe(g, bs, payload)
+			for v := range want {
+				if !bytes.Equal(got[v], want[v]) {
+					t.Fatalf("%d data nodes, payload %d bytes: block %d differs from the reference", g.Data, n, v)
+				}
+			}
+			for i := 0; i < n/bs; i++ {
+				if &got[i][0] != &payload[i*bs] {
+					t.Errorf("%d data nodes, payload %d bytes: full data block %d is a copy", g.Data, n, i)
+				}
+			}
 		}
 	}
 }
@@ -235,7 +286,7 @@ func TestDecodeIntoRoundTrip(t *testing.T) {
 }
 
 // TestEncoderZeroAllocs is the allocation-regression gate on the encode hot
-// loop: a warmed Encoder must not allocate per stripe.
+// loop: a warmed Encoder must not allocate per stripe, full or short.
 func TestEncoderZeroAllocs(t *testing.T) {
 	g := testGraph(t)
 	c, err := New(g, 4096)
@@ -243,16 +294,18 @@ func TestEncoderZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := c.NewEncoder()
-	payload := make([]byte, c.Capacity())
-	if _, err := enc.Encode(payload); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
+	for _, n := range []int{c.Capacity(), c.Capacity()/3 + 5} {
+		payload := make([]byte, n)
 		if _, err := enc.Encode(payload); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Encoder.Encode allocates %.1f/op; the encode hot loop must be allocation-free", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := enc.Encode(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("Encoder.Encode of %d bytes allocates %.1f/op; the encode hot loop must be allocation-free", n, allocs)
+		}
 	}
 }

@@ -6,14 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tornado/internal/archive"
+	"tornado/internal/device"
 	"tornado/internal/obs"
 )
 
@@ -334,6 +337,12 @@ func TestServeMissAllocBudget(t *testing.T) {
 // of its stripes: 4×48 and 48+16, where reading the second stripe's zero
 // padding made the latter 2×48. -benchmem shows the miss path's allocations
 // per op.
+//
+// Those rows' working sets are of 64-byte blocks, so what the miss path
+// copies barely shows in them. "serve_cold-parallel" is the bench workload's
+// shape: 4 KiB blocks, 256 objects of 256 KiB (eight times the default 8 MiB
+// cache), Gets of uniformly random objects from GOMAXPROCS closed-loop
+// clients, so nearly every stripe is a miss that moves whole 4 KiB blocks.
 func BenchmarkServeColdMiss(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
@@ -371,4 +380,35 @@ func BenchmarkServeColdMiss(b *testing.B) {
 			b.ReportMetric(float64(reads()-r0)/float64(b.N), "reads/get")
 		})
 	}
+	b.Run("serve_cold-parallel", func(b *testing.B) {
+		g := testGraph(b)
+		st, err := archive.New(g, device.NewArray(g.Total), archive.Config{BlockSize: 4096})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Admission must not shed a client: the queue takes all of them.
+		svc, err := New(st, Config{MaxQueue: runtime.GOMAXPROCS(0)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx := context.Background()
+		const objects = 256
+		for i := range objects {
+			if _, err := svc.Put(ctx, "t", fmt.Sprint(i), bytes.NewReader(testPayload(256<<10, uint64(i)))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		var seed atomic.Uint64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			rng := rand.New(rand.NewPCG(seed.Add(1), 0))
+			for pb.Next() {
+				if _, err := svc.Get(ctx, "t", fmt.Sprint(rng.IntN(objects)), io.Discard); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
 }
