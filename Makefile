@@ -186,7 +186,9 @@ check: fmt vet build test bench-api race fuzz
 # exercise beyond unit tests. A sampled certification on a streamed n=2000
 # graph then drives the stratified sampler and its stopping rule through
 # the same journaled pipeline, and a profile whose trial budget its blocks
-# do not divide runs twice: the second must be served from the cache. Last,
+# do not divide runs twice: the first must report the seed-2006 graph's
+# certified first failure, 4, which its folded worst-case search finds and
+# its sampled orders miss; the second must be served from the cache. Last,
 # tornadosim -summary reads the reconstruction overhead's mean, median and
 # 99% point off one profile, with the worst case folded in: its first
 # failure must be the certified 5, not the sample's first hit. One shell, so
@@ -202,7 +204,8 @@ smoke:
 	$(GO) run -race ./cmd/campaign run -dir $$d/cert -cache $$d/cache \
 		-kind sampled -seed 2006 -nodes 2000 -mink 5 -maxk 5 -epsilon 1e-3 -quiet; \
 	$(GO) run -race ./cmd/campaign run -dir $$d/prof -cache $$d/cache \
-		-kind profile -seed 2006 -trials 100000 -mink 4 -maxk 8 -quiet; \
+		-kind profile -seed 2006 -trials 100000 -mink 4 -maxk 8 -quiet | tee $$d/prof.log; \
+	grep -q 'first observed failure: *4 offline nodes' $$d/prof.log; \
 	$(GO) run -race ./cmd/campaign run -dir $$d/prof2 -cache $$d/cache \
 		-kind profile -seed 2006 -trials 100000 -mink 4 -maxk 8 -quiet 2>&1 | tee $$d/prof2.log; \
 	grep -q 'served from cache' $$d/prof2.log; \

@@ -233,14 +233,7 @@ func report(w io.Writer, res *tornado.CampaignResult, elapsed time.Duration, pri
 			fmt.Fprintf(w, "no failure found up to the examined cardinality\n")
 		}
 	case res.Profile != nil:
-		p := res.Profile
-		fmt.Fprintf(w, "first observed failure: %d offline nodes\n", p.FirstObservedFailure())
-		if !p.FullWindow() {
-			fmt.Fprintf(w, "avg nodes to reconstruct and 50%% overhead need the full window (-mink 1 -maxk %d)\n", p.Total)
-			break
-		}
-		fmt.Fprintf(w, "avg nodes to reconstruct: %.2f (%.2f)\n", p.AvgNodesToReconstruct(), p.AvgToReconstructRatio())
-		fmt.Fprintf(w, "50%% reconstruction overhead: %.3f\n", p.Overhead())
+		fmt.Fprint(w, res.Profile.Report())
 	case res.Sampled != nil:
 		for _, sr := range res.Sampled {
 			lo, hi := sr.Wilson()

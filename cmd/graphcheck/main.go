@@ -4,13 +4,15 @@
 // perform basic worst-case fault detection on new graphs before use".
 //
 // It validates the structure, scans for closed-set defects, runs the
-// exhaustive worst-case search, optionally samples the failure profile
-// (the searched cardinalities folded in as exact points), and can render the first failing pattern as SVG for inspection.
+// exhaustive worst-case search (to the library's default bound, 5 lost
+// nodes, unless -maxk says otherwise), and can render the first failing
+// pattern as SVG for inspection. The failure profile and the statistics
+// read off it are tornadosim -summary's.
 //
 // Usage:
 //
-//	graphcheck -graph mygraph.graphml -maxk 4 -svg failure.svg
-//	graphcheck -precompiled tornado96-1 -maxk 5 -profile
+//	graphcheck -graph mygraph.graphml -svg failure.svg
+//	graphcheck -precompiled tornado96-1 -maxk 6
 package main
 
 import (
@@ -30,9 +32,7 @@ func main() {
 	var (
 		graphPath   = flag.String("graph", "", "GraphML graph to vet")
 		precompiled = flag.String("precompiled", "", "vet a shipped certified graph by name")
-		maxK        = flag.Int("maxk", 4, "exhaustive worst-case search bound")
-		profileIt   = flag.Bool("profile", false, "also sample the failure profile and summary metrics")
-		trials      = flag.Int64("trials", 20000, "profile arrival orders: the trials of every sampled point")
+		maxK        = flag.Int("maxk", 0, "exhaustive worst-case search bound (0 = the library default, 5)")
 		svgPath     = flag.String("svg", "", "render the first failing pattern (or the clean graph) as SVG")
 	)
 	flag.Parse()
@@ -74,23 +74,11 @@ func main() {
 		fmt.Println("defects:   none up to closed sets of size 3")
 	} else {
 		fmt.Printf("defects:   %d closed sets found — REJECT for production use\n", len(defects))
-		for i, d := range defects {
-			if i >= 5 {
-				fmt.Printf("           … and %d more\n", len(defects)-5)
-				break
-			}
-			fmt.Printf("           %v\n", d)
-		}
+		printFirstFive(defects)
 	}
 	if len(upper) > 0 {
 		fmt.Printf("cascade:   %d closed sets in check levels (weak points, not standalone data loss)\n", len(upper))
-		for i, d := range upper {
-			if i >= 5 {
-				fmt.Printf("           … and %d more\n", len(upper)-5)
-				break
-			}
-			fmt.Printf("           %v\n", d)
-		}
+		printFirstFive(upper)
 	}
 
 	wc, err := tornado.WorstCaseCtx(ctx, g, tornado.WorstCaseOptions{MaxK: *maxK})
@@ -109,21 +97,7 @@ func main() {
 				last.Failures[0], res.UnrecoveredData)
 		}
 	} else {
-		fmt.Printf("worst case: tolerates any %d simultaneous losses (%d patterns tested)\n", *maxK, wc.Tested)
-	}
-
-	if *profileIt {
-		p, err := tornado.ProfileCtx(ctx, g, tornado.ProfileOptions{Trials: *trials, Seed: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := p.AddExact(wc); err != nil { // the searched cardinalities are exact points
-			log.Fatal(err)
-		}
-		avg := p.AvgNodesToReconstruct()
-		fmt.Printf("profile:   avg to reconstruct %.2f (%.2f), 50%% at %d nodes (overhead %.2f)\n",
-			avg, avg/float64(g.Data), p.NodesForSuccessProbability(0.5), p.Overhead())
-		fmt.Printf("           P(fail) at AFR 1%%: %.3g\n", tornado.SystemFailure(g.Total, 0.01, p.FailFraction))
+		fmt.Printf("worst case: tolerates any %d simultaneous losses (%d patterns tested)\n", wc.PerK[len(wc.PerK)-1].K, wc.Tested)
 	}
 
 	if *svgPath != "" {
@@ -142,5 +116,16 @@ func main() {
 
 	if len(defects) > 0 || (wc.Found && wc.FirstFailure <= 2) {
 		os.Exit(1)
+	}
+}
+
+// printFirstFive lists up to five defects, one a line, and how many more
+// there are.
+func printFirstFive(ds []tornado.Defect) {
+	for _, d := range ds[:min(5, len(ds))] {
+		fmt.Printf("           %v\n", d)
+	}
+	if len(ds) > 5 {
+		fmt.Printf("           … and %d more\n", len(ds)-5)
 	}
 }

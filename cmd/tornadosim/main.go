@@ -124,31 +124,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	log.Printf("profiled and certified in %v", time.Since(start).Round(time.Millisecond))
 
-	w := stdout
 	if *summary {
-		fmt.Fprintf(w, "graph:                    %s\n", g.Name)
-		fmt.Fprintf(w, "first observed failure:   %d offline nodes\n", p.FirstObservedFailure())
-		if !p.FullWindow() {
-			fmt.Fprintf(w, "avg nodes, 50%%/99%% success and P(fail) need the full window (-mink 1 -maxk %d)\n", g.Total)
-			return 0
-		}
-		avg := p.AvgNodesToReconstruct()
-		fmt.Fprintf(w, "avg nodes to reconstruct: %.2f (%.2f)\n", avg, avg/float64(g.Data))
-		n50 := p.NodesForSuccessProbability(0.5)
-		fmt.Fprintf(w, "nodes for 50%% success:    %d (overhead %.2f)\n", n50, p.Overhead())
-		fmt.Fprintf(w, "nodes for 99%% success:    %d\n", p.NodesForSuccessProbability(0.99))
-		pfail := tornado.SystemFailure(g.Total, 0.01, p.FailFraction)
-		fmt.Fprintf(w, "P(fail) at AFR 1%%:        %.4g\n", pfail)
+		fmt.Fprint(stdout, p.Report())
 		return 0
 	}
 
-	fmt.Fprintln(w, "offline,failures,trials,fraction,exact")
+	fmt.Fprintln(stdout, "offline,failures,trials,fraction,exact")
 	for k := 0; k <= g.Total; k++ {
 		prop := p.Fail[k]
 		if prop.Trials == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "%d,%d,%d,%.9g,%v\n", k, prop.Hits, prop.Trials, prop.Estimate(), p.Exact[k])
+		fmt.Fprintf(stdout, "%d,%d,%d,%.9g,%v\n", k, prop.Hits, prop.Trials, prop.Estimate(), p.Exact[k])
 	}
 	return 0
 }

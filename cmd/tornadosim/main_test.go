@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -24,32 +25,35 @@ func TestEmptyWindowIsAUsageError(t *testing.T) {
 	}
 }
 
-// TestSummaryNeedsFullWindow: -summary's average nodes to reconstruct, 50%
-// success point and P(fail) at AFR 1% read the failure fraction at every
-// offline count, so a partial -mink..-maxk window prints a line saying they
-// need the full window instead of numbers, and the full window prints them.
+// TestSummaryNeedsFullWindow: -summary prints the one summary of a
+// profile (FailureProfile.Report) of the in-memory profile at the same seed
+// with the KeepGoing worst case folded in, and nothing else, over a partial
+// window (the full-window notice) and the full one (the figures).
 func TestSummaryNeedsFullWindow(t *testing.T) {
-	lines := []string{"avg nodes to reconstruct: ", "nodes for 50% success: ", "P(fail) at AFR 1%: "}
-	for _, c := range []struct {
-		window []string
-		full   bool
-	}{
-		{[]string{"-mink", "4", "-maxk", "8"}, false},
-		{nil, true},
-	} {
+	ctx := context.Background()
+	g, err := tornado.LoadGraphML("../../precompiled/tornado96-1.graphml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc, err := tornado.WorstCaseCtx(ctx, g, tornado.WorstCaseOptions{KeepGoing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range [][2]int{{4, 8}, {1, 0}} {
+		p, err := tornado.ProfileCtx(ctx, g, tornado.ProfileOptions{Trials: 1000, MinK: w[0], MaxK: w[1], Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.AddExact(wc); err != nil {
+			t.Fatal(err)
+		}
 		var stdout, stderr bytes.Buffer
-		args := append([]string{"-graph", "../../precompiled/tornado96-1.graphml", "-summary", "-trials", "1000"}, c.window...)
+		args := []string{"-graph", "../../precompiled/tornado96-1.graphml", "-summary", "-trials", "1000", "-mink", fmt.Sprint(w[0]), "-maxk", fmt.Sprint(w[1])}
 		if code := run(args, &stdout, &stderr); code != 0 {
-			t.Fatalf("%v: exit %d, stderr %q", c.window, code, stderr.String())
+			t.Fatalf("%v: exit %d, stderr %q", w, code, stderr.String())
 		}
-		out := stdout.String()
-		for _, line := range lines {
-			if strings.Contains(out, line) != c.full {
-				t.Errorf("window %v: %q printed %v, want %v; output:\n%s", c.window, line, !c.full, c.full, out)
-			}
-		}
-		if strings.Contains(out, "need the full window (-mink 1 -maxk 96)") == c.full {
-			t.Errorf("window %v: full-window notice printed %v, want %v; output:\n%s", c.window, c.full, !c.full, out)
+		if stdout.String() != p.Report() {
+			t.Errorf("window %v: output\n%s\nis not the profile's report\n%s", w, stdout.String(), p.Report())
 		}
 	}
 }

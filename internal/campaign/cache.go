@@ -28,14 +28,16 @@ const scanOrderVersion = "sl1"
 const scanOrderVersionSampled = "st1"
 
 // scanOrderVersionProfile tags profile entries (KindProfile). Their points
-// are defined by the sampling scheme: "pa2" = one shared set of random
+// are defined by the sampling scheme: "pa3" = one shared set of random
 // arrival orders in sim's fixed blocks, shard b shuffling orders
 // [b·ShardSize, (b+1)·ShardSize) from stream b, every point of the window
-// read off each order's threshold. Entries stored under "pa1" (the same
-// orders, but the points with C(n,k) ≤ 100,000 enumerated instead), "pb1"
-// (a fresh k-subset per trial per point) and "sl1" (those blocks cut into
-// near-equal parts) hold other tallies and simply miss.
-const scanOrderVersionProfile = "pa2"
+// read off each order's threshold, and the worst-case search to
+// sim.DefaultMaxK folded in as exact points. Entries stored under "pa2"
+// (the same orders, no search folded in), "pa1" (the points with
+// C(n,k) ≤ 100,000 enumerated instead), "pb1" (a fresh k-subset per trial
+// per point) and "sl1" (those blocks cut into near-equal parts) hold other
+// tallies and simply miss.
+const scanOrderVersionProfile = "pa3"
 
 // orderVersion returns the scan-order tag a normalized spec's cache
 // entries are hashed under.

@@ -5,13 +5,14 @@
 // names a sim.Job, whose plan is one unit per exhaustive cardinality and
 // fixed-size trial blocks each owning a seeded RNG stream for Monte Carlo
 // points (a profile's blocks of arrival orders serve all its sampled points
-// at once), and whose Run loop orders the groups, applies the stopping rules
-// and folds the results. This package supplies the runner that loop calls:
-// sim's LocalRunner, wrapped to skip the units ("shards") an earlier
-// process journaled and to append each freshly computed one to a
-// crash-safe JSONL journal. Because every unit is a pure function of its
-// plan entry, a resumed campaign is bit-identical to an uninterrupted one —
-// and to the in-memory sim call with the same options and block size.
+// at once, after the worst-case search it folds in), and whose Run loop
+// orders the groups, applies the stopping rules and folds the results. This
+// package supplies the runner that loop calls: sim's LocalRunner, wrapped
+// to skip the units ("shards") an earlier process journaled and to append
+// each freshly computed one to a crash-safe JSONL journal. Because every
+// unit is a pure function of its plan entry, a resumed campaign is
+// bit-identical to an uninterrupted one — and to the in-memory sim call
+// with the same options and block size.
 //
 // A content-addressed result cache keyed by graph.Fingerprint plus the
 // normalized spec makes re-running an unchanged graph free: only rewired
@@ -48,8 +49,8 @@ const (
 	// (sim.NewWorstCaseJob), one shard per cardinality; it returns what
 	// sim.WorstCaseCtx does.
 	KindWorstCase Kind = "worstcase"
-	// KindProfile is the Monte Carlo reconstruction-failure profile
-	// (sim.FailureProfileCtx).
+	// KindProfile is the Monte Carlo reconstruction-failure profile with
+	// the worst case folded in (sim.NewFoldedProfileJob).
 	KindProfile Kind = "profile"
 	// KindSampled is the archival-scale sampled certification
 	// (sim.SampleStratifiedCtx): stratified Monte Carlo with a Wilson-CI
@@ -104,56 +105,38 @@ type Spec struct {
 // normalize fills defaults and zeroes the fields the kind does not use, so
 // that equivalent specs are byte-identical after marshaling.
 func (s Spec) normalize(total int) Spec {
-	if s.ShardSize <= 0 {
-		s.ShardSize = DefaultShardSize
-	}
+	s.ShardSize = positiveOr(s.ShardSize, DefaultShardSize)
 	switch s.Kind {
 	case KindWorstCase:
-		if s.MaxK <= 0 {
-			s.MaxK = sim.DefaultMaxK
-		}
-		if s.MaxK > total {
-			s.MaxK = total
-		}
-		if s.MaxFailures <= 0 {
-			s.MaxFailures = sim.DefaultMaxFailures
-		}
+		s.MaxK = min(positiveOr(s.MaxK, sim.DefaultMaxK), total)
+		s.MaxFailures = positiveOr(s.MaxFailures, sim.DefaultMaxFailures)
 		s.Trials, s.MinK, s.Seed = 0, 0, 0
 		s.Epsilon, s.ShardSize = 0, 0
 	case KindProfile:
-		if s.Trials <= 0 {
-			s.Trials = sim.DefaultProfileTrials
-		}
-		if s.MinK <= 0 {
-			s.MinK = 1
-		}
-		if s.MaxK <= 0 || s.MaxK > total {
-			s.MaxK = total
-		}
+		s.Trials = positiveOr(s.Trials, sim.DefaultProfileTrials)
+		s.MinK = positiveOr(s.MinK, 1)
+		s.MaxK = min(positiveOr(s.MaxK, total), total)
 		s.MaxFailures, s.KeepGoing = 0, false
 		s.Epsilon = 0
 	case KindSampled:
-		if s.Trials <= 0 {
-			s.Trials = sim.DefaultSampledMaxTrials
-		}
+		s.Trials = positiveOr(s.Trials, sim.DefaultSampledMaxTrials)
 		if s.Epsilon == 0 {
 			s.Epsilon = sim.DefaultSampledEpsilon
 		}
-		if s.MinK <= 0 {
-			s.MinK = 1
-		}
-		if s.MaxK <= 0 {
-			s.MaxK = sim.DefaultMaxK
-		}
-		if s.MaxK > total {
-			s.MaxK = total
-		}
-		if s.MaxFailures <= 0 {
-			s.MaxFailures = sim.DefaultMaxFailures
-		}
+		s.MinK = positiveOr(s.MinK, 1)
+		s.MaxK = min(positiveOr(s.MaxK, sim.DefaultMaxK), total)
+		s.MaxFailures = positiveOr(s.MaxFailures, sim.DefaultMaxFailures)
 		s.KeepGoing = false
 	}
 	return s
+}
+
+// positiveOr returns v when positive, otherwise def.
+func positiveOr[T int | int64](v, def T) T {
+	if v > 0 {
+		return v
+	}
+	return def
 }
 
 func (s Spec) validate() error {
@@ -242,7 +225,7 @@ func (s Spec) job(g *graph.Graph) (*sim.Job, error) {
 	case KindWorstCase:
 		j = sim.NewWorstCaseJob(g, sim.WorstCaseOptions{MaxK: s.MaxK, MaxFailures: s.MaxFailures, KeepGoing: s.KeepGoing})
 	case KindProfile:
-		j = sim.NewProfileJob(g, sim.ProfileOptions{Trials: s.Trials, MinK: s.MinK, MaxK: s.MaxK, Seed: s.Seed}, s.ShardSize)
+		j = sim.NewFoldedProfileJob(g, sim.ProfileOptions{Trials: s.Trials, MinK: s.MinK, MaxK: s.MaxK, Seed: s.Seed}, s.ShardSize)
 	case KindSampled:
 		j = sim.NewSampledJob(g, s.MinK, s.MaxK, sim.SampledOptions{
 			Epsilon: s.Epsilon, MaxTrials: s.Trials, BlockSize: s.ShardSize, MaxWitnesses: s.MaxFailures, Seed: s.Seed,

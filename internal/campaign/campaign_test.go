@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"tornado/internal/combin"
 	"tornado/internal/graph"
 	"tornado/internal/graphml"
 	"tornado/internal/obs"
@@ -192,16 +193,15 @@ func TestProfileCampaignResumeDeterministic(t *testing.T) {
 	if p == nil {
 		t.Fatal("no profile result")
 	}
-	// Every point is sampled: exact points come only from a worst case.
-	for k := 1; k <= 5; k++ {
-		if p.Exact[k] || p.Fail[k].Trials != spec.Trials {
-			t.Errorf("k=%d: %+v (exact %v), want %d sampled trials", k, p.Fail[k], p.Exact[k], spec.Trials)
+	// The worst case to sim.DefaultMaxK is folded in: k = 1..5 are exact.
+	for k := 1; k <= sim.DefaultMaxK; k++ {
+		if c, _ := combin.BinomialInt64(g.Total, k); !p.Exact[k] || p.Fail[k].Trials != c {
+			t.Errorf("k=%d: %+v (exact %v), want the search's count over C(%d,%d)", k, p.Fail[k], p.Exact[k], g.Total, k)
 		}
 	}
-	// The known weakness: 8 of the C(28,2) pairs lose data, so the sample
-	// sees it.
-	if p.Fail[2].Hits == 0 {
-		t.Error("k=2: no sampled failure")
+	// The known weakness: 8 of the C(28,2) pairs lose data.
+	if p.Fail[2].Hits != 8 {
+		t.Errorf("k=2: %d failing pairs, want 8", p.Fail[2].Hits)
 	}
 
 	dir := t.TempDir()

@@ -18,30 +18,68 @@ import (
 )
 
 // TestProfileCampaignMatchesSim: a profile campaign at the default shard
-// size plans the very blocks sim.FailureProfileCtx draws, so the two agree
-// exactly at any trial budget — also where the block size does not divide
-// it (70,000 and 100,000).
+// size plans the very blocks sim.FailureProfileCtx draws, after the
+// worst-case search sim.WorstCaseCtx runs with KeepGoing, so it agrees
+// exactly with that profile with the search folded in (AddExact) at any
+// trial budget — also where the block size does not divide it (70,000 and
+// 100,000).
 func TestProfileCampaignMatchesSim(t *testing.T) {
 	g := testGraph(t)
 	for _, trials := range []int64{20000, 65536, 70000, 100000, 131072} {
-		opts := sim.ProfileOptions{Trials: trials, MinK: 5, MaxK: 7, Seed: 2006}
-		want, err := sim.FailureProfileCtx(context.Background(), g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
 		spec := Spec{Kind: KindProfile, Trials: trials, MinK: 5, MaxK: 7, Seed: 2006}
+		want := foldedProfile(t, g, spec)
 		res, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(res.Profile, want) {
-			t.Errorf("trials=%d: campaign profile diverges from sim.FailureProfileCtx:\n got %+v\nwant %+v",
-				trials, res.Profile.Fail[5:8], want.Fail[5:8])
+			t.Errorf("trials=%d: campaign profile diverges from sim.FailureProfileCtx + AddExact:\n got %+v\nwant %+v",
+				trials, res.Profile.Fail[:8], want.Fail[:8])
 		}
 	}
 	// Results stored under the even-split tiling must not be served.
 	if orderVersion(Spec{Kind: KindProfile}) == scanOrderVersion {
 		t.Error("profile cache entries still share the exhaustive order tag")
+	}
+}
+
+// foldedProfile is what a profile campaign of spec over g must return: the
+// in-memory profile with the KeepGoing worst case to sim.DefaultMaxK
+// folded in.
+func foldedProfile(t testing.TB, g *graph.Graph, spec Spec) *sim.Profile {
+	t.Helper()
+	ctx := context.Background()
+	p, err := sim.FailureProfileCtx(ctx, g, sim.ProfileOptions{Trials: spec.Trials, MinK: spec.MinK, MaxK: spec.MaxK, Seed: spec.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc, err := sim.WorstCaseCtx(ctx, g, sim.WorstCaseOptions{KeepGoing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddExact(wc); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestProfileCampaignResumesInsideTheSearch: a profile campaign cancelled
+// while its worst-case shards run — its journal holds exhaustive shards
+// only — resumes to the profile it would have returned uninterrupted,
+// sim.FailureProfileCtx's with the search folded in.
+func TestProfileCampaignResumesInsideTheSearch(t *testing.T) {
+	g := testGraph(t)
+	spec := Spec{Kind: KindProfile, MinK: 2, MaxK: 9, Trials: 3000, Seed: 5}
+	dir, journal := interruptedJournal(t, g, spec, 2)
+	if bytes.Contains(journal, []byte(`"thresholds"`)) || !bytes.Contains(journal, []byte(`"tested"`)) {
+		t.Fatalf("the interruption did not fall inside the worst-case shards:\n%.400s", journal)
+	}
+	res, err := ResumeCtx(context.Background(), dir, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := foldedProfile(t, g, spec); !reflect.DeepEqual(res.Profile, want) {
+		t.Errorf("resumed profile\n got %+v\nwant %+v", res.Profile.Fail[:10], want.Fail[:10])
 	}
 }
 
@@ -150,17 +188,18 @@ func TestResumeDiscardsMalformedProfileRecords(t *testing.T) {
 		"no histogram":                 func(r *Record) { r.Thresholds = nil },
 		"exhaustive fields":            func(r *Record) { r.Trials, r.Hits, r.Tested, r.FailCount = 0, 0, r.Trials, r.Hits },
 	} {
-		dir, data := interruptedJournal(t, g, spec, 4)
+		// The worst-case search's shards come first, one per cardinality.
+		dir, data := interruptedJournal(t, g, spec, sim.DefaultMaxK+4)
 		lines := bytes.SplitAfter(data, []byte("\n"))
 		var rec Record
-		if err := json.Unmarshal(lines[3], &rec); err != nil {
+		if err := json.Unmarshal(lines[sim.DefaultMaxK+3], &rec); err != nil {
 			t.Fatal(err)
 		}
 		if len(rec.Thresholds) != 9-3+2 || rec.Thresholds[0] == 0 || rec.Hits == 0 {
 			t.Fatalf("fixture shard %d is not a profile order shard with orders at both ends: %+v", rec.Shard, rec)
 		}
 		rot(&rec)
-		lines[3] = append(marshal(t, rec), '\n')
+		lines[sim.DefaultMaxK+3] = append(marshal(t, rec), '\n')
 		if err := os.WriteFile(filepath.Join(dir, journalFile), bytes.Join(lines, nil), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -176,24 +215,25 @@ func TestResumeDiscardsMalformedProfileRecords(t *testing.T) {
 		if string(marshal(t, got)) != string(marshal(t, want)) {
 			t.Errorf("%s: resumed result differs from the uninterrupted run", name)
 		}
-		// k = 3..9 share 12 order shards. Every unjournaled shard plus
-		// the rotted one reruns.
-		if planned := 12; rerun != planned-(len(lines)-1)+1 {
+		// k = 3..9 share 12 order shards, after the search's 5. Every
+		// unjournaled shard plus the rotted one reruns.
+		if planned := sim.DefaultMaxK + 12; rerun != planned-(len(lines)-1)+1 {
 			t.Errorf("%s: resume ran %d shards over a journal of %d lines, one of them rotted", name, rerun, len(lines)-1)
 		}
 	}
 }
 
 // TestOldProfileCampaignsAreRefused: a profile campaign directory of the
-// per-cardinality sampler (manifest version 4), or of the plan that
+// per-cardinality sampler (manifest version 4), of the plan that
 // enumerated the points with C(n,k) ≤ 100,000 (version 5, its spec holding
-// an exhaustive_limit), is refused with an error that names the version and
-// the way out, and a profile result cached under either's tag ("pb1",
-// "pa1") misses: it is another tally.
+// an exhaustive_limit), or of the order shards with no worst case before
+// them (version 6), is refused with an error that names the version and
+// the way out, and a profile result cached under any of their tags ("pb1",
+// "pa1", "pa2") misses: it is another tally.
 func TestOldProfileCampaignsAreRefused(t *testing.T) {
 	g := testGraph(t)
 	spec := Spec{Kind: KindProfile, MinK: 3, MaxK: 9, Trials: 3000, Seed: 5, ShardSize: 256}
-	for _, version := range []int{4, 5} {
+	for _, version := range []int{4, 5, 6} {
 		dir, _ := interruptedJournal(t, g, spec, 2)
 		setManifest(t, dir, func(man map[string]any) {
 			man["version"] = version
@@ -212,7 +252,7 @@ func TestOldProfileCampaignsAreRefused(t *testing.T) {
 	cache := t.TempDir()
 	norm := spec.normalize(g.Total)
 	stale := &Result{Kind: KindProfile, Fingerprint: g.Fingerprint(), Spec: norm, Profile: &sim.Profile{GraphName: "stale"}}
-	for _, tag := range []string{"pb1", "pa1"} {
+	for _, tag := range []string{"pb1", "pa1", "pa2"} {
 		if err := storeCache(cache, taggedCacheKey(g.Fingerprint(), tag, norm), stale); err != nil {
 			t.Fatal(err)
 		}
@@ -228,8 +268,8 @@ func TestOldProfileCampaignsAreRefused(t *testing.T) {
 
 // TestWorstCaseAndSampledIdentityKept: the profile's plan changed, the
 // other kinds' did not. Their specs never stored an exhaustive limit, so
-// they hash to the cache keys they had (pinned), and a version-5 worst-case
-// directory still resumes to the fresh run's result.
+// they hash to the cache keys they had (pinned), and a version-5 or
+// version-6 worst-case directory still resumes to the fresh run's result.
 func TestWorstCaseAndSampledIdentityKept(t *testing.T) {
 	g := testGraph(t)
 	wc := Spec{Kind: KindWorstCase, MaxK: 4, KeepGoing: true}
@@ -248,14 +288,16 @@ func TestWorstCaseAndSampledIdentityKept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, _ := interruptedJournal(t, g, wc, 2)
-	setManifest(t, dir, func(man map[string]any) { man["version"] = 5 })
-	got, err := ResumeCtx(context.Background(), dir, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(marshal(t, got), marshal(t, want)) {
-		t.Error("resumed version-5 worst case differs from the fresh run")
+	for _, version := range []int{5, 6} {
+		dir, _ := interruptedJournal(t, g, wc, 2)
+		setManifest(t, dir, func(man map[string]any) { man["version"] = version })
+		got, err := ResumeCtx(context.Background(), dir, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(marshal(t, got), marshal(t, want)) {
+			t.Errorf("resumed version-%d worst case differs from the fresh run", version)
+		}
 	}
 }
 
@@ -374,7 +416,11 @@ func FuzzJournalResume(f *testing.F) {
 	}
 	for i := range specs {
 		specs[i] = specs[i].normalize(g.Total)
-		_, journal := interruptedJournal(f, g, specs[i], 3)
+		stop := 3
+		if specs[i].Kind == KindProfile {
+			stop += sim.DefaultMaxK // past the worst-case shards, into the order shards
+		}
+		_, journal := interruptedJournal(f, g, specs[i], stop)
 		f.Add(journal)
 		f.Add(journal[:len(journal)-9])
 		f.Add(bytes.Replace(journal, []byte(`"strata_trials":[`), []byte(`"strata_trials":[7,`), 1))

@@ -35,9 +35,11 @@ const (
 // journaling its histogram of thresholds: a v4 profile's per-cardinality
 // shards do not match the v5 plan. Version 6 planned a profile as order
 // shards only: a v5 profile's exhaustive shards for the points with
-// C(n,k) ≤ 100,000 do not match the v6 plan. A v5 worst-case or sampled
-// campaign plans as it did, so it is still read.
-const manifestVersion = 6
+// C(n,k) ≤ 100,000 do not match the v6 plan. Version 7 put the worst-case
+// search to sim.DefaultMaxK before a profile's order shards: a v6
+// profile's first shard IDs name order shards. A v5 or v6 worst-case or
+// sampled campaign plans as it did, so it is still read.
+const manifestVersion = 7
 
 // Manifest is the immutable identity of a campaign directory.
 type Manifest struct {
@@ -128,7 +130,7 @@ func readManifest(dir string) (Manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return m, fmt.Errorf("campaign: corrupt manifest in %s: %w", dir, err)
 	}
-	if m.Version != manifestVersion && (m.Version != 5 || m.Spec.Kind == KindProfile) {
+	if m.Version != manifestVersion && (m.Spec.Kind == KindProfile || m.Version != 5 && m.Version != 6) {
 		return m, fmt.Errorf("campaign: manifest version %d in %s, this build reads %d: its shards do not match this build's plan; rerun the campaign in a new directory",
 			m.Version, dir, manifestVersion)
 	}

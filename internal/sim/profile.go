@@ -7,6 +7,7 @@ import (
 
 	"tornado/internal/decode"
 	"tornado/internal/graph"
+	"tornado/internal/reliability"
 	"tornado/internal/stats"
 )
 
@@ -73,7 +74,8 @@ func FailureProfileCtx(ctx context.Context, g *graph.Graph, opts ProfileOptions)
 // result; each block is one unit returning the histogram of its orders' T
 // over the window's points. shardSize 0 means DefaultSampledBlock. An empty
 // window plans nothing and sets Job.Err. Exact points are not planned here:
-// fold a worst-case search in with AddExact.
+// fold a worst-case search in with AddExact, or plan both with
+// NewFoldedProfileJob.
 func NewProfileJob(g *graph.Graph, opts ProfileOptions, shardSize int64) *Job {
 	opts = opts.normalize(g.Total)
 	p := &Profile{
@@ -111,6 +113,30 @@ func NewProfileJob(g *graph.Graph, opts ProfileOptions, shardSize int64) *Job {
 			p.Fail[k] = stats.Proportion{Hits: fails, Trials: opts.Trials}
 		}
 		return gi + 1
+	}
+	return j.number()
+}
+
+// NewFoldedProfileJob plans the KeepGoing worst-case search to DefaultMaxK,
+// then NewProfileJob's blocks, and folds the search in: its Profile is
+// FailureProfileCtx's after AddExact(WorstCaseCtx(KeepGoing)), bit for bit.
+// Cardinalities past exhaustiveBudget are left out quietly (n=10,000: k ≤
+// 2). Campaigns run it; a caller already holding a search calls AddExact.
+func NewFoldedProfileJob(g *graph.Graph, opts ProfileOptions, shardSize int64) *Job {
+	j := NewProfileJob(g, opts, shardSize)
+	if j.Err != nil {
+		return j
+	}
+	wc := NewWorstCaseJob(g, WorstCaseOptions{KeepGoing: true})
+	n, sampled := len(wc.Groups), j.fold
+	j.Groups = append(wc.Groups, j.Groups...)
+	j.fold = func(gi int, res []UnitResult) int {
+		if gi < n {
+			return wc.fold(gi, res)
+		}
+		next := sampled(gi-n, res) + n
+		j.Err = j.Profile.AddExact(*wc.WorstCase)
+		return next
 	}
 	return j.number()
 }
@@ -322,4 +348,22 @@ func (p *Profile) Overhead() float64 {
 		return 0
 	}
 	return float64(p.NodesForSuccessProbability(0.5)) / float64(p.Data)
+}
+
+// Report is the summary every binary prints of a profile: graph, first
+// failure and, over the full window only (else a notice), the average nodes
+// to reconstruct, the 50% and 99% success points and P(fail) at AFR 1%
+// (Eq. 3), certified only with a worst case folded in.
+func (p *Profile) Report() string {
+	b := fmt.Appendf(nil, "graph:                    %s\n", p.GraphName)
+	b = fmt.Appendf(b, "first observed failure:   %d offline nodes\n", p.FirstObservedFailure())
+	if !p.FullWindow() {
+		b = fmt.Appendf(b, "avg nodes, 50%%/99%% success and P(fail) need the full window (-mink 1 -maxk %d)\n", p.Total)
+		return string(b)
+	}
+	b = fmt.Appendf(b, "avg nodes to reconstruct: %.2f (%.2f)\n", p.AvgNodesToReconstruct(), p.AvgToReconstructRatio())
+	b = fmt.Appendf(b, "nodes for 50%% success:    %d (overhead %.2f)\n", p.NodesForSuccessProbability(0.5), p.Overhead())
+	b = fmt.Appendf(b, "nodes for 99%% success:    %d\n", p.NodesForSuccessProbability(0.99))
+	b = fmt.Appendf(b, "P(fail) at AFR 1%%:        %.4g\n", reliability.SystemFailure(p.Total, 0.01, p.FailFraction))
+	return string(b)
 }

@@ -3,9 +3,12 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"tornado/internal/core"
@@ -288,4 +291,110 @@ func BenchmarkFailureProfile(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(trials)/b.Elapsed().Seconds(), "trials/s")
+}
+
+// TestFoldedProfileJob: the folded plan — the KeepGoing worst-case search
+// to DefaultMaxK, then the arrival-order blocks — ends in
+// FailureProfileCtx's profile with AddExact(WorstCaseCtx(KeepGoing))
+// applied, bit for bit: on tornado96-1 (certified first failure 5) over the
+// full window and a partial one, and on a 4-node mirror, whose search stops
+// at k = Total, short of DefaultMaxK, without an error. At n = 10,000 the
+// plan leaves out every cardinality past exhaustiveBudget quietly: it
+// searches k = 1..2.
+func TestFoldedProfileJob(t *testing.T) {
+	ctx := context.Background()
+	t96, err := graphml.ReadFile("../../precompiled/tornado96-1.graphml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		g    *graph.Graph
+		opts ProfileOptions
+	}{
+		{t96, ProfileOptions{Trials: 3000, Seed: 7}},
+		{t96, ProfileOptions{Trials: 3000, Seed: 7, MinK: 4, MaxK: 8}},
+		{mirrorGraph(2), ProfileOptions{Trials: 500, Seed: 1}},
+	} {
+		want, err := FailureProfileCtx(ctx, c.g, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A graph smaller than DefaultMaxK ends its search with an error
+		// after its last cardinality; what it examined still folds in.
+		wc, _ := WorstCaseCtx(ctx, c.g, WorstCaseOptions{KeepGoing: true})
+		if err := want.AddExact(wc); err != nil {
+			t.Fatal(err)
+		}
+		j := NewFoldedProfileJob(c.g, c.opts, 0)
+		if err := j.Run(ctx, NewLocalRunner(c.g, 2)); err != nil {
+			t.Fatalf("%s %+v: %v", c.g.Name, c.opts, err)
+		}
+		if !reflect.DeepEqual(j.Profile, want) {
+			t.Errorf("%s %+v: folded plan\n got %+v\nwant %+v", c.g.Name, c.opts, j.Profile.Fail[:9], want.Fail[:9])
+		}
+	}
+
+	big := NewFoldedProfileJob(mirrorGraph(5000), ProfileOptions{Trials: 64, MinK: 1, MaxK: 3}, 0)
+	if big.Err != nil || len(big.Groups) != 3 || big.Groups[0][0].K != 1 || big.Groups[1][0].K != 2 || big.Groups[2][0].Trials != 64 {
+		t.Errorf("n=10,000: plan %v (err %v), want k=1, k=2, then one order block", big.Groups, big.Err)
+	}
+}
+
+// TestReport: the one summary of a profile prints the graph and the first
+// failure always, and the average nodes, the 50% and 99% success points
+// and P(fail) at AFR 1% only over the full window — a partial one prints
+// the notice instead. Folded or not changes the figures, not the lines: on
+// tornado96-1 a folded profile reports the certified first failure 5 and a
+// P(fail) no smaller than its k=5 term, 6.41e-10, which the sample alone
+// misses.
+func TestReport(t *testing.T) {
+	ctx := context.Background()
+	g, err := graphml.ReadFile("../../precompiled/tornado96-1.graphml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc, err := WorstCaseCtx(ctx, g, WorstCaseOptions{KeepGoing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	figures := []string{"avg nodes to reconstruct: ", "nodes for 50% success:    ", "nodes for 99% success:    ", "P(fail) at AFR 1%:        "}
+	const notice = "avg nodes, 50%/99% success and P(fail) need the full window (-mink 1 -maxk 96)\n"
+	for _, c := range []struct {
+		folded   bool
+		min, max int
+	}{{false, 0, 0}, {true, 0, 0}, {false, 4, 8}, {true, 4, 8}} {
+		p, err := FailureProfileCtx(ctx, g, ProfileOptions{Trials: 1000, Seed: 1, MinK: c.min, MaxK: c.max})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.folded {
+			if err := p.AddExact(wc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		full := c.max == 0
+		out := p.Report()
+		first := fmt.Sprintf("graph:                    tornado96-1\nfirst observed failure:   %d offline nodes\n", p.FirstObservedFailure())
+		if !strings.HasPrefix(out, first) || c.folded != (p.FirstObservedFailure() == 5) {
+			t.Errorf("folded %v, window %d..%d: does not open with the graph and the first failure (5 iff folded):\n%s", c.folded, c.min, c.max, out)
+		}
+		for _, f := range figures {
+			if strings.Contains(out, "\n"+f) != full {
+				t.Errorf("folded %v, window %d..%d: %q printed %v, want %v:\n%s", c.folded, c.min, c.max, f, !full, full, out)
+			}
+		}
+		if strings.HasSuffix(out, notice) == full {
+			t.Errorf("folded %v, window %d..%d: full-window notice printed %v, want %v:\n%s", c.folded, c.min, c.max, full, !full, out)
+		}
+		if !full {
+			continue
+		}
+		var pfail float64
+		if _, err := fmt.Sscan(out[strings.LastIndex(out, ":")+1:], &pfail); err != nil {
+			t.Fatal(err)
+		}
+		if c.folded != (pfail >= 6.41e-10) {
+			t.Errorf("folded %v: P(fail) = %g, want at least the k=5 term 6.41e-10 iff folded", c.folded, pfail)
+		}
+	}
 }
