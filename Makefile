@@ -88,6 +88,11 @@ bench:
 # Timings on shared runners are not meaningful and gate nothing; allocs/op and
 # B/op (-benchmem) are printed for the loops whose allocations are budgeted.
 # - Recoverable, SlicedEvalWord: the decode kernels.
+# - StoppingRoot: the stopping-set search from every root of tornado96-1 at
+#   k = 5, 6 and 7, the kernel under design_certify's adjust and worst-case
+#   steps; options/op is the options tried (Root's budget steps): 14,447 at
+#   k = 5, 32,931 when the search branched on the lowest-numbered violated
+#   check and added every last-level option.
 # - ScanDataLevel96: a whole size-3 closed-set screen of a 96-node-scale data
 #   level, the root-by-root search generation runs at every n; allocs/op is
 #   the search state plus the findings.
@@ -154,6 +159,7 @@ BENCH1 = $(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -benchtime 1x
 bench-smoke:
 	$(BENCH1) -bench Recoverable ./internal/decode/
 	$(BENCH1) -bench SlicedEvalWord ./internal/decode/
+	$(BENCH1) -bench StoppingRoot ./internal/decode/
 	$(BENCH1) -bench ScanDataLevel96 -benchmem ./internal/defect/
 	$(BENCH1) -bench CertifyScale ./internal/sim/
 	$(BENCH1) -bench FailureProfile ./internal/sim/

@@ -223,6 +223,26 @@ func TestResumeDiscardsMalformedProfileRecords(t *testing.T) {
 	}
 }
 
+// TestProfileSearchShardsJournalNoSets: the worst-case shards a profile
+// campaign journals first carry counts only — the profile reads nothing
+// else. On TestResumeDiscardsMalformedProfileRecords' fixture the k = 4
+// shard counts failing 4-sets and lists none of them.
+func TestProfileSearchShardsJournalNoSets(t *testing.T) {
+	spec := Spec{Kind: KindProfile, MinK: 3, MaxK: 9, Trials: 3000, Seed: 5, ShardSize: 256}
+	_, data := interruptedJournal(t, testGraph(t), spec, sim.DefaultMaxK+4)
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	for _, line := range lines[:sim.DefaultMaxK] {
+		var rec Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Trials != 0 || rec.Tested == 0 || len(rec.Failures) != 0 || rec.K == 4 && rec.FailCount == 0 {
+			t.Errorf("search shard %d: k=%d, %d of %d patterns fail, %d failing sets journaled; want an exhaustive count with no sets (failures at k=4)",
+				rec.Shard, rec.K, rec.FailCount, rec.Tested, len(rec.Failures))
+		}
+	}
+}
+
 // TestOldProfileCampaignsAreRefused: a profile campaign directory of the
 // per-cardinality sampler (manifest version 4), of the plan that
 // enumerated the points with C(n,k) ≤ 100,000 (version 5, its spec holding

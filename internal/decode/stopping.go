@@ -24,25 +24,30 @@ import (
 // sets of at most k nodes whose smallest data member is v0, by a
 // depth-first search from S = {v0}:
 //
-//   - take the lowest-numbered violated check q: a check outside S with
-//     exactly one left neighbor in S, or a check in S with none;
-//   - every stopping set T ⊇ S contains a node that fixes q — q itself
-//     (outside S), or one more of its left neighbors — so branch on those
-//     options o_0, o_1, …, where branch i adds o_i and forbids
-//     o_0 … o_{i−1} in its whole subtree; T falls in exactly the branch of
-//     its first option, so the branches partition the search space;
+//   - a violated check is a check outside S with exactly one left neighbor
+//     in S, or a check in S with none; its options are its left neighbors,
+//     plus the check itself when it is outside S;
+//   - every stopping set T ⊇ S contains an option of every violated check
+//     q — q itself (outside S), or one more of its left neighbors — so
+//     branching on q's options o_0, o_1, …, where branch i adds o_i and
+//     forbids o_0 … o_{i−1} in its whole subtree, partitions the search
+//     space: T falls in exactly the branch of its first option. That holds
+//     for any violated check, so the search takes the narrowest, the one
+//     with the fewest options (the lowest ID among ties);
 //   - data nodes below v0 are forbidden throughout;
 //   - a set with no violated check is a stopping set: record it and stop
 //     (every extension of it is a superset); a set of k nodes that is not
-//     stuck is abandoned.
+//     stuck is abandoned, so at k−1 members an option is only tested: it is
+//     recorded with S when adding it would close S (closes), and nothing
+//     is added.
 //
 // Every minimal failing set T of at most k nodes is recorded exactly once,
 // from the root of its smallest data member: follow the branch containing
 // T's next option at every step; S stays inside T, so the search stops at
 // a stopping set S ⊆ T that holds v0, and minimality makes S = T. Distinct
 // leaves are distinct sets, so nothing is recorded twice; some recorded
-// sets may be non-minimal (a superset of a stopping set found from another
-// root), which a caller counting failing sets must allow for.
+// sets may be non-minimal (a superset of another stopping set), which a
+// caller counting failing sets must allow for.
 //
 // An enumerator is not safe for concurrent use; create one per goroutine.
 // Many may share one read-only CSR.
@@ -53,13 +58,14 @@ type StoppingEnumerator struct {
 	banned []bool   // forbidden by an earlier sibling branch
 	cnt    []int32  // per check: its left neighbors in S
 	viol   []uint64 // violated checks, a Words-long bitmask
+	nviol  int      // violated checks: the bits set in viol
 
 	members []int32 // S, in insertion order
 	undo    []int32 // banned nodes, in ban order
 
 	root int32
 	k    int
-	left int64 // nodes the search may still add (see Root)
+	left int64 // options the search may still try (see Root)
 	out  [][]int
 }
 
@@ -77,12 +83,13 @@ func NewStoppingEnumerator(c *CSR) *StoppingEnumerator {
 
 // Root appends to dst every stopping set the search from data node v0
 // records with at most k nodes (see StoppingEnumerator), each as ascending
-// node IDs, and returns dst. The order is deterministic. The search adds at
-// most budget nodes to S after v0; complete is false once that budget is
-// spent, and dst may then hold only part of the root's sets. The number of
-// stopping sets grows with k far faster than the search space shrinks —
-// near k = Total there are few patterns and an astronomical number of
-// sets — so a caller bounds the work by what its alternative costs.
+// node IDs, and returns dst. The order is deterministic. The search tries
+// at most budget options after v0 — adding one, or testing one at the last
+// level, is one step; complete is false once that budget is spent, and dst
+// may then hold only part of the root's sets. The number of stopping sets
+// grows with k far faster than the search space shrinks — near k = Total
+// there are few patterns and an astronomical number of sets — so a caller
+// bounds the work by what its alternative costs.
 func (e *StoppingEnumerator) Root(dst [][]int, v0, k int, budget int64) (_ [][]int, complete bool) {
 	if k < 1 || v0 < 0 || v0 >= int(e.c.Data) {
 		return dst, true
@@ -95,16 +102,11 @@ func (e *StoppingEnumerator) Root(dst [][]int, v0, k int, budget int64) (_ [][]i
 	return dst, e.left > 0
 }
 
-// grow extends S through its lowest-numbered violated check.
+// grow extends S through its narrowest violated check.
 func (e *StoppingEnumerator) grow() {
-	q := e.firstViolated()
+	q := e.narrowest()
 	if q < 0 {
-		set := make([]int, len(e.members))
-		for i, v := range e.members {
-			set[i] = int(v)
-		}
-		slices.Sort(set)
-		e.out = append(e.out, set)
+		e.record()
 		return
 	}
 	if len(e.members) == e.k {
@@ -124,13 +126,22 @@ func (e *StoppingEnumerator) grow() {
 }
 
 // branch searches the subtree that adds v, then forbids v to the later
-// siblings. Members, forbidden nodes and data nodes below the root are not
-// options, and nothing is once the budget is spent.
+// siblings; at k−1 members it records S ∪ {v} if v closes S, and the
+// subtree is that one set. Members, forbidden nodes and data nodes below
+// the root are not options, and nothing is once the budget is spent.
 func (e *StoppingEnumerator) branch(v int32) {
 	if e.in[v] || e.banned[v] || v < e.root || e.left == 0 {
 		return
 	}
 	e.left--
+	if len(e.members) == e.k-1 {
+		if e.closes(v) {
+			e.members = append(e.members, v)
+			e.record()
+			e.members = e.members[:len(e.members)-1]
+		}
+		return
+	}
 	e.add(v)
 	e.grow()
 	e.remove(v)
@@ -138,13 +149,60 @@ func (e *StoppingEnumerator) branch(v int32) {
 	e.undo = append(e.undo, v)
 }
 
-func (e *StoppingEnumerator) firstViolated() int32 {
-	for w, x := range e.viol {
-		if x != 0 {
-			return int32(w<<6 + bits.TrailingZeros64(x))
+// closes reports whether adding v, an option outside S, leaves no violated
+// check: v makes no new one (it is not a check with no member below it,
+// and no parent of v outside S goes from 0 members to 1) and fixes every
+// one there is (each violated parent gains a member, and v, when violated
+// itself, moves into S with its one).
+func (e *StoppingEnumerator) closes(v int32) bool {
+	fixed := 0
+	if v >= e.c.Data {
+		switch e.cnt[v] {
+		case 0:
+			return false
+		case 1:
+			fixed++
 		}
 	}
-	return -1
+	for _, p := range e.c.Parents(v) {
+		switch {
+		case !e.in[p] && e.cnt[p] == 0:
+			return false
+		case e.isViolated(p):
+			fixed++
+		}
+	}
+	return fixed == e.nviol
+}
+
+// narrowest returns the violated check with the fewest options (its left
+// neighbors, and itself when outside S), the lowest ID among ties, or −1
+// when there is none.
+func (e *StoppingEnumerator) narrowest() int32 {
+	q, best := int32(-1), 0
+	for w, x := range e.viol {
+		for ; x != 0; x &= x - 1 {
+			c := int32(w<<6 + bits.TrailingZeros64(x))
+			n := len(e.c.LeftNeighbors(c))
+			if !e.in[c] {
+				n++
+			}
+			if q < 0 || n < best {
+				q, best = c, n
+			}
+		}
+	}
+	return q
+}
+
+// record appends S, as ascending node IDs, to the output.
+func (e *StoppingEnumerator) record() {
+	set := make([]int, len(e.members))
+	for i, v := range e.members {
+		set[i] = int(v)
+	}
+	slices.Sort(set)
+	e.out = append(e.out, set)
 }
 
 func (e *StoppingEnumerator) add(v int32) {
@@ -167,12 +225,20 @@ func (e *StoppingEnumerator) remove(v int32) {
 	}
 }
 
-// update recomputes whether node v is a violated check.
+func (e *StoppingEnumerator) isViolated(v int32) bool {
+	return e.viol[v>>6]&(1<<(uint(v)&63)) != 0
+}
+
+// update recomputes whether node v is a violated check, keeping nviol.
 func (e *StoppingEnumerator) update(v int32) {
-	bit := uint64(1) << (uint(v) & 63)
-	if v >= e.c.Data && (e.in[v] && e.cnt[v] == 0 || !e.in[v] && e.cnt[v] == 1) {
-		e.viol[v>>6] |= bit
+	now := v >= e.c.Data && (e.in[v] && e.cnt[v] == 0 || !e.in[v] && e.cnt[v] == 1)
+	if now == e.isViolated(v) {
+		return
+	}
+	e.viol[v>>6] ^= 1 << (uint(v) & 63)
+	if now {
+		e.nviol++
 	} else {
-		e.viol[v>>6] &^= bit
+		e.nviol--
 	}
 }

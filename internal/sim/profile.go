@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 
 	"tornado/internal/decode"
 	"tornado/internal/graph"
@@ -121,13 +122,19 @@ func NewProfileJob(g *graph.Graph, opts ProfileOptions, shardSize int64) *Job {
 // then NewProfileJob's blocks, and folds the search in: its Profile is
 // FailureProfileCtx's after AddExact(WorstCaseCtx(KeepGoing)), bit for bit.
 // Cardinalities past exhaustiveBudget are left out quietly (n=10,000: k ≤
-// 2). Campaigns run it; a caller already holding a search calls AddExact.
+// 2). The search's units record no failing sets: the profile keeps counts
+// only. Campaigns run it; a caller already holding a search calls AddExact.
 func NewFoldedProfileJob(g *graph.Graph, opts ProfileOptions, shardSize int64) *Job {
 	j := NewProfileJob(g, opts, shardSize)
 	if j.Err != nil {
 		return j
 	}
 	wc := NewWorstCaseJob(g, WorstCaseOptions{KeepGoing: true})
+	for _, units := range wc.Groups {
+		for i := range units {
+			units[i].MaxFailures = 0
+		}
+	}
 	n, sampled := len(wc.Groups), j.fold
 	j.Groups = append(wc.Groups, j.Groups...)
 	j.fold = func(gi int, res []UnitResult) int {
@@ -351,12 +358,17 @@ func (p *Profile) Overhead() float64 {
 }
 
 // Report is the summary every binary prints of a profile: graph, first
-// failure and, over the full window only (else a notice), the average nodes
-// to reconstruct, the 50% and 99% success points and P(fail) at AFR 1%
-// (Eq. 3), certified only with a worst case folded in.
+// failure (or, when no point failed, the points searched) and, over the
+// full window only (else a notice), the average nodes to reconstruct, the
+// 50% and 99% success points and P(fail) at AFR 1% (Eq. 3), certified only
+// with a worst case folded in.
 func (p *Profile) Report() string {
 	b := fmt.Appendf(nil, "graph:                    %s\n", p.GraphName)
-	b = fmt.Appendf(b, "first observed failure:   %d offline nodes\n", p.FirstObservedFailure())
+	if k := p.FirstObservedFailure(); k > 0 {
+		b = fmt.Appendf(b, "first observed failure:   %d offline nodes\n", k)
+	} else {
+		b = fmt.Appendf(b, "first observed failure:   none observed (%s offline nodes searched)\n", p.searched())
+	}
 	if !p.FullWindow() {
 		b = fmt.Appendf(b, "avg nodes, 50%%/99%% success and P(fail) need the full window (-mink 1 -maxk %d)\n", p.Total)
 		return string(b)
@@ -366,4 +378,25 @@ func (p *Profile) Report() string {
 	b = fmt.Appendf(b, "nodes for 99%% success:    %d\n", p.NodesForSuccessProbability(0.99))
 	b = fmt.Appendf(b, "P(fail) at AFR 1%%:        %.4g\n", reliability.SystemFailure(p.Total, 0.01, p.FailFraction))
 	return string(b)
+}
+
+// searched lists the points the profile measured as ascending runs, "4..8"
+// or "1..5, 8".
+func (p *Profile) searched() string {
+	var runs []string
+	for k := 1; k < len(p.Fail); k++ {
+		if p.Fail[k].Trials == 0 {
+			continue
+		}
+		lo := k
+		for k+1 < len(p.Fail) && p.Fail[k+1].Trials > 0 {
+			k++
+		}
+		if lo == k {
+			runs = append(runs, fmt.Sprint(k))
+		} else {
+			runs = append(runs, fmt.Sprintf("%d..%d", lo, k))
+		}
+	}
+	return strings.Join(runs, ", ")
 }
