@@ -93,6 +93,11 @@ bench:
 #   steps; options/op is the options tried (Root's budget steps): 14,447 at
 #   k = 5, 32,931 when the search branched on the lowest-numbered violated
 #   check and added every last-level option.
+# - DesignPipeline: design_certify as a Go benchmark (the root package's):
+#   generate the seed-2006 96-node graph, improve to k=4, exhaustive worst
+#   case to k=5, a 1,000-order profile, all on one worker. Its certification
+#   steps fan out through sim's block loop, which at one worker runs every
+#   block on the caller and starts no goroutine.
 # - ScanDataLevel96: a whole size-3 closed-set screen of a 96-node-scale data
 #   level, the root-by-root search generation runs at every n; allocs/op is
 #   the search state plus the findings.
@@ -160,6 +165,7 @@ bench-smoke:
 	$(BENCH1) -bench Recoverable ./internal/decode/
 	$(BENCH1) -bench SlicedEvalWord ./internal/decode/
 	$(BENCH1) -bench StoppingRoot ./internal/decode/
+	$(BENCH1) -bench DesignPipeline .
 	$(BENCH1) -bench ScanDataLevel96 -benchmem ./internal/defect/
 	$(BENCH1) -bench CertifyScale ./internal/sim/
 	$(BENCH1) -bench FailureProfile ./internal/sim/

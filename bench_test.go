@@ -274,6 +274,34 @@ func BenchmarkMicro_MonteCarloPoint(b *testing.B) {
 	}
 }
 
+// BenchmarkDesignPipeline is the paper's §3 design loop on one candidate
+// graph, all on one worker: generate the seed-2006 96-node graph, improve it
+// to k=4, search every cardinality to k=5 exhaustively (KeepGoing), and draw
+// a 1,000-order failure profile. Seed 2006 through this pipeline is the
+// shipped tornado96-1, whose first failure is at 5 nodes.
+func BenchmarkDesignPipeline(b *testing.B) {
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		g, _, err := tornado.Generate(tornado.DefaultParams(), 2006)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if g, _, err = tornado.ImproveCtx(ctx, g, 4, tornado.AdjustOptions{Workers: 1}, 2006); err != nil {
+			b.Fatal(err)
+		}
+		wc, err := tornado.WorstCaseCtx(ctx, g, tornado.WorstCaseOptions{MaxK: 5, KeepGoing: true, Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if wc.FirstFailure != 5 {
+			b.Fatalf("first failure %d, want 5", wc.FirstFailure)
+		}
+		if _, err := tornado.ProfileCtx(ctx, g, tornado.ProfileOptions{Trials: 1000, Workers: 1, Seed: 7}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Ablations of DESIGN.md's called-out choices ---
 
 // Ablation: defect screening cost and acceptance (generation with and

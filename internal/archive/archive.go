@@ -870,12 +870,39 @@ func (s *Store) getStripe(ctx context.Context, name string, st int, rec *availRe
 		readFrame(node, dst[at:at:(node+1)*bs])
 		copy(tail, saved[:])
 	}
-	for _, node := range toRead {
-		readInto(node)
-	}
-	if ctxErr != nil {
-		record(false)
-		return nil, ctxErr
+	// A planned frame that comes back rotten or unreadable prices its node
+	// out (+Inf, which the planner treats as unavailable), and the stripe is
+	// re-planned with every frame already read priced at zero: only what the
+	// new plan adds is read — a check or two around one bad data block, not
+	// the stripe. Each round prices out at least one more node, so the loop
+	// ends; when the rest cannot rebuild the stripe, the decode below fails
+	// and the sweep is the last resort.
+	for {
+		replan := false
+		for _, node := range toRead {
+			if sc.blocks[node] != nil {
+				continue // read in an earlier round
+			}
+			if readInto(node); sc.blocks[node] == nil {
+				sc.cost[node] = math.Inf(1)
+				replan = true
+			}
+		}
+		if ctxErr != nil {
+			record(false)
+			return nil, ctxErr
+		}
+		if !replan {
+			break
+		}
+		for node, read := range sc.fromRead {
+			if read {
+				sc.cost[node] = 0
+			}
+		}
+		if toRead, _, err = planner.PlanEconomic(sc.avail, planCost); err != nil {
+			break
+		}
 	}
 	// The decode rebuilds the data blocks and, for read-repair, the blocks
 	// whose stored frame is missing or rotten — as known when it runs: the

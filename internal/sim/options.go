@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"tornado/internal/decode"
 	"tornado/internal/graph"
@@ -52,46 +53,54 @@ func defaultWorkers(v int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forBlocks calls fn(w, b) for every block b in [lo, hi), spread over at
-// most workers goroutines; w < workers names the calling goroutine, so fn
-// may keep per-goroutine state in a slice.
-func forBlocks(workers int, lo, hi int64, fn func(w int, b int64)) {
-	workers = int(min(int64(workers), hi-lo))
-	ch := make(chan int64)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for b := range ch {
-				fn(w, b)
-			}
-		}(w)
-	}
-	for b := lo; b < hi; b++ {
-		ch <- b
-	}
-	close(ch)
-	wg.Wait()
-}
-
-// forBlocksCtx is forBlocks over [0, n) for blocks that can fail. The first
-// error — the caller's cancellation included — cancels the context fn runs
-// under, skips the blocks not yet started, and is returned.
+// forBlocksCtx calls fn(ctx, w, b) for every block b in [0, n), spread over
+// at most workers goroutines, the caller's among them: w < workers names the
+// goroutine — 0 is the caller — so fn may keep per-goroutine state in a
+// slice. An atomic counter deals the blocks to whichever goroutine asks
+// next. At one worker, or one block, the loop runs inline on the caller and
+// starts nothing. The first error — the caller's cancellation included —
+// cancels the context fn runs under, skips the blocks not yet started, and
+// is returned.
 func forBlocksCtx(ctx context.Context, workers int, n int64, fn func(ctx context.Context, w int, b int64) error) error {
+	workers = int(min(int64(workers), n))
+	if workers <= 1 {
+		for b := int64(0); b < n; b++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := fn(ctx, 0, b); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	var next atomic.Int64
 	var first error
 	var once sync.Once
-	forBlocks(workers, 0, n, func(w int, b int64) {
-		err := ctx.Err()
-		if err == nil {
-			err = fn(ctx, w, b)
+	run := func(w int) {
+		for b := next.Add(1) - 1; b < n; b = next.Add(1) - 1 {
+			err := ctx.Err()
+			if err == nil {
+				err = fn(ctx, w, b)
+			}
+			if err != nil {
+				once.Do(func() { first = err; cancel() })
+				return
+			}
 		}
-		if err != nil {
-			once.Do(func() { first = err; cancel() })
-		}
-	})
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(w)
+		}()
+	}
+	run(0)
+	wg.Wait()
 	return first
 }
 
@@ -101,7 +110,7 @@ func forBlocksCtx(ctx context.Context, workers int, n int64, fn func(ctx context
 // every result.
 const lifetimeBlock = 8
 
-// simWorker is the state one forTrialBlocks goroutine reuses across blocks.
+// simWorker is the state one forTrialBlocks worker reuses across blocks.
 type simWorker struct {
 	d     *decode.Decoder
 	nodes []int  // node-ID scratch, capacity Total

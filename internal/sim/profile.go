@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"strings"
 
@@ -199,14 +200,14 @@ func newOrderSampler(c *decode.CSR) *orderSampler {
 	return s
 }
 
-// sample draws n random arrival orders — each a rand.Shuffle of the node
-// IDs, the block starting from the identity, all from stream (seed,
-// arrivalStreamTag|stream) — and returns the histogram of their thresholds
-// T over the points minK..maxK: hist[i] counts the orders with T =
-// Total−maxK+i. Its first entry holds every order that decodes with maxK
-// nodes still to arrive, its last, maxK−minK+1, every order still undecoded
-// with minK to arrive: those lose data at minK offline, and they are what
-// the progress counters count as failures. No order is peeled outside that
+// sample draws n random arrival orders — each a shuffle of the node IDs
+// making rand.Shuffle's swaps, the block starting from the identity, all
+// from stream (seed, arrivalStreamTag|stream) — and returns the histogram
+// of their thresholds T over the points minK..maxK: hist[i] counts the
+// orders with T = Total−maxK+i. Its first entry holds every order that
+// decodes with maxK nodes still to arrive, its last, maxK−minK+1, every
+// order still undecoded with minK to arrive: those lose data at minK
+// offline, and they are what the progress counters count as failures. No order is peeled outside that
 // window (Thresholds' from/limit clamp), so the block is as cheap as its
 // window is narrow. The orders are read a batch at a time (flush); every
 // cancellation check flushes the batch first, so the progress counters
@@ -225,7 +226,7 @@ func (s *orderSampler) sample(ctx context.Context, minK, maxK int, n int64, seed
 	for i := range s.order {
 		s.order[i] = i
 	}
-	rng := rand.New(rand.NewPCG(seed, arrivalStreamTag|stream))
+	src := rand.NewPCG(seed, arrivalStreamTag|stream)
 	var lastFlushTrials, lastFlushHits int64
 	batch := 0
 	for i := int64(0); i < n; i++ {
@@ -239,7 +240,7 @@ func (s *orderSampler) sample(ctx context.Context, minK, maxK int, n int64, seed
 			mcFails.Add(*last - lastFlushHits)
 			lastFlushTrials, lastFlushHits = i, *last
 		}
-		rng.Shuffle(total, func(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] })
+		shuffle(src, s.order)
 		copy(s.lanes[batch], s.order)
 		if batch++; batch == decode.Lanes {
 			s.flush(batch, from, limit, hist)
@@ -250,6 +251,32 @@ func (s *orderSampler) sample(ctx context.Context, minK, maxK int, n int64, seed
 	mcTrials.Add(n - lastFlushTrials)
 	mcFails.Add(*last - lastFlushHits)
 	return hist, nil
+}
+
+// shuffle permutes p exactly as rand.New(src).Shuffle(len(p), swap) does:
+// Fisher–Yates from the top, each index drawn as math/rand/v2's uint64n
+// draws it (a mask when the bound is a power of two, otherwise Lemire's
+// multiply with rejection), so it consumes the same stream and makes the
+// same swaps. It calls the concrete PCG directly, not through the Source
+// interface and a swap closure.
+func shuffle(src *rand.PCG, p []int) {
+	for i := len(p) - 1; i > 0; i-- {
+		n := uint64(i + 1)
+		var j uint64
+		if n&(n-1) == 0 {
+			j = src.Uint64() & (n - 1)
+		} else {
+			hi, lo := bits.Mul64(src.Uint64(), n)
+			if lo < n {
+				thresh := -n % n
+				for lo < thresh {
+					hi, lo = bits.Mul64(src.Uint64(), n)
+				}
+			}
+			j = hi
+		}
+		p[i], p[j] = p[j], p[i]
+	}
 }
 
 // flush reads the thresholds of the first batch lanes with one

@@ -406,3 +406,29 @@ func TestReport(t *testing.T) {
 		}
 	}
 }
+
+// TestShuffleMatchesRandShuffle: the profile's shuffle makes exactly
+// rand.Shuffle's swaps on a twin PCG, over 10,000 successive shuffles of
+// each length — sizes whose bounds are powers of two take the mask path,
+// the rest Lemire's multiply with rejection — and leaves both streams at
+// the same point.
+func TestShuffleMatchesRandShuffle(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 64, 96, 1000} {
+		src := rand.NewPCG(7, uint64(n))
+		twin := rand.New(rand.NewPCG(7, uint64(n)))
+		got, want := make([]int, n), make([]int, n)
+		for i := range got {
+			got[i], want[i] = i, i
+		}
+		for i := 0; i < 10000; i++ {
+			shuffle(src, got)
+			twin.Shuffle(n, func(a, b int) { want[a], want[b] = want[b], want[a] })
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d: shuffle %d differs from rand.Shuffle", n, i)
+			}
+		}
+		if a, b := src.Uint64(), twin.Uint64(); a != b {
+			t.Errorf("n=%d: streams diverged: next draws %#x and %#x", n, a, b)
+		}
+	}
+}
