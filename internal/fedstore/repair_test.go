@@ -67,6 +67,21 @@ func wipedFederation(t *testing.T, cfg Config) (f *Store, sites []site, counts [
 	return f, sites, counts, stripes
 }
 
+// liveBlocks is how many data blocks each stripe of s's objects fills, in
+// List order: the rest of a stripe's data blocks are zero padding, which a
+// repair knows at home and never asks a donor for.
+func liveBlocks(s *archive.Store) []int {
+	lay := s.Layout()
+	var live []int
+	for _, obj := range s.List() {
+		for st := 0; st < obj.Stripes; st++ {
+			n := min(obj.Size-st*lay.StripeCapacity, lay.StripeCapacity)
+			live = append(live, (n+lay.BlockSize-1)/lay.BlockSize)
+		}
+	}
+	return live
+}
+
 // setProcs runs the rest of the test at GOMAXPROCS n: RepairSite's pass is as
 // wide as the default stream width, which is clamped to it.
 func setProcs(t *testing.T, n int) {
@@ -76,9 +91,9 @@ func setProcs(t *testing.T, n int) {
 }
 
 // TestRepairSiteBlockOpBudget: rebuilding a blank site of S stripes costs the
-// donors one read per data block, and the site one write per block plus the
-// read-back of the residue scrub — nothing is read twice, no check block
-// crosses the WAN, and the second donor is never asked.
+// donors one read per live data block, and the site one write per block plus
+// the read-back of the residue scrub — nothing is read twice, no check block
+// or zero padding crosses the WAN, and the second donor is never asked.
 func TestRepairSiteBlockOpBudget(t *testing.T) {
 	f, sites, counts, stripes := wipedFederation(t, Config{})
 	rep, err := f.RepairSiteCtx(ctx, 0)
@@ -90,11 +105,15 @@ func TestRepairSiteBlockOpBudget(t *testing.T) {
 	}
 	lay := sites[0].store.Layout()
 	data, total := int64(stripes*lay.DataNodes), int64(stripes*lay.NodesPerStripe)
+	var live int64
+	for _, n := range liveBlocks(sites[0].store) {
+		live += int64(n)
+	}
 	for _, c := range []struct {
 		what      string
 		got, want int64
 	}{
-		{"first donor reads", counts[1].reads.Load(), data},
+		{"first donor reads", counts[1].reads.Load(), live},
 		{"second donor reads", counts[2].reads.Load(), 0},
 		{"donor writes", counts[1].writes.Load() + counts[2].writes.Load(), 0},
 		{"target writes", counts[0].writes.Load(), total},
@@ -104,8 +123,8 @@ func TestRepairSiteBlockOpBudget(t *testing.T) {
 			t.Errorf("%s = %d, want %d", c.what, c.got, c.want)
 		}
 	}
-	if rep.DirectImports != int(data) || rep.LocalRepairs != 0 || rep.ExchangedStripes != 0 {
-		t.Errorf("report %+v, want %d imports and nothing else", rep, data)
+	if rep.DirectImports != int(live) || rep.LocalRepairs != int(data-live) || rep.ExchangedStripes != 0 {
+		t.Errorf("report %+v, want %d imports, the %d padding blocks rebuilt at home and nothing else", rep, live, data-live)
 	}
 }
 
@@ -194,12 +213,18 @@ func TestRepairSiteDeadReplacementDrive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("one dead drive aborted the repair: %v (report %+v)", err, rep)
 	}
-	data := sites[0].store.Layout().DataNodes
 	if rep.MissingAfter != stripes || rep.Unrecoverable != 0 {
 		t.Errorf("residue missing=%d unrecoverable=%d, want %d (one block a stripe) and 0", rep.MissingAfter, rep.Unrecoverable, stripes)
 	}
-	if rep.Exchange.BlocksRead != stripes*data || rep.Exchange.BlocksWritten != stripes*(data-1) || rep.DirectImports != stripes*(data-1) {
-		t.Errorf("report %+v: want %d blocks read at the donors, all but one a stripe written home", rep, stripes*data)
+	live, lost := 0, 0 // data blocks read at the donors, and those bound for drive 3
+	for _, n := range liveBlocks(sites[0].store) {
+		live += n
+		if n > 3 {
+			lost++
+		}
+	}
+	if rep.Exchange.BlocksRead != live || rep.Exchange.BlocksWritten != live-lost || rep.DirectImports != live-lost {
+		t.Errorf("report %+v: want %d live data blocks read at the donors, all but the %d bound for drive 3 written home", rep, live, lost)
 	}
 	if got, want := f.ExchangeTotals(), f.SiteFederationTotals(); got != want {
 		t.Errorf("conservation: facade %+v != sites %+v", got, want)
