@@ -54,10 +54,11 @@ fmt:
 # decoder and its schedules, the stopping-set search against the scan and
 # the reference peel, the arrival-order threshold against the prefix binary
 # search and the reference peel at every k, the sliced 64-order thresholds
-# against it, closed-set defect scan), the read path's three oracles
+# against it, closed-set defect scan), the read path's four oracles
 # (planner against plain reverse-delete, targeted decode against the
 # reference sweep, a short stripe's read against the reference peel with
-# its padding known), the campaign journal parser (arbitrary bytes through the resume path), the
+# its padding known, a Get under scripted read faults against the read
+# that swept the stripe), the campaign journal parser (arbitrary bytes through the resume path), the
 # GraphML parser (user-supplied graph files), the federation's union peel
 # (against the §5.3 exchange fixpoint), the federated store's exchange (its
 # Get against the union peel, links cut or not) and the device (its slots, zero tails
@@ -67,6 +68,7 @@ FUZZTIME ?= 3s
 fuzz:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME) ./internal/archive/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzShortStripeRead -fuzztime $(FUZZTIME) ./internal/archive/
+	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzReadMatchesSweep -fuzztime $(FUZZTIME) ./internal/archive/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzKernelMatchesReference -fuzztime $(FUZZTIME) ./internal/decode/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzSlicedMatchesReference -fuzztime $(FUZZTIME) ./internal/decode/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzStoppingMatchesScan -fuzztime $(FUZZTIME) ./internal/decode/

@@ -19,8 +19,10 @@
 //	  -v             verbose per-op commentary
 //
 // The same seed always produces the identical fault schedule, operation
-// mix, and report fingerprint. Exit status is non-zero if any campaign
-// violates an invariant.
+// mix, and report fingerprint. After the per-seed lines a totals line gives
+// the campaigns run, their Gets, the data-loss Gets and their share, and
+// the seeds whose report failed its Check. Exit status is non-zero if any
+// campaign violates an invariant.
 package main
 
 import (
@@ -60,7 +62,8 @@ func main() {
 		faults.FlapRate *= f
 	}
 
-	violations := 0
+	violations, gets, dataLoss := 0, 0, 0
+	var checkFailed []uint64
 	for i := 0; i < *campaigns; i++ {
 		cfg := tornado.SoakConfig{
 			Seed:       *seed + uint64(i),
@@ -77,8 +80,11 @@ func main() {
 			log.Fatalf("campaign seed %d: harness error: %v", cfg.Seed, err)
 		}
 
+		gets += rep.Gets
+		dataLoss += rep.DataLossGets
 		verdict := "ok"
 		if err := rep.Check(); err != nil {
+			checkFailed = append(checkFailed, rep.Seed)
 			if *heavy {
 				// Past the design envelope convergence is forfeit; only the
 				// detection invariants remain binding.
@@ -104,6 +110,13 @@ func main() {
 			rep.ServedCorrupt, rep.DetectedCorrupt, rep.ReadRepairs,
 			rep.QuarantineEvents, rep.Fingerprint, verdict)
 	}
+
+	share := 0.0
+	if gets > 0 {
+		share = float64(dataLoss) / float64(gets)
+	}
+	fmt.Printf("totals: campaigns=%d gets=%d dataloss=%d (%.2f%%) check-failed=%v\n",
+		*campaigns, gets, dataLoss, 100*share, checkFailed)
 
 	if violations > 0 {
 		log.Fatalf("%d of %d campaigns violated an invariant", violations, *campaigns)

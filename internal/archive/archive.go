@@ -383,15 +383,8 @@ func (s *Store) ClearQuarantine(node int) {
 	}
 	s.healMu.Lock()
 	s.corruptCount[node] = 0
-	if s.quarantined[node] {
-		s.quarantined[node] = false
-	}
-	n := 0
-	for _, q := range s.quarantined {
-		if q {
-			n++
-		}
-	}
+	s.quarantined[node] = false
+	n := countTrue(s.quarantined)
 	s.healMu.Unlock()
 	s.gQuarNodes.Set(int64(n))
 }
@@ -411,12 +404,7 @@ func (s *Store) noteCorrupt(node int) {
 	if newlyQuarantined {
 		s.quarantined[node] = true
 	}
-	n := 0
-	for _, q := range s.quarantined {
-		if q {
-			n++
-		}
-	}
+	n := countTrue(s.quarantined)
 	s.healMu.Unlock()
 	if newlyQuarantined {
 		s.mQuarEvents.Inc()
@@ -450,12 +438,7 @@ func (s *Store) noteScrubPass(pass scrubPass) {
 			readmitted++
 		}
 	}
-	n := 0
-	for _, q := range s.quarantined {
-		if q {
-			n++
-		}
-	}
+	n := countTrue(s.quarantined)
 	s.healMu.Unlock()
 	if readmitted > 0 {
 		s.mQuarReadmits.Add(int64(readmitted))
@@ -561,7 +544,7 @@ type stripeScratch struct {
 	frameBuf []byte
 	payload  []byte // a pipeline slot's stripe: PutStream reads into it, GetStream decodes into it
 	keys     keyBuf
-	touched  map[int]bool
+	touched  []bool // nodes read since the scratch came off the free list
 }
 
 // newScratch returns a stripe workspace sized for the store's graph. The
@@ -582,7 +565,7 @@ func (s *Store) newScratch() *stripeScratch {
 		unaided:  make([]bool, s.g.Total),
 		donated:  make([]bool, s.g.Total),
 		ws:       s.codec.NewWorkspace(),
-		touched:  map[int]bool{},
+		touched:  make([]bool, s.g.Total),
 	}
 }
 
@@ -755,13 +738,19 @@ func (s *Store) ReadStripeInto(ctx context.Context, name string, st int, dst []b
 	if err != nil {
 		return nil, stats, err
 	}
-	stats.DevicesAccessed = len(sc.touched)
+	stats.DevicesAccessed = countTrue(sc.touched)
 	return dst[:len(payload)], stats, nil
 }
 
 // getStripe reconstructs one stripe of the object rec records into dst's
 // spare capacity — cap(dst) is the payload length — and returns the filled
 // slice.
+//
+// It has one recovery path: plan the cheapest set of frames that rebuilds
+// the live data, read it, and re-plan around each frame that comes back
+// rotten or unreadable, retrying once the nodes that errored when no plan is
+// left. Once every planned frame is read, one decode rebuilds the stripe; a
+// stripe with no plan left is ErrDataLoss and is not decoded.
 //
 // The data nodes past the payload's last block hold zero padding, which the
 // read knows without asking: they are present to the planner at no cost and
@@ -792,7 +781,7 @@ func (s *Store) getStripe(ctx context.Context, name string, st int, rec *availRe
 
 	// Repair-traffic accounting: a healthy stripe read moves exactly one
 	// full frame per live data block, so on success everything beyond that
-	// baseline — extra plan blocks, corrupt frames, the fallback sweep — is
+	// baseline — extra plan blocks, corrupt frames, what a re-plan adds — is
 	// degraded-get traffic; a failed stripe attributes every byte it read. A
 	// successful decode necessarily consumed at least live verified
 	// full-size frames (live blocks cannot be rebuilt from fewer), so the
@@ -819,7 +808,7 @@ func (s *Store) getStripe(ctx context.Context, name string, st int, rec *availRe
 	}
 
 	// corrupt marks frames that failed their checksum during this read, so
-	// the fallback pass never re-reads (and never double-counts) them.
+	// the retry never re-reads (and never double-counts) them.
 	var ctxErr error
 	readFrame := func(node int, slot []byte) {
 		framed, err := s.readFramed(ctx, node, sc.keys.key(node), slot, stats)
@@ -827,7 +816,7 @@ func (s *Store) getStripe(ctx context.Context, name string, st int, rec *availRe
 			if errIsCtx(err) {
 				ctxErr = err
 			}
-			return // raced with a failure; the decoder will cope or report
+			return // raced with a failure; the loop prices the node out
 		}
 		sc.touched[node] = true
 		stats.BlocksRead++
@@ -874,9 +863,13 @@ func (s *Store) getStripe(ctx context.Context, name string, st int, rec *availRe
 	// out (+Inf, which the planner treats as unavailable), and the stripe is
 	// re-planned with every frame already read priced at zero: only what the
 	// new plan adds is read — a check or two around one bad data block, not
-	// the stripe. Each round prices out at least one more node, so the loop
-	// ends; when the rest cannot rebuild the stripe, the decode below fails
-	// and the sweep is the last resort.
+	// the stripe. When no plan is left, each node the loop priced out for an
+	// error (available, not rotten, not padding) gets a fresh price once per
+	// stripe and the stripe is re-planned: a transient fault past the retry
+	// budget may have cleared. Every other round prices out at least one more
+	// node, so the loop ends — with every planned block read, or in
+	// ErrDataLoss.
+	retried := false
 	for {
 		replan := false
 		for _, node := range toRead {
@@ -900,56 +893,52 @@ func (s *Store) getStripe(ctx context.Context, name string, st int, rec *availRe
 				sc.cost[node] = 0
 			}
 		}
-		if toRead, _, err = planner.PlanEconomic(sc.avail, planCost); err != nil {
-			break
-		}
-	}
-	// The decode rebuilds the data blocks and, for read-repair, the blocks
-	// whose stored frame is missing or rotten — as known when it runs: the
-	// fallback sweep below can find more rot. Parity that was merely not
-	// read is not re-encoded.
-	decode := func() ([]byte, error) {
-		for node := range sc.want {
-			sc.want[node] = !sc.avail[node] || sc.corrupt[node]
-		}
-		sc.ws.Want(sc.want)
-		return s.codec.DecodeInto(sc.ws, dst[:0], sc.blocks, cap(dst))
-	}
-	payload, err := decode()
-	if errors.Is(err, codec.ErrUnrecoverable) {
-		// The plan raced with failures; fall back to everything reachable
-		// that has not already been read or detected corrupt. Blocks the
-		// failed peel reconstructed alias the workspace arena, which the
-		// retry's DecodeInto recycles — drop them so the retry peels only
-		// from blocks whose memory it does not own.
-		for node := range sc.blocks {
-			if !sc.fromRead[node] && !sc.known[node] {
-				sc.blocks[node] = nil
+		toRead, _, err = planner.PlanEconomic(sc.avail, planCost)
+		if err != nil && !retried {
+			retried = true
+			for node, c := range sc.cost {
+				if math.IsInf(c, 1) && sc.avail[node] && !sc.corrupt[node] && !sc.known[node] {
+					sc.cost[node] = s.backend.Cost(node)
+				}
 			}
+			toRead, _, err = planner.PlanEconomic(sc.avail, planCost)
 		}
-		for node, ok := range sc.avail {
-			if ok && sc.blocks[node] == nil && !sc.corrupt[node] {
-				readInto(node)
-			}
-		}
-		if ctxErr != nil {
+		if err != nil {
 			record(false)
-			return nil, ctxErr
+			return nil, fmt.Errorf("%w: %q stripe %d: %v", ErrDataLoss, name, st, err)
 		}
-		payload, err = decode()
 	}
+	// Every planned block is read, so the decode rebuilds the data blocks
+	// and, for read-repair, the blocks whose stored frame is missing or
+	// rotten. Parity that was merely not read is not re-encoded.
+	for node := range sc.want {
+		sc.want[node] = !sc.avail[node] || sc.corrupt[node]
+	}
+	sc.ws.Want(sc.want)
+	payload, err := s.codec.DecodeInto(sc.ws, dst[:0], sc.blocks, cap(dst))
 	if err != nil {
 		record(false)
 		return nil, fmt.Errorf("%w: %q stripe %d: %v", ErrDataLoss, name, st, err)
 	}
 	record(true)
-	for node := 0; node < s.g.Data; node++ {
-		if !sc.avail[node] {
+	for node := range live {
+		if !sc.fromRead[node] {
 			stats.BlocksRepaired++
 		}
 	}
 	s.readRepairStripe(ctx, sc, stats)
 	return payload, nil
+}
+
+// countTrue is how many of bs are set.
+func countTrue(bs []bool) int {
+	n := 0
+	for _, b := range bs {
+		if b {
+			n++
+		}
+	}
+	return n
 }
 
 // liveBlocks is how many data blocks a stripe payload of n bytes fills: the

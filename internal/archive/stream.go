@@ -185,7 +185,7 @@ func (s *Store) getStripes(ctx context.Context, obj Object, rec *availRecord, wi
 	}
 	err := p.run(ctx)
 	var stats GetStats
-	var touched map[int]bool // the first scratch's set, grown into the union
+	var touched []bool // the first scratch's nodes, grown into the union
 	for i := range p.slots {
 		sl := &p.slots[i]
 		if sl.sc == nil {
@@ -201,11 +201,11 @@ func (s *Store) getStripes(ctx context.Context, obj Object, rec *availRecord, wi
 			touched = sl.sc.touched
 			continue
 		}
-		for node := range sl.sc.touched {
-			touched[node] = true
+		for node, read := range sl.sc.touched {
+			touched[node] = touched[node] || read
 		}
 	}
-	stats.DevicesAccessed = len(touched)
+	stats.DevicesAccessed = countTrue(touched)
 	s.releaseScratches(&p)
 	return stats, err
 }

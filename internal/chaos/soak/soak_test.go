@@ -120,8 +120,8 @@ func TestSoakHeavySchedule(t *testing.T) {
 
 // TestSoakFingerprintsPinned holds the campaign outcome log byte for byte,
 // over the array and the MAID backend: the fingerprints were re-captured
-// when a Get whose plan meets a rotten or unreadable frame began to re-plan
-// around it instead of sweeping the stripe. The injector draws its
+// when a Get that finds no plan began to retry the nodes it priced out for
+// an error instead of sweeping the stripe. The injector draws its
 // faults in backend-operation order, so a read path that issues one read
 // more, one fewer or one in another place — or an injector whose ReadInto
 // consumes randomness differently from its Read — moves every one of them.
@@ -130,10 +130,10 @@ func TestSoakFingerprintsPinned(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{Config{Seed: 1}, "73fa2ca40363df226b5e61ca9aec6c70021b2671cb2decda51e9be94b82989be"},
-		{Config{Seed: 2}, "f4e458cfb29c116d62bace8f77a2ce1b39b580203dd224cdba872a7c775a86f3"},
-		{Config{Seed: 3, MAID: true}, "9165320a39dd7e38ab07581a74cec6cf5b62609ec9e4480542c3a386fcbf7de6"},
-		{Config{Seed: 7, Ops: 200}, "89a8d483a6ce2fe96a2ecc10f0bde4847680b3f7de8339ef005bfc5f485c6c32"},
+		{Config{Seed: 1}, "180dbcad7266d793a4b2fb96e686b90fda42450c47ed1453e3eb00859a5871d5"},
+		{Config{Seed: 2}, "5bcbb3da74fde5cb135e8f71a96eeb96054205bd6a37848931a8608f040fbb7d"},
+		{Config{Seed: 3, MAID: true}, "04c63d44feb8ab16ef7ecd1342d9972290841496f2abb3f90b01e7133a8e26a4"},
+		{Config{Seed: 7, Ops: 200}, "d8224aa34c6421f3037c63121f16756a538ae08d54f046eb36abeec8444d631d"},
 	} {
 		rep, err := RunCtx(ctx, tc.cfg)
 		if err != nil {
