@@ -61,7 +61,9 @@ fmt:
 # that swept the stripe), the campaign journal parser (arbitrary bytes through the resume path), the
 # GraphML parser (user-supplied graph files), the federation's union peel
 # (against the §5.3 exchange fixpoint), the federated store's exchange (its
-# Get against the union peel, links cut or not) and the device (its slots, zero tails
+# Get against the union peel, links cut or not), its site repair (the residue
+# RepairSite reads off its own passes against a verify-only scrub, under
+# random losses, rot and dead drives) and the device (its slots, zero tails
 # kept as their prefix, against a map of the frames written) a short
 # randomized shake on every check; longer sessions: make fuzz FUZZTIME=10m
 FUZZTIME ?= 3s
@@ -80,6 +82,7 @@ fuzz:
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/graphml/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzJointDecodeMatchesExchange -fuzztime $(FUZZTIME) ./internal/federation/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzExchangeMatchesJoint -fuzztime $(FUZZTIME) ./internal/fedstore/
+	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzRepairSiteResidue -fuzztime $(FUZZTIME) ./internal/fedstore/
 	$(GO) test -timeout $(TEST_TIMEOUT) -run '^$$' -fuzz FuzzDeviceMatchesMap -fuzztime $(FUZZTIME) ./internal/device/
 
 # bench runs the repo benchmark, bench/: numbers only, check is the gate.
@@ -116,8 +119,10 @@ bench:
 #   10,000): read ns/order with a longer -benchtime than this smoke run's
 #   one op.
 # - RepairSite: site_wipe as a Go benchmark (three shipped graphs, 64 x 1 MiB,
-#   site 0 wiped and rebuilt). reads/stripe is Data + Total when no block is
-#   read twice; B/op fell from 260.7 MB to about 3 MB once replacement drives
+#   site 0 wiped and rebuilt). reads/stripe is the live data blocks read at a
+#   donor: the blank site reads nothing, and its residue comes from the
+#   repairing pass, not a read-back (Data + Total when a verify-only scrub
+#   followed). B/op fell from 260.7 MB to about 3 MB once replacement drives
 #   refilled the dead drives' slabs and donor blocks landed in the pass's
 #   stripe scratch.
 # - FederatedPut: site_wipe's setup, 1 MiB Puts through the facade into the

@@ -6,16 +6,19 @@ import (
 	"slices"
 	"sync"
 
+	"tornado/internal/decode"
 	"tornado/internal/repairbw"
 )
 
 // StripeHealth is the introspection record for one stripe (§6: "stripe
-// reliability assurance and user introspection mechanism").
+// reliability assurance and user introspection mechanism"). A stripe a
+// repairing pass looked at twice (see scrub) lists both looks' Corrupt and
+// Repaired nodes; every other field is the second look's.
 type StripeHealth struct {
 	Object      string
 	Stripe      int
 	Missing     []int // nodes whose block is unreachable, absent, or corrupt
-	Corrupt     []int // subset of Missing that failed its checksum (bit rot)
+	Corrupt     []int // nodes whose frame failed its checksum (bit rot)
 	Quarantined []int // nodes quarantined (excluded from Get planning) at scrub time
 	Recoverable bool  // the surviving blocks still reconstruct the data
 	// Margin is FirstFailure − len(Missing): how many further losses the
@@ -100,9 +103,11 @@ func (s *Store) ScrubCtx(ctx context.Context, repair bool) (ScrubReport, error) 
 // checks are re-encoded from them, and writes every rebuilt block home: one
 // visit per stripe, nothing read that was not already on disk. A stripe the
 // donor could not complete is reported not Recoverable (what peeling reached
-// is still written) and left to the caller. Stripes run through the stripe
-// pipeline at the default stream width, so unlike ScrubCtx the order of
-// backend calls is not fixed; the report, and what ends up stored, are.
+// is still written) and left to the caller; so is one the donor completed
+// whose stored blocks, some refused by a dead drive, no longer reconstruct
+// it. Stripes run through the stripe pipeline at the default stream width, so
+// unlike ScrubCtx the order of backend calls is not fixed; the report, and
+// what ends up stored, are.
 func (s *Store) RepairFrom(ctx context.Context, donor Donor) (DonorReport, error) {
 	return s.scrub(ctx, true, donor, applyStreamOptions(nil).parallelism)
 }
@@ -207,6 +212,9 @@ func (s *Store) scrub(ctx context.Context, repair bool, donor Donor, width int) 
 				return rep, err
 			}
 			h2.Repaired = append(append([]int(nil), h.Repaired...), h2.Repaired...)
+			h2.Corrupt = append(h2.Corrupt, h.Corrupt...)
+			slices.Sort(h2.Corrupt)
+			h2.Corrupt = slices.Compact(h2.Corrupt)
 			rep.Stripes[i] = h2
 		}
 	}
@@ -370,9 +378,10 @@ func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, rec *availRec
 	// the repair knows as a Get knows it: a padding frame that is lost or
 	// rotten is still missing and is rewritten, but its block is the zero
 	// block, which neither the peel nor a donor has to supply.
+	live := s.g.Data // data nodes from live on hold zero padding
 	if obj, _, err := s.lookup(h.Object); err == nil {
 		capacity := s.codec.Capacity()
-		live := s.liveBlocks(min(obj.Size-h.Stripe*capacity, capacity))
+		live = s.liveBlocks(min(obj.Size-h.Stripe*capacity, capacity))
 		for _, node := range h.Missing {
 			if node >= live && node < s.g.Data {
 				sc.blocks[node] = s.zero
@@ -389,7 +398,8 @@ func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, rec *availRec
 	for _, node := range h.Missing {
 		sc.unaided[node] = sc.blocks[node] != nil
 	}
-	if donor != nil && !h.Recoverable {
+	aided := donor != nil && !h.Recoverable
+	if aided {
 		for node := 0; node < s.g.Data; node++ {
 			if sc.blocks[node] != nil {
 				continue
@@ -415,6 +425,7 @@ func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, rec *availRec
 	// peeling did reach is correct, and writing it back monotonically
 	// shrinks the missing set — so when the transient unavailability that
 	// defeated this pass clears, the stripe needs less to come back.
+	var refused []int // blocks the home device refused, padding aside
 	for _, node := range h.Missing {
 		if sc.blocks[node] == nil {
 			continue // peeling never reached it (or never needed to)
@@ -424,6 +435,9 @@ func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, rec *availRec
 		var werr error
 		sc.frameBuf, werr = s.writeFramedBuf(ctx, node, sc.keys.key(node), sc.blocks[node], sc.frameBuf)
 		if werr != nil {
+			if node < live || node >= s.g.Data {
+				refused = append(refused, node)
+			}
 			continue // home device still dead; the next scrub retries
 		}
 		h.Repaired = append(h.Repaired, node)
@@ -440,6 +454,11 @@ func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, rec *availRec
 	if t.imported > 0 {
 		s.meter.Record(repairbw.Federation, repairbw.CostReport{
 			BlocksWritten: t.imported, BytesWritten: int64(t.imported) * s.frameSize()})
+	}
+	// The donor made the stripe whole in memory, but what the store now
+	// holds reconstructs it only if the graph rebuilds the refused blocks.
+	if aided && len(refused) > 0 && h.Recoverable {
+		h.Recoverable = decode.New(s.g).Recoverable(refused)
 	}
 	return t, nil
 }

@@ -182,3 +182,46 @@ func TestScrubSecondLookRetriesNewAvailability(t *testing.T) {
 		t.Errorf("post-second-look health = %+v, want fully recovered", h)
 	}
 }
+
+// TestScrubSecondLookKeepsFirstLookCorruption: a rotten frame the first look
+// detected and rewrote reads clean on the second look, and the pass must
+// still count it. Data node d1 is rotten, d2 and every check but c hidden
+// for the first sweep: the first look rebuilds d1 through c and rewrites it,
+// cannot reach d2, and the second look — d2 back — recovers the stripe.
+func TestScrubSecondLookKeepsFirstLookCorruption(t *testing.T) {
+	g, _, err := core.Generate(core.DefaultParams(), rand.New(rand.NewPCG(77, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	devs := device.NewArray(g.Total)
+	fb := &flakyAvailBackend{Backend: NewArrayBackend(devs), total: g.Total, hidden: map[int]bool{}}
+	s, err := NewWithBackend(g, fb, Config{BlockSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutCtx(ctx, "obj", payload(g.Data*64, 7)); err != nil {
+		t.Fatal(err)
+	}
+	c, d1, d2 := pickPartialRepairCase(t, g)
+	fb.hidden[d2] = true
+	for r := g.Data; r < g.Total; r++ {
+		fb.hidden[r] = r != c
+	}
+	corruptFrame(t, devs, d1)
+	fb.calls = 0
+
+	rep, err := s.ScrubCtx(ctx, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rep.Stripes[0]
+	if !h.Recoverable || len(h.Missing) != 0 || !slices.Contains(h.Repaired, d1) {
+		t.Fatalf("health %+v: want the stripe recovered on the second look, d1=%d rewritten on the first", h, d1)
+	}
+	if rep.CorruptFrames != 1 || !slices.Equal(h.Corrupt, []int{d1}) {
+		t.Errorf("CorruptFrames %d, stripe Corrupt %v; want 1 and [%d]", rep.CorruptFrames, h.Corrupt, d1)
+	}
+	if got := s.Metrics().Counter("archive.scrub.corrupt_frames").Value(); got != 1 {
+		t.Errorf("archive.scrub.corrupt_frames = %d, want 1", got)
+	}
+}

@@ -45,7 +45,9 @@ func shippedFederation(tb testing.TB, objects int) (f *Store, stores []*archive.
 // three shipped graphs as three sites, 64 objects of 1 MiB in 4 KiB blocks,
 // every device of site 0 wiped and RepairSite timed. It reports the repair
 // time and how many blocks the repair read at all three sites per stripe
-// rebuilt — Data at a donor plus Total for the residue scrub is the floor.
+// rebuilt — the stripe's live data blocks, each read once at a donor, is the
+// floor: the blank site has nothing to read, and nothing it wrote is read
+// back.
 func BenchmarkRepairSite(b *testing.B) {
 	f, stores, counts, devs := shippedFederation(b, 64)
 	stripes := 0

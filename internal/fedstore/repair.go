@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"tornado/internal/archive"
 	"tornado/internal/codec"
@@ -178,8 +179,8 @@ type RepairReport struct {
 	// Exchange is the facade-tallied cross-site traffic of this repair,
 	// filled in on an error return too.
 	Exchange repairbw.CostReport
-	// MissingAfter and Unrecoverable are the site's post-repair scrub
-	// residue; both must be zero after a successful disaster recovery.
+	// MissingAfter and Unrecoverable are the last repairing pass's residue;
+	// both must be zero after a successful disaster recovery.
 	MissingAfter  int
 	Unrecoverable int
 }
@@ -195,11 +196,12 @@ type RepairReport struct {
 // single donor could complete go through the joint exchange (recoverStripe)
 // of the target's link group alone — a target cut off from every holder
 // exchanges nothing — and, only if there were any, one more pass for their
-// checks. A verify-only scrub, independent of all that, measures the residue.
+// checks. The last pass's report is the residue: nothing is read back.
 //
 // A device that refuses a rebuilt block (a dead replacement drive) does not
 // stop the repair: the block shows up in MissingAfter and a later run
-// retries. A donor that goes down under the repair is dropped from it.
+// retries. A donor that goes down under the repair is dropped from it. A
+// node quarantined at the target stays so until the site's next scrub.
 func (f *Store) RepairSiteCtx(ctx context.Context, target int) (rep RepairReport, err error) {
 	rep = RepairReport{Site: target}
 	if target < 0 || target >= len(f.sites) {
@@ -253,6 +255,14 @@ func (f *Store) RepairSiteCtx(ctx context.Context, target int) (rep RepairReport
 		}
 	}
 
+	// The stripes some data block of which no donor had: the only ones the
+	// joint exchange can complete. The pass's workers call donor at once.
+	type stripeRef struct {
+		name   string
+		stripe int
+	}
+	var mu sync.Mutex
+	unserved := map[stripeRef]bool{}
 	donor := func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
 		for _, d := range donors {
 			if f.downErr(d) != nil {
@@ -273,6 +283,9 @@ func (f *Store) RepairSiteCtx(ctx context.Context, target int) (rep RepairReport
 			}
 			return b, nil
 		}
+		mu.Lock()
+		unserved[stripeRef{name, stripe}] = true
+		mu.Unlock()
 		return nil, nil // the stripe goes to the joint exchange below
 	}
 	pass, err := ts.RepairFrom(ctx, donor)
@@ -286,7 +299,9 @@ func (f *Store) RepairSiteCtx(ctx context.Context, target int) (rep RepairReport
 	var obj string
 	var own [][]int // the target's link group among obj's holders, if it has a donor
 	for _, h := range pass.Stripes {
-		if h.Recoverable {
+		// A stripe the donors completed but dead drives left short gains
+		// nothing from an exchange: its blocks still cannot go home.
+		if h.Recoverable || !unserved[stripeRef{h.Object, h.Stripe}] {
 			continue
 		}
 		if h.Object != obj {
@@ -297,24 +312,25 @@ func (f *Store) RepairSiteCtx(ctx context.Context, target int) (rep RepairReport
 			if isCtxErr(err) {
 				return rep, err
 			}
-			continue // truly lost; the final scrub counts it
+			continue // truly lost; the residue counts it
 		}
 		rep.ExchangedStripes++
 	}
 	if rep.ExchangedStripes > 0 {
 		// The exchange wrote data blocks home; the checks over them are the
 		// site's own to re-encode.
-		if _, err := ts.RepairFrom(ctx, nil); err != nil {
+		if pass, err = ts.RepairFrom(ctx, nil); err != nil {
 			return rep, fmt.Errorf("fedstore: rebuild pass at site %d: %w", target, err)
 		}
 	}
 
-	final, err := ts.Scrub(ctx, false)
-	if err != nil {
-		return rep, fmt.Errorf("fedstore: final scrub at site %d: %w", target, err)
-	}
-	for _, h := range final.Stripes {
-		rep.MissingAfter += len(h.Missing)
+	// A set difference: a second look's Repaired lists first-look rewrites.
+	for _, h := range pass.Stripes {
+		for _, node := range h.Missing {
+			if !slices.Contains(h.Repaired, node) {
+				rep.MissingAfter++
+			}
+		}
 		if !h.Recoverable {
 			rep.Unrecoverable++
 		}

@@ -139,6 +139,11 @@ type SoakReport struct {
 	// Federation-wide residue after restore; both must be zero.
 	FinalMissing       int
 	FinalUnrecoverable int
+	// VictimMissing and VictimUnrecoverable are the part of it the final
+	// scrub found at the victim. Survivor repairs write nothing there, so
+	// Check requires them to equal the residue Repair reported.
+	VictimMissing       int
+	VictimUnrecoverable int
 
 	// Final verification: every object read back from every site
 	// individually (VerifiedReads counts site×object successes), then the
@@ -168,6 +173,9 @@ func (r SoakReport) Check() error {
 	case r.Repair.MissingAfter != 0 || r.Repair.Unrecoverable != 0:
 		return fmt.Errorf("fedstore soak: victim residue missing=%d unrecoverable=%d (seed %d)",
 			r.Repair.MissingAfter, r.Repair.Unrecoverable, r.Seed)
+	case r.Repair.MissingAfter != r.VictimMissing || r.Repair.Unrecoverable != r.VictimUnrecoverable:
+		return fmt.Errorf("fedstore soak: victim repair reported missing=%d unrecoverable=%d, its final scrub found %d and %d (seed %d)",
+			r.Repair.MissingAfter, r.Repair.Unrecoverable, r.VictimMissing, r.VictimUnrecoverable, r.Seed)
 	case r.Repair.Exchange.Zero():
 		return fmt.Errorf("fedstore soak: full site wipe repaired with zero cross-site traffic (seed %d)", r.Seed)
 	case r.RestoreExchange != r.RestoreFederation:
@@ -493,6 +501,12 @@ func SoakCtx(ctx context.Context, cfg SoakConfig) (SoakReport, error) {
 			rep.FinalMissing += len(h.Missing)
 			if !h.Recoverable {
 				rep.FinalUnrecoverable++
+			}
+			if i == victim {
+				rep.VictimMissing += len(h.Missing)
+				if !h.Recoverable {
+					rep.VictimUnrecoverable++
+				}
 			}
 		}
 	}

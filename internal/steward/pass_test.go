@@ -151,6 +151,75 @@ func TestRepairSiteSameInProcessAndOverHTTP(t *testing.T) {
 	}
 }
 
+// TestRepairSiteResidueMatchesScrubOverHTTP: over HTTP too, RepairSite's
+// residue is the last repairing pass's and equals what a verify-only scrub of
+// the site finds after it. Site 0 is wiped with one dead replacement drive: a
+// check's while no donor holds data block 0, so the residue is the rebuild
+// pass's after a joint exchange; or a data block's, whose stripes the donors
+// complete and no exchange can help.
+func TestRepairSiteResidueMatchesScrubOverHTTP(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		dead      func(total int) int
+		lost      bool // data block 0 is gone at every donor
+		exchanged bool
+	}{
+		{"dead check drive, block 0 gone at every donor", func(total int) int { return total - 1 }, true, true},
+		{"dead data drive", func(int) int { return 3 }, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sites []*site
+			var clients []*Client
+			for i := uint64(0); i < 3; i++ {
+				s := newSite(t, 70+i, 64)
+				sites, clients = append(sites, s), append(clients, s.client)
+			}
+			f, err := federate(clients...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 2; k++ {
+				if err := f.PutCtx(ctx, fmt.Sprintf("obj-%d", k), randPayload(5000*(k+1), uint64(k))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stripes := 0
+			for _, obj := range sites[0].store.List() {
+				stripes += obj.Stripes
+			}
+			sites[0].wipe()
+			sites[0].devices[tc.dead(len(sites[0].devices))].Fail()
+			if tc.lost {
+				sites[1].devices[0].Fail()
+				sites[2].devices[0].Fail()
+			}
+			rep, err := f.RepairSiteCtx(ctx, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scrub, err := sites[0].client.Scrub(ctx, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			missing := 0
+			for _, h := range scrub.Stripes {
+				missing += len(h.Missing)
+			}
+			if rep.MissingAfter != missing || rep.Unrecoverable != scrub.Unrecoverable {
+				t.Errorf("report residue missing=%d unrecoverable=%d, scrub finds %d and %d",
+					rep.MissingAfter, rep.Unrecoverable, missing, scrub.Unrecoverable)
+			}
+			want := 0
+			if tc.exchanged {
+				want = stripes
+			}
+			if rep.ExchangedStripes != want || rep.MissingAfter < stripes {
+				t.Errorf("report %+v, want %d stripes exchanged, the dead drive's block of each missing", rep, want)
+			}
+		})
+	}
+}
+
 // stuckBackend, once stuck, blocks every block operation until the
 // operation's context ends — a device that never answers — and says on
 // entered that one has arrived.
