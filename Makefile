@@ -28,19 +28,22 @@ test:
 # stream adapters, the devices (in-place overwrites, lock-free state), the
 # joint-decode federation search, the chaos/WAN injectors,
 # and the federated store itself (the one federation runtime: per-site
-# health under concurrent calls, RepairSite's donor hook on the stripe
-# pipeline, the disaster soak) are the concurrency-heavy packages; run them
-# under the race detector. The stripe pipeline's own tests then run 1,000
-# times over (~7 s on two cores), and the federation's fan-out tests (a Put
-# and its rollback reach every site at once; Puts racing on one name, at
-# most one winner) 100 times, so a schedule-dependent flake there fails this
-# target instead of some later, unrelated change.
+# health under concurrent calls, RepairSite's per-stripe donor on the stripe
+# pipeline's workers, the joint exchange it falls back to among them, the
+# disaster soak) are the concurrency-heavy packages; run them under the race
+# detector. The stripe pipeline's own tests then run 1,000 times over (~7 s
+# on two cores), the federation's fan-out tests (a Put and its rollback reach
+# every site at once; Puts racing on one name, at most one winner) 100 times,
+# and RepairSite at one worker and four, with and without the exchange, 50
+# times (~12 s), so a schedule-dependent flake there fails this target
+# instead of some later, unrelated change.
 race:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) ./internal/steward/ ./internal/sim/ ./internal/obs/ ./internal/campaign/ \
 		./internal/decode/ ./internal/defect/ ./internal/adjust/ ./internal/core/ ./internal/serve/ ./internal/archive/ \
 		./internal/device/ ./internal/workload/ ./internal/federation/ ./internal/chaos/ ./internal/fedstore/
 	$(GO) test -race -timeout $(RACE_TIMEOUT) -run '^TestPipe' -count=1000 ./internal/archive/
 	$(GO) test -race -timeout $(RACE_TIMEOUT) -run '^TestFanOut' -count=100 ./internal/fedstore/
+	$(GO) test -race -timeout $(RACE_TIMEOUT) -run '^TestRepairSite(WidthChangesNothing|ExchangeFallback)$$' -count=50 ./internal/fedstore/
 
 vet:
 	$(GO) vet ./...

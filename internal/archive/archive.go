@@ -537,6 +537,7 @@ type stripeScratch struct {
 	want     []bool // blocks the decode is to rebuild for read-repair
 	unaided  []bool // scrub: blocks[i] was rebuilt before any donor block arrived
 	donated  []bool // scrub: blocks[i] came from the pass's Donor
+	lacking  []int  // scrub: the nodes a stripe's Donor call is told it lacks
 	ws       *codec.Workspace
 	enc      *codec.Encoder
 	planner  *retrieval.Planner // reused: planning a stripe allocates nothing

@@ -68,8 +68,33 @@ func (b *writeHook) ReadInto(ctx context.Context, node int, key, dst []byte) ([]
 	return ReaderIntoOf(b.Backend).ReadInto(ctx, node, key, dst)
 }
 
+// blockFetch fetches one data block of a stripe into dst, or returns nil
+// when it has none.
+type blockFetch func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error)
+
+// blockDonor is the Donor that fetches a stripe's lacking data blocks one at
+// a time, each into the pass's buffer for it; data is the graph's data-node
+// count.
+func blockDonor(data int, fetch blockFetch) Donor {
+	return func(ctx context.Context, name string, stripe int, lacking []int, blocks [][]byte) error {
+		for _, node := range lacking {
+			if node >= data {
+				break
+			}
+			b, err := fetch(ctx, name, stripe, node, blocks[node])
+			if err != nil {
+				return err
+			}
+			if b != nil {
+				blocks[node] = b
+			}
+		}
+		return nil
+	}
+}
+
 // refDonor donates ref's copy of a block, read into the pass's dst.
-func refDonor(ref *Store) Donor {
+func refDonor(ref *Store) blockFetch {
 	return func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
 		return ref.ReadBlockCtx(ctx, name, stripe, node, dst)
 	}
@@ -85,12 +110,12 @@ func TestRepairFromRebuildsWipedStore(t *testing.T) {
 	s, ref, _, data := wipedPair(t, stripes)
 	var mu sync.Mutex
 	asked := map[string]int{}
-	rep, err := s.RepairFrom(context.Background(), func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
+	rep, err := s.RepairFrom(context.Background(), blockDonor(s.Graph().Data, func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
 		mu.Lock()
 		asked[fmt.Sprintf("%s/%d/%d", name, stripe, node)]++
 		mu.Unlock()
 		return ref.ReadBlockCtx(ctx, name, stripe, node, dst)
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +165,7 @@ func TestRepairFromDonorDst(t *testing.T) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 	const stripes = 6
 	donor := func(s, ref *Store, into bool, trim int) Donor {
-		return func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
+		return blockDonor(s.Graph().Data, func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
 			if len(dst) != 0 || cap(dst) != s.FrameSize() {
 				return nil, fmt.Errorf("dst has len %d, cap %d; want an empty frame of %d", len(dst), cap(dst), s.FrameSize())
 			}
@@ -155,7 +180,7 @@ func TestRepairFromDonorDst(t *testing.T) {
 				return nil, errors.New("the block read into dst does not alias it")
 			}
 			return b[:len(b)-trim], nil
-		}
+		})
 	}
 	run := func(into bool) (DonorReport, ScrubReport, [][]byte) {
 		s, ref, _, data := wipedPair(t, stripes)
@@ -210,7 +235,7 @@ func TestRepairFromHeldHeadStripe(t *testing.T) {
 		}
 	}
 	donate := refDonor(ref)
-	rep, err := s.RepairFrom(context.Background(), func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
+	rep, err := s.RepairFrom(context.Background(), blockDonor(s.Graph().Data, func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
 		if stripe == 0 {
 			select {
 			case <-later:
@@ -219,7 +244,7 @@ func TestRepairFromHeldHeadStripe(t *testing.T) {
 			}
 		}
 		return donate(ctx, name, stripe, node, dst)
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +282,7 @@ func TestRepairFromDonorError(t *testing.T) {
 	behind := make(chan struct{}) // closed once a stripe after bad is in flight
 	var once sync.Once
 	donate := refDonor(ref)
-	rep, err := s.RepairFrom(context.Background(), func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
+	rep, err := s.RepairFrom(context.Background(), blockDonor(s.Graph().Data, func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
 		touch(stripe)
 		switch {
 		case stripe == bad:
@@ -269,7 +294,7 @@ func TestRepairFromDonorError(t *testing.T) {
 			return nil, ctx.Err()
 		}
 		return donate(ctx, name, stripe, node, dst)
-	})
+	}))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}

@@ -44,17 +44,20 @@ type ScrubReport struct {
 	Cost repairbw.CostReport
 }
 
-// Donor supplies the data blocks a RepairFrom pass cannot get from its own
-// store. Asked for data block node of one stripe — one that is missing on
-// disk and that peeling the stripe's surviving blocks did not reach — it
-// returns the block (BlockSize bytes), nil when it has none to give, or an
-// error, which ends the pass. dst is the pass's buffer for the block, empty
-// with room for one frame (FrameSize bytes), or nil: the donor may fill it
-// and return a slice of it — ReadBlockCtx(ctx, name, stripe, node, dst) does
-// — or return a slice of its own. Either way the block is the pass's to keep,
-// and the donor keeps no reference to dst. The pass calls it from its worker
-// goroutines, for several stripes at once.
-type Donor func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error)
+// Donor completes what it can of one stripe a RepairFrom pass could not rebuild
+// alone. The pass calls it once per such stripe, after its peel, from its
+// workers, several stripes at once. lacking lists, ascending, the nodes the
+// stripe still has no block for; blocks has one entry per node. A lacking data
+// node's entry is an empty buffer with room for one frame (FrameSize bytes) if
+// the node's device answered for its media as the pass began, else nil: the
+// pass may not be able to store that block, though it re-encodes checks from
+// it. (A remote pass cannot tell, and marks every lacking data node storable
+// with an empty non-nil entry.) For each lacking data node it can supply, the
+// donor sets the entry to the block (BlockSize bytes), read into the buffer —
+// ReadBlockCtx(ctx, name, stripe, node, blocks[node]) does — or a slice of its
+// own, the pass's to keep either way. It changes no other entry and keeps no
+// reference to blocks; an error ends the pass.
+type Donor func(ctx context.Context, name string, stripe int, lacking []int, blocks [][]byte) error
 
 // DonorReport is the outcome of a RepairFrom pass: its scrub report, and how
 // the blocks it wrote home split between the store's own redundancy and the
@@ -98,16 +101,16 @@ func (s *Store) ScrubCtx(ctx context.Context, repair bool) (ScrubReport, error) 
 
 // RepairFrom is a repairing scrub with somewhere to turn when a stripe's own
 // redundancy is not enough — the pass that rebuilds a site whose media is
-// gone. Per stripe it reads and verifies what is there, peels, asks donor for
-// just the data blocks peeling could not reach, peels on so the store's own
-// checks are re-encoded from them, and writes every rebuilt block home: one
-// visit per stripe, nothing read that was not already on disk. A stripe the
-// donor could not complete is reported not Recoverable (what peeling reached
-// is still written) and left to the caller; so is one the donor completed
-// whose stored blocks, some refused by a dead drive, no longer reconstruct
-// it. Stripes run through the stripe pipeline at the default stream width, so
-// unlike ScrubCtx the order of backend calls is not fixed; the report, and
-// what ends up stored, are.
+// gone. Per stripe it reads and verifies what is there, peels, makes one
+// donor call for the data blocks peeling could not reach, peels on so the
+// store's own checks are re-encoded from them, and writes every rebuilt block
+// home: one visit per stripe, nothing read that was not already on disk. A
+// stripe the donor could not complete is reported not Recoverable (what
+// peeling reached is still written) and left to the caller; so is one the
+// donor completed whose stored blocks, some refused by a dead drive, no
+// longer reconstruct it. Stripes run through the stripe pipeline at the
+// default stream width, so unlike ScrubCtx the order of backend calls is not
+// fixed; the report, and what ends up stored, are.
 func (s *Store) RepairFrom(ctx context.Context, donor Donor) (DonorReport, error) {
 	return s.scrub(ctx, true, donor, applyStreamOptions(nil).parallelism)
 }
@@ -126,7 +129,7 @@ func (s *Store) scrub(ctx context.Context, repair bool, donor Donor, width int) 
 	}
 	var mu sync.Mutex // guards pass and rep's totals: the workers fold into both
 	stripe := func(ctx context.Context, h *StripeHealth, rec *availRecord, sc *stripeScratch) error {
-		t, err := s.repairStripe(ctx, h, rec, repair, donor, sc)
+		t, err := s.repairStripe(ctx, h, rec, repair, donor, start.whole, sc)
 		s.meter.Record(repairbw.Scrub, t.cost)
 		mu.Lock()
 		rep.Cost.Add(t.cost)
@@ -326,9 +329,10 @@ type stripeTally struct {
 // repairStripe is the per-stripe body of every scrub: it verifies the stripe
 // named in h (rec is its object's record), fills in h, and — when repair is
 // set — rebuilds what is missing in sc's pooled workspace, with donor's help
-// if there is one, and writes it home. sc.fromRead and sc.corrupt are left
-// holding the stripe's per-node quarantine evidence.
-func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, rec *availRecord, repair bool, donor Donor, sc *stripeScratch) (stripeTally, error) {
+// if there is one, and writes it home; up[node] is whether node's device
+// answered for its media as the pass began. sc.fromRead and sc.corrupt are
+// left holding the stripe's per-node quarantine evidence.
+func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, rec *availRecord, repair bool, donor Donor, up []bool, sc *stripeScratch) (stripeTally, error) {
 	var t stripeTally
 	// A stripe the pipeline dispatched as the pass was being cancelled must
 	// not start: a blank stripe reads nothing, so nothing below would notice.
@@ -400,24 +404,31 @@ func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, rec *availRec
 	}
 	aided := donor != nil && !h.Recoverable
 	if aided {
-		for node := 0; node < s.g.Data; node++ {
-			if sc.blocks[node] != nil {
+		// A lacking data block lands in its node's arena slot, which holds
+		// nothing peeling reads; like a read block it is written home from it.
+		sc.lacking = sc.lacking[:0]
+		for node, b := range sc.blocks {
+			if b != nil {
 				continue
 			}
-			// The node's arena slot holds nothing peeling reads: the block
-			// lands there, and like a read block it is written home from it.
-			b, err := donor(ctx, h.Object, h.Stripe, node, sc.frame(s, node))
-			if err != nil {
-				return t, err
+			sc.lacking = append(sc.lacking, node)
+			if up[node] && node < s.g.Data {
+				sc.blocks[node] = sc.frame(s, node)
 			}
-			if b == nil {
-				continue
-			}
-			if len(b) != s.cfg.BlockSize {
+		}
+		if err := donor(ctx, h.Object, h.Stripe, sc.lacking, sc.blocks); err != nil {
+			return t, err
+		}
+		for _, node := range sc.lacking {
+			switch b := sc.blocks[node]; {
+			case len(b) == 0:
+				sc.blocks[node] = nil
+			case len(b) != s.cfg.BlockSize:
 				return t, fmt.Errorf("archive: donor block %q stripe %d node %d has %d bytes, want %d",
 					h.Object, h.Stripe, node, len(b), s.cfg.BlockSize)
+			default:
+				sc.donated[node] = true
 			}
-			sc.blocks[node], sc.donated[node] = b, true
 		}
 		h.Recoverable = s.codec.ResumeRepair(sc.ws, sc.blocks) == nil
 	}

@@ -9,6 +9,7 @@ import (
 
 	"tornado/internal/archive"
 	"tornado/internal/codec"
+	"tornado/internal/decode"
 	"tornado/internal/federation"
 	"tornado/internal/graph"
 	"tornado/internal/repairbw"
@@ -17,7 +18,7 @@ import (
 // exchangeGet recovers a whole object by joint cross-site block exchange —
 // the read path of last resort, entered only after every reachable site
 // individually failed to serve the object. Which sites take part is settled
-// once, for every stripe; one that goes down under the exchange drops out
+// once, for every stripe; a site that goes down under the exchange drops out
 // through siteErr.
 func (f *Store) exchangeGet(ctx context.Context, name string) ([]byte, error) {
 	obj, groups := f.exchangeGroups(ctx, name)
@@ -26,7 +27,7 @@ func (f *Store) exchangeGet(ctx context.Context, name string) ([]byte, error) {
 	}
 	out := make([]byte, 0, obj.Size)
 	for st := 0; st < obj.Stripes; st++ {
-		data, err := f.recoverStripe(ctx, name, st, groups)
+		data, err := f.recoverStripe(ctx, name, st, groups, -1, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -37,11 +38,24 @@ func (f *Store) exchangeGet(ctx context.Context, name string) ([]byte, error) {
 	return out, nil
 }
 
+// unionGroup is one link-connected group of sites holding an object; union
+// builds its union graph's codec on first use (federation.System; a lone
+// site's union is its own graph).
+type unionGroup struct {
+	sites []int
+	union func() (unionCodec, error)
+}
+
+type unionCodec struct {
+	*codec.Codec
+	id func(k, node int) int // member k's node → its union node
+}
+
 // exchangeGroups returns the reachable sites that know the object, split
 // into link-connected groups: a block crosses up links hop by hop, but only
 // through sites that hold its stripe. Groups are in order of their first
 // site, each in ascending order; obj is the first holder's record.
-func (f *Store) exchangeGroups(ctx context.Context, name string) (obj archive.Object, groups [][]int) {
+func (f *Store) exchangeGroups(ctx context.Context, name string) (obj archive.Object, groups []unionGroup) {
 	var live []int
 	for _, i := range f.upSites() {
 		if o, err := f.sites[i].Stat(ctx, name); f.siteErr(i, err) == nil {
@@ -67,81 +81,88 @@ func (f *Store) exchangeGroups(ctx context.Context, name string) (obj archive.Ob
 			}
 		}
 		slices.Sort(group)
-		groups = append(groups, group)
+		groups = append(groups, unionGroup{group, sync.OnceValues(func() (u unionCodec, err error) {
+			graphs := make([]*graph.Graph, len(group))
+			for k, i := range group {
+				graphs[k] = f.graph(i)
+			}
+			union := graphs[0]
+			u.id = func(_, node int) int { return node }
+			if len(group) > 1 {
+				sys, err := federation.NewSystem(graphs...)
+				if err != nil {
+					return u, err
+				}
+				u.id, union = sys.UnionID, sys.Union()
+			}
+			u.Codec, err = codec.New(union, f.layout.BlockSize)
+			return u, err
+		})})
 	}
 	return obj, groups
 }
 
 // recoverStripe is federation.JointDecode on the bytes of one stripe. For
 // each group in turn, it fetches every block the members still hold, places
-// each at its node's ID in the group's union graph (federation.System; a
-// lone site's union is its own graph) and runs one codec repair there: the
-// §5.3 exchange to fixpoint as a single peel. A lone site is tried too: its
-// failed Get of the whole object may have lost other stripes than this one.
-// The first group that recovers every data block writes each member's
-// missing data blocks home — the cross-site repair write-back, stalled on an
-// up link into the member from the first other member that has one — and
-// the stripe's data blocks are returned.
+// each at its node's ID in the group's union graph and runs one codec repair
+// there: the §5.3 exchange to fixpoint as a single peel. A lone site is tried
+// too: its failed Get of the whole object may have lost other stripes than
+// this one. The first group that recovers every data block writes each
+// member's missing data blocks home — the cross-site repair write-back,
+// stalled on an up link into the member from the first other member that has
+// one — and the stripe's data blocks are returned. Site home (-1: none) is a
+// repairing pass's target: a block the pass holds in have is not read again,
+// and a missing data block crosses the link but is left to the pass to write.
 // Every byte moved goes through the sites' ReadBlock/WriteBlock, so the
 // sites bill it to the federation cause; the facade keeps its own tally in
 // the fedstore.exchange.* counters for the conservation check.
-func (f *Store) recoverStripe(ctx context.Context, name string, stripe int, groups [][]int) ([][]byte, error) {
+func (f *Store) recoverStripe(ctx context.Context, name string, stripe int, groups []unionGroup, home int, have [][]byte) ([][]byte, error) {
 	data := f.layout.DataNodes
-	for _, group := range groups {
-		graphs := make([]*graph.Graph, len(group))
-		for k, i := range group {
-			graphs[k] = f.graph(i)
-		}
-		union, unionID := graphs[0], func(_, node int) int { return node }
-		if len(group) > 1 {
-			sys, err := federation.NewSystem(graphs...)
-			if err != nil {
-				return nil, err
-			}
-			union, unionID = sys.Union(), sys.UnionID
-		}
-		blocks := make([][]byte, union.Total)
-		held := make([][]bool, len(group)) // held[k][v]: member k had data block v on disk
-		for k, i := range group {
-			held[k] = make([]bool, data)
-			for node := 0; node < graphs[k].Total && f.SiteUp(i); node++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				b, err := f.sites[i].ReadBlock(ctx, name, stripe, node, nil)
-				if err != nil {
-					if isCtxErr(err) {
-						return nil, err
-					}
-					f.siteErr(i, err) // a site gone down ends the loop; it peels with what it gave
-					continue          // missing or corrupt: a hole for the peel to fill
-				}
-				blocks[unionID(k, node)] = b
-				if node < data {
-					held[k][node] = true
-				}
-				f.cExBlkRead.Inc()
-				f.cExByRead.Add(f.frame)
-			}
-		}
-		c, err := codec.New(union, f.layout.BlockSize)
+	for _, g := range groups {
+		u, err := g.union()
 		if err != nil {
 			return nil, err
 		}
-		if c.Repair(blocks) != nil {
+		blocks := make([][]byte, u.Graph().Total)
+		held := make([][]bool, len(g.sites)) // held[k][v]: member k had data block v
+		for k, i := range g.sites {
+			held[k] = make([]bool, data)
+			for node, total := 0, f.graph(i).Total; node < total && f.SiteUp(i); node++ {
+				var b []byte
+				if i == home {
+					b = have[node]
+				}
+				if len(b) == 0 {
+					if b, err = f.fetch(ctx, i, name, stripe, node, nil); err != nil {
+						return nil, err
+					}
+				}
+				if b == nil {
+					continue // missing or corrupt: a hole for the peel to fill
+				}
+				blocks[u.id(k, node)] = b
+				if node < data {
+					held[k][node] = true
+				}
+			}
+		}
+		if u.Repair(blocks) != nil {
 			continue
 		}
 		f.cExStripes.Inc()
 		// Check blocks are site-specific: each member's own repair pass
 		// re-encodes them once its data is whole.
-		for k, j := range group {
-			from := slices.IndexFunc(group, func(a int) bool { return a != j && f.SiteUp(a) && f.linkUp(a, j) })
+		for k, j := range g.sites {
+			from := slices.IndexFunc(g.sites, func(a int) bool { return a != j && f.SiteUp(a) && f.linkUp(a, j) })
 			for v := 0; v < data && from >= 0 && f.SiteUp(j); v++ {
 				if held[k][v] {
 					continue
 				}
-				if err := f.linkStall(ctx, group[from], j, f.frame); err != nil {
+				if err := f.linkStall(ctx, g.sites[from], j, f.frame); err != nil {
 					return nil, err
+				}
+				if j == home {
+					continue // the pass writes it
 				}
 				if err := f.sites[j].WriteBlock(ctx, name, stripe, v, blocks[v]); err != nil {
 					if isCtxErr(err) {
@@ -160,6 +181,22 @@ func (f *Store) recoverStripe(ctx context.Context, name string, stripe int, grou
 		archive.ErrDataLoss, name, stripe)
 }
 
+// fetch reads one block from site i for an exchange or a repair and tallies
+// it. It returns nil when the site gives none — missing or corrupt, or the
+// site went down, which marks it so — and an error only when ctx ended.
+func (f *Store) fetch(ctx context.Context, i int, name string, stripe, node int, dst []byte) ([]byte, error) {
+	b, err := f.sites[i].ReadBlock(ctx, name, stripe, node, dst)
+	if isCtxErr(err) {
+		return nil, err
+	}
+	if f.siteErr(i, err) != nil {
+		return nil, nil
+	}
+	f.cExBlkRead.Inc()
+	f.cExByRead.Add(f.frame)
+	return b, nil
+}
+
 // RepairReport is the outcome of one RepairSite run.
 type RepairReport struct {
 	Site int
@@ -170,8 +207,8 @@ type RepairReport struct {
 	// LocalRepairs counts blocks the site rebuilt by peeling its own
 	// surviving blocks, before any cross-site traffic.
 	LocalRepairs int
-	// DirectImports counts data blocks copied straight from a donor
-	// site's intact replica.
+	// DirectImports counts data blocks copied straight from a donor site's
+	// intact replica and written home.
 	DirectImports int
 	// ExchangedStripes counts stripes that needed full joint exchange
 	// because no single donor held the missing blocks.
@@ -179,8 +216,8 @@ type RepairReport struct {
 	// Exchange is the facade-tallied cross-site traffic of this repair,
 	// filled in on an error return too.
 	Exchange repairbw.CostReport
-	// MissingAfter and Unrecoverable are the last repairing pass's residue;
-	// both must be zero after a successful disaster recovery.
+	// MissingAfter and Unrecoverable are the repairing pass's residue; both
+	// must be zero after a successful disaster recovery.
 	MissingAfter  int
 	Unrecoverable int
 }
@@ -192,11 +229,12 @@ type RepairReport struct {
 // verifies what it holds and peels, only the data blocks it cannot rebuild
 // are read from the first donor that has them, and the site re-encodes its
 // own checks from them — a lost byte costs one byte across the WAN, never a
-// check block, all of it billed to the federation repair cause. Stripes no
-// single donor could complete go through the joint exchange (recoverStripe)
-// of the target's link group alone — a target cut off from every holder
-// exchanges nothing — and, only if there were any, one more pass for their
-// checks. The last pass's report is the residue: nothing is read back.
+// check block, all of it billed to the federation repair cause. When a data
+// block the site could store has no single donor and what the stripe still
+// lacks does not decode, the joint exchange (recoverStripe) of the target's
+// link group alone supplies the rest in the same visit — a target cut off
+// from every holder exchanges nothing. The pass's report is the residue:
+// nothing is read back.
 //
 // A device that refuses a rebuilt block (a dead replacement drive) does not
 // stop the repair: the block shows up in MissingAfter and a later run
@@ -255,80 +293,86 @@ func (f *Store) RepairSiteCtx(ctx context.Context, target int) (rep RepairReport
 		}
 	}
 
-	// The stripes some data block of which no donor had: the only ones the
-	// joint exchange can complete. The pass's workers call donor at once.
-	type stripeRef struct {
-		name   string
-		stripe int
-	}
+	// Per object, settled on its first exchange: the target's link group
+	// among the holders, and per exchanged stripe the data nodes the exchange
+	// supplied. The pass's workers call donor for several stripes at once.
 	var mu sync.Mutex
-	unserved := map[stripeRef]bool{}
-	donor := func(ctx context.Context, name string, stripe, node int, dst []byte) ([]byte, error) {
-		for _, d := range donors {
-			if f.downErr(d) != nil {
-				continue
-			}
-			b, err := f.sites[d].ReadBlock(ctx, name, stripe, node, dst)
-			if err != nil {
-				if isCtxErr(err) {
-					return nil, err
+	own := map[string][]unionGroup{}
+	supplied := map[string]map[int][]int{}
+	csr := decode.NewCSR(f.graph(target))
+	donor := func(ctx context.Context, name string, stripe int, lacking []int, blocks [][]byte) error {
+		var still []int // the lacking nodes no single donor serves
+		short := false  // one of them a data block the site can store
+		for _, node := range lacking {
+			for _, d := range donors {
+				if len(blocks[node]) > 0 || node >= f.layout.DataNodes || f.downErr(d) != nil {
+					continue
 				}
-				f.siteErr(d, err)
-				continue
+				b, err := f.fetch(ctx, d, name, stripe, node, blocks[node])
+				if err == nil && b != nil {
+					blocks[node], err = b, f.linkStall(ctx, d, target, f.frame)
+				}
+				if err != nil {
+					return err
+				}
 			}
-			f.cExBlkRead.Inc()
-			f.cExByRead.Add(f.frame)
-			if err := f.linkStall(ctx, d, target, f.frame); err != nil {
-				return nil, err
+			if len(blocks[node]) == 0 {
+				still = append(still, node)
+				short = short || blocks[node] != nil
 			}
-			return b, nil
+		}
+		if !short || decode.NewDecoder(csr).Recoverable(still) {
+			return nil // the site's own peel finishes the stripe, or could store nothing more
 		}
 		mu.Lock()
-		unserved[stripeRef{name, stripe}] = true
+		groups, ok := own[name]
+		if !ok {
+			_, groups = f.exchangeGroups(ctx, name)
+			groups = slices.DeleteFunc(groups, func(g unionGroup) bool { return len(g.sites) < 2 || !slices.Contains(g.sites, target) })
+			own[name], supplied[name] = groups, map[int][]int{}
+		}
 		mu.Unlock()
-		return nil, nil // the stripe goes to the joint exchange below
+		got, err := f.recoverStripe(ctx, name, stripe, groups, target, blocks)
+		if isCtxErr(err) {
+			return err
+		}
+		if err != nil {
+			return nil // lost at every linked site, or no site is linked; the residue counts it
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, node := range still {
+			if node >= f.layout.DataNodes {
+				continue
+			}
+			blocks[node] = got[node]
+			if !slices.Contains(supplied[name][stripe], node) { // the pass's second look may come back
+				supplied[name][stripe] = append(supplied[name][stripe], node)
+			}
+		}
+		return nil
 	}
 	pass, err := ts.RepairFrom(ctx, donor)
 	f.cExBlkWrit.Add(int64(pass.BlocksImported))
 	f.cExByWrit.Add(int64(pass.BlocksImported) * f.frame)
 	rep.LocalRepairs, rep.DirectImports = pass.BlocksLocal, pass.BlocksImported
+	for _, stripes := range supplied {
+		rep.ExchangedStripes += len(stripes)
+	}
 	if err != nil {
 		return rep, fmt.Errorf("fedstore: repair pass at site %d: %w", target, err)
 	}
-
-	var obj string
-	var own [][]int // the target's link group among obj's holders, if it has a donor
-	for _, h := range pass.Stripes {
-		// A stripe the donors completed but dead drives left short gains
-		// nothing from an exchange: its blocks still cannot go home.
-		if h.Recoverable || !unserved[stripeRef{h.Object, h.Stripe}] {
-			continue
-		}
-		if h.Object != obj {
-			_, groups := f.exchangeGroups(ctx, h.Object)
-			obj, own = h.Object, slices.DeleteFunc(groups, func(g []int) bool { return len(g) < 2 || !slices.Contains(g, target) })
-		}
-		if _, err := f.recoverStripe(ctx, h.Object, h.Stripe, own); err != nil {
-			if isCtxErr(err) {
-				return rep, err
-			}
-			continue // truly lost; the residue counts it
-		}
-		rep.ExchangedStripes++
-	}
-	if rep.ExchangedStripes > 0 {
-		// The exchange wrote data blocks home; the checks over them are the
-		// site's own to re-encode.
-		if pass, err = ts.RepairFrom(ctx, nil); err != nil {
-			return rep, fmt.Errorf("fedstore: rebuild pass at site %d: %w", target, err)
-		}
-	}
-
 	// A set difference: a second look's Repaired lists first-look rewrites.
+	// An exchanged block that is not left missing went home, and is no
+	// direct import.
 	for _, h := range pass.Stripes {
+		rep.DirectImports -= len(supplied[h.Object][h.Stripe])
 		for _, node := range h.Missing {
 			if !slices.Contains(h.Repaired, node) {
 				rep.MissingAfter++
+				if slices.Contains(supplied[h.Object][h.Stripe], node) {
+					rep.DirectImports++
+				}
 			}
 		}
 		if !h.Recoverable {

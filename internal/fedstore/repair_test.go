@@ -13,6 +13,7 @@ import (
 
 	"tornado/internal/archive"
 	"tornado/internal/chaos"
+	"tornado/internal/repairbw"
 )
 
 // countingBackend counts the block reads and writes that reach a site's
@@ -36,12 +37,19 @@ func (b *countingBackend) Write(ctx context.Context, node int, key, data []byte)
 // and the counts reset.
 func wipedFederation(t *testing.T, cfg Config) (f *Store, sites []site, counts []*countingBackend, stripes int) {
 	t.Helper()
+	return damagedFederation(t, cfg, func(sites []site) { wipeSite(sites[0]) })
+}
+
+// damagedFederation is federation3 over counting backends, damaged and with
+// the counts reset.
+func damagedFederation(t *testing.T, cfg Config, damage func([]site)) (f *Store, sites []site, counts []*countingBackend, stripes int) {
+	t.Helper()
 	f, sites, stripes = federation3(t, cfg, func(_ int, b archive.Backend) archive.Backend {
 		cb := &countingBackend{Backend: b}
 		counts = append(counts, cb)
 		return cb
 	})
-	wipeSite(sites[0])
+	damage(sites)
 	for _, cb := range counts {
 		cb.reads.Store(0)
 		cb.writes.Store(0)
@@ -150,11 +158,17 @@ func TestRepairSiteAllocBudget(t *testing.T) {
 }
 
 // TestRepairSiteWidthChangesNothing: one worker or several, the same wiped
-// federation ends up with the same report and the same bytes on every device.
+// federation ends up with the same report and the same bytes on every device
+// — with every donor whole, and with data block 0 lost at every donor, where
+// each stripe goes through the joint exchange on the pass's workers.
 func TestRepairSiteWidthChangesNothing(t *testing.T) {
-	run := func(procs int) (RepairReport, [][]byte) {
+	run := func(procs int, exchange bool) (RepairReport, [][]byte) {
 		setProcs(t, procs)
 		f, sites, _, _ := wipedFederation(t, Config{})
+		if exchange {
+			sites[1].inj.LoseNode(0)
+			sites[2].inj.LoseNode(0)
+		}
 		rep, err := f.RepairSiteCtx(ctx, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -175,13 +189,52 @@ func TestRepairSiteWidthChangesNothing(t *testing.T) {
 		}
 		return rep, stored
 	}
-	serialRep, serial := run(1)
-	wideRep, wide := run(4)
-	if serialRep != wideRep {
-		t.Errorf("reports differ:\n 1 proc  %+v\n 4 procs %+v", serialRep, wideRep)
+	for _, exchange := range []bool{false, true} {
+		serialRep, serial := run(1, exchange)
+		wideRep, wide := run(4, exchange)
+		if serialRep != wideRep {
+			t.Errorf("exchange %v: reports differ:\n 1 proc  %+v\n 4 procs %+v", exchange, serialRep, wideRep)
+		}
+		if exchange != (serialRep.ExchangedStripes > 0) {
+			t.Errorf("exchange %v: %d stripes exchanged", exchange, serialRep.ExchangedStripes)
+		}
+		if !reflect.DeepEqual(serial, wide) {
+			t.Errorf("exchange %v: device contents differ between one worker and several", exchange)
+		}
 	}
-	if !reflect.DeepEqual(serial, wide) {
-		t.Error("device contents differ between one worker and several")
+}
+
+// TestRepairSiteStatsEachSiteOnce: the pass's workers run the exchange for
+// several stripes at once, but which sites take part in an object's exchange
+// is settled once — over HTTP every Stat is a round trip — so a repair that
+// exchanges every stripe asks each site once per object.
+func TestRepairSiteStatsEachSiteOnce(t *testing.T) {
+	setProcs(t, 4)
+	_, sites, stripes := federation3(t, Config{}, nil)
+	stats := make([]int, len(sites))
+	var wrapped []Site
+	for i, s := range sites {
+		wrapped = append(wrapped, statCounter{local{s.store}, &stats[i]})
+	}
+	f, err := Open(ctx, wrapped, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wipeSite(sites[0])
+	sites[1].inj.LoseNode(0)
+	sites[2].inj.LoseNode(0)
+	rep, err := f.RepairSiteCtx(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objects := len(sites[0].store.List())
+	if rep.ExchangedStripes != stripes {
+		t.Fatalf("report %+v, want all %d stripes exchanged", rep, stripes)
+	}
+	for i, n := range stats {
+		if n != objects {
+			t.Errorf("site %d answered %d Stat calls, want one for each of the %d objects", i, n, objects)
+		}
 	}
 }
 
@@ -245,21 +298,41 @@ func TestRepairSiteErrorStillReportsExchange(t *testing.T) {
 
 // TestRepairSiteExchangeFallback: every donor has lost the device holding
 // data block 0, so no replica of it is on disk anywhere and each stripe goes
-// through the joint exchange — after which the site's checks over the
-// exchanged data are rebuilt too.
+// through the joint exchange — within the pass's one visit to it. The blank
+// site reads nothing of its own and writes each block of each stripe once:
+// the imported data, the exchanged block 0 and the checks over them.
 func TestRepairSiteExchangeFallback(t *testing.T) {
-	f, sites, _, stripes := wipedFederation(t, Config{})
+	f, sites, counts, stripes := wipedFederation(t, Config{})
 	sites[1].inj.LoseNode(0)
 	sites[2].inj.LoseNode(0)
 	rep, err := f.RepairSiteCtx(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ExchangedStripes != stripes || rep.MissingAfter != 0 || rep.Unrecoverable != 0 {
-		t.Errorf("report %+v, want %d exchanged stripes and no residue", rep, stripes)
+	live := 0
+	for _, n := range liveBlocks(sites[0].store) {
+		live += n
+	}
+	if rep.ExchangedStripes != stripes || rep.DirectImports != live-stripes || rep.MissingAfter != 0 || rep.Unrecoverable != 0 {
+		t.Errorf("report %+v, want %d exchanged stripes, the other %d live data blocks imported and no residue", rep, stripes, live-stripes)
 	}
 	if got, want := f.ExchangeTotals(), f.SiteFederationTotals(); got != want {
 		t.Errorf("conservation: facade %+v != sites %+v", got, want)
+	}
+	// Every block is on its device, so as many writes as blocks is one each.
+	blocks := 0
+	for _, obj := range sites[0].store.List() {
+		for st := 0; st < obj.Stripes; st++ {
+			for node, dev := range sites[0].devs {
+				if _, err := dev.Read([]byte(fmt.Sprintf("%s/%d/%d", obj.Name, st, node))); err != nil {
+					t.Errorf("%s stripe %d node %d not written: %v", obj.Name, st, node, err)
+				}
+				blocks++
+			}
+		}
+	}
+	if r, w := counts[0].reads.Load(), counts[0].writes.Load(); r != 0 || w != int64(blocks) {
+		t.Errorf("site 0: %d reads, %d writes; want none and one for each of its %d blocks", r, w, blocks)
 	}
 	for i := 0; i < 4; i++ {
 		name := string(rune('a' + i))
@@ -267,6 +340,67 @@ func TestRepairSiteExchangeFallback(t *testing.T) {
 		if err != nil || !bytes.Equal(got, testPayload(400+777*i, uint64(i))) {
 			t.Errorf("repaired site get %q: %v", name, err)
 		}
+	}
+}
+
+// TestRepairSiteNoNeedlessExchange: the site keeps its checks but loses every
+// data frame, and no donor holds data block 0. The first donor supplies the
+// other data blocks and the site's own checks rebuild block 0, so no stripe
+// goes to the joint exchange — a donor that exchanged whenever a block had no
+// single donor would read every block of both donors here.
+func TestRepairSiteNoNeedlessExchange(t *testing.T) {
+	f, _, counts, _ := damagedFederation(t, Config{}, func(sites []site) {
+		for node := 0; node < sites[0].store.Layout().DataNodes; node++ {
+			sites[0].devs[node].Fail()
+			sites[0].inj.VoidNode(node)
+			sites[0].devs[node].Replace()
+		}
+		sites[1].inj.LoseNode(0)
+		sites[2].inj.LoseNode(0)
+	})
+	rep, err := f.RepairSiteCtx(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := RepairReport{LocalRepairs: 37, DirectImports: 175,
+		Exchange: repairbw.CostReport{BlocksRead: 175, BlocksWritten: 175, BytesRead: 6300, BytesWritten: 6300}}
+	if rep != want {
+		t.Errorf("report\n %+v, want\n %+v", rep, want)
+	}
+	for i, want := range []int64{224, 175, 0} { // the site's checks; the donated data blocks
+		if got := counts[i].reads.Load(); got != want {
+			t.Errorf("site %d: %d reads, want %d", i, got, want)
+		}
+	}
+}
+
+// TestRepairSiteExchangeReadsTargetOnce: the target keeps data blocks 1 and
+// up but loses block 0 and every check, and no donor holds block 0, so each
+// stripe goes to the joint exchange. The exchange takes the target's blocks
+// from the repair pass, which has just read them: the target reads each
+// surviving block once.
+func TestRepairSiteExchangeReadsTargetOnce(t *testing.T) {
+	f, sites, counts, stripes := damagedFederation(t, Config{}, func(sites []site) {
+		lay := sites[0].store.Layout()
+		for node := 0; node < lay.NodesPerStripe; node++ {
+			if node == 0 || node >= lay.DataNodes {
+				sites[0].devs[node].Fail()
+				sites[0].inj.VoidNode(node)
+				sites[0].devs[node].Replace()
+			}
+		}
+		sites[1].inj.LoseNode(0)
+		sites[2].inj.LoseNode(0)
+	})
+	rep, err := f.RepairSiteCtx(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ExchangedStripes != stripes || rep.MissingAfter != 0 || rep.Unrecoverable != 0 {
+		t.Errorf("report %+v, want all %d stripes exchanged and no residue", rep, stripes)
+	}
+	if got, want := counts[0].reads.Load(), int64(stripes*(sites[0].store.Layout().DataNodes-1)); got != want {
+		t.Errorf("site 0: %d reads, want %d, one for each surviving block", got, want)
 	}
 }
 
@@ -301,6 +435,90 @@ func TestRepairSiteUnderByteCap(t *testing.T) {
 		if took < floor {
 			t.Errorf("procs=%d: %d bytes crossed a %d B/s link in %v, under the %v it takes", procs, rep.Exchange.BytesWritten, rate, took, floor)
 		}
+	}
+}
+
+// TestRepairSiteExchangeUnderByteCap: the blocks the joint exchange hands the
+// repair pass cross the link into the target as every imported block does.
+// Site 2 is wiped, site 0 keeps only its checks and site 1 has lost data
+// block 0: site 1 serves every other data block over the 1–2 link, the
+// exchange's write-back to sites 0 and 1 runs over 0–1, and the only traffic
+// on the capped 0–2 link is the exchanged block 0 of each stripe, so the
+// repair takes at least that many frames / r.
+func TestRepairSiteExchangeUnderByteCap(t *testing.T) {
+	w := chaos.NewWAN(chaos.WANConfig{Sites: 3})
+	f, _, _, stripes := damagedFederation(t, Config{WAN: w}, func(sites []site) {
+		wipeSite(sites[2])
+		for node := 0; node < sites[0].store.Layout().DataNodes; node++ {
+			sites[0].inj.LoseNode(node)
+		}
+		sites[1].inj.LoseNode(0)
+	})
+	const rate = 4_000 // bytes/s
+	w.LimitLink(0, 2, rate)
+	t0 := time.Now()
+	rep, err := f.RepairSiteCtx(ctx, 2)
+	took := time.Since(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ExchangedStripes != stripes || rep.MissingAfter != 0 || rep.Unrecoverable != 0 {
+		t.Fatalf("report %+v, want all %d stripes exchanged and no residue", rep, stripes)
+	}
+	if floor := time.Duration(stripes*f.Layout().FrameSize()) * time.Second / rate; took < floor {
+		t.Errorf("%d exchanged frames crossed a %d B/s link in %v, under the %v it takes", stripes, rate, took, floor)
+	}
+	if got, want := f.ExchangeTotals(), f.SiteFederationTotals(); got != want {
+		t.Errorf("conservation: facade %+v != sites %+v", got, want)
+	}
+}
+
+// refusingBackend refuses every write to node while refuse is set, yet still
+// answers for the node's media: a drive that fails as it is written.
+type refusingBackend struct {
+	archive.Backend
+	node   int
+	refuse *atomic.Bool
+}
+
+func (b refusingBackend) Write(ctx context.Context, node int, key, data []byte) error {
+	if node == b.node && b.refuse.Load() {
+		return fmt.Errorf("node %d refuses the write", node)
+	}
+	return b.Backend.Write(ctx, node, key, data)
+}
+
+// TestRepairSiteRefusedExchangedWrite: a block the joint exchange supplied is
+// no direct import, written or not. Every donor has lost data block 0, so
+// each stripe is exchanged for it, and the target's drive 0 answers for its
+// media but refuses the write: the report counts the single donors' blocks
+// as the imports and leaves block 0 of each stripe to the residue.
+func TestRepairSiteRefusedExchangedWrite(t *testing.T) {
+	var refuse atomic.Bool
+	f, sites, stripes := federation3(t, Config{}, func(i int, b archive.Backend) archive.Backend {
+		if i == 0 {
+			return refusingBackend{b, 0, &refuse}
+		}
+		return b
+	})
+	wipeSite(sites[0])
+	sites[1].inj.LoseNode(0)
+	sites[2].inj.LoseNode(0)
+	refuse.Store(true)
+	rep, err := f.RepairSiteCtx(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := 0
+	for _, n := range liveBlocks(sites[0].store) {
+		live += n
+	}
+	if rep.ExchangedStripes != stripes || rep.DirectImports != live-stripes || rep.Exchange.BlocksWritten != live-stripes ||
+		rep.MissingAfter != stripes || rep.Unrecoverable != 0 {
+		t.Errorf("report %+v, want %d stripes exchanged, the other %d live data blocks imported and block 0 of each stripe missing", rep, stripes, live-stripes)
+	}
+	if got, want := f.ExchangeTotals(), f.SiteFederationTotals(); got != want {
+		t.Errorf("conservation: facade %+v != sites %+v", got, want)
 	}
 }
 

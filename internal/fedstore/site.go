@@ -29,8 +29,8 @@ type Site interface {
 	// Scrub runs a site-local scrub; repair rebuilds what the site can
 	// recover alone.
 	Scrub(ctx context.Context, repair bool) (archive.ScrubReport, error)
-	// RepairFrom is a repairing scrub that turns to donor for the data blocks
-	// of stripes the site cannot complete alone (archive.Store.RepairFrom).
+	// RepairFrom is a repairing scrub that makes one donor call for each
+	// stripe the site cannot complete alone (archive.Store.RepairFrom).
 	RepairFrom(ctx context.Context, donor archive.Donor) (archive.DonorReport, error)
 }
 

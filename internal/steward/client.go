@@ -347,12 +347,14 @@ func (c *Client) Scrub(ctx context.Context, repair bool) (rep archive.ScrubRepor
 }
 
 // RepairFrom is the remote form of archive.Store.RepairFrom, driven from this
-// side of the wire: a repairing scrub at the site; then, for each stripe it
-// left unrecoverable, the missing data blocks donor can supply are written
-// home; then a second repairing scrub, in which the site re-encodes its own
-// checks from them. Only data blocks cross the wire. (The in-process pass
-// asks donor just for the blocks peeling could not reach; this one cannot see
-// the peel, so it asks for every data block such a stripe is missing.)
+// side of the wire: a repairing scrub at the site; then one donor call for
+// each stripe it left unrecoverable, whose data blocks are written home; then
+// a second repairing scrub, in which the site re-encodes its own checks from
+// them. Only data blocks cross the wire. (The in-process pass asks donor just
+// for the blocks peeling could not reach; this one cannot see the peel, so a
+// stripe lacks every node the scrub missed and did not rebuild. Nor can it see
+// which drives answer, so every lacking data block is offered as one the site
+// can store: a donor may fetch one a dead drive then refuses.)
 func (c *Client) RepairFrom(ctx context.Context, donor archive.Donor) (archive.DonorReport, error) {
 	first, err := c.Scrub(ctx, true)
 	rep := archive.DonorReport{ScrubReport: first, BlocksLocal: first.BlocksRepaired}
@@ -363,22 +365,26 @@ func (c *Client) RepairFrom(ctx context.Context, donor archive.Donor) (archive.D
 	if err != nil {
 		return rep, err
 	}
+	blocks := make([][]byte, lay.NodesPerStripe)
 	for _, h := range first.Stripes {
 		if h.Recoverable {
 			continue
 		}
-		for _, node := range h.Missing {
-			if node >= lay.DataNodes || slices.Contains(h.Repaired, node) {
+		clear(blocks)
+		lacking := slices.DeleteFunc(slices.Clone(h.Missing), func(node int) bool { return slices.Contains(h.Repaired, node) })
+		for _, node := range lacking {
+			if node < lay.DataNodes {
+				blocks[node] = []byte{} // storable, for all this side knows; no buffer to lend
+			}
+		}
+		if err := donor(ctx, h.Object, h.Stripe, lacking, blocks); err != nil {
+			return rep, err
+		}
+		for _, node := range lacking {
+			if len(blocks[node]) == 0 {
 				continue
 			}
-			b, err := donor(ctx, h.Object, h.Stripe, node, nil)
-			if err != nil {
-				return rep, err
-			}
-			if b == nil {
-				continue
-			}
-			if err := c.WriteBlock(ctx, h.Object, h.Stripe, node, b); err == nil {
+			if err := c.WriteBlock(ctx, h.Object, h.Stripe, node, blocks[node]); err == nil {
 				rep.BlocksImported++
 			} else if ctx.Err() != nil || IsUnavailable(err) {
 				return rep, err

@@ -151,6 +151,53 @@ func TestRepairSiteSameInProcessAndOverHTTP(t *testing.T) {
 	}
 }
 
+// TestRemoteRepairTreatsLackingDataAsStorable: a site over HTTP cannot say
+// which of its drives answer, so Client.RepairFrom offers the donor every
+// data block a stripe lacks as one the site can store, where the in-process
+// pass offers only those whose drive answered. Site 0 is wiped with drive 0
+// dead and no donor holds data block 0: in process nothing is exchanged, as
+// block 0 could not go home; over HTTP every stripe goes through the joint
+// exchange and the dead drive refuses block 0. The residue is the same.
+func TestRemoteRepairTreatsLackingDataAsStorable(t *testing.T) {
+	var reps [2]fedstore.RepairReport
+	for k, overHTTP := range []bool{false, true} {
+		var sites []*site
+		var stores []*archive.Store
+		var clients []*Client
+		for i := uint64(0); i < 3; i++ {
+			s := newSite(t, 70+i, 64)
+			sites, stores, clients = append(sites, s), append(stores, s.store), append(clients, s.client)
+		}
+		f, err := fedstore.New(stores, fedstore.Config{})
+		if overHTTP {
+			f, err = federate(clients...)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.PutCtx(ctx, "obj", randPayload(15000, 1)); err != nil {
+			t.Fatal(err)
+		}
+		sites[0].wipe()
+		for _, s := range sites {
+			s.devices[0].Fail()
+		}
+		if reps[k], err = f.RepairSiteCtx(ctx, 0); err != nil {
+			t.Fatal(err)
+		}
+		obj, err := stores[0].Stat("obj")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := map[bool]int{false: 0, true: obj.Stripes}[overHTTP]; reps[k].ExchangedStripes != want {
+			t.Errorf("http=%v: report %+v, want %d stripes exchanged", overHTTP, reps[k], want)
+		}
+	}
+	if reps[0].MissingAfter != reps[1].MissingAfter || reps[0].Unrecoverable != reps[1].Unrecoverable {
+		t.Errorf("residue differs: in process %+v, over HTTP %+v", reps[0], reps[1])
+	}
+}
+
 // TestRepairSiteResidueMatchesScrubOverHTTP: over HTTP too, RepairSite's
 // residue is the last repairing pass's and equals what a verify-only scrub of
 // the site finds after it. Site 0 is wiped with one dead replacement drive: a
