@@ -191,6 +191,7 @@ var exportAllowList = map[string]string{
 
 	// Oracles other packages' tests compare production against (oracle.go).
 	"internal/combin.ForEach":                    "tests: decode, defect",
+	"internal/combin.RandomSubset":               "tests: sim",
 	"internal/decode.Decoder.Threshold":          "tests: sim",
 	"internal/reliability.AnnualLossProbability": "tests: tornado",
 

@@ -148,28 +148,58 @@ func Unrank(idx []int, n int, r int64) {
 
 // RandomSet adds a uniformly random k-subset of {0,…,n-1} to the bitset
 // seen (at least (n+63)/64 words, all-zero on entry) using Floyd's
-// algorithm: one rng.IntN draw per element, so a given rng state always
-// yields the same set. The caller reads the set off seen and zeroes it.
-func RandomSet(seen []uint64, n, k int, rng *rand.Rand) {
+// algorithm: one bounded draw per element, consuming src exactly as
+// rand.New(src).IntN would, so a given src state always yields the same
+// set. The caller reads the set off seen and zeroes it.
+func RandomSet(seen []uint64, n, k int, src *rand.PCG) {
 	if k > n {
 		panic(fmt.Sprintf("combin: k=%d exceeds n=%d", k, n))
 	}
-	for j := n - k; j < n; j++ {
-		// Step j: draw t from [0, j], take j instead if t is already in.
-		// At k ≈ n/2 that test is a coin flip, so the select is arithmetic
-		// rather than a branch.
-		t := rng.IntN(j + 1)
+	floyd(seen, n, k, src, nil)
+}
+
+// floyd is RandomSet's loop; with picks non-nil it also stores the i-th
+// element drawn in picks[i].
+func floyd(seen []uint64, n, k int, src *rand.PCG, picks []int) {
+	for i, j := 0, n-k; j < n; i, j = i+1, j+1 {
+		// Step j: draw t from [0, j] with math/rand/v2's uint64n written
+		// out (a mask for a power of two, else Lemire's multiply with
+		// rejection): the value rand.New(src).IntN(j+1) returns, from the
+		// same stream, without the Source interface call per draw.
+		m := uint64(j + 1)
+		var u uint64
+		if m&(m-1) == 0 {
+			u = src.Uint64() & (m - 1)
+		} else {
+			hi, lo := bits.Mul64(src.Uint64(), m)
+			if lo < m {
+				thresh := -m % m
+				for lo < thresh {
+					hi, lo = bits.Mul64(src.Uint64(), m)
+				}
+			}
+			u = hi
+		}
+		// Take j instead if t is already in. At k ≈ n/2 that test is a
+		// coin flip, so the select is arithmetic rather than a branch.
+		t := int(u)
 		hit := int(seen[t>>6]>>(uint(t)&63)) & 1
 		t ^= (t ^ j) & -hit
 		seen[t>>6] |= 1 << (uint(t) & 63)
+		if picks != nil {
+			picks[i] = t
+		}
 	}
 }
 
-// RandomSubset fills idx with the k-subset RandomSet draws from the same
-// rng state, in increasing order. seen is RandomSet's scratch and must be
-// all-zero on entry; it is all-zero again on return, so reusing it across
-// calls avoids allocation. Pass nil to allocate internally.
-func RandomSubset(idx []int, n int, rng *rand.Rand, seen []uint64) {
+// RandomSubsetUnsorted fills idx with the uniformly random len(idx)-subset
+// of {0,…,n-1} that RandomSet draws from the same src state: ascending
+// where the bitset is read back, in draw order where Floyd's picks are
+// kept, so a caller that only asks which nodes are in the set (the sampled
+// certification's screen) never sorts. seen is RandomSet's scratch and
+// must be all-zero on entry; it is all-zero again on return, so reusing it
+// across calls avoids allocation. Pass nil to allocate internally.
+func RandomSubsetUnsorted(idx []int, n int, src *rand.PCG, seen []uint64) {
 	k := len(idx)
 	if k > n {
 		panic(fmt.Sprintf("combin: k=%d exceeds n=%d", k, n))
@@ -179,10 +209,11 @@ func RandomSubset(idx []int, n int, rng *rand.Rand, seen []uint64) {
 		seen = make([]uint64, words)
 	}
 	// Floyd's algorithm yields an unordered set. Reading the bitset back
-	// in order costs a pass over its words, sorting the draws about k²/4
-	// moves: take whichever is cheaper for this (n, k).
+	// costs a pass over its words, keeping the picks k stores (and a
+	// sorted caller about k²/4 moves): take whichever is cheaper for this
+	// (n, k).
 	if 4*words <= k*k {
-		RandomSet(seen, n, k, rng)
+		RandomSet(seen, n, k, src)
 		i := 0
 		for w, x := range seen[:words] {
 			for ; x != 0; x &= x - 1 {
@@ -193,29 +224,9 @@ func RandomSubset(idx []int, n int, rng *rand.Rand, seen []uint64) {
 		}
 		return
 	}
-	for i := range idx {
-		j := n - k + i // RandomSet's step j, keeping the picks in draw order
-		t := rng.IntN(j + 1)
-		hit := int(seen[t>>6]>>(uint(t)&63)) & 1
-		t ^= (t ^ j) & -hit
-		seen[t>>6] |= 1 << (uint(t) & 63)
-		idx[i] = t
-	}
+	floyd(seen, n, k, src, idx)
 	for _, v := range idx {
 		seen[v>>6] = 0
-	}
-	insertionSort(idx)
-}
-
-func insertionSort(a []int) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
 	}
 }
 

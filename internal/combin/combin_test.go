@@ -162,7 +162,7 @@ func TestForEachZeroK(t *testing.T) {
 }
 
 func TestRandomSubsetValidity(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
+	rng := rand.NewPCG(1, 2)
 	idx := make([]int, 5)
 	scratch := make([]uint64, 2)
 	for trial := 0; trial < 200; trial++ {
@@ -181,7 +181,7 @@ func TestRandomSubsetValidity(t *testing.T) {
 func TestRandomSubsetUniformity(t *testing.T) {
 	// Each element of {0..9} should appear in a size-3 subset with
 	// probability 3/10. Chi-square-ish sanity check over many draws.
-	rng := rand.New(rand.NewPCG(7, 7))
+	rng := rand.NewPCG(7, 7)
 	counts := make([]int, 10)
 	idx := make([]int, 3)
 	const trials = 30000
@@ -200,7 +200,7 @@ func TestRandomSubsetUniformity(t *testing.T) {
 }
 
 func TestRandomSubsetFull(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
+	rng := rand.NewPCG(3, 4)
 	idx := make([]int, 7)
 	RandomSubset(idx, 7, rng, nil)
 	for i, v := range idx {
@@ -256,7 +256,7 @@ func TestRandomSubsetDrawIdentity(t *testing.T) {
 		seed := pick.Uint64()
 		want, got := make([]int, k), make([]int, k)
 		rngWant := rand.New(rand.NewPCG(seed, uint64(k)))
-		rngGot := rand.New(rand.NewPCG(seed, uint64(k)))
+		rngGot := rand.NewPCG(seed, uint64(k))
 		for draw := 0; draw < 2; draw++ {
 			randomSubsetMap(want, n, rngWant)
 			RandomSubset(got, n, rngGot, scratch)
@@ -302,7 +302,7 @@ func TestRandomSubsetPinned(t *testing.T) {
 	for _, p := range pins {
 		words := (p.n + 63) / 64
 		seed := uint64(p.n)<<32 | uint64(p.k)
-		rng, twin := rand.New(rand.NewPCG(2006, seed)), rand.New(rand.NewPCG(2006, seed))
+		rng, twin := rand.NewPCG(2006, seed), rand.NewPCG(2006, seed)
 		seen, set := make([]uint64, words), make([]uint64, words)
 		idx := make([]int, p.k)
 		h := fnv.New64a()
@@ -327,6 +327,41 @@ func TestRandomSubsetPinned(t *testing.T) {
 		}
 		if got := h.Sum64(); got != p.fnv {
 			t.Errorf("n=%d k=%d: fingerprint of 4096 draws %#x, pinned %#x", p.n, p.k, got, p.fnv)
+		}
+	}
+}
+
+// TestSubsetDrawMatchesRand: over 10⁴ successive draws on twin PCGs,
+// RandomSubset's draw on the PCG itself equals randomSubsetMap's through
+// rand.New(twin).IntN, RandomSubsetUnsorted's is the same set from a third
+// twin, and all three streams end at the same point. (n, k) covers both
+// of RandomSubsetUnsorted's branches: Floyd's draws at (30000, 5), the
+// bitset read back at (96, 5) and (30000, 48).
+func TestSubsetDrawMatchesRand(t *testing.T) {
+	for _, n := range []int{5, 96, 1000, 30000} {
+		for _, k := range []int{1, 2, 5, 20, 48} {
+			if k > n {
+				continue
+			}
+			seed := uint64(n)<<32 | uint64(k)
+			src, unsorted, twin := rand.NewPCG(2006, seed), rand.NewPCG(2006, seed), rand.NewPCG(2006, seed)
+			ref := rand.New(twin)
+			seen := make([]uint64, (n+63)/64)
+			got, set, want := make([]int, k), make([]int, k), make([]int, k)
+			for d := 0; d < 10000; d++ {
+				RandomSubset(got, n, src, seen)
+				RandomSubsetUnsorted(set, n, unsorted, seen)
+				randomSubsetMap(want, n, ref)
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d k=%d draw %d: PCG draw %v, rand.Rand draw %v", n, k, d, got, want)
+				}
+				if slices.Sort(set); !slices.Equal(set, want) {
+					t.Fatalf("n=%d k=%d draw %d: unsorted draw holds %v, want %v", n, k, d, set, want)
+				}
+			}
+			if a, b, c := src.Uint64(), unsorted.Uint64(), twin.Uint64(); a != c || b != c {
+				t.Fatalf("n=%d k=%d: streams end apart: next values %#x, %#x, rand.Rand's %#x", n, k, a, b, c)
+			}
 		}
 	}
 }
@@ -358,7 +393,7 @@ func TestSplitRanges(t *testing.T) {
 
 // Property: Rank is a bijection onto [0, C(n,k)) for random combinations.
 func TestQuickRankBijective(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 13))
+	rng := rand.NewPCG(11, 13)
 	f := func(seed uint64) bool {
 		r := rand.New(rand.NewPCG(seed, 99))
 		n := 5 + r.IntN(20)

@@ -152,8 +152,10 @@ func Generate(p Params, rng *rand.Rand) (*graph.Graph, GenStats, error) {
 			continue
 		}
 		st.Rewires = rewires
+		// The one structural check of the accepted graph, wiring and
+		// repair together.
 		if err := g.Validate(); err != nil {
-			return nil, st, fmt.Errorf("core: repaired graph invalid: %w", err)
+			return nil, st, fmt.Errorf("core: generated graph invalid after %d defect-repair rewires: %w", rewires, err)
 		}
 		return g, st, nil
 	}
@@ -164,10 +166,20 @@ func Generate(p Params, rng *rand.Rand) (*graph.Graph, GenStats, error) {
 // paper's "initial graph failure experiences" baseline (§3.2), kept for the
 // Table 2 comparison.
 func GenerateUnscreened(p Params, rng *rand.Rand) (*graph.Graph, error) {
+	var g *graph.Graph
+	var err error
 	if p.TotalNodes > StreamThreshold {
-		return generateStreamOnce(p, rng)
+		g, err = generateStreamOnce(p, rng)
+	} else {
+		g, err = generateOnce(p, rng)
 	}
-	return generateOnce(p, rng)
+	if err != nil {
+		return nil, err
+	}
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("core: generated graph invalid: %w", err)
+	}
+	return g, nil
 }
 
 func generateOnce(p Params, rng *rand.Rand) (*graph.Graph, error) {
@@ -195,9 +207,6 @@ func generateOnce(p Params, rng *rand.Rand) (*graph.Graph, error) {
 		if err := wireLevel(g, p, lv.leftFirst, lv.leftCount, lv.rightFirst, lv.rightCount, rng); err != nil {
 			return nil, err
 		}
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("core: generated graph invalid: %w", err)
 	}
 	return g, nil
 }

@@ -62,12 +62,9 @@ func generateStreamOnce(p Params, rng *rand.Rand) (*graph.Graph, error) {
 		return nil, err
 	}
 	b := graph.NewBuilder(plan.DataNodes)
-	type levelRange struct{ leftFirst, leftCount, rightFirst, rightCount int }
-	var lvs []levelRange
 	leftFirst, leftCount := 0, plan.DataNodes
 	for i, size := range plan.CheckSizes {
 		rf := b.AddLevel(leftFirst, leftCount, size)
-		lvs = append(lvs, levelRange{leftFirst, leftCount, rf, size})
 		if i < len(plan.CheckSizes)-2 {
 			leftFirst, leftCount = rf, size
 		}
@@ -75,13 +72,10 @@ func generateStreamOnce(p Params, rng *rand.Rand) (*graph.Graph, error) {
 	g := b.Graph()
 	g.Name = fmt.Sprintf("tornado-%d", p.TotalNodes)
 
-	for _, lv := range lvs {
-		if err := wireStream(g, p, lv.leftFirst, lv.leftCount, lv.rightFirst, lv.rightCount, rng); err != nil {
+	for li := range g.Levels {
+		if err := wireStream(g, p, li, rng); err != nil {
 			return nil, err
 		}
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("core: generated graph invalid: %w", err)
 	}
 	return g, nil
 }
@@ -93,9 +87,10 @@ func generateStreamOnce(p Params, rng *rand.Rand) (*graph.Graph, error) {
 // repaired locally by swapping the offending stub with the first
 // compatible stub later in the array, so the whole pass stays O(edges)
 // amortized. The rare shuffle whose tail cannot absorb a repair is
-// redrawn.
-func wireStream(g *graph.Graph, p Params, leftFirst, leftCount, rightFirst, rightCount int, rng *rand.Rand) error {
-	leftDegs, rightDegs, err := levelDegrees(p, leftCount, rightCount)
+// redrawn. The accepted stub array becomes level li's adjacency.
+func wireStream(g *graph.Graph, p Params, li int, rng *rand.Rand) error {
+	lv := g.Levels[li]
+	leftDegs, rightDegs, err := levelDegrees(p, lv.LeftCount, lv.RightCount)
 	if err != nil {
 		return err
 	}
@@ -116,7 +111,7 @@ func wireStream(g *graph.Graph, p Params, leftFirst, leftCount, rightFirst, righ
 	// mark[l] holds the epoch (attempt, right) that last claimed left l, so
 	// duplicate detection inside a claim is O(1) with no clearing between
 	// rights or attempts.
-	mark := make([]int32, leftCount)
+	mark := make([]int32, lv.LeftCount)
 	for i := range mark {
 		mark[i] = -1
 	}
@@ -124,12 +119,12 @@ func wireStream(g *graph.Graph, p Params, leftFirst, leftCount, rightFirst, righ
 	for attempt := 0; attempt < shuffleAttempts; attempt++ {
 		rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 		if streamAssign(stubs, rightDegs, mark, int32(attempt*len(rightDegs))) {
-			commitStubs(g, stubs, rightDegs, leftFirst, rightFirst)
+			commitStubs(g, li, stubs, rightDegs)
 			return nil
 		}
 	}
 	return fmt.Errorf("core: could not match level [%d+%d → %d+%d] without duplicate edges in %d shuffles",
-		leftFirst, leftCount, rightFirst, rightCount, shuffleAttempts)
+		lv.LeftFirst, lv.LeftCount, lv.RightFirst, lv.RightCount, shuffleAttempts)
 }
 
 // streamAssign walks the shuffled stub array assigning consecutive runs to
@@ -161,18 +156,16 @@ func streamAssign(stubs []int32, rightDegs []int, mark []int32, epochBase int32)
 	return true
 }
 
-// commitStubs installs the validated stub assignment into the graph.
-func commitStubs(g *graph.Graph, stubs []int32, rightDegs []int, leftFirst, rightFirst int) {
-	pos := 0
-	var lefts []int
-	for r, d := range rightDegs {
-		lefts = lefts[:0]
-		for j := 0; j < d; j++ {
-			lefts = append(lefts, leftFirst+int(stubs[pos+j]))
-		}
-		g.SetNeighbors(rightFirst+r, lefts)
-		pos += d
+// commitStubs installs the validated stub assignment as level li's
+// adjacency in one pass: the stubs, shifted from level-relative to node
+// IDs in place, become the level's left-neighbor array (the graph keeps
+// it), right r claiming the next rightDegs[r] of them.
+func commitStubs(g *graph.Graph, li int, stubs []int32, rightDegs []int) {
+	leftFirst := int32(g.Levels[li].LeftFirst)
+	for i := range stubs {
+		stubs[i] += leftFirst
 	}
+	g.SetLevelNeighbors(li, stubs, rightDegs)
 }
 
 // ClosedDataPairs returns every closed data-node pair: the size-2 data-level

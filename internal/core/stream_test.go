@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"runtime"
 	"slices"
 	"testing"
+
+	"tornado/internal/graph"
 )
 
 func streamParams(n int) Params {
@@ -189,5 +192,113 @@ func TestStreamFingerprintPermutationStability(t *testing.T) {
 	}
 	if perm.Fingerprint() != fp {
 		t.Error("fingerprint changed under edge-order permutation")
+	}
+}
+
+// commitPerEdge is commitStubs as it stood before the one-pass commit:
+// each right's claim installed through SetNeighbors, one AddEdge per edge.
+// Kept as the oracle of the adjacency order the flat commit must give.
+func commitPerEdge(g *graph.Graph, li int, stubs []int32, rightDegs []int) {
+	lv := g.Levels[li]
+	pos := 0
+	var lefts []int
+	for r, d := range rightDegs {
+		lefts = lefts[:0]
+		for j := 0; j < d; j++ {
+			lefts = append(lefts, lv.LeftFirst+int(stubs[pos+j]))
+		}
+		g.SetNeighbors(lv.RightFirst+r, lefts)
+		pos += d
+	}
+}
+
+// perEdgeTwin rebuilds g's levels empty and commits each level's claims
+// (read back off g, in order) through commitPerEdge.
+func perEdgeTwin(g *graph.Graph) *graph.Graph {
+	b := graph.NewBuilder(g.Data)
+	for _, lv := range g.Levels {
+		b.AddLevel(lv.LeftFirst, lv.LeftCount, lv.RightCount)
+	}
+	o := b.Graph()
+	for li, lv := range g.Levels {
+		var stubs []int32
+		var degs []int
+		for r := lv.RightFirst; r < lv.RightFirst+lv.RightCount; r++ {
+			for _, l := range g.LeftNeighbors(r) {
+				stubs = append(stubs, l-int32(lv.LeftFirst))
+			}
+			degs = append(degs, g.RightDegree(r))
+		}
+		commitPerEdge(o, li, stubs, degs)
+	}
+	return o
+}
+
+// sameAdjacency reports the first node whose left-neighbor or parent list
+// differs between g and o, element by element.
+func sameAdjacency(t *testing.T, what string, g, o *graph.Graph) {
+	t.Helper()
+	for v := 0; v < g.Total; v++ {
+		if !slices.Equal(g.LeftNeighbors(v), o.LeftNeighbors(v)) {
+			t.Fatalf("%s: lefts[%d] = %v, per-edge %v", what, v, g.LeftNeighbors(v), o.LeftNeighbors(v))
+		}
+		if !slices.Equal(g.Parents(v), o.Parents(v)) {
+			t.Fatalf("%s: parents[%d] = %v, per-edge %v", what, v, g.Parents(v), o.Parents(v))
+		}
+	}
+}
+
+// TestFlatCommitMatchesPerEdge: the one-pass level commit gives every
+// node's lefts and parents in exactly the order per-edge AddEdge calls
+// give (the CSR, the stopping-set search's option order and the witnesses
+// inherit it), the Typhoon stages' shared left range included. Then the
+// same RepairDefects run (same rng) on both: its rewires append to the
+// flat commit's capped sub-slices, and every node must still match the
+// per-edge graph, whose slices share no backing array — a rewire that
+// wrote into a neighbour's entries would show here — and again after an
+// edge added to each of 16 data nodes.
+func TestFlatCommitMatchesPerEdge(t *testing.T) {
+	for _, n := range []int{1026, 4000, 30000} {
+		g, err := generateStreamOnce(streamParams(n), rand.New(rand.NewPCG(2006, 0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := perEdgeTwin(g)
+		sameAdjacency(t, fmt.Sprintf("n=%d commit", n), g, o)
+
+		okG, rewires := RepairDefects(g, 3, 64, rand.New(rand.NewPCG(2006, 1)))
+		okO, rewiresO := RepairDefects(o, 3, 64, rand.New(rand.NewPCG(2006, 1)))
+		if rewires == 0 || okG != okO || rewires != rewiresO {
+			t.Fatalf("n=%d: repair (%v, %d rewires), per-edge (%v, %d); want the same and at least one rewire", n, okG, rewires, okO, rewiresO)
+		}
+		sameAdjacency(t, fmt.Sprintf("n=%d after %d rewires", n, rewires), g, o)
+		// A rewire keeps every left's degree; an added edge grows a
+		// left's parents too.
+		lv := g.Levels[0]
+		for l := 0; l < 16; l++ {
+			for r := lv.RightFirst; r < lv.RightFirst+lv.RightCount; r++ {
+				if !g.HasEdge(r, l) {
+					g.AddEdge(r, l)
+					o.AddEdge(r, l)
+					break
+				}
+			}
+		}
+		sameAdjacency(t, fmt.Sprintf("n=%d after added edges", n), g, o)
+		if err := g.Validate(); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+	}
+}
+
+// BenchmarkGenerateStream is certify_scale's generation: the screened
+// seed-2006 n=30,000 graph, streamed wiring, defect repair and the one
+// Validate.
+func BenchmarkGenerateStream(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Generate(streamParams(30000), rand.New(rand.NewPCG(2006, 0))); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

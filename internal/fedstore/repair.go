@@ -108,11 +108,12 @@ func (f *Store) exchangeGroups(ctx context.Context, name string) (obj archive.Ob
 // there: the §5.3 exchange to fixpoint as a single peel. A lone site is tried
 // too: its failed Get of the whole object may have lost other stripes than
 // this one. The first group that recovers every data block writes each
-// member's missing data blocks home — the cross-site repair write-back,
-// stalled on an up link into the member from the first other member that has
-// one — and the stripe's data blocks are returned. Site home (-1: none) is a
-// repairing pass's target: a block the pass holds in have is not read again,
-// and a missing data block crosses the link but is left to the pass to write.
+// member's missing data blocks home — the cross-site repair write-back, each
+// block stalled on an up link into the member from the member
+// writeBackSource picks — and the stripe's data blocks are returned. Site
+// home (-1: none) is a repairing pass's target: a block the pass holds in
+// have is not read again, and a missing data block crosses the link but is
+// left to the pass to write.
 // Every byte moved goes through the sites' ReadBlock/WriteBlock, so the
 // sites bill it to the federation cause; the facade keeps its own tally in
 // the fedstore.exchange.* counters for the conservation check.
@@ -153,12 +154,15 @@ func (f *Store) recoverStripe(ctx context.Context, name string, stripe int, grou
 		// Check blocks are site-specific: each member's own repair pass
 		// re-encodes them once its data is whole.
 		for k, j := range g.sites {
-			from := slices.IndexFunc(g.sites, func(a int) bool { return a != j && f.SiteUp(a) && f.linkUp(a, j) })
-			for v := 0; v < data && from >= 0 && f.SiteUp(j); v++ {
+			for v := 0; v < data && f.SiteUp(j); v++ {
 				if held[k][v] {
 					continue
 				}
-				if err := f.linkStall(ctx, g.sites[from], j, f.frame); err != nil {
+				from := f.writeBackSource(g.sites, held, j, v, home)
+				if from < 0 {
+					break // no member is up and linked to j
+				}
+				if err := f.linkStall(ctx, from, j, f.frame); err != nil {
 					return nil, err
 				}
 				if j == home {
@@ -179,6 +183,32 @@ func (f *Store) recoverStripe(ctx context.Context, name string, stripe int, grou
 	}
 	return nil, fmt.Errorf("%w: %q stripe %d lost at every group of linked reachable sites, even with block exchange",
 		archive.ErrDataLoss, name, stripe)
+}
+
+// writeBackSource returns the member of sites whose link into member j the
+// write-back of data block v is charged on, or -1 when no member is up and
+// linked to j: a member that held v before the exchange, the repair target
+// home last among them (what it holds, single donors handed it moments
+// before); failing that the first linked member other than home, and home
+// only when no other is linked.
+func (f *Store) writeBackSource(sites []int, held [][]bool, j, v, home int) int {
+	from, best := -1, 4
+	for k, a := range sites {
+		if a == j || !f.SiteUp(a) || !f.linkUp(a, j) {
+			continue
+		}
+		rank := 0 // a non-target holder first, then the target holding it, then any non-target member
+		if !held[k][v] {
+			rank += 2
+		}
+		if a == home {
+			rank++
+		}
+		if rank < best {
+			from, best = a, rank
+		}
+	}
+	return from
 }
 
 // fetch reads one block from site i for an exchange or a repair and tallies

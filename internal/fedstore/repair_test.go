@@ -473,6 +473,44 @@ func TestRepairSiteExchangeUnderByteCap(t *testing.T) {
 	}
 }
 
+// TestRepairSiteExchangeChargesTheHolder: the exchange's write-back is
+// charged on the link from a member that held the block, never from the
+// blank target. Site 0 is the target, site 1 holds only checks and site 2
+// has lost data block 0 everywhere, with the 0–1 link capped. Site 1's
+// data blocks go home from site 2, which held them (block 0, which no
+// member held, from site 2 too: the first linked member other than the
+// target), so only the target's own exchanged block 0 of each stripe
+// crosses the capped link. Charged from the first linked member, site 1's
+// blocks crossed it from site 0 as well: 2.15 s.
+func TestRepairSiteExchangeChargesTheHolder(t *testing.T) {
+	w := chaos.NewWAN(chaos.WANConfig{Sites: 3})
+	f, _, _, stripes := damagedFederation(t, Config{WAN: w}, func(sites []site) {
+		wipeSite(sites[0])
+		for node := 0; node < sites[1].store.Layout().DataNodes; node++ {
+			sites[1].inj.LoseNode(node)
+		}
+		sites[2].inj.LoseNode(0)
+	})
+	const rate = 4_000 // bytes/s
+	w.LimitLink(0, 1, rate)
+	t0 := time.Now()
+	rep, err := f.RepairSiteCtx(ctx, 0)
+	took := time.Since(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ExchangedStripes != stripes || rep.MissingAfter != 0 || rep.Unrecoverable != 0 {
+		t.Fatalf("report %+v, want all %d stripes exchanged and no residue", rep, stripes)
+	}
+	floor := time.Duration(stripes*f.Layout().FrameSize()) * time.Second / rate
+	if took < floor || took > 3*floor {
+		t.Errorf("repair took %v over a %d B/s link, want about the %v the target's %d exchanged frames take", took, rate, floor, stripes)
+	}
+	if got, want := f.ExchangeTotals(), f.SiteFederationTotals(); got != want {
+		t.Errorf("conservation: facade %+v != sites %+v", got, want)
+	}
+}
+
 // refusingBackend refuses every write to node while refuse is set, yet still
 // answers for the node's media: a drive that fails as it is written.
 type refusingBackend struct {

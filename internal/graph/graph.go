@@ -77,7 +77,7 @@ func (b *Builder) AddLevel(leftFirst, leftCount, rightCount int) int {
 }
 
 // Graph finalizes the builder, allocating adjacency storage. Edges are then
-// added with SetNeighbors / AddEdge.
+// added with SetLevelNeighbors, SetNeighbors or AddEdge.
 func (b *Builder) Graph() *Graph {
 	g := b.g
 	g.lefts = make([][]int32, g.Total)
@@ -130,6 +130,79 @@ func (g *Graph) SetNeighbors(r int, lefts []int) {
 	g.lefts[r] = g.lefts[r][:0]
 	for _, l := range lefts {
 		g.AddEdge(r, l)
+	}
+}
+
+// SetLevelNeighbors wires level li in one pass: its i-th right node, which
+// must have no edges yet, gets the next degs[i] entries of lefts as its
+// left neighbors, in order. The graph keeps lefts as the level's backing
+// array and puts the parents the level adds in one more; both are carved
+// into per-node sub-slices capped at their length, so a later AddEdge to
+// one node reallocates that node's slice instead of writing into the next
+// node's entries. Each left node's parents are what it held before (the
+// other Typhoon stage sharing its range) followed by this level's rights
+// in ascending order: the adjacency per-edge AddEdge calls in right order
+// build. Like AddEdge, it panics on an edge outside the level's left range
+// or a duplicate edge.
+func (g *Graph) SetLevelNeighbors(li int, lefts []int32, degs []int) {
+	lv := g.Levels[li]
+	sum := 0
+	for _, d := range degs {
+		sum += d
+	}
+	if len(degs) != lv.RightCount || sum != len(lefts) {
+		panic(fmt.Sprintf("graph: SetLevelNeighbors: %d degrees summing to %d for level %d's %d right nodes and %d lefts",
+			len(degs), sum, li, lv.RightCount, len(lefts)))
+	}
+	// end[i] first counts left node LeftFirst+i's parents, old and new.
+	// Then it is where the node's next parent goes in back: the start of
+	// its run, moved past the old parents copied in and each right filled
+	// in, so it ends where the run ends and the next one starts.
+	end := make([]int, lv.LeftCount)
+	for i := range end {
+		end[i] = len(g.parents[lv.LeftFirst+i])
+	}
+	for _, l := range lefts {
+		if int(l) < lv.LeftFirst || int(l) >= lv.LeftFirst+lv.LeftCount {
+			panic(fmt.Sprintf("graph: SetLevelNeighbors: left node %d outside level %d left range [%d,%d)",
+				l, li, lv.LeftFirst, lv.LeftFirst+lv.LeftCount))
+		}
+		end[int(l)-lv.LeftFirst]++
+	}
+	start := 0
+	for i, n := range end {
+		start, end[i] = start+n, start
+	}
+	back := make([]int32, start)
+	for i := range end {
+		end[i] += copy(back[end[i]:], g.parents[lv.LeftFirst+i])
+	}
+	pos := 0
+	for i, d := range degs {
+		r := lv.RightFirst + i
+		if len(g.lefts[r]) != 0 {
+			panic(fmt.Sprintf("graph: SetLevelNeighbors: right node %d already wired", r))
+		}
+		g.lefts[r] = lefts[pos : pos+d : pos+d]
+		for _, l := range g.lefts[r] {
+			back[end[int(l)-lv.LeftFirst]] = int32(r)
+			end[int(l)-lv.LeftFirst]++
+		}
+		pos += d
+	}
+	// The level's rights went into each run in ascending order, so a
+	// duplicate edge is two equal neighbours in the run's added part.
+	start = 0
+	for i, e := range end {
+		l := lv.LeftFirst + i
+		added := back[start+len(g.parents[l]) : e]
+		for j := 1; j < len(added); j++ {
+			if added[j] == added[j-1] {
+				panic(fmt.Sprintf("graph: SetLevelNeighbors: duplicate edge (%d,%d)", added[j], l))
+			}
+		}
+		g.parents[l] = back[start:e:e]
+		start = e
 	}
 }
 
@@ -225,8 +298,8 @@ func (g *Graph) Clone() *Graph {
 // every edge respects its level's left range, no duplicate edges, the
 // reverse index matches the forward adjacency, every right node has at
 // least one left neighbor, and every data node is covered by at least one
-// check. It runs in O(nodes + edges): streamed generation validates every
-// archival-scale graph twice.
+// check. It runs in O(nodes + edges): generation validates every
+// archival-scale graph once.
 func (g *Graph) Validate() error {
 	if g.Data <= 0 || g.Total < g.Data {
 		return fmt.Errorf("graph: invalid node counts data=%d total=%d", g.Data, g.Total)

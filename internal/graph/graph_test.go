@@ -105,12 +105,21 @@ func TestAddRemoveEdge(t *testing.T) {
 
 func TestEdgePanics(t *testing.T) {
 	g := tiny(t)
+	blank := func() *Graph { // tiny's levels, unwired
+		b := NewBuilder(4)
+		b.AddLevel(b.AddLevel(0, 4, 2), 2, 1)
+		return b.Graph()
+	}
 	cases := map[string]func(){
 		"duplicate edge":       func() { g.AddEdge(4, 0) },
 		"left outside level":   func() { g.AddEdge(6, 0) },
 		"not a right node":     func() { g.AddEdge(2, 0) },
 		"remove missing edge":  func() { g.RemoveEdge(4, 3) },
 		"rewire across levels": func() { g.RewireEdge(0, 4, 6) },
+		"level duplicate edge": func() { blank().SetLevelNeighbors(0, []int32{1, 2, 3, 3}, []int{2, 2}) },
+		"level left outside":   func() { blank().SetLevelNeighbors(0, []int32{0, 1, 2, 4}, []int{2, 2}) },
+		"level degree sum":     func() { blank().SetLevelNeighbors(0, []int32{0, 1, 2}, []int{2, 2}) },
+		"level already wired":  func() { g.SetLevelNeighbors(1, []int32{4, 5}, []int{2}) },
 	}
 	for name, f := range cases {
 		func() {

@@ -3,7 +3,9 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand/v2"
+	"slices"
 
 	"tornado/internal/combin"
 	"tornado/internal/decode"
@@ -165,12 +167,15 @@ type StratifiedSampler struct {
 	c  *decode.CSR
 	sk *decode.SlicedKernel
 
-	count []int32 // count[r]: erased members of check r (+1 if r erased), valid when stamp[r] == epoch
-	stamp []int32
-	epoch int32
+	// ctr[r] is check r's collision counter packed with the trial that set
+	// it, epoch<<32 | erased members of r (+1 if r erased): one word read
+	// and written per bump. A word an earlier trial left is below
+	// epoch<<32, so it counts as zero without being cleared.
+	ctr   []uint64
+	epoch uint64
 
-	idx  []int    // current k-subset, ascending
-	seen []uint64 // combin.RandomSubset scratch
+	idx  []int    // current k-subset, unsorted
+	seen []uint64 // combin.RandomSubsetUnsorted scratch
 
 	batch     []int32 // staged patterns, lane-major: batch[lane*k : lane*k+k]
 	batchLen  int     // staged lane count
@@ -183,8 +188,7 @@ func NewStratifiedSampler(c *decode.CSR) *StratifiedSampler {
 	return &StratifiedSampler{
 		c:         c,
 		sk:        decode.NewSlicedKernel(c),
-		count:     make([]int32, c.Total),
-		stamp:     make([]int32, c.Total),
+		ctr:       make([]uint64, c.Total),
 		seen:      make([]uint64, c.Words),
 		pendStrat: make([]int32, decode.Lanes),
 	}
@@ -192,7 +196,10 @@ func NewStratifiedSampler(c *decode.CSR) *StratifiedSampler {
 
 // SampleBlock draws trials patterns of cardinality k from the
 // deterministic stream (seed, k, stream) and returns the stratified
-// tally. Cancellation is honored at combination-chunk boundaries.
+// tally. Cancellation is honored at combination-chunk boundaries. Each
+// pattern is drawn on the PCG itself and screened in draw order; only a
+// pattern staged for the sliced kernel is sorted, so the block's staged
+// lanes and witnesses are ascending as RandomSubset would draw them.
 func (s *StratifiedSampler) SampleBlock(ctx context.Context, k int, trials int64, seed, stream uint64, maxWitnesses int) (SampledBlock, error) {
 	total := int(s.c.Total)
 	if k < 1 || k > total {
@@ -209,7 +216,7 @@ func (s *StratifiedSampler) SampleBlock(ctx context.Context, k int, trials int64
 	s.idx = s.idx[:k]
 	s.batchLen = 0
 
-	rng := rand.New(rand.NewPCG(seed^sampledSeedDomain, uint64(k)<<32|stream))
+	src := rand.NewPCG(seed^sampledSeedDomain, uint64(k)<<32|stream)
 	blk := SampledBlock{Strata: make([]stats.Proportion, k+1)}
 	var done, hits, lastFlushTrials, lastFlushHits int64
 	flushHits := func() {
@@ -229,7 +236,7 @@ func (s *StratifiedSampler) SampleBlock(ctx context.Context, k int, trials int64
 			mcFails.Add(hits - lastFlushHits)
 			lastFlushTrials, lastFlushHits = done, hits
 		}
-		combin.RandomSubset(s.idx, total, rng, s.seen)
+		combin.RandomSubsetUnsorted(s.idx, total, src, s.seen)
 		strat, certified := s.classify(k)
 		if certified {
 			blk.Strata[strat].Add(0, 1)
@@ -242,6 +249,7 @@ func (s *StratifiedSampler) SampleBlock(ctx context.Context, k int, trials int64
 		for j, v := range s.idx {
 			dst[j] = int32(v)
 		}
+		slices.Sort(dst)
 		s.pendStrat[lane] = int32(strat)
 		s.batchLen++
 		if s.batchLen == decode.Lanes {
@@ -259,47 +267,42 @@ func (s *StratifiedSampler) SampleBlock(ctx context.Context, k int, trials int64
 // classify stamps the collision counters for the current k-subset and
 // returns its stratum (the maximum same-check collision count, capped at
 // k) plus whether one of the structural recoverability proofs applies.
+// Neither depends on the order of idx.
 func (s *StratifiedSampler) classify(k int) (strat int, certified bool) {
+	if s.epoch == math.MaxUint32 {
+		clear(s.ctr) // the epoch would leave its 32 bits: start over
+		s.epoch = 0
+	}
 	s.epoch++
-	epoch := s.epoch
+	base := s.epoch << 32
 	data := int(s.c.Data)
-	maxC := int32(0)
+	hi := base
 	for _, v := range s.idx {
 		for _, r := range s.c.Parents(int32(v)) {
-			c := s.bump(r, epoch)
-			if c > maxC {
-				maxC = c
-			}
+			hi = max(hi, s.bump(r, base))
 		}
 		if v >= data {
-			c := s.bump(int32(v), epoch)
-			if c > maxC {
-				maxC = c
-			}
+			hi = max(hi, s.bump(int32(v), base))
 		}
 	}
-	if maxC <= 1 {
+	if hi <= base+1 {
 		// Every erased node is the sole erasure its checks see: rule 1
 		// rescues each erased data node directly, rule 2 recomputes each
 		// erased check from its fully present members.
 		return 1, true
 	}
-	strat = int(maxC)
-	if strat > k {
-		strat = k
-	}
+	strat = min(int(hi-base), k)
 	// Rescue certificate: every erased data node has a parent check with
 	// collision count exactly 1 — that check is present (an erased check
 	// would count itself too) and sees no other erasure, so it rescues the
-	// node directly regardless of peel order. idx is ascending, so data
-	// nodes come first.
+	// node directly regardless of peel order.
 	for _, v := range s.idx {
 		if v >= data {
-			break
+			continue
 		}
 		rescued := false
 		for _, r := range s.c.Parents(int32(v)) {
-			if s.count[r] == 1 {
+			if s.ctr[r] == base+1 {
 				rescued = true
 				break
 			}
@@ -311,15 +314,12 @@ func (s *StratifiedSampler) classify(k int) (strat int, certified bool) {
 	return strat, true
 }
 
-// bump increments the epoch-stamped collision counter of check r.
-func (s *StratifiedSampler) bump(r int32, epoch int32) int32 {
-	if s.stamp[r] != epoch {
-		s.stamp[r] = epoch
-		s.count[r] = 1
-	} else {
-		s.count[r]++
-	}
-	return s.count[r]
+// bump increments check r's collision counter under the trial whose epoch
+// word is base and returns the packed word.
+func (s *StratifiedSampler) bump(r int32, base uint64) uint64 {
+	w := max(s.ctr[r], base) + 1
+	s.ctr[r] = w
+	return w
 }
 
 // flushBatch decodes the staged lanes through the bit-sliced kernel and

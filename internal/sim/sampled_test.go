@@ -2,14 +2,17 @@ package sim
 
 import (
 	"context"
+	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tornado/internal/combin"
 	"tornado/internal/core"
 	"tornado/internal/decode"
 	"tornado/internal/graph"
+	"tornado/internal/stats"
 )
 
 func unscreened96(t *testing.T, seed uint64) *graph.Graph {
@@ -33,7 +36,7 @@ func TestClassifyCertificateSound(t *testing.T) {
 		c := decode.NewCSR(g)
 		sp := NewStratifiedSampler(c)
 		ref := decode.NewKernel(c)
-		rng := rand.New(rand.NewPCG(seed+100, 0))
+		rng := rand.NewPCG(seed+100, 0)
 		for k := 2; k <= 6; k++ {
 			sp.idx = make([]int, k)
 			certified, evaluated := 0, 0
@@ -75,7 +78,7 @@ func TestSampledMatchesScalarVerdicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Replay the stream with the scalar kernel.
-	rng := rand.New(rand.NewPCG(42^sampledSeedDomain, uint64(k)<<32|3))
+	rng := rand.NewPCG(42^sampledSeedDomain, uint64(k)<<32|3)
 	ref := decode.NewKernel(c)
 	idx := make([]int, k)
 	scratch := make([]uint64, c.Words)
@@ -100,6 +103,99 @@ func TestSampledMatchesScalarVerdicts(t *testing.T) {
 	}
 	if blk.Screened == 0 {
 		t.Error("screening never resolved a pattern")
+	}
+}
+
+// screenRef is classify as it stood when every pattern was sorted first:
+// collision counts in a map, and the rescue loop stopping at the first
+// check node of the ascending pattern.
+func screenRef(c *decode.CSR, idx []int, k int) (strat int, certified bool) {
+	count := map[int32]int{}
+	for _, v := range idx {
+		for _, r := range c.Parents(int32(v)) {
+			count[r]++
+		}
+		if v >= int(c.Data) {
+			count[int32(v)]++
+		}
+	}
+	maxC := 0
+	for _, n := range count {
+		maxC = max(maxC, n)
+	}
+	if maxC <= 1 {
+		return 1, true
+	}
+	for _, v := range idx {
+		if v >= int(c.Data) {
+			break
+		}
+		if !slices.ContainsFunc(c.Parents(int32(v)), func(r int32) bool { return count[r] == 1 }) {
+			return min(maxC, k), false
+		}
+	}
+	return min(maxC, k), true
+}
+
+// TestSampleBlockMatchesSortedScreen: SampleBlock, which screens each
+// pattern unsorted on the PCG's own draw, tallies every stratum, Screened
+// and the witnesses exactly as a replay of the stream through the sorted
+// RandomSubset, screenRef and the scalar kernel does, on unscreened
+// 96-node graphs (most patterns decoded, most drawn sorted), an unscreened
+// 2,050-node one (drawn unsorted, many rescued) and the n=30,000 graph
+// (all screened). A sampler whose epoch is about to leave its 32 bits returns
+// the block a fresh one does.
+func TestSampleBlockMatchesSortedScreen(t *testing.T) {
+	p := core.DefaultParams()
+	p.TotalNodes = 2050
+	g2050, err := core.GenerateUnscreened(p, rand.New(rand.NewPCG(2006, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []*graph.Graph{unscreened96(t, 7), unscreened96(t, 8), g2050, streamGraph(t, 30000)}
+	for gi, g := range graphs {
+		c := decode.NewCSR(g)
+		ref := decode.NewKernel(c)
+		for _, k := range []int{2, 5, 9} {
+			const trials, maxWitnesses = 5000, 16
+			stream := uint64(gi)
+			got, err := NewStratifiedSampler(c).SampleBlock(context.Background(), k, trials, 2006, stream, maxWitnesses)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := SampledBlock{Strata: make([]stats.Proportion, k+1)}
+			src := rand.NewPCG(2006^sampledSeedDomain, uint64(k)<<32|stream)
+			idx := make([]int, k)
+			for i := 0; i < trials; i++ {
+				combin.RandomSubset(idx, g.Total, src, nil)
+				strat, ok := screenRef(c, idx, k)
+				if ok {
+					want.Strata[strat].Add(0, 1)
+					want.Screened++
+					continue
+				}
+				var hit int64
+				if !ref.Recoverable(idx) {
+					hit = 1
+					if len(want.Witnesses) < maxWitnesses {
+						want.Witnesses = append(want.Witnesses, slices.Clone(idx))
+					}
+				}
+				want.Strata[strat].Add(hit, 1)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("graph %d k=%d: SampleBlock\n%+v\nsorted replay\n%+v", gi, k, got, want)
+			}
+			sp := NewStratifiedSampler(c)
+			sp.epoch = math.MaxUint32 - trials/2
+			wrapped, err := sp.SampleBlock(context.Background(), k, trials, 2006, stream, maxWitnesses)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(wrapped, got) {
+				t.Fatalf("graph %d k=%d: across the epoch wrap\n%+v\nfresh\n%+v", gi, k, wrapped, got)
+			}
+		}
 	}
 }
 

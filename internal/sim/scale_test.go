@@ -139,3 +139,26 @@ func BenchmarkCertifyScale(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSampleBlock is one 65,536-trial block of certify_scale's
+// sampling, n=30,000 at k=5, on a sampler already warm; ns/trial is the
+// trial loop's cost (draw, screen, any kernel batch).
+func BenchmarkSampleBlock(b *testing.B) {
+	sp := NewStratifiedSampler(decode.NewCSR(streamGraph(b, 30000)))
+	const trials = DefaultSampledBlock
+	if _, err := sp.SampleBlock(context.Background(), 5, trials, 2006, 0, 256); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk, err := sp.SampleBlock(context.Background(), 5, trials, 2006, uint64(i), 256)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if blk.Tally().Trials != trials {
+			b.Fatalf("%d trials, want %d", blk.Tally().Trials, trials)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*trials), "ns/trial")
+}
