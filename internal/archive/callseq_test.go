@@ -163,11 +163,10 @@ var callseqCases = []callseqCase{
 		// node 1 errors past the retry budget. The re-plan finds no way
 		// around node 1, so node 1 gets its price back and is asked once
 		// more: it answers, and the plan is read with no parity and no
-		// read-repair — the rotted check is never met. The scrub's first
-		// look cannot rebuild the stripe without node 1; its partial repair
-		// writes back check 75, and its second look, once node 1 answers,
-		// finds only the dead checks missing. The rotten frame the first look
-		// met is still the pass's: Corrupt [75], CorruptFrames 1.
+		// read-repair — the rotted check is never met. The scrub's sweep
+		// cannot rebuild the stripe without node 1, so the visit reads node
+		// 1 once more: it answers, the peel resumes and rebuilds check 75,
+		// which is written back, and only the dead checks stay missing.
 		name: "node 1 answers on retry",
 		damage: func(t *testing.T, devs device.Array, fb *flakyBackend) {
 			for _, node := range checksAbove(benchStore(t).Graph(), 1) {
@@ -178,8 +177,8 @@ var callseqCases = []callseqCase{
 		},
 		ops:         "R0 R1! R1! R1! R2-47 R1",
 		stats:       "{DevicesAccessed:48 BlocksRead:48 BlocksRepaired:0 CorruptBlocks:0 ReadRepairs:0 Retries:2 Repair:{BlocksRead:0 BlocksWritten:0 BytesRead:0 BytesWritten:0}}",
-		scrubOps:    "R0 R1! R1! R1! R2-56 R58-60 R63-72 R74-75 R78 R81 R87 W75 R0-56 R58-60 R63-72 R74-75 R78 R81 R87 W57! W61! W62! W73! W76! W77! W79! W80! W82! W83! W84! W85! W86! W88! W89! W90! W91! W92! W93! W94! W95!",
-		scrubReport: "{Stripes:[{Object:obj Stripe:0 Missing:[57 61 62 73 76 77 79 80 82 83 84 85 86 88 89 90 91 92 93 94 95] Corrupt:[75] Quarantined:[] Recoverable:true Margin:0 Repaired:[75]}] BlocksRepaired:1 CorruptFrames:1 AtRisk:0 Unrecoverable:0 QuarantinedNodes:[] Cost:{BlocksRead:149 BlocksWritten:1 BytesRead:10132 BytesWritten:68}}",
+		scrubOps:    "R0 R1! R1! R1! R2-56 R58-60 R63-72 R74-75 R78 R81 R87 R1 W57! W61! W62! W73! W75 W76! W77! W79! W80! W82! W83! W84! W85! W86! W88! W89! W90! W91! W92! W93! W94! W95!",
+		scrubReport: "{Stripes:[{Object:obj Stripe:0 Missing:[57 61 62 73 75 76 77 79 80 82 83 84 85 86 88 89 90 91 92 93 94 95] Corrupt:[75] Quarantined:[] Recoverable:true Margin:0 Repaired:[75]}] BlocksRepaired:1 CorruptFrames:1 AtRisk:0 Unrecoverable:0 QuarantinedNodes:[] Cost:{BlocksRead:75 BlocksWritten:1 BytesRead:5100 BytesWritten:68}}",
 	},
 	{
 		// A 1,017-byte payload fills data blocks 0-15; 16-47 are zero

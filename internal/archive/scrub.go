@@ -11,9 +11,9 @@ import (
 )
 
 // StripeHealth is the introspection record for one stripe (§6: "stripe
-// reliability assurance and user introspection mechanism"). A stripe a
-// repairing pass looked at twice (see scrub) lists both looks' Corrupt and
-// Repaired nodes; every other field is the second look's.
+// reliability assurance and user introspection mechanism"). A repairing
+// pass reports the stripe as its one visit left it, the visit's retry of the
+// nodes that did not answer included (see repairStripe).
 type StripeHealth struct {
 	Object      string
 	Stripe      int
@@ -45,8 +45,9 @@ type ScrubReport struct {
 }
 
 // Donor completes what it can of one stripe a RepairFrom pass could not rebuild
-// alone. The pass calls it once per such stripe, after its peel, from its
-// workers, several stripes at once. lacking lists, ascending, the nodes the
+// alone. The pass calls it once per such stripe, after its peel and its retry
+// of the nodes that did not answer (see repairStripe), from its workers,
+// several stripes at once. lacking lists, ascending, the nodes the
 // stripe still has no block for; blocks has one entry per node. A lacking data
 // node's entry is an empty buffer with room for one frame (FrameSize bytes) if
 // the node's device answered for its media as the pass began, else nil: the
@@ -115,7 +116,7 @@ func (s *Store) RepairFrom(ctx context.Context, donor Donor) (DonorReport, error
 	return s.scrub(ctx, true, donor, applyStreamOptions(nil).parallelism)
 }
 
-// scrub is the one scrub pass: every stripe of every object through
+// scrub is the one scrub pass: every stripe of every object visited once by
 // repairStripe on a stripePipe of the given width, reported in List order.
 func (s *Store) scrub(ctx context.Context, repair bool, donor Donor, width int) (DonorReport, error) {
 	s.mScrubPasses.Inc()
@@ -128,27 +129,8 @@ func (s *Store) scrub(ctx context.Context, repair bool, donor Donor, width int) 
 		corrupt: make([]int, s.g.Total),
 	}
 	var mu sync.Mutex // guards pass and rep's totals: the workers fold into both
-	stripe := func(ctx context.Context, h *StripeHealth, rec *availRecord, sc *stripeScratch) error {
-		t, err := s.repairStripe(ctx, h, rec, repair, donor, start.whole, sc)
-		s.meter.Record(repairbw.Scrub, t.cost)
-		mu.Lock()
-		rep.Cost.Add(t.cost)
-		rep.BlocksLocal += t.local
-		rep.BlocksImported += t.imported
-		for node := range sc.fromRead {
-			if sc.fromRead[node] {
-				pass.clean[node]++
-			}
-			if sc.corrupt[node] {
-				pass.corrupt[node]++
-			}
-		}
-		mu.Unlock()
-		return err
-	}
 
 	objs := s.entries()
-	recs := make([]*availRecord, 0, len(objs)) // each reported stripe's object's record
 	stripes := 0
 	for _, obj := range objs {
 		stripes += obj.Stripes
@@ -172,11 +154,26 @@ func (s *Store) scrub(ctx context.Context, repair bool, donor Donor, width int) 
 			if sl.sc == nil {
 				sl.sc = s.scratch()
 			}
-			return stripe(ctx, &sl.health, sl.rec, sl.sc)
+			sc := sl.sc
+			t, err := s.repairStripe(ctx, &sl.health, sl.rec, repair, donor, start.whole, sc)
+			s.meter.Record(repairbw.Scrub, t.cost)
+			mu.Lock()
+			defer mu.Unlock()
+			rep.Cost.Add(t.cost)
+			rep.BlocksLocal += t.local
+			rep.BlocksImported += t.imported
+			for node := range sc.fromRead {
+				if sc.fromRead[node] {
+					pass.clean[node]++
+				}
+				if sc.corrupt[node] {
+					pass.corrupt[node]++
+				}
+			}
+			return err
 		},
 		consume: func(sl *stripeSlot) error {
 			rep.Stripes = append(rep.Stripes, sl.health)
-			recs = append(recs, sl.rec)
 			return nil
 		},
 	}
@@ -184,42 +181,6 @@ func (s *Store) scrub(ctx context.Context, repair bool, donor Donor, width int) 
 	s.releaseScratches(&p)
 	if err != nil {
 		return rep, err
-	}
-	// Second look at stripes the first sweep could not reconstruct: their
-	// failure is often transient unavailability (a flapping node, a device
-	// mid-replacement) that has passed by the end of the sweep. The partial
-	// repair above already banked whatever peeling reached.
-	if repair {
-		var keys keyBuf
-		for i, h := range rep.Stripes {
-			if h.Recoverable {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return rep, err
-			}
-			// Only re-scrub when the stripe has genuinely new information: a
-			// node it was missing — beyond those the partial repair already
-			// rewrote — now answers Available. Without that, the second look
-			// would re-read the whole stripe (including stripes this same
-			// pass just repaired onto a replaced device) only to fail or
-			// no-op the same way, doubling the pass's repair traffic.
-			if !s.secondLookWorthwhile(h, recs[i], &keys) {
-				continue
-			}
-			h2 := StripeHealth{Object: h.Object, Stripe: h.Stripe}
-			sc := s.scratch()
-			err := stripe(ctx, &h2, recs[i], sc)
-			s.release(sc)
-			if err != nil {
-				return rep, err
-			}
-			h2.Repaired = append(append([]int(nil), h.Repaired...), h2.Repaired...)
-			h2.Corrupt = append(h2.Corrupt, h.Corrupt...)
-			slices.Sort(h2.Corrupt)
-			h2.Corrupt = slices.Compact(h2.Corrupt)
-			rep.Stripes[i] = h2
-		}
 	}
 	s.renewRecords(objs, rep.Stripes, start)
 	for _, h := range rep.Stripes {
@@ -300,24 +261,6 @@ func (s *Store) renewRecords(objs []entryRef, stripes []StripeHealth, start *ava
 	}
 }
 
-// secondLookWorthwhile reports whether an unrecoverable stripe deserves the
-// second-look re-scrub: some node it is missing — and that the first sweep
-// did not itself repair — answers Available now, meaning the transient
-// unavailability that defeated the sweep has passed.
-func (s *Store) secondLookWorthwhile(h StripeHealth, rec *availRecord, keys *keyBuf) bool {
-	keys.stripe(h.Object, h.Stripe)
-	rec = rec.live()
-	for _, node := range h.Missing {
-		if slices.Contains(h.Repaired, node) {
-			continue
-		}
-		if s.available(rec, node, keys) {
-			return true
-		}
-	}
-	return false
-}
-
 // stripeTally is what one repairStripe call moved: the scrub-cause bill
 // (every byte read to verify plus every byte written to repair), and how many
 // of the rewritten blocks were rebuilt unaided or came from the donor.
@@ -328,10 +271,11 @@ type stripeTally struct {
 
 // repairStripe is the per-stripe body of every scrub: it verifies the stripe
 // named in h (rec is its object's record), fills in h, and — when repair is
-// set — rebuilds what is missing in sc's pooled workspace, with donor's help
-// if there is one, and writes it home; up[node] is whether node's device
-// answered for its media as the pass began. sc.fromRead and sc.corrupt are
-// left holding the stripe's per-node quarantine evidence.
+// set — rebuilds what is missing in sc's pooled workspace, rereading what the
+// peel could not rebuild, then with donor's help if there is one, and writes
+// it home; up[node] is whether node's device answered for its media as the
+// pass began. sc.fromRead and sc.corrupt are left holding the stripe's
+// per-node quarantine evidence.
 func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, rec *availRecord, repair bool, donor Donor, up []bool, sc *stripeScratch) (stripeTally, error) {
 	var t stripeTally
 	// A stripe the pipeline dispatched as the pass was being cancelled must
@@ -348,29 +292,12 @@ func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, rec *availRec
 	sc.keys.stripe(h.Object, h.Stripe)
 	rec = rec.live()
 	for node := range sc.blocks {
-		if s.available(rec, node, &sc.keys) {
-			framed, err := s.readFramed(ctx, node, sc.keys.key(node), sc.frame(s, node), nil)
-			if errIsCtx(err) {
-				// A cancelled read is not evidence of a missing block; abort
-				// the stripe so the pass reports ctx.Err(), not phantom damage.
-				return t, err
-			}
-			if err == nil {
-				t.cost.BlocksRead++
-				t.cost.BytesRead += int64(len(framed))
-				// The payload aliases framed — the node's arena slot; the
-				// codec only reads it.
-				if b, ok := unframeBlock(framed); ok {
-					sc.blocks[node] = b
-					sc.fromRead[node] = true
-					continue
-				}
-				h.Corrupt = append(h.Corrupt, node)
-				sc.corrupt[node] = true
-				s.noteCorrupt(node)
-			}
+		if err := s.readNode(ctx, h, rec, node, sc, &t); err != nil {
+			return t, err
 		}
-		h.Missing = append(h.Missing, node)
+		if sc.blocks[node] == nil {
+			h.Missing = append(h.Missing, node)
+		}
 	}
 	if len(h.Missing) == 0 {
 		h.Recoverable = true
@@ -393,6 +320,24 @@ func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, rec *availRec
 		}
 	}
 	h.Recoverable = s.codec.RepairWith(sc.ws, sc.blocks) == nil
+	if repair && !h.Recoverable {
+		// A node dark for the sweep (a flap, a device mid-replacement) may
+		// answer now: each missing node the peel did not rebuild and whose
+		// frame was not rotten is read once more, before any donor is asked.
+		for _, node := range h.Missing {
+			if sc.blocks[node] == nil && !sc.corrupt[node] {
+				if err := s.readNode(ctx, h, rec, node, sc, &t); err != nil {
+					return t, err
+				}
+			}
+		}
+		n := len(h.Missing)
+		h.Missing = slices.DeleteFunc(h.Missing, func(node int) bool { return sc.fromRead[node] })
+		if len(h.Missing) < n {
+			h.Recoverable = s.codec.ResumeRepair(sc.ws, sc.blocks) == nil
+		}
+		slices.Sort(h.Corrupt)
+	}
 	if s.cfg.FirstFailure > 0 {
 		h.Margin = s.cfg.FirstFailure - len(h.Missing)
 	}
@@ -472,4 +417,33 @@ func (s *Store) repairStripe(ctx context.Context, h *StripeHealth, rec *availRec
 		h.Recoverable = decode.New(s.g).Recoverable(refused)
 	}
 	return t, nil
+}
+
+// readNode reads and verifies node's frame of the stripe sc.keys names if
+// the probe (rec is the stripe's live record) finds it: a verified block goes
+// into sc.blocks, a rotten frame into h.Corrupt, the read onto t's bill. Only
+// a cancelled read is an error; it is no evidence of a missing block.
+func (s *Store) readNode(ctx context.Context, h *StripeHealth, rec *availRecord, node int, sc *stripeScratch, t *stripeTally) error {
+	if !s.available(rec, node, &sc.keys) {
+		return nil
+	}
+	framed, err := s.readFramed(ctx, node, sc.keys.key(node), sc.frame(s, node), nil)
+	if errIsCtx(err) {
+		return err
+	}
+	if err != nil {
+		return nil // unreadable: the node stays missing
+	}
+	t.cost.BlocksRead++
+	t.cost.BytesRead += int64(len(framed))
+	// The payload aliases framed — the node's arena slot; the codec only
+	// reads it.
+	if b, ok := unframeBlock(framed); ok {
+		sc.blocks[node], sc.fromRead[node] = b, true
+		return nil
+	}
+	h.Corrupt = append(h.Corrupt, node)
+	sc.corrupt[node] = true
+	s.noteCorrupt(node)
+	return nil
 }

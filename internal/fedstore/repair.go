@@ -372,11 +372,8 @@ func (f *Store) RepairSiteCtx(ctx context.Context, target int) (rep RepairReport
 		mu.Lock()
 		defer mu.Unlock()
 		for _, node := range still {
-			if node >= f.layout.DataNodes {
-				continue
-			}
-			blocks[node] = got[node]
-			if !slices.Contains(supplied[name][stripe], node) { // the pass's second look may come back
+			if node < f.layout.DataNodes {
+				blocks[node] = got[node]
 				supplied[name][stripe] = append(supplied[name][stripe], node)
 			}
 		}
@@ -392,9 +389,8 @@ func (f *Store) RepairSiteCtx(ctx context.Context, target int) (rep RepairReport
 	if err != nil {
 		return rep, fmt.Errorf("fedstore: repair pass at site %d: %w", target, err)
 	}
-	// A set difference: a second look's Repaired lists first-look rewrites.
-	// An exchanged block that is not left missing went home, and is no
-	// direct import.
+	// Missing less Repaired is what the pass left missing. An exchanged block
+	// that is not left missing went home, and is no direct import.
 	for _, h := range pass.Stripes {
 		rep.DirectImports -= len(supplied[h.Object][h.Stripe])
 		for _, node := range h.Missing {

@@ -66,9 +66,8 @@ func federation3(t *testing.T, cfg Config, wrap func(site int, b archive.Backend
 
 // flapBackend hides a set of nodes — unavailable, unreadable, no media epoch
 // to vouch for them — for the first hideCalls Available probes, then answers
-// truly: a flap that passes as one pass ends its sweep of the site. The
-// pass's workers probe it at once, so the count is atomic. It hides nothing
-// while hideCalls is zero.
+// truly: a flap that passes while a pass runs. The pass's workers probe it
+// at once, so the count is atomic. It hides nothing while hideCalls is zero.
 type flapBackend struct {
 	archive.Backend
 	hidden    []bool
@@ -103,13 +102,14 @@ func (b *flapBackend) ReadInto(ctx context.Context, node int, key, dst []byte) (
 // it. The cases cover each way the last pass's report can differ from a
 // read-back: blocks a dead drive refused, a stripe no site can rebuild,
 // stripes the joint exchange completed (whose residue is the rebuild pass's,
-// not the donor pass's), and a stripe rescued on the pass's second look,
-// whose Repaired lists rewrites its Missing no longer shows.
+// not the donor pass's), and stripes rescued by the visit's retry of the
+// nodes that were dark for its sweep.
 func TestRepairSiteResidueMatchesScrub(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		// flap hides data block 0 and every check of site 0 for the
-		// repair's first sweep.
+		// first NodesPerStripe probes of the repair: within the sweep of the
+		// stripes visited first.
 		flap bool
 		// damage is done after the objects are stored.
 		damage func(t *testing.T, sites []site)
@@ -184,9 +184,9 @@ func TestRepairSiteResidueMatchesScrub(t *testing.T) {
 				}
 			}},
 		// Site 0 keeps its media, but data block 0 and every check are
-		// dark for the pass's first sweep, and no donor holds block 0: the
-		// first look banks the checks it can re-encode and fails; the
-		// second look, the flap over, finds nothing missing.
+		// dark as the pass begins, and no donor holds block 0: a stripe
+		// whose sweep met the flap rewrites the checks its peel re-encodes,
+		// and its retry, the flap over, reads block 0 and the rest.
 		{"flap during the first look", true,
 			func(t *testing.T, sites []site) {
 				sites[1].inj.LoseNode(0)
@@ -195,7 +195,7 @@ func TestRepairSiteResidueMatchesScrub(t *testing.T) {
 			func(t *testing.T, rep RepairReport, _ []site, _ int) {
 				if rep.LocalRepairs == 0 || rep.DirectImports != 0 || rep.ExchangedStripes != 0 ||
 					rep.MissingAfter != 0 || rep.Unrecoverable != 0 {
-					t.Errorf("report %+v, want checks rewritten on the first look, every stripe whole after the second", rep)
+					t.Errorf("report %+v, want checks rewritten, every stripe whole after its retry", rep)
 				}
 			}},
 	} {
@@ -222,7 +222,7 @@ func TestRepairSiteResidueMatchesScrub(t *testing.T) {
 					flap.hidden[node] = true
 				}
 				flap.calls.Store(0)
-				flap.hideCalls = int64(stripes * lay.NodesPerStripe)
+				flap.hideCalls = int64(lay.NodesPerStripe)
 			}
 			rep, err := f.RepairSiteCtx(ctx, 0)
 			if err != nil {
