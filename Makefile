@@ -100,15 +100,19 @@ bench:
 #   k = 5, 6 and 7, the kernel under design_certify's adjust and worst-case
 #   steps; options/op is the options tried (Root's budget steps): 14,447 at
 #   k = 5, 32,931 when the search branched on the lowest-numbered violated
-#   check and added every last-level option.
+#   check and added every last-level option. n=30000/k=3 is the same search
+#   over every data root of certify_scale's graph: ~65 -> ~22 ms on one
+#   goroutine once the violated checks were read off a trail of the members'
+#   checks instead of a Total-bit mask scanned at every step.
 # - DesignPipeline: design_certify as a Go benchmark (the root package's):
 #   generate the seed-2006 96-node graph, improve to k=4, exhaustive worst
 #   case to k=5, a 1,000-order profile, all on one worker. Its certification
 #   steps fan out through sim's block loop, which at one worker runs every
 #   block on the caller and starts no goroutine.
 # - ScanDataLevel96: a whole size-3 closed-set screen of a 96-node-scale data
-#   level, the root-by-root search generation runs at every n; allocs/op is
-#   the search state plus the findings.
+#   level: the stopping-set enumerator with every check never erased, root by
+#   root, as generation runs it at every n; allocs/op is the enumerator plus
+#   the findings.
 # - CertifyScale: sampled certification at n=100,000, the O(edges) path (a
 #   CSR with no mask tables) at the size the dense tables made unreachable.
 # - SampleBlock: one 65,536-trial block of certify_scale's sampling (n=30,000,
@@ -117,7 +121,10 @@ bench:
 #   screened unsorted and counted in one packed word per node.
 # - GenerateStream: certify_scale's generation (seed-2006 n=30,000, screened);
 #   ~31 -> ~23 ms, 6.55 -> 4.72 MB and ~100,300 -> ~1,200 allocs/op when each
-#   level's adjacency was committed in one pass instead of edge by edge.
+#   level's adjacency was committed in one pass instead of edge by edge;
+#   ~24.7 -> ~24.1 ms (faster in 6 of 10 alternating runs, inside the
+#   parent's quartiles of 22.9-26.4 ms) and 4.72 -> 4.77 MB/op when the
+#   closed-set screen became the stopping-set enumerator.
 # - FailureProfile: the paper's Monte Carlo failure profile on tornado96-1,
 #   1000 arrival orders on one worker, every sampled point read off each
 #   order's threshold, 64 orders to a sliced word (design_certify's profile

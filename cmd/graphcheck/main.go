@@ -58,27 +58,20 @@ func main() {
 	}
 	fmt.Println("structure: valid")
 
-	all, err := tornado.ScanAllDefectsCtx(ctx, g, 3, 0)
+	defects, err := tornado.ScanDefectsCtx(ctx, g, 3, 0)
 	if err != nil {
 		log.Fatal(err)
-	}
-	var defects, upper []tornado.Defect // data-level findings reject; upper-level ones warn
-	for _, d := range all {
-		if d.Level == 0 {
-			defects = append(defects, d)
-		} else {
-			upper = append(upper, d)
-		}
 	}
 	if len(defects) == 0 {
 		fmt.Println("defects:   none up to closed sets of size 3")
 	} else {
 		fmt.Printf("defects:   %d closed sets found — REJECT for production use\n", len(defects))
-		printFirstFive(defects)
-	}
-	if len(upper) > 0 {
-		fmt.Printf("cascade:   %d closed sets in check levels (weak points, not standalone data loss)\n", len(upper))
-		printFirstFive(upper)
+		for _, d := range defects[:min(5, len(defects))] {
+			fmt.Printf("           %v\n", d)
+		}
+		if len(defects) > 5 {
+			fmt.Printf("           … and %d more\n", len(defects)-5)
+		}
 	}
 
 	wc, err := tornado.WorstCaseCtx(ctx, g, tornado.WorstCaseOptions{MaxK: *maxK})
@@ -116,16 +109,5 @@ func main() {
 
 	if len(defects) > 0 || (wc.Found && wc.FirstFailure <= 2) {
 		os.Exit(1)
-	}
-}
-
-// printFirstFive lists up to five defects, one a line, and how many more
-// there are.
-func printFirstFive(ds []tornado.Defect) {
-	for _, d := range ds[:min(5, len(ds))] {
-		fmt.Printf("           %v\n", d)
-	}
-	if len(ds) > 5 {
-		fmt.Printf("           … and %d more\n", len(ds)-5)
 	}
 }

@@ -228,6 +228,7 @@ var exportAllowList = map[string]string{
 	"tornado.ChaosInjector":       "returned by tornado.NewChaosBackend",
 	"tornado.Codec":               "returned by tornado.NewCodec",
 	"tornado.DecodeResult":        "returned by tornado.NewDecoder",
+	"tornado.Defect":              "returned by tornado.ScanDefectsCtx",
 	"tornado.Device":              "returned by tornado.NewDevices",
 	"tornado.DeviceArray":         "returned by tornado.NewDevices",
 	"tornado.DeviceOffline":       "returned by tornado.Device.State",

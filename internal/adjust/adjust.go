@@ -256,7 +256,7 @@ func pickRewire(ctx context.Context, g *graph.Graph, failures [][]int, rng *rand
 	slices.SortStableFunc(rest, func(a, b int) int { return g.RightDegree(a) - g.RightDegree(b) })
 	for _, cand := range append([]int{to}, rest...) {
 		g.RewireEdge(target, from, cand)
-		bad, err := introducesNewDefect(ctx, g, before)
+		bad, err := introducesNewDefect(ctx, g, before, target)
 		g.RewireEdge(target, cand, from)
 		if err != nil {
 			return Rewire{}, false, err
@@ -272,22 +272,16 @@ func pickRewire(ctx context.Context, g *graph.Graph, failures [][]int, rng *rand
 // candidates — the generation gate's default scan depth.
 const rewireScreenSize = 3
 
-// introducesNewDefect reports whether g (with a rewire tentatively applied)
-// has a data-level closed set that was not present before the rewire.
-func introducesNewDefect(ctx context.Context, g *graph.Graph, before []defect.Finding) (bool, error) {
-	after, err := defect.ScanDataLevelCtx(ctx, g, rewireScreenSize, 0)
-	if err != nil {
+// introducesNewDefect reports whether g, with a rewire of target's edge
+// tentatively applied, has a data-level closed set that before, the
+// screen's findings without the rewire, does not hold. Only target's parents
+// changed, so defect.Update gives the rescan's findings.
+func introducesNewDefect(ctx context.Context, g *graph.Graph, before []defect.Finding, target int) (bool, error) {
+	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	for _, f := range after {
-		known := false
-		for _, b := range before {
-			if slices.Equal(f.Lefts, b.Lefts) {
-				known = true
-				break
-			}
-		}
-		if !known {
+	for _, f := range defect.Update(g, before, target, rewireScreenSize) {
+		if !slices.ContainsFunc(before, func(b defect.Finding) bool { return slices.Equal(f.Lefts, b.Lefts) }) {
 			return true, nil
 		}
 	}

@@ -85,10 +85,10 @@ func TestStreamGenerate100kSurvivesThreeLosses(t *testing.T) {
 	if st.Rewires != 6 || g.Fingerprint() != fp {
 		t.Errorf("%d rewires, fingerprint %s; want 6, %s", st.Rewires, g.Fingerprint(), fp)
 	}
-	e := decode.NewStoppingEnumerator(decode.NewCSR(g))
+	e := decode.NewStoppingEnumerator(g, nil)
 	var sets [][]int
 	for v := range g.Data {
-		sets, _ = e.Root(sets[:0], v, 3, math.MaxInt64)
+		sets, _ = e.Root(sets[:0], v, v, 3, math.MaxInt64)
 		if len(sets) > 0 {
 			t.Fatalf("stopping set %v of at most 3 nodes holds data", sets[0])
 		}

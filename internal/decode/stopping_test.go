@@ -2,7 +2,6 @@ package decode_test
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -10,7 +9,9 @@ import (
 	"testing"
 
 	"tornado/internal/combin"
+	"tornado/internal/core"
 	"tornado/internal/decode"
+	"tornado/internal/graph"
 	"tornado/internal/graphml"
 	"tornado/internal/sim"
 )
@@ -24,6 +25,11 @@ import (
 // return exactly the scan's count and recorded sets (sim.ScanRangeCtx over
 // the whole rank space), and both must equal the brute-force count and
 // lexicographically smallest failing sets under ReferenceRecoverable.
+//
+// The second arm marks a random subset of nodes never erased. Every set
+// recorded then avoids them and fails, every minimal failing set that
+// avoids them is recorded from its smallest data member, and a search from
+// v with no root ban (lo = 0) records every one that holds v.
 func FuzzStoppingMatchesScan(f *testing.F) {
 	f.Add(uint64(1), uint64(2))
 	f.Add(uint64(2006), uint64(0))
@@ -32,7 +38,7 @@ func FuzzStoppingMatchesScan(f *testing.F) {
 		ctx := context.Background()
 		rng := rand.New(rand.NewPCG(seed, stream))
 		g := decode.RandomCascade(rng)
-		en := decode.NewStoppingEnumerator(decode.NewCSR(g))
+		en := decode.NewStoppingEnumerator(g, nil)
 		maxF := 1 + rng.IntN(8)
 		for k := 1; k <= min(5, g.Total); k++ {
 			total, _ := combin.BinomialInt64(g.Total, k)
@@ -41,7 +47,7 @@ func FuzzStoppingMatchesScan(f *testing.F) {
 			}
 			var found [][]int
 			for v0 := 0; v0 < g.Data; v0++ {
-				sets, complete := en.Root(nil, v0, k, math.MaxInt64)
+				sets, complete := en.Root(nil, v0, v0, k, math.MaxInt64)
 				if !complete {
 					t.Fatalf("k=%d root %d: an unlimited search reports a spent budget", k, v0)
 				}
@@ -53,8 +59,30 @@ func FuzzStoppingMatchesScan(f *testing.F) {
 				}
 			}
 
+			never := make([]bool, g.Total)
+			for v := range never {
+				never[v] = rng.IntN(4) == 0
+			}
+			fixed := decode.NewStoppingEnumerator(g, func(v int) bool { return never[v] })
+			var avoiding [][]int
+			holding := make([][][]int, g.Data) // per data node v: the sets a search from v with no root ban records
+			for v0 := 0; v0 < g.Data; v0++ {
+				sets, _ := fixed.Root(nil, v0, v0, k, math.MaxInt64)
+				avoiding = append(avoiding, sets...)
+				holding[v0], _ = fixed.Root(nil, v0, 0, k, math.MaxInt64)
+				for i, s := range slices.Concat(sets, holding[v0]) {
+					if len(s) > k || !slices.Contains(s, v0) || i < len(sets) && s[0] != v0 ||
+						slices.ContainsFunc(s, func(v int) bool { return never[v] }) || decode.ReferenceRecoverable(g, s) {
+						t.Fatalf("k=%d root %d, never erased %v: recorded %v, want ≤ k nodes with the root (the smallest under its ban), none never erased, that fail", k, v0, never, s)
+					}
+				}
+			}
+
 			var fails int64
 			var smallest [][]int
+			has := func(sets [][]int, s []int) bool {
+				return slices.ContainsFunc(sets, func(f []int) bool { return slices.Equal(f, s) })
+			}
 			combin.ForEach(g.Total, k, func(idx []int) bool {
 				if decode.ReferenceRecoverable(g, idx) {
 					return true
@@ -68,8 +96,19 @@ func FuzzStoppingMatchesScan(f *testing.F) {
 						return true // not minimal
 					}
 				}
-				if !slices.ContainsFunc(found, func(s []int) bool { return slices.Equal(s, idx) }) {
+				if !has(found, idx) {
 					t.Fatalf("k=%d: minimal failing set %v not enumerated (graph %v)", k, idx, g)
+				}
+				if slices.ContainsFunc(idx, func(v int) bool { return never[v] }) {
+					return true
+				}
+				if !has(avoiding, idx) {
+					t.Fatalf("k=%d, never erased %v: minimal failing set %v not enumerated (graph %v)", k, never, idx, g)
+				}
+				for _, v := range idx {
+					if v < g.Data && !has(holding[v], idx) {
+						t.Fatalf("k=%d, never erased %v: minimal failing set %v not found from %d with no root ban (graph %v)", k, never, idx, v, g)
+					}
 				}
 				return true
 			})
@@ -104,9 +143,9 @@ func TestStoppingRootWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		en := decode.NewStoppingEnumerator(decode.NewCSR(g))
+		en := decode.NewStoppingEnumerator(g, nil)
 		for v0 := 0; v0 < g.Data; v0++ {
-			if _, complete := en.Root(nil, v0, 5, budget); !complete {
+			if _, complete := en.Root(nil, v0, v0, 5, budget); !complete {
 				t.Errorf("%s root %d: the k=5 search spends its budget of %d options", name, v0, budget)
 			}
 		}
@@ -114,21 +153,33 @@ func TestStoppingRootWork(t *testing.T) {
 }
 
 // BenchmarkStoppingRoot is the stopping-set search of one exhaustive
-// cardinality of tornado96-1, every root in turn on one enumerator, at
-// k = 5, 6 and 7: the kernel under the worst-case search. options/op
-// counts the options tried (Root's budget steps).
+// cardinality, every root in turn on one enumerator: tornado96-1 at k = 5,
+// 6 and 7, the kernel under the worst-case search, and the screened
+// seed-2006 n=30,000 graph (certify_scale's) at k = 3, where the search
+// holds few violated checks among many nodes. options/op counts the
+// options tried (Root's budget steps).
 func BenchmarkStoppingRoot(b *testing.B) {
 	g, err := graphml.ReadFile("../../precompiled/tornado96-1.graphml")
 	if err != nil {
 		b.Fatal(err)
 	}
-	en := decode.NewStoppingEnumerator(decode.NewCSR(g))
-	for _, k := range []int{5, 6, 7} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+	p := core.DefaultParams()
+	p.TotalNodes = 30000
+	scale, _, err := core.Generate(p, rand.New(rand.NewPCG(2006, 0)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		k    int
+	}{{"k=5", g, 5}, {"k=6", g, 6}, {"k=7", g, 7}, {"n=30000/k=3", scale, 3}} {
+		en := decode.NewStoppingEnumerator(c.g, nil)
+		b.Run(c.name, func(b *testing.B) {
 			var tried int64
 			for range b.N {
-				for v0 := 0; v0 < g.Data; v0++ {
-					en.Root(nil, v0, k, math.MaxInt64)
+				for v0 := 0; v0 < c.g.Data; v0++ {
+					en.Root(nil, v0, v0, c.k, math.MaxInt64)
 					tried += math.MaxInt64 - en.Left()
 				}
 			}

@@ -19,8 +19,7 @@ import (
 
 // TestPrecompiledGraphsKernelMatchesReference exhaustively cross-checks
 // the closed-set search against the map-based oracle on the three shipped
-// certified 96-node graphs, on every cascade level and at several worker
-// counts.
+// certified 96-node graphs, at several worker counts.
 func TestPrecompiledGraphsKernelMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive 96-node scan")
@@ -30,20 +29,14 @@ func TestPrecompiledGraphsKernelMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		maxSize := 4
-		if got, want := defect.MustScanData(t, g, maxSize), defect.ReferenceScan(g, maxSize); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s data level: scan = %v, reference = %v", name, got, want)
-		}
-		for li := range g.Levels {
-			want := defect.ReferenceScanLevel(g, li, 3)
-			for _, workers := range []int{0, 1, 4} {
-				got, err := defect.ScanLevelCtx(t.Context(), g, li, 3, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s level %d workers %d: scan = %v, reference = %v", name, li, workers, got, want)
-				}
+		want := defect.ReferenceScan(g, 4)
+		for _, workers := range []int{0, 1, 4} {
+			got, err := defect.ScanDataLevelCtx(t.Context(), g, 4, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s workers %d: scan = %v, reference = %v", name, workers, got, want)
 			}
 		}
 	}
@@ -52,7 +45,7 @@ func TestPrecompiledGraphsKernelMatchesReference(t *testing.T) {
 // TestSmallGeneratedGraphsClosedFourSets scans unscreened 32-node
 // generated graphs — small enough for exhaustive size-4 search, raw
 // enough that closed sets actually occur — and cross-checks the search
-// against the reference on every level.
+// against the reference.
 func TestSmallGeneratedGraphsClosedFourSets(t *testing.T) {
 	p := core.DefaultParams()
 	p.TotalNodes = 32
@@ -71,56 +64,31 @@ func TestSmallGeneratedGraphsClosedFourSets(t *testing.T) {
 		if got := defect.MustScanData(t, g, 4); !reflect.DeepEqual(got, want) {
 			t.Errorf("seed %d: scan = %v, reference = %v", seed, got, want)
 		}
-		for li := range g.Levels {
-			want := defect.ReferenceScanLevel(g, li, 4)
-			got, err := defect.ScanLevelCtx(t.Context(), g, li, 4, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d level %d: scan = %v, reference = %v", seed, li, got, want)
-			}
-		}
 	}
 	if !foundAny {
 		t.Log("no unscreened 32-node graph had a data-level closed 4-set; cross-check still exhaustive")
 	}
 }
 
-// TestFacadeScanAllDefects covers the new facade surface on a certified
-// graph: data-level scan is clean by certification, and the all-level
-// scan agrees with the per-level reference.
+// TestFacadeScanAllDefects covers the facade's screen on all three shipped
+// graphs: certification leaves none of them a closed set of up to 3 data
+// nodes.
 func TestFacadeScanAllDefects(t *testing.T) {
-	g, err := tornado.LoadPrecompiled("tornado96-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs, err := tornado.ScanDefectsCtx(context.Background(), g, 3, 0); err != nil || len(fs) != 0 {
-		t.Errorf("certified graph has data-level defects: %v (%v)", fs, err)
-	}
-	all, err := tornado.ScanAllDefectsCtx(context.Background(), g, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []tornado.Defect
-	scanned := map[[2]int]bool{}
-	for li, lv := range g.Levels {
-		key := [2]int{lv.LeftFirst, lv.LeftCount}
-		if scanned[key] {
-			continue
+	for _, name := range []string{"tornado96-1", "tornado96-2", "tornado96-3"} {
+		g, err := tornado.LoadPrecompiled(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		scanned[key] = true
-		want = append(want, defect.ReferenceScanLevel(g, li, 2)...)
-	}
-	if !reflect.DeepEqual(all, want) {
-		t.Errorf("ScanAllDefectsCtx = %v, reference = %v", all, want)
+		if fs, err := tornado.ScanDefectsCtx(context.Background(), g, 3, 0); err != nil || len(fs) != 0 {
+			t.Errorf("%s: certified graph has defects: %v (%v)", name, fs, err)
+		}
 	}
 }
 
-// TestFacadeScanAllDefectsArchival runs the all-level screen on an
-// archival-scale graph (n=10,000, seed 2006), where the data level alone
-// holds C(5000, 3) ≈ 2.1e10 triples: the search must finish, and the data
-// level must be clean, since generation screens it to the same size.
+// TestFacadeScanAllDefectsArchival runs the screen on an archival-scale
+// graph (n=10,000, seed 2006), where the data level holds
+// C(5000, 3) ≈ 2.1e10 triples: the search must finish, and find nothing,
+// since generation screens it to the same size.
 func TestFacadeScanAllDefectsArchival(t *testing.T) {
 	p := tornado.DefaultParams()
 	p.TotalNodes = 10000
@@ -128,16 +96,9 @@ func TestFacadeScanAllDefectsArchival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := tornado.ScanAllDefectsCtx(context.Background(), g, 3, 0)
-	if err != nil {
-		t.Fatal(err)
+	if fs, err := tornado.ScanDefectsCtx(context.Background(), g, 3, 0); err != nil || len(fs) != 0 {
+		t.Errorf("screened graph has defects: %v (%v)", fs, err)
 	}
-	for _, f := range all {
-		if f.Level == 0 {
-			t.Errorf("screened graph has a data-level defect: %v", f)
-		}
-	}
-	t.Logf("%d upper-level findings", len(all))
 }
 
 // TestClosedDataPairsMatchesReference checks core.ClosedDataPairs, the

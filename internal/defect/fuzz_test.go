@@ -10,7 +10,7 @@ import (
 
 // randomCascade builds a random multi-level graph for differential
 // testing, the same shape the decode fuzzer uses: enough structure for
-// closed sets to occur at data and check levels alike.
+// closed data-node sets to occur.
 func randomCascade(rng *rand.Rand) *graph.Graph {
 	data := 4 + rng.IntN(12)
 	b := graph.NewBuilder(data)
@@ -41,8 +41,8 @@ func randomCascade(rng *rand.Rand) *graph.Graph {
 
 // FuzzDefectKernelMatchesReference is the randomized arm of the scan's
 // differential battery: a seeded random cascade, scanned by the search at
-// several worker counts and by the map-based reference oracle, on every
-// level. Any difference in findings — content or order — is a finding.
+// several worker counts and by the map-based reference oracle. Any
+// difference in findings — content or order — is a finding.
 func FuzzDefectKernelMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint64(2))
 	f.Add(uint64(2006), uint64(0))
@@ -52,19 +52,14 @@ func FuzzDefectKernelMatchesReference(f *testing.F) {
 		g := randomCascade(rng)
 		maxSize := 2 + rng.IntN(3)
 
-		if got, want := MustScanData(t, g, maxSize), ReferenceScan(g, maxSize); !reflect.DeepEqual(got, want) {
-			t.Fatalf("data level: scan = %v, reference = %v (graph %v)", got, want, g)
-		}
-		for li := range g.Levels {
-			want := ReferenceScanLevel(g, li, maxSize)
-			for _, workers := range []int{1, 3} {
-				got, err := ScanLevelCtx(t.Context(), g, li, maxSize, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("level %d workers %d: scan = %v, reference = %v (graph %v)", li, workers, got, want, g)
-				}
+		want := ReferenceScan(g, maxSize)
+		for _, workers := range []int{0, 1, 3} {
+			got, err := ScanDataLevelCtx(t.Context(), g, maxSize, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers %d: scan = %v, reference = %v (graph %v)", workers, got, want, g)
 			}
 		}
 	})

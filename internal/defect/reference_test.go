@@ -14,7 +14,22 @@ import (
 // decode.ReferenceRecoverable plays for the peeling kernel).
 // ScanDataLevelCtx returns the same findings in the same order.
 func ReferenceScan(g *graph.Graph, maxSize int) []Finding {
-	return referenceScanRange(g, 0, 0, g.Data, maxSize)
+	var findings []Finding
+	maxSize = min(maxSize, g.Data)
+	S := make([]int, 0, maxSize)
+	for size := 2; size <= maxSize; size++ {
+		combin.ForEach(g.Data, size, func(idx []int) bool {
+			S = append(S[:0], idx...)
+			if containsFound(findings, S) {
+				return true
+			}
+			if rights, ok := IsClosedSet(g, S); ok {
+				findings = append(findings, Finding{Lefts: slices.Clone(S), Rights: rights})
+			}
+			return true
+		})
+	}
+	return findings
 }
 
 // MustScanData is ScanDataLevelCtx for tests that never cancel: default
@@ -28,16 +43,6 @@ func MustScanData(tb testing.TB, g *graph.Graph, maxSize int) []Finding {
 	return fs
 }
 
-// ReferenceScanLevel is ReferenceScan over level li's left range; it is the
-// oracle for ScanLevelCtx.
-func ReferenceScanLevel(g *graph.Graph, li, maxSize int) []Finding {
-	if li < 0 || li >= len(g.Levels) {
-		return nil
-	}
-	lv := g.Levels[li]
-	return referenceScanRange(g, li, lv.LeftFirst, lv.LeftCount, maxSize)
-}
-
 // containsFound reports whether S is a superset of an already-reported
 // closed set (S is then non-minimal and suppressed).
 func containsFound(findings []Finding, S []int) bool {
@@ -47,32 +52,4 @@ func containsFound(findings []Finding, S []int) bool {
 		}
 	}
 	return false
-}
-
-func referenceScanRange(g *graph.Graph, level, leftFirst, leftCount, maxSize int) []Finding {
-	var findings []Finding
-	if maxSize > leftCount {
-		maxSize = leftCount
-	}
-	S := make([]int, 0, maxSize)
-	for size := 2; size <= maxSize; size++ {
-		combin.ForEach(leftCount, size, func(idx []int) bool {
-			S = S[:0]
-			for _, i := range idx {
-				S = append(S, leftFirst+i)
-			}
-			if containsFound(findings, S) {
-				return true
-			}
-			if rights, ok := IsClosedSet(g, S); ok {
-				findings = append(findings, Finding{
-					Level:  level,
-					Lefts:  slices.Clone(S),
-					Rights: rights,
-				})
-			}
-			return true
-		})
-	}
-	return findings
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"tornado/internal/graph"
@@ -19,8 +18,8 @@ func TestSealingRights(t *testing.T) {
 }
 
 // TestScanMatchesReference is the fixed-fixture arm of the differential
-// battery: the search must return the oracle's findings (Level, Lefts and
-// Rights, in order) at every worker count.
+// battery: the search must return the oracle's findings (Lefts and Rights, in
+// order) at every worker count.
 func TestScanMatchesReference(t *testing.T) {
 	for name, build := range map[string]func(*testing.T) *graph.Graph{
 		"pair":   pairDefect,
@@ -42,59 +41,6 @@ func TestScanMatchesReference(t *testing.T) {
 					t.Errorf("%s maxSize=%d workers=%d: scan = %v, reference = %v", name, maxSize, workers, got, want)
 				}
 			}
-		}
-	}
-}
-
-func TestScanLevelMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 17))
-	for trial := 0; trial < 20; trial++ {
-		g := randomCascade(rng)
-		for li := range g.Levels {
-			want := ReferenceScanLevel(g, li, 4)
-			for _, workers := range []int{0, 1, 3} {
-				got, err := ScanLevelCtx(t.Context(), g, li, 4, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d level %d workers %d: scan = %v, reference = %v", trial, li, workers, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestScanLevelRejectsBadLevel(t *testing.T) {
-	g := clean(t)
-	if _, err := ScanLevelCtx(t.Context(), g, -1, 3, 0); err == nil {
-		t.Error("no error for level -1")
-	}
-	if _, err := ScanLevelCtx(t.Context(), g, len(g.Levels), 3, 0); err == nil {
-		t.Error("no error for out-of-range level")
-	}
-}
-
-func TestScanGraphTagsLevels(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 3))
-	for trial := 0; trial < 20; trial++ {
-		g := randomCascade(rng)
-		all, err := ScanGraphCtx(t.Context(), g, 3, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []Finding
-		scanned := map[[2]int]bool{}
-		for li, lv := range g.Levels {
-			key := [2]int{lv.LeftFirst, lv.LeftCount}
-			if scanned[key] {
-				continue
-			}
-			scanned[key] = true
-			want = append(want, ReferenceScanLevel(g, li, 3)...)
-		}
-		if !reflect.DeepEqual(all, want) {
-			t.Fatalf("trial %d: ScanGraph = %v, per-level reference = %v", trial, all, want)
 		}
 	}
 }
@@ -135,17 +81,6 @@ func TestScanDataLevelCtxCanceled(t *testing.T) {
 	cancel()
 	if _, err := ScanDataLevelCtx(ctx, pairDefect(t), 3, 1); err != context.Canceled {
 		t.Errorf("ScanDataLevelCtx(canceled) = %v, want context.Canceled", err)
-	}
-}
-
-func TestFindingStringLevel(t *testing.T) {
-	data := Finding{Lefts: []int{17, 22}, Rights: []int{48, 57}}
-	if s := data.String(); strings.Contains(s, "level") {
-		t.Errorf("data-level String mentions a level: %q", s)
-	}
-	up := Finding{Level: 2, Lefts: []int{70}, Rights: []int{90}}
-	if s := up.String(); !strings.Contains(s, "level 2") {
-		t.Errorf("upper-level String lost the level: %q", s)
 	}
 }
 

@@ -191,10 +191,12 @@ func blockUnits(units []Unit, tmpl Unit, trials, blockSize, lo, hi int64) []Unit
 
 // LocalRunner computes units in this process: one CSR for the job, and per
 // worker one sampler of each kind, built on first use and re-aimed from
-// unit to unit. An exhaustive unit brings its own enumerators and sliced
-// kernels and spreads its work over the runner's worker count (exhaustiveK),
-// so it can run beside the other units of its group.
+// unit to unit. An exhaustive unit brings its own enumerators, which read
+// the graph itself, and sliced kernels, and spreads its work over the
+// runner's worker count (exhaustiveK), so it can run beside the other units
+// of its group.
 type LocalRunner struct {
+	g       *graph.Graph
 	csr     *decode.CSR
 	workers []localWorker
 }
@@ -205,9 +207,10 @@ type localWorker struct {
 }
 
 // NewLocalRunner returns a runner over g with the given worker count
-// (default GOMAXPROCS).
+// (default GOMAXPROCS). Its exhaustive units read g itself, so g must not
+// be edited while the runner is in use.
 func NewLocalRunner(g *graph.Graph, workers int) *LocalRunner {
-	return &LocalRunner{csr: decode.NewCSR(g), workers: make([]localWorker, defaultWorkers(workers))}
+	return &LocalRunner{g: g, csr: decode.NewCSR(g), workers: make([]localWorker, defaultWorkers(workers))}
 }
 
 func (l *LocalRunner) Workers() int { return len(l.workers) }

@@ -36,23 +36,23 @@ var errOverBudget = errors.New("sim: stopping-set search over budget")
 // checked once per root, every cancelCheckInterval closure steps, and at
 // the scan's chunk boundaries.
 func (l *LocalRunner) exhaustiveK(ctx context.Context, k, maxFailures int) (KResult, error) {
-	n := int(l.csr.Total)
+	n := l.g.Total
 	space, err := exhaustiveSpace(n, k)
 	if err != nil {
 		return KResult{}, err
 	}
-	if k > n-int(l.csr.Data) {
+	if k > n-l.g.Data {
 		return allFail(n, k, maxFailures, space), nil
 	}
 	enums := make([]*decode.StoppingEnumerator, l.Workers())
-	roots := make([][][]int, l.csr.Data)
+	roots := make([][][]int, l.g.Data)
 	budget := max(space/int64(len(roots)), 1)
 	err = forBlocksCtx(ctx, len(enums), int64(len(roots)), func(_ context.Context, w int, b int64) error {
 		if enums[w] == nil {
-			enums[w] = decode.NewStoppingEnumerator(l.csr)
+			enums[w] = decode.NewStoppingEnumerator(l.g, nil)
 		}
 		var complete bool
-		if roots[b], complete = enums[w].Root(nil, int(b), k, budget); !complete {
+		if roots[b], complete = enums[w].Root(nil, int(b), int(b), k, budget); !complete {
 			return errOverBudget
 		}
 		return nil

@@ -121,7 +121,7 @@ func TestDenseCardinalitiesTakeTheScan(t *testing.T) {
 	for q := r; q < r+2; q++ {
 		g.SetNeighbors(q, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	}
-	if _, complete := decode.NewStoppingEnumerator(decode.NewCSR(g)).Root(nil, 0, 2, 5); complete {
+	if _, complete := decode.NewStoppingEnumerator(g, nil).Root(nil, 0, 0, 2, 5); complete {
 		t.Error("a 5-step search from root 0 at k=2 reports it finished")
 	}
 	fallbacks := Metrics().Counter(MetricScanFallbacks)

@@ -75,7 +75,7 @@ type (
 	AdjustOptions = adjust.Options
 	// AdjustReport describes one cleared cardinality.
 	AdjustReport = adjust.Report
-	// Defect is a closed left-node set found by the structural scan (§3.2).
+	// Defect is a closed data-node set found by the structural scan (§3.2).
 	Defect = defect.Finding
 	// DecodeResult reports a structural decode (lost nodes on failure).
 	DecodeResult = decode.Result
@@ -112,16 +112,6 @@ func GenerateUnscreened(p Params, seed uint64) (*Graph, error) {
 // search roots, so a canceled scan returns ctx.Err() promptly.
 func ScanDefectsCtx(ctx context.Context, g *Graph, maxSize, workers int) ([]Defect, error) {
 	return defect.ScanDataLevelCtx(ctx, g, maxSize, workers)
-}
-
-// ScanAllDefectsCtx extends the closed-set scan to every cascade level: the
-// data level plus each distinct check-level left range, findings tagged
-// with their Level. Upper-level findings mark cascade weak points (the
-// sealed checks cannot recover those nodes top-down) rather than
-// standalone data loss; the generation gate remains data-level only.
-// workers is the scan worker count (0 = GOMAXPROCS).
-func ScanAllDefectsCtx(ctx context.Context, g *Graph, maxSize, workers int) ([]Defect, error) {
-	return defect.ScanGraphCtx(ctx, g, maxSize, workers)
 }
 
 // CertifyCtx runs the archival-scale sampled certification of erasure
