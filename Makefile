@@ -34,9 +34,11 @@ test:
 # detector. The stripe pipeline's own tests then run 1,000 times over (~7 s
 # on two cores), the federation's fan-out tests (a Put and its rollback reach
 # every site at once; Puts racing on one name, at most one winner) 100 times,
-# and RepairSite at one worker and four, with and without the exchange, 50
-# times (~12 s), so a schedule-dependent flake there fails this target
-# instead of some later, unrelated change.
+# RepairSite at one worker and four, with and without the exchange, 50
+# times (~12 s), and sim.Job's ordered fold (units folded in plan order as
+# they finish, a group ending at the fold that stops it) 200 times (~7 s),
+# so a schedule-dependent flake there fails this target instead of some
+# later, unrelated change.
 race:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) ./internal/steward/ ./internal/sim/ ./internal/obs/ ./internal/campaign/ \
 		./internal/decode/ ./internal/defect/ ./internal/adjust/ ./internal/core/ ./internal/serve/ ./internal/archive/ \
@@ -44,6 +46,7 @@ race:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) -run '^TestPipe' -count=1000 ./internal/archive/
 	$(GO) test -race -timeout $(RACE_TIMEOUT) -run '^TestFanOut' -count=100 ./internal/fedstore/
 	$(GO) test -race -timeout $(RACE_TIMEOUT) -run '^TestRepairSite(WidthChangesNothing|ExchangeFallback)$$' -count=50 ./internal/fedstore/
+	$(GO) test -race -timeout $(RACE_TIMEOUT) -run '^Test(RunGroup|SampledStops)' -count=200 ./internal/sim/
 
 vet:
 	$(GO) vet ./...

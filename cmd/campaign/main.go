@@ -237,7 +237,7 @@ func report(w io.Writer, res *tornado.CampaignResult, elapsed time.Duration, pri
 	case res.Sampled != nil:
 		for _, sr := range res.Sampled {
 			lo, hi := sr.Wilson()
-			fmt.Fprintf(w, "k=%d: P(fail) = %.3g, 95%% CI [%.3g, %.3g] over %d trials (%.1f%% screened, %d rounds)\n",
+			fmt.Fprintf(w, "k=%d: P(fail) = %.3g, 95%% CI [%.3g, %.3g] over %d trials (%.1f%% screened, %d blocks)\n",
 				sr.K, sr.Estimate(), lo, hi, sr.Tally.Trials, 100*sr.ScreenRate(), len(sr.Rounds))
 		}
 	}

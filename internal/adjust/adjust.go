@@ -247,6 +247,7 @@ func pickRewire(ctx context.Context, g *graph.Graph, failures [][]int, rng *rand
 	if err != nil {
 		return Rewire{}, false, err
 	}
+	scr := defect.NewScreen(g)
 	rest := make([]int, 0, len(cands)-1)
 	for _, r := range cands {
 		if r != to {
@@ -256,7 +257,7 @@ func pickRewire(ctx context.Context, g *graph.Graph, failures [][]int, rng *rand
 	slices.SortStableFunc(rest, func(a, b int) int { return g.RightDegree(a) - g.RightDegree(b) })
 	for _, cand := range append([]int{to}, rest...) {
 		g.RewireEdge(target, from, cand)
-		bad, err := introducesNewDefect(ctx, g, before, target)
+		bad, err := introducesNewDefect(ctx, scr, before, target)
 		g.RewireEdge(target, cand, from)
 		if err != nil {
 			return Rewire{}, false, err
@@ -275,12 +276,12 @@ const rewireScreenSize = 3
 // introducesNewDefect reports whether g, with a rewire of target's edge
 // tentatively applied, has a data-level closed set that before, the
 // screen's findings without the rewire, does not hold. Only target's parents
-// changed, so defect.Update gives the rescan's findings.
-func introducesNewDefect(ctx context.Context, g *graph.Graph, before []defect.Finding, target int) (bool, error) {
+// changed, so scr, a Screen over g, gives the rescan's findings.
+func introducesNewDefect(ctx context.Context, scr *defect.Screen, before []defect.Finding, target int) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	for _, f := range defect.Update(g, before, target, rewireScreenSize) {
+	for _, f := range scr.Update(before, target, rewireScreenSize) {
 		if !slices.ContainsFunc(before, func(b defect.Finding) bool { return slices.Equal(f.Lefts, b.Lefts) }) {
 			return true, nil
 		}

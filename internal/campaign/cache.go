@@ -24,8 +24,11 @@ const scanOrderVersion = "sl1"
 // scanOrderVersionSampled tags sampled-certification entries (KindSampled).
 // Sampled campaigns draw from their own RNG seed domain and record
 // stratified tallies rather than scan results, so their cache population
-// is versioned independently of the exhaustive scan order.
-const scanOrderVersionSampled = "st1"
+// is versioned independently of the exhaustive scan order. "st2" = the
+// stopping rule looks after every block; "st1" entries, which looked only
+// after 1, 3, 7, … blocks and so may hold more blocks than the rule now
+// draws, simply miss.
+const scanOrderVersionSampled = "st2"
 
 // scanOrderVersionProfile tags profile entries (KindProfile). Their points
 // are defined by the sampling scheme: "pa3" = one shared set of random

@@ -89,8 +89,8 @@ type Spec struct {
 	Seed   uint64 `json:"seed,omitempty"`
 
 	// Epsilon is the sampled certification's planned-precision target
-	// (KindSampled): sampling of a cardinality stops at the first round
-	// boundary where the pooled 95% Wilson CI half-width is <= Epsilon.
+	// (KindSampled): sampling of a cardinality stops after the first block
+	// at which the pooled 95% Wilson CI half-width is <= Epsilon.
 	// Negative disables the rule (the full Trials budget runs).
 	Epsilon float64 `json:"epsilon,omitempty"`
 
@@ -439,7 +439,7 @@ func execute(ctx context.Context, dir string, g *graph.Graph, man Manifest, job 
 	res := &Result{
 		Kind: man.Spec.Kind, Fingerprint: man.Fingerprint, Spec: man.Spec,
 		WorstCase: job.WorstCase, Profile: job.Profile, Sampled: job.Sampled,
-		WorkDone: r.status.WorkDone,
+		WorkDone: job.Folded,
 	}
 	if err := writeJSONAtomic(filepath.Join(dir, resultFile), res); err != nil {
 		return nil, err

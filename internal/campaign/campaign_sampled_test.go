@@ -1,8 +1,11 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -92,15 +95,15 @@ func TestSampledCampaignCrashResumeBitIdentical(t *testing.T) {
 }
 
 // TestSampledCampaignStoppingRule: a cardinality that screens every trial
-// reaches the epsilon target at the first round boundary, leaving the rest
-// of its budget unrun — and the early-stopped result round-trips through
-// the content-addressed cache.
+// reaches the epsilon target after its first block, leaving the rest of its
+// budget unrun — and the early-stopped result round-trips through the
+// content-addressed cache.
 func TestSampledCampaignStoppingRule(t *testing.T) {
 	g := testGraph(t)
 	cache := t.TempDir()
 	// k=1 is always recoverable (collision count 1 everywhere), so the
-	// zero-hit Wilson math governs: one 4096-trial round gives half-width
-	// ~4.7e-4 <= 1e-3 and the remaining rounds must be skipped.
+	// zero-hit Wilson math governs: one 4096-trial block gives half-width
+	// ~4.7e-4 <= 1e-3 and the remaining blocks must be skipped.
 	spec := Spec{
 		Kind: KindSampled, MinK: 1, MaxK: 1,
 		Trials: 1 << 20, ShardSize: 4096, Seed: 5, Epsilon: 1e-3,
@@ -112,7 +115,7 @@ func TestSampledCampaignStoppingRule(t *testing.T) {
 	}
 	sr := res.Sampled[0]
 	if len(sr.Rounds) != 1 || sr.Tally.Trials != 4096 {
-		t.Fatalf("stopping rule fired after %d rounds / %d trials, want 1 round / 4096 trials",
+		t.Fatalf("stopping rule fired after %d blocks / %d trials, want 1 block / 4096 trials",
 			len(sr.Rounds), sr.Tally.Trials)
 	}
 	if sr.ScreenRate() != 1 {
@@ -204,5 +207,77 @@ func TestSampledSpecNormalizeAndCacheKey(t *testing.T) {
 	prof := Spec{Kind: KindProfile, Trials: sim.DefaultSampledMaxTrials}
 	if CacheKey(g, Spec{Kind: KindSampled}) == CacheKey(g, prof) {
 		t.Error("sampled and profile specs share a cache key")
+	}
+}
+
+// TestSampledJournalFromRoundsResumes: before the stopping rule looked after
+// every block, it looked only after doubling rounds of 1, 2, 4, … blocks, so
+// a sampled journal of that grouping may hold blocks past where the rule now
+// stops. The plan's shards are the same, so such a journal resumes — under
+// manifest version 7, unchanged — to the result a fresh run gets: its blocks
+// past the stop are served but never folded.
+func TestSampledJournalFromRoundsResumes(t *testing.T) {
+	g := testGraph(t)
+	spec := Spec{Kind: KindSampled, MinK: 2, MaxK: 3, Trials: 64 * 512, ShardSize: 512, Seed: 21, Epsilon: 5e-3}
+	want, err := RunCtx(context.Background(), t.TempDir(), g, spec, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The blocks the rounds drew: a cardinality's first round edge (after
+	// 1, 3, 7, … blocks) at which the half-width is within epsilon.
+	norm := spec.normalize(g.Total)
+	job, err := norm.job(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var drawn []sim.Unit
+	pastStop := false
+	for ki, grp := range job.Groups {
+		full, err := sim.SampleStratifiedCtx(context.Background(), g, norm.MinK+ki, sim.SampledOptions{
+			Seed: norm.Seed, MaxTrials: norm.Trials, BlockSize: norm.ShardSize, Epsilon: -1, MaxWitnesses: norm.MaxFailures,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		edge := 1
+		for edge < len(grp) && full.Rounds[edge-1].HalfWidth > norm.Epsilon {
+			edge = 2*edge + 1
+		}
+		edge = min(edge, len(grp))
+		drawn = append(drawn, grp[:edge]...)
+		pastStop = pastStop || edge > len(want.Sampled[ki].Rounds)
+	}
+	if !pastStop {
+		t.Fatal("the rounds stop where the blocks do; the test wants a journal with blocks past the stop")
+	}
+
+	dir, _ := interruptedJournal(t, g, spec, 1)
+	if err := os.Remove(filepath.Join(dir, journalFile)); err != nil {
+		t.Fatal(err)
+	}
+	jw, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr := sim.NewLocalRunner(g, 1)
+	for _, u := range drawn {
+		res, err := lr.RunUnit(context.Background(), 0, u)
+		if err == nil {
+			err = jw.append(toRecord(u, res))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ResumeCtx(context.Background(), dir, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshal(t, got), marshal(t, want)) {
+		t.Errorf("resumed journal of the rounds differs from a fresh run:\n got %s\nwant %s", marshal(t, got), marshal(t, want))
 	}
 }

@@ -413,8 +413,10 @@ func TestLegacyKernelManifestResume(t *testing.T) {
 	}
 
 	// Keys for tornado96-1. The worst-case keys changed when the shard size
-	// and the legacy kernel field left the hashed spec; the sampled key is
-	// the one commit 34981eb computed, so entries stored then are served now.
+	// and the legacy kernel field left the hashed spec. The sampled spec
+	// hashes as it did at commit 34981eb, but under the order tag "st2",
+	// so entries stored under "st1" — whose stopping rule looked only after
+	// doubling rounds of blocks — miss; the "st1" key is pinned too.
 	g96, err := graphml.ReadFile("../../precompiled/tornado96-1.graphml")
 	if err != nil {
 		t.Fatal(err)
@@ -425,11 +427,15 @@ func TestLegacyKernelManifestResume(t *testing.T) {
 	}{
 		{Spec{Kind: KindWorstCase, MaxK: 3}, "8fd098d0247d17dad6c78fb78a0488b8d4297255ecd143e9b9bae4fe0fb7e26f"},
 		{Spec{Kind: KindWorstCase, MaxK: 4, MaxFailures: 16, KeepGoing: true, ShardSize: 4096}, "e49edf7fc04c9850d292d8a0a644d0855144c4af707a016105b75fb7b0eb1e90"},
-		{Spec{Kind: KindSampled, MaxK: 5, MinK: 5, Seed: 9}, "df2c8abb73bf207af3171010a9b0b32117538e87b12654f1d7b29fe8f8d9b6b5"},
+		{Spec{Kind: KindSampled, MaxK: 5, MinK: 5, Seed: 9}, "9dfddb759989c1c439aee948ab544c007443c19f20cbd8b05a0eafc45812cc52"},
 	} {
 		if got := CacheKey(g96, pin.spec); got != pin.key {
 			t.Errorf("CacheKey(%+v) = %s, want %s", pin.spec, got, pin.key)
 		}
+	}
+	st1 := Spec{Kind: KindSampled, MaxK: 5, MinK: 5, Seed: 9}.normalize(g96.Total)
+	if got, want := taggedCacheKey(g96.Fingerprint(), "st1", st1), "df2c8abb73bf207af3171010a9b0b32117538e87b12654f1d7b29fe8f8d9b6b5"; got != want {
+		t.Errorf("the sampled spec under the retired tag st1 hashes to %s, want %s", got, want)
 	}
 }
 

@@ -288,21 +288,29 @@ func TestOldProfileCampaignsAreRefused(t *testing.T) {
 
 // TestWorstCaseAndSampledIdentityKept: the profile's plan changed, the
 // other kinds' did not. Their specs never stored an exhaustive limit, so
-// they hash to the cache keys they had (pinned), and a version-5 or
+// they hash as they did (pinned) — the sampled kind under its retired order
+// tag "st1", its current tag "st2" giving another key — and a version-5 or
 // version-6 worst-case directory still resumes to the fresh run's result.
 func TestWorstCaseAndSampledIdentityKept(t *testing.T) {
 	g := testGraph(t)
 	wc := Spec{Kind: KindWorstCase, MaxK: 4, KeepGoing: true}
+	sampled := Spec{Kind: KindSampled, MinK: 3, MaxK: 4, Seed: 17, Epsilon: 1e-3}
 	for _, c := range []struct {
 		spec Spec
+		tag  string
 		key  string
 	}{
-		{wc, "69f989e3e24e7e3f42cd5cd0458e38fdd8bb1e52a1ce195f4215bf5b82f62b60"},
-		{Spec{Kind: KindSampled, MinK: 3, MaxK: 4, Seed: 17, Epsilon: 1e-3}, "ba9e5581ddc3195ec7f7485167a651202aa818aae043512e3b84c9ac69d484b4"},
+		{wc, scanOrderVersion, "69f989e3e24e7e3f42cd5cd0458e38fdd8bb1e52a1ce195f4215bf5b82f62b60"},
+		{sampled, "st1", "ba9e5581ddc3195ec7f7485167a651202aa818aae043512e3b84c9ac69d484b4"},
+		{sampled, scanOrderVersionSampled, "6b5f24922521fefba264302382bc34cc87063785746c3657aa176258e015b1f9"},
 	} {
-		if got := CacheKey(g, c.spec); got != c.key {
-			t.Errorf("%s: cache key %s, pinned %s", c.spec.Kind, got, c.key)
+		if got := taggedCacheKey(g.Fingerprint(), c.tag, c.spec.normalize(g.Total)); got != c.key {
+			t.Errorf("%s under %q: cache key %s, pinned %s", c.spec.Kind, c.tag, got, c.key)
 		}
+	}
+	if CacheKey(g, wc) != taggedCacheKey(g.Fingerprint(), scanOrderVersion, wc.normalize(g.Total)) ||
+		CacheKey(g, sampled) != taggedCacheKey(g.Fingerprint(), "st2", sampled.normalize(g.Total)) {
+		t.Error("CacheKey does not hash under the kinds' current order tags")
 	}
 	want, err := RunCtx(context.Background(), t.TempDir(), g, wc, Options{Workers: 1})
 	if err != nil {
@@ -379,8 +387,9 @@ func (f *flakyFile) Write(p []byte) (int, error) {
 // TestUnitErrorCancelsItsGroup: the first unit error of a group — here the
 // journal refusing one append — cancels the group's remaining units and is
 // what Run returns: the other workers do not go on to compute and journal
-// the group's remaining shards first. The sampled plan's last round is 64
-// blocks.
+// the group's remaining shards first. The sampled plan's group is its
+// cardinality's 127 blocks; what was folded before the error is a run of
+// the first blocks, each journaled.
 func TestUnitErrorCancelsItsGroup(t *testing.T) {
 	g := testGraph(t)
 	spec := Spec{Kind: KindSampled, MinK: 4, MaxK: 4, Trials: 127 * 64, ShardSize: 64, Seed: 17, Epsilon: -1}.normalize(g.Total)
@@ -390,8 +399,8 @@ func TestUnitErrorCancelsItsGroup(t *testing.T) {
 	}
 	last := job.Groups[len(job.Groups)-1]
 	before := last[0].ID // units in the groups before the last
-	if len(last) < 40 {
-		t.Fatalf("last group has %d units; the test wants a long one", len(last))
+	if len(job.Groups) != 1 || len(last) != 127 {
+		t.Fatalf("plan has %d groups, the last of %d units; the test wants one long one", len(job.Groups), len(last))
 	}
 
 	f, err := os.Create(filepath.Join(t.TempDir(), journalFile))
@@ -410,8 +419,14 @@ func TestUnitErrorCancelsItsGroup(t *testing.T) {
 	if got, most := int(flaky.writes.Load()), before+5+opts.Workers-1; got > most {
 		t.Errorf("%d journal appends after the group's first error; want at most %d of %d", got, most, before+len(last))
 	}
-	if got := len(job.Sampled[0].Rounds); got != len(job.Groups)-1 {
-		t.Errorf("%d rounds folded, want the %d completed before the failing group", got, len(job.Groups)-1)
+	folded := job.Sampled[0].Rounds
+	if len(folded) >= int(flaky.writes.Load()) {
+		t.Errorf("%d blocks folded, more than the %d appends that succeeded", len(folded), flaky.writes.Load()-1)
+	}
+	for i, r := range folded {
+		if r.Trials != int64(i+1)*64 {
+			t.Errorf("fold %d after %d trials, want the first %d blocks", i, r.Trials, i+1)
+		}
 	}
 }
 

@@ -38,7 +38,11 @@ const (
 // C(n,k) ≤ 100,000 do not match the v6 plan. Version 7 put the worst-case
 // search to sim.DefaultMaxK before a profile's order shards: a v6
 // profile's first shard IDs name order shards. A v5 or v6 worst-case or
-// sampled campaign plans as it did, so it is still read.
+// sampled campaign plans as it did, so it is still read. The stopping rule's
+// looking after every block instead of after doubling rounds of them did
+// not bump the version: a sampled campaign's shard list is unchanged, and a
+// v7 journal written under the rounds resumes to the result a fresh run
+// gets (its blocks past the new stop are never folded).
 const manifestVersion = 7
 
 // Manifest is the immutable identity of a campaign directory.

@@ -13,13 +13,14 @@ import (
 // one member's edge from a sealing check to a check outside the sealed set.
 // The rewire makes some check adjacent to exactly one member of the set,
 // which opens it. The screen is defect.ScanDataLevelCtx up to maxSize at
-// every graph size; after each rewire defect.Update revises the findings
+// every graph size; after each rewire a defect.Screen revises the findings
 // (catching any closed set the rewire introduces) instead of rescanning.
 // It reports whether the graph is clean after at most maxRounds rewires,
 // and the number of rewires performed.
 func RepairDefects(g *graph.Graph, maxSize, maxRounds int, rng *rand.Rand) (bool, int) {
 	// Generation takes no context, and nothing but cancellation fails a scan.
 	fs, _ := defect.ScanDataLevelCtx(context.Background(), g, maxSize, 0)
+	scr := defect.NewScreen(g)
 	lv := g.Levels[0]
 	rewires := 0
 	for ; rewires < maxRounds && len(fs) > 0; rewires++ {
@@ -27,7 +28,7 @@ func RepairDefects(g *graph.Graph, maxSize, maxRounds int, rng *rand.Rand) (bool
 		if !ok {
 			return false, rewires
 		}
-		fs = defect.Update(g, fs, l, maxSize)
+		fs = scr.Update(fs, l, maxSize)
 	}
 	return len(fs) == 0, rewires
 }

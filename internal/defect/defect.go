@@ -8,9 +8,9 @@
 // has no search of its own: it runs decode.StoppingEnumerator with every
 // check never erased (DESIGN.md "Stopping sets: the exhaustive search"),
 // whose cost follows the check degrees, not C(n, k). Generation's repair
-// screen (with Update after each rewire), the adjustment's replacement
-// check and cmd/graphcheck run it; reference_test.go keeps a map-per-subset
-// scanner as the oracle it must match finding for finding.
+// screen (with a Screen's Update after each rewire), the adjustment's
+// replacement check and cmd/graphcheck run it; reference_test.go keeps a
+// map-per-subset scanner as the oracle it must match finding for finding.
 package defect
 
 import (
@@ -122,16 +122,29 @@ func ScanDataLevelCtx(ctx context.Context, g *graph.Graph, maxSize, workers int)
 	return minimal(slices.Concat(found...)), nil
 }
 
-// Update returns ScanDataLevelCtx(g, maxSize) after an edit that changed
-// only data node l's parents (graph.RewireEdge), given fs, that scan's
-// findings before the edit. A set without l sees each check as often as
-// before, and so do its subsets, so it stays exactly as closed and as
-// minimal as it was; the sets with l are found by one search from l with
-// no root ban.
-func Update(g *graph.Graph, fs []Finding, l, maxSize int) []Finding {
+// A Screen revises one graph's findings after each of a run of edits
+// (generation's repair rewires, the adjustment's tentative ones). Its
+// enumerator reads the graph at every step and holds nothing between
+// searches, so one serves every edit, and an update allocates nothing
+// beyond its findings. It is not safe for concurrent use.
+type Screen struct {
+	g *graph.Graph
+	e *decode.StoppingEnumerator
+}
+
+// NewScreen returns a Screen over g.
+func NewScreen(g *graph.Graph) *Screen { return &Screen{g: g, e: closedSets(g)} }
+
+// Update returns ScanDataLevelCtx(g, maxSize) after an edit of the
+// Screen's graph g that changed only data node l's parents
+// (graph.RewireEdge), given fs, that scan's findings before the edit. A set
+// without l sees each check as often as before, and so do its subsets, so
+// it stays exactly as closed and as minimal as it was; the sets with l are
+// found by one search from l with no root ban.
+func (s *Screen) Update(fs []Finding, l, maxSize int) []Finding {
 	out := slices.DeleteFunc(slices.Clone(fs), func(f Finding) bool { return slices.Contains(f.Lefts, l) })
-	sets, _ := closedSets(g).Root(nil, l, 0, min(maxSize, g.Data), math.MaxInt64)
-	return minimal(append(out, findings(g, sets)...))
+	sets, _ := s.e.Root(nil, l, 0, min(maxSize, s.g.Data), math.MaxInt64)
+	return minimal(append(out, findings(s.g, sets)...))
 }
 
 // closedSets returns an enumerator over g with every check never erased,

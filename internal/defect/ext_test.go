@@ -189,3 +189,38 @@ func TestUpdateMatchesRescan(t *testing.T) {
 		t.Error("no rewire changed the findings: the property was never exercised")
 	}
 }
+
+// TestScreenServesEveryEdit: one Screen, kept across a run of rewires and
+// their reversals as generation's repair and the adjustment's candidate
+// screen keep it, gives the rescan's findings after each.
+func TestScreenServesEveryEdit(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 96))
+	g, err := core.GenerateUnscreened(core.DefaultParams(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scr := defect.NewScreen(g)
+	fs := defect.MustScanData(t, g, 3)
+	lv := g.Levels[0]
+	for i := 0; i < 60; i++ {
+		l := rng.IntN(g.Data)
+		ps := g.Parents(l)
+		from := int(ps[rng.IntN(len(ps))])
+		to := lv.RightFirst + rng.IntN(lv.RightCount)
+		if g.HasEdge(to, l) || g.RightDegree(from) <= 1 {
+			continue
+		}
+		g.RewireEdge(l, from, to)
+		if got, want := scr.Update(fs, l, 3), defect.MustScanData(t, g, 3); !reflect.DeepEqual(got, want) {
+			t.Fatalf("rewire %d: Screen.Update = %v, rescan = %v", i, got, want)
+		}
+		if i%2 == 0 {
+			g.RewireEdge(l, to, from) // a tentative rewire, taken back
+			if got := scr.Update(fs, l, 3); !reflect.DeepEqual(got, fs) {
+				t.Fatalf("rewire %d taken back: Screen.Update = %v, want %v", i, got, fs)
+			}
+			continue
+		}
+		fs = defect.MustScanData(t, g, 3)
+	}
+}

@@ -43,6 +43,11 @@ func MustScanData(tb testing.TB, g *graph.Graph, maxSize int) []Finding {
 	return fs
 }
 
+// Update is Screen.Update for one edit of g.
+func Update(g *graph.Graph, fs []Finding, l, maxSize int) []Finding {
+	return NewScreen(g).Update(fs, l, maxSize)
+}
+
 // containsFound reports whether S is a superset of an already-reported
 // closed set (S is then non-minimal and suppressed).
 func containsFound(findings []Finding, S []int) bool {

@@ -112,3 +112,37 @@ func TestForBlocksFirstError(t *testing.T) {
 		}
 	}
 }
+
+// TestForBlocksStopIsClean: a block that returns errStop ends the loop
+// like an error — no block starts after it has canceled the rest, whose
+// context names errStop as the cause — but the loop returns nil, and so
+// does a caller whose blocks in flight return the cancellation.
+func TestForBlocksStopIsClean(t *testing.T) {
+	const n, stopAt = 1000, 7
+	for _, workers := range []int{1, 2, 3, 8} {
+		var late, ran atomic.Int32
+		err := forBlocksCtx(context.Background(), workers, n, func(ctx context.Context, _ int, b int64) error {
+			ran.Add(1)
+			if ctx.Err() != nil {
+				late.Add(1)
+				if context.Cause(ctx) != errStop {
+					return fmt.Errorf("canceled with cause %v", context.Cause(ctx))
+				}
+				return ctx.Err()
+			}
+			if b == stopAt {
+				return errStop
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("workers=%d: returned %v, want nil", workers, err)
+		}
+		if workers == 1 && ran.Load() != stopAt+1 {
+			t.Errorf("workers=1: %d blocks ran, want %d", ran.Load(), stopAt+1)
+		}
+		if l := int(late.Load()); l > workers-1 {
+			t.Errorf("workers=%d: %d blocks started after the stop", workers, l)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"sync"
 
 	"tornado/internal/combin"
 	"tornado/internal/decode"
@@ -12,8 +13,8 @@ import (
 
 // This file is the one certification driver. Every job — worst-case
 // search, failure profile, sampled certification — is a Job: a
-// deterministic plan of Units in ordered groups, a stopping rule that may
-// skip later groups, and a fold of unit results into the job's result.
+// deterministic plan of Units in ordered groups, and a fold of unit results,
+// in plan order, into the job's result, whose stopping rule may end a group.
 // Job.Run is the only loop; its one parameter is the Runner that computes a
 // unit. The in-memory entry points (WorstCaseCtx, FailureProfileCtx,
 // SampleStratifiedCtx) pass a LocalRunner; internal/campaign passes the
@@ -65,7 +66,7 @@ type Runner interface {
 }
 
 // Job is one certification workload: the plan, and — as Run folds each
-// completed group — the result. Exactly one of WorstCase, Profile and
+// completed unit — the result. Exactly one of WorstCase, Profile and
 // Sampled is set, by the constructor.
 type Job struct {
 	// Groups is the plan. A group's units are independent; groups run in
@@ -80,12 +81,13 @@ type Job struct {
 	WorstCase *WorstCaseResult
 	Profile   *Profile
 	Sampled   []*SampledResult // one per cardinality, ascending
+	Folded    int64            // the work (Work) of the units folded so far
 
 	total int // nodes in the graph
-	// fold merges group gi's results (res[i] belongs to Groups[gi][i]) and
-	// returns the next group to run: gi+1, or further when a stopping rule
-	// fired.
-	fold func(gi int, res []UnitResult) (next int)
+	// fold merges r, the result of unit i of group gi, and returns the
+	// group to run next: gi to go on (past gi's last unit: gi+1), or a
+	// later one to end gi at unit i, as a stopping rule does.
+	fold func(gi, i int, r UnitResult) (next int)
 }
 
 // number assigns unit IDs in plan order.
@@ -101,27 +103,48 @@ func (j *Job) number() *Job {
 }
 
 // Run executes the job: group by group, each group's units fanned out over
-// the runner's workers, each completed group folded before the next one
-// starts. The first unit error — cancellation included — cancels the rest
-// of its group and is returned; groups folded so far stay in the result.
+// the runner's workers and folded in plan order as they finish (runGroup).
+// The first unit error — cancellation included — cancels the rest of its
+// group and is returned; units folded so far stay in the result.
 func (j *Job) Run(ctx context.Context, r Runner) error {
 	for gi := 0; gi < len(j.Groups); {
-		res, err := runGroup(ctx, r, j.Groups[gi])
+		next, err := j.runGroup(ctx, r, gi)
 		if err != nil {
 			return err
 		}
-		gi = j.fold(gi, res)
+		gi = next
 	}
 	return j.Err
 }
 
-func runGroup(ctx context.Context, r Runner, units []Unit) ([]UnitResult, error) {
-	res := make([]UnitResult, len(units))
-	err := forBlocksCtx(ctx, r.Workers(), int64(len(units)), func(ctx context.Context, w int, i int64) (err error) {
-		res[i], err = r.RunUnit(ctx, w, units[i])
-		return err
+// runGroup runs group gi and returns the group to run next. A unit is
+// folded once it and every unit before it are done; a fold that ends the
+// group cancels the units running past it, whose results are dropped.
+func (j *Job) runGroup(ctx context.Context, r Runner, gi int) (next int, err error) {
+	units := j.Groups[gi]
+	res := make([]*UnitResult, len(units))
+	var mu sync.Mutex
+	folded := 0
+	next = gi
+	err = forBlocksCtx(ctx, r.Workers(), int64(len(units)), func(ctx context.Context, w int, i int64) error {
+		ur, err := r.RunUnit(ctx, w, units[i])
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		res[i] = &ur
+		for ; next == gi && folded < len(units) && res[folded] != nil; folded++ {
+			next = j.fold(gi, folded, *res[folded])
+			j.Folded += j.Work(units[folded])
+			res[folded] = nil
+		}
+		if next != gi {
+			return errStop
+		}
+		return nil
 	})
-	return res, err
+	return max(next, gi+1), err
 }
 
 // Work returns the number of combinations or trials unit u examines.
@@ -178,11 +201,11 @@ func histogramOf(hist []int64, tally stats.Proportion) bool {
 	return sum == tally.Trials && hist[len(hist)-1] == tally.Hits
 }
 
-// blockUnits appends blocks [lo, hi) of the fixed tiling of a trial
-// budget: block b is trials [b·blockSize, (b+1)·blockSize) — the last one
-// short — drawn from stream b. tmpl carries the fields the blocks share.
-func blockUnits(units []Unit, tmpl Unit, trials, blockSize, lo, hi int64) []Unit {
-	for b := lo; b < hi; b++ {
+// blockUnits tiles a trial budget into fixed blocks: block b is trials
+// [b·blockSize, (b+1)·blockSize) — the last one short — drawn from stream b.
+// tmpl carries the fields the blocks share.
+func blockUnits(tmpl Unit, trials, blockSize int64) (units []Unit) {
+	for b := int64(0); b*blockSize < trials; b++ {
 		tmpl.Trials, tmpl.Stream = min(blockSize, trials-b*blockSize), uint64(b)
 		units = append(units, tmpl)
 	}

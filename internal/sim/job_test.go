@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -35,18 +37,30 @@ func (r *scriptRunner) RunUnit(ctx context.Context, w int, u Unit) (UnitResult, 
 	return UnitResult{}, ctx.Err()
 }
 
+// scriptJob is one group of n units whose fold lists the units it folds,
+// in the order it folds them, and ends the group at unit stopAt.
+func scriptJob(n, stopAt int) (*Job, *[]int) {
+	folded := []int{}
+	j := &Job{Groups: [][]Unit{make([]Unit, n)}}
+	j.fold = func(gi, i int, _ UnitResult) int {
+		folded = append(folded, i)
+		if i == stopAt {
+			return gi + 1
+		}
+		return gi
+	}
+	return j.number(), &folded
+}
+
 // TestRunGroupFirstErrorCancelsTheRest: the first unit error ends its
 // group — no later unit is handed to the runner — and it, not the
 // cancellation it caused, is what the group reports; a caller's cancel
 // reports ctx.Err() without running a unit.
 func TestRunGroupFirstErrorCancelsTheRest(t *testing.T) {
-	units := make([]Unit, 200)
-	for i := range units {
-		units[i].ID = i
-	}
 	for _, workers := range []int{1, 4} {
+		j, _ := scriptJob(200, -1)
 		r := &scriptRunner{workers: workers, failID: 7}
-		if _, err := runGroup(context.Background(), r, units); err != errScript {
+		if _, err := j.runGroup(context.Background(), r, 0); err != errScript {
 			t.Errorf("workers=%d: group returned %v, want the unit's error", workers, err)
 		}
 		// One worker runs units 0..7 and stops. With more, the others may
@@ -63,10 +77,68 @@ func TestRunGroupFirstErrorCancelsTheRest(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		r = &scriptRunner{workers: workers, failID: -1}
-		if _, err := runGroup(ctx, r, units); !errors.Is(err, context.Canceled) || r.ran.Load() != 0 {
+		if _, err := j.runGroup(ctx, r, 0); !errors.Is(err, context.Canceled) || r.ran.Load() != 0 {
 			t.Errorf("workers=%d: canceled group returned %v after running %d units", workers, err, r.ran.Load())
 		}
 	}
+}
+
+// shuffledRunner finishes its units out of order: each yields the
+// processor a number of times that varies with its ID before it returns.
+// It fails the unit whose ID is failID, and counts the units it is handed
+// and those handed under an already-canceled context.
+type shuffledRunner struct{ scriptRunner }
+
+func (r *shuffledRunner) RunUnit(ctx context.Context, w int, u Unit) (UnitResult, error) {
+	for range u.ID * 7 % 5 * 10 {
+		runtime.Gosched()
+	}
+	return r.scriptRunner.RunUnit(ctx, w, u)
+}
+
+// TestRunGroupStopsAtTheFold: a fold that ends its group sees exactly the
+// units up to it, in order, whatever order they finish in; the group ends
+// cleanly, at one worker without running a unit past the stop, and no unit
+// starts once the stop has canceled the rest. A real unit error before the
+// stop is still what the group returns, and nothing from it on is folded.
+func TestRunGroupStopsAtTheFold(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		for _, stopAt := range []int{0, 5, 63} {
+			j, folded := scriptJob(64, stopAt)
+			r := &shuffledRunner{scriptRunner{workers: workers, failID: -1}}
+			next, err := j.runGroup(context.Background(), r, 0)
+			if err != nil || next != 1 {
+				t.Fatalf("workers=%d stop at %d: runGroup returned %d, %v; want 1, nil", workers, stopAt, next, err)
+			}
+			if want := seq(stopAt + 1); !slices.Equal(*folded, want) {
+				t.Errorf("workers=%d stop at %d: folded %v, want %v", workers, stopAt, *folded, want)
+			}
+			if ran := int(r.ran.Load()); workers == 1 && ran != stopAt+1 {
+				t.Errorf("workers=1 stop at %d: %d units ran", stopAt, ran)
+			}
+			if late := int(r.late.Load()); late > workers-1 {
+				t.Errorf("workers=%d stop at %d: %d units started after the stop", workers, stopAt, late)
+			}
+		}
+
+		j, folded := scriptJob(64, 40)
+		r := &shuffledRunner{scriptRunner{workers: workers, failID: 20}}
+		if _, err := j.runGroup(context.Background(), r, 0); err != errScript {
+			t.Errorf("workers=%d: error before the stop: group returned %v, want the unit's error", workers, err)
+		}
+		if len(*folded) > 20 || !slices.Equal(*folded, seq(len(*folded))) {
+			t.Errorf("workers=%d: error at unit 20: folded %v", workers, *folded)
+		}
+	}
+}
+
+// seq returns 0, 1, …, n−1.
+func seq(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
 }
 
 // TestWorstCasePlanEndingShort: a search asked for cardinalities it cannot

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"math/rand/v2"
 	"runtime"
 	"sync"
@@ -59,23 +60,23 @@ func defaultWorkers(v int) int {
 // slice. An atomic counter deals the blocks to whichever goroutine asks
 // next. At one worker, or one block, the loop runs inline on the caller and
 // starts nothing. The first error — the caller's cancellation included —
-// cancels the context fn runs under, skips the blocks not yet started, and
-// is returned.
+// cancels the context fn runs under, with that error as its cause, skips
+// the blocks not yet started, and is returned. A block that returns errStop
+// ends the loop the same way, but cleanly: forBlocksCtx returns nil, and
+// what the blocks it cancels return is dropped.
 func forBlocksCtx(ctx context.Context, workers int, n int64, fn func(ctx context.Context, w int, b int64) error) error {
 	workers = int(min(int64(workers), n))
 	if workers <= 1 {
-		for b := int64(0); b < n; b++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(ctx, 0, b); err != nil {
-				return err
+		var err error
+		for b := int64(0); b < n && err == nil; b++ {
+			if err = ctx.Err(); err == nil {
+				err = fn(ctx, 0, b)
 			}
 		}
-		return nil
+		return clean(err)
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	var next atomic.Int64
 	var first error
 	var once sync.Once
@@ -86,7 +87,7 @@ func forBlocksCtx(ctx context.Context, workers int, n int64, fn func(ctx context
 				err = fn(ctx, w, b)
 			}
 			if err != nil {
-				once.Do(func() { first = err; cancel() })
+				once.Do(func() { first = err; cancel(err) })
 				return
 			}
 		}
@@ -101,7 +102,18 @@ func forBlocksCtx(ctx context.Context, workers int, n int64, fn func(ctx context
 	}
 	run(0)
 	wg.Wait()
-	return first
+	return clean(first)
+}
+
+// errStop, returned by a forBlocksCtx block, ends the loop without an error.
+var errStop = errors.New("sim: the blocks after this one are not needed")
+
+// clean is forBlocksCtx's error: err, unless it is the stop.
+func clean(err error) error {
+	if err == errStop {
+		return nil
+	}
+	return err
 }
 
 // lifetimeBlock is the lifetime simulation's trial-block size, in system

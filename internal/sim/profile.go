@@ -97,24 +97,22 @@ func NewProfileJob(g *graph.Graph, opts ProfileOptions, shardSize int64) *Job {
 		return j
 	}
 	blockSize := int64Or(shardSize, DefaultSampledBlock)
-	nBlocks := (opts.Trials + blockSize - 1) / blockSize
-	units := blockUnits(nil, Unit{K: opts.MinK, MaxK: opts.MaxK, Seed: opts.Seed}, opts.Trials, blockSize, 0, nBlocks)
-	j.Groups = [][]Unit{units}
-	j.fold = func(gi int, res []UnitResult) int {
-		hist := make([]int64, opts.MaxK-opts.MinK+2) // the blocks' pooled histogram
-		for _, r := range res {
-			for t, n := range r.Thresholds {
-				hist[t] += n
-			}
+	j.Groups = [][]Unit{blockUnits(Unit{K: opts.MinK, MaxK: opts.MaxK, Seed: opts.Seed}, opts.Trials, blockSize)}
+	hist := make([]int64, opts.MaxK-opts.MinK+2) // the folded blocks' pooled histogram
+	var orders int64
+	j.fold = func(gi, _ int, r UnitResult) int {
+		for t, n := range r.Thresholds {
+			hist[t] += n
 		}
+		orders += r.Tally.Trials
 		// Point k fails in the orders of hist[MaxK−k+1:]: sum them from the
 		// top, where hist's last entry is the orders undecoded at MinK.
 		var fails int64
 		for k := opts.MinK; k <= opts.MaxK; k++ {
 			fails += hist[opts.MaxK-k+1]
-			p.Fail[k] = stats.Proportion{Hits: fails, Trials: opts.Trials}
+			p.Fail[k] = stats.Proportion{Hits: fails, Trials: orders}
 		}
-		return gi + 1
+		return gi
 	}
 	return j.number()
 }
@@ -138,11 +136,11 @@ func NewFoldedProfileJob(g *graph.Graph, opts ProfileOptions, shardSize int64) *
 	}
 	n, sampled := len(wc.Groups), j.fold
 	j.Groups = append(wc.Groups, j.Groups...)
-	j.fold = func(gi int, res []UnitResult) int {
+	j.fold = func(gi, i int, r UnitResult) int {
 		if gi < n {
-			return wc.fold(gi, res)
+			return wc.fold(gi, i, r)
 		}
-		next := sampled(gi-n, res) + n
+		next := sampled(gi-n, i, r) + n
 		j.Err = j.Profile.AddExact(*wc.WorstCase)
 		return next
 	}

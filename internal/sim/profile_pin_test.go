@@ -206,13 +206,14 @@ func TestSampledPointsMatchEnumeration(t *testing.T) {
 		}
 
 		j := NewProfileJob(g, opts, 0)
-		res, err := runGroup(context.Background(), NewLocalRunner(g, 2), j.Groups[0])
-		if err != nil {
-			t.Fatal(err)
-		}
+		lr := NewLocalRunner(g, 1)
 		var sum, orders int64
-		for i, r := range res {
-			from := g.Total - j.Groups[0][i].MaxK // hist[0] is T = from
+		for _, u := range j.Groups[0] {
+			r, err := lr.RunUnit(context.Background(), 0, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			from := g.Total - u.MaxK // hist[0] is T = from
 			for thr, n := range r.Thresholds {
 				sum += int64(from+thr) * n
 				orders += n

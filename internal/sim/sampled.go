@@ -36,8 +36,8 @@ import (
 // Defaults for SampledOptions, following the package option idiom.
 const (
 	// DefaultSampledEpsilon is the target 95% Wilson CI half-width: the
-	// sampler draws rounds of blocks until the pooled interval is at least
-	// this tight (~19.2k trials when no failure is observed).
+	// sampler draws blocks until the pooled interval is at least this
+	// tight (~19.2k trials when no failure is observed).
 	DefaultSampledEpsilon = 1e-4
 	// DefaultSampledMaxTrials caps a sampled certification even when the
 	// epsilon target is not reached (a failure-rich graph at a loose
@@ -58,8 +58,8 @@ const sampledSeedDomain = 0x5ca1ab1e
 
 // SampledOptions tunes SampleStratifiedCtx.
 type SampledOptions struct {
-	// Epsilon is the planned-precision target: sampling stops at the first
-	// round boundary where the pooled 95% Wilson CI half-width is <=
+	// Epsilon is the planned-precision target: sampling stops after the
+	// first block at which the pooled 95% Wilson CI half-width is <=
 	// Epsilon. Default DefaultSampledEpsilon; negative disables the rule
 	// (run to MaxTrials).
 	Epsilon float64
@@ -89,9 +89,10 @@ func (o SampledOptions) normalize() SampledOptions {
 	return o
 }
 
-// SampledRound records the pooled precision after one stopping-rule round.
+// SampledRound records the pooled precision after one block: one look of
+// the stopping rule.
 type SampledRound struct {
-	Trials    int64   // cumulative trials after the round
+	Trials    int64   // cumulative trials after the block
 	HalfWidth float64 // pooled 95% Wilson CI half-width at that point
 }
 
@@ -104,7 +105,7 @@ type SampledResult struct {
 	// Screened counts trials resolved by the structural proofs alone —
 	// never decoded. The screening rejection rate is Screened/Trials.
 	Screened  int64
-	Rounds    []SampledRound // precision trajectory, one entry per round
+	Rounds    []SampledRound // precision trajectory, one entry per block drawn
 	Witnesses [][]int        // failing patterns (ascending node IDs), capped at MaxWitnesses
 }
 
@@ -123,27 +124,6 @@ func (r *SampledResult) ScreenRate() float64 {
 		return 0
 	}
 	return float64(r.Screened) / float64(r.Tally.Trials)
-}
-
-// sampledPlan lays out the deterministic round schedule for a trial
-// budget: blocks of blockSize trials (the last one short, see blockUnits),
-// grouped into doubling rounds of 1, 2, 4, 8, … blocks. rounds[i] is the
-// half-open block range of round i. The schedule is a pure function of
-// (maxTrials, blockSize), so every run of a job — in memory, as a
-// campaign, resumed — agrees on where the stopping rule may fire.
-func sampledPlan(maxTrials, blockSize int64) (nBlocks int64, rounds [][2]int64) {
-	if maxTrials <= 0 || blockSize <= 0 {
-		return 0, nil
-	}
-	nBlocks = (maxTrials + blockSize - 1) / blockSize
-	size := int64(1)
-	for lo := int64(0); lo < nBlocks; {
-		hi := min(lo+size, nBlocks)
-		rounds = append(rounds, [2]int64{lo, hi})
-		lo = hi
-		size *= 2
-	}
-	return nBlocks, rounds
 }
 
 // SampledBlock is the tally of one deterministic sampled block, the
@@ -359,13 +339,13 @@ func (s *StratifiedSampler) flushBatch(blk *SampledBlock, k, maxWitnesses int) {
 }
 
 // SampleStratifiedCtx runs the sampled certification of cardinality k:
-// deterministic blocks executed in doubling rounds, stopping at the first
-// round boundary where the pooled 95% Wilson CI half-width reaches
-// opts.Epsilon (or when opts.MaxTrials is exhausted). The result is
-// bit-identical for a fixed seed at any worker count: blocks are fixed
-// RNG streams, tallies are integer sums, witnesses merge in block order,
-// and the stopping rule is evaluated only at round boundaries of the
-// fixed sampledPlan schedule.
+// deterministic blocks drawn in order until the first block after which
+// the pooled 95% Wilson CI half-width reaches opts.Epsilon (or until
+// opts.MaxTrials is exhausted). The result is bit-identical for a fixed
+// seed at any worker count: blocks are fixed RNG streams, tallies are
+// integer sums, and the blocks are folded — witnesses merged, the
+// stopping rule evaluated — in block order, so where sampling stops
+// depends on the blocks up to it alone.
 func SampleStratifiedCtx(ctx context.Context, g *graph.Graph, k int, opts SampledOptions) (*SampledResult, error) {
 	if k < 1 || k > g.Total {
 		return nil, fmt.Errorf("sim: cardinality %d out of range for %d nodes", k, g.Total)
@@ -378,13 +358,12 @@ func SampleStratifiedCtx(ctx context.Context, g *graph.Graph, k int, opts Sample
 }
 
 // NewSampledJob plans the sampled certification of cardinalities
-// minK..maxK: one group per (cardinality, round of sampledPlan), one unit
-// per block. A cardinality's remaining rounds are skipped from the first
-// round boundary where its pooled half-width is within opts.Epsilon. An
-// empty window plans nothing and sets Job.Err.
+// minK..maxK: one group per cardinality, one unit per block of the
+// opts.MaxTrials budget. A cardinality's group ends at the first block
+// after which its pooled half-width is within opts.Epsilon. An empty
+// window plans nothing and sets Job.Err.
 func NewSampledJob(g *graph.Graph, minK, maxK int, opts SampledOptions) *Job {
 	opts = opts.normalize()
-	_, rounds := sampledPlan(opts.MaxTrials, opts.BlockSize)
 	j := &Job{total: g.Total}
 	if minK > maxK {
 		j.Err = fmt.Errorf("%w: cardinalities %d..%d", ErrEmptyWindow, minK, maxK)
@@ -392,32 +371,21 @@ func NewSampledJob(g *graph.Graph, minK, maxK int, opts SampledOptions) *Job {
 	for k := minK; k <= maxK; k++ {
 		j.Sampled = append(j.Sampled, &SampledResult{K: k, Strata: make([]stats.Proportion, k+1)})
 		tmpl := Unit{K: k, Seed: opts.Seed, Stratified: true, MaxFailures: opts.MaxWitnesses}
-		for _, rd := range rounds {
-			j.Groups = append(j.Groups, blockUnits(nil, tmpl, opts.MaxTrials, opts.BlockSize, rd[0], rd[1]))
-		}
+		j.Groups = append(j.Groups, blockUnits(tmpl, opts.MaxTrials, opts.BlockSize))
 	}
-	j.fold = func(gi int, res []UnitResult) int {
-		ki := gi / len(rounds)
-		sr := j.Sampled[ki]
-		// Merge in block order: tallies are integer sums and witnesses
-		// carry block order.
-		for _, r := range res {
-			for s, p := range r.Strata {
-				sr.Strata[s].Add(p.Hits, p.Trials)
-			}
-			sr.Screened += r.Screened
-			for _, w := range r.Failures {
-				if len(sr.Witnesses) < opts.MaxWitnesses {
-					sr.Witnesses = append(sr.Witnesses, w)
-				}
-			}
+	j.fold = func(gi, _ int, r UnitResult) int {
+		sr := j.Sampled[gi]
+		for s, p := range r.Strata {
+			sr.Strata[s].Add(p.Hits, p.Trials)
 		}
+		sr.Screened += r.Screened
+		sr.Witnesses = append(sr.Witnesses, r.Failures[:min(len(r.Failures), opts.MaxWitnesses-len(sr.Witnesses))]...)
 		sr.Tally = stats.Pool(sr.Strata...)
 		sr.Rounds = append(sr.Rounds, SampledRound{Trials: sr.Tally.Trials, HalfWidth: sr.HalfWidth()})
 		if opts.Epsilon > 0 && sr.HalfWidth() <= opts.Epsilon {
-			return (ki + 1) * len(rounds) // the next cardinality's first round
+			return gi + 1
 		}
-		return gi + 1
+		return gi
 	}
 	return j.number()
 }

@@ -223,17 +223,17 @@ func TestSampledWorkerCountIndependence(t *testing.T) {
 	}
 }
 
-// TestSampledStoppingRule pins the planned-precision contract: the
-// sampler stops at the first round boundary whose pooled half-width
-// reaches epsilon, and never earlier than the schedule allows.
+// TestSampledStoppingRule pins the planned-precision contract on a
+// screened graph: the sampler stops after the first block whose pooled
+// half-width reaches epsilon.
 func TestSampledStoppingRule(t *testing.T) {
 	g, _, err := core.Generate(core.DefaultParams(), rand.New(rand.NewPCG(3, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Screened graph at k=2: failures are essentially absent, so the
-	// zero-hit half-width math governs. One 4096-trial round gives
-	// hw ≈ 1.92/4100 ≈ 4.7e-4; epsilon 1e-3 must stop after round one.
+	// zero-hit half-width math governs. One 4096-trial block gives
+	// hw ≈ 1.92/4100 ≈ 4.7e-4; epsilon 1e-3 must stop after block one.
 	res, err := SampleStratifiedCtx(context.Background(), g, 2, SampledOptions{
 		Seed: 5, MaxTrials: 1 << 20, BlockSize: 4096, Epsilon: 1e-3,
 	})
@@ -241,45 +241,115 @@ func TestSampledStoppingRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Rounds) != 1 || res.Tally.Trials != 4096 {
-		t.Fatalf("stopping rule fired after %d rounds / %d trials, want 1 round / 4096 trials",
+		t.Fatalf("stopping rule fired after %d blocks / %d trials, want 1 block / 4096 trials",
 			len(res.Rounds), res.Tally.Trials)
 	}
 	if hw := res.HalfWidth(); hw > 1e-3 {
 		t.Fatalf("reported half-width %v exceeds the target", hw)
 	}
-	// The trajectory is recorded for every round and is nonincreasing on a
+	// The trajectory is recorded for every block and is nonincreasing on a
 	// zero-hit run.
 	for i := 1; i < len(res.Rounds); i++ {
 		if res.Rounds[i].HalfWidth > res.Rounds[i-1].HalfWidth {
-			t.Fatal("half-width widened across rounds on a zero-hit run")
+			t.Fatal("half-width widened across blocks on a zero-hit run")
 		}
 	}
 }
 
-// TestSampledPlanSchedule pins the doubling schedule and its exact tiling
-// of the trial budget.
-func TestSampledPlanSchedule(t *testing.T) {
-	nBlocks, rounds := sampledPlan(100000, 4096)
-	if nBlocks != 25 {
-		t.Fatalf("nBlocks = %d, want 25", nBlocks)
+// TestSampledStopsAtFirstBlock: on a graph with real failures, where the
+// half-width does not shrink block by block, sampling stops after the
+// first block at which the pooled half-width is within epsilon — the run
+// is the budget's first blocks, cut there — and the result is the same
+// at 1, 2 and 4 workers.
+func TestSampledStopsAtFirstBlock(t *testing.T) {
+	g := unscreened96(t, 0)
+	const eps = 2e-3
+	opts := SampledOptions{Seed: 4, MaxTrials: 32 * 256, BlockSize: 256, Epsilon: -1, Workers: 1}
+	full, err := SampleStratifiedCtx(context.Background(), g, 4, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := [][2]int64{{0, 1}, {1, 3}, {3, 7}, {7, 15}, {15, 25}}
-	if !reflect.DeepEqual(rounds, want) {
-		t.Fatalf("rounds = %v, want %v", rounds, want)
+	stop := slices.IndexFunc(full.Rounds, func(r SampledRound) bool { return r.HalfWidth <= eps })
+	if stop < 2 {
+		t.Fatalf("half-widths %v: the test wants a run that stops after a few blocks", full.Rounds)
 	}
-	var trials int64
-	for b, u := range blockUnits(nil, Unit{}, 100000, 4096, 0, nBlocks) {
-		n := u.Trials
-		if n <= 0 || n > 4096 || u.Stream != uint64(b) {
-			t.Fatalf("block %d has %d trials from stream %d", b, n, u.Stream)
+	opts.Epsilon = eps
+	var want *SampledResult
+	for _, w := range []int{1, 2, 4} {
+		opts.Workers = w
+		got, err := SampleStratifiedCtx(context.Background(), g, 4, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		trials += n
+		if want == nil {
+			want = got
+			if !slices.Equal(got.Rounds, full.Rounds[:stop+1]) {
+				t.Fatalf("stopped run's trajectory %v, want the full run's up to its first half-width within %g: %v", got.Rounds, eps, full.Rounds[:stop+1])
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: result differs from workers=1:\n%+v\nvs\n%+v", w, got, want)
+		}
 	}
-	if trials != 100000 {
-		t.Fatalf("blocks tile %d trials, want 100000", trials)
+}
+
+// TestSampledStoppedIntervalCovers: the stopping rule looks after every
+// block, a fixed-width sequential interval (Chow and Robbins 1965), whose
+// coverage only tends to the nominal 95% as epsilon shrinks. On a graph
+// whose failure fraction at k=4 is known exactly (8,931 of C(96, 4)
+// patterns), the stopped Wilson interval must cover it in at least 90% of
+// 200 seeds (DESIGN.md "Planned precision").
+func TestSampledStoppedIntervalCovers(t *testing.T) {
+	g := unscreened96(t, 0)
+	kr, err := ExhaustiveKCtx(context.Background(), g, 4, 0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n, r := sampledPlan(0, 4096); n != 0 || r != nil {
-		t.Fatal("empty budget must plan no blocks")
+	p := float64(kr.FailureCount) / float64(kr.Tested)
+	const seeds = 200
+	covered := 0
+	for seed := range uint64(seeds) {
+		res, err := SampleStratifiedCtx(context.Background(), g, 4, SampledOptions{Seed: seed, BlockSize: 1024, Epsilon: 1e-3, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lo, hi := res.Wilson(); lo <= p && p <= hi {
+			covered++
+		}
+	}
+	if covered < seeds*9/10 {
+		t.Errorf("the stopped interval covers P(fail) = %.4g in %d of %d seeds, want at least 90%%", p, covered, seeds)
+	}
+	t.Logf("P(fail) = %.4g covered in %d of %d seeds", p, covered, seeds)
+}
+
+// TestSampledPlanSchedule pins the plan: one group per cardinality, its
+// blocks tiling the trial budget exactly — block b on stream b, the last
+// one short — numbered in plan order.
+func TestSampledPlanSchedule(t *testing.T) {
+	g := mirrorGraph(12)
+	j := NewSampledJob(g, 3, 4, SampledOptions{MaxTrials: 100000, BlockSize: 4096, Seed: 7, MaxWitnesses: 2})
+	if j.Err != nil || len(j.Groups) != 2 {
+		t.Fatalf("plan has %d groups and error %v, want one per cardinality", len(j.Groups), j.Err)
+	}
+	id := 0
+	for gi, grp := range j.Groups {
+		if len(grp) != 25 {
+			t.Fatalf("k=%d: %d blocks, want 25", gi+3, len(grp))
+		}
+		var trials int64
+		for b, u := range grp {
+			want := Unit{ID: id, K: gi + 3, Trials: min(4096, 100000-int64(b)*4096), Seed: 7, Stream: uint64(b), Stratified: true, MaxFailures: 2}
+			if u != want {
+				t.Fatalf("k=%d block %d is %+v, want %+v", gi+3, b, u, want)
+			}
+			trials += u.Trials
+			id++
+		}
+		if trials != 100000 {
+			t.Fatalf("k=%d: blocks tile %d trials, want 100000", gi+3, trials)
+		}
 	}
 }
 

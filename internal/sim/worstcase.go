@@ -110,14 +110,13 @@ func NewWorstCaseJob(g *graph.Graph, opts WorstCaseOptions) *Job {
 		}
 		j.Groups = append(j.Groups, []Unit{{K: k, MaxFailures: opts.MaxFailures}})
 	}
-	j.fold = func(gi int, res []UnitResult) int {
-		r := res[0]
+	j.fold = func(gi, _ int, r UnitResult) int {
 		kr := KResult{K: j.Groups[gi][0].K, Tested: r.Tally.Trials, FailureCount: r.Tally.Hits, Failures: r.Failures}
 		if j.WorstCase.add(kr, opts.KeepGoing) {
 			j.Err = nil // the cardinalities the plan stops short of are never reached
 			return len(j.Groups)
 		}
-		return gi + 1
+		return gi
 	}
 	return j.number()
 }

@@ -197,8 +197,8 @@ const (
 	CampaignProfile   = campaign.KindProfile
 	// CampaignSampled is the archival-scale sampled certification as a
 	// durable campaign: per-block journaling, bit-identical resume, and the
-	// Wilson-CI stopping rule evaluated at the same round boundaries as
-	// CertifyCtx.
+	// Wilson-CI stopping rule evaluated after every block, in block order,
+	// as CertifyCtx does.
 	CampaignSampled = campaign.KindSampled
 )
 
